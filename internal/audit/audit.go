@@ -66,7 +66,9 @@ const (
 	InvRestoreOrder     = "restore-order" // restored snapshot not strictly before the straggler
 	InvFossilFloor      = "fossil-floor"  // no snapshot at or below GVT retained
 	InvStatsIdentity    = "stats-identity"
-	InvMigration        = "migration" // a migrated object lost events or state in transit
+	InvMigration        = "migration"   // a migrated object lost events or state in transit
+	InvLocalMin         = "local-min"   // the LP's GVT contribution differs from the scan over every hosted object
+	InvFossilSkip       = "fossil-skip" // fossil collection passed over an object whose history it would have shrunk
 )
 
 // Violation is one observed invariant breach.
@@ -441,6 +443,20 @@ func (l *LPAudit) GVTRound(count int64, m, mmsg vtime.Time) {
 	}
 }
 
+// LocalMin cross-checks the LP's contribution to GVT, which the kernel takes
+// from its schedule heap and its list of objects with pending lazy outputs,
+// against the same minimum scanned over every hosted object.
+func (l *LPAudit) LocalMin(fast, full vtime.Time) {
+	if l == nil {
+		return
+	}
+	l.checks++
+	if fast != full {
+		l.a.record(Violation{Invariant: InvLocalMin, LP: l.lp, Object: -1,
+			Detail: fmt.Sprintf("local minimum %s from the schedule heap and lazy list, %s from the full scan", fast, full)})
+	}
+}
+
 // GVT returns the last GVT value applied on this LP (for tests).
 func (l *LPAudit) GVT() vtime.Time {
 	if l == nil {
@@ -605,6 +621,35 @@ func (o *ObjectAudit) FossilFloor(g, oldest vtime.Time) {
 	if !oldest.Before(g) {
 		o.l.a.record(Violation{Invariant: InvFossilFloor, LP: o.l.lp, Object: o.id,
 			Detail: fmt.Sprintf("oldest retained snapshot @%s not below GVT %s", oldest, g)})
+	}
+}
+
+// LazyListed checks that an object holding pending cancellation entries is
+// on its LP's lazy list: off it, the entries would neither be drained when
+// the object goes idle nor counted into the local minimum.
+func (o *ObjectAudit) LazyListed(pending int, listed bool) {
+	if o == nil {
+		return
+	}
+	o.l.checks++
+	if pending > 0 && !listed {
+		o.l.a.record(Violation{Invariant: InvLocalMin, LP: o.l.lp, Object: o.id,
+			Detail: fmt.Sprintf("%d pending cancellation entries but not on the lazy list", pending)})
+	}
+}
+
+// FossilSkip cross-checks the fossil floor at a GVT application: skipped
+// says the kernel's history list and floor would have passed the object
+// over at g, changed that collecting it anyway reclaimed or committed
+// something.
+func (o *ObjectAudit) FossilSkip(g, floor vtime.Time, skipped, changed bool) {
+	if o == nil {
+		return
+	}
+	o.l.checks++
+	if skipped && changed {
+		o.l.a.record(Violation{Invariant: InvFossilSkip, LP: o.l.lp, Object: o.id,
+			Detail: fmt.Sprintf("skipped at GVT %s (fossil floor %s) though collection changed its history", g, floor)})
 	}
 }
 

@@ -303,14 +303,21 @@ func TestManagerMinPendingAndDrain(t *testing.T) {
 
 func TestManagerFossilCollect(t *testing.T) {
 	h := newHarness(StaticAggressive)
+	if f := h.m.FossilFloor(); f != vtime.PosInf {
+		t.Errorf("FossilFloor of an empty queue = %s", f)
+	}
 	for i := 1; i <= 5; i++ {
 		g := in(vtime.Time(10*i), uint64(i))
 		h.m.RecordSent(h.out(vtime.Time(10*i), vtime.Time(10*i+100), byte(i)), g)
 	}
+	// At or below the floor there is nothing to reclaim.
+	if f := h.m.FossilFloor(); f != 10 || h.m.FossilCollect(f) != 0 {
+		t.Errorf("FossilFloor = %s, want 10 and a no-op collection there", f)
+	}
 	// GVT 30: records generated at 10 and 20 are unreachable.
 	n := h.m.FossilCollect(30)
-	if n != 2 || h.m.SentLen() != 3 {
-		t.Errorf("reclaimed %d (sent %d), want 2 (3)", n, h.m.SentLen())
+	if n != 2 || h.m.SentLen() != 3 || h.m.FossilFloor() != 30 {
+		t.Errorf("reclaimed %d (sent %d, floor %s), want 2 (3, 30)", n, h.m.SentLen(), h.m.FossilFloor())
 	}
 	// Remaining records still cancel correctly.
 	h.m.OnRollback(in(35, 99))
@@ -329,6 +336,10 @@ func TestManagerInitOutputsNeverCancelled(t *testing.T) {
 	}
 	if h.m.SentLen() != 1 {
 		t.Errorf("SentLen = %d, want the Init record retained", h.m.SentLen())
+	}
+	// An Init record is reclaimable at any GVT: the floor says so.
+	if f := h.m.FossilFloor(); f != vtime.NegInf || h.m.FossilCollect(0) != 1 {
+		t.Errorf("FossilFloor = %s, want -inf and the Init record reclaimed", f)
 	}
 }
 

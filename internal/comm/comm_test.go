@@ -149,6 +149,39 @@ func TestNextDeadline(t *testing.T) {
 	}
 }
 
+// TestEmptyBuffersShortCircuit pins the non-empty buffer count behind the
+// FlushAll/Poll/NextDeadline early returns: it must follow every way a
+// buffer fills and empties, or a sweep would skip a pending aggregate.
+func TestEmptyBuffersShortCircuit(t *testing.T) {
+	n := NewInProc(3)
+	var st stats.Counters
+	e0 := NewEndpoint(n, 0, AggConfig{Policy: FAW, Window: time.Hour, MaxEvents: 2}, &st)
+	want := func(nonEmpty int, buffered int64) {
+		t.Helper()
+		_, pending := e0.NextDeadline()
+		if e0.nonEmpty != nonEmpty || e0.Buffered() != buffered || pending != (nonEmpty > 0) {
+			t.Fatalf("nonEmpty %d, buffered %d, deadline pending %v; want %d, %d",
+				e0.nonEmpty, e0.Buffered(), pending, nonEmpty, buffered)
+		}
+	}
+	want(0, 0)
+	e0.Send(ev(1, 10, 4), 1, false)
+	e0.Send(ev(2, 10, 4), 2, false)
+	want(2, 2)
+	e0.Send(ev(3, 10, 4), 1, false) // capacity flush empties buffer 1
+	want(1, 1)
+	e0.Send(ev(4, 10, 4), 1, true) // urgent: in and straight out
+	want(1, 1)
+	e0.Poll(time.Now().Add(2 * time.Hour)) // window flush empties buffer 2
+	want(0, 0)
+	e0.Send(ev(5, 10, 4), 2, false)
+	e0.FlushAll(FlushIdle)
+	want(0, 0)
+	if got := len(n.Recv(1)) + len(n.Recv(2)); got != 4 {
+		t.Fatalf("%d packets delivered, want 4", got)
+	}
+}
+
 func TestGVTColorAccounting(t *testing.T) {
 	_, e0, e1, _, _ := twoLPs(AggConfig{Policy: NoAggregation})
 	e0.Send(ev(1, 10, 4), 1, false)

@@ -19,6 +19,11 @@ type Endpoint struct {
 	st  *stats.Counters
 
 	bufs []aggBuffer // indexed by destination LP
+	// nonEmpty counts the buffers holding events, so the per-destination
+	// sweeps (FlushAll at every GVT token hop, Poll and NextDeadline at every
+	// scheduling round) return at once when nothing is buffered — the usual
+	// case, and what keeps a token round from costing O(LPs) per hop.
+	nonEmpty int
 
 	// GVT accounting (see internal/gvt): logical events are counted at the
 	// moment they enter the aggregation layer and when they are decoded at
@@ -145,6 +150,7 @@ func (e *Endpoint) Send(ev *event.Event, dstLP int, urgent bool) {
 
 	b := &e.bufs[dstLP]
 	if b.count == 0 {
+		e.nonEmpty++
 		b.first = time.Now()
 		b.color = e.color
 		if b.payload == nil {
@@ -171,7 +177,7 @@ func (e *Endpoint) Send(ev *event.Event, dstLP int, urgent bool) {
 // calls it once per scheduling loop iteration; now is passed in so one clock
 // read serves all destinations.
 func (e *Endpoint) Poll(now time.Time) {
-	if e.cfg.Policy == NoAggregation {
+	if e.nonEmpty == 0 {
 		return
 	}
 	for dst := range e.bufs {
@@ -186,6 +192,9 @@ func (e *Endpoint) Poll(now time.Time) {
 // aggregate's window expires, so an idle LP can bound its wait. ok is false
 // when no aggregate is pending.
 func (e *Endpoint) NextDeadline() (t time.Time, ok bool) {
+	if e.nonEmpty == 0 {
+		return t, false
+	}
 	for dst := range e.bufs {
 		b := &e.bufs[dst]
 		if b.count == 0 {
@@ -201,6 +210,9 @@ func (e *Endpoint) NextDeadline() (t time.Time, ok bool) {
 
 // FlushAll transmits every non-empty buffer with the given cause.
 func (e *Endpoint) FlushAll(cause FlushCause) {
+	if e.nonEmpty == 0 {
+		return
+	}
 	for dst := range e.bufs {
 		if e.bufs[dst].count > 0 {
 			e.flush(dst, cause)
@@ -260,6 +272,7 @@ func (e *Endpoint) flush(dst int, cause FlushCause) {
 	}
 	b.payload = nil // the receiver owns the shipped slice now
 	b.count = 0
+	e.nonEmpty--
 	if e.cfg.Policy == SAAW {
 		// The paper's P component is "everyAggregate": adapt whenever an
 		// aggregate goes out, whatever closed it.

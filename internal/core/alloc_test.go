@@ -8,80 +8,18 @@ import (
 	"gowarp/internal/apps/phold"
 	"gowarp/internal/cancel"
 	"gowarp/internal/codec"
-	"gowarp/internal/event"
-	"gowarp/internal/model"
 	"gowarp/internal/observe"
-	"gowarp/internal/pq"
-	"gowarp/internal/route"
 	"gowarp/internal/statesave"
 	"gowarp/internal/telemetry"
 	"gowarp/internal/vtime"
 )
-
-// nilState is a zero-size model.State. Boxing a zero-size value into an
-// interface reuses the runtime's shared zero word, so Clone costs no heap
-// allocation — which lets the checkpoint path participate in the exact
-// zero-allocation measurement below without exempting it.
-type nilState struct{}
-
-func (nilState) Clone() model.State { return nilState{} }
-func (nilState) StateBytes() int    { return 0 }
-
-// pingObject bounces a token to its peer with delay 1 per execution.
-type pingObject struct {
-	peer event.ObjectID
-	buf  [8]byte
-}
-
-func (p *pingObject) Name() string              { return "ping" }
-func (p *pingObject) InitialState() model.State { return nilState{} }
-
-func (p *pingObject) Init(ctx model.Context, st model.State) {
-	if ctx.Self() == 0 { // one token in flight, seeded once
-		ctx.Send(p.peer, 1, 0, p.buf[:])
-	}
-}
-
-func (p *pingObject) Execute(ctx model.Context, st model.State, ev *event.Event) {
-	ctx.Send(p.peer, 1, 0, p.buf[:])
-}
 
 // newAllocHarness builds a single lpRun hosting two ping-ponging objects,
 // wired exactly like Run does but driven synchronously (no goroutines, no
 // network) so the steady-state execute path can be measured in isolation.
 func newAllocHarness() *lpRun {
 	cfg := DefaultConfig(vtime.Time(1) << 40)
-	sh := &shared{rt: route.New([]int{0, 0}), objs: make([]*simObject, 2)}
-	lp := &lpRun{
-		id:       0,
-		cfg:      &cfg,
-		k:        sh,
-		running:  true,
-		numLPs:   1,
-		local:    make([]*simObject, 2),
-		outbound: make(map[event.ObjectID]int),
-	}
-	lp.pool = event.NewPool()
-	for id, po := range []*pingObject{{peer: 1}, {peer: 0}} {
-		o := &simObject{
-			id:      event.ObjectID(id),
-			slot:    id,
-			obj:     po,
-			lp:      lp,
-			pending: pq.New(cfg.PendingSet),
-			orphans: make(map[pq.Identity]*event.Event),
-		}
-		o.ectx.o = o
-		o.ckpt = statesave.NewCheckpointer(cfg.Checkpoint)
-		o.out = cancel.NewManager(cancel.NewSelector(cfg.Cancellation), lp.emitAnti, &lp.st, lp.pool)
-		bindObjectHooks(lp, o)
-		sh.objs[id] = o
-		lp.objs = append(lp.objs, o)
-		lp.local[id] = o
-	}
-	lp.sched = pq.NewScheduleHeap(len(lp.objs))
-	lp.initObjects()
-	return lp
+	return newTestKernel(ringModel(2, 2, 1), &cfg)[0]
 }
 
 // TestExecuteLoopZeroAlloc pins the tentpole contract end to end: with every

@@ -4,6 +4,7 @@ import (
 	"gowarp/internal/audit"
 	"gowarp/internal/comm"
 	"gowarp/internal/event"
+	"gowarp/internal/vtime"
 )
 
 // drainInboxes empties every LP's inbox after the goroutines have joined and
@@ -37,6 +38,45 @@ func drainInboxes(lps []*lpRun) [][]comm.Packet {
 		}
 	}
 	return out
+}
+
+// auditLocalMin is localMin's full scan, kept under Config.Audit: the
+// minimum over every hosted object must equal the one the schedule heap and
+// the lazy list produced, and no object off the list may hold pending entries.
+func (lp *lpRun) auditLocalMin(fast vtime.Time) {
+	full := vtime.PosInf
+	for _, o := range lp.objs {
+		full = vtime.Min(full, vtime.Min(o.nextTime(), o.out.MinPending()))
+		o.au.LazyListed(o.out.PendingLen(), o.inLazy)
+	}
+	lp.au.LocalMin(fast, full)
+}
+
+// historySize is what fossil collection can change about an object.
+type historySize struct {
+	snaps, sent, orphans int
+	committed, base      int64
+}
+
+func (o *simObject) historySize() historySize {
+	return historySize{o.stateQ.Len(), o.out.SentLen(), len(o.orphans), o.committedAbs, o.processedBase}
+}
+
+// auditFossil is applyGVT's full scan, kept under Config.Audit. Invariant
+// (b): before any history is reclaimed, the new estimate must sit at or
+// below every object's unprocessed minimum and its minimum unresolved lazy
+// output. Then every hosted object is collected, and the ones the history
+// list and fossil floor would have passed over must come out unchanged.
+func (lp *lpRun) auditFossil(g vtime.Time) {
+	for _, o := range lp.objs {
+		o.au.Floor(g, o.nextTime(), o.out.MinPending())
+	}
+	for _, o := range lp.objs {
+		floor, skipped := o.fossilFloor, !o.inHist || !o.fossilFloor.Before(g)
+		before := o.historySize()
+		o.fossilCollect(g)
+		o.au.FossilSkip(g, floor, skipped, o.historySize() != before)
+	}
 }
 
 // finishAudit runs the auditor's end-of-run sweep after every LP goroutine

@@ -486,9 +486,7 @@ func (w *worker) idle() {
 		if !lp.running {
 			continue
 		}
-		for _, o := range lp.objs {
-			o.drainStale()
-		}
+		lp.drainLazy()
 		if dl, ok := lp.ep.NextDeadline(); ok {
 			if d := time.Until(dl); d < timeout {
 				timeout = d

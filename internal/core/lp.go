@@ -111,6 +111,17 @@ type lpRun struct {
 	// comparison).
 	au *audit.LPAudit
 
+	// lazy lists the hosted objects whose cancellation manager holds pending
+	// (lazy or passive) entries: an object enters after a rollback parks
+	// outputs there and leaves when a walk finds the pending list empty. hist
+	// lists the hosted objects with history a GVT could reclaim (fossil floor
+	// below +inf): an object enters when it executes and leaves when a fossil
+	// collection empties it. GVT participation and application walk these two
+	// lists, never objs, so their cost follows activity since the last GVT
+	// rather than the hosted object count.
+	lazy []*simObject
+	hist []*simObject
+
 	// local maps ObjectID to the hosted runtime, nil for objects living
 	// elsewhere. It is this LP's authoritative view of what it hosts —
 	// consulted before the shared routing table on every route and delivery,
@@ -352,18 +363,43 @@ func (lp *lpRun) handlePacket(p comm.Packet) {
 // localMin computes this LP's contribution to GVT: the minimum over
 // unprocessed events, queued intra-LP messages, and unsent lazy
 // anti-messages. Objects with no executable work first drain their stale
-// lazy-pending outputs so idle LPs never hold GVT back.
+// lazy-pending outputs so idle LPs never hold GVT back. The unprocessed
+// minimum is the schedule heap's — refresh keeps every object's key at its
+// nextTime() — and only objects on the lazy list can hold an unsent anti.
 func (lp *lpRun) localMin() vtime.Time {
-	for _, o := range lp.objs {
-		o.drainStale()
-	}
+	lp.drainLazy()
 	lp.drainDeferred()
-	min := vtime.PosInf
-	for _, o := range lp.objs {
-		min = vtime.Min(min, o.nextTime())
+	_, min := lp.sched.Min()
+	for _, o := range lp.lazy {
 		min = vtime.Min(min, o.out.MinPending())
 	}
+	if lp.au != nil {
+		lp.auditLocalMin(min)
+	}
 	return min
+}
+
+// drainLazy gives every object with pending lazy outputs the chance to drain
+// them (see drainStale) and drops the objects with none left from the list.
+func (lp *lpRun) drainLazy() {
+	lp.lazy = keepObjects(lp.lazy, func(o *simObject) bool {
+		o.drainStale()
+		o.inLazy = o.out.PendingLen() > 0
+		return o.inLazy
+	})
+}
+
+// keepObjects filters list in place down to the objects keep accepts,
+// zeroing the vacated tail so dropped objects are not pinned.
+func keepObjects(list []*simObject, keep func(*simObject) bool) []*simObject {
+	kept := list[:0]
+	for _, o := range list {
+		if keep(o) {
+			kept = append(kept, o)
+		}
+	}
+	clear(list[len(kept):])
+	return kept
 }
 
 // horizon returns the latest virtual time this LP may optimistically execute
@@ -393,6 +429,9 @@ func (lp *lpRun) horizon() vtime.Time {
 // maybeGVT lets LP 0 start a GVT computation; force is set when the LP has
 // gone idle, so termination is detected without waiting a full period.
 func (lp *lpRun) maybeGVT(force bool) {
+	if !lp.gvtMgr.Due(force) {
+		return // most calls: spare the minimum when nothing would start
+	}
 	if g, found := lp.gvtMgr.MaybeInitiate(lp.localMin(), force); found {
 		lp.finishGVT(g) // single-LP short circuit
 	}
@@ -413,21 +452,20 @@ func (lp *lpRun) finishGVT(g vtime.Time) {
 	}
 }
 
-// applyGVT fossil-collects every hosted object against the new GVT and, if
-// enabled, records a timeline sample.
+// applyGVT fossil-collects the hosted objects whose history the new GVT can
+// shrink and, if enabled, records a timeline sample.
 func (lp *lpRun) applyGVT(g vtime.Time) {
 	if lp.au != nil {
 		lp.au.ApplyGVT(g)
-		// Invariant (b): before any history is reclaimed, the new estimate
-		// must sit at or below every object's unprocessed minimum and its
-		// minimum unresolved lazy output.
-		for _, o := range lp.objs {
-			o.au.Floor(g, o.nextTime(), o.out.MinPending())
+		lp.auditFossil(g)
+	}
+	lp.hist = keepObjects(lp.hist, func(o *simObject) bool {
+		if o.fossilFloor.Before(g) {
+			o.fossilCollect(g)
 		}
-	}
-	for _, o := range lp.objs {
-		o.fossilCollect(g)
-	}
+		o.inHist = o.fossilFloor != vtime.PosInf
+		return o.inHist
+	})
 	if lp.ld != nil {
 		lp.publishLoad()
 		if lp.bal != nil {
@@ -471,6 +509,7 @@ func (lp *lpRun) initObjects() {
 		o.stateQ = statesave.NewQueue(o.state, meta, codec.NewState(lp.cfg.Codec))
 		bindObjectHooks(lp, o) // rebind now that the state queue exists
 		lp.refresh(o)
+		lp.enlist(o) // Init may have sent: its output records are history
 	}
 }
 
@@ -534,9 +573,7 @@ func (lp *lpRun) run() {
 // deadline if one is pending, else the idle tick. On wake, LP 0 may force a
 // GVT computation so global quiescence turns into termination.
 func (lp *lpRun) idle() {
-	for _, o := range lp.objs {
-		o.drainStale()
-	}
+	lp.drainLazy()
 	timeout := lp.idleTick
 	if dl, ok := lp.ep.NextDeadline(); ok {
 		if d := time.Until(dl); d < timeout {

@@ -128,6 +128,10 @@ func (lp *lpRun) migrateOutBatch(batch []*simObject, to int) {
 		lp.outbound[o.id] = to
 	}
 	lp.rebuildSched()
+	// The departing objects leave this LP's lazy and history lists.
+	hosted := func(o *simObject) bool { return lp.local[o.id] != nil }
+	lp.lazy = keepObjects(lp.lazy, hosted)
+	lp.hist = keepObjects(lp.hist, hosted)
 
 	c := &capsule{from: lp.id, items: make([]capsuleItem, 0, len(batch))}
 	floor := vtime.PosInf
@@ -214,6 +218,7 @@ func (lp *lpRun) install(p comm.Packet) {
 		// host's pool from now on.
 		o.out.Rebind(lp.emitAnti, &lp.st, lp.pool)
 		bindObjectHooks(lp, o)
+		lp.enlist(o)
 
 		if lp.au != nil {
 			o.au = lp.au.Adopt(o.au, o.id)
@@ -224,6 +229,19 @@ func (lp *lpRun) install(p comm.Packet) {
 		lp.st.MigratedEvents += int64(it.pending)
 		epoch := lp.k.rt.Move(int(o.id), lp.id)
 		lp.tr.Migration(int32(o.id), int32(c.from), int64(it.pending), int64(epoch))
+	}
+}
+
+// enlist enters a newly hosted object — fresh from initObjects or adopted by
+// install — on this LP's lazy and history lists as its queues call for,
+// re-deriving the fossil floor from them; whatever list state it carried
+// belonged to its previous host.
+func (lp *lpRun) enlist(o *simObject) {
+	o.inLazy, o.inHist = false, false
+	o.noteLazy()
+	o.fossilFloor = vtime.PosInf
+	if f := o.exactFossilFloor(); f != vtime.PosInf {
+		o.noteHistory(f)
 	}
 }
 

@@ -54,8 +54,19 @@ type simObject struct {
 
 	// orphans holds anti-messages that arrived before their positive
 	// counterpart (impossible over the FIFO substrate, kept as defense in
-	// depth for alternative transports).
+	// depth for alternative transports). Allocated on the first orphan.
 	orphans map[pq.Identity]*event.Event
+
+	// fossilFloor bounds what fossil collection can reclaim here:
+	// fossilCollect(g) changes nothing while g <= fossilFloor (vtime.NegInf
+	// forces a visit at any GVT, vtime.PosInf means no history to shrink). It
+	// may sit below the exact bound — execution only ever lowers it, rollback
+	// leaves it alone — but never above, and fossilCollect recomputes it.
+	// inHist marks membership of lp.hist, the objects whose floor is not
+	// +inf; inLazy marks membership of lp.lazy.
+	fossilFloor vtime.Time
+	inHist      bool
+	inLazy      bool
 
 	// seq numbers outgoing events; it is deliberately not part of the
 	// saved state — identities need uniqueness, not reproducibility.
@@ -137,7 +148,48 @@ func (o *simObject) deliverAnti(anti *event.Event) {
 		o.lp.pool.Put(anti)
 		return
 	}
+	if o.orphans == nil {
+		o.orphans = make(map[pq.Identity]*event.Event)
+	}
 	o.orphans[id] = anti
+	o.noteHistory(vtime.NegInf)
+}
+
+// noteHistory lowers the fossil floor to t and enters the object on its LP's
+// history list, so the next GVT application at or above t visits it.
+func (o *simObject) noteHistory(t vtime.Time) {
+	if t.Before(o.fossilFloor) {
+		o.fossilFloor = t
+	}
+	if !o.inHist {
+		o.inHist = true
+		o.lp.hist = append(o.lp.hist, o)
+	}
+}
+
+// noteLazy enters the object on its LP's lazy list when its cancellation
+// manager holds pending entries; OnRollback is their only producer.
+func (o *simObject) noteLazy() {
+	if !o.inLazy && o.out.PendingLen() > 0 {
+		o.inLazy = true
+		o.lp.lazy = append(o.lp.lazy, o)
+	}
+}
+
+// exactFossilFloor derives the fossil floor from the queues: the receive time
+// of the first uncommitted processed event (the commit loop), the time of
+// the second-oldest snapshot (state-queue reclamation, which alone moves
+// OldestMark and so alone lets processed events go), and the generating time
+// of the oldest output record. Any orphan forces a visit.
+func (o *simObject) exactFossilFloor() vtime.Time {
+	if len(o.orphans) > 0 {
+		return vtime.NegInf
+	}
+	f := vtime.Min(o.stateQ.FossilFloor(), o.out.FossilFloor())
+	if o.committedAbs < o.absProcessed() {
+		f = vtime.Min(f, o.processed[o.committedAbs-o.processedBase].RecvTime)
+	}
+	return f
 }
 
 // processedHas reports whether the positive counterpart of anti is in the
@@ -180,6 +232,7 @@ func (o *simObject) rollback(straggler *event.Event, isAnti bool) {
 	// legitimately reports zero here.
 	antiBase := lp.st.AntiMsgsSent
 	o.out.OnRollback(straggler)
+	o.noteLazy()
 
 	// Requeue the suffix of processed events ordered after the straggler.
 	k := len(o.processed)
@@ -272,6 +325,10 @@ func (o *simObject) executeNext() {
 	o.processed = append(o.processed, ev)
 	o.lastExec = ev
 	o.lvt = ev.RecvTime
+	// Everything this execution adds to the history — the processed event, a
+	// checkpoint at lvt, output records generated by ev — is reclaimable only
+	// by a GVT above ev's receive time.
+	o.noteHistory(ev.RecvTime)
 	lp.st.EventsProcessed++
 	if lp.ld != nil {
 		lp.ld.exec[o.id]++
@@ -374,15 +431,18 @@ func (o *simObject) fossilCollect(gvt vtime.Time) {
 
 	lp.st.FossilCollected += int64(o.out.FossilCollect(gvt))
 
-	for k, a := range o.orphans {
-		if a.RecvTime.Before(gvt) {
-			if o.au != nil {
-				o.au.OrphanDropped(a)
+	if len(o.orphans) > 0 {
+		for k, a := range o.orphans {
+			if a.RecvTime.Before(gvt) {
+				if o.au != nil {
+					o.au.OrphanDropped(a)
+				}
+				delete(o.orphans, k)
+				lp.pool.Put(a)
 			}
-			delete(o.orphans, k)
-			lp.pool.Put(a)
 		}
 	}
+	o.fossilFloor = o.exactFossilFloor()
 }
 
 // commitRemaining finalizes commit accounting at termination, when every

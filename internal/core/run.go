@@ -190,7 +190,6 @@ func Run(m *model.Model, cfg Config) (*Result, error) {
 			obj:     obj,
 			lp:      lp,
 			pending: pq.New(cfg.PendingSet),
-			orphans: make(map[pq.Identity]*event.Event),
 		}
 		o.au = lp.au.Object(o.id)
 		o.ectx.o = o

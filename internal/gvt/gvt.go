@@ -93,23 +93,30 @@ func (m *Manager) next() int { return (m.lp + 1) % m.numLPs }
 // red returns the color LPs flip to during epoch e.
 func red(e uint64) uint8 { return uint8(e & 1) }
 
-// MaybeInitiate starts a new computation if this LP is the initiator, none
-// is in progress, and the period has elapsed (or force is set — used when
-// the LP has gone idle and progress now depends on GVT advancing). localMin
+// Due reports whether MaybeInitiate would start a computation now: this LP is
+// the initiator, none is in progress, and the period has elapsed (or force is
+// set — used when the LP has gone idle and progress now depends on GVT
+// advancing). Callers whose local minimum is costly to compute ask Due first,
+// so the minimum is evaluated once per computation rather than once per poll.
+func (m *Manager) Due(force bool) bool {
+	if m.lp != 0 || m.inProgress {
+		return false
+	}
+	elapsed := time.Since(m.lastStart)
+	if force {
+		// Idle LPs force GVT so termination is detected promptly, but a
+		// floor keeps an idle initiator from spinning the token nonstop.
+		return elapsed >= m.period/8
+	}
+	return elapsed >= m.period
+}
+
+// MaybeInitiate starts a new computation if one is Due. localMin
 // is the LP's current local virtual-time minimum. With a single LP the
 // result is immediate: it returns (localMin, true); otherwise found is
 // reported by a later OnToken call.
 func (m *Manager) MaybeInitiate(localMin vtime.Time, force bool) (g vtime.Time, found bool) {
-	if m.lp != 0 || m.inProgress {
-		return 0, false
-	}
-	elapsed := time.Since(m.lastStart)
-	if !force && elapsed < m.period {
-		return 0, false
-	}
-	if force && elapsed < m.period/8 {
-		// Idle LPs force GVT so termination is detected promptly, but a
-		// floor keeps an idle initiator from spinning the token nonstop.
+	if !m.Due(force) {
 		return 0, false
 	}
 	m.lastStart = time.Now()

@@ -159,15 +159,18 @@ func TestRedMessageMinimumRespected(t *testing.T) {
 
 func TestPeriodThrottling(t *testing.T) {
 	r := newRingWithPeriod(2, time.Hour)
+	if !r.mgrs[0].Due(false) {
+		t.Fatal("a fresh initiator is not due")
+	}
 	if _, found := r.mgrs[0].MaybeInitiate(1, false); found {
 		t.Fatal("found without a round trip")
 	}
 	// inProgress: no re-initiation even when forced.
-	if g, found := r.mgrs[0].MaybeInitiate(1, true); found || g != 0 {
+	if g, found := r.mgrs[0].MaybeInitiate(1, true); found || g != 0 || r.mgrs[0].Due(true) {
 		t.Fatal("re-initiated while in progress")
 	}
 	// Non-initiators never initiate.
-	if _, found := r.mgrs[1].MaybeInitiate(1, true); found {
+	if _, found := r.mgrs[1].MaybeInitiate(1, true); found || r.mgrs[1].Due(true) {
 		t.Fatal("non-initiator initiated")
 	}
 }
@@ -182,6 +185,9 @@ func TestForceFloor(t *testing.T) {
 		t.Fatalf("GVT = (%s,%v)", g, found)
 	}
 	// Immediately after completing: forced initiation is floored.
+	if r.mgrs[0].Due(true) || r.mgrs[0].Due(false) {
+		t.Fatal("due again right after a computation")
+	}
 	if _, found := r.mgrs[0].MaybeInitiate(1, true); found {
 		t.Fatal("forced initiation ignored the floor")
 	}

@@ -250,6 +250,17 @@ func (q *Queue) FossilCollect(gvt vtime.Time) int {
 	return n
 }
 
+// FossilFloor returns the bound FossilCollect's gvt must exceed to reclaim
+// anything: a call with gvt at or below it is a no-op. The oldest snapshot is
+// always retained, so the bound is the time of the second-oldest one
+// (vtime.PosInf when there is none).
+func (q *Queue) FossilFloor() vtime.Time {
+	if len(q.snaps) < 2 {
+		return vtime.PosInf
+	}
+	return q.snaps[1].Time
+}
+
 // encAt reconstructs the full, uncompressed state encoding of snapshot i by
 // walking back to the nearest full image and applying deltas forward. The
 // result never aliases queue storage.

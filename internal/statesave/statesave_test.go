@@ -61,8 +61,15 @@ func TestQueueEqualTimes(t *testing.T) {
 
 func TestQueueFossilCollect(t *testing.T) {
 	q := NewQueue(intState(0), Snapshot{}, nil)
+	if f := q.FossilFloor(); f != vtime.PosInf {
+		t.Errorf("FossilFloor with only the initial snapshot = %s", f)
+	}
 	for i := 1; i <= 5; i++ {
 		q.save(vtime.Time(10*i), i, int64(i))
+	}
+	// At or below the floor (the second-oldest snapshot) nothing goes.
+	if f := q.FossilFloor(); f != 10 || q.FossilCollect(f) != 0 {
+		t.Errorf("FossilFloor = %s, want 10 and a no-op collection there", f)
 	}
 	// GVT = 35: keep the newest snapshot strictly before 35 (t=30) and
 	// everything after; drop NegInf, 10, 20.
@@ -75,6 +82,9 @@ func TestQueueFossilCollect(t *testing.T) {
 	}
 	if q.OldestMark() != 3 {
 		t.Errorf("OldestMark = %d, want 3", q.OldestMark())
+	}
+	if f := q.FossilFloor(); f != 40 {
+		t.Errorf("FossilFloor after collection = %s, want 40", f)
 	}
 	// A straggler at exactly GVT must still find a restore point.
 	s := q.RestoreBefore(35)
