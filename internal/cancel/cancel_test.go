@@ -259,6 +259,40 @@ func TestManagerLazyExpiryOnSkippedGen(t *testing.T) {
 	}
 }
 
+// TestManagerAfterExecuteCompaction: two rollbacks leave the pending list out
+// of generation order, so the entry that expires sits between two that
+// survive; the survivors must keep their order, content and anti-messages.
+func TestManagerAfterExecuteCompaction(t *testing.T) {
+	h := newHarness(StaticLazy)
+	g2, g3, g4 := in(20, 2), in(30, 3), in(40, 4)
+	h.m.RecordSent(h.out(20, 50, 'b'), g2)
+	h.m.RecordSent(h.out(30, 60, 'c'), g3)
+	h.m.RecordSent(h.out(40, 70, 'd'), g4)
+	h.m.OnRollback(in(35, 98)) // pending: d
+	h.m.OnRollback(in(15, 99)) // pending: d, b, c
+	if h.m.PendingLen() != 3 || h.m.SentLen() != 0 {
+		t.Fatalf("queues: sent %d pending %d", h.m.SentLen(), h.m.PendingLen())
+	}
+	h.m.AfterExecute(in(12, 7)) // nothing expires
+	if h.m.PendingLen() != 3 || len(h.antis) != 0 {
+		t.Fatalf("pending %d antis %d after an execution before every generation", h.m.PendingLen(), len(h.antis))
+	}
+	h.m.AfterExecute(g2) // b expires, from the middle
+	if h.m.PendingLen() != 2 || len(h.antis) != 1 || h.antis[0].RecvTime != 50 {
+		t.Fatalf("pending %d antis %v after g2", h.m.PendingLen(), h.antis)
+	}
+	if min := h.m.MinPending(); min != 60 {
+		t.Fatalf("MinPending = %v, want 60", min)
+	}
+	// Both survivors still match their regenerations, in either order.
+	if h.m.FilterOutput(h.out(40, 70, 'd'), g4) || h.m.FilterOutput(h.out(30, 60, 'c'), g3) {
+		t.Fatal("a surviving entry no longer matches its regeneration")
+	}
+	if h.m.PendingLen() != 0 || h.m.SentLen() != 2 || h.st.LazyHits != 2 || h.st.LazyMisses != 1 {
+		t.Fatalf("pending %d sent %d hits %d misses %d", h.m.PendingLen(), h.m.SentLen(), h.st.LazyHits, h.st.LazyMisses)
+	}
+}
+
 func TestManagerPassiveComparison(t *testing.T) {
 	h := newHarness(Dynamic) // dynamic starts aggressive with monitoring
 	g2 := in(20, 2)

@@ -287,12 +287,18 @@ func (c *StateCodec) switched(ratio float64) {
 // shrinks it, returning the stored form (always a fresh slice the caller
 // owns) and whether it is compressed.
 func Pack(cfg Config, enc []byte) (stored []byte, compressed bool) {
+	return PackInto(nil, cfg, enc)
+}
+
+// PackInto is Pack writing over dst: the stored form reuses dst's capacity
+// (reallocating only when it does not fit) and never aliases enc.
+func PackInto(dst []byte, cfg Config, enc []byte) (stored []byte, compressed bool) {
 	if cfg.Compression == LZ && len(enc) >= minCompressLen {
-		if c := Compress(nil, enc); len(c) < len(enc) {
-			return c, true
+		if dst = Compress(dst[:0], enc); len(dst) < len(enc) {
+			return dst, true
 		}
 	}
-	return append([]byte(nil), enc...), false
+	return append(dst[:0], enc...), false
 }
 
 // Unpack inverts Pack.

@@ -1,6 +1,10 @@
 package codec
 
-import "encoding/binary"
+import (
+	"bytes"
+	"encoding/binary"
+	"math/bits"
+)
 
 // This file is the sparse binary delta: the incremental-checkpoint
 // encoding. A delta transforms the previous checkpoint's full encoding
@@ -22,34 +26,63 @@ import "encoding/binary"
 // shorter gaps cost more in op headers than they save.
 const minSkipRun = 4
 
+// matchBlock is the unit of the coarse equal-run search: large enough that
+// the vectorized bytes.Equal runs at memory speed, small enough that the
+// word loops locating the difference inside a block stay short.
+const matchBlock = 256
+
+// matchLen returns the length of the common prefix of a and b, which must
+// have equal lengths: whole blocks first, then 8-byte words four at a time,
+// then single words, then bytes. The loops re-slice instead of indexing so
+// the compiler drops their bounds checks.
+func matchLen(a, b []byte) int {
+	n := len(a)
+	for len(a) >= matchBlock && bytes.Equal(a[:matchBlock], b[:matchBlock]) {
+		a, b = a[matchBlock:], b[matchBlock:]
+	}
+	le := binary.LittleEndian
+	for len(a) >= 32 && len(b) >= 32 {
+		if (le.Uint64(a)^le.Uint64(b))|(le.Uint64(a[8:])^le.Uint64(b[8:]))|
+			(le.Uint64(a[16:])^le.Uint64(b[16:]))|(le.Uint64(a[24:])^le.Uint64(b[24:])) != 0 {
+			break
+		}
+		a, b = a[32:], b[32:]
+	}
+	for len(a) >= 8 && len(b) >= 8 {
+		if x := le.Uint64(a) ^ le.Uint64(b); x != 0 {
+			return n - len(a) + bits.TrailingZeros64(x)>>3
+		}
+		a, b = a[8:], b[8:]
+	}
+	for len(a) > 0 && len(b) > 0 && a[0] == b[0] {
+		a, b = a[1:], b[1:]
+	}
+	return n - len(a)
+}
+
 // AppendDelta appends a delta transforming old into new and returns the
-// extended slice. ApplyDelta inverts it.
+// extended slice. PatchDelta and ApplyDelta invert it.
 func AppendDelta(dst, old, new []byte) []byte {
 	dst = binary.AppendUvarint(dst, uint64(len(new)))
 	common := len(new)
 	if len(old) < common {
 		common = len(old)
 	}
-	i := 0
+	old, cmp := old[:common], new[:common]
+	// [i, skip) is the equal run opening the next op.
+	i, skip := 0, matchLen(old, cmp)
 	for i < len(new) {
-		// Equal run.
-		skip := i
-		for skip < common && old[skip] == new[skip] {
-			skip++
-		}
 		// Changed run: advance past differences, swallowing equal gaps
-		// shorter than minSkipRun.
-		j := skip
+		// shorter than minSkipRun. next is where the equal run that ended
+		// the changed run ends in turn.
+		j, next := skip, skip
 		for j < len(new) {
-			if j < common && old[j] == new[j] {
-				run := j
-				for run < common && old[run] == new[run] {
-					run++
-				}
-				if run-j >= minSkipRun || run == len(new) {
+			if j < common && old[j] == cmp[j] {
+				next = j + matchLen(old[j:], cmp[j:])
+				if next-j >= minSkipRun || next == len(new) {
 					break
 				}
-				j = run
+				j = next
 				continue
 			}
 			j++
@@ -57,21 +90,30 @@ func AppendDelta(dst, old, new []byte) []byte {
 		dst = binary.AppendUvarint(dst, uint64(skip-i))
 		dst = binary.AppendUvarint(dst, uint64(j-skip))
 		dst = append(dst, new[skip:j]...)
-		i = j
+		i, skip = j, next
 	}
 	return dst
 }
 
-// ApplyDelta reconstructs the new encoding from old and a delta produced
-// by AppendDelta.
-func ApplyDelta(old, delta []byte) ([]byte, error) {
+// PatchDelta applies a delta produced by AppendDelta in place: buf holds the
+// old encoding and the returned slice, which reuses buf's storage unless the
+// new encoding outgrows its capacity, holds the new one. Skipped bytes are
+// already where they belong, so the cost is the changed bytes alone. On
+// error buf's contents are unspecified.
+func PatchDelta(buf, delta []byte) ([]byte, error) {
 	want, k := binary.Uvarint(delta)
 	if k <= 0 {
 		return nil, corrupt("delta header")
 	}
 	delta = delta[k:]
-	out := make([]byte, 0, want)
-	for uint64(len(out)) < want {
+	oldLen := len(buf)
+	// Every output byte comes from old or from the delta stream, so a larger
+	// claim is corrupt — checked before anything is sized from it.
+	if want > uint64(oldLen)+uint64(len(delta)) {
+		return nil, corrupt("delta length")
+	}
+	at := 0
+	for uint64(at) < want {
 		skip, k := binary.Uvarint(delta)
 		if k <= 0 {
 			return nil, corrupt("delta skip")
@@ -81,16 +123,27 @@ func ApplyDelta(old, delta []byte) ([]byte, error) {
 		if k <= 0 || uint64(len(delta)-k) < changed {
 			return nil, corrupt("delta run")
 		}
-		at := len(out)
-		if uint64(at)+skip > uint64(len(old)) {
+		if at > oldLen || skip > uint64(oldLen-at) {
 			return nil, corrupt("delta skip range")
 		}
-		out = append(out, old[at:at+int(skip)]...)
-		out = append(out, delta[k:k+int(changed)]...)
+		at += int(skip)
+		run := delta[k : k+int(changed)]
 		delta = delta[k+int(changed):]
+		if at+len(run) > len(buf) {
+			buf = append(buf[:at], run...)
+		} else {
+			copy(buf[at:], run)
+		}
+		at += len(run)
 	}
-	if uint64(len(out)) != want || len(delta) != 0 {
+	if uint64(at) != want || len(delta) != 0 {
 		return nil, corrupt("delta length")
 	}
-	return out, nil
+	return buf[:at], nil
+}
+
+// ApplyDelta reconstructs the new encoding from old and a delta produced
+// by AppendDelta. The result never aliases old.
+func ApplyDelta(old, delta []byte) ([]byte, error) {
+	return PatchDelta(append([]byte(nil), old...), delta)
 }

@@ -6,6 +6,7 @@
 package event
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -84,10 +85,17 @@ type Event struct {
 // identity, timestamps and the total-order key, which is everything
 // bookkeeping layers (cancellation generations, audit cursors) compare on.
 func (e *Event) Key() Event {
-	c := *e
-	c.Payload = nil
-	c.pooledBuf = false
+	var c Event
+	e.KeyInto(&c)
 	return c
+}
+
+// KeyInto is Key writing into dst, for callers that keep keys in place
+// (the output queue records one per sent message).
+func (e *Event) KeyInto(dst *Event) {
+	*dst = *e
+	dst.Payload = nil
+	dst.pooledBuf = false
 }
 
 // Anti returns the anti-message cancelling e. The anti-message shares e's
@@ -131,15 +139,7 @@ func (e *Event) SameContent(o *Event) bool {
 	if e.SendTime != o.SendTime || e.SendSeq != o.SendSeq {
 		return false
 	}
-	if len(e.Payload) != len(o.Payload) {
-		return false
-	}
-	for i := range e.Payload {
-		if e.Payload[i] != o.Payload[i] {
-			return false
-		}
-	}
-	return true
+	return bytes.Equal(e.Payload, o.Payload)
 }
 
 // Compare defines the total order on events that every kernel follows:

@@ -62,8 +62,10 @@ type SaveResult struct {
 // With a state codec attached (and a state implementing codec.DeltaState),
 // snapshots are held as encodings instead of cloned states: full images
 // every codec.Config.FullEvery saves, sparse deltas in between, compressed
-// when configured. RestoreBefore reconstructs the restore point by walking
-// back to the nearest full image and replaying deltas forward.
+// when configured. RestoreBefore reconstructs the restore point by copying
+// the nearest full image and patching the deltas after it onto the copy, so a
+// restore costs one base copy plus the changed bytes. The oldest snapshot is
+// always a full image.
 type Queue struct {
 	snaps []Snapshot
 
@@ -71,13 +73,19 @@ type Queue struct {
 	cd    *codec.StateCodec
 	proto codec.DeltaState
 	// lastEnc is the full (uncompressed) encoding of the newest snapshot,
-	// the base for the next delta. It never aliases queue storage.
+	// the base for the next delta.
 	lastEnc []byte
-	// scratch is the recycled marshal buffer; deltaScratch is the recycled
-	// delta-encoding buffer (Pack copies out of it, so it never escapes
-	// into queue storage either).
+	// scratch is the recycled marshal and reconstruction buffer; deltaScratch
+	// is the recycled delta-encoding buffer. Every snapshot's enc is copied
+	// out of them, so neither they nor lastEnc ever alias queue storage.
 	scratch      []byte
 	deltaScratch []byte
+	// spareFull and spareDelta hold the enc buffers of snapshots popped by
+	// RestoreBefore or discarded by FossilCollect, by kind because the two
+	// differ in size by orders of magnitude; pack stores the next snapshot
+	// of that kind over one. A buffer is on a spare list or in a live
+	// snapshot, never both.
+	spareFull, spareDelta [][]byte
 
 	// spare holds retired snapshot states (clone path only): states popped by
 	// RestoreBefore or discarded by FossilCollect are exclusively queue-owned
@@ -112,6 +120,38 @@ func (q *Queue) retire(st model.State) {
 		return
 	}
 	q.spare = append(q.spare, st)
+}
+
+// spareEnc returns the spare list for delta or full-image buffers.
+func (q *Queue) spareEnc(delta bool) *[][]byte {
+	if delta {
+		return &q.spareDelta
+	}
+	return &q.spareFull
+}
+
+// pack stores payload (a full image, or a delta when delta is set) for a
+// snapshot, over a retired buffer of the same kind when there is one.
+func (q *Queue) pack(payload []byte, delta bool) (enc []byte, comp bool) {
+	spare := q.spareEnc(delta)
+	var dst []byte
+	if n := len(*spare); n > 0 {
+		dst = (*spare)[n-1]
+		(*spare)[n-1] = nil
+		*spare = (*spare)[:n-1]
+	}
+	return codec.PackInto(dst, q.cd.Config(), payload)
+}
+
+// retireEnc moves the enc buffer of a snapshot that is leaving the queue (or
+// being re-encoded) to the spare list of its kind. Clone-path snapshots have
+// none.
+func (q *Queue) retireEnc(s *Snapshot) {
+	if cap(s.enc) > 0 {
+		spare := q.spareEnc(s.delta)
+		*spare = append(*spare, s.enc)
+	}
+	s.enc = nil
 }
 
 // NewQueue returns a state queue primed with the object's initial
@@ -153,7 +193,6 @@ func (q *Queue) Save(st model.State, meta Snapshot) SaveResult {
 		q.snaps = append(q.snaps, meta)
 		return SaveResult{RawBytes: meta.rawLen, StoredBytes: meta.rawLen}
 	}
-	cfg := q.cd.Config()
 	raw := st.(codec.DeltaState).MarshalState(q.scratch[:0])
 	isDelta := q.cd.NextIsDelta() && q.lastEnc != nil
 	payload := raw
@@ -164,10 +203,13 @@ func (q *Queue) Save(st model.State, meta Snapshot) SaveResult {
 		// Full save with a Dynamic controller in full mode: compute (but do
 		// not store) the delta so the controller keeps observing the ratio.
 		q.deltaScratch = codec.AppendDelta(q.deltaScratch[:0], q.lastEnc, raw)
-		d, _ := codec.Pack(cfg, q.deltaScratch)
+		// Its stored size is taken over a spare buffer that goes straight
+		// back, so the probe retains nothing.
+		d, _ := q.pack(q.deltaScratch, true)
 		q.cd.RecordProbe(len(d))
+		q.spareDelta = append(q.spareDelta, d)
 	}
-	stored, comp := codec.Pack(cfg, payload)
+	stored, comp := q.pack(payload, isDelta)
 	q.cd.RecordSave(len(stored), isDelta)
 	meta.enc, meta.delta, meta.comp = stored, isDelta, comp
 	meta.rawLen = len(raw)
@@ -189,26 +231,29 @@ func (q *Queue) Save(st model.State, meta Snapshot) SaveResult {
 func (q *Queue) RestoreBefore(t vtime.Time) Snapshot {
 	i := len(q.snaps)
 	for i > 0 && !q.snaps[i-1].Time.Before(t) {
-		q.retire(q.snaps[i-1].State)
-		q.snaps[i-1].State = nil
-		q.snaps[i-1].enc = nil
+		s := &q.snaps[i-1]
+		q.retire(s.State)
+		s.State = nil
+		q.retireEnc(s)
 		i--
 	}
+	popped := i < len(q.snaps)
 	q.snaps = q.snaps[:i]
 	// The NegInf snapshot is never discarded, so i >= 1 always holds.
 	if q.cd != nil {
-		head := &q.snaps[i-1]
-		raw := q.mustEncAt(i - 1)
-		if head.State == nil {
-			st, err := q.proto.UnmarshalState(raw)
+		if popped {
+			// The restored encoding is the new delta base; the old base
+			// becomes the scratch buffer. With nothing popped lastEnc is the
+			// head's encoding already.
+			q.lastEnc, q.scratch = q.rebuild(i-1), q.lastEnc
+		}
+		if head := &q.snaps[i-1]; head.State == nil {
+			st, err := q.proto.UnmarshalState(q.lastEnc)
 			if err != nil {
 				panic("statesave: snapshot decode failed: " + err.Error())
 			}
 			head.State = st
 		}
-		// The restored encoding is the new delta base.
-		q.lastEnc = raw
-		q.scratch = nil
 	}
 	return q.snaps[i-1]
 }
@@ -230,16 +275,22 @@ func (q *Queue) FossilCollect(gvt vtime.Time) int {
 	if keep == 0 {
 		return 0
 	}
-	if q.cd != nil && q.snaps[keep].delta {
-		// The new oldest snapshot must be self-contained: materialize its
-		// full encoding before its delta base is discarded.
-		raw := q.mustEncAt(keep)
-		s := &q.snaps[keep]
-		s.enc, s.comp = codec.Pack(q.cd.Config(), raw)
-		s.delta = false
+	// The new oldest snapshot must be self-contained: reconstruct its full
+	// encoding before its delta base is discarded, and store it over one of
+	// the buffers the discarded snapshots give up (its anchor's, usually).
+	oldest := &q.snaps[keep]
+	reanchor := q.cd != nil && oldest.delta
+	if reanchor {
+		q.scratch = q.rebuild(keep)
 	}
 	for i := 0; i < keep; i++ {
 		q.retire(q.snaps[i].State)
+		q.retireEnc(&q.snaps[i])
+	}
+	if reanchor {
+		q.retireEnc(oldest)
+		oldest.enc, oldest.comp = q.pack(q.scratch, false)
+		oldest.delta = false
 	}
 	n := keep
 	copy(q.snaps, q.snaps[keep:])
@@ -261,43 +312,31 @@ func (q *Queue) FossilFloor() vtime.Time {
 	return q.snaps[1].Time
 }
 
-// encAt reconstructs the full, uncompressed state encoding of snapshot i by
-// walking back to the nearest full image and applying deltas forward. The
-// result never aliases queue storage.
-func (q *Queue) encAt(i int) ([]byte, error) {
+// rebuild reconstructs the full, uncompressed state encoding of snapshot i
+// in the scratch buffer's storage (growing it if need be): a copy of the
+// nearest full image at or before i, patched with each delta after it. The
+// caller decides which queue buffer the result becomes. A decode failure
+// means the queue corrupted its own encodings, an invariant violation worth
+// stopping the run for.
+func (q *Queue) rebuild(i int) []byte {
 	base := i
-	for base > 0 && q.snaps[base].delta {
+	for q.snaps[base].delta {
 		base--
 	}
-	cur, err := codec.Unpack(q.snaps[base].enc, q.snaps[base].comp)
-	if err != nil {
-		return nil, err
-	}
-	if base == i && !q.snaps[base].comp {
-		// Unpack returned queue storage itself; the contract is a fresh slice.
-		cur = append([]byte(nil), cur...)
-	}
-	for j := base + 1; j <= i; j++ {
-		d, err := codec.Unpack(q.snaps[j].enc, q.snaps[j].comp)
+	buf := q.scratch[:0]
+	for j := base; j <= i; j++ {
+		s := &q.snaps[j]
+		part, err := codec.Unpack(s.enc, s.comp)
+		if err == nil && s.delta {
+			buf, err = codec.PatchDelta(buf, part)
+		} else {
+			buf = append(buf, part...)
+		}
 		if err != nil {
-			return nil, err
-		}
-		if cur, err = codec.ApplyDelta(cur, d); err != nil {
-			return nil, err
+			panic("statesave: checkpoint chain corrupt: " + err.Error())
 		}
 	}
-	return cur, nil
-}
-
-// mustEncAt is encAt for internal callers: a decode failure here means the
-// queue corrupted its own encodings, an invariant violation worth stopping
-// the run for.
-func (q *Queue) mustEncAt(i int) []byte {
-	raw, err := q.encAt(i)
-	if err != nil {
-		panic("statesave: checkpoint chain corrupt: " + err.Error())
-	}
-	return raw
+	return buf
 }
 
 // StoredBytes sums the bytes the queue actually holds per snapshot: encoded

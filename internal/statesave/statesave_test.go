@@ -1,6 +1,8 @@
 package statesave
 
 import (
+	"encoding/binary"
+	"fmt"
 	"testing"
 	"time"
 
@@ -352,72 +354,198 @@ func codecConfigs() []codec.Config {
 	}
 }
 
-// TestCodecQueueRestoreEquivalence drives an encoded queue and a cloned
-// reference queue through the same random save/restore/fossil sequence and
-// requires every restored state to match the reference exactly.
-func TestCodecQueueRestoreEquivalence(t *testing.T) {
-	for _, cfg := range codecConfigs() {
-		t.Run(cfg.String()+"-"+cfg.Mode.String(), func(t *testing.T) {
-			live := &padState{Pad: make([]byte, 512)}
-			ref := live.Clone().(*padState)
-			q := NewQueue(live, Snapshot{}, codec.NewState(cfg))
-			if q.Codec() == nil {
-				t.Fatal("codec path not engaged")
-			}
-			rq := NewQueue(ref, Snapshot{}, nil)
+// checkBuffersDisjoint asserts the codec path's ownership rule: every live
+// snapshot's enc, the queue's lastEnc, scratch and deltaScratch and every
+// spare buffer are distinct allocations, so nothing the queue writes later
+// can change a stored snapshot.
+func checkBuffersDisjoint(t *testing.T, q *Queue) {
+	t.Helper()
+	seen := map[*byte]string{}
+	note := func(b []byte, what string) {
+		if cap(b) == 0 {
+			return
+		}
+		p := &b[:1][0]
+		if prev, dup := seen[p]; dup {
+			t.Fatalf("%s shares its buffer with %s", what, prev)
+		}
+		seen[p] = what
+	}
+	for i := range q.snaps {
+		note(q.snaps[i].enc, "a snapshot's enc")
+	}
+	note(q.lastEnc, "lastEnc")
+	note(q.scratch, "scratch")
+	note(q.deltaScratch, "deltaScratch")
+	for _, b := range q.spareFull {
+		note(b, "a spare full-image buffer")
+	}
+	for _, b := range q.spareDelta {
+		note(b, "a spare delta buffer")
+	}
+}
 
-			rng := model.NewRand(42)
-			now := vtime.Time(0)
-			gvt := vtime.Time(0) // restores never go below GVT, as in the kernel
-			for step := 0; step < 400; step++ {
-				switch rng.Intn(10) {
-				case 7: // rollback to a random earlier time (but not below GVT)
-					if now <= gvt+1 {
-						continue
-					}
-					at := gvt + 1 + vtime.Time(rng.Intn(int(now-gvt)))
-					s := q.RestoreBefore(at)
-					rs := rq.RestoreBefore(at)
-					if s.Time != rs.Time {
-						t.Fatalf("restore times diverge: %v vs %v", s.Time, rs.Time)
-					}
-					got, want := s.State.(*padState), rs.State.(*padState)
-					if !got.equal(want) {
-						t.Fatalf("restored state diverges at step %d (t=%v)", step, at)
-					}
-					live = got.Clone().(*padState)
-					ref = want.Clone().(*padState)
-					now = s.Time
-					if now == vtime.NegInf {
-						now = 0
-					}
-				case 8: // fossil collect somewhere behind the head
-					if now > gvt+1 {
-						g := gvt + vtime.Time(rng.Intn(int(now-gvt)))
-						if q.FossilCollect(g) != rq.FossilCollect(g) {
-							t.Fatalf("fossil counts diverge at step %d", step)
-						}
-						gvt = g
-					}
-				default: // advance and checkpoint
-					now += vtime.Time(rng.Intn(5) + 1)
-					live.step()
-					ref.step()
-					res := q.Save(live, Snapshot{Time: now})
-					rq.Save(ref, Snapshot{Time: now})
-					if res.StoredBytes <= 0 || res.RawBytes <= 0 {
-						t.Fatalf("empty save result %+v", res)
-					}
+// checkAgainstTwin asserts that every snapshot the encoded queue holds
+// reconstructs to exactly the state its clone-path twin stored, and that the
+// oldest one is self-contained.
+func checkAgainstTwin(t *testing.T, q, twin *Queue, step int) {
+	t.Helper()
+	if q.Len() != twin.Len() {
+		t.Fatalf("step %d: %d snapshots, twin holds %d", step, q.Len(), twin.Len())
+	}
+	if q.snaps[0].delta {
+		t.Fatalf("step %d: the oldest snapshot is a delta", step)
+	}
+	for i := range q.snaps {
+		st, err := q.proto.UnmarshalState(q.rebuild(i))
+		if err != nil {
+			t.Fatalf("step %d: snapshot %d does not decode: %v", step, i, err)
+		}
+		if !st.(*padState).equal(twin.snaps[i].State.(*padState)) {
+			t.Fatalf("step %d: snapshot %d (t=%v) no longer reconstructs to the state saved", step, i, q.snaps[i].Time)
+		}
+	}
+	checkBuffersDisjoint(t, q)
+}
+
+// TestCodecQueueRestoreEquivalence drives an encoded queue and a clone-path
+// twin through the same seeded tape of saves, restores and fossil
+// collections. Every restored state must match the twin's, and after every
+// step every snapshot still held must reconstruct to what was saved: a later
+// save, restore or collection never reaches into an earlier snapshot.
+func TestCodecQueueRestoreEquivalence(t *testing.T) {
+	for _, base := range codecConfigs() {
+		t.Run(base.String()+"-"+base.Mode.String(), func(t *testing.T) {
+			for _, fullEvery := range []int{1, 2, 16} {
+				for _, resize := range []bool{false, true} {
+					cfg := base
+					cfg.FullEvery = fullEvery
+					name := fmt.Sprintf("full-every=%d,resize=%t", fullEvery, resize)
+					t.Run(name, func(t *testing.T) { runCodecTape(t, cfg, resize) })
 				}
-			}
-			// Final full-chain check: restore to the oldest legal point.
-			s := q.RestoreBefore(gvt + 1)
-			rs := rq.RestoreBefore(gvt + 1)
-			if !s.State.(*padState).equal(rs.State.(*padState)) {
-				t.Fatal("oldest restore point diverges")
 			}
 		})
 	}
+}
+
+// runCodecTape is one tape of TestCodecQueueRestoreEquivalence. With resize
+// set the state's encoding also changes length from save to save.
+func runCodecTape(t *testing.T, cfg codec.Config, resize bool) {
+	live := &padState{Pad: make([]byte, 512)}
+	ref := live.Clone().(*padState)
+	q := NewQueue(live, Snapshot{}, codec.NewState(cfg))
+	if q.Codec() == nil {
+		t.Fatal("codec path not engaged")
+	}
+	rq := NewQueue(ref, Snapshot{}, nil)
+
+	rng := model.NewRand(42)
+	now := vtime.Time(0)
+	gvt := vtime.Time(0) // restores never go below GVT, as in the kernel
+	for step := 0; step < 400; step++ {
+		switch rng.Intn(10) {
+		case 7: // rollback to a random earlier time (but not below GVT)
+			if now <= gvt+1 {
+				continue
+			}
+			at := gvt + 1 + vtime.Time(rng.Intn(int(now-gvt)))
+			s := q.RestoreBefore(at)
+			rs := rq.RestoreBefore(at)
+			if s.Time != rs.Time {
+				t.Fatalf("restore times diverge: %v vs %v", s.Time, rs.Time)
+			}
+			got, want := s.State.(*padState), rs.State.(*padState)
+			if !got.equal(want) {
+				t.Fatalf("restored state diverges at step %d (t=%v)", step, at)
+			}
+			live = got.Clone().(*padState)
+			ref = want.Clone().(*padState)
+			now = s.Time
+			if now == vtime.NegInf {
+				now = 0
+			}
+		case 8: // fossil collect somewhere behind the head
+			if now > gvt+1 {
+				g := gvt + vtime.Time(rng.Intn(int(now-gvt)))
+				if q.FossilCollect(g) != rq.FossilCollect(g) {
+					t.Fatalf("fossil counts diverge at step %d", step)
+				}
+				gvt = g
+			}
+		default: // advance and checkpoint
+			now += vtime.Time(rng.Intn(5) + 1)
+			if resize {
+				n := 256 + rng.Intn(512)
+				for _, s := range []*padState{live, ref} {
+					for len(s.Pad) < n {
+						s.Pad = append(s.Pad, byte(len(s.Pad)))
+					}
+					s.Pad = s.Pad[:n]
+				}
+			}
+			live.step()
+			ref.step()
+			res := q.Save(live, Snapshot{Time: now})
+			rq.Save(ref, Snapshot{Time: now})
+			if res.StoredBytes <= 0 || res.RawBytes <= 0 {
+				t.Fatalf("empty save result %+v", res)
+			}
+		}
+		checkAgainstTwin(t, q, rq, step)
+	}
+	// Final full-chain check: restore to the oldest legal point.
+	s := q.RestoreBefore(gvt + 1)
+	rs := rq.RestoreBefore(gvt + 1)
+	if !s.State.(*padState).equal(rs.State.(*padState)) {
+		t.Fatal("oldest restore point diverges")
+	}
+}
+
+// decodeInPlace is padState decoding into one test-owned struct instead of a
+// fresh one. Decoding a restore head is the model's allocation, not the
+// queue's; with it out of the way AllocsPerRun counts the queue alone.
+type decodeInPlace struct {
+	*padState
+	into *padState
+}
+
+func (s *decodeInPlace) UnmarshalState(data []byte) (model.State, error) {
+	s.into.N = int64(binary.LittleEndian.Uint64(data))
+	n, k := binary.Uvarint(data[8:])
+	s.into.Pad = append(s.into.Pad[:0], data[8+k:8+k+int(n)]...)
+	return s.into, nil
+}
+
+// TestCodecQueueSteadyStateAllocs pins the codec path's buffer recycling:
+// once warm, a window of 16 saves, a rollback over half of it and a fossil
+// collection into the middle of the surviving chain allocate nothing — every
+// delta and re-anchored image is stored over a retired buffer and every
+// reconstruction happens in the queue's scratch buffer.
+func TestCodecQueueSteadyStateAllocs(t *testing.T) {
+	live := &decodeInPlace{&padState{Pad: make([]byte, 16<<10)}, &padState{}}
+	q := NewQueue(live, Snapshot{}, codec.NewState(codec.Config{Mode: codec.Delta}))
+	now := vtime.Time(0)
+	cycle := func() {
+		for i := 0; i < 16; i++ {
+			now++
+			live.step()
+			q.Save(live, Snapshot{Time: now})
+		}
+		if s := q.RestoreBefore(now - 7); s.Time != now-8 {
+			t.Fatalf("restored t=%v, want %v", s.Time, now-8)
+		}
+		if q.FossilCollect(now-11) == 0 {
+			t.Fatal("nothing collected")
+		}
+		now -= 8
+	}
+	for i := 0; i < 8; i++ {
+		cycle() // warm the buffers through a few anchor cadences
+	}
+	if n := testing.AllocsPerRun(50, cycle); n != 0 {
+		t.Errorf("steady-state save/restore/collect cycle allocated %.1f times per run, want 0", n)
+	}
+	checkBuffersDisjoint(t, q)
 }
 
 // TestCodecQueueDeltaShrinks checks the point of the exercise: sparse
