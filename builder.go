@@ -158,17 +158,17 @@ func (b *ConfigBuilder) WithAudit(a *Auditor) *ConfigBuilder {
 	return b
 }
 
-// WithTransport sets the communication transport. Nil (the default) selects
-// the in-process transport; a TCP transport makes this process one rank of a
-// multi-process run.
+// WithTransport sets the communication transport. With nil (the default)
+// every LP lives in this process; a TCP transport makes this process one rank
+// of a multi-process run.
 func (b *ConfigBuilder) WithTransport(t Transport) *ConfigBuilder {
 	b.cfg.Transport = t
 	return b
 }
 
-// WithWorkers runs the LPs on a pool of n workers with least-timestamp-first
-// schedule queues instead of one goroutine per LP (n = 0, the default).
-// Requires the in-process transport; n above the LP count is clamped.
+// WithWorkers sets the dispatcher's width: n workers with
+// least-timestamp-first schedule queues share the LPs this process hosts.
+// n = 0 (the default) is one worker per LP; n above the LP count is clamped.
 func (b *ConfigBuilder) WithWorkers(n int) *ConfigBuilder {
 	b.cfg.Workers = n
 	return b

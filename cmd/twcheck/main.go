@@ -13,13 +13,14 @@
 // (smmp-opt, phold-opt-mig) that re-run it with the on-line optimism-window
 // controller steering the bounded time window mid-run, alone and composed
 // with migration and the codec, plus worker-pool legs (phold-pool,
-// smmp-pool-mig) that re-run it on the worker-pool dispatcher — the
-// execution engine schedules when LPs run, never what they commit. Any
+// smmp-pool-mig) that re-run it with the LPs folded onto fewer dispatcher
+// workers — the dispatcher schedules when LPs run, never what they commit. Any
 // divergence in committed events or final states, or any runtime invariant
 // violation, fails the sweep with a nonzero exit.
 //
 // A separate multi-process leg (-model multiproc, which needs -twsim pointing
-// at a built binary) spawns two twsim ranks over TCP loopback and checks the
+// at a built binary) spawns two twsim ranks over TCP loopback, once at a
+// worker per LP and once at two workers per rank, and checks each
 // coordinator's artifact — committed events and final state hash — against a
 // solo in-process run of the same model and seed.
 //
@@ -73,8 +74,8 @@ type check struct {
 	// optimism-window controller steering the bounded time window — the
 	// adaptive-optimism legs of the sweep.
 	optimism core.OptimismConfig
-	// workers, when positive, runs every cell on the worker-pool dispatcher
-	// instead of goroutine-per-LP — the pool legs of the sweep.
+	// workers, when positive, folds every cell's LPs onto that many
+	// dispatcher workers instead of one per LP — the pool legs of the sweep.
 	workers int
 }
 

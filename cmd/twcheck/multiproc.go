@@ -13,11 +13,13 @@ import (
 )
 
 // runMultiproc is the multi-process oracle leg: it runs one solo in-process
-// twsim and a two-rank TCP fleet of the same model and seed as real OS
-// processes over loopback, then compares committed events and the final state
-// hash from their JSON artifacts. Because the kernel commits deterministically,
-// the fleet's coordinator must report byte-identical results to the solo run —
-// any divergence means the transport perturbed the computation.
+// twsim and two-rank TCP fleets of the same model and seed as real OS
+// processes over loopback — one fleet per dispatcher width, a worker per LP
+// and two workers per rank — then compares committed events and the final
+// state hash from their JSON artifacts. Because the kernel commits
+// deterministically, each fleet's coordinator must report byte-identical
+// results to the solo run — any divergence means the transport or the
+// dispatcher perturbed the computation.
 func runMultiproc(twsim string, seed uint64, verbose bool) error {
 	if twsim == "" {
 		return fmt.Errorf("the multiproc leg spawns twsim processes: pass -twsim <path-to-binary>")
@@ -30,7 +32,7 @@ func runMultiproc(twsim string, seed uint64, verbose bool) error {
 
 	modelArgs := []string{
 		"-model", "smmp", "-requests", "60", fmt.Sprintf("-seed=%d", seed),
-		"-gvt-period", "200us", "-optimism-window", "2000",
+		"-gvt-period", "200us", "-optimism=static,window=2000",
 	}
 
 	soloJSON := filepath.Join(dir, "solo.json")
@@ -38,7 +40,21 @@ func runMultiproc(twsim string, seed uint64, verbose bool) error {
 	if out, err := solo.CombinedOutput(); err != nil {
 		return fmt.Errorf("solo run: %v\n%s", err, out)
 	}
+	soloSum, err := readSummary(soloJSON)
+	if err != nil {
+		return err
+	}
+	for _, sched := range []string{"lp", "pool,workers=2"} {
+		if err := checkFleet(twsim, dir, modelArgs, sched, soloSum, verbose); err != nil {
+			return fmt.Errorf("-sched %s: %w", sched, err)
+		}
+	}
+	return nil
+}
 
+// checkFleet runs one two-rank fleet under the given -sched spec and holds
+// its coordinator's artifact against the solo run's.
+func checkFleet(twsim, dir string, modelArgs []string, sched string, soloSum telemetry.RunSummary, verbose bool) error {
 	addrs, err := reserveLoopbackAddrs(2)
 	if err != nil {
 		return err
@@ -55,7 +71,7 @@ func runMultiproc(twsim string, seed uint64, verbose bool) error {
 			defer wg.Done()
 			args := append(append([]string(nil), modelArgs...),
 				"-transport", fmt.Sprintf("tcp,rank=%d,peers=%s", r, peers),
-				"-json-out", rankJSON[r])
+				"-sched", sched, "-json-out", rankJSON[r])
 			outs[r], errs[r] = exec.Command(twsim, args...).CombinedOutput()
 		}(r)
 	}
@@ -66,10 +82,6 @@ func runMultiproc(twsim string, seed uint64, verbose bool) error {
 		}
 	}
 
-	soloSum, err := readSummary(soloJSON)
-	if err != nil {
-		return err
-	}
 	coord, err := readSummary(rankJSON[0])
 	if err != nil {
 		return err
@@ -92,11 +104,11 @@ func runMultiproc(twsim string, seed uint64, verbose bool) error {
 	}
 	if verbose {
 		fmt.Printf("  solo:  committed=%d hash=%#x\n", soloSum.Stats.EventsCommitted, soloSum.FinalStateHash)
-		fmt.Printf("  fleet: committed=%d hash=%#x ranks=%d\n  rank 0 stdout: %s  rank 1 stdout: %s",
-			coord.Stats.EventsCommitted, coord.FinalStateHash, coord.Ranks, outs[0], outs[1])
+		fmt.Printf("  fleet: committed=%d hash=%#x ranks=%d workers=%d\n  rank 0 stdout: %s  rank 1 stdout: %s",
+			coord.Stats.EventsCommitted, coord.FinalStateHash, coord.Ranks, coord.Workers, outs[0], outs[1])
 	}
-	fmt.Printf("twcheck: multiproc: MATCH (2 tcp ranks vs in-process, committed=%d, hash=%#x)\n",
-		coord.Stats.EventsCommitted, coord.FinalStateHash)
+	fmt.Printf("twcheck: multiproc: MATCH (2 tcp ranks -sched %s vs in-process, committed=%d, hash=%#x)\n",
+		sched, coord.Stats.EventsCommitted, coord.FinalStateHash)
 	return nil
 }
 

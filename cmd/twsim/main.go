@@ -50,21 +50,15 @@ func main() {
 
 		partitionMode = flag.String("partition", "", "override the model's object placement: block, rr, greedy (greedy probes a sequential prefix and partitions the measured communication graph)")
 
-		balancePeriod = flag.Int("balance-period", 0, "deprecated: use -balance=dynamic,period=N")
-		balanceHigh   = flag.Float64("balance-high", 0, "deprecated: use -balance=dynamic,high=F")
-		balanceLow    = flag.Float64("balance-low", 0, "deprecated: use -balance=dynamic,low=F")
-		balanceMoves  = flag.Int("balance-moves", 0, "deprecated: use -balance=dynamic,moves=N")
-
 		codecSpec = flag.String("codec", "off", "state-codec facet spec: off, lz, full[,lz], delta[,lz][,full-every=N], dynamic[,lz][,full-every=N][,period=N][,low=F][,high=F]")
 
 		transportFlag = flag.String("transport", "inproc", "transport spec: inproc, or tcp,rank=N,peers=HOST:PORT;HOST:PORT;... [,listen=ADDR][,timeout=DUR] — start every rank of one run with the same peers list and its own rank; rank 0 gathers the full results")
 
-		schedFlag = flag.String("sched", "lp", "execution engine spec: lp (one goroutine per LP), or pool[,workers=N] (worker-pool dispatcher, default N = GOMAXPROCS)")
+		schedFlag = flag.String("sched", "lp", "dispatcher width spec: lp (one worker per hosted LP), or pool[,workers=N] (N workers share the LPs, default N = GOMAXPROCS)")
 
 		perMsg    = flag.Duration("msg-cost", 0, "simulated per-physical-message CPU overhead")
 		eventCost = flag.Duration("event-cost", 0, "simulated CPU burn per event")
 		gvtPeriod = flag.Duration("gvt-period", 10*time.Millisecond, "GVT computation period")
-		window    = flag.Int64("optimism-window", 0, "optimism window in virtual time (0 = unbounded)")
 		pending   = flag.String("pending-set", "heap", "pending-set implementation: heap, splay, calendar")
 		padding   = flag.Int("state-padding", 0, "bytes of padded state per object")
 
@@ -108,9 +102,6 @@ func main() {
 	sspec, err := gowarp.ParseSchedSpec(*schedFlag)
 	if err != nil {
 		fatal(err)
-	}
-	if sspec.Workers > 0 && tspec.Kind == "tcp" {
-		fatal(fmt.Errorf("-sched=pool needs the in-process transport; drop -transport"))
 	}
 
 	if *cpuProf != "" {
@@ -204,7 +195,6 @@ func main() {
 
 	cfg := gowarp.DefaultConfig(endTime)
 	cfg.GVTPeriod = *gvtPeriod
-	cfg.OptimismWindow = gowarp.VTime(*window)
 	cfg.EventCost = *eventCost
 	cfg.Workers = sspec.Workers
 	cfg.Cost = gowarp.CostModel{PerMessage: *perMsg, PerByte: 10 * time.Nanosecond}
@@ -247,31 +237,12 @@ func main() {
 		fatal(fmt.Errorf("unknown aggregation mode %q", *aggMode))
 	}
 
-	balCfg, err := gowarp.ParseBalanceSpec(balanceSpec.spec)
-	if err != nil {
+	if cfg.Balance, err = gowarp.ParseBalanceSpec(balanceSpec.spec); err != nil {
 		fatal(err)
 	}
-	// The deprecated -balance-* aliases override the spec's fields when set.
-	if *balancePeriod > 0 {
-		balCfg.Period = *balancePeriod
-	}
-	if *balanceHigh > 0 {
-		balCfg.HighWater = *balanceHigh
-	}
-	if *balanceLow > 0 {
-		balCfg.LowWater = *balanceLow
-	}
-	if *balanceMoves > 0 {
-		balCfg.MaxMoves = *balanceMoves
-	}
-	cfg.Balance = balCfg
-
 	if cfg.Codec, err = gowarp.ParseCodecSpec(*codecSpec); err != nil {
 		fatal(err)
 	}
-
-	// -optimism-window stays as the kernel-level static knob; the -optimism
-	// facet spec layers modes (and the adaptive controller) on top of it.
 	if cfg.Optimism, err = gowarp.ParseOptSpec(optSpec.spec); err != nil {
 		fatal(err)
 	}
@@ -290,7 +261,7 @@ func main() {
 	rank, ranks := 0, 1
 	if tspec.Kind == "tcp" {
 		rank, ranks = tspec.Rank, len(tspec.Peers)
-		tr, terr := tspec.NewTransport(m.NumLPs(), cfg.Cost, cfg.InboxDepth)
+		tr, terr := tspec.NewTransport(m.NumLPs(), cfg.Cost)
 		if terr != nil {
 			fatal(terr)
 		}

@@ -7,11 +7,11 @@
 // events. The kernel executes them optimistically across logical processes,
 // detecting causality violations and rolling back as needed; all Time Warp
 // machinery — state saving, rollback, cancellation, GVT, fossil collection —
-// is the kernel's business, invisible to models. Two execution engines drive
-// the LPs: one goroutine per LP (the default), or a worker-pool dispatcher
-// (Config.Workers) that multiplexes arbitrarily many LPs onto a fixed set of
-// workers, each pulling its lowest-timestamp runnable LP from a local
-// schedule queue — the engine that hosts models of 10^6 objects.
+// is the kernel's business, invisible to models. One engine drives the LPs, a
+// dispatcher whose workers each pull their lowest-timestamp runnable LP from
+// a local schedule queue: one worker per LP by default, or Config.Workers of
+// them multiplexing arbitrarily many LPs — what hosts models of 10^6 objects
+// — in one process or on every rank of a TCP-connected fleet.
 //
 // Six facets of the kernel can be configured statically or placed under
 // on-line feedback control. Every facet has the same shape — a Mode, its
@@ -134,8 +134,7 @@ type (
 	SeqResult = core.SeqResult
 	// Counters is the statistics tally.
 	Counters = stats.Counters
-	// WorkerStats is one pool worker's run tally (Result.PerWorker, present
-	// when Config.Workers selects the worker-pool dispatcher).
+	// WorkerStats is one dispatcher worker's run tally (Result.PerWorker).
 	WorkerStats = stats.WorkerStats
 	// Sample is one adaptation-timeline point (set Config.Timeline).
 	Sample = core.Sample
@@ -267,9 +266,9 @@ const (
 )
 
 // Communication transports: the substrate carrying physical messages between
-// logical processes. The default (Config.Transport nil) is the in-process
-// transport — every LP a goroutine in this process, exactly the historical
-// behavior. A TCP transport makes this process one rank of a multi-process
+// logical processes. By default (Config.Transport nil) there is none: every
+// LP lives in this process and sends go straight to the destination's
+// mailbox. A TCP transport makes this process one rank of a multi-process
 // run; see ParseTransportSpec for the command-line form.
 type (
 	// Transport is the communication substrate abstraction (see
@@ -284,8 +283,9 @@ type (
 )
 
 // NewInProcTransport returns the in-process transport for numLPs logical
-// processes. Passing it as Config.Transport is equivalent to leaving the
-// field nil with matching cost model and inbox depth.
+// processes. Passing it as Config.Transport commits what leaving the field
+// nil commits, by way of the transport's channels; it is there to be wrapped
+// (a tracing or fault-injecting Transport around it).
 func NewInProcTransport(numLPs int, opts ...TransportOption) Transport {
 	return comm.NewInProc(numLPs, opts...)
 }

@@ -36,7 +36,7 @@ type FuzzSpec struct {
 	// Optimism configures the optimism facet (zero value = static, the
 	// pre-facet behaviour).
 	Optimism core.OptimismConfig
-	// Workers is the worker-pool size, 0 (goroutine-per-LP) to 3.
+	// Workers is the dispatcher width, 0 (a worker per LP) to 3.
 	Workers int
 }
 
@@ -82,8 +82,8 @@ func DecodeFuzzSpec(data []byte) FuzzSpec {
 			MinSample: 8 + int64(a)%32,
 		}
 	}
-	// Byte 11 selects the execution engine: 0 = goroutine-per-LP, else a
-	// worker pool of 1..3 workers (the kernel clamps to the LP count).
+	// Byte 11 selects the dispatcher width: 0 = a worker per LP, else 1..3
+	// workers (the kernel clamps to the LP count).
 	spec.Workers = int(b(11)) % 4
 	return spec
 }

@@ -151,10 +151,9 @@ type Options struct {
 	// non-perturbing — every differential and invariant check applies
 	// unchanged with it on.
 	Observe bool
-	// Workers, when positive, runs every parallel leg on the worker-pool
-	// dispatcher instead of goroutine-per-LP. The execution engine schedules
-	// when LPs run, never what they commit, so every differential and
-	// invariant check applies unchanged.
+	// Workers is the dispatcher width of every parallel leg (0 = a worker
+	// per LP). The dispatcher schedules when LPs run, never what they commit,
+	// so every differential and invariant check applies unchanged.
 	Workers int
 	// Cells selects the matrix subset to run (nil = the full Matrix()).
 	Cells []Cell
@@ -322,7 +321,6 @@ func runCell(m *model.Model, cell Cell, opts Options, gvtPeriod time.Duration,
 		GVTPeriod:      gvtPeriod,
 		OptimismWindow: opts.OptimismWindow,
 		Optimism:       opts.Optimism,
-		InboxDepth:     1 << 14,
 		Balance:        opts.Balance,
 		Codec:          opts.Codec,
 		Workers:        opts.Workers,

@@ -13,8 +13,8 @@ import (
 // All methods must be called from the owning LP goroutine only.
 type Endpoint struct {
 	lp  int
-	tr  Transport
-	n   int // total LPs across every rank
+	tr  Sender
+	rx  <-chan Packet // nil when built over a bare Sender
 	cfg AggConfig
 	st  *stats.Counters
 
@@ -99,14 +99,22 @@ const minWireCompress = 64
 // NewEndpoint attaches lp to the transport with the given aggregation
 // configuration, accounting into st. lp must be hosted in this process.
 func NewEndpoint(tr Transport, lp int, cfg AggConfig, st *stats.Counters) *Endpoint {
+	e := NewSendEndpoint(tr, tr.Peers().NumLPs, lp, cfg, st)
+	e.rx = tr.Recv(lp)
+	return e
+}
+
+// NewSendEndpoint is NewEndpoint over the sending half alone, for an owner
+// that receives lp's packets some other way (the Time Warp kernel: its LPs
+// read a mailbox, never a channel). Recv on the result returns nil.
+func NewSendEndpoint(s Sender, numLPs, lp int, cfg AggConfig, st *stats.Counters) *Endpoint {
 	cfg = cfg.withDefaults()
 	e := &Endpoint{
 		lp:   lp,
-		tr:   tr,
-		n:    tr.Peers().NumLPs,
+		tr:   s,
 		cfg:  cfg,
 		st:   st,
-		bufs: make([]aggBuffer, tr.Peers().NumLPs),
+		bufs: make([]aggBuffer, numLPs),
 		tmin: vtime.PosInf,
 	}
 	for i := range e.bufs {
@@ -118,7 +126,7 @@ func NewEndpoint(tr Transport, lp int, cfg AggConfig, st *stats.Counters) *Endpo
 // Recv returns this LP's receive stream. Callers must route every events
 // packet through DecodeEvents so the GVT color accounting stays balanced;
 // there is no raw inbox accessor anymore.
-func (e *Endpoint) Recv() <-chan Packet { return e.tr.Recv(e.lp) }
+func (e *Endpoint) Recv() <-chan Packet { return e.rx }
 
 // Color returns the LP's current GVT color.
 func (e *Endpoint) Color() uint8 { return e.color }

@@ -106,6 +106,11 @@ func WithCost(c CostModel) Option {
 	return func(o *inprocOptions) { o.cost = c }
 }
 
+// minInboxDepth is the per-LP inbox channel capacity of both transports
+// (InProc's minimum and default; the Time Warp kernel moves arrivals on into
+// unbounded mailboxes, so only the conservative kernel ever asks for more).
+const minInboxDepth = 1024
+
 // WithInboxDepth sets the per-LP inbox channel capacity (minimum and
 // default 1024).
 func WithInboxDepth(d int) Option {
@@ -124,12 +129,12 @@ type InProc struct {
 
 // NewInProc returns an in-process transport for n LPs.
 func NewInProc(n int, opts ...Option) *InProc {
-	o := inprocOptions{inboxDepth: 1024}
+	o := inprocOptions{}
 	for _, opt := range opts {
 		opt(&o)
 	}
-	if o.inboxDepth < 1024 {
-		o.inboxDepth = 1024
+	if o.inboxDepth < minInboxDepth {
+		o.inboxDepth = minInboxDepth
 	}
 	nw := &InProc{cost: o.cost, inboxes: make([]chan Packet, n), local: make([]int, n)}
 	for i := range nw.inboxes {

@@ -64,8 +64,6 @@ type TCPConfig struct {
 	// Cost is the simulated communication cost model charged on every Send,
 	// mirroring the in-process transport (the real socket latency is *extra*).
 	Cost CostModel
-	// InboxDepth is the per-LP inbox capacity (minimum and default 1024).
-	InboxDepth int
 	// DialTimeout bounds the join handshake (default 10s).
 	DialTimeout time.Duration
 	// DrainTimeout bounds the Close drain (default 5s).
@@ -100,9 +98,6 @@ func NewTCP(cfg TCPConfig) (*TCP, error) {
 	if cfg.NumLPs < numRanks {
 		return nil, fmt.Errorf("comm: %d LPs cannot span %d ranks", cfg.NumLPs, numRanks)
 	}
-	if cfg.InboxDepth < 1024 {
-		cfg.InboxDepth = 1024
-	}
 	if cfg.DialTimeout <= 0 {
 		cfg.DialTimeout = defaultDialTimeout
 	}
@@ -123,7 +118,7 @@ func NewTCP(cfg TCPConfig) (*TCP, error) {
 		in:      make([]net.Conn, numRanks),
 	}
 	for _, lp := range local {
-		t.inboxes[lp] = make(chan Packet, cfg.InboxDepth)
+		t.inboxes[lp] = make(chan Packet, minInboxDepth)
 	}
 	return t, nil
 }

@@ -2,10 +2,13 @@ package comm
 
 // Transport is the communication substrate abstraction: it delivers physical
 // messages (Packets) between logical processes, which may live in this OS
-// process (InProc, the default) or be spread across several processes on one
-// or more machines (TCP). The kernel core, the GVT manager, the migration
-// protocol and the router all talk to this interface; none of them know
-// whether a destination LP is a goroutine next door or a socket away.
+// process (InProc) or be spread across several processes on one or more
+// machines (TCP). The GVT manager, the migration protocol and the router send
+// through an Endpoint and never know whether a destination LP is next door or
+// a socket away. The receive channels are the transport's edge: the
+// conservative kernel's LPs select on them directly, the Time Warp kernel
+// forwards them into its LPs' mailboxes (core/dispatch.go) and, when a run
+// has no Transport at all, delivers into those mailboxes itself.
 //
 // The contract:
 //
@@ -13,7 +16,7 @@ package comm
 //     cost model says an n-payload-byte physical message costs. Sends to a
 //     given destination from a given goroutine are FIFO — the kernel's
 //     migration and cancellation protocols rely on per-sender ordering.
-//     Send may be called concurrently from different LP goroutines.
+//     Send may be called concurrently from different goroutines.
 //   - Recv returns the receive stream of a locally hosted LP. The channel is
 //     owned by the transport and stays open for the transport's lifetime;
 //     requesting a non-local LP's stream is a programming error (panic).
@@ -30,7 +33,7 @@ package comm
 //     first transport-level error observed during the run, so a run that
 //     completed over a corrupt or torn-down link does not pass silently.
 type Transport interface {
-	Send(dst int, p Packet, payloadBytes int)
+	Sender
 	Recv(lp int) <-chan Packet
 	Peers() Peers
 	Start() error
@@ -62,6 +65,13 @@ func (p Peers) IsLocal(lp int) bool {
 		}
 	}
 	return false
+}
+
+// Sender is the sending half of a Transport: all an Endpoint needs of the
+// substrate. The Time Warp kernel implements it alone when a run has no
+// Transport — its sends then land in the destination LP's mailbox directly.
+type Sender interface {
+	Send(dst int, p Packet, payloadBytes int)
 }
 
 // BlockRanks maps LPs onto ranks in contiguous blocks: rank r of numRanks

@@ -77,13 +77,13 @@ func (k *twin) exec(lp *lpRun, n int) {
 	}
 }
 
-// settle delivers everything in flight: aggregation buffers, inboxes
+// settle delivers everything in flight: aggregation buffers, spillboxes
 // (installing any migration capsule) and deferred intra-LP messages.
 func (k *twin) settle() {
 	for moved := true; moved; {
 		moved = false
 		for _, lp := range k.lps {
-			if lp.ep.Buffered() > 0 || len(lp.inbox) > 0 || len(lp.deferred) > 0 {
+			if lp.ep.Buffered() > 0 || lp.spill.n.Load() > 0 || len(lp.deferred) > 0 {
 				moved = true
 			}
 			lp.ep.FlushAll(comm.FlushIdle)
@@ -106,7 +106,7 @@ func (k *twin) gvt() vtime.Time {
 		}
 		quiet := true
 		for _, lp := range k.lps {
-			if lp.ep.Buffered() > 0 || len(lp.inbox) > 0 || len(lp.deferred) > 0 {
+			if lp.ep.Buffered() > 0 || lp.spill.n.Load() > 0 || len(lp.deferred) > 0 {
 				quiet = false
 			}
 		}

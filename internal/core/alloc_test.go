@@ -206,8 +206,8 @@ func TestExecutePathAllocationBudget(t *testing.T) {
 	}
 }
 
-// TestWorkerPoolAllocationBudget pins the pool engine to the same marginal
-// per-event allocation discipline as the goroutine engine: spillbox delivery,
+// TestWorkerPoolAllocationBudget pins a dispatcher narrower than the LP count
+// to the same marginal per-event allocation discipline: spillbox delivery,
 // schedule-heap churn and worker wakeups must not reintroduce per-event
 // garbage. Sparse PHOLD keeps the model side allocation-free; the bound is a
 // cap (spillbox slices grow amortized, per-worker pools warm up), not zero.

@@ -7,39 +7,6 @@ import (
 	"gowarp/internal/vtime"
 )
 
-// drainInboxes empties every LP's inbox after the goroutines have joined and
-// returns the leftover packets per LP. Run always performs this sweep: stray
-// migration capsules must be adopted by their destination even when auditing
-// is off, and the auditor (when on) closes its conservation ledger over the
-// same packets.
-func drainInboxes(lps []*lpRun) [][]comm.Packet {
-	out := make([][]comm.Packet, len(lps))
-	for i, lp := range lps {
-		if lp == nil {
-			continue // hosted by another rank
-		}
-		if b := lp.spill; b != nil {
-			// Pool mode: the spillbox replaces the inbox channel.
-			b.mu.Lock()
-			out[i] = append(out[i], b.q...)
-			b.q = nil
-			b.n.Store(0)
-			b.mu.Unlock()
-			continue
-		}
-	drain:
-		for {
-			select {
-			case p := <-lp.inbox:
-				out[i] = append(out[i], p)
-			default:
-				break drain
-			}
-		}
-	}
-	return out
-}
-
 // auditLocalMin is localMin's full scan, kept under Config.Audit: the
 // minimum over every hosted object must equal the one the schedule heap and
 // the lazy list produced, and no object off the list may hold pending entries.
@@ -92,13 +59,13 @@ func (lp *lpRun) auditFossil(g vtime.Time) {
 //   - orphan anti-messages still parked are cancellation leaks;
 //   - the message-conservation ledger is closed: events handed to the
 //     communication substrate == events delivered + events still in
-//     aggregation buffers + events decoded out of the undrained inboxes.
+//     aggregation buffers + events decoded out of the undrained spillboxes.
 //     Capsule-carried events bypass the ledger on both sides; forwarded
 //     events enter it once per hop.
-func finishAudit(au *audit.Auditor, lps []*lpRun, leftovers [][]comm.Packet) {
+func finishAudit(au *audit.Auditor, lps []*lpRun) {
 	var buffered, undelivered int64
-	for i, lp := range lps {
-		for _, p := range leftovers[i] {
+	for _, lp := range lps {
+		for _, p := range lp.spill.q {
 			if p.Kind != comm.PktEvents {
 				continue
 			}
@@ -112,7 +79,7 @@ func finishAudit(au *audit.Auditor, lps []*lpRun, leftovers [][]comm.Packet) {
 					break
 				}
 				undelivered++
-				au.LostEvent(lp.id, ev, "an undrained inbox")
+				au.LostEvent(lp.id, ev, "an undrained spillbox")
 				buf = rest
 			}
 		}

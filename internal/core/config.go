@@ -1,7 +1,7 @@
 // Package core is the Time Warp simulation kernel: optimistically
-// synchronized logical processes (one goroutine each) hosting simulation
-// objects with the three history queues of Figure 1 of the paper (input,
-// output, state), straggler detection and rollback with coast forward,
+// synchronized logical processes, run by the workers of one dispatcher (see
+// dispatch.go), hosting simulation objects with the three history queues of
+// Figure 1 of the paper (input, output, state), straggler detection and rollback with coast forward,
 // aggressive/lazy/dynamic cancellation, periodic and dynamic check-pointing,
 // dynamic message aggregation, Mattern-style GVT and fossil collection.
 //
@@ -41,14 +41,16 @@ type Config struct {
 	// Cost is the simulated communication cost model.
 	Cost comm.CostModel
 
-	// Transport is the communication substrate. Nil selects the in-process
-	// transport (comm.NewInProc with Cost and InboxDepth), which is the
-	// pre-transport-API behavior exactly. A distributed transport (comm.TCP)
-	// makes this process one rank of a multi-process run: the kernel hosts
-	// only the transport's local LPs, and rank 0 gathers every rank's final
-	// states and counters so its Result matches a single-process run. Run
-	// owns the lifecycle: it calls Start before launching LPs and Close
-	// after the run, so pass a freshly constructed, unstarted transport.
+	// Transport is the communication substrate. With nil every LP is hosted
+	// in this process and a send, charged Cost, lands directly in the
+	// destination LP's mailbox. With a transport every send goes through it
+	// and the kernel forwards what it delivers into the mailboxes. A
+	// distributed transport (comm.TCP) makes this process one rank of a
+	// multi-process run: the kernel hosts only the transport's local LPs, and
+	// rank 0 gathers every rank's final states and counters so its Result
+	// matches a single-process run. Run owns the lifecycle: it calls Start
+	// before launching workers and Close after the run, so pass a freshly
+	// constructed, unstarted transport.
 	Transport comm.Transport
 
 	// EventCost is the CPU burn charged per event execution, standing in
@@ -65,18 +67,16 @@ type Config struct {
 	// GVTPeriod is the wall-clock interval between GVT computations.
 	GVTPeriod time.Duration
 
-	// Workers, when positive, selects the worker-pool event dispatcher: N
-	// worker goroutines host all the run's logical processes, each pulling
+	// Workers is the width of the event dispatcher: that many worker
+	// goroutines host the logical processes this process runs, each pulling
 	// the lowest-timestamped runnable object from a per-worker schedule
-	// queue, with LP→worker sharding re-mapped on line from observed event
-	// rates (see dispatch.go). Zero (the default) keeps the legacy
-	// goroutine-per-LP execution exactly. Values above the LP count are
-	// clamped to it; pool mode requires the default in-process transport.
+	// queue, with LP→worker sharding re-mapped on line from observed commit
+	// rates (see dispatch.go). Zero (the default) means one worker per hosted
+	// LP; values above the hosted LP count are clamped to it. Any width runs
+	// over any Transport.
 	Workers int
 	// PendingSet selects the pending-event-set implementation.
 	PendingSet pq.Kind
-	// InboxDepth is the per-LP physical-message inbox capacity.
-	InboxDepth int
 	// Timeline records per-LP adaptation samples at every GVT cycle (see
 	// Sample); costs a small allocation per cycle.
 	Timeline bool
@@ -236,7 +236,6 @@ func DefaultConfig(endTime vtime.Time) Config {
 		Aggregation:  comm.AggConfig{Policy: comm.NoAggregation},
 		GVTPeriod:    time.Millisecond,
 		PendingSet:   pq.Heap,
-		InboxDepth:   1 << 14,
 	}
 }
 
@@ -271,12 +270,12 @@ type Result struct {
 	// dependent when adaptive, so — like FinalPartition — it is not part of
 	// the deterministic run artifact.
 	FinalOptimismWindow vtime.Time
-	// PerWorker holds each dispatcher worker's scheduling statistics (nil
-	// unless Config.Workers selected the worker pool). Wall-clock-dependent,
-	// so not part of the deterministic run artifact.
+	// PerWorker holds the scheduling statistics of each of this process's
+	// dispatcher workers; the event-pool tallies in Stats are their sum.
+	// Wall-clock-dependent, so not part of the deterministic run artifact.
 	PerWorker []stats.WorkerStats
-	// FinalWorkerAssignment is the LP→worker map when the run ended (nil
-	// unless the worker pool ran); it differs from the initial block
+	// FinalWorkerAssignment is the LP→worker map when the run ended, indexed
+	// by LP, -1 for LPs another rank hosts; it differs from the initial block
 	// sharding only when the on-line remap controller moved LPs.
 	FinalWorkerAssignment []int
 }

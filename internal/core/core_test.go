@@ -43,8 +43,9 @@ func testModel(seed uint64) *model.Model {
 // assertMatchesSequential runs m under cfg on the parallel kernel — with the
 // runtime invariant auditor enabled — and checks it commits exactly the
 // events the sequential reference kernel executes, reaches identical final
-// states, and violates no Time Warp invariant along the way.
-func assertMatchesSequential(t *testing.T, m *model.Model, cfg core.Config) {
+// states, and violates no Time Warp invariant along the way. It returns the
+// parallel run's result for further checks.
+func assertMatchesSequential(t *testing.T, m *model.Model, cfg core.Config) *core.Result {
 	t.Helper()
 	seq, err := core.RunSequential(m, cfg.EndTime, 0)
 	if err != nil {
@@ -74,6 +75,7 @@ func assertMatchesSequential(t *testing.T, m *model.Model, cfg core.Config) {
 		t.Errorf("processed %d < committed %d",
 			par.Stats.EventsProcessed, par.Stats.EventsCommitted)
 	}
+	return par
 }
 
 func TestParallelMatchesSequentialBaseline(t *testing.T) {

@@ -1,34 +1,43 @@
 package core
 
-// The worker-pool event dispatcher: N worker goroutines host all of a run's
-// logical processes, each worker pulling the lowest-timestamped runnable
-// object from a per-worker schedule queue (a pq.ScheduleHeap over the LPs it
-// owns, keyed by each LP's own schedule-heap minimum with the deterministic
-// (vt, seq, object-id) tie-break). This replaces goroutine-per-LP execution
-// when Config.Workers > 0, following the Warped2 TimeWarpEventDispatcher
-// structure: object count is no longer bounded by per-goroutine footprint,
-// and a few hot LPs no longer strand the cores of their idle peers.
+// The event dispatcher — the kernel's one execution engine. Worker goroutines
+// host all of a process's logical processes, each worker pulling the
+// lowest-timestamped runnable object from a per-worker schedule queue (a
+// pq.ScheduleHeap over the LPs it owns, keyed by each LP's own schedule-heap
+// minimum with the deterministic (vt, seq, object-id) tie-break). It follows
+// the Warped2 TimeWarpEventDispatcher structure — worker threads and a
+// communication manager in one place: object count is not bounded by
+// per-goroutine footprint, a few hot LPs do not strand the cores of their idle
+// peers, and a rank of a distributed run is simply a pool over the LPs that
+// rank hosts. Config.Workers == 0 is the pool with one worker per hosted LP.
 //
-// Single-owner semantics survive the refactor by pinning: every LP (and with
-// it every hosted object, pending set, state queue, cancellation manager and
-// event pool reference) is owned by exactly one worker per scheduling epoch.
-// Rollback, fossil collection and state saving run on the owning worker,
-// untouched. GVT participation batches per worker as a consequence of
-// ownership: the Mattern token's hops across same-worker LPs complete within
-// one worker drain round, so a W-worker run pays ~W wake-ups per GVT round
-// rather than numLPs. The optimism facet gates each worker's queue horizon
-// through the per-LP horizon() check in execStep, so a tightened window
-// throttles every worker identically.
+// Every LP reads its packets from one place, its spillbox. A run without a
+// Config.Transport delivers straight into the destination's spillbox (the
+// dispatcher is the endpoints' comm.Sender); a run with one sends through it
+// and one forwarder goroutine per hosted LP moves the transport's receive
+// channel into the spillbox. Channels stay at the transport edge; nothing in
+// the kernel selects on one.
 //
-// Re-mapping on line: the dispatcher keeps per-LP execution counters and,
-// every remapEvery GVT applications on LP 0, recomputes an LP→worker
-// assignment by longest-processing-time greedy packing. Ownership moves by a
-// barrier-free release/adopt handoff: the current owner notices the new
-// epoch, pushes the LP onto the target worker's adoption queue under that
-// worker's mutex (the mutex hand-over is the happens-before edge for all the
-// LP's unsynchronized state), and the adopter rebinds the LP's event pool to
-// its own. The PR 3 balancer composes: it migrates objects between LPs, the
-// dispatcher migrates LPs between workers.
+// Single-owner semantics hold by pinning: every LP (and with it every hosted
+// object, pending set, state queue, cancellation manager and event pool
+// reference) is owned by exactly one worker per scheduling epoch. Rollback,
+// fossil collection and state saving run on the owning worker, untouched.
+// GVT participation batches per worker as a consequence of ownership: the
+// Mattern token's hops across same-worker LPs complete within one worker
+// drain round, so a W-worker run pays ~W wake-ups per GVT round rather than
+// one per LP. The optimism facet gates each worker's queue horizon through
+// the per-LP horizon() check in execStep, so a tightened window throttles
+// every worker identically.
+//
+// Re-mapping on line: each LP publishes its committed-event count at every GVT
+// application and, every remapEvery applications on the first hosted LP, the
+// dispatcher recomputes an LP→worker assignment by longest-processing-time
+// greedy packing. Ownership moves by a barrier-free release/adopt handoff: the
+// current owner notices the new epoch, pushes the LP onto the target worker's
+// adoption queue under that worker's mutex (the mutex hand-over is the
+// happens-before edge for all the LP's unsynchronized state), and the adopter
+// rebinds the LP's event pool to its own. The balancer composes: it migrates
+// objects between LPs, the dispatcher migrates LPs between workers.
 
 import (
 	"runtime"
@@ -52,9 +61,14 @@ const poolBatch = 32
 // remapEvery is the number of GVT applications between LP→worker remap scans.
 const remapEvery = 8
 
-// spillbox is one LP's inbound packet queue under the pool dispatcher: an
-// unbounded mutex-guarded slice instead of InProc's bounded channel. The
-// channel would deadlock a pool run — a worker blocked sending to a full
+// remapGain is the dead zone of the remap controller: LPs move only when the
+// busiest worker committed more than remapGain times what the busiest worker
+// of the new packing would have. Without it, noise on equal loads regroups
+// the LPs at every scan.
+const remapGain = 1.25
+
+// spillbox is one LP's mailbox: an unbounded mutex-guarded packet queue. A
+// bounded channel here would deadlock — a worker blocked sending to a full
 // inbox may itself own the only goroutine that could drain it — while the
 // spillbox never blocks a sender; the optimism window bounds how far any LP
 // can run ahead, which bounds the backlog in practice.
@@ -64,70 +78,42 @@ type spillbox struct {
 	q  []comm.Packet
 }
 
-// poolNet is the in-process transport variant backing pool mode. Packets
-// append to the destination's spillbox in global arrival order (which
-// subsumes the per-sender FIFO the Transport contract requires) and wake the
-// destination's owning worker.
-type poolNet struct {
-	cost  comm.CostModel
-	boxes []spillbox
-	d     *dispatcher
-}
-
-func newPoolNet(numLPs int, cost comm.CostModel) *poolNet {
-	return &poolNet{cost: cost, boxes: make([]spillbox, numLPs)}
-}
-
-func (n *poolNet) Send(dst int, p comm.Packet, payloadBytes int) {
-	n.cost.Charge(payloadBytes)
-	b := &n.boxes[dst]
-	b.mu.Lock()
-	b.q = append(b.q, p)
-	b.n.Store(int32(len(b.q)))
-	b.mu.Unlock()
-	n.d.wakeLP(dst)
-}
-
-// Recv returns nil: pool-mode LPs read their spillbox, never a channel.
-func (n *poolNet) Recv(lp int) <-chan comm.Packet { return nil }
-
-func (n *poolNet) Peers() comm.Peers {
-	local := make([]int, len(n.boxes))
-	for i := range local {
-		local[i] = i
-	}
-	return comm.Peers{NumLPs: len(n.boxes), Local: local, Rank: 0, NumRanks: 1}
-}
-
-func (n *poolNet) Start() error { return nil }
-func (n *poolNet) Close() error { return nil }
-
-// dispatcher owns the worker fleet and the LP→worker maps.
+// dispatcher owns the worker fleet and delivers to the hosted LPs. The
+// LP→worker maps live on the LPs themselves (lpRun.worker, target, load).
 type dispatcher struct {
-	net     *poolNet
+	cost    comm.CostModel
+	lps     []*lpRun // the LPs this process hosts
+	byID    []*lpRun // global LP id → hosted LP; nil for LPs on other ranks
 	workers []*worker
-	// owner is the authoritative LP→worker map, updated at handoff; Send
-	// consults it to wake the right worker (a stale read wakes the previous
-	// owner, which is harmless — the packet sits in the spillbox either way).
-	owner []atomic.Int32
-	// target is the assignment the last remap decided; epoch bumps when it
-	// changes, and each worker releases LPs whose target moved away.
-	target []atomic.Int32
+	// batch is how many events a worker executes between pumps: poolBatch,
+	// unless the workers outnumber the cores and so take turns on them. Then
+	// a worker yields after every event — LPs a batch apart in virtual time
+	// roll each other back — and pumps sooner in proportion, because between
+	// two of its events every worker ahead of it in the queue runs one, and
+	// GVT initiation and aggregation deadlines wait for the pump.
+	batch int
+	// live counts the hosted LPs still running; the workers retire together
+	// when it reaches zero, never one by one — a worker that owns nothing at
+	// the moment may be the target of the next handoff.
+	live atomic.Int32
+	// epoch bumps when a remap publishes new targets; each worker then
+	// releases the LPs whose target moved away.
 	epoch  atomic.Uint64
-	// execs counts events per LP since the last remap scan.
-	execs     []atomic.Int64
-	remapTick int // LP 0's applyGVT only, serialized by LP 0 ownership
-	remaps    atomic.Int64
+	remaps atomic.Int64
+	// remapTick counts GVT applications towards the next scan and scanned
+	// holds each LP's load at the last one; both belong to the first hosted
+	// LP's applyGVT, serialized by that LP's ownership.
+	remapTick int
+	scanned   []int64
 }
 
-func newDispatcher(n *poolNet, numWorkers, numLPs int, cfg *Config) *dispatcher {
-	d := &dispatcher{
-		net:    n,
-		owner:  make([]atomic.Int32, numLPs),
-		target: make([]atomic.Int32, numLPs),
-		execs:  make([]atomic.Int64, numLPs),
+// newDispatcher builds numWorkers idle workers for a process hosting the
+// LPs attach will hand it.
+func newDispatcher(numWorkers, numLPs int, cfg *Config) *dispatcher {
+	d := &dispatcher{cost: cfg.Cost, byID: make([]*lpRun, numLPs), batch: poolBatch}
+	if cores := min(runtime.GOMAXPROCS(0), runtime.NumCPU()); numWorkers > cores {
+		d.batch = max(1, poolBatch*cores/numWorkers)
 	}
-	n.d = d
 	idle := cfg.GVTPeriod / 4
 	if idle <= 0 {
 		idle = 250 * time.Microsecond
@@ -141,72 +127,122 @@ func newDispatcher(n *poolNet, numWorkers, numLPs int, cfg *Config) *dispatcher 
 			idleTick: idle,
 		})
 	}
-	for lp := 0; lp < numLPs; lp++ {
-		w := int32(lp * numWorkers / numLPs) // block sharding, like BlockRanks
-		d.owner[lp].Store(w)
-		d.target[lp].Store(w)
-	}
 	return d
 }
 
-// workerOf returns the worker initially assigned to host lp.
-func (d *dispatcher) workerOf(lp int) *worker { return d.workers[d.owner[lp].Load()] }
+// attach hosts lp, the h-th of n, on its initial worker: block sharding, like
+// comm.BlockRanks. The LP's event pool is its worker's.
+func (d *dispatcher) attach(lp *lpRun, h, n int) {
+	w := d.workers[h*len(d.workers)/n]
+	lp.d = d
+	lp.pool = w.pool
+	lp.worker.Store(int32(w.id))
+	lp.target.Store(int32(w.id))
+	w.owned = append(w.owned, lp)
+	d.lps = append(d.lps, lp)
+	d.scanned = append(d.scanned, 0)
+	d.byID[lp.id] = lp
+	d.live.Add(1)
+}
 
-// attach hands the constructed LPs to their initial workers, in LP order.
-func (d *dispatcher) attach(locals []*lpRun) {
-	for _, lp := range locals {
-		w := d.workerOf(lp.id)
-		w.owned = append(w.owned, lp)
+// Send implements comm.Sender for runs without a transport, where every LP
+// is hosted here: the packet goes straight into the destination's spillbox.
+// Global arrival order subsumes the per-sender FIFO a Transport guarantees.
+func (d *dispatcher) Send(dst int, p comm.Packet, payloadBytes int) {
+	d.cost.Charge(payloadBytes)
+	lp := d.byID[dst]
+	b := &lp.spill
+	b.mu.Lock()
+	b.q = append(b.q, p)
+	b.n.Store(int32(len(b.q)))
+	b.mu.Unlock()
+	d.workers[lp.worker.Load()].poke()
+}
+
+// forward is the transport edge of one hosted LP: it moves arrivals from the
+// transport's receive channel into the LP's spillbox and wakes the owner, a
+// batch per lock and wake-up. When done closes it sweeps what has already
+// arrived and returns, so after the forwarders join the spillboxes hold
+// everything the transport delivered.
+func (d *dispatcher) forward(lp *lpRun, in <-chan comm.Packet, done <-chan struct{}) {
+	b := &lp.spill
+	for {
+		var p comm.Packet
+		stop := false
+		select {
+		case p = <-in:
+		case <-done:
+			stop = true
+		}
+		b.mu.Lock()
+		if !stop {
+			b.q = append(b.q, p)
+		}
+		for more := true; more; {
+			select {
+			case p = <-in:
+				b.q = append(b.q, p)
+			default:
+				more = false
+			}
+		}
+		b.n.Store(int32(len(b.q)))
+		b.mu.Unlock()
+		if stop {
+			return
+		}
+		d.workers[lp.worker.Load()].poke()
 	}
 }
 
-func (d *dispatcher) wakeLP(lp int) {
-	w := d.workers[d.owner[lp].Load()]
-	select {
-	case w.wake <- struct{}{}:
-	default:
+// release retires every worker: the last hosted LP stopped, or a worker
+// panicked and the run is over.
+func (d *dispatcher) release() {
+	d.live.Store(0)
+	for _, w := range d.workers {
+		w.poke()
 	}
 }
 
-// handoff moves lp from worker from to worker to. It fails — and ownership
-// stays put — only when the target has already exited, which can happen only
-// while the run is stopping.
-func (d *dispatcher) handoff(lp *lpRun, from, to int) bool {
+// handoff moves lp to worker to. lp is running, so the fleet is live and the
+// target will see the adoption.
+func (d *dispatcher) handoff(lp *lpRun, to int) {
 	tw := d.workers[to]
 	tw.mu.Lock()
-	if tw.dead {
-		tw.mu.Unlock()
-		d.target[lp.id].Store(int32(from))
-		return false
-	}
-	d.owner[lp.id].Store(int32(to))
+	lp.worker.Store(int32(to))
 	tw.adoptQ = append(tw.adoptQ, lp)
 	tw.mu.Unlock()
-	select {
-	case tw.wake <- struct{}{}:
-	default:
-	}
+	tw.poke()
 	d.remaps.Add(1)
-	return true
 }
 
-// maybeRemap runs on LP 0's owning worker at each GVT application. Every
-// remapEvery applications it recomputes the LP→worker assignment from the
-// observed per-LP event rates by greedy longest-processing-time packing and,
-// when the plan differs from the current owners, publishes it and wakes every
-// worker to apply it.
+// maybeRemap runs on the first hosted LP's owning worker at each GVT
+// application. Every remapEvery applications it packs the LPs onto the
+// workers by greedy longest-processing-time over what each LP committed since
+// the last scan — the share of the model's work it hosts, free of the
+// scheduling noise in what it merely executed — and, when that would take
+// more than remapGain off the busiest worker, publishes the packing and wakes
+// every worker to apply it. With a worker per LP there is nothing to pack.
 func (d *dispatcher) maybeRemap() {
+	if len(d.workers) >= len(d.lps) {
+		return
+	}
 	d.remapTick++
 	if d.remapTick < remapEvery {
 		return
 	}
 	d.remapTick = 0
-	numLPs := len(d.execs)
-	loads := make([]int64, numLPs)
-	order := make([]int, numLPs)
-	for i := range loads {
-		loads[i] = d.execs[i].Swap(0)
+	loads := make([]int64, len(d.lps))
+	order := make([]int, len(d.lps))
+	current := make([]int64, len(d.workers)) // load by present owner
+	var busiest int64
+	for i, lp := range d.lps {
+		now := lp.load.Load()
+		loads[i], d.scanned[i] = now-d.scanned[i], now
 		order[i] = i
+		w := lp.worker.Load()
+		current[w] += loads[i]
+		busiest = max(busiest, current[w])
 	}
 	sort.SliceStable(order, func(a, b int) bool { return loads[order[a]] > loads[order[b]] })
 
@@ -214,44 +250,54 @@ func (d *dispatcher) maybeRemap() {
 		load  int64
 		count int
 	}
-	bins := make([]bin, len(d.workers))
-	plan := make([]int32, numLPs)
-	for _, lp := range order {
+	nw := len(d.workers)
+	bins := make([]bin, nw)
+	held := make([]int, nw*nw) // held[b*nw+w]: LPs of bin b that worker w owns now
+	plan := make([]int, len(d.lps))
+	var packed int64
+	for _, i := range order {
 		best := 0
-		for w := 1; w < len(bins); w++ {
-			if bins[w].load < bins[best].load ||
-				(bins[w].load == bins[best].load && bins[w].count < bins[best].count) {
+		for b := 1; b < len(bins); b++ {
+			if bins[b].load < bins[best].load ||
+				(bins[b].load == bins[best].load && bins[b].count < bins[best].count) {
+				best = b
+			}
+		}
+		bins[best].load += loads[i]
+		bins[best].count++
+		held[best*nw+int(d.lps[i].worker.Load())]++
+		plan[i] = best
+		packed = max(packed, bins[best].load)
+	}
+	if float64(busiest) <= remapGain*float64(packed) {
+		return
+	}
+	// LPT numbers its bins by load order. Name each after the worker that
+	// already owns most of its LPs, so that only LPs whose grouping changed
+	// move.
+	name := make([]int32, nw)
+	taken := make([]bool, nw)
+	for b := range bins {
+		best := -1
+		for w, n := range held[b*nw : (b+1)*nw] {
+			if !taken[w] && (best < 0 || n > held[b*nw+best]) {
 				best = w
 			}
 		}
-		bins[best].load += loads[lp]
-		bins[best].count++
-		plan[lp] = int32(best)
+		name[b], taken[best] = int32(best), true
 	}
-	changed := false
-	for lp := range plan {
-		if plan[lp] != d.owner[lp].Load() {
-			changed = true
-			break
-		}
-	}
-	if !changed {
-		return
-	}
-	for lp := range plan {
-		d.target[lp].Store(plan[lp])
+	for i, lp := range d.lps {
+		lp.target.Store(name[plan[i]])
 	}
 	d.epoch.Add(1)
 	for _, w := range d.workers {
-		select {
-		case w.wake <- struct{}{}:
-		default:
-		}
+		w.poke()
 	}
 }
 
 // publishMetrics refreshes the gowarp_worker_* metric slots from the worker
-// atomics; called from LP 0's GVT application (any thread may read them).
+// atomics; called from the first hosted LP's GVT application (any thread may
+// read them).
 func (d *dispatcher) publishMetrics(m *runMetrics) {
 	for _, w := range d.workers {
 		m.workerEvents.Set(w.id, float64(w.events.Load()))
@@ -263,7 +309,8 @@ func (d *dispatcher) publishMetrics(m *runMetrics) {
 	m.workerRemaps.Set(0, float64(d.remaps.Load()))
 }
 
-// finalStats assembles the per-worker report and the final LP→worker map.
+// finalStats assembles the per-worker report and the final LP→worker map
+// (indexed by global LP id; -1 for LPs other ranks host).
 func (d *dispatcher) finalStats() (ws []stats.WorkerStats, assign []int) {
 	for _, w := range d.workers {
 		allocs, reuses := w.pool.Stats()
@@ -277,9 +324,12 @@ func (d *dispatcher) finalStats() (ws []stats.WorkerStats, assign []int) {
 			EventPoolReuses: reuses,
 		})
 	}
-	assign = make([]int, len(d.owner))
-	for lp := range d.owner {
-		assign[lp] = int(d.owner[lp].Load())
+	assign = make([]int, len(d.byID))
+	for id, lp := range d.byID {
+		assign[id] = -1
+		if lp != nil {
+			assign[id] = int(lp.worker.Load())
+		}
 	}
 	return ws, assign
 }
@@ -300,7 +350,6 @@ type worker struct {
 
 	mu     sync.Mutex
 	adoptQ []*lpRun
-	dead   bool
 
 	// Cross-worker-readable counters behind the gowarp_worker_* metrics and
 	// the per-worker report.
@@ -309,6 +358,14 @@ type worker struct {
 	ownedN    atomic.Int64
 	runnable  atomic.Int64
 	adoptions atomic.Int64
+}
+
+// poke wakes the worker if it is idle; a wake-up already pending is enough.
+func (w *worker) poke() {
+	select {
+	case w.wake <- struct{}{}:
+	default:
+	}
 }
 
 // rebuild reconstructs the worker's schedule queue after its owned set
@@ -379,61 +436,38 @@ func (w *worker) applyRemap() {
 	}
 	w.seen = e
 	kept := w.owned[:0]
-	changed := false
 	for _, lp := range w.owned {
-		tgt := int(w.d.target[lp.id].Load())
-		if tgt == w.id || !lp.running || !w.d.handoff(lp, w.id, tgt) {
-			kept = append(kept, lp)
+		if tgt := int(lp.target.Load()); tgt != w.id && lp.running {
+			w.d.handoff(lp, tgt)
 			continue
 		}
-		changed = true
+		kept = append(kept, lp)
 	}
-	if changed {
-		// Clear the tail so released LPs are not pinned by the backing array.
-		for i := len(kept); i < len(w.owned); i++ {
-			w.owned[i] = nil
-		}
+	if len(kept) < len(w.owned) {
+		clear(w.owned[len(kept):]) // released LPs are not pinned by the backing array
 		w.owned = kept
 		w.rebuild()
 	}
 }
 
-// tryExit retires the worker once every owned LP has stopped, unless an
-// adoption slipped in — a handed-over LP may still be running, and its new
-// owner must run it to its stop. After dead is set (under the same mutex
-// handoff takes), no further LP can be handed here.
-func (w *worker) tryExit() bool {
-	w.mu.Lock()
-	if len(w.adoptQ) > 0 {
-		w.mu.Unlock()
-		return false
-	}
-	w.dead = true
-	w.mu.Unlock()
-	return true
-}
-
 // run is the worker goroutine body: adopt, pump every owned LP's
 // communication, then execute up to poolBatch events least-timestamp-first
 // across the owned LPs; idle on the wake channel when nothing is runnable.
+// It returns once every LP the process hosts has stopped.
 func (w *worker) run() {
 	for _, lp := range w.owned {
 		lp.initObjects()
 	}
 	w.rebuild()
-	for {
+	for w.d.live.Load() > 0 {
 		w.takeAdoptions()
 		w.applyRemap()
 		now := time.Now()
-		alive := false
 		runnable := 0
 		for i, lp := range w.owned {
-			if !lp.running {
-				w.sched.UpdateKey(i, vtime.PosInf, 0, int32(lp.id))
-				continue
+			if lp.running {
+				lp.pump(now)
 			}
-			alive = true
-			lp.pump(now)
 			w.rekey(i)
 			if lp.running {
 				if _, t := lp.sched.Min(); t != vtime.PosInf {
@@ -442,33 +476,31 @@ func (w *worker) run() {
 			}
 		}
 		w.runnable.Store(int64(runnable))
-		if !alive {
-			if w.tryExit() {
-				return
-			}
-			continue
-		}
 		start := time.Now()
 		executed := 0
-		for executed < poolBatch {
+		for executed < w.d.batch {
 			slot, t := w.sched.Min()
 			if slot < 0 || t == vtime.PosInf {
 				break
 			}
 			lp := w.owned[slot]
-			if !lp.running || !lp.execStep() {
-				w.rekey(slot)
+			if executed > 0 && lp.spill.n.Load() != 0 {
+				break // mail since the pump: it may hold a straggler for this very event
+			}
+			if !lp.execStep() {
 				break
 			}
 			executed++
 			w.rekey(slot)
-			w.d.execs[lp.id].Add(1)
+			if w.d.batch < poolBatch { // the workers take turns on the cores
+				runtime.Gosched()
+			}
 		}
 		if executed > 0 {
 			w.events.Add(int64(executed))
 			w.busyNS.Add(time.Since(start).Nanoseconds())
-			// Yield between batches so peer workers' control traffic flows
-			// even when the host has fewer cores than workers.
+			// Yield between batches so the forwarders and the sampler get a
+			// core even when the workers occupy them all.
 			runtime.Gosched()
 			continue
 		}
@@ -494,6 +526,10 @@ func (w *worker) idle() {
 		}
 	}
 	if timeout > 0 {
+		// One timer per worker, reused across idle periods. The Stop/drain
+		// dance keeps the channel empty so a later Reset cannot deliver a
+		// stale tick (pre-Go-1.23 timer semantics, which this module's go
+		// directive selects).
 		if w.idleTmr == nil {
 			w.idleTmr = time.NewTimer(timeout)
 		} else {

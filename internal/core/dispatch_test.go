@@ -11,9 +11,9 @@ import (
 	"gowarp/internal/core"
 )
 
-// The worker-pool dispatcher must commit exactly the computation the
-// sequential reference executes, for worker counts below, at, and above the
-// LP count, across the facet combinations the legacy loop is verified on.
+// The dispatcher must commit exactly the computation the sequential reference
+// executes, for worker counts below, at, and above the LP count (0 = one per
+// LP, what every test that leaves Workers alone runs on).
 
 func TestWorkerPoolMatchesSequential(t *testing.T) {
 	for _, workers := range []int{1, 2, 4, 8} {
@@ -90,22 +90,24 @@ func TestWorkerPoolReport(t *testing.T) {
 			t.Errorf("LP %d assigned to worker %d", lp, w)
 		}
 	}
-	// Pool-mode event pools are per-worker: the merged tally carries them,
-	// the per-LP counters stay zero.
+	// Event pools are per-worker: the merged tally carries them, the per-LP
+	// counters stay zero.
 	if res.Stats.EventPoolAllocs == 0 {
 		t.Error("merged EventPoolAllocs = 0, want > 0")
 	}
 	for i, lp := range res.PerLP {
 		if lp.EventPoolAllocs != 0 {
-			t.Errorf("PerLP[%d].EventPoolAllocs = %d, want 0 in pool mode", i, lp.EventPoolAllocs)
+			t.Errorf("PerLP[%d].EventPoolAllocs = %d, want 0", i, lp.EventPoolAllocs)
 		}
 	}
 }
 
 // Worker counts above the LP count clamp: the run must behave as numLPs
-// workers, not spin empty goroutines.
+// workers, not spin empty goroutines. And with a worker per LP there is
+// nothing to balance: every worker ends the run owning the LP it started with.
 func TestWorkerPoolClampsToLPs(t *testing.T) {
 	cfg := testConfig(1500)
+	cfg.GVTPeriod = 50 * time.Microsecond // many GVT cycles => many remap scans
 	cfg.Workers = 64
 	res, err := core.Run(testModel(2), cfg)
 	if err != nil {
@@ -114,16 +116,23 @@ func TestWorkerPoolClampsToLPs(t *testing.T) {
 	if len(res.PerWorker) != 4 {
 		t.Fatalf("PerWorker = %d entries, want clamp to 4 LPs", len(res.PerWorker))
 	}
+	for _, w := range res.PerWorker {
+		if w.OwnedLPs != 1 || w.Adoptions != 0 {
+			t.Errorf("worker %d ends owning %d LPs after %d adoptions, want 1 and 0", w.Worker, w.OwnedLPs, w.Adoptions)
+		}
+	}
 }
 
-func TestWorkerPoolRejectsExplicitTransport(t *testing.T) {
+// Any worker count runs over any transport: an explicit in-process transport
+// under two workers commits what the sequential kernel does. Only a negative
+// count is refused.
+func TestWorkerPoolExplicitTransport(t *testing.T) {
 	m := testModel(1)
 	cfg := testConfig(1000)
 	cfg.Workers = 2
 	cfg.Transport = comm.NewInProc(m.NumLPs())
-	if _, err := core.Run(m, cfg); err == nil {
-		t.Fatal("Workers with explicit Transport: want error, got nil")
-	}
+	assertMatchesSequential(t, m, cfg)
+
 	cfg = testConfig(1000)
 	cfg.Workers = -1
 	if _, err := core.Run(m, cfg); err == nil {
@@ -131,20 +140,38 @@ func TestWorkerPoolRejectsExplicitTransport(t *testing.T) {
 	}
 }
 
-// A large skewed model on few workers: exercises the remap controller (the
-// hot LP's worker sheds its cold peers) and the spillbox under load.
+// A larger model on few workers exercises the remap controller and the
+// spillbox under load. Skewed (a third of all hops target object 0, so LP 0's
+// worker carries far more than a third of the load) the hot LP's worker must
+// shed its cold peers; uniform, the block sharding is already balanced and no
+// LP may move — LPT on noisy equal loads would otherwise regroup them at
+// every scan.
 func TestWorkerPoolSkewedRemap(t *testing.T) {
 	if testing.Short() {
 		t.Skip("skewed remap run skipped in -short mode")
 	}
-	m := phold.New(phold.Config{
-		Objects: 64, TokensPerObject: 2, MeanDelay: 10,
-		Locality: 0.5, LPs: 16, Seed: 4,
-	})
-	cfg := testConfig(1500)
-	cfg.GVTPeriod = 100 * time.Microsecond // many GVT cycles => remap scans fire
-	cfg.Workers = 3
-	assertMatchesSequential(t, m, cfg)
+	for _, tc := range []struct {
+		name    string
+		hotSpot float64
+	}{{"uniform", 0}, {"hot", 0.3}} {
+		t.Run(tc.name, func(t *testing.T) {
+			m := phold.New(phold.Config{
+				Objects: 96, TokensPerObject: 2, MeanDelay: 10,
+				Locality: 0.5, LPs: 12, Seed: 4, Sparse: true, HotSpot: tc.hotSpot,
+			})
+			cfg := testConfig(3000)
+			cfg.GVTPeriod = time.Millisecond // a scan then sees thousands of commits, not hundreds
+			cfg.Workers = 3
+			res := assertMatchesSequential(t, m, cfg)
+			var adoptions int64
+			for _, w := range res.PerWorker {
+				adoptions += w.Adoptions
+			}
+			if shed := adoptions > 0; shed != (tc.hotSpot > 0) {
+				t.Errorf("%d adoptions, final assignment %v", adoptions, res.FinalWorkerAssignment)
+			}
+		})
+	}
 }
 
 // Repeated pool runs with the same seed must commit the same computation

@@ -22,10 +22,16 @@ import (
 // final states (via the codec facet's DeltaState encoding) and counters into
 // one gob-encoded PktReport addressed to LP 0, and rank 0 folds them in.
 //
-// The ordering that makes this safe: the stop broadcast originates at rank
-// 0's LP 0 (which stops itself first), so by the time any remote rank's LPs
-// have joined and its report is sent, LP 0's inbox has no consumer — the
-// report waits there until gatherReports drains it.
+// Each rank is a dispatcher over the LPs it hosts (dispatch.go), at whatever
+// width its Config.Workers asks for; the transport's deliveries reach the
+// LPs' spillboxes through the forwarders Run starts.
+//
+// The ordering that makes the report safe: the stop broadcast originates at
+// rank 0's LP 0 (which stops itself first), so by the time any remote rank's
+// workers have joined and its report is sent, LP 0 reads no more packets. A
+// report that arrives while rank 0's forwarders still run ends up in LP 0's
+// spillbox, which Run hands to gatherReports; one that arrives later waits in
+// the transport's receive channel, where gatherReports looks next.
 
 // reportTimeout bounds how long rank 0 waits for the other ranks' end-of-run
 // reports. A missing report means a peer process died after termination was
@@ -102,7 +108,7 @@ func sendReport(tr comm.Transport, rank int, locals []*lpRun, res *Result) error
 }
 
 // gatherReports folds every other rank's report into res on rank 0. Reports
-// may already sit among LP 0's leftover packets (or, defensively, its stash);
+// may already sit in LP 0's spillbox (leftover) or, defensively, its stash;
 // the rest are awaited on the transport with a bounded timeout.
 func gatherReports(tr comm.Transport, m *model.Model, res *Result, leftover, stashed []comm.Packet) error {
 	peers := tr.Peers()

@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"fmt"
 	"net"
 	"reflect"
 	"sync"
@@ -53,7 +54,8 @@ func tcpFleet(t *testing.T, numLPs, numRanks int) []comm.Transport {
 // proof: one logical SMMP run split across two TCP-connected "processes"
 // (in-test endpoints, each its own core.Run) must terminate through the GVT
 // protocol, fossil-collect, and commit exactly what the single-process run
-// commits — final states byte-identical under audit.HashStates.
+// commits — final states byte-identical under audit.HashStates — whatever
+// the width of each rank's dispatcher (0 = a worker per hosted LP).
 func TestDistributedTCPMatchesInProc(t *testing.T) {
 	const seed = 7
 	cfg := core.DefaultConfig(1 << 40) // run until the model drains
@@ -64,7 +66,16 @@ func TestDistributedTCPMatchesInProc(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	for _, workers := range []int{0, 1, 2} {
+		t.Run(fmt.Sprintf("workers%d", workers), func(t *testing.T) {
+			cfg := cfg
+			cfg.Workers = workers
+			checkTCPFleet(t, seed, cfg, solo)
+		})
+	}
+}
 
+func checkTCPFleet(t *testing.T, seed uint64, cfg core.Config, solo *core.Result) {
 	numLPs := distribModel(seed).NumLPs()
 	trs := tcpFleet(t, numLPs, 2)
 	results := make([]*core.Result, 2)
@@ -98,10 +109,29 @@ func TestDistributedTCPMatchesInProc(t *testing.T) {
 		t.Errorf("coordinator GVT = %s, want +inf (drained)", dist.GVT)
 	}
 
-	// Fossil collection ran on both ranks.
+	// Fossil collection ran on both ranks, and each rank is a pool over the
+	// LPs it hosts: the workers it asked for (one per LP when it asked for
+	// none), owning those LPs between them and no other.
 	for r, res := range results {
 		if res.Stats.FossilCollected == 0 {
 			t.Errorf("rank %d: no fossils collected", r)
+		}
+		hosted := comm.BlockRanks(numLPs, 2, r)
+		want := cfg.Workers
+		if want == 0 || want > len(hosted) {
+			want = len(hosted)
+		}
+		owned := 0
+		for _, w := range res.PerWorker {
+			owned += w.OwnedLPs
+		}
+		if len(res.PerWorker) != want || owned != len(hosted) {
+			t.Errorf("rank %d: %d workers owning %d LPs, want %d owning %d", r, len(res.PerWorker), owned, want, len(hosted))
+		}
+		for lp, w := range res.FinalWorkerAssignment {
+			if local := lp >= hosted[0] && lp <= hosted[len(hosted)-1]; local != (w >= 0) {
+				t.Errorf("rank %d: LP %d assigned to worker %d", r, lp, w)
+			}
 		}
 	}
 
@@ -170,8 +200,7 @@ func TestInProcTransportExplicit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg.Transport = comm.NewInProc(distribModel(3).NumLPs(),
-		comm.WithCost(cfg.Cost), comm.WithInboxDepth(cfg.InboxDepth))
+	cfg.Transport = comm.NewInProc(distribModel(3).NumLPs(), comm.WithCost(cfg.Cost))
 	expl, err := core.Run(distribModel(3), cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -2,70 +2,25 @@ package core
 
 import (
 	"fmt"
+	"time"
 
-	"gowarp/internal/cancel"
 	"gowarp/internal/comm"
 	"gowarp/internal/event"
-	"gowarp/internal/gvt"
 	"gowarp/internal/model"
-	"gowarp/internal/pq"
-	"gowarp/internal/route"
-	"gowarp/internal/statesave"
 )
 
-// newTestKernel wires m's logical processes and objects the way Run does —
-// in-process transport, endpoints, GVT managers, event pools, schedule heaps,
-// initialised objects — but starts no goroutine: the caller drives the LPs
-// synchronously, one kernel step at a time. Init's inter-LP sends sit in the
-// inbox channels until the caller drains them, so keep models small enough
-// for InboxDepth or fully local.
+// newTestKernel wires m's logical processes and objects exactly as Run does
+// — newKernel, without a transport — and initialises the objects, but starts
+// no worker: the caller drives the LPs synchronously, one kernel step at a
+// time. Init's inter-LP sends sit in the spillboxes until the caller drains
+// them.
 func newTestKernel(m *model.Model, cfg *Config) []*lpRun {
-	numLPs := m.NumLPs()
-	tr := comm.NewInProc(numLPs, comm.WithInboxDepth(cfg.InboxDepth))
-	sh := &shared{rt: route.New(m.Partition), objs: make([]*simObject, len(m.Objects))}
-	cfg.Audit.Bind(numLPs, cfg.EndTime)
-	lps := make([]*lpRun, numLPs)
-	for i := range lps {
-		lp := &lpRun{
-			id:       i,
-			cfg:      cfg,
-			k:        sh,
-			inbox:    tr.Recv(i),
-			running:  true,
-			numLPs:   numLPs,
-			pool:     event.NewPool(),
-			au:       cfg.Audit.LP(i),
-			local:    make([]*simObject, len(m.Objects)),
-			outbound: make(map[event.ObjectID]int),
-		}
-		lp.ep = comm.NewEndpoint(tr, i, cfg.Aggregation, &lp.st)
-		lp.ep.Pool = lp.pool
-		lp.gvtMgr = gvt.NewManager(i, numLPs, lp.ep, cfg.GVTPeriod, &lp.st)
-		lps[i] = lp
-	}
-	for id, obj := range m.Objects {
-		lp := lps[m.Partition[id]]
-		o := &simObject{
-			id:      event.ObjectID(id),
-			slot:    len(lp.objs),
-			obj:     obj,
-			lp:      lp,
-			pending: pq.New(cfg.PendingSet),
-		}
-		o.au = lp.au.Object(o.id)
-		o.ectx.o = o
-		o.ckpt = statesave.NewCheckpointer(cfg.Checkpoint)
-		o.out = cancel.NewManager(cancel.NewSelector(cfg.Cancellation), lp.emitAnti, &lp.st, lp.pool)
-		bindObjectHooks(lp, o)
-		sh.objs[id] = o
-		lp.objs = append(lp.objs, o)
-		lp.local[id] = o
-	}
-	for _, lp := range lps {
-		lp.sched = pq.NewScheduleHeap(len(lp.objs))
+	cfg.Audit.Bind(m.NumLPs(), cfg.EndTime)
+	d := newKernel(m, cfg, comm.BlockRanks(m.NumLPs(), 1, 0), nil, time.Now(), nil)
+	for _, lp := range d.lps {
 		lp.initObjects()
 	}
-	return lps
+	return d.lps
 }
 
 // nilState is a zero-size model.State. Boxing a zero-size value into an

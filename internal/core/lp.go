@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"runtime"
 	"sync/atomic"
 	"time"
 
@@ -39,8 +38,9 @@ type shared struct {
 	optWin      atomic.Int64
 }
 
-// lpRun is one logical process: a goroutine owning a set of simulation
-// objects, a scheduler over them, a network endpoint and a GVT manager.
+// lpRun is one logical process: a set of simulation objects, a scheduler
+// over them, a mailbox, a network endpoint and a GVT manager, all touched
+// only by the dispatcher worker that owns the LP at the moment.
 type lpRun struct {
 	id      int
 	cfg     *Config
@@ -49,29 +49,33 @@ type lpRun struct {
 	sched   *pq.ScheduleHeap
 	ep      *comm.Endpoint
 	gvtMgr  *gvt.Manager
-	inbox   <-chan comm.Packet
 	st      stats.Counters
 	running bool
+
+	// d is the dispatcher hosting this LP. worker is the authoritative
+	// LP→worker map entry, updated at handoff; senders consult it to wake the
+	// right worker (a stale read wakes the previous owner, which is harmless —
+	// the packet sits in the spillbox either way). target is what the last
+	// remap decided, and load is the committed-event count as of the last GVT
+	// application, which the remap scan reads. These three and spill are all
+	// of an LP that other goroutines touch.
+	d      *dispatcher
+	worker atomic.Int32
+	target atomic.Int32
+	load   atomic.Int64
+
+	// spill is this LP's mailbox, the one place it reads packets from.
+	// spillScratch is the drained batch from the previous round, reused so
+	// steady-state draining allocates nothing.
+	spill        spillbox
+	spillScratch []comm.Packet
 
 	// pool is this LP's event free list (see the ownership rules in package
 	// event). Everything the LP creates, clones or decodes draws from it,
 	// and annihilation, fossil collection and anti-message transmission
-	// recycle into it. Single-owner, like everything else here: in legacy
-	// mode the owner is this LP's goroutine; under the worker-pool
-	// dispatcher the pool belongs to the owning worker (shared by its other
+	// recycle into it. It belongs to the owning worker (shared by its other
 	// LPs) and is rebound on adoption.
 	pool *event.Pool
-
-	// spill is this LP's inbound packet queue under the worker-pool
-	// dispatcher (nil in legacy goroutine-per-LP mode, where inbox is the
-	// receive channel instead). spillScratch is the drained batch from the
-	// previous round, reused so steady-state draining allocates nothing.
-	spill        *spillbox
-	spillScratch []comm.Packet
-
-	// dsp is the worker-pool dispatcher (nil in legacy mode); LP 0 fires its
-	// remap controller at each GVT application.
-	dsp *dispatcher
 
 	// deferred holds intra-LP messages awaiting insertion; deferring them
 	// to the main loop keeps rollback cascades from re-entering an object
@@ -79,12 +83,6 @@ type lpRun struct {
 	// round, kept so the two buffers ping-pong instead of reallocating.
 	deferred      []*event.Event
 	deferredSpare []*event.Event
-
-	// idleTick bounds how long an idle LP sleeps before re-checking
-	// aggregation deadlines and (on LP 0) GVT initiation. idleTimer is the
-	// reused timer backing those waits (allocated on first use).
-	idleTick  time.Duration
-	idleTimer *time.Timer
 
 	// numLPs and started support timeline sampling (see timeline.go).
 	numLPs   int
@@ -269,30 +267,13 @@ func (lp *lpRun) drainDeferred() {
 	}
 }
 
-// drainInbox handles every packet currently queued, without blocking. Legacy
-// mode reads the transport channel; pool mode drains the spillbox.
+// drainInbox handles every packet queued in the spillbox, without blocking.
+// Batches swap out under the lock and the drained slice is reused next
+// round. Handling stops when a packet stops the LP — the remainder goes back
+// to the front of the queue for the end-of-run sweep.
 func (lp *lpRun) drainInbox() {
-	if lp.spill != nil {
-		lp.drainSpill()
-		return
-	}
+	b := &lp.spill
 	for lp.running {
-		select {
-		case p := <-lp.inbox:
-			lp.handlePacket(p)
-		default:
-			return
-		}
-	}
-}
-
-// drainSpill handles every packet queued in the spillbox. Batches swap out
-// under the lock and the drained slice is reused next round. Like the
-// channel path, handling stops when a packet stops the LP — the remainder
-// goes back to the front of the queue for the end-of-run sweep.
-func (lp *lpRun) drainSpill() {
-	for lp.running {
-		b := lp.spill
 		if b.n.Load() == 0 {
 			return
 		}
@@ -350,13 +331,22 @@ func (lp *lpRun) handlePacket(p comm.Packet) {
 		lp.applyGVT(p.GVT)
 	case comm.PktOptim:
 		// Wake-only: the adaptive optimism window lives in the shared
-		// atomic slot, so the payload is the arrival itself — it broke the
-		// idle() select of an LP blocked at the old horizon, and the run
-		// loop re-reads horizon() on its next iteration.
+		// atomic slot, so the payload is the arrival itself — it woke the
+		// worker of an LP blocked at the old horizon, and the run loop
+		// re-reads horizon() on its next iteration.
 	case comm.PktReport:
 		lp.reports = append(lp.reports, p)
 	case comm.PktStop:
-		lp.running = false
+		lp.stop()
+	}
+}
+
+// stop ends this LP's part of the run; the last hosted LP to stop retires
+// the workers.
+func (lp *lpRun) stop() {
+	lp.running = false
+	if lp.d.live.Add(-1) == 0 {
+		lp.d.release()
 	}
 }
 
@@ -448,7 +438,7 @@ func (lp *lpRun) finishGVT(g vtime.Time) {
 	lp.applyGVT(g)
 	if g.After(lp.cfg.EndTime) {
 		lp.ep.BroadcastStop()
-		lp.running = false
+		lp.stop()
 	}
 }
 
@@ -485,9 +475,12 @@ func (lp *lpRun) applyGVT(g vtime.Time) {
 		// includes this LP's own latest counters.
 		lp.runOptimism()
 	}
-	if lp.dsp != nil && lp.id == 0 {
-		lp.dsp.maybeRemap()
+	if lp == lp.d.lps[0] {
+		// Before this LP publishes its own count, so that it trails by one
+		// GVT as its peers' do when the scan reads them.
+		lp.d.maybeRemap()
 	}
+	lp.load.Store(lp.st.EventsCommitted)
 	if lp.met != nil {
 		lp.publishMetrics(g)
 	}
@@ -513,10 +506,9 @@ func (lp *lpRun) initObjects() {
 	}
 }
 
-// pump drains communication and keeps the control machinery ticking: inbox
-// (or spillbox), deferred intra-LP messages, GVT initiation on LP 0, and the
-// endpoint's aggregation deadlines. Shared by the legacy per-LP loop and the
-// worker-pool dispatcher.
+// pump drains communication and keeps the control machinery ticking: the
+// spillbox, deferred intra-LP messages, GVT initiation on LP 0, and the
+// endpoint's aggregation deadlines.
 func (lp *lpRun) pump(now time.Time) {
 	lp.drainInbox()
 	if !lp.running {
@@ -530,7 +522,10 @@ func (lp *lpRun) pump(now time.Time) {
 }
 
 // execStep executes the lowest-timestamped pending event if one lies within
-// the end time and the optimism horizon, reporting whether anything ran.
+// the end time and the optimism horizon, reporting whether anything ran. What
+// the event sent to objects of this LP is delivered before returning, so the
+// next pick — this LP's or its worker's — sees it and no straggler is
+// manufactured inside one LP.
 func (lp *lpRun) execStep() bool {
 	slot, t := lp.sched.Min()
 	if slot < 0 || t == vtime.PosInf || t.After(lp.cfg.EndTime) || t.After(lp.horizon()) {
@@ -539,71 +534,9 @@ func (lp *lpRun) execStep() bool {
 	o := lp.objs[slot]
 	o.executeNext()
 	lp.refresh(o)
+	lp.drainDeferred()
 	if lp.obs != nil {
 		lp.obs.PublishLVT(lp.id, int64(o.lvt))
 	}
 	return true
-}
-
-// run is the legacy goroutine-per-LP body: drain communication, keep the
-// control machinery ticking, execute the lowest-timestamped local event,
-// repeat; block briefly when idle. (Under Config.Workers > 0 the worker-pool
-// dispatcher drives the same pump/execStep pieces instead; see dispatch.go.)
-func (lp *lpRun) run() {
-	lp.initObjects()
-	for lp.running {
-		lp.pump(time.Now())
-		if !lp.running {
-			break
-		}
-		if lp.execStep() {
-			// Yield between events so peers' control traffic (GVT tokens,
-			// stragglers) flows at event granularity even when the host
-			// has fewer cores than LPs; without this a spinning LP holds
-			// its core until involuntary preemption (~ms), and GVT — and
-			// with it every optimism-window refill — stalls behind it.
-			runtime.Gosched()
-			continue
-		}
-		lp.idle()
-	}
-}
-
-// idle blocks on the inbox with a bounded timeout: the next aggregation
-// deadline if one is pending, else the idle tick. On wake, LP 0 may force a
-// GVT computation so global quiescence turns into termination.
-func (lp *lpRun) idle() {
-	lp.drainLazy()
-	timeout := lp.idleTick
-	if dl, ok := lp.ep.NextDeadline(); ok {
-		if d := time.Until(dl); d < timeout {
-			timeout = d
-		}
-	}
-	if timeout > 0 {
-		// One timer per LP, reused across idle periods. The Stop/drain
-		// dance keeps the channel empty so a later Reset cannot deliver a
-		// stale tick (pre-Go-1.23 timer semantics, which this module's go
-		// directive selects).
-		if lp.idleTimer == nil {
-			lp.idleTimer = time.NewTimer(timeout)
-		} else {
-			lp.idleTimer.Reset(timeout)
-		}
-		select {
-		case p := <-lp.inbox:
-			if !lp.idleTimer.Stop() {
-				select {
-				case <-lp.idleTimer.C:
-				default:
-				}
-			}
-			lp.handlePacket(p)
-		case <-lp.idleTimer.C:
-		}
-	}
-	lp.ep.Poll(time.Now())
-	if lp.id == 0 && lp.running {
-		lp.maybeGVT(true)
-	}
 }

@@ -133,9 +133,9 @@ func (lp *lpRun) publishMetrics(g vtime.Time) {
 	m.lazyObjects.Set(id, float64(lazy))
 	m.aggWindow.Set(id, meanWindow.Seconds())
 
-	// LP 0 publishes the worker-pool gauges for the whole run: worker
+	// One LP publishes the worker gauges for the whole process: worker
 	// counters are atomics, so reading them cross-thread here is safe.
-	if lp.dsp != nil && id == 0 {
-		lp.dsp.publishMetrics(m)
+	if lp == lp.d.lps[0] {
+		lp.d.publishMetrics(m)
 	}
 }

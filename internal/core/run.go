@@ -47,27 +47,11 @@ func Run(m *model.Model, cfg Config) (*Result, error) {
 	if cfg.Workers < 0 {
 		return nil, fmt.Errorf("core: negative worker count %d", cfg.Workers)
 	}
-	var pn *poolNet
-	var dsp *dispatcher
-	if cfg.Workers > 0 {
-		if cfg.Transport != nil {
-			return nil, fmt.Errorf("core: the worker-pool dispatcher requires the default in-process transport (set Config.Workers or Config.Transport, not both)")
-		}
-		if cfg.Workers > numLPs {
-			cfg.Workers = numLPs
-		}
-		pn = newPoolNet(numLPs, cfg.Cost)
-		dsp = newDispatcher(pn, cfg.Workers, numLPs, &cfg)
-	}
-
 	tr := cfg.Transport
-	if pn != nil {
-		tr = pn
+	peers := comm.Peers{NumLPs: numLPs, Local: comm.BlockRanks(numLPs, 1, 0), NumRanks: 1}
+	if tr != nil {
+		peers = tr.Peers()
 	}
-	if tr == nil {
-		tr = comm.NewInProc(numLPs, comm.WithCost(cfg.Cost), comm.WithInboxDepth(cfg.InboxDepth))
-	}
-	peers := tr.Peers()
 	if peers.NumLPs != numLPs {
 		return nil, fmt.Errorf("core: transport connects %d LPs but the model partitions onto %d", peers.NumLPs, numLPs)
 	}
@@ -79,19 +63,6 @@ func Run(m *model.Model, cfg Config) (*Result, error) {
 			return nil, err
 		}
 	}
-
-	sh := &shared{
-		rt:   route.New(m.Partition),
-		objs: make([]*simObject, len(m.Objects)),
-	}
-	if cfg.Balance.Dynamic() {
-		sh.board = stats.NewLoadBoard(len(m.Objects), numLPs)
-	}
-	if cfg.Optimism.Adaptive() {
-		sh.optAdaptive = true
-		sh.optWin.Store(int64(cfg.Optimism.Window))
-	}
-
 	start := time.Now()
 	cfg.Tracer.Bind(numLPs, start)
 	cfg.Audit.Bind(numLPs, cfg.EndTime)
@@ -107,174 +78,78 @@ func Run(m *model.Model, cfg Config) (*Result, error) {
 		cfg.Observe.BindMetrics(cfg.Metrics)
 	}
 
-	if err := tr.Start(); err != nil {
-		return nil, fmt.Errorf("core: transport start: %w", err)
+	if tr != nil {
+		if err := tr.Start(); err != nil {
+			return nil, fmt.Errorf("core: transport start: %w", err)
+		}
+		defer tr.Close() // idempotent; the success path closes explicitly below
 	}
-	defer tr.Close() // idempotent; the success path closes explicitly below
+	d := newKernel(m, &cfg, peers.Local, tr, start, met)
+	sh, locals := d.lps[0].k, d.lps
 
-	// lps stays indexed by global LP id (nil for LPs hosted by other ranks);
-	// locals lists the ones this process runs.
-	lps := make([]*lpRun, numLPs)
-	locals := make([]*lpRun, 0, len(peers.Local))
-	for _, i := range peers.Local {
-		lp := &lpRun{
-			id:       i,
-			cfg:      &cfg,
-			k:        sh,
-			inbox:    tr.Recv(i),
-			running:  true,
-			idleTick: cfg.GVTPeriod / 4,
-			numLPs:   numLPs,
-			started:  start,
-			tr:       cfg.Tracer.LP(i),
-			met:      met,
-			obs:      cfg.Observe,
-			au:       cfg.Audit.LP(i),
-			local:    make([]*simObject, len(m.Objects)),
-			outbound: make(map[event.ObjectID]int),
-		}
-		if lp.idleTick <= 0 {
-			lp.idleTick = 250 * time.Microsecond
-		}
-		if dsp != nil {
-			// Pool mode: the event pool belongs to the owning worker (shared
-			// by its other LPs), and packets arrive through the spillbox.
-			lp.spill = &pn.boxes[i]
-			lp.pool = dsp.workerOf(i).pool
-			lp.dsp = dsp
-		} else {
-			lp.pool = event.NewPool()
-		}
-		if cfg.Balance.Dynamic() {
-			lp.ld = newLoadRecorder(len(m.Objects))
-			if i == 0 {
-				lp.bal = newBalancer(cfg.Balance)
-			}
-		}
-		if cfg.Optimism.Adaptive() && i == 0 {
-			lp.opt = newOptController(cfg.Optimism)
-		}
-		lp.ep = comm.NewEndpoint(tr, i, cfg.Aggregation, &lp.st)
-		lp.ep.Pool = lp.pool
-		if cfg.Codec.CompressWire() {
-			lp.ep.Compress = codec.Compress
-			lp.ep.Decompress = codec.Decompress
-		}
-		lp.gvtMgr = gvt.NewManager(i, numLPs, lp.ep, cfg.GVTPeriod, &lp.st)
-		if tr := lp.tr; tr != nil {
-			lp.ep.TraceFlush = func(dst int, cause comm.FlushCause, events, bytes int) {
-				tr.Flush(int32(dst), int64(cause), int64(events), int64(bytes))
-			}
-			lp.ep.TraceWindow = func(dst int, oldW, newW time.Duration) {
-				tr.WindowAdjust(int32(dst), oldW, newW)
-			}
-			lp.gvtMgr.OnCycle = func(g vtime.Time, rounds int64, took time.Duration) {
-				tr.GVTCycle(int64(g), rounds, took)
-			}
-		}
-		if au := lp.au; au != nil {
-			lp.gvtMgr.Audit = au.GVTRound
-		}
-		lps[i] = lp
-		locals = append(locals, lp)
-	}
-
-	for id, obj := range m.Objects {
-		lp := lps[m.Partition[id]]
-		if lp == nil {
-			continue // hosted by another rank; sh.objs keeps a nil slot
-		}
-		o := &simObject{
-			id:      event.ObjectID(id),
-			slot:    len(lp.objs),
-			obj:     obj,
-			lp:      lp,
-			pending: pq.New(cfg.PendingSet),
-		}
-		o.au = lp.au.Object(o.id)
-		o.ectx.o = o
-		o.ckpt = statesave.NewCheckpointer(cfg.Checkpoint)
-		sel := cancel.NewSelector(cfg.Cancellation)
-		o.out = cancel.NewManager(sel, lp.emitAnti, &lp.st, lp.pool)
-		bindObjectHooks(lp, o)
-		sh.objs[id] = o
-		lp.objs = append(lp.objs, o)
-		lp.local[id] = o
-	}
-	for _, lp := range locals {
-		lp.sched = pq.NewScheduleHeap(len(lp.objs))
-	}
-	if dsp != nil {
-		dsp.attach(locals)
-	}
 	// Start the sampling goroutine for the LPs' lifetime; the deferred Stop
 	// takes a final sample before the caller reads the aggregates, so even
 	// runs shorter than the period get a timeline entry.
 	cfg.Observe.Start()
 	defer cfg.Observe.Stop()
 
-	var wg sync.WaitGroup
-	panics := make([]interface{}, numLPs)
-	if dsp != nil {
-		// Worker-pool mode: one goroutine per worker, each driving its owned
-		// LPs through the shared pump/execStep machinery.
-		for _, w := range dsp.workers {
-			wg.Add(1)
-			go func(w *worker) {
-				defer wg.Done()
-				defer func() {
-					if r := recover(); r != nil {
-						panics[w.id] = r
-						// Unblock peer workers so the run can fail cleanly.
-						if len(w.owned) > 0 {
-							w.owned[0].ep.BroadcastStop()
-						}
-					}
-				}()
-				w.run()
-			}(w)
-		}
-	} else {
+	// The transport edge: one forwarder per hosted LP carries the transport's
+	// deliveries to the spillbox. They outlive the workers, so nothing a
+	// worker sent on its way out is stranded in a channel.
+	var fwd sync.WaitGroup
+	stopFwd := make(chan struct{})
+	if tr != nil {
 		for _, lp := range locals {
-			wg.Add(1)
+			fwd.Add(1)
 			go func(lp *lpRun) {
-				defer wg.Done()
-				defer func() {
-					if r := recover(); r != nil {
-						panics[lp.id] = r
-						// Unblock peers so the run can fail cleanly.
-						lp.ep.BroadcastStop()
-					}
-				}()
-				lp.run()
+				defer fwd.Done()
+				d.forward(lp, tr.Recv(lp.id), stopFwd)
 			}(lp)
 		}
 	}
+	var wg sync.WaitGroup
+	panics := make([]interface{}, len(d.workers))
+	for _, w := range d.workers {
+		wg.Add(1)
+		go func(w *worker) {
+			defer wg.Done()
+			defer func() {
+				if r := recover(); r != nil {
+					panics[w.id] = r
+					// Stop the other ranks and retire the other workers so
+					// the run can fail cleanly.
+					if len(w.owned) > 0 {
+						w.owned[0].ep.BroadcastStop()
+					}
+					d.release()
+				}
+			}()
+			w.run()
+		}(w)
+	}
 	wg.Wait()
 	elapsed := time.Since(start)
+	close(stopFwd)
+	fwd.Wait()
 
 	for i, p := range panics {
 		if p != nil {
-			if dsp != nil {
-				return nil, fmt.Errorf("core: worker %d failed: %v", i, p)
-			}
-			return nil, fmt.Errorf("core: LP %d failed: %v", i, p)
+			return nil, fmt.Errorf("core: worker %d failed: %v", i, p)
 		}
 	}
 
-	// Drain undelivered packets once, for everyone: the auditor closes its
-	// conservation ledger over them, and any capsule still in flight at
-	// termination (possible only when its virtual-time floor lies beyond the
-	// end time) is adopted by its destination so the object's final state and
-	// counters are reported exactly once.
-	leftovers := drainInboxes(lps)
-	for i, pkts := range leftovers {
-		for _, p := range pkts {
+	// With workers and forwarders joined, what the spillboxes still hold is
+	// everything undelivered: the auditor closes its conservation ledger over
+	// it, and any capsule still in flight at termination (possible only when
+	// its virtual-time floor lies beyond the end time) is adopted by its
+	// destination so the object's final state and counters are reported
+	// exactly once.
+	for _, lp := range locals {
+		for _, p := range lp.spill.q {
 			if p.Kind != comm.PktMigrate {
 				continue
 			}
 			c := p.Capsule.(*capsule)
-			lp := lps[i] // capsules exist only in-process, so lps[i] is local
 			for j := range c.items {
 				o := c.items[j].o
 				if enc := c.items[j].stateEnc; enc != nil {
@@ -298,7 +173,7 @@ func Run(m *model.Model, cfg Config) (*Result, error) {
 		}
 	}
 	if cfg.Audit != nil {
-		finishAudit(cfg.Audit, lps, leftovers)
+		finishAudit(cfg.Audit, locals)
 	}
 
 	finalWindow := cfg.OptimismWindow
@@ -329,21 +204,15 @@ func Run(m *model.Model, cfg Config) (*Result, error) {
 		for _, o := range lp.objs {
 			lp.st.CheckpointAdjustments += o.ckpt.Adjustments
 		}
-		if dsp == nil {
-			lp.st.EventPoolAllocs, lp.st.EventPoolReuses = lp.pool.Stats()
-		}
 		res.PerLP[lp.id] = lp.st
 		res.Stats.Merge(&lp.st)
 	}
-	if dsp != nil {
-		// Pools are per-worker in pool mode: credit each exactly once into
-		// the merged tally (the per-LP counters stay zero) and report the
-		// per-worker scheduling statistics.
-		res.PerWorker, res.FinalWorkerAssignment = dsp.finalStats()
-		for _, w := range res.PerWorker {
-			res.Stats.EventPoolAllocs += w.EventPoolAllocs
-			res.Stats.EventPoolReuses += w.EventPoolReuses
-		}
+	// Event pools belong to workers: credit each exactly once into the merged
+	// tally (the per-LP counters stay zero).
+	res.PerWorker, res.FinalWorkerAssignment = d.finalStats()
+	for _, w := range res.PerWorker {
+		res.Stats.EventPoolAllocs += w.EventPoolAllocs
+		res.Stats.EventPoolReuses += w.EventPoolReuses
 	}
 	if cfg.Timeline {
 		for _, lp := range locals {
@@ -370,15 +239,123 @@ func Run(m *model.Model, cfg Config) (*Result, error) {
 	// partial Result (their local LPs and objects only).
 	if peers.Distributed() {
 		if peers.Rank == 0 {
-			if err := gatherReports(tr, m, res, leftovers[0], lps[0].reports); err != nil {
+			lp0 := d.byID[0]
+			if err := gatherReports(tr, m, res, lp0.spill.q, lp0.reports); err != nil {
 				return nil, err
 			}
 		} else if err := sendReport(tr, peers.Rank, locals, res); err != nil {
 			return nil, err
 		}
 	}
-	if cerr := tr.Close(); cerr != nil {
-		return nil, fmt.Errorf("core: transport: %w", cerr)
+	if tr != nil {
+		if cerr := tr.Close(); cerr != nil {
+			return nil, fmt.Errorf("core: transport: %w", cerr)
+		}
 	}
 	return res, nil
+}
+
+// newKernel wires one process's share of a run: the dispatcher, the LPs
+// listed in hosted with their endpoints and GVT managers, the objects the
+// partition places on them, and the cross-LP tables. It starts nothing. Endpoints send
+// through net — a started transport — or, when net is nil and every LP is
+// hosted here, through the dispatcher, straight into the destination's
+// spillbox. Zero cfg.Workers means one per hosted LP; more than that would
+// only idle.
+func newKernel(m *model.Model, cfg *Config, hosted []int, net comm.Sender, start time.Time, met *runMetrics) *dispatcher {
+	numLPs := m.NumLPs()
+	workers := cfg.Workers
+	if workers == 0 || workers > len(hosted) {
+		workers = len(hosted)
+	}
+	d := newDispatcher(workers, numLPs, cfg)
+	if net == nil {
+		net = d
+	}
+	sh := &shared{
+		rt:   route.New(m.Partition),
+		objs: make([]*simObject, len(m.Objects)),
+	}
+	if cfg.Balance.Dynamic() {
+		sh.board = stats.NewLoadBoard(len(m.Objects), numLPs)
+	}
+	if cfg.Optimism.Adaptive() {
+		sh.optAdaptive = true
+		sh.optWin.Store(int64(cfg.Optimism.Window))
+	}
+
+	for h, i := range hosted {
+		lp := &lpRun{
+			id:       i,
+			cfg:      cfg,
+			k:        sh,
+			running:  true,
+			numLPs:   numLPs,
+			started:  start,
+			tr:       cfg.Tracer.LP(i),
+			met:      met,
+			obs:      cfg.Observe,
+			au:       cfg.Audit.LP(i),
+			local:    make([]*simObject, len(m.Objects)),
+			outbound: make(map[event.ObjectID]int),
+		}
+		d.attach(lp, h, len(hosted))
+		if cfg.Balance.Dynamic() {
+			lp.ld = newLoadRecorder(len(m.Objects))
+			if i == 0 {
+				lp.bal = newBalancer(cfg.Balance)
+			}
+		}
+		if cfg.Optimism.Adaptive() && i == 0 {
+			lp.opt = newOptController(cfg.Optimism)
+		}
+		lp.ep = comm.NewSendEndpoint(net, numLPs, i, cfg.Aggregation, &lp.st)
+		lp.ep.Pool = lp.pool
+		if cfg.Codec.CompressWire() {
+			lp.ep.Compress = codec.Compress
+			lp.ep.Decompress = codec.Decompress
+		}
+		lp.gvtMgr = gvt.NewManager(i, numLPs, lp.ep, cfg.GVTPeriod, &lp.st)
+		if tr := lp.tr; tr != nil {
+			lp.ep.TraceFlush = func(dst int, cause comm.FlushCause, events, bytes int) {
+				tr.Flush(int32(dst), int64(cause), int64(events), int64(bytes))
+			}
+			lp.ep.TraceWindow = func(dst int, oldW, newW time.Duration) {
+				tr.WindowAdjust(int32(dst), oldW, newW)
+			}
+			lp.gvtMgr.OnCycle = func(g vtime.Time, rounds int64, took time.Duration) {
+				tr.GVTCycle(int64(g), rounds, took)
+			}
+		}
+		if au := lp.au; au != nil {
+			lp.gvtMgr.Audit = au.GVTRound
+		}
+	}
+
+	for id, obj := range m.Objects {
+		lp := d.byID[m.Partition[id]]
+		if lp == nil {
+			continue // hosted by another rank; sh.objs keeps a nil slot
+		}
+		o := &simObject{
+			id:      event.ObjectID(id),
+			slot:    len(lp.objs),
+			obj:     obj,
+			lp:      lp,
+			pending: pq.New(cfg.PendingSet),
+		}
+		o.au = lp.au.Object(o.id)
+		o.ectx.o = o
+		o.ckpt = statesave.NewCheckpointer(cfg.Checkpoint)
+		sel := cancel.NewSelector(cfg.Cancellation)
+		o.out = cancel.NewManager(sel, lp.emitAnti, &lp.st, lp.pool)
+		bindObjectHooks(lp, o)
+		sh.objs[id] = o
+		lp.objs = append(lp.objs, o)
+		lp.local[id] = o
+	}
+	for _, lp := range d.lps {
+		lp.sched = pq.NewScheduleHeap(len(lp.objs))
+	}
+	return d
 }

@@ -20,8 +20,8 @@ func (tb Testbed) scaleSizes() []int {
 
 // scalePhold is the scaling workload: sparse PHOLD (O(1) memory per object)
 // with one token per object and high locality, partitioned onto LPs that grow
-// with the object count — so the goroutine-per-LP engine's goroutine count
-// grows with the model while the pool's worker count stays fixed. Hot > 0
+// with the object count — so at a worker per LP the goroutine count grows
+// with the model while a fixed pool's stays put. Hot > 0
 // adds the hot-spot skew: that fraction of hops target object 0, piling load
 // onto one LP.
 func (tb Testbed) scalePhold(objects int, hot float64) (*gowarp.Model, gowarp.Config) {
@@ -48,15 +48,10 @@ func (tb Testbed) scalePhold(objects int, hot float64) (*gowarp.Model, gowarp.Co
 	}
 	// The figure measures engine overhead — scheduling, queueing, memory —
 	// not the simulated network, so the communication cost model is zero and
-	// events burn no synthetic CPU. The default 16k-packet inbox would cost
-	// gigabytes of idle channel buffer across hundreds of LPs (the pool
-	// engine replaces inboxes with unbounded spillboxes and is unaffected);
-	// shrink it so the goroutine-per-LP series measures execution, not
-	// preallocation.
+	// events burn no synthetic CPU.
 	cfg := gowarp.DefaultConfig(end)
 	cfg.GVTPeriod = 5 * time.Millisecond
 	cfg.OptimismWindow = 100
-	cfg.InboxDepth = 2048
 	cfg.Checkpoint = gowarp.CheckpointConfig{Mode: gowarp.PeriodicCheckpointing, Interval: 4}
 	return m, cfg
 }
@@ -65,18 +60,18 @@ func (tb Testbed) scalePhold(objects int, hot float64) (*gowarp.Model, gowarp.Co
 // "N threads" a million-object model is hosted on.
 const scaleWorkers = 8
 
-// Scale measures the worker-pool dispatcher against goroutine-per-LP
-// execution as the model grows from 10^3 to 10^6 objects, on a uniform and a
+// Scale measures the dispatcher at a fixed width against a worker per LP as
+// the model grows from 10^3 to 10^6 objects, on a uniform and a
 // hot-spot-skewed sparse PHOLD. Four series: lp / pool8 (uniform) and
 // lp-hot / pool8-hot (skewed). The BENCH artifact's allocs_per_event and
 // bytes_per_event columns are the flat-memory regression signal; the skewed
 // pair is the headline — least-timestamp-first scheduling plus on-line
-// LP->worker remapping should beat a goroutine per LP when the load
+// LP->worker remapping should beat a worker per LP when the load
 // concentrates.
 func (tb Testbed) Scale() (Figure, error) {
 	fig := Figure{
 		Name:   "scale",
-		Title:  fmt.Sprintf("Worker-pool dispatcher vs goroutine-per-LP, %d workers", scaleWorkers),
+		Title:  fmt.Sprintf("Dispatcher at %d workers vs a worker per LP", scaleWorkers),
 		XLabel: "objects",
 		YLabel: "execution seconds",
 	}
@@ -95,7 +90,7 @@ func (tb Testbed) Scale() (Figure, error) {
 	}
 	for _, objects := range tb.scaleSizes() {
 		for vi, v := range variants {
-			// The skewed goroutine-per-LP rows above 10^4 objects run for
+			// The skewed worker-per-LP rows above 10^4 objects run for
 			// many minutes (the hot LP pins GVT, so the per-LP GVT/fossil
 			// overhead multiplies) — that collapse is the figure's point,
 			// but it busts the quick budget; the full sweep keeps them.

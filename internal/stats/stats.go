@@ -278,13 +278,13 @@ func SortPerObject(s []PerObject) {
 	sort.Slice(s, func(i, j int) bool { return s[i].Name < s[j].Name })
 }
 
-// WorkerStats records one dispatcher worker's scheduling tally under the
-// worker-pool dispatcher (Config.Workers > 0): how many events it executed,
+// WorkerStats records one dispatcher worker's scheduling tally: how many
+// events it executed,
 // how much wall-clock it spent executing (utilization = BusySeconds divided
 // by the run's elapsed seconds), how many LPs it owned at the end, how many
 // LP adoptions the on-line remap controller handed it, and its event pool's
-// allocation/reuse split (pools are per-worker in pool mode, so the per-LP
-// pool counters stay zero there).
+// allocation/reuse split (pools are per-worker, so the per-LP pool counters
+// stay zero).
 type WorkerStats struct {
 	Worker          int     `json:"worker"`
 	Events          int64   `json:"events"`

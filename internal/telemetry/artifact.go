@@ -59,15 +59,15 @@ type RunSummary struct {
 	// wall-clock-dependent when balancing is on, hence excluded from
 	// Deterministic.
 	FinalPartition []int `json:"final_partition,omitempty"`
-	// Workers is the worker-pool size when the run used the pool dispatcher
-	// (0 = goroutine-per-LP engine).
+	// Workers is the number of dispatcher workers this process ran.
 	Workers int `json:"workers,omitempty"`
-	// PerWorker holds each pool worker's tally (pool runs only). Event and
-	// adoption counts are wall-clock-dependent — excluded from Deterministic.
+	// PerWorker holds each worker's tally. Event and adoption counts are
+	// wall-clock-dependent — excluded from Deterministic.
 	PerWorker []stats.WorkerStats `json:"per_worker,omitempty"`
-	// FinalWorkerAssignment is the LP→worker map when the run ended (pool
-	// runs only); like FinalPartition it records where the on-line remap
-	// controller converged, and is equally wall-clock-dependent.
+	// FinalWorkerAssignment is the LP→worker map when the run ended (-1 for
+	// LPs another rank hosts); like FinalPartition it records where the
+	// on-line remap controller converged, and is equally
+	// wall-clock-dependent.
 	FinalWorkerAssignment []int `json:"final_worker_assignment,omitempty"`
 	// Roughness summarizes the virtual-time roughness samples (nil when the
 	// observation sampler was off).

@@ -219,23 +219,22 @@ func ParseOptSpec(spec string) (OptimismConfig, error) {
 	return cfg, nil
 }
 
-// SchedSpec is a parsed -sched flag: which execution engine drives the LPs.
+// SchedSpec is a parsed -sched flag: how wide the dispatcher runs.
 type SchedSpec struct {
-	// Workers is the worker-pool size; 0 selects the goroutine-per-LP engine.
+	// Workers is the number of dispatcher workers; 0 means one per LP.
 	Workers int
 }
 
 // ParseSchedSpec parses a scheduler spec:
 //
-//	lp                         one goroutine per LP (the default)
-//	pool                       worker pool sized to GOMAXPROCS
-//	pool,workers=N             worker pool, N workers
+//	lp                         one worker per LP (the default)
+//	pool                       as many workers as GOMAXPROCS
+//	pool,workers=N             N workers
 //
-// The worker pool hosts the LPs on a fixed set of OS-thread-backed workers,
-// each pulling its lowest-timestamp runnable LP from a local schedule queue;
-// it is the engine that scales to object counts far beyond what
-// goroutine-per-LP placement handles. Worker counts above the LP count are
-// clamped by the kernel.
+// Both spell the one engine: workers each pulling their lowest-timestamp
+// runnable LP from a local schedule queue. A fixed pool is what scales to
+// object counts — and LP counts — far beyond what a goroutine per LP
+// handles. Worker counts above the LP count are clamped by the kernel.
 func ParseSchedSpec(spec string) (SchedSpec, error) {
 	var s SchedSpec
 	parts := strings.Split(spec, ",")
@@ -357,19 +356,17 @@ func ParseTransportSpec(spec string) (TransportSpec, error) {
 }
 
 // NewTransport builds the transport the spec describes for a numLPs-process
-// model, carrying the run's cost model and inbox depth into the substrate.
-// The inproc kind returns the same transport the kernel would default to.
-func (s TransportSpec) NewTransport(numLPs int, cost CostModel, inboxDepth int) (Transport, error) {
+// model, carrying the run's cost model into the substrate.
+func (s TransportSpec) NewTransport(numLPs int, cost CostModel) (Transport, error) {
 	switch s.Kind {
 	case "", "inproc":
-		return comm.NewInProc(numLPs, comm.WithCost(cost), comm.WithInboxDepth(inboxDepth)), nil
+		return comm.NewInProc(numLPs, comm.WithCost(cost)), nil
 	case "tcp":
 		cfg := TCPTransportConfig{
 			Rank:        s.Rank,
 			Addrs:       s.Peers,
 			NumLPs:      numLPs,
 			Cost:        cost,
-			InboxDepth:  inboxDepth,
 			DialTimeout: s.Timeout,
 		}
 		if s.Listen != "" && s.Listen != s.Peers[s.Rank] {
