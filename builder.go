@@ -168,7 +168,9 @@ func (b *ConfigBuilder) WithTransport(t Transport) *ConfigBuilder {
 
 // WithWorkers sets the dispatcher's width: n workers with
 // least-timestamp-first schedule queues share the LPs this process hosts.
-// n = 0 (the default) is one worker per LP; n above the LP count is clamped.
+// n = 0 (the default) is one worker per LP up to the available cores; n above
+// the LP count is clamped, so WorkerPerLP (or any n that large) is one worker
+// per LP whatever the machine.
 func (b *ConfigBuilder) WithWorkers(n int) *ConfigBuilder {
 	b.cfg.Workers = n
 	return b

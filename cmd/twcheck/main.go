@@ -13,14 +13,16 @@
 // (smmp-opt, phold-opt-mig) that re-run it with the on-line optimism-window
 // controller steering the bounded time window mid-run, alone and composed
 // with migration and the codec, plus worker-pool legs (phold-pool,
-// smmp-pool-mig) that re-run it with the LPs folded onto fewer dispatcher
-// workers — the dispatcher schedules when LPs run, never what they commit. Any
+// smmp-pool-mig, phold-default) that re-run it with the LPs folded onto fewer
+// dispatcher workers, or onto as many as the kernel defaults to on this
+// machine — the dispatcher schedules when LPs run, never what they commit.
+// Every other leg runs a worker per LP, the widest interleaving. Any
 // divergence in committed events or final states, or any runtime invariant
 // violation, fails the sweep with a nonzero exit.
 //
 // A separate multi-process leg (-model multiproc, which needs -twsim pointing
-// at a built binary) spawns two twsim ranks over TCP loopback, once at a
-// worker per LP and once at two workers per rank, and checks each
+// at a built binary) spawns two twsim ranks over TCP loopback — at a worker
+// per LP, at two workers per rank and at the default width — and checks each
 // coordinator's artifact — committed events and final state hash — against a
 // solo in-process run of the same model and seed.
 //
@@ -74,8 +76,10 @@ type check struct {
 	// optimism-window controller steering the bounded time window — the
 	// adaptive-optimism legs of the sweep.
 	optimism core.OptimismConfig
-	// workers, when positive, folds every cell's LPs onto that many
-	// dispatcher workers instead of one per LP — the pool legs of the sweep.
+	// workers is every cell's dispatcher width, as oracle.Options.Workers
+	// spells it: 0 a worker per LP, n > 0 the LPs folded onto n workers,
+	// oracle.DefaultWidth whatever the kernel picks — the pool legs of the
+	// sweep.
 	workers int
 }
 
@@ -219,6 +223,16 @@ var checks = []check{
 		end: 1200, lookahead: 1, window: 100, workers: 2,
 	},
 	{
+		name: "phold-default",
+		build: func(seed uint64) *model.Model {
+			return phold.New(phold.Config{
+				Objects: 16, TokensPerObject: 3, MeanDelay: 10,
+				Locality: 0.2, LPs: 4, Seed: seed,
+			})
+		},
+		end: 1200, window: 100, workers: oracle.DefaultWidth,
+	},
+	{
 		name: "smmp-pool-mig",
 		build: func(seed uint64) *model.Model {
 			m := smmp.New(smmp.Config{Requests: 60, Seed: seed})
@@ -261,7 +275,7 @@ var checks = []check{
 func main() {
 	var (
 		full      = flag.Bool("full", false, "run the full 81-cell matrix (default: the 9-cell diagonal covering every policy value)")
-		modelName = flag.String("model", "", "restrict the sweep to one model: phold, qnet, smmp, raid, phold-mig, smmp-mig, smmp-obs, smmp-opt, phold-opt-mig, phold-pool, smmp-pool-mig, phold-codec, smmp-codec, smmp-codec-mig, multiproc")
+		modelName = flag.String("model", "", "restrict the sweep to one model: phold, qnet, smmp, raid, phold-mig, smmp-mig, smmp-obs, smmp-opt, phold-opt-mig, phold-pool, phold-default, smmp-pool-mig, phold-codec, smmp-codec, smmp-codec-mig, multiproc")
 		twsimBin  = flag.String("twsim", "", "path to a built twsim binary, required by the multiproc leg (which spawns two OS processes over TCP loopback)")
 		seed      = flag.Uint64("seed", 1, "model random seed")
 		gvtPeriod = flag.Duration("gvt-period", 200*time.Microsecond, "GVT period for the parallel legs")

@@ -14,8 +14,10 @@ import (
 
 // runMultiproc is the multi-process oracle leg: it runs one solo in-process
 // twsim and two-rank TCP fleets of the same model and seed as real OS
-// processes over loopback — one fleet per dispatcher width, a worker per LP
-// and two workers per rank — then compares committed events and the final
+// processes over loopback — one fleet per dispatcher width: a worker per LP,
+// two workers per rank, and the default ("pool": a worker per LP up to the
+// cores, so one per rank under GOMAXPROCS=1, the only worker also the only
+// one polling the sockets) — then compares committed events and the final
 // state hash from their JSON artifacts. Because the kernel commits
 // deterministically, each fleet's coordinator must report byte-identical
 // results to the solo run — any divergence means the transport or the
@@ -44,7 +46,7 @@ func runMultiproc(twsim string, seed uint64, verbose bool) error {
 	if err != nil {
 		return err
 	}
-	for _, sched := range []string{"lp", "pool,workers=2"} {
+	for _, sched := range []string{"lp", "pool,workers=2", "pool"} {
 		if err := checkFleet(twsim, dir, modelArgs, sched, soloSum, verbose); err != nil {
 			return fmt.Errorf("-sched %s: %w", sched, err)
 		}

@@ -54,7 +54,7 @@ func main() {
 
 		transportFlag = flag.String("transport", "inproc", "transport spec: inproc, or tcp,rank=N,peers=HOST:PORT;HOST:PORT;... [,listen=ADDR][,timeout=DUR] — start every rank of one run with the same peers list and its own rank; rank 0 gathers the full results")
 
-		schedFlag = flag.String("sched", "lp", "dispatcher width spec: lp (one worker per hosted LP), or pool[,workers=N] (N workers share the LPs, default N = GOMAXPROCS)")
+		schedFlag = flag.String("sched", "pool", "dispatcher width spec: pool[,workers=N] (N workers share the hosted LPs and read and write the tcp transport's sockets; default N = one per LP up to the available cores), or lp (one worker per hosted LP whatever the cores)")
 
 		perMsg    = flag.Duration("msg-cost", 0, "simulated per-physical-message CPU overhead")
 		eventCost = flag.Duration("event-cost", 0, "simulated CPU burn per event")

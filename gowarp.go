@@ -9,9 +9,11 @@
 // machinery — state saving, rollback, cancellation, GVT, fossil collection —
 // is the kernel's business, invisible to models. One engine drives the LPs, a
 // dispatcher whose workers each pull their lowest-timestamp runnable LP from
-// a local schedule queue: one worker per LP by default, or Config.Workers of
-// them multiplexing arbitrarily many LPs — what hosts models of 10^6 objects
-// — in one process or on every rank of a TCP-connected fleet.
+// a local schedule queue: as many workers as the LPs can use of the machine's
+// cores by default, or Config.Workers of them, multiplexing arbitrarily many
+// LPs — what hosts models of 10^6 objects — in one process or on every rank
+// of a TCP-connected fleet, where the same workers read and write the
+// sockets.
 //
 // Six facets of the kernel can be configured statically or placed under
 // on-line feedback control. Every facet has the same shape — a Mode, its

@@ -85,40 +85,50 @@ func TestRAIDMatchesSequential(t *testing.T) {
 
 func TestRAIDStrategySplit(t *testing.T) {
 	// The paper: "all disk objects favor lazy-cancellation while all the
-	// fork objects favor aggressive-cancellation."
-	m := raid.New(raid.Config{RequestsPerSource: 400})
-	c := cfg(50_000_000)
-	c.Cancellation = cancel.Config{Mode: cancel.Dynamic, FilterDepth: 16, Period: 4}
-	res := check(t, m, c)
-	if res.Stats.Rollbacks == 0 {
-		t.Skip("no rollbacks this run; nothing to observe")
-	}
+	// fork objects favor aggressive-cancellation." What an object has settled
+	// on when the run ends is a sample of a statistical claim, and a small
+	// one: four forks, each rolled back a handful of times, each reading its
+	// hit ratio off a 16-deep window that one burst of regenerated
+	// sub-requests tips. So the estimator pools three seeds and counts an
+	// object only once its selector has seen a full window of comparisons;
+	// the claim is then about a dozen forks and two dozen disks, not four
+	// and eight (one run's forks read 1 of 4 aggressive about one time in
+	// fifty under load).
+	const filterDepth = 16
 	var diskLazy, diskSeen, forkAggr, forkSeen int
-	for _, po := range res.PerObject {
-		switch {
-		case strings.Contains(po.Name, ".disk."):
-			if po.Rollbacks > 0 {
+	for seed := uint64(1); seed <= 3; seed++ {
+		m := raid.New(raid.Config{RequestsPerSource: 400, Seed: seed})
+		c := cfg(50_000_000)
+		c.Cancellation = cancel.Config{Mode: cancel.Dynamic, FilterDepth: filterDepth, Period: 4}
+		res := check(t, m, c)
+		for _, po := range res.PerObject {
+			if po.Comparisons < filterDepth {
+				continue
+			}
+			switch {
+			case strings.Contains(po.Name, ".disk."):
 				diskSeen++
 				if po.FinalStrategy == "lazy" {
 					diskLazy++
 				}
-			}
-		case strings.Contains(po.Name, ".fork."):
-			if po.Rollbacks > 0 {
+			case strings.Contains(po.Name, ".fork."):
 				forkSeen++
 				if po.FinalStrategy == "aggressive" {
 					forkAggr++
 				}
 			}
 		}
+		t.Logf("seed %d: rollbacks=%d HR=%.3f; so far disks lazy %d/%d, forks aggressive %d/%d",
+			seed, res.Stats.Rollbacks, res.Stats.HitRatio(), diskLazy, diskSeen, forkAggr, forkSeen)
 	}
-	t.Logf("rollbacks=%d disks lazy %d/%d, forks aggressive %d/%d, HR=%.3f",
-		res.Stats.Rollbacks, diskLazy, diskSeen, forkAggr, forkSeen, res.Stats.HitRatio())
-	if diskSeen > 0 && diskLazy*2 < diskSeen {
-		t.Errorf("expected most rolled-back disks lazy: %d/%d", diskLazy, diskSeen)
+	if diskSeen+forkSeen == 0 {
+		t.Skip("no object compared a window's worth of outputs; nothing to observe")
 	}
-	if forkSeen > 0 && forkAggr*2 < forkSeen {
-		t.Errorf("expected most rolled-back forks aggressive: %d/%d", forkAggr, forkSeen)
+	if diskLazy*2 < diskSeen {
+		t.Errorf("expected most disks lazy: %d/%d", diskLazy, diskSeen)
+	}
+	if forkAggr*2 < forkSeen {
+		t.Errorf("expected most forks aggressive: %d/%d", forkAggr, forkSeen)
 	}
 }
 

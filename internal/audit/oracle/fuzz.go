@@ -36,7 +36,8 @@ type FuzzSpec struct {
 	// Optimism configures the optimism facet (zero value = static, the
 	// pre-facet behaviour).
 	Optimism core.OptimismConfig
-	// Workers is the dispatcher width, 0 (a worker per LP) to 3.
+	// Workers is the dispatcher width as Options.Workers spells it: 0 (a
+	// worker per LP), 1 to 3, or DefaultWidth.
 	Workers int
 }
 
@@ -82,9 +83,12 @@ func DecodeFuzzSpec(data []byte) FuzzSpec {
 			MinSample: 8 + int64(a)%32,
 		}
 	}
-	// Byte 11 selects the dispatcher width: 0 = a worker per LP, else 1..3
-	// workers (the kernel clamps to the LP count).
-	spec.Workers = int(b(11)) % 4
+	// Byte 11 selects the dispatcher width: 0 = a worker per LP, 1..3 that
+	// many workers (the kernel clamps to the LP count), 4 = whatever the
+	// kernel defaults to on this machine.
+	if spec.Workers = int(b(11)) % 5; spec.Workers == 4 {
+		spec.Workers = DefaultWidth
+	}
 	return spec
 }
 

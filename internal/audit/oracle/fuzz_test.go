@@ -28,6 +28,9 @@ func FuzzKernelOracle(f *testing.F) {
 	f.Add([]byte("\x00\x06\x02\x02\x02\x06\x01\x03\x00\x00\x00\x02"))
 	// QNet on the pool with adaptive optimism and the cell's facets all on.
 	f.Add([]byte("\x01\x08\x02\x02\x03\x04\x07\x05\x43\x3c\x05\x03"))
+	// PHOLD, 4 LPs, at the kernel's default width (byte 11 = 4): a worker per
+	// LP up to the cores of whatever machine this runs on.
+	f.Add([]byte("\x00\x06\x03\x02\x02\x06\x01\x03\x00\x3c\x00\x04"))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		spec := DecodeFuzzSpec(data)
 		rep, err := Run(spec.Model(), spec.Options())

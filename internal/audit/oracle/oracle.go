@@ -151,13 +151,20 @@ type Options struct {
 	// non-perturbing — every differential and invariant check applies
 	// unchanged with it on.
 	Observe bool
-	// Workers is the dispatcher width of every parallel leg (0 = a worker
-	// per LP). The dispatcher schedules when LPs run, never what they commit,
-	// so every differential and invariant check applies unchanged.
+	// Workers is the dispatcher width of every parallel leg: n > 0 workers,
+	// 0 a worker per LP — the widest interleaving, which is what an oracle
+	// wants unless told otherwise — and DefaultWidth the kernel's own default
+	// (core.Config.Workers 0: a worker per LP up to the available cores). The
+	// dispatcher schedules when LPs run, never what they commit, so every
+	// differential and invariant check applies unchanged.
 	Workers int
 	// Cells selects the matrix subset to run (nil = the full Matrix()).
 	Cells []Cell
 }
+
+// DefaultWidth is the Options.Workers value that leaves the dispatcher width
+// to the kernel.
+const DefaultWidth = -1
 
 // CellResult is the outcome of one parallel leg.
 type CellResult struct {
@@ -312,6 +319,13 @@ func Run(m *model.Model, opts Options) (*Report, error) {
 func runCell(m *model.Model, cell Cell, opts Options, gvtPeriod time.Duration,
 	seq *core.SeqResult, refHash uint64) CellResult {
 	au := audit.New()
+	workers := opts.Workers
+	switch workers {
+	case 0:
+		workers = m.NumLPs()
+	case DefaultWidth:
+		workers = 0
+	}
 	cfg := core.Config{
 		EndTime:        opts.EndTime,
 		Checkpoint:     cell.Checkpoint,
@@ -323,7 +337,7 @@ func runCell(m *model.Model, cell Cell, opts Options, gvtPeriod time.Duration,
 		Optimism:       opts.Optimism,
 		Balance:        opts.Balance,
 		Codec:          opts.Codec,
-		Workers:        opts.Workers,
+		Workers:        workers,
 		Audit:          au,
 	}
 	if opts.Observe {

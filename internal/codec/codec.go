@@ -293,7 +293,7 @@ func Pack(cfg Config, enc []byte) (stored []byte, compressed bool) {
 // PackInto is Pack writing over dst: the stored form reuses dst's capacity
 // (reallocating only when it does not fit) and never aliases enc.
 func PackInto(dst []byte, cfg Config, enc []byte) (stored []byte, compressed bool) {
-	if cfg.Compression == LZ && len(enc) >= minCompressLen {
+	if cfg.Compression == LZ && len(enc) >= minCompressLen && len(enc) <= maxInflated {
 		if dst = Compress(dst[:0], enc); len(dst) < len(enc) {
 			return dst, true
 		}

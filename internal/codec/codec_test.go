@@ -2,6 +2,8 @@ package codec
 
 import (
 	"bytes"
+	"encoding/binary"
+	"runtime"
 	"testing"
 
 	"gowarp/internal/model"
@@ -71,6 +73,83 @@ func TestLZRejectsCorrupt(t *testing.T) {
 		if _, err := Decompress(bad); err == nil {
 			t.Fatal("corrupt input decompressed without error")
 		}
+	}
+}
+
+// FuzzLZ: whatever Compress produces decompresses to its input, and no junk
+// block makes Decompress panic or allocate more than it returns — the block's
+// length header and copy lengths are input, and blocks arrive in wire frames.
+func FuzzLZ(f *testing.F) {
+	f.Add([]byte(nil))
+	f.Add(bytes.Repeat([]byte("abcd"), 100))
+	f.Add(Compress(nil, bytes.Repeat([]byte{0}, 4096)))
+	// A header claiming 2^60 bytes over no ops, and one honest about a 2^60-byte
+	// run: both reached make() before this target existed.
+	f.Add(binary.AppendUvarint(nil, 1<<60))
+	f.Add(lzBomb(1 << 60))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		got, err := Decompress(Compress(nil, data))
+		if err != nil || !bytes.Equal(got, data) {
+			t.Fatalf("round trip of %d bytes: %d bytes back, %v", len(data), len(got), err)
+		}
+		if out, err := Decompress(data); err == nil && len(out) > maxInflated {
+			t.Fatalf("junk block inflated to %d bytes", len(out))
+		}
+	})
+}
+
+// lzBomb is a well-formed block of a dozen bytes that claims, header and ops
+// agreeing, to decompress to n+1 bytes: one literal and a run copying it.
+func lzBomb(n uint64) []byte {
+	b := binary.AppendUvarint(nil, n+1)
+	b = append(b, opLiteral, 1, 'x', opCopy, 1)
+	return binary.AppendUvarint(b, n)
+}
+
+func TestLZRejectsInflation(t *testing.T) {
+	for _, bad := range [][]byte{
+		binary.AppendUvarint(nil, 1<<60), // the header alone
+		lzBomb(1 << 60),
+		lzBomb(maxInflated),
+	} {
+		if out, err := Decompress(bad); err == nil {
+			t.Errorf("block %x inflated to %d bytes without error", bad, len(out))
+		}
+	}
+	if out, err := Decompress(lzBomb(1 << 16)); err != nil || len(out) != 1<<16+1 {
+		t.Errorf("a 64 KiB run: %d bytes, %v", len(out), err)
+	}
+	// Ops that outrun the header stop at the op, not after running it.
+	short := lzBomb(1 << 20)
+	short[0], short[1], short[2] = 0x82, 0x80, 0x00 // header: 2 bytes, same width
+	if out, err := Decompress(short); err == nil {
+		t.Errorf("a 1 MiB run under a 2-byte header inflated to %d bytes", len(out))
+	}
+	// A header with nothing behind it is refused without being believed: the
+	// largest length it may claim allocates a first chunk, not the claim.
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := Decompress(binary.AppendUvarint(nil, maxInflated))
+	runtime.ReadMemStats(&after)
+	if grew := after.TotalAlloc - before.TotalAlloc; err == nil || grew > 1<<20 {
+		t.Errorf("an empty block claiming %d bytes: allocated %d, err %v", maxInflated, grew, err)
+	}
+}
+
+// What Pack stores Unpack restores, at any size: past the length Decompress
+// accepts, the stored form is the input.
+func TestPackLeavesOversizeUncompressed(t *testing.T) {
+	cfg := Config{Mode: Full, Compression: LZ}.WithDefaults()
+	huge := make([]byte, maxInflated+1) // zeros: the most compressible input there is
+	stored, comp := Pack(cfg, huge)
+	if comp || len(stored) != len(huge) {
+		t.Fatalf("a %d-byte block was stored as %d bytes, compressed=%v", len(huge), len(stored), comp)
+	}
+	if stored, comp = Pack(cfg, huge[:maxInflated]); !comp {
+		t.Fatal("a block of exactly the bound was not compressed")
+	}
+	if got, err := Unpack(stored, comp); err != nil || len(got) != maxInflated {
+		t.Fatalf("unpack at the bound: %d bytes, %v", len(got), err)
 	}
 }
 

@@ -79,14 +79,27 @@ func Compress(dst, src []byte) []byte {
 	return dst
 }
 
-// Decompress inverts Compress, returning the original bytes.
+// maxInflated bounds the length a compressed block may decompress to: as much
+// as a wire frame may carry raw (comm.MaxFrameBody). A copy op expands a few
+// bytes into any length, so without a bound a short corrupt block — and blocks
+// arrive in wire frames — could ask for the machine's memory. PackInto stores
+// anything longer uncompressed, so what it packs always unpacks.
+const maxInflated = 1 << 26
+
+// Decompress inverts Compress, returning the original bytes. The length in
+// the header is input like the rest: it caps what the ops may produce, but
+// past a first 64 KiB the output grows as they produce it, so a corrupt block
+// costs no more memory than the bytes it really decodes to.
 func Decompress(src []byte) ([]byte, error) {
 	want, k := binary.Uvarint(src)
 	if k <= 0 {
 		return nil, corrupt("compressed header")
 	}
+	if want > maxInflated {
+		return nil, corrupt("decompressed length")
+	}
 	src = src[k:]
-	out := make([]byte, 0, want)
+	out := make([]byte, 0, min(want, 1<<16))
 	for len(src) > 0 {
 		op := src[0]
 		src = src[1:]
@@ -95,6 +108,9 @@ func Decompress(src []byte) ([]byte, error) {
 			n, k := binary.Uvarint(src)
 			if k <= 0 || uint64(len(src)-k) < n {
 				return nil, corrupt("literal op")
+			}
+			if n > want-uint64(len(out)) {
+				return nil, corrupt("decompressed length")
 			}
 			out = append(out, src[k:k+int(n)]...)
 			src = src[k+int(n):]
@@ -111,6 +127,9 @@ func Decompress(src []byte) ([]byte, error) {
 			src = src[k:]
 			if off == 0 || off > uint64(len(out)) {
 				return nil, corrupt("copy source")
+			}
+			if n > want-uint64(len(out)) {
+				return nil, corrupt("decompressed length")
 			}
 			// Byte-wise copy: overlapping sources (RLE) are the point.
 			at := len(out) - int(off)

@@ -324,7 +324,9 @@ func (e *Endpoint) DecodeEvents(p Packet) ([]*event.Event, error) {
 		}
 	}
 	if e.Pool == nil {
-		evs := make([]*event.Event, 0, p.Count)
+		// Count comes off the wire: trust it for a size hint only as far as
+		// the payload could hold that many events.
+		evs := make([]*event.Event, 0, max(0, min(p.Count, len(buf))))
 		for len(buf) > 0 {
 			ev, rest, err := event.Decode(buf)
 			if err != nil {

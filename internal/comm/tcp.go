@@ -7,6 +7,7 @@ import (
 	"io"
 	"net"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -14,8 +15,7 @@ import (
 // contiguous block of LPs (see BlockRanks), connected to every other rank by
 // a pair of simplex TCP connections — one this rank dialed (its send side)
 // and one it accepted (its receive side). Packets travel as wire frames (see
-// wire.go); local destinations short-circuit through channel inboxes exactly
-// like InProc.
+// wire.go); local destinations never touch a socket.
 //
 // The join handshake (Start) has every rank listen on its own address, dial
 // every peer with retry until DialTimeout, and exchange hello records that
@@ -23,21 +23,61 @@ import (
 // only when both the dial side and the accept side have one validated
 // connection per peer, so no frame can arrive before the topology is agreed.
 //
-// Shutdown (Close) half-closes every outbound connection to signal "done
-// sending", then drains inbound until every peer has done the same or
-// DrainTimeout expires, then tears down the sockets. The first transport
-// error observed anywhere (read, write, decode, drain timeout) is returned.
+// Each connection has one buffer and one piece of code that fills or empties
+// it: Send appends frames to the peer's out-buffer (tcpSendConn), and one
+// parser, making every check a frame gets, turns what was read into the
+// peer's in-buffer (tcpRecvConn) back into packets. Two drivers move the
+// bytes between those buffers and the sockets:
+//
+//   - The polled driver (see Polled; Unix only) is what the Time Warp kernel
+//     uses. Its SetSink hands the transport a function that puts a packet into
+//     an LP's mailbox, and from then on the kernel's own workers do the socket
+//     work: Poll reads whatever each inbound socket holds without waiting and
+//     delivers the frames to the sink, Flush writes whatever each outbound
+//     socket takes without waiting, and what a socket refuses stays buffered
+//     for the next Flush. The transport starts no goroutine. That is the
+//     point: Go polls the network only from an idle P or from sysmon's 10 ms
+//     tick, and workers that never block leave no P idle, so a reader
+//     goroutine parked in the netpoller sees a frame milliseconds after it
+//     arrived — and a worker blocked in a write while its peer is blocked in
+//     a write to it would be a deadlock, since each is also the other's only
+//     reader. Hence the rule: a worker never blocks on a socket.
+//   - The channel driver is everything else — a transport nobody called
+//     SetSink on: the conservative kernel, a Transport wrapper that hides the
+//     Polled methods, any platform without the non-blocking calls. One reader
+//     goroutine per peer blocks in Read and delivers to the per-LP channels
+//     Recv returns (local sends short-circuit into them, as in InProc), and
+//     Send writes its frame out before returning.
+//
+// Shutdown (Close) flushes what is still buffered, half-closes every outbound
+// connection to signal "done sending", drains inbound until every peer has
+// done the same or DrainTimeout expires, then tears down the sockets. The
+// first transport error observed anywhere (read, write, decode, drain
+// timeout) is returned.
 type TCP struct {
 	cfg    TCPConfig
 	peers  Peers
 	listen net.Listener
 
-	inboxes map[int]chan Packet
+	// lo is the first LP this rank hosts; inboxes[lp-lo] is LP lp's receive
+	// channel, made when first asked for (see inbox): a transport with a sink
+	// never makes them. sink replaces the channels when the polled driver is
+	// in use, and nonblock is then what makes a connection's read or write
+	// one that never waits (both set by SetSink, before Start).
+	lo        int
+	inboxes   []chan Packet
+	inboxOnce sync.Once
+	sink      func(lp int, p Packet)
+	nonblock  func(c *net.TCPConn, write bool) (func([]byte) (int, error), error)
 
 	out   []*tcpSendConn // indexed by rank; nil for self
-	in    []net.Conn     // indexed by rank; nil for self
-	rdWG  sync.WaitGroup
+	in    []*tcpRecvConn // indexed by rank; nil for self
+	rdWG  sync.WaitGroup // the channel driver's readers
 	alive bool
+	// ending is set once the run is known to be ending here: a stop packet
+	// has passed through, in or out, or Close has begun. Only then is a
+	// peer's half-close what it should be (see pump).
+	ending atomic.Bool
 
 	closeOnce sync.Once
 	closeErr  error
@@ -47,11 +87,164 @@ type TCP struct {
 	stopped  bool
 }
 
-// tcpSendConn serializes writes to one peer rank.
+// tcpFlushBytes is how much the polled driver lets accumulate toward one peer
+// before Send itself tries the socket instead of leaving it to the next
+// Flush: it bounds the buffer of a worker that sends a great deal in one
+// round, and is large enough that a round's frames normally share one write.
+const tcpFlushBytes = 32 << 10
+
+// tcpReadBytes is the initial size of a peer's in-buffer and the least room
+// a read is offered; a frame longer than the buffer grows it.
+const tcpReadBytes = 64 << 10
+
+// tcpSendConn is the send side of the link to one peer rank: the frames not
+// yet written, in order. mu serializes the senders and flushers.
 type tcpSendConn struct {
 	mu   sync.Mutex
 	conn *net.TCPConn
-	buf  []byte
+	// write moves bytes to the socket: conn.Write under the channel driver
+	// (everything, or an error), a non-blocking write under the polled one
+	// (what the socket takes now, possibly nothing).
+	write func([]byte) (int, error)
+	buf   []byte // buf[off:] is still to be written
+	off   int
+	// down is set once the link is finished with — half-closed by Close, or
+	// failed; frames sent after that are dropped.
+	down bool
+}
+
+// flush writes out what is buffered, as far as write takes it. The caller
+// holds mu.
+func (sc *tcpSendConn) flush() error {
+	for sc.off < len(sc.buf) {
+		n, err := sc.write(sc.buf[sc.off:])
+		sc.off += n
+		if err != nil {
+			sc.buf, sc.off, sc.down = nil, 0, true
+			return err
+		}
+		if n == 0 {
+			// The socket is full. Keep the rest for the next flush, and drop
+			// the written prefix once it is the larger part, so a peer that
+			// reads slowly costs memory in proportion to the backlog only.
+			if sc.off >= len(sc.buf)-sc.off {
+				sc.buf = sc.buf[:copy(sc.buf, sc.buf[sc.off:])]
+				sc.off = 0
+			}
+			return nil
+		}
+	}
+	sc.buf, sc.off = sc.buf[:0], 0
+	return nil
+}
+
+// tcpRecvConn is the receive side of the link from one peer rank: the bytes
+// read and not yet parsed. mu admits one reader at a time (the polled
+// driver's workers TryLock it), which is also what keeps a peer's frames in
+// order.
+type tcpRecvConn struct {
+	mu   sync.Mutex
+	peer int
+	conn *net.TCPConn
+	// read moves bytes from the socket: conn.Read under the channel driver,
+	// a non-blocking read under the polled one ((0, nil): nothing now).
+	read func([]byte) (int, error)
+	buf  []byte // buf[r:w] is read and unparsed; len(buf) > w always
+	r, w int
+	// done is set when the peer has half-closed or the link has failed:
+	// nothing more will be read.
+	done atomic.Bool
+}
+
+// pump reads once and delivers every frame that is now complete. It reports
+// whether the read filled the room it was given — the socket may hold more.
+// The caller holds mu (the channel driver's reader is alone anyway).
+func (rc *tcpRecvConn) pump(t *TCP) (more bool) {
+	room := rc.buf[rc.w:]
+	n, err := rc.read(room)
+	if n == 0 && err == nil {
+		return false // nothing has arrived: most polls end here
+	}
+	rc.w += n
+	if perr := rc.parse(t); perr != nil {
+		rc.done.Store(true)
+		t.fault(perr)
+		return false
+	}
+	if err != nil {
+		rc.done.Store(true)
+		switch {
+		case errors.Is(err, io.EOF) && rc.r == rc.w:
+			// The peer half-closed between frames: it is done sending. A
+			// rank does that when the run is over for it, and then waits
+			// DrainTimeout for our half-close in return. Runs end by a stop
+			// broadcast; if none has reached this rank by then, the peer did
+			// not end well, and an idle rank would wait for it for ever.
+			if !t.ending.Load() {
+				time.AfterFunc(t.cfg.DrainTimeout, func() {
+					if !t.ending.Load() {
+						t.fault(fmt.Errorf("comm: tcp rank %d: rank %d closed its link mid-run", t.cfg.Rank, rc.peer))
+					}
+				})
+			}
+		case errors.Is(err, io.EOF):
+			t.fault(fmt.Errorf("comm: tcp rank %d: torn frame from rank %d: %w", t.cfg.Rank, rc.peer, io.ErrUnexpectedEOF))
+		case isClosedConn(err):
+			// Close gave up on the drain and tore the socket down.
+		default:
+			t.fault(fmt.Errorf("comm: tcp rank %d read from rank %d: %w", t.cfg.Rank, rc.peer, err))
+		}
+		return false
+	}
+	return n == len(room)
+}
+
+// parse is the transport's one frame parser: it delivers every complete frame
+// in buf[r:w] and leaves a partial one at the front of a buffer with room for
+// the rest of it.
+func (rc *tcpRecvConn) parse(t *TCP) error {
+	need := len(rc.buf)
+	for rc.w-rc.r >= 4 {
+		n := binary.LittleEndian.Uint32(rc.buf[rc.r:])
+		if n > MaxFrameBody {
+			return fmt.Errorf("comm: tcp rank %d: frame from rank %d claims %d bytes: %w",
+				t.cfg.Rank, rc.peer, n, ErrFrameTooLarge)
+		}
+		end := rc.r + 4 + int(n)
+		if end > rc.w {
+			need = max(need, 4+int(n))
+			break
+		}
+		dst, p, err := DecodeFrame(rc.buf[rc.r+4 : end])
+		if err != nil {
+			return fmt.Errorf("comm: tcp rank %d: bad frame from rank %d: %w", t.cfg.Rank, rc.peer, err)
+		}
+		if !t.isLocal(dst) {
+			return fmt.Errorf("comm: tcp rank %d: frame from rank %d addressed to non-local LP %d",
+				t.cfg.Rank, rc.peer, dst)
+		}
+		if p.Payload != nil {
+			// The packet outlives the buffer it was parsed from (and its
+			// receiver recycles the payload as a wire buffer of its own).
+			p.Payload = append([]byte(nil), p.Payload...)
+		}
+		rc.r = end
+		if p.Kind == PktStop {
+			t.ending.Store(true)
+		}
+		t.deliver(dst, p)
+	}
+	rest := rc.w - rc.r
+	switch {
+	case need > len(rc.buf): // a frame longer than the buffer
+		grown := make([]byte, need)
+		copy(grown, rc.buf[rc.r:rc.w])
+		rc.buf = grown
+	case rc.r > 0:
+		copy(rc.buf, rc.buf[rc.r:rc.w])
+	}
+	rc.r, rc.w = 0, rest
+	return nil
 }
 
 // TCPConfig parameterizes a TCP transport. Addrs is the rank-ordered list of
@@ -113,31 +306,60 @@ func NewTCP(cfg TCPConfig) (*TCP, error) {
 			Rank:     cfg.Rank,
 			NumRanks: numRanks,
 		},
-		inboxes: make(map[int]chan Packet, len(local)),
-		out:     make([]*tcpSendConn, numRanks),
-		in:      make([]net.Conn, numRanks),
-	}
-	for _, lp := range local {
-		t.inboxes[lp] = make(chan Packet, minInboxDepth)
+		lo:  local[0],
+		out: make([]*tcpSendConn, numRanks),
+		in:  make([]*tcpRecvConn, numRanks),
 	}
 	return t, nil
+}
+
+// inbox returns locally hosted LP lp's receive channel. The channels are made
+// on first use, all at once: they are the larger part of an idle transport's
+// memory, and the polled driver has no use for them.
+func (t *TCP) inbox(lp int) chan Packet {
+	t.inboxOnce.Do(func() {
+		t.inboxes = make([]chan Packet, len(t.peers.Local))
+		for i := range t.inboxes {
+			t.inboxes[i] = make(chan Packet, minInboxDepth)
+		}
+	})
+	return t.inboxes[lp-t.lo]
+}
+
+// isLocal reports whether this rank hosts lp (its LPs are one contiguous
+// block).
+func (t *TCP) isLocal(lp int) bool { return lp >= t.lo && lp < t.lo+len(t.peers.Local) }
+
+// deliver hands p to the locally hosted LP lp: into the sink, or into the
+// LP's channel when there is none.
+func (t *TCP) deliver(lp int, p Packet) {
+	if t.sink != nil {
+		t.sink(lp, p)
+		return
+	}
+	t.inbox(lp) <- p
 }
 
 // Peers implements Transport.
 func (t *TCP) Peers() Peers { return t.peers }
 
-// Recv implements Transport; lp must be hosted by this rank.
+// Recv implements Transport; lp must be hosted by this rank. A transport
+// with a sink delivers nothing to channels and returns a nil one.
 func (t *TCP) Recv(lp int) <-chan Packet {
-	ch, ok := t.inboxes[lp]
-	if !ok {
+	if !t.isLocal(lp) {
 		panic(fmt.Sprintf("comm: Recv(%d) on rank %d, which hosts %v", lp, t.peers.Rank, t.peers.Local))
 	}
-	return ch
+	if t.sink != nil {
+		return nil
+	}
+	return t.inbox(lp)
 }
 
 // Start implements the join handshake contract: listen, dial every peer with
-// retry, exchange and validate hellos, then spin up one reader per inbound
-// connection. On any failure the partially built mesh is torn down.
+// retry, exchange and validate hellos, then hand the connections to the
+// driver — one reader goroutine per inbound connection under the channel
+// driver, nothing under the polled one. On any failure the partially built
+// mesh is torn down.
 func (t *TCP) Start() error {
 	if t.peers.NumRanks == 1 {
 		t.alive = true
@@ -157,15 +379,21 @@ func (t *TCP) Start() error {
 
 	type accepted struct {
 		rank int
-		conn net.Conn
+		conn *net.TCPConn
 		err  error
 	}
 	acceptCh := make(chan accepted, t.peers.NumRanks-1)
 	go func() {
 		for i := 0; i < t.peers.NumRanks-1; i++ {
-			conn, err := ln.Accept()
+			c, err := ln.Accept()
 			if err != nil {
 				acceptCh <- accepted{err: err}
+				return
+			}
+			conn, ok := c.(*net.TCPConn)
+			if !ok {
+				c.Close()
+				acceptCh <- accepted{err: fmt.Errorf("listener %s yields %T, not a TCP connection", ln.Addr(), c)}
 				return
 			}
 			rank, err := t.readHello(conn, deadline)
@@ -185,9 +413,9 @@ func (t *TCP) Start() error {
 				sc.conn.Close()
 			}
 		}
-		for _, c := range t.in {
-			if c != nil {
-				c.Close()
+		for _, rc := range t.in {
+			if rc != nil {
+				rc.conn.Close()
 			}
 		}
 		return err
@@ -207,7 +435,14 @@ func (t *TCP) Start() error {
 			conn.Close()
 			return fail(fmt.Errorf("comm: tcp rank %d hello to rank %d: %w", t.cfg.Rank, r, err))
 		}
-		t.out[r] = &tcpSendConn{conn: conn}
+		sc := &tcpSendConn{conn: conn, write: conn.Write}
+		if t.nonblock != nil {
+			if sc.write, err = t.nonblock(conn, true); err != nil {
+				conn.Close()
+				return fail(fmt.Errorf("comm: tcp rank %d: link to rank %d: %w", t.cfg.Rank, r, err))
+			}
+		}
+		t.out[r] = sc
 	}
 
 	// Collect one validated inbound connection per peer.
@@ -226,18 +461,37 @@ func (t *TCP) Start() error {
 			return fail(fmt.Errorf("comm: tcp rank %d: duplicate connection claiming rank %d",
 				t.cfg.Rank, acc.rank))
 		}
-		t.in[acc.rank] = acc.conn
+		rc := &tcpRecvConn{peer: acc.rank, conn: acc.conn, read: acc.conn.Read, buf: make([]byte, tcpReadBytes)}
+		if t.nonblock != nil {
+			var err error
+			if rc.read, err = t.nonblock(acc.conn, false); err != nil {
+				acc.conn.Close()
+				return fail(fmt.Errorf("comm: tcp rank %d: link from rank %d: %w", t.cfg.Rank, acc.rank, err))
+			}
+		}
+		t.in[acc.rank] = rc
 	}
 
-	for r, c := range t.in {
-		if c == nil {
-			continue
+	if t.sink == nil {
+		for _, rc := range t.in {
+			if rc == nil {
+				continue
+			}
+			t.rdWG.Add(1)
+			go t.readLoop(rc)
 		}
-		t.rdWG.Add(1)
-		go t.readLoop(r, c)
 	}
 	t.alive = true
 	return nil
+}
+
+// readLoop is the channel driver's reader for one peer: it blocks in Read and
+// delivers until the peer half-closes or the link faults.
+func (t *TCP) readLoop(rc *tcpRecvConn) {
+	defer t.rdWG.Done()
+	for !rc.done.Load() {
+		rc.pump(t)
+	}
 }
 
 func dialRetry(addr string, deadline time.Time) (*net.TCPConn, error) {
@@ -301,14 +555,19 @@ func (t *TCP) readHello(conn net.Conn, deadline time.Time) (rank int, err error)
 	return rank, nil
 }
 
-// Send implements Transport. Local destinations deliver through the channel
-// inbox; remote destinations are framed and written to the owning rank's
-// connection. Either way the sender burns the simulated cost on its own
-// goroutine, matching InProc.
+// Send implements Transport. A local destination gets the packet at once,
+// in its channel or through the sink; a remote one gets its frame appended to
+// the owning rank's out-buffer, which the channel driver writes out before
+// returning and the polled driver leaves for the next Flush unless
+// tcpFlushBytes have gathered. Either way the sender burns the simulated cost
+// on its own goroutine, matching InProc.
 func (t *TCP) Send(dst int, p Packet, payloadBytes int) {
 	t.cfg.Cost.Charge(payloadBytes)
-	if ch, ok := t.inboxes[dst]; ok {
-		ch <- p
+	if p.Kind == PktStop {
+		t.ending.Store(true)
+	}
+	if t.isLocal(dst) {
+		t.deliver(dst, p)
 		return
 	}
 	r := RankOf(dst, t.cfg.NumLPs, t.peers.NumRanks)
@@ -317,60 +576,64 @@ func (t *TCP) Send(dst int, p Packet, payloadBytes int) {
 		panic(fmt.Sprintf("comm: Send(%d) before Start (rank %d)", dst, t.cfg.Rank))
 	}
 	sc.mu.Lock()
-	defer sc.mu.Unlock()
-	buf, err := AppendFrame(sc.buf[:0], dst, p)
+	if sc.down {
+		sc.mu.Unlock()
+		return
+	}
+	buf, err := AppendFrame(sc.buf, dst, p)
 	if err != nil {
+		sc.mu.Unlock()
 		// Only PktMigrate capsules are unframeable, and the kernel refuses
 		// dynamic balancing on distributed transports — reaching this is a
 		// kernel bug, not a runtime condition to limp through.
 		panic(fmt.Sprintf("comm: cannot wire packet to LP %d: %v", dst, err))
 	}
 	sc.buf = buf
-	if _, werr := sc.conn.Write(buf); werr != nil {
-		t.fault(fmt.Errorf("comm: tcp rank %d write to rank %d: %w", t.cfg.Rank, r, werr))
+	if t.sink == nil || len(sc.buf)-sc.off >= tcpFlushBytes {
+		err = sc.flush()
+	}
+	sc.mu.Unlock()
+	if err != nil {
+		t.writeFault(r, err)
 	}
 }
 
-// readLoop decodes frames from one peer until the peer half-closes (clean
-// EOF) or the link faults.
-func (t *TCP) readLoop(peer int, conn net.Conn) {
-	defer t.rdWG.Done()
-	var lenBuf [4]byte
-	for {
-		if _, err := io.ReadFull(conn, lenBuf[:]); err != nil {
-			if !errors.Is(err, io.EOF) && !isClosedConn(err) {
-				t.fault(fmt.Errorf("comm: tcp rank %d read from rank %d: %w", t.cfg.Rank, peer, err))
-			}
-			return
+func (t *TCP) writeFault(peer int, err error) {
+	t.fault(fmt.Errorf("comm: tcp rank %d write to rank %d: %w", t.cfg.Rank, peer, err))
+}
+
+// Flush is the sending half of Polled: it writes out, without waiting, what
+// every peer's socket will take of its out-buffer.
+func (t *TCP) Flush() {
+	for r, sc := range t.out {
+		if sc == nil {
+			continue
 		}
-		n := binary.LittleEndian.Uint32(lenBuf[:])
-		if n > MaxFrameBody {
-			t.fault(fmt.Errorf("comm: tcp rank %d: frame from rank %d claims %d bytes: %w",
-				t.cfg.Rank, peer, n, ErrFrameTooLarge))
-			return
-		}
-		body := make([]byte, n)
-		if _, err := io.ReadFull(conn, body); err != nil {
-			t.fault(fmt.Errorf("comm: tcp rank %d: torn frame from rank %d: %w", t.cfg.Rank, peer, err))
-			return
-		}
-		dst, p, err := DecodeFrame(body)
+		sc.mu.Lock()
+		err := sc.flush()
+		sc.mu.Unlock()
 		if err != nil {
-			t.fault(fmt.Errorf("comm: tcp rank %d: bad frame from rank %d: %w", t.cfg.Rank, peer, err))
-			return
+			t.writeFault(r, err)
 		}
-		ch, ok := t.inboxes[dst]
-		if !ok {
-			t.fault(fmt.Errorf("comm: tcp rank %d: frame from rank %d addressed to non-local LP %d",
-				t.cfg.Rank, peer, dst))
-			return
-		}
-		ch <- p
 	}
 }
 
-// fault records the first transport error and wakes every local LP with a
-// stop packet so a torn link fails the run instead of hanging it.
+// Poll is the receiving half of Polled: it reads, without waiting, whatever
+// every peer's socket holds and delivers the complete frames to the sink. A
+// connection another goroutine is polling right now is skipped.
+func (t *TCP) Poll() {
+	for _, rc := range t.in {
+		if rc == nil || !rc.mu.TryLock() {
+			continue
+		}
+		for !rc.done.Load() && rc.pump(t) {
+		}
+		rc.mu.Unlock()
+	}
+}
+
+// fault records the first transport error and stops every local LP, so a
+// torn link fails the run instead of hanging it.
 func (t *TCP) fault(err error) {
 	t.errMu.Lock()
 	if t.firstErr == nil {
@@ -379,16 +642,24 @@ func (t *TCP) fault(err error) {
 	inject := !t.stopped
 	t.stopped = true
 	t.errMu.Unlock()
+	t.ending.Store(true)
 	if !inject {
 		return
 	}
-	for _, ch := range t.inboxes {
+	for _, lp := range t.peers.Local {
+		if t.sink != nil {
+			t.sink(lp, Packet{Kind: PktStop})
+			continue
+		}
 		select {
-		case ch <- Packet{Kind: PktStop}:
+		case t.inbox(lp) <- Packet{Kind: PktStop}:
 		default: // inbox full — the LP will drain to the stop eventually
 		}
 	}
 }
+
+// closePoll is how often Close looks again while the links are still open.
+const closePoll = 100 * time.Microsecond
 
 // Close implements the flush/shutdown contract. Safe to call more than once
 // and before Start (a failed or unstarted transport just reports its error).
@@ -398,33 +669,44 @@ func (t *TCP) Close() error {
 			t.closeErr = t.err()
 			return
 		}
-		// Writes go straight to the socket in Send, so "flush" is a
-		// half-close per peer: FIN tells each reader on the far side that
-		// this rank is done sending.
-		for _, sc := range t.out {
-			if sc == nil {
-				continue
-			}
-			sc.mu.Lock()
-			sc.conn.CloseWrite()
-			sc.mu.Unlock()
-		}
-		// Drain: wait for every peer's FIN, bounded.
-		done := make(chan struct{})
-		go func() {
-			t.rdWG.Wait()
-			close(done)
-		}()
-		select {
-		case <-done:
-		case <-time.After(t.cfg.DrainTimeout):
-			t.fault(fmt.Errorf("comm: tcp rank %d: drain timed out after %v", t.cfg.Rank, t.cfg.DrainTimeout))
-			for _, c := range t.in {
-				if c != nil {
-					c.Close()
+		// Per peer: write out the rest of the out-buffer, half-close — FIN
+		// tells the far side that this rank is done sending — and read until
+		// the peer's FIN. The channel driver's out-buffers are empty already
+		// and its readers drain by themselves; the polled driver takes turns
+		// at writing and reading here, because a peer that is closing too may
+		// be unable to take the rest of ours before we take some of its own.
+		t.ending.Store(true)
+		deadline := time.Now().Add(t.cfg.DrainTimeout)
+		for {
+			open := false
+			for r, sc := range t.out {
+				if sc == nil {
+					continue
 				}
+				sc.mu.Lock()
+				if err := sc.flush(); err != nil {
+					t.writeFault(r, err)
+				} else if !sc.down && len(sc.buf) == 0 {
+					sc.conn.CloseWrite()
+					sc.down = true
+				}
+				open = open || !sc.down
+				sc.mu.Unlock()
 			}
-			<-done
+			if t.sink != nil {
+				t.Poll()
+			}
+			for _, rc := range t.in {
+				open = open || (rc != nil && !rc.done.Load())
+			}
+			if !open {
+				break
+			}
+			if time.Now().After(deadline) {
+				t.fault(fmt.Errorf("comm: tcp rank %d: drain timed out after %v", t.cfg.Rank, t.cfg.DrainTimeout))
+				break
+			}
+			time.Sleep(closePoll)
 		}
 		if t.listen != nil {
 			t.listen.Close()
@@ -434,11 +716,12 @@ func (t *TCP) Close() error {
 				sc.conn.Close()
 			}
 		}
-		for _, c := range t.in {
-			if c != nil {
-				c.Close()
+		for _, rc := range t.in {
+			if rc != nil {
+				rc.conn.Close() // a reader still blocked in Read returns
 			}
 		}
+		t.rdWG.Wait()
 		t.closeErr = t.err()
 	})
 	return t.closeErr

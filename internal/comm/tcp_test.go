@@ -2,43 +2,146 @@ package comm
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
+	"fmt"
+	"io"
 	"net"
+	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
+
+	"gowarp/internal/vtime"
 )
 
-// tcpPair builds a started 2-rank TCP mesh over loopback with numLPs LPs.
-// Pre-binding the listeners on port 0 gives both ranks real addresses before
-// either transport starts, so tests never race on port choice.
-func tcpPair(t *testing.T, numLPs int) (*TCP, *TCP) {
+// drivers names TCP's two ways of moving bytes; every wire test runs over
+// both.
+var drivers = []struct {
+	name   string
+	polled bool
+}{{"polled", true}, {"channel", false}}
+
+// rank is one end of a test mesh. Under the polled driver it stands in for
+// the kernel: its sink files what the transport delivers by LP, and recv and
+// send do the polling and flushing a worker's round would.
+type rank struct {
+	*TCP
+	polled bool
+	mu     sync.Mutex
+	got    map[int][]Packet
+}
+
+func (r *rank) sink(lp int, p Packet) {
+	r.mu.Lock()
+	r.got[lp] = append(r.got[lp], p)
+	r.mu.Unlock()
+}
+
+// recv returns the next packet delivered to lp, waiting up to wait for it.
+func (r *rank) recv(lp int, wait time.Duration) (Packet, bool) {
+	if !r.polled {
+		select {
+		case p := <-r.Recv(lp):
+			return p, true
+		default:
+		}
+		select {
+		case p := <-r.Recv(lp):
+			return p, true
+		case <-time.After(wait):
+			return Packet{}, false
+		}
+	}
+	for deadline := time.Now().Add(wait); ; time.Sleep(50 * time.Microsecond) {
+		r.Poll()
+		r.mu.Lock()
+		q := r.got[lp]
+		if len(q) > 0 {
+			r.got[lp] = q[1:]
+		}
+		r.mu.Unlock()
+		if len(q) > 0 {
+			return q[0], true
+		}
+		if time.Now().After(deadline) {
+			return Packet{}, false
+		}
+	}
+}
+
+// mustRecv is recv that fails the test on a timeout.
+func (r *rank) mustRecv(t *testing.T, lp int) Packet {
 	t.Helper()
-	ln0, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
+	p, ok := r.recv(lp, 5*time.Second)
+	if !ok {
+		t.Fatalf("rank %d: nothing arrived for LP %d", r.Peers().Rank, lp)
 	}
-	ln1, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
+	return p
+}
+
+// send is Send followed by the Flush a polled worker's round ends with.
+func (r *rank) send(dst int, p Packet) {
+	r.Send(dst, p, len(p.Payload))
+	if r.polled {
+		r.Flush()
 	}
-	addrs := []string{ln0.Addr().String(), ln1.Addr().String()}
-	mk := func(rank int, ln net.Listener) *TCP {
+}
+
+// inject writes raw bytes to peer's socket behind the framing layer's back.
+func (r *rank) inject(t *testing.T, peer int, raw []byte) {
+	t.Helper()
+	if _, err := r.out[peer].conn.Write(raw); err != nil {
+		t.Fatalf("inject: %v", err)
+	}
+}
+
+// tcpMesh builds a started 2-rank TCP mesh over loopback with numLPs LPs, on
+// the given driver. Pre-binding the listeners on port 0 gives both ranks real
+// addresses before either transport starts, so tests never race on port
+// choice.
+func tcpMesh(t testing.TB, numLPs int, polled bool) (*rank, *rank) {
+	t.Helper()
+	return tcpMeshDrain(t, numLPs, polled, 5*time.Second)
+}
+
+// tcpMeshDrain is tcpMesh with a drain timeout of the test's choosing.
+func tcpMeshDrain(t testing.TB, numLPs int, polled bool, drain time.Duration) (*rank, *rank) {
+	t.Helper()
+	lns := make([]net.Listener, 2)
+	addrs := make([]string, 2)
+	for i := range lns {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		lns[i], addrs[i] = ln, ln.Addr().String()
+	}
+	ranks := make([]*rank, 2)
+	for i := range ranks {
 		tr, err := NewTCP(TCPConfig{
-			Rank: rank, Addrs: addrs, NumLPs: numLPs,
-			DialTimeout: 5 * time.Second, DrainTimeout: 5 * time.Second,
-			Listener: ln,
+			Rank: i, Addrs: addrs, NumLPs: numLPs,
+			DialTimeout: 5 * time.Second, DrainTimeout: drain,
+			Listener: lns[i],
 		})
 		if err != nil {
-			t.Fatalf("rank %d: %v", rank, err)
+			t.Fatalf("rank %d: %v", i, err)
 		}
-		return tr
+		ranks[i] = &rank{TCP: tr, polled: polled, got: make(map[int][]Packet)}
+		if polled {
+			p, ok := Transport(tr).(Polled) // the kernel finds the driver by this assertion
+			if !ok {
+				t.Skip("TCP is not Polled on this platform")
+			}
+			p.SetSink(ranks[i].sink)
+		}
 	}
-	t0, t1 := mk(0, ln0), mk(1, ln1)
 	var wg sync.WaitGroup
 	errs := make([]error, 2)
-	for i, tr := range []*TCP{t0, t1} {
+	for i, r := range ranks {
 		wg.Add(1)
-		go func(i int, tr *TCP) { defer wg.Done(); errs[i] = tr.Start() }(i, tr)
+		go func(i int, r *rank) { defer wg.Done(); errs[i] = r.Start() }(i, r)
 	}
 	wg.Wait()
 	for i, err := range errs {
@@ -46,25 +149,39 @@ func tcpPair(t *testing.T, numLPs int) (*TCP, *TCP) {
 			t.Fatalf("rank %d start: %v", i, err)
 		}
 	}
-	return t0, t1
+	return ranks[0], ranks[1]
 }
 
-// closePair closes both ends concurrently, the way two live ranks do — the
-// drain in Close waits for the peer's FIN, so sequential closes would stall
-// a full drain timeout.
-func closePair(t *testing.T, trs ...*TCP) {
+// tcpPair is the mesh on the channel driver, for tests that are not about
+// the wire.
+func tcpPair(t *testing.T, numLPs int) (*TCP, *TCP) {
 	t.Helper()
+	r0, r1 := tcpMesh(t, numLPs, false)
+	return r0.TCP, r1.TCP
+}
+
+// closeAll closes every end concurrently, the way live ranks do — the drain
+// in Close waits for the peer's FIN, so sequential closes would stall a full
+// drain timeout — and returns each end's error.
+func closeAll(trs ...*TCP) []error {
+	errs := make([]error, len(trs))
 	var wg sync.WaitGroup
-	for _, tr := range trs {
+	for i, tr := range trs {
 		wg.Add(1)
-		go func(tr *TCP) {
-			defer wg.Done()
-			if err := tr.Close(); err != nil {
-				t.Errorf("close rank %d: %v", tr.Peers().Rank, err)
-			}
-		}(tr)
+		go func(i int, tr *TCP) { defer wg.Done(); errs[i] = tr.Close() }(i, tr)
 	}
 	wg.Wait()
+	return errs
+}
+
+// closePair is closeAll for meshes that must close cleanly.
+func closePair(t *testing.T, trs ...*TCP) {
+	t.Helper()
+	for i, err := range closeAll(trs...) {
+		if err != nil {
+			t.Errorf("close rank %d: %v", trs[i].Peers().Rank, err)
+		}
+	}
 }
 
 func TestTCPPeersTopology(t *testing.T) {
@@ -104,41 +221,36 @@ func TestTCPPeersTopology(t *testing.T) {
 // socket) and local (short-circuited) — and checks payload fidelity and
 // per-sender FIFO order.
 func TestTCPSendRecv(t *testing.T) {
-	t0, t1 := tcpPair(t, 4) // rank 0: LPs 0,1; rank 1: LPs 2,3
-	defer closePair(t, t0, t1)
+	for _, d := range drivers {
+		t.Run(d.name, func(t *testing.T) {
+			r0, r1 := tcpMesh(t, 4, d.polled) // rank 0: LPs 0,1; rank 1: LPs 2,3
+			defer closePair(t, r0.TCP, r1.TCP)
 
-	// Remote: rank 0's LP 0 -> LP 2, in order.
-	for i := 0; i < 10; i++ {
-		t0.Send(2, Packet{Kind: PktEvents, From: 0, Count: i, Payload: []byte{byte(i)}}, 1)
-	}
-	for i := 0; i < 10; i++ {
-		select {
-		case p := <-t1.Recv(2):
-			if p.Kind != PktEvents || p.From != 0 || p.Count != i || !bytes.Equal(p.Payload, []byte{byte(i)}) {
-				t.Fatalf("packet %d arrived as %+v", i, p)
+			// Remote: rank 0's LP 0 -> LP 2, in order.
+			for i := 0; i < 10; i++ {
+				r0.send(2, Packet{Kind: PktEvents, From: 0, Count: i, Payload: []byte{byte(i)}})
 			}
-		case <-time.After(5 * time.Second):
-			t.Fatalf("packet %d never arrived", i)
-		}
-	}
+			for i := 0; i < 10; i++ {
+				p := r1.mustRecv(t, 2)
+				if p.Kind != PktEvents || p.From != 0 || p.Count != i || !bytes.Equal(p.Payload, []byte{byte(i)}) {
+					t.Fatalf("packet %d arrived as %+v", i, p)
+				}
+			}
 
-	// Remote the other way, a control packet.
-	t1.Send(1, Packet{Kind: PktToken, From: 3, Token: Token{M: 7, Count: -1, Epoch: 3}}, 0)
-	select {
-	case p := <-t0.Recv(1):
-		if p.Kind != PktToken || p.Token.M != 7 || p.Token.Count != -1 || p.Token.Epoch != 3 {
-			t.Fatalf("token arrived as %+v", p)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("token never arrived")
-	}
+			// Remote the other way, a control packet.
+			r1.send(1, Packet{Kind: PktToken, From: 3, Token: Token{M: 7, Count: -1, Epoch: 3}})
+			if p := r0.mustRecv(t, 1); p.Kind != PktToken || p.Token.M != 7 || p.Token.Count != -1 || p.Token.Epoch != 3 {
+				t.Fatalf("token arrived as %+v", p)
+			}
 
-	// Local short circuit (never touches the socket, so a capsule-style any
-	// payload survives).
-	marker := &struct{ x int }{42}
-	t0.Send(1, Packet{Kind: PktMigrate, From: 0, Capsule: marker}, 0)
-	if p := <-t0.Recv(1); p.Capsule != marker {
-		t.Fatal("local send did not preserve pointer payload")
+			// Local short circuit (never touches the socket, so a
+			// capsule-style any payload survives).
+			marker := &struct{ x int }{42}
+			r0.send(1, Packet{Kind: PktMigrate, From: 0, Capsule: marker})
+			if p := r0.mustRecv(t, 1); p.Capsule != marker {
+				t.Fatal("local send did not preserve pointer payload")
+			}
+		})
 	}
 }
 
@@ -153,31 +265,325 @@ func TestTCPRecvNonLocalPanics(t *testing.T) {
 	t0.Recv(3)
 }
 
-// TestTCPCloseDrains: packets sent just before Close must be readable on the
-// far side after both sides closed — Close half-closes and drains rather
-// than tearing the link down.
-func TestTCPCloseDrains(t *testing.T) {
-	t0, t1 := tcpPair(t, 2)
-	for i := 0; i < 100; i++ {
-		t0.Send(1, Packet{Kind: PktEvents, From: 0, Count: i}, 0)
-	}
-	var wg sync.WaitGroup
-	wg.Add(2)
-	go func() { defer wg.Done(); t0.Close() }()
-	go func() { defer wg.Done(); t1.Close() }()
-	wg.Wait()
-	for i := 0; i < 100; i++ {
-		select {
-		case p := <-t1.Recv(1):
-			if p.Count != i {
-				t.Fatalf("packet %d arrived as Count=%d", i, p.Count)
+// TestTCPReadBoundaries: the parser sees a byte stream, not frames — a frame
+// may arrive in two reads, many frames in one, and a frame may be longer than
+// the read buffer.
+func TestTCPReadBoundaries(t *testing.T) {
+	for _, d := range drivers {
+		t.Run(d.name, func(t *testing.T) {
+			r0, r1 := tcpMesh(t, 2, d.polled)
+			defer closePair(t, r0.TCP, r1.TCP)
+
+			frame, err := AppendFrame(nil, 1, Packet{Kind: PktEvents, From: 0, Count: 7, Payload: []byte("split me")})
+			if err != nil {
+				t.Fatal(err)
 			}
-		default:
-			t.Fatalf("packet %d lost across Close", i)
+			for _, cut := range []int{2, 4, len(frame) - 1} { // inside the length, at the body, before the last byte
+				r0.inject(t, 1, frame[:cut])
+				if p, ok := r1.recv(1, 20*time.Millisecond); ok {
+					t.Fatalf("%d of %d bytes of a frame delivered %+v", cut, len(frame), p)
+				}
+				r0.inject(t, 1, frame[cut:])
+				if p := r1.mustRecv(t, 1); p.Count != 7 || string(p.Payload) != "split me" {
+					t.Fatalf("frame cut at %d arrived as %+v", cut, p)
+				}
+			}
+
+			var many []byte
+			for i := 0; i < 500; i++ {
+				if many, err = AppendFrame(many, 1, Packet{Kind: PktGVT, From: 0, GVT: vtime.Time(i)}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			r0.inject(t, 1, many)
+			for i := 0; i < 500; i++ {
+				if p := r1.mustRecv(t, 1); p.Kind != PktGVT || p.GVT != vtime.Time(i) {
+					t.Fatalf("frame %d of one write arrived as %+v", i, p)
+				}
+			}
+
+			big := make([]byte, 3*tcpReadBytes+5)
+			for i := range big {
+				big[i] = byte(i)
+			}
+			r0.send(1, Packet{Kind: PktReport, From: 0, Payload: big})
+			r0.send(1, Packet{Kind: PktStop, From: 0})
+			if p := r1.mustRecv(t, 1); !bytes.Equal(p.Payload, big) {
+				t.Fatalf("a %d-byte frame arrived with %d bytes", len(big), len(p.Payload))
+			}
+			if p := r1.mustRecv(t, 1); p.Kind != PktStop {
+				t.Fatalf("the frame after the long one arrived as %+v", p)
+			}
+		})
+	}
+}
+
+// TestTCPBadFrames: every malformed frame faults the receiving transport —
+// each local LP is told to stop, and Close reports what was wrong.
+func TestTCPBadFrames(t *testing.T) {
+	stop, err := AppendFrame(nil, 1, Packet{Kind: PktStop, From: 0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	badVersion := append([]byte(nil), stop...)
+	badVersion[4] = WireVersion + 1
+	trailing := append(append([]byte(nil), stop...), 0xee)
+	binary.LittleEndian.PutUint32(trailing, uint32(len(trailing)-4))
+	oversized := binary.LittleEndian.AppendUint32(nil, MaxFrameBody+1)
+	elsewhere, err := AppendFrame(nil, 0, Packet{Kind: PktStop, From: 0}) // LP 0 is the sender's own
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		name  string
+		raw   []byte
+		close bool // half-close after raw: the frame ends early
+		want  error
+	}{
+		{"truncated", stop[:len(stop)-3], true, io.ErrUnexpectedEOF},
+		{"truncated-length", stop[:2], true, io.ErrUnexpectedEOF},
+		{"oversized", oversized, false, ErrFrameTooLarge},
+		{"bad-version", badVersion, false, ErrFrameVersion},
+		{"trailing", trailing, false, ErrFrameTrailing},
+		{"non-local", elsewhere, false, nil},
+	}
+	for _, d := range drivers {
+		for _, tc := range cases {
+			t.Run(d.name+"/"+tc.name, func(t *testing.T) {
+				r0, r1 := tcpMesh(t, 3, d.polled) // rank 0: LP 0; rank 1: LPs 1, 2
+				good := Packet{Kind: PktGVT, From: 0, GVT: 5}
+				r0.send(2, good)
+				r0.inject(t, 1, tc.raw)
+				if tc.close {
+					r0.out[1].conn.CloseWrite()
+				}
+				if p := r1.mustRecv(t, 2); p.Kind != PktGVT {
+					t.Fatalf("the good frame before the bad one arrived as %+v", p)
+				}
+				for _, lp := range []int{1, 2} {
+					if p := r1.mustRecv(t, lp); p.Kind != PktStop {
+						t.Fatalf("LP %d got %+v, want the fault's stop", lp, p)
+					}
+				}
+				errs := closeAll(r0.TCP, r1.TCP)
+				if errs[1] == nil || (tc.want != nil && !errors.Is(errs[1], tc.want)) {
+					t.Fatalf("receiver's Close = %v, want %v", errs[1], tc.want)
+				}
+			})
 		}
 	}
-	if err := t0.Close(); err != nil {
-		t.Fatalf("second Close: %v", err)
+}
+
+// sever kills every connection of r the way a dying process with unread
+// input does: reset, no FIN.
+func (r *rank) sever() {
+	for _, sc := range r.out {
+		if sc != nil {
+			sc.conn.SetLinger(0)
+			sc.conn.Close()
+		}
+	}
+	for _, rc := range r.in {
+		if rc != nil {
+			rc.conn.SetLinger(0)
+			rc.conn.Close()
+		}
+	}
+}
+
+// TestTCPPeerDisconnect: a peer that vanishes mid-run faults the survivor —
+// its LPs are told to stop and Close returns the link's error rather than
+// waiting for a FIN that will not come.
+func TestTCPPeerDisconnect(t *testing.T) {
+	for _, d := range drivers {
+		t.Run(d.name, func(t *testing.T) {
+			r0, r1 := tcpMesh(t, 4, d.polled)
+			r0.send(2, Packet{Kind: PktGVT, From: 0, GVT: 1})
+			r1.mustRecv(t, 2)
+			r1.sever()
+			for _, lp := range []int{0, 1} {
+				if p := r0.mustRecv(t, lp); p.Kind != PktStop {
+					t.Fatalf("LP %d got %+v, want the fault's stop", lp, p)
+				}
+			}
+			// Sends after the fault are dropped, not blocked on or panicked over.
+			r0.send(2, Packet{Kind: PktGVT, From: 0, GVT: 2})
+			start := time.Now()
+			if err := r0.Close(); err == nil {
+				t.Fatal("Close after a reset link returned nil")
+			}
+			if took := time.Since(start); took > 2*time.Second {
+				t.Fatalf("Close took %v: it waited out the drain on a dead link", took)
+			}
+			r1.Close()
+		})
+	}
+}
+
+// TestTCPPeerLeavesQuietly: a peer whose sockets close cleanly mid-run — a
+// FIN, which is also how a run that ends well looks from here — is a fault
+// once the drain timeout has passed without the run's stop broadcast having
+// come through; an idle rank would otherwise wait for ever. After a stop, the
+// same FIN is the normal end.
+func TestTCPPeerLeavesQuietly(t *testing.T) {
+	for _, d := range drivers {
+		for _, stopped := range []bool{false, true} {
+			t.Run(fmt.Sprintf("%s/stopped=%v", d.name, stopped), func(t *testing.T) {
+				const drain = 150 * time.Millisecond
+				r0, r1 := tcpMeshDrain(t, 2, d.polled, drain)
+				if stopped {
+					r1.send(0, Packet{Kind: PktStop, From: 1})
+					if p := r0.mustRecv(t, 0); p.Kind != PktStop {
+						t.Fatalf("got %+v, want the stop", p)
+					}
+				}
+				r1.out[0].conn.CloseWrite()
+				p, ok := r0.recv(0, 4*drain)
+				if stopped {
+					if ok {
+						t.Fatalf("a FIN after the stop delivered %+v", p)
+					}
+					closePair(t, r0.TCP, r1.TCP)
+					return
+				}
+				if !ok || p.Kind != PktStop {
+					t.Fatalf("a FIN mid-run delivered %+v (%v), want the fault's stop", p, ok)
+				}
+				if errs := closeAll(r0.TCP, r1.TCP); errs[0] == nil || !strings.Contains(errs[0].Error(), "mid-run") {
+					t.Fatalf("survivor's Close = %v", errs[0])
+				}
+			})
+		}
+	}
+}
+
+// TestTCPCloseDrains: packets sent just before Close must have been delivered
+// on the far side once both sides have closed — Close flushes, half-closes
+// and drains rather than tearing the link down.
+func TestTCPCloseDrains(t *testing.T) {
+	for _, d := range drivers {
+		t.Run(d.name, func(t *testing.T) {
+			r0, r1 := tcpMesh(t, 2, d.polled)
+			for i := 0; i < 100; i++ {
+				r0.Send(1, Packet{Kind: PktEvents, From: 0, Count: i}, 0) // no Flush: Close owes it
+			}
+			closePair(t, r0.TCP, r1.TCP)
+			for i := 0; i < 100; i++ {
+				p, ok := r1.recv(1, 0)
+				if !ok {
+					t.Fatalf("packet %d lost across Close", i)
+				}
+				if p.Count != i {
+					t.Fatalf("packet %d arrived as Count=%d", i, p.Count)
+				}
+			}
+			if err := r0.Close(); err != nil {
+				t.Fatalf("second Close: %v", err)
+			}
+		})
+	}
+}
+
+// TestTCPDriverGoroutines: the channel driver runs one reader goroutine per
+// peer; the polled driver runs none — whoever calls Poll is the reader.
+func TestTCPDriverGoroutines(t *testing.T) {
+	for _, d := range drivers {
+		t.Run(d.name, func(t *testing.T) {
+			r0, r1 := tcpMesh(t, 2, d.polled)
+			defer closePair(t, r0.TCP, r1.TCP)
+			// A round trip, so that whatever reads the sockets has started.
+			r0.send(1, Packet{Kind: PktGVT, From: 0})
+			r1.mustRecv(t, 1)
+			r1.send(0, Packet{Kind: PktGVT, From: 1})
+			r0.mustRecv(t, 0)
+			want := 2
+			if d.polled {
+				want = 0
+			}
+			if got := strings.Count(allStacks(), "comm.(*TCP).readLoop"); got != want {
+				t.Errorf("%d reader goroutines across two ranks, want %d", got, want)
+			}
+		})
+	}
+}
+
+func allStacks() string {
+	buf := make([]byte, 1<<20)
+	return string(buf[:runtime.Stack(buf, true)])
+}
+
+// TestTCPSendNeverBlocks (polled driver): Send to a peer that has stopped
+// polling returns at once however much is outstanding — the out-buffer grows
+// instead — and once the peer polls again everything arrives, in order.
+func TestTCPSendNeverBlocks(t *testing.T) {
+	r0, r1 := tcpMesh(t, 2, true)
+	defer closePair(t, r0.TCP, r1.TCP)
+	const frames, size = 256, 64 << 10 // 16 MiB: far more than loopback's socket buffers hold
+	payload := make([]byte, size)
+	sent := make(chan struct{})
+	go func() {
+		defer close(sent)
+		for i := 0; i < frames; i++ {
+			r0.send(1, Packet{Kind: PktEvents, From: 0, Count: i, Payload: payload})
+		}
+	}()
+	select {
+	case <-sent:
+	case <-time.After(10 * time.Second):
+		t.Fatal("Send blocked on a peer that is not reading")
+	}
+	sc := r0.out[1]
+	sc.mu.Lock()
+	backlog := len(sc.buf) - sc.off
+	sc.mu.Unlock()
+	if backlog < 8<<20 {
+		t.Fatalf("%d bytes buffered after sending %d to a stalled peer", backlog, frames*size)
+	}
+	for i := 0; i < frames; i++ {
+		r0.Flush() // the sender's next rounds
+		if p := r1.mustRecv(t, 1); p.Count != i || len(p.Payload) != size {
+			t.Fatalf("frame %d arrived as Count=%d with %d bytes", i, p.Count, len(p.Payload))
+		}
+	}
+}
+
+// TestTCPCloseWithBacklogBothWays (polled driver): two ranks each holding
+// megabytes the other has not read must both get through Close — each has to
+// read while it writes, or neither's socket ever drains.
+func TestTCPCloseWithBacklogBothWays(t *testing.T) {
+	r0, r1 := tcpMesh(t, 2, true)
+	const frames, size = 256, 64 << 10 // 16 MiB each way, of which loopback's buffers take a few
+	payload := make([]byte, size)
+	for i := 0; i < frames; i++ {
+		r0.Send(1, Packet{Kind: PktEvents, From: 0, Count: i, Payload: payload}, size)
+		r1.Send(0, Packet{Kind: PktEvents, From: 1, Count: i, Payload: payload}, size)
+	}
+	for _, r := range []*rank{r0, r1} {
+		sc := r.out[1-r.Peers().Rank]
+		sc.mu.Lock()
+		backlog := len(sc.buf) - sc.off
+		sc.mu.Unlock()
+		if backlog < 8<<20 {
+			t.Fatalf("rank %d holds %d bytes unflushed, want at least 8 MiB", r.Peers().Rank, backlog)
+		}
+	}
+	closed := make(chan []error, 1)
+	go func() { closed <- closeAll(r0.TCP, r1.TCP) }()
+	select {
+	case errs := <-closed:
+		for i, err := range errs {
+			if err != nil {
+				t.Errorf("close rank %d: %v", i, err)
+			}
+		}
+	case <-time.After(20 * time.Second):
+		t.Fatal("Close deadlocked with a backlog in both directions")
+	}
+	for _, r := range []*rank{r0, r1} {
+		lp := r.Peers().Rank
+		if n := len(r.got[lp]); n != frames {
+			t.Errorf("rank %d received %d of %d frames across Close", lp, n, frames)
+		}
 	}
 }
 

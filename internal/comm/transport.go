@@ -6,9 +6,13 @@ package comm
 // machines (TCP). The GVT manager, the migration protocol and the router send
 // through an Endpoint and never know whether a destination LP is next door or
 // a socket away. The receive channels are the transport's edge: the
-// conservative kernel's LPs select on them directly, the Time Warp kernel
-// forwards them into its LPs' mailboxes (core/dispatch.go) and, when a run
-// has no Transport at all, delivers into those mailboxes itself.
+// conservative kernel's LPs select on them directly. The Time Warp kernel's
+// LPs read mailboxes, and it fills them whichever way the transport allows:
+// a Polled transport (TCP) delivers into them itself, driven by the kernel's
+// workers; any other Transport — a user's own, or a wrapper that embeds this
+// interface and so hides the Polled methods — has its channels forwarded by
+// one goroutine per LP (core/dispatch.go); and a run with no Transport at all
+// skips the substrate and puts each packet into its destination's mailbox.
 //
 // The contract:
 //
@@ -38,6 +42,28 @@ type Transport interface {
 	Peers() Peers
 	Start() error
 	Close() error
+}
+
+// Polled is what a Transport implements, beside the interface above, when it
+// can run without goroutines of its own: the caller's threads do its receiving
+// and its socket writes, at moments they choose. The Time Warp kernel looks
+// for it by type assertion, because its workers never block and so leave no
+// core for a transport's reader goroutine to notice an arrival on (see TCP).
+//
+//   - SetSink, called once before Start, replaces the Recv channels: every
+//     packet for a locally hosted LP — sent here or arrived from a peer — is
+//     handed to sink(lp, p) on the goroutine that sent or polled it. sink
+//     must not block. Packets from one sender reach it in order.
+//   - Poll delivers what has arrived from the peers since the last call.
+//   - Flush pushes out what Send has buffered since the last call.
+//
+// Neither Poll nor Flush ever waits, for a peer or for a socket; both may be
+// called from any number of goroutines at once. Close still flushes and
+// drains by itself.
+type Polled interface {
+	SetSink(sink func(lp int, p Packet))
+	Poll()
+	Flush()
 }
 
 // Peers describes a transport's process topology.

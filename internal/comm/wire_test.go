@@ -6,6 +6,9 @@ import (
 	"errors"
 	"testing"
 
+	"gowarp/internal/codec"
+	"gowarp/internal/event"
+	"gowarp/internal/stats"
 	"gowarp/internal/vtime"
 )
 
@@ -178,9 +181,20 @@ func TestWireRejections(t *testing.T) {
 
 // FuzzDecodeFrame feeds arbitrary bodies to the decoder: it must never
 // panic, and anything it accepts must re-encode to the identical frame
-// (the round-trip is the format's definition).
+// (the round-trip is the format's definition). An accepted events frame then
+// goes where a receiving LP takes it — through the endpoint's decompressor
+// and event decoder — which may refuse it but must not panic either.
 func FuzzDecodeFrame(f *testing.F) {
-	for _, tc := range wireSamples() {
+	samples := wireSamples()
+	// A compressed events frame whose payload is a block header claiming
+	// 2^60 bytes: the decompressor once sized its output from it.
+	samples = append(samples, struct {
+		name string
+		dst  int
+		p    Packet
+	}{"events-inflating", 1, Packet{Kind: PktEvents, From: 0, Comp: true, Count: 1,
+		Payload: binary.AppendUvarint(nil, 1<<60)}})
+	for _, tc := range samples {
 		frame, err := AppendFrame(nil, tc.dst, tc.p)
 		if err != nil {
 			f.Fatal(err)
@@ -189,10 +203,25 @@ func FuzzDecodeFrame(f *testing.F) {
 	}
 	f.Add([]byte{})
 	f.Add([]byte{WireVersion})
+	// Both receivers: the Time Warp kernel's (pooled events) and the
+	// conservative kernel's (events aliasing the payload).
+	var st stats.Counters
+	rxs := [2]*Endpoint{NewSendEndpoint(nil, 2, 1, AggConfig{}, &st), NewSendEndpoint(nil, 2, 1, AggConfig{}, &st)}
+	rxs[0].Pool = event.NewPool()
+	for _, rx := range rxs {
+		rx.Decompress = codec.Decompress
+	}
 	f.Fuzz(func(t *testing.T, body []byte) {
 		dst, p, err := DecodeFrame(body)
 		if err != nil {
 			return
+		}
+		if p.Kind == PktEvents {
+			for _, rx := range rxs {
+				q := p
+				q.Payload = append([]byte(nil), p.Payload...) // the pooled receiver keeps the buffer
+				rx.DecodeEvents(q)                            // errors are the receiver's to report
+			}
 		}
 		reframe, err := AppendFrame(nil, dst, p)
 		if err != nil {

@@ -71,9 +71,13 @@ type Config struct {
 	// goroutines host the logical processes this process runs, each pulling
 	// the lowest-timestamped runnable object from a per-worker schedule
 	// queue, with LP→worker sharding re-mapped on line from observed commit
-	// rates (see dispatch.go). Zero (the default) means one worker per hosted
-	// LP; values above the hosted LP count are clamped to it. Any width runs
-	// over any Transport.
+	// rates (see dispatch.go). Zero (the default) means as many as the
+	// machine has use for — one per hosted LP up to the cores available,
+	// min(GOMAXPROCS, NumCPU) — so that least-timestamp-first, not the Go
+	// scheduler, decides which LP a core runs next. Values above the hosted
+	// LP count are clamped to it, which makes any such value the spelling of
+	// a worker per LP. Any width runs over any Transport, and the workers are
+	// also who reads and writes a comm.Polled transport's sockets.
 	Workers int
 	// PendingSet selects the pending-event-set implementation.
 	PendingSet pq.Kind

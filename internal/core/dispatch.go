@@ -9,14 +9,28 @@ package core
 // communication manager in one place: object count is not bounded by
 // per-goroutine footprint, a few hot LPs do not strand the cores of their idle
 // peers, and a rank of a distributed run is simply a pool over the LPs that
-// rank hosts. Config.Workers == 0 is the pool with one worker per hosted LP.
+// rank hosts. The worker count is a property of the machine, not of the
+// model: Config.Workers == 0 is min(hosted LPs, cores), so that
+// least-timestamp-first decides which LP a core runs next; with more workers
+// than cores the Go scheduler decides instead, round-robin, whatever the LPs'
+// virtual times. A worker per LP remains an explicit width.
 //
-// Every LP reads its packets from one place, its spillbox. A run without a
-// Config.Transport delivers straight into the destination's spillbox (the
-// dispatcher is the endpoints' comm.Sender); a run with one sends through it
-// and one forwarder goroutine per hosted LP moves the transport's receive
-// channel into the spillbox. Channels stay at the transport edge; nothing in
-// the kernel selects on one.
+// The only goroutines a run needs on a core are its workers. Every LP reads
+// its packets from one place, its spillbox, and the workers fill it: a run
+// without a Config.Transport delivers straight into the destination's
+// spillbox (the dispatcher is the endpoints' comm.Sender), and so does a
+// comm.Polled transport, through the sink Run installs — each worker round
+// begins by polling it for what the peers sent and ends by flushing what this
+// rank sent, so the sockets are read and written by the workers themselves.
+// Workers never block (they yield between rounds and sleep only when idle),
+// which is exactly why they cannot leave the socket to a reader goroutine
+// parked in Go's netpoller — the network is polled only from an idle P or
+// sysmon's 10 ms tick, and a frame would wait that long — and why they must
+// never block on a socket either: two ranks each blocked writing to the other
+// are each other's only readers. A transport that is not Polled (a user's
+// own, a wrapper that hides the methods) falls back to one forwarder
+// goroutine per hosted LP that moves the transport's receive channel into the
+// spillbox. Channels stay at that edge; nothing in the kernel selects on one.
 //
 // Single-owner semantics hold by pinning: every LP (and with it every hosted
 // object, pending set, state queue, cancellation manager and event pool
@@ -78,6 +92,23 @@ type spillbox struct {
 	q  []comm.Packet
 }
 
+func (b *spillbox) put(p comm.Packet) {
+	b.mu.Lock()
+	b.q = append(b.q, p)
+	b.n.Store(int32(len(b.q)))
+	b.mu.Unlock()
+}
+
+// take empties the box and returns what it held.
+func (b *spillbox) take() []comm.Packet {
+	b.mu.Lock()
+	q := b.q
+	b.q = nil
+	b.n.Store(0)
+	b.mu.Unlock()
+	return q
+}
+
 // dispatcher owns the worker fleet and delivers to the hosted LPs. The
 // LP→worker maps live on the LPs themselves (lpRun.worker, target, load).
 type dispatcher struct {
@@ -85,13 +116,9 @@ type dispatcher struct {
 	lps     []*lpRun // the LPs this process hosts
 	byID    []*lpRun // global LP id → hosted LP; nil for LPs on other ranks
 	workers []*worker
-	// batch is how many events a worker executes between pumps: poolBatch,
-	// unless the workers outnumber the cores and so take turns on them. Then
-	// a worker yields after every event — LPs a batch apart in virtual time
-	// roll each other back — and pumps sooner in proportion, because between
-	// two of its events every worker ahead of it in the queue runs one, and
-	// GVT initiation and aggregation deadlines wait for the pump.
-	batch int
+	// wire is the run's transport when the workers drive it (nil otherwise):
+	// polled at the start of every worker round, flushed at the end.
+	wire comm.Polled
 	// live counts the hosted LPs still running; the workers retire together
 	// when it reaches zero, never one by one — a worker that owns nothing at
 	// the moment may be the target of the next handoff.
@@ -107,13 +134,16 @@ type dispatcher struct {
 	scanned   []int64
 }
 
+// defaultWorkers is the width Config.Workers == 0 stands for: a worker per
+// hosted LP up to the cores this process may run on.
+func defaultWorkers(hosted int) int {
+	return min(hosted, runtime.GOMAXPROCS(0), runtime.NumCPU())
+}
+
 // newDispatcher builds numWorkers idle workers for a process hosting the
 // LPs attach will hand it.
 func newDispatcher(numWorkers, numLPs int, cfg *Config) *dispatcher {
-	d := &dispatcher{cost: cfg.Cost, byID: make([]*lpRun, numLPs), batch: poolBatch}
-	if cores := min(runtime.GOMAXPROCS(0), runtime.NumCPU()); numWorkers > cores {
-		d.batch = max(1, poolBatch*cores/numWorkers)
-	}
+	d := &dispatcher{cost: cfg.Cost, byID: make([]*lpRun, numLPs)}
 	idle := cfg.GVTPeriod / 4
 	if idle <= 0 {
 		idle = 250 * time.Microsecond
@@ -150,20 +180,37 @@ func (d *dispatcher) attach(lp *lpRun, h, n int) {
 // Global arrival order subsumes the per-sender FIFO a Transport guarantees.
 func (d *dispatcher) Send(dst int, p comm.Packet, payloadBytes int) {
 	d.cost.Charge(payloadBytes)
+	d.deliver(dst, p)
+}
+
+// deliver puts p into hosted LP dst's spillbox and wakes its worker. It is
+// the sink of a comm.Polled transport, which has charged the cost already.
+func (d *dispatcher) deliver(dst int, p comm.Packet) {
 	lp := d.byID[dst]
-	b := &lp.spill
-	b.mu.Lock()
-	b.q = append(b.q, p)
-	b.n.Store(int32(len(b.q)))
-	b.mu.Unlock()
+	lp.spill.put(p)
 	d.workers[lp.worker.Load()].poke()
 }
 
-// forward is the transport edge of one hosted LP: it moves arrivals from the
-// transport's receive channel into the LP's spillbox and wakes the owner, a
-// batch per lock and wake-up. When done closes it sweeps what has already
-// arrived and returns, so after the forwarders join the spillboxes hold
-// everything the transport delivered.
+// poll and flush drive the transport from a worker, if it is one that is
+// driven so: poll delivers what the peers sent into the spillboxes, flush
+// pushes what this rank's LPs sent out to the sockets. Neither ever waits.
+func (d *dispatcher) poll() {
+	if d.wire != nil {
+		d.wire.Poll()
+	}
+}
+
+func (d *dispatcher) flush() {
+	if d.wire != nil {
+		d.wire.Flush()
+	}
+}
+
+// forward is the transport edge of one hosted LP when the transport is not
+// comm.Polled: it moves arrivals from the transport's receive channel into
+// the LP's spillbox and wakes the owner, a batch per lock and wake-up. When
+// done closes it sweeps what has already arrived and returns, so after the
+// forwarders join the spillboxes hold everything the transport delivered.
 func (d *dispatcher) forward(lp *lpRun, in <-chan comm.Packet, done <-chan struct{}) {
 	b := &lp.spill
 	for {
@@ -450,16 +497,18 @@ func (w *worker) applyRemap() {
 	}
 }
 
-// run is the worker goroutine body: adopt, pump every owned LP's
-// communication, then execute up to poolBatch events least-timestamp-first
-// across the owned LPs; idle on the wake channel when nothing is runnable.
-// It returns once every LP the process hosts has stopped.
+// run is the worker goroutine body, one round per iteration: poll the
+// transport, adopt, pump every owned LP's communication, execute up to
+// poolBatch events least-timestamp-first across the owned LPs, flush the
+// transport; idle on the wake channel when nothing was runnable. It returns
+// once every LP the process hosts has stopped.
 func (w *worker) run() {
 	for _, lp := range w.owned {
 		lp.initObjects()
 	}
 	w.rebuild()
 	for w.d.live.Load() > 0 {
+		w.d.poll()
 		w.takeAdoptions()
 		w.applyRemap()
 		now := time.Now()
@@ -478,7 +527,7 @@ func (w *worker) run() {
 		w.runnable.Store(int64(runnable))
 		start := time.Now()
 		executed := 0
-		for executed < w.d.batch {
+		for executed < poolBatch {
 			slot, t := w.sched.Min()
 			if slot < 0 || t == vtime.PosInf {
 				break
@@ -492,26 +541,28 @@ func (w *worker) run() {
 			}
 			executed++
 			w.rekey(slot)
-			if w.d.batch < poolBatch { // the workers take turns on the cores
-				runtime.Gosched()
-			}
 		}
 		if executed > 0 {
 			w.events.Add(int64(executed))
 			w.busyNS.Add(time.Since(start).Nanoseconds())
-			// Yield between batches so the forwarders and the sampler get a
-			// core even when the workers occupy them all.
+			w.d.flush()
+			// Yield between rounds so that whatever else the process runs —
+			// another rank's workers, forwarders, the sampler — gets a core
+			// even when the workers occupy them all.
 			runtime.Gosched()
 			continue
 		}
 		w.idle()
 	}
+	w.d.flush()
 }
 
 // idle blocks on the wake channel with a bounded timeout (the next
 // aggregation deadline across owned LPs, capped by the idle tick), then
 // polls endpoints and — when this worker owns LP 0 — forces a GVT
-// computation so global quiescence turns into termination.
+// computation so global quiescence turns into termination. Nothing wakes a
+// worker for a frame waiting in a socket: the tick is also how often an idle
+// worker looks, at the top of its next round.
 func (w *worker) idle() {
 	timeout := w.idleTick
 	for _, lp := range w.owned {
@@ -525,6 +576,7 @@ func (w *worker) idle() {
 			}
 		}
 	}
+	w.d.flush() // before the wait: what this round's pump and drains sent
 	if timeout > 0 {
 		// One timer per worker, reused across idle periods. The Stop/drain
 		// dance keeps the channel empty so a later Reset cannot deliver a
@@ -555,4 +607,5 @@ func (w *worker) idle() {
 	if w.lp0 != nil && w.lp0.running {
 		w.lp0.maybeGVT(true)
 	}
+	w.d.flush()
 }

@@ -13,7 +13,7 @@ import (
 
 // The dispatcher must commit exactly the computation the sequential reference
 // executes, for worker counts below, at, and above the LP count (0 = one per
-// LP, what every test that leaves Workers alone runs on).
+// LP up to the cores, what every test that leaves Workers alone runs on).
 
 func TestWorkerPoolMatchesSequential(t *testing.T) {
 	for _, workers := range []int{1, 2, 4, 8} {

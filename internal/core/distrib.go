@@ -23,14 +23,16 @@ import (
 // one gob-encoded PktReport addressed to LP 0, and rank 0 folds them in.
 //
 // Each rank is a dispatcher over the LPs it hosts (dispatch.go), at whatever
-// width its Config.Workers asks for; the transport's deliveries reach the
-// LPs' spillboxes through the forwarders Run starts.
+// width its Config.Workers asks for. The workers read and write the sockets
+// themselves when the transport is comm.Polled, as TCP is; otherwise its
+// deliveries reach the LPs' spillboxes through the forwarders Run starts.
 //
 // The ordering that makes the report safe: the stop broadcast originates at
 // rank 0's LP 0 (which stops itself first), so by the time any remote rank's
-// workers have joined and its report is sent, LP 0 reads no more packets. A
-// report that arrives while rank 0's forwarders still run ends up in LP 0's
-// spillbox, which Run hands to gatherReports; one that arrives later waits in
+// workers have joined and its report is sent, LP 0 reads no more packets.
+// Whatever reaches LP 0 from then on stays in its spillbox, and that is where
+// gatherReports looks, polling and flushing the transport itself now that the
+// workers are gone; behind forwarders, a report that arrives after they stopped waits in
 // the transport's receive channel, where gatherReports looks next.
 
 // reportTimeout bounds how long rank 0 waits for the other ranks' end-of-run
@@ -107,10 +109,16 @@ func sendReport(tr comm.Transport, rank int, locals []*lpRun, res *Result) error
 	return nil
 }
 
+// reportPoll is how often rank 0 looks for reports on a transport it has to
+// poll.
+const reportPoll = 100 * time.Microsecond
+
 // gatherReports folds every other rank's report into res on rank 0. Reports
-// may already sit in LP 0's spillbox (leftover) or, defensively, its stash;
-// the rest are awaited on the transport with a bounded timeout.
-func gatherReports(tr comm.Transport, m *model.Model, res *Result, leftover, stashed []comm.Packet) error {
+// may already sit in LP 0's spillbox or, defensively, its stash; the rest are
+// awaited on the transport with a bounded timeout. A stop among them ends the
+// wait at once: LP 0 is the one LP nobody tells to stop in a run that ends
+// well, so a link failed or a peer gave up, and its report is not coming.
+func gatherReports(tr comm.Transport, d *dispatcher, m *model.Model, res *Result) error {
 	peers := tr.Peers()
 	pending := make(map[int]bool, peers.NumRanks-1)
 	for r := 1; r < peers.NumRanks; r++ {
@@ -118,6 +126,9 @@ func gatherReports(tr comm.Transport, m *model.Model, res *Result, leftover, sta
 	}
 
 	apply := func(p comm.Packet) error {
+		if p.Kind == comm.PktStop {
+			return fmt.Errorf("core: the run was stopped from outside LP 0 with the reports of ranks %v outstanding", sortedKeys(pending))
+		}
 		if p.Kind != comm.PktReport {
 			return nil // post-termination stragglers (flushed events, GVT echoes)
 		}
@@ -155,34 +166,55 @@ func gatherReports(tr comm.Transport, m *model.Model, res *Result, leftover, sta
 		return nil
 	}
 
-	for _, p := range stashed {
-		if err := apply(p); err != nil {
-			return err
-		}
-	}
-	for _, p := range leftover {
+	lp0 := d.byID[0]
+	for _, p := range append(lp0.stash, lp0.spill.take()...) {
 		if err := apply(p); err != nil {
 			return err
 		}
 	}
 
+	// What is still to come arrives in the transport's channel when forwarders
+	// fed the spillbox (they have stopped), and in the spillbox itself when
+	// the workers polled the transport. They have stopped, so poll here — and
+	// flush: a worker's last flush wrote what the sockets took, and what they
+	// refused may include the stop a peer is waiting for before it reports.
 	deadline := time.NewTimer(reportTimeout)
 	defer deadline.Stop()
-	inbox := tr.Recv(0)
+	var inbox <-chan comm.Packet
+	var tick <-chan time.Time
+	if d.wire == nil {
+		inbox = tr.Recv(0)
+	} else {
+		t := time.NewTicker(reportPoll)
+		defer t.Stop()
+		tick = t.C
+	}
 	for len(pending) > 0 {
+		var arrived []comm.Packet
 		select {
 		case p := <-inbox:
+			arrived = append(arrived, p)
+		case <-tick:
+			d.wire.Flush()
+			d.wire.Poll()
+			arrived = lp0.spill.take()
+		case <-deadline.C:
+			return fmt.Errorf("core: timed out after %v waiting for end-of-run reports from ranks %v", reportTimeout, sortedKeys(pending))
+		}
+		for _, p := range arrived {
 			if err := apply(p); err != nil {
 				return err
 			}
-		case <-deadline.C:
-			missing := make([]int, 0, len(pending))
-			for r := range pending {
-				missing = append(missing, r)
-			}
-			sort.Ints(missing)
-			return fmt.Errorf("core: timed out after %v waiting for end-of-run reports from ranks %v", reportTimeout, missing)
 		}
 	}
 	return nil
+}
+
+func sortedKeys(set map[int]bool) []int {
+	keys := make([]int, 0, len(set))
+	for k := range set {
+		keys = append(keys, k)
+	}
+	sort.Ints(keys)
+	return keys
 }

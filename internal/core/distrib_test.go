@@ -4,7 +4,10 @@ import (
 	"fmt"
 	"net"
 	"reflect"
+	"runtime"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -24,7 +27,7 @@ func distribModel(seed uint64) *model.Model {
 
 // tcpFleet builds started-on-demand TCP transports for a numRanks fleet over
 // loopback, listeners pre-bound on port 0 so every rank knows real addresses.
-func tcpFleet(t *testing.T, numLPs, numRanks int) []comm.Transport {
+func tcpFleet(t testing.TB, numLPs, numRanks int) []comm.Transport {
 	t.Helper()
 	lns := make([]net.Listener, numRanks)
 	addrs := make([]string, numRanks)
@@ -50,12 +53,22 @@ func tcpFleet(t *testing.T, numLPs, numRanks int) []comm.Transport {
 	return trs
 }
 
+// hidden wraps a transport the way the benchmark's tracing decorator does:
+// embedding the interface keeps its five methods and hides whatever else the
+// concrete type has, comm.Polled included. The kernel then forwards the
+// transport's channels, and TCP runs its channel driver.
+type hidden struct{ comm.Transport }
+
 // TestDistributedTCPMatchesInProc is the transport tentpole's integration
 // proof: one logical SMMP run split across two TCP-connected "processes"
 // (in-test endpoints, each its own core.Run) must terminate through the GVT
 // protocol, fossil-collect, and commit exactly what the single-process run
 // commits — final states byte-identical under audit.HashStates — whatever
-// the width of each rank's dispatcher (0 = a worker per hosted LP).
+// the width of each rank's dispatcher (0 = the default: a worker per hosted LP
+// up to the cores; 1 and 2; a worker per LP), whoever drives the sockets (the
+// workers, or reader and forwarder goroutines behind a wrapper that hides
+// comm.Polled), and once more with a single P for everything, where a rank's
+// only worker is also the only one polling.
 func TestDistributedTCPMatchesInProc(t *testing.T) {
 	const seed = 7
 	cfg := core.DefaultConfig(1 << 40) // run until the model drains
@@ -66,36 +79,41 @@ func TestDistributedTCPMatchesInProc(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, workers := range []int{0, 1, 2} {
-		t.Run(fmt.Sprintf("workers%d", workers), func(t *testing.T) {
-			cfg := cfg
-			cfg.Workers = workers
-			checkTCPFleet(t, seed, cfg, solo)
-		})
-	}
-}
-
-func checkTCPFleet(t *testing.T, seed uint64, cfg core.Config, solo *core.Result) {
-	numLPs := distribModel(seed).NumLPs()
-	trs := tcpFleet(t, numLPs, 2)
-	results := make([]*core.Result, 2)
-	errs := make([]error, 2)
-	var wg sync.WaitGroup
-	for r, tr := range trs {
-		wg.Add(1)
-		go func(r int, tr comm.Transport) {
-			defer wg.Done()
-			rcfg := cfg
-			rcfg.Transport = tr
-			results[r], errs[r] = core.Run(distribModel(seed), rcfg)
-		}(r, tr)
-	}
-	wg.Wait()
-	for r, err := range errs {
-		if err != nil {
-			t.Fatalf("rank %d: %v", r, err)
+	perLP := distribModel(seed).NumLPs()
+	sweep := func(t *testing.T) {
+		for _, workers := range []int{0, 1, 2, perLP} {
+			for _, wrap := range []bool{false, true} {
+				name := fmt.Sprintf("workers%d", workers)
+				if wrap {
+					name += "-hidden"
+				}
+				t.Run(name, func(t *testing.T) {
+					cfg := cfg
+					cfg.Workers = workers
+					checkTCPFleet(t, seed, cfg, solo, wrap)
+				})
+			}
 		}
 	}
+	sweep(t)
+	t.Run("gomaxprocs1", func(t *testing.T) {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+		sweep(t)
+	})
+}
+
+// defaultWidth is what Config.Workers == 0 means for a process hosting n LPs.
+func defaultWidth(n int) int { return min(n, runtime.GOMAXPROCS(0), runtime.NumCPU()) }
+
+func checkTCPFleet(t *testing.T, seed uint64, cfg core.Config, solo *core.Result, wrap bool) {
+	numLPs := distribModel(seed).NumLPs()
+	trs := tcpFleet(t, numLPs, 2)
+	if wrap {
+		for r := range trs {
+			trs[r] = hidden{trs[r]}
+		}
+	}
+	results := runFleet(t, func() *model.Model { return distribModel(seed) }, cfg, trs...)
 	dist := results[0]
 
 	// GVT terminated the fleet: the final estimate strictly passed the end
@@ -110,16 +128,16 @@ func checkTCPFleet(t *testing.T, seed uint64, cfg core.Config, solo *core.Result
 	}
 
 	// Fossil collection ran on both ranks, and each rank is a pool over the
-	// LPs it hosts: the workers it asked for (one per LP when it asked for
-	// none), owning those LPs between them and no other.
+	// LPs it hosts: the workers it asked for (the default width when it asked
+	// for none), owning those LPs between them and no other.
 	for r, res := range results {
 		if res.Stats.FossilCollected == 0 {
 			t.Errorf("rank %d: no fossils collected", r)
 		}
 		hosted := comm.BlockRanks(numLPs, 2, r)
-		want := cfg.Workers
-		if want == 0 || want > len(hosted) {
-			want = len(hosted)
+		want := min(cfg.Workers, len(hosted))
+		if want == 0 {
+			want = defaultWidth(len(hosted))
 		}
 		owned := 0
 		for _, w := range res.PerWorker {
@@ -208,5 +226,274 @@ func TestInProcTransportExplicit(t *testing.T) {
 	if audit.HashStates(base.FinalStates) != audit.HashStates(expl.FinalStates) ||
 		base.Stats.EventsCommitted != expl.Stats.EventsCommitted {
 		t.Error("explicit InProc differs from the nil default")
+	}
+}
+
+// TestHiddenPolledMatchesSequential: a transport wrapper that embeds
+// comm.Transport hides comm.Polled, so the run takes the forwarder path — the
+// one a user's own transport takes, and the one benchmark -trace 1 times. It
+// must commit what the sequential kernel does, in process and over TCP.
+func TestHiddenPolledMatchesSequential(t *testing.T) {
+	const seed = 5
+	cfg := core.DefaultConfig(1 << 40)
+	cfg.GVTPeriod = 200 * time.Microsecond
+	cfg.OptimismWindow = 2000
+	seq, err := core.RunSequential(distribModel(seed), cfg.EndTime, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check := func(t *testing.T, res *core.Result) {
+		t.Helper()
+		if res.Stats.EventsCommitted != seq.EventsExecuted {
+			t.Errorf("committed %d, sequential %d", res.Stats.EventsCommitted, seq.EventsExecuted)
+		}
+		if got, want := audit.HashStates(res.FinalStates), audit.HashStates(seq.FinalStates); got != want {
+			t.Errorf("final state hash %#x, sequential %#x", got, want)
+		}
+	}
+	t.Run("inproc", func(t *testing.T) {
+		cfg := cfg
+		cfg.Transport = hidden{comm.NewInProc(distribModel(seed).NumLPs())}
+		res, err := core.Run(distribModel(seed), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		check(t, res)
+	})
+	t.Run("tcp", func(t *testing.T) {
+		trs := tcpFleet(t, distribModel(seed).NumLPs(), 2)
+		build := func() *model.Model { return distribModel(seed) }
+		check(t, runFleet(t, build, cfg, hidden{trs[0]}, hidden{trs[1]})[0])
+	})
+}
+
+// runFleet runs one core.Run per transport, concurrently, each on its own
+// copy of the model, and returns the ranks' results; any rank's error fails
+// the test.
+func runFleet(t testing.TB, build func() *model.Model, cfg core.Config, trs ...comm.Transport) []*core.Result {
+	t.Helper()
+	results := make([]*core.Result, len(trs))
+	errs := make([]error, len(trs))
+	var wg sync.WaitGroup
+	for r, tr := range trs {
+		wg.Add(1)
+		go func(r int, tr comm.Transport) {
+			defer wg.Done()
+			rcfg := cfg
+			rcfg.Transport = tr
+			results[r], errs[r] = core.Run(build(), rcfg)
+		}(r, tr)
+	}
+	wg.Wait()
+	for r, err := range errs {
+		if err != nil {
+			t.Fatalf("rank %d: %v", r, err)
+		}
+	}
+	return results
+}
+
+// TestPolledRunStartsNoTransportGoroutines: over a comm.Polled transport the
+// only goroutines a run puts on a core are its workers — no forwarder per LP
+// in the kernel, no reader per peer in TCP; hide Polled and both are back.
+func TestPolledRunStartsNoTransportGoroutines(t *testing.T) {
+	for _, wrap := range []bool{false, true} {
+		t.Run(fmt.Sprintf("hidden=%v", wrap), func(t *testing.T) {
+			build := func() *model.Model { return smmp.New(smmp.Config{Requests: 400, Seed: 3}) }
+			trs := tcpFleet(t, build().NumLPs(), 2)
+			if _, ok := trs[0].(comm.Polled); !ok {
+				t.Skip("TCP is not Polled on this platform")
+			}
+			if wrap {
+				trs[0], trs[1] = hidden{trs[0]}, hidden{trs[1]}
+			}
+			cfg := core.DefaultConfig(1 << 40)
+			cfg.GVTPeriod = 200 * time.Microsecond
+			cfg.OptimismWindow = 2000
+
+			// Sample every goroutine's stack while the fleet runs.
+			var workers, forwarders, readers int
+			done := make(chan struct{})
+			sampled := make(chan struct{})
+			go func() {
+				defer close(sampled)
+				buf := make([]byte, 1<<20)
+				for {
+					select {
+					case <-done:
+						return
+					default:
+					}
+					stacks := string(buf[:runtime.Stack(buf, true)])
+					if n := strings.Count(stacks, "core.(*worker).run"); n > 0 {
+						workers = max(workers, n)
+						forwarders = max(forwarders, strings.Count(stacks, "core.(*dispatcher).forward"))
+						readers = max(readers, strings.Count(stacks, "comm.(*TCP).readLoop"))
+					}
+					time.Sleep(100 * time.Microsecond)
+				}
+			}()
+			runFleet(t, build, cfg, trs...)
+			close(done)
+			<-sampled
+			if workers == 0 {
+				t.Skip("the run ended before a sample saw its workers")
+			}
+			if wrap {
+				if forwarders == 0 || readers == 0 {
+					t.Errorf("behind a wrapper: %d forwarders, %d readers, want some of each", forwarders, readers)
+				}
+			} else if forwarders != 0 || readers != 0 {
+				t.Errorf("over a polled transport: %d forwarders and %d readers beside %d workers, want none", forwarders, readers, workers)
+			}
+		})
+	}
+}
+
+// cutProxy relays TCP connections to one address until cut resets them all,
+// which is what the two ends of a link see when the host between them dies.
+type cutProxy struct {
+	ln      net.Listener
+	relayed atomic.Int64 // bytes carried so far
+	mu      sync.Mutex
+	conns   []*net.TCPConn
+	dead    bool
+}
+
+// relay copies src to dst until either fails, then passes the end on.
+func (p *cutProxy) relay(dst, src *net.TCPConn) {
+	buf := make([]byte, 32<<10)
+	for {
+		n, err := src.Read(buf)
+		p.relayed.Add(int64(n))
+		if _, werr := dst.Write(buf[:n]); err != nil || werr != nil {
+			dst.CloseWrite()
+			return
+		}
+	}
+}
+
+func newCutProxy(t *testing.T, target string) *cutProxy {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := &cutProxy{ln: ln}
+	go func() {
+		for {
+			in, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			out, err := net.Dial("tcp", target)
+			if err != nil {
+				in.Close()
+				continue
+			}
+			a, b := in.(*net.TCPConn), out.(*net.TCPConn)
+			p.mu.Lock()
+			if p.dead {
+				a.Close()
+				b.Close()
+			} else {
+				p.conns = append(p.conns, a, b)
+				go p.relay(a, b)
+				go p.relay(b, a)
+			}
+			p.mu.Unlock()
+		}
+	}()
+	return p
+}
+
+func (p *cutProxy) cut() {
+	p.ln.Close()
+	p.mu.Lock()
+	p.dead = true
+	for _, c := range p.conns {
+		c.SetLinger(0) // RST, not FIN
+		c.Close()
+	}
+	p.mu.Unlock()
+}
+
+// TestDistributedLinkCutFailsEveryRank: when the link between two ranks dies
+// mid-run, every rank's Run returns — promptly, not after the report timeout —
+// with the transport's error, whoever drives the sockets.
+func TestDistributedLinkCutFailsEveryRank(t *testing.T) {
+	for _, wrap := range []bool{false, true} {
+		t.Run(fmt.Sprintf("hidden=%v", wrap), func(t *testing.T) {
+			build := func() *model.Model { return smmp.New(smmp.Config{Requests: 200_000, Seed: 9}) }
+			numLPs := build().NumLPs()
+			lns := make([]net.Listener, 2)
+			proxies := make([]*cutProxy, 2)
+			for r := range lns {
+				ln, err := net.Listen("tcp", "127.0.0.1:0")
+				if err != nil {
+					t.Fatal(err)
+				}
+				lns[r] = ln
+				proxies[r] = newCutProxy(t, ln.Addr().String())
+			}
+			trs := make([]comm.Transport, 2)
+			for r := range trs {
+				// Each rank listens on its own socket and reaches its peer
+				// through the peer's proxy.
+				addrs := []string{proxies[0].ln.Addr().String(), proxies[1].ln.Addr().String()}
+				tr, err := comm.NewTCP(comm.TCPConfig{
+					Rank: r, Addrs: addrs, NumLPs: numLPs,
+					DialTimeout: 10 * time.Second, DrainTimeout: 2 * time.Second,
+					Listener: lns[r],
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if trs[r] = tr; wrap {
+					trs[r] = hidden{tr}
+				}
+			}
+			cfg := core.DefaultConfig(1 << 40)
+			cfg.GVTPeriod = 200 * time.Microsecond
+			cfg.OptimismWindow = 2000
+
+			errs := make([]error, 2)
+			var wg sync.WaitGroup
+			for r, tr := range trs {
+				wg.Add(1)
+				go func(r int, tr comm.Transport) {
+					defer wg.Done()
+					rcfg := cfg
+					rcfg.Transport = tr
+					_, errs[r] = core.Run(build(), rcfg)
+				}(r, tr)
+			}
+			// Cut once both directions carry the simulation's traffic, far past
+			// the handshake's few bytes; the run itself takes seconds.
+			for wait := time.Now(); proxies[0].relayed.Load() < 64<<10 || proxies[1].relayed.Load() < 64<<10; {
+				if time.Since(wait) > 20*time.Second {
+					t.Fatal("the fleet never got going")
+				}
+				time.Sleep(time.Millisecond)
+			}
+			cutAt := time.Now()
+			for _, p := range proxies {
+				p.cut()
+			}
+			finished := make(chan struct{})
+			go func() { wg.Wait(); close(finished) }()
+			select {
+			case <-finished:
+			case <-time.After(20 * time.Second):
+				buf := make([]byte, 1<<20)
+				t.Fatalf("a rank is still running 20 s after its link was cut\n%s", buf[:runtime.Stack(buf, true)])
+			}
+			t.Logf("every rank returned %v after the cut", time.Since(cutAt).Round(time.Millisecond))
+			for r, err := range errs {
+				if err == nil || !strings.Contains(err.Error(), "core: transport: comm: tcp rank") {
+					t.Errorf("rank %d returned %v, want the transport's error", r, err)
+				}
+			}
+		})
 	}
 }

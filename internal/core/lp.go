@@ -142,12 +142,13 @@ type lpRun struct {
 	// Config.Optimism selects the adaptive mode).
 	opt *optController
 
-	// reports stashes end-of-run rank reports (PktReport) that reach LP 0 of
-	// a distributed run's coordinator while it is still in its loop. By
-	// protocol that cannot happen — remote ranks report only after receiving
-	// the stop broadcast this LP sent before it stopped — but stashing is
-	// cheaper than being wrong about that.
-	reports []comm.Packet
+	// stash holds what reaches LP 0 of a distributed run's coordinator
+	// while it is still in its loop and gatherReports has to see: end-of-run
+	// rank reports (PktReport) — by protocol that cannot happen, remote ranks
+	// report only after receiving the stop broadcast this LP sent before it
+	// stopped, but stashing is cheaper than being wrong about that — and a
+	// stop somebody else sent (PktStop), which means no report will come.
+	stash []comm.Packet
 }
 
 // refresh re-keys o in the schedule heap after its pending set changed,
@@ -335,8 +336,13 @@ func (lp *lpRun) handlePacket(p comm.Packet) {
 		// worker of an LP blocked at the old horizon, and the run loop
 		// re-reads horizon() on its next iteration.
 	case comm.PktReport:
-		lp.reports = append(lp.reports, p)
+		lp.stash = append(lp.stash, p)
 	case comm.PktStop:
+		if lp.id == 0 {
+			// LP 0 decides when a run ends; being told to stop means a link
+			// failed or a peer gave up. gatherReports must hear of it.
+			lp.stash = append(lp.stash, p)
+		}
 		lp.stop()
 	}
 }

@@ -78,14 +78,19 @@ func Run(m *model.Model, cfg Config) (*Result, error) {
 		cfg.Observe.BindMetrics(cfg.Metrics)
 	}
 
+	d := newKernel(m, &cfg, peers.Local, tr, start, met)
+	sh, locals := d.lps[0].k, d.lps
 	if tr != nil {
+		// A transport the workers can drive themselves delivers straight into
+		// the spillboxes; it must know where before it starts.
+		if d.wire, _ = tr.(comm.Polled); d.wire != nil {
+			d.wire.SetSink(d.deliver)
+		}
 		if err := tr.Start(); err != nil {
 			return nil, fmt.Errorf("core: transport start: %w", err)
 		}
 		defer tr.Close() // idempotent; the success path closes explicitly below
 	}
-	d := newKernel(m, &cfg, peers.Local, tr, start, met)
-	sh, locals := d.lps[0].k, d.lps
 
 	// Start the sampling goroutine for the LPs' lifetime; the deferred Stop
 	// takes a final sample before the caller reads the aggregates, so even
@@ -93,12 +98,13 @@ func Run(m *model.Model, cfg Config) (*Result, error) {
 	cfg.Observe.Start()
 	defer cfg.Observe.Stop()
 
-	// The transport edge: one forwarder per hosted LP carries the transport's
-	// deliveries to the spillbox. They outlive the workers, so nothing a
-	// worker sent on its way out is stranded in a channel.
+	// The edge of a transport the workers do not drive: one forwarder per
+	// hosted LP carries its deliveries to the spillbox. They outlive the
+	// workers, so nothing a worker sent on its way out is stranded in a
+	// channel.
 	var fwd sync.WaitGroup
 	stopFwd := make(chan struct{})
-	if tr != nil {
+	if tr != nil && d.wire == nil {
 		for _, lp := range locals {
 			fwd.Add(1)
 			go func(lp *lpRun) {
@@ -228,6 +234,7 @@ func Run(m *model.Model, cfg Config) (*Result, error) {
 			Name:               o.obj.Name(),
 			Rollbacks:          o.rollbacks,
 			HitRatio:           o.out.Selector().HitRatio(),
+			Comparisons:        int64(o.out.Selector().Comparisons()),
 			FinalStrategy:      o.out.Selector().Current().String(),
 			FinalCheckpointInt: o.ckpt.Interval(),
 		}
@@ -239,8 +246,12 @@ func Run(m *model.Model, cfg Config) (*Result, error) {
 	// partial Result (their local LPs and objects only).
 	if peers.Distributed() {
 		if peers.Rank == 0 {
-			lp0 := d.byID[0]
-			if err := gatherReports(tr, m, res, lp0.spill.q, lp0.reports); err != nil {
+			if err := gatherReports(tr, d, m, res); err != nil {
+				// A report that never came is the symptom; if a link failed,
+				// that is the cause, and Close has it.
+				if cerr := tr.Close(); cerr != nil {
+					return nil, fmt.Errorf("core: transport: %w", cerr)
+				}
 				return nil, err
 			}
 		} else if err := sendReport(tr, peers.Rank, locals, res); err != nil {
@@ -258,15 +269,15 @@ func Run(m *model.Model, cfg Config) (*Result, error) {
 // newKernel wires one process's share of a run: the dispatcher, the LPs
 // listed in hosted with their endpoints and GVT managers, the objects the
 // partition places on them, and the cross-LP tables. It starts nothing. Endpoints send
-// through net — a started transport — or, when net is nil and every LP is
-// hosted here, through the dispatcher, straight into the destination's
-// spillbox. Zero cfg.Workers means one per hosted LP; more than that would
-// only idle.
+// through net — the run's transport, started before any LP runs — or, when net
+// is nil and every LP is hosted here, through the dispatcher, straight into
+// the destination's spillbox. Zero cfg.Workers means defaultWorkers; more than one per hosted
+// LP would only idle.
 func newKernel(m *model.Model, cfg *Config, hosted []int, net comm.Sender, start time.Time, met *runMetrics) *dispatcher {
 	numLPs := m.NumLPs()
-	workers := cfg.Workers
-	if workers == 0 || workers > len(hosted) {
-		workers = len(hosted)
+	workers := min(cfg.Workers, len(hosted))
+	if workers == 0 {
+		workers = defaultWorkers(len(hosted))
 	}
 	d := newDispatcher(workers, numLPs, cfg)
 	if net == nil {

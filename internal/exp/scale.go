@@ -100,7 +100,9 @@ func (tb Testbed) Scale() (Figure, error) {
 				continue
 			}
 			m, cfg := tb.scalePhold(objects, v.hot)
-			cfg.Workers = v.workers
+			if cfg.Workers = v.workers; v.workers == 0 {
+				cfg.Workers = m.NumLPs() // the lp series: a worker per LP, not the default width
+			}
 			row, err := tb.run(m, cfg)
 			if err != nil {
 				return fig, fmt.Errorf("scale/%s/%d: %w", v.name, objects, err)

@@ -266,9 +266,13 @@ func (c *Counters) Report() string {
 // the analysis tooling (which objects favor lazy cancellation, final
 // checkpoint intervals, …).
 type PerObject struct {
-	Name               string
-	Rollbacks          int64
+	Name      string
+	Rollbacks int64
+	// HitRatio is the lazy hit ratio over the selector's window — the last
+	// FilterDepth output comparisons — and Comparisons how many it has seen
+	// in all: a ratio over a handful is noise.
 	HitRatio           float64
+	Comparisons        int64
 	FinalStrategy      string
 	FinalCheckpointInt int
 }

@@ -2,8 +2,8 @@ package gowarp
 
 import (
 	"fmt"
+	"math"
 	"net"
-	"runtime"
 	"strconv"
 	"strings"
 	"time"
@@ -219,33 +219,41 @@ func ParseOptSpec(spec string) (OptimismConfig, error) {
 	return cfg, nil
 }
 
+// WorkerPerLP is the Config.Workers value that asks for one worker per hosted
+// LP on any machine and any model: the kernel clamps a width above the hosted
+// LP count down to it.
+const WorkerPerLP = math.MaxInt32
+
 // SchedSpec is a parsed -sched flag: how wide the dispatcher runs.
 type SchedSpec struct {
-	// Workers is the number of dispatcher workers; 0 means one per LP.
+	// Workers is the number of dispatcher workers, as in Config.Workers: 0
+	// means one per LP up to the available cores, WorkerPerLP one per LP.
 	Workers int
 }
 
 // ParseSchedSpec parses a scheduler spec:
 //
-//	lp                         one worker per LP (the default)
-//	pool                       as many workers as GOMAXPROCS
+//	pool (or nothing)          one worker per LP up to the available cores:
+//	                           Config.Workers 0, the default
 //	pool,workers=N             N workers
+//	lp                         one worker per LP, however many cores there are
 //
-// Both spell the one engine: workers each pulling their lowest-timestamp
-// runnable LP from a local schedule queue. A fixed pool is what scales to
-// object counts — and LP counts — far beyond what a goroutine per LP
-// handles. Worker counts above the LP count are clamped by the kernel.
+// All spell the one engine: workers each pulling their lowest-timestamp
+// runnable LP from a local schedule queue. A width the machine's cores can
+// run at once is what lets least-timestamp-first decide who runs next, and
+// what scales to object counts — and LP counts — far beyond what a goroutine
+// per LP handles. Worker counts above the LP count are clamped by the kernel.
 func ParseSchedSpec(spec string) (SchedSpec, error) {
 	var s SchedSpec
 	parts := strings.Split(spec, ",")
 	switch parts[0] {
-	case "", "lp", "goroutine":
+	case "lp", "goroutine":
 		if len(parts) > 1 {
 			return s, fmt.Errorf("sched spec %q: parameters need mode pool", spec)
 		}
+		s.Workers = WorkerPerLP
 		return s, nil
-	case "pool", "workers":
-		s.Workers = runtime.GOMAXPROCS(0)
+	case "", "pool", "workers":
 	default:
 		return s, fmt.Errorf("sched spec %q: unknown mode %q (lp or pool)", spec, parts[0])
 	}

@@ -211,9 +211,13 @@ func TestParseSchedSpec(t *testing.T) {
 		spec string
 		want SchedSpec
 	}{
+		// The library's default width (Config.Workers 0), spelled three ways.
 		{"", SchedSpec{}},
-		{"lp", SchedSpec{}},
-		{"goroutine", SchedSpec{}},
+		{"pool", SchedSpec{}},
+		{"workers", SchedSpec{}},
+		// A worker per LP is an explicit width the kernel clamps.
+		{"lp", SchedSpec{Workers: WorkerPerLP}},
+		{"goroutine", SchedSpec{Workers: WorkerPerLP}},
 		{"pool,workers=8", SchedSpec{Workers: 8}},
 		{"pool,workers=1", SchedSpec{Workers: 1}},
 	} {
@@ -225,10 +229,6 @@ func TestParseSchedSpec(t *testing.T) {
 		if got != tc.want {
 			t.Errorf("ParseSchedSpec(%q) = %+v, want %+v", tc.spec, got, tc.want)
 		}
-	}
-	// Bare "pool" sizes the pool to the machine.
-	if s, err := ParseSchedSpec("pool"); err != nil || s.Workers < 1 {
-		t.Errorf("ParseSchedSpec(pool) = %+v, %v; want >= 1 workers", s, err)
 	}
 }
 
