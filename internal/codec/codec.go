@@ -169,7 +169,9 @@ type StateCodec struct {
 	cfg      Config
 	useDelta bool
 	// sinceFull counts consecutive delta saves since the last stored full
-	// encoding.
+	// encoding: the length of the chain a restore of the newest snapshot
+	// patches through. The owning queue resets it (SetChain) whenever it
+	// drops or re-encodes snapshots.
 	sinceFull int
 
 	// Controller observation window: stored-byte sums and counts per
@@ -214,6 +216,14 @@ func (c *StateCodec) UsingDelta() bool { return c.useDelta }
 func (c *StateCodec) NextIsDelta() bool {
 	return c.useDelta && c.sinceFull < c.cfg.FullEvery
 }
+
+// SetChain tells the codec that n delta snapshots now follow the last full
+// image in the owner's queue. RecordSave keeps the count while the queue only
+// grows; a rollback that pops snapshots or a fossil collection that re-encodes
+// a delta as the new anchor changes the tail, and the anchor cadence must
+// follow the queue — not the saves that were undone — for FullEvery to bound
+// the chain.
+func (c *StateCodec) SetChain(n int) { c.sinceFull = n }
 
 // ProbeNow reports whether the next full save should also compute (without
 // storing) a delta encoding so the Dynamic controller keeps observing the

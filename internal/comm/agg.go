@@ -14,10 +14,10 @@ const (
 	// of its first event reaches a fixed window, then sends it.
 	FAW
 	// SAAW (Simple Adaptive Aggregation Window) starts from the same
-	// window but adapts it after every aggregate using the age-modified
-	// reception rate: the window grows while the modified rate improves
-	// (bursty traffic — more aggregation pays) and shrinks when it
-	// degrades (messages are being delayed for too little gain).
+	// window but adapts it after every aggregate: to the time TargetBatch
+	// events take to arrive at the observed rate, and never past the sender
+	// time that collecting them could save — TargetBatch times the measured
+	// cost of one physical message (see aggBuffer).
 	SAAW
 )
 
@@ -63,11 +63,12 @@ func (c AggConfig) withDefaults() AggConfig {
 		c.MinWindow = time.Microsecond
 	}
 	if c.MaxWindow <= 0 {
-		// SAAW's rate targeting has no view of the harm side of the
-		// trade-off (a starved receiver stalls silently), so the window is
-		// capped by default at a timescale well below the GVT cadence —
-		// past that, delaying messages stalls receivers for more than any
-		// aggregation gain. Raise it for coarser-grained simulations.
+		// An explicit cap, nothing more: a timescale well below the GVT
+		// cadence. What bounds the harm a held message does its receiver is
+		// measured — SAAW never holds an aggregate longer than TargetBatch
+		// times what a physical message costs to send (aggBuffer.adapt) —
+		// so the cap binds only where a message costs more than
+		// MaxWindow/TargetBatch. Raise it for links dearer than that.
 		c.MaxWindow = time.Millisecond
 	}
 	if c.TargetBatch <= 0 {
@@ -113,16 +114,21 @@ type aggBuffer struct {
 	first   time.Time // wall-clock arrival of the first buffered event
 	color   uint8     // GVT color of the buffered events (uniform; see Endpoint)
 
-	// SAAW state. The destination's event arrival rate R(age) is estimated
+	// SAAW state, the paper's control tuple <R(age), W, Winitial, SAAW,
+	// everyAggregate>. The destination's event arrival rate R is estimated
 	// over observation spans of at least rateEstMin — counting every event
-	// regardless of what eventually flushes it — and smoothed with an
-	// EWMA; the window is then the time expected to collect TargetBatch
-	// events at that rate. This realizes the paper's control tuple
-	// <R(age), W, Winitial, SAAW, everyAggregate>: bursty traffic (high
-	// observed rate) opens the window to exploit the aggregation-optimism
-	// factor; sparse traffic closes it so messages are not delayed for too
-	// little gain, and the window converges toward the optimum from any
-	// initial value.
+	// regardless of what eventually flushes it — and smoothed with an EWMA;
+	// the rate-targeted window is TargetBatch / R, the time expected to
+	// collect TargetBatch events. Dense traffic therefore narrows it (the
+	// batch fills sooner) and sparse traffic widens it, without limit: on its
+	// own the rule holds a lone event longest. The age side of the paper's
+	// R(age) is the bound adapt puts on it: holding an aggregate open for W
+	// can save the sender at most (TargetBatch − 1) physical messages, so W
+	// never exceeds TargetBatch × the measured cost of one. Where a message
+	// costs what the paper's Ethernet charged, rate targeting works inside
+	// that bound and converges from any initial window; where it is nearly
+	// free, the bound is under MinWindow and an aggregate leaves at the next
+	// Poll with whatever the scheduling round produced.
 	window    time.Duration
 	spanStart time.Time
 	spanCount int
@@ -131,8 +137,10 @@ type aggBuffer struct {
 }
 
 // adapt applies SAAW's transfer function when an aggregate is sent. now is
-// the flush time. It reports whether the window changed.
-func (b *aggBuffer) adapt(cfg AggConfig, now time.Time) bool {
+// the flush time and cost the endpoint's estimate of what a physical message
+// costs its sender (0 before anything was timed: rate targeting alone). It
+// reports whether the window changed.
+func (b *aggBuffer) adapt(cfg AggConfig, now time.Time, cost time.Duration) bool {
 	if b.spanStart.IsZero() {
 		b.spanStart = now
 		b.spanCount = 0
@@ -155,6 +163,11 @@ func (b *aggBuffer) adapt(cfg AggConfig, now time.Time) bool {
 	if b.rateEst > 0 {
 		b.window = time.Duration(cfg.TargetBatch / b.rateEst * float64(time.Second))
 	}
+	if cost > 0 {
+		if bound := time.Duration(cfg.TargetBatch * float64(cost)); b.window > bound {
+			b.window = bound
+		}
+	}
 	if b.window < cfg.MinWindow {
 		b.window = cfg.MinWindow
 	}
@@ -162,4 +175,21 @@ func (b *aggBuffer) adapt(cfg AggConfig, now time.Time) bool {
 		b.window = cfg.MaxWindow
 	}
 	return b.window != old
+}
+
+// foldCost folds one timed Sender.Send into the estimate of what a physical
+// message costs its sender. The first sample seeds the estimate and later
+// ones enter at 1/8 — except a sample above 8× the estimate, which is a Send
+// the scheduler preempted far more often than a link that became that slow:
+// it raises the estimate by a quarter, so one outlier moves SAAW's bound by
+// 25 % and a real change still gets there within a few dozen messages.
+func foldCost(est, sample time.Duration) time.Duration {
+	switch {
+	case est <= 0:
+		return sample
+	case sample > 8*est:
+		return est + max(est/4, 1)
+	default:
+		return est + (sample-est)/8
+	}
 }

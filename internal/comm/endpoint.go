@@ -24,6 +24,12 @@ type Endpoint struct {
 	// scheduling round) return at once when nothing is buffered — the usual
 	// case, and what keeps a token round from costing O(LPs) per hop.
 	nonEmpty int
+	// sendCost is the running estimate (foldCost) of what one physical message
+	// costs this LP as a sender: the duration of the Sender.Send call, where
+	// an in-process run spins its CostModel, takes the destination's mailbox
+	// lock or appends to a socket's out-buffer. Sampled under SAAW only, whose
+	// window it bounds.
+	sendCost time.Duration
 
 	// GVT accounting (see internal/gvt): logical events are counted at the
 	// moment they enter the aggregation layer and when they are decoded at
@@ -159,7 +165,11 @@ func (e *Endpoint) Send(ev *event.Event, dstLP int, urgent bool) {
 	b := &e.bufs[dstLP]
 	if b.count == 0 {
 		e.nonEmpty++
-		b.first = time.Now()
+		if e.cfg.Policy != NoAggregation {
+			// The age of an aggregate is read only where something can be
+			// held; an unaggregated event leaves within this call.
+			b.first = time.Now()
+		}
 		b.color = e.color
 		if b.payload == nil {
 			b.payload = e.takeWire()
@@ -266,6 +276,10 @@ func (e *Endpoint) flush(dst int, cause FlushCause) {
 		e.TraceFlush(dst, cause, count, len(payload))
 	}
 
+	var sendStart time.Time
+	if e.cfg.Policy == SAAW {
+		sendStart = time.Now()
+	}
 	e.tr.Send(dst, Packet{
 		Kind:    PktEvents,
 		From:    e.lp,
@@ -283,9 +297,12 @@ func (e *Endpoint) flush(dst int, cause FlushCause) {
 	e.nonEmpty--
 	if e.cfg.Policy == SAAW {
 		// The paper's P component is "everyAggregate": adapt whenever an
-		// aggregate goes out, whatever closed it.
+		// aggregate goes out, whatever closed it. One clock read ends the
+		// cost sample and dates the adaptation.
+		now := time.Now()
+		e.sendCost = foldCost(e.sendCost, now.Sub(sendStart))
 		old := b.window
-		if b.adapt(e.cfg, time.Now()) {
+		if b.adapt(e.cfg, now, e.sendCost) {
 			e.st.WindowAdjustments++
 			if e.TraceWindow != nil {
 				e.TraceWindow(dst, old, b.window)

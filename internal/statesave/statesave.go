@@ -246,6 +246,7 @@ func (q *Queue) RestoreBefore(t vtime.Time) Snapshot {
 			// becomes the scratch buffer. With nothing popped lastEnc is the
 			// head's encoding already.
 			q.lastEnc, q.scratch = q.rebuild(i-1), q.lastEnc
+			q.syncChain()
 		}
 		if head := &q.snaps[i-1]; head.State == nil {
 			st, err := q.proto.UnmarshalState(q.lastEnc)
@@ -298,7 +299,23 @@ func (q *Queue) FossilCollect(gvt vtime.Time) int {
 		q.snaps[i] = Snapshot{}
 	}
 	q.snaps = q.snaps[:len(q.snaps)-keep]
+	if reanchor {
+		q.syncChain()
+	}
 	return n
+}
+
+// syncChain recounts the deltas that follow the newest full image and hands
+// the count to the codec's anchor cadence. Save keeps it by itself; popping
+// snapshots (an anchor among them, possibly) or re-encoding the oldest one
+// changes the tail behind its back, and a cadence still counting from a popped
+// anchor would let the chain a restore patches through outgrow FullEvery.
+func (q *Queue) syncChain() {
+	n := 0
+	for i := len(q.snaps) - 1; q.snaps[i].delta; i-- {
+		n++
+	}
+	q.cd.SetChain(n)
 }
 
 // FossilFloor returns the bound FossilCollect's gvt must exceed to reclaim

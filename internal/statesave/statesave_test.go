@@ -386,8 +386,10 @@ func checkBuffersDisjoint(t *testing.T, q *Queue) {
 }
 
 // checkAgainstTwin asserts that every snapshot the encoded queue holds
-// reconstructs to exactly the state its clone-path twin stored, and that the
-// oldest one is self-contained.
+// reconstructs to exactly the state its clone-path twin stored, that the
+// oldest one is self-contained, and that no snapshot sits more than FullEvery
+// deltas from its full image — the bound on what a restore patches through,
+// which must survive rollbacks that pop an anchor.
 func checkAgainstTwin(t *testing.T, q, twin *Queue, step int) {
 	t.Helper()
 	if q.Len() != twin.Len() {
@@ -396,7 +398,14 @@ func checkAgainstTwin(t *testing.T, q, twin *Queue, step int) {
 	if q.snaps[0].delta {
 		t.Fatalf("step %d: the oldest snapshot is a delta", step)
 	}
+	chain := 0
 	for i := range q.snaps {
+		if chain++; !q.snaps[i].delta {
+			chain = 0
+		}
+		if limit := q.cd.Config().FullEvery; chain > limit {
+			t.Fatalf("step %d: snapshot %d is %d deltas from its full image, FullEvery is %d", step, i, chain, limit)
+		}
 		st, err := q.proto.UnmarshalState(q.rebuild(i))
 		if err != nil {
 			t.Fatalf("step %d: snapshot %d does not decode: %v", step, i, err)
