@@ -75,11 +75,6 @@ func BenchmarkCheckpointSweep(b *testing.B) {
 	benchFigure(b, func(tb exp.Testbed) (exp.Figure, error) { return tb.CheckpointSweep() })
 }
 
-// A1: pending-set implementation ablation (heap vs splay) on PHOLD.
-func BenchmarkPendingSetAblation(b *testing.B) {
-	benchFigure(b, func(tb exp.Testbed) (exp.Figure, error) { return tb.SchedulerAblation() })
-}
-
 // A2: GVT period ablation.
 func BenchmarkGVTPeriodAblation(b *testing.B) {
 	benchFigure(b, func(tb exp.Testbed) (exp.Figure, error) { return tb.GVTPeriodAblation() })

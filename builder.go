@@ -128,12 +128,6 @@ func (b *ConfigBuilder) WithOptimismConfig(c OptimismConfig) *ConfigBuilder {
 	return b
 }
 
-// WithPendingSet selects the pending-event-set implementation.
-func (b *ConfigBuilder) WithPendingSet(k PendingSetKind) *ConfigBuilder {
-	b.cfg.PendingSet = k
-	return b
-}
-
 // WithEventCost sets the CPU burn charged per event execution.
 func (b *ConfigBuilder) WithEventCost(d time.Duration) *ConfigBuilder {
 	b.cfg.EventCost = d

@@ -49,7 +49,7 @@ func benchResult(fig exp.Figure) telemetry.BenchResult {
 
 func main() {
 	var (
-		which   = flag.String("exp", "all", "comma-separated experiments: rates,rates_codec,opt,scale,fig5,fig6,fig7,fig8,fig9,ckpt-sweep,sched,gvt-period,ctl-period,disk-sens,tw-vs-cmb or 'all'")
+		which   = flag.String("exp", "all", "comma-separated experiments: rates,rates_codec,opt,scale,fig5,fig6,fig7,fig8,fig9,ckpt-sweep,gvt-period,ctl-period,disk-sens,tw-vs-cmb or 'all'")
 		repeat  = flag.Int("repeat", 1, "measured runs averaged per data point")
 		quick   = flag.Bool("quick", false, "shrink workloads ~10x (shape checks)")
 		rates   = flag.Bool("rates", false, "also print committed-event rates per point")
@@ -107,7 +107,6 @@ func main() {
 		"fig8":        tb.Fig8,
 		"fig9":        tb.Fig9,
 		"ckpt-sweep":  tb.CheckpointSweep,
-		"sched":       tb.SchedulerAblation,
 		"gvt-period":  tb.GVTPeriodAblation,
 		"ctl-period":  tb.ControlPeriodAblation,
 		"disk-sens":   tb.DiskSensitivityAblation,
@@ -115,7 +114,7 @@ func main() {
 		"scale":       tb.Scale,
 	}
 	order := []string{"rates", "rates_codec", "opt", "scale", "fig5", "fig6", "fig7", "fig8", "fig9",
-		"ckpt-sweep", "sched", "gvt-period", "ctl-period", "disk-sens", "tw-vs-cmb"}
+		"ckpt-sweep", "gvt-period", "ctl-period", "disk-sens", "tw-vs-cmb"}
 
 	var names []string
 	if *which == "all" {

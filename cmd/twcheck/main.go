@@ -1,10 +1,10 @@
 // Command twcheck is the kernel correctness sweep: it drives every bundled
 // model (SMMP, RAID, PHOLD, QNet) through the differential oracle — a
 // sequential reference run, then an audited parallel Time Warp run per cell
-// of the checkpointing x cancellation x aggregation x pending-set
-// configuration matrix, plus a conservative leg where the model guarantees
-// lookahead, plus migration legs (phold-mig, smmp-mig) that re-run the
-// matrix on a deliberately skewed partition with the dynamic load balancer
+// of the checkpointing x cancellation x aggregation configuration matrix,
+// plus a conservative leg where the model guarantees lookahead, plus
+// migration legs (phold-mig, smmp-mig) that re-run the matrix on a
+// deliberately skewed partition with the dynamic load balancer
 // migrating objects mid-run, plus codec legs (phold-codec, smmp-codec,
 // smmp-codec-mig) that re-run it with delta checkpointing and LZ capsule
 // compression on, plus an observability leg (smmp-obs) that re-runs it with
@@ -29,7 +29,7 @@
 // Examples:
 //
 //	twcheck                      # all models, the 9-cell diagonal
-//	twcheck -full                # all models, the full 81-cell matrix
+//	twcheck -full                # all models, the full 27-cell matrix
 //	twcheck -model phold -v      # one model, per-cell table
 //	twcheck -model multiproc -twsim ./twsim   # two-process TCP oracle leg
 package main
@@ -274,7 +274,7 @@ var checks = []check{
 
 func main() {
 	var (
-		full      = flag.Bool("full", false, "run the full 81-cell matrix (default: the 9-cell diagonal covering every policy value)")
+		full      = flag.Bool("full", false, "run the full 27-cell matrix (default: the 9-cell diagonal covering every policy value)")
 		modelName = flag.String("model", "", "restrict the sweep to one model: phold, qnet, smmp, raid, phold-mig, smmp-mig, smmp-obs, smmp-opt, phold-opt-mig, phold-pool, phold-default, smmp-pool-mig, phold-codec, smmp-codec, smmp-codec-mig, multiproc")
 		twsimBin  = flag.String("twsim", "", "path to a built twsim binary, required by the multiproc leg (which spawns two OS processes over TCP loopback)")
 		seed      = flag.Uint64("seed", 1, "model random seed")

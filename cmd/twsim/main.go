@@ -59,7 +59,6 @@ func main() {
 		perMsg    = flag.Duration("msg-cost", 0, "simulated per-physical-message CPU overhead")
 		eventCost = flag.Duration("event-cost", 0, "simulated CPU burn per event")
 		gvtPeriod = flag.Duration("gvt-period", 10*time.Millisecond, "GVT computation period")
-		pending   = flag.String("pending-set", "heap", "pending-set implementation: heap, splay, calendar")
 		padding   = flag.Int("state-padding", 0, "bytes of padded state per object")
 
 		verify     = flag.Bool("verify", false, "also run the sequential kernel and compare committed events and final states")
@@ -245,17 +244,6 @@ func main() {
 	}
 	if cfg.Optimism, err = gowarp.ParseOptSpec(optSpec.spec); err != nil {
 		fatal(err)
-	}
-
-	switch *pending {
-	case "heap":
-		cfg.PendingSet = gowarp.HeapPendingSet
-	case "splay":
-		cfg.PendingSet = gowarp.SplayPendingSet
-	case "calendar":
-		cfg.PendingSet = gowarp.CalendarPendingSet
-	default:
-		fatal(fmt.Errorf("unknown pending-set %q", *pending))
 	}
 
 	rank, ranks := 0, 1

@@ -57,32 +57,6 @@ func TestSeedDeterminismAcrossRepeats(t *testing.T) {
 	}
 }
 
-// TestSeedDeterminismAcrossPendingSets pins that the pending-set
-// implementation is semantically invisible: heap, splay tree and calendar
-// queue runs of the same seed produce byte-identical artifacts.
-func TestSeedDeterminismAcrossPendingSets(t *testing.T) {
-	var want []byte
-	for _, pending := range []struct {
-		name string
-		kind func(*gowarp.Config)
-	}{
-		{"heap", func(c *gowarp.Config) { c.PendingSet = gowarp.HeapPendingSet }},
-		{"splay", func(c *gowarp.Config) { c.PendingSet = gowarp.SplayPendingSet }},
-		{"calendar", func(c *gowarp.Config) { c.PendingSet = gowarp.CalendarPendingSet }},
-	} {
-		cfg := testCfg(1500)
-		pending.kind(&cfg)
-		got := deterministicArtifact(t, 43, cfg)
-		if want == nil {
-			want = got
-			continue
-		}
-		if string(got) != string(want) {
-			t.Fatalf("%s diverged:\n%s\nvs\n%s", pending.name, got, want)
-		}
-	}
-}
-
 // TestSeedDeterminismAdaptiveOptimism pins that the adaptive optimism
 // controller — whose firing schedule rides the wall-clock-driven GVT cadence
 // — never leaks into the deterministic artifact: the same seed yields the

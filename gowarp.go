@@ -79,7 +79,6 @@ import (
 	"gowarp/internal/model"
 	"gowarp/internal/observe"
 	"gowarp/internal/partition"
-	"gowarp/internal/pq"
 	"gowarp/internal/statesave"
 	"gowarp/internal/stats"
 	"gowarp/internal/telemetry"
@@ -253,20 +252,6 @@ const (
 	SAAW = comm.SAAW
 )
 
-// PendingSetKind selects the pending-event-set implementation.
-type PendingSetKind = pq.Kind
-
-// Pending-set implementations (a kernel design choice; see the ablation
-// benchmarks).
-const (
-	// HeapPendingSet is an index-tracked binary heap (the default).
-	HeapPendingSet = pq.Heap
-	// SplayPendingSet is a splay tree.
-	SplayPendingSet = pq.Splay
-	// CalendarPendingSet is a calendar queue.
-	CalendarPendingSet = pq.Calendar
-)
-
 // Communication transports: the substrate carrying physical messages between
 // logical processes. By default (Config.Transport nil) there is none: every
 // LP lives in this process and sends go straight to the destination's
@@ -278,8 +263,6 @@ type (
 	Transport = comm.Transport
 	// TransportPeers describes a transport's process topology.
 	TransportPeers = comm.Peers
-	// TransportOption configures an in-process transport.
-	TransportOption = comm.Option
 	// TCPTransportConfig parameterizes NewTCPTransport.
 	TCPTransportConfig = comm.TCPConfig
 )
@@ -288,16 +271,7 @@ type (
 // processes. Passing it as Config.Transport commits what leaving the field
 // nil commits, by way of the transport's channels; it is there to be wrapped
 // (a tracing or fault-injecting Transport around it).
-func NewInProcTransport(numLPs int, opts ...TransportOption) Transport {
-	return comm.NewInProc(numLPs, opts...)
-}
-
-// WithTransportCost sets an in-process transport's simulated send-cost model.
-func WithTransportCost(c CostModel) TransportOption { return comm.WithCost(c) }
-
-// WithTransportInboxDepth sets an in-process transport's per-LP inbox
-// capacity.
-func WithTransportInboxDepth(d int) TransportOption { return comm.WithInboxDepth(d) }
+func NewInProcTransport(numLPs int) Transport { return comm.NewInProc(numLPs) }
 
 // NewTCPTransport returns a TCP transport for one rank of a multi-process
 // run. The kernel starts it (join handshake) and closes it (flush and drain)

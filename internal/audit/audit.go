@@ -676,16 +676,16 @@ func (o *ObjectAudit) HashOf(st any) uint64 {
 	return HashState(st)
 }
 
-// Finish checks the object after the LPs stopped: every still-pending event
-// must lie beyond the simulated horizon and no orphan anti-messages may
+// Finish checks the object after the LPs stopped: every still-unprocessed
+// event must lie beyond the simulated horizon and no orphan anti-messages may
 // remain parked.
-func (o *ObjectAudit) Finish(pending pq.PendingSet, orphans int) {
+func (o *ObjectAudit) Finish(unprocessed []*event.Event, orphans int) {
 	if o == nil {
 		return
 	}
-	pending.Walk(func(ev *event.Event) {
-		o.l.a.LostEvent(o.l.lp, ev, "the pending set")
-	})
+	for _, ev := range unprocessed {
+		o.l.a.LostEvent(o.l.lp, ev, "the input queue")
+	}
 	o.l.checks++
 	if orphans > 0 {
 		o.l.a.record(Violation{Invariant: InvOrphanAnti, LP: o.l.lp, Object: o.id,

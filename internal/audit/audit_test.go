@@ -6,7 +6,6 @@ import (
 
 	"gowarp/internal/event"
 	"gowarp/internal/model"
-	"gowarp/internal/pq"
 	"gowarp/internal/statesave"
 	"gowarp/internal/stats"
 	"gowarp/internal/vtime"
@@ -202,10 +201,10 @@ func TestPacketCountViolation(t *testing.T) {
 
 func TestFinishLostEventAndOrphans(t *testing.T) {
 	a, _, o := bound(t, 1000)
-	p := pq.NewHeapSet()
-	p.Push(ev(500, 0, 1))  // within horizon: lost
-	p.Push(ev(2000, 0, 2)) // beyond horizon: fine
-	o.Finish(p, 1)
+	o.Finish([]*event.Event{
+		ev(500, 0, 1),  // within horizon: lost
+		ev(2000, 0, 2), // beyond horizon: fine
+	}, 1)
 	wantViolation(t, a, InvLostEvent, InvOrphanAnti)
 }
 
@@ -268,7 +267,7 @@ func TestNilAuditorIsInert(t *testing.T) {
 	o.Floor(5, 10, 10)
 	o.FossilFloor(5, 0)
 	o.OrphanDropped(e)
-	o.Finish(pq.NewHeapSet(), 3)
+	o.Finish(nil, 3)
 	if h := o.HashOf(struct{}{}); h != 0 {
 		t.Errorf("nil recorder hashed to %#x, want 0 sentinel", h)
 	}

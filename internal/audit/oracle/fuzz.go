@@ -29,7 +29,7 @@ type FuzzSpec struct {
 	Seed uint64
 	// EndTime is the virtual end time, 200..900.
 	EndTime vtime.Time
-	// Cell is the configuration-matrix cell to run, 0..80.
+	// Cell is the configuration-matrix cell to run, 0..26.
 	Cell int
 	// OptimismWindow bounds optimism (0 = unbounded).
 	OptimismWindow vtime.Time
@@ -59,7 +59,7 @@ func DecodeFuzzSpec(data []byte) FuzzSpec {
 		MeanDelay: float64(4 + int(b(5))%16),
 		Seed:      1 + uint64(b(6)),
 		EndTime:   vtime.Time(200 + int64(b(7)%8)*100),
-		Cell:      int(b(8)) % 81,
+		Cell:      int(b(8)) % 27,
 	}
 	if b(0)%2 == 1 {
 		spec.ModelName = "qnet"

@@ -1,8 +1,8 @@
 // Package oracle is the kernel's differential correctness harness. It runs
 // one model through the sequential reference kernel, then through the
 // parallel Time Warp kernel under every cell of a configuration matrix
-// (checkpointing x cancellation x aggregation x pending set) with the
-// runtime invariant auditor enabled, and optionally through the conservative
+// (checkpointing x cancellation x aggregation) with the runtime invariant
+// auditor enabled, and optionally through the conservative
 // kernel. Any divergence — committed-event counts, final-state hashes, or an
 // audit violation — is a kernel bug: the configuration facets must never
 // change simulation semantics.
@@ -21,7 +21,6 @@ import (
 	"gowarp/internal/core"
 	"gowarp/internal/model"
 	"gowarp/internal/observe"
-	"gowarp/internal/pq"
 	"gowarp/internal/statesave"
 	"gowarp/internal/telemetry"
 	"gowarp/internal/vtime"
@@ -29,16 +28,15 @@ import (
 
 // Cell is one point of the configuration matrix.
 type Cell struct {
-	// Index is the cell's position in Matrix() (0..80); decoded as
-	// ((ckpt*3+cancel)*3+agg)*3+pq.
+	// Index is the cell's position in Matrix() (0..26); decoded as
+	// (ckpt*3+cancel)*3+agg.
 	Index        int
 	Checkpoint   statesave.Config
 	Cancellation cancel.Config
 	Aggregation  comm.AggConfig
-	PendingSet   pq.Kind
 }
 
-// Name renders the cell compactly, e.g. "chi8/lazy/faw/splay".
+// Name renders the cell compactly, e.g. "chi8/lazy/faw".
 func (c Cell) Name() string {
 	ck := "dynchi"
 	if c.Checkpoint.Mode == statesave.Periodic {
@@ -54,14 +52,13 @@ func (c Cell) Name() string {
 		comm.FAW:           "faw",
 		comm.SAAW:          "saaw",
 	}[c.Aggregation.Policy]
-	q := map[pq.Kind]string{pq.Heap: "heap", pq.Splay: "splay", pq.Calendar: "calendar"}[c.PendingSet]
-	return fmt.Sprintf("%s/%s/%s/%s", ck, ca, ag, q)
+	return fmt.Sprintf("%s/%s/%s", ck, ca, ag)
 }
 
-// Matrix returns the full 81-cell configuration matrix: 3 checkpointing
+// Matrix returns the full 27-cell configuration matrix: 3 checkpointing
 // policies (periodic chi=1, periodic chi=8, dynamic) x 3 cancellation
 // strategies (aggressive, lazy, dynamic) x 3 aggregation policies (none,
-// FAW, SAAW) x 3 pending-set implementations (heap, splay, calendar).
+// FAW, SAAW).
 func Matrix() []Cell {
 	ckpts := []statesave.Config{
 		{Mode: statesave.Periodic, Interval: 1},
@@ -78,21 +75,17 @@ func Matrix() []Cell {
 		{Policy: comm.FAW, Window: 50 * time.Microsecond},
 		{Policy: comm.SAAW, Window: 50 * time.Microsecond},
 	}
-	pqs := []pq.Kind{pq.Heap, pq.Splay, pq.Calendar}
 
-	cells := make([]Cell, 0, len(ckpts)*len(cancels)*len(aggs)*len(pqs))
+	cells := make([]Cell, 0, len(ckpts)*len(cancels)*len(aggs))
 	for _, ck := range ckpts {
 		for _, ca := range cancels {
 			for _, ag := range aggs {
-				for _, q := range pqs {
-					cells = append(cells, Cell{
-						Index:        len(cells),
-						Checkpoint:   ck,
-						Cancellation: ca,
-						Aggregation:  ag,
-						PendingSet:   q,
-					})
-				}
+				cells = append(cells, Cell{
+					Index:        len(cells),
+					Checkpoint:   ck,
+					Cancellation: ca,
+					Aggregation:  ag,
+				})
 			}
 		}
 	}
@@ -100,17 +93,16 @@ func Matrix() []Cell {
 }
 
 // Diagonal returns 9 distinct cells of the matrix that together exercise
-// every policy value of every facet three times and every checkpointing x
-// cancellation pair once — the reduced sweep for short test runs. The agg
-// and pq coordinates are Latin-square offsets of the first two so no two
-// cells coincide and no facet value is missed.
+// every policy value of every facet three times and every pair of values of
+// two facets once — the reduced sweep for short test runs. The agg
+// coordinate is the Latin-square offset of the other two.
 func Diagonal() []Cell {
 	full := Matrix()
 	cells := make([]Cell, 0, 9)
 	for i := 0; i < 9; i++ {
 		ck, ca := i%3, i/3
-		ag, q := (ck+ca)%3, (2*ck+ca)%3
-		cells = append(cells, full[((ck*3+ca)*3+ag)*3+q])
+		ag := (ck + ca) % 3
+		cells = append(cells, full[(ck*3+ca)*3+ag])
 	}
 	return cells
 }
@@ -331,7 +323,6 @@ func runCell(m *model.Model, cell Cell, opts Options, gvtPeriod time.Duration,
 		Checkpoint:     cell.Checkpoint,
 		Cancellation:   cell.Cancellation,
 		Aggregation:    cell.Aggregation,
-		PendingSet:     cell.PendingSet,
 		GVTPeriod:      gvtPeriod,
 		OptimismWindow: opts.OptimismWindow,
 		Optimism:       opts.Optimism,

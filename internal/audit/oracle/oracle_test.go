@@ -22,8 +22,8 @@ func testModel(seed uint64) *model.Model {
 
 func TestMatrixShape(t *testing.T) {
 	cells := Matrix()
-	if len(cells) != 81 {
-		t.Fatalf("matrix has %d cells, want 81", len(cells))
+	if len(cells) != 27 {
+		t.Fatalf("matrix has %d cells, want 27", len(cells))
 	}
 	names := make(map[string]bool, len(cells))
 	for i, c := range cells {
@@ -41,17 +41,16 @@ func TestMatrixShape(t *testing.T) {
 		t.Fatalf("diagonal has %d cells, want 9", len(diag))
 	}
 	seen := make(map[int]bool)
-	facet := map[string]map[string]int{"ck": {}, "ca": {}, "ag": {}, "pq": {}}
+	facet := map[string]map[string]int{"ck": {}, "ca": {}, "ag": {}}
 	for _, c := range diag {
 		if seen[c.Index] {
 			t.Errorf("diagonal repeats cell %d (%s)", c.Index, c.Name())
 		}
 		seen[c.Index] = true
 		ix := c.Index
-		facet["pq"][fmt.Sprint(ix%3)]++
-		facet["ag"][fmt.Sprint(ix/3%3)]++
-		facet["ca"][fmt.Sprint(ix/9%3)]++
-		facet["ck"][fmt.Sprint(ix/27%3)]++
+		facet["ag"][fmt.Sprint(ix%3)]++
+		facet["ca"][fmt.Sprint(ix/3%3)]++
+		facet["ck"][fmt.Sprint(ix/9%3)]++
 	}
 	for name, vals := range facet {
 		if len(vals) != 3 {
@@ -61,7 +60,7 @@ func TestMatrixShape(t *testing.T) {
 }
 
 // TestOracleMatrixPHOLD is the heart of the harness: a contentious PHOLD
-// instance through the full 81-cell matrix (the 9-cell diagonal under
+// instance through the full 27-cell matrix (the 9-cell diagonal under
 // -short), every parallel leg audited, plus a conservative leg.
 func TestOracleMatrixPHOLD(t *testing.T) {
 	opts := Options{
@@ -129,7 +128,7 @@ func TestFuzzSpecDecodesTotal(t *testing.T) {
 		if spec.LPs < 1 || spec.LPs > 4 {
 			t.Errorf("%v: LPs %d out of range", in, spec.LPs)
 		}
-		if spec.Cell < 0 || spec.Cell > 80 {
+		if spec.Cell < 0 || spec.Cell > 26 {
 			t.Errorf("%v: cell %d out of range", in, spec.Cell)
 		}
 		if spec.Seed == 0 {

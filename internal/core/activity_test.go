@@ -167,7 +167,7 @@ func (k *twin) shape() ([]stats.Counters, [][2]int64, []objectShape) {
 		pools = append(pools, [2]int64{a, r})
 		for _, o := range lp.objs {
 			objs[o.id] = objectShape{
-				host: lp.id, pending: o.pending.Len(), processed: len(o.processed),
+				host: lp.id, pending: len(o.in) - o.next, processed: o.next,
 				pendingOut: o.out.PendingLen(), sent: o.out.SentLen(),
 				snaps: o.stateQ.Len(), orphans: len(o.orphans),
 				processedBase: o.processedBase, committedAbs: o.committedAbs, rollback: o.rollbacks,
@@ -378,7 +378,7 @@ func TestGVTTouchesOnlyActiveObjects(t *testing.T) {
 // injectStraggler sends o a fresh event one tick before the last one it
 // executed, rolling that execution back.
 func injectStraggler(lp *lpRun, o *simObject) {
-	last := o.processed[len(o.processed)-1]
+	last := o.in[o.next-1]
 	s := lp.pool.Get()
 	s.RecvTime, s.SendTime = last.RecvTime-1, last.RecvTime-2
 	s.Sender, s.Receiver = o.id, o.id

@@ -8,6 +8,7 @@ import (
 	"gowarp/internal/apps/phold"
 	"gowarp/internal/cancel"
 	"gowarp/internal/codec"
+	"gowarp/internal/event"
 	"gowarp/internal/observe"
 	"gowarp/internal/statesave"
 	"gowarp/internal/telemetry"
@@ -95,6 +96,59 @@ func TestExecuteLoopZeroAllocObserved(t *testing.T) {
 	}
 	if n := testing.AllocsPerRun(64, round); n != 0 {
 		t.Errorf("observed execute loop allocated %.2f times per 64-event round, want 0", n)
+	}
+}
+
+// TestInputQueueZeroAlloc measures the deliver/execute pair on the input queue
+// itself, one object with a standing backlog of a few events: arrivals that
+// land at the tail and inside the unprocessed part, an execution for each, and
+// once a round a straggler (rollback, coast forward, re-execution), an event
+// annihilated while unprocessed and a fossil collection. In steady state none
+// of it may allocate: an insert is a copy within capacity, a requeue a cursor
+// move.
+func TestInputQueueZeroAlloc(t *testing.T) {
+	lp, o := newSinkKernel(&sinkObject{}, 4)
+	var id uint64
+	send := func(at vtime.Time, sign event.Sign) {
+		e := lp.pool.Get()
+		e.RecvTime, e.SendTime, e.Sender, e.Receiver, e.ID, e.Sign = at, at-1, 1, o.id, id, sign
+		o.deliver(e)
+	}
+	now := vtime.Time(0)
+	round := func() {
+		for i := 0; i < 64; i++ {
+			id++
+			now += 2
+			send(now+8-vtime.Time(i%3)*3, event.Positive)
+			if len(o.in)-o.next > 4 {
+				o.executeNext()
+				lp.refresh(o)
+			}
+		}
+		rollbacks := o.rollbacks
+		id++
+		send(o.lvt-2, event.Positive)
+		if o.rollbacks == rollbacks {
+			panic("the straggler rolled nothing back")
+		}
+		id++
+		send(now+4, event.Positive)
+		send(now+4, event.Negative)
+		for len(o.in)-o.next > 4 {
+			o.executeNext()
+			lp.refresh(o)
+		}
+		o.fossilCollect(o.nextTime())
+	}
+	for i := 0; i < 16; i++ {
+		round()
+	}
+	if n := testing.AllocsPerRun(64, round); n != 0 {
+		t.Errorf("steady-state input queue allocated %.2f times per round, want 0", n)
+	}
+	if lp.st.EventsRolledBack == 0 || o.processedBase == 0 || len(o.orphans) != 0 {
+		t.Fatalf("%d events rolled back, %d collected, %d orphans: the round did not do what it measures",
+			lp.st.EventsRolledBack, o.processedBase, len(o.orphans))
 	}
 }
 

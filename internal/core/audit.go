@@ -54,8 +54,8 @@ func (lp *lpRun) auditFossil(g vtime.Time) {
 //     beyond the simulated horizon (the LPs stop only once GVT strictly
 //     passes the end time, so nothing executable may remain in flight);
 //   - the same holds for leftover deferred intra-LP messages and for every
-//     object's pending set (including objects adopted out of stray migration
-//     capsules — their pending events are checked like everyone else's);
+//     object's unprocessed input (including objects adopted out of stray
+//     migration capsules — theirs is checked like everyone else's);
 //   - orphan anti-messages still parked are cancellation leaks;
 //   - the message-conservation ledger is closed: events handed to the
 //     communication substrate == events delivered + events still in
@@ -86,7 +86,7 @@ func finishAudit(au *audit.Auditor, lps []*lpRun) {
 		buffered += lp.ep.Buffered()
 		lp.au.FinishDeferred(lp.deferred)
 		for _, o := range lp.objs {
-			o.au.Finish(o.pending, len(o.orphans))
+			o.au.Finish(o.in[o.next:], len(o.orphans))
 		}
 	}
 	au.FinishRun(buffered, undelivered)

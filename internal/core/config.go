@@ -18,7 +18,6 @@ import (
 	"gowarp/internal/comm"
 	"gowarp/internal/model"
 	"gowarp/internal/observe"
-	"gowarp/internal/pq"
 	"gowarp/internal/statesave"
 	"gowarp/internal/stats"
 	"gowarp/internal/telemetry"
@@ -79,8 +78,6 @@ type Config struct {
 	// a worker per LP. Any width runs over any Transport, and the workers are
 	// also who reads and writes a comm.Polled transport's sockets.
 	Workers int
-	// PendingSet selects the pending-event-set implementation.
-	PendingSet pq.Kind
 	// Timeline records per-LP adaptation samples at every GVT cycle (see
 	// Sample); costs a small allocation per cycle.
 	Timeline bool
@@ -239,7 +236,6 @@ func DefaultConfig(endTime vtime.Time) Config {
 		Cancellation: cancel.Config{Mode: cancel.StaticAggressive},
 		Aggregation:  comm.AggConfig{Policy: comm.NoAggregation},
 		GVTPeriod:    time.Millisecond,
-		PendingSet:   pq.Heap,
 	}
 }
 

@@ -12,7 +12,6 @@ import (
 	"gowarp/internal/comm"
 	"gowarp/internal/core"
 	"gowarp/internal/model"
-	"gowarp/internal/pq"
 	"gowarp/internal/statesave"
 	"gowarp/internal/vtime"
 )
@@ -109,8 +108,6 @@ func TestParallelMatchesSequentialAcrossConfigs(t *testing.T) {
 		{"saaw", func(c *core.Config) {
 			c.Aggregation = comm.AggConfig{Policy: comm.SAAW, Window: 50 * time.Microsecond}
 		}},
-		{"splay", func(c *core.Config) { c.PendingSet = pq.Splay }},
-		{"calendar", func(c *core.Config) { c.PendingSet = pq.Calendar }},
 		{"lazy-faw-dynamic-ckpt", func(c *core.Config) {
 			c.Cancellation = cancel.Config{Mode: cancel.StaticLazy}
 			c.Aggregation = comm.AggConfig{Policy: comm.FAW, Window: 30 * time.Microsecond}

@@ -33,7 +33,7 @@ package core
 // spillbox. Channels stay at that edge; nothing in the kernel selects on one.
 //
 // Single-owner semantics hold by pinning: every LP (and with it every hosted
-// object, pending set, state queue, cancellation manager and event pool
+// object, input queue, state queue, cancellation manager and event pool
 // reference) is owned by exactly one worker per scheduling epoch. Rollback,
 // fossil collection and state saving run on the owning worker, untouched.
 // GVT participation batches per worker as a consequence of ownership: the
@@ -80,6 +80,32 @@ const remapEvery = 8
 // of the new packing would have. Without it, noise on equal loads regroups
 // the LPs at every scan.
 const remapGain = 1.25
+
+// remapMinSample is how many commits per worker a remap scan's window must
+// hold before its loads are compared: on equal loads the busiest of a few
+// workers then reads a few per cent above the mean, well inside remapGain. A
+// window with fewer — a short GVT period, a slow host — grows until it does.
+const remapMinSample = 512
+
+// loadSample is what an LP had committed as of its application of GVT at —
+// a property of the model and the GVT value, not of when the LP's worker ran.
+type loadSample struct {
+	at        vtime.Time
+	committed int64
+}
+
+// committedAt returns what lp had committed as of GVT g, if g is one of the
+// last two it applied.
+func (lp *lpRun) committedAt(g vtime.Time) (int64, bool) {
+	lp.loadMu.Lock()
+	defer lp.loadMu.Unlock()
+	for _, s := range lp.loads {
+		if s.at == g {
+			return s.committed, true
+		}
+	}
+	return 0, false
+}
 
 // spillbox is one LP's mailbox: an unbounded mutex-guarded packet queue. A
 // bounded channel here would deadlock — a worker blocked sending to a full
@@ -128,8 +154,8 @@ type dispatcher struct {
 	epoch  atomic.Uint64
 	remaps atomic.Int64
 	// remapTick counts GVT applications towards the next scan and scanned
-	// holds each LP's load at the last one; both belong to the first hosted
-	// LP's applyGVT, serialized by that LP's ownership.
+	// holds each LP's committed count at the last one that decided; both belong
+	// to the first hosted LP's applyGVT, serialized by that LP's ownership.
 	remapTick int
 	scanned   []int64
 }
@@ -270,6 +296,15 @@ func (d *dispatcher) handoff(lp *lpRun, to int) {
 // scheduling noise in what it merely executed — and, when that would take
 // more than remapGain off the busiest worker, publishes the packing and wakes
 // every worker to apply it. With a worker per LP there is nothing to pack.
+//
+// Every LP's count is cut at the same GVT, the one before the GVT being
+// applied. Counts read as of whatever each LP applied last differ by a whole
+// GVT step between the LPs of a worker that has been running and those of one
+// that has not, and a step that follows a stall is several times the mean:
+// uniform load then reads as skewed by worker. A scan that finds an LP
+// without a sample at the cut (its worker has not run it since that GVT was
+// broadcast), or too few commits in its window to compare, decides nothing
+// and keeps its window open for the next application to extend.
 func (d *dispatcher) maybeRemap() {
 	if len(d.workers) >= len(d.lps) {
 		return
@@ -278,18 +313,29 @@ func (d *dispatcher) maybeRemap() {
 	if d.remapTick < remapEvery {
 		return
 	}
-	d.remapTick = 0
+	cut := d.lps[0].loads[0].at // this LP's own: no other goroutine writes it
 	loads := make([]int64, len(d.lps))
 	order := make([]int, len(d.lps))
 	current := make([]int64, len(d.workers)) // load by present owner
-	var busiest int64
+	var busiest, total int64
 	for i, lp := range d.lps {
-		now := lp.load.Load()
-		loads[i], d.scanned[i] = now-d.scanned[i], now
+		committed, ok := lp.committedAt(cut)
+		if !ok {
+			return
+		}
+		loads[i] = committed - d.scanned[i]
 		order[i] = i
 		w := lp.worker.Load()
 		current[w] += loads[i]
 		busiest = max(busiest, current[w])
+		total += loads[i]
+	}
+	if total < remapMinSample*int64(len(d.workers)) {
+		return
+	}
+	d.remapTick = 0
+	for i := range loads {
+		d.scanned[i] += loads[i]
 	}
 	sort.SliceStable(order, func(a, b int) bool { return loads[order[a]] > loads[order[b]] })
 
@@ -438,17 +484,14 @@ func (w *worker) rekey(i int) {
 		w.sched.UpdateKey(i, vtime.PosInf, 0, int32(lp.id))
 		return
 	}
-	slot, t := lp.sched.Min()
+	// The LP heap's least key is what lp.refresh stored for that object: its
+	// head event's receive time and send sequence, and the object's id.
+	slot, t, seq, id := lp.sched.MinKey()
 	if slot < 0 || t == vtime.PosInf {
 		w.sched.UpdateKey(i, vtime.PosInf, 0, int32(lp.id))
 		return
 	}
-	o := lp.objs[slot]
-	var seq uint64
-	if e := o.pending.PeekMin(); e != nil {
-		seq = uint64(e.SendSeq)
-	}
-	w.sched.UpdateKey(i, t, seq, int32(o.id))
+	w.sched.UpdateKey(i, t, seq, id)
 }
 
 // takeAdoptions claims LPs handed to this worker and rebinds their event

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -56,13 +57,16 @@ type lpRun struct {
 	// LP→worker map entry, updated at handoff; senders consult it to wake the
 	// right worker (a stale read wakes the previous owner, which is harmless —
 	// the packet sits in the spillbox either way). target is what the last
-	// remap decided, and load is the committed-event count as of the last GVT
-	// application, which the remap scan reads. These three and spill are all
-	// of an LP that other goroutines touch.
+	// remap decided, and loads is what the LP had committed as of each of its
+	// last two GVT applications, newest first, which the remap scan reads under
+	// loadMu — two, so that a scan cutting at the GVT before the one being
+	// applied still finds its sample on a peer that is one application ahead.
+	// These and spill are all of an LP that other goroutines touch.
 	d      *dispatcher
 	worker atomic.Int32
 	target atomic.Int32
-	load   atomic.Int64
+	loadMu sync.Mutex
+	loads  [2]loadSample
 
 	// spill is this LP's mailbox, the one place it reads packets from.
 	// spillScratch is the drained batch from the previous round, reused so
@@ -151,13 +155,13 @@ type lpRun struct {
 	stash []comm.Packet
 }
 
-// refresh re-keys o in the schedule heap after its pending set changed,
+// refresh re-keys o in the schedule heap after its input queue changed,
 // carrying the deterministic (vt, seq, object-id) tie-break the oracle
 // hashes depend on: at equal receive times the object whose head event has
 // the lower send sequence (then the lower global id) executes first,
 // independent of the slot order migrations happen to have produced.
 func (lp *lpRun) refresh(o *simObject) {
-	if e := o.pending.PeekMin(); e != nil {
+	if e := o.head(); e != nil {
 		lp.sched.UpdateKey(o.slot, e.RecvTime, uint64(e.SendSeq), int32(o.id))
 		return
 	}
@@ -482,11 +486,13 @@ func (lp *lpRun) applyGVT(g vtime.Time) {
 		lp.runOptimism()
 	}
 	if lp == lp.d.lps[0] {
-		// Before this LP publishes its own count, so that it trails by one
-		// GVT as its peers' do when the scan reads them.
+		// Before this LP publishes its own count: the scan cuts at the GVT
+		// before g, which every peer has had a period to apply.
 		lp.d.maybeRemap()
 	}
-	lp.load.Store(lp.st.EventsCommitted)
+	lp.loadMu.Lock()
+	lp.loads[0], lp.loads[1] = loadSample{at: g, committed: lp.st.EventsCommitted}, lp.loads[0]
+	lp.loadMu.Unlock()
 	if lp.met != nil {
 		lp.publishMetrics(g)
 	}

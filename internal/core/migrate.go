@@ -137,7 +137,7 @@ func (lp *lpRun) migrateOutBatch(batch []*simObject, to int) {
 	floor := vtime.PosInf
 	rawBytes, storedBytes := capsuleOverheadBytes, capsuleOverheadBytes
 	for _, o := range batch {
-		it := capsuleItem{o: o, pending: o.pending.Len()}
+		it := capsuleItem{o: o, pending: len(o.in) - o.next}
 		if lp.au != nil {
 			it.hash = audit.HashState(o.state)
 			lp.au.MigrateOut(o.id, to, it.pending, it.hash)
@@ -222,7 +222,7 @@ func (lp *lpRun) install(p comm.Packet) {
 
 		if lp.au != nil {
 			o.au = lp.au.Adopt(o.au, o.id)
-			lp.au.MigrateIn(o.id, c.from, it.pending, o.pending.Len(), it.hash, audit.HashState(o.state))
+			lp.au.MigrateIn(o.id, c.from, it.pending, len(o.in)-o.next, it.hash, audit.HashState(o.state))
 		}
 
 		lp.st.Migrations++

@@ -24,27 +24,26 @@ type simObject struct {
 	obj  model.Object
 	lp   *lpRun
 
-	// state is the working copy the object mutates; lvt and lastExec track
-	// the most recently executed event. lastExec normally points into
-	// processed; when fossil collection reclaims that event the cursor is
-	// re-pointed at lastExecStore, a by-value copy that preserves the
-	// straggler comparison without pinning the recycled event.
-	state         model.State
-	lvt           vtime.Time
-	lastExec      *event.Event
-	lastExecStore event.Event
+	// state is the working copy the object mutates; lvt is the receive time
+	// of the most recently executed event.
+	state model.State
+	lvt   vtime.Time
 
 	// ectx is the reusable model.Context for this object's Init/Execute
 	// calls. Keeping it a field (rather than a per-call local) stops the
 	// interface call from forcing a heap allocation per event.
 	ectx execContext
 
-	// pending holds unprocessed input events; processed holds executed
-	// events in execution order (== event.Compare order), retained for
-	// rollback until fossil-collected. processedBase is the absolute index
-	// of processed[0]; committedAbs counts events committed so far.
-	pending       pq.PendingSet
-	processed     []*event.Event
+	// in is the input queue of Figure 1: every positive event the object
+	// holds, processed and unprocessed, in event.Compare order. in[:next] has
+	// been executed and is retained for rollback until fossil-collected;
+	// in[next:] is the unprocessed part. Executing the head is next++, a
+	// rollback's requeue is next = k, and there is no index by identity: an
+	// anti-message finds its positive where Compare puts it (see find).
+	// processedBase is the absolute index of in[0]; committedAbs counts events
+	// committed so far.
+	in            []*event.Event
+	next          int
 	processedBase int64
 	committedAbs  int64
 
@@ -89,16 +88,103 @@ type simObject struct {
 
 // absProcessed returns the absolute index one past the last processed event.
 func (o *simObject) absProcessed() int64 {
-	return o.processedBase + int64(len(o.processed))
+	return o.processedBase + int64(o.next)
+}
+
+// head returns the next unprocessed event, or nil when idle.
+func (o *simObject) head() *event.Event {
+	if o.next < len(o.in) {
+		return o.in[o.next]
+	}
+	return nil
 }
 
 // nextTime returns the receive time of the next unprocessed event, or
 // vtime.PosInf when idle.
 func (o *simObject) nextTime() vtime.Time {
-	if e := o.pending.PeekMin(); e != nil {
+	if e := o.head(); e != nil {
 		return e.RecvTime
 	}
 	return vtime.PosInf
+}
+
+// placeScan is how many tail slots place compares one by one before it
+// bisects: arrivals land at or near the end of a queue that is a handful of
+// events deep almost always, and a straggler or an insert into a deep queue
+// costs a binary search on top.
+const placeScan = 8
+
+// place returns the index at which ev belongs in the input queue: the number
+// of held events ordered before it. Compare is a total order and no event is
+// held twice, so the place is unique.
+func (o *simObject) place(ev *event.Event) int {
+	in := o.in
+	hi := len(in)
+	for n := 0; hi > 0 && n < placeScan; n++ {
+		if event.Compare(in[hi-1], ev) < 0 {
+			return hi
+		}
+		hi--
+	}
+	lo := 0
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if event.Compare(in[mid], ev) < 0 {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo
+}
+
+// find locates the positive counterpart of anti: at is the anti's place, and
+// i the index of the event it annihilates, -1 when the queue does not hold
+// it. Compare puts an anti-message directly before its positive, behind at
+// most a transient replacement that carries the same stable key under another
+// ID, so the run of events sharing the anti's key is all there is to look at.
+func (o *simObject) find(anti *event.Event) (at, i int) {
+	at = o.place(anti)
+	for i = at; i < len(o.in); i++ {
+		e := o.in[i]
+		if e.RecvTime != anti.RecvTime || e.Sender != anti.Sender ||
+			e.SendTime != anti.SendTime || e.SendSeq != anti.SendSeq {
+			break
+		}
+		if e.SameIdentity(anti) {
+			return at, i
+		}
+	}
+	return at, -1
+}
+
+// insert puts ev into the input queue at its place.
+func (o *simObject) insert(at int, ev *event.Event) {
+	o.in = append(o.in, nil)
+	copy(o.in[at+1:], o.in[at:])
+	o.in[at] = ev
+}
+
+// removeAt takes in[i] out of the input queue and recycles it.
+func (o *simObject) removeAt(i int) {
+	o.lp.pool.Put(o.in[i])
+	last := len(o.in) - 1
+	copy(o.in[i:], o.in[i+1:])
+	o.in[last] = nil
+	o.in = o.in[:last]
+}
+
+// dropProcessed recycles the first n events of the input queue, all of them
+// processed, and closes the gap.
+func (o *simObject) dropProcessed(n int) {
+	for _, e := range o.in[:n] {
+		o.lp.pool.Put(e)
+	}
+	kept := copy(o.in, o.in[n:])
+	clear(o.in[kept:])
+	o.in = o.in[:kept]
+	o.next -= n
+	o.processedBase += int64(n)
 }
 
 // deliver inserts an arriving message (positive or anti) into the object's
@@ -113,46 +199,42 @@ func (o *simObject) deliver(ev *event.Event) {
 		o.lp.refresh(o)
 		return
 	}
-	id := pq.IdentityOf(ev)
-	if a, ok := o.orphans[id]; ok {
-		// The anti-message overtook us; the pair annihilates on arrival.
-		delete(o.orphans, id)
-		o.lp.pool.Put(a)
-		o.lp.pool.Put(ev)
-		return
+	if len(o.orphans) > 0 {
+		id := pq.IdentityOf(ev)
+		if a, ok := o.orphans[id]; ok {
+			// The anti-message overtook us; the pair annihilates on arrival.
+			delete(o.orphans, id)
+			o.lp.pool.Put(a)
+			o.lp.pool.Put(ev)
+			return
+		}
 	}
-	if o.lastExec != nil && event.Compare(ev, o.lastExec) < 0 {
-		o.rollback(ev, false)
+	at := o.place(ev)
+	if at < o.next {
+		o.rollback(ev, false, at)
 	}
-	o.pending.Push(ev)
+	o.insert(at, ev)
 	o.lp.refresh(o)
 }
 
 func (o *simObject) deliverAnti(anti *event.Event) {
-	id := pq.IdentityOf(anti)
-	if pos := o.pending.Remove(id); pos != nil {
-		// Annihilated an unprocessed event; both members of the pair die.
-		o.lp.pool.Put(pos)
-		o.lp.pool.Put(anti)
-		return
-	}
-	if o.processedHas(anti) {
-		// The positive was already executed: roll back past it, which
-		// requeues it into pending, then annihilate.
-		o.rollback(anti, true)
-		pos := o.pending.Remove(id)
-		if pos == nil {
-			panic(fmt.Sprintf("core: object %d: annihilation target vanished after rollback (%s)", o.id, anti))
+	at, i := o.find(anti)
+	if i < 0 {
+		if o.orphans == nil {
+			o.orphans = make(map[pq.Identity]*event.Event)
 		}
-		o.lp.pool.Put(pos)
-		o.lp.pool.Put(anti)
+		o.orphans[pq.IdentityOf(anti)] = anti
+		o.noteHistory(vtime.NegInf)
 		return
 	}
-	if o.orphans == nil {
-		o.orphans = make(map[pq.Identity]*event.Event)
+	if i < o.next {
+		// The positive was already executed: roll back past it, which leaves
+		// it where it is, unprocessed, then annihilate.
+		o.rollback(anti, true, at)
 	}
-	o.orphans[id] = anti
-	o.noteHistory(vtime.NegInf)
+	// Both members of the pair die.
+	o.removeAt(i)
+	o.lp.pool.Put(anti)
 }
 
 // noteHistory lowers the fossil floor to t and enters the object on its LP's
@@ -187,33 +269,18 @@ func (o *simObject) exactFossilFloor() vtime.Time {
 	}
 	f := vtime.Min(o.stateQ.FossilFloor(), o.out.FossilFloor())
 	if o.committedAbs < o.absProcessed() {
-		f = vtime.Min(f, o.processed[o.committedAbs-o.processedBase].RecvTime)
+		f = vtime.Min(f, o.in[o.committedAbs-o.processedBase].RecvTime)
 	}
 	return f
 }
 
-// processedHas reports whether the positive counterpart of anti is in the
-// processed list. Processed events are in event.Compare order, and the
-// positive sorts immediately after its anti, so scanning back until events
-// sort before the anti is exact.
-func (o *simObject) processedHas(anti *event.Event) bool {
-	for i := len(o.processed) - 1; i >= 0; i-- {
-		e := o.processed[i]
-		if event.Compare(e, anti) < 0 {
-			return false
-		}
-		if e.SameIdentity(anti) {
-			return true
-		}
-	}
-	return false
-}
-
-// rollback undoes optimistic work past the straggler: cancel outputs under
-// the strategy in force, requeue rolled-back input events, restore the
-// newest state strictly before the straggler's receive time, and coast
-// forward (re-execute with outputs suppressed) up to the straggler.
-func (o *simObject) rollback(straggler *event.Event, isAnti bool) {
+// rollback undoes optimistic work past the straggler, whose place in the
+// input queue is at (below next): cancel outputs under the strategy in force,
+// move the cursor back so the events ordered after the straggler are
+// unprocessed again, restore the newest state strictly before the straggler's
+// receive time, and coast forward (re-execute with outputs suppressed) up to
+// the straggler.
+func (o *simObject) rollback(straggler *event.Event, isAnti bool, at int) {
 	lp := o.lp
 	lp.st.Rollbacks++
 	o.rollbacks++
@@ -234,19 +301,8 @@ func (o *simObject) rollback(straggler *event.Event, isAnti bool) {
 	o.out.OnRollback(straggler)
 	o.noteLazy()
 
-	// Requeue the suffix of processed events ordered after the straggler.
-	k := len(o.processed)
-	for k > 0 && event.Compare(o.processed[k-1], straggler) > 0 {
-		k--
-	}
-	rolled := int64(len(o.processed) - k)
-	for _, e := range o.processed[k:] {
-		o.pending.Push(e)
-	}
-	for i := k; i < len(o.processed); i++ {
-		o.processed[i] = nil
-	}
-	o.processed = o.processed[:k]
+	rolled := int64(o.next - at)
+	o.next = at
 	lp.st.EventsRolledBack += rolled
 	lp.st.RollbackLength += rolled
 
@@ -269,13 +325,13 @@ func (o *simObject) rollback(straggler *event.Event, isAnti bool) {
 	// snapshot; their outputs were already (correctly) sent, so
 	// transmission is suppressed.
 	start := int(snap.Mark - o.processedBase)
-	if start < 0 || start > len(o.processed) {
+	if start < 0 || start > o.next {
 		panic(fmt.Sprintf("core: object %d: snapshot mark %d outside processed window [%d,%d)",
 			o.id, snap.Mark, o.processedBase, o.absProcessed()))
 	}
 	var coasted int64
 	var coastDur time.Duration
-	if coast := o.processed[start:]; len(coast) > 0 {
+	if coast := o.in[start:o.next]; len(coast) > 0 {
 		t0 := time.Now()
 		o.coasting = true
 		for _, e := range coast {
@@ -289,7 +345,7 @@ func (o *simObject) rollback(straggler *event.Event, isAnti bool) {
 		lp.st.CoastForwardTime += coastDur
 		lp.st.CoastForwardEvents += coasted
 	}
-	o.ckpt.OnRestore(len(o.processed) - start)
+	o.ckpt.OnRestore(o.next - start)
 
 	lp.tr.Rollback(int32(o.id), int32(straggler.Sender), int64(straggler.SendTime), int64(straggler.RecvTime),
 		isAnti, rolled, coasted, lp.st.AntiMsgsSent-antiBase, coastDur)
@@ -297,23 +353,24 @@ func (o *simObject) rollback(straggler *event.Event, isAnti bool) {
 		lp.obs.RecordRollback(rolled)
 	}
 
-	if len(o.processed) > 0 {
-		o.lastExec = o.processed[len(o.processed)-1]
-		o.lvt = o.lastExec.RecvTime
+	var last *event.Event
+	if o.next > 0 {
+		last = o.in[o.next-1]
+		o.lvt = last.RecvTime
 	} else {
-		o.lastExec = nil
 		o.lvt = snap.Time
 	}
 	if o.au != nil {
-		o.au.RollbackEnd(o.lastExec)
+		o.au.RollbackEnd(last)
 	}
 }
 
-// executeNext pops and executes the object's next event, then runs the
-// per-event bookkeeping: lazy-expiry, checkpointing and its controller.
+// executeNext executes the object's next event and moves the cursor past it,
+// then runs the per-event bookkeeping: lazy-expiry, checkpointing and its
+// controller.
 func (o *simObject) executeNext() {
 	lp := o.lp
-	ev := o.pending.PopMin()
+	ev := o.head()
 	if ev == nil {
 		return
 	}
@@ -322,8 +379,7 @@ func (o *simObject) executeNext() {
 	}
 	spin.Spin(lp.cfg.EventCost)
 	o.execApp(ev)
-	o.processed = append(o.processed, ev)
-	o.lastExec = ev
+	o.next++
 	o.lvt = ev.RecvTime
 	// Everything this execution adds to the history — the processed event, a
 	// checkpoint at lvt, output records generated by ev — is reclaimable only
@@ -398,34 +454,18 @@ func (o *simObject) fossilCollect(gvt vtime.Time) {
 
 	for o.committedAbs < o.absProcessed() {
 		rel := o.committedAbs - o.processedBase
-		if !o.processed[rel].RecvTime.Before(gvt) {
+		if !o.in[rel].RecvTime.Before(gvt) {
 			break
 		}
 		if o.au != nil {
-			o.au.Commit(o.processed[rel], gvt)
+			o.au.Commit(o.in[rel], gvt)
 		}
 		o.committedAbs++
 		lp.st.EventsCommitted++
 	}
 
 	if drop := o.stateQ.OldestMark() - o.processedBase; drop > 0 {
-		n := int(drop)
-		for i := 0; i < n; i++ {
-			e := o.processed[i]
-			if e == o.lastExec {
-				// The cursor outlives the event: demote it to a by-value
-				// copy before the event is recycled.
-				o.lastExecStore = e.Key()
-				o.lastExec = &o.lastExecStore
-			}
-			lp.pool.Put(e)
-		}
-		copy(o.processed, o.processed[n:])
-		for i := len(o.processed) - n; i < len(o.processed); i++ {
-			o.processed[i] = nil
-		}
-		o.processed = o.processed[:len(o.processed)-n]
-		o.processedBase += drop
+		o.dropProcessed(int(drop))
 		lp.st.FossilCollected += drop
 	}
 
@@ -452,7 +492,7 @@ func (o *simObject) commitRemaining() {
 		if o.au != nil {
 			// The bound is +inf: at termination everything is final, so
 			// only the committed-order invariant remains to check.
-			o.au.Commit(o.processed[o.committedAbs-o.processedBase], vtime.PosInf)
+			o.au.Commit(o.in[o.committedAbs-o.processedBase], vtime.PosInf)
 		}
 		o.committedAbs++
 		o.lp.st.EventsCommitted++

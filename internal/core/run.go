@@ -349,11 +349,10 @@ func newKernel(m *model.Model, cfg *Config, hosted []int, net comm.Sender, start
 			continue // hosted by another rank; sh.objs keeps a nil slot
 		}
 		o := &simObject{
-			id:      event.ObjectID(id),
-			slot:    len(lp.objs),
-			obj:     obj,
-			lp:      lp,
-			pending: pq.New(cfg.PendingSet),
+			id:   event.ObjectID(id),
+			slot: len(lp.objs),
+			obj:  obj,
+			lp:   lp,
 		}
 		o.au = lp.au.Object(o.id)
 		o.ectx.o = o

@@ -59,58 +59,6 @@ func (tb Testbed) CheckpointSweep() (Figure, error) {
 	return fig, nil
 }
 
-// SchedulerAblation compares the pending-set implementations (binary heap,
-// splay tree, calendar queue) on PHOLD — the data structure behind every
-// event insertion, pop and annihilation.
-func (tb Testbed) SchedulerAblation() (Figure, error) {
-	fig := Figure{
-		Name:   "sched",
-		Title:  "Pending-set implementations: heap vs splay vs calendar (PHOLD)",
-		XLabel: "tokens/object",
-		YLabel: "execution seconds",
-	}
-	heap := Series{Name: "heap"}
-	splay := Series{Name: "splay"}
-	calendar := Series{Name: "calendar"}
-	for _, tokens := range []int{1, 4, 16} {
-		for _, v := range []struct {
-			s    *Series
-			kind interface{ String() string }
-		}{{&heap, gowarp.HeapPendingSet}, {&splay, gowarp.SplayPendingSet}, {&calendar, gowarp.CalendarPendingSet}} {
-			m := gowarp.NewPHOLD(gowarp.PHOLDConfig{
-				Objects:         32,
-				TokensPerObject: tokens,
-				MeanDelay:       20,
-				Locality:        0.5,
-				LPs:             4,
-				Seed:            99,
-			})
-			end := gowarp.VTime(60_000)
-			if tb.Quick {
-				end = 10_000
-			}
-			cfg := tb.baseConfig(end, 200)
-			cfg.Checkpoint.Interval = 4
-			switch v.kind {
-			case gowarp.SplayPendingSet:
-				cfg.PendingSet = gowarp.SplayPendingSet
-			case gowarp.CalendarPendingSet:
-				cfg.PendingSet = gowarp.CalendarPendingSet
-			default:
-				cfg.PendingSet = gowarp.HeapPendingSet
-			}
-			row, err := tb.run(m, cfg)
-			if err != nil {
-				return fig, fmt.Errorf("sched/%s/%d: %w", v.s.Name, tokens, err)
-			}
-			row.X = float64(tokens)
-			v.s.Rows = append(v.s.Rows, row)
-		}
-	}
-	fig.Series = []Series{heap, splay, calendar}
-	return fig, nil
-}
-
 // GVTPeriodAblation sweeps the GVT cadence, the knob trading memory and
 // commit latency against control traffic.
 func (tb Testbed) GVTPeriodAblation() (Figure, error) {

@@ -97,6 +97,18 @@ func (h *ScheduleHeap) Min() (slot int, t vtime.Time) {
 	return s, h.keys[s].t
 }
 
+// MinKey is Min returning the whole composite key UpdateKey stored for the
+// least slot, so a scheduler of schedulers can copy it without going back to
+// the object it came from.
+func (h *ScheduleHeap) MinKey() (slot int, t vtime.Time, seq uint64, id int32) {
+	if len(h.order) == 0 {
+		return -1, vtime.PosInf, 0, 0
+	}
+	s := h.order[0]
+	k := h.keys[s]
+	return s, k.t, k.seq, k.id
+}
+
 func (h *ScheduleHeap) less(i, j int) bool {
 	a, b := h.order[i], h.order[j]
 	if h.keys[a] != h.keys[b] {

@@ -33,11 +33,14 @@ func TestScheduleHeapTieBreakIgnoresSlotOrder(t *testing.T) {
 	if slot, min := h.Min(); slot != 0 || min != 99 {
 		t.Fatalf("lower vt: Min = (%d,%s), want (0,99)", slot, min)
 	}
+	if slot, min, seq, id := NewScheduleHeap(0).MinKey(); slot != -1 || min != vtime.PosInf || seq != 0 || id != 0 {
+		t.Fatalf("empty heap: MinKey = (%d,%s,%d,%d), want (-1,+inf,0,0)", slot, min, seq, id)
+	}
 }
 
 // TestScheduleHeapCompositeKeyProperty drives the heap with random UpdateKey
-// operations and checks Min against a brute-force scan of the (vt, seq, id)
-// order after every step.
+// operations and checks Min and MinKey against a brute-force scan of the
+// (vt, seq, id) order after every step.
 func TestScheduleHeapCompositeKeyProperty(t *testing.T) {
 	const n = 24
 	r := rand.New(rand.NewSource(11))
@@ -78,6 +81,10 @@ func TestScheduleHeapCompositeKeyProperty(t *testing.T) {
 		if keys[gotSlot] != want {
 			t.Fatalf("step %d: Min slot %d has key %+v, want %+v (slot %d)",
 				step, gotSlot, keys[gotSlot], want, wantSlot)
+		}
+		if s, kt, seq, id := h.MinKey(); s != gotSlot || (scheduleKey{kt, seq, id}) != want {
+			t.Fatalf("step %d: MinKey = (%d, %s, %d, %d), want slot %d with %+v",
+				step, s, kt, seq, id, gotSlot, want)
 		}
 	}
 }

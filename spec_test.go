@@ -258,7 +258,6 @@ func TestConfigBuilder(t *testing.T) {
 		WithOptimism(OptimismAdaptive, 2000).
 		WithGVTPeriod(time.Millisecond).
 		WithOptimismWindow(500).
-		WithPendingSet(SplayPendingSet).
 		WithWorkers(2).
 		WithTracer(tr).
 		WithTimeline().
@@ -285,8 +284,8 @@ func TestConfigBuilder(t *testing.T) {
 	if cfg.Optimism.Mode != OptimismAdaptive || cfg.Optimism.Window != 2000 {
 		t.Errorf("Optimism = %+v", cfg.Optimism)
 	}
-	if cfg.OptimismWindow != 500 || cfg.PendingSet != SplayPendingSet {
-		t.Errorf("kernel knobs = %+v %v", cfg.OptimismWindow, cfg.PendingSet)
+	if cfg.OptimismWindow != 500 {
+		t.Errorf("OptimismWindow = %v", cfg.OptimismWindow)
 	}
 	if cfg.Tracer != tr || !cfg.Timeline {
 		t.Errorf("tracer/timeline not threaded")
