@@ -23,7 +23,10 @@
 //     stop — aggregation neither drops nor duplicates events;
 //   - state integrity: a restored checkpoint hashes identically to the state
 //     originally saved (catching models whose Clone is not a deep copy), and
-//     fossil collection always retains a snapshot at or below GVT.
+//     fossil collection always retains a snapshot at or below GVT;
+//   - event holders: every event an LP's queues reach has exactly as many
+//     holders as those queues have references to it, so none is recycled under
+//     a holder, leaked by one, or held from two LPs.
 //
 // Everything here is nil-safe by design: a nil *Auditor hands out nil
 // *LPAudit and *ObjectAudit recorders, and every checking method on a nil
@@ -69,6 +72,7 @@ const (
 	InvMigration        = "migration"   // a migrated object lost events or state in transit
 	InvLocalMin         = "local-min"   // the LP's GVT contribution differs from the scan over every hosted object
 	InvFossilSkip       = "fossil-skip" // fossil collection passed over an object whose history it would have shrunk
+	InvHolders          = "holders"     // an event's holder count differs from the references its LP's queues hold
 )
 
 // Violation is one observed invariant breach.
@@ -463,6 +467,23 @@ func (l *LPAudit) GVT() vtime.Time {
 		return vtime.NegInf
 	}
 	return l.gvt
+}
+
+// Holders checks one event at a GVT application: refs is how many references
+// to it the kernel found in its LP's queues — input queues, output-queue
+// records and their generation stamps, orphan tables, the deferred list — and
+// must equal the event's holder count. Fewer holders means a queue will read
+// the event after its recycling; more means a release was lost or another LP
+// holds it too.
+func (l *LPAudit) Holders(ev *event.Event, refs int) {
+	if l == nil {
+		return
+	}
+	l.checks++
+	if h := ev.Holders(); h != refs {
+		l.a.record(Violation{Invariant: InvHolders, LP: l.lp, Object: ev.Receiver,
+			Detail: fmt.Sprintf("%s has %d holder(s) but this LP's queues refer to it %d time(s)", ev, h, refs)})
+	}
 }
 
 // FinishDeferred checks the intra-LP deferred queue after the LPs stopped:

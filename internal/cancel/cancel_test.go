@@ -2,6 +2,7 @@ package cancel
 
 import (
 	"testing"
+	"unsafe"
 
 	"gowarp/internal/event"
 	"gowarp/internal/stats"
@@ -401,5 +402,145 @@ func TestManagerCrossGenMatch(t *testing.T) {
 	h.m.OnRollback(in(18, 98))
 	if h.m.PendingLen() != 1 {
 		t.Error("reinstated original must be owned by g2 now")
+	}
+}
+
+// TestRecordSize pins the output-queue entry at three words: two shared
+// pointers and a flag, where a by-value generation stamp made it 96 bytes.
+func TestRecordSize(t *testing.T) {
+	if n := unsafe.Sizeof(record{}); n > 24 {
+		t.Errorf("unsafe.Sizeof(record{}) = %d, want at most 24", n)
+	}
+}
+
+// TestManagerHoldsBalance runs the rounds benchmark/layers.go times — the same
+// literal generating events reused across thousands of RecordSent,
+// FossilCollect, OnRollback and FilterOutput rounds — over every way a record
+// can die, on a pooled manager and on a nil-pool one: each round must leave
+// the generating events with the one holder they started with (the test) and
+// the pooled outputs recycled, and on a nil pool nothing is ever counted.
+func TestManagerHoldsBalance(t *testing.T) {
+	const window, rounds = 16, 2000
+	for _, pooled := range []bool{true, false} {
+		for _, mode := range []Mode{StaticAggressive, StaticLazy, Dynamic} {
+			var pool *event.Pool
+			if pooled {
+				pool = event.NewPool()
+			}
+			var st stats.Counters
+			m := NewManager(NewSelector(Config{Mode: mode, FilterDepth: 4, Period: 1}),
+				func(a *event.Event) { pool.Put(a) }, &st, pool)
+			gens := make([]*event.Event, window)
+			for i := range gens {
+				gens[i] = in(vtime.Time(10*(i+1)), uint64(i+1))
+			}
+			out := func(i int) *event.Event {
+				e := pool.Get()
+				e.SendTime, e.RecvTime = gens[i].RecvTime, gens[i].RecvTime+5
+				e.Sender, e.Receiver, e.ID = 1, 2, uint64(i)
+				return e
+			}
+			for r := 0; r < rounds; r++ {
+				m.RecordSent(out(0), nil) // an Init output: no generating event
+				for i := range gens {
+					m.RecordSent(out(i), gens[i])
+					m.RecordSent(out(i), gens[i]) // two records, one generating event
+				}
+				if want := map[bool]int{true: 3, false: 1}[pooled]; gens[0].Holders() != want {
+					t.Fatalf("pooled=%v %s: generating event has %d holders under two records, want %d",
+						pooled, mode, gens[0].Holders(), want)
+				}
+				// A straggler undoes the newer half; what a lazy or monitoring
+				// manager parks is then regenerated (a hit), expired by the
+				// execution passing it (a miss), or drained.
+				m.OnRollback(gens[window/2])
+				for i := window / 2; i < window && m.PendingLen() > 0; i++ {
+					switch i % 3 {
+					case 0:
+						regen := out(i)
+						if m.FilterOutput(regen, gens[i]) {
+							m.RecordSent(regen, gens[i])
+						} else {
+							pool.Put(regen)
+						}
+					case 1:
+						m.AfterExecute(gens[i])
+					}
+				}
+				m.Drain()
+				m.FossilCollect(vtime.PosInf)
+				if m.SentLen() != 0 || m.PendingLen() != 0 {
+					t.Fatalf("pooled=%v %s: %d sent and %d pending records survive a round", pooled, mode, m.SentLen(), m.PendingLen())
+				}
+				for i, g := range gens {
+					if g.Holders() != 1 || g.ID != uint64(i+1) {
+						t.Fatalf("pooled=%v %s round %d: generating event %d left with %d holders, id %d",
+							pooled, mode, r, i, g.Holders(), g.ID)
+					}
+				}
+			}
+			if allocs, reuses := pool.Stats(); pooled && (allocs > 4*window || reuses == 0) {
+				t.Errorf("%s: %d events allocated and %d reused over %d rounds: outputs are not coming back",
+					mode, allocs, reuses, rounds)
+			}
+			if mode != StaticAggressive && st.LazyHits == 0 {
+				t.Errorf("pooled=%v %s: no lazy hit; the reattribution path was not exercised", pooled, mode)
+			}
+		}
+	}
+}
+
+// TestManagerRemapVisitsEveryHold: Remap reaches each record's output and
+// generating event, sent and pending, and stores what f returns.
+func TestManagerRemapVisitsEveryHold(t *testing.T) {
+	h := newHarness(StaticLazy)
+	g1, g2 := in(10, 1), in(20, 2)
+	h.m.RecordSent(h.out(0, 5, 'i'), nil)
+	h.m.RecordSent(h.out(10, 40, 'a'), g1)
+	h.m.RecordSent(h.out(20, 50, 'b'), g2)
+	h.m.RecordSent(h.out(20, 55, 'c'), g2)
+	h.m.OnRollback(in(15, 99)) // g2's two outputs go to the pending list
+	seen := map[*event.Event]int{}
+	h.m.Remap(func(e *event.Event) *event.Event { seen[e]++; return e })
+	if len(seen) != 6 || seen[g1] != 1 || seen[g2] != 2 {
+		t.Fatalf("Remap visited %d events (g1 %d times, g2 %d), want 6 (1, 2)", len(seen), seen[g1], seen[g2])
+	}
+	g2b := in(20, 2)
+	h.m.Remap(func(e *event.Event) *event.Event {
+		if e == g2 {
+			return g2b
+		}
+		return e
+	})
+	seen = map[*event.Event]int{}
+	h.m.Remap(func(e *event.Event) *event.Event { seen[e]++; return e })
+	if seen[g2] != 0 || seen[g2b] != 2 {
+		t.Errorf("after repointing, g2 is referred to %d times and its replacement %d, want 0 and 2", seen[g2], seen[g2b])
+	}
+}
+
+// TestStaticSelectorHasNoControllerParts: a static selector builds no window,
+// dead zone or ticker, reads zero where they would be consulted, and still
+// takes an external override.
+func TestStaticSelectorHasNoControllerParts(t *testing.T) {
+	for _, mode := range []Mode{StaticAggressive, StaticLazy} {
+		s := NewSelector(Config{Mode: mode})
+		if s.window != nil || s.dz != nil || s.ticker != nil {
+			t.Errorf("%s selector built controller parts", mode)
+		}
+		if s.HitRatio() != 0 || s.Comparisons() != 0 {
+			t.Errorf("%s selector reads HR %.2f over %d comparisons", mode, s.HitRatio(), s.Comparisons())
+		}
+		var hooked int
+		s.Hook = func(Strategy, float64) { hooked++ }
+		want := Lazy
+		if mode == StaticLazy {
+			want = Aggressive
+		}
+		s.Override(want)
+		if s.Current() != want || hooked != 1 || s.Switches != 1 {
+			t.Errorf("%s selector after Override(%s): current %s, %d hook calls, %d switches",
+				mode, want, s.Current(), hooked, s.Switches)
+		}
 	}
 }

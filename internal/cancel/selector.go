@@ -94,7 +94,9 @@ func (c Config) withDefaults() Config {
 }
 
 // Selector picks the cancellation strategy for one simulation object. The
-// initial state is aggressive, as in the paper.
+// initial state is aggressive, as in the paper. The controller parts — the
+// comparison window, the dead zone and the period ticker — exist only in
+// Dynamic mode; a static selector is its strategy.
 type Selector struct {
 	cfg     Config
 	window  *control.BitWindow
@@ -115,26 +117,28 @@ type Selector struct {
 
 // NewSelector returns a selector for the given configuration.
 func NewSelector(cfg Config) *Selector {
-	cfg = cfg.withDefaults()
-	s := &Selector{
-		cfg:    cfg,
-		window: control.NewBitWindow(cfg.FilterDepth),
-		// DeadZone output "high" means lazy. Thresholds map as:
-		// HR > A2L -> lazy, HR < L2A -> aggressive.
-		dz:     control.NewDeadZone(cfg.L2AThreshold, cfg.A2LThreshold, false),
-		ticker: control.NewTicker(cfg.Period),
-	}
+	s := &Selector{}
+	s.Init(cfg)
+	return s
+}
+
+// Init is NewSelector in place, for a zero Selector held by value inside its
+// object's runtime.
+func (s *Selector) Init(cfg Config) {
+	s.cfg = cfg.withDefaults()
 	switch cfg.Mode {
 	case StaticLazy:
 		s.current = Lazy
 		s.frozen = true
 	case StaticAggressive:
-		s.current = Aggressive
 		s.frozen = true
-	default:
-		s.current = Aggressive
+	case Dynamic:
+		s.window = control.NewBitWindow(s.cfg.FilterDepth)
+		// DeadZone output "high" means lazy. Thresholds map as:
+		// HR > A2L -> lazy, HR < L2A -> aggressive.
+		s.dz = control.NewDeadZone(s.cfg.L2AThreshold, s.cfg.A2LThreshold, false)
+		s.ticker = control.NewTicker(s.cfg.Period)
 	}
-	return s
 }
 
 // Current returns the strategy in force.
@@ -150,11 +154,22 @@ func (s *Selector) Monitoring() bool {
 	return s.cfg.Mode == Dynamic && !s.frozen
 }
 
-// HitRatio returns the current windowed hit ratio.
-func (s *Selector) HitRatio() float64 { return s.window.Ratio() }
+// HitRatio returns the current windowed hit ratio: 0 for a static selector,
+// which records no comparisons.
+func (s *Selector) HitRatio() float64 {
+	if s.window == nil {
+		return 0
+	}
+	return s.window.Ratio()
+}
 
 // Comparisons returns the lifetime number of recorded comparisons.
-func (s *Selector) Comparisons() int { return s.window.Total() }
+func (s *Selector) Comparisons() int {
+	if s.window == nil {
+		return 0
+	}
+	return s.window.Total()
+}
 
 // RecordComparison feeds one output comparison outcome (true = hit) and runs
 // the control process on its period. It returns the strategy now in force;
@@ -207,6 +222,6 @@ func (s *Selector) setCurrent(want Strategy) {
 	s.current = want
 	s.Switches++
 	if s.Hook != nil {
-		s.Hook(want, s.window.Ratio())
+		s.Hook(want, s.HitRatio())
 	}
 }

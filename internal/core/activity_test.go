@@ -12,7 +12,9 @@ import (
 	"gowarp/internal/audit"
 	"gowarp/internal/cancel"
 	"gowarp/internal/comm"
+	"gowarp/internal/event"
 	"gowarp/internal/model"
+	"gowarp/internal/statesave"
 	"gowarp/internal/stats"
 	"gowarp/internal/vtime"
 )
@@ -138,7 +140,7 @@ func (k *twin) migrate(lp *lpRun, i, to int, back bool) {
 	}
 	dst := k.lps[to]
 	dst.drainInbox()
-	if dst.local[o.id] != nil && len(dst.objs) > 1 {
+	if dst.hosted(o.id) != nil && len(dst.objs) > 1 {
 		dst.migrateOut(o, lp.id)
 		lp.drainInbox()
 	}
@@ -321,10 +323,10 @@ func TestActivityListsMatchFullScan(t *testing.T) {
 
 // TestGVTTouchesOnlyActiveObjects is the visit-count guard: on an LP hosting
 // 4096 objects of which 8 exchange events, GVT participation and application
-// reach at most those 8. The idle objects' queues are removed after the
+// reach at most those 8. The idle objects' queues are booby-trapped after the
 // first GVT (which reclaims nothing of theirs but is entitled to look), so
-// any later visit — fossilCollect, drainStale, MinPending — is a nil
-// dereference.
+// any later visit panics: fossilCollect on an emptied state queue, drainStale
+// and MinPending on a pending entry with no event.
 func TestGVTTouchesOnlyActiveObjects(t *testing.T) {
 	const hosted, active = 4096, 8
 	cfg := DefaultConfig(vtime.Time(1) << 40)
@@ -334,7 +336,14 @@ func TestGVTTouchesOnlyActiveObjects(t *testing.T) {
 
 	lp.applyGVT(lp.localMin())
 	for _, o := range lp.objs[active:] {
-		o.stateQ, o.out = nil, nil
+		o.stateQ = statesave.Queue{}
+		// Under lazy cancellation a rollback parks the record on the pending
+		// list; off lp.lazy, nothing is entitled to find it there.
+		o.out.RecordSent(nil, &event.Event{RecvTime: 1})
+		o.out.OnRollback(&event.Event{})
+		if o.out.PendingLen() != 1 {
+			t.Fatal("the trap was not set")
+		}
 	}
 	for round := 0; round < 50; round++ {
 		for i := 0; i < 40; i++ {
@@ -362,6 +371,23 @@ func TestGVTTouchesOnlyActiveObjects(t *testing.T) {
 	if lp.st.FossilCollected == 0 || lp.st.EventsCommitted == 0 {
 		t.Fatalf("nothing reclaimed (%d) or committed (%d): the guard exercised nothing",
 			lp.st.FossilCollected, lp.st.EventsCommitted)
+	}
+
+	// The traps are live: each kind of visit to an idle object panics.
+	idle := lp.objs[active]
+	for name, visit := range map[string]func(){
+		"fossilCollect": func() { idle.fossilCollect(vtime.PosInf) },
+		"drainStale":    idle.drainStale,
+		"MinPending":    func() { idle.out.MinPending() },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s of a trapped object did not panic", name)
+				}
+			}()
+			visit()
+		}()
 	}
 
 	// Inside the GVT period the initiator must not even compute its minimum:

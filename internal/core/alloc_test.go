@@ -29,7 +29,10 @@ func newAllocHarness() *lpRun {
 // no audit/trace/balance), the steady-state execute loop — scheduler pop,
 // event execution, intra-LP routing through the cancellation manager and
 // event pool, deferred delivery, periodic checkpoints, and fossil collection
-// at GVT — performs zero heap allocations per event.
+// at GVT — performs zero heap allocations per event, and draws one event from
+// the pool per message: the struct context.Send fills is the one the sender's
+// record keeps, the receiver's input queue holds and the records it generates
+// are stamped with, until fossil collection releases the last of them.
 func TestExecuteLoopZeroAlloc(t *testing.T) {
 	lp := newAllocHarness()
 	step := func() {
@@ -56,6 +59,15 @@ func TestExecuteLoopZeroAlloc(t *testing.T) {
 	}
 	if n := testing.AllocsPerRun(64, round); n != 0 {
 		t.Errorf("steady-state execute loop allocated %.2f times per 64-event round, want 0", n)
+	}
+	allocs, reuses := lp.pool.Stats()
+	events, sends := lp.st.EventsProcessed, lp.st.IntraLPMsgs
+	round()
+	a, r := lp.pool.Stats()
+	events, sends = lp.st.EventsProcessed-events, lp.st.IntraLPMsgs-sends
+	if gets := a + r - allocs - reuses; gets != sends || sends != events || a != allocs {
+		t.Errorf("%d events sent %d intra-LP messages for %d pool Gets, %d of them fresh; want one recycled struct per message",
+			events, sends, gets, a-allocs)
 	}
 }
 

@@ -29,6 +29,28 @@ func (o *simObject) historySize() historySize {
 	return historySize{o.stateQ.Len(), o.out.SentLen(), len(o.orphans), o.committedAbs, o.processedBase}
 }
 
+// auditHolders checks the one-LP rule of package event at a GVT application:
+// every event this LP's queues reach — the hosted objects' input queues,
+// output-queue records with their generation stamps, orphan tables, and the
+// deferred list — must have exactly as many holders as references found. An
+// event shared with an object on another LP, or in a capsule, comes up short.
+func (lp *lpRun) auditHolders() {
+	refs := make(map[*event.Event]int)
+	count := func(e *event.Event) *event.Event {
+		refs[e]++
+		return e
+	}
+	for _, e := range lp.deferred {
+		count(e)
+	}
+	for _, o := range lp.objs {
+		o.remapEvents(count)
+	}
+	for e, n := range refs {
+		lp.au.Holders(e, n)
+	}
+}
+
 // auditFossil is applyGVT's full scan, kept under Config.Audit. Invariant
 // (b): before any history is reclaimed, the new estimate must sit at or
 // below every object's unprocessed minimum and its minimum unresolved lazy

@@ -2,6 +2,7 @@ package core
 
 import (
 	"gowarp/internal/control"
+	"gowarp/internal/event"
 	"gowarp/internal/partition"
 	"gowarp/internal/stats"
 )
@@ -124,7 +125,7 @@ func (lp *lpRun) runBalancer() {
 			}
 			batch := make([]*simObject, 0, len(objs))
 			for _, id := range objs {
-				o := lp.local[id]
+				o := lp.hosted(event.ObjectID(id))
 				if o == nil || len(lp.objs)-len(batch) <= 1 {
 					continue
 				}

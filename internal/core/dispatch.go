@@ -510,7 +510,7 @@ func (w *worker) takeAdoptions() {
 		lp.pool = w.pool
 		lp.ep.Pool = w.pool
 		for _, o := range lp.objs {
-			o.out.Rebind(lp.emitAnti, &lp.st, lp.pool)
+			o.out.Rebind(lp.antiOut, &lp.st, lp.pool)
 		}
 		w.owned = append(w.owned, lp)
 		w.adoptions.Add(1)

@@ -35,10 +35,10 @@ func (nilState) StateBytes() int    { return 0 }
 // pingObject passes a token to its peer with delay 1 per execution; seeded
 // objects put one token in flight at Init.
 type pingObject struct {
-	name   string
-	peer   event.ObjectID
-	seeded bool
-	buf    [8]byte
+	name    string
+	peer    event.ObjectID
+	seeded  bool
+	payload []byte
 }
 
 func (p *pingObject) Name() string              { return p.name }
@@ -46,12 +46,12 @@ func (p *pingObject) InitialState() model.State { return nilState{} }
 
 func (p *pingObject) Init(ctx model.Context, st model.State) {
 	if p.seeded {
-		ctx.Send(p.peer, 1, 0, p.buf[:])
+		ctx.Send(p.peer, 1, 0, p.payload)
 	}
 }
 
 func (p *pingObject) Execute(ctx model.Context, st model.State, ev *event.Event) {
-	ctx.Send(p.peer, 1, 0, p.buf[:])
+	ctx.Send(p.peer, 1, 0, p.payload)
 }
 
 // ringModel returns a one-LP model of n objects of which the first active
@@ -60,12 +60,25 @@ func (p *pingObject) Execute(ctx model.Context, st model.State, ev *event.Event)
 func ringModel(n, active, tokens int) *model.Model {
 	m := &model.Model{Name: "ring", Partition: make([]int, n)}
 	for i := 0; i < n; i++ {
-		p := &pingObject{name: fmt.Sprintf("ring.%d", i), peer: event.ObjectID(i)}
+		p := &pingObject{name: fmt.Sprintf("ring.%d", i), peer: event.ObjectID(i), payload: make([]byte, 8)}
 		if i < active {
 			p.peer = event.ObjectID((i + 1) % active)
 			p.seeded = i < tokens
 		}
 		m.Objects = append(m.Objects, p)
+	}
+	return m
+}
+
+// pairModel returns a one-LP model of n objects in pairs, each pair passing
+// one token of the given payload size back and forth.
+func pairModel(n, payload int) *model.Model {
+	m := &model.Model{Name: "pairs", Partition: make([]int, n)}
+	for i := 0; i < n; i++ {
+		m.Objects = append(m.Objects, &pingObject{
+			name: fmt.Sprintf("pair.%d", i), peer: event.ObjectID(i ^ 1),
+			seeded: i&1 == 0, payload: make([]byte, payload),
+		})
 	}
 	return m
 }

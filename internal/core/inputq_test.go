@@ -5,10 +5,12 @@ import (
 	"testing"
 	"time"
 
+	"gowarp/internal/cancel"
 	"gowarp/internal/event"
 	"gowarp/internal/model"
 	"gowarp/internal/pq"
 	"gowarp/internal/statesave"
+	"gowarp/internal/stats"
 	"gowarp/internal/vtime"
 )
 
@@ -255,6 +257,26 @@ type inputTape struct {
 	gvt    vtime.Time
 	nextID uint64
 	parked []event.Event // orphan anti-messages whose positive may still come
+
+	// sender is the output queue of an imaginary object of the same LP: what
+	// it sent is held by its records and by o's input queue, one struct for
+	// both. recorded is what each of its records must go on reading, whatever
+	// the input queue does with its own hold.
+	sender   *cancel.Manager
+	recorded []event.Event
+}
+
+// sendShared delivers ev to both objects the way an intra-LP send does: the
+// sender's record keeps the struct and the input queue becomes its second
+// holder.
+func (tp *inputTape) sendShared(ev event.Event) {
+	k := ev
+	tp.ref.deliver(&k)
+	e := tp.lp.pool.Get()
+	*e = ev
+	tp.sender.RecordSent(e, nil)
+	tp.recorded = append(tp.recorded, ev)
+	tp.o.deliver(tp.lp.pool.Share(e))
 }
 
 // send delivers ev to both objects; the reference keeps a copy of its own,
@@ -301,7 +323,7 @@ func (tp *inputTape) live() (processed, unprocessed []*event.Event) {
 func (tp *inputTape) step(op, arg byte) {
 	o, ref := tp.o, tp.ref
 	processed, unprocessed := tp.live()
-	switch op % 9 {
+	switch op % 11 {
 	case 0: // deliver, anywhere from GVT on: a straggler if that is the past
 		tp.send(tp.fresh(tp.gvt+vtime.Time(arg&31), arg))
 	case 1: // execute
@@ -353,6 +375,11 @@ func (tp *inputTape) step(op, arg byte) {
 			ref.fossilCollect(tp.gvt)
 			o.fossilCollect(tp.gvt)
 		}
+	case 9: // deliver an event its sender's record holds too
+		tp.sendShared(tp.fresh(tp.gvt+vtime.Time(arg&31), arg))
+	case 10: // the sender's records are collected, whatever became of the events
+		tp.sender.FossilCollect(vtime.PosInf)
+		tp.recorded = tp.recorded[:0]
 	}
 	tp.check()
 }
@@ -360,6 +387,33 @@ func (tp *inputTape) step(op, arg byte) {
 func (tp *inputTape) check() {
 	t, o, ref := tp.t, tp.o, tp.ref
 	t.Helper()
+	queued := make(map[*event.Event]bool, len(o.in))
+	for _, e := range o.in {
+		queued[e] = true
+	}
+	// An event a record holds reads as sent, annihilated and collected out of
+	// the input queue or not, and every count is the references there are.
+	records := 0
+	tp.sender.Remap(func(e *event.Event) *event.Event {
+		want := &tp.recorded[records]
+		records++
+		if event.Compare(e, want) != 0 || e.Kind != want.Kind {
+			t.Fatalf("a record's event reads %s, sent as %s", e, want)
+		}
+		holders := 1
+		if queued[e] {
+			holders, queued[e] = 2, false
+		}
+		if e.Holders() != holders {
+			t.Fatalf("%s has %d holder(s), %d reference(s)", e, e.Holders(), holders)
+		}
+		return e
+	})
+	for e, alone := range queued {
+		if alone && e.Holders() != 1 {
+			t.Fatalf("%s has %d holders, the input queue alone refers to it", e, e.Holders())
+		}
+	}
 	seen := make(map[pq.Identity]bool, len(o.in))
 	for i, e := range o.in {
 		if i > 0 && event.Compare(o.in[i-1], e) >= 0 {
@@ -404,7 +458,8 @@ func (tp *inputTape) check() {
 // FuzzInputQueue drives a simObject through simObject's own methods beside
 // the HeapSet-and-processed-list pair it used to keep: deliveries, executions,
 // stragglers, anti-messages for unprocessed, processed and absent events,
-// transient replacements and fossil collections, read off a byte tape (the
+// transient replacements, fossil collections and events shared with their
+// sender's output record, read off a byte tape (the
 // first byte picks the checkpoint interval, then an operation and an argument
 // per step). After every step both must hold the same events in the same
 // order on both sides of the cursor, the same checkpoints and the same state.
@@ -418,6 +473,9 @@ func FuzzInputQueue(f *testing.F) {
 	// Replacements of a processed and of an unprocessed event, then both
 	// members of each pair cancelled.
 	f.Add([]byte{4, 0, 3, 0, 7, 1, 0, 7, 0, 7, 1, 1, 3, 4, 0, 4, 0, 3, 0, 3, 0, 8, 9})
+	// Shared with the sender's record: annihilated unprocessed and processed,
+	// collected from the input queue first and from the record first.
+	f.Add([]byte{2, 9, 4, 9, 8, 9, 12, 3, 2, 1, 3, 4, 0, 8, 30, 9, 6, 10, 0, 9, 9, 1, 3, 8, 30, 10, 0})
 	f.Fuzz(func(t *testing.T, tape []byte) {
 		if len(tape) == 0 {
 			return
@@ -425,6 +483,8 @@ func FuzzInputQueue(f *testing.F) {
 		chi := 1 + int(tape[0])%5
 		lp, o := newSinkKernel(&sinkObject{}, chi)
 		tp := &inputTape{t: t, lp: lp, o: o, ref: newRefObject(chi)}
+		var st stats.Counters
+		tp.sender = cancel.NewManager(cancel.NewSelector(cancel.Config{}), func(*event.Event) {}, &st, lp.pool)
 		for i := 1; i+1 < len(tape); i += 2 {
 			tp.step(tape[i], tape[i+1])
 		}

@@ -81,6 +81,10 @@ type lpRun struct {
 	// LPs) and is rebound on adoption.
 	pool *event.Pool
 
+	// antiOut is lp.emitAnti as a value, made once so that binding an object's
+	// cancellation manager to this LP allocates nothing.
+	antiOut func(*event.Event)
+
 	// deferred holds intra-LP messages awaiting insertion; deferring them
 	// to the main loop keeps rollback cascades from re-entering an object
 	// mid-rollback. deferredSpare is the drained slice from the previous
@@ -124,16 +128,10 @@ type lpRun struct {
 	lazy []*simObject
 	hist []*simObject
 
-	// local maps ObjectID to the hosted runtime, nil for objects living
-	// elsewhere. It is this LP's authoritative view of what it hosts —
-	// consulted before the shared routing table on every route and delivery,
-	// so a stale table entry can misdirect an event (which is then
-	// forwarded) but never misdeliver one.
-	local []*simObject
 	// outbound maps objects this LP migrated away to their destination, for
 	// the window where the routing table still names this LP (the table
 	// flips only after the destination installs the capsule). Entries are
-	// deleted if the object ever migrates back here.
+	// deleted if the object ever migrates back here. See hosted.
 	outbound map[event.ObjectID]int
 
 	// ld accumulates this LP's load observations between GVT applications;
@@ -175,22 +173,40 @@ func (lp *lpRun) noteEdge(ev *event.Event) {
 	}
 }
 
-// routeRecorded delivers an output event that stays owned by its sender's
-// cancellation manager (the output-queue record). A locally hosted receiver
-// gets an independent pool clone — record and queues must never share a
-// pointer once events are recycled — and a remote receiver gets the wire
-// encoding; either way the caller's pointer remains valid after the call.
-// Urgent messages flush the aggregation buffer immediately. Hosting is
-// decided by this LP's own local table, not the shared routing table, so an
-// object this LP is about to migrate still receives intra-LP sends until
-// the capsule is packed.
+// hosted returns the runtime of object id when this LP hosts it, nil when the
+// object lives elsewhere. It is this LP's authoritative view of what it
+// hosts, consulted on every route and delivery, so a stale routing-table
+// entry can misdirect an event (which is then forwarded) but never misdeliver
+// one: the table names this LP from the moment this LP installed the object —
+// install flips the entry last, after deleting any outbound entry — until
+// another LP installs it, and for the stretch in between where the object has
+// been packed but not yet installed, outbound says so.
+func (lp *lpRun) hosted(id event.ObjectID) *simObject {
+	if lp.k.rt.Owner(int(id)) != lp.id {
+		return nil
+	}
+	if len(lp.outbound) > 0 {
+		if _, gone := lp.outbound[id]; gone {
+			return nil
+		}
+	}
+	return lp.k.objs[id]
+}
+
+// routeRecorded delivers an output event that its sender's cancellation
+// manager keeps (the output-queue record). A receiver hosted here shares the
+// struct — the input queue becomes its second holder (see the rules in
+// package event) — and a remote receiver gets the wire encoding; either way
+// the caller's pointer remains valid after the call. Urgent messages flush
+// the aggregation buffer immediately. An object this LP is about to migrate
+// still receives intra-LP sends until the capsule is packed.
 func (lp *lpRun) routeRecorded(ev *event.Event, urgent bool) {
 	lp.noteEdge(ev)
-	if lp.local[ev.Receiver] != nil {
+	if lp.hosted(ev.Receiver) != nil {
 		if lp.au != nil {
 			lp.au.Route(ev, false)
 		}
-		lp.deferred = append(lp.deferred, lp.pool.Clone(ev))
+		lp.deferred = append(lp.deferred, lp.pool.Share(ev))
 		lp.st.IntraLPMsgs++
 		return
 	}
@@ -206,7 +222,7 @@ func (lp *lpRun) routeRecorded(ev *event.Event, urgent bool) {
 // wire bytes, so the struct is recycled as soon as it is encoded.
 func (lp *lpRun) routeOwned(ev *event.Event, urgent bool) {
 	lp.noteEdge(ev)
-	if lp.local[ev.Receiver] != nil {
+	if lp.hosted(ev.Receiver) != nil {
 		if lp.au != nil {
 			lp.au.Route(ev, false)
 		}
@@ -241,7 +257,7 @@ func (lp *lpRun) owner(id event.ObjectID) int {
 // channels guarantee the capsule left before any event we could be holding,
 // so the routing table (or our own outbound hint) already knows a newer home.
 func (lp *lpRun) deliver(ev *event.Event) {
-	if o := lp.local[ev.Receiver]; o != nil {
+	if o := lp.hosted(ev.Receiver); o != nil {
 		o.deliver(ev)
 		return
 	}
@@ -254,7 +270,8 @@ func (lp *lpRun) deliver(ev *event.Event) {
 }
 
 // emitAnti is the cancellation managers' transmit hook; the anti-message
-// arrives pool-owned and routeOwned disposes of it.
+// arrives pool-owned and routeOwned disposes of it. Managers are handed
+// antiOut, the one method value made of it when the LP was built.
 func (lp *lpRun) emitAnti(anti *event.Event) { lp.routeOwned(anti, true) }
 
 // drainDeferred inserts queued intra-LP messages until none remain
@@ -457,6 +474,7 @@ func (lp *lpRun) finishGVT(g vtime.Time) {
 func (lp *lpRun) applyGVT(g vtime.Time) {
 	if lp.au != nil {
 		lp.au.ApplyGVT(g)
+		lp.auditHolders()
 		lp.auditFossil(g)
 	}
 	lp.hist = keepObjects(lp.hist, func(o *simObject) bool {
@@ -511,8 +529,8 @@ func (lp *lpRun) initObjects() {
 			SendSeq: o.sendSeq,
 			Hash:    o.au.HashOf(o.state),
 		}
-		o.stateQ = statesave.NewQueue(o.state, meta, codec.NewState(lp.cfg.Codec))
-		bindObjectHooks(lp, o) // rebind now that the state queue exists
+		o.stateQ.Init(o.state, meta, codec.NewState(lp.cfg.Codec))
+		bindObjectHooks(lp, o) // rebind now that the state queue has its codec
 		lp.refresh(o)
 		lp.enlist(o) // Init may have sent: its output records are history
 	}

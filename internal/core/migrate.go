@@ -7,6 +7,7 @@ import (
 	"gowarp/internal/cancel"
 	"gowarp/internal/codec"
 	"gowarp/internal/comm"
+	"gowarp/internal/event"
 	"gowarp/internal/model"
 	"gowarp/internal/pq"
 	"gowarp/internal/vtime"
@@ -82,10 +83,10 @@ func (lp *lpRun) onMigrateReq(p comm.Packet) {
 	}
 	batch := make([]*simObject, 0, len(p.Objects))
 	for _, id := range p.Objects {
-		if int(id) < 0 || int(id) >= len(lp.local) {
+		if int(id) < 0 || int(id) >= len(lp.k.objs) {
 			continue
 		}
-		o := lp.local[id]
+		o := lp.hosted(event.ObjectID(id))
 		if o == nil {
 			continue
 		}
@@ -124,14 +125,14 @@ func (lp *lpRun) migrateOutBatch(batch []*simObject, to int) {
 		lp.objs[o.slot].slot = o.slot
 		lp.objs[last] = nil
 		lp.objs = lp.objs[:last]
-		lp.local[o.id] = nil
 		lp.outbound[o.id] = to
 	}
 	lp.rebuildSched()
 	// The departing objects leave this LP's lazy and history lists.
-	hosted := func(o *simObject) bool { return lp.local[o.id] != nil }
-	lp.lazy = keepObjects(lp.lazy, hosted)
-	lp.hist = keepObjects(lp.hist, hosted)
+	stays := func(o *simObject) bool { return lp.hosted(o.id) != nil }
+	lp.lazy = keepObjects(lp.lazy, stays)
+	lp.hist = keepObjects(lp.hist, stays)
+	lp.privatize(batch)
 
 	c := &capsule{from: lp.id, items: make([]capsuleItem, 0, len(batch))}
 	floor := vtime.PosInf
@@ -171,6 +172,36 @@ func (lp *lpRun) migrateOutBatch(batch []*simObject, to int) {
 	lp.ep.SendMigration(to, c, floor, storedBytes)
 }
 
+// privatize makes everything the departing objects reach private to them, so
+// that no event has holders on two LPs once the capsule is installed (the
+// rule in package event): every event of their input and output queues that
+// somebody else holds too — the sender's record of a delivered message, the
+// receiver's copy of a sent one, a record's generating event — is replaced by
+// one clone, every reference the batch has to it is repointed to that clone,
+// and each releases the original. The batch travels in one capsule and is
+// installed on one LP in one step, so its objects may go on sharing the clone
+// among themselves.
+func (lp *lpRun) privatize(batch []*simObject) {
+	clones := make(map[*event.Event]*event.Event)
+	own := func(e *event.Event) *event.Event {
+		c, cloned := clones[e]
+		switch {
+		case cloned:
+			lp.pool.Share(c)
+		case e.Holders() == 1:
+			return e
+		default:
+			c = lp.pool.Clone(e)
+			clones[e] = c
+		}
+		lp.pool.Put(e)
+		return c
+	}
+	for _, o := range batch {
+		o.remapEvents(own)
+	}
+}
+
 // stateSizeEstimate is the byte size charged for a state travelling
 // unencoded: its own estimate when it provides one, else 0 (the capsule
 // overhead still applies).
@@ -208,7 +239,6 @@ func (lp *lpRun) install(p comm.Packet) {
 		o.lp = lp
 		o.slot = len(lp.objs)
 		lp.objs = append(lp.objs, o)
-		lp.local[o.id] = o
 		delete(lp.outbound, o.id) // the object may be coming back home
 		lp.rebuildSched()
 
@@ -216,7 +246,7 @@ func (lp *lpRun) install(p comm.Packet) {
 		// anti-message emitter, counters and event pool, and the controller
 		// trace hooks. Events the object carried over recycle into the new
 		// host's pool from now on.
-		o.out.Rebind(lp.emitAnti, &lp.st, lp.pool)
+		o.out.Rebind(lp.antiOut, &lp.st, lp.pool)
 		bindObjectHooks(lp, o)
 		lp.enlist(o)
 
@@ -265,13 +295,11 @@ func bindObjectHooks(lp *lpRun, o *simObject) {
 	tr := lp.tr
 	objID := int32(o.id)
 
-	if o.stateQ != nil {
-		if sc := o.stateQ.Codec(); sc != nil {
-			st := &lp.st
-			sc.Hook = func(toDelta bool, ratio float64) {
-				st.CodecSwitches++
-				tr.CodecSwitch(objID, toDelta, int64(ratio*1000))
-			}
+	if sc := o.stateQ.Codec(); sc != nil {
+		st := &lp.st
+		sc.Hook = func(toDelta bool, ratio float64) {
+			st.CodecSwitches++
+			tr.CodecSwitch(objID, toDelta, int64(ratio*1000))
 		}
 	}
 

@@ -15,9 +15,11 @@ import (
 )
 
 // simObject is the kernel-side runtime of one simulation object: the
-// physical process plus its input, output and state queues (Figure 1).
-// A simObject is owned by exactly one logical process and touched only by
-// that LP's goroutine.
+// physical process plus its input, output and state queues (Figure 1) and
+// their controllers, held by value so that an object is one allocation and
+// what one event touches lies together. A simObject is owned by exactly one
+// logical process and touched only by the worker running that LP; it is never
+// copied (the queues' hooks point back into it).
 type simObject struct {
 	id   event.ObjectID
 	slot int // index within the owning LP, for the schedule heap
@@ -47,9 +49,13 @@ type simObject struct {
 	processedBase int64
 	committedAbs  int64
 
-	stateQ *statesave.Queue
-	ckpt   *statesave.Checkpointer
-	out    *cancel.Manager
+	// stateQ is the state queue (zero until initObjects has the initial
+	// state), ckpt its checkpoint-interval controller, out the output queue
+	// and sel the cancellation-strategy selector out consults.
+	stateQ statesave.Queue
+	ckpt   statesave.Checkpointer
+	out    cancel.Manager
+	sel    cancel.Selector
 
 	// orphans holds anti-messages that arrived before their positive
 	// counterpart (impossible over the FIFO substrate, kept as defense in
@@ -185,6 +191,21 @@ func (o *simObject) dropProcessed(n int) {
 	o.in = o.in[:kept]
 	o.next -= n
 	o.processedBase += int64(n)
+}
+
+// remapEvents replaces every event the object holds — input queue, orphan
+// table, and the output queue's records with their generation stamps — by f
+// of it, one call per reference. Migration repoints shared events to private
+// clones through it; the holder audit counts references with an f that
+// returns its argument.
+func (o *simObject) remapEvents(f func(*event.Event) *event.Event) {
+	for i, e := range o.in {
+		o.in[i] = f(e)
+	}
+	for id, a := range o.orphans {
+		o.orphans[id] = f(a)
+	}
+	o.out.Remap(f)
 }
 
 // deliver inserts an arriving message (positive or anti) into the object's

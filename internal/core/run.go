@@ -5,7 +5,6 @@ import (
 	"sync"
 	"time"
 
-	"gowarp/internal/cancel"
 	"gowarp/internal/codec"
 	"gowarp/internal/comm"
 	"gowarp/internal/event"
@@ -14,7 +13,6 @@ import (
 	"gowarp/internal/observe"
 	"gowarp/internal/pq"
 	"gowarp/internal/route"
-	"gowarp/internal/statesave"
 	"gowarp/internal/stats"
 	"gowarp/internal/vtime"
 )
@@ -174,7 +172,6 @@ func Run(m *model.Model, cfg Config) (*Result, error) {
 				o.lp = lp
 				o.slot = len(lp.objs)
 				lp.objs = append(lp.objs, o)
-				lp.local[o.id] = o
 			}
 		}
 	}
@@ -307,9 +304,9 @@ func newKernel(m *model.Model, cfg *Config, hosted []int, net comm.Sender, start
 			met:      met,
 			obs:      cfg.Observe,
 			au:       cfg.Audit.LP(i),
-			local:    make([]*simObject, len(m.Objects)),
 			outbound: make(map[event.ObjectID]int),
 		}
+		lp.antiOut = lp.emitAnti
 		d.attach(lp, h, len(hosted))
 		if cfg.Balance.Dynamic() {
 			lp.ld = newLoadRecorder(len(m.Objects))
@@ -356,13 +353,12 @@ func newKernel(m *model.Model, cfg *Config, hosted []int, net comm.Sender, start
 		}
 		o.au = lp.au.Object(o.id)
 		o.ectx.o = o
-		o.ckpt = statesave.NewCheckpointer(cfg.Checkpoint)
-		sel := cancel.NewSelector(cfg.Cancellation)
-		o.out = cancel.NewManager(sel, lp.emitAnti, &lp.st, lp.pool)
+		o.ckpt.Init(cfg.Checkpoint)
+		o.sel.Init(cfg.Cancellation)
+		o.out.Init(&o.sel, lp.antiOut, &lp.st, lp.pool)
 		bindObjectHooks(lp, o)
 		sh.objs[id] = o
 		lp.objs = append(lp.objs, o)
-		lp.local[id] = o
 	}
 	for _, lp := range d.lps {
 		lp.sched = pq.NewScheduleHeap(len(lp.objs))

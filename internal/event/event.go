@@ -45,8 +45,10 @@ func (s Sign) String() string {
 // (Sender, ID) pair; an anti-message carries the same identity as the
 // positive message it cancels, with Sign set to Negative.
 //
-// Events are immutable once sent: the kernel and the cancellation machinery
-// rely on Payload never being mutated after Send.
+// Events are immutable once sent: nothing writes a field or a payload byte
+// after Send. The cancellation machinery compares payloads long after, and one
+// struct may be held at once by its sender's output queue, its receiver's
+// input queue and the output records its execution generated (see Pool).
 type Event struct {
 	// SendTime is the sender's local virtual time when the event was sent.
 	SendTime vtime.Time
@@ -71,6 +73,10 @@ type Event struct {
 	Sign Sign
 	// Kind is an application-defined tag, carried opaquely by the kernel.
 	Kind uint32
+	// shares counts the holders of this struct beyond the first (see
+	// Pool.Share): zero — an event literal, a fresh Get — is one holder. It
+	// sits in what was padding, so the struct stays 80 bytes.
+	shares uint32
 	// Payload is the application data, carried opaquely by the kernel.
 	Payload []byte
 	// pooledBuf marks Payload's backing array as allocated by a Pool, so
@@ -80,23 +86,22 @@ type Event struct {
 	pooledBuf bool
 }
 
-// Key returns a by-value copy of e with the payload dropped. The copy is
-// safe to retain after e itself has been recycled into a Pool; it preserves
-// identity, timestamps and the total-order key, which is everything
-// bookkeeping layers (cancellation generations, audit cursors) compare on.
+// Key returns a by-value copy of e with the payload dropped, for whoever must
+// remember an event without holding it (the audit cursors). The copy is safe
+// to retain after e itself has been recycled into a Pool; it preserves
+// identity, timestamps and the total-order key.
 func (e *Event) Key() Event {
-	var c Event
-	e.KeyInto(&c)
+	c := *e
+	c.shares = 0
+	c.Payload = nil
+	c.pooledBuf = false
 	return c
 }
 
-// KeyInto is Key writing into dst, for callers that keep keys in place
-// (the output queue records one per sent message).
-func (e *Event) KeyInto(dst *Event) {
-	*dst = *e
-	dst.Payload = nil
-	dst.pooledBuf = false
-}
+// Holders returns how many holders e has: one, plus one per Pool.Share not
+// yet released by a Put. For audits and tests; the kernel never branches on
+// it outside migration.
+func (e *Event) Holders() int { return int(e.shares) + 1 }
 
 // Anti returns the anti-message cancelling e. The anti-message shares e's
 // identity and timestamps; its payload is dropped because annihilation

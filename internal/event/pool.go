@@ -1,36 +1,53 @@
 package event
 
 // Pool is a free list of Event structs and their payload backing arrays.
-// The Time Warp kernel keeps one pool per logical process; because every
-// event an LP touches is created, routed, queued and reclaimed on that LP's
-// single goroutine, the pool needs no locking.
+// The Time Warp kernel keeps one pool per dispatcher worker, shared by the
+// logical processes that worker owns; because every event an LP touches is
+// created, routed, queued and reclaimed by the one worker running that LP,
+// neither the pool nor an event's holder count needs locking.
 //
-// Recycling manually is only safe under a single-owner discipline. The rules
-// the kernel follows, and that any new call site must preserve:
+// Recycling manually is only safe under a discipline. The rules the kernel
+// follows, and that any new call site must preserve:
 //
-//   - An event has exactly one owner at a time. Sends create two logical
-//     copies with distinct owners: the cancellation manager owns the original
-//     (its output-queue record), and the receiver owns the delivered copy —
-//     a pool Clone for an intra-LP send, or the wire encoding for a remote
-//     send. Neither side ever holds a pointer into the other's copy.
-//   - An event delivered to a simulation object is owned by that object's
-//     pending set until executed, then by its processed queue until fossil
-//     collection; a stashed anti-message is owned by the orphan table.
-//   - Events crossing LPs transfer ownership with the physical packet: the
-//     sender keeps nothing (the bytes travel, not the struct), and the
-//     receiving endpoint's pool materialises fresh events on decode.
-//   - Ownership ends — and the event returns to the pool — at exactly three
-//     points: annihilation (both members of a positive/anti pair die
-//     together), fossil collection at GVT (processed events, output-queue
-//     records and stale orphans below the new floor), and anti-message
-//     transmission (an anti routed to a remote LP dies once encoded).
-//   - Anything that must outlive an event it does not own keeps a by-value
-//     Key() copy, never the pointer. The cancellation manager's generation
-//     stamps and the audit layer's per-object cursors work this way.
+//   - An event has one or more holders, counted in the event itself: Get (and
+//     Clone, Anti, DecodeInto, an event literal) yields an event with one
+//     holder, Share adds one, Put releases one, and only the last release
+//     clears and recycles the struct. Events are immutable once sent, so the
+//     count is all the holders of one have to agree on.
+//   - All holders of one event live on one LP. An LP is touched by one worker
+//     at a time and moves between workers whole, so the count is never
+//     contended. Nothing that crosses an LP boundary may carry a shared
+//     pointer.
+//   - There are exactly two sharing sites. An intra-LP send is one struct held
+//     by its sender's output-queue record and by its receiver's input queue
+//     (lpRun.routeRecorded), where a remote send leaves the struct with the
+//     record and ships the wire encoding. And an output-queue record holds the
+//     input event whose execution generated it (cancel.Manager.RecordSent), so
+//     that event outlives its place in the input queue for as long as a record
+//     is attributed to it.
+//   - A delivered event is held by its object's input queue until it is
+//     annihilated or fossil-collected; a stashed anti-message by the orphan
+//     table; a message awaiting insertion by the LP's deferred list.
+//   - Events crossing LPs travel as bytes: the sender keeps its struct, and
+//     the receiving endpoint's pool materialises fresh events on decode. The
+//     one thing that leaves an LP with its queues is a migrating object, and
+//     migration first makes everything the object reaches private: each event
+//     with another holder is replaced by one Clone, all of the object's
+//     references are repointed to it, and each releases the original.
+//   - Holds end at annihilation (both members of a positive/anti pair are
+//     released), fossil collection at GVT (processed events, output-queue
+//     records with their generation stamps, stale orphans), cancellation (a
+//     record that sent its anti-message, or expired off the lazy list) and
+//     anti-message transmission (an anti routed to a remote LP dies once
+//     encoded).
+//   - Anything that must outlive an event without holding it keeps a by-value
+//     Key() copy, never the pointer. The audit layer's per-object cursors work
+//     this way.
 //
-// All methods are safe on a nil *Pool and fall back to plain allocation,
-// so optional layers (the conservative and sequential kernels, tests) can
-// run unpooled with the old lifetime rules.
+// All methods are safe on a nil *Pool and fall back to plain allocation: a
+// nil pool neither counts holders nor recycles, so optional layers (the
+// conservative and sequential kernels, tests) run unpooled and leave every
+// lifetime to the garbage collector.
 type Pool struct {
 	free   []*Event
 	allocs int64
@@ -58,12 +75,27 @@ func (p *Pool) Get() *Event {
 	return &Event{}
 }
 
-// Put recycles e. The caller must be e's sole owner and must not touch e
-// afterwards. Payload backing allocated by this pool layer is retained for
-// reuse; a payload aliasing foreign memory is dropped. Safe on nil p (the
-// event is left to the garbage collector) and nil e.
+// Share adds a holder to e and returns it: the caller may now keep the
+// pointer beside whoever held it already, and each of them ends its hold with
+// Put. See the rules above for where the kernel may do this.
+func (p *Pool) Share(e *Event) *Event {
+	if p != nil {
+		e.shares++
+	}
+	return e
+}
+
+// Put releases the caller's hold on e, which it must not touch afterwards.
+// The last holder's release recycles e: payload backing allocated by this
+// pool layer is retained for reuse; a payload aliasing foreign memory is
+// dropped. Safe on nil p (the event is left to the garbage collector) and
+// nil e.
 func (p *Pool) Put(e *Event) {
 	if p == nil || e == nil {
+		return
+	}
+	if e.shares > 0 {
+		e.shares--
 		return
 	}
 	buf, pooled := e.Payload, e.pooledBuf
@@ -93,14 +125,14 @@ func (p *Pool) SetPayload(e *Event, src []byte) {
 	e.pooledBuf = true
 }
 
-// Clone returns a pooled copy of src with an independent payload. The copy
-// is the form in which an intra-LP send is delivered to its receiver, so the
-// cancellation manager's record and the receiver's queues never share a
-// pointer.
+// Clone returns a pooled copy of src with an independent payload and one
+// holder, whatever src's count: the private copy migration (and tests) take
+// of an event others hold.
 func (p *Pool) Clone(src *Event) *Event {
 	e := p.Get()
 	buf, pooled := e.Payload, e.pooledBuf
 	*e = *src
+	e.shares = 0
 	e.Payload, e.pooledBuf = buf, pooled
 	p.SetPayload(e, src.Payload)
 	return e

@@ -3,6 +3,7 @@ package event
 import (
 	"bytes"
 	"testing"
+	"unsafe"
 )
 
 func poolEvent(id uint64) *Event {
@@ -160,5 +161,96 @@ func TestPoolDecodeSteadyStateAllocatesNothing(t *testing.T) {
 	}
 	if n := testing.AllocsPerRun(200, cycle); n != 0 {
 		t.Errorf("steady-state DecodeInto allocated %.1f times per run, want 0", n)
+	}
+}
+
+// TestEventSize pins the struct size: the holder count lives in what was
+// padding after Kind, and an event is still 80 bytes.
+func TestEventSize(t *testing.T) {
+	if n := unsafe.Sizeof(Event{}); n != 80 {
+		t.Errorf("unsafe.Sizeof(Event{}) = %d, want 80", n)
+	}
+}
+
+// TestSharedEventOutlivesAllButTheLastPut: a Put by one of two holders leaves
+// the event intact for the other, and the last Put recycles it.
+func TestSharedEventOutlivesAllButTheLastPut(t *testing.T) {
+	p := NewPool()
+	e := p.Get()
+	e.ID, e.RecvTime = 7, 10
+	p.SetPayload(e, []byte{1, 2, 3})
+	if p.Share(e) != e || p.Share(e) != e {
+		t.Fatal("Share did not return its argument")
+	}
+	if e.Holders() != 3 {
+		t.Fatalf("Holders = %d after two Shares, want 3", e.Holders())
+	}
+	for left := 2; left >= 1; left-- {
+		p.Put(e)
+		if e.Holders() != left || e.ID != 7 || e.RecvTime != 10 || !bytes.Equal(e.Payload, []byte{1, 2, 3}) {
+			t.Fatalf("with %d holder(s) left the event reads %+v", left, e)
+		}
+		if got := p.Get(); got == e {
+			t.Fatalf("event recycled with %d holder(s) left", left)
+		}
+	}
+	p.Put(e)
+	if e.ID != 0 || len(e.Payload) != 0 {
+		t.Errorf("the last Put did not clear the event: %+v", e)
+	}
+	if got := p.Get(); got != e {
+		t.Error("the last Put did not recycle the event")
+	}
+}
+
+// TestDerivedEventsHaveOneHolder: whatever its source's count, a Clone, a
+// key, an anti-message, a decoded event and a recycled Get start with one
+// holder.
+func TestDerivedEventsHaveOneHolder(t *testing.T) {
+	p := NewPool()
+	src := p.Clone(poolEvent(3))
+	p.Share(src)
+	p.Share(src)
+	key := src.Key()
+	decoded, _, err := p.DecodeInto(src.Encode(nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, e := range map[string]*Event{
+		"Clone": p.Clone(src), "Key": &key, "Pool.Anti": p.Anti(src),
+		"Event.Anti": src.Anti(), "DecodeInto": decoded,
+	} {
+		if e.Holders() != 1 {
+			t.Errorf("%s of an event with 3 holders has %d", name, e.Holders())
+		}
+	}
+	p.Put(src)
+	p.Put(src)
+	p.Put(src)
+	if e := p.Get(); e != src || e.Holders() != 1 {
+		t.Errorf("recycled Get returned %p with %d holder(s), want %p with 1", e, e.Holders(), src)
+	}
+}
+
+// TestNilPoolNeitherCountsNorRecycles: unpooled layers leave lifetimes to the
+// garbage collector, so Share on a nil pool must not start a count that no
+// Put will ever release.
+func TestNilPoolNeitherCountsNorRecycles(t *testing.T) {
+	var p *Pool
+	e := poolEvent(1)
+	if p.Share(e) != e || e.Holders() != 1 {
+		t.Errorf("nil pool Share counted: %d holders", e.Holders())
+	}
+	p.Put(e)
+	if e.ID != 1 || e.Holders() != 1 {
+		t.Errorf("nil pool Put touched the event: %+v", e)
+	}
+	// An event somebody shares through a real pool keeps its count through a
+	// nil pool's hands.
+	q := NewPool()
+	q.Share(e)
+	p.Put(e)
+	if e.Holders() != 2 {
+		t.Errorf("nil pool Put released a holder: %d left, want 2", e.Holders())
 	}
 }

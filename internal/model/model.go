@@ -70,7 +70,9 @@ type Object interface {
 	// flow by scheduling the object's first events.
 	Init(ctx Context, st State)
 	// Execute processes one event, mutating st and scheduling any
-	// consequent events through ctx.
+	// consequent events through ctx. ev is read-only, payload included: the
+	// kernel executes it again on coast forward, and its sender's output
+	// queue may hold the same struct.
 	Execute(ctx Context, st State, ev *event.Event)
 }
 

@@ -160,8 +160,15 @@ func (q *Queue) retireEnc(s *Snapshot) {
 // encoded checkpointing; it is ignored (and the queue falls back to cloned
 // states) when st does not implement codec.DeltaState.
 func NewQueue(st model.State, meta Snapshot, cd *codec.StateCodec) *Queue {
-	meta.Time = vtime.NegInf
 	q := &Queue{}
+	q.Init(st, meta, cd)
+	return q
+}
+
+// Init is NewQueue in place, for a zero Queue held by value inside its
+// object's runtime.
+func (q *Queue) Init(st model.State, meta Snapshot, cd *codec.StateCodec) {
+	meta.Time = vtime.NegInf
 	if ds, ok := st.(codec.DeltaState); ok && cd != nil {
 		q.cd = cd
 		q.proto = ds
@@ -174,7 +181,6 @@ func NewQueue(st model.State, meta Snapshot, cd *codec.StateCodec) *Queue {
 		meta.rawLen = stateBytes(meta.State)
 	}
 	q.snaps = []Snapshot{meta}
-	return q
 }
 
 // Codec returns the queue's state codec (nil when checkpoints are cloned
@@ -266,12 +272,11 @@ func (q *Queue) RestoreBefore(t vtime.Time) Snapshot {
 // It returns the number of snapshots reclaimed.
 func (q *Queue) FossilCollect(gvt vtime.Time) int {
 	keep := 0
-	for i, s := range q.snaps {
-		if s.Time.Before(gvt) {
-			keep = i
-		} else {
+	for i := range q.snaps {
+		if !q.snaps[i].Time.Before(gvt) {
 			break
 		}
+		keep = i
 	}
 	if keep == 0 {
 		return 0
@@ -462,7 +467,9 @@ func (c Config) withDefaults() Config {
 }
 
 // Checkpointer decides, per simulation object, when to checkpoint, and (in
-// Dynamic mode) adapts the interval χ from the observed cost index Ec.
+// Dynamic mode) adapts the interval χ from the observed cost index Ec. The
+// controller parts — ticker and transfer function — exist only in Dynamic
+// mode; a periodic checkpointer is its interval and a counter.
 type Checkpointer struct {
 	mode      Mode
 	param     control.IntParam
@@ -486,17 +493,27 @@ type Checkpointer struct {
 
 // NewCheckpointer returns a checkpointer for one object.
 func NewCheckpointer(cfg Config) *Checkpointer {
+	c := &Checkpointer{}
+	c.Init(cfg)
+	return c
+}
+
+// Init is NewCheckpointer in place, for a zero Checkpointer held by value
+// inside its object's runtime. The dynamic controller's hook forwarder
+// captures c, so an initialised Checkpointer must not be copied.
+func (c *Checkpointer) Init(cfg Config) {
 	cfg = cfg.withDefaults()
-	c := &Checkpointer{
-		mode: cfg.Mode,
-		param: control.IntParam{
-			Value: cfg.Interval,
-			Min:   cfg.MinInterval,
-			Max:   cfg.MaxInterval,
-			Step:  1,
-		},
-		ticker: control.NewTicker(cfg.Period),
+	c.mode = cfg.Mode
+	c.param = control.IntParam{
+		Value: cfg.Interval,
+		Min:   cfg.MinInterval,
+		Max:   cfg.MaxInterval,
+		Step:  1,
 	}
+	if cfg.Mode != Dynamic {
+		return
+	}
+	c.ticker = control.NewTicker(cfg.Period)
 	// The control layer's decision hook carries the Ec sample; forward it
 	// through the checkpointer's own hook, resolved at call time so callers
 	// may attach after construction.
@@ -510,7 +527,6 @@ func NewCheckpointer(cfg Config) *Checkpointer {
 	} else {
 		c.transfer = &control.IncUnlessWorse{Margin: cfg.Margin, Hook: forward}
 	}
-	return c
 }
 
 // Interval returns the current checkpoint interval χ.

@@ -141,6 +141,33 @@ func TestCheckpointerPeriodic(t *testing.T) {
 	}
 }
 
+// TestPeriodicCheckpointerHasNoControllerParts: a periodic checkpointer builds
+// no ticker or transfer function, and still takes an external adjustment.
+func TestPeriodicCheckpointerHasNoControllerParts(t *testing.T) {
+	c := NewCheckpointer(Config{Mode: Periodic, Interval: 3})
+	if c.ticker != nil || c.transfer != nil {
+		t.Error("periodic checkpointer built controller parts")
+	}
+	var from, to int
+	c.Hook = func(oldChi, newChi int, _ time.Duration) { from, to = oldChi, newChi }
+	c.RecordSaveCost(time.Millisecond)
+	c.RecordCoastCost(time.Millisecond)
+	c.ForceInterval(100) // beyond the default clamp, which must widen
+	if c.Interval() != 100 || from != 3 || to != 100 || c.Adjustments != 1 {
+		t.Errorf("after ForceInterval(100): interval %d, hook saw %d -> %d, %d adjustments",
+			c.Interval(), from, to, c.Adjustments)
+	}
+	saves := 0
+	for i := 0; i < 1000; i++ {
+		if c.OnEventProcessed() {
+			saves++
+		}
+	}
+	if saves != 10 {
+		t.Errorf("saves = %d in 1000 events at the forced interval 100", saves)
+	}
+}
+
 func TestCheckpointerOnRestore(t *testing.T) {
 	c := NewCheckpointer(Config{Mode: Periodic, Interval: 4})
 	c.OnEventProcessed()
