@@ -161,7 +161,11 @@ type (
 
 // DeltaState is the optional model-state interface that enables the codec
 // facet for an object: a State that can also marshal itself to a
-// deterministic, fixed-layout byte encoding and unmarshal a fresh copy.
+// deterministic, fixed-layout byte encoding and unmarshal one. UnmarshalState
+// decodes data, reusing the receiver's storage where it can, and returns the
+// decoded state — after the call the receiver is unspecified unless it is
+// what was returned; the kernel calls it on the state a rollback is about to
+// replace, so a state that fills itself in place restores without allocating.
 // States that do not implement it fall back to cloned full checkpoints.
 type DeltaState = codec.DeltaState
 

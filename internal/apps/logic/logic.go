@@ -189,21 +189,22 @@ func (s *gateState) MarshalState(buf []byte) []byte {
 	return codec.AppendBytes(buf, s.Pad)
 }
 
-// UnmarshalState implements codec.DeltaState.
+// UnmarshalState implements codec.DeltaState, decoding into s itself: every
+// field is overwritten and Pad keeps its backing array, as in CopyInto.
 func (s *gateState) UnmarshalState(data []byte) (model.State, error) {
 	r := codec.NewReader(data)
-	out := &gateState{Rng: model.RandFromState(r.Uint64())}
+	s.Rng = model.RandFromState(r.Uint64())
 	flags := r.Uint64()
-	for i := range out.In {
-		out.In[i] = flags&(1<<i) != 0
+	for i := range s.In {
+		s.In[i] = flags&(1<<i) != 0
 	}
-	out.Out = flags&flagOut != 0
-	out.OutInit = flags&flagOutInit != 0
-	out.Stored = flags&flagStored != 0
-	out.Ticks = r.Int64()
-	out.Fingerprint = r.Uint64()
-	out.Pad = r.Bytes()
-	return out, r.Err()
+	s.Out = flags&flagOut != 0
+	s.OutInit = flags&flagOutInit != 0
+	s.Stored = flags&flagStored != 0
+	s.Ticks = r.Int64()
+	s.Fingerprint = r.Uint64()
+	s.Pad = r.BytesInto(s.Pad)
+	return s, r.Err()
 }
 
 // gate is the simulation object for one netlist element.

@@ -316,7 +316,7 @@ func TestStateRoundTrip(t *testing.T) {
 	full.Rng.Float64() // advance the stream so its position round-trips too
 	for i, s := range []*gateState{{Rng: model.NewRand(1)}, full} {
 		enc := s.MarshalState(nil)
-		got, err := s.UnmarshalState(enc)
+		got, err := new(gateState).UnmarshalState(enc)
 		if err != nil {
 			t.Fatalf("state %d: unmarshal: %v", i, err)
 		}
@@ -347,7 +347,7 @@ func TestStateRoundTrip(t *testing.T) {
 		case 6:
 			s.Stored = true
 		}
-		got, err := s.UnmarshalState(s.MarshalState(nil))
+		got, err := new(gateState).UnmarshalState(s.MarshalState(nil))
 		if err != nil {
 			t.Fatalf("flag bit %d: %v", bit, err)
 		}
@@ -355,7 +355,7 @@ func TestStateRoundTrip(t *testing.T) {
 			t.Errorf("flag bit %d: round trip mismatch", bit)
 		}
 	}
-	if _, err := full.UnmarshalState(full.MarshalState(nil)[:5]); err == nil {
+	if _, err := new(gateState).UnmarshalState(full.MarshalState(nil)[:5]); err == nil {
 		t.Error("truncated encoding decoded without error")
 	}
 }

@@ -125,16 +125,17 @@ func (s *state) MarshalState(buf []byte) []byte {
 	return codec.AppendBytes(buf, s.Pad)
 }
 
-// UnmarshalState implements codec.DeltaState.
+// UnmarshalState implements codec.DeltaState, decoding into s itself: every
+// field is overwritten and Pad keeps its backing array, as in CopyInto.
 func (s *state) UnmarshalState(data []byte) (model.State, error) {
 	r := codec.NewReader(data)
-	out := &state{
+	*s = state{
 		Rng:      model.RandFromState(r.Uint64()),
 		Received: r.Int64(),
 		Hops:     r.Int64(),
-		Pad:      r.Bytes(),
+		Pad:      r.BytesInto(s.Pad),
 	}
-	return out, r.Err()
+	return s, r.Err()
 }
 
 type object struct {

@@ -122,18 +122,19 @@ func (s *stationState) MarshalState(buf []byte) []byte {
 	return codec.AppendBytes(buf, s.Pad)
 }
 
-// UnmarshalState implements codec.DeltaState.
+// UnmarshalState implements codec.DeltaState, decoding into s itself: every
+// field is overwritten and Pad keeps its backing array, as in CopyInto.
 func (s *stationState) UnmarshalState(data []byte) (model.State, error) {
 	r := codec.NewReader(data)
-	out := &stationState{
+	*s = stationState{
 		Rng:       model.RandFromState(r.Uint64()),
 		BusyUntil: vtime.Time(r.Int64()),
 		Arrivals:  r.Int64(),
 		Busy:      r.Int64(),
 		WaitSum:   r.Int64(),
-		Pad:       r.Bytes(),
+		Pad:       r.BytesInto(s.Pad),
 	}
-	return out, r.Err()
+	return s, r.Err()
 }
 
 type station struct {

@@ -148,7 +148,7 @@ func TestStateRoundTrip(t *testing.T) {
 	states[1].Rng.Intn(10)
 	for i, s := range states {
 		enc := s.MarshalState(nil)
-		got, err := s.UnmarshalState(enc)
+		got, err := new(stationState).UnmarshalState(enc)
 		if err != nil {
 			t.Fatalf("state %d: unmarshal: %v", i, err)
 		}
@@ -169,7 +169,7 @@ func TestStateRoundTrip(t *testing.T) {
 	}
 	// Truncated input must error, not panic.
 	enc := states[1].MarshalState(nil)
-	if _, err := states[1].UnmarshalState(enc[:len(enc)-2]); err == nil {
+	if _, err := new(stationState).UnmarshalState(enc[:len(enc)-2]); err == nil {
 		t.Error("truncated encoding decoded without error")
 	}
 }

@@ -250,30 +250,34 @@ func (s *sourceState) MarshalState(buf []byte) []byte {
 	return codec.AppendBytes(buf, s.Pad)
 }
 
-// UnmarshalState implements codec.DeltaState.
+// UnmarshalState implements codec.DeltaState, decoding into s itself: every
+// field is overwritten, the two maps are cleared and refilled and Pad keeps
+// its backing array, as in CopyInto.
 func (s *sourceState) UnmarshalState(data []byte) (model.State, error) {
 	r := codec.NewReader(data)
-	out := &sourceState{
-		Rng:        model.RandFromState(r.Uint64()),
-		Issued:     r.Int64(),
-		Completed:  r.Int64(),
-		LatencySum: r.Int64(),
-		Phantoms:   r.Int64(),
+	s.Rng = model.RandFromState(r.Uint64())
+	s.Issued = r.Int64()
+	s.Completed = r.Int64()
+	s.LatencySum = r.Int64()
+	s.Phantoms = r.Int64()
+	if s.PendingSubs == nil {
+		s.PendingSubs = make(map[uint32]int)
 	}
-	n := int(r.Uint64())
-	out.PendingSubs = make(map[uint32]int, n)
-	for i := 0; i < n && r.Ok(); i++ {
+	clear(s.PendingSubs)
+	for n := r.Uint64(); n > 0 && r.Ok(); n-- {
 		k := uint32(r.Uint64())
-		out.PendingSubs[k] = int(r.Int64())
+		s.PendingSubs[k] = int(r.Int64())
 	}
-	n = int(r.Uint64())
-	out.IssueTimes = make(map[uint32]vtime.Time, n)
-	for i := 0; i < n && r.Ok(); i++ {
+	if s.IssueTimes == nil {
+		s.IssueTimes = make(map[uint32]vtime.Time)
+	}
+	clear(s.IssueTimes)
+	for n := r.Uint64(); n > 0 && r.Ok(); n-- {
 		k := uint32(r.Uint64())
-		out.IssueTimes[k] = vtime.Time(r.Int64())
+		s.IssueTimes[k] = vtime.Time(r.Int64())
 	}
-	out.Pad = r.Bytes()
-	return out, r.Err()
+	s.Pad = r.BytesInto(s.Pad)
+	return s, r.Err()
 }
 
 type source struct {
@@ -393,11 +397,11 @@ func (s *forkState) MarshalState(buf []byte) []byte {
 	return codec.AppendBytes(buf, s.Pad)
 }
 
-// UnmarshalState implements codec.DeltaState.
+// UnmarshalState implements codec.DeltaState (see sourceState.UnmarshalState).
 func (s *forkState) UnmarshalState(data []byte) (model.State, error) {
 	r := codec.NewReader(data)
-	out := &forkState{Next: int(r.Int64()), Routed: r.Int64(), Pad: r.Bytes()}
-	return out, r.Err()
+	*s = forkState{Next: int(r.Int64()), Routed: r.Int64(), Pad: r.BytesInto(s.Pad)}
+	return s, r.Err()
 }
 
 type fork struct {
@@ -474,16 +478,16 @@ func (s *diskState) MarshalState(buf []byte) []byte {
 	return codec.AppendBytes(buf, s.Pad)
 }
 
-// UnmarshalState implements codec.DeltaState.
+// UnmarshalState implements codec.DeltaState (see sourceState.UnmarshalState).
 func (s *diskState) UnmarshalState(data []byte) (model.State, error) {
 	r := codec.NewReader(data)
-	out := &diskState{
+	*s = diskState{
 		Served: r.Int64(),
 		Head:   uint32(r.Uint64()),
 		Busy:   r.Int64(),
-		Pad:    r.Bytes(),
+		Pad:    r.BytesInto(s.Pad),
 	}
-	return out, r.Err()
+	return s, r.Err()
 }
 
 type disk struct {

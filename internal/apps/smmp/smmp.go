@@ -177,17 +177,18 @@ func (s *cpuState) MarshalState(buf []byte) []byte {
 	return codec.AppendBytes(buf, s.Pad)
 }
 
-// UnmarshalState implements codec.DeltaState.
+// UnmarshalState implements codec.DeltaState, decoding into s itself: every
+// field is overwritten and Pad keeps its backing array, as in CopyInto.
 func (s *cpuState) UnmarshalState(data []byte) (model.State, error) {
 	r := codec.NewReader(data)
-	out := &cpuState{
+	*s = cpuState{
 		Rng:        model.RandFromState(r.Uint64()),
 		Issued:     r.Int64(),
 		Done:       r.Int64(),
 		LatencySum: r.Int64(),
-		Pad:        r.Bytes(),
+		Pad:        r.BytesInto(s.Pad),
 	}
-	return out, r.Err()
+	return s, r.Err()
 }
 
 type cpu struct {
@@ -288,17 +289,17 @@ func (s *cacheState) MarshalState(buf []byte) []byte {
 	return codec.AppendBytes(buf, s.Pad)
 }
 
-// UnmarshalState implements codec.DeltaState.
+// UnmarshalState implements codec.DeltaState (see cpuState.UnmarshalState).
 func (s *cacheState) UnmarshalState(data []byte) (model.State, error) {
 	r := codec.NewReader(data)
-	out := &cacheState{
+	*s = cacheState{
 		Rng:    model.RandFromState(r.Uint64()),
 		Hits:   r.Int64(),
 		Misses: r.Int64(),
 		Fills:  r.Int64(),
-		Pad:    r.Bytes(),
+		Pad:    r.BytesInto(s.Pad),
 	}
-	return out, r.Err()
+	return s, r.Err()
 }
 
 type cache struct {
@@ -372,11 +373,11 @@ func (s *portState) MarshalState(buf []byte) []byte {
 	return codec.AppendBytes(buf, s.Pad)
 }
 
-// UnmarshalState implements codec.DeltaState.
+// UnmarshalState implements codec.DeltaState (see cpuState.UnmarshalState).
 func (s *portState) UnmarshalState(data []byte) (model.State, error) {
 	r := codec.NewReader(data)
-	out := &portState{Routed: r.Int64(), Pad: r.Bytes()}
-	return out, r.Err()
+	*s = portState{Routed: r.Int64(), Pad: r.BytesInto(s.Pad)}
+	return s, r.Err()
 }
 
 type port struct {
@@ -437,11 +438,11 @@ func (s *bankState) MarshalState(buf []byte) []byte {
 	return codec.AppendBytes(buf, s.Pad)
 }
 
-// UnmarshalState implements codec.DeltaState.
+// UnmarshalState implements codec.DeltaState (see cpuState.UnmarshalState).
 func (s *bankState) UnmarshalState(data []byte) (model.State, error) {
 	r := codec.NewReader(data)
-	out := &bankState{Served: r.Int64(), Pad: r.Bytes()}
-	return out, r.Err()
+	*s = bankState{Served: r.Int64(), Pad: r.BytesInto(s.Pad)}
+	return s, r.Err()
 }
 
 type bank struct {

@@ -36,8 +36,15 @@ type DeltaState interface {
 	// MarshalState appends a complete encoding of the state to buf and
 	// returns the extended slice.
 	MarshalState(buf []byte) []byte
-	// UnmarshalState decodes data into a fresh state. The receiver is used
-	// only as a factory; its own fields are not read.
+	// UnmarshalState decodes data, reusing the receiver's storage where it
+	// can, and returns the decoded state — after the call the receiver is
+	// unspecified unless it is what was returned. The kernel calls it on the
+	// state it is about to replace (the live state on a rollback, a migrated
+	// object's stale image) or on a fresh InitialState, so a state that fills
+	// itself in place (Reader.BytesInto for slices) makes a restore free of
+	// allocation; one that builds and returns a fresh struct stays correct.
+	// Nothing of the receiver's old contents may survive into the result, and
+	// the result must not alias data. On error the contents are unspecified.
 	UnmarshalState(data []byte) (model.State, error)
 }
 

@@ -51,7 +51,13 @@ func (r *Reader) Int64() int64 { return int64(r.Uint64()) }
 
 // Bytes reads the next length-prefixed byte slice (nil for length zero).
 // The result is a copy; it does not alias the input.
-func (r *Reader) Bytes() []byte {
+func (r *Reader) Bytes() []byte { return r.BytesInto(nil) }
+
+// BytesInto is Bytes copying over dst: the result reuses dst's capacity
+// (reallocating only when the slice does not fit) and is nil for length zero,
+// as from Bytes. It is the form an UnmarshalState that fills its receiver in
+// place uses — s.Pad = r.BytesInto(s.Pad).
+func (r *Reader) BytesInto(dst []byte) []byte {
 	if r.bad {
 		return nil
 	}
@@ -62,7 +68,7 @@ func (r *Reader) Bytes() []byte {
 	}
 	var out []byte
 	if n > 0 {
-		out = append(out, r.b[k:k+int(n)]...)
+		out = append(dst[:0], r.b[k:k+int(n)]...)
 	}
 	r.b = r.b[k+int(n):]
 	return out

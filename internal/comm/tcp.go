@@ -79,6 +79,14 @@ type TCP struct {
 	// peer's half-close what it should be (see pump).
 	ending atomic.Bool
 
+	// free holds payload slices Send has framed and so finished with —
+	// ownership came with the call, and over a socket nobody receives the
+	// slice itself — for parse to copy arriving payloads into. Without it
+	// every message costs the sending side one buffer and the receiving side
+	// another.
+	freeMu sync.Mutex
+	free   [][]byte
+
 	closeOnce sync.Once
 	closeErr  error
 
@@ -92,6 +100,36 @@ type TCP struct {
 // Flush: it bounds the buffer of a worker that sends a great deal in one
 // round, and is large enough that a round's frames normally share one write.
 const tcpFlushBytes = 32 << 10
+
+// tcpFreePayloads bounds the payload free list, so a burst of sends pins
+// little memory once it has passed.
+const tcpFreePayloads = 64
+
+// recyclePayload keeps a payload slice the transport has finished with.
+func (t *TCP) recyclePayload(b []byte) {
+	if cap(b) == 0 {
+		return
+	}
+	t.freeMu.Lock()
+	if len(t.free) < tcpFreePayloads {
+		t.free = append(t.free, b[:0])
+	}
+	t.freeMu.Unlock()
+}
+
+// takePayload returns an empty recycled payload slice, or nil.
+func (t *TCP) takePayload() []byte {
+	t.freeMu.Lock()
+	defer t.freeMu.Unlock()
+	n := len(t.free)
+	if n == 0 {
+		return nil
+	}
+	b := t.free[n-1]
+	t.free[n-1] = nil
+	t.free = t.free[:n-1]
+	return b
+}
 
 // tcpReadBytes is the initial size of a peer's in-buffer and the least room
 // a read is offered; a frame longer than the buffer grows it.
@@ -226,7 +264,7 @@ func (rc *tcpRecvConn) parse(t *TCP) error {
 		if p.Payload != nil {
 			// The packet outlives the buffer it was parsed from (and its
 			// receiver recycles the payload as a wire buffer of its own).
-			p.Payload = append([]byte(nil), p.Payload...)
+			p.Payload = append(t.takePayload(), p.Payload...)
 		}
 		rc.r = end
 		if p.Kind == PktStop {
@@ -560,7 +598,9 @@ func (t *TCP) readHello(conn net.Conn, deadline time.Time) (rank int, err error)
 // the owning rank's out-buffer, which the channel driver writes out before
 // returning and the polled driver leaves for the next Flush unless
 // tcpFlushBytes have gathered. Either way the sender burns the simulated cost
-// on its own goroutine, matching InProc.
+// on its own goroutine, matching InProc — and gives up p.Payload, as with
+// InProc, where the receiver gets that very slice: once framed it goes to the
+// free list parse copies arriving payloads into.
 func (t *TCP) Send(dst int, p Packet, payloadBytes int) {
 	t.cfg.Cost.Charge(payloadBytes)
 	if p.Kind == PktStop {
@@ -593,6 +633,7 @@ func (t *TCP) Send(dst int, p Packet, payloadBytes int) {
 		err = sc.flush()
 	}
 	sc.mu.Unlock()
+	t.recyclePayload(p.Payload)
 	if err != nil {
 		t.writeFault(r, err)
 	}

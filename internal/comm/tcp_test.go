@@ -519,12 +519,12 @@ func TestTCPSendNeverBlocks(t *testing.T) {
 	r0, r1 := tcpMesh(t, 2, true)
 	defer closePair(t, r0.TCP, r1.TCP)
 	const frames, size = 256, 64 << 10 // 16 MiB: far more than loopback's socket buffers hold
-	payload := make([]byte, size)
 	sent := make(chan struct{})
 	go func() {
 		defer close(sent)
 		for i := 0; i < frames; i++ {
-			r0.send(1, Packet{Kind: PktEvents, From: 0, Count: i, Payload: payload})
+			// A slice per frame: Send keeps the payload it is given.
+			r0.send(1, Packet{Kind: PktEvents, From: 0, Count: i, Payload: make([]byte, size)})
 		}
 	}()
 	select {
@@ -553,10 +553,10 @@ func TestTCPSendNeverBlocks(t *testing.T) {
 func TestTCPCloseWithBacklogBothWays(t *testing.T) {
 	r0, r1 := tcpMesh(t, 2, true)
 	const frames, size = 256, 64 << 10 // 16 MiB each way, of which loopback's buffers take a few
-	payload := make([]byte, size)
 	for i := 0; i < frames; i++ {
-		r0.Send(1, Packet{Kind: PktEvents, From: 0, Count: i, Payload: payload}, size)
-		r1.Send(0, Packet{Kind: PktEvents, From: 1, Count: i, Payload: payload}, size)
+		// A slice per frame: Send keeps the payload it is given.
+		r0.Send(1, Packet{Kind: PktEvents, From: 0, Count: i, Payload: make([]byte, size)}, size)
+		r1.Send(0, Packet{Kind: PktEvents, From: 1, Count: i, Payload: make([]byte, size)}, size)
 	}
 	for _, r := range []*rank{r0, r1} {
 		sc := r.out[1-r.Peers().Rank]

@@ -20,7 +20,9 @@ package comm
 //     cost model says an n-payload-byte physical message costs. Sends to a
 //     given destination from a given goroutine are FIFO — the kernel's
 //     migration and cancellation protocols rely on per-sender ordering.
-//     Send may be called concurrently from different goroutines.
+//     Send may be called concurrently from different goroutines. p.Payload
+//     changes owner with the call: in process the receiver gets that very
+//     slice, and TCP, which copies it into a frame, recycles it.
 //   - Recv returns the receive stream of a locally hosted LP. The channel is
 //     owned by the transport and stays open for the transport's lifetime;
 //     requesting a non-local LP's stream is a programming error (panic).

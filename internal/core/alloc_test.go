@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"gowarp/internal/apps/phold"
+	"gowarp/internal/apps/smmp"
 	"gowarp/internal/cancel"
 	"gowarp/internal/codec"
 	"gowarp/internal/event"
@@ -161,6 +162,63 @@ func TestInputQueueZeroAlloc(t *testing.T) {
 	if lp.st.EventsRolledBack == 0 || o.processedBase == 0 || len(o.orphans) != 0 {
 		t.Fatalf("%d events rolled back, %d collected, %d orphans: the round did not do what it measures",
 			lp.st.EventsRolledBack, o.processedBase, len(o.orphans))
+	}
+}
+
+// TestCodecRollbackZeroAlloc is the rollback of the encoded-checkpoint path
+// on the state the claims benchmark checkpoints: one SMMP processor and its
+// memory bank with 16 KiB states under the delta codec, once a round a
+// straggler that takes the bank back over half of what it has executed since
+// the last GVT (and cancels the fills it sent from there on, so the cache and
+// the CPU roll back behind it) and a fossil collection. The restore decodes the
+// snapshot's image into the live state and the collection re-anchors the
+// departing full image in place, so in steady state nothing is allocated.
+func TestCodecRollbackZeroAlloc(t *testing.T) {
+	cfg := DefaultConfig(vtime.Time(1) << 40)
+	cfg.Checkpoint = statesave.Config{Mode: statesave.Periodic, Interval: 2}
+	cfg.Codec = codec.Config{Mode: codec.Delta}.WithDefaults()
+	lp := newTestKernel(smmp.New(smmp.Config{Processors: 1, LPs: 1, HitRatio: 0.5, StatePadding: 16 << 10}), &cfg)[0]
+	bank := lp.objs[3] // after the processor's cpu, cache and port
+	if bank.stateQ.Codec() == nil {
+		t.Fatal("codec path not engaged")
+	}
+	// A memory request the port never sent, for the cache (object 1).
+	req := make([]byte, 20)
+	req[8] = 1
+	var id uint64
+	round := func() {
+		floor := lp.localMin()
+		for i := 0; i < 64; i++ {
+			lp.drainDeferred()
+			slot, _ := lp.sched.Min()
+			o := lp.objs[slot]
+			o.executeNext()
+			lp.refresh(o)
+		}
+		rollbacks := bank.rollbacks
+		e := lp.pool.Get()
+		e.RecvTime, e.SendTime, e.Sender, e.Receiver = floor+(bank.lvt-floor)/2, floor, 2, bank.id
+		e.ID, e.Kind = 1<<32+id, smmp.KindMemRequest
+		lp.pool.SetPayload(e, req)
+		id++
+		bank.deliver(e)
+		if bank.rollbacks == rollbacks {
+			panic("the straggler rolled nothing back")
+		}
+		lp.refresh(bank)
+		lp.applyGVT(lp.localMin())
+	}
+	for i := 0; i < 32; i++ {
+		round() // through a few anchor cadences
+	}
+	before := lp.st
+	if n := testing.AllocsPerRun(64, round); n != 0 {
+		t.Errorf("codec-path rollback round allocated %.2f times, want 0", n)
+	}
+	rolled, saved := lp.st.EventsRolledBack-before.EventsRolledBack, lp.st.DeltaCheckpoints-before.DeltaCheckpoints
+	if rolled < 65*int64(cfg.Checkpoint.Interval) || saved == 0 {
+		t.Fatalf("%d events rolled back, %d delta checkpoints in the measured rounds: the round did not do what it measures",
+			rolled, saved)
 	}
 }
 

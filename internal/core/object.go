@@ -327,17 +327,13 @@ func (o *simObject) rollback(straggler *event.Event, isAnti bool, at int) {
 	lp.st.EventsRolledBack += rolled
 	lp.st.RollbackLength += rolled
 
-	// Restore the newest snapshot strictly before the straggler.
-	snap := o.stateQ.RestoreBefore(straggler.RecvTime)
+	// Restore the newest snapshot strictly before the straggler into the
+	// working state, which is exclusively object-owned (snapshots are deep
+	// copies or encodings) and so is refilled in place where its type allows.
+	snap := o.stateQ.RestoreInto(straggler.RecvTime, o.state)
+	o.state = snap.State
 	if o.au != nil {
 		o.au.Restore(straggler, snap)
-	}
-	// The working state is exclusively object-owned (snapshots are deep
-	// copies), so restore into it in place when the state supports reuse.
-	if r, ok := snap.State.(model.Reusable); ok && o.state != nil {
-		o.state = r.CopyInto(o.state)
-	} else {
-		o.state = snap.State.Clone()
 	}
 	o.sendVT = snap.SendVT
 	o.sendSeq = snap.SendSeq

@@ -10,79 +10,109 @@ import (
 
 // Layer benchmarks of the encoded-checkpoint path on the 16 KiB padded
 // state, delta encoding without compression (the smmp-facets configuration
-// of the claims benchmark). Run with -benchmem: all three are 0 allocs/op
+// of the claims benchmark). Run with -benchmem: all of them are 0 allocs/op
 // once warm.
+//
+// The plain restore and fossil benchmarks keep one queue, whose buffers never
+// leave L1/L2; a run that hosts many objects comes back to a queue after
+// touching megabytes of other state. The ...Cold variants round-robin
+// coldQueues queues — about 6 MB of live state, images and spare buffers —
+// so every measured call meets its buffers where a real run finds them.
+const coldQueues = 64
 
-func newBenchQueue() (*Queue, *decodeInPlace) {
-	live := &decodeInPlace{&padState{Pad: make([]byte, 16<<10)}, &padState{}}
-	return NewQueue(live, Snapshot{}, codec.NewState(codec.Config{Mode: codec.Delta})), live
+type benchQueue struct {
+	q    *Queue
+	live *padState
+	now  vtime.Time
+}
+
+func newBenchQueues(n int) []benchQueue {
+	qs := make([]benchQueue, n)
+	for i := range qs {
+		live := &padState{Pad: make([]byte, 16<<10)}
+		qs[i] = benchQueue{q: NewQueue(live, Snapshot{}, codec.NewState(codec.Config{Mode: codec.Delta})), live: live}
+	}
+	return qs
+}
+
+// save checkpoints n further steps of the live state.
+func (b *benchQueue) save(n int) {
+	for ; n > 0; n-- {
+		b.now++
+		b.live.step()
+		b.q.Save(b.live, Snapshot{Time: b.now})
+	}
 }
 
 // BenchmarkCodecQueueSave16k: one save in the kernel's rhythm — 64 saves
 // (60 deltas, 4 anchors), then the fossil collection that recycles them.
 func BenchmarkCodecQueueSave16k(b *testing.B) {
-	q, live := newBenchQueue()
+	bq := &newBenchQueues(1)[0]
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 1; i <= b.N; i++ {
-		live.step()
-		q.Save(live, Snapshot{Time: vtime.Time(i)})
+		bq.save(1)
 		if i%64 == 0 {
-			q.FossilCollect(vtime.Time(i))
+			bq.q.FossilCollect(bq.now)
 		}
 	}
 }
 
-// BenchmarkCodecQueueRestoreChain16: a rollback that pops one snapshot and
-// reconstructs a restore point sixteen deltas after its full image, the
-// longest walk FullEvery allows. restore-ns/op is the RestoreBefore call
-// alone; ns/op includes the save it pops.
-func BenchmarkCodecQueueRestoreChain16(b *testing.B) {
-	q, live := newBenchQueue()
-	for t := vtime.Time(1); t <= 16; t++ {
-		live.step()
-		q.Save(live, Snapshot{Time: t})
+// benchRestoreChain16 is a rollback that pops one snapshot, reconstructs a
+// restore point sixteen deltas after its full image — the longest walk
+// FullEvery allows — and decodes it into the live state. restore-ns/op is the
+// RestoreInto call alone; ns/op includes the save it pops.
+func benchRestoreChain16(b *testing.B, queues int) {
+	qs := newBenchQueues(queues)
+	for i := range qs {
+		qs[i].save(17)
 	}
 	var restore time.Duration
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		live.step()
-		q.Save(live, Snapshot{Time: 17})
+		bq := &qs[i%queues]
 		t0 := time.Now()
-		s := q.RestoreBefore(17)
+		s := bq.q.RestoreInto(17, bq.live)
 		restore += time.Since(t0)
-		if s.Time != 16 {
-			b.Fatalf("restored t=%v", s.Time)
+		if s.Time != 16 || s.State != bq.live {
+			b.Fatalf("restored t=%v into %p", s.Time, s.State)
 		}
-		// Roll the live state back too, as the kernel does.
-		live.Pad[int(live.N)%len(live.Pad)]--
-		live.N--
+		bq.now = 16
+		bq.save(1)
 	}
 	b.ReportMetric(float64(restore.Nanoseconds())/float64(b.N), "restore-ns/op")
 }
 
-// BenchmarkCodecQueueFossil: sixteen saves, then a collection that lands in
-// the middle of the delta chain and has to re-anchor the new oldest snapshot.
-// fossil-ns/op is the FossilCollect call alone.
-func BenchmarkCodecQueueFossil(b *testing.B) {
-	q, live := newBenchQueue()
-	now := vtime.Time(0)
+func BenchmarkCodecQueueRestoreChain16(b *testing.B)     { benchRestoreChain16(b, 1) }
+func BenchmarkCodecQueueRestoreChain16Cold(b *testing.B) { benchRestoreChain16(b, coldQueues) }
+
+// benchFossil is sixteen saves, then a collection that lands in the middle of
+// the delta chain and has to re-anchor the new oldest snapshot. fossil-ns/op
+// is the FossilCollect call alone; with several queues it meets saves made
+// that many iterations earlier.
+func benchFossil(b *testing.B, queues int) {
+	qs := newBenchQueues(queues)
+	for i := range qs {
+		qs[i].save(16)
+		qs[i].q.FossilCollect(qs[i].now - 4)
+		qs[i].save(16)
+	}
 	var fossil time.Duration
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		for k := 0; k < 16; k++ {
-			now++
-			live.step()
-			q.Save(live, Snapshot{Time: now})
-		}
+		bq := &qs[i%queues]
 		t0 := time.Now()
-		n := q.FossilCollect(now - 4)
+		n := bq.q.FossilCollect(bq.now - 4)
 		fossil += time.Since(t0)
-		if n != 16 && i > 0 {
+		if n != 16 {
 			b.Fatalf("collected %d snapshots, want 16", n)
 		}
+		bq.save(16)
 	}
 	b.ReportMetric(float64(fossil.Nanoseconds())/float64(b.N), "fossil-ns/op")
 }
+
+func BenchmarkCodecQueueFossil(b *testing.B)     { benchFossil(b, 1) }
+func BenchmarkCodecQueueFossilCold(b *testing.B) { benchFossil(b, coldQueues) }

@@ -36,9 +36,8 @@ type Snapshot struct {
 	Hash uint64
 
 	// Codec-path storage: when the queue runs with a state codec, State is
-	// nil except at the restore head and the snapshot lives as an encoding —
-	// a full state image or a delta against the previous snapshot's
-	// encoding, optionally compressed.
+	// nil and the snapshot lives as an encoding — a full state image or a
+	// delta against the previous snapshot's encoding, optionally compressed.
 	enc    []byte
 	delta  bool
 	comp   bool
@@ -62,18 +61,19 @@ type SaveResult struct {
 // With a state codec attached (and a state implementing codec.DeltaState),
 // snapshots are held as encodings instead of cloned states: full images
 // every codec.Config.FullEvery saves, sparse deltas in between, compressed
-// when configured. RestoreBefore reconstructs the restore point by copying
-// the nearest full image and patching the deltas after it onto the copy, so a
-// restore costs one base copy plus the changed bytes. The oldest snapshot is
-// always a full image.
+// when configured. A restore that pops snapshots reconstructs the restore
+// point by copying the nearest full image and patching the deltas after it
+// onto the copy, and RestoreInto decodes that straight into the live state:
+// two passes over the state's bytes and no allocation. The oldest snapshot is
+// always a full image. The rule throughout is that a full-state image is
+// copied only where two copies must both survive.
 type Queue struct {
 	snaps []Snapshot
 
-	// Codec path; cd and proto are nil when checkpoints are cloned states.
-	cd    *codec.StateCodec
-	proto codec.DeltaState
+	// Codec path; cd is nil when checkpoints are cloned states.
+	cd *codec.StateCodec
 	// lastEnc is the full (uncompressed) encoding of the newest snapshot,
-	// the base for the next delta.
+	// the base for the next delta and what RestoreInto decodes.
 	lastEnc []byte
 	// scratch is the recycled marshal and reconstruction buffer; deltaScratch
 	// is the recycled delta-encoding buffer. Every snapshot's enc is copied
@@ -110,16 +110,11 @@ func (q *Queue) clone(st model.State) model.State {
 }
 
 // retire returns a no-longer-restorable snapshot state to the spare list.
-// Codec-path queues skip it: their snapshots live as encodings, so the only
-// materialized state (the restore head) would accumulate uselessly.
+// Codec-path snapshots have none.
 func (q *Queue) retire(st model.State) {
-	if q.cd != nil || st == nil {
-		return
+	if _, ok := st.(model.Reusable); ok {
+		q.spare = append(q.spare, st)
 	}
-	if _, ok := st.(model.Reusable); !ok {
-		return
-	}
-	q.spare = append(q.spare, st)
 }
 
 // spareEnc returns the spare list for delta or full-image buffers.
@@ -171,7 +166,6 @@ func (q *Queue) Init(st model.State, meta Snapshot, cd *codec.StateCodec) {
 	meta.Time = vtime.NegInf
 	if ds, ok := st.(codec.DeltaState); ok && cd != nil {
 		q.cd = cd
-		q.proto = ds
 		raw := ds.MarshalState(nil)
 		meta.enc, meta.comp = codec.Pack(cd.Config(), raw)
 		meta.rawLen = len(raw)
@@ -227,13 +221,39 @@ func (q *Queue) Save(st model.State, meta Snapshot) SaveResult {
 	return SaveResult{RawBytes: len(raw), StoredBytes: len(stored), Delta: isDelta}
 }
 
+// RestoreInto is the rollback: it pops every snapshot at or after time t
+// (RestoreBefore) and makes the newest remaining one the live state, reusing
+// live's storage. It returns that snapshot's bookkeeping with State set to
+// the restored live state — usually live itself, refilled, which the caller
+// must adopt either way. On the codec path the snapshot's encoding is decoded
+// straight into live (codec.DeltaState.UnmarshalState on the state being
+// replaced), so nothing is allocated and no decoded copy stays behind in the
+// queue; on the clone path the stored state is copied over live when it is
+// model.Reusable and cloned otherwise.
+func (q *Queue) RestoreInto(t vtime.Time, live model.State) Snapshot {
+	snap := q.RestoreBefore(t)
+	if q.cd != nil {
+		st, err := live.(codec.DeltaState).UnmarshalState(q.lastEnc)
+		if err != nil {
+			panic("statesave: snapshot decode failed: " + err.Error())
+		}
+		snap.State = st
+	} else if r, ok := snap.State.(model.Reusable); ok {
+		snap.State = r.CopyInto(live)
+	} else {
+		snap.State = snap.State.Clone()
+	}
+	return snap
+}
+
 // RestoreBefore pops every snapshot at or after time t and returns the
 // newest remaining snapshot — the state to resume from when a straggler with
-// receive time t arrives. The returned snapshot stays in the queue (its
-// state must still be cloned before mutation); on the codec path it is
-// reconstructed from its encoding chain first. The strict inequality
-// matters: a snapshot taken at exactly t may already include a same-time
-// event that must be re-ordered after the straggler.
+// receive time t arrives. The returned snapshot stays in the queue; its State
+// is the queue's own copy on the clone path (clone it before mutating) and
+// nil on the codec path, where the restore point is left reconstructed in
+// lastEnc for RestoreInto to decode. The strict inequality matters: a
+// snapshot taken at exactly t may already include a same-time event that must
+// be re-ordered after the straggler.
 func (q *Queue) RestoreBefore(t vtime.Time) Snapshot {
 	i := len(q.snaps)
 	for i > 0 && !q.snaps[i-1].Time.Before(t) {
@@ -246,21 +266,12 @@ func (q *Queue) RestoreBefore(t vtime.Time) Snapshot {
 	popped := i < len(q.snaps)
 	q.snaps = q.snaps[:i]
 	// The NegInf snapshot is never discarded, so i >= 1 always holds.
-	if q.cd != nil {
-		if popped {
-			// The restored encoding is the new delta base; the old base
-			// becomes the scratch buffer. With nothing popped lastEnc is the
-			// head's encoding already.
-			q.lastEnc, q.scratch = q.rebuild(i-1), q.lastEnc
-			q.syncChain()
-		}
-		if head := &q.snaps[i-1]; head.State == nil {
-			st, err := q.proto.UnmarshalState(q.lastEnc)
-			if err != nil {
-				panic("statesave: snapshot decode failed: " + err.Error())
-			}
-			head.State = st
-		}
+	if q.cd != nil && popped {
+		// The restored encoding is the new delta base; the old base becomes
+		// the scratch buffer. With nothing popped lastEnc is the head's
+		// encoding already.
+		q.lastEnc, q.scratch = q.rebuild(i-1), q.lastEnc
+		q.syncChain()
 	}
 	return q.snaps[i-1]
 }
@@ -281,13 +292,21 @@ func (q *Queue) FossilCollect(gvt vtime.Time) int {
 	if keep == 0 {
 		return 0
 	}
-	// The new oldest snapshot must be self-contained: reconstruct its full
-	// encoding before its delta base is discarded, and store it over one of
+	// The new oldest snapshot must be self-contained. When it is a delta, the
+	// full image its chain starts from is among the snapshots being discarded,
+	// so that image is patched up to it where it lies and changes owner — no
+	// byte of the state moves. A compressed image cannot be patched in place:
+	// under LZ the chain is reconstructed in scratch and packed over one of
 	// the buffers the discarded snapshots give up (its anchor's, usually).
 	oldest := &q.snaps[keep]
 	reanchor := q.cd != nil && oldest.delta
+	var image []byte
 	if reanchor {
-		q.scratch = q.rebuild(keep)
+		if q.cd.Config().Compression == codec.NoCompression {
+			image = q.takeAnchor(keep)
+		} else {
+			q.scratch = q.rebuild(keep)
+		}
 	}
 	for i := 0; i < keep; i++ {
 		q.retire(q.snaps[i].State)
@@ -295,8 +314,10 @@ func (q *Queue) FossilCollect(gvt vtime.Time) int {
 	}
 	if reanchor {
 		q.retireEnc(oldest)
-		oldest.enc, oldest.comp = q.pack(q.scratch, false)
-		oldest.delta = false
+		if image == nil {
+			image, oldest.comp = q.pack(q.scratch, false)
+		}
+		oldest.enc, oldest.delta = image, false
 	}
 	n := keep
 	copy(q.snaps, q.snaps[keep:])
@@ -334,6 +355,15 @@ func (q *Queue) FossilFloor() vtime.Time {
 	return q.snaps[1].Time
 }
 
+// anchor returns the index of the full image snapshot i's delta chain starts
+// from (i itself when it is one).
+func (q *Queue) anchor(i int) int {
+	for q.snaps[i].delta {
+		i--
+	}
+	return i
+}
+
 // rebuild reconstructs the full, uncompressed state encoding of snapshot i
 // in the scratch buffer's storage (growing it if need be): a copy of the
 // nearest full image at or before i, patched with each delta after it. The
@@ -341,12 +371,8 @@ func (q *Queue) FossilFloor() vtime.Time {
 // means the queue corrupted its own encodings, an invariant violation worth
 // stopping the run for.
 func (q *Queue) rebuild(i int) []byte {
-	base := i
-	for q.snaps[base].delta {
-		base--
-	}
 	buf := q.scratch[:0]
-	for j := base; j <= i; j++ {
+	for j := q.anchor(i); j <= i; j++ {
 		s := &q.snaps[j]
 		part, err := codec.Unpack(s.enc, s.comp)
 		if err == nil && s.delta {
@@ -355,6 +381,24 @@ func (q *Queue) rebuild(i int) []byte {
 			buf = append(buf, part...)
 		}
 		if err != nil {
+			panic("statesave: checkpoint chain corrupt: " + err.Error())
+		}
+	}
+	return buf
+}
+
+// takeAnchor is rebuild without the copy, for a delta snapshot i whose full
+// image is about to be discarded: it takes that image's buffer out of its
+// snapshot (which keeps no encoding and must leave the queue), patches each
+// delta up to i onto it in place and returns it. Only uncompressed storage
+// can be patched where it lies.
+func (q *Queue) takeAnchor(i int) []byte {
+	base := q.anchor(i)
+	buf := q.snaps[base].enc
+	q.snaps[base].enc = nil
+	for j := base + 1; j <= i; j++ {
+		var err error
+		if buf, err = codec.PatchDelta(buf, q.snaps[j].enc); err != nil {
 			panic("statesave: checkpoint chain corrupt: " + err.Error())
 		}
 	}

@@ -1,7 +1,7 @@
 package statesave
 
 import (
-	"encoding/binary"
+	"bytes"
 	"fmt"
 	"testing"
 	"time"
@@ -285,10 +285,27 @@ func (s *padState) MarshalState(buf []byte) []byte {
 	return buf
 }
 
+// UnmarshalState decodes into s itself, as the bundled apps' states do.
 func (s *padState) UnmarshalState(data []byte) (model.State, error) {
 	r := codec.NewReader(data)
-	out := &padState{N: r.Int64(), Pad: r.Bytes()}
-	return out, r.Err()
+	*s = padState{N: r.Int64(), Pad: r.BytesInto(s.Pad)}
+	return s, r.Err()
+}
+
+// dirty leaves s holding nothing a restore may keep: a wrong counter and a
+// scribbled Pad that is longer than, shorter than or as long as it was,
+// whichever way selects.
+func (s *padState) dirty(way int) {
+	s.N = ^s.N
+	switch way % 3 {
+	case 0:
+		s.Pad = append(s.Pad, make([]byte, 97)...)
+	case 1:
+		s.Pad = s.Pad[:len(s.Pad)/3]
+	}
+	for i := range s.Pad {
+		s.Pad[i] = 0xA5
+	}
 }
 
 func (s *padState) equal(o *padState) bool {
@@ -376,6 +393,8 @@ func codecConfigs() []codec.Config {
 		{Mode: codec.Full, Compression: codec.LZ},
 		{Mode: codec.Delta, FullEvery: 4},
 		{Mode: codec.Delta, FullEvery: 4, Compression: codec.LZ},
+		{Mode: codec.Dynamic, FullEvery: 4,
+			Controller: codec.ControllerConfig{Period: 16}},
 		{Mode: codec.Dynamic, FullEvery: 4, Compression: codec.LZ,
 			Controller: codec.ControllerConfig{Period: 16}},
 	}
@@ -385,7 +404,7 @@ func codecConfigs() []codec.Config {
 // snapshot's enc, the queue's lastEnc, scratch and deltaScratch and every
 // spare buffer are distinct allocations, so nothing the queue writes later
 // can change a stored snapshot.
-func checkBuffersDisjoint(t *testing.T, q *Queue) {
+func checkBuffersDisjoint(t testing.TB, q *Queue) {
 	t.Helper()
 	seen := map[*byte]string{}
 	note := func(b []byte, what string) {
@@ -413,11 +432,12 @@ func checkBuffersDisjoint(t *testing.T, q *Queue) {
 }
 
 // checkAgainstTwin asserts that every snapshot the encoded queue holds
-// reconstructs to exactly the state its clone-path twin stored, that the
-// oldest one is self-contained, and that no snapshot sits more than FullEvery
-// deltas from its full image — the bound on what a restore patches through,
-// which must survive rollbacks that pop an anchor.
-func checkAgainstTwin(t *testing.T, q, twin *Queue, step int) {
+// reconstructs to exactly the state its clone-path twin stored, that none
+// keeps a decoded state beside its encoding, that the oldest one is
+// self-contained, and that no snapshot sits more than FullEvery deltas from
+// its full image — the bound on what a restore patches through, which must
+// survive rollbacks that pop an anchor.
+func checkAgainstTwin(t testing.TB, q, twin *Queue, step int) {
 	t.Helper()
 	if q.Len() != twin.Len() {
 		t.Fatalf("step %d: %d snapshots, twin holds %d", step, q.Len(), twin.Len())
@@ -433,11 +453,14 @@ func checkAgainstTwin(t *testing.T, q, twin *Queue, step int) {
 		if limit := q.cd.Config().FullEvery; chain > limit {
 			t.Fatalf("step %d: snapshot %d is %d deltas from its full image, FullEvery is %d", step, i, chain, limit)
 		}
-		st, err := q.proto.UnmarshalState(q.rebuild(i))
-		if err != nil {
+		if q.snaps[i].State != nil {
+			t.Fatalf("step %d: snapshot %d keeps a decoded state", step, i)
+		}
+		var st padState
+		if _, err := st.UnmarshalState(q.rebuild(i)); err != nil {
 			t.Fatalf("step %d: snapshot %d does not decode: %v", step, i, err)
 		}
-		if !st.(*padState).equal(twin.snaps[i].State.(*padState)) {
+		if !st.equal(twin.snaps[i].State.(*padState)) {
 			t.Fatalf("step %d: snapshot %d (t=%v) no longer reconstructs to the state saved", step, i, q.snaps[i].Time)
 		}
 	}
@@ -457,16 +480,88 @@ func TestCodecQueueRestoreEquivalence(t *testing.T) {
 					cfg := base
 					cfg.FullEvery = fullEvery
 					name := fmt.Sprintf("full-every=%d,resize=%t", fullEvery, resize)
-					t.Run(name, func(t *testing.T) { runCodecTape(t, cfg, resize) })
+					t.Run(name, func(t *testing.T) {
+						rng := model.NewRand(42)
+						landed, switches := runCodecTape(t, cfg, resize, 600, rng.Intn)
+						// The tape must have been where it claims to go.
+						if landed[landsOnAnchor] == 0 {
+							t.Error("no collection landed on an anchor")
+						}
+						if cfg.Mode != codec.Full && (landed[landsMidChain] == 0 || landed[landsPastAnchor] == 0) {
+							t.Errorf("collections landed %d times mid-chain and %d past an anchor, want both",
+								landed[landsMidChain], landed[landsPastAnchor])
+						}
+						if cfg.Mode == codec.Dynamic && switches < 2 {
+							t.Errorf("the dynamic codec switched encoding %d times, want full and back", switches)
+						}
+					})
 				}
 			}
 		})
 	}
 }
 
-// runCodecTape is one tape of TestCodecQueueRestoreEquivalence. With resize
-// set the state's encoding also changes length from save to save.
-func runCodecTape(t *testing.T, cfg codec.Config, resize bool) {
+// FuzzCodecQueue is the same tape read from bytes: the first picks the
+// configuration, each later one an operation or its argument.
+func FuzzCodecQueue(f *testing.F) {
+	f.Add([]byte{0x52, 0, 1, 2, 3, 9, 7, 5, 0, 0, 0, 9, 0, 0, 10, 8, 3, 7, 2})
+	f.Add(append([]byte{0xA5}, bytes.Repeat([]byte{1, 2, 3, 4, 5, 6, 9, 7, 0}, 12)...))
+	f.Fuzz(func(t *testing.T, tape []byte) {
+		if len(tape) < 2 {
+			return
+		}
+		pick, tape := tape[0], tape[1:]
+		configs := codecConfigs()
+		cfg := configs[int(pick&7)%len(configs)]
+		cfg.FullEvery = []int{1, 2, 4, 16}[pick>>3&3]
+		// Every step re-checks every snapshot held: keep the tape short.
+		runCodecTape(t, cfg, pick&0x20 != 0, min(len(tape), 256), func(n int) int {
+			if len(tape) == 0 {
+				return 0
+			}
+			b := tape[0]
+			tape = tape[1:]
+			return int(b) % n
+		})
+	})
+}
+
+// The three places a fossil collection can land, by what the snapshot that
+// becomes the oldest is: a full image already; a delta in the chain that
+// starts at the departing oldest snapshot; a delta whose full image sits
+// further up the queue, so the collection passes an anchor on its way.
+const (
+	landsOnAnchor = iota
+	landsMidChain
+	landsPastAnchor
+	landings
+)
+
+// landing classifies a collection that would keep snapshot k as the oldest.
+func (q *Queue) landing(k int) int {
+	switch q.anchor(k) {
+	case k:
+		return landsOnAnchor
+	case 0:
+		return landsMidChain
+	}
+	return landsPastAnchor
+}
+
+// runCodecTape runs steps operations, drawn from intn, on an encoded queue and
+// its clone-path twin, and returns how many collections landed where and how
+// often a Dynamic codec changed encoding. With resize set the state's encoding
+// also changes length from save to save. Restores go through RestoreInto into
+// a live state dirtied beforehand, on both queues. Now and then the tape turns
+// rewriting on or off: while it is on every save rewrites the whole state,
+// which is what makes a Dynamic codec leave delta encoding, and come back once
+// it is off. A sixth of the steps are collections aimed at one kind of landing
+// after the other. An aimed collection waits until the queue holds a snapshot
+// of its kind; once it has missed twice the tape stops popping and collecting
+// at random, so that even a FullEvery-16 queue grows a second anchor, and
+// after eight misses the kind is passed over (a Dynamic codec in full mode
+// makes no chain to land in).
+func runCodecTape(t testing.TB, cfg codec.Config, resize bool, steps int, intn func(int) int) (landed [landings]int, switches int64) {
 	live := &padState{Pad: make([]byte, 512)}
 	ref := live.Clone().(*padState)
 	q := NewQueue(live, Snapshot{}, codec.NewState(cfg))
@@ -475,43 +570,73 @@ func runCodecTape(t *testing.T, cfg codec.Config, resize bool) {
 	}
 	rq := NewQueue(ref, Snapshot{}, nil)
 
-	rng := model.NewRand(42)
+	collect := func(step int, g vtime.Time) {
+		if q.FossilCollect(g) != rq.FossilCollect(g) {
+			t.Fatalf("fossil counts diverge at step %d", step)
+		}
+	}
 	now := vtime.Time(0)
 	gvt := vtime.Time(0) // restores never go below GVT, as in the kernel
-	for step := 0; step < 400; step++ {
-		switch rng.Intn(10) {
+	rewriting := false
+	aim, missed, kinds := landsOnAnchor, 0, landings
+	if cfg.Mode == codec.Full {
+		kinds = landsOnAnchor + 1 // every snapshot is an anchor
+	}
+	for step := 0; step < steps; step++ {
+		op := intn(12)
+		if missed > 2 && (op == 7 || op == 8) {
+			op = 0
+		}
+		switch op {
 		case 7: // rollback to a random earlier time (but not below GVT)
 			if now <= gvt+1 {
 				continue
 			}
-			at := gvt + 1 + vtime.Time(rng.Intn(int(now-gvt)))
-			s := q.RestoreBefore(at)
-			rs := rq.RestoreBefore(at)
+			at := gvt + 1 + vtime.Time(intn(int(now-gvt)))
+			live.dirty(step)
+			ref.dirty(step + 1)
+			s := q.RestoreInto(at, live)
+			rs := rq.RestoreInto(at, ref)
 			if s.Time != rs.Time {
 				t.Fatalf("restore times diverge: %v vs %v", s.Time, rs.Time)
 			}
-			got, want := s.State.(*padState), rs.State.(*padState)
-			if !got.equal(want) {
+			live, ref = s.State.(*padState), rs.State.(*padState)
+			if !live.equal(ref) {
 				t.Fatalf("restored state diverges at step %d (t=%v)", step, at)
 			}
-			live = got.Clone().(*padState)
-			ref = want.Clone().(*padState)
 			now = s.Time
 			if now == vtime.NegInf {
 				now = 0
 			}
 		case 8: // fossil collect somewhere behind the head
 			if now > gvt+1 {
-				g := gvt + vtime.Time(rng.Intn(int(now-gvt)))
-				if q.FossilCollect(g) != rq.FossilCollect(g) {
-					t.Fatalf("fossil counts diverge at step %d", step)
+				gvt += vtime.Time(intn(int(now - gvt)))
+				collect(step, gvt)
+			}
+		case 9, 10: // fossil collect onto the kind of landing aimed at
+			k := 1
+			for k < q.Len()-1 && q.landing(k) != aim {
+				k++
+			}
+			if k < q.Len()-1 {
+				gvt = q.snaps[k].Time + 1
+				collect(step, gvt)
+				if q.OldestTime() != gvt-1 {
+					t.Fatalf("step %d: aimed at t=%v, oldest is t=%v", step, gvt-1, q.OldestTime())
 				}
-				gvt = g
+				landed[aim]++
+			} else if missed++; missed <= 8 {
+				break
+			}
+			aim, missed = (aim+1)%kinds, 0
+		case 11:
+			if intn(4) == 0 {
+				rewriting = !rewriting
 			}
 		default: // advance and checkpoint
-			now += vtime.Time(rng.Intn(5) + 1)
+			now += vtime.Time(intn(5) + 1)
 			if resize {
-				n := 256 + rng.Intn(512)
+				n := 256 + intn(512)
 				for _, s := range []*padState{live, ref} {
 					for len(s.Pad) < n {
 						s.Pad = append(s.Pad, byte(len(s.Pad)))
@@ -521,6 +646,13 @@ func runCodecTape(t *testing.T, cfg codec.Config, resize bool) {
 			}
 			live.step()
 			ref.step()
+			if rewriting {
+				fill := model.NewRand(uint64(step))
+				for i := range live.Pad {
+					live.Pad[i] = byte(fill.Uint64())
+				}
+				copy(ref.Pad, live.Pad)
+			}
 			res := q.Save(live, Snapshot{Time: now})
 			rq.Save(ref, Snapshot{Time: now})
 			if res.StoredBytes <= 0 || res.RawBytes <= 0 {
@@ -530,35 +662,22 @@ func runCodecTape(t *testing.T, cfg codec.Config, resize bool) {
 		checkAgainstTwin(t, q, rq, step)
 	}
 	// Final full-chain check: restore to the oldest legal point.
-	s := q.RestoreBefore(gvt + 1)
-	rs := rq.RestoreBefore(gvt + 1)
+	s := q.RestoreInto(gvt+1, live)
+	rs := rq.RestoreInto(gvt+1, ref)
 	if !s.State.(*padState).equal(rs.State.(*padState)) {
 		t.Fatal("oldest restore point diverges")
 	}
-}
-
-// decodeInPlace is padState decoding into one test-owned struct instead of a
-// fresh one. Decoding a restore head is the model's allocation, not the
-// queue's; with it out of the way AllocsPerRun counts the queue alone.
-type decodeInPlace struct {
-	*padState
-	into *padState
-}
-
-func (s *decodeInPlace) UnmarshalState(data []byte) (model.State, error) {
-	s.into.N = int64(binary.LittleEndian.Uint64(data))
-	n, k := binary.Uvarint(data[8:])
-	s.into.Pad = append(s.into.Pad[:0], data[8+k:8+k+int(n)]...)
-	return s.into, nil
+	return landed, q.cd.Switches
 }
 
 // TestCodecQueueSteadyStateAllocs pins the codec path's buffer recycling:
-// once warm, a window of 16 saves, a rollback over half of it and a fossil
-// collection into the middle of the surviving chain allocate nothing — every
-// delta and re-anchored image is stored over a retired buffer and every
-// reconstruction happens in the queue's scratch buffer.
+// once warm, a window of 16 saves, a rollback over half of it into the live
+// state and a fossil collection into the middle of the surviving chain
+// allocate nothing — every delta is stored over a retired buffer, the restore
+// point is reconstructed in the queue's scratch buffer and decoded over the
+// live state, and the re-anchored image is its departing anchor, patched.
 func TestCodecQueueSteadyStateAllocs(t *testing.T) {
-	live := &decodeInPlace{&padState{Pad: make([]byte, 16<<10)}, &padState{}}
+	live := &padState{Pad: make([]byte, 16<<10)}
 	q := NewQueue(live, Snapshot{}, codec.NewState(codec.Config{Mode: codec.Delta}))
 	now := vtime.Time(0)
 	cycle := func() {
@@ -567,8 +686,8 @@ func TestCodecQueueSteadyStateAllocs(t *testing.T) {
 			live.step()
 			q.Save(live, Snapshot{Time: now})
 		}
-		if s := q.RestoreBefore(now - 7); s.Time != now-8 {
-			t.Fatalf("restored t=%v, want %v", s.Time, now-8)
+		if s := q.RestoreInto(now-7, live); s.Time != now-8 || s.State != live {
+			t.Fatalf("restored t=%v into %p, want %v into the live state", s.Time, s.State, now-8)
 		}
 		if q.FossilCollect(now-11) == 0 {
 			t.Fatal("nothing collected")
@@ -623,7 +742,7 @@ func TestCodecQueueFossilMidChain(t *testing.T) {
 	if q.OldestTime() != 130 {
 		t.Fatalf("OldestTime = %v", q.OldestTime())
 	}
-	s := q.RestoreBefore(135)
+	s := q.RestoreInto(135, live)
 	if s.Time != 130 || !s.State.(*padState).equal(states[130]) {
 		t.Fatal("mid-chain oldest snapshot did not reconstruct")
 	}
