@@ -162,9 +162,10 @@ func (b *ConfigBuilder) WithTransport(t Transport) *ConfigBuilder {
 
 // WithWorkers sets the dispatcher's width: n workers with
 // least-timestamp-first schedule queues share the LPs this process hosts.
-// n = 0 (the default) is one worker per LP up to the available cores; n above
-// the LP count is clamped, so WorkerPerLP (or any n that large) is one worker
-// per LP whatever the machine.
+// n = 0 (the default) is min(hosted LPs, GOMAXPROCS, max(1, NumCPU / ranks on
+// this host)): a worker per hosted LP up to this rank's share of the machine's
+// cores; n above the LP count is clamped, so WorkerPerLP (or any n that large)
+// is one worker per LP whatever the machine.
 func (b *ConfigBuilder) WithWorkers(n int) *ConfigBuilder {
 	b.cfg.Workers = n
 	return b

@@ -7,6 +7,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"runtime"
 	"sync"
 
 	"gowarp/internal/telemetry"
@@ -16,12 +17,14 @@ import (
 // twsim and two-rank TCP fleets of the same model and seed as real OS
 // processes over loopback — one fleet per dispatcher width: a worker per LP,
 // two workers per rank, and the default ("pool": a worker per LP up to the
-// cores, so one per rank under GOMAXPROCS=1, the only worker also the only
-// one polling the sockets) — then compares committed events and the final
-// state hash from their JSON artifacts. Because the kernel commits
-// deterministically, each fleet's coordinator must report byte-identical
-// results to the solo run — any divergence means the transport or the
-// dispatcher perturbed the computation.
+// rank's share of the cores, half of them with two ranks on this host, so one
+// per rank on a 2-core runner, the only worker also the only one polling the
+// sockets) — then compares committed events and the final state hash from
+// their JSON artifacts, and at the default holds each rank's artifact to the
+// width the rule gives. Because the kernel commits deterministically, each
+// fleet's coordinator must report byte-identical results to the solo run —
+// any divergence means the transport or the dispatcher perturbed the
+// computation.
 func runMultiproc(twsim string, seed uint64, verbose bool) error {
 	if twsim == "" {
 		return fmt.Errorf("the multiproc leg spawns twsim processes: pass -twsim <path-to-binary>")
@@ -103,6 +106,28 @@ func checkFleet(twsim, dir string, modelArgs []string, sched string, soloSum tel
 	if coord.FinalStateHash != soloSum.FinalStateHash {
 		return fmt.Errorf("MISMATCH final state hash: fleet %#x, solo %#x",
 			coord.FinalStateHash, soloSum.FinalStateHash)
+	}
+	if sched == "pool" {
+		// The default width: both ranks are on this host and each must have
+		// taken its share of it. The children inherit this process's
+		// GOMAXPROCS, so the rule can be evaluated here.
+		for r, path := range rankJSON {
+			sum, err := readSummary(path)
+			if err != nil {
+				return err
+			}
+			hosted := 0
+			for _, w := range sum.FinalWorkerAssignment {
+				if w >= 0 {
+					hosted++
+				}
+			}
+			want := min(hosted, runtime.GOMAXPROCS(0), max(1, runtime.NumCPU()/2))
+			if sum.HostRanks != 2 || sum.Workers != want {
+				return fmt.Errorf("rank %d ran %d workers having counted %d ranks on this host, want %d workers (%d LPs, GOMAXPROCS %d, %d cores shared by 2 ranks)",
+					r, sum.Workers, sum.HostRanks, want, hosted, runtime.GOMAXPROCS(0), runtime.NumCPU())
+			}
+		}
 	}
 	if verbose {
 		fmt.Printf("  solo:  committed=%d hash=%#x\n", soloSum.Stats.EventsCommitted, soloSum.FinalStateHash)

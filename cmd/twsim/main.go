@@ -19,6 +19,7 @@ import (
 	"fmt"
 	"os"
 	"reflect"
+	"runtime"
 	"runtime/pprof"
 	"strings"
 	"time"
@@ -54,7 +55,7 @@ func main() {
 
 		transportFlag = flag.String("transport", "inproc", "transport spec: inproc, or tcp,rank=N,peers=HOST:PORT;HOST:PORT;... [,listen=ADDR][,timeout=DUR] — start every rank of one run with the same peers list and its own rank; rank 0 gathers the full results")
 
-		schedFlag = flag.String("sched", "pool", "dispatcher width spec: pool[,workers=N] (N workers share the hosted LPs and read and write the tcp transport's sockets; default N = one per LP up to the available cores), or lp (one worker per hosted LP whatever the cores)")
+		schedFlag = flag.String("sched", "pool", "dispatcher width spec: pool[,workers=N] (N workers share the hosted LPs and read and write the tcp transport's sockets; default N = min(hosted LPs, GOMAXPROCS, max(1, NumCPU / ranks on this host)): a worker per hosted LP up to this rank's share of the machine's cores), or lp (one worker per hosted LP whatever the cores)")
 
 		perMsg    = flag.Duration("msg-cost", 0, "simulated per-physical-message CPU overhead")
 		eventCost = flag.Duration("event-cost", 0, "simulated CPU burn per event")
@@ -246,7 +247,7 @@ func main() {
 		fatal(err)
 	}
 
-	rank, ranks := 0, 1
+	rank, ranks, hostRanks := 0, 1, 0
 	if tspec.Kind == "tcp" {
 		rank, ranks = tspec.Rank, len(tspec.Peers)
 		tr, terr := tspec.NewTransport(m.NumLPs(), cfg.Cost)
@@ -254,6 +255,7 @@ func main() {
 			fatal(terr)
 		}
 		cfg.Transport = tr
+		hostRanks = tr.Peers().HostRanks
 		if rank != 0 && *verify {
 			fmt.Fprintf(os.Stderr, "twsim: rank %d: -verify compares full results and runs on rank 0 only; skipping\n", rank)
 			*verify = false
@@ -340,6 +342,8 @@ func main() {
 			Workers:               len(res.PerWorker),
 			PerWorker:             res.PerWorker,
 			FinalWorkerAssignment: res.FinalWorkerAssignment,
+			HostRanks:             hostRanks,
+			Wire:                  res.Wire,
 		}
 		if sampler != nil {
 			sum.Roughness = sampler.Summary()
@@ -356,6 +360,15 @@ func main() {
 	fmt.Printf("%s%s: %d committed events in %s (%.0f ev/s), final GVT %s\n",
 		prefix, m.Name, res.Stats.EventsCommitted, res.Elapsed.Round(time.Millisecond),
 		res.EventRate(), res.GVT)
+	if n := len(res.PerWorker); sspec.Workers == 0 && hostRanks > 1 {
+		// The transport divided the default width: say what by.
+		s := "s"
+		if n == 1 {
+			s = ""
+		}
+		fmt.Printf("%s%d worker%s: %d cores shared by %d ranks on this host\n",
+			prefix, n, s, runtime.NumCPU(), hostRanks)
+	}
 	fmt.Print(res.Stats.Report())
 
 	if *perObject {

@@ -67,6 +67,16 @@ type Endpoint struct {
 	// between LPs — a packet hands its backing array to the receiver — but
 	// are only ever touched by the goroutine that currently owns them.
 	wireFree [][]byte
+	// spare is the transport's own payload free list when the endpoint sends
+	// through a TCP: what wireFree cannot hold goes there and what it lacks
+	// comes from there, so wireFree is this LP's unlocked share of one
+	// reservoir. Over a socket the buffers of a rank circulate — its senders'
+	// aggregates are framed and recycled by the transport, its parser copies
+	// arrivals into them, its receivers drain them — and one poll delivers
+	// several of the peer's rounds to every LP here at once: lists that do not
+	// communicate drop a burst's buffers at one bound while the next bound
+	// allocates new ones.
+	spare *TCP
 	// evScratch is the reusable decode slice handed out by DecodeEvents.
 	// Its contents are only valid until the next DecodeEvents call.
 	evScratch []*event.Event
@@ -85,6 +95,9 @@ func (e *Endpoint) takeWire() []byte {
 		e.wireFree = e.wireFree[:n-1]
 		return b[:0]
 	}
+	if e.spare != nil {
+		return e.spare.takePayload()
+	}
 	return nil
 }
 
@@ -92,10 +105,13 @@ func (e *Endpoint) takeWire() []byte {
 // meaningful in pooled mode: without a pool, decoded events alias packet
 // payloads, so buffers must never be reused.
 func (e *Endpoint) recycleWire(b []byte) {
-	if e.Pool == nil || cap(b) == 0 || len(e.wireFree) >= maxFreeWireBufs {
-		return
+	switch {
+	case e.Pool == nil || cap(b) == 0:
+	case len(e.wireFree) < maxFreeWireBufs:
+		e.wireFree = append(e.wireFree, b)
+	case e.spare != nil:
+		e.spare.recyclePayload(b)
 	}
-	e.wireFree = append(e.wireFree, b)
 }
 
 // minWireCompress is the payload size below which flush skips compression:
@@ -126,6 +142,7 @@ func NewSendEndpoint(s Sender, numLPs, lp int, cfg AggConfig, st *stats.Counters
 	for i := range e.bufs {
 		e.bufs[i].window = cfg.Window
 	}
+	e.spare, _ = s.(*TCP)
 	return e
 }
 

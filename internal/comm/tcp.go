@@ -9,6 +9,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"gowarp/internal/stats"
 )
 
 // TCP is the multi-process Transport: each rank is one OS process hosting a
@@ -35,7 +37,10 @@ import (
 //     work: Poll reads whatever each inbound socket holds without waiting and
 //     delivers the frames to the sink, Flush writes whatever each outbound
 //     socket takes without waiting, and what a socket refuses stays buffered
-//     for the next Flush. The transport starts no goroutine. That is the
+//     for the next Flush. Every write is timed, and a Flush that is not forced
+//     leaves a link alone whose last write was under wireBudget times that
+//     cost ago, so that the frames of several rounds share a system call;
+//     every Poll reads (Polled has the why). The transport starts no goroutine. That is the
 //     point: Go polls the network only from an idle P or from sysmon's 10 ms
 //     tick, and workers that never block leave no P idle, so a reader
 //     goroutine parked in the netpoller sees a frame milliseconds after it
@@ -102,8 +107,13 @@ type TCP struct {
 const tcpFlushBytes = 32 << 10
 
 // tcpFreePayloads bounds the payload free list, so a burst of sends pins
-// little memory once it has passed.
-const tcpFreePayloads = 64
+// little memory once it has passed. The list is the reservoir of every wire
+// buffer this rank circulates: Send fills it a round's sends at a time, the
+// hosted LPs' endpoints with what their own lists cannot hold
+// (Endpoint.spare), and the parser empties it by as many frames as one read
+// finds — several of the peer's rounds, for every LP here at once. It is
+// sized to such a burst, not to one round.
+const tcpFreePayloads = 1024
 
 // recyclePayload keeps a payload slice the transport has finished with.
 func (t *TCP) recyclePayload(b []byte) {
@@ -135,6 +145,13 @@ func (t *TCP) takePayload() []byte {
 // a read is offered; a frame longer than the buffer grows it.
 const tcpReadBytes = 64 << 10
 
+// wireBudget is how many times what a write costs a link's frames may wait
+// for company: a write system call costs its sender about the same whether it
+// carries one small frame or forty, and the peer's next read then finds them
+// all. Measured, like poolBatch, not configured (EXPERIMENTS.md, "A rank
+// takes its share of the host").
+const wireBudget = 8
+
 // tcpSendConn is the send side of the link to one peer rank: the frames not
 // yet written, in order. mu serializes the senders and flushers.
 type tcpSendConn struct {
@@ -149,13 +166,37 @@ type tcpSendConn struct {
 	// down is set once the link is finished with — half-closed by Close, or
 	// failed; frames sent after that are dropped.
 	down bool
+	// wrote is when the last write system call returned and cost what one
+	// costs (foldCost over each call timed alone, nanoseconds; 0 until the
+	// first): what held decides by. The tally is stats.LinkStats' send half.
+	wrote                   time.Time
+	cost                    atomic.Int64
+	writes, short, bytesOut atomic.Int64
+}
+
+// held reports whether what is buffered should wait for a later flush: there
+// is less of it than Send itself would write out, and the link's last write
+// was under wireBudget times its cost ago. A link nothing was timed on yet,
+// or one whose sender's rounds outlast the budget (any run that spins an
+// EventCost), is never held. The caller holds mu.
+func (sc *tcpSendConn) held() bool {
+	pending, cost := len(sc.buf)-sc.off, time.Duration(sc.cost.Load())
+	return pending > 0 && pending < tcpFlushBytes && cost > 0 && time.Since(sc.wrote) < wireBudget*cost
 }
 
 // flush writes out what is buffered, as far as write takes it. The caller
 // holds mu.
 func (sc *tcpSendConn) flush() error {
 	for sc.off < len(sc.buf) {
+		start := time.Now()
 		n, err := sc.write(sc.buf[sc.off:])
+		sc.wrote = time.Now()
+		sc.cost.Store(int64(foldCost(time.Duration(sc.cost.Load()), sc.wrote.Sub(start))))
+		sc.writes.Add(1)
+		sc.bytesOut.Add(int64(n))
+		if n < len(sc.buf)-sc.off {
+			sc.short.Add(1)
+		}
 		sc.off += n
 		if err != nil {
 			sc.buf, sc.off, sc.down = nil, 0, true
@@ -192,6 +233,8 @@ type tcpRecvConn struct {
 	// done is set when the peer has half-closed or the link has failed:
 	// nothing more will be read.
 	done atomic.Bool
+	// The receive half of stats.LinkStats.
+	reads, empty, bytesIn atomic.Int64
 }
 
 // pump reads once and delivers every frame that is now complete. It reports
@@ -200,9 +243,12 @@ type tcpRecvConn struct {
 func (rc *tcpRecvConn) pump(t *TCP) (more bool) {
 	room := rc.buf[rc.w:]
 	n, err := rc.read(room)
+	rc.reads.Add(1)
 	if n == 0 && err == nil {
+		rc.empty.Add(1)
 		return false // nothing has arrived: most polls end here
 	}
+	rc.bytesIn.Add(int64(n))
 	rc.w += n
 	if perr := rc.parse(t); perr != nil {
 		rc.done.Store(true)
@@ -339,16 +385,46 @@ func NewTCP(cfg TCPConfig) (*TCP, error) {
 	t := &TCP{
 		cfg: cfg,
 		peers: Peers{
-			NumLPs:   cfg.NumLPs,
-			Local:    local,
-			Rank:     cfg.Rank,
-			NumRanks: numRanks,
+			NumLPs:    cfg.NumLPs,
+			Local:     local,
+			Rank:      cfg.Rank,
+			NumRanks:  numRanks,
+			HostRanks: hostRanks(cfg.Addrs, cfg.Rank),
 		},
 		lo:  local[0],
 		out: make([]*tcpSendConn, numRanks),
 		in:  make([]*tcpRecvConn, numRanks),
 	}
 	return t, nil
+}
+
+// hostRanks counts the ranks in addrs that run on rank's machine, rank itself
+// included, going by the address list alone — no lookup, no I/O. Equal host
+// parts are one machine and every spelling of loopback (127.0.0.0/8, ::1,
+// localhost, no host at all) is the same one. Two names for one machine count
+// as two machines and an address that does not parse as its own, so the
+// answer errs towards 1: each rank takes the whole machine, as it did before
+// anybody counted.
+func hostRanks(addrs []string, rank int) int {
+	machine := func(addr string) (string, bool) {
+		host, _, err := net.SplitHostPort(addr)
+		if err != nil {
+			return "", false
+		}
+		if ip := net.ParseIP(host); host == "" || host == "localhost" || (ip != nil && ip.IsLoopback()) {
+			host = "localhost"
+		}
+		return host, true
+	}
+	n := 1
+	if own, ok := machine(addrs[rank]); ok {
+		for r, addr := range addrs {
+			if m, ok := machine(addr); ok && r != rank && m == own {
+				n++
+			}
+		}
+	}
+	return n
 }
 
 // inbox returns locally hosted LP lp's receive channel. The channels are made
@@ -644,19 +720,47 @@ func (t *TCP) writeFault(peer int, err error) {
 }
 
 // Flush is the sending half of Polled: it writes out, without waiting, what
-// every peer's socket will take of its out-buffer.
-func (t *TCP) Flush() {
+// every peer's socket will take of its out-buffer — of every link when force
+// is set, otherwise only of those whose frames have waited long enough for
+// company (see held).
+func (t *TCP) Flush(force bool) {
 	for r, sc := range t.out {
 		if sc == nil {
 			continue
 		}
+		var err error
 		sc.mu.Lock()
-		err := sc.flush()
+		if force || !sc.held() {
+			err = sc.flush()
+		}
 		sc.mu.Unlock()
 		if err != nil {
 			t.writeFault(r, err)
 		}
 	}
+}
+
+// Links returns the system-call tally of the link to and from each peer rank,
+// in rank order. It may be called at any time, also while the run goes on.
+func (t *TCP) Links() []stats.LinkStats {
+	var links []stats.LinkStats
+	for r, sc := range t.out {
+		rc := t.in[r]
+		if sc == nil || rc == nil {
+			continue // this rank itself, or a transport that never started
+		}
+		links = append(links, stats.LinkStats{
+			Peer:        r,
+			Reads:       rc.reads.Load(),
+			EmptyReads:  rc.empty.Load(),
+			BytesIn:     rc.bytesIn.Load(),
+			Writes:      sc.writes.Load(),
+			ShortWrites: sc.short.Load(),
+			BytesOut:    sc.bytesOut.Load(),
+			WriteCostNS: sc.cost.Load(),
+		})
+	}
+	return links
 }
 
 // Poll is the receiving half of Polled: it reads, without waiting, whatever

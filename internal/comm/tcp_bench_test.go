@@ -49,11 +49,11 @@ func BenchmarkTCPStream(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				r0.Send(1, pkt, len(pkt.Payload))
 				if d.polled && i%32 == 31 {
-					r0.Flush()
+					r0.Flush(true)
 				}
 			}
 			for d.polled && !flushed(r0.out[1]) {
-				r0.Flush()
+				r0.Flush(true)
 				runtime.Gosched()
 			}
 			<-received

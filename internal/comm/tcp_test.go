@@ -13,6 +13,8 @@ import (
 	"testing"
 	"time"
 
+	"gowarp/internal/event"
+	"gowarp/internal/stats"
 	"gowarp/internal/vtime"
 )
 
@@ -85,7 +87,7 @@ func (r *rank) mustRecv(t *testing.T, lp int) Packet {
 func (r *rank) send(dst int, p Packet) {
 	r.Send(dst, p, len(p.Payload))
 	if r.polled {
-		r.Flush()
+		r.Flush(true)
 	}
 }
 
@@ -540,7 +542,7 @@ func TestTCPSendNeverBlocks(t *testing.T) {
 		t.Fatalf("%d bytes buffered after sending %d to a stalled peer", backlog, frames*size)
 	}
 	for i := 0; i < frames; i++ {
-		r0.Flush() // the sender's next rounds
+		r0.Flush(true) // the sender's next rounds
 		if p := r1.mustRecv(t, 1); p.Count != i || len(p.Payload) != size {
 			t.Fatalf("frame %d arrived as Count=%d with %d bytes", i, p.Count, len(p.Payload))
 		}
@@ -619,6 +621,160 @@ func TestTCPTopologyMismatch(t *testing.T) {
 	wg.Wait()
 	if errs[0] == nil && errs[1] == nil {
 		t.Fatal("mismatched topologies joined successfully")
+	}
+}
+
+// TestTCPFlushHold: a worker's end-of-round Flush(false) leaves a link alone
+// that was written less than wireBudget times its write cost ago, so that
+// several rounds' frames share a system call — and never otherwise: not before
+// a write has been timed, not once the budget has passed, not when
+// tcpFlushBytes have gathered, and never on Flush(true) or Close, which is
+// all that stands between a held frame and a peer that waits for it. The
+// links' tallies count every system call on the way, and every byte one end
+// wrote the other read.
+func TestTCPFlushHold(t *testing.T) {
+	r0, r1 := tcpMesh(t, 2, true) // rank 0 hosts LP 0, rank 1 LP 1
+	link := r0.out[1]
+	send := func(i int, payload []byte) {
+		r0.Send(1, Packet{Kind: PktEvents, From: 0, Count: i, Payload: payload}, len(payload))
+	}
+	arrives := func(i int) {
+		t.Helper()
+		if p := r1.mustRecv(t, 1); p.Count != i {
+			t.Fatalf("packet %d arrived where %d was due", p.Count, i)
+		}
+	}
+
+	// Nothing timed yet: the first frames go out with the round that sent them.
+	send(0, []byte{0})
+	r0.Flush(false)
+	arrives(0)
+	if link.cost.Load() <= 0 {
+		t.Fatal("the link's first write was not timed")
+	}
+
+	// Written a moment ago, and dear: the frame waits for company, for as
+	// long as nobody says the sender is about to wait itself.
+	link.cost.Store(int64(time.Hour))
+	send(1, []byte{1})
+	r0.Flush(false)
+	if p, ok := r1.recv(1, 20*time.Millisecond); ok {
+		t.Fatalf("packet %d left on an opportunistic flush %v after the link's last write", p.Count, time.Since(link.wrote))
+	}
+	send(2, []byte{2})
+	r0.Flush(true)
+	arrives(1)
+	arrives(2)
+
+	// A sender whose rounds outlast the budget flushes every round.
+	link.cost.Store(1)
+	send(3, []byte{3})
+	r0.Flush(false)
+	arrives(3)
+
+	// A buffer's worth is written by Send itself, whatever a write costs.
+	link.cost.Store(int64(time.Hour))
+	send(4, make([]byte, tcpFlushBytes))
+	arrives(4)
+
+	// Close flushes what an opportunistic flush left.
+	link.cost.Store(int64(time.Hour))
+	send(5, []byte{5})
+	r0.Flush(false)
+	closePair(t, r0.TCP, r1.TCP)
+	if q := r1.got[1]; len(q) != 1 || q[0].Count != 5 {
+		t.Fatalf("Close delivered %v, want the held packet 5", q)
+	}
+
+	out, in := r0.Links()[0], r1.Links()[0]
+	if out.Peer != 1 || in.Peer != 0 {
+		t.Errorf("links name peers %d and %d, want 1 and 0", out.Peer, in.Peer)
+	}
+	if out.Writes-out.ShortWrites != 5 {
+		t.Errorf("rank 0 wrote %d times (%d refused in part), want 5 writes that emptied its buffer: one for packets 1 and 2", out.Writes, out.ShortWrites)
+	}
+	if out.BytesOut <= tcpFlushBytes || out.BytesOut != in.BytesIn {
+		t.Errorf("rank 0 wrote %d bytes and rank 1 read %d", out.BytesOut, in.BytesIn)
+	}
+	if in.EmptyReads == 0 || in.Reads <= in.EmptyReads {
+		t.Errorf("rank 1 made %d reads, %d of them empty: want some of each", in.Reads, in.EmptyReads)
+	}
+	if out.WriteCostNS <= 0 {
+		t.Errorf("write cost %d ns", out.WriteCostNS)
+	}
+}
+
+// TestTCPEndpointSharesFreeList: an endpoint that sends through a TCP keeps its
+// own bounded list of wire buffers and, past the bound, the transport's: what a
+// burst hands back beyond maxFreeWireBufs is there for the parser and for the
+// rank's other endpoints, and an endpoint that has run dry takes from it.
+func TestTCPEndpointSharesFreeList(t *testing.T) {
+	tr, err := NewTCP(TCPConfig{Rank: 0, Addrs: []string{"127.0.0.1:1", "127.0.0.1:2"}, NumLPs: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var st stats.Counters
+	ep := NewSendEndpoint(tr, 2, 0, AggConfig{}, &st)
+	ep.Pool = event.NewPool()
+	const burst = maxFreeWireBufs + 8
+	for i := 0; i < burst; i++ {
+		ep.recycleWire(make([]byte, 0, 64))
+	}
+	if len(ep.wireFree) != maxFreeWireBufs || len(tr.free) != burst-maxFreeWireBufs {
+		t.Fatalf("after a burst of %d: %d buffers on the endpoint's list and %d on the transport's, want %d and %d",
+			burst, len(ep.wireFree), len(tr.free), maxFreeWireBufs, burst-maxFreeWireBufs)
+	}
+	for i := 0; i < burst; i++ {
+		if b := ep.takeWire(); cap(b) != 64 {
+			t.Fatalf("take %d of %d returned a buffer of capacity %d", i, burst, cap(b))
+		}
+	}
+	if b := ep.takeWire(); b != nil || len(tr.free) != 0 {
+		t.Fatalf("both lists should be empty: took capacity %d, transport holds %d", cap(b), len(tr.free))
+	}
+	// Over anything else an endpoint's list is all there is.
+	lone := NewSendEndpoint(NewInProc(2), 2, 0, AggConfig{}, &st)
+	lone.Pool = event.NewPool()
+	for i := 0; i < burst; i++ {
+		lone.recycleWire(make([]byte, 0, 64))
+	}
+	if len(lone.wireFree) != maxFreeWireBufs {
+		t.Fatalf("in process the list holds %d, want %d", len(lone.wireFree), maxFreeWireBufs)
+	}
+}
+
+// TestHostRanks: which ranks share a machine is read off the address list —
+// equal hosts are one machine, every spelling of loopback is the same one, two
+// names count as two machines, and an address that does not parse is a machine
+// of its own; a rank always counts itself.
+func TestHostRanks(t *testing.T) {
+	cases := []struct {
+		name  string
+		addrs []string
+		want  []int // by rank
+	}{
+		{"loopback spellings", []string{"127.0.0.1:7001", "127.0.0.2:7002", "[::1]:7003", "localhost:7004", ":7005"}, []int{5, 5, 5, 5, 5}},
+		{"two machines, one port", []string{"10.0.0.1:7000", "10.0.0.2:7000"}, []int{1, 1}},
+		{"one name, two ports", []string{"node-a:1", "node-a:2"}, []int{2, 2}},
+		{"two and one", []string{"node-a:1", "node-b:1", "node-a:2"}, []int{2, 1, 2}},
+		{"loopback beside a name", []string{"127.0.0.1:1", "node-a:1", "localhost:2"}, []int{2, 1, 2}},
+		{"unparsable", []string{"node-a", "node-a", "node-a:1", "node-a:2"}, []int{1, 1, 2, 2}},
+		{"alone", []string{"no port at all"}, []int{1}},
+	}
+	for _, tc := range cases {
+		for rank, want := range tc.want {
+			if got := hostRanks(tc.addrs, rank); got != want {
+				t.Errorf("%s: rank %d of %q shares its machine with %d ranks, want %d", tc.name, rank, tc.addrs, got, want)
+			}
+		}
+	}
+	// The transport says so in its topology, before any socket exists.
+	tr, err := NewTCP(TCPConfig{Rank: 1, Addrs: []string{"10.0.0.1:7000", "127.0.0.1:7000", "localhost:7001"}, NumLPs: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := tr.Peers().HostRanks; got != 2 {
+		t.Errorf("Peers().HostRanks = %d, want 2", got)
 	}
 }
 

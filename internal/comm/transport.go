@@ -57,7 +57,19 @@ type Transport interface {
 //     handed to sink(lp, p) on the goroutine that sent or polled it. sink
 //     must not block. Packets from one sender reach it in order.
 //   - Poll delivers what has arrived from the peers since the last call.
-//   - Flush pushes out what Send has buffered since the last call.
+//   - Flush pushes out what Send has buffered: all of it when force is set,
+//     and otherwise what the transport judges has waited long enough.
+//
+// The two are not symmetric, and on purpose. A write costs its sender about
+// the same whether it carries one frame or forty, and the peer's next read
+// finds them all, so writes may wait for each other: the caller says Flush
+// (false) whenever it has sent and goes on working, and the transport, which
+// is where a write's cost is measured, decides per link. The caller owes
+// Flush(true) before it waits for anything — nothing else will push what was
+// held — and when it is done. A read that finds nothing costs a fifth of a
+// write, and a read that comes late turns an on-time message into a
+// straggler and a rollback, so reads never wait: the caller polls every
+// round and every Poll reads.
 //
 // Neither Poll nor Flush ever waits, for a peer or for a socket; both may be
 // called from any number of goroutines at once. Close still flushes and
@@ -65,7 +77,7 @@ type Transport interface {
 type Polled interface {
 	SetSink(sink func(lp int, p Packet))
 	Poll()
-	Flush()
+	Flush(force bool)
 }
 
 // Peers describes a transport's process topology.
@@ -80,6 +92,13 @@ type Peers struct {
 	Rank int
 	// NumRanks is the total number of processes (1 for in-process).
 	NumRanks int
+	// HostRanks is how many of the run's ranks, this one included, the
+	// transport places on this rank's machine; 0 means it does not know, which
+	// the kernel reads as 1. The machine's cores are shared by all of them, so
+	// the default dispatcher width divides by it (core.Config.Workers). TCP
+	// derives it from its address list (see hostRanks); a transport that knows
+	// its placement some other way can say so here.
+	HostRanks int
 }
 
 // Distributed reports whether the topology spans more than one OS process.

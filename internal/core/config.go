@@ -70,13 +70,17 @@ type Config struct {
 	// goroutines host the logical processes this process runs, each pulling
 	// the lowest-timestamped runnable object from a per-worker schedule
 	// queue, with LP→worker sharding re-mapped on line from observed commit
-	// rates (see dispatch.go). Zero (the default) means as many as the
-	// machine has use for — one per hosted LP up to the cores available,
-	// min(GOMAXPROCS, NumCPU) — so that least-timestamp-first, not the Go
-	// scheduler, decides which LP a core runs next. Values above the hosted
-	// LP count are clamped to it, which makes any such value the spelling of
-	// a worker per LP. Any width runs over any Transport, and the workers are
-	// also who reads and writes a comm.Polled transport's sockets.
+	// rates (see dispatch.go). Zero (the default) means min(hosted LPs,
+	// GOMAXPROCS, max(1, NumCPU / ranks on this host)): a worker per hosted LP
+	// up to this rank's share of the machine's cores — the ranks on this host
+	// being what the Transport says of its placement (comm.Peers.HostRanks;
+	// comm.TCP reads it off its address list), one without a transport — so
+	// that least-timestamp-first, not a scheduler, decides which LP a core
+	// runs next, also when several ranks of one run land on one machine.
+	// Values above the hosted LP count are clamped to it, which makes any such
+	// value the spelling of a worker per LP. Any width runs over any
+	// Transport, and the workers are also who reads and writes a comm.Polled
+	// transport's sockets.
 	Workers int
 	// Timeline records per-LP adaptation samples at every GVT cycle (see
 	// Sample); costs a small allocation per cycle.
@@ -278,6 +282,10 @@ type Result struct {
 	// by LP, -1 for LPs another rank hosts; it differs from the initial block
 	// sharding only when the on-line remap controller moved LPs.
 	FinalWorkerAssignment []int
+	// Wire is the system-call tally of this process's own links, one entry per
+	// peer rank, when the transport keeps one (comm.TCP does); other ranks'
+	// links are in their own Results.
+	Wire []stats.LinkStats
 }
 
 // EventRate returns committed events per second of wall-clock time — the

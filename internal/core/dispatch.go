@@ -9,11 +9,14 @@ package core
 // communication manager in one place: object count is not bounded by
 // per-goroutine footprint, a few hot LPs do not strand the cores of their idle
 // peers, and a rank of a distributed run is simply a pool over the LPs that
-// rank hosts. The worker count is a property of the machine, not of the
-// model: Config.Workers == 0 is min(hosted LPs, cores), so that
-// least-timestamp-first decides which LP a core runs next; with more workers
-// than cores the Go scheduler decides instead, round-robin, whatever the LPs'
-// virtual times. A worker per LP remains an explicit width.
+// rank hosts. The worker count is a property of the machine and of who else
+// is on it, not of the model: Config.Workers == 0 is min(hosted LPs,
+// GOMAXPROCS, max(1, NumCPU / ranks on this host)): a worker per hosted LP up
+// to this rank's share of the machine's cores, so that least-timestamp-first
+// decides which LP a core runs next; with more workers on the machine than
+// cores — this rank's or, together, those of every rank a transport placed
+// there — a scheduler decides instead, round-robin, whatever the LPs' virtual
+// times. A worker per LP remains an explicit width.
 //
 // The only goroutines a run needs on a core are its workers. Every LP reads
 // its packets from one place, its spillbox, and the workers fill it: a run
@@ -22,6 +25,9 @@ package core
 // comm.Polled transport, through the sink Run installs — each worker round
 // begins by polling it for what the peers sent and ends by flushing what this
 // rank sent, so the sockets are read and written by the workers themselves.
+// The flush that ends a round is an offer — the transport may let a link's
+// frames wait for the next rounds' (comm.Polled has the terms) — and the one
+// before a worker waits is not.
 // Workers never block (they yield between rounds and sleep only when idle),
 // which is exactly why they cannot leave the socket to a reader goroutine
 // parked in Go's netpoller — the network is polled only from an idle P or
@@ -160,10 +166,15 @@ type dispatcher struct {
 	scanned   []int64
 }
 
-// defaultWorkers is the width Config.Workers == 0 stands for: a worker per
-// hosted LP up to the cores this process may run on.
-func defaultWorkers(hosted int) int {
-	return min(hosted, runtime.GOMAXPROCS(0), runtime.NumCPU())
+// defaultWorkers is the width Config.Workers == 0 stands for, min(hosted LPs,
+// GOMAXPROCS, max(1, NumCPU / ranks on this host)): a worker per hosted LP up
+// to this rank's share of the machine's cores. hostRanks is what the run's
+// transport says of its placement (comm.Peers.HostRanks; 0, unknown or no
+// transport, counts as 1). GOMAXPROCS caps the share and is not itself
+// divided, so ranks that were each given their own are not halved twice.
+func defaultWorkers(hosted, hostRanks int) int {
+	share := max(1, runtime.NumCPU()/max(1, hostRanks))
+	return min(hosted, runtime.GOMAXPROCS(0), share)
 }
 
 // newDispatcher builds numWorkers idle workers for a process hosting the
@@ -219,16 +230,18 @@ func (d *dispatcher) deliver(dst int, p comm.Packet) {
 
 // poll and flush drive the transport from a worker, if it is one that is
 // driven so: poll delivers what the peers sent into the spillboxes, flush
-// pushes what this rank's LPs sent out to the sockets. Neither ever waits.
+// pushes what this rank's LPs sent out to the sockets — everything when the
+// worker is about to wait or to leave (force), and otherwise what the
+// transport thinks has waited long enough (comm.Polled). Neither ever waits.
 func (d *dispatcher) poll() {
 	if d.wire != nil {
 		d.wire.Poll()
 	}
 }
 
-func (d *dispatcher) flush() {
+func (d *dispatcher) flush(force bool) {
 	if d.wire != nil {
-		d.wire.Flush()
+		d.wire.Flush(force)
 	}
 }
 
@@ -588,16 +601,18 @@ func (w *worker) run() {
 		if executed > 0 {
 			w.events.Add(int64(executed))
 			w.busyNS.Add(time.Since(start).Nanoseconds())
-			w.d.flush()
+			w.d.flush(false)
 			// Yield between rounds so that whatever else the process runs —
-			// another rank's workers, forwarders, the sampler — gets a core
-			// even when the workers occupy them all.
+			// forwarders, the sampler, the caller's own goroutines — gets a
+			// core even when the workers occupy them all. The workers of
+			// another rank on this machine are not among them: at the
+			// default width every rank has its share of the cores.
 			runtime.Gosched()
 			continue
 		}
 		w.idle()
 	}
-	w.d.flush()
+	w.d.flush(true)
 }
 
 // idle blocks on the wake channel with a bounded timeout (the next
@@ -619,7 +634,9 @@ func (w *worker) idle() {
 			}
 		}
 	}
-	w.d.flush() // before the wait: what this round's pump and drains sent
+	// Before the wait: what this round's pump and drains sent, and what the
+	// flushes that ended earlier rounds left for company.
+	w.d.flush(true)
 	if timeout > 0 {
 		// One timer per worker, reused across idle periods. The Stop/drain
 		// dance keeps the channel empty so a later Reset cannot deliver a
@@ -650,5 +667,5 @@ func (w *worker) idle() {
 	if w.lp0 != nil && w.lp0.running {
 		w.lp0.maybeGVT(true)
 	}
-	w.d.flush()
+	w.d.flush(true)
 }

@@ -195,7 +195,7 @@ func gatherReports(tr comm.Transport, d *dispatcher, m *model.Model, res *Result
 		case p := <-inbox:
 			arrived = append(arrived, p)
 		case <-tick:
-			d.wire.Flush()
+			d.wire.Flush(true)
 			d.wire.Poll()
 			arrived = lp0.spill.take()
 		case <-deadline.C:

@@ -65,10 +65,11 @@ type hidden struct{ comm.Transport }
 // protocol, fossil-collect, and commit exactly what the single-process run
 // commits — final states byte-identical under audit.HashStates — whatever
 // the width of each rank's dispatcher (0 = the default: a worker per hosted LP
-// up to the cores; 1 and 2; a worker per LP), whoever drives the sockets (the
-// workers, or reader and forwarder goroutines behind a wrapper that hides
-// comm.Polled), and once more with a single P for everything, where a rank's
-// only worker is also the only one polling.
+// up to the rank's share of the cores, two ranks to this machine; 1 and 2; a
+// worker per LP), whoever drives the sockets (the workers, or reader and
+// forwarder goroutines behind a wrapper that hides comm.Polled but passes
+// Peers through, and so gets the same width), and once more with a single P
+// for everything, where a rank's only worker is also the only one polling.
 func TestDistributedTCPMatchesInProc(t *testing.T) {
 	const seed = 7
 	cfg := core.DefaultConfig(1 << 40) // run until the model drains
@@ -102,8 +103,12 @@ func TestDistributedTCPMatchesInProc(t *testing.T) {
 	})
 }
 
-// defaultWidth is what Config.Workers == 0 means for a process hosting n LPs.
-func defaultWidth(n int) int { return min(n, runtime.GOMAXPROCS(0), runtime.NumCPU()) }
+// defaultWidth is what Config.Workers == 0 means for a rank hosting n LPs when
+// ranks of them share this machine, as the ranks of a loopback fleet do: a
+// worker per LP up to the rank's share of the cores.
+func defaultWidth(n, ranks int) int {
+	return min(n, runtime.GOMAXPROCS(0), max(1, runtime.NumCPU()/ranks))
+}
 
 func checkTCPFleet(t *testing.T, seed uint64, cfg core.Config, solo *core.Result, wrap bool) {
 	numLPs := distribModel(seed).NumLPs()
@@ -137,7 +142,7 @@ func checkTCPFleet(t *testing.T, seed uint64, cfg core.Config, solo *core.Result
 		hosted := comm.BlockRanks(numLPs, 2, r)
 		want := min(cfg.Workers, len(hosted))
 		if want == 0 {
-			want = defaultWidth(len(hosted))
+			want = defaultWidth(len(hosted), len(results))
 		}
 		owned := 0
 		for _, w := range res.PerWorker {

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"gowarp/internal/apps/phold"
+	"gowarp/internal/comm"
 )
 
 // TestEmptyWorkerAwaitsAdoption publishes a pure swap — each of two workers
@@ -20,7 +21,7 @@ func TestEmptyWorkerAwaitsAdoption(t *testing.T) {
 	}
 	cfg := DefaultConfig(2000)
 	cfg.GVTPeriod = 200 * time.Microsecond
-	d := newKernel(m, &cfg, []int{0, 1}, nil, time.Now(), nil)
+	d := newKernel(m, &cfg, comm.Peers{Local: []int{0, 1}}, nil, time.Now(), nil)
 	d.lps[0].target.Store(1)
 	d.lps[1].target.Store(0)
 	d.epoch.Add(1)

@@ -16,7 +16,7 @@ import (
 // them.
 func newTestKernel(m *model.Model, cfg *Config) []*lpRun {
 	cfg.Audit.Bind(m.NumLPs(), cfg.EndTime)
-	d := newKernel(m, cfg, comm.BlockRanks(m.NumLPs(), 1, 0), nil, time.Now(), nil)
+	d := newKernel(m, cfg, comm.Peers{Local: comm.BlockRanks(m.NumLPs(), 1, 0)}, nil, time.Now(), nil)
 	for _, lp := range d.lps {
 		lp.initObjects()
 	}

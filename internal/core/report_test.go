@@ -52,7 +52,7 @@ func TestGatherReportsFlushesBacklog(t *testing.T) {
 		m.Objects = append(m.Objects, &pingObject{name: "idle"})
 	}
 	cfg := DefaultConfig(100)
-	d := newKernel(m, &cfg, trs[0].Peers().Local, trs[0], time.Now(), nil)
+	d := newKernel(m, &cfg, trs[0].Peers(), trs[0], time.Now(), nil)
 	d.wire = wires[0]
 	wires[0].SetSink(d.deliver)
 
@@ -87,7 +87,7 @@ func TestGatherReportsFlushesBacklog(t *testing.T) {
 		trs[0].Send(1, comm.Packet{Kind: comm.PktEvents, From: 0, Payload: payload}, size)
 	}
 	trs[0].Send(1, comm.Packet{Kind: comm.PktStop, From: 0}, 0)
-	wires[0].Flush()
+	wires[0].Flush(true)
 
 	// Rank 1 from here on: poll until the stop, report, keep the wire moving.
 	done := make(chan struct{})
@@ -112,7 +112,7 @@ func TestGatherReportsFlushesBacklog(t *testing.T) {
 				return
 			default:
 			}
-			wires[1].Flush()
+			wires[1].Flush(true)
 			time.Sleep(50 * time.Microsecond)
 		}
 	}()

@@ -76,7 +76,7 @@ func Run(m *model.Model, cfg Config) (*Result, error) {
 		cfg.Observe.BindMetrics(cfg.Metrics)
 	}
 
-	d := newKernel(m, &cfg, peers.Local, tr, start, met)
+	d := newKernel(m, &cfg, peers, tr, start, met)
 	sh, locals := d.lps[0].k, d.lps
 	if tr != nil {
 		// A transport the workers can drive themselves delivers straight into
@@ -259,22 +259,25 @@ func Run(m *model.Model, cfg Config) (*Result, error) {
 		if cerr := tr.Close(); cerr != nil {
 			return nil, fmt.Errorf("core: transport: %w", cerr)
 		}
+		if lt, ok := tr.(interface{ Links() []stats.LinkStats }); ok {
+			res.Wire = lt.Links()
+		}
 	}
 	return res, nil
 }
 
 // newKernel wires one process's share of a run: the dispatcher, the LPs
-// listed in hosted with their endpoints and GVT managers, the objects the
+// peers.Local lists with their endpoints and GVT managers, the objects the
 // partition places on them, and the cross-LP tables. It starts nothing. Endpoints send
 // through net — the run's transport, started before any LP runs — or, when net
 // is nil and every LP is hosted here, through the dispatcher, straight into
 // the destination's spillbox. Zero cfg.Workers means defaultWorkers; more than one per hosted
 // LP would only idle.
-func newKernel(m *model.Model, cfg *Config, hosted []int, net comm.Sender, start time.Time, met *runMetrics) *dispatcher {
-	numLPs := m.NumLPs()
+func newKernel(m *model.Model, cfg *Config, peers comm.Peers, net comm.Sender, start time.Time, met *runMetrics) *dispatcher {
+	numLPs, hosted := m.NumLPs(), peers.Local
 	workers := min(cfg.Workers, len(hosted))
 	if workers == 0 {
-		workers = defaultWorkers(len(hosted))
+		workers = defaultWorkers(len(hosted), peers.HostRanks)
 	}
 	d := newDispatcher(workers, numLPs, cfg)
 	if net == nil {

@@ -298,3 +298,20 @@ type WorkerStats struct {
 	EventPoolAllocs int64   `json:"event_pool_allocs"`
 	EventPoolReuses int64   `json:"event_pool_reuses"`
 }
+
+// LinkStats is the system-call tally of one rank's link to and from one peer
+// rank over a socket transport (comm.TCP): how often the socket was read, how
+// many of those reads found nothing, how often it was written, how many of
+// those writes it refused in part or whole, the bytes each way, and the
+// smoothed cost of one write system call, which is what decides how long a
+// link's frames wait for company. Wall-clock-dependent, like WorkerStats.
+type LinkStats struct {
+	Peer        int   `json:"peer"`
+	Reads       int64 `json:"reads"`
+	EmptyReads  int64 `json:"empty_reads"`
+	BytesIn     int64 `json:"bytes_in"`
+	Writes      int64 `json:"writes"`
+	ShortWrites int64 `json:"short_writes"`
+	BytesOut    int64 `json:"bytes_out"`
+	WriteCostNS int64 `json:"write_cost_ns"`
+}

@@ -69,6 +69,15 @@ type RunSummary struct {
 	// on-line remap controller converged, and is equally
 	// wall-clock-dependent.
 	FinalWorkerAssignment []int `json:"final_worker_assignment,omitempty"`
+	// HostRanks is how many of the run's ranks share this process's machine,
+	// as its transport placed them (0: no transport, or it does not know); the
+	// default Workers is this rank's share of the cores, so a fleet's
+	// artifacts say why each rank ran as wide as it did.
+	HostRanks int `json:"host_ranks,omitempty"`
+	// Wire is the system-call tally of this process's links to its peer ranks
+	// (reads, empty reads, writes, refused writes, bytes, write cost); empty
+	// in process. Wall-clock-dependent.
+	Wire []stats.LinkStats `json:"wire,omitempty"`
 	// Roughness summarizes the virtual-time roughness samples (nil when the
 	// observation sampler was off).
 	Roughness *RoughnessSummary `json:"roughness,omitempty"`

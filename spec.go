@@ -227,14 +227,18 @@ const WorkerPerLP = math.MaxInt32
 // SchedSpec is a parsed -sched flag: how wide the dispatcher runs.
 type SchedSpec struct {
 	// Workers is the number of dispatcher workers, as in Config.Workers: 0
-	// means one per LP up to the available cores, WorkerPerLP one per LP.
+	// means min(hosted LPs, GOMAXPROCS, max(1, NumCPU / ranks on this host)):
+	// a worker per hosted LP up to this rank's share of the machine's cores,
+	// WorkerPerLP one per LP.
 	Workers int
 }
 
 // ParseSchedSpec parses a scheduler spec:
 //
-//	pool (or nothing)          one worker per LP up to the available cores:
-//	                           Config.Workers 0, the default
+//	pool (or nothing)          Config.Workers 0, the default: min(hosted LPs,
+//	                           GOMAXPROCS, max(1, NumCPU / ranks on this
+//	                           host)): a worker per hosted LP up to this
+//	                           rank's share of the machine's cores
 //	pool,workers=N             N workers
 //	lp                         one worker per LP, however many cores there are
 //
