@@ -104,7 +104,7 @@ func BenchmarkKernelPHOLDParallel(b *testing.B) {
 	})
 	cfg := gowarp.DefaultConfig(20_000)
 	cfg.GVTPeriod = 5 * time.Millisecond
-	cfg.OptimismWindow = 500
+	cfg.Optimism.Window = 500
 	b.ResetTimer()
 	var committed int64
 	for i := 0; i < b.N; i++ {
@@ -140,7 +140,7 @@ func BenchmarkKernelRollbackStorm(b *testing.B) {
 	})
 	cfg := gowarp.DefaultConfig(5_000)
 	cfg.GVTPeriod = 2 * time.Millisecond
-	cfg.OptimismWindow = 100
+	cfg.Optimism.Window = 100
 	b.ResetTimer()
 	var rollbacks int64
 	for i := 0; i < b.N; i++ {

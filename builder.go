@@ -108,15 +108,9 @@ func (b *ConfigBuilder) WithGVTPeriod(d time.Duration) *ConfigBuilder {
 	return b
 }
 
-// WithOptimismWindow bounds optimism to w past GVT (0 = unbounded).
-func (b *ConfigBuilder) WithOptimismWindow(w VTime) *ConfigBuilder {
-	b.cfg.OptimismWindow = w
-	return b
-}
-
 // WithOptimism selects the optimism mode; window is the fixed
-// (OptimismStatic) or initial (OptimismAdaptive) window past GVT, 0 keeps
-// the kernel-level OptimismWindow (unbounded by default).
+// (OptimismStatic) or initial (OptimismAdaptive) window past GVT, 0 =
+// unbounded.
 func (b *ConfigBuilder) WithOptimism(mode OptimismMode, window VTime) *ConfigBuilder {
 	b.cfg.Optimism = OptimismConfig{Mode: mode, Window: window}
 	return b

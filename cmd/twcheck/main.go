@@ -60,9 +60,7 @@ type check struct {
 	end vtime.Time
 	// lookahead > 0 adds a conservative leg.
 	lookahead vtime.Time
-	// window bounds optimism to keep contentious models fast.
-	window vtime.Time
-	// balance, when Enabled, runs every cell with the dynamic load
+	// balance, when dynamic, runs every cell with the dynamic load
 	// balancer on — the migration legs of the sweep.
 	balance core.BalanceConfig
 	// codec, when not Off, runs every cell with the state-codec facet on —
@@ -72,9 +70,9 @@ type check struct {
 	// rollback attribution, roughness sampler) — observation must never
 	// change simulation semantics.
 	observe bool
-	// optimism, when Adaptive, runs every cell with the on-line
-	// optimism-window controller steering the bounded time window — the
-	// adaptive-optimism legs of the sweep.
+	// optimism is every cell's optimism facet: a static window keeps
+	// contentious models fast, and the adaptive legs of the sweep run with
+	// the on-line controller steering the bounded time window.
 	optimism core.OptimismConfig
 	// workers is every cell's dispatcher width, as oracle.Options.Workers
 	// spells it: 0 a worker per LP, n > 0 the LPs folded onto n workers,
@@ -104,7 +102,7 @@ func skew(part []int, lps int) {
 // aggressiveBalance is the controller tuning for the migration legs: fire
 // often, tolerate little imbalance, move up to two objects per firing.
 var aggressiveBalance = core.BalanceConfig{
-	Enabled:   true,
+	Mode:      core.BalanceDynamic,
 	Period:    2,
 	HighWater: 1.15,
 	LowWater:  1.05,
@@ -137,7 +135,7 @@ var checks = []check{
 				Locality: 0.2, LPs: 4, Seed: seed,
 			})
 		},
-		end: 1200, lookahead: 1, window: 100,
+		end: 1200, lookahead: 1, optimism: core.OptimismConfig{Window: 100},
 	},
 	{
 		name: "qnet",
@@ -147,21 +145,21 @@ var checks = []check{
 				Locality: 0.3, LPs: 4, Seed: seed,
 			})
 		},
-		end: 1500, lookahead: 5, window: 200,
+		end: 1500, lookahead: 5, optimism: core.OptimismConfig{Window: 200},
 	},
 	{
 		name: "smmp",
 		build: func(seed uint64) *model.Model {
 			return smmp.New(smmp.Config{Requests: 60, Seed: seed})
 		},
-		end: 1 << 40, window: 2000,
+		end: 1 << 40, optimism: core.OptimismConfig{Window: 2000},
 	},
 	{
 		name: "raid",
 		build: func(seed uint64) *model.Model {
 			return raid.New(raid.Config{RequestsPerSource: 30, Seed: seed})
 		},
-		end: 1 << 40, window: 2000,
+		end: 1 << 40, optimism: core.OptimismConfig{Window: 2000},
 	},
 	{
 		name: "phold-mig",
@@ -173,7 +171,7 @@ var checks = []check{
 			skew(m.Partition, 4)
 			return m
 		},
-		end: 2400, window: 100, balance: aggressiveBalance,
+		end: 2400, optimism: core.OptimismConfig{Window: 100}, balance: aggressiveBalance,
 	},
 	{
 		name: "smmp-mig",
@@ -182,14 +180,14 @@ var checks = []check{
 			skew(m.Partition, 4)
 			return m
 		},
-		end: 1 << 40, window: 2000, balance: aggressiveBalance,
+		end: 1 << 40, optimism: core.OptimismConfig{Window: 2000}, balance: aggressiveBalance,
 	},
 	{
 		name: "smmp-obs",
 		build: func(seed uint64) *model.Model {
 			return smmp.New(smmp.Config{Requests: 60, Seed: seed})
 		},
-		end: 1 << 40, window: 2000, observe: true,
+		end: 1 << 40, optimism: core.OptimismConfig{Window: 2000}, observe: true,
 	},
 	{
 		name: "smmp-opt",
@@ -220,7 +218,7 @@ var checks = []check{
 				Locality: 0.2, LPs: 4, Seed: seed,
 			})
 		},
-		end: 1200, lookahead: 1, window: 100, workers: 2,
+		end: 1200, lookahead: 1, optimism: core.OptimismConfig{Window: 100}, workers: 2,
 	},
 	{
 		name: "phold-default",
@@ -230,7 +228,7 @@ var checks = []check{
 				Locality: 0.2, LPs: 4, Seed: seed,
 			})
 		},
-		end: 1200, window: 100, workers: oracle.DefaultWidth,
+		end: 1200, optimism: core.OptimismConfig{Window: 100}, workers: oracle.DefaultWidth,
 	},
 	{
 		name: "smmp-pool-mig",
@@ -239,7 +237,7 @@ var checks = []check{
 			skew(m.Partition, 4)
 			return m
 		},
-		end: 1 << 40, window: 2000, balance: aggressiveBalance, workers: 3,
+		end: 1 << 40, optimism: core.OptimismConfig{Window: 2000}, balance: aggressiveBalance, workers: 3,
 	},
 	{
 		name: "phold-codec",
@@ -249,7 +247,7 @@ var checks = []check{
 				Locality: 0.2, LPs: 4, Seed: seed, StatePadding: 256,
 			})
 		},
-		end: 1200, window: 100,
+		end: 1200, optimism: core.OptimismConfig{Window: 100},
 		codec: codec.Config{Mode: codec.Dynamic, Compression: codec.LZ},
 	},
 	{
@@ -257,7 +255,7 @@ var checks = []check{
 		build: func(seed uint64) *model.Model {
 			return smmp.New(smmp.Config{Requests: 60, Seed: seed, StatePadding: 256})
 		},
-		end: 1 << 40, window: 2000,
+		end: 1 << 40, optimism: core.OptimismConfig{Window: 2000},
 		codec: codec.Config{Mode: codec.Delta, Compression: codec.LZ},
 	},
 	{
@@ -267,7 +265,7 @@ var checks = []check{
 			skew(m.Partition, 4)
 			return m
 		},
-		end: 1 << 40, window: 2000, balance: aggressiveBalance,
+		end: 1 << 40, optimism: core.OptimismConfig{Window: 2000}, balance: aggressiveBalance,
 		codec: codec.Config{Mode: codec.Delta, Compression: codec.LZ},
 	},
 }
@@ -305,17 +303,16 @@ func main() {
 		}
 		ran++
 		rep, err := oracle.Run(c.build(*seed), oracle.Options{
-			Name:           c.name,
-			EndTime:        c.end,
-			GVTPeriod:      *gvtPeriod,
-			OptimismWindow: c.window,
-			Lookahead:      c.lookahead,
-			Balance:        c.balance,
-			Codec:          c.codec,
-			Observe:        c.observe,
-			Optimism:       c.optimism,
-			Workers:        c.workers,
-			Cells:          cells,
+			Name:      c.name,
+			EndTime:   c.end,
+			GVTPeriod: *gvtPeriod,
+			Lookahead: c.lookahead,
+			Balance:   c.balance,
+			Codec:     c.codec,
+			Observe:   c.observe,
+			Optimism:  c.optimism,
+			Workers:   c.workers,
+			Cells:     cells,
 		})
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "twcheck: %s: %v\n", c.name, err)

@@ -15,8 +15,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"reflect"
 	"runtime"
@@ -28,89 +30,102 @@ import (
 	"gowarp/internal/stats"
 )
 
-func main() {
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is the whole command: it parses args, runs the model and writes the
+// report to stdout and diagnostics to stderr, and returns the exit status.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("twsim", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	fail := func(err error) int {
+		fmt.Fprintf(stderr, "twsim: %v\n", err)
+		return 1
+	}
 	var (
-		modelName = flag.String("model", "phold", "model: smmp, raid, phold, qnet, logic")
-		lps       = flag.Int("lps", 4, "logical processes (phold only; smmp/raid use the paper's partitions)")
-		requests  = flag.Int("requests", 500, "requests per generator (smmp: test vectors per processor; raid: requests per source)")
-		end       = flag.Int64("end", 0, "virtual end time (0 = run until the model drains)")
-		seed      = flag.Uint64("seed", 1, "model random seed")
+		modelName = fs.String("model", "phold", "model: smmp, raid, phold, qnet, logic")
+		lps       = fs.Int("lps", 4, "logical processes (phold only; smmp/raid use the paper's partitions)")
+		requests  = fs.Int("requests", 500, "requests per generator (smmp: test vectors per processor; raid: requests per source)")
+		end       = fs.Int64("end", 0, "virtual end time (0 = run until the model drains)")
+		seed      = fs.Uint64("seed", 1, "model random seed")
 
-		cancelMode = flag.String("cancel", "aggressive", "cancellation: aggressive, lazy, dynamic")
-		filter     = flag.Int("filter-depth", 16, "dynamic cancellation filter depth n")
-		a2l        = flag.Float64("a2l", 0.45, "aggressive-to-lazy threshold")
-		l2a        = flag.Float64("l2a", 0.2, "lazy-to-aggressive threshold")
-		ps         = flag.Int("ps", 0, "freeze strategy after N comparisons (0 = never)")
-		pa         = flag.Int("pa", 0, "freeze to aggressive after N consecutive misses (0 = never)")
+		cancelMode = fs.String("cancel", "aggressive", "cancellation: aggressive, lazy, dynamic")
+		filter     = fs.Int("filter-depth", 16, "dynamic cancellation filter depth n")
+		a2l        = fs.Float64("a2l", 0.45, "aggressive-to-lazy threshold")
+		l2a        = fs.Float64("l2a", 0.2, "lazy-to-aggressive threshold")
+		ps         = fs.Int("ps", 0, "freeze strategy after N comparisons (0 = never)")
+		pa         = fs.Int("pa", 0, "freeze to aggressive after N consecutive misses (0 = never)")
 
-		ckptMode = flag.String("ckpt", "periodic", "check-pointing: periodic, dynamic")
-		interval = flag.Int("ckpt-interval", 1, "checkpoint interval chi (initial value when dynamic)")
+		ckptMode = fs.String("ckpt", "periodic", "check-pointing: periodic, dynamic")
+		interval = fs.Int("ckpt-interval", 1, "checkpoint interval chi (initial value when dynamic)")
 
-		aggMode   = flag.String("agg", "none", "aggregation: none, faw, saaw")
-		aggWindow = flag.Duration("agg-window", 100*time.Microsecond, "aggregation window (FAW) or initial window (SAAW)")
+		aggMode   = fs.String("agg", "none", "aggregation: none, faw, saaw")
+		aggWindow = fs.Duration("agg-window", 100*time.Microsecond, "aggregation window (FAW) or initial window (SAAW)")
 
-		partitionMode = flag.String("partition", "", "override the model's object placement: block, rr, greedy (greedy probes a sequential prefix and partitions the measured communication graph)")
+		partitionMode = fs.String("partition", "", "override the model's object placement: block, rr, greedy (greedy probes a sequential prefix and partitions the measured communication graph)")
 
-		codecSpec = flag.String("codec", "off", "state-codec facet spec: off, lz, full[,lz], delta[,lz][,full-every=N], dynamic[,lz][,full-every=N][,period=N][,low=F][,high=F]")
+		balanceSpec = fs.String("balance", "off", "load-balance facet spec: off, dynamic, or dynamic,period=N,high=F,low=F,moves=N,min-sample=N")
+		optSpec     = fs.String("optimism", "off", "optimism facet spec: off, static,window=N, or adaptive[,window=N,min=N,max=N,period=N,high=F,low=F,factor=F,min-sample=N,rough=F]")
 
-		transportFlag = flag.String("transport", "inproc", "transport spec: inproc, or tcp,rank=N,peers=HOST:PORT;HOST:PORT;... [,listen=ADDR][,timeout=DUR] — start every rank of one run with the same peers list and its own rank; rank 0 gathers the full results")
+		codecSpec = fs.String("codec", "off", "state-codec facet spec: off, lz, full[,lz], delta[,lz][,full-every=N], dynamic[,lz][,full-every=N][,period=N][,low=F][,high=F]")
 
-		schedFlag = flag.String("sched", "pool", "dispatcher width spec: pool[,workers=N] (N workers share the hosted LPs and read and write the tcp transport's sockets; default N = min(hosted LPs, GOMAXPROCS, max(1, NumCPU / ranks on this host)): a worker per hosted LP up to this rank's share of the machine's cores), or lp (one worker per hosted LP whatever the cores)")
+		transportFlag = fs.String("transport", "inproc", "transport spec: inproc, or tcp,rank=N,peers=HOST:PORT;HOST:PORT;... [,listen=ADDR][,timeout=DUR] — start every rank of one run with the same peers list and its own rank; rank 0 gathers the full results")
 
-		perMsg    = flag.Duration("msg-cost", 0, "simulated per-physical-message CPU overhead")
-		eventCost = flag.Duration("event-cost", 0, "simulated CPU burn per event")
-		gvtPeriod = flag.Duration("gvt-period", 10*time.Millisecond, "GVT computation period")
-		padding   = flag.Int("state-padding", 0, "bytes of padded state per object")
+		schedFlag = fs.String("sched", "pool", "dispatcher width spec: pool[,workers=N] (N workers share the hosted LPs and read and write the tcp transport's sockets; default N = min(hosted LPs, GOMAXPROCS, max(1, NumCPU / ranks on this host)): a worker per hosted LP up to this rank's share of the machine's cores), or lp (one worker per hosted LP whatever the cores)")
 
-		verify     = flag.Bool("verify", false, "also run the sequential kernel and compare committed events and final states")
-		auditRun   = flag.Bool("audit", false, "check the Time Warp invariants on-line during the run; nonzero exit on any violation")
-		perObject  = flag.Bool("per-object", false, "print per-object strategy/interval summary")
-		sequential = flag.Bool("sequential", false, "run only the sequential reference kernel")
+		perMsg    = fs.Duration("msg-cost", 0, "simulated per-physical-message CPU overhead")
+		eventCost = fs.Duration("event-cost", 0, "simulated CPU burn per event")
+		gvtPeriod = fs.Duration("gvt-period", 10*time.Millisecond, "GVT computation period")
+		padding   = fs.Int("state-padding", 0, "bytes of padded state per object")
 
-		traceFile   = flag.String("trace", "", "write a structured kernel trace (rollbacks, controller adjustments, GVT cycles, flushes) to this file")
-		traceFormat = flag.String("trace-format", "jsonl", "trace format: jsonl, chrome (load in chrome://tracing or Perfetto)")
-		traceCap    = flag.Int("trace-cap", 0, "per-LP trace ring capacity in events (0 = default; oldest events are overwritten when full)")
-		metricsAddr = flag.String("metrics-addr", "", "serve live metrics on this address while the run executes (/metrics Prometheus text, /debug/vars expvar)")
-		roughPeriod = flag.Duration("roughness-period", time.Millisecond, "LVT-vector sampling period for the roughness observer, active whenever -trace or -metrics-addr is set (0 = off)")
-		jsonOut     = flag.String("json-out", "", "write a machine-readable run summary JSON to this file")
+		verify     = fs.Bool("verify", false, "also run the sequential kernel and compare committed events and final states")
+		auditRun   = fs.Bool("audit", false, "check the Time Warp invariants on-line during the run; nonzero exit on any violation")
+		perObject  = fs.Bool("per-object", false, "print per-object strategy/interval summary")
+		sequential = fs.Bool("sequential", false, "run only the sequential reference kernel")
 
-		cpuProf = flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
-		memProf = flag.String("memprofile", "", "write an allocation profile (taken at exit) to this file")
+		traceFile   = fs.String("trace", "", "write a structured kernel trace (rollbacks, controller adjustments, GVT cycles, flushes) to this file")
+		traceFormat = fs.String("trace-format", "jsonl", "trace format: jsonl, chrome (load in chrome://tracing or Perfetto)")
+		traceCap    = fs.Int("trace-cap", 0, "per-LP trace ring capacity in events (0 = default; oldest events are overwritten when full)")
+		metricsAddr = fs.String("metrics-addr", "", "serve live metrics on this address while the run executes (/metrics Prometheus text, /debug/vars expvar)")
+		roughPeriod = fs.Duration("roughness-period", time.Millisecond, "LVT-vector sampling period for the roughness observer, active whenever -trace or -metrics-addr is set (0 = off)")
+		jsonOut     = fs.String("json-out", "", "write a machine-readable run summary JSON to this file")
+
+		cpuProf = fs.String("cpuprofile", "", "write a CPU profile of the run to this file")
+		memProf = fs.String("memprofile", "", "write an allocation profile (taken at exit) to this file")
 	)
-	balanceSpec := &specValue{spec: "off"}
-	flag.Var(balanceSpec, "balance", "load-balance facet spec: off, dynamic, or dynamic,period=N,high=F,low=F,moves=N,min-sample=N (bare -balance = dynamic)")
-	optSpec := &specValue{spec: "off"}
-	flag.Var(optSpec, "optimism", "optimism facet spec: off, static,window=N, or adaptive[,window=N,min=N,max=N,period=N,high=F,low=F,factor=F,min-sample=N,rough=F] (bare -optimism = adaptive)")
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		// The flag package has said why; -h is not a failure.
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
 
-	// Spec flags (-balance, -optimism) double as booleans, so the Go flag
-	// package does not consume a space-separated value for them: in
-	// "-optimism adaptive -verify" the "adaptive" becomes a positional
-	// argument and every later flag is silently ignored. Refuse leftovers
-	// instead of quietly running a different configuration.
-	if flag.NArg() > 0 {
-		fatal(fmt.Errorf("unexpected argument %q (spec flags need the -flag=value form, e.g. -optimism=adaptive)", flag.Arg(0)))
+	// A positional argument ends flag parsing, so every flag after it would
+	// be silently ignored. Refuse leftovers instead of quietly running a
+	// different configuration.
+	if fs.NArg() > 0 {
+		return fail(fmt.Errorf("unexpected argument %q (twsim takes flags only, and would ignore every flag after it)", fs.Arg(0)))
 	}
 
 	tspec, err := gowarp.ParseTransportSpec(*transportFlag)
 	if err != nil {
-		fatal(err)
+		return fail(err)
 	}
 	if tspec.Kind == "tcp" && *sequential {
-		fatal(fmt.Errorf("-sequential runs in one process; drop -transport"))
+		return fail(fmt.Errorf("-sequential runs in one process; drop -transport"))
 	}
 	sspec, err := gowarp.ParseSchedSpec(*schedFlag)
 	if err != nil {
-		fatal(err)
+		return fail(err)
 	}
 
 	if *cpuProf != "" {
 		f, err := os.Create(*cpuProf)
 		if err != nil {
-			fatal(err)
+			return fail(err)
 		}
 		if err := pprof.StartCPUProfile(f); err != nil {
-			fatal(err)
+			return fail(err)
 		}
 		defer func() {
 			pprof.StopCPUProfile()
@@ -121,7 +136,7 @@ func main() {
 		defer func() {
 			f, err := os.Create(*memProf)
 			if err != nil {
-				fmt.Fprintf(os.Stderr, "twsim: %v\n", err)
+				fmt.Fprintf(stderr, "twsim: %v\n", err)
 				return
 			}
 			defer f.Close()
@@ -129,7 +144,7 @@ func main() {
 			// (the default heap profile shows only live objects), which is
 			// what a hot-path allocation hunt wants.
 			if err := pprof.Lookup("allocs").WriteTo(f, 0); err != nil {
-				fmt.Fprintf(os.Stderr, "twsim: mem profile: %v\n", err)
+				fmt.Fprintf(stderr, "twsim: mem profile: %v\n", err)
 			}
 		}()
 	}
@@ -172,25 +187,25 @@ func main() {
 			LPs: *lps, Seed: *seed, StatePadding: *padding,
 		})
 	default:
-		fmt.Fprintf(os.Stderr, "twsim: unknown model %q\n", *modelName)
-		os.Exit(2)
+		fmt.Fprintf(stderr, "twsim: unknown model %q\n", *modelName)
+		return 2
 	}
 
 	if *partitionMode != "" {
 		if err := repartition(m, *partitionMode, endTime); err != nil {
-			fatal(err)
+			return fail(err)
 		}
 	}
 
 	if *sequential {
 		res, err := gowarp.RunSequential(m, endTime)
 		if err != nil {
-			fatal(err)
+			return fail(err)
 		}
-		fmt.Printf("sequential: %d events in %s (%.0f ev/s)\n",
+		fmt.Fprintf(stdout, "sequential: %d events in %s (%.0f ev/s)\n",
 			res.EventsExecuted, res.Elapsed.Round(time.Millisecond),
 			float64(res.EventsExecuted)/res.Elapsed.Seconds())
-		return
+		return 0
 	}
 
 	cfg := gowarp.DefaultConfig(endTime)
@@ -211,7 +226,7 @@ func main() {
 			PermanentAfter: *ps, PermanentAggressiveRun: *pa,
 		}
 	default:
-		fatal(fmt.Errorf("unknown cancellation mode %q", *cancelMode))
+		return fail(fmt.Errorf("unknown cancellation mode %q", *cancelMode))
 	}
 
 	switch *ckptMode {
@@ -223,7 +238,7 @@ func main() {
 			MinInterval: 1, MaxInterval: 64, Period: 256,
 		}
 	default:
-		fatal(fmt.Errorf("unknown checkpoint mode %q", *ckptMode))
+		return fail(fmt.Errorf("unknown checkpoint mode %q", *ckptMode))
 	}
 
 	switch *aggMode {
@@ -234,17 +249,17 @@ func main() {
 	case "saaw":
 		cfg.Aggregation = gowarp.AggregationConfig{Policy: gowarp.SAAW, Window: *aggWindow}
 	default:
-		fatal(fmt.Errorf("unknown aggregation mode %q", *aggMode))
+		return fail(fmt.Errorf("unknown aggregation mode %q", *aggMode))
 	}
 
-	if cfg.Balance, err = gowarp.ParseBalanceSpec(balanceSpec.spec); err != nil {
-		fatal(err)
+	if cfg.Balance, err = gowarp.ParseBalanceSpec(*balanceSpec); err != nil {
+		return fail(err)
 	}
 	if cfg.Codec, err = gowarp.ParseCodecSpec(*codecSpec); err != nil {
-		fatal(err)
+		return fail(err)
 	}
-	if cfg.Optimism, err = gowarp.ParseOptSpec(optSpec.spec); err != nil {
-		fatal(err)
+	if cfg.Optimism, err = gowarp.ParseOptSpec(*optSpec); err != nil {
+		return fail(err)
 	}
 
 	rank, ranks, hostRanks := 0, 1, 0
@@ -252,12 +267,12 @@ func main() {
 		rank, ranks = tspec.Rank, len(tspec.Peers)
 		tr, terr := tspec.NewTransport(m.NumLPs(), cfg.Cost)
 		if terr != nil {
-			fatal(terr)
+			return fail(terr)
 		}
 		cfg.Transport = tr
 		hostRanks = tr.Peers().HostRanks
 		if rank != 0 && *verify {
-			fmt.Fprintf(os.Stderr, "twsim: rank %d: -verify compares full results and runs on rank 0 only; skipping\n", rank)
+			fmt.Fprintf(stderr, "twsim: rank %d: -verify compares full results and runs on rank 0 only; skipping\n", rank)
 			*verify = false
 		}
 	}
@@ -265,7 +280,7 @@ func main() {
 	var tracer *gowarp.Tracer
 	if *traceFile != "" {
 		if *traceFormat != "jsonl" && *traceFormat != "chrome" {
-			fatal(fmt.Errorf("unknown trace format %q (want jsonl or chrome)", *traceFormat))
+			return fail(fmt.Errorf("unknown trace format %q (want jsonl or chrome)", *traceFormat))
 		}
 		tracer = gowarp.NewTracer(*traceCap)
 		cfg.Tracer = tracer
@@ -274,11 +289,11 @@ func main() {
 		reg := gowarp.NewMetricsRegistry()
 		srv, err := gowarp.ServeMetrics(*metricsAddr, reg)
 		if err != nil {
-			fatal(err)
+			return fail(err)
 		}
 		defer srv.Close()
 		cfg.Metrics = reg
-		fmt.Fprintf(os.Stderr, "twsim: serving metrics on http://%s/metrics\n", srv.Addr())
+		fmt.Fprintf(stderr, "twsim: serving metrics on http://%s/metrics\n", srv.Addr())
 	}
 
 	// The roughness sampler rides along whenever some observation sink is
@@ -298,14 +313,14 @@ func main() {
 
 	res, err := gowarp.Run(m, cfg)
 	if err != nil {
-		fatal(err)
+		return fail(err)
 	}
 
 	if tracer != nil {
 		if err := writeTrace(tracer, *traceFile, *traceFormat); err != nil {
-			fatal(err)
+			return fail(err)
 		}
-		fmt.Printf("trace: %d events to %s (%s format, %d overwritten)\n",
+		fmt.Fprintf(stdout, "trace: %d events to %s (%s format, %d overwritten)\n",
 			len(tracer.Events()), *traceFile, *traceFormat, tracer.Dropped())
 	}
 	// On a distributed run only rank 0 holds the whole model's final states;
@@ -316,7 +331,7 @@ func main() {
 	}
 	if *jsonOut != "" {
 		flags := map[string]string{}
-		flag.VisitAll(func(f *flag.Flag) { flags[f.Name] = f.Value.String() })
+		fs.VisitAll(func(f *flag.Flag) { flags[f.Name] = f.Value.String() })
 		stats.SortPerObject(res.PerObject)
 		sum := gowarp.RunSummary{
 			Model:                 m.Name,
@@ -350,14 +365,14 @@ func main() {
 			sum.RollbackDepthHist = sampler.DepthHist()
 		}
 		if err := gowarp.WriteJSON(*jsonOut, sum); err != nil {
-			fatal(err)
+			return fail(err)
 		}
 	}
 	prefix := ""
 	if ranks > 1 {
 		prefix = fmt.Sprintf("[rank %d/%d] ", rank, ranks)
 	}
-	fmt.Printf("%s%s: %d committed events in %s (%.0f ev/s), final GVT %s\n",
+	fmt.Fprintf(stdout, "%s%s: %d committed events in %s (%.0f ev/s), final GVT %s\n",
 		prefix, m.Name, res.Stats.EventsCommitted, res.Elapsed.Round(time.Millisecond),
 		res.EventRate(), res.GVT)
 	if n := len(res.PerWorker); sspec.Workers == 0 && hostRanks > 1 {
@@ -366,16 +381,16 @@ func main() {
 		if n == 1 {
 			s = ""
 		}
-		fmt.Printf("%s%d worker%s: %d cores shared by %d ranks on this host\n",
+		fmt.Fprintf(stdout, "%s%d worker%s: %d cores shared by %d ranks on this host\n",
 			prefix, n, s, runtime.NumCPU(), hostRanks)
 	}
-	fmt.Print(res.Stats.Report())
+	fmt.Fprint(stdout, res.Stats.Report())
 
 	if *perObject {
 		stats.SortPerObject(res.PerObject)
-		fmt.Println("per-object summary:")
+		fmt.Fprintln(stdout, "per-object summary:")
 		for _, po := range res.PerObject {
-			fmt.Printf("  %-18s rollbacks=%-6d HR=%.3f strategy=%-10s chi=%d\n",
+			fmt.Fprintf(stdout, "  %-18s rollbacks=%-6d HR=%.3f strategy=%-10s chi=%d\n",
 				po.Name, po.Rollbacks, po.HitRatio, po.FinalStrategy, po.FinalCheckpointInt)
 		}
 	}
@@ -383,7 +398,7 @@ func main() {
 	if *verify {
 		seq, err := gowarp.RunSequential(m, endTime)
 		if err != nil {
-			fatal(err)
+			return fail(err)
 		}
 		ok := res.Stats.EventsCommitted == seq.EventsExecuted
 		states := true
@@ -393,19 +408,20 @@ func main() {
 				break
 			}
 		}
-		fmt.Printf("verify: committed %d vs sequential %d (%s); final states %s\n",
+		fmt.Fprintf(stdout, "verify: committed %d vs sequential %d (%s); final states %s\n",
 			res.Stats.EventsCommitted, seq.EventsExecuted, okStr(ok), okStr(states))
 		if !ok || !states {
-			os.Exit(1)
+			return 1
 		}
 	}
 
 	if auditor != nil {
-		fmt.Print(auditor.Report())
+		fmt.Fprint(stdout, auditor.Report())
 		if err := auditor.Err(); err != nil {
-			fatal(err)
+			return fail(err)
 		}
 	}
+	return 0
 }
 
 // repartition replaces m's static object placement in place, keeping the
@@ -452,37 +468,9 @@ func writeTrace(tracer *gowarp.Tracer, path, format string) error {
 	return err
 }
 
-// specValue is a facet-spec flag that also accepts bare boolean use
-// (-balance with no value), for compatibility with the old -balance bool.
-type specValue struct {
-	spec string
-}
-
-func (v *specValue) String() string { return v.spec }
-
-func (v *specValue) Set(s string) error {
-	// flag passes "true"/"false" for bare boolean use (-balance, -balance=false).
-	switch s {
-	case "true":
-		s = "dynamic"
-	case "false":
-		s = "off"
-	}
-	v.spec = s
-	return nil
-}
-
-// IsBoolFlag lets bare -balance mean -balance=dynamic.
-func (v *specValue) IsBoolFlag() bool { return true }
-
 func okStr(ok bool) string {
 	if ok {
 		return "MATCH"
 	}
 	return strings.ToUpper("mismatch")
-}
-
-func fatal(err error) {
-	fmt.Fprintf(os.Stderr, "twsim: %v\n", err)
-	os.Exit(1)
 }

@@ -41,7 +41,7 @@ func deterministicArtifact(t *testing.T, seed uint64, cfg gowarp.Config) []byte 
 func testCfg(end gowarp.VTime) gowarp.Config {
 	cfg := gowarp.DefaultConfig(end)
 	cfg.GVTPeriod = 200 * time.Microsecond
-	cfg.OptimismWindow = 100
+	cfg.Optimism.Window = 100
 	return cfg
 }
 

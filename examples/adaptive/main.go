@@ -32,8 +32,8 @@ func model() *gowarp.Model {
 func base() *gowarp.ConfigBuilder {
 	return gowarp.NewConfig(60_000).
 		WithCostModel(gowarp.CostModel{PerMessage: 60 * time.Microsecond, PerByte: 10 * time.Nanosecond}).
-		WithEventCost(5 * time.Microsecond).
-		WithOptimismWindow(1000)
+		WithEventCost(5*time.Microsecond).
+		WithOptimism(gowarp.OptimismStatic, 1000)
 }
 
 func run(label string, cfg gowarp.Config) time.Duration {

@@ -41,7 +41,7 @@ func main() {
 		twCfg := gowarp.NewConfig(end).
 			WithCostModel(cost).
 			WithEventCost(3*time.Microsecond).
-			WithOptimismWindow(1000).
+			WithOptimism(gowarp.OptimismStatic, 1000).
 			WithCheckpoint(gowarp.PeriodicCheckpointing, 4).
 			Build()
 		tw, err := gowarp.Run(m, twCfg)

@@ -99,7 +99,7 @@ func main() {
 		WithCheckpoint(gowarp.DynamicCheckpointing, 1).
 		WithCancellation(gowarp.DynamicCancellation).
 		WithAggregation(gowarp.SAAW, 0).
-		WithOptimismWindow(2000).
+		WithOptimism(gowarp.OptimismStatic, 2000).
 		WithEventCost(10 * time.Microsecond).
 		Build()
 

@@ -26,10 +26,10 @@ func run(label string, cc gowarp.CancellationConfig) *gowarp.Result {
 		RequestsPerSource: 400,
 		StatePadding:      16 << 10,
 	})
-	cfg := gowarp.NewConfig(gowarp.VTime(1) << 40).
+	cfg := gowarp.NewConfig(gowarp.VTime(1)<<40).
 		WithCostModel(gowarp.CostModel{PerMessage: 80 * time.Microsecond, PerByte: 10 * time.Nanosecond}).
-		WithEventCost(5 * time.Microsecond).
-		WithOptimismWindow(4000).
+		WithEventCost(5*time.Microsecond).
+		WithOptimism(gowarp.OptimismStatic, 4000).
 		WithCancellationConfig(cc).
 		Build()
 

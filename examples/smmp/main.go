@@ -26,10 +26,10 @@ func run(label string, configure func(*gowarp.ConfigBuilder)) *gowarp.Result {
 		Requests:     500,
 		StatePadding: 16 << 10, // make checkpoints cost something real
 	})
-	b := gowarp.NewConfig(gowarp.VTime(1) << 40).
+	b := gowarp.NewConfig(gowarp.VTime(1)<<40).
 		WithCostModel(gowarp.CostModel{PerMessage: 80 * time.Microsecond, PerByte: 10 * time.Nanosecond}).
-		WithEventCost(5 * time.Microsecond).
-		WithOptimismWindow(2000)
+		WithEventCost(5*time.Microsecond).
+		WithOptimism(gowarp.OptimismStatic, 2000)
 	configure(b)
 
 	res, err := gowarp.Run(m, b.Build())

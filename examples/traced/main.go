@@ -40,7 +40,7 @@ func main() {
 	cfg := gowarp.NewConfig(60_000).
 		WithCostModel(gowarp.CostModel{PerMessage: 60 * time.Microsecond, PerByte: 10 * time.Nanosecond}).
 		WithEventCost(5*time.Microsecond).
-		WithOptimismWindow(1000).
+		WithOptimism(gowarp.OptimismStatic, 1000).
 		WithTimeline().
 		WithCheckpointConfig(gowarp.CheckpointConfig{
 			Mode: gowarp.DynamicCheckpointing, Interval: 1,

@@ -36,10 +36,11 @@
 //     checkpoint (with full anchors every FullEvery saves), or an on-line
 //     controller that switches each object full<->delta by the observed
 //     delta/full stored-bytes ratio; optionally LZ-compressed on the wire.
-//   - Optimism (Config.Optimism): a fixed bounded time window (or none), or
-//     an on-line controller that tightens the window when the observation
-//     sampler's wasted-work ratio climbs and relaxes it toward unbounded
-//     optimism when the virtual-time surface is smooth.
+//   - Optimism (Config.Optimism): a fixed bounded time window
+//     (Optimism.Window, 0 = unbounded, the default), or an on-line
+//     controller that starts there, tightens the window when the
+//     observation sampler's wasted-work ratio climbs and relaxes it toward
+//     unbounded optimism when the virtual-time surface is smooth.
 //
 // A minimal model and run:
 //
@@ -193,8 +194,8 @@ const (
 
 // Optimism modes (OptimismConfig.Mode).
 const (
-	// OptimismStatic keeps the configured window — or unbounded optimism
-	// when none is set — for the whole run (the default).
+	// OptimismStatic keeps OptimismConfig.Window (0 = unbounded optimism)
+	// for the whole run (the default).
 	OptimismStatic = core.OptimismStatic
 	// OptimismAdaptive steers the window on line by the observation
 	// sampler's wasted-work and LVT-roughness signals.

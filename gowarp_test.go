@@ -16,7 +16,7 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 		Objects: 12, TokensPerObject: 2, MeanDelay: 15, Locality: 0.3, LPs: 3, Seed: 21,
 	})
 	cfg := gowarp.DefaultConfig(10_000)
-	cfg.OptimismWindow = 300
+	cfg.Optimism.Window = 300
 	cfg.GVTPeriod = time.Millisecond
 	cfg.Checkpoint = gowarp.CheckpointConfig{Mode: gowarp.DynamicCheckpointing, Interval: 2}
 	cfg.Cancellation = gowarp.CancellationConfig{Mode: gowarp.DynamicCancellation}
@@ -136,7 +136,7 @@ func TestExtendedAPI(t *testing.T) {
 
 	// Timeline rendering.
 	cfg := gowarp.DefaultConfig(1500)
-	cfg.OptimismWindow = 200
+	cfg.Optimism.Window = 200
 	cfg.GVTPeriod = time.Millisecond
 	cfg.Timeline = true
 	res, err := gowarp.Run(m, cfg)

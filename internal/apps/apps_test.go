@@ -20,7 +20,7 @@ import (
 func cfg(end vtime.Time) core.Config {
 	c := core.DefaultConfig(end)
 	c.GVTPeriod = 200 * time.Microsecond
-	c.OptimismWindow = end / 4
+	c.Optimism.Window = end / 4
 	return c
 }
 

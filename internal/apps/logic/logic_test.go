@@ -25,7 +25,7 @@ func check(t *testing.T, m *model.Model, end vtime.Time) *core.Result {
 	}
 	cfg := core.DefaultConfig(end)
 	cfg.GVTPeriod = 300 * time.Microsecond
-	cfg.OptimismWindow = 200
+	cfg.Optimism.Window = 200
 	par, err := core.Run(m, cfg)
 	if err != nil {
 		t.Fatalf("parallel: %v", err)
@@ -150,7 +150,7 @@ func TestPipelineLazyFavored(t *testing.T) {
 		m := NewPipeline(8, 4, Config{LPs: 4, Ticks: 300, Seed: seed})
 		cfg := core.DefaultConfig(12_000)
 		cfg.GVTPeriod = 300 * time.Microsecond
-		cfg.OptimismWindow = 100
+		cfg.Optimism.Window = 100
 		cfg.Workers = m.NumLPs()
 		cfg.Cancellation = cancel.Config{Mode: cancel.Dynamic, FilterDepth: filterDepth, Period: 4}
 		res, err := core.Run(m, cfg)

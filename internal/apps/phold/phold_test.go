@@ -154,7 +154,7 @@ func TestSparseParallelMatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := core.DefaultConfig(2000)
-	cfg.OptimismWindow = 200
+	cfg.Optimism.Window = 200
 	res, err := core.Run(build(), cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -26,7 +26,7 @@ func TestMatchesSequential(t *testing.T) {
 	}
 	cfg := core.DefaultConfig(end)
 	cfg.GVTPeriod = 300 * time.Microsecond
-	cfg.OptimismWindow = 300
+	cfg.Optimism.Window = 300
 	par, err := core.Run(m, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -89,7 +89,7 @@ func TestFCFSAccounting(t *testing.T) {
 func TestAggressiveFavored(t *testing.T) {
 	cfg := core.DefaultConfig(30_000)
 	cfg.GVTPeriod = 300 * time.Microsecond
-	cfg.OptimismWindow = 400
+	cfg.Optimism.Window = 400
 	cfg.Cancellation = cancel.Config{Mode: cancel.Dynamic, FilterDepth: 16, Period: 4}
 	c := testCfg()
 	c.Locality = 0.1 // heavy cross-LP traffic

@@ -461,14 +461,6 @@ func (l *LPAudit) LocalMin(fast, full vtime.Time) {
 	}
 }
 
-// GVT returns the last GVT value applied on this LP (for tests).
-func (l *LPAudit) GVT() vtime.Time {
-	if l == nil {
-		return vtime.NegInf
-	}
-	return l.gvt
-}
-
 // Holders checks one event at a GVT application: refs is how many references
 // to it the kernel found in its LP's queues — input queues, output-queue
 // records and their generation stamps, orphan tables, the deferred list — and

@@ -31,10 +31,8 @@ type FuzzSpec struct {
 	EndTime vtime.Time
 	// Cell is the configuration-matrix cell to run, 0..26.
 	Cell int
-	// OptimismWindow bounds optimism (0 = unbounded).
-	OptimismWindow vtime.Time
-	// Optimism configures the optimism facet (zero value = static, the
-	// pre-facet behaviour).
+	// Optimism configures the optimism facet (zero value = static and
+	// unbounded).
 	Optimism core.OptimismConfig
 	// Workers is the dispatcher width as Options.Workers spells it: 0 (a
 	// worker per LP), 1 to 3, or DefaultWidth.
@@ -64,12 +62,14 @@ func DecodeFuzzSpec(data []byte) FuzzSpec {
 	if b(0)%2 == 1 {
 		spec.ModelName = "qnet"
 	}
+	// Byte 9 bounds a static run's optimism (0 = unbounded).
 	if w := b(9); w != 0 {
-		spec.OptimismWindow = vtime.Time(50 + int64(w)%200)
+		spec.Optimism.Window = vtime.Time(50 + int64(w)%200)
 	}
-	// Byte 10 turns on the adaptive optimism controller (0 = static, the
-	// pre-facet behaviour) with an aggressive tuning — tiny period and
-	// sample floor so short fuzz runs actually move the window.
+	// Byte 10 turns on the adaptive optimism controller (0 = static) with
+	// its own initial window, whatever byte 9 says, and an aggressive tuning
+	// — tiny period and sample floor so short fuzz runs actually move the
+	// window.
 	if a := b(10); a != 0 {
 		spec.Optimism = core.OptimismConfig{
 			Mode:      core.OptimismAdaptive,
@@ -129,12 +129,11 @@ func (s FuzzSpec) Lookahead() vtime.Time {
 // cell plus a conservative leg.
 func (s FuzzSpec) Options() Options {
 	return Options{
-		Name:           s.ModelName,
-		EndTime:        s.EndTime,
-		OptimismWindow: s.OptimismWindow,
-		Optimism:       s.Optimism,
-		Lookahead:      s.Lookahead(),
-		Workers:        s.Workers,
-		Cells:          Matrix()[s.Cell : s.Cell+1],
+		Name:      s.ModelName,
+		EndTime:   s.EndTime,
+		Optimism:  s.Optimism,
+		Lookahead: s.Lookahead(),
+		Workers:   s.Workers,
+		Cells:     Matrix()[s.Cell : s.Cell+1],
 	}
 }

@@ -116,18 +116,16 @@ type Options struct {
 	// GVTPeriod is the parallel kernel's GVT period (0 = 200us, tight so
 	// fossil collection and commit checks actually run during short tests).
 	GVTPeriod time.Duration
-	// OptimismWindow bounds optimism in the parallel legs (0 = unbounded).
-	OptimismWindow vtime.Time
-	// Optimism configures the optimism facet in every parallel leg. The
-	// adaptive window controller throttles when LPs may execute, never what
-	// they commit, so every differential and invariant check applies
-	// unchanged with it on.
+	// Optimism configures the optimism facet in every parallel leg: a
+	// static Window bounds optimism (0 = unbounded), and the adaptive window
+	// controller throttles when LPs may execute, never what they commit, so
+	// every differential and invariant check applies unchanged with it on.
 	Optimism core.OptimismConfig
 	// Lookahead, when positive, adds one conservative-kernel leg using this
 	// as the CMB lookahead. It must not exceed the model's true minimum
 	// send delay.
 	Lookahead vtime.Time
-	// Balance, when Enabled, turns on the dynamic load balancer in every
+	// Balance, when dynamic, turns on the dynamic load balancer in every
 	// parallel leg — the migration-on slice of the matrix. Object migration
 	// must never change simulation semantics, so every differential and
 	// invariant check applies unchanged.
@@ -319,17 +317,16 @@ func runCell(m *model.Model, cell Cell, opts Options, gvtPeriod time.Duration,
 		workers = 0
 	}
 	cfg := core.Config{
-		EndTime:        opts.EndTime,
-		Checkpoint:     cell.Checkpoint,
-		Cancellation:   cell.Cancellation,
-		Aggregation:    cell.Aggregation,
-		GVTPeriod:      gvtPeriod,
-		OptimismWindow: opts.OptimismWindow,
-		Optimism:       opts.Optimism,
-		Balance:        opts.Balance,
-		Codec:          opts.Codec,
-		Workers:        workers,
-		Audit:          au,
+		EndTime:      opts.EndTime,
+		Checkpoint:   cell.Checkpoint,
+		Cancellation: cell.Cancellation,
+		Aggregation:  cell.Aggregation,
+		GVTPeriod:    gvtPeriod,
+		Optimism:     opts.Optimism,
+		Balance:      opts.Balance,
+		Codec:        opts.Codec,
+		Workers:      workers,
+		Audit:        au,
 	}
 	if opts.Observe {
 		cfg.Tracer = telemetry.NewTracer(1 << 12)

@@ -6,7 +6,9 @@ import (
 	"testing"
 
 	"gowarp/internal/apps/phold"
+	"gowarp/internal/core"
 	"gowarp/internal/model"
+	"gowarp/internal/vtime"
 )
 
 func testModel(seed uint64) *model.Model {
@@ -64,10 +66,10 @@ func TestMatrixShape(t *testing.T) {
 // -short), every parallel leg audited, plus a conservative leg.
 func TestOracleMatrixPHOLD(t *testing.T) {
 	opts := Options{
-		Name:           "phold",
-		EndTime:        1200,
-		OptimismWindow: 100,
-		Lookahead:      1,
+		Name:      "phold",
+		EndTime:   1200,
+		Optimism:  core.OptimismConfig{Window: 100},
+		Lookahead: 1,
 	}
 	if testing.Short() {
 		opts.Cells = Diagonal()
@@ -139,6 +141,31 @@ func TestFuzzSpecDecodesTotal(t *testing.T) {
 		}
 		if m := spec.Model(); m.Validate() != nil {
 			t.Errorf("%v: decoded model invalid: %v", in, m.Validate())
+		}
+	}
+
+	// What bytes 9 and 10 of a stored input mean: byte 9 alone is a static
+	// window, byte 10 an adaptive run with a window of its own, whatever
+	// byte 9 says.
+	for _, tc := range []struct {
+		b9, b10 byte
+		mode    core.OptimismMode
+		window  vtime.Time
+	}{
+		{0, 0, core.OptimismStatic, 0},
+		{1, 0, core.OptimismStatic, 51},
+		{200, 0, core.OptimismStatic, 50},
+		{255, 0, core.OptimismStatic, 105},
+		{0, 1, core.OptimismAdaptive, 41},
+		{9, 7, core.OptimismAdaptive, 47},
+		{255, 255, core.OptimismAdaptive, 95},
+	} {
+		in := make([]byte, 12)
+		in[9], in[10] = tc.b9, tc.b10
+		got := DecodeFuzzSpec(in).Options().Optimism
+		if got.Mode != tc.mode || got.Window != tc.window {
+			t.Errorf("b9=%d b10=%d: %s window %d, want %s window %d",
+				tc.b9, tc.b10, got.Mode, got.Window, tc.mode, tc.window)
 		}
 	}
 }

@@ -54,12 +54,11 @@ type Endpoint struct {
 	Compress   func(dst, src []byte) []byte
 	Decompress func(src []byte) ([]byte, error)
 
-	// Pool, when non-nil, switches the endpoint to pooled-event mode:
-	// DecodeEvents materialises events from the pool with copied payloads
-	// (instead of aliasing the packet bytes) and drained packet buffers are
-	// recycled onto wireFree for reuse as future aggregation buffers. When
-	// nil (the conservative kernel, tests) the old aliasing lifetime rules
-	// apply and no buffer is ever recycled. Set before the run starts.
+	// Pool is where DecodeEvents draws its events from, with copied payloads,
+	// so that drained packet buffers can be recycled onto wireFree for reuse
+	// as future aggregation buffers. An endpoint is built with a pool of its
+	// own; an owner that recycles events (the Time Warp kernel) assigns the
+	// one it recycles into.
 	Pool *event.Pool
 
 	// wireFree is the free list of wire buffers: drained packet payloads and
@@ -101,12 +100,10 @@ func (e *Endpoint) takeWire() []byte {
 	return nil
 }
 
-// recycleWire returns a buffer the endpoint owns to the free list. Only
-// meaningful in pooled mode: without a pool, decoded events alias packet
-// payloads, so buffers must never be reused.
+// recycleWire returns a buffer the endpoint owns to the free list.
 func (e *Endpoint) recycleWire(b []byte) {
 	switch {
-	case e.Pool == nil || cap(b) == 0:
+	case cap(b) == 0:
 	case len(e.wireFree) < maxFreeWireBufs:
 		e.wireFree = append(e.wireFree, b)
 	case e.spare != nil:
@@ -138,6 +135,7 @@ func NewSendEndpoint(s Sender, numLPs, lp int, cfg AggConfig, st *stats.Counters
 		st:   st,
 		bufs: make([]aggBuffer, numLPs),
 		tmin: vtime.PosInf,
+		Pool: event.NewPool(),
 	}
 	for i := range e.bufs {
 		e.bufs[i].window = cfg.Window
@@ -345,10 +343,9 @@ func (e *Endpoint) Buffered() int64 {
 }
 
 // DecodeEvents unpacks an events packet, updating the receive-side GVT
-// counters. In pooled mode (Pool non-nil) the events come from the pool
-// with copied payloads, the packet buffer is recycled, and the returned
-// slice is endpoint-owned scratch valid only until the next call. Without
-// a pool the returned events alias the packet payload (the old rules).
+// counters. The events come from Pool with copied payloads, the packet buffer
+// is recycled, and the returned slice is endpoint-owned scratch valid only
+// until the next call.
 func (e *Endpoint) DecodeEvents(p Packet) ([]*event.Event, error) {
 	buf := p.Payload
 	if p.Comp {
@@ -356,21 +353,6 @@ func (e *Endpoint) DecodeEvents(p Packet) ([]*event.Event, error) {
 		if buf, err = e.Decompress(buf); err != nil {
 			return nil, err
 		}
-	}
-	if e.Pool == nil {
-		// Count comes off the wire: trust it for a size hint only as far as
-		// the payload could hold that many events.
-		evs := make([]*event.Event, 0, max(0, min(p.Count, len(buf))))
-		for len(buf) > 0 {
-			ev, rest, err := event.Decode(buf)
-			if err != nil {
-				return nil, err
-			}
-			evs = append(evs, ev)
-			buf = rest
-		}
-		e.recv[p.Color&1] += int64(len(evs))
-		return evs, nil
 	}
 	full := buf
 	evs := e.evScratch[:0]

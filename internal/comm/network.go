@@ -144,9 +144,6 @@ func NewInProc(n int, opts ...Option) *InProc {
 	return nw
 }
 
-// NumLPs returns the number of connected logical processes.
-func (n *InProc) NumLPs() int { return len(n.inboxes) }
-
 // Peers implements Transport: every LP is local, one rank.
 func (n *InProc) Peers() Peers {
 	return Peers{NumLPs: len(n.inboxes), Local: n.local, Rank: 0, NumRanks: 1}

@@ -13,7 +13,6 @@ import (
 	"testing"
 	"time"
 
-	"gowarp/internal/event"
 	"gowarp/internal/stats"
 	"gowarp/internal/vtime"
 )
@@ -715,7 +714,6 @@ func TestTCPEndpointSharesFreeList(t *testing.T) {
 	}
 	var st stats.Counters
 	ep := NewSendEndpoint(tr, 2, 0, AggConfig{}, &st)
-	ep.Pool = event.NewPool()
 	const burst = maxFreeWireBufs + 8
 	for i := 0; i < burst; i++ {
 		ep.recycleWire(make([]byte, 0, 64))
@@ -734,7 +732,6 @@ func TestTCPEndpointSharesFreeList(t *testing.T) {
 	}
 	// Over anything else an endpoint's list is all there is.
 	lone := NewSendEndpoint(NewInProc(2), 2, 0, AggConfig{}, &st)
-	lone.Pool = event.NewPool()
 	for i := 0; i < burst; i++ {
 		lone.recycleWire(make([]byte, 0, 64))
 	}

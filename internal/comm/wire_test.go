@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"gowarp/internal/codec"
-	"gowarp/internal/event"
 	"gowarp/internal/stats"
 	"gowarp/internal/vtime"
 )
@@ -203,25 +202,18 @@ func FuzzDecodeFrame(f *testing.F) {
 	}
 	f.Add([]byte{})
 	f.Add([]byte{WireVersion})
-	// Both receivers: the Time Warp kernel's (pooled events) and the
-	// conservative kernel's (events aliasing the payload).
 	var st stats.Counters
-	rxs := [2]*Endpoint{NewSendEndpoint(nil, 2, 1, AggConfig{}, &st), NewSendEndpoint(nil, 2, 1, AggConfig{}, &st)}
-	rxs[0].Pool = event.NewPool()
-	for _, rx := range rxs {
-		rx.Decompress = codec.Decompress
-	}
+	rx := NewSendEndpoint(nil, 2, 1, AggConfig{}, &st)
+	rx.Decompress = codec.Decompress
 	f.Fuzz(func(t *testing.T, body []byte) {
 		dst, p, err := DecodeFrame(body)
 		if err != nil {
 			return
 		}
 		if p.Kind == PktEvents {
-			for _, rx := range rxs {
-				q := p
-				q.Payload = append([]byte(nil), p.Payload...) // the pooled receiver keeps the buffer
-				rx.DecodeEvents(q)                            // errors are the receiver's to report
-			}
+			q := p
+			q.Payload = append([]byte(nil), p.Payload...) // the receiver keeps the buffer
+			rx.DecodeEvents(q)                            // errors are the receiver's to report
 		}
 		reframe, err := AppendFrame(nil, dst, p)
 		if err != nil {

@@ -140,76 +140,3 @@ func (w *BitWindow) Total() int { return w.total }
 // FalseRun returns the length of the current run of consecutive false
 // samples (zero if the newest sample was true).
 func (w *BitWindow) FalseRun() int { return w.run }
-
-// MovingAverage is a fixed-window arithmetic mean filter used to smooth
-// sampled outputs before they reach a transfer function.
-type MovingAverage struct {
-	vals []float64
-	next int
-	n    int
-	sum  float64
-}
-
-// NewMovingAverage returns a filter over the given window size (minimum 1).
-func NewMovingAverage(window int) *MovingAverage {
-	if window < 1 {
-		window = 1
-	}
-	return &MovingAverage{vals: make([]float64, window)}
-}
-
-// Push adds a sample and returns the updated mean.
-func (m *MovingAverage) Push(v float64) float64 {
-	if m.n == len(m.vals) {
-		m.sum -= m.vals[m.next]
-	} else {
-		m.n++
-	}
-	m.vals[m.next] = v
-	m.next = (m.next + 1) % len(m.vals)
-	m.sum += v
-	return m.Mean()
-}
-
-// Mean returns the current mean, or 0 when no samples have been pushed.
-func (m *MovingAverage) Mean() float64 {
-	if m.n == 0 {
-		return 0
-	}
-	return m.sum / float64(m.n)
-}
-
-// Len returns the number of samples currently held.
-func (m *MovingAverage) Len() int { return m.n }
-
-// EWMA is an exponentially weighted moving average filter, an O(1)-state
-// alternative to MovingAverage for high-frequency samples.
-type EWMA struct {
-	// Alpha is the weight of each new sample in (0,1]; higher reacts faster.
-	Alpha  float64
-	value  float64
-	primed bool
-}
-
-// NewEWMA returns a filter with the given alpha (clamped into (0,1]).
-func NewEWMA(alpha float64) *EWMA {
-	if alpha <= 0 || alpha > 1 {
-		alpha = 0.5
-	}
-	return &EWMA{Alpha: alpha}
-}
-
-// Push adds a sample and returns the updated average. The first sample
-// initializes the average directly.
-func (e *EWMA) Push(v float64) float64 {
-	if !e.primed {
-		e.value = v
-		e.primed = true
-	} else {
-		e.value += e.Alpha * (v - e.value)
-	}
-	return e.value
-}
-
-// Value returns the current average, or 0 before any sample.
-func (e *EWMA) Value() float64 { return e.value }

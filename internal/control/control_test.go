@@ -140,45 +140,6 @@ func TestBitWindowRatioMatchesNaive(t *testing.T) {
 	}
 }
 
-func TestMovingAverage(t *testing.T) {
-	m := NewMovingAverage(3)
-	if m.Mean() != 0 {
-		t.Error("fresh mean must be 0")
-	}
-	m.Push(3)
-	m.Push(6)
-	if got := m.Mean(); got != 4.5 {
-		t.Errorf("Mean = %g, want 4.5", got)
-	}
-	m.Push(9)
-	m.Push(12) // 3 drops out
-	if got := m.Mean(); got != 9 {
-		t.Errorf("Mean = %g, want 9", got)
-	}
-	if m.Len() != 3 {
-		t.Errorf("Len = %d", m.Len())
-	}
-}
-
-func TestEWMA(t *testing.T) {
-	e := NewEWMA(0.5)
-	if e.Value() != 0 {
-		t.Error("fresh EWMA must be 0")
-	}
-	e.Push(10)
-	if e.Value() != 10 {
-		t.Error("first sample must initialize")
-	}
-	e.Push(20)
-	if e.Value() != 15 {
-		t.Errorf("Value = %g, want 15", e.Value())
-	}
-	bad := NewEWMA(7)
-	if bad.Alpha != 0.5 {
-		t.Error("invalid alpha must fall back")
-	}
-}
-
 func TestIntParamClamps(t *testing.T) {
 	p := IntParam{Value: 3, Min: 1, Max: 4, Step: 2}
 	p.Inc()
@@ -217,19 +178,6 @@ func TestIncUnlessWorseConverges(t *testing.T) {
 		}
 		if near < 200 {
 			t.Errorf("opt=%d: only %d/400 visits near optimum (visits %v)", opt, near, visits)
-		}
-	}
-}
-
-func TestDirectionalClimbConverges(t *testing.T) {
-	for _, opt := range []int{2, 8, 20} {
-		p := IntParam{Value: 32, Min: 1, Max: 32, Step: 1}
-		tr := &DirectionalClimb{Margin: 0.001}
-		for i := 0; i < 400; i++ {
-			tr.Observe(costCurve(p.Value, opt), &p)
-		}
-		if p.Value < opt-4 || p.Value > opt+4 {
-			t.Errorf("opt=%d: settled at %d", opt, p.Value)
 		}
 	}
 }

@@ -27,15 +27,6 @@ func (p *IntParam) Dec() {
 	}
 }
 
-// CostTransfer maps an observed cost sample to an adjustment of an IntParam.
-// Implementations are the paper's simple heuristic and a directional hill
-// climber kept for comparison.
-type CostTransfer interface {
-	// Observe feeds the cost measured since the previous invocation and
-	// adjusts the parameter in place.
-	Observe(cost float64, p *IntParam)
-}
-
 // IncUnlessWorse is the transfer function the paper uses for the checkpoint
 // interval: "at every control invocation, if Ec is not observed to have
 // increased significantly, the check-pointing period is incremented;
@@ -54,7 +45,8 @@ type IncUnlessWorse struct {
 	primed bool
 }
 
-// Observe implements CostTransfer.
+// Observe feeds the cost measured since the previous invocation and adjusts
+// the parameter in place.
 func (t *IncUnlessWorse) Observe(cost float64, p *IntParam) {
 	if t.Hook != nil {
 		from := p.Value
@@ -72,48 +64,4 @@ func (t *IncUnlessWorse) Observe(cost float64, p *IntParam) {
 		p.Inc()
 	}
 	t.prev = cost
-}
-
-// DirectionalClimb is the classic hill-descending alternative (in the spirit
-// of Fleischmann & Wilsey, PADS'95): keep moving the parameter in the current
-// direction while the cost improves, reverse direction when it worsens
-// significantly. It is included so the simple heuristic's adequacy is a
-// measured claim (see the ablation benchmarks), mirroring the paper's remark
-// that its simple heuristic outperformed more rigorous techniques.
-type DirectionalClimb struct {
-	// Margin is the relative increase in cost considered a worsening.
-	Margin float64
-	// Hook, when non-nil, observes every control decision (see
-	// IncUnlessWorse.Hook).
-	Hook   func(cost float64, from, to int)
-	dir    int // +1 or -1
-	prev   float64
-	primed bool
-}
-
-// Observe implements CostTransfer.
-func (t *DirectionalClimb) Observe(cost float64, p *IntParam) {
-	if t.Hook != nil {
-		from := p.Value
-		defer func() { t.Hook(cost, from, p.Value) }()
-	}
-	if t.dir == 0 {
-		t.dir = 1
-	}
-	if !t.primed {
-		t.primed = true
-	} else if cost > t.prev*(1+t.Margin) {
-		t.dir = -t.dir
-	}
-	t.prev = cost
-	// Bounce off the clamps: pinned at a boundary the cost never worsens,
-	// so without this the climber would stay pinned forever.
-	if (t.dir > 0 && p.Value >= p.Max) || (t.dir < 0 && p.Value <= p.Min) {
-		t.dir = -t.dir
-	}
-	if t.dir > 0 {
-		p.Inc()
-	} else {
-		p.Dec()
-	}
 }

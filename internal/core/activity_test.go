@@ -215,7 +215,7 @@ func TestActivityListsMatchFullScan(t *testing.T) {
 		// behind the optimism horizon must still be drained and counted.
 		{"lazy-window", func(c *Config) {
 			c.Cancellation = cancel.Config{Mode: cancel.StaticLazy}
-			c.OptimismWindow = 25
+			c.Optimism.Window = 25
 		}},
 	}
 	for _, v := range variants {

@@ -243,9 +243,8 @@ func TestExecuteLoopZeroAllocAdaptiveOptimism(t *testing.T) {
 	optCfg := OptimismConfig{
 		Mode: OptimismAdaptive, Window: 100, Min: 50, Max: 100,
 		Period: 1, HighWater: 0.3, LowWater: 0.1, Factor: 2, MinSample: 1,
-	}.withDefaults(0)
-	lp.k.optAdaptive = true
-	lp.k.optWin.Store(int64(optCfg.Window))
+	}.withDefaults()
+	lp.k.window.Store(int64(optCfg.Window))
 	lp.opt = newOptController(optCfg)
 
 	step := func() {

@@ -56,13 +56,6 @@ type Config struct {
 	// for the paper's event-handler granularity. Zero means no burn.
 	EventCost time.Duration
 
-	// OptimismWindow, when positive, bounds optimism: an LP never executes
-	// an event more than this much virtual time past the last known GVT
-	// (the bounded-time-window throttle of Palaniswamy & Wilsey, cited as
-	// prior adaptive work in the paper's introduction). Zero leaves
-	// optimism unbounded, Jefferson-style.
-	OptimismWindow vtime.Time
-
 	// GVTPeriod is the wall-clock interval between GVT computations.
 	GVTPeriod time.Duration
 
@@ -135,14 +128,16 @@ type Config struct {
 	// checkpoints and uncompressed payloads, exactly the pre-codec kernel.
 	Codec codec.Config
 
-	// Optimism configures optimism control as the sixth facet: the window
-	// becomes a controlled item whose on-line controller consumes the
-	// observation sampler's wasted-work and LVT-roughness signals and
-	// tightens or relaxes the bound at run time (see OptimismConfig). The
-	// zero value is static: the kernel runs with OptimismWindow unchanged,
-	// exactly the pre-facet behavior. When the adaptive mode is selected
-	// and Observe is nil, the kernel creates a sampler itself — the
-	// controller cannot steer blind.
+	// Optimism configures optimism control, the sixth facet. A positive
+	// Optimism.Window bounds optimism: an LP never executes an event more
+	// than that much virtual time past the last known GVT (the
+	// bounded-time-window throttle of Palaniswamy & Wilsey, cited as prior
+	// adaptive work in the paper's introduction). The zero value is static
+	// and unbounded, Jefferson-style. Under OptimismAdaptive the window is a
+	// controlled item whose on-line controller consumes the observation
+	// sampler's wasted-work and LVT-roughness signals and tightens or relaxes
+	// it at run time (see OptimismConfig); when Observe is nil the kernel
+	// then creates a sampler itself — the controller cannot steer blind.
 	Optimism OptimismConfig
 }
 
@@ -177,9 +172,6 @@ func (m BalanceMode) String() string {
 type BalanceConfig struct {
 	// Mode selects static placement or the dynamic load controller.
 	Mode BalanceMode
-	// Enabled is the pre-facet-API spelling of Mode == BalanceDynamic, kept
-	// as a deprecated alias: setting it selects BalanceDynamic.
-	Enabled bool
 	// Period is the number of GVT applications between controller firings
 	// (the P component; default 8).
 	Period int
@@ -197,17 +189,10 @@ type BalanceConfig struct {
 	MinSample int64
 }
 
-// Dynamic reports whether the dynamic load controller is selected (by Mode
-// or the deprecated Enabled alias).
-func (c BalanceConfig) Dynamic() bool {
-	return c.Mode == BalanceDynamic || c.Enabled
-}
+// Dynamic reports whether the dynamic load controller is selected.
+func (c BalanceConfig) Dynamic() bool { return c.Mode == BalanceDynamic }
 
 func (c BalanceConfig) withDefaults() BalanceConfig {
-	if c.Enabled {
-		c.Mode = BalanceDynamic
-	}
-	c.Enabled = c.Mode == BalanceDynamic
 	if c.Period <= 0 {
 		c.Period = 8
 	}
@@ -269,7 +254,7 @@ type Result struct {
 	// of the deterministic run artifact.
 	FinalPartition []int
 	// FinalOptimismWindow is the optimism window in force when the run
-	// ended (0 = unbounded). It equals the configured window unless the
+	// ended (0 = unbounded). It equals Config.Optimism.Window unless the
 	// adaptive optimism facet or a tuner override moved it; wall-clock-
 	// dependent when adaptive, so — like FinalPartition — it is not part of
 	// the deterministic run artifact.

@@ -21,7 +21,7 @@ import (
 func testConfig(end vtime.Time) core.Config {
 	cfg := core.DefaultConfig(end)
 	cfg.GVTPeriod = 200 * time.Microsecond
-	cfg.OptimismWindow = 100
+	cfg.Optimism.Window = 100
 	return cfg
 }
 
@@ -210,6 +210,6 @@ func TestInvalidConfig(t *testing.T) {
 // (pure Jefferson-style Time Warp) on a smaller horizon.
 func TestUnboundedOptimism(t *testing.T) {
 	cfg := testConfig(400)
-	cfg.OptimismWindow = 0
+	cfg.Optimism.Window = 0
 	assertMatchesSequential(t, testModel(2), cfg)
 }

@@ -27,7 +27,7 @@ func TestWorkerPoolMatchesSequential(t *testing.T) {
 
 func TestWorkerPoolMatchesSequentialSMMP(t *testing.T) {
 	cfg := testConfig(1 << 40)
-	cfg.OptimismWindow = 2000
+	cfg.Optimism.Window = 2000
 	cfg.Workers = 3
 	assertMatchesSequential(t, smmp.New(smmp.Config{Requests: 40, Seed: 5}), cfg)
 }

@@ -34,7 +34,7 @@ func pholdTCP2() *model.Model {
 // takes its share of the host").
 func BenchmarkPholdTCP2(b *testing.B) {
 	cfg := core.DefaultConfig(300)
-	cfg.OptimismWindow = 100
+	cfg.Optimism.Window = 100
 	for _, width := range []struct {
 		name    string
 		workers int
@@ -82,7 +82,7 @@ func BenchmarkGVTRoundTCP(b *testing.B) {
 	build := pholdTCP2
 	cfg := core.DefaultConfig(300)
 	cfg.GVTPeriod = 10 * time.Microsecond
-	cfg.OptimismWindow = 100
+	cfg.Optimism.Window = 100
 	for _, wrap := range []bool{false, true} {
 		name := "polled"
 		if wrap {

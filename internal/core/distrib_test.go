@@ -74,7 +74,7 @@ func TestDistributedTCPMatchesInProc(t *testing.T) {
 	const seed = 7
 	cfg := core.DefaultConfig(1 << 40) // run until the model drains
 	cfg.GVTPeriod = 200 * time.Microsecond
-	cfg.OptimismWindow = 2000
+	cfg.Optimism.Window = 2000
 
 	solo, err := core.Run(distribModel(seed), cfg)
 	if err != nil {
@@ -242,7 +242,7 @@ func TestHiddenPolledMatchesSequential(t *testing.T) {
 	const seed = 5
 	cfg := core.DefaultConfig(1 << 40)
 	cfg.GVTPeriod = 200 * time.Microsecond
-	cfg.OptimismWindow = 2000
+	cfg.Optimism.Window = 2000
 	seq, err := core.RunSequential(distribModel(seed), cfg.EndTime, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -314,7 +314,7 @@ func TestPolledRunStartsNoTransportGoroutines(t *testing.T) {
 			}
 			cfg := core.DefaultConfig(1 << 40)
 			cfg.GVTPeriod = 200 * time.Microsecond
-			cfg.OptimismWindow = 2000
+			cfg.Optimism.Window = 2000
 
 			// Sample every goroutine's stack while the fleet runs.
 			var workers, forwarders, readers int
@@ -460,7 +460,7 @@ func TestDistributedLinkCutFailsEveryRank(t *testing.T) {
 			}
 			cfg := core.DefaultConfig(1 << 40)
 			cfg.GVTPeriod = 200 * time.Microsecond
-			cfg.OptimismWindow = 2000
+			cfg.Optimism.Window = 2000
 
 			errs := make([]error, 2)
 			var wg sync.WaitGroup

@@ -64,7 +64,7 @@ func TestFossilCollectionReclaims(t *testing.T) {
 // handled under aggressive cancellation with remote traffic.
 func TestAntiMessageStragglers(t *testing.T) {
 	cfg := testConfig(4000)
-	cfg.OptimismWindow = 300 // enough slack for cancellation cascades
+	cfg.Optimism.Window = 300 // enough slack for cancellation cascades
 	m := phold.New(phold.Config{
 		Objects: 16, TokensPerObject: 4, MeanDelay: 8, Locality: 0.1, LPs: 4, Seed: 17,
 	})

@@ -20,23 +20,33 @@ import (
 	"gowarp/internal/vtime"
 )
 
-// shared holds the cross-LP tables. rt is the only one mutated after start:
-// the routing table's entries move when objects migrate (single atomic words;
-// see internal/route). objs is written only during construction and the
-// end-of-run sweep; during the run each LP touches only the objects it hosts.
+// shared holds the cross-LP tables. rt's entries move when objects migrate
+// (single atomic words; see internal/route). objs is written only during
+// construction and the end-of-run sweep; during the run each LP touches only
+// the objects it hosts.
 type shared struct {
 	rt   *route.Table // ObjectID -> hosting LP, migration-aware
 	objs []*simObject // ObjectID -> runtime
 	// board is the load balancer's observation channel; nil unless
-	// Config.Balance.Enabled.
+	// Config.Balance is dynamic.
 	board *stats.LoadBoard
 
-	// optAdaptive marks the adaptive optimism facet active; optWin is then
-	// the window in force (0 = unbounded), written by LP 0's controller
-	// (and tuner overrides) and read by every LP's horizon(). Static runs
-	// never touch either.
-	optAdaptive bool
-	optWin      atomic.Int64
+	// window is the optimism window in force (0 = unbounded), the one home of
+	// the sixth facet's controlled item: newKernel seeds it from
+	// Config.Optimism.Window, only LP 0's GVT application writes it afterwards
+	// (runOptimism and applyTuner), and every LP's horizon() loads it once per
+	// executed event.
+	window atomic.Int64
+
+	// The pad rounds shared up to 64 bytes, so that its one allocation comes
+	// from Go's 64-byte size class and has a cache line to itself, as it had
+	// before the window moved in. At 48 bytes it shares lines with whatever
+	// was allocated beside it, and every worker reads window once per event:
+	// unpadded, phold-pool's speedup_vs_seq read 3.09 and 3.22 against the
+	// parent's 3.25 and 3.32 (ISSUE 23's sizing runs, behind in 8 of 11) and a
+	// phold-lp run took 0.459 s against 0.433 s padded (medians of 16
+	// alternating runs; EXPERIMENTS.md "One window").
+	_ [16]byte
 }
 
 // lpRun is one logical process: a set of simulation objects, a scheduler
@@ -136,7 +146,7 @@ type lpRun struct {
 
 	// ld accumulates this LP's load observations between GVT applications;
 	// bal is the balancing controller (LP 0 only). Both are nil unless
-	// Config.Balance.Enabled, so static runs pay one pointer comparison.
+	// Config.Balance is dynamic, so static runs pay one pointer comparison.
 	ld  *loadRecorder
 	bal *balancer
 
@@ -352,10 +362,10 @@ func (lp *lpRun) handlePacket(p comm.Packet) {
 		lp.gvtMgr.Apply(p.GVT)
 		lp.applyGVT(p.GVT)
 	case comm.PktOptim:
-		// Wake-only: the adaptive optimism window lives in the shared
-		// atomic slot, so the payload is the arrival itself — it woke the
-		// worker of an LP blocked at the old horizon, and the run loop
-		// re-reads horizon() on its next iteration.
+		// Wake-only: the optimism window lives in the shared slot, so the
+		// payload is the arrival itself — it woke the worker of an LP blocked
+		// at the old horizon, and the run loop re-reads horizon() on its next
+		// iteration.
 	case comm.PktReport:
 		lp.stash = append(lp.stash, p)
 	case comm.PktStop:
@@ -422,21 +432,11 @@ func keepObjects(list []*simObject, keep func(*simObject) bool) []*simObject {
 // horizon returns the latest virtual time this LP may optimistically execute
 // at: unbounded without an optimism window, otherwise the last known GVT
 // (floored at zero, since GVT starts at -inf) plus the window. Blocked LPs
-// idle, which forces GVT computations, which advance the horizon — and under
-// the adaptive facet they are additionally woken when the controller widens
-// the window (see runOptimism). Under that facet the shared slot is
-// authoritative: a tuner override re-seeds the slot at GVT instead of
-// masking the controller here.
+// idle, which forces GVT computations, which advance the horizon — and they
+// are additionally woken when the adaptive controller widens the window (see
+// runOptimism).
 func (lp *lpRun) horizon() vtime.Time {
-	w := lp.cfg.OptimismWindow
-	if tn := lp.cfg.Tuner; tn != nil {
-		if ov, ok := tn.windowOverride(); ok {
-			w = ov
-		}
-	}
-	if lp.k.optAdaptive {
-		w = vtime.Time(lp.k.optWin.Load())
-	}
+	w := vtime.Time(lp.k.window.Load())
 	if w <= 0 {
 		return vtime.PosInf
 	}

@@ -122,20 +122,19 @@ func (lp *lpRun) publishMetrics(g vtime.Time) {
 	m.capsuleBytes.Set(id, float64(st.CapsuleBytes))
 	m.codecSwitches.Set(id, float64(st.CodecSwitches))
 	m.optSwitches.Set(id, float64(st.OptimismAdjustments))
-	w := lp.cfg.OptimismWindow
-	if lp.k.optAdaptive {
-		w = vtime.Time(lp.k.optWin.Load())
-	}
-	m.optWindow.Set(0, float64(w))
 
 	meanChi, lazy, meanWindow := lp.controlSnapshot()
 	m.meanChi.Set(id, meanChi)
 	m.lazyObjects.Set(id, float64(lazy))
 	m.aggWindow.Set(id, meanWindow.Seconds())
 
-	// One LP publishes the worker gauges for the whole process: worker
-	// counters are atomics, so reading them cross-thread here is safe.
+	// One LP publishes the process-wide gauges. On the rank that hosts LP 0
+	// that is the optimism window's writer, publishing after any move this
+	// GVT application made — were every LP to publish it, a peer could
+	// overwrite that with the value it loaded before the move. The worker
+	// counters are atomics, safe to read across threads.
 	if lp == lp.d.lps[0] {
+		m.optWindow.Set(0, float64(lp.k.window.Load()))
 		lp.d.publishMetrics(m)
 	}
 }

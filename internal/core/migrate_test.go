@@ -40,7 +40,7 @@ func balanceConfig(end vtime.Time) core.Config {
 	cfg.GVTPeriod = 100 * time.Microsecond
 	cfg.EventCost = 500 * time.Nanosecond
 	cfg.Balance = core.BalanceConfig{
-		Enabled:   true,
+		Mode:      core.BalanceDynamic,
 		Period:    2,
 		HighWater: 1.10,
 		LowWater:  1.05,

@@ -10,8 +10,8 @@ import (
 type OptimismMode int
 
 const (
-	// OptimismStatic keeps the configured window (or unbounded optimism
-	// when none is set) for the whole run — the pre-facet behavior.
+	// OptimismStatic keeps OptimismConfig.Window (0 = unbounded optimism)
+	// for the whole run.
 	OptimismStatic OptimismMode = iota
 	// OptimismAdaptive turns the window into the sixth on-line controlled
 	// facet: a controller on LP 0 consumes the observation sampler's
@@ -40,10 +40,9 @@ func (m OptimismMode) String() string {
 type OptimismConfig struct {
 	// Mode selects the static window or the adaptive controller.
 	Mode OptimismMode
-	// Window is the initial setting S (virtual-time units past GVT).
-	// Zero inherits Config.OptimismWindow; if that is also zero the run
-	// starts with unbounded optimism and tightens only when waste or
-	// roughness appears.
+	// Window is the static window, or the adaptive controller's initial
+	// setting S, in virtual-time units past GVT. Zero is unbounded optimism:
+	// an adaptive run then tightens only when waste or roughness appears.
 	Window vtime.Time
 	// Min and Max bound the adaptive window. Relaxing at Max goes
 	// unbounded; tightening while unbounded re-enters at Max. Defaults:
@@ -75,12 +74,8 @@ type OptimismConfig struct {
 // Adaptive reports whether the adaptive optimism controller is selected.
 func (c OptimismConfig) Adaptive() bool { return c.Mode == OptimismAdaptive }
 
-// withDefaults resolves the zero values; static is the kernel-level
-// Config.OptimismWindow the Window field inherits when unset.
-func (c OptimismConfig) withDefaults(static vtime.Time) OptimismConfig {
-	if c.Window <= 0 {
-		c.Window = static
-	}
+// withDefaults resolves the zero values.
+func (c OptimismConfig) withDefaults() OptimismConfig {
 	if c.Window < 0 {
 		c.Window = 0
 	}
@@ -215,20 +210,20 @@ func (c *optController) step(committed, rolled, width int64, widthKnown bool, w 
 }
 
 // runOptimism fires the adaptive optimism controller (LP 0 only, from
-// applyGVT). A moved window is published through the shared atomic slot
-// every LP's horizon() reads; a relaxed window additionally broadcasts a
-// wake packet, because peers blocked at the old horizon are sleeping in
-// idle() and would otherwise only notice the wider window at their next
-// idle tick or GVT broadcast.
+// applyGVT). A moved window is published through the shared slot every LP's
+// horizon() reads; a relaxed window additionally broadcasts a wake packet,
+// because peers blocked at the old horizon are sleeping in idle() and would
+// otherwise only notice the wider window at their next idle tick or GVT
+// broadcast.
 func (lp *lpRun) runOptimism() {
 	committed, rolled := lp.obs.ProgressTotals()
 	width, widthKnown := lp.obs.LVTSpread()
-	w := vtime.Time(lp.k.optWin.Load())
+	w := vtime.Time(lp.k.window.Load())
 	next, cost, moved := lp.opt.step(committed, rolled, width, widthKnown, w)
 	if !moved {
 		return
 	}
-	lp.k.optWin.Store(int64(next))
+	lp.k.window.Store(int64(next))
 	lp.st.OptimismAdjustments++
 	lp.tr.OptSwitch(int64(w), int64(next), int64(cost*1000), width)
 	if w > 0 && (next <= 0 || next > w) && lp.ep != nil {

@@ -2,10 +2,13 @@ package core
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 	"time"
+	"unsafe"
 
 	"gowarp/internal/apps/phold"
+	"gowarp/internal/telemetry"
 	"gowarp/internal/vtime"
 )
 
@@ -22,15 +25,14 @@ func optTestConfig() OptimismConfig {
 		LowWater:  0.1,
 		Factor:    2,
 		MinSample: 10,
-	}.withDefaults(0)
+	}.withDefaults()
 }
 
 func TestOptimismConfigDefaults(t *testing.T) {
 	for _, tc := range []struct {
-		name   string
-		in     OptimismConfig
-		static vtime.Time
-		want   OptimismConfig
+		name string
+		in   OptimismConfig
+		want OptimismConfig
 	}{
 		{
 			name: "zero value resolves to documented defaults",
@@ -41,9 +43,8 @@ func TestOptimismConfigDefaults(t *testing.T) {
 			},
 		},
 		{
-			name:   "window inherits the kernel-level static knob",
-			in:     OptimismConfig{},
-			static: 2000,
+			name: "clamps default around the starting window",
+			in:   OptimismConfig{Window: 2000},
 			want: OptimismConfig{
 				Window: 2000, Min: 250, Max: 16384, Period: 4,
 				HighWater: 0.5, LowWater: 0.2, Factor: 2, MinSample: 64, RoughFactor: 4,
@@ -66,10 +67,10 @@ func TestOptimismConfigDefaults(t *testing.T) {
 			},
 		},
 	} {
-		got := tc.in.withDefaults(tc.static)
+		got := tc.in.withDefaults()
 		tc.want.Mode = tc.in.Mode
 		if got != tc.want {
-			t.Errorf("%s: withDefaults(%v) = %+v, want %+v", tc.name, tc.static, got, tc.want)
+			t.Errorf("%s: withDefaults() = %+v, want %+v", tc.name, got, tc.want)
 		}
 	}
 }
@@ -353,5 +354,92 @@ func TestAdaptiveOptimismRun(t *testing.T) {
 	if res.Stats.EventsCommitted != seq.EventsExecuted {
 		t.Errorf("adaptation changed semantics: committed %d, reference %d",
 			res.Stats.EventsCommitted, seq.EventsExecuted)
+	}
+}
+
+// TestWindowSingleWriter asserts what shared.window's comment promises. An
+// adaptive run on 4 LPs and 2 workers, with another goroutine forcing windows
+// through the Tuner every millisecond, matches the sequential kernel; and
+// every move of the slot is a record in LP 0's trace — made where LP 0's GVT
+// application stores it — each starting at the window the one before it
+// ended at, from the configured window to the one the Result and the gauge
+// report. A store from anywhere else would break that chain.
+func TestWindowSingleWriter(t *testing.T) {
+	m := phold.New(phold.Config{
+		Objects: 16, TokensPerObject: 3, MeanDelay: 10,
+		Locality: 0.2, LPs: 4, Seed: 33,
+	})
+	cfg := DefaultConfig(8000)
+	cfg.GVTPeriod = 200 * time.Microsecond
+	cfg.Workers = 2
+	cfg.Optimism = optTestConfig()
+	cfg.Tuner = NewTuner()
+	cfg.Tracer = telemetry.NewTracer(1 << 17)
+	cfg.Metrics = telemetry.NewRegistry()
+
+	stop, stopped := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(stopped)
+		tick := time.NewTicker(time.Millisecond)
+		defer tick.Stop()
+		for i := 1; ; i++ {
+			select {
+			case <-stop:
+				return
+			case <-tick.C:
+				cfg.Tuner.SetOptimismWindow(vtime.Time(i%5) * 100) // every fifth forces unbounded
+			}
+		}
+	}()
+	res, err := Run(m, cfg)
+	close(stop)
+	<-stopped
+	if err != nil {
+		t.Fatal(err)
+	}
+	seq, err := RunSequential(m, cfg.EndTime, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Stats.EventsCommitted != seq.EventsExecuted || !reflect.DeepEqual(res.FinalStates, seq.FinalStates) {
+		t.Errorf("committed %d events, the sequential kernel %d; final states equal: %v",
+			res.Stats.EventsCommitted, seq.EventsExecuted, reflect.DeepEqual(res.FinalStates, seq.FinalStates))
+	}
+
+	if n := cfg.Tracer.Dropped(); n > 0 {
+		t.Fatalf("trace rings overwrote %d events: the chain below has holes", n)
+	}
+	events := cfg.Tracer.Events()
+	w, moves := int64(cfg.Optimism.Window), 0
+	for _, e := range events {
+		if e.Kind != telemetry.KindOptSwitch {
+			continue
+		}
+		if e.LP != 0 {
+			t.Fatalf("move %d -> %d recorded by LP %d", e.A, e.B, e.LP)
+		}
+		if e.A != w {
+			t.Fatalf("move %d goes %d -> %d, but the one before left the window at %d", moves, e.A, e.B, w)
+		}
+		w = e.B
+		moves++
+	}
+	if moves == 0 {
+		t.Fatal("the window never moved; the test is vacuous")
+	}
+	if w != int64(res.FinalOptimismWindow) {
+		t.Errorf("the last recorded move left the window at %d, FinalOptimismWindow = %d", w, res.FinalOptimismWindow)
+	}
+	if g := cfg.Metrics.Gauge("gowarp_optimism_window", "", false).Get(0); g != float64(w) {
+		t.Errorf("gowarp_optimism_window = %v, want %d", g, w)
+	}
+	t.Logf("%d moves, %d of them the controller's; %d trace events", moves, res.Stats.OptimismAdjustments, len(events))
+}
+
+// TestSharedOwnsItsCacheLine pins the layout shared's pad comment explains: a
+// field added or removed must leave the struct one 64-byte size class wide.
+func TestSharedOwnsItsCacheLine(t *testing.T) {
+	if s := unsafe.Sizeof(shared{}); s != 64 {
+		t.Errorf("shared is %d bytes, want 64: resize its pad", s)
 	}
 }

@@ -88,7 +88,7 @@ func TestLazyDeliveryOrderDeterminism(t *testing.T) {
 	m := recording(16, 4, 3, 7)
 	cfg := core.DefaultConfig(1500)
 	cfg.GVTPeriod = 200 * time.Microsecond
-	cfg.OptimismWindow = 100
+	cfg.Optimism.Window = 100
 	cfg.Cancellation = cancel.Config{Mode: cancel.StaticLazy}
 
 	seq, err := core.RunSequential(m, cfg.EndTime, 0)

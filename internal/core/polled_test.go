@@ -83,7 +83,7 @@ func TestPolledFlushesBeforeItWaits(t *testing.T) {
 	m := testModel(1)
 	wire := &dearWire{numLPs: m.NumLPs()}
 	cfg := testConfig(200)
-	cfg.OptimismWindow = 0
+	cfg.Optimism.Window = 0
 	cfg.GVTPeriod = time.Second
 	cfg.Workers = 1
 	cfg.Transport = wire

@@ -30,12 +30,7 @@ func Run(m *model.Model, cfg Config) (*Result, error) {
 	numLPs := m.NumLPs()
 	cfg.Balance = cfg.Balance.withDefaults()
 	cfg.Codec = cfg.Codec.WithDefaults()
-	cfg.Optimism = cfg.Optimism.withDefaults(cfg.OptimismWindow)
-	if cfg.Optimism.Mode == OptimismStatic && cfg.Optimism.Window > 0 {
-		// The facet config is authoritative either way: in static mode it
-		// simply sets the kernel window.
-		cfg.OptimismWindow = cfg.Optimism.Window
-	}
+	cfg.Optimism = cfg.Optimism.withDefaults()
 	if cfg.Optimism.Adaptive() && cfg.Observe == nil {
 		// The controller steers by the sampler's wasted-work and LVT
 		// signals; create one when the caller didn't.
@@ -179,15 +174,6 @@ func Run(m *model.Model, cfg Config) (*Result, error) {
 		finishAudit(cfg.Audit, locals)
 	}
 
-	finalWindow := cfg.OptimismWindow
-	if tn := cfg.Tuner; tn != nil {
-		if ov, ok := tn.windowOverride(); ok {
-			finalWindow = ov
-		}
-	}
-	if sh.optAdaptive {
-		finalWindow = vtime.Time(sh.optWin.Load())
-	}
 	res := &Result{
 		PerLP:               make([]stats.Counters, numLPs),
 		PerObject:           make([]stats.PerObject, len(sh.objs)),
@@ -195,7 +181,7 @@ func Run(m *model.Model, cfg Config) (*Result, error) {
 		Elapsed:             elapsed,
 		FinalStates:         make([]model.State, len(sh.objs)),
 		FinalPartition:      sh.rt.Assignment(),
-		FinalOptimismWindow: finalWindow,
+		FinalOptimismWindow: vtime.Time(sh.window.Load()),
 	}
 	for _, o := range sh.objs {
 		if o == nil {
@@ -290,10 +276,7 @@ func newKernel(m *model.Model, cfg *Config, peers comm.Peers, net comm.Sender, s
 	if cfg.Balance.Dynamic() {
 		sh.board = stats.NewLoadBoard(len(m.Objects), numLPs)
 	}
-	if cfg.Optimism.Adaptive() {
-		sh.optAdaptive = true
-		sh.optWin.Store(int64(cfg.Optimism.Window))
-	}
+	sh.window.Store(int64(cfg.Optimism.Window))
 
 	for h, i := range hosted {
 		lp := &lpRun{

@@ -19,7 +19,7 @@ import (
 func smmpFacets(seed uint64, div int, agg comm.Policy) (*model.Model, core.Config) {
 	m := smmp.New(smmp.Config{Requests: 30_000 / div, StatePadding: 16 << 10, LPs: 4, Seed: seed})
 	cfg := core.DefaultConfig(1 << 40)
-	cfg.OptimismWindow = 2000
+	cfg.Optimism.Window = 2000
 	cfg.Checkpoint = statesave.Config{Mode: statesave.Dynamic, Interval: 4}
 	cfg.Cancellation = cancel.Config{Mode: cancel.Dynamic}
 	cfg.Aggregation = comm.AggConfig{Policy: agg}

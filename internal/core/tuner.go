@@ -62,19 +62,6 @@ func (t *Tuner) SetOptimismWindow(w vtime.Time) {
 	t.gen.Add(1)
 }
 
-// windowOverride returns (window, true) when an optimism-window override is
-// in force; window 0 means unbounded.
-func (t *Tuner) windowOverride() (vtime.Time, bool) {
-	switch v := t.optimismWindow.Load(); {
-	case v < 0:
-		return 0, true
-	case v > 0:
-		return vtime.Time(v), true
-	default:
-		return 0, false
-	}
-}
-
 // applyTuner applies pending external adjustments; called from applyGVT.
 func (lp *lpRun) applyTuner() {
 	tn := lp.cfg.Tuner
@@ -102,13 +89,14 @@ func (lp *lpRun) applyTuner() {
 			o.out.Selector().Override(cancel.Lazy)
 		}
 	}
-	if lp.opt != nil {
-		// Under the adaptive optimism facet an external window override
-		// re-seeds the controller's shared slot (the composition rule for
-		// every on-line controller: force, then keep adapting from the
-		// forced value) instead of masking it in horizon().
-		if ov, ok := tn.windowOverride(); ok {
-			lp.k.optWin.Store(int64(ov))
+	if v := tn.optimismWindow.Load(); v != 0 && lp.id == 0 {
+		// LP 0 is the window's one writer (see shared.window), so that is
+		// where an override lands. The composition rule is the one of every
+		// on-line controller: under the adaptive facet the forced value
+		// re-seeds the slot and the controller keeps adapting from it.
+		next := max(v, 0) // -1 forces unbounded
+		if old := lp.k.window.Swap(next); old != next {
+			lp.tr.OptSwitch(old, next, 0, 0)
 		}
 	}
 }

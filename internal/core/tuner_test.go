@@ -7,6 +7,8 @@ import (
 	"gowarp/internal/cancel"
 	"gowarp/internal/core"
 	"gowarp/internal/statesave"
+	"gowarp/internal/telemetry"
+	"gowarp/internal/vtime"
 )
 
 // TestTunerExternalAdjustment forces parameters into a running simulation
@@ -78,19 +80,37 @@ func TestTunerBeforeRun(t *testing.T) {
 	}
 }
 
-// TestTunerWindowOverride checks the optimism-window override paths.
+// TestTunerWindowOverride checks the optimism-window override paths: the run
+// executes inside the forced window and matches the sequential kernel, and
+// the Result and the live gauge both report the window that was in force —
+// on a static run, whose gauge once went on exporting the configured value,
+// and under the adaptive facet, where the override re-seeds the controller
+// (pinned here by an unreachable sample floor, so the forced value stays).
 func TestTunerWindowOverride(t *testing.T) {
-	tn := core.NewTuner()
-	cfg := testConfig(800)
-	cfg.OptimismWindow = 0 // unbounded...
-	tn.SetOptimismWindow(50)
-	cfg.Tuner = tn
-	assertMatchesSequential(t, testModel(47), cfg)
-
-	// Force unbounded over a bounded config.
-	tn2 := core.NewTuner()
-	tn2.SetOptimismWindow(0)
-	cfg2 := testConfig(800)
-	cfg2.Tuner = tn2
-	assertMatchesSequential(t, testModel(53), cfg2)
+	pinned := core.OptimismConfig{Mode: core.OptimismAdaptive, Window: 100, MinSample: 1 << 40}
+	for i, tc := range []struct {
+		name        string
+		optimism    core.OptimismConfig
+		force, want vtime.Time
+	}{
+		{"static: unbounded forced to 50", core.OptimismConfig{}, 50, 50},
+		{"static: bounded forced unbounded", core.OptimismConfig{Window: 100}, 0, 0},
+		{"adaptive: re-seeded at 50", pinned, 50, 50},
+		{"adaptive: re-seeded unbounded", pinned, 0, 0},
+	} {
+		tn := core.NewTuner()
+		tn.SetOptimismWindow(tc.force)
+		cfg := testConfig(800)
+		cfg.Optimism = tc.optimism
+		cfg.Tuner = tn
+		cfg.Metrics = telemetry.NewRegistry()
+		res := assertMatchesSequential(t, testModel(47+uint64(i)), cfg)
+		if res.FinalOptimismWindow != tc.want {
+			t.Errorf("%s: FinalOptimismWindow = %d, want %d", tc.name, res.FinalOptimismWindow, tc.want)
+		}
+		gauge := cfg.Metrics.Gauge("gowarp_optimism_window", "", false).Get(0)
+		if gauge != float64(res.FinalOptimismWindow) {
+			t.Errorf("%s: gowarp_optimism_window = %v, FinalOptimismWindow = %d", tc.name, gauge, res.FinalOptimismWindow)
+		}
+	}
 }

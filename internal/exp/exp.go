@@ -173,7 +173,7 @@ func (tb Testbed) baseConfig(end, window gowarp.VTime) gowarp.Config {
 	cfg.Cost = tb.Cost
 	cfg.EventCost = tb.EventCost
 	cfg.GVTPeriod = tb.GVTPeriod
-	cfg.OptimismWindow = window
+	cfg.Optimism.Window = window
 	cfg.Checkpoint = gowarp.CheckpointConfig{
 		Mode: gowarp.PeriodicCheckpointing,
 		// WARPED's default: states are saved after every event execution.

@@ -59,9 +59,9 @@ func (tb Testbed) Optimism() (Figure, error) {
 		name string
 		mut  func(*gowarp.Config, gowarp.VTime)
 	}{
-		{"static", func(c *gowarp.Config, w gowarp.VTime) { c.OptimismWindow = w }},
-		{"static4x", func(c *gowarp.Config, w gowarp.VTime) { c.OptimismWindow = 4 * w }},
-		{"unbounded", func(c *gowarp.Config, _ gowarp.VTime) { c.OptimismWindow = 0 }},
+		{"static", func(c *gowarp.Config, w gowarp.VTime) { c.Optimism.Window = w }},
+		{"static4x", func(c *gowarp.Config, w gowarp.VTime) { c.Optimism.Window = 4 * w }},
+		{"unbounded", func(c *gowarp.Config, _ gowarp.VTime) { c.Optimism.Window = 0 }},
 		{"adaptive", func(c *gowarp.Config, w gowarp.VTime) { c.Optimism = adaptiveOptimism(w) }},
 	}
 	for vi := range variants {

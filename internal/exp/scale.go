@@ -51,7 +51,7 @@ func (tb Testbed) scalePhold(objects int, hot float64) (*gowarp.Model, gowarp.Co
 	// events burn no synthetic CPU.
 	cfg := gowarp.DefaultConfig(end)
 	cfg.GVTPeriod = 5 * time.Millisecond
-	cfg.OptimismWindow = 100
+	cfg.Optimism.Window = 100
 	cfg.Checkpoint = gowarp.CheckpointConfig{Mode: gowarp.PeriodicCheckpointing, Interval: 4}
 	return m, cfg
 }

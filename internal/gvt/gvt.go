@@ -85,9 +85,6 @@ func (m *Manager) GVT() vtime.Time { return m.gvt }
 // Apply records a broadcast GVT value on a non-initiator.
 func (m *Manager) Apply(g vtime.Time) { m.gvt = g }
 
-// Period returns the initiation period.
-func (m *Manager) Period() time.Duration { return m.period }
-
 func (m *Manager) next() int { return (m.lp + 1) % m.numLPs }
 
 // red returns the color LPs flip to during epoch e.

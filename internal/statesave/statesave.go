@@ -485,9 +485,6 @@ type Config struct {
 	Period int
 	// Margin is the relative Ec increase considered significant.
 	Margin float64
-	// Directional selects the directional hill-climb transfer function
-	// instead of the paper's increment-unless-worse heuristic.
-	Directional bool
 }
 
 // withDefaults fills unset fields with the defaults used in the experiments.
@@ -519,7 +516,7 @@ type Checkpointer struct {
 	param     control.IntParam
 	sinceSave int
 	ticker    *control.Ticker
-	transfer  control.CostTransfer
+	transfer  *control.IncUnlessWorse
 
 	// Ec accumulation for the current control period.
 	saveCost  time.Duration
@@ -566,11 +563,7 @@ func (c *Checkpointer) Init(cfg Config) {
 			c.Hook(from, to, time.Duration(cost))
 		}
 	}
-	if cfg.Directional {
-		c.transfer = &control.DirectionalClimb{Margin: cfg.Margin, Hook: forward}
-	} else {
-		c.transfer = &control.IncUnlessWorse{Margin: cfg.Margin, Hook: forward}
-	}
+	c.transfer = &control.IncUnlessWorse{Margin: cfg.Margin, Hook: forward}
 }
 
 // Interval returns the current checkpoint interval χ.

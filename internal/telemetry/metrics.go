@@ -124,24 +124,6 @@ func (r *Registry) Histogram(name, help string, bounds []float64) *HistMetric {
 	return h
 }
 
-// Observe adds one observation of v. Nil-safe.
-func (h *HistMetric) Observe(v float64) {
-	if h == nil {
-		return
-	}
-	i := 0
-	for i < len(h.bounds) && v > h.bounds[i] {
-		i++
-	}
-	h.counts[i].Add(1)
-	for {
-		old := h.sum.Load()
-		if h.sum.CompareAndSwap(old, math.Float64bits(math.Float64frombits(old)+v)) {
-			return
-		}
-	}
-}
-
 // SetAll replaces the per-bucket counts (non-cumulative, +Inf last) and the
 // sum wholesale — the mirror path for recorders that keep their own atomic
 // tallies and publish periodically. Extra or missing buckets are ignored.

@@ -45,8 +45,8 @@ const (
 	// LVT vector across LPs at a wall-clock instant (recorded by the
 	// observation sampler into the tracer's system ring).
 	KindRoughness
-	// KindOptSwitch is one adaptive-optimism controller firing that moved
-	// the window (recorded by LP 0, the controller's owner).
+	// KindOptSwitch is one move of the optimism window, by the adaptive
+	// controller or a tuner override (recorded by LP 0, its one writer).
 	KindOptSwitch
 )
 
@@ -356,10 +356,10 @@ func (t *LPTrace) BalanceStep(imbalancePermille int64, active bool, moves int64)
 	t.record(Event{Kind: KindBalance, Object: -1, A: imbalancePermille, B: act, C: moves})
 }
 
-// OptSwitch records one adaptive-optimism controller firing that moved the
-// window: the window before and after (0 = unbounded), the windowed
-// wasted-work ratio in thousandths that drove the decision, and the LVT
-// spread at the decision point.
+// OptSwitch records one move of the optimism window: the window before and
+// after (0 = unbounded) and, when the adaptive controller moved it, the
+// windowed wasted-work ratio in thousandths that drove the decision and the
+// LVT spread at the decision point (both 0 for a tuner override).
 func (t *LPTrace) OptSwitch(oldW, newW, wastedPermille, lvtWidth int64) {
 	if t == nil {
 		return

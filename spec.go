@@ -29,12 +29,12 @@ func ParseBalanceSpec(spec string) (BalanceConfig, error) {
 	var cfg BalanceConfig
 	parts := strings.Split(spec, ",")
 	switch parts[0] {
-	case "", "off", "static":
+	case "", "off":
 		if len(parts) > 1 {
 			return cfg, fmt.Errorf("balance spec %q: parameters need mode dynamic", spec)
 		}
 		return cfg, nil
-	case "dynamic", "on":
+	case "dynamic":
 		cfg.Mode = BalanceDynamic
 	default:
 		return cfg, fmt.Errorf("balance spec %q: unknown mode %q (off or dynamic)", spec, parts[0])
@@ -169,7 +169,7 @@ func ParseOptSpec(spec string) (OptimismConfig, error) {
 		return cfg, nil
 	case "static":
 		cfg.Mode = OptimismStatic
-	case "adaptive", "dynamic", "on":
+	case "adaptive":
 		cfg.Mode = OptimismAdaptive
 	default:
 		return cfg, fmt.Errorf("optimism spec %q: unknown mode %q (off, static or adaptive)", spec, parts[0])
@@ -251,13 +251,13 @@ func ParseSchedSpec(spec string) (SchedSpec, error) {
 	var s SchedSpec
 	parts := strings.Split(spec, ",")
 	switch parts[0] {
-	case "lp", "goroutine":
+	case "lp":
 		if len(parts) > 1 {
 			return s, fmt.Errorf("sched spec %q: parameters need mode pool", spec)
 		}
 		s.Workers = WorkerPerLP
 		return s, nil
-	case "", "pool", "workers":
+	case "", "pool":
 	default:
 		return s, fmt.Errorf("sched spec %q: unknown mode %q (lp or pool)", spec, parts[0])
 	}
@@ -313,7 +313,7 @@ func ParseTransportSpec(spec string) (TransportSpec, error) {
 	s := TransportSpec{Kind: "inproc", Rank: -1}
 	parts := strings.Split(spec, ",")
 	switch parts[0] {
-	case "", "inproc", "local":
+	case "", "inproc":
 		if len(parts) > 1 {
 			return s, fmt.Errorf("transport spec %q: parameters need mode tcp", spec)
 		}

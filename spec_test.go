@@ -13,9 +13,7 @@ func TestParseBalanceSpec(t *testing.T) {
 	}{
 		{"off", BalanceConfig{}},
 		{"", BalanceConfig{}},
-		{"static", BalanceConfig{}},
 		{"dynamic", BalanceConfig{Mode: BalanceDynamic}},
-		{"on", BalanceConfig{Mode: BalanceDynamic}},
 		{
 			"dynamic,period=4,high=1.2,low=1.1,moves=2,min-sample=32",
 			BalanceConfig{Mode: BalanceDynamic, Period: 4, HighWater: 1.2, LowWater: 1.1, MaxMoves: 2, MinSample: 32},
@@ -105,8 +103,6 @@ func TestParseOptSpec(t *testing.T) {
 		{"", OptimismConfig{}},
 		{"static,window=2000", OptimismConfig{Mode: OptimismStatic, Window: 2000}},
 		{"adaptive", OptimismConfig{Mode: OptimismAdaptive}},
-		{"dynamic", OptimismConfig{Mode: OptimismAdaptive}},
-		{"on", OptimismConfig{Mode: OptimismAdaptive}},
 		{"adaptive,window=2000", OptimismConfig{Mode: OptimismAdaptive, Window: 2000}},
 		{
 			"adaptive,window=2000,min=250,max=16000,period=2,high=0.5,low=0.2,factor=2,min-sample=64,rough=4",
@@ -153,7 +149,6 @@ func TestParseTransportSpec(t *testing.T) {
 	}{
 		{"", TransportSpec{Kind: "inproc", Rank: -1}},
 		{"inproc", TransportSpec{Kind: "inproc", Rank: -1}},
-		{"local", TransportSpec{Kind: "inproc", Rank: -1}},
 		{
 			"tcp,rank=0,peers=localhost:9001;localhost:9002",
 			TransportSpec{Kind: "tcp", Rank: 0, Peers: []string{"localhost:9001", "localhost:9002"}},
@@ -187,7 +182,6 @@ func TestParseTransportSpecErrors(t *testing.T) {
 	for _, spec := range []string{
 		"bogus",
 		"inproc,rank=0",
-		"local,peers=a:1",
 		"tcp",
 		"tcp,rank=0",
 		"tcp,peers=a:1;b:2",
@@ -211,13 +205,11 @@ func TestParseSchedSpec(t *testing.T) {
 		spec string
 		want SchedSpec
 	}{
-		// The library's default width (Config.Workers 0), spelled three ways.
+		// The library's default width (Config.Workers 0), spelled two ways.
 		{"", SchedSpec{}},
 		{"pool", SchedSpec{}},
-		{"workers", SchedSpec{}},
 		// A worker per LP is an explicit width the kernel clamps.
 		{"lp", SchedSpec{Workers: WorkerPerLP}},
-		{"goroutine", SchedSpec{Workers: WorkerPerLP}},
 		{"pool,workers=8", SchedSpec{Workers: 8}},
 		{"pool,workers=1", SchedSpec{Workers: 1}},
 	} {
@@ -257,7 +249,6 @@ func TestConfigBuilder(t *testing.T) {
 		WithCodec(CodecDynamic, LZCompression).
 		WithOptimism(OptimismAdaptive, 2000).
 		WithGVTPeriod(time.Millisecond).
-		WithOptimismWindow(500).
 		WithWorkers(2).
 		WithTracer(tr).
 		WithTimeline().
@@ -283,9 +274,6 @@ func TestConfigBuilder(t *testing.T) {
 	}
 	if cfg.Optimism.Mode != OptimismAdaptive || cfg.Optimism.Window != 2000 {
 		t.Errorf("Optimism = %+v", cfg.Optimism)
-	}
-	if cfg.OptimismWindow != 500 {
-		t.Errorf("OptimismWindow = %v", cfg.OptimismWindow)
 	}
 	if cfg.Tracer != tr || !cfg.Timeline {
 		t.Errorf("tracer/timeline not threaded")

@@ -1,0 +1,89 @@
+package gowarp
+
+import (
+	"reflect"
+	"strings"
+	"testing"
+)
+
+// TestConfigSurface counts what a caller can set: the fields of Config and of
+// every facet config it holds by value, the builder's options, and the mode
+// words each spec parser takes. The numbers are the point. A new knob needs a
+// caller that exists at the parent commit — a cmd/, benchmark/, internal/exp
+// or an oracle leg; tests and examples do not count (simplicity-review,
+// Options) — and then the number it changes is edited here, in the same
+// change, where a reviewer sees it.
+func TestConfigSurface(t *testing.T) {
+	wantFields := map[string]int{
+		"core.Config":            18,
+		"statesave.Config":       6,
+		"cancel.Config":          7,
+		"comm.AggConfig":         8,
+		"comm.CostModel":         2,
+		"core.BalanceConfig":     6,
+		"codec.Config":           4,
+		"codec.ControllerConfig": 3,
+		"core.OptimismConfig":    10,
+	}
+	const (
+		wantLeaves  = 56 // independently settable values under Config
+		wantMethods = 23 // 22 With* options and Build
+	)
+
+	fields := map[string]int{}
+	var walk func(reflect.Type) int
+	walk = func(ty reflect.Type) (leaves int) {
+		fields[ty.String()] = ty.NumField()
+		for i := 0; i < ty.NumField(); i++ {
+			if f := ty.Field(i).Type; f.Kind() == reflect.Struct {
+				leaves += walk(f)
+			} else {
+				leaves++
+			}
+		}
+		return leaves
+	}
+	if got := walk(reflect.TypeOf(Config{})); got != wantLeaves {
+		t.Errorf("Config has %d leaf fields, want %d", got, wantLeaves)
+	}
+	if !reflect.DeepEqual(fields, wantFields) {
+		t.Errorf("fields per config struct:\n got %v\nwant %v", fields, wantFields)
+	}
+	if got := reflect.TypeOf(&ConfigBuilder{}).NumMethod(); got != wantMethods {
+		t.Errorf("ConfigBuilder has %d methods, want %d", got, wantMethods)
+	}
+
+	// Each parser takes its documented words (given the parameters the word
+	// requires) and refuses the aliases it once took, as any unknown mode.
+	for _, p := range []struct {
+		name    string
+		parse   func(string) error
+		words   []string
+		removed []string
+	}{
+		{"balance", errOf(ParseBalanceSpec), []string{"", "off", "dynamic"}, []string{"on", "static"}},
+		{"codec", errOf(ParseCodecSpec), []string{"", "off", "lz", "full", "delta", "dynamic"}, nil},
+		{"optimism", errOf(ParseOptSpec), []string{"", "off", "static,window=1", "adaptive"}, []string{"dynamic", "on"}},
+		{"sched", errOf(ParseSchedSpec), []string{"", "pool", "lp"}, []string{"goroutine", "workers"}},
+		{"transport", errOf(ParseTransportSpec), []string{"", "inproc", "tcp,rank=0,peers=a:1;b:2"}, []string{"local"}},
+	} {
+		for _, w := range p.words {
+			if err := p.parse(w); err != nil {
+				t.Errorf("%s spec %q: %v", p.name, w, err)
+			}
+		}
+		for _, w := range p.removed {
+			if err := p.parse(w); err == nil || !strings.Contains(err.Error(), "unknown mode") {
+				t.Errorf("%s spec %q: err = %v, want an unknown-mode error", p.name, w, err)
+			}
+		}
+	}
+}
+
+// errOf keeps a spec parser's verdict and drops what it parsed.
+func errOf[T any](parse func(string) (T, error)) func(string) error {
+	return func(s string) error {
+		_, err := parse(s)
+		return err
+	}
+}
