@@ -50,8 +50,8 @@ func TestSelectorDynamicSwitches(t *testing.T) {
 	if s.Current() != Aggressive {
 		t.Fatalf("HR=%.2f did not switch back to aggressive", s.HitRatio())
 	}
-	if s.Switches != 2 {
-		t.Errorf("Switches = %d, want 2", s.Switches)
+	if s.Switches() != 2 {
+		t.Errorf("Switches = %d, want 2", s.Switches())
 	}
 }
 
@@ -525,22 +525,85 @@ func TestManagerRemapVisitsEveryHold(t *testing.T) {
 func TestStaticSelectorHasNoControllerParts(t *testing.T) {
 	for _, mode := range []Mode{StaticAggressive, StaticLazy} {
 		s := NewSelector(Config{Mode: mode})
-		if s.window != nil || s.dz != nil || s.ticker != nil {
+		s.SetHook(nil)
+		if s.ctl != nil || s.Switches() != 0 || s.Monitoring() {
 			t.Errorf("%s selector built controller parts", mode)
+		}
+		if size := unsafe.Sizeof(*s); size > 24 {
+			t.Errorf("a Selector is %d bytes inline, want its strategy, the frozen bit and one pointer", size)
 		}
 		if s.HitRatio() != 0 || s.Comparisons() != 0 {
 			t.Errorf("%s selector reads HR %.2f over %d comparisons", mode, s.HitRatio(), s.Comparisons())
 		}
 		var hooked int
-		s.Hook = func(Strategy, float64) { hooked++ }
+		s.SetHook(func(Strategy, float64) { hooked++ })
 		want := Lazy
 		if mode == StaticLazy {
 			want = Aggressive
 		}
 		s.Override(want)
-		if s.Current() != want || hooked != 1 || s.Switches != 1 {
+		if s.Current() != want || hooked != 1 || s.Switches() != 1 || s.HitRatio() != 0 || s.Comparisons() != 0 {
 			t.Errorf("%s selector after Override(%s): current %s, %d hook calls, %d switches",
-				mode, want, s.Current(), hooked, s.Switches)
+				mode, want, s.Current(), hooked, s.Switches())
 		}
+	}
+}
+
+// TestBlock: the selectors and managers of a block share its allocations — a
+// handful for any number of objects, dynamic controllers and their comparison
+// windows included — each output queue starts on its own slot of the block's
+// record array and the record that outgrows the slot moves the queue, the
+// windows do not run into each other, and every manager reaches its LP through
+// the one Host, which a later SetHost replaces.
+func TestBlock(t *testing.T) {
+	const n = 64
+	cfg := Config{Mode: Dynamic, FilterDepth: 4, Period: 1, A2LThreshold: 0.5, L2AThreshold: 0.5}
+	var st stats.Counters
+	var antis int
+	host := &Host{Emit: func(*event.Event) { antis++ }, Stats: &st}
+	sels, mgrs := make([]Selector, n), make([]Manager, n)
+	build := func() {
+		b := NewBlock(cfg, n)
+		for i := range sels {
+			b.Bind(i, &sels[i], &mgrs[i], host)
+		}
+	}
+	if allocs := testing.AllocsPerRun(10, build); allocs > 6 {
+		t.Errorf("a block of %d dynamic objects cost %.0f allocations, want a handful", n, allocs)
+	}
+	gen := &event.Event{RecvTime: 1, Sender: 1, ID: 1}
+	for i := range mgrs {
+		if mgrs[i].Selector() != &sels[i] || !sels[i].Monitoring() || cap(mgrs[i].sent) != 1 {
+			t.Fatalf("object %d: selector %p (want %p), monitoring %t, %d record slots",
+				i, mgrs[i].Selector(), &sels[i], sels[i].Monitoring(), cap(mgrs[i].sent))
+		}
+		mgrs[i].RecordSent(&event.Event{ID: uint64(i)}, gen)
+	}
+	mgrs[0].RecordSent(&event.Event{ID: 1000}, gen)
+	if mgrs[0].SentLen() != 2 || mgrs[1].SentLen() != 1 || mgrs[1].sent[0].ev.ID != 1 {
+		t.Fatalf("after a second record on queue 0: %d there, %d on queue 1", mgrs[0].SentLen(), mgrs[1].SentLen())
+	}
+	// Four hits fill selector 0's window and switch it to lazy; its
+	// neighbour's window must not have seen them.
+	for i := 0; i < 4; i++ {
+		sels[0].RecordComparison(true)
+	}
+	if sels[0].Current() != Lazy || sels[1].Current() != Aggressive || sels[1].Comparisons() != 0 || sels[0].Comparisons() != 4 {
+		t.Errorf("selector 0: %s after %d comparisons; selector 1: %s after %d",
+			sels[0].Current(), sels[0].Comparisons(), sels[1].Current(), sels[1].Comparisons())
+	}
+	// A manager cancels through whatever host it is pointed at.
+	var moved stats.Counters
+	mgrs[1].SetHost(&Host{Emit: func(*event.Event) { antis += 100 }, Stats: &moved})
+	mgrs[1].OnRollback(&event.Event{})
+	mgrs[2].OnRollback(&event.Event{})
+	if antis != 101 || moved.AntiMsgsSent != 1 || st.AntiMsgsSent != 1 {
+		t.Errorf("anti-messages: %d emitted, %d counted by the new host, %d by the old", antis, moved.AntiMsgsSent, st.AntiMsgsSent)
+	}
+
+	static := NewBlock(Config{Mode: StaticLazy}, 1)
+	static.Bind(0, &sels[0], &mgrs[0], host)
+	if sels[0].ctl != nil || sels[0].Current() != Lazy || sels[0].Monitoring() {
+		t.Errorf("a static selector from a block: controller %v, %s, monitoring %t", sels[0].ctl, sels[0].Current(), sels[0].Monitoring())
 	}
 }

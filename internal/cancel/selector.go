@@ -11,8 +11,9 @@ package cancel
 
 import "gowarp/internal/control"
 
-// Strategy is a cancellation strategy.
-type Strategy int
+// Strategy is a cancellation strategy. It is a byte so that a static selector,
+// strategy and frozen bit, is one word beside its controller pointer.
+type Strategy uint8
 
 const (
 	// Aggressive sends anti-messages immediately upon rollback.
@@ -94,51 +95,71 @@ func (c Config) withDefaults() Config {
 }
 
 // Selector picks the cancellation strategy for one simulation object. The
-// initial state is aggressive, as in the paper. The controller parts — the
-// comparison window, the dead zone and the period ticker — exist only in
-// Dynamic mode; a static selector is its strategy.
+// initial state is aggressive, as in the paper. A static selector is its
+// strategy and the frozen bit, which is all a rollback reads of it. The
+// controller — the comparison window, the dead zone, the period ticker and the
+// PS/PA bounds — and the switch count and hook are behind ctl, nil until the
+// mode or a caller (Override, SetHook) needs it.
 type Selector struct {
-	cfg     Config
-	window  *control.BitWindow
-	dz      *control.DeadZone
 	current Strategy
 	frozen  bool
+	ctl     *controller
+}
 
-	ticker *control.Ticker
+// controller is the part of a Selector that nothing reads while the strategy
+// is static and unobserved.
+type controller struct {
+	window control.BitWindow
+	dz     control.DeadZone
+	ticker control.Ticker
+	// permAfter and permRun are Config.PermanentAfter and
+	// Config.PermanentAggressiveRun.
+	permAfter, permRun int
 
-	// Switches counts strategy changes, for the statistics report.
-	Switches int64
-
-	// Hook, when non-nil, observes every strategy change: the strategy now
-	// in force and the windowed hit ratio at the decision point. Set it
-	// before the run starts; it is called from the owning LP goroutine.
-	Hook func(to Strategy, hitRatio float64)
+	switches int64
+	hook     func(to Strategy, hitRatio float64)
 }
 
 // NewSelector returns a selector for the given configuration.
 func NewSelector(cfg Config) *Selector {
 	s := &Selector{}
-	s.Init(cfg)
+	s.init(cfg.withDefaults(), nil, nil)
 	return s
 }
 
-// Init is NewSelector in place, for a zero Selector held by value inside its
-// object's runtime.
-func (s *Selector) Init(cfg Config) {
-	s.cfg = cfg.withDefaults()
-	switch cfg.Mode {
-	case StaticLazy:
+// init sets s up for cfg, defaults applied. ctl and bits are where a dynamic
+// selector's controller and comparison window go (a Block's slots; nil
+// allocates).
+func (s *Selector) init(cfg Config, ctl *controller, bits []bool) {
+	*s = Selector{frozen: cfg.Mode != Dynamic}
+	if cfg.Mode == StaticLazy {
 		s.current = Lazy
-		s.frozen = true
-	case StaticAggressive:
-		s.frozen = true
-	case Dynamic:
-		s.window = control.NewBitWindow(s.cfg.FilterDepth)
+	}
+	if cfg.Mode != Dynamic {
+		return
+	}
+	if ctl == nil {
+		ctl, bits = new(controller), make([]bool, cfg.FilterDepth)
+	}
+	*ctl = controller{
+		window: control.BitWindowOver(bits),
 		// DeadZone output "high" means lazy. Thresholds map as:
 		// HR > A2L -> lazy, HR < L2A -> aggressive.
-		s.dz = control.NewDeadZone(s.cfg.L2AThreshold, s.cfg.A2LThreshold, false)
-		s.ticker = control.NewTicker(s.cfg.Period)
+		dz:        *control.NewDeadZone(cfg.L2AThreshold, cfg.A2LThreshold, false),
+		ticker:    *control.NewTicker(cfg.Period),
+		permAfter: cfg.PermanentAfter,
+		permRun:   cfg.PermanentAggressiveRun,
 	}
+	s.ctl = ctl
+}
+
+// control returns s's controller part, making the one of a static selector on
+// first use.
+func (s *Selector) control() *controller {
+	if s.ctl == nil {
+		s.ctl = new(controller)
+	}
+	return s.ctl
 }
 
 // Current returns the strategy in force.
@@ -150,25 +171,41 @@ func (s *Selector) Current() Strategy { return s.current }
 // comparison is completely avoided"). Static lazy keeps comparing because
 // comparison is inherent to lazy cancellation, but its selector never
 // switches.
-func (s *Selector) Monitoring() bool {
-	return s.cfg.Mode == Dynamic && !s.frozen
+func (s *Selector) Monitoring() bool { return !s.frozen }
+
+// Switches counts strategy changes, for the statistics report.
+func (s *Selector) Switches() int64 {
+	if s.ctl == nil {
+		return 0
+	}
+	return s.ctl.switches
+}
+
+// SetHook installs fn (nil removes it) to observe every strategy change: the
+// strategy now in force and the windowed hit ratio at the decision point. Set
+// it before the run starts; it is called from the owning LP goroutine.
+func (s *Selector) SetHook(fn func(to Strategy, hitRatio float64)) {
+	if fn != nil || s.ctl != nil {
+		s.control().hook = fn
+	}
 }
 
 // HitRatio returns the current windowed hit ratio: 0 for a static selector,
-// which records no comparisons.
+// which records no comparisons (its window, if it has a controller part at all,
+// is empty).
 func (s *Selector) HitRatio() float64 {
-	if s.window == nil {
+	if s.ctl == nil {
 		return 0
 	}
-	return s.window.Ratio()
+	return s.ctl.window.Ratio()
 }
 
 // Comparisons returns the lifetime number of recorded comparisons.
 func (s *Selector) Comparisons() int {
-	if s.window == nil {
+	if s.ctl == nil {
 		return 0
 	}
-	return s.window.Total()
+	return s.ctl.window.Total()
 }
 
 // RecordComparison feeds one output comparison outcome (true = hit) and runs
@@ -178,21 +215,22 @@ func (s *Selector) RecordComparison(hit bool) Strategy {
 	if !s.Monitoring() {
 		return s.current
 	}
-	s.window.Push(hit)
+	ctl := s.ctl
+	ctl.window.Push(hit)
 
 	// PA: a long run of consecutive misses pins the object to aggressive.
-	if r := s.cfg.PermanentAggressiveRun; r > 0 && s.window.FalseRun() >= r {
+	if r := ctl.permRun; r > 0 && ctl.window.FalseRun() >= r {
 		s.setCurrent(Aggressive)
 		s.frozen = true
 		return s.current
 	}
 	// PS: after enough evidence, pin whatever the threshold function says.
-	if n := s.cfg.PermanentAfter; n > 0 && s.window.Total() >= n {
+	if n := ctl.permAfter; n > 0 && ctl.window.Total() >= n {
 		s.decide()
 		s.frozen = true
 		return s.current
 	}
-	if s.ticker.Tick() {
+	if ctl.ticker.Tick() {
 		s.decide()
 	}
 	return s.current
@@ -207,7 +245,7 @@ func (s *Selector) Override(strat Strategy) {
 
 func (s *Selector) decide() {
 	want := Aggressive
-	if s.dz.Input(s.window.Ratio()) {
+	if s.ctl.dz.Input(s.ctl.window.Ratio()) {
 		want = Lazy
 	}
 	s.setCurrent(want)
@@ -220,8 +258,9 @@ func (s *Selector) setCurrent(want Strategy) {
 		return
 	}
 	s.current = want
-	s.Switches++
-	if s.Hook != nil {
-		s.Hook(want, s.HitRatio())
+	ctl := s.control()
+	ctl.switches++
+	if ctl.hook != nil {
+		ctl.hook(want, s.HitRatio())
 	}
 }

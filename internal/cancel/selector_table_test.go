@@ -118,8 +118,8 @@ func TestSelectorSwitchPoints(t *testing.T) {
 					t.Fatalf("RecordComparison returned %s but Current() is %s", got, s.Current())
 				}
 			}
-			if s.Switches != tc.switches {
-				t.Errorf("switches = %d, want %d", s.Switches, tc.switches)
+			if s.Switches() != tc.switches {
+				t.Errorf("switches = %d, want %d", s.Switches(), tc.switches)
 			}
 			if s.Monitoring() != tc.monitoring {
 				t.Errorf("monitoring = %v, want %v", s.Monitoring(), tc.monitoring)

@@ -107,12 +107,21 @@ const (
 // flush of a one-event aggregate cannot poison the estimate.
 const rateEstMin = 2 * time.Millisecond
 
-// aggBuffer is the per-destination aggregate under construction.
+// aggBuffer is the per-destination aggregate under construction. An endpoint
+// has one per LP of the run whatever its policy, so it holds what every policy
+// needs and no more; a policy that holds events back keeps an aggWindow beside
+// it.
 type aggBuffer struct {
 	payload []byte
 	count   int
-	first   time.Time // wall-clock arrival of the first buffered event
-	color   uint8     // GVT color of the buffered events (uniform; see Endpoint)
+	color   uint8 // GVT color of the buffered events (uniform; see Endpoint)
+}
+
+// aggWindow is how long one destination's aggregate may be held and how long
+// it has been: what FAW and SAAW read and NoAggregation, under which an event
+// leaves within the call that brought it, never does.
+type aggWindow struct {
+	first time.Time // wall-clock arrival of the first buffered event
 
 	// SAAW state, the paper's control tuple <R(age), W, Winitial, SAAW,
 	// everyAggregate>. The destination's event arrival rate R is estimated
@@ -140,7 +149,7 @@ type aggBuffer struct {
 // the flush time and cost the endpoint's estimate of what a physical message
 // costs its sender (0 before anything was timed: rate targeting alone). It
 // reports whether the window changed.
-func (b *aggBuffer) adapt(cfg AggConfig, now time.Time, cost time.Duration) bool {
+func (b *aggWindow) adapt(cfg AggConfig, now time.Time, cost time.Duration) bool {
 	if b.spanStart.IsZero() {
 		b.spanStart = now
 		b.spanCount = 0

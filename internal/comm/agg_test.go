@@ -36,7 +36,7 @@ func TestSAAWTransferFunction(t *testing.T) {
 		{"nothing timed yet: rate targeting alone, uncapped", wide, sparse, 0, 40 * time.Millisecond},
 		{"nothing timed yet, dense", def, dense, 0, 40 * time.Microsecond},
 	} {
-		b := aggBuffer{window: tc.cfg.Window}
+		b := aggWindow{window: tc.cfg.Window}
 		t0 := time.Unix(1000, 0)
 		if b.adapt(tc.cfg, t0, tc.cost) {
 			t.Errorf("%s: the flush that opens the first span moved the window", tc.name)
@@ -53,7 +53,7 @@ func TestSAAWTransferFunction(t *testing.T) {
 // closer together than rateEstMin leave the window alone whatever they cost.
 func TestSAAWHoldsWindowWithinSpan(t *testing.T) {
 	cfg := AggConfig{Policy: SAAW}.withDefaults()
-	b := aggBuffer{window: cfg.Window}
+	b := aggWindow{window: cfg.Window}
 	t0 := time.Unix(1000, 0)
 	b.adapt(cfg, t0, time.Nanosecond)
 	b.spanCount = 5
@@ -141,7 +141,7 @@ func TestNoClockOffTheSAAWPath(t *testing.T) {
 		if e.sendCost != 0 {
 			t.Errorf("%v: Send was timed (%v)", cfg.Policy, e.sendCost)
 		}
-		if dated := !e.bufs[1].first.IsZero(); dated != (cfg.Policy == FAW) {
+		if dated := e.wins != nil && !e.wins[1].first.IsZero(); dated != (cfg.Policy == FAW) {
 			t.Errorf("%v: aggregate dated = %t", cfg.Policy, dated)
 		}
 	}

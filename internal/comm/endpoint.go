@@ -19,6 +19,7 @@ type Endpoint struct {
 	st  *stats.Counters
 
 	bufs []aggBuffer // indexed by destination LP
+	wins []aggWindow // likewise; nil under NoAggregation
 	// nonEmpty counts the buffers holding events, so the per-destination
 	// sweeps (FlushAll at every GVT token hop, Poll and NextDeadline at every
 	// scheduling round) return at once when nothing is buffered — the usual
@@ -55,43 +56,50 @@ type Endpoint struct {
 	Decompress func(src []byte) ([]byte, error)
 
 	// Pool is where DecodeEvents draws its events from, with copied payloads,
-	// so that drained packet buffers can be recycled onto wireFree for reuse
-	// as future aggregation buffers. An endpoint is built with a pool of its
-	// own; an owner that recycles events (the Time Warp kernel) assigns the
-	// one it recycles into.
+	// so that drained packet buffers can be recycled onto Wires for reuse as
+	// future aggregation buffers. An endpoint is built with a pool of its own;
+	// an owner that recycles events (the Time Warp kernel) assigns the one it
+	// recycles into.
 	Pool *event.Pool
 
-	// wireFree is the free list of wire buffers: drained packet payloads and
+	// Wires is the free list of wire buffers: drained packet payloads and
 	// flushed aggregates reclaimed after compression won. Buffers circulate
 	// between LPs — a packet hands its backing array to the receiver — but
-	// are only ever touched by the goroutine that currently owns them.
-	wireFree [][]byte
+	// are only ever touched by the goroutine that currently owns them. An
+	// endpoint is built with a list of its own; the Time Warp kernel assigns
+	// its worker's, which every LP that worker runs then shares — what one of
+	// them receives more than it sends, its neighbour sends more than it
+	// receives, and lists that do not communicate drop buffers at one bound
+	// while the next allocates new ones.
+	Wires *[][]byte
 	// spare is the transport's own payload free list when the endpoint sends
-	// through a TCP: what wireFree cannot hold goes there and what it lacks
-	// comes from there, so wireFree is this LP's unlocked share of one
-	// reservoir. Over a socket the buffers of a rank circulate — its senders'
-	// aggregates are framed and recycled by the transport, its parser copies
-	// arrivals into them, its receivers drain them — and one poll delivers
-	// several of the peer's rounds to every LP here at once: lists that do not
-	// communicate drop a burst's buffers at one bound while the next bound
-	// allocates new ones.
+	// through a TCP: what Wires cannot hold goes there and what it lacks
+	// comes from there, so Wires is the unlocked share of one reservoir. Over a
+	// socket the buffers of a rank circulate — its senders' aggregates are
+	// framed and recycled by the transport, its parser copies arrivals into
+	// them, its receivers drain them — and one poll delivers several of the
+	// peer's rounds to every LP here at once.
 	spare *TCP
 	// evScratch is the reusable decode slice handed out by DecodeEvents.
 	// Its contents are only valid until the next DecodeEvents call.
 	evScratch []*event.Event
 }
 
-// maxFreeWireBufs bounds the wire-buffer free list so a transient burst of
-// packets cannot pin memory for the rest of the run.
-const maxFreeWireBufs = 32
+// maxFreeWireBufs bounds a wire-buffer free list so a transient burst of
+// packets cannot pin memory for the rest of the run. A list is shared by the
+// LPs of a worker — eight of them on the benchmark's PHOLD, whose sixteen
+// lists of 32 each held as many buffers in all as two of 256 do, and allocated
+// ten times the wire bytes (0.6–0.8 MB a run against 0.06–0.14).
+const maxFreeWireBufs = 256
 
 // takeWire pops a recycled wire buffer (length 0, capacity warm) or returns
 // nil, leaving allocation to append.
 func (e *Endpoint) takeWire() []byte {
-	if n := len(e.wireFree); n > 0 {
-		b := e.wireFree[n-1]
-		e.wireFree[n-1] = nil
-		e.wireFree = e.wireFree[:n-1]
+	free := *e.Wires
+	if n := len(free); n > 0 {
+		b := free[n-1]
+		free[n-1] = nil
+		*e.Wires = free[:n-1]
 		return b[:0]
 	}
 	if e.spare != nil {
@@ -104,8 +112,8 @@ func (e *Endpoint) takeWire() []byte {
 func (e *Endpoint) recycleWire(b []byte) {
 	switch {
 	case cap(b) == 0:
-	case len(e.wireFree) < maxFreeWireBufs:
-		e.wireFree = append(e.wireFree, b)
+	case len(*e.Wires) < maxFreeWireBufs:
+		*e.Wires = append(*e.Wires, b)
 	case e.spare != nil:
 		e.spare.recyclePayload(b)
 	}
@@ -129,16 +137,20 @@ func NewEndpoint(tr Transport, lp int, cfg AggConfig, st *stats.Counters) *Endpo
 func NewSendEndpoint(s Sender, numLPs, lp int, cfg AggConfig, st *stats.Counters) *Endpoint {
 	cfg = cfg.withDefaults()
 	e := &Endpoint{
-		lp:   lp,
-		tr:   s,
-		cfg:  cfg,
-		st:   st,
-		bufs: make([]aggBuffer, numLPs),
-		tmin: vtime.PosInf,
-		Pool: event.NewPool(),
+		lp:    lp,
+		tr:    s,
+		cfg:   cfg,
+		st:    st,
+		bufs:  make([]aggBuffer, numLPs),
+		tmin:  vtime.PosInf,
+		Pool:  event.NewPool(),
+		Wires: new([][]byte),
 	}
-	for i := range e.bufs {
-		e.bufs[i].window = cfg.Window
+	if cfg.Policy != NoAggregation {
+		e.wins = make([]aggWindow, numLPs)
+		for i := range e.wins {
+			e.wins[i].window = cfg.Window
+		}
 	}
 	e.spare, _ = s.(*TCP)
 	return e
@@ -180,10 +192,10 @@ func (e *Endpoint) Send(ev *event.Event, dstLP int, urgent bool) {
 	b := &e.bufs[dstLP]
 	if b.count == 0 {
 		e.nonEmpty++
-		if e.cfg.Policy != NoAggregation {
+		if e.wins != nil {
 			// The age of an aggregate is read only where something can be
 			// held; an unaggregated event leaves within this call.
-			b.first = time.Now()
+			e.wins[dstLP].first = time.Now()
 		}
 		b.color = e.color
 		if b.payload == nil {
@@ -193,7 +205,7 @@ func (e *Endpoint) Send(ev *event.Event, dstLP int, urgent bool) {
 	b.payload = ev.Encode(b.payload)
 	b.count++
 	if e.cfg.Policy == SAAW {
-		b.spanCount++
+		e.wins[dstLP].spanCount++
 	}
 
 	switch {
@@ -213,9 +225,8 @@ func (e *Endpoint) Poll(now time.Time) {
 	if e.nonEmpty == 0 {
 		return
 	}
-	for dst := range e.bufs {
-		b := &e.bufs[dst]
-		if b.count > 0 && now.Sub(b.first) >= b.window {
+	for dst := range e.wins {
+		if w := &e.wins[dst]; e.bufs[dst].count > 0 && now.Sub(w.first) >= w.window {
 			e.flush(dst, FlushWindow)
 		}
 	}
@@ -228,12 +239,11 @@ func (e *Endpoint) NextDeadline() (t time.Time, ok bool) {
 	if e.nonEmpty == 0 {
 		return t, false
 	}
-	for dst := range e.bufs {
-		b := &e.bufs[dst]
-		if b.count == 0 {
+	for dst := range e.wins {
+		if e.bufs[dst].count == 0 {
 			continue
 		}
-		d := b.first.Add(b.window)
+		d := e.wins[dst].first.Add(e.wins[dst].window)
 		if !ok || d.Before(t) {
 			t, ok = d, true
 		}
@@ -316,11 +326,12 @@ func (e *Endpoint) flush(dst int, cause FlushCause) {
 		// cost sample and dates the adaptation.
 		now := time.Now()
 		e.sendCost = foldCost(e.sendCost, now.Sub(sendStart))
-		old := b.window
-		if b.adapt(e.cfg, now, e.sendCost) {
+		w := &e.wins[dst]
+		old := w.window
+		if w.adapt(e.cfg, now, e.sendCost) {
 			e.st.WindowAdjustments++
 			if e.TraceWindow != nil {
-				e.TraceWindow(dst, old, b.window)
+				e.TraceWindow(dst, old, w.window)
 			}
 		}
 	}
@@ -328,7 +339,12 @@ func (e *Endpoint) flush(dst int, cause FlushCause) {
 
 // Window returns destination dst's current aggregation window (for tests and
 // reports on SAAW convergence).
-func (e *Endpoint) Window(dst int) time.Duration { return e.bufs[dst].window }
+func (e *Endpoint) Window(dst int) time.Duration {
+	if e.wins == nil {
+		return e.cfg.Window
+	}
+	return e.wins[dst].window
+}
 
 // Buffered returns the number of events parked in unsent aggregation buffers
 // across all destinations. The invariant auditor reads it after the LPs join

@@ -704,9 +704,10 @@ func TestTCPFlushHold(t *testing.T) {
 }
 
 // TestTCPEndpointSharesFreeList: an endpoint that sends through a TCP keeps its
-// own bounded list of wire buffers and, past the bound, the transport's: what a
-// burst hands back beyond maxFreeWireBufs is there for the parser and for the
-// rank's other endpoints, and an endpoint that has run dry takes from it.
+// wire buffers on its own bounded list (its worker's, in a run) and, past the
+// bound, on the transport's: what a burst hands back beyond maxFreeWireBufs is
+// there for the parser and for the rank's other endpoints, and an endpoint that
+// has run dry takes from it.
 func TestTCPEndpointSharesFreeList(t *testing.T) {
 	tr, err := NewTCP(TCPConfig{Rank: 0, Addrs: []string{"127.0.0.1:1", "127.0.0.1:2"}, NumLPs: 2})
 	if err != nil {
@@ -718,9 +719,9 @@ func TestTCPEndpointSharesFreeList(t *testing.T) {
 	for i := 0; i < burst; i++ {
 		ep.recycleWire(make([]byte, 0, 64))
 	}
-	if len(ep.wireFree) != maxFreeWireBufs || len(tr.free) != burst-maxFreeWireBufs {
+	if len(*ep.Wires) != maxFreeWireBufs || len(tr.free) != burst-maxFreeWireBufs {
 		t.Fatalf("after a burst of %d: %d buffers on the endpoint's list and %d on the transport's, want %d and %d",
-			burst, len(ep.wireFree), len(tr.free), maxFreeWireBufs, burst-maxFreeWireBufs)
+			burst, len(*ep.Wires), len(tr.free), maxFreeWireBufs, burst-maxFreeWireBufs)
 	}
 	for i := 0; i < burst; i++ {
 		if b := ep.takeWire(); cap(b) != 64 {
@@ -730,13 +731,19 @@ func TestTCPEndpointSharesFreeList(t *testing.T) {
 	if b := ep.takeWire(); b != nil || len(tr.free) != 0 {
 		t.Fatalf("both lists should be empty: took capacity %d, transport holds %d", cap(b), len(tr.free))
 	}
-	// Over anything else an endpoint's list is all there is.
+	// Over anything else an endpoint's list is all there is, and endpoints that
+	// share one (the LPs of a worker) feed each other.
 	lone := NewSendEndpoint(NewInProc(2), 2, 0, AggConfig{}, &st)
+	peer := NewSendEndpoint(NewInProc(2), 2, 1, AggConfig{}, &st)
+	peer.Wires = lone.Wires
 	for i := 0; i < burst; i++ {
 		lone.recycleWire(make([]byte, 0, 64))
 	}
-	if len(lone.wireFree) != maxFreeWireBufs {
-		t.Fatalf("in process the list holds %d, want %d", len(lone.wireFree), maxFreeWireBufs)
+	if len(*lone.Wires) != maxFreeWireBufs {
+		t.Fatalf("in process the list holds %d, want %d", len(*lone.Wires), maxFreeWireBufs)
+	}
+	if b := peer.takeWire(); cap(b) != 64 || len(*lone.Wires) != maxFreeWireBufs-1 {
+		t.Fatalf("a peer on the same list took capacity %d and left %d listed", cap(b), len(*lone.Wires))
 	}
 }
 

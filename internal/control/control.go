@@ -100,6 +100,11 @@ func NewBitWindow(depth int) *BitWindow {
 	return &BitWindow{bits: make([]bool, depth)}
 }
 
+// BitWindowOver is NewBitWindow over the caller's storage, whose length is the
+// depth, and by value: an owner of many windows carves them from one
+// allocation.
+func BitWindowOver(bits []bool) BitWindow { return BitWindow{bits: bits} }
+
 // Push records one observation.
 func (w *BitWindow) Push(v bool) {
 	if w.n == len(w.bits) {

@@ -36,11 +36,6 @@ type IncUnlessWorse struct {
 	// Margin is the relative increase in cost considered significant
 	// (e.g. 0.05 = 5%).
 	Margin float64
-	// Hook, when non-nil, observes every control decision: the cost sample
-	// and the parameter value before and after (equal when the adjustment
-	// saturated at a clamp). Telemetry attaches here so adaptive-control
-	// behaviour can be traced rather than inferred.
-	Hook   func(cost float64, from, to int)
 	prev   float64
 	primed bool
 }
@@ -48,10 +43,6 @@ type IncUnlessWorse struct {
 // Observe feeds the cost measured since the previous invocation and adjusts
 // the parameter in place.
 func (t *IncUnlessWorse) Observe(cost float64, p *IntParam) {
-	if t.Hook != nil {
-		from := p.Value
-		defer func() { t.Hook(cost, from, p.Value) }()
-	}
 	if !t.primed {
 		t.primed = true
 		t.prev = cost

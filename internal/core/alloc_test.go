@@ -334,17 +334,21 @@ func TestExecutePathAllocationBudget(t *testing.T) {
 // schedule-heap churn and worker wakeups must not reintroduce per-event
 // garbage. Sparse PHOLD keeps the model side allocation-free; the bound is a
 // cap (spillbox slices grow amortized, per-worker pools warm up), not zero.
+// A hot spot skews the load, so the long run remaps LPs between its workers:
+// an adopted LP then recycles its events and wire buffers through the adopter's
+// pool and list (lpRun.bind), and none of that may cost allocations either.
 func TestWorkerPoolAllocationBudget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocation budget measurement skipped in -short mode")
 	}
-	runOnce := func(end vtime.Time) (mallocs uint64, events int64) {
+	runOnce := func(end vtime.Time) (mallocs uint64, events, adoptions int64) {
 		m := phold.New(phold.Config{
-			Objects: 32, TokensPerObject: 2, MeanDelay: 10,
-			Locality: 0.8, LPs: 8, Seed: 5, Sparse: true,
+			Objects: 96, TokensPerObject: 2, MeanDelay: 10,
+			Locality: 0.5, LPs: 12, Seed: 4, Sparse: true, HotSpot: 0.3,
 		})
 		cfg := DefaultConfig(end)
-		cfg.Workers = 2
+		cfg.Workers = 3
+		cfg.GVTPeriod = time.Millisecond // a remap scan then sees thousands of commits
 		cfg.Checkpoint = statesave.Config{Mode: statesave.Periodic, Interval: 4}
 		var ms runtime.MemStats
 		runtime.ReadMemStats(&ms)
@@ -354,16 +358,22 @@ func TestWorkerPoolAllocationBudget(t *testing.T) {
 			t.Fatal(err)
 		}
 		runtime.ReadMemStats(&ms)
-		return ms.Mallocs - m0, res.Stats.EventsCommitted
+		for _, w := range res.PerWorker {
+			adoptions += w.Adoptions
+		}
+		return ms.Mallocs - m0, res.Stats.EventsCommitted, adoptions
 	}
-	shortAllocs, shortEvents := runOnce(3_000)
-	longAllocs, longEvents := runOnce(30_000)
+	shortAllocs, shortEvents, _ := runOnce(3_000)
+	longAllocs, longEvents, adoptions := runOnce(30_000)
 	if longEvents <= shortEvents {
 		t.Fatalf("long run committed %d events, short %d; cannot take a marginal measurement",
 			longEvents, shortEvents)
 	}
+	if adoptions == 0 {
+		t.Fatal("no LP changed workers in the long run: the rebinding was not exercised")
+	}
 	perEvent := float64(longAllocs-shortAllocs) / float64(longEvents-shortEvents)
-	t.Logf("marginal allocations: %.2f per committed event (worker pool)", perEvent)
+	t.Logf("marginal allocations: %.2f per committed event (worker pool, %d adoptions)", perEvent, adoptions)
 	const budget = 4.0
 	if perEvent > budget {
 		t.Errorf("worker-pool execute path allocates %.2f per event, budget %.1f", perEvent, budget)

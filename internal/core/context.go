@@ -7,15 +7,15 @@ import (
 	"gowarp/internal/vtime"
 )
 
-// execContext implements model.Context for one Execute or Init invocation.
-// cur is nil during Init.
-type execContext struct {
-	o   *simObject
-	cur *event.Event
-}
+// execContext is a simObject as the model sees it: model.Context for the
+// Execute or Init invocation in progress, whose event is cur (nil during Init).
+// It is the object under another name, so that the context handed to the model
+// is the object's own pointer: no second struct, no pointer back, and no heap
+// allocation per call.
+type execContext simObject
 
 // Self returns the executing object's ID.
-func (c *execContext) Self() event.ObjectID { return c.o.id }
+func (c *execContext) Self() event.ObjectID { return c.id }
 
 // Now returns the receive time of the executing event, or vtime.Zero during
 // Init.
@@ -27,14 +27,14 @@ func (c *execContext) Now() vtime.Time {
 }
 
 // EndTime returns the simulation end time.
-func (c *execContext) EndTime() vtime.Time { return c.o.lp.cfg.EndTime }
+func (c *execContext) EndTime() vtime.Time { return c.lp.cfg.EndTime }
 
 // Send schedules an event at Now()+delay for the object named to. Outputs
 // are suppressed during coast forward (they were already correctly sent
 // before the rollback) and filtered through the cancellation manager, which
 // withholds transmission on a lazy hit.
 func (c *execContext) Send(to event.ObjectID, delay vtime.Time, kind uint32, payload []byte) {
-	o := c.o
+	o := (*simObject)(c)
 	if delay < 0 {
 		panic(fmt.Sprintf("core: object %d sent an event into its own past (delay %s)", o.id, delay))
 	}

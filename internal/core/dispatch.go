@@ -198,11 +198,11 @@ func newDispatcher(numWorkers, numLPs int, cfg *Config) *dispatcher {
 }
 
 // attach hosts lp, the h-th of n, on its initial worker: block sharding, like
-// comm.BlockRanks. The LP's event pool is its worker's.
+// comm.BlockRanks. The LP's event pool and wire buffers are its worker's.
 func (d *dispatcher) attach(lp *lpRun, h, n int) {
 	w := d.workers[h*len(d.workers)/n]
 	lp.d = d
-	lp.pool = w.pool
+	lp.bind(w)
 	lp.worker.Store(int32(w.id))
 	lp.target.Store(int32(w.id))
 	w.owned = append(w.owned, lp)
@@ -446,6 +446,7 @@ type worker struct {
 	id       int
 	d        *dispatcher
 	pool     *event.Pool // shared by every owned LP; rebound on adoption
+	wires    [][]byte    // likewise: the owned LPs' endpoints' free wire buffers
 	owned    []*lpRun
 	lp0      *lpRun // the owned LP with id 0, if any (GVT initiator)
 	sched    *pq.ScheduleHeap
@@ -507,10 +508,17 @@ func (w *worker) rekey(i int) {
 	w.sched.UpdateKey(i, t, seq, id)
 }
 
-// takeAdoptions claims LPs handed to this worker and rebinds their event
-// pools: from now on everything those LPs create, clone, decode or recycle
-// flows through this worker's free list — the same rebinding a migrated
-// object gets in install().
+// bind makes w's event pool and wire-buffer list lp's: everything lp and its
+// objects create, clone, decode or recycle from now on flows through them. The
+// objects are not visited — they reach the pool through lp, and their
+// cancellation managers through lp.host.
+func (lp *lpRun) bind(w *worker) {
+	lp.pool, lp.host.Pool, lp.ep.Pool = w.pool, w.pool, w.pool
+	lp.ep.Wires = &w.wires
+}
+
+// takeAdoptions claims LPs handed to this worker and rebinds them to its
+// event pool and wire buffers.
 func (w *worker) takeAdoptions() {
 	w.mu.Lock()
 	q := w.adoptQ
@@ -520,11 +528,7 @@ func (w *worker) takeAdoptions() {
 		return
 	}
 	for _, lp := range q {
-		lp.pool = w.pool
-		lp.ep.Pool = w.pool
-		for _, o := range lp.objs {
-			o.out.Rebind(lp.antiOut, &lp.st, lp.pool)
-		}
+		lp.bind(w)
 		w.owned = append(w.owned, lp)
 		w.adoptions.Add(1)
 	}

@@ -7,7 +7,7 @@ import (
 	"time"
 
 	"gowarp/internal/audit"
-	"gowarp/internal/codec"
+	"gowarp/internal/cancel"
 	"gowarp/internal/comm"
 	"gowarp/internal/event"
 	"gowarp/internal/gvt"
@@ -88,12 +88,17 @@ type lpRun struct {
 	// event). Everything the LP creates, clones or decodes draws from it,
 	// and annihilation, fossil collection and anti-message transmission
 	// recycle into it. It belongs to the owning worker (shared by its other
-	// LPs) and is rebound on adoption.
+	// LPs) and is rebound on adoption (bind).
 	pool *event.Pool
 
-	// antiOut is lp.emitAnti as a value, made once so that binding an object's
-	// cancellation manager to this LP allocates nothing.
-	antiOut func(*event.Event)
+	// host is what the cancellation managers of the hosted objects share (each
+	// holds a pointer to it): this LP's anti-message emitter and counters, and
+	// the owning worker's event pool.
+	host cancel.Host
+	// codecSwitched counts a checkpoint-codec switch into st: the hook of every
+	// hosted object's state codec while tracing is off, made once so that
+	// binding it allocates nothing.
+	codecSwitched func(toDelta bool, ratio float64)
 
 	// deferred holds intra-LP messages awaiting insertion; deferring them
 	// to the main loop keeps rollback cascades from re-entering an object
@@ -170,10 +175,10 @@ type lpRun struct {
 // independent of the slot order migrations happen to have produced.
 func (lp *lpRun) refresh(o *simObject) {
 	if e := o.head(); e != nil {
-		lp.sched.UpdateKey(o.slot, e.RecvTime, uint64(e.SendSeq), int32(o.id))
+		lp.sched.UpdateKey(int(o.slot), e.RecvTime, uint64(e.SendSeq), int32(o.id))
 		return
 	}
-	lp.sched.UpdateKey(o.slot, vtime.PosInf, 0, int32(o.id))
+	lp.sched.UpdateKey(int(o.slot), vtime.PosInf, 0, int32(o.id))
 }
 
 // noteEdge feeds the load recorder's communication-affinity matrix.
@@ -279,9 +284,8 @@ func (lp *lpRun) deliver(ev *event.Event) {
 	lp.pool.Put(ev)
 }
 
-// emitAnti is the cancellation managers' transmit hook; the anti-message
-// arrives pool-owned and routeOwned disposes of it. Managers are handed
-// antiOut, the one method value made of it when the LP was built.
+// emitAnti is the cancellation managers' transmit hook (host.Emit); the
+// anti-message arrives pool-owned and routeOwned disposes of it.
 func (lp *lpRun) emitAnti(anti *event.Event) { lp.routeOwned(anti, true) }
 
 // drainDeferred inserts queued intra-LP messages until none remain
@@ -522,15 +526,17 @@ func (lp *lpRun) applyGVT(g vtime.Time) {
 func (lp *lpRun) initObjects() {
 	for _, o := range lp.objs {
 		o.state = o.obj.InitialState()
-		o.ectx.cur = nil
-		o.obj.Init(&o.ectx, o.state)
+		o.obj.Init((*execContext)(o), o.state)
 		meta := statesave.Snapshot{
 			SendVT:  o.sendVT,
 			SendSeq: o.sendSeq,
 			Hash:    o.au.HashOf(o.state),
 		}
-		o.stateQ.Init(o.state, meta, codec.NewState(lp.cfg.Codec))
-		bindObjectHooks(lp, o) // rebind now that the state queue has its codec
+		// The codec is the one the LP's block made for this queue (nil when
+		// the facet is off); Init drops it if the state cannot be encoded, so
+		// the hooks are bound again afterwards.
+		o.stateQ.Init(o.state, meta, o.stateQ.Codec())
+		bindObjectHooks(lp, o)
 		lp.refresh(o)
 		lp.enlist(o) // Init may have sent: its output records are history
 	}

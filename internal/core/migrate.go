@@ -237,16 +237,16 @@ func (lp *lpRun) install(p comm.Packet) {
 		}
 
 		o.lp = lp
-		o.slot = len(lp.objs)
+		o.slot = int32(len(lp.objs))
 		lp.objs = append(lp.objs, o)
 		delete(lp.outbound, o.id) // the object may be coming back home
 		lp.rebuildSched()
 
-		// Rebind the pieces that point at the hosting LP: the output queue's
-		// anti-message emitter, counters and event pool, and the controller
+		// Repoint the pieces that point at the hosting LP: the output queue's
+		// host (anti-message emitter, counters, event pool) and the controller
 		// trace hooks. Events the object carried over recycle into the new
 		// host's pool from now on.
-		o.out.Rebind(lp.antiOut, &lp.st, lp.pool)
+		o.out.SetHost(&lp.host)
 		bindObjectHooks(lp, o)
 		lp.enlist(o)
 
@@ -281,14 +281,15 @@ func (lp *lpRun) enlist(o *simObject) {
 func (lp *lpRun) rebuildSched() {
 	lp.sched = pq.NewScheduleHeap(len(lp.objs))
 	for i, o := range lp.objs {
-		o.slot = i
+		o.slot = int32(i)
 		lp.refresh(o)
 	}
 }
 
 // bindObjectHooks points o's controller hooks at lp's recorder. The codec
 // switch hook always counts into lp's counters; trace hooks are cleared when
-// tracing is off. Used at construction, at init (once the state queue
+// tracing is off, which leaves a static object's controllers without the part
+// that would hold them. Used at construction, at init (once the state queue
 // exists), and re-used when a migrated object is installed on a new LP.
 func bindObjectHooks(lp *lpRun, o *simObject) {
 	sel := o.out.Selector()
@@ -296,24 +297,28 @@ func bindObjectHooks(lp *lpRun, o *simObject) {
 	objID := int32(o.id)
 
 	if sc := o.stateQ.Codec(); sc != nil {
-		st := &lp.st
-		sc.Hook = func(toDelta bool, ratio float64) {
-			st.CodecSwitches++
-			tr.CodecSwitch(objID, toDelta, int64(ratio*1000))
+		if tr == nil {
+			sc.Hook = lp.codecSwitched
+		} else {
+			st := &lp.st
+			sc.Hook = func(toDelta bool, ratio float64) {
+				st.CodecSwitches++
+				tr.CodecSwitch(objID, toDelta, int64(ratio*1000))
+			}
 		}
 	}
 
 	if tr == nil {
-		o.ckpt.Hook = nil
-		sel.Hook = nil
+		o.ckpt.SetHook(nil)
+		sel.SetHook(nil)
 		return
 	}
-	o.ckpt.Hook = func(oldChi, newChi int, ec time.Duration) {
+	o.ckpt.SetHook(func(oldChi, newChi int, ec time.Duration) {
 		if oldChi != newChi {
 			tr.CheckpointAdjust(objID, oldChi, newChi, ec)
 		}
-	}
-	sel.Hook = func(to cancel.Strategy, hitRatio float64) {
+	})
+	sel.SetHook(func(to cancel.Strategy, hitRatio float64) {
 		tr.StrategySwitch(objID, to == cancel.Lazy, int64(hitRatio*1000))
-	}
+	})
 }

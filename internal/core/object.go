@@ -16,13 +16,16 @@ import (
 
 // simObject is the kernel-side runtime of one simulation object: the
 // physical process plus its input, output and state queues (Figure 1) and
-// their controllers, held by value so that an object is one allocation and
-// what one event touches lies together. A simObject is owned by exactly one
-// logical process and touched only by the worker running that LP; it is never
-// copied (the queues' hooks point back into it).
+// their controllers, held by value so that what one event touches lies
+// together — and only that: what a controller keeps besides is behind a
+// pointer of its own, nil under a configuration that does not run it. An
+// object is a slot in the block its first LP made for all its objects
+// (newKernel), owned by exactly one logical process at a time and touched only
+// by the worker running that LP; it moves between LPs as a pointer and is never
+// copied (the cancellation manager points at the selector beside it).
 type simObject struct {
 	id   event.ObjectID
-	slot int // index within the owning LP, for the schedule heap
+	slot int32 // index within the owning LP, for the schedule heap
 	obj  model.Object
 	lp   *lpRun
 
@@ -31,10 +34,10 @@ type simObject struct {
 	state model.State
 	lvt   vtime.Time
 
-	// ectx is the reusable model.Context for this object's Init/Execute
-	// calls. Keeping it a field (rather than a per-call local) stops the
-	// interface call from forcing a heap allocation per event.
-	ectx execContext
+	// cur is the event being executed (nil outside Execute, and during Init):
+	// what the object, as its model's model.Context (execContext), answers
+	// Now from and stamps its sends with.
+	cur *event.Event
 
 	// in is the input queue of Figure 1: every positive event the object
 	// holds, processed and unprocessed, in event.Compare order. in[:next] has
@@ -70,8 +73,6 @@ type simObject struct {
 	// inHist marks membership of lp.hist, the objects whose floor is not
 	// +inf; inLazy marks membership of lp.lazy.
 	fossilFloor vtime.Time
-	inHist      bool
-	inLazy      bool
 
 	// seq numbers outgoing events; it is deliberately not part of the
 	// saved state — identities need uniqueness, not reproducibility.
@@ -82,6 +83,8 @@ type simObject struct {
 	sendVT  vtime.Time
 	sendSeq uint32
 
+	inHist bool
+	inLazy bool
 	// coasting suppresses output transmission during coast forward.
 	coasting bool
 
@@ -163,6 +166,11 @@ func (o *simObject) find(anti *event.Event) (at, i int) {
 	}
 	return at, -1
 }
+
+// firstInput is how many events the slice of its LP's block that an input queue
+// starts on holds. An object that holds one event on average holds two or more
+// a quarter of the time and five or more hardly ever.
+const firstInput = 4
 
 // insert puts ev into the input queue at its place.
 func (o *simObject) insert(at int, ev *event.Event) {
@@ -410,7 +418,19 @@ func (o *simObject) executeNext() {
 	o.out.AfterExecute(ev)
 
 	if o.ckpt.OnEventProcessed() {
-		t0 := time.Now()
+		// The dynamic controller reads the cost of every save (it is half of
+		// Ec). Under a periodic interval only the StateSaveTime counter would,
+		// and a clock read costs more than cloning a small state: there one save
+		// in saveTimedEvery is timed and stands for all of them.
+		every := int64(saveTimedEvery)
+		if o.ckpt.Mode() == statesave.Dynamic {
+			every = 1
+		}
+		timed := lp.st.StatesSaved%every == 0
+		var t0 time.Time
+		if timed {
+			t0 = time.Now()
+		}
 		res := o.stateQ.Save(o.state, statesave.Snapshot{
 			Time:    o.lvt,
 			Mark:    o.absProcessed(),
@@ -418,10 +438,12 @@ func (o *simObject) executeNext() {
 			SendSeq: o.sendSeq,
 			Hash:    o.au.HashOf(o.state),
 		})
-		d := time.Since(t0)
-		o.ckpt.RecordSaveCost(d)
+		if timed {
+			d := time.Duration(every) * time.Since(t0)
+			o.ckpt.RecordSaveCost(d)
+			lp.st.StateSaveTime += d
+		}
 		lp.st.StatesSaved++
-		lp.st.StateSaveTime += d
 		if s, ok := o.state.(interface{ StateBytes() int }); ok {
 			lp.st.StateBytes += int64(s.StateBytes())
 		}
@@ -433,11 +455,16 @@ func (o *simObject) executeNext() {
 	}
 }
 
+// saveTimedEvery is how many checkpoints of a periodic configuration share one
+// timed one (see executeNext): StateSaveTime is then an estimate, sixteen times
+// the time of every sixteenth save an LP takes.
+const saveTimedEvery = 16
+
 // execApp invokes the model's handler for e against the working state.
 func (o *simObject) execApp(e *event.Event) {
-	o.ectx.cur = e
-	o.obj.Execute(&o.ectx, o.state, e)
-	o.ectx.cur = nil
+	o.cur = e
+	o.obj.Execute((*execContext)(o), o.state, e)
+	o.cur = nil
 }
 
 // drainStale resolves leftover lazy-pending outputs when the object has no

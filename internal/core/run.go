@@ -5,6 +5,7 @@ import (
 	"sync"
 	"time"
 
+	"gowarp/internal/cancel"
 	"gowarp/internal/codec"
 	"gowarp/internal/comm"
 	"gowarp/internal/event"
@@ -13,6 +14,7 @@ import (
 	"gowarp/internal/observe"
 	"gowarp/internal/pq"
 	"gowarp/internal/route"
+	"gowarp/internal/statesave"
 	"gowarp/internal/stats"
 	"gowarp/internal/vtime"
 )
@@ -165,7 +167,7 @@ func Run(m *model.Model, cfg Config) (*Result, error) {
 					o.state = st
 				}
 				o.lp = lp
-				o.slot = len(lp.objs)
+				o.slot = int32(len(lp.objs))
 				lp.objs = append(lp.objs, o)
 			}
 		}
@@ -191,7 +193,7 @@ func Run(m *model.Model, cfg Config) (*Result, error) {
 	}
 	for _, lp := range locals {
 		for _, o := range lp.objs {
-			lp.st.CheckpointAdjustments += o.ckpt.Adjustments
+			lp.st.CheckpointAdjustments += o.ckpt.Adjustments()
 		}
 		res.PerLP[lp.id] = lp.st
 		res.Stats.Merge(&lp.st)
@@ -292,8 +294,8 @@ func newKernel(m *model.Model, cfg *Config, peers comm.Peers, net comm.Sender, s
 			au:       cfg.Audit.LP(i),
 			outbound: make(map[event.ObjectID]int),
 		}
-		lp.antiOut = lp.emitAnti
-		d.attach(lp, h, len(hosted))
+		lp.host = cancel.Host{Emit: lp.emitAnti, Stats: &lp.st}
+		lp.codecSwitched = func(bool, float64) { lp.st.CodecSwitches++ }
 		if cfg.Balance.Dynamic() {
 			lp.ld = newLoadRecorder(len(m.Objects))
 			if i == 0 {
@@ -304,7 +306,7 @@ func newKernel(m *model.Model, cfg *Config, peers comm.Peers, net comm.Sender, s
 			lp.opt = newOptController(cfg.Optimism)
 		}
 		lp.ep = comm.NewSendEndpoint(net, numLPs, i, cfg.Aggregation, &lp.st)
-		lp.ep.Pool = lp.pool
+		d.attach(lp, h, len(hosted))
 		if cfg.Codec.CompressWire() {
 			lp.ep.Compress = codec.Compress
 			lp.ep.Decompress = codec.Decompress
@@ -326,22 +328,59 @@ func newKernel(m *model.Model, cfg *Config, peers comm.Peers, net comm.Sender, s
 		}
 	}
 
+	// One block per LP: an object's runtime, the slot each of its three queues
+	// starts on (firstInput events, one record, one snapshot: what an object
+	// that never executes holds; a queue that needs more moves to an array of
+	// its own) and whatever controller state its configuration runs are slots
+	// of allocations its LP makes once for all the objects it starts with, so
+	// that set-up costs a handful of allocations per LP and an idle object no
+	// size-class rounding. The blocks stay where they are made: a migrating
+	// object moves as a pointer (sh.objs and lp.objs hold pointers) and keeps
+	// the queues carved here until it outgrows them, on whichever LP that
+	// happens (phold-mig, smmp-mig and TestWorkerPoolSkewedRemap run this).
+	hostedObjs := make([]int, numLPs)
+	for _, p := range m.Partition {
+		hostedObjs[p]++
+	}
+	type block struct {
+		objs []simObject
+		in   []*event.Event
+		ss   *statesave.Block
+		cn   *cancel.Block
+	}
+	blocks := make([]block, numLPs)
+	for _, lp := range d.lps {
+		n := hostedObjs[lp.id]
+		blocks[lp.id] = block{
+			objs: make([]simObject, n),
+			in:   make([]*event.Event, n*firstInput),
+			ss:   statesave.NewBlock(cfg.Checkpoint, cfg.Codec, n),
+			cn:   cancel.NewBlock(cfg.Cancellation, n),
+		}
+		// The hosted list, and the two lists that every object enters at
+		// start-up — the history list when Init has sent, the deferred list with
+		// what it sent — at the size they reach, not doubled up to it.
+		ptrs := make([]*simObject, 2*n)
+		lp.objs, lp.hist = ptrs[:0:n], ptrs[n:n]
+		lp.deferred = make([]*event.Event, 0, n)
+	}
 	for id, obj := range m.Objects {
 		lp := d.byID[m.Partition[id]]
 		if lp == nil {
 			continue // hosted by another rank; sh.objs keeps a nil slot
 		}
-		o := &simObject{
+		b, k := &blocks[lp.id], len(lp.objs)
+		o := &b.objs[k]
+		*o = simObject{
 			id:   event.ObjectID(id),
-			slot: len(lp.objs),
+			slot: int32(k),
 			obj:  obj,
 			lp:   lp,
+			in:   b.in[k*firstInput : k*firstInput : (k+1)*firstInput],
 		}
 		o.au = lp.au.Object(o.id)
-		o.ectx.o = o
-		o.ckpt.Init(cfg.Checkpoint)
-		o.sel.Init(cfg.Cancellation)
-		o.out.Init(&o.sel, lp.antiOut, &lp.st, lp.pool)
+		b.ss.Bind(k, &o.stateQ, &o.ckpt)
+		b.cn.Bind(k, &o.sel, &o.out, &lp.host)
 		bindObjectHooks(lp, o)
 		sh.objs[id] = o
 		lp.objs = append(lp.objs, o)

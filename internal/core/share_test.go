@@ -11,6 +11,7 @@ import (
 
 	"gowarp/internal/audit"
 	"gowarp/internal/cancel"
+	"gowarp/internal/codec"
 	"gowarp/internal/comm"
 	"gowarp/internal/event"
 	"gowarp/internal/statesave"
@@ -175,12 +176,15 @@ func TestAuditCatchesHolderMismatch(t *testing.T) {
 	}
 }
 
-// TestObjectIsOneAllocation: under a static configuration newKernel makes one
-// allocation per object — the simObject, with its state queue, checkpointer,
-// cancellation manager and selector inside and no controller parts beside —
-// and initObjects one more, the state queue's first snapshot slot.
+// TestObjectIsOneAllocation: an object is one slot of its LP's block, whatever
+// the configuration. newKernel and initObjects make allocations per LP, not
+// per object — the objects, the slot each queue starts on, and under dynamic
+// checkpointing, dynamic cancellation and the checkpoint codec the controllers'
+// state, the comparison windows and the codecs, each one array for the LP — so
+// doubling the hosted objects adds (next to) none. What an object's states and
+// their encodings cost is its model's.
 func TestObjectIsOneAllocation(t *testing.T) {
-	measure := func(cfg Config, n int) (build, init, bytes uint64) {
+	measure := func(cfg Config, n int) (build, init, bytes int64) {
 		m := ringModel(n, 2, 1)
 		var a, b, c runtime.MemStats
 		runtime.ReadMemStats(&a)
@@ -188,7 +192,7 @@ func TestObjectIsOneAllocation(t *testing.T) {
 		runtime.ReadMemStats(&b)
 		d.lps[0].initObjects()
 		runtime.ReadMemStats(&c)
-		return b.Mallocs - a.Mallocs, c.Mallocs - b.Mallocs, c.TotalAlloc - a.TotalAlloc
+		return int64(b.Mallocs - a.Mallocs), int64(c.Mallocs - b.Mallocs), int64(c.TotalAlloc - a.TotalAlloc)
 	}
 	perObject := func(cfg Config) (build, init, bytes float64) {
 		const n = 2000
@@ -196,20 +200,25 @@ func TestObjectIsOneAllocation(t *testing.T) {
 		b2, i2, y2 := measure(cfg, 2*n)
 		return float64(b2-b1) / n, float64(i2-i1) / n, float64(y2-y1) / n
 	}
-	static := DefaultConfig(vtime.Time(1) << 40)
-	build, init, bytes := perObject(static)
 	t.Logf("unsafe.Sizeof(simObject{}) = %d", unsafe.Sizeof(simObject{}))
-	t.Logf("static configuration: %.2f + %.2f allocations and %.0f bytes per object (newKernel + initObjects)", build, init, bytes)
-	// The tables indexed by object (shared.objs, lp.objs, the routing table,
-	// the schedule heap) grow with n too, a few allocations in all.
-	if build > 1.05 || init > 1.05 {
-		t.Errorf("a static object costs %.2f allocations in newKernel and %.2f in initObjects, want 1 and 1", build, init)
-	}
+	static := DefaultConfig(vtime.Time(1) << 40)
 	dynamic := static
 	dynamic.Checkpoint = statesave.Config{Mode: statesave.Dynamic, Interval: 4}
 	dynamic.Cancellation = cancel.Config{Mode: cancel.Dynamic}
-	build, init, bytes = perObject(dynamic)
-	t.Logf("dynamic checkpointing and cancellation: %.2f + %.2f allocations and %.0f bytes per object", build, init, bytes)
+	dynamic.Codec = codec.Config{Mode: codec.Dynamic}.WithDefaults()
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+	}{{"static", static}, {"dynamic checkpointing, cancellation and codec", dynamic}} {
+		build, init, bytes := perObject(tc.cfg)
+		t.Logf("%s: %.2f + %.2f allocations and %.0f bytes per object (newKernel + initObjects)", tc.name, build, init, bytes)
+		// The tables indexed by object (shared.objs, the routing table, the
+		// schedule heap) and the block's arrays grow with n, a few allocations
+		// in all.
+		if build > 0.05 || init > 0.05 {
+			t.Errorf("%s: an object costs %.2f allocations in newKernel and %.2f in initObjects, want none of its own", tc.name, build, init)
+		}
+	}
 }
 
 // BenchmarkLocalSend is the layer number for an intra-LP message: pairs of

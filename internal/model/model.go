@@ -7,6 +7,8 @@
 package model
 
 import (
+	"slices"
+
 	"gowarp/internal/event"
 	"gowarp/internal/vtime"
 )
@@ -127,14 +129,27 @@ func (m *Model) Validate() error {
 			return errLPGap
 		}
 	}
-	names := make(map[string]bool, len(m.Objects))
-	for _, o := range m.Objects {
-		if names[o.Name()] {
-			return errDupName
-		}
-		names[o.Name()] = true
+	if m.duplicateName() {
+		return errDupName
 	}
 	return nil
+}
+
+// duplicateName reports whether two objects share a name. Names are formatted
+// on demand by most models (a million stored strings would dwarf the objects),
+// so each is asked for once and none is kept past the check.
+func (m *Model) duplicateName() bool {
+	names := make([]string, len(m.Objects))
+	for i, o := range m.Objects {
+		names[i] = o.Name()
+	}
+	slices.Sort(names)
+	for i := 1; i < len(names); i++ {
+		if names[i] == names[i-1] {
+			return true
+		}
+	}
+	return false
 }
 
 type modelError string

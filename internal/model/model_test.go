@@ -1,6 +1,7 @@
 package model
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -144,6 +145,41 @@ func TestModelValidate(t *testing.T) {
 		if err := c.m.Validate(); err == nil {
 			t.Errorf("%s: invalid model accepted", c.name)
 		}
+	}
+}
+
+// countedObject formats its name on demand, as the bundled models do, and
+// counts how often it is asked.
+type countedObject struct {
+	stubObject
+	id    int
+	calls *int
+}
+
+func (o *countedObject) Name() string {
+	*o.calls++
+	return fmt.Sprintf("obj.%d", o.id)
+}
+
+// TestValidateDuplicateName: two objects with one name are errDupName wherever
+// they sit among thousands, a model without such a pair passes, and the check
+// asks each object for its name once.
+func TestValidateDuplicateName(t *testing.T) {
+	const n = 5000
+	calls := 0
+	m := &Model{Partition: make([]int, n)}
+	for i := 0; i < n; i++ {
+		m.Objects = append(m.Objects, &countedObject{id: i, calls: &calls})
+	}
+	if err := m.Validate(); err != nil {
+		t.Fatalf("%d distinct names rejected: %v", n, err)
+	}
+	if calls != n {
+		t.Errorf("Validate formatted %d names for %d objects", calls, n)
+	}
+	m.Objects[n-7].(*countedObject).id = 3
+	if err := m.Validate(); err != errDupName {
+		t.Errorf("objects 3 and %d share a name: Validate returned %v, want %v", n-7, err, errDupName)
 	}
 }
 

@@ -9,6 +9,7 @@
 package statesave
 
 import (
+	"math"
 	"time"
 
 	"gowarp/internal/codec"
@@ -33,15 +34,10 @@ type Snapshot struct {
 	// Hash is the structural hash of State at save time, stamped by the
 	// runtime invariant auditor and re-verified on restore; 0 means the
 	// snapshot was taken with auditing disabled.
+	//
+	// When the queue runs with a state codec, State is nil and the snapshot
+	// lives as an encoding the queue keeps beside it (see encodings).
 	Hash uint64
-
-	// Codec-path storage: when the queue runs with a state codec, State is
-	// nil and the snapshot lives as an encoding — a full state image or a
-	// delta against the previous snapshot's encoding, optionally compressed.
-	enc    []byte
-	delta  bool
-	comp   bool
-	rawLen int
 }
 
 // SaveResult reports the byte cost of one checkpoint: the size of the full
@@ -67,11 +63,27 @@ type SaveResult struct {
 // two passes over the state's bytes and no allocation. The oldest snapshot is
 // always a full image. The rule throughout is that a full-state image is
 // copied only where two copies must both survive.
+//
+// A clone-path queue is its snapshot slice and nothing else. What only the
+// encoded path needs — codec, delta base, scratch and spare buffers — is behind
+// enc, nil when checkpoints are cloned states.
 type Queue struct {
+	// snaps[:len] are the snapshots held. A slot between len and cap keeps the
+	// State of the snapshot that last lay there when that state is
+	// model.Reusable: states popped by RestoreBefore or discarded by
+	// FossilCollect are exclusively queue-owned — the kernel always clones
+	// before mutating — so the Save that reaches the slot refills the state
+	// through CopyInto instead of allocating a fresh deep copy.
 	snaps []Snapshot
+	enc   *encodings
+}
 
-	// Codec path; cd is nil when checkpoints are cloned states.
+// encodings is the encoded path's half of a Queue.
+type encodings struct {
 	cd *codec.StateCodec
+	// of[i] is how snaps[i] is stored; the two slices grow, shrink and shift
+	// together. A clone-path Snapshot so carries no field of the encoded path.
+	of []encoded
 	// lastEnc is the full (uncompressed) encoding of the newest snapshot,
 	// the base for the next delta and what RestoreInto decodes.
 	lastEnc []byte
@@ -86,64 +98,63 @@ type Queue struct {
 	// of that kind over one. A buffer is on a spare list or in a live
 	// snapshot, never both.
 	spareFull, spareDelta [][]byte
-
-	// spare holds retired snapshot states (clone path only): states popped by
-	// RestoreBefore or discarded by FossilCollect are exclusively queue-owned
-	// — the kernel always clones before mutating — so Save refills them
-	// through model.Reusable instead of allocating a fresh deep copy. Its
-	// length is bounded by the peak snapshot count the queue ever held.
-	spare []model.State
 }
 
-// clone produces the stored copy of st for a snapshot, reusing a retired
-// snapshot state when the state type supports it.
-func (q *Queue) clone(st model.State) model.State {
-	if r, ok := st.(model.Reusable); ok {
-		if n := len(q.spare); n > 0 {
-			dst := q.spare[n-1]
-			q.spare[n-1] = nil
-			q.spare = q.spare[:n-1]
-			return r.CopyInto(dst)
-		}
+// encoded is the stored form of one snapshot of an encoded queue: a full state
+// image or a delta against the previous snapshot's encoding, optionally
+// compressed, and the length of the full encoding it stands for.
+type encoded struct {
+	enc    []byte
+	delta  bool
+	comp   bool
+	rawLen int
+}
+
+// clone produces the stored copy of st for a snapshot, over retired, the
+// state a vacated slot kept, when st's type supports it.
+func clone(st, retired model.State) model.State {
+	if r, ok := st.(model.Reusable); ok && retired != nil {
+		return r.CopyInto(retired)
 	}
 	return st.Clone()
 }
 
-// retire returns a no-longer-restorable snapshot state to the spare list.
-// Codec-path snapshots have none.
-func (q *Queue) retire(st model.State) {
-	if _, ok := st.(model.Reusable); ok {
-		q.spare = append(q.spare, st)
+// vacate empties the slot of a snapshot that has left the queue, down to a
+// reusable state (see Queue.snaps).
+func vacate(s *Snapshot) {
+	st := s.State
+	if _, ok := st.(model.Reusable); !ok {
+		st = nil
 	}
+	*s = Snapshot{State: st}
 }
 
-// spareEnc returns the spare list for delta or full-image buffers.
-func (q *Queue) spareEnc(delta bool) *[][]byte {
+// spare returns the spare list for delta or full-image buffers.
+func (e *encodings) spare(delta bool) *[][]byte {
 	if delta {
-		return &q.spareDelta
+		return &e.spareDelta
 	}
-	return &q.spareFull
+	return &e.spareFull
 }
 
 // pack stores payload (a full image, or a delta when delta is set) for a
 // snapshot, over a retired buffer of the same kind when there is one.
-func (q *Queue) pack(payload []byte, delta bool) (enc []byte, comp bool) {
-	spare := q.spareEnc(delta)
+func (e *encodings) pack(payload []byte, delta bool) (enc []byte, comp bool) {
+	spare := e.spare(delta)
 	var dst []byte
 	if n := len(*spare); n > 0 {
 		dst = (*spare)[n-1]
 		(*spare)[n-1] = nil
 		*spare = (*spare)[:n-1]
 	}
-	return codec.PackInto(dst, q.cd.Config(), payload)
+	return codec.PackInto(dst, e.cd.Config(), payload)
 }
 
-// retireEnc moves the enc buffer of a snapshot that is leaving the queue (or
-// being re-encoded) to the spare list of its kind. Clone-path snapshots have
-// none.
-func (q *Queue) retireEnc(s *Snapshot) {
+// retire moves the enc buffer of a snapshot that is leaving the queue (or
+// being re-encoded) to the spare list of its kind.
+func (e *encodings) retire(s *encoded) {
 	if cap(s.enc) > 0 {
-		spare := q.spareEnc(s.delta)
+		spare := e.spare(s.delta)
 		*spare = append(*spare, s.enc)
 	}
 	s.enc = nil
@@ -160,64 +171,85 @@ func NewQueue(st model.State, meta Snapshot, cd *codec.StateCodec) *Queue {
 	return q
 }
 
-// Init is NewQueue in place, for a zero Queue held by value inside its
-// object's runtime.
+// Init is NewQueue in place, for a Queue held by value inside its object's
+// runtime: a zero one, or one a Block has bound, which keeps the snapshot array
+// and the encoded-path storage the block gave it.
 func (q *Queue) Init(st model.State, meta Snapshot, cd *codec.StateCodec) {
 	meta.Time = vtime.NegInf
 	if ds, ok := st.(codec.DeltaState); ok && cd != nil {
-		q.cd = cd
+		if q.enc == nil {
+			q.enc = &encodings{}
+		}
+		e := q.enc
+		e.cd = cd
 		raw := ds.MarshalState(nil)
-		meta.enc, meta.comp = codec.Pack(cd.Config(), raw)
-		meta.rawLen = len(raw)
-		q.lastEnc = raw
+		first := encoded{rawLen: len(raw)}
+		first.enc, first.comp = codec.Pack(cd.Config(), raw)
+		e.of = append(e.of[:0], first)
+		e.lastEnc = raw
 	} else {
+		q.enc = nil
 		meta.State = st.Clone()
-		meta.rawLen = stateBytes(meta.State)
 	}
-	q.snaps = []Snapshot{meta}
+	q.snaps = append(q.snaps[:0], meta)
 }
 
 // Codec returns the queue's state codec (nil when checkpoints are cloned
 // states, either by configuration or because the state is not a
-// codec.DeltaState).
-func (q *Queue) Codec() *codec.StateCodec { return q.cd }
+// codec.DeltaState). On a queue a Block has bound and Init has not yet seen it
+// is the codec the block made for it.
+func (q *Queue) Codec() *codec.StateCodec {
+	if q.enc == nil {
+		return nil
+	}
+	return q.enc.cd
+}
 
 // Save checkpoints st: the snapshot's encoding (or clone) is taken here,
 // while meta carries the bookkeeping fields. Snapshot times must be
 // non-decreasing; equal times are allowed (several events may share a
 // timestamp) and the later snapshot wins on restore.
 func (q *Queue) Save(st model.State, meta Snapshot) SaveResult {
-	if q.cd == nil {
-		meta.State = q.clone(st)
-		meta.rawLen = stateBytes(meta.State)
-		q.snaps = append(q.snaps, meta)
-		return SaveResult{RawBytes: meta.rawLen, StoredBytes: meta.rawLen}
+	// The snapshot goes into the next slot, reslicing rather than appending so
+	// that a state the slot kept (see Queue.snaps) is there to refill.
+	n := len(q.snaps)
+	if n == cap(q.snaps) {
+		q.snaps = append(q.snaps, Snapshot{})
+	} else {
+		q.snaps = q.snaps[:n+1]
 	}
-	raw := st.(codec.DeltaState).MarshalState(q.scratch[:0])
-	isDelta := q.cd.NextIsDelta() && q.lastEnc != nil
+	slot := &q.snaps[n]
+	e := q.enc
+	if e == nil {
+		meta.State = clone(st, slot.State)
+		*slot = meta
+		size := stateBytes(meta.State)
+		return SaveResult{RawBytes: size, StoredBytes: size}
+	}
+	*slot = meta
+	raw := st.(codec.DeltaState).MarshalState(e.scratch[:0])
+	isDelta := e.cd.NextIsDelta() && e.lastEnc != nil
 	payload := raw
 	if isDelta {
-		q.deltaScratch = codec.AppendDelta(q.deltaScratch[:0], q.lastEnc, raw)
-		payload = q.deltaScratch
-	} else if q.cd.ProbeNow() && q.lastEnc != nil {
+		e.deltaScratch = codec.AppendDelta(e.deltaScratch[:0], e.lastEnc, raw)
+		payload = e.deltaScratch
+	} else if e.cd.ProbeNow() && e.lastEnc != nil {
 		// Full save with a Dynamic controller in full mode: compute (but do
 		// not store) the delta so the controller keeps observing the ratio.
-		q.deltaScratch = codec.AppendDelta(q.deltaScratch[:0], q.lastEnc, raw)
+		e.deltaScratch = codec.AppendDelta(e.deltaScratch[:0], e.lastEnc, raw)
 		// Its stored size is taken over a spare buffer that goes straight
 		// back, so the probe retains nothing.
-		d, _ := q.pack(q.deltaScratch, true)
-		q.cd.RecordProbe(len(d))
-		q.spareDelta = append(q.spareDelta, d)
+		d, _ := e.pack(e.deltaScratch, true)
+		e.cd.RecordProbe(len(d))
+		e.spareDelta = append(e.spareDelta, d)
 	}
-	stored, comp := q.pack(payload, isDelta)
-	q.cd.RecordSave(len(stored), isDelta)
-	meta.enc, meta.delta, meta.comp = stored, isDelta, comp
-	meta.rawLen = len(raw)
-	q.snaps = append(q.snaps, meta)
+	stored, comp := e.pack(payload, isDelta)
+	e.cd.RecordSave(len(stored), isDelta)
+	e.of = append(e.of, encoded{enc: stored, delta: isDelta, comp: comp, rawLen: len(raw)})
 	// The marshal buffer becomes the new delta base; recycle the old base
 	// (never aliased by queue storage) as the next marshal buffer.
-	q.scratch = q.lastEnc
-	q.lastEnc = raw
+	e.scratch = e.lastEnc
+	e.lastEnc = raw
 	return SaveResult{RawBytes: len(raw), StoredBytes: len(stored), Delta: isDelta}
 }
 
@@ -232,8 +264,8 @@ func (q *Queue) Save(st model.State, meta Snapshot) SaveResult {
 // model.Reusable and cloned otherwise.
 func (q *Queue) RestoreInto(t vtime.Time, live model.State) Snapshot {
 	snap := q.RestoreBefore(t)
-	if q.cd != nil {
-		st, err := live.(codec.DeltaState).UnmarshalState(q.lastEnc)
+	if q.enc != nil {
+		st, err := live.(codec.DeltaState).UnmarshalState(q.enc.lastEnc)
 		if err != nil {
 			panic("statesave: snapshot decode failed: " + err.Error())
 		}
@@ -256,21 +288,23 @@ func (q *Queue) RestoreInto(t vtime.Time, live model.State) Snapshot {
 // be re-ordered after the straggler.
 func (q *Queue) RestoreBefore(t vtime.Time) Snapshot {
 	i := len(q.snaps)
+	e := q.enc
 	for i > 0 && !q.snaps[i-1].Time.Before(t) {
-		s := &q.snaps[i-1]
-		q.retire(s.State)
-		s.State = nil
-		q.retireEnc(s)
 		i--
+		vacate(&q.snaps[i])
+		if e != nil {
+			e.retire(&e.of[i])
+		}
 	}
 	popped := i < len(q.snaps)
 	q.snaps = q.snaps[:i]
 	// The NegInf snapshot is never discarded, so i >= 1 always holds.
-	if q.cd != nil && popped {
+	if e != nil && popped {
+		e.of = e.of[:i]
 		// The restored encoding is the new delta base; the old base becomes
 		// the scratch buffer. With nothing popped lastEnc is the head's
 		// encoding already.
-		q.lastEnc, q.scratch = q.rebuild(i-1), q.lastEnc
+		e.lastEnc, e.scratch = q.rebuild(i-1), e.lastEnc
 		q.syncChain()
 	}
 	return q.snaps[i-1]
@@ -292,43 +326,59 @@ func (q *Queue) FossilCollect(gvt vtime.Time) int {
 	if keep == 0 {
 		return 0
 	}
-	// The new oldest snapshot must be self-contained. When it is a delta, the
-	// full image its chain starts from is among the snapshots being discarded,
-	// so that image is patched up to it where it lies and changes owner — no
-	// byte of the state moves. A compressed image cannot be patched in place:
-	// under LZ the chain is reconstructed in scratch and packed over one of
-	// the buffers the discarded snapshots give up (its anchor's, usually).
-	oldest := &q.snaps[keep]
-	reanchor := q.cd != nil && oldest.delta
+	if q.enc != nil {
+		q.discardEncodings(keep)
+	}
+	// Close the gap by exchange rather than by copy: the discarded snapshots
+	// end up in the slots the slice gives up, where vacate leaves what the next
+	// Saves reuse of them.
+	n := len(q.snaps)
+	for j := 0; j+keep < n; j++ {
+		q.snaps[j], q.snaps[j+keep] = q.snaps[j+keep], q.snaps[j]
+	}
+	for i := n - keep; i < n; i++ {
+		vacate(&q.snaps[i])
+	}
+	q.snaps = q.snaps[:n-keep]
+	return keep
+}
+
+// discardEncodings is FossilCollect's half on the encoded path: the stored
+// forms of the first n snapshots go. The new oldest snapshot must be
+// self-contained. When it is a delta, the full image its chain starts from is
+// among the snapshots being discarded, so that image is patched up to it where
+// it lies and changes owner — no byte of the state moves. A compressed image
+// cannot be patched in place: under LZ the chain is reconstructed in scratch
+// and packed over one of the buffers the discarded snapshots give up (its
+// anchor's, usually).
+func (q *Queue) discardEncodings(n int) {
+	e := q.enc
+	oldest := &e.of[n]
+	reanchor := oldest.delta
 	var image []byte
 	if reanchor {
-		if q.cd.Config().Compression == codec.NoCompression {
-			image = q.takeAnchor(keep)
+		if e.cd.Config().Compression == codec.NoCompression {
+			image = q.takeAnchor(n)
 		} else {
-			q.scratch = q.rebuild(keep)
+			e.scratch = q.rebuild(n)
 		}
 	}
-	for i := 0; i < keep; i++ {
-		q.retire(q.snaps[i].State)
-		q.retireEnc(&q.snaps[i])
+	for i := 0; i < n; i++ {
+		e.retire(&e.of[i])
 	}
 	if reanchor {
-		q.retireEnc(oldest)
+		e.retire(oldest)
 		if image == nil {
-			image, oldest.comp = q.pack(q.scratch, false)
+			image, oldest.comp = e.pack(e.scratch, false)
 		}
 		oldest.enc, oldest.delta = image, false
 	}
-	n := keep
-	copy(q.snaps, q.snaps[keep:])
-	for i := len(q.snaps) - keep; i < len(q.snaps); i++ {
-		q.snaps[i] = Snapshot{}
-	}
-	q.snaps = q.snaps[:len(q.snaps)-keep]
+	kept := copy(e.of, e.of[n:])
+	clear(e.of[kept:])
+	e.of = e.of[:kept]
 	if reanchor {
 		q.syncChain()
 	}
-	return n
 }
 
 // syncChain recounts the deltas that follow the newest full image and hands
@@ -338,10 +388,11 @@ func (q *Queue) FossilCollect(gvt vtime.Time) int {
 // anchor would let the chain a restore patches through outgrow FullEvery.
 func (q *Queue) syncChain() {
 	n := 0
-	for i := len(q.snaps) - 1; q.snaps[i].delta; i-- {
+	e := q.enc
+	for i := len(e.of) - 1; e.of[i].delta; i-- {
 		n++
 	}
-	q.cd.SetChain(n)
+	e.cd.SetChain(n)
 }
 
 // FossilFloor returns the bound FossilCollect's gvt must exceed to reclaim
@@ -358,7 +409,7 @@ func (q *Queue) FossilFloor() vtime.Time {
 // anchor returns the index of the full image snapshot i's delta chain starts
 // from (i itself when it is one).
 func (q *Queue) anchor(i int) int {
-	for q.snaps[i].delta {
+	for q.enc.of[i].delta {
 		i--
 	}
 	return i
@@ -371,9 +422,9 @@ func (q *Queue) anchor(i int) int {
 // means the queue corrupted its own encodings, an invariant violation worth
 // stopping the run for.
 func (q *Queue) rebuild(i int) []byte {
-	buf := q.scratch[:0]
+	buf := q.enc.scratch[:0]
 	for j := q.anchor(i); j <= i; j++ {
-		s := &q.snaps[j]
+		s := &q.enc.of[j]
 		part, err := codec.Unpack(s.enc, s.comp)
 		if err == nil && s.delta {
 			buf, err = codec.PatchDelta(buf, part)
@@ -393,12 +444,13 @@ func (q *Queue) rebuild(i int) []byte {
 // delta up to i onto it in place and returns it. Only uncompressed storage
 // can be patched where it lies.
 func (q *Queue) takeAnchor(i int) []byte {
+	of := q.enc.of
 	base := q.anchor(i)
-	buf := q.snaps[base].enc
-	q.snaps[base].enc = nil
+	buf := of[base].enc
+	of[base].enc = nil
 	for j := base + 1; j <= i; j++ {
 		var err error
-		if buf, err = codec.PatchDelta(buf, q.snaps[j].enc); err != nil {
+		if buf, err = codec.PatchDelta(buf, of[j].enc); err != nil {
 			panic("statesave: checkpoint chain corrupt: " + err.Error())
 		}
 	}
@@ -409,13 +461,12 @@ func (q *Queue) takeAnchor(i int) []byte {
 // sizes on the codec path, state size estimates otherwise. Migration uses it
 // to cost shipping the queue's content.
 func (q *Queue) StoredBytes() int {
+	if q.enc == nil {
+		return q.RawBytes()
+	}
 	total := 0
-	for i := range q.snaps {
-		if q.cd != nil {
-			total += len(q.snaps[i].enc)
-		} else {
-			total += q.snaps[i].rawLen
-		}
+	for i := range q.enc.of {
+		total += len(q.enc.of[i].enc)
 	}
 	return total
 }
@@ -424,8 +475,14 @@ func (q *Queue) StoredBytes() int {
 // StoredBytes is measured against.
 func (q *Queue) RawBytes() int {
 	total := 0
+	if q.enc != nil {
+		for i := range q.enc.of {
+			total += q.enc.of[i].rawLen
+		}
+		return total
+	}
 	for i := range q.snaps {
-		total += q.snaps[i].rawLen
+		total += stateBytes(q.snaps[i].State)
 	}
 	return total
 }
@@ -508,84 +565,119 @@ func (c Config) withDefaults() Config {
 }
 
 // Checkpointer decides, per simulation object, when to checkpoint, and (in
-// Dynamic mode) adapts the interval χ from the observed cost index Ec. The
-// controller parts — ticker and transfer function — exist only in Dynamic
-// mode; a periodic checkpointer is its interval and a counter.
+// Dynamic mode) adapts the interval χ from the observed cost index Ec. A
+// periodic checkpointer is its interval and a counter, which is all that
+// OnEventProcessed reads of it. Everything else — the dynamic controller's
+// ticker, transfer function, clamps and Ec sums, the adjustment count and the
+// hook — is behind ctl, nil until the mode or a caller (ForceInterval, SetHook)
+// needs it.
 type Checkpointer struct {
-	mode      Mode
-	param     control.IntParam
-	sinceSave int
-	ticker    *control.Ticker
-	transfer  *control.IncUnlessWorse
+	interval  int32
+	sinceSave int32
+	ctl       *controller
+}
+
+// controller is the part of a Checkpointer that no event reads under a
+// periodic interval.
+type controller struct {
+	dynamic  bool
+	min, max int
+	ticker   control.Ticker
+	transfer control.IncUnlessWorse
 
 	// Ec accumulation for the current control period.
 	saveCost  time.Duration
 	coastCost time.Duration
 
-	// Adjustments counts interval changes, for the statistics report.
-	Adjustments int64
-
-	// Hook, when non-nil, observes every control decision of the dynamic
-	// controller — the interval before and after (equal when saturated at a
-	// clamp) and the cost index Ec observed over the period — plus external
-	// ForceInterval adjustments (with Ec zero). Set it before the run.
-	Hook func(oldChi, newChi int, ec time.Duration)
+	adjustments int64
+	hook        func(oldChi, newChi int, ec time.Duration)
 }
 
 // NewCheckpointer returns a checkpointer for one object.
 func NewCheckpointer(cfg Config) *Checkpointer {
 	c := &Checkpointer{}
-	c.Init(cfg)
+	c.init(cfg.withDefaults(), nil)
 	return c
 }
 
-// Init is NewCheckpointer in place, for a zero Checkpointer held by value
-// inside its object's runtime. The dynamic controller's hook forwarder
-// captures c, so an initialised Checkpointer must not be copied.
-func (c *Checkpointer) Init(cfg Config) {
-	cfg = cfg.withDefaults()
-	c.mode = cfg.Mode
-	c.param = control.IntParam{
-		Value: cfg.Interval,
-		Min:   cfg.MinInterval,
-		Max:   cfg.MaxInterval,
-		Step:  1,
-	}
+// init sets c up for cfg, defaults applied. ctl is where a dynamic controller's
+// state goes (a Block's slot; nil allocates).
+func (c *Checkpointer) init(cfg Config, ctl *controller) {
+	*c = Checkpointer{interval: int32(min(cfg.Interval, math.MaxInt32))}
 	if cfg.Mode != Dynamic {
 		return
 	}
-	c.ticker = control.NewTicker(cfg.Period)
-	// The control layer's decision hook carries the Ec sample; forward it
-	// through the checkpointer's own hook, resolved at call time so callers
-	// may attach after construction.
-	forward := func(cost float64, from, to int) {
-		if c.Hook != nil {
-			c.Hook(from, to, time.Duration(cost))
-		}
+	if ctl == nil {
+		ctl = new(controller)
 	}
-	c.transfer = &control.IncUnlessWorse{Margin: cfg.Margin, Hook: forward}
+	*ctl = controller{
+		dynamic:  true,
+		min:      cfg.MinInterval,
+		max:      cfg.MaxInterval,
+		ticker:   *control.NewTicker(cfg.Period),
+		transfer: control.IncUnlessWorse{Margin: cfg.Margin},
+	}
+	c.ctl = ctl
+}
+
+// control returns c's controller part, making the one of a periodic
+// checkpointer on first use.
+func (c *Checkpointer) control() *controller {
+	if c.ctl == nil {
+		c.ctl = &controller{min: 1, max: int(c.interval)}
+	}
+	return c.ctl
 }
 
 // Interval returns the current checkpoint interval χ.
-func (c *Checkpointer) Interval() int { return c.param.Value }
+func (c *Checkpointer) Interval() int { return int(c.interval) }
 
 // Mode returns the interval-management mode.
-func (c *Checkpointer) Mode() Mode { return c.mode }
+func (c *Checkpointer) Mode() Mode {
+	if c.ctl != nil && c.ctl.dynamic {
+		return Dynamic
+	}
+	return Periodic
+}
+
+// Adjustments counts interval changes, for the statistics report.
+func (c *Checkpointer) Adjustments() int64 {
+	if c.ctl == nil {
+		return 0
+	}
+	return c.ctl.adjustments
+}
+
+// SetHook installs fn (nil removes it) to observe every control decision of
+// the dynamic controller — the interval before and after (equal when saturated
+// at a clamp) and the cost index Ec observed over the period — plus external
+// ForceInterval adjustments (with Ec zero). Set it before the run.
+func (c *Checkpointer) SetHook(fn func(oldChi, newChi int, ec time.Duration)) {
+	if fn != nil || c.ctl != nil {
+		c.control().hook = fn
+	}
+}
 
 // OnEventProcessed is called after each forward event execution; it returns
 // true when a checkpoint should be taken now. In Dynamic mode it also runs
 // the control period and adjusts χ.
 func (c *Checkpointer) OnEventProcessed() (saveNow bool) {
 	c.sinceSave++
-	if c.mode == Dynamic && c.ticker.Tick() {
-		old := c.param.Value
-		c.transfer.Observe(float64(c.saveCost+c.coastCost), &c.param)
-		if c.param.Value != old {
-			c.Adjustments++
+	if ctl := c.ctl; ctl != nil && ctl.dynamic && ctl.ticker.Tick() {
+		ec := ctl.saveCost + ctl.coastCost
+		old := int(c.interval)
+		p := control.IntParam{Value: old, Min: ctl.min, Max: ctl.max, Step: 1}
+		ctl.transfer.Observe(float64(ec), &p)
+		if p.Value != old {
+			ctl.adjustments++
 		}
-		c.saveCost, c.coastCost = 0, 0
+		if ctl.hook != nil {
+			ctl.hook(old, p.Value, ec)
+		}
+		c.interval = int32(p.Value)
+		ctl.saveCost, ctl.coastCost = 0, 0
 	}
-	if c.sinceSave >= c.param.Value {
+	if c.sinceSave >= c.interval {
 		c.sinceSave = 0
 		return true
 	}
@@ -595,11 +687,11 @@ func (c *Checkpointer) OnEventProcessed() (saveNow bool) {
 // OnRestore resynchronizes the events-since-save counter after a rollback:
 // coasted events since the restored snapshot count toward the next save.
 func (c *Checkpointer) OnRestore(coasted int) {
-	c.sinceSave = coasted
-	if c.sinceSave >= c.param.Value {
+	c.sinceSave = int32(coasted)
+	if c.sinceSave >= c.interval {
 		// Avoid an immediate save storm after long coasts; save at the
 		// next processed event.
-		c.sinceSave = c.param.Value - 1
+		c.sinceSave = c.interval - 1
 	}
 }
 
@@ -607,26 +699,80 @@ func (c *Checkpointer) OnRestore(coasted int) {
 // adjustment). In Dynamic mode the controller continues adapting from the
 // forced value; its clamps are widened to admit chi if necessary.
 func (c *Checkpointer) ForceInterval(chi int) {
-	if chi < 1 {
-		chi = 1
-	}
-	if chi < c.param.Min {
-		c.param.Min = chi
-	}
-	if chi > c.param.Max {
-		c.param.Max = chi
-	}
-	old := c.param.Value
-	c.param.Value = chi
-	c.Adjustments++
-	if c.Hook != nil {
-		c.Hook(old, chi, 0)
+	chi = min(max(chi, 1), math.MaxInt32)
+	ctl := c.control()
+	ctl.min = min(ctl.min, chi)
+	ctl.max = max(ctl.max, chi)
+	old := int(c.interval)
+	c.interval = int32(chi)
+	ctl.adjustments++
+	if ctl.hook != nil {
+		ctl.hook(old, chi, 0)
 	}
 }
 
 // RecordSaveCost accumulates the wall-clock cost of one checkpoint into Ec.
-func (c *Checkpointer) RecordSaveCost(d time.Duration) { c.saveCost += d }
+// Only the dynamic controller reads Ec; a periodic checkpointer keeps none.
+func (c *Checkpointer) RecordSaveCost(d time.Duration) {
+	if c.ctl != nil {
+		c.ctl.saveCost += d
+	}
+}
 
 // RecordCoastCost accumulates the wall-clock cost of one coast-forward phase
 // into Ec.
-func (c *Checkpointer) RecordCoastCost(d time.Duration) { c.coastCost += d }
+func (c *Checkpointer) RecordCoastCost(d time.Duration) {
+	if c.ctl != nil {
+		c.ctl.coastCost += d
+	}
+}
+
+// Block is what the state queues and checkpointers of one LP's objects are
+// built from: out of one allocation the slot each queue starts on — room for
+// the initial snapshot, which is all an object that never executes holds; the
+// first checkpoint moves the queue to an array of its own — and out
+// of one more each, only under a configuration that runs them, the dynamic
+// controllers' state and the encoded path's codecs and buffers. What an LP buys
+// for its objects it buys once, so a run's set-up makes O(LPs) allocations here
+// whatever it configures.
+type Block struct {
+	cfg   Config
+	snaps []Snapshot
+	ctl   []controller
+	enc   []encodings
+	cds   []codec.StateCodec
+}
+
+// NewBlock returns the block for n objects checkpointed under cfg, with
+// encoded checkpointing under cd (codec.Off for none).
+func NewBlock(cfg Config, cd codec.Config, n int) *Block {
+	b := &Block{cfg: cfg.withDefaults(), snaps: make([]Snapshot, n)}
+	if b.cfg.Mode == Dynamic {
+		b.ctl = make([]controller, n)
+	}
+	if proto := codec.NewState(cd); proto != nil {
+		b.enc = make([]encodings, n)
+		b.cds = make([]codec.StateCodec, n)
+		for i := range b.cds {
+			b.cds[i] = *proto
+			b.enc[i].cd = &b.cds[i]
+		}
+	}
+	return b
+}
+
+// Bind initialises c and gives q its storage, both as the i-th of the block.
+// q still needs its Init, once the object has a state, with q.Codec() for
+// codec. The snapshot slot is capped at itself, so the append that outgrows
+// it moves the queue rather than running into a neighbour's.
+func (b *Block) Bind(i int, q *Queue, c *Checkpointer) {
+	*q = Queue{snaps: b.snaps[i : i : i+1]}
+	if b.enc != nil {
+		q.enc = &b.enc[i]
+	}
+	var ctl *controller
+	if b.ctl != nil {
+		ctl = &b.ctl[i]
+	}
+	c.init(b.cfg, ctl)
+}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"testing"
 	"time"
+	"unsafe"
 
 	"gowarp/internal/codec"
 	"gowarp/internal/model"
@@ -145,17 +146,21 @@ func TestCheckpointerPeriodic(t *testing.T) {
 // no ticker or transfer function, and still takes an external adjustment.
 func TestPeriodicCheckpointerHasNoControllerParts(t *testing.T) {
 	c := NewCheckpointer(Config{Mode: Periodic, Interval: 3})
-	if c.ticker != nil || c.transfer != nil {
-		t.Error("periodic checkpointer built controller parts")
-	}
-	var from, to int
-	c.Hook = func(oldChi, newChi int, _ time.Duration) { from, to = oldChi, newChi }
 	c.RecordSaveCost(time.Millisecond)
 	c.RecordCoastCost(time.Millisecond)
+	c.SetHook(nil)
+	if c.ctl != nil || c.Mode() != Periodic || c.Adjustments() != 0 {
+		t.Error("periodic checkpointer built controller parts")
+	}
+	if size := unsafe.Sizeof(*c); size > 24 {
+		t.Errorf("a Checkpointer is %d bytes inline, want its interval, a counter and one pointer", size)
+	}
+	var from, to int
+	c.SetHook(func(oldChi, newChi int, _ time.Duration) { from, to = oldChi, newChi })
 	c.ForceInterval(100) // beyond the default clamp, which must widen
-	if c.Interval() != 100 || from != 3 || to != 100 || c.Adjustments != 1 {
-		t.Errorf("after ForceInterval(100): interval %d, hook saw %d -> %d, %d adjustments",
-			c.Interval(), from, to, c.Adjustments)
+	if c.Interval() != 100 || from != 3 || to != 100 || c.Adjustments() != 1 || c.Mode() != Periodic {
+		t.Errorf("after ForceInterval(100): interval %d, hook saw %d -> %d, %d adjustments, mode %s",
+			c.Interval(), from, to, c.Adjustments(), c.Mode())
 	}
 	saves := 0
 	for i := 0; i < 1000; i++ {
@@ -206,7 +211,7 @@ func TestCheckpointerDynamicAdapts(t *testing.T) {
 	if c.Interval() < 8 {
 		t.Errorf("interval = %d, want growth toward max", c.Interval())
 	}
-	if c.Adjustments == 0 {
+	if c.Adjustments() == 0 {
 		t.Error("no adjustments recorded")
 	}
 }
@@ -336,16 +341,16 @@ func TestQueueRecyclesSnapshotStates(t *testing.T) {
 	if got := q.FossilCollect(8); got != 7 {
 		t.Fatalf("FossilCollect reclaimed %d snapshots, want 7", got)
 	}
-	if len(q.spare) != 7 {
-		t.Fatalf("spare list holds %d states, want 7", len(q.spare))
+	if n := len(q.retired()); n != 7 {
+		t.Fatalf("the vacated slots hold %d states, want 7", n)
 	}
-	top := q.spare[len(q.spare)-1].(*padState)
+	top := q.retired()[0].(*padState)
 	padPtr := &top.Pad[0]
 	src.step()
 	q.Save(src, Snapshot{Time: 9})
 	saved := q.snaps[len(q.snaps)-1].State.(*padState)
 	if saved != top {
-		t.Error("Save did not reuse the most recently retired state struct")
+		t.Error("Save did not reuse the retired state its slot kept")
 	}
 	if &saved.Pad[0] != padPtr {
 		t.Error("reused state did not retain its Pad backing array")
@@ -359,10 +364,10 @@ func TestQueueRecyclesSnapshotStates(t *testing.T) {
 		t.Error("recycled snapshot state aliases the live state")
 	}
 	// RestoreBefore's popped snapshots retire too.
-	before := len(q.spare)
+	before := len(q.retired())
 	q.RestoreBefore(9)
-	if len(q.spare) != before+1 {
-		t.Errorf("spare list holds %d states after restore, want %d", len(q.spare), before+1)
+	if n := len(q.retired()); n != before+1 {
+		t.Errorf("the vacated slots hold %d states after restore, want %d", n, before+1)
 	}
 	// Once warm, a save/fossil-collect cycle costs zero heap allocations.
 	if n := testing.AllocsPerRun(50, func() {
@@ -374,16 +379,26 @@ func TestQueueRecyclesSnapshotStates(t *testing.T) {
 	}
 }
 
+// retired lists the states the vacated slots of the snapshot array keep.
+func (q *Queue) retired() (states []model.State) {
+	for _, s := range q.snaps[len(q.snaps):cap(q.snaps)] {
+		if s.State != nil {
+			states = append(states, s.State)
+		}
+	}
+	return states
+}
+
 // TestQueueRecycleSkipsNonReusable: states without CopyInto keep the plain
-// clone path and must not accumulate on the spare list.
+// clone path and must not stay behind in the vacated slots.
 func TestQueueRecycleSkipsNonReusable(t *testing.T) {
 	q := NewQueue(intState(0), Snapshot{}, nil)
 	q.save(1, 1, 1)
 	q.save(2, 2, 2)
 	q.FossilCollect(2)
 	q.RestoreBefore(2)
-	if len(q.spare) != 0 {
-		t.Errorf("spare list holds %d non-reusable states, want 0", len(q.spare))
+	if n := len(q.retired()); n != 0 {
+		t.Errorf("the vacated slots hold %d non-reusable states, want 0", n)
 	}
 }
 
@@ -417,16 +432,19 @@ func checkBuffersDisjoint(t testing.TB, q *Queue) {
 		}
 		seen[p] = what
 	}
-	for i := range q.snaps {
-		note(q.snaps[i].enc, "a snapshot's enc")
+	if len(q.enc.of) != len(q.snaps) {
+		t.Fatalf("%d snapshots with %d encodings", len(q.snaps), len(q.enc.of))
 	}
-	note(q.lastEnc, "lastEnc")
-	note(q.scratch, "scratch")
-	note(q.deltaScratch, "deltaScratch")
-	for _, b := range q.spareFull {
+	for i := range q.enc.of {
+		note(q.enc.of[i].enc, "a snapshot's enc")
+	}
+	note(q.enc.lastEnc, "lastEnc")
+	note(q.enc.scratch, "scratch")
+	note(q.enc.deltaScratch, "deltaScratch")
+	for _, b := range q.enc.spareFull {
 		note(b, "a spare full-image buffer")
 	}
-	for _, b := range q.spareDelta {
+	for _, b := range q.enc.spareDelta {
 		note(b, "a spare delta buffer")
 	}
 }
@@ -442,15 +460,15 @@ func checkAgainstTwin(t testing.TB, q, twin *Queue, step int) {
 	if q.Len() != twin.Len() {
 		t.Fatalf("step %d: %d snapshots, twin holds %d", step, q.Len(), twin.Len())
 	}
-	if q.snaps[0].delta {
+	if q.enc.of[0].delta {
 		t.Fatalf("step %d: the oldest snapshot is a delta", step)
 	}
 	chain := 0
 	for i := range q.snaps {
-		if chain++; !q.snaps[i].delta {
+		if chain++; !q.enc.of[i].delta {
 			chain = 0
 		}
-		if limit := q.cd.Config().FullEvery; chain > limit {
+		if limit := q.enc.cd.Config().FullEvery; chain > limit {
 			t.Fatalf("step %d: snapshot %d is %d deltas from its full image, FullEvery is %d", step, i, chain, limit)
 		}
 		if q.snaps[i].State != nil {
@@ -667,7 +685,7 @@ func runCodecTape(t testing.TB, cfg codec.Config, resize bool, steps int, intn f
 	if !s.State.(*padState).equal(rs.State.(*padState)) {
 		t.Fatal("oldest restore point diverges")
 	}
-	return landed, q.cd.Switches
+	return landed, q.enc.cd.Switches
 }
 
 // TestCodecQueueSteadyStateAllocs pins the codec path's buffer recycling:
@@ -758,5 +776,52 @@ func TestCodecQueueFallback(t *testing.T) {
 	q.save(10, 4, 1)
 	if s := q.RestoreBefore(11); s.State.(intState) != 4 {
 		t.Fatalf("fallback restore = %+v", s)
+	}
+}
+
+// TestBlock: the queues and checkpointers of a block share its allocations —
+// a handful for any number of objects, whatever the configuration — each queue
+// starts on its own slot of the block's snapshot array, and the save that
+// outgrows the slot moves the queue instead of writing into its neighbour's.
+func TestBlock(t *testing.T) {
+	const n = 64
+	cfg := Config{Mode: Dynamic, Interval: 3}
+	cd := codec.Config{Mode: codec.Delta}
+	qs, cs := make([]Queue, n), make([]Checkpointer, n)
+	build := func() {
+		b := NewBlock(cfg, cd, n)
+		for i := range qs {
+			b.Bind(i, &qs[i], &cs[i])
+		}
+	}
+	if allocs := testing.AllocsPerRun(10, build); allocs > 8 {
+		t.Errorf("a block of %d dynamic, encoded objects cost %.0f allocations, want a handful", n, allocs)
+	}
+	for i := range qs {
+		if cs[i].Mode() != Dynamic || cs[i].Interval() != 3 || qs[i].Codec() == nil {
+			t.Fatalf("object %d: mode %s, interval %d, codec %v", i, cs[i].Mode(), cs[i].Interval(), qs[i].Codec())
+		}
+		qs[i].Init(&padState{N: int64(i)}, Snapshot{Mark: int64(i)}, qs[i].Codec())
+	}
+	if cap(qs[0].snaps) != 1 || cap(qs[1].snaps) != 1 {
+		t.Fatalf("queues start on %d and %d slots, want one each", cap(qs[0].snaps), cap(qs[1].snaps))
+	}
+	qs[0].Save(&padState{N: 100}, Snapshot{Time: 1, Mark: 1})
+	if qs[0].Len() != 2 || qs[1].Len() != 1 || qs[1].OldestMark() != 1 {
+		t.Fatalf("after a save on queue 0: %d snapshots there, %d on queue 1 with mark %d",
+			qs[0].Len(), qs[1].Len(), qs[1].OldestMark())
+	}
+
+	// A periodic, clone-path block has no controller and no encoded half to
+	// give, and a state that cannot be encoded leaves the encoded half unused.
+	plain := NewBlock(Config{Interval: 2}, codec.Config{}, 1)
+	plain.Bind(0, &qs[0], &cs[0])
+	if cs[0].ctl != nil || qs[0].enc != nil || cap(qs[0].snaps) != 1 {
+		t.Errorf("a periodic clone-path object got controller %v, encodings %v, %d slots", cs[0].ctl, qs[0].enc, cap(qs[0].snaps))
+	}
+	NewBlock(cfg, cd, 1).Bind(0, &qs[0], &cs[0])
+	qs[0].Init(intState(1), Snapshot{}, qs[0].Codec())
+	if qs[0].Codec() != nil {
+		t.Error("a state that is no codec.DeltaState kept the encoded path")
 	}
 }
