@@ -170,6 +170,18 @@ type (
 // States that do not implement it fall back to cloned full checkpoints.
 type DeltaState = codec.DeltaState
 
+// DirtyState is DeltaState's optional sibling for a state with a fixed-layout
+// encoding that knows what its events wrote: MarshalDirty hands the kernel the
+// regions of the encoding that may have changed since the kernel last
+// marshalled or unmarshalled the state, and a checkpoint costs those bytes
+// instead of a marshal and a compare of the whole image. StateRegion is one
+// such region. The contract, and what under-reporting does, is on
+// codec.DirtyState; README "State codec" has a worked example.
+type (
+	DirtyState  = codec.DirtyState
+	StateRegion = codec.Region
+)
+
 // Load-balance modes (BalanceConfig.Mode).
 const (
 	// BalanceStatic keeps the initial object placement (the default).

@@ -195,3 +195,105 @@ func TestDecodeIntoStaleStorage(t *testing.T) {
 		t.Errorf("the bundled models hold %d state types, the test names %d: %v", len(seen), len(want), seen)
 	}
 }
+
+// reporting are the bundled states that are codec.DirtyState too: the padded
+// ones whose encoding is a few fixed-width fields and then Pad. The other four
+// have encodings that change length (raid's sources hold maps, a qnet station a
+// queue, a logic gate its pins) or no padding worth skipping (phold's is its
+// workload knob and its head is most of a small state).
+var reporting = map[string]bool{
+	"*smmp.cpuState": true, "*smmp.cacheState": true, "*smmp.portState": true, "*smmp.bankState": true,
+	"*raid.forkState": true, "*raid.diskState": true,
+}
+
+// mutate gives every field of the state st points to, Pad excepted, a new
+// random value with probability one half: what an Execute may do to it and
+// more. A model.Rand keeps its word private and is stepped instead.
+func mutate(t *testing.T, st any, r *model.Rand) {
+	t.Helper()
+	v := reflect.ValueOf(st).Elem()
+	for i := 0; i < v.NumField(); i++ {
+		f := v.Field(i)
+		if v.Type().Field(i).Name == "Pad" || r.Intn(2) == 0 {
+			continue
+		}
+		switch {
+		case f.Type() == reflect.TypeOf(model.Rand{}):
+			f.Addr().Interface().(*model.Rand).Uint64()
+		case f.CanInt():
+			f.SetInt(int64(r.Uint64() >> uint(r.Intn(64))))
+		case f.CanUint():
+			f.SetUint(r.Uint64() >> uint(32+r.Intn(32)))
+		default:
+			t.Fatalf("mutate: no rule for field %s, a %v", v.Type().Field(i).Name, f.Kind())
+		}
+	}
+}
+
+// TestDirtyStatesPatchInPlace is the codec.DirtyState contract for the six
+// bundled states that report what they dirtied: over a thousand steps that
+// write any of their fields at random, the encoding the kernel holds, patched in
+// place from each report, equals a fresh MarshalState after every step, and the
+// delta built from the report is the one the two whole encodings give —
+// including across an UnmarshalState of an older encoding, the rollback, after
+// which reports are measured from what was decoded. That the padding is left
+// out is sound because no Execute writes it, which the sequential runs show.
+func TestDirtyStatesPatchInPlace(t *testing.T) {
+	seen := 0
+	for _, app := range bundledModels {
+		for name, st := range statesByType(t, app.build(1, 48), app.end) {
+			ds, reports := st.(codec.DirtyState)
+			if reports != reporting[name] {
+				t.Errorf("%s: codec.DirtyState %t, want %t", name, reports, reporting[name])
+			}
+			if !reports {
+				continue
+			}
+			seen++
+			if pad := reflect.ValueOf(st).Elem().FieldByName("Pad").Bytes(); len(pad) != 48 || bytes.ContainsFunc(pad, func(r rune) bool { return r != 0 }) {
+				t.Errorf("%s: a run's Execute calls wrote Pad: % x", name, pad)
+			}
+			t.Run(name, func(t *testing.T) {
+				r := model.NewRand(9)
+				enc := ds.MarshalState(nil) // what the kernel holds
+				older := [][]byte{append([]byte(nil), enc...)}
+				var data, delta []byte
+				var at []codec.Region
+				for step := 0; step < 1000; step++ {
+					if step%40 == 39 {
+						img := older[r.Intn(len(older))]
+						back, err := ds.UnmarshalState(img)
+						if err != nil {
+							t.Fatalf("step %d: decoding an older encoding: %v", step, err)
+						}
+						ds, enc = back.(codec.DirtyState), append(enc[:0], img...)
+						continue
+					}
+					mutate(t, ds, &r)
+					prev := append([]byte(nil), enc...)
+					var ok bool
+					if data, at, ok = ds.MarshalDirty(data[:0], at[:0]); !ok {
+						t.Fatalf("step %d: cannot tell what changed", step)
+					}
+					var err error
+					if delta, err = codec.PatchRegions(delta[:0], enc, at, data); err != nil {
+						t.Fatalf("step %d: regions %v over %d bytes: %v", step, at, len(data), err)
+					}
+					fresh := ds.Clone().(codec.DeltaState).MarshalState(nil)
+					if !bytes.Equal(enc, fresh) {
+						t.Fatalf("step %d: patched in place from %v the encoding reads\n%x, a fresh one\n%x", step, at, enc, fresh)
+					}
+					if want := codec.AppendDelta(nil, prev, fresh); !bytes.Equal(delta, want) {
+						t.Fatalf("step %d: delta %x from the report, %x from the two encodings", step, delta, want)
+					}
+					if step%7 == 0 {
+						older = append(older, fresh)
+					}
+				}
+			})
+		}
+	}
+	if seen != len(reporting) {
+		t.Errorf("the bundled models produced %d of the %d reporting states", seen, len(reporting))
+	}
+}

@@ -367,7 +367,7 @@ func New(nl *Netlist, cfg Config) *model.Model {
 			g.Delay = 1
 		}
 		m.Objects = append(m.Objects, &gate{
-			name:   fmt.Sprintf("%s.%s.%d", nl.Name, g.Kind, i),
+			name:   model.IndexedName(nl.Name+"."+g.Kind.String()+".", i),
 			id:     i,
 			g:      g,
 			cfg:    cfg,

@@ -8,7 +8,6 @@ package phold
 
 import (
 	"encoding/binary"
-	"fmt"
 
 	"gowarp/internal/codec"
 	"gowarp/internal/event"
@@ -208,7 +207,7 @@ type sparseObject struct {
 
 // Name implements model.Object. Computed on demand: a million stored name
 // strings would dwarf the objects themselves.
-func (o *sparseObject) Name() string { return fmt.Sprintf("phold.%d", o.self) }
+func (o *sparseObject) Name() string { return model.IndexedName("phold.", int(o.self)) }
 
 // InitialState implements model.Object.
 func (o *sparseObject) InitialState() model.State {
@@ -302,7 +301,7 @@ func New(cfg Config) *model.Model {
 	m := &model.Model{Name: "phold", Partition: part}
 	for i := 0; i < cfg.Objects; i++ {
 		o := &object{
-			name: fmt.Sprintf("phold.%d", i),
+			name: model.IndexedName("phold.", i),
 			self: i,
 			cfg:  cfg,
 		}

@@ -11,7 +11,6 @@ package qnet
 
 import (
 	"encoding/binary"
-	"fmt"
 
 	"gowarp/internal/codec"
 	"gowarp/internal/event"
@@ -220,7 +219,7 @@ func New(cfg Config) *model.Model {
 	m := &model.Model{Name: "qnet", Partition: part}
 	for i := 0; i < cfg.Stations; i++ {
 		o := &station{
-			name: fmt.Sprintf("qnet.station.%d", i),
+			name: model.IndexedName("qnet.station.", i),
 			self: i,
 			cfg:  cfg,
 		}

@@ -16,7 +16,6 @@ package raid
 
 import (
 	"encoding/binary"
-	"fmt"
 	"sort"
 
 	"gowarp/internal/codec"
@@ -390,11 +389,23 @@ func (s *forkState) CopyInto(dst model.State) model.State {
 
 func (s *forkState) StateBytes() int { return 24 + len(s.Pad) }
 
+// appendHead appends the fixed-width front of the encoding: everything but Pad.
+func (s *forkState) appendHead(buf []byte) []byte {
+	buf = codec.AppendInt64(buf, int64(s.Next))
+	return codec.AppendInt64(buf, s.Routed)
+}
+
 // MarshalState implements codec.DeltaState.
 func (s *forkState) MarshalState(buf []byte) []byte {
-	buf = codec.AppendInt64(buf, int64(s.Next))
-	buf = codec.AppendInt64(buf, s.Routed)
-	return codec.AppendBytes(buf, s.Pad)
+	return codec.AppendBytes(s.appendHead(buf), s.Pad)
+}
+
+// MarshalDirty implements codec.DirtyState by construction, with no marks to
+// keep: Execute writes the counters and never Pad, so what may have changed
+// since the kernel last saw the encoding is its head. sourceState, whose maps
+// change the encoding's length, does not report.
+func (s *forkState) MarshalDirty(data []byte, at []codec.Region) ([]byte, []codec.Region, bool) {
+	return codec.HeadRegion(s.appendHead(data), len(data), at)
 }
 
 // UnmarshalState implements codec.DeltaState (see sourceState.UnmarshalState).
@@ -470,12 +481,20 @@ func (s *diskState) CopyInto(dst model.State) model.State {
 
 func (s *diskState) StateBytes() int { return 32 + len(s.Pad) }
 
-// MarshalState implements codec.DeltaState.
-func (s *diskState) MarshalState(buf []byte) []byte {
+func (s *diskState) appendHead(buf []byte) []byte {
 	buf = codec.AppendInt64(buf, s.Served)
 	buf = codec.AppendUint64(buf, uint64(s.Head))
-	buf = codec.AppendInt64(buf, s.Busy)
-	return codec.AppendBytes(buf, s.Pad)
+	return codec.AppendInt64(buf, s.Busy)
+}
+
+// MarshalState implements codec.DeltaState.
+func (s *diskState) MarshalState(buf []byte) []byte {
+	return codec.AppendBytes(s.appendHead(buf), s.Pad)
+}
+
+// MarshalDirty implements codec.DirtyState (see forkState.MarshalDirty).
+func (s *diskState) MarshalDirty(data []byte, at []codec.Region) ([]byte, []codec.Region, bool) {
+	return codec.HeadRegion(s.appendHead(data), len(data), at)
 }
 
 // UnmarshalState implements codec.DeltaState (see sourceState.UnmarshalState).
@@ -558,7 +577,7 @@ func New(cfg Config) *model.Model {
 	for i := 0; i < cfg.Sources; i++ {
 		f := i * cfg.Forks / cfg.Sources
 		m.Objects = append(m.Objects, &source{
-			name: fmt.Sprintf("raid.source.%d", i),
+			name: model.IndexedName("raid.source.", i),
 			fork: forkID(f),
 			cfg:  cfg,
 			seed: cfg.Seed ^ (uint64(i)+1)*0xBF58476D1CE4E5B9,
@@ -567,7 +586,7 @@ func New(cfg Config) *model.Model {
 	}
 	for f := 0; f < cfg.Forks; f++ {
 		m.Objects = append(m.Objects, &fork{
-			name:  fmt.Sprintf("raid.fork.%d", f),
+			name:  model.IndexedName("raid.fork.", f),
 			disks: disks,
 			cfg:   cfg,
 		})
@@ -575,7 +594,7 @@ func New(cfg Config) *model.Model {
 	}
 	for d := 0; d < cfg.Disks; d++ {
 		m.Objects = append(m.Objects, &disk{
-			name: fmt.Sprintf("raid.disk.%d", d),
+			name: model.IndexedName("raid.disk.", d),
 			cfg:  cfg,
 		})
 		m.Partition = append(m.Partition, d*cfg.LPs/cfg.Disks)

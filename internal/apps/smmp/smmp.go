@@ -168,13 +168,25 @@ func (s *cpuState) CopyInto(dst model.State) model.State {
 
 func (s *cpuState) StateBytes() int { return 64 + len(s.Pad) }
 
-// MarshalState implements codec.DeltaState (fixed layout, delta-friendly).
-func (s *cpuState) MarshalState(buf []byte) []byte {
+// appendHead appends the fixed-width front of the encoding: everything but Pad.
+func (s *cpuState) appendHead(buf []byte) []byte {
 	buf = codec.AppendUint64(buf, s.Rng.State())
 	buf = codec.AppendInt64(buf, s.Issued)
 	buf = codec.AppendInt64(buf, s.Done)
-	buf = codec.AppendInt64(buf, s.LatencySum)
-	return codec.AppendBytes(buf, s.Pad)
+	return codec.AppendInt64(buf, s.LatencySum)
+}
+
+// MarshalState implements codec.DeltaState (fixed layout, delta-friendly).
+func (s *cpuState) MarshalState(buf []byte) []byte {
+	return codec.AppendBytes(s.appendHead(buf), s.Pad)
+}
+
+// MarshalDirty implements codec.DirtyState by construction, with no marks to
+// keep: Execute writes the counters and never Pad, so what may have changed
+// since the kernel last saw the encoding is its head, and a checkpoint of a
+// padded processor costs 32 bytes whatever StatePadding is.
+func (s *cpuState) MarshalDirty(data []byte, at []codec.Region) ([]byte, []codec.Region, bool) {
+	return codec.HeadRegion(s.appendHead(data), len(data), at)
 }
 
 // UnmarshalState implements codec.DeltaState, decoding into s itself: every
@@ -280,13 +292,21 @@ func (s *cacheState) CopyInto(dst model.State) model.State {
 
 func (s *cacheState) StateBytes() int { return 48 + len(s.Pad) }
 
-// MarshalState implements codec.DeltaState.
-func (s *cacheState) MarshalState(buf []byte) []byte {
+func (s *cacheState) appendHead(buf []byte) []byte {
 	buf = codec.AppendUint64(buf, s.Rng.State())
 	buf = codec.AppendInt64(buf, s.Hits)
 	buf = codec.AppendInt64(buf, s.Misses)
-	buf = codec.AppendInt64(buf, s.Fills)
-	return codec.AppendBytes(buf, s.Pad)
+	return codec.AppendInt64(buf, s.Fills)
+}
+
+// MarshalState implements codec.DeltaState.
+func (s *cacheState) MarshalState(buf []byte) []byte {
+	return codec.AppendBytes(s.appendHead(buf), s.Pad)
+}
+
+// MarshalDirty implements codec.DirtyState (see cpuState.MarshalDirty).
+func (s *cacheState) MarshalDirty(data []byte, at []codec.Region) ([]byte, []codec.Region, bool) {
+	return codec.HeadRegion(s.appendHead(data), len(data), at)
 }
 
 // UnmarshalState implements codec.DeltaState (see cpuState.UnmarshalState).
@@ -369,8 +389,12 @@ func (s *portState) StateBytes() int { return 16 + len(s.Pad) }
 
 // MarshalState implements codec.DeltaState.
 func (s *portState) MarshalState(buf []byte) []byte {
-	buf = codec.AppendInt64(buf, s.Routed)
-	return codec.AppendBytes(buf, s.Pad)
+	return codec.AppendBytes(codec.AppendInt64(buf, s.Routed), s.Pad)
+}
+
+// MarshalDirty implements codec.DirtyState (see cpuState.MarshalDirty).
+func (s *portState) MarshalDirty(data []byte, at []codec.Region) ([]byte, []codec.Region, bool) {
+	return codec.HeadRegion(codec.AppendInt64(data, s.Routed), len(data), at)
 }
 
 // UnmarshalState implements codec.DeltaState (see cpuState.UnmarshalState).
@@ -434,8 +458,12 @@ func (s *bankState) StateBytes() int { return 16 + len(s.Pad) }
 
 // MarshalState implements codec.DeltaState.
 func (s *bankState) MarshalState(buf []byte) []byte {
-	buf = codec.AppendInt64(buf, s.Served)
-	return codec.AppendBytes(buf, s.Pad)
+	return codec.AppendBytes(codec.AppendInt64(buf, s.Served), s.Pad)
+}
+
+// MarshalDirty implements codec.DirtyState (see cpuState.MarshalDirty).
+func (s *bankState) MarshalDirty(data []byte, at []codec.Region) ([]byte, []codec.Region, bool) {
+	return codec.HeadRegion(codec.AppendInt64(data, s.Served), len(data), at)
 }
 
 // UnmarshalState implements codec.DeltaState (see cpuState.UnmarshalState).
@@ -487,20 +515,20 @@ func New(cfg Config) *model.Model {
 		lp := i * cfg.LPs / cfg.Processors
 		m.Objects = append(m.Objects,
 			&cpu{
-				name:  fmt.Sprintf("smmp.cpu.%d", i),
+				name:  model.IndexedName("smmp.cpu.", i),
 				cache: cacheID(i),
 				cfg:   cfg,
 				seed:  cfg.Seed ^ (uint64(i)+1)*0xA5A5A5A5A5A5A5A5,
 			},
 			&cache{
-				name: fmt.Sprintf("smmp.cache.%d", i),
+				name: model.IndexedName("smmp.cache.", i),
 				cpu:  cpuID(i),
 				port: portID(i),
 				cfg:  cfg,
 				seed: cfg.Seed ^ (uint64(i)+101)*0xC3C3C3C3C3C3C3C3,
 			},
 			&port{
-				name:  fmt.Sprintf("smmp.port.%d", i),
+				name:  model.IndexedName("smmp.port.", i),
 				banks: banks,
 				cfg:   cfg,
 			},
@@ -509,7 +537,7 @@ func New(cfg Config) *model.Model {
 	}
 	for b := 0; b < cfg.LPs; b++ {
 		m.Objects = append(m.Objects, &bank{
-			name: fmt.Sprintf("smmp.bank.%d", b),
+			name: model.IndexedName("smmp.bank.", b),
 			cfg:  cfg,
 		})
 		m.Partition = append(m.Partition, b)

@@ -31,6 +31,10 @@ import (
 // deterministic (equal states encode to equal bytes) and UnmarshalState
 // must invert it: the kernel's structural-hash audit verifies the round
 // trip on every restore and migration install.
+//
+// A state that also implements DirtyState, below, is marshalled whole only
+// where it must be: each call of MarshalState or UnmarshalState here is a
+// point its MarshalDirty reports are measured from.
 type DeltaState interface {
 	model.State
 	// MarshalState appends a complete encoding of the state to buf and
@@ -47,6 +51,43 @@ type DeltaState interface {
 	// the result must not alias data. On error the contents are unspecified.
 	UnmarshalState(data []byte) (model.State, error)
 }
+
+// DirtyState is DeltaState's optional sibling, for a state whose encoding has a
+// fixed layout — the same length from one MarshalState to the next, every field
+// at the same offset — and which knows what its events wrote. It hands the
+// kernel the regions of the encoding that may have changed, and a checkpoint
+// then costs those bytes, not a marshal and a compare of the whole image: a
+// save reads what the event wrote. The kernel finds it by type assertion, as it
+// finds DeltaState.
+//
+// "Changed" is measured from the state's last synchronisation with the kernel:
+// the latest call on this state of MarshalState, of MarshalDirty answering ok,
+// or of UnmarshalState (the state is then what was decoded). The kernel keeps
+// the encoding it saw at that moment and patches it with what MarshalDirty
+// reports. A state that keeps marks therefore clears them in all three, and
+// copies them in Clone and CopyInto — the copy stands where the original stood.
+// One that reports by construction (the bundled padded states: the counters in
+// front are always reported, the padding no Execute writes never) keeps none,
+// and that is the form to prefer: marks are fields, and the auditor's
+// structural hash and the oracle's comparison with the sequential kernel, which
+// never marshals, read every field of a state.
+//
+// Reporting more than changed costs only time: the kernel compares a region
+// with what it holds and stores the bytes that differ. Reporting less loses the
+// write: the checkpoint, and every restore through it, is of a state that never
+// was. Under Config.Audit the restore-time structural hash catches that.
+type DirtyState interface {
+	DeltaState
+	// MarshalDirty appends to data the current encoding of every region that
+	// may have changed, end to end, and to at where each lies in the full
+	// encoding: ascending and disjoint. ok false says the state cannot tell —
+	// its encoding changed length, or it lost track — and the kernel, ignoring
+	// what was appended, calls MarshalState instead.
+	MarshalDirty(data []byte, at []Region) ([]byte, []Region, bool)
+}
+
+// Region is a span of a state's encoding: Len bytes from offset Off.
+type Region struct{ Off, Len int }
 
 // Mode selects how checkpoints are encoded.
 type Mode int

@@ -95,6 +95,66 @@ func AppendDelta(dst, old, new []byte) []byte {
 	return dst
 }
 
+// appendRun appends one op of a delta: skip bytes kept, then changed.
+func appendRun(dst, changed []byte, skip int) []byte {
+	dst = binary.AppendUvarint(dst, uint64(skip))
+	dst = binary.AppendUvarint(dst, uint64(len(changed)))
+	return append(dst, changed...)
+}
+
+// PatchRegions is AppendDelta for an encoding known to differ from its
+// predecessor inside the regions at only. enc holds the predecessor and data
+// what DirtyState.MarshalDirty appended, the regions' current bytes end to end:
+// enc is brought up to date where it lies, and dst is extended by exactly the
+// bytes AppendDelta would append for the two whole encodings — a byte a region
+// holds unchanged costs nothing to store, and equal gaps shorter than
+// minSkipRun are swallowed across region boundaries too — having read the
+// regions alone. Nothing is touched unless the regions are ascending,
+// disjoint, inside enc and as long together as data.
+func PatchRegions(dst, enc []byte, at []Region, data []byte) ([]byte, error) {
+	end, total := 0, 0
+	for _, r := range at {
+		if r.Len < 0 || r.Off < end || r.Len > len(enc)-r.Off {
+			return dst, corrupt("dirty regions")
+		}
+		end, total = r.Off+r.Len, total+r.Len
+	}
+	if total != len(data) {
+		return dst, corrupt("dirty region data")
+	}
+	dst = binary.AppendUvarint(dst, uint64(len(enc)))
+	// enc[:i] is encoded; [from, to) is the changed run still growing, empty
+	// when there is none. Its bytes are patched as they are found, so a run is
+	// read back from enc whichever regions and gaps it crosses.
+	i, from, to := 0, 0, 0
+	for _, r := range at {
+		was, now := enc[r.Off:r.Off+r.Len], data[:r.Len]
+		data = data[r.Len:]
+		for k := matchLen(was, now); k < len(now); k += matchLen(was[k:], now[k:]) {
+			a := r.Off + k
+			for ; k < len(now) && was[k] != now[k]; k++ {
+				was[k] = now[k]
+			}
+			if to > from && a-to >= minSkipRun {
+				dst = appendRun(dst, enc[from:to], from-i)
+				i, from = to, to
+			}
+			if to == from {
+				from = a
+			}
+			to = r.Off + k
+		}
+	}
+	if to > from {
+		dst = appendRun(dst, enc[from:to], from-i)
+		i = to
+	}
+	if i < len(enc) {
+		dst = appendRun(dst, nil, len(enc)-i)
+	}
+	return dst, nil
+}
+
 // PatchDelta applies a delta produced by AppendDelta in place: buf holds the
 // old encoding and the returned slice, which reuses buf's storage unless the
 // new encoding outgrows its capacity, holds the new one. Skipped bytes are

@@ -48,14 +48,67 @@ func refAppendDelta(dst, old, new []byte) []byte {
 	return dst
 }
 
+// coverings returns a few ways a DirtyState might report how new differs from
+// old, which have equal lengths: every maximal differing run exactly; the runs
+// widened by slack bytes on both sides, merged where they then meet; the whole
+// encoding as one region; and — where the runs leave one — an empty region
+// before the first and two abutting halves in place of the widest.
+func coverings(old, new []byte, slack int) [][]Region {
+	var exact, wide []Region
+	for i := 0; i < len(new); i++ {
+		if old[i] == new[i] {
+			continue
+		}
+		j := i
+		for j < len(new) && old[j] != new[j] {
+			j++
+		}
+		exact = append(exact, Region{Off: i, Len: j - i})
+		lo, hi := max(i-slack, 0), min(j+slack, len(new))
+		if n := len(wide); n > 0 && wide[n-1].Off+wide[n-1].Len >= lo {
+			lo = wide[n-1].Off
+			wide = wide[:n-1]
+		}
+		wide = append(wide, Region{Off: lo, Len: hi - lo})
+		i = j
+	}
+	out := [][]Region{exact, wide, {{Len: len(new)}}}
+	if len(wide) > 0 {
+		split := []Region{{Off: wide[0].Off}}
+		for _, r := range wide {
+			split = append(split, Region{Off: r.Off, Len: r.Len / 2}, Region{Off: r.Off + r.Len/2, Len: r.Len - r.Len/2})
+		}
+		out = append(out, split)
+	}
+	return out
+}
+
 // checkDelta is the property the table test and the fuzz target share:
-// AppendDelta equals the reference encoder, and the copying and in-place
-// decoders both reproduce new without the copying one touching old.
+// AppendDelta equals the reference encoder, PatchRegions reaches the same
+// bytes and the same encoding from any covering of the difference, and the
+// copying and in-place decoders both reproduce new without the copying one
+// touching old.
 func checkDelta(t *testing.T, old, new []byte) {
 	t.Helper()
 	d := AppendDelta(nil, old, new)
 	if ref := refAppendDelta(nil, old, new); !bytes.Equal(d, ref) {
 		t.Fatalf("AppendDelta differs from the reference encoder:\n got %x\nwant %x", d, ref)
+	}
+	if len(old) == len(new) {
+		for _, at := range coverings(old, new, 1+len(new)%7) {
+			var data []byte
+			for _, r := range at {
+				data = append(data, new[r.Off:r.Off+r.Len]...)
+			}
+			enc := append([]byte(nil), old...)
+			got, err := PatchRegions(nil, enc, at, data)
+			if err != nil || !bytes.Equal(enc, new) {
+				t.Fatalf("PatchRegions over %v: err %v, encoding patched to %x, want %x", at, err, enc, new)
+			}
+			if !bytes.Equal(got, d) {
+				t.Fatalf("PatchRegions over %v differs from AppendDelta:\n got %x\nwant %x", at, got, d)
+			}
+		}
 	}
 	keep := append([]byte(nil), old...)
 	got, err := ApplyDelta(old, d)
@@ -126,6 +179,36 @@ func TestDeltaTable(t *testing.T) {
 	}
 }
 
+// TestPatchRegionsRejects: a report that is out of order, overlapping, outside
+// the encoding or of the wrong total length is refused before a byte moves.
+func TestPatchRegionsRejects(t *testing.T) {
+	cases := []struct {
+		name string
+		at   []Region
+		data int
+	}{
+		{"past the end", []Region{{Off: 6, Len: 3}}, 3},
+		{"offset past the end", []Region{{Off: 9}}, 0},
+		{"negative length", []Region{{Off: 4, Len: -1}}, 0},
+		{"negative offset", []Region{{Off: -1, Len: 2}}, 2},
+		{"descending", []Region{{Off: 4, Len: 2}, {Off: 0, Len: 2}}, 4},
+		{"overlapping", []Region{{Off: 0, Len: 4}, {Off: 3, Len: 2}}, 6},
+		{"short data", []Region{{Off: 0, Len: 4}}, 3},
+		{"long data", []Region{{Off: 0, Len: 4}}, 5},
+		{"huge length", []Region{{Off: 1, Len: int(^uint(0) >> 1)}}, 0},
+	}
+	for _, c := range cases {
+		enc := []byte("ABCDEFGH")
+		dst, err := PatchRegions(nil, enc, c.at, bytes.Repeat([]byte{'x'}, c.data))
+		if err == nil {
+			t.Errorf("%s: accepted", c.name)
+		}
+		if string(enc) != "ABCDEFGH" || len(dst) != 0 {
+			t.Errorf("%s: refused, but the encoding reads %q and %d bytes of delta were appended", c.name, enc, len(dst))
+		}
+	}
+}
+
 // TestDeltaCorruptPaths drives one delta into each corruption check of the
 // decoder. old is 8 bytes; op(skip, changed, bytes...) spells one op.
 func TestDeltaCorruptPaths(t *testing.T) {
@@ -181,6 +264,9 @@ func FuzzDelta(f *testing.F) {
 	f.Add(big[:40], edit, []byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01, 0, 0})
 	f.Fuzz(func(t *testing.T, old, new, junk []byte) {
 		checkDelta(t, old, new)
+		// Equal lengths are what the region encoder takes.
+		n := min(len(old), len(new))
+		checkDelta(t, old[:n], new[:n])
 		gotA, errA := ApplyDelta(old, junk)
 		gotP, errP := PatchDelta(append([]byte(nil), old...), junk)
 		if (errA == nil) != (errP == nil) || !bytes.Equal(gotA, gotP) {
@@ -226,5 +312,25 @@ func BenchmarkApplyDelta16k(b *testing.B) {
 			b.Fatal(err)
 		}
 		benchSink = out
+	}
+}
+
+// BenchmarkPatchRegionsDelta16k is the save of a padded model state that says
+// what it dirtied: of a 16 KiB encoding the 32-byte head is reported and three
+// of its four counters have moved.
+func BenchmarkPatchRegionsDelta16k(b *testing.B) {
+	enc, _ := deltaBenchInput()
+	at := []Region{{Len: 32}}
+	head := make([]byte, 32)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		binary.LittleEndian.PutUint64(head, uint64(i)*0x9E3779B97F4A7C15)
+		binary.LittleEndian.PutUint64(head[8:], uint64(i))
+		binary.LittleEndian.PutUint64(head[24:], uint64(3*i))
+		var err error
+		if benchSink, err = PatchRegions(benchSink[:0], enc, at, head); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

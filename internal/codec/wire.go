@@ -23,6 +23,14 @@ func AppendBytes(b, p []byte) []byte {
 	return append(b, p...)
 }
 
+// HeadRegion is the whole of DirtyState.MarshalDirty for a state whose events
+// write only the fixed-width fields in front of its encoding: data is what the
+// caller was given with those fields appended from offset from on, and the one
+// region reported is the encoding's head, as long as what was appended.
+func HeadRegion(data []byte, from int, at []Region) ([]byte, []Region, bool) {
+	return data, append(at, Region{Len: len(data) - from}), true
+}
+
 // Reader decodes encodings produced with the Append helpers. Errors
 // saturate: after the first short read every accessor returns zero values
 // and Err reports the failure, so decoders read field-by-field and check

@@ -148,6 +148,8 @@ func (lp *lpRun) migrateOutBatch(batch []*simObject, to int) {
 		if lp.cfg.Codec.CompressWire() {
 			if ds, ok := o.state.(codec.DeltaState); ok {
 				raw := ds.MarshalState(nil)
+				// This marshal and install's decode are not the queue's.
+				o.stateQ.Unsync()
 				it.stateEnc, it.comp = codec.Pack(lp.cfg.Codec, raw)
 				stateRaw = len(raw)
 				stateStored = len(it.stateEnc)

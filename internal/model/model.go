@@ -8,6 +8,7 @@ package model
 
 import (
 	"slices"
+	"strconv"
 
 	"gowarp/internal/event"
 	"gowarp/internal/vtime"
@@ -150,6 +151,15 @@ func (m *Model) duplicateName() bool {
 		}
 	}
 	return false
+}
+
+// IndexedName returns prefix followed by i in decimal — "phold.17" — the shape
+// of every bundled model's object names, for one allocation: a model that
+// formats names on demand is asked for each twice a run (duplicateName, the
+// result), and fmt.Sprintf boxes the index besides.
+func IndexedName(prefix string, i int) string {
+	var buf [40]byte
+	return string(strconv.AppendInt(append(buf[:0], prefix...), int64(i), 10))
 }
 
 type modelError string

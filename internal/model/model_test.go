@@ -183,6 +183,23 @@ func TestValidateDuplicateName(t *testing.T) {
 	}
 }
 
+// TestIndexedName: the names read as fmt.Sprintf("%s%d") gives them, a prefix
+// longer than the buffer included, for one allocation each.
+func TestIndexedName(t *testing.T) {
+	long := "a.prefix.longer.than.the.forty.bytes.the.name.is.built.in."
+	for _, prefix := range []string{"", "phold.", long} {
+		for _, i := range []int{0, 7, 4095, 1 << 40, -3} {
+			if got, want := IndexedName(prefix, i), fmt.Sprintf("%s%d", prefix, i); got != want {
+				t.Errorf("IndexedName(%q, %d) = %q, want %q", prefix, i, got, want)
+			}
+		}
+	}
+	var name string
+	if n := testing.AllocsPerRun(100, func() { name = IndexedName("smmp.cache.", 65535) }); n != 1 || name != "smmp.cache.65535" {
+		t.Errorf("%q cost %.0f allocations, want 1", name, n)
+	}
+}
+
 func TestNumLPsEmptyPartition(t *testing.T) {
 	m := &Model{}
 	if m.NumLPs() != 1 {

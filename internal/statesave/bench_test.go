@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"gowarp/internal/codec"
+	"gowarp/internal/model"
 	"gowarp/internal/vtime"
 )
 
@@ -22,17 +23,24 @@ const coldQueues = 64
 
 type benchQueue struct {
 	q    *Queue
-	live *padState
-	now  vtime.Time
+	live tapeState
+	// st is live as Save and RestoreInto take it: converted once here, not by
+	// every measured call (an interface-to-interface conversion is a table
+	// lookup a kernel holding a model.State never pays).
+	st  model.State
+	now vtime.Time
 }
 
 func newBenchQueues(n int) []benchQueue {
 	qs := make([]benchQueue, n)
 	for i := range qs {
-		live := &padState{Pad: make([]byte, 16<<10)}
-		qs[i] = benchQueue{q: NewQueue(live, Snapshot{}, codec.NewState(codec.Config{Mode: codec.Delta})), live: live}
+		qs[i] = newBenchQueue(&padState{Pad: make([]byte, 16<<10)})
 	}
 	return qs
+}
+
+func newBenchQueue(live tapeState) benchQueue {
+	return benchQueue{q: NewQueue(live, Snapshot{}, codec.NewState(codec.Config{Mode: codec.Delta})), live: live, st: live}
 }
 
 // save checkpoints n further steps of the live state.
@@ -40,14 +48,26 @@ func (b *benchQueue) save(n int) {
 	for ; n > 0; n-- {
 		b.now++
 		b.live.step()
-		b.q.Save(b.live, Snapshot{Time: b.now})
+		b.q.Save(b.st, Snapshot{Time: b.now})
 	}
 }
 
 // BenchmarkCodecQueueSave16k: one save in the kernel's rhythm — 64 saves
-// (60 deltas, 4 anchors), then the fossil collection that recycles them.
+// (60 deltas, 4 anchors), then the fossil collection that recycles them — of a
+// state that hides what it dirtied: a marshal and a compare of the 16 KiB.
 func BenchmarkCodecQueueSave16k(b *testing.B) {
-	bq := &newBenchQueues(1)[0]
+	benchSave(b, &padState{Pad: make([]byte, 16<<10)})
+}
+
+// BenchmarkCodecQueueSaveDirty16k is the same save of a codec.DirtyState that
+// reports 1 % of the encoding as dirty, the counter and 80 bytes of Pad on
+// either side of the one written: what is left of it is the anchors' copies.
+func BenchmarkCodecQueueSaveDirty16k(b *testing.B) {
+	benchSave(b, &markState{padState: padState{Pad: make([]byte, 16<<10)}, slack: 80})
+}
+
+func benchSave(b *testing.B, live tapeState) {
+	bq := newBenchQueue(live)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 1; i <= b.N; i++ {
@@ -73,9 +93,9 @@ func benchRestoreChain16(b *testing.B, queues int) {
 	for i := 0; i < b.N; i++ {
 		bq := &qs[i%queues]
 		t0 := time.Now()
-		s := bq.q.RestoreInto(17, bq.live)
+		s := bq.q.RestoreInto(17, bq.st)
 		restore += time.Since(t0)
-		if s.Time != 16 || s.State != bq.live {
+		if s.Time != 16 || s.State != bq.st {
 			b.Fatalf("restored t=%v into %p", s.Time, s.State)
 		}
 		bq.now = 16

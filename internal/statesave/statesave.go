@@ -62,7 +62,10 @@ type SaveResult struct {
 // onto the copy, and RestoreInto decodes that straight into the live state:
 // two passes over the state's bytes and no allocation. The oldest snapshot is
 // always a full image. The rule throughout is that a full-state image is
-// copied only where two copies must both survive.
+// copied only where two copies must both survive, and a save reads what the
+// event wrote: a state that is a codec.DirtyState too is asked for the regions
+// it dirtied, and the queue patches the encoding it holds and builds the delta
+// from those alone (see encode).
 //
 // A clone-path queue is its snapshot slice and nothing else. What only the
 // encoded path needs — codec, delta base, scratch and spare buffers — is behind
@@ -92,6 +95,12 @@ type encodings struct {
 	// out of them, so neither they nor lastEnc ever alias queue storage.
 	scratch      []byte
 	deltaScratch []byte
+	// regions is the recycled list a codec.DirtyState reports into (its bytes
+	// go to scratch). unsynced is set while the live state's last marshal or
+	// unmarshal was someone else's (see Queue.Unsync), so that what it would
+	// report is not measured from lastEnc.
+	regions  []codec.Region
+	unsynced bool
 	// spareFull and spareDelta hold the enc buffers of snapshots popped by
 	// RestoreBefore or discarded by FossilCollect, by kind because the two
 	// differ in size by orders of magnitude; pack stores the next snapshot
@@ -186,7 +195,7 @@ func (q *Queue) Init(st model.State, meta Snapshot, cd *codec.StateCodec) {
 		first := encoded{rawLen: len(raw)}
 		first.enc, first.comp = codec.Pack(cd.Config(), raw)
 		e.of = append(e.of[:0], first)
-		e.lastEnc = raw
+		e.lastEnc, e.unsynced = raw, false
 	} else {
 		q.enc = nil
 		meta.State = st.Clone()
@@ -227,16 +236,15 @@ func (q *Queue) Save(st model.State, meta Snapshot) SaveResult {
 		return SaveResult{RawBytes: size, StoredBytes: size}
 	}
 	*slot = meta
-	raw := st.(codec.DeltaState).MarshalState(e.scratch[:0])
 	isDelta := e.cd.NextIsDelta() && e.lastEnc != nil
-	payload := raw
+	// A full save with a Dynamic controller in full mode computes (but does
+	// not store) the delta, so the controller keeps observing the ratio.
+	probe := !isDelta && e.cd.ProbeNow() && e.lastEnc != nil
+	e.encode(st.(codec.DeltaState), isDelta || probe)
+	payload := e.lastEnc
 	if isDelta {
-		e.deltaScratch = codec.AppendDelta(e.deltaScratch[:0], e.lastEnc, raw)
 		payload = e.deltaScratch
-	} else if e.cd.ProbeNow() && e.lastEnc != nil {
-		// Full save with a Dynamic controller in full mode: compute (but do
-		// not store) the delta so the controller keeps observing the ratio.
-		e.deltaScratch = codec.AppendDelta(e.deltaScratch[:0], e.lastEnc, raw)
+	} else if probe {
 		// Its stored size is taken over a spare buffer that goes straight
 		// back, so the probe retains nothing.
 		d, _ := e.pack(e.deltaScratch, true)
@@ -245,12 +253,45 @@ func (q *Queue) Save(st model.State, meta Snapshot) SaveResult {
 	}
 	stored, comp := e.pack(payload, isDelta)
 	e.cd.RecordSave(len(stored), isDelta)
-	e.of = append(e.of, encoded{enc: stored, delta: isDelta, comp: comp, rawLen: len(raw)})
+	e.of = append(e.of, encoded{enc: stored, delta: isDelta, comp: comp, rawLen: len(e.lastEnc)})
+	return SaveResult{RawBytes: len(e.lastEnc), StoredBytes: len(stored), Delta: isDelta}
+}
+
+// encode makes lastEnc the encoding of st and, when wantDelta is set, leaves in
+// deltaScratch the delta from the encoding it replaces. A codec.DirtyState in
+// step with the queue is asked what changed, and lastEnc is patched with that
+// where it lies (the delta falls out of the same pass, wanted or not); any
+// other state, and one that cannot tell, is marshalled whole and compared.
+func (e *encodings) encode(st codec.DeltaState, wantDelta bool) {
+	if ds, ok := st.(codec.DirtyState); ok && !e.unsynced {
+		var told bool
+		if e.scratch, e.regions, told = ds.MarshalDirty(e.scratch[:0], e.regions[:0]); told {
+			var err error
+			e.deltaScratch, err = codec.PatchRegions(e.deltaScratch[:0], e.lastEnc, e.regions, e.scratch)
+			if err != nil {
+				panic("statesave: state misreported what it dirtied: " + err.Error())
+			}
+			return
+		}
+	}
+	raw := st.MarshalState(e.scratch[:0])
+	if wantDelta {
+		e.deltaScratch = codec.AppendDelta(e.deltaScratch[:0], e.lastEnc, raw)
+	}
 	// The marshal buffer becomes the new delta base; recycle the old base
 	// (never aliased by queue storage) as the next marshal buffer.
-	e.scratch = e.lastEnc
-	e.lastEnc = raw
-	return SaveResult{RawBytes: len(raw), StoredBytes: len(stored), Delta: isDelta}
+	e.scratch, e.lastEnc = e.lastEnc, raw
+	e.unsynced = false
+}
+
+// Unsync tells the queue that the live state was marshalled or unmarshalled
+// behind its back — a migration capsule does both — which moves the point a
+// codec.DirtyState reports from off the encoding the queue holds. The next Save
+// marshals the whole state, as for a state that cannot tell.
+func (q *Queue) Unsync() {
+	if q.enc != nil {
+		q.enc.unsynced = true
+	}
 }
 
 // RestoreInto is the rollback: it pops every snapshot at or after time t
@@ -270,6 +311,7 @@ func (q *Queue) RestoreInto(t vtime.Time, live model.State) Snapshot {
 			panic("statesave: snapshot decode failed: " + err.Error())
 		}
 		snap.State = st
+		q.enc.unsynced = false
 	} else if r, ok := snap.State.(model.Reusable); ok {
 		snap.State = r.CopyInto(live)
 	} else {

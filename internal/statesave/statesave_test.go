@@ -2,7 +2,9 @@ package statesave
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
+	"hash/fnv"
 	"testing"
 	"time"
 	"unsafe"
@@ -313,6 +315,102 @@ func (s *padState) dirty(way int) {
 	}
 }
 
+// resize gives Pad n bytes, keeping what fits and numbering the rest.
+func (s *padState) resize(n int) {
+	for len(s.Pad) < n {
+		s.Pad = append(s.Pad, byte(len(s.Pad)))
+	}
+	s.Pad = s.Pad[:n]
+}
+
+// rewrite refills the whole of Pad from seed.
+func (s *padState) rewrite(seed uint64) {
+	fill := model.NewRand(seed)
+	for i := range s.Pad {
+		s.Pad[i] = byte(fill.Uint64())
+	}
+}
+
+func (s *padState) value() *padState { return s }
+
+// tapeState is what the tapes and benchmarks below drive: padState, which hides
+// what it dirtied from the queue, or markState, which reports it.
+type tapeState interface {
+	codec.DeltaState
+	step()
+	resize(n int)
+	rewrite(seed uint64)
+	dirty(way int)
+	value() *padState
+}
+
+// markState is padState as a codec.DirtyState: step marks what it writes, and
+// whatever else writes the state makes it lose track until the kernel has
+// marshalled or unmarshalled it whole. With vary set every seventh answer is
+// "cannot tell" all the same and every third is wider than what was written;
+// slack widens every answer by that many bytes of Pad on both sides.
+type markState struct {
+	padState
+	lost   bool
+	lo, hi int // Pad[lo:hi] was written since the last synchronisation
+	vary   bool
+	slack  int
+	asked  int // calls of MarshalDirty
+	told   int // those answered
+}
+
+func (s *markState) sync() { s.lost, s.lo, s.hi = false, 0, 0 }
+
+func (s *markState) step() {
+	s.padState.step()
+	i := int(s.N) % len(s.Pad)
+	if s.lo == s.hi {
+		s.lo, s.hi = i, i+1
+	}
+	s.lo, s.hi = min(s.lo, i), max(s.hi, i+1)
+}
+
+func (s *markState) resize(n int)        { s.padState.resize(n); s.lost = true }
+func (s *markState) rewrite(seed uint64) { s.padState.rewrite(seed); s.lost = true }
+func (s *markState) dirty(way int)       { s.padState.dirty(way); s.lost = true }
+
+// Clone carries the marks, as the contract asks of a state that keeps any.
+func (s *markState) Clone() model.State {
+	c := *s
+	c.padState = *s.padState.Clone().(*padState)
+	return &c
+}
+
+func (s *markState) MarshalState(buf []byte) []byte {
+	s.sync()
+	return s.padState.MarshalState(buf)
+}
+
+func (s *markState) UnmarshalState(data []byte) (model.State, error) {
+	s.sync()
+	_, err := s.padState.UnmarshalState(data)
+	return s, err
+}
+
+func (s *markState) MarshalDirty(data []byte, at []codec.Region) ([]byte, []codec.Region, bool) {
+	if s.asked++; s.lost || s.vary && s.asked%7 == 0 {
+		return data, at, false
+	}
+	slack := s.slack
+	if s.vary && s.asked%3 == 0 {
+		slack += 1 + s.asked%11
+	}
+	lo, hi := max(s.lo-slack, 0), min(s.hi+slack, len(s.Pad))
+	// Pad lies behind the counter and its own length prefix.
+	var prefix [binary.MaxVarintLen64]byte
+	padAt := 8 + binary.PutUvarint(prefix[:], uint64(len(s.Pad)))
+	data = append(codec.AppendInt64(data, s.N), s.Pad[lo:hi]...)
+	at = append(at, codec.Region{Len: 8}, codec.Region{Off: padAt + lo, Len: hi - lo})
+	s.sync()
+	s.told++
+	return data, at, true
+}
+
 func (s *padState) equal(o *padState) bool {
 	if s.N != o.N || len(s.Pad) != len(o.Pad) {
 		return false
@@ -485,12 +583,26 @@ func checkAgainstTwin(t testing.TB, q, twin *Queue, step int) {
 	checkBuffersDisjoint(t, q)
 }
 
-// TestCodecQueueRestoreEquivalence drives an encoded queue and a clone-path
-// twin through the same seeded tape of saves, restores and fossil
-// collections. Every restored state must match the twin's, and after every
-// step every snapshot still held must reconstruct to what was saved: a later
-// save, restore or collection never reaches into an earlier snapshot.
+// storedAtParent is what the hiding twin's stored encodings hash to over every
+// tape of TestCodecQueueRestoreEquivalence, taken at ed90b68 — before a state
+// could say what it dirtied — by the same tapes: a state that does not report is
+// stored byte for byte as it was.
+const storedAtParent = 0x1520f059877de691
+
+// TestCodecQueueRestoreEquivalence drives a clone-path queue and two encoded
+// twins — one whose state hides what it dirtied, one whose state reports it,
+// sometimes too widely and sometimes not at all — through the same seeded tape
+// of saves, restores and fossil collections. Every restored state must match
+// the clone path's, the two encoded queues must hold the same bytes, and after
+// every step every snapshot still held must reconstruct to what was saved: a
+// later save, restore or collection never reaches into an earlier snapshot.
 func TestCodecQueueRestoreEquivalence(t *testing.T) {
+	stored := fnv.New64a()
+	defer func() {
+		if got := stored.Sum64(); !t.Failed() && got != storedAtParent {
+			t.Errorf("the hiding twin's stored encodings hash to %#x over all tapes, %#x at the parent", got, uint64(storedAtParent))
+		}
+	}()
 	for _, base := range codecConfigs() {
 		t.Run(base.String()+"-"+base.Mode.String(), func(t *testing.T) {
 			for _, fullEvery := range []int{1, 2, 16} {
@@ -500,7 +612,8 @@ func TestCodecQueueRestoreEquivalence(t *testing.T) {
 					name := fmt.Sprintf("full-every=%d,resize=%t", fullEvery, resize)
 					t.Run(name, func(t *testing.T) {
 						rng := model.NewRand(42)
-						landed, switches := runCodecTape(t, cfg, resize, 600, rng.Intn)
+						landed, switches, sum := runCodecTape(t, cfg, resize, 600, rng.Intn)
+						stored.Write(binary.LittleEndian.AppendUint64(nil, sum))
 						// The tape must have been where it claims to go.
 						if landed[landsOnAnchor] == 0 {
 							t.Error("no collection landed on an anchor")
@@ -533,6 +646,8 @@ func FuzzCodecQueue(f *testing.F) {
 		cfg := configs[int(pick&7)%len(configs)]
 		cfg.FullEvery = []int{1, 2, 4, 16}[pick>>3&3]
 		// Every step re-checks every snapshot held: keep the tape short.
+		// (Three queues: the clone path, a state that hides what it dirtied, one
+		// that reports it; see runCodecTape.)
 		runCodecTape(t, cfg, pick&0x20 != 0, min(len(tape), 256), func(n int) int {
 			if len(tape) == 0 {
 				return 0
@@ -566,36 +681,66 @@ func (q *Queue) landing(k int) int {
 	return landsPastAnchor
 }
 
-// runCodecTape runs steps operations, drawn from intn, on an encoded queue and
-// its clone-path twin, and returns how many collections landed where and how
-// often a Dynamic codec changed encoding. With resize set the state's encoding
-// also changes length from save to save. Restores go through RestoreInto into
-// a live state dirtied beforehand, on both queues. Now and then the tape turns
-// rewriting on or off: while it is on every save rewrites the whole state,
-// which is what makes a Dynamic codec leave delta encoding, and come back once
-// it is off. A sixth of the steps are collections aimed at one kind of landing
-// after the other. An aimed collection waits until the queue holds a snapshot
-// of its kind; once it has missed twice the tape stops popping and collecting
-// at random, so that even a FullEvery-16 queue grows a second anchor, and
-// after eight misses the kind is passed over (a Dynamic codec in full mode
-// makes no chain to land in).
-func runCodecTape(t testing.TB, cfg codec.Config, resize bool, steps int, intn func(int) int) (landed [landings]int, switches int64) {
-	live := &padState{Pad: make([]byte, 512)}
-	ref := live.Clone().(*padState)
-	q := NewQueue(live, Snapshot{}, codec.NewState(cfg))
-	if q.Codec() == nil {
-		t.Fatal("codec path not engaged")
-	}
+// runCodecTape runs steps operations, drawn from intn, on a clone-path queue
+// and its two encoded twins — one fed a state that hides what it dirtied (the
+// whole-state marshal and compare), one fed a markState that reports it — and
+// returns how many collections landed where, how often a Dynamic codec changed
+// encoding, and a hash of every stored encoding the hiding twin held after every
+// step. The reporting twin must hold the same bytes throughout. With resize set
+// the state's encoding also changes length from save to save. Restores go
+// through RestoreInto into a live state dirtied beforehand, on all three queues.
+// Now and then the tape turns rewriting on or off: while it is on every save
+// rewrites the whole state, which is what makes a Dynamic codec leave delta
+// encoding, and come back once it is off; the same steps have the next save
+// preceded by a marshal that is not the queue's (Unsync). A sixth of the steps are collections
+// aimed at one kind of landing after the other. An aimed collection waits until
+// the queue holds a snapshot of its kind; once it has missed twice the tape
+// stops popping and collecting at random, so that even a FullEvery-16 queue
+// grows a second anchor, and after eight misses the kind is passed over (a
+// Dynamic codec in full mode makes no chain to land in).
+func runCodecTape(t testing.TB, cfg codec.Config, resize bool, steps int, intn func(int) int) (landed [landings]int, switches int64, stored uint64) {
+	ref := &padState{Pad: make([]byte, 512)}
 	rq := NewQueue(ref, Snapshot{}, nil)
+	// The encoded twins: lives[0] hides, lives[1] reports.
+	lives := []tapeState{ref.Clone().(*padState), &markState{padState: *ref.Clone().(*padState), vary: true}}
+	var qs [2]*Queue
+	for i, live := range lives {
+		qs[i] = NewQueue(live, Snapshot{}, codec.NewState(cfg))
+		if qs[i].Codec() == nil {
+			t.Fatal("codec path not engaged")
+		}
+	}
+	q := qs[0]
+	sum := fnv.New64a()
 
 	collect := func(step int, g vtime.Time) {
-		if q.FossilCollect(g) != rq.FossilCollect(g) {
-			t.Fatalf("fossil counts diverge at step %d", step)
+		want := rq.FossilCollect(g)
+		for _, q := range qs {
+			if q.FossilCollect(g) != want {
+				t.Fatalf("fossil counts diverge at step %d", step)
+			}
 		}
+	}
+	restore := func(step int, at vtime.Time) vtime.Time {
+		ref.dirty(step + 1)
+		rs := rq.RestoreInto(at, ref)
+		ref = rs.State.(*padState)
+		for i, q := range qs {
+			lives[i].dirty(step + 2*i)
+			s := q.RestoreInto(at, lives[i])
+			if s.Time != rs.Time {
+				t.Fatalf("restore times diverge: %v vs %v", s.Time, rs.Time)
+			}
+			lives[i] = s.State.(tapeState)
+			if !lives[i].value().equal(ref) {
+				t.Fatalf("restored state of twin %d diverges at step %d (t=%v)", i, step, at)
+			}
+		}
+		return rs.Time
 	}
 	now := vtime.Time(0)
 	gvt := vtime.Time(0) // restores never go below GVT, as in the kernel
-	rewriting := false
+	rewriting, packed := false, false
 	aim, missed, kinds := landsOnAnchor, 0, landings
 	if cfg.Mode == codec.Full {
 		kinds = landsOnAnchor + 1 // every snapshot is an anchor
@@ -610,19 +755,7 @@ func runCodecTape(t testing.TB, cfg codec.Config, resize bool, steps int, intn f
 			if now <= gvt+1 {
 				continue
 			}
-			at := gvt + 1 + vtime.Time(intn(int(now-gvt)))
-			live.dirty(step)
-			ref.dirty(step + 1)
-			s := q.RestoreInto(at, live)
-			rs := rq.RestoreInto(at, ref)
-			if s.Time != rs.Time {
-				t.Fatalf("restore times diverge: %v vs %v", s.Time, rs.Time)
-			}
-			live, ref = s.State.(*padState), rs.State.(*padState)
-			if !live.equal(ref) {
-				t.Fatalf("restored state diverges at step %d (t=%v)", step, at)
-			}
-			now = s.Time
+			now = restore(step, gvt+1+vtime.Time(intn(int(now-gvt))))
 			if now == vtime.NegInf {
 				now = 0
 			}
@@ -651,41 +784,67 @@ func runCodecTape(t testing.TB, cfg codec.Config, resize bool, steps int, intn f
 			if intn(4) == 0 {
 				rewriting = !rewriting
 			}
+			packed = true
 		default: // advance and checkpoint
 			now += vtime.Time(intn(5) + 1)
+			n := len(ref.Pad)
 			if resize {
-				n := 256 + intn(512)
-				for _, s := range []*padState{live, ref} {
-					for len(s.Pad) < n {
-						s.Pad = append(s.Pad, byte(len(s.Pad)))
-					}
-					s.Pad = s.Pad[:n]
+				n = 256 + intn(512)
+			}
+			for _, st := range append(lives, ref) {
+				if resize {
+					st.resize(n)
+				}
+				st.step()
+				if rewriting {
+					st.rewrite(uint64(step))
 				}
 			}
-			live.step()
-			ref.step()
-			if rewriting {
-				fill := model.NewRand(uint64(step))
-				for i := range live.Pad {
-					live.Pad[i] = byte(fill.Uint64())
+			if packed {
+				// A migration capsule marshals the live state between two saves:
+				// not the queue's call, so the queue has to be told.
+				for i, q := range qs {
+					lives[i].MarshalState(nil)
+					q.Unsync()
 				}
-				copy(ref.Pad, live.Pad)
+				packed = false
 			}
-			res := q.Save(live, Snapshot{Time: now})
 			rq.Save(ref, Snapshot{Time: now})
-			if res.StoredBytes <= 0 || res.RawBytes <= 0 {
-				t.Fatalf("empty save result %+v", res)
+			var res [2]SaveResult
+			for i, q := range qs {
+				res[i] = q.Save(lives[i], Snapshot{Time: now})
+			}
+			if res[0].StoredBytes <= 0 || res[0].RawBytes <= 0 {
+				t.Fatalf("empty save result %+v", res[0])
+			}
+			if res[1] != res[0] {
+				t.Fatalf("step %d: the reporting twin's save reads %+v, the hiding twin's %+v", step, res[1], res[0])
 			}
 		}
-		checkAgainstTwin(t, q, rq, step)
+		for _, q := range qs {
+			checkAgainstTwin(t, q, rq, step)
+		}
+		// What a state says about itself changes how the bytes are found, not
+		// the bytes.
+		for i, e := range q.enc.of {
+			o := qs[1].enc.of[i]
+			if !bytes.Equal(e.enc, o.enc) || e.delta != o.delta || e.comp != o.comp || e.rawLen != o.rawLen {
+				t.Fatalf("step %d: snapshot %d is stored as %x (delta %t) by the hiding twin and %x (delta %t) by the reporting one",
+					step, i, e.enc, e.delta, o.enc, o.delta)
+			}
+			sum.Write(e.enc)
+			sum.Write([]byte{0, byte(e.rawLen), byte(e.rawLen >> 8)})
+		}
+		if a, b := q.StoredBytes(), qs[1].StoredBytes(); a != b {
+			t.Fatalf("step %d: %d bytes stored by the hiding twin, %d by the reporting one", step, a, b)
+		}
 	}
 	// Final full-chain check: restore to the oldest legal point.
-	s := q.RestoreInto(gvt+1, live)
-	rs := rq.RestoreInto(gvt+1, ref)
-	if !s.State.(*padState).equal(rs.State.(*padState)) {
-		t.Fatal("oldest restore point diverges")
+	restore(steps, gvt+1)
+	if m := lives[1].(*markState); steps >= 600 && !resize && (m.told < 100 || m.asked-m.told < 10) {
+		t.Errorf("the reporting twin said what it dirtied %d times of %d, want both answers often", m.told, m.asked)
 	}
-	return landed, q.enc.cd.Switches
+	return landed, q.enc.cd.Switches, sum.Sum64()
 }
 
 // TestCodecQueueSteadyStateAllocs pins the codec path's buffer recycling:
@@ -693,32 +852,45 @@ func runCodecTape(t testing.TB, cfg codec.Config, resize bool, steps int, intn f
 // state and a fossil collection into the middle of the surviving chain
 // allocate nothing — every delta is stored over a retired buffer, the restore
 // point is reconstructed in the queue's scratch buffer and decoded over the
-// live state, and the re-anchored image is its departing anchor, patched.
+// live state, and the re-anchored image is its departing anchor, patched —
+// whether the state hides what it dirtied, reports it, or reports it on some
+// saves and cannot tell on others.
 func TestCodecQueueSteadyStateAllocs(t *testing.T) {
-	live := &padState{Pad: make([]byte, 16<<10)}
-	q := NewQueue(live, Snapshot{}, codec.NewState(codec.Config{Mode: codec.Delta}))
-	now := vtime.Time(0)
-	cycle := func() {
-		for i := 0; i < 16; i++ {
-			now++
-			live.step()
-			q.Save(live, Snapshot{Time: now})
-		}
-		if s := q.RestoreInto(now-7, live); s.Time != now-8 || s.State != live {
-			t.Fatalf("restored t=%v into %p, want %v into the live state", s.Time, s.State, now-8)
-		}
-		if q.FossilCollect(now-11) == 0 {
-			t.Fatal("nothing collected")
-		}
-		now -= 8
+	pad := padState{Pad: make([]byte, 16<<10)}
+	for name, live := range map[string]tapeState{
+		"hiding":    pad.Clone().(*padState),
+		"reporting": &markState{padState: *pad.Clone().(*padState)},
+		"varying":   &markState{padState: *pad.Clone().(*padState), vary: true},
+	} {
+		t.Run(name, func(t *testing.T) {
+			q := NewQueue(live, Snapshot{}, codec.NewState(codec.Config{Mode: codec.Delta}))
+			now := vtime.Time(0)
+			cycle := func() {
+				for i := 0; i < 16; i++ {
+					now++
+					live.step()
+					q.Save(live, Snapshot{Time: now})
+				}
+				if s := q.RestoreInto(now-7, live); s.Time != now-8 || s.State != live {
+					t.Fatalf("restored t=%v into %p, want %v into the live state", s.Time, s.State, now-8)
+				}
+				if q.FossilCollect(now-11) == 0 {
+					t.Fatal("nothing collected")
+				}
+				now -= 8
+			}
+			for i := 0; i < 8; i++ {
+				cycle() // warm the buffers through a few anchor cadences
+			}
+			if n := testing.AllocsPerRun(50, cycle); n != 0 {
+				t.Errorf("steady-state save/restore/collect cycle allocated %.1f times per run, want 0", n)
+			}
+			checkBuffersDisjoint(t, q)
+			if m, ok := live.(*markState); ok && (m.told == 0 || m.vary == (m.told == m.asked)) {
+				t.Errorf("the state said what it dirtied %d times of %d", m.told, m.asked)
+			}
+		})
 	}
-	for i := 0; i < 8; i++ {
-		cycle() // warm the buffers through a few anchor cadences
-	}
-	if n := testing.AllocsPerRun(50, cycle); n != 0 {
-		t.Errorf("steady-state save/restore/collect cycle allocated %.1f times per run, want 0", n)
-	}
-	checkBuffersDisjoint(t, q)
 }
 
 // TestCodecQueueDeltaShrinks checks the point of the exercise: sparse
