@@ -15,74 +15,89 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"gowarp/internal/observe"
 	"gowarp/internal/telemetry"
 )
 
-func main() {
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is the whole command: it parses args, reads the trace and writes the
+// report to stdout (and the page to -html's file), and returns the exit
+// status. The tests call it in process.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("twreport", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		traceFile = flag.String("trace", "", "JSONL kernel trace from twsim -trace (required)")
-		summary   = flag.String("summary", "", "run-summary JSON from twsim -json-out (optional: adds per-LP efficiency, roughness aggregates, object placement)")
-		topK      = flag.Int("top", 5, "number of cascade trees to print, costliest first")
-		htmlOut   = flag.String("html", "", "also write an HTML report (cascade trees, roughness SVG timeline, per-LP table) to this file")
+		traceFile = fs.String("trace", "", "JSONL kernel trace from twsim -trace (required)")
+		summary   = fs.String("summary", "", "run-summary JSON from twsim -json-out (optional: adds per-LP efficiency, roughness aggregates, object placement)")
+		topK      = fs.Int("top", 5, "number of cascade trees to print, costliest first")
+		htmlOut   = fs.String("html", "", "also write an HTML report (cascade trees, roughness SVG timeline, per-LP table) to this file")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		// The flag package has said why; -h is not a failure.
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	fail := func(err error) int {
+		fmt.Fprintf(stderr, "twreport: %v\n", err)
+		return 1
+	}
 
 	if *traceFile == "" {
-		fmt.Fprintln(os.Stderr, "twreport: -trace is required (a JSONL trace from twsim -trace)")
-		flag.Usage()
-		os.Exit(2)
+		fmt.Fprintln(stderr, "twreport: -trace is required (a JSONL trace from twsim -trace)")
+		fs.Usage()
+		return 2
 	}
 
 	f, err := os.Open(*traceFile)
 	if err != nil {
-		fatal(err)
+		return fail(err)
 	}
 	events, kinds, err := observe.ParseJSONL(f)
 	f.Close()
 	if err != nil {
-		fatal(err)
+		return fail(err)
 	}
 
 	var sum *telemetry.RunSummary
 	if *summary != "" {
 		raw, err := os.ReadFile(*summary)
 		if err != nil {
-			fatal(err)
+			return fail(err)
 		}
 		sum = &telemetry.RunSummary{}
 		if err := json.Unmarshal(raw, sum); err != nil {
-			fatal(fmt.Errorf("%s: %w", *summary, err))
+			return fail(fmt.Errorf("%s: %w", *summary, err))
 		}
 	}
 
 	rep := observe.NewReport(events, sum)
 	rep.KindCounts = kinds
-	if err := rep.WriteText(os.Stdout, *topK); err != nil {
-		fatal(err)
+	if err := rep.WriteText(stdout, *topK); err != nil {
+		return fail(err)
 	}
 
 	if *htmlOut != "" {
 		f, err := os.Create(*htmlOut)
 		if err != nil {
-			fatal(err)
+			return fail(err)
 		}
-		err = rep.WriteHTML(f, *topK)
+		err = writeHTML(f, rep, *topK)
 		if cerr := f.Close(); err == nil {
 			err = cerr
 		}
 		if err != nil {
-			fatal(err)
+			return fail(err)
 		}
-		fmt.Fprintf(os.Stderr, "twreport: wrote %s\n", *htmlOut)
+		fmt.Fprintf(stderr, "twreport: wrote %s\n", *htmlOut)
 	}
-}
-
-func fatal(err error) {
-	fmt.Fprintf(os.Stderr, "twreport: %v\n", err)
-	os.Exit(1)
+	return 0
 }

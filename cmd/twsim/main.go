@@ -28,6 +28,7 @@ import (
 
 	"gowarp"
 	"gowarp/internal/stats"
+	"gowarp/metricshttp"
 )
 
 func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
@@ -287,7 +288,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	if *metricsAddr != "" {
 		reg := gowarp.NewMetricsRegistry()
-		srv, err := gowarp.ServeMetrics(*metricsAddr, reg)
+		srv, err := metricshttp.Serve(*metricsAddr, reg)
 		if err != nil {
 			return fail(err)
 		}

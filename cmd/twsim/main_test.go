@@ -1,13 +1,17 @@
 package main
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/json"
+	"io"
+	"net/http"
 	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 
 	"gowarp"
 )
@@ -109,5 +113,79 @@ func TestRefusals(t *testing.T) {
 		if strings.Contains(out, "committed events") {
 			t.Errorf("%s: a run happened:\n%s", tc.name, out)
 		}
+	}
+}
+
+// TestMetricsAddr: -metrics-addr serves the running kernel's registry. The
+// address comes off stderr, as a user would read it; one scrape of /metrics
+// and one of /debug/vars land while the run executes.
+func TestMetricsAddr(t *testing.T) {
+	pr, pw := io.Pipe()
+	addr := make(chan string, 1)
+	drained := make(chan struct{})
+	go func() {
+		defer close(drained)
+		sc := bufio.NewScanner(pr)
+		for sc.Scan() {
+			if _, rest, ok := strings.Cut(sc.Text(), "serving metrics on http://"); ok {
+				addr <- strings.TrimSuffix(rest, "/metrics")
+			}
+		}
+	}()
+
+	get := func(url string) string {
+		resp, err := http.Get(url)
+		if err != nil {
+			return ""
+		}
+		defer resp.Body.Close()
+		body, _ := io.ReadAll(resp.Body)
+		return string(body)
+	}
+	ended := make(chan struct{})
+	var metrics, vars string
+	scraped := make(chan struct{})
+	go func() {
+		defer close(scraped)
+		var base string
+		select {
+		case a := <-addr:
+			base = "http://" + a
+		case <-ended: // the run failed before it served anything
+			return
+		}
+		// The kernel registers its metrics when the run starts, a moment
+		// after the endpoint is up, and publishes into them at each GVT
+		// application: wait for LP 0's first non-zero count.
+		const lp0 = `gowarp_events_processed_total{lp="0"} `
+		for !strings.Contains(metrics, lp0) || strings.Contains(metrics, lp0+"0\n") {
+			select {
+			case <-ended:
+				return
+			default:
+			}
+			metrics = get(base + "/metrics")
+			time.Sleep(time.Millisecond)
+		}
+		vars = get(base + "/debug/vars")
+	}()
+
+	var out bytes.Buffer
+	code := run([]string{"-model", "smmp", "-requests", "8000", "-metrics-addr", "127.0.0.1:0"}, &out, pw)
+	close(ended)
+	pw.Close()
+	<-drained
+	<-scraped
+	if code != 0 {
+		t.Fatalf("exit %d\n%s", code, out.String())
+	}
+	if vars == "" {
+		t.Fatalf("the run ended before a scrape saw an LP publish; last /metrics:\n%s", metrics)
+	}
+	if !strings.Contains(metrics, "# TYPE gowarp_gvt gauge") {
+		t.Errorf("/metrics scraped during the run has no gowarp_gvt gauge:\n%s", metrics)
+	}
+	if !strings.Contains(vars, `"gowarp"`) || !strings.Contains(vars, "gowarp_gvt") {
+		t.Errorf("/debug/vars scraped during the run has no gowarp export:\n%s", vars)
 	}
 }

@@ -19,6 +19,7 @@ import (
 	"time"
 
 	"gowarp"
+	"gowarp/metricshttp"
 )
 
 func main() {
@@ -52,7 +53,7 @@ func main() {
 		WithTracer(tracer).
 		WithMetrics(reg).
 		Build()
-	srv, err := gowarp.ServeMetrics("127.0.0.1:0", reg)
+	srv, err := metricshttp.Serve("127.0.0.1:0", reg)
 	if err != nil {
 		log.Fatal(err)
 	}

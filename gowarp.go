@@ -349,10 +349,11 @@ type (
 	// TraceEvent is one recorded trace event.
 	TraceEvent = telemetry.Event
 	// MetricsRegistry is the live metrics registry the kernel refreshes
-	// each GVT cycle (set Config.Metrics); serve it with ServeMetrics.
+	// each GVT cycle (set Config.Metrics). Render it with WritePrometheus
+	// or Snapshot, or serve it over HTTP with gowarp/metricshttp.Serve — a
+	// leaf package, so that only a program that wants the endpoint links
+	// net/http.
 	MetricsRegistry = telemetry.Registry
-	// MetricsServer is a running metrics HTTP endpoint.
-	MetricsServer = telemetry.MetricsServer
 	// RunSummary is the machine-readable per-run artifact written by
 	// twsim -json-out.
 	RunSummary = telemetry.RunSummary
@@ -381,13 +382,6 @@ func NewTracer(capacity int) *Tracer { return telemetry.NewTracer(capacity) }
 
 // NewMetricsRegistry returns an empty live metrics registry.
 func NewMetricsRegistry() *MetricsRegistry { return telemetry.NewRegistry() }
-
-// ServeMetrics serves reg over HTTP on addr: /metrics in Prometheus text
-// exposition format and /debug/vars as expvar JSON. Port 0 picks a free
-// port; the bound address is available via MetricsServer.Addr.
-func ServeMetrics(addr string, reg *MetricsRegistry) (*MetricsServer, error) {
-	return telemetry.Serve(addr, reg)
-}
 
 // WriteJSON writes v to path as indented JSON (run artifacts, summaries).
 func WriteJSON(path string, v any) error { return telemetry.WriteJSON(path, v) }

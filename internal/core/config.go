@@ -92,8 +92,8 @@ type Config struct {
 	// Metrics, when non-nil, is bound to the run and refreshed by every LP
 	// at each GVT application (the kernel's control period) with live
 	// gauges: GVT, efficiency, hit ratio, rollback rate, mean checkpoint
-	// interval, aggregation window. Serve it with telemetry.Serve to scrape
-	// a running simulation.
+	// interval, aggregation window. Serve it with gowarp/metricshttp.Serve
+	// to scrape a running simulation.
 	Metrics *telemetry.Registry
 
 	// Observe, when non-nil, is the observation sampler: LPs publish their

@@ -267,6 +267,8 @@ func TestParseJSONLMalformed(t *testing.T) {
 	}
 }
 
+// TestReportWriters checks the text report; the HTML page and its test are
+// in cmd/twreport.
 func TestReportWriters(t *testing.T) {
 	tr := telemetry.NewTracer(64)
 	tr.Bind(2, time.Now())
@@ -292,17 +294,6 @@ func TestReportWriters(t *testing.T) {
 	} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("text report missing %q:\n%s", want, out)
-		}
-	}
-
-	var html strings.Builder
-	if err := rep.WriteHTML(&html, 5); err != nil {
-		t.Fatal(err)
-	}
-	h := html.String()
-	for _, want := range []string{"<svg", "straggler", "</html>"} {
-		if !strings.Contains(h, want) {
-			t.Fatalf("html report missing %q", want)
 		}
 	}
 }

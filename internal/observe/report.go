@@ -2,7 +2,6 @@ package observe
 
 import (
 	"fmt"
-	"html/template"
 	"io"
 	"math"
 	"sort"
@@ -15,8 +14,9 @@ import (
 // Report is a fully derived run report: attributed rollbacks grouped into
 // cascades, the roughness timeline, and (when available) the RunSummary
 // artifact for run-level and per-LP context. Build one with NewReport and
-// render it with WriteText or WriteHTML — cmd/twreport is a thin wrapper
-// around exactly that.
+// render it with WriteText; cmd/twreport also renders it as an HTML page,
+// which lives there and not here because the kernel imports this package for
+// the sampler and must not link html/template (TestKernelImportGraph).
 type Report struct {
 	Summary    *telemetry.RunSummary
 	Rollbacks  []Rollback
@@ -52,9 +52,9 @@ func vtStr(v int64) string {
 
 func ms(d time.Duration) string { return fmt.Sprintf("%.3fms", float64(d)/1e6) }
 
-// objLabel names an object, with its hosting LP when the final partition
+// ObjLabel names an object, with its hosting LP when the final partition
 // is known.
-func objLabel(obj int32, part []int) string {
+func ObjLabel(obj int32, part []int) string {
 	if obj >= 0 && int(obj) < len(part) {
 		return fmt.Sprintf("obj %d (LP %d)", obj, part[obj])
 	}
@@ -68,7 +68,7 @@ func nodeLine(r *Rollback, part []int) string {
 		cause = "anti-message"
 	}
 	return fmt.Sprintf("@%s LP%d obj %d <- %s from %s send_vt=%s recv_vt=%s: %d undone, %d coasted, %d antis",
-		ms(r.Wall), r.LP, r.Object, cause, objLabel(r.Src, part),
+		ms(r.Wall), r.LP, r.Object, cause, ObjLabel(r.Src, part),
 		vtStr(r.SendVT), vtStr(r.RecvVT), r.Rolled, r.Coasted, r.Antis)
 }
 
@@ -76,8 +76,8 @@ func nodeLine(r *Rollback, part []int) string {
 // storms are summarized rather than dumped.
 const maxTreeNodes = 16
 
-// writeTree renders one cascade as an indented tree rooted at idx.
-func writeTree(w io.Writer, rbs []Rollback, idx int, part []int) {
+// WriteTree renders one cascade as an indented tree rooted at idx.
+func WriteTree(w io.Writer, rbs []Rollback, idx int, part []int) {
 	var printed int
 	var rec func(i int, prefix string, last bool)
 	rec = func(i int, prefix string, last bool) {
@@ -148,8 +148,8 @@ func subsample(total, n int) []int {
 	return out
 }
 
-// secondaryCount returns how many rollbacks were linked to a parent.
-func (r *Report) secondaryCount() int {
+// SecondaryCount returns how many rollbacks were linked to a parent.
+func (r *Report) SecondaryCount() int {
 	n := 0
 	for i := range r.Rollbacks {
 		if r.Rollbacks[i].Parent != -1 {
@@ -207,7 +207,7 @@ func (r *Report) WriteText(w io.Writer, topK int) error {
 		b.WriteString("no rollbacks in trace\n")
 	} else {
 		fmt.Fprintf(&b, "%d rollback episodes in %d cascades (%d secondary episodes attributed to a parent)\n",
-			len(r.Rollbacks), len(r.Cascades), r.secondaryCount())
+			len(r.Rollbacks), len(r.Cascades), r.SecondaryCount())
 		if topK <= 0 {
 			topK = 5
 		}
@@ -218,9 +218,9 @@ func (r *Report) WriteText(w io.Writer, topK int) error {
 			}
 			root := &r.Rollbacks[c.Root]
 			fmt.Fprintf(&b, "#%d root: LP%d obj %d, cause %s — cost: %d events undone, %d restores, %d antis, %d coasted, depth %d\n",
-				i+1, root.LP, root.Object, objLabel(root.Src, part),
+				i+1, root.LP, root.Object, ObjLabel(root.Src, part),
 				c.Rolled, c.Members, c.Antis, c.Coasted, c.Depth)
-			writeTree(&b, r.Rollbacks, c.Root, part)
+			WriteTree(&b, r.Rollbacks, c.Root, part)
 		}
 	}
 
@@ -262,7 +262,7 @@ func (r *Report) WriteText(w io.Writer, topK int) error {
 				ms(s.Wall), vtStr(s.GVT), vtStr(s.Min), vtStr(s.Max),
 				s.Width(), s.Std, s.Wasted, s.Laggard, bar(s.Width(), maxW, 20))
 		}
-		if rs := r.roughnessSummary(); rs != nil {
+		if rs := r.RoughnessSummary(); rs != nil {
 			fmt.Fprintf(&b, "%d samples: mean width %.1f, max width %d, mean stddev %.1f\n",
 				rs.Samples, rs.MeanWidth, rs.MaxWidth, rs.MeanStdDev)
 		}
@@ -317,9 +317,9 @@ func (r *Report) WriteText(w io.Writer, topK int) error {
 	return err
 }
 
-// roughnessSummary aggregates the extracted samples (preferring the run
+// RoughnessSummary aggregates the extracted samples (preferring the run
 // artifact's own summary when present).
-func (r *Report) roughnessSummary() *telemetry.RoughnessSummary {
+func (r *Report) RoughnessSummary() *telemetry.RoughnessSummary {
 	if r.Summary != nil && r.Summary.Roughness != nil {
 		return r.Summary.Roughness
 	}
@@ -339,139 +339,4 @@ func (r *Report) roughnessSummary() *telemetry.RoughnessSummary {
 	out.MeanWidth = sumW / float64(len(r.Samples))
 	out.MeanStdDev = sumS / float64(len(r.Samples))
 	return out
-}
-
-// htmlTemplate renders the same report as a single self-contained page:
-// the cascade trees as preformatted text, the roughness timeline as an
-// inline SVG polyline, and the per-LP table.
-var htmlTemplate = template.Must(template.New("report").Parse(`<!DOCTYPE html>
-<html><head><meta charset="utf-8"><title>gowarp run report</title>
-<style>
-body { font-family: sans-serif; margin: 2em; }
-table { border-collapse: collapse; }
-th, td { border: 1px solid #bbb; padding: 3px 8px; text-align: right; font-variant-numeric: tabular-nums; }
-th { background: #eee; }
-pre { background: #f6f6f6; padding: 8px; overflow-x: auto; }
-svg { border: 1px solid #ccc; background: #fff; }
-</style></head><body>
-<h1>gowarp run report</h1>
-{{if .Header}}<p>{{.Header}}</p>{{end}}
-<h2>Rollback cascades</h2>
-<p>{{.CascadeSummary}}</p>
-{{range .Trees}}<h3>{{.Title}}</h3><pre>{{.Body}}</pre>{{end}}
-<h2>Virtual-time roughness</h2>
-{{if .Polyline}}
-<p>LVT width over wall time (max {{.MaxWidth}}):</p>
-<svg width="640" height="160" viewBox="0 0 640 160" preserveAspectRatio="none">
-<polyline fill="none" stroke="#c33" stroke-width="1.5" points="{{.Polyline}}"/>
-</svg>
-{{else}}<p>No roughness samples in trace.</p>{{end}}
-{{if .Roughness}}<p>{{.Roughness}}</p>{{end}}
-{{if .PerLP}}
-<h2>Per-LP efficiency</h2>
-<table><tr><th>LP</th><th>processed</th><th>committed</th><th>rolled back</th><th>efficiency</th><th>wasted</th><th>rollbacks</th><th>antis</th>{{if .HasWorkers}}<th>worker</th>{{end}}</tr>
-{{range .PerLP}}<tr><td>{{.LP}}</td><td>{{.Processed}}</td><td>{{.Committed}}</td><td>{{.RolledBack}}</td><td>{{.Eff}}</td><td>{{.Wasted}}</td><td>{{.Rollbacks}}</td><td>{{.Antis}}</td>{{if $.HasWorkers}}<td>{{.Worker}}</td>{{end}}</tr>
-{{end}}</table>
-{{end}}
-{{if .PerWorker}}
-<h2>Worker pool</h2>
-<table><tr><th>worker</th><th>events</th><th>busy</th><th>owned LPs</th><th>adoptions</th><th>pool allocs</th><th>pool reuses</th></tr>
-{{range .PerWorker}}<tr><td>{{.Worker}}</td><td>{{.Events}}</td><td>{{.Busy}}</td><td>{{.OwnedLPs}}</td><td>{{.Adoptions}}</td><td>{{.PoolAllocs}}</td><td>{{.PoolReuses}}</td></tr>
-{{end}}</table>
-{{end}}
-</body></html>
-`))
-
-// WriteHTML renders the report as a single self-contained HTML page.
-func (r *Report) WriteHTML(w io.Writer, topK int) error {
-	if topK <= 0 {
-		topK = 5
-	}
-	type tree struct{ Title, Body string }
-	type lpRow struct {
-		LP, Processed, Committed, RolledBack, Rollbacks, Antis, Worker int64
-		Eff, Wasted                                                    string
-	}
-	type workerRow struct {
-		Worker                                              int
-		Events, OwnedLPs, Adoptions, PoolAllocs, PoolReuses int64
-		Busy                                                string
-	}
-	data := struct {
-		Header, CascadeSummary, Roughness, Polyline string
-		MaxWidth                                    int64
-		HasWorkers                                  bool
-		Trees                                       []tree
-		PerLP                                       []lpRow
-		PerWorker                                   []workerRow
-	}{}
-
-	var part []int
-	if s := r.Summary; s != nil {
-		part = s.FinalPartition
-		data.Header = fmt.Sprintf("model %s: %.3fs wall, %.0f events/s, efficiency %.3f, wasted-work ratio %.3f",
-			s.Model, s.ElapsedSeconds, s.EventsPerSec, s.Efficiency, s.WastedWorkRatio)
-		data.HasWorkers = len(s.FinalWorkerAssignment) == len(s.PerLP)
-		for i := range s.PerLP {
-			c := &s.PerLP[i]
-			row := lpRow{
-				LP: int64(i), Processed: c.EventsProcessed, Committed: c.EventsCommitted,
-				RolledBack: c.EventsRolledBack, Rollbacks: c.Rollbacks, Antis: c.AntiMsgsSent,
-				Eff: fmt.Sprintf("%.3f", c.Efficiency()), Wasted: fmt.Sprintf("%.3f", c.WastedWorkRatio()),
-			}
-			if data.HasWorkers {
-				row.Worker = int64(s.FinalWorkerAssignment[i])
-			}
-			data.PerLP = append(data.PerLP, row)
-		}
-		for i := range s.PerWorker {
-			ws := &s.PerWorker[i]
-			data.PerWorker = append(data.PerWorker, workerRow{
-				Worker: ws.Worker, Events: ws.Events, OwnedLPs: int64(ws.OwnedLPs),
-				Adoptions: ws.Adoptions, PoolAllocs: ws.EventPoolAllocs, PoolReuses: ws.EventPoolReuses,
-				Busy: fmt.Sprintf("%.3fs", ws.BusySeconds),
-			})
-		}
-	}
-	data.CascadeSummary = fmt.Sprintf("%d rollback episodes in %d cascades (%d secondary episodes attributed to a parent)",
-		len(r.Rollbacks), len(r.Cascades), r.secondaryCount())
-	for i, c := range r.Cascades {
-		if i >= topK {
-			break
-		}
-		root := &r.Rollbacks[c.Root]
-		var b strings.Builder
-		writeTree(&b, r.Rollbacks, c.Root, part)
-		data.Trees = append(data.Trees, tree{
-			Title: fmt.Sprintf("#%d root LP%d obj %d, cause %s — %d events undone, %d restores, %d antis, depth %d",
-				i+1, root.LP, root.Object, objLabel(root.Src, part), c.Rolled, c.Members, c.Antis, c.Depth),
-			Body: b.String(),
-		})
-	}
-	if len(r.Samples) > 0 {
-		var maxW int64 = 1
-		for _, s := range r.Samples {
-			if s.Width() > maxW {
-				maxW = s.Width()
-			}
-		}
-		data.MaxWidth = maxW
-		t0 := r.Samples[0].Wall
-		span := r.Samples[len(r.Samples)-1].Wall - t0
-		if span <= 0 {
-			span = 1
-		}
-		var pts []string
-		for _, s := range r.Samples {
-			x := float64(s.Wall-t0) / float64(span) * 640
-			y := 155 - float64(s.Width())/float64(maxW)*150
-			pts = append(pts, fmt.Sprintf("%.1f,%.1f", x, y))
-		}
-		data.Polyline = strings.Join(pts, " ")
-		if rs := r.roughnessSummary(); rs != nil {
-			data.Roughness = fmt.Sprintf("%d samples: mean width %.1f, max width %d, mean stddev %.1f",
-				rs.Samples, rs.MeanWidth, rs.MaxWidth, rs.MeanStdDev)
-		}
-	}
-	return htmlTemplate.Execute(w, data)
 }

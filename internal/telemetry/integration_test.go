@@ -6,9 +6,6 @@ package telemetry_test
 
 import (
 	"io"
-	"net/http"
-	"strings"
-	"sync"
 	"testing"
 	"time"
 
@@ -82,77 +79,6 @@ func TestKernelTrace(t *testing.T) {
 	}
 	if err := tracer.WriteChrome(io.Discard); err != nil {
 		t.Errorf("WriteChrome: %v", err)
-	}
-}
-
-// TestLiveMetricsScrape scrapes the metrics endpoint concurrently with a
-// running simulation — under -race this exercises the atomic slot protocol
-// between LP goroutines and HTTP readers.
-func TestLiveMetricsScrape(t *testing.T) {
-	reg := telemetry.NewRegistry()
-	srv, err := telemetry.Serve("127.0.0.1:0", reg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
-	var mu sync.Mutex
-	var last string
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			resp, err := http.Get("http://" + srv.Addr() + "/metrics")
-			if err != nil {
-				continue
-			}
-			body, _ := io.ReadAll(resp.Body)
-			resp.Body.Close()
-			mu.Lock()
-			last = string(body)
-			mu.Unlock()
-			time.Sleep(time.Millisecond)
-		}
-	}()
-
-	cfg := adaptiveConfig()
-	cfg.Metrics = reg
-	res, err := gowarp.Run(pholdModel(), cfg)
-	close(stop)
-	wg.Wait()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Stats.EventsCommitted == 0 {
-		t.Fatal("simulation committed no events")
-	}
-	// The registry holds the final sample; the scraper saw some snapshot.
-	var b strings.Builder
-	if err := reg.WritePrometheus(&b); err != nil {
-		t.Fatal(err)
-	}
-	final := b.String()
-	for _, want := range []string{
-		"# TYPE gowarp_gvt gauge",
-		"gowarp_events_processed_total{lp=",
-		"gowarp_efficiency{lp=",
-	} {
-		if !strings.Contains(final, want) {
-			t.Errorf("final metrics missing %q:\n%s", want, final)
-		}
-	}
-	mu.Lock()
-	scraped := last
-	mu.Unlock()
-	if scraped != "" && !strings.Contains(scraped, "gowarp_") {
-		t.Errorf("mid-run scrape contained no gowarp metrics:\n%s", scraped)
 	}
 }
 

@@ -1,12 +1,9 @@
 package telemetry
 
 import (
-	"expvar"
 	"fmt"
 	"io"
 	"math"
-	"net"
-	"net/http"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -15,8 +12,10 @@ import (
 // Registry is a live metrics registry: a set of named metrics with one
 // atomic float64 slot per logical process (or a single global slot), sampled
 // by the kernel each control period and rendered on demand in Prometheus
-// text-exposition format or as an expvar map. Writers (LP goroutines) touch
-// only atomic slots; readers (HTTP scrapes) never block writers.
+// text-exposition format or as a plain map. Writers (LP goroutines) touch
+// only atomic slots; readers (scrapes) never block writers. Serving it over
+// HTTP is package gowarp/metricshttp's job: nothing a simulation links imports
+// net/http or expvar (TestKernelImportGraph).
 type Registry struct {
 	mu      sync.RWMutex
 	numLPs  int
@@ -250,7 +249,7 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 }
 
 // Snapshot returns the current values as a plain map — per-LP metrics map
-// to a slice indexed by LP. It backs the expvar export.
+// to a slice indexed by LP. It backs metricshttp's expvar export.
 func (r *Registry) Snapshot() map[string]any {
 	out := map[string]any{}
 	if r == nil {
@@ -277,62 +276,6 @@ func (r *Registry) Snapshot() map[string]any {
 	}
 	return out
 }
-
-// expvarOnce guards against double-publishing under the fixed expvar name
-// when several servers are started in one process (tests, repeated runs).
-var expvarOnce sync.Once
-
-// publishExpvar exposes the registry under the "gowarp" expvar name. The
-// last-published registry wins when servers are recreated; expvar has no
-// unpublish, so the indirection goes through a process-wide pointer.
-var expvarReg atomic.Pointer[Registry]
-
-func publishExpvar(r *Registry) {
-	expvarReg.Store(r)
-	expvarOnce.Do(func() {
-		expvar.Publish("gowarp", expvar.Func(func() any {
-			return expvarReg.Load().Snapshot()
-		}))
-	})
-}
-
-// Handler returns an http.Handler serving the registry: /metrics in
-// Prometheus text format and /debug/vars as expvar JSON.
-func (r *Registry) Handler() http.Handler {
-	mux := http.NewServeMux()
-	mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		r.WritePrometheus(w)
-	})
-	mux.Handle("/debug/vars", expvar.Handler())
-	return mux
-}
-
-// MetricsServer is a running metrics HTTP endpoint; Close shuts it down.
-type MetricsServer struct {
-	ln  net.Listener
-	srv *http.Server
-}
-
-// Serve starts an HTTP server on addr (host:port; port 0 picks a free one)
-// exposing reg at /metrics and /debug/vars. It returns once the listener is
-// bound; scraping works for the lifetime of the process or until Close.
-func Serve(addr string, reg *Registry) (*MetricsServer, error) {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return nil, fmt.Errorf("telemetry: metrics listener: %w", err)
-	}
-	publishExpvar(reg)
-	srv := &http.Server{Handler: reg.Handler()}
-	go srv.Serve(ln)
-	return &MetricsServer{ln: ln, srv: srv}, nil
-}
-
-// Addr returns the bound listen address (useful with port 0).
-func (s *MetricsServer) Addr() string { return s.ln.Addr().String() }
-
-// Close shuts the endpoint down.
-func (s *MetricsServer) Close() error { return s.srv.Close() }
 
 // SortedNames returns the registered metric names, sorted, for tests.
 func (r *Registry) SortedNames() []string {

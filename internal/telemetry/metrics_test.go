@@ -2,7 +2,6 @@ package telemetry
 
 import (
 	"io"
-	"net/http"
 	"strings"
 	"testing"
 )
@@ -103,43 +102,6 @@ func TestSnapshot(t *testing.T) {
 	}
 	if got, ok := snap["per"].([]float64); !ok || len(got) != 2 || got[0] != 1 || got[1] != 2 {
 		t.Errorf("snapshot per = %v, want [1 2]", snap["per"])
-	}
-}
-
-func TestServeEndpoints(t *testing.T) {
-	r := NewRegistry()
-	r.Bind(2)
-	r.Gauge("gowarp_gvt", "Last computed GVT.", false).Set(0, 42)
-
-	srv, err := Serve("127.0.0.1:0", r)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-
-	get := func(path string) string {
-		resp, err := http.Get("http://" + srv.Addr() + path)
-		if err != nil {
-			t.Fatalf("GET %s: %v", path, err)
-		}
-		defer resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("GET %s: status %d", path, resp.StatusCode)
-		}
-		body, err := io.ReadAll(resp.Body)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return string(body)
-	}
-
-	metrics := get("/metrics")
-	if !strings.Contains(metrics, "# TYPE gowarp_gvt gauge") || !strings.Contains(metrics, "gowarp_gvt 42") {
-		t.Errorf("/metrics missing gauge:\n%s", metrics)
-	}
-	vars := get("/debug/vars")
-	if !strings.Contains(vars, `"gowarp"`) || !strings.Contains(vars, "gowarp_gvt") {
-		t.Errorf("/debug/vars missing gowarp export:\n%s", vars)
 	}
 }
 

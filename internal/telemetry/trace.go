@@ -1,10 +1,12 @@
 // Package telemetry is the kernel's observability substrate: a per-LP,
 // allocation-free structured trace recorder with JSONL and Chrome
-// trace_event exporters, a live metrics registry served in Prometheus
-// text-exposition format (plus expvar), and machine-readable run-artifact
-// helpers. The paper's thesis is that Time Warp sub-algorithms should be
-// steered by sampled outputs; this package makes those outputs observable
-// while the simulation runs instead of inferable after it ends.
+// trace_event exporters, a live metrics registry rendered in Prometheus
+// text-exposition format or as a plain map, and machine-readable
+// run-artifact helpers. The paper's thesis is that Time Warp sub-algorithms
+// should be steered by sampled outputs; this package makes those outputs
+// observable while the simulation runs instead of inferable after it ends.
+// The kernel imports this package, so it serves nothing: the HTTP endpoint
+// over the registry is package gowarp/metricshttp.
 //
 // Everything here is nil-safe by design: a nil *Tracer hands out nil
 // *LPTrace recorders, and every recording method on a nil receiver is a

@@ -1,6 +1,7 @@
 package gowarp
 
 import (
+	"os/exec"
 	"reflect"
 	"strings"
 	"testing"
@@ -77,6 +78,40 @@ func TestConfigSurface(t *testing.T) {
 				t.Errorf("%s spec %q: err = %v, want an unknown-mode error", p.name, w, err)
 			}
 		}
+	}
+}
+
+// TestKernelImportGraph holds the line between what a simulation links and
+// what serves or renders: nothing the root package, the kernel or the claims
+// benchmark imports may reach an HTTP server, expvar or a template engine, nor
+// the packages only those bring. Every process that imports gowarp — each rank
+// of a fleet, each child of twcheck — is resident with whatever its import
+// graph initialises, before main runs; a facet that is off costs nothing (the
+// paper's §3), so an endpoint nobody asked for must not either. Serving lives in
+// gowarp/metricshttp, the HTML page in cmd/twreport. The package counts are
+// logged so that a new import shows as a number that moved (101 / 94 / 109 at
+// this test's first commit; 206 / 199 / 211 before it).
+func TestKernelImportGraph(t *testing.T) {
+	goTool, err := exec.LookPath("go")
+	if err != nil {
+		t.Skip("no go tool on PATH: the import graph is not checked")
+	}
+	banned := map[string]bool{
+		"net/http": true, "expvar": true, "html/template": true, "text/template": true,
+		"crypto/tls": true, "compress/gzip": true, "regexp": true, "mime/multipart": true,
+	}
+	for _, pkg := range []string{"gowarp", "gowarp/internal/core", "gowarp/benchmark"} {
+		out, err := exec.Command(goTool, "list", "-deps", pkg).Output()
+		if err != nil {
+			t.Fatalf("go list -deps %s: %v", pkg, err)
+		}
+		deps := strings.Fields(string(out))
+		for _, d := range deps {
+			if banned[d] {
+				t.Errorf("%s links %s", pkg, d)
+			}
+		}
+		t.Logf("%s: %d packages", pkg, len(deps))
 	}
 }
 
