@@ -35,8 +35,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"time"
 
@@ -270,16 +272,29 @@ var checks = []check{
 	},
 }
 
-func main() {
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is the whole command: it parses args, runs the sweep (or the multiproc
+// leg) writing verdicts to stdout and failures to stderr, and returns the exit
+// status. The tests call it in process.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("twcheck", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		full      = flag.Bool("full", false, "run the full 27-cell matrix (default: the 9-cell diagonal covering every policy value)")
-		modelName = flag.String("model", "", "restrict the sweep to one model: phold, qnet, smmp, raid, phold-mig, smmp-mig, smmp-obs, smmp-opt, phold-opt-mig, phold-pool, phold-default, smmp-pool-mig, phold-codec, smmp-codec, smmp-codec-mig, multiproc")
-		twsimBin  = flag.String("twsim", "", "path to a built twsim binary, required by the multiproc leg (which spawns two OS processes over TCP loopback)")
-		seed      = flag.Uint64("seed", 1, "model random seed")
-		gvtPeriod = flag.Duration("gvt-period", 200*time.Microsecond, "GVT period for the parallel legs")
-		verbose   = flag.Bool("v", false, "print the full per-cell table for every model")
+		full      = fs.Bool("full", false, "run the full 27-cell matrix (default: the 9-cell diagonal covering every policy value)")
+		modelName = fs.String("model", "", "restrict the sweep to one model: phold, qnet, smmp, raid, phold-mig, smmp-mig, smmp-obs, smmp-opt, phold-opt-mig, phold-pool, phold-default, smmp-pool-mig, phold-codec, smmp-codec, smmp-codec-mig, multiproc")
+		twsimBin  = fs.String("twsim", "", "path to a built twsim binary, required by the multiproc leg (which spawns two OS processes over TCP loopback)")
+		seed      = fs.Uint64("seed", 1, "model random seed")
+		gvtPeriod = fs.Duration("gvt-period", 200*time.Microsecond, "GVT period for the parallel legs")
+		verbose   = fs.Bool("v", false, "print the full per-cell table for every model")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		// The flag package has said why; -h is not a failure.
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
 
 	cells := oracle.Diagonal()
 	if *full {
@@ -291,11 +306,11 @@ func main() {
 	// The multiproc leg spawns real twsim processes rather than driving the
 	// in-process oracle, so it runs only when selected explicitly.
 	if *modelName == "multiproc" {
-		if err := runMultiproc(*twsimBin, *seed, *verbose); err != nil {
-			fmt.Fprintf(os.Stderr, "twcheck: multiproc: %v\n", err)
-			os.Exit(1)
+		if err := runMultiproc(stdout, *twsimBin, *seed, *verbose); err != nil {
+			fmt.Fprintf(stderr, "twcheck: multiproc: %v\n", err)
+			return 1
 		}
-		return
+		return 0
 	}
 	for _, c := range checks {
 		if *modelName != "" && c.name != *modelName {
@@ -315,26 +330,27 @@ func main() {
 			Cells:     cells,
 		})
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "twcheck: %s: %v\n", c.name, err)
+			fmt.Fprintf(stderr, "twcheck: %s: %v\n", c.name, err)
 			failed++
 			continue
 		}
 		if *verbose || rep.Err() != nil {
-			fmt.Print(rep.Render())
+			fmt.Fprint(stdout, rep.Render())
 		} else {
-			fmt.Printf("twcheck: %s: %d cell(s) ok, %d invariant checks\n",
+			fmt.Fprintf(stdout, "twcheck: %s: %d cell(s) ok, %d invariant checks\n",
 				c.name, len(rep.Cells), rep.TotalChecks)
 		}
 		if err := rep.Err(); err != nil {
-			fmt.Fprintf(os.Stderr, "twcheck: %v\n", err)
+			fmt.Fprintf(stderr, "twcheck: %v\n", err)
 			failed++
 		}
 	}
 	if ran == 0 {
-		fmt.Fprintf(os.Stderr, "twcheck: unknown model %q\n", *modelName)
-		os.Exit(2)
+		fmt.Fprintf(stderr, "twcheck: unknown model %q\n", *modelName)
+		return 2
 	}
 	if failed > 0 {
-		os.Exit(1)
+		return 1
 	}
+	return 0
 }

@@ -1,8 +1,9 @@
 package main
 
 import (
-	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"net"
 	"os"
 	"os/exec"
@@ -10,7 +11,7 @@ import (
 	"runtime"
 	"sync"
 
-	"gowarp/internal/telemetry"
+	"gowarp/internal/stats"
 )
 
 // runMultiproc is the multi-process oracle leg: it runs one solo in-process
@@ -25,7 +26,7 @@ import (
 // fleet's coordinator must report byte-identical results to the solo run —
 // any divergence means the transport or the dispatcher perturbed the
 // computation.
-func runMultiproc(twsim string, seed uint64, verbose bool) error {
+func runMultiproc(stdout io.Writer, twsim string, seed uint64, verbose bool) error {
 	if twsim == "" {
 		return fmt.Errorf("the multiproc leg spawns twsim processes: pass -twsim <path-to-binary>")
 	}
@@ -45,12 +46,12 @@ func runMultiproc(twsim string, seed uint64, verbose bool) error {
 	if out, err := solo.CombinedOutput(); err != nil {
 		return fmt.Errorf("solo run: %v\n%s", err, out)
 	}
-	soloSum, err := readSummary(soloJSON)
+	soloSum, err := stats.ReadRunRecord(soloJSON)
 	if err != nil {
 		return err
 	}
 	for _, sched := range []string{"lp", "pool,workers=2", "pool"} {
-		if err := checkFleet(twsim, dir, modelArgs, sched, soloSum, verbose); err != nil {
+		if err := checkFleet(stdout, twsim, dir, modelArgs, sched, soloSum, verbose); err != nil {
 			return fmt.Errorf("-sched %s: %w", sched, err)
 		}
 	}
@@ -58,8 +59,8 @@ func runMultiproc(twsim string, seed uint64, verbose bool) error {
 }
 
 // checkFleet runs one two-rank fleet under the given -sched spec and holds
-// its coordinator's artifact against the solo run's.
-func checkFleet(twsim, dir string, modelArgs []string, sched string, soloSum telemetry.RunSummary, verbose bool) error {
+// its artifacts against the solo run's.
+func checkFleet(stdout io.Writer, twsim, dir string, modelArgs []string, sched string, soloSum *stats.RunRecord, verbose bool) error {
 	addrs, err := reserveLoopbackAddrs(2)
 	if err != nil {
 		return err
@@ -81,61 +82,78 @@ func checkFleet(twsim, dir string, modelArgs []string, sched string, soloSum tel
 		}(r)
 	}
 	wg.Wait()
+	fleet := make([]*stats.RunRecord, 2)
 	for r, err := range errs {
 		if err != nil {
 			return fmt.Errorf("rank %d: %v\n%s", r, err, outs[r])
 		}
-	}
-
-	coord, err := readSummary(rankJSON[0])
-	if err != nil {
-		return err
-	}
-	if soloSum.FinalStateHash == 0 || coord.FinalStateHash == 0 {
-		return fmt.Errorf("missing final state hash: solo %#x, coordinator %#x",
-			soloSum.FinalStateHash, coord.FinalStateHash)
-	}
-	if coord.Ranks != 2 || coord.Transport != "tcp" {
-		return fmt.Errorf("coordinator artifact claims transport=%q ranks=%d, want tcp/2",
-			coord.Transport, coord.Ranks)
-	}
-	if coord.Stats.EventsCommitted != soloSum.Stats.EventsCommitted {
-		return fmt.Errorf("MISMATCH committed events: fleet %d, solo %d",
-			coord.Stats.EventsCommitted, soloSum.Stats.EventsCommitted)
-	}
-	if coord.FinalStateHash != soloSum.FinalStateHash {
-		return fmt.Errorf("MISMATCH final state hash: fleet %#x, solo %#x",
-			coord.FinalStateHash, soloSum.FinalStateHash)
-	}
-	if sched == "pool" {
-		// The default width: both ranks are on this host and each must have
-		// taken its share of it. The children inherit this process's
-		// GOMAXPROCS, so the rule can be evaluated here.
-		for r, path := range rankJSON {
-			sum, err := readSummary(path)
-			if err != nil {
-				return err
-			}
-			hosted := 0
-			for _, w := range sum.FinalWorkerAssignment {
-				if w >= 0 {
-					hosted++
-				}
-			}
-			want := min(hosted, runtime.GOMAXPROCS(0), max(1, runtime.NumCPU()/2))
-			if sum.HostRanks != 2 || sum.Workers != want {
-				return fmt.Errorf("rank %d ran %d workers having counted %d ranks on this host, want %d workers (%d LPs, GOMAXPROCS %d, %d cores shared by 2 ranks)",
-					r, sum.Workers, sum.HostRanks, want, hosted, runtime.GOMAXPROCS(0), runtime.NumCPU())
-			}
+		if fleet[r], err = stats.ReadRunRecord(rankJSON[r]); err != nil {
+			return err
 		}
 	}
-	if verbose {
-		fmt.Printf("  solo:  committed=%d hash=%#x\n", soloSum.Stats.EventsCommitted, soloSum.FinalStateHash)
-		fmt.Printf("  fleet: committed=%d hash=%#x ranks=%d workers=%d\n  rank 0 stdout: %s  rank 1 stdout: %s",
-			coord.Stats.EventsCommitted, coord.FinalStateHash, coord.Ranks, coord.Workers, outs[0], outs[1])
+	// The children inherit this process's GOMAXPROCS, so the default width's
+	// rule can be evaluated here.
+	if err := compareFleet(soloSum, fleet, sched == "pool", runtime.GOMAXPROCS(0), runtime.NumCPU()); err != nil {
+		return err
 	}
-	fmt.Printf("twcheck: multiproc: MATCH (2 tcp ranks -sched %s vs in-process, committed=%d, hash=%#x)\n",
+	coord := fleet[0]
+	if verbose {
+		fmt.Fprintf(stdout, "  solo:  committed=%d hash=%#x\n", soloSum.Stats.EventsCommitted, soloSum.FinalStateHash)
+		fmt.Fprintf(stdout, "  fleet: committed=%d hash=%#x ranks=%d workers=%d\n  rank 0 stdout: %s  rank 1 stdout: %s",
+			coord.Stats.EventsCommitted, coord.FinalStateHash, coord.Ranks, len(coord.PerWorker), outs[0], outs[1])
+	}
+	fmt.Fprintf(stdout, "twcheck: multiproc: MATCH (2 tcp ranks -sched %s vs in-process, committed=%d, hash=%#x)\n",
 		sched, coord.Stats.EventsCommitted, coord.FinalStateHash)
+	return nil
+}
+
+// What compareFleet finds wrong, for errors.Is.
+var (
+	errNoHash    = errors.New("missing final state hash")
+	errShape     = errors.New("coordinator artifact is not a 2-rank tcp run's")
+	errCommitted = errors.New("MISMATCH committed events")
+	errHash      = errors.New("MISMATCH final state hash")
+	errWidth     = errors.New("rank did not take its share of the host")
+)
+
+// compareFleet is the leg's verdict over loaded artifacts: the coordinator's
+// (fleet[0]) must be a two-rank tcp run's with the solo run's committed count
+// and final state hash, and at the default width every rank must have counted
+// both ranks on this host and run min(hosted LPs, gomaxprocs, max(1, cores/2))
+// workers. Nil is MATCH.
+func compareFleet(solo *stats.RunRecord, fleet []*stats.RunRecord, defaultWidth bool, gomaxprocs, cores int) error {
+	coord := fleet[0]
+	if solo.FinalStateHash == 0 || coord.FinalStateHash == 0 {
+		return fmt.Errorf("%w: solo %#x, coordinator %#x", errNoHash,
+			solo.FinalStateHash, coord.FinalStateHash)
+	}
+	if coord.Ranks != 2 || coord.Transport != "tcp" {
+		return fmt.Errorf("%w: transport=%q ranks=%d", errShape, coord.Transport, coord.Ranks)
+	}
+	if coord.Stats.EventsCommitted != solo.Stats.EventsCommitted {
+		return fmt.Errorf("%w: fleet %d, solo %d", errCommitted,
+			coord.Stats.EventsCommitted, solo.Stats.EventsCommitted)
+	}
+	if coord.FinalStateHash != solo.FinalStateHash {
+		return fmt.Errorf("%w: fleet %#x, solo %#x", errHash,
+			coord.FinalStateHash, solo.FinalStateHash)
+	}
+	if !defaultWidth {
+		return nil
+	}
+	for r, rec := range fleet {
+		hosted := 0
+		for _, w := range rec.FinalWorkerAssignment {
+			if w >= 0 {
+				hosted++
+			}
+		}
+		want := min(hosted, gomaxprocs, max(1, cores/2))
+		if got := len(rec.PerWorker); rec.HostRanks != 2 || got != want {
+			return fmt.Errorf("%w: rank %d ran %d workers having counted %d ranks on this host, want %d workers (%d LPs, GOMAXPROCS %d, %d cores shared by 2 ranks)",
+				errWidth, r, got, rec.HostRanks, want, hosted, gomaxprocs, cores)
+		}
+	}
 	return nil
 }
 
@@ -153,16 +171,4 @@ func reserveLoopbackAddrs(n int) ([]string, error) {
 		ln.Close()
 	}
 	return addrs, nil
-}
-
-func readSummary(path string) (telemetry.RunSummary, error) {
-	var s telemetry.RunSummary
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return s, err
-	}
-	if err := json.Unmarshal(data, &s); err != nil {
-		return s, fmt.Errorf("%s: %w", path, err)
-	}
-	return s, nil
 }

@@ -83,7 +83,7 @@ func writeHTML(w io.Writer, r *observe.Report, topK int) error {
 	if s := r.Summary; s != nil {
 		part = s.FinalPartition
 		data.Header = fmt.Sprintf("model %s: %.3fs wall, %.0f events/s, efficiency %.3f, wasted-work ratio %.3f",
-			s.Model, s.ElapsedSeconds, s.EventsPerSec, s.Efficiency, s.WastedWorkRatio)
+			s.Model, s.Elapsed.Seconds(), s.EventRate(), s.Stats.Efficiency(), s.Stats.WastedWorkRatio())
 		data.HasWorkers = len(s.FinalWorkerAssignment) == len(s.PerLP)
 		for i := range s.PerLP {
 			c := &s.PerLP[i]

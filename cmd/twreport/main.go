@@ -14,7 +14,6 @@
 package main
 
 import (
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
@@ -22,6 +21,7 @@ import (
 	"os"
 
 	"gowarp/internal/observe"
+	"gowarp/internal/stats"
 	"gowarp/internal/telemetry"
 )
 
@@ -61,21 +61,16 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if err != nil {
 		return fail(err)
 	}
-	events, kinds, err := observe.ParseJSONL(f)
+	events, kinds, err := telemetry.ReadJSONL(f)
 	f.Close()
 	if err != nil {
 		return fail(err)
 	}
 
-	var sum *telemetry.RunSummary
+	var sum *stats.RunRecord
 	if *summary != "" {
-		raw, err := os.ReadFile(*summary)
-		if err != nil {
+		if sum, err = stats.ReadRunRecord(*summary); err != nil {
 			return fail(err)
-		}
-		sum = &telemetry.RunSummary{}
-		if err := json.Unmarshal(raw, sum); err != nil {
-			return fail(fmt.Errorf("%s: %w", *summary, err))
 		}
 	}
 

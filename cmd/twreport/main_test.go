@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"strings"
@@ -9,6 +10,7 @@ import (
 	"time"
 
 	"gowarp/internal/observe"
+	"gowarp/internal/stats"
 	"gowarp/internal/telemetry"
 )
 
@@ -21,10 +23,11 @@ func TestWriteHTML(t *testing.T) {
 	tr.LP(1).Rollback(2, 1, 110, 115, true, 4, 0, 2, 0)
 	tr.System().Roughness(90, 80, 120, 100, 14, 1, 250)
 
-	rep := observe.NewReport(tr.Events(), &telemetry.RunSummary{
-		Model:          "unit",
-		FinalPartition: []int{0, 0, 1},
-	})
+	var sum stats.RunRecord
+	if err := json.Unmarshal([]byte(`{"model":"unit","final_partition":[0,0,1]}`), &sum); err != nil {
+		t.Fatal(err)
+	}
+	rep := observe.NewReport(tr.Events(), &sum)
 	var html strings.Builder
 	if err := writeHTML(&html, rep, 5); err != nil {
 		t.Fatal(err)

@@ -27,7 +27,6 @@ import (
 	"time"
 
 	"gowarp"
-	"gowarp/internal/stats"
 	"gowarp/metricshttp"
 )
 
@@ -263,17 +262,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return fail(err)
 	}
 
-	rank, ranks, hostRanks := 0, 1, 0
 	if tspec.Kind == "tcp" {
-		rank, ranks = tspec.Rank, len(tspec.Peers)
 		tr, terr := tspec.NewTransport(m.NumLPs(), cfg.Cost)
 		if terr != nil {
 			return fail(terr)
 		}
 		cfg.Transport = tr
-		hostRanks = tr.Peers().HostRanks
-		if rank != 0 && *verify {
-			fmt.Fprintf(stderr, "twsim: rank %d: -verify compares full results and runs on rank 0 only; skipping\n", rank)
+		if tspec.Rank != 0 && *verify {
+			fmt.Fprintf(stderr, "twsim: rank %d: -verify compares full results and runs on rank 0 only; skipping\n", tspec.Rank)
 			*verify = false
 		}
 	}
@@ -324,71 +320,41 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stdout, "trace: %d events to %s (%s format, %d overwritten)\n",
 			len(tracer.Events()), *traceFile, *traceFormat, tracer.Dropped())
 	}
-	// On a distributed run only rank 0 holds the whole model's final states;
-	// other ranks report a zero hash rather than a misleading partial one.
-	var stateHash uint64
-	if rank == 0 {
-		stateHash = gowarp.HashStates(res.FinalStates)
+	if *jsonOut != "" || *perObject {
+		gowarp.SortPerObject(res.PerObject)
 	}
 	if *jsonOut != "" {
-		flags := map[string]string{}
-		fs.VisitAll(func(f *flag.Flag) { flags[f.Name] = f.Value.String() })
-		stats.SortPerObject(res.PerObject)
-		sum := gowarp.RunSummary{
-			Model:                 m.Name,
-			Flags:                 flags,
-			Transport:             tspec.Kind,
-			Rank:                  rank,
-			Ranks:                 ranks,
-			ElapsedSeconds:        res.Elapsed.Seconds(),
-			FinalGVT:              res.GVT.String(),
-			EventsPerSec:          res.EventRate(),
-			Efficiency:            res.Stats.Efficiency(),
-			HitRatio:              res.Stats.HitRatio(),
-			MeanRollbackLength:    res.Stats.MeanRollbackLength(),
-			WastedWorkRatio:       res.Stats.WastedWorkRatio(),
-			FinalStateHash:        stateHash,
-			Stats:                 res.Stats,
-			PerLP:                 res.PerLP,
-			PerObject:             res.PerObject,
-			TraceDropped:          tracer.Dropped(),
-			FinalPartition:        res.FinalPartition,
-			FinalOptimismWindow:   int64(res.FinalOptimismWindow),
-			OptimismSwitches:      res.Stats.OptimismAdjustments,
-			Workers:               len(res.PerWorker),
-			PerWorker:             res.PerWorker,
-			FinalWorkerAssignment: res.FinalWorkerAssignment,
-			HostRanks:             hostRanks,
-			Wire:                  res.Wire,
-		}
-		if sampler != nil {
-			sum.Roughness = sampler.Summary()
-			sum.RollbackDepthHist = sampler.DepthHist()
-		}
-		if err := gowarp.WriteJSON(*jsonOut, sum); err != nil {
+		// The kernel has filled the record with what it knows; what only the
+		// command line knows goes in here.
+		res.Flags = map[string]string{}
+		fs.VisitAll(func(f *flag.Flag) { res.Flags[f.Name] = f.Value.String() })
+		res.Transport = tspec.Kind
+		res.TraceDropped = tracer.Dropped()
+		res.Roughness = sampler.Summary()
+		res.RollbackDepthHist = sampler.DepthHist()
+		if err := gowarp.WriteJSON(*jsonOut, res); err != nil {
 			return fail(err)
 		}
 	}
 	prefix := ""
-	if ranks > 1 {
-		prefix = fmt.Sprintf("[rank %d/%d] ", rank, ranks)
+	if res.Ranks > 1 {
+		prefix = fmt.Sprintf("[rank %d/%d] ", res.Rank, res.Ranks)
 	}
 	fmt.Fprintf(stdout, "%s%s: %d committed events in %s (%.0f ev/s), final GVT %s\n",
 		prefix, m.Name, res.Stats.EventsCommitted, res.Elapsed.Round(time.Millisecond),
 		res.EventRate(), res.GVT)
-	if n := len(res.PerWorker); sspec.Workers == 0 && hostRanks > 1 {
+	if n := len(res.PerWorker); sspec.Workers == 0 && res.HostRanks > 1 {
 		// The transport divided the default width: say what by.
 		s := "s"
 		if n == 1 {
 			s = ""
 		}
 		fmt.Fprintf(stdout, "%s%d worker%s: %d cores shared by %d ranks on this host\n",
-			prefix, n, s, runtime.NumCPU(), hostRanks)
+			prefix, n, s, runtime.NumCPU(), res.HostRanks)
 	}
 	fmt.Fprint(stdout, res.Stats.Report())
 
 	if *perObject {
-		stats.SortPerObject(res.PerObject)
 		fmt.Fprintln(stdout, "per-object summary:")
 		for _, po := range res.PerObject {
 			fmt.Fprintf(stdout, "  %-18s rollbacks=%-6d HR=%.3f strategy=%-10s chi=%d\n",

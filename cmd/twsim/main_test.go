@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"gowarp"
+	"gowarp/internal/stats"
 )
 
 // twsim runs the command in process and returns its exit status and output.
@@ -24,14 +25,10 @@ func twsim(args ...string) (code int, stdout, stderr string) {
 }
 
 // readSummary reads a -json-out artifact back.
-func readSummary(t *testing.T, path string) gowarp.RunSummary {
+func readSummary(t *testing.T, path string) *gowarp.RunRecord {
 	t.Helper()
-	data, err := os.ReadFile(path)
+	s, err := stats.ReadRunRecord(path)
 	if err != nil {
-		t.Fatal(err)
-	}
-	var s gowarp.RunSummary
-	if err := json.Unmarshal(data, &s); err != nil {
 		t.Fatal(err)
 	}
 	return s
@@ -52,6 +49,74 @@ func TestStaticWindowRun(t *testing.T) {
 	}
 	if w := readSummary(t, f).FinalOptimismWindow; w != 100 {
 		t.Errorf("final_optimism_window = %d, want 100", w)
+	}
+}
+
+// TestArtifactSchema holds the -json-out artifact's top-level keys the way
+// TestConfigSurface holds the configuration's: the command line that recorded
+// cmd/twreport/testdata/smmp40.run.json (written by the binary of the commit
+// before RunRecord existed) must write that file's keys today, and a key the
+// format has that the recording lacks is listed here, by name, where a reviewer
+// sees it arrive.
+func TestArtifactSchema(t *testing.T) {
+	absentFromRecording := []string{ // omitempty, and empty in that run
+		"rank", "host_ranks", "wire", // one process, no transport
+		"trace_dropped",     // the ring sufficed
+		"optimism_switches", // -optimism off
+	}
+	keysOf := func(path string) map[string]bool {
+		t.Helper()
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var top map[string]json.RawMessage
+		if err := json.Unmarshal(data, &top); err != nil {
+			t.Fatal(err)
+		}
+		keys := map[string]bool{}
+		for k := range top {
+			keys[k] = true
+		}
+		return keys
+	}
+	recorded := keysOf("../twreport/testdata/smmp40.run.json")
+	known := map[string]bool{}
+	for k := range recorded {
+		known[k] = true
+	}
+	for _, k := range absentFromRecording {
+		if recorded[k] {
+			t.Errorf("%q is in the recording: drop it from the list", k)
+		}
+		known[k] = true
+	}
+
+	dir := t.TempDir()
+	f := filepath.Join(dir, "run.json")
+	if code, out, errOut := twsim("-model", "smmp", "-requests", "40",
+		"-trace", filepath.Join(dir, "t.jsonl"), "-json-out", f); code != 0 {
+		t.Fatalf("exit %d\n%s%s", code, out, errOut)
+	}
+	got := keysOf(f)
+	for k := range got {
+		if !known[k] {
+			t.Errorf("the artifact has a key %q the recording and the list lack", k)
+		}
+	}
+	for k := range recorded {
+		// A run on one worker may never roll back, and then has no histogram.
+		if !got[k] && k != "rollback_depth_hist" {
+			t.Errorf("the artifact lacks the recorded key %q", k)
+		}
+	}
+	// Every stored field is one of the known keys, filled by this run or not.
+	rt := reflect.TypeOf(gowarp.RunRecord{})
+	for i := 0; i < rt.NumField(); i++ {
+		tag, _, _ := strings.Cut(rt.Field(i).Tag.Get("json"), ",")
+		if tag != "-" && !known[tag] {
+			t.Errorf("RunRecord.%s is stored as %q, which neither the recording nor the list has", rt.Field(i).Name, tag)
+		}
 	}
 }
 

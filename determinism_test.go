@@ -10,7 +10,7 @@ import (
 )
 
 // deterministicArtifact runs the PHOLD workload with a fixed seed under cfg
-// and returns the marshaled deterministic slice of its run summary — the
+// and returns the marshaled deterministic slice of its run record — the
 // bytes twsim -json-out would produce, stripped of wall-clock-dependent
 // fields.
 func deterministicArtifact(t *testing.T, seed uint64, cfg gowarp.Config) []byte {
@@ -23,15 +23,7 @@ func deterministicArtifact(t *testing.T, seed uint64, cfg gowarp.Config) []byte 
 	if err != nil {
 		t.Fatal(err)
 	}
-	sum := gowarp.RunSummary{
-		Model:          m.Name,
-		FinalGVT:       res.GVT.String(),
-		EventsPerSec:   res.EventRate(),
-		ElapsedSeconds: res.Elapsed.Seconds(),
-		FinalStateHash: gowarp.HashStates(res.FinalStates),
-		Stats:          res.Stats,
-	}
-	data, err := json.Marshal(sum.Deterministic())
+	data, err := json.Marshal(res.Record().Deterministic())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,25 +86,24 @@ func TestSeedsDistinguishRuns(t *testing.T) {
 	}
 }
 
-// TestDeterministicStripsWallClock documents which summary fields survive
+// TestDeterministicStripsWallClock documents which record fields survive
 // Deterministic(): only the model name, committed-event count and
-// final-state hash; rates, elapsed time and the full counter tally are
-// zeroed.
+// final-state hash; elapsed time, the final GVT and the full counter tally —
+// and with them every derived rate — are zeroed.
 func TestDeterministicStripsWallClock(t *testing.T) {
-	sum := gowarp.RunSummary{
+	rec := gowarp.RunRecord{
 		Model:          "m",
-		ElapsedSeconds: 1.5,
-		EventsPerSec:   1e6,
-		FinalGVT:       "12345",
+		Elapsed:        1500 * time.Millisecond,
+		GVT:            12345,
 		FinalStateHash: 7,
 	}
-	sum.Stats.EventsCommitted = 10
-	sum.Stats.Rollbacks = 3
-	d := sum.Deterministic()
+	rec.Stats.EventsCommitted = 10
+	rec.Stats.Rollbacks = 3
+	d := rec.Deterministic()
 	if d.Model != "m" || d.FinalStateHash != 7 || d.Stats.EventsCommitted != 10 {
 		t.Errorf("deterministic fields lost: %+v", d)
 	}
-	if d.ElapsedSeconds != 0 || d.EventsPerSec != 0 || d.FinalGVT != "" || d.Stats.Rollbacks != 0 {
+	if d.Elapsed != 0 || d.EventRate() != 0 || d.GVT != 0 || d.Stats.Rollbacks != 0 {
 		t.Errorf("wall-clock-dependent fields survived: %+v", d)
 	}
 }

@@ -18,7 +18,6 @@ import (
 	"time"
 
 	"gowarp"
-	"gowarp/internal/stats"
 )
 
 func run(label string, cc gowarp.CancellationConfig) *gowarp.Result {
@@ -58,7 +57,7 @@ func main() {
 	// Summarize what the per-object selectors decided, grouped by class.
 	type tally struct{ lazy, aggressive, idle int }
 	byClass := map[string]*tally{"source": {}, "fork": {}, "disk": {}}
-	stats.SortPerObject(dyn.PerObject)
+	gowarp.SortPerObject(dyn.PerObject)
 	for _, po := range dyn.PerObject {
 		var class string
 		switch {

@@ -16,7 +16,6 @@ import (
 	"time"
 
 	"gowarp"
-	"gowarp/internal/stats"
 )
 
 func run(label string, configure func(*gowarp.ConfigBuilder)) *gowarp.Result {
@@ -72,7 +71,7 @@ func main() {
 	// What did the controllers decide? The paper observes that every SMMP
 	// object favors lazy cancellation; the checkpoint controller should
 	// have opened the interval well past 1.
-	stats.SortPerObject(adaptive.PerObject)
+	gowarp.SortPerObject(adaptive.PerObject)
 	fmt.Println("adaptation outcomes for objects that rolled back:")
 	for _, po := range adaptive.PerObject {
 		if po.Rollbacks == 0 {

@@ -354,18 +354,15 @@ type (
 	// leaf package, so that only a program that wants the endpoint links
 	// net/http.
 	MetricsRegistry = telemetry.Registry
-	// RunSummary is the machine-readable per-run artifact written by
-	// twsim -json-out.
-	RunSummary = telemetry.RunSummary
+	// RunRecord is what a run leaves behind: Result embeds it, and marshalled
+	// it is the artifact twsim -json-out writes (unmarshal one into it).
+	RunRecord = stats.RunRecord
 	// RoughnessSampler is the observation sampler (set Config.Observe): LPs
 	// publish their local virtual times into its atomic slots and a
 	// background goroutine periodically derives the virtual-time roughness —
 	// LVT width, variance, the lagging LP, wasted-work ratio — recording a
 	// timeline into the tracer and live gauges into the metrics registry.
 	RoughnessSampler = observe.Sampler
-	// RoughnessSummary is the sampler's run-level aggregate, embedded in
-	// RunSummary when sampling was on.
-	RoughnessSummary = telemetry.RoughnessSummary
 )
 
 // NewRoughnessSampler returns an observation sampler taking one LVT-vector
@@ -383,8 +380,13 @@ func NewTracer(capacity int) *Tracer { return telemetry.NewTracer(capacity) }
 // NewMetricsRegistry returns an empty live metrics registry.
 func NewMetricsRegistry() *MetricsRegistry { return telemetry.NewRegistry() }
 
-// WriteJSON writes v to path as indented JSON (run artifacts, summaries).
+// WriteJSON writes v to path as indented JSON (run artifacts, summaries). A
+// *Result writes its RunRecord, final-state hash included.
 func WriteJSON(path string, v any) error { return telemetry.WriteJSON(path, v) }
+
+// SortPerObject orders a result's per-object rows (Result.PerObject, indexed
+// by ObjectID as the kernel leaves them) by name, for reports.
+func SortPerObject(s []stats.PerObject) { stats.SortPerObject(s) }
 
 // RunConservative executes m under CMB null-message synchronization.
 func RunConservative(m *Model, cfg ConservativeConfig) (*ConservativeResult, error) {

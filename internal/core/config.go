@@ -10,6 +10,7 @@
 package core
 
 import (
+	"encoding/json"
 	"time"
 
 	"gowarp/internal/audit"
@@ -228,57 +229,30 @@ func DefaultConfig(endTime vtime.Time) Config {
 	}
 }
 
-// Result is what a simulation run produces.
+// Result is what a simulation run produces: the run record — marshalled, the
+// artifact `twsim -json-out` writes — and what only a caller in the same
+// process can use.
 type Result struct {
-	// Stats is the merged tally across logical processes.
-	Stats stats.Counters
-	// PerLP holds each logical process's own tally.
-	PerLP []stats.Counters
-	// PerObject records per-object observations (rollbacks, final hit
-	// ratio, final strategy, final checkpoint interval).
-	PerObject []stats.PerObject
-	// GVT is the final Global Virtual Time (vtime.PosInf when the model
-	// drained before EndTime).
-	GVT vtime.Time
-	// Elapsed is the wall-clock duration of the parallel phase.
-	Elapsed time.Duration
+	stats.RunRecord
 	// FinalStates holds every object's committed final state, indexed by
 	// ObjectID; used for cross-kernel determinism checks.
 	FinalStates []model.State
 	// Timeline holds per-LP adaptation samples (only when Config.Timeline
 	// was set).
 	Timeline []LPTimeline
-	// FinalPartition is the object→LP assignment when the run ended. It
-	// equals the model's static partition unless load balancing migrated
-	// objects. Wall-clock-dependent when balancing is on, so it is not part
-	// of the deterministic run artifact.
-	FinalPartition []int
-	// FinalOptimismWindow is the optimism window in force when the run
-	// ended (0 = unbounded). It equals Config.Optimism.Window unless the
-	// adaptive optimism facet or a tuner override moved it; wall-clock-
-	// dependent when adaptive, so — like FinalPartition — it is not part of
-	// the deterministic run artifact.
-	FinalOptimismWindow vtime.Time
-	// PerWorker holds the scheduling statistics of each of this process's
-	// dispatcher workers; the event-pool tallies in Stats are their sum.
-	// Wall-clock-dependent, so not part of the deterministic run artifact.
-	PerWorker []stats.WorkerStats
-	// FinalWorkerAssignment is the LP→worker map when the run ended, indexed
-	// by LP, -1 for LPs another rank hosts; it differs from the initial block
-	// sharding only when the on-line remap controller moved LPs.
-	FinalWorkerAssignment []int
-	// Wire is the system-call tally of this process's own links, one entry per
-	// peer rank, when the transport keeps one (comm.TCP does); other ranks'
-	// links are in their own Results.
-	Wire []stats.LinkStats
 }
 
-// EventRate returns committed events per second of wall-clock time — the
-// headline throughput metric of Section 8.
-func (r *Result) EventRate() float64 {
-	s := r.Elapsed.Seconds()
-	if s <= 0 {
-		return 0
+// Record returns the run record with FinalStateHash computed from
+// FinalStates. Only rank 0 of a distributed run holds the whole model's final
+// states; other ranks report a zero hash rather than a misleading partial one.
+func (r Result) Record() stats.RunRecord {
+	rec := r.RunRecord
+	if rec.Rank == 0 {
+		rec.FinalStateHash = audit.HashStates(r.FinalStates)
 	}
-	return float64(r.Stats.EventsCommitted) / s
+	return rec
 }
+
+// MarshalJSON writes Record: the hash is taken here, when an artifact is asked
+// for, and never inside Run's timed phase.
+func (r Result) MarshalJSON() ([]byte, error) { return json.Marshal(r.Record()) }

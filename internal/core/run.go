@@ -177,13 +177,19 @@ func Run(m *model.Model, cfg Config) (*Result, error) {
 	}
 
 	res := &Result{
-		PerLP:               make([]stats.Counters, numLPs),
-		PerObject:           make([]stats.PerObject, len(sh.objs)),
-		GVT:                 locals[0].gvtMgr.GVT(),
-		Elapsed:             elapsed,
-		FinalStates:         make([]model.State, len(sh.objs)),
-		FinalPartition:      sh.rt.Assignment(),
-		FinalOptimismWindow: vtime.Time(sh.window.Load()),
+		RunRecord: stats.RunRecord{
+			Model:               m.Name,
+			Rank:                peers.Rank,
+			Ranks:               peers.NumRanks,
+			HostRanks:           peers.HostRanks,
+			PerLP:               make([]stats.Counters, numLPs),
+			PerObject:           make([]stats.PerObject, len(sh.objs)),
+			GVT:                 locals[0].gvtMgr.GVT(),
+			Elapsed:             elapsed,
+			FinalPartition:      sh.rt.Assignment(),
+			FinalOptimismWindow: vtime.Time(sh.window.Load()),
+		},
+		FinalStates: make([]model.State, len(sh.objs)),
 	}
 	for _, o := range sh.objs {
 		if o == nil {

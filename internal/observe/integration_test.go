@@ -154,16 +154,8 @@ func TestObservedRunSummaryFields(t *testing.T) {
 		if res.Stats.Rollbacks == 0 {
 			continue
 		}
-		sum := &telemetry.RunSummary{
-			Model:             "phold-storm",
-			Stats:             res.Stats,
-			PerLP:             res.PerLP,
-			WastedWorkRatio:   res.Stats.WastedWorkRatio(),
-			Roughness:         s.Summary(),
-			RollbackDepthHist: s.DepthHist(),
-			FinalPartition:    res.FinalPartition,
-		}
-		rep := observe.NewReport(tr.Events(), sum)
+		res.Roughness, res.RollbackDepthHist = s.Summary(), s.DepthHist()
+		rep := observe.NewReport(tr.Events(), &res.RunRecord)
 		var text strings.Builder
 		if err := rep.WriteText(&text, 3); err != nil {
 			t.Fatal(err)

@@ -22,6 +22,10 @@
 //
 // Everything is nil-safe: every method on a nil *Sampler is a no-op, so
 // the disabled path costs one pointer comparison at each hook site.
+//
+// The package owns no format. A Report is derived from events and a run
+// record already in memory: telemetry.ReadJSONL reads a trace file,
+// stats.ReadRunRecord an artifact.
 package observe
 
 import (
@@ -30,6 +34,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"gowarp/internal/stats"
 	"gowarp/internal/telemetry"
 )
 
@@ -363,11 +368,11 @@ func (s *Sampler) sample() {
 
 // Summary returns the roughness aggregates, or nil when no samples were
 // taken. Call after Stop.
-func (s *Sampler) Summary() *telemetry.RoughnessSummary {
+func (s *Sampler) Summary() *stats.RoughnessSummary {
 	if s == nil || s.samples == 0 {
 		return nil
 	}
-	return &telemetry.RoughnessSummary{
+	return &stats.RoughnessSummary{
 		Samples:    s.samples,
 		MeanWidth:  s.sumWidth / float64(s.samples),
 		MaxWidth:   s.maxWidth,

@@ -1,11 +1,13 @@
 package observe
 
 import (
+	"encoding/json"
 	"math"
 	"strings"
 	"testing"
 	"time"
 
+	"gowarp/internal/stats"
 	"gowarp/internal/telemetry"
 )
 
@@ -229,7 +231,7 @@ func TestParseJSONLRoundTrip(t *testing.T) {
 	if err := tr.WriteJSONL(&buf); err != nil {
 		t.Fatal(err)
 	}
-	evs, kinds, err := ParseJSONL(strings.NewReader(buf.String()))
+	evs, kinds, err := telemetry.ReadJSONL(strings.NewReader(buf.String()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -261,7 +263,7 @@ func TestParseJSONLRoundTrip(t *testing.T) {
 }
 
 func TestParseJSONLMalformed(t *testing.T) {
-	_, _, err := ParseJSONL(strings.NewReader("{\"kind\":\"rollback\"}\nnot json\n"))
+	_, _, err := telemetry.ReadJSONL(strings.NewReader("{\"kind\":\"rollback\"}\nnot json\n"))
 	if err == nil || !strings.Contains(err.Error(), "line 2") {
 		t.Fatalf("err = %v, want line-2 parse error", err)
 	}
@@ -276,9 +278,10 @@ func TestReportWriters(t *testing.T) {
 	tr.LP(1).Rollback(2, 1, 110, 115, true, 4, 0, 2, 0)
 	tr.System().Roughness(90, 80, 120, 100, 14, 1, 250)
 
-	sum := &telemetry.RunSummary{
-		Model:          "unit",
-		FinalPartition: []int{0, 0, 1},
+	// The record arrives as twreport's does: from an artifact's bytes.
+	sum := &stats.RunRecord{}
+	if err := json.Unmarshal([]byte(`{"model":"unit","final_partition":[0,0,1]}`), sum); err != nil {
+		t.Fatal(err)
 	}
 	rep := NewReport(tr.Events(), sum)
 	rep.KindCounts = map[string]int64{"rollback": 2, "roughness": 1}

@@ -3,22 +3,23 @@ package observe
 import (
 	"fmt"
 	"io"
-	"math"
 	"sort"
 	"strings"
 	"time"
 
+	"gowarp/internal/stats"
 	"gowarp/internal/telemetry"
+	"gowarp/internal/vtime"
 )
 
 // Report is a fully derived run report: attributed rollbacks grouped into
-// cascades, the roughness timeline, and (when available) the RunSummary
-// artifact for run-level and per-LP context. Build one with NewReport and
+// cascades, the roughness timeline, and (when available) the run record
+// (stats.RunRecord, the -json-out artifact) for run-level and per-LP context. Build one with NewReport and
 // render it with WriteText; cmd/twreport also renders it as an HTML page,
 // which lives there and not here because the kernel imports this package for
 // the sampler and must not link html/template (TestKernelImportGraph).
 type Report struct {
-	Summary    *telemetry.RunSummary
+	Summary    *stats.RunRecord
 	Rollbacks  []Rollback
 	Cascades   []Cascade
 	Samples    []RoughnessSample
@@ -26,7 +27,7 @@ type Report struct {
 }
 
 // NewReport derives a report from a merged trace and an optional summary.
-func NewReport(evs []telemetry.Event, sum *telemetry.RunSummary) *Report {
+func NewReport(evs []telemetry.Event, sum *stats.RunRecord) *Report {
 	rbs := ExtractRollbacks(evs)
 	Link(rbs)
 	return &Report{
@@ -37,18 +38,8 @@ func NewReport(evs []telemetry.Event, sum *telemetry.RunSummary) *Report {
 	}
 }
 
-// vtStr renders a virtual time, symbolically for the infinities (telemetry
-// carries them as raw int64 sentinels).
-func vtStr(v int64) string {
-	switch v {
-	case math.MaxInt64:
-		return "+inf"
-	case math.MinInt64:
-		return "-inf"
-	default:
-		return fmt.Sprintf("%d", v)
-	}
-}
+// vtStr renders a virtual time (telemetry carries them as raw int64s).
+func vtStr(v int64) string { return vtime.Time(v).String() }
 
 func ms(d time.Duration) string { return fmt.Sprintf("%.3fms", float64(d)/1e6) }
 
@@ -193,10 +184,10 @@ func (r *Report) WriteText(w io.Writer, topK int) error {
 	if s := r.Summary; s != nil {
 		part = s.FinalPartition
 		fmt.Fprintf(&b, "model %s: %.3fs wall, %.0f events/s, efficiency %.3f, wasted-work ratio %.3f\n",
-			s.Model, s.ElapsedSeconds, s.EventsPerSec, s.Efficiency, s.WastedWorkRatio)
+			s.Model, s.Elapsed.Seconds(), s.EventRate(), s.Stats.Efficiency(), s.Stats.WastedWorkRatio())
 		fmt.Fprintf(&b, "events: %d committed, %d rolled back; %d rollbacks (mean length %.2f); final GVT %s\n",
 			s.Stats.EventsCommitted, s.Stats.EventsRolledBack, s.Stats.Rollbacks,
-			s.MeanRollbackLength, s.FinalGVT)
+			s.Stats.MeanRollbackLength(), s.GVT)
 		if s.TraceDropped > 0 {
 			fmt.Fprintf(&b, "note: %d trace events dropped to ring wraparound; attribution below is over the retained window\n", s.TraceDropped)
 		}
@@ -319,14 +310,14 @@ func (r *Report) WriteText(w io.Writer, topK int) error {
 
 // RoughnessSummary aggregates the extracted samples (preferring the run
 // artifact's own summary when present).
-func (r *Report) RoughnessSummary() *telemetry.RoughnessSummary {
+func (r *Report) RoughnessSummary() *stats.RoughnessSummary {
 	if r.Summary != nil && r.Summary.Roughness != nil {
 		return r.Summary.Roughness
 	}
 	if len(r.Samples) == 0 {
 		return nil
 	}
-	out := &telemetry.RoughnessSummary{Samples: int64(len(r.Samples))}
+	out := &stats.RoughnessSummary{Samples: int64(len(r.Samples))}
 	var sumW, sumS float64
 	for _, s := range r.Samples {
 		w := s.Width()

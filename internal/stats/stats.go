@@ -2,11 +2,13 @@
 // configuration controllers observe: event, rollback, message and
 // cancellation counters plus wall-clock cost accumulators. Counters are
 // written only by the owning logical process goroutine and merged after the
-// LPs join, so no synchronization appears on hot paths.
+// LPs join, so no synchronization appears on hot paths. RunRecord (record.go)
+// is what a run leaves behind, and owns the -json-out artifact's format.
 package stats
 
 import (
 	"fmt"
+	"reflect"
 	"sort"
 	"strings"
 	"time"
@@ -122,54 +124,14 @@ type Counters struct {
 	EventPoolReuses int64
 }
 
-// Merge adds o into c.
+// Merge adds o into c, field by field: every counter is an int64 or a
+// time.Duration, and one declared above needs no line here. It runs once per
+// LP, after the workers have joined.
 func (c *Counters) Merge(o *Counters) {
-	c.EventsProcessed += o.EventsProcessed
-	c.EventsRolledBack += o.EventsRolledBack
-	c.EventsCommitted += o.EventsCommitted
-	c.CoastForwardEvents += o.CoastForwardEvents
-	c.Rollbacks += o.Rollbacks
-	c.RollbackLength += o.RollbackLength
-	c.Stragglers += o.Stragglers
-	c.AntiStragglers += o.AntiStragglers
-	c.StatesSaved += o.StatesSaved
-	c.StateBytes += o.StateBytes
-	c.StateSaveTime += o.StateSaveTime
-	c.CoastForwardTime += o.CoastForwardTime
-	c.EventMsgsSent += o.EventMsgsSent
-	c.AntiMsgsSent += o.AntiMsgsSent
-	c.IntraLPMsgs += o.IntraLPMsgs
-	c.PhysicalMsgsSent += o.PhysicalMsgsSent
-	c.BytesSent += o.BytesSent
-	c.AggregatedEvents += o.AggregatedEvents
-	c.FlushWindow += o.FlushWindow
-	c.FlushCapacity += o.FlushCapacity
-	c.FlushUrgent += o.FlushUrgent
-	c.FlushIdle += o.FlushIdle
-	c.LazyHits += o.LazyHits
-	c.LazyMisses += o.LazyMisses
-	c.CancellationSwitches += o.CancellationSwitches
-	c.GVTCycles += o.GVTCycles
-	c.GVTRounds += o.GVTRounds
-	c.GVTTime += o.GVTTime
-	c.FossilCollected += o.FossilCollected
-	c.CheckpointAdjustments += o.CheckpointAdjustments
-	c.WindowAdjustments += o.WindowAdjustments
-	c.Migrations += o.Migrations
-	c.MigratedEvents += o.MigratedEvents
-	c.ForwardedMsgs += o.ForwardedMsgs
-	c.BalanceSteps += o.BalanceSteps
-	c.OptimismAdjustments += o.OptimismAdjustments
-	c.CheckpointRawBytes += o.CheckpointRawBytes
-	c.CheckpointBytes += o.CheckpointBytes
-	c.DeltaCheckpoints += o.DeltaCheckpoints
-	c.CodecSwitches += o.CodecSwitches
-	c.CapsuleRawBytes += o.CapsuleRawBytes
-	c.CapsuleBytes += o.CapsuleBytes
-	c.BatchedMigrations += o.BatchedMigrations
-	c.WireRawBytes += o.WireRawBytes
-	c.EventPoolAllocs += o.EventPoolAllocs
-	c.EventPoolReuses += o.EventPoolReuses
+	cv, ov := reflect.ValueOf(c).Elem(), reflect.ValueOf(o).Elem()
+	for i := 0; i < cv.NumField(); i++ {
+		cv.Field(i).SetInt(cv.Field(i).Int() + ov.Field(i).Int())
+	}
 }
 
 // HitRatio returns the overall lazy/aggressive hit ratio, or 0 when no

@@ -3,6 +3,7 @@ package telemetry
 import (
 	"encoding/json"
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -150,5 +151,106 @@ func TestTracerExportEndToEnd(t *testing.T) {
 	}
 	if !json.Valid([]byte(ch.String())) {
 		t.Errorf("Chrome trace from tracer not valid JSON:\n%s", ch.String())
+	}
+}
+
+// everyKind is one event of each kind as its recorder leaves it (Object -1
+// where the kind has no use for it), at durations a reader that truncated
+// microseconds would return a nanosecond early.
+func everyKind() []Event {
+	tr := NewTracer(16)
+	tr.Bind(3, time.Now())
+	tr.LP(0).Rollback(3, 5, 37, 42, false, 5, 2, 1, 1001)
+	tr.LP(0).Rollback(4, 6, 38, 43, true, 1, 0, 0, 1005)
+	tr.LP(1).CheckpointAdjust(7, 4, 8, 125009)
+	tr.LP(1).StrategySwitch(7, true, 375)
+	tr.LP(1).StrategySwitch(8, false, 33)
+	tr.LP(0).GVTCycle(math.MaxInt64, 2, 50017)
+	for cause := int64(0); cause < 4; cause++ {
+		tr.LP(2).Flush(1, cause, 12, 288)
+	}
+	tr.LP(2).WindowAdjust(1, 100003, 50019)
+	tr.LP(1).Migration(9, 2, 3, 4)
+	tr.LP(0).BalanceStep(1333, true, 2)
+	tr.LP(0).BalanceStep(1001, false, 0)
+	tr.LP(1).CodecSwitch(7, true, 419)
+	tr.System().Roughness(math.MinInt64, 80, 120, 100, 14, -1, 251)
+	tr.LP(0).OptSwitch(500, 0, 1009, 77)
+	evs := tr.Events()
+	for i := range evs {
+		evs[i].Wall = time.Duration(1001 + 1004*i) // 1.001 µs, 2.005 µs, …
+	}
+	return evs
+}
+
+// TestJSONLRoundTrip: for every kind, write → read → write is the identity,
+// on the bytes and on the events.
+func TestJSONLRoundTrip(t *testing.T) {
+	evs := everyKind()
+	seen := map[Kind]bool{}
+	for _, ev := range evs {
+		seen[ev.Kind] = true
+	}
+	if len(seen) != int(numKinds) {
+		t.Fatalf("fixture covers %d of %d kinds", len(seen), numKinds)
+	}
+	var first strings.Builder
+	if err := WriteJSONL(&first, evs); err != nil {
+		t.Fatal(err)
+	}
+	got, counts, err := ReadJSONL(strings.NewReader(first.String()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, evs) {
+		for i := range evs {
+			if i >= len(got) || got[i] != evs[i] {
+				t.Fatalf("event %d read back as\n%+v, wrote\n%+v", i, got[i], evs[i])
+			}
+		}
+		t.Fatalf("read %d events, wrote %d", len(got), len(evs))
+	}
+	if counts["flush"] != 4 || counts["rollback"] != 2 || len(counts) != int(numKinds) {
+		t.Errorf("kind tally = %v", counts)
+	}
+	var second strings.Builder
+	if err := WriteJSONL(&second, got); err != nil {
+		t.Fatal(err)
+	}
+	if first.String() != second.String() {
+		t.Errorf("second write differs:\n%s\nfirst:\n%s", second.String(), first.String())
+	}
+}
+
+// TestReadJSONLRefusals: a malformed line — not JSON, no kind, a value of the
+// wrong shape, a word its key does not have — is an error naming the line; a
+// kind this build does not know, and what WriteJSONL wrote for one, is
+// tallied and skipped; blank lines and absent keys are fine.
+func TestReadJSONLRefusals(t *testing.T) {
+	ok := `{"wall_us":1.000,"kind":"gvt","lp":0,"vt":7,"rounds":1,"cycle_us":2.000}` + "\n"
+	for _, bad := range []string{
+		"not json", `{"wall_us":1.000,"lp":0}`, `{"kind":"gvt","rounds":"two"}`,
+		`{"kind":"gvt","vt":1.5}`, `{"kind":"flush","cause":"boredom"}`, `{"kind":"balance","active":1}`,
+	} {
+		_, _, err := ReadJSONL(strings.NewReader(ok + "\n" + bad + "\n"))
+		if err == nil || !strings.Contains(err.Error(), "line 3") {
+			t.Errorf("%s: err = %v, want an error naming line 3", bad, err)
+		}
+	}
+
+	var unknown strings.Builder
+	if err := WriteJSONL(&unknown, []Event{{Kind: 99, A: 1, B: 2, C: 3}}); err != nil {
+		t.Fatal(err)
+	}
+	evs, counts, err := ReadJSONL(strings.NewReader(
+		ok + unknown.String() + `{"wall_us":3.000,"kind":"rank_join","lp":0,"rank":1}` + "\n" + `{"kind":"rollback"}` + "\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(evs) != 2 || evs[0].Kind != KindGVT || evs[0].VT != 7 || evs[0].Object != -1 || evs[1] != (Event{Kind: KindRollback}) {
+		t.Errorf("events = %+v", evs)
+	}
+	if counts["gvt"] != 1 || counts["unknown"] != 1 || counts["rank_join"] != 1 || counts["rollback"] != 1 {
+		t.Errorf("kind tally = %v", counts)
 	}
 }

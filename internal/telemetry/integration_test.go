@@ -52,21 +52,26 @@ func TestKernelTrace(t *testing.T) {
 	}
 	// GVT cycles always happen; flushes happen with SAAW on an inter-LP
 	// workload. Rollback and controller events depend on the interleaving,
-	// so only the stats-backed kinds are asserted strictly.
+	// so only the stats-backed kinds are asserted strictly — and exactly only
+	// when no ring wrapped: a rollback storm under a loaded machine overruns
+	// a ring, and then what is retained is what was counted less some of what
+	// was dropped.
+	dropped := int(tracer.Dropped())
+	held := func(kind telemetry.Kind, counted int64) {
+		retained := byKind[kind]
+		if retained > int(counted) || int(counted) > retained+dropped {
+			t.Errorf("trace retains %d %s events of %d counted, %d dropped over all kinds",
+				retained, kind, counted, dropped)
+		}
+	}
 	if byKind[telemetry.KindGVT] == 0 {
 		t.Errorf("no GVT cycle events in trace (kinds: %v)", byKind)
 	}
-	if byKind[telemetry.KindGVT] != int(res.Stats.GVTCycles) {
-		t.Errorf("trace has %d GVT events, stats counted %d cycles",
-			byKind[telemetry.KindGVT], res.Stats.GVTCycles)
-	}
+	held(telemetry.KindGVT, res.Stats.GVTCycles)
 	if res.Stats.PhysicalMsgsSent > 0 && byKind[telemetry.KindFlush] == 0 {
 		t.Errorf("physical messages were sent but no flush events recorded")
 	}
-	if res.Stats.Rollbacks > 0 && byKind[telemetry.KindRollback] != int(res.Stats.Rollbacks) {
-		t.Errorf("trace has %d rollback events, stats counted %d",
-			byKind[telemetry.KindRollback], res.Stats.Rollbacks)
-	}
+	held(telemetry.KindRollback, res.Stats.Rollbacks)
 	// Events must come out wall-clock ordered.
 	for i := 1; i < len(evs); i++ {
 		if evs[i].Wall < evs[i-1].Wall {

@@ -1,8 +1,10 @@
 // Package telemetry is the kernel's observability substrate: a per-LP,
-// allocation-free structured trace recorder with JSONL and Chrome
-// trace_event exporters, a live metrics registry rendered in Prometheus
-// text-exposition format or as a plain map, and machine-readable
-// run-artifact helpers. The paper's thesis is that Time Warp sub-algorithms
+// allocation-free structured trace recorder, and a live metrics registry
+// rendered in Prometheus text-exposition format or as a plain map. It owns
+// the trace's formats on disk — export.go writes JSONL and Chrome
+// trace_event and reads JSONL back, all three from one per-kind field table —
+// and twbench's BENCH_<figure>.json rows; the run artifact belongs to
+// stats.RunRecord. The paper's thesis is that Time Warp sub-algorithms
 // should be steered by sampled outputs; this package makes those outputs
 // observable while the simulation runs instead of inferable after it ends.
 // The kernel imports this package, so it serves nothing: the HTTP endpoint
@@ -50,42 +52,17 @@ const (
 	// KindOptSwitch is one move of the optimism window, by the adaptive
 	// controller or a tuner override (recorded by LP 0, its one writer).
 	KindOptSwitch
+	// numKinds is the number of kinds; every value from it up is "unknown".
+	numKinds
 )
 
 // String names the kind as it appears in exported traces.
-func (k Kind) String() string {
-	switch k {
-	case KindRollback:
-		return "rollback"
-	case KindCheckpointAdjust:
-		return "checkpoint_adjust"
-	case KindStrategySwitch:
-		return "strategy_switch"
-	case KindGVT:
-		return "gvt"
-	case KindFlush:
-		return "flush"
-	case KindWindowAdjust:
-		return "window_adjust"
-	case KindMigration:
-		return "migration"
-	case KindBalance:
-		return "balance"
-	case KindCodecSwitch:
-		return "codec_switch"
-	case KindRoughness:
-		return "roughness"
-	case KindOptSwitch:
-		return "opt_switch"
-	default:
-		return "unknown"
-	}
-}
+func (k Kind) String() string { return k.format().name }
 
 // Event is one structured trace record. It is a fixed-size, pointer-free
 // value so the per-LP ring buffers never allocate while recording. The
-// meaning of VT, Dur and the A/B/C arguments depends on Kind; the exporters
-// translate them to named fields (see export.go).
+// meaning of VT, Dur and the A–F arguments depends on Kind; the tables in
+// export.go name them.
 type Event struct {
 	// Wall is the time since the run started.
 	Wall time.Duration

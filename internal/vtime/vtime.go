@@ -10,6 +10,7 @@ package vtime
 import (
 	"fmt"
 	"math"
+	"strconv"
 )
 
 // Time is a point in virtual time. The zero value is the start of the
@@ -84,4 +85,19 @@ func (t Time) String() string {
 	default:
 		return fmt.Sprintf("%d", int64(t))
 	}
+}
+
+// Parse reads a time as String renders it.
+func Parse(s string) (Time, error) {
+	switch s {
+	case "+inf":
+		return PosInf, nil
+	case "-inf":
+		return NegInf, nil
+	}
+	v, err := strconv.ParseInt(s, 10, 64)
+	if err != nil {
+		return 0, fmt.Errorf("vtime: %q is not a virtual time", s)
+	}
+	return Time(v), nil
 }

@@ -79,6 +79,14 @@ func TestString(t *testing.T) {
 	if Time(17).String() != "17" {
 		t.Errorf("Time(17).String() = %q", Time(17).String())
 	}
+	for _, v := range []Time{PosInf, NegInf, 0, 17, -3} {
+		if got, err := Parse(v.String()); err != nil || got != v {
+			t.Errorf("Parse(%q) = %d, %v", v.String(), got, err)
+		}
+	}
+	if _, err := Parse("soon"); err == nil {
+		t.Error(`Parse("soon") succeeded`)
+	}
 }
 
 func TestBeforeAfter(t *testing.T) {
