@@ -10,12 +10,14 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"runtime/pprof"
-	"sort"
+	"slices"
 	"strings"
 	"time"
 
@@ -47,29 +49,86 @@ func benchResult(fig exp.Figure) telemetry.BenchResult {
 	return out
 }
 
-func main() {
+// experiment is one -exp name and the testbed method that produces its figure.
+type experiment struct {
+	name string
+	run  func() (exp.Figure, error)
+}
+
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is the whole command: it parses args, checks every requested
+// experiment name, then runs the experiments in their fixed order, and
+// returns the exit status. Returning rather than exiting lets the deferred
+// profile writes happen on every path. The tests call it in process.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("twbench", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		which   = flag.String("exp", "all", "comma-separated experiments: rates,rates_codec,opt,scale,fig5,fig6,fig7,fig8,fig9,ckpt-sweep,gvt-period,ctl-period,disk-sens,tw-vs-cmb or 'all'")
-		repeat  = flag.Int("repeat", 1, "measured runs averaged per data point")
-		quick   = flag.Bool("quick", false, "shrink workloads ~10x (shape checks)")
-		rates   = flag.Bool("rates", false, "also print committed-event rates per point")
-		details = flag.Bool("details", false, "print per-point counter details")
-		csvDir  = flag.String("csv", "", "also write <dir>/<figure>.csv per experiment")
-		jsonDir = flag.String("json", "", "also write <dir>/BENCH_<figure>.json machine-readable results per experiment")
-		cpuProf = flag.String("cpuprofile", "", "write a CPU profile of the selected experiments to this file")
-		memProf = flag.String("memprofile", "", "write an allocation profile (after the runs) to this file")
+		which   = fs.String("exp", "all", "comma-separated experiments: rates,rates_codec,opt,scale,fig5,fig6,fig7,fig8,fig9,ckpt-sweep,gvt-period,ctl-period,disk-sens,tw-vs-cmb or 'all'")
+		repeat  = fs.Int("repeat", 1, "measured runs averaged per data point")
+		quick   = fs.Bool("quick", false, "shrink workloads ~10x (shape checks)")
+		rates   = fs.Bool("rates", false, "also print committed-event rates per point")
+		details = fs.Bool("details", false, "print per-point counter details")
+		csvDir  = fs.String("csv", "", "also write <dir>/<figure>.csv per experiment")
+		jsonDir = fs.String("json", "", "also write <dir>/BENCH_<figure>.json machine-readable results per experiment")
+		cpuProf = fs.String("cpuprofile", "", "write a CPU profile of the selected experiments to this file")
+		memProf = fs.String("memprofile", "", "write an allocation profile (after the runs) to this file")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		// The flag package has said why; -h is not a failure.
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	fail := func(err error) int {
+		fmt.Fprintf(stderr, "twbench: %v\n", err)
+		return 1
+	}
+
+	tb := exp.Default()
+	tb.Repeat = *repeat
+	tb.Quick = *quick
+	experiments := []experiment{
+		{"rates", tb.Rates},
+		{"rates_codec", tb.RatesCodec},
+		{"opt", tb.Optimism},
+		{"scale", tb.Scale},
+		{"fig5", tb.Fig5},
+		{"fig6", tb.Fig6},
+		{"fig7", tb.Fig7},
+		{"fig8", tb.Fig8},
+		{"fig9", tb.Fig9},
+		{"ckpt-sweep", tb.CheckpointSweep},
+		{"gvt-period", tb.GVTPeriodAblation},
+		{"ctl-period", tb.ControlPeriodAblation},
+		{"disk-sens", tb.DiskSensitivityAblation},
+		{"tw-vs-cmb", tb.ConservativeComparison},
+	}
+	// Every name is checked before anything runs: a typo in the last name
+	// must not cost the minutes of the first.
+	if *which != "all" {
+		want := make(map[string]bool)
+		for _, name := range strings.Split(*which, ",") {
+			name = strings.TrimSpace(name)
+			if !slices.ContainsFunc(experiments, func(e experiment) bool { return e.name == name }) {
+				fmt.Fprintf(stderr, "twbench: unknown experiment %q\n", name)
+				return 2
+			}
+			want[name] = true
+		}
+		experiments = slices.DeleteFunc(experiments, func(e experiment) bool { return !want[e.name] })
+	}
 
 	if *cpuProf != "" {
 		f, err := os.Create(*cpuProf)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "twbench: %v\n", err)
-			os.Exit(1)
+			return fail(err)
 		}
 		if err := pprof.StartCPUProfile(f); err != nil {
-			fmt.Fprintf(os.Stderr, "twbench: cpu profile: %v\n", err)
-			os.Exit(1)
+			f.Close()
+			return fail(fmt.Errorf("cpu profile: %w", err))
 		}
 		defer func() {
 			pprof.StopCPUProfile()
@@ -80,7 +139,7 @@ func main() {
 		defer func() {
 			f, err := os.Create(*memProf)
 			if err != nil {
-				fmt.Fprintf(os.Stderr, "twbench: %v\n", err)
+				fmt.Fprintf(stderr, "twbench: %v\n", err)
 				return
 			}
 			defer f.Close()
@@ -88,91 +147,44 @@ func main() {
 			// start, which is what a hot-path hunt wants (the default
 			// heap profile only shows live objects).
 			if err := pprof.Lookup("allocs").WriteTo(f, 0); err != nil {
-				fmt.Fprintf(os.Stderr, "twbench: mem profile: %v\n", err)
+				fmt.Fprintf(stderr, "twbench: mem profile: %v\n", err)
 			}
 		}()
 	}
 
-	tb := exp.Default()
-	tb.Repeat = *repeat
-	tb.Quick = *quick
-
-	runners := map[string]func() (exp.Figure, error){
-		"rates":       tb.Rates,
-		"rates_codec": tb.RatesCodec,
-		"opt":         tb.Optimism,
-		"fig5":        tb.Fig5,
-		"fig6":        tb.Fig6,
-		"fig7":        tb.Fig7,
-		"fig8":        tb.Fig8,
-		"fig9":        tb.Fig9,
-		"ckpt-sweep":  tb.CheckpointSweep,
-		"gvt-period":  tb.GVTPeriodAblation,
-		"ctl-period":  tb.ControlPeriodAblation,
-		"disk-sens":   tb.DiskSensitivityAblation,
-		"tw-vs-cmb":   tb.ConservativeComparison,
-		"scale":       tb.Scale,
-	}
-	order := []string{"rates", "rates_codec", "opt", "scale", "fig5", "fig6", "fig7", "fig8", "fig9",
-		"ckpt-sweep", "gvt-period", "ctl-period", "disk-sens", "tw-vs-cmb"}
-
-	var names []string
-	if *which == "all" {
-		names = order
-	} else {
-		names = strings.Split(*which, ",")
-		sort.Slice(names, func(i, j int) bool { return index(order, names[i]) < index(order, names[j]) })
-	}
-
-	for _, name := range names {
-		run, ok := runners[strings.TrimSpace(name)]
-		if !ok {
-			fmt.Fprintf(os.Stderr, "twbench: unknown experiment %q\n", name)
-			os.Exit(2)
-		}
+	for _, e := range experiments {
 		start := time.Now()
-		fig, err := run()
+		fig, err := e.run()
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "twbench: %v\n", err)
-			os.Exit(1)
+			return fail(err)
 		}
-		fmt.Print(fig.Render())
+		fmt.Fprint(stdout, fig.Render())
 		if *csvDir != "" {
 			path := filepath.Join(*csvDir, fig.Name+".csv")
 			if err := os.WriteFile(path, []byte(fig.CSV()), 0o644); err != nil {
-				fmt.Fprintf(os.Stderr, "twbench: writing %s: %v\n", path, err)
-				os.Exit(1)
+				return fail(fmt.Errorf("writing %s: %w", path, err))
 			}
 		}
 		if *jsonDir != "" {
 			path := filepath.Join(*jsonDir, "BENCH_"+fig.Name+".json")
 			if err := telemetry.WriteJSON(path, benchResult(fig)); err != nil {
-				fmt.Fprintf(os.Stderr, "twbench: %v\n", err)
-				os.Exit(1)
+				return fail(err)
 			}
 		}
 		if *rates || *details {
 			for _, s := range fig.Series {
 				for _, r := range s.Rows {
-					fmt.Printf("  %-12s x=%-8g %8.3fs  %10.0f ev/s  eff=%.3f rb=%d\n",
+					fmt.Fprintf(stdout, "  %-12s x=%-8g %8.3fs  %10.0f ev/s  eff=%.3f rb=%d\n",
 						s.Name, r.X, r.Seconds, r.Rate, r.Stats.Efficiency(), r.Stats.Rollbacks)
 					if *details {
 						for _, line := range strings.Split(strings.TrimRight(r.Stats.Report(), "\n"), "\n") {
-							fmt.Printf("      %s\n", line)
+							fmt.Fprintf(stdout, "      %s\n", line)
 						}
 					}
 				}
 			}
 		}
-		fmt.Printf("  [%s took %s]\n\n", fig.Name, time.Since(start).Round(time.Millisecond))
+		fmt.Fprintf(stdout, "  [%s took %s]\n\n", fig.Name, time.Since(start).Round(time.Millisecond))
 	}
-}
-
-func index(order []string, name string) int {
-	for i, n := range order {
-		if n == strings.TrimSpace(name) {
-			return i
-		}
-	}
-	return len(order)
+	return 0
 }

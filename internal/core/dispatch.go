@@ -3,10 +3,11 @@ package core
 // The event dispatcher — the kernel's one execution engine. Worker goroutines
 // host all of a process's logical processes, each worker pulling the
 // lowest-timestamped runnable object from a per-worker schedule queue (a
-// pq.ScheduleHeap over the LPs it owns, keyed by each LP's own schedule-heap
-// minimum with the deterministic (vt, seq, object-id) tie-break). It follows
-// the Warped2 TimeWarpEventDispatcher structure — worker threads and a
-// communication manager in one place: object count is not bounded by
+// winner tree over the LPs it owns, keyed by the minimum of each LP's own tree
+// over its objects with the deterministic (vt, seq, object-id) tie-break; the
+// type is still pq.ScheduleHeap, a name benchmark/layers.go compiles against).
+// It follows the Warped2 TimeWarpEventDispatcher structure — worker threads
+// and a communication manager in one place: object count is not bounded by
 // per-goroutine footprint, a few hot LPs do not strand the cores of their idle
 // peers, and a rank of a distributed run is simply a pool over the LPs that
 // rank hosts. The worker count is a property of the machine and of who else

@@ -173,68 +173,6 @@ func TestKindString(t *testing.T) {
 	}
 }
 
-func TestScheduleHeap(t *testing.T) {
-	h := NewScheduleHeap(4)
-	if slot, min := h.Min(); min != vtime.PosInf || slot < 0 {
-		t.Fatalf("fresh heap Min = (%d,%s)", slot, min)
-	}
-	h.Update(2, 50)
-	h.Update(0, 30)
-	h.Update(3, 40)
-	if slot, min := h.Min(); slot != 0 || min != 30 {
-		t.Fatalf("Min = (%d,%s), want (0,30)", slot, min)
-	}
-	h.Update(0, 60) // increase past others
-	if slot, min := h.Min(); slot != 3 || min != 40 {
-		t.Fatalf("Min = (%d,%s), want (3,40)", slot, min)
-	}
-	h.Update(3, vtime.PosInf) // object goes idle
-	if slot, min := h.Min(); slot != 2 || min != 50 {
-		t.Fatalf("Min = (%d,%s), want (2,50)", slot, min)
-	}
-	if h.Key(0) != 60 || h.Key(1) != vtime.PosInf {
-		t.Error("Key lookup broken")
-	}
-	if h.Len() != 4 {
-		t.Errorf("Len = %d", h.Len())
-	}
-}
-
-func TestScheduleHeapRandomized(t *testing.T) {
-	const n = 16
-	r := rand.New(rand.NewSource(3))
-	h := NewScheduleHeap(n)
-	keys := make([]vtime.Time, n)
-	for i := range keys {
-		keys[i] = vtime.PosInf
-	}
-	for step := 0; step < 10000; step++ {
-		i := r.Intn(n)
-		var k vtime.Time
-		if r.Intn(8) == 0 {
-			k = vtime.PosInf
-		} else {
-			k = vtime.Time(r.Intn(1000))
-		}
-		keys[i] = k
-		h.Update(i, k)
-
-		wantSlot, wantKey := -1, vtime.PosInf
-		for j, kj := range keys {
-			if kj < wantKey || (kj == wantKey && wantSlot == -1) {
-				wantSlot, wantKey = j, kj
-			}
-		}
-		gotSlot, gotKey := h.Min()
-		if gotKey != wantKey {
-			t.Fatalf("step %d: Min key = %s, want %s", step, gotKey, wantKey)
-		}
-		if wantKey != vtime.PosInf && keys[gotSlot] != wantKey {
-			t.Fatalf("step %d: Min slot %d has key %s, want %s", step, gotSlot, keys[gotSlot], wantKey)
-		}
-	}
-}
-
 func BenchmarkPendingSetPushPop(b *testing.B) {
 	for _, k := range kinds() {
 		b.Run(k.String(), func(b *testing.B) {

@@ -1,25 +1,35 @@
 package pq
 
-import "gowarp/internal/vtime"
+import (
+	"math"
+
+	"gowarp/internal/vtime"
+)
 
 // ScheduleHeap orders the simulation objects hosted by one scheduler (a
 // logical process, or a worker thread owning several LPs) by the receive time
 // of their next unprocessed event, so the scheduler can pick the
-// lowest-timestamped object in O(log n). Objects are identified by a dense
-// slot index assigned by the owner; a slot with no pending work carries key
-// vtime.PosInf and simply sinks to the bottom rather than being removed,
-// which keeps Update O(log n) with no membership bookkeeping.
+// lowest-timestamped object in O(1) and re-key one in O(log n). Objects are
+// identified by a dense slot index assigned by the owner; a slot with no
+// pending work carries key vtime.PosInf and simply loses every match rather
+// than being removed, so there is no membership bookkeeping.
+//
+// It is a winner (tournament) tree, not a heap: the name is kept because
+// benchmark/layers.go compiles against it, and renaming it is ROADMAP item
+// 1's. The leaves are the slots, padded to a power of two with a sentinel
+// slot; every inner node holds the slot that wins under it, so UpdateKey
+// replays the one path from the slot's leaf to the root — one comparison a
+// level, no swaps, no position index — and stops where the winner is unchanged
+// and not the slot itself.
 //
 // Ties on the virtual time are broken by the (seq, id) pair supplied with
 // UpdateKey — the head event's send sequence number and the object's global
 // identity — giving the deterministic (vt, seq, object-id) execution order
-// the differential oracle hashes depend on. The legacy Update keeps a zero
-// (seq, id), which reduces to slot order for callers that never migrate
-// objects between slots.
+// the differential oracle hashes depend on; identical composite keys fall back
+// to the lower slot.
 type ScheduleHeap struct {
-	keys  []scheduleKey // key per slot index
-	order []int         // heap of slot indices
-	pos   []int         // slot index -> position in order
+	keys []scheduleKey // key per slot index, then the sentinel's
+	win  []int32       // win[j]: winning slot under node j; leaves at [len/2, len)
 }
 
 // scheduleKey is a slot's composite priority: the virtual time of the
@@ -41,114 +51,81 @@ func (a scheduleKey) less(b scheduleKey) bool {
 	return a.id < b.id
 }
 
-// NewScheduleHeap returns a heap over n object slots, all initially at
+// NewScheduleHeap returns a tree over n object slots, all initially at
 // vtime.PosInf (nothing schedulable).
 func NewScheduleHeap(n int) *ScheduleHeap {
-	h := &ScheduleHeap{
-		keys:  make([]scheduleKey, n),
-		order: make([]int, n),
-		pos:   make([]int, n),
+	h := &ScheduleHeap{}
+	if n == 0 {
+		return h
 	}
+	leaves := 1
+	for leaves < n {
+		leaves <<= 1
+	}
+	h.keys = make([]scheduleKey, n+1)
 	for i := range h.keys {
 		h.keys[i] = scheduleKey{t: vtime.PosInf}
-		h.order[i] = i
-		h.pos[i] = i
+	}
+	// The sentinel, slot n, is never less than any key and is the highest
+	// slot, so it loses every match against a real slot.
+	h.keys[n] = scheduleKey{t: vtime.PosInf, seq: math.MaxUint64, id: math.MaxInt32}
+	h.win = make([]int32, 2*leaves)
+	for i := 0; i < leaves; i++ {
+		h.win[leaves+i] = int32(min(i, n))
+	}
+	for j := leaves - 1; j >= 1; j-- {
+		h.win[j] = h.pick(h.win[2*j], h.win[2*j+1])
 	}
 	return h
 }
 
-// Len returns the number of object slots.
-func (h *ScheduleHeap) Len() int { return len(h.order) }
-
-// Key returns the current virtual-time key of slot i.
-func (h *ScheduleHeap) Key(i int) vtime.Time { return h.keys[i].t }
-
-// Update sets slot i's key to t with a zero tie-break and restores heap
-// order. Equivalent to UpdateKey(i, t, 0, 0).
-func (h *ScheduleHeap) Update(i int, t vtime.Time) {
-	h.UpdateKey(i, t, 0, 0)
+// pick returns the winner of a match between the winners of two sibling
+// nodes. Every slot under a left child is lower than every slot under its
+// sibling, so keeping a on equal keys is the lower-slot rule.
+func (h *ScheduleHeap) pick(a, b int32) int32 {
+	if h.keys[b].less(h.keys[a]) {
+		return b
+	}
+	return a
 }
 
 // UpdateKey sets slot i's composite key — the virtual time t of the slot's
 // next event, that event's send sequence seq, and the object's global id —
-// and restores heap order.
+// and replays the matches on the path from i's leaf to the root.
 func (h *ScheduleHeap) UpdateKey(i int, t vtime.Time, seq uint64, id int32) {
 	k := scheduleKey{t: t, seq: seq, id: id}
-	old := h.keys[i]
-	if old == k {
+	if h.keys[i] == k {
 		return
 	}
 	h.keys[i] = k
-	p := h.pos[i]
-	if k.less(old) {
-		h.up(p)
-	} else {
-		h.down(p)
+	s := int32(i)
+	for j := (len(h.win)/2 + i) >> 1; j >= 1; j >>= 1 {
+		w := h.pick(h.win[2*j], h.win[2*j+1])
+		if w == h.win[j] && w != s {
+			return // nothing above depends on i's key
+		}
+		h.win[j] = w
 	}
 }
 
 // Min returns the slot index with the least key and that key's virtual time.
 // When every slot is at vtime.PosInf the scheduler has nothing to execute.
 func (h *ScheduleHeap) Min() (slot int, t vtime.Time) {
-	if len(h.order) == 0 {
+	if len(h.win) == 0 {
 		return -1, vtime.PosInf
 	}
-	s := h.order[0]
-	return s, h.keys[s].t
+	s := h.win[1]
+	return int(s), h.keys[s].t
 }
 
 // MinKey is Min returning the whole composite key UpdateKey stored for the
 // least slot, so a scheduler of schedulers can copy it without going back to
 // the object it came from.
 func (h *ScheduleHeap) MinKey() (slot int, t vtime.Time, seq uint64, id int32) {
-	if len(h.order) == 0 {
+	if len(h.win) == 0 {
 		return -1, vtime.PosInf, 0, 0
 	}
-	s := h.order[0]
+	s := h.win[1]
 	k := h.keys[s]
-	return s, k.t, k.seq, k.id
-}
-
-func (h *ScheduleHeap) less(i, j int) bool {
-	a, b := h.order[i], h.order[j]
-	if h.keys[a] != h.keys[b] {
-		return h.keys[a].less(h.keys[b])
-	}
-	return a < b // identical composite keys: fall back to slot order
-}
-
-func (h *ScheduleHeap) swap(i, j int) {
-	h.order[i], h.order[j] = h.order[j], h.order[i]
-	h.pos[h.order[i]] = i
-	h.pos[h.order[j]] = j
-}
-
-func (h *ScheduleHeap) up(i int) {
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !h.less(i, parent) {
-			return
-		}
-		h.swap(i, parent)
-		i = parent
-	}
-}
-
-func (h *ScheduleHeap) down(i int) {
-	n := len(h.order)
-	for {
-		l, r := 2*i+1, 2*i+2
-		least := i
-		if l < n && h.less(l, least) {
-			least = l
-		}
-		if r < n && h.less(r, least) {
-			least = r
-		}
-		if least == i {
-			return
-		}
-		h.swap(i, least)
-		i = least
-	}
+	return int(s), k.t, k.seq, k.id
 }
