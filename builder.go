@@ -84,7 +84,7 @@ func (b *ConfigBuilder) WithBalanceConfig(c BalanceConfig) *ConfigBuilder {
 }
 
 // WithCodec selects the state-codec mode and compression with default
-// anchor cadence and controller tuning.
+// controller tuning.
 func (b *ConfigBuilder) WithCodec(mode CodecMode, comp CodecCompression) *ConfigBuilder {
 	b.cfg.Codec = CodecConfig{Mode: mode, Compression: comp}
 	return b

@@ -66,7 +66,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		balanceSpec = fs.String("balance", "off", "load-balance facet spec: off, dynamic, or dynamic,period=N,high=F,low=F,moves=N,min-sample=N")
 		optSpec     = fs.String("optimism", "off", "optimism facet spec: off, static,window=N, or adaptive[,window=N,min=N,max=N,period=N,high=F,low=F,factor=F,min-sample=N,rough=F]")
 
-		codecSpec = fs.String("codec", "off", "state-codec facet spec: off, lz, full[,lz], delta[,lz][,full-every=N], dynamic[,lz][,full-every=N][,period=N][,low=F][,high=F]")
+		codecSpec = fs.String("codec", "off", "state-codec facet spec: off, lz, full[,lz], delta[,lz], dynamic[,lz][,period=N][,low=F][,high=F]")
 
 		transportFlag = fs.String("transport", "inproc", "transport spec: inproc, or tcp,rank=N,peers=HOST:PORT;HOST:PORT;... [,listen=ADDR][,timeout=DUR] — start every rank of one run with the same peers list and its own rank; rank 0 gathers the full results")
 

@@ -32,8 +32,8 @@
 //   - Load balance (Config.Balance): static placement, or on-line object
 //     migration driven by per-LP advance rates through a dead zone.
 //   - State codec (Config.Codec): how checkpoints and migration capsules are
-//     encoded — full copies, incremental deltas against the previous
-//     checkpoint (with full anchors every FullEvery saves), or an on-line
+//     encoded — full copies, reversible incremental deltas against the
+//     previous checkpoint (one full image per object, the newest), or an on-line
 //     controller that switches each object full<->delta by the observed
 //     delta/full stored-bytes ratio; optionally LZ-compressed on the wire.
 //   - Optimism (Config.Optimism): a fixed bounded time window
@@ -196,8 +196,8 @@ const (
 	CodecOff = codec.Off
 	// CodecFull stores every checkpoint as a full marshalled encoding.
 	CodecFull = codec.Full
-	// CodecDelta stores checkpoints as deltas against the previous one,
-	// with full anchors every CodecConfig.FullEvery saves.
+	// CodecDelta stores checkpoints as reversible deltas against the previous
+	// one; a rollback walks back from the newest image.
 	CodecDelta = codec.Delta
 	// CodecDynamic lets the on-line controller switch each object between
 	// full and delta encoding by the observed stored-bytes ratio.

@@ -12,7 +12,7 @@
 // Control tuple, per simulation object:
 //
 //	O — the ratio of delta-encoded to full-encoded stored bytes, sampled
-//	    over the control period (probed while full encoding is in force);
+//	    over the control period (the encoding not in force is probed);
 //	I — the checkpoint encoding in force: full or delta;
 //	S — delta (Config.Mode Dynamic starts optimistic);
 //	T — a dead zone on the ratio: switch to full above HighRatio, back to
@@ -98,8 +98,8 @@ const (
 	// Full stores complete encodings of every checkpoint (compressed when
 	// Compression says so).
 	Full
-	// Delta stores sparse binary deltas against the previous checkpoint,
-	// with a full anchor encoding every FullEvery saves.
+	// Delta stores sparse, reversible binary deltas against the previous
+	// checkpoint; the state queue keeps one full image, the newest.
 	Delta
 	// Dynamic starts in delta encoding and lets the on-line controller
 	// switch each object between full and delta from observed sizes.
@@ -161,10 +161,6 @@ type Config struct {
 	// states and wire payloads. It applies even with Mode Off (wire and
 	// capsule compression only).
 	Compression Compression
-	// FullEvery is k: a full anchor encoding is stored after this many
-	// consecutive delta checkpoints, bounding reconstruction walks
-	// (default 16).
-	FullEvery int
 	// Controller parameterizes the Dynamic mode's on-line controller.
 	Controller ControllerConfig
 }
@@ -172,9 +168,6 @@ type Config struct {
 // WithDefaults fills unset fields with the defaults used in the
 // experiments.
 func (c Config) WithDefaults() Config {
-	if c.FullEvery < 1 {
-		c.FullEvery = 16
-	}
 	if c.Controller.Period < 1 {
 		c.Controller.Period = 64
 	}
@@ -204,23 +197,18 @@ func (c Config) String() string {
 	return s
 }
 
-// probeEvery is how often, in saves, the Dynamic controller computes (but
-// does not store) a delta while full encoding is in force, so O remains
-// observable on both sides of the switch.
+// probeEvery is how often, in saves, the Dynamic controller sizes (but does
+// not store) the encoding not in force, so O remains observable on both sides
+// of the switch.
 const probeEvery = 8
 
 // StateCodec is one simulation object's checkpoint-encoding runtime: the
-// encoding currently in force, the anchor cadence, and the Dynamic-mode
-// controller state. It is owned by the object's state queue and touched
-// only by the hosting LP goroutine. A nil *StateCodec means Off.
+// encoding currently in force and the Dynamic-mode controller state. It is
+// owned by the object's state queue and touched only by the hosting LP
+// goroutine. A nil *StateCodec means Off.
 type StateCodec struct {
 	cfg      Config
 	useDelta bool
-	// sinceFull counts consecutive delta saves since the last stored full
-	// encoding: the length of the chain a restore of the newest snapshot
-	// patches through. The owning queue resets it (SetChain) whenever it
-	// drops or re-encodes snapshots.
-	sinceFull int
 
 	// Controller observation window: stored-byte sums and counts per
 	// encoding over the current period.
@@ -259,47 +247,34 @@ func (c *StateCodec) Config() Config { return c.cfg }
 // UsingDelta reports the encoding currently in force.
 func (c *StateCodec) UsingDelta() bool { return c.useDelta }
 
-// NextIsDelta decides the encoding of the next save: delta when delta
-// encoding is in force and the anchor cadence permits it.
-func (c *StateCodec) NextIsDelta() bool {
-	return c.useDelta && c.sinceFull < c.cfg.FullEvery
-}
-
-// SetChain tells the codec that n delta snapshots now follow the last full
-// image in the owner's queue. RecordSave keeps the count while the queue only
-// grows; a rollback that pops snapshots or a fossil collection that re-encodes
-// a delta as the new anchor changes the tail, and the anchor cadence must
-// follow the queue — not the saves that were undone — for FullEvery to bound
-// the chain.
-func (c *StateCodec) SetChain(n int) { c.sinceFull = n }
-
-// ProbeNow reports whether the next full save should also compute (without
-// storing) a delta encoding so the Dynamic controller keeps observing the
-// ratio while full encoding is in force.
+// ProbeNow reports whether the next save should also size (without storing)
+// the encoding not in force — a delta while full encoding is, a full image
+// while delta encoding is — so the Dynamic controller keeps observing the
+// ratio.
 func (c *StateCodec) ProbeNow() bool {
-	return c.cfg.Mode == Dynamic && !c.useDelta && c.saves%probeEvery == 0
+	return c.cfg.Mode == Dynamic && c.saves%probeEvery == 0
 }
 
 // RecordSave feeds one checkpoint observation to the controller: the bytes
-// actually stored and the encoding used. It advances the anchor cadence
-// and, in Dynamic mode, runs the control period.
+// actually stored and the encoding used. In Dynamic mode it runs the control
+// period.
 func (c *StateCodec) RecordSave(stored int, isDelta bool) {
-	if isDelta {
-		c.sinceFull++
-		c.deltaStored += int64(stored)
-		c.deltaCount++
-	} else {
-		c.sinceFull = 0
-		c.fullStored += int64(stored)
-		c.fullCount++
-	}
+	c.record(stored, isDelta)
 	c.tick()
 }
 
-// RecordProbe feeds a computed-but-not-stored delta size (see ProbeNow).
-func (c *StateCodec) RecordProbe(deltaStored int) {
-	c.deltaStored += int64(deltaStored)
-	c.deltaCount++
+// RecordProbe feeds the size the encoding not in force would have stored (see
+// ProbeNow).
+func (c *StateCodec) RecordProbe(stored int) { c.record(stored, !c.useDelta) }
+
+func (c *StateCodec) record(stored int, isDelta bool) {
+	if isDelta {
+		c.deltaStored += int64(stored)
+		c.deltaCount++
+	} else {
+		c.fullStored += int64(stored)
+		c.fullCount++
+	}
 }
 
 // tick runs the control period: after Period saves with observations on
@@ -311,7 +286,7 @@ func (c *StateCodec) tick() {
 		return
 	}
 	if c.fullCount == 0 || c.deltaCount == 0 {
-		// One side unobserved (e.g. all-delta window between anchors):
+		// One side unobserved (no probe has landed in the window yet):
 		// extend the window rather than decide blind.
 		return
 	}

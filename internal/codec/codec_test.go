@@ -267,41 +267,22 @@ func TestNewStateModes(t *testing.T) {
 	}
 }
 
-func TestAnchorCadence(t *testing.T) {
-	c := NewState(Config{Mode: Delta, FullEvery: 4})
-	deltas := 0
-	for i := 0; i < 20; i++ {
-		isDelta := c.NextIsDelta()
-		if i == 0 && isDelta {
-			// First save has no previous encoding in practice; the queue
-			// handles that, but the cadence itself permits delta here.
-			_ = isDelta
-		}
-		if isDelta {
-			deltas++
-		}
-		c.RecordSave(100, isDelta)
-	}
-	// Every 5th save (4 deltas then an anchor) must be full.
-	if deltas != 16 {
-		t.Fatalf("want 16 deltas out of 20 saves with FullEvery=4, got %d", deltas)
-	}
-}
-
+// TestDynamicControllerSwitches: a controller in delta mode sees the full side
+// through probes (ProbeNow), leaves delta encoding when deltas are as big as
+// full images, and comes back once probed deltas are small.
 func TestDynamicControllerSwitches(t *testing.T) {
-	cfg := Config{Mode: Dynamic, FullEvery: 4, Controller: ControllerConfig{Period: 8, LowRatio: 0.5, HighRatio: 0.9}}
+	cfg := Config{Mode: Dynamic, Controller: ControllerConfig{Period: 8, LowRatio: 0.5, HighRatio: 0.9}}
 	c := NewState(cfg)
 	var hooks []bool
 	c.Hook = func(toDelta bool, ratio float64) { hooks = append(hooks, toDelta) }
 
-	// Feed a window where deltas are as big as fulls: controller must fall
-	// back to full encoding.
-	for i := 0; i < 16; i++ {
-		if c.NextIsDelta() {
-			c.RecordSave(1000, true)
-		} else {
-			c.RecordSave(1000, false)
+	// Deltas as big as the probed full images: the controller must fall back
+	// to full encoding.
+	for i := 0; i < 16 && c.UsingDelta(); i++ {
+		if c.ProbeNow() {
+			c.RecordProbe(1000)
 		}
+		c.RecordSave(1000, true)
 	}
 	if c.UsingDelta() {
 		t.Fatal("controller kept delta despite ratio ~1")
@@ -317,11 +298,11 @@ func TestDynamicControllerSwitches(t *testing.T) {
 	if !c.UsingDelta() {
 		t.Fatal("controller never returned to delta despite tiny probes")
 	}
-	if c.Switches != int64(len(hooks)) || c.Switches < 2 {
+	if c.Switches != int64(len(hooks)) || c.Switches != 2 {
 		t.Fatalf("switch accounting: Switches=%d hooks=%d", c.Switches, len(hooks))
 	}
 	// Hook order: first to full (false), then to delta (true).
-	if hooks[0] != false || hooks[len(hooks)-1] != true {
+	if hooks[0] != false || hooks[1] != true {
 		t.Fatalf("unexpected hook sequence %v", hooks)
 	}
 }

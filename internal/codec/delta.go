@@ -7,20 +7,26 @@ import (
 )
 
 // This file is the sparse binary delta: the incremental-checkpoint
-// encoding. A delta transforms the previous checkpoint's full encoding
-// (old) into the new one, spending bytes only on changed regions — for the
-// padded kernel states, a few counters out of kilobytes. Unlike a raw XOR
-// image, the sparse form shrinks on its own; compression on top is gravy.
+// encoding. A delta stands between the previous checkpoint's full encoding
+// (old) and the new one, spending bytes only on changed regions — for the
+// padded kernel states, a few counters out of kilobytes. It stores the changed
+// bytes XORed with what they were, so one delta works both ways: applied to
+// old it gives new, and undone from new it gives old. That is what lets a
+// state queue keep one whole image, the newest, and walk back from it.
 //
 // Format:
 //
-//	uvarint(newLen)
-//	repeated pairs until newLen bytes are produced:
-//	  uvarint(skip)     — bytes copied verbatim from old
-//	  uvarint(changed)  — bytes taken from the delta stream
-//	  <changed bytes>
+//	uvarint(oldLen) uvarint(newLen)
+//	runs, in ascending order, to the end of the delta:
+//	  uvarint(skip)     — bytes equal in old and new
+//	  uvarint(changed)  — bytes the run spans, equal gaps too short to
+//	                      break it included
+//	  <changed bytes of old XOR new>
 //
-// Positions past len(old) are by definition changed.
+// A byte past either end of an encoding reads as 0. The runs cover every
+// byte past the shorter encoding's end, so a delta is never shorter than the
+// change in length it makes, and the bytes past the end of the shorter one
+// are XORed with 0: a grown tail is stored as it is, a dropped one as it was.
 
 // minSkipRun is the shortest equal run worth breaking a changed run for:
 // shorter gaps cost more in op headers than they save.
@@ -60,26 +66,26 @@ func matchLen(a, b []byte) int {
 	return n - len(a)
 }
 
-// AppendDelta appends a delta transforming old into new and returns the
-// extended slice. PatchDelta and ApplyDelta invert it.
+// AppendDelta appends a delta between old and new and returns the extended
+// slice. PatchDelta and ApplyDelta go forward with it, from old to new;
+// UndoDelta goes back.
 func AppendDelta(dst, old, new []byte) []byte {
+	dst = binary.AppendUvarint(dst, uint64(len(old)))
 	dst = binary.AppendUvarint(dst, uint64(len(new)))
-	common := len(new)
-	if len(old) < common {
-		common = len(old)
-	}
-	old, cmp := old[:common], new[:common]
+	common := min(len(old), len(new))
+	span := max(len(old), len(new))
+	a, b := old[:common], new[:common]
 	// [i, skip) is the equal run opening the next op.
-	i, skip := 0, matchLen(old, cmp)
-	for i < len(new) {
+	i, skip := 0, matchLen(a, b)
+	for skip < span {
 		// Changed run: advance past differences, swallowing equal gaps
 		// shorter than minSkipRun. next is where the equal run that ended
 		// the changed run ends in turn.
 		j, next := skip, skip
-		for j < len(new) {
-			if j < common && old[j] == cmp[j] {
-				next = j + matchLen(old[j:], cmp[j:])
-				if next-j >= minSkipRun || next == len(new) {
+		for j < span {
+			if j < common && a[j] == b[j] {
+				next = j + matchLen(a[j:], b[j:])
+				if next-j >= minSkipRun || next == span {
 					break
 				}
 				j = next
@@ -89,17 +95,22 @@ func AppendDelta(dst, old, new []byte) []byte {
 		}
 		dst = binary.AppendUvarint(dst, uint64(skip-i))
 		dst = binary.AppendUvarint(dst, uint64(j-skip))
-		dst = append(dst, new[skip:j]...)
+		for k := skip; k < j; k++ {
+			var c byte // a byte past either end reads as 0
+			if k < len(old) {
+				c = old[k]
+			}
+			if k < len(new) {
+				c ^= new[k]
+			}
+			dst = append(dst, c)
+		}
+		if j == span {
+			break
+		}
 		i, skip = j, next
 	}
 	return dst
-}
-
-// appendRun appends one op of a delta: skip bytes kept, then changed.
-func appendRun(dst, changed []byte, skip int) []byte {
-	dst = binary.AppendUvarint(dst, uint64(skip))
-	dst = binary.AppendUvarint(dst, uint64(len(changed)))
-	return append(dst, changed...)
 }
 
 // PatchRegions is AppendDelta for an encoding known to differ from its
@@ -123,57 +134,94 @@ func PatchRegions(dst, enc []byte, at []Region, data []byte) ([]byte, error) {
 		return dst, corrupt("dirty region data")
 	}
 	dst = binary.AppendUvarint(dst, uint64(len(enc)))
+	dst = binary.AppendUvarint(dst, uint64(len(enc)))
 	// enc[:i] is encoded; [from, to) is the changed run still growing, empty
-	// when there is none. Its bytes are patched as they are found, so a run is
-	// read back from enc whichever regions and gaps it crosses.
-	i, from, to := 0, 0, 0
+	// when there is none, and its bytes so far lie at dst[run:], waiting for
+	// the header closeRun puts in front of them. A byte is XORed into the run
+	// as it is found and patched where it lies, so the run needs nothing of
+	// what came before it once it has passed.
+	i, from, to, run := 0, 0, 0, 0
 	for _, r := range at {
 		was, now := enc[r.Off:r.Off+r.Len], data[:r.Len]
 		data = data[r.Len:]
 		for k := matchLen(was, now); k < len(now); k += matchLen(was[k:], now[k:]) {
 			a := r.Off + k
-			for ; k < len(now) && was[k] != now[k]; k++ {
-				was[k] = now[k]
-			}
 			if to > from && a-to >= minSkipRun {
-				dst = appendRun(dst, enc[from:to], from-i)
+				dst = closeRun(dst, run, from-i, to-from)
 				i, from = to, to
 			}
 			if to == from {
-				from = a
+				from, run = a, len(dst)
+			} else {
+				dst = append(dst, make([]byte, a-to)...) // the equal gap it swallows
+			}
+			for ; k < len(now) && was[k] != now[k]; k++ {
+				dst = append(dst, was[k]^now[k])
+				was[k] = now[k]
 			}
 			to = r.Off + k
 		}
 	}
 	if to > from {
-		dst = appendRun(dst, enc[from:to], from-i)
-		i = to
-	}
-	if i < len(enc) {
-		dst = appendRun(dst, nil, len(enc)-i)
+		dst = closeRun(dst, run, from-i, to-from)
 	}
 	return dst, nil
 }
 
-// PatchDelta applies a delta produced by AppendDelta in place: buf holds the
-// old encoding and the returned slice, which reuses buf's storage unless the
-// new encoding outgrows its capacity, holds the new one. Skipped bytes are
-// already where they belong, so the cost is the changed bytes alone. On
-// error buf's contents are unspecified.
-func PatchDelta(buf, delta []byte) ([]byte, error) {
-	want, k := binary.Uvarint(delta)
+// closeRun puts the header of one run — skip bytes equal, then n changed —
+// in front of the run's n bytes, which end dst from at.
+func closeRun(dst []byte, at, skip, n int) []byte {
+	var hdr [2 * binary.MaxVarintLen64]byte
+	h := binary.PutUvarint(hdr[:], uint64(skip))
+	h += binary.PutUvarint(hdr[h:], uint64(n))
+	dst = append(dst, hdr[:h]...)
+	copy(dst[at+h:], dst[at:at+n])
+	copy(dst[at:], hdr[:h])
+	return dst
+}
+
+// PatchDelta applies a delta produced by AppendDelta in place, forward: buf
+// holds the old encoding and the returned slice, which reuses buf's storage
+// unless the new encoding outgrows its capacity, holds the new one. Skipped
+// bytes are already where they belong, so the cost is the changed bytes alone.
+// On error buf's contents are unspecified.
+func PatchDelta(buf, delta []byte) ([]byte, error) { return xorDelta(buf, delta, false) }
+
+// UndoDelta is PatchDelta backward: buf holds the new encoding, and the
+// returned slice the old one.
+func UndoDelta(buf, delta []byte) ([]byte, error) { return xorDelta(buf, delta, true) }
+
+// xorDelta is PatchDelta, or UndoDelta when back is set. It rejects a base
+// whose length is not the one the header gives it, a run past the end of the
+// longer encoding, and a dropped tail that does not come out 0.
+func xorDelta(buf, delta []byte, back bool) ([]byte, error) {
+	from, k := binary.Uvarint(delta)
 	if k <= 0 {
 		return nil, corrupt("delta header")
 	}
 	delta = delta[k:]
-	oldLen := len(buf)
-	// Every output byte comes from old or from the delta stream, so a larger
-	// claim is corrupt — checked before anything is sized from it.
-	if want > uint64(oldLen)+uint64(len(delta)) {
+	to, k := binary.Uvarint(delta)
+	if k <= 0 {
+		return nil, corrupt("delta header")
+	}
+	delta = delta[k:]
+	if back {
+		from, to = to, from
+	}
+	if from != uint64(len(buf)) {
+		return nil, corrupt("delta base")
+	}
+	// The runs carry every byte a grown encoding gains, so a larger claim is
+	// corrupt — checked before anything is sized from it.
+	if to > from && to-from > uint64(len(delta)) {
 		return nil, corrupt("delta length")
 	}
+	span := int(max(from, to))
+	if span > len(buf) {
+		buf = append(buf, make([]byte, span-len(buf))...)
+	}
 	at := 0
-	for uint64(at) < want {
+	for len(delta) > 0 {
 		skip, k := binary.Uvarint(delta)
 		if k <= 0 {
 			return nil, corrupt("delta skip")
@@ -183,23 +231,22 @@ func PatchDelta(buf, delta []byte) ([]byte, error) {
 		if k <= 0 || uint64(len(delta)-k) < changed {
 			return nil, corrupt("delta run")
 		}
-		if at > oldLen || skip > uint64(oldLen-at) {
-			return nil, corrupt("delta skip range")
+		if skip > uint64(span-at) || changed > uint64(span-at)-skip {
+			return nil, corrupt("delta run range")
 		}
 		at += int(skip)
-		run := delta[k : k+int(changed)]
-		delta = delta[k+int(changed):]
-		if at+len(run) > len(buf) {
-			buf = append(buf[:at], run...)
-		} else {
-			copy(buf[at:], run)
+		for _, c := range delta[k : k+int(changed)] {
+			buf[at] ^= c
+			at++
 		}
-		at += len(run)
+		delta = delta[k+int(changed):]
 	}
-	if uint64(at) != want || len(delta) != 0 {
-		return nil, corrupt("delta length")
+	for _, c := range buf[to:] {
+		if c != 0 {
+			return nil, corrupt("delta tail")
+		}
 	}
-	return buf[:at], nil
+	return buf[:to], nil
 }
 
 // ApplyDelta reconstructs the new encoding from old and a delta produced

@@ -9,30 +9,38 @@ import (
 	"gowarp/internal/model"
 )
 
-// refAppendDelta is the byte-at-a-time encoder AppendDelta replaced, kept as
-// the reference: the block-wise search must emit exactly these bytes, so
-// stored sizes, the codec controller's ratio and every recorded number that
-// depends on them are unchanged.
+// refAppendDelta is a byte-at-a-time encoder of the delta format, kept as the
+// reference: AppendDelta's block-wise search, and PatchRegions, must emit
+// exactly these bytes. A byte past either end reads as 0 and every byte past
+// the shorter end is a changed one.
 func refAppendDelta(dst, old, new []byte) []byte {
+	dst = binary.AppendUvarint(dst, uint64(len(old)))
 	dst = binary.AppendUvarint(dst, uint64(len(new)))
-	common := len(new)
-	if len(old) < common {
-		common = len(old)
+	span := max(len(old), len(new))
+	at := func(b []byte, i int) byte {
+		if i < len(b) {
+			return b[i]
+		}
+		return 0
 	}
+	equal := func(i int) bool { return i < min(len(old), len(new)) && old[i] == new[i] }
 	i := 0
-	for i < len(new) {
+	for {
 		skip := i
-		for skip < common && old[skip] == new[skip] {
+		for skip < span && equal(skip) {
 			skip++
 		}
+		if skip == span {
+			return dst
+		}
 		j := skip
-		for j < len(new) {
-			if j < common && old[j] == new[j] {
+		for j < span {
+			if equal(j) {
 				run := j
-				for run < common && old[run] == new[run] {
+				for run < span && equal(run) {
 					run++
 				}
-				if run-j >= minSkipRun || run == len(new) {
+				if run-j >= minSkipRun || run == span {
 					break
 				}
 				j = run
@@ -42,10 +50,11 @@ func refAppendDelta(dst, old, new []byte) []byte {
 		}
 		dst = binary.AppendUvarint(dst, uint64(skip-i))
 		dst = binary.AppendUvarint(dst, uint64(j-skip))
-		dst = append(dst, new[skip:j]...)
+		for k := skip; k < j; k++ {
+			dst = append(dst, at(old, k)^at(new, k))
+		}
 		i = j
 	}
-	return dst
 }
 
 // coverings returns a few ways a DirtyState might report how new differs from
@@ -86,8 +95,9 @@ func coverings(old, new []byte, slack int) [][]Region {
 // checkDelta is the property the table test and the fuzz target share:
 // AppendDelta equals the reference encoder, PatchRegions reaches the same
 // bytes and the same encoding from any covering of the difference, and the
-// copying and in-place decoders both reproduce new without the copying one
-// touching old.
+// delta goes both ways — the copying decoder and the in-place one forward from
+// old to new without the copying one touching old, and the in-place one back
+// from new to old.
 func checkDelta(t *testing.T, old, new []byte) {
 	t.Helper()
 	d := AppendDelta(nil, old, new)
@@ -96,18 +106,7 @@ func checkDelta(t *testing.T, old, new []byte) {
 	}
 	if len(old) == len(new) {
 		for _, at := range coverings(old, new, 1+len(new)%7) {
-			var data []byte
-			for _, r := range at {
-				data = append(data, new[r.Off:r.Off+r.Len]...)
-			}
-			enc := append([]byte(nil), old...)
-			got, err := PatchRegions(nil, enc, at, data)
-			if err != nil || !bytes.Equal(enc, new) {
-				t.Fatalf("PatchRegions over %v: err %v, encoding patched to %x, want %x", at, err, enc, new)
-			}
-			if !bytes.Equal(got, d) {
-				t.Fatalf("PatchRegions over %v differs from AppendDelta:\n got %x\nwant %x", at, got, d)
-			}
+			checkPatchRegions(t, old, new, at, d)
 		}
 	}
 	keep := append([]byte(nil), old...)
@@ -121,16 +120,40 @@ func checkDelta(t *testing.T, old, new []byte) {
 	if len(got) > 0 && len(old) > 0 && &got[0] == &old[0] {
 		t.Fatal("ApplyDelta result aliases old")
 	}
-	// In place, with and without room to grow.
-	for _, spare := range []int{0, len(new)} {
-		buf := append(make([]byte, 0, len(old)+spare), old...)
-		got, err := PatchDelta(buf, d)
-		if err != nil || !bytes.Equal(got, new) {
-			t.Fatalf("PatchDelta (spare %d): err %v, %d bytes out, want %d", spare, err, len(got), len(new))
+	// In place, both ways, with and without room to grow.
+	for _, way := range []struct {
+		name     string
+		patch    func(buf, delta []byte) ([]byte, error)
+		from, to []byte
+	}{{"PatchDelta", PatchDelta, old, new}, {"UndoDelta", UndoDelta, new, old}} {
+		for _, spare := range []int{0, len(way.to)} {
+			buf := append(make([]byte, 0, len(way.from)+spare), way.from...)
+			got, err := way.patch(buf, d)
+			if err != nil || !bytes.Equal(got, way.to) {
+				t.Fatalf("%s (spare %d): err %v, %d bytes out, want %d", way.name, spare, err, len(got), len(way.to))
+			}
+			if len(way.to) > 0 && len(way.to) <= cap(buf) && &got[0] != &buf[:1][0] {
+				t.Fatalf("%s (spare %d) reallocated a buffer the result fits in", way.name, spare)
+			}
 		}
-		if len(new) > 0 && len(new) <= cap(buf) && &got[0] != &buf[:1][0] {
-			t.Fatalf("PatchDelta (spare %d) reallocated a buffer the result fits in", spare)
-		}
+	}
+}
+
+// checkPatchRegions: PatchRegions over the regions at, which cover every byte
+// where old and new differ, appends exactly want and patches old to new.
+func checkPatchRegions(t *testing.T, old, new []byte, at []Region, want []byte) {
+	t.Helper()
+	var data []byte
+	for _, r := range at {
+		data = append(data, new[r.Off:r.Off+r.Len]...)
+	}
+	enc := append([]byte(nil), old...)
+	got, err := PatchRegions(nil, enc, at, data)
+	if err != nil || !bytes.Equal(enc, new) {
+		t.Fatalf("PatchRegions over %v: err %v, encoding patched to %x, want %x", at, err, enc, new)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("PatchRegions over %v differs from AppendDelta:\n got %x\nwant %x", at, got, want)
 	}
 }
 
@@ -209,48 +232,120 @@ func TestPatchRegionsRejects(t *testing.T) {
 	}
 }
 
+// TestPatchRegionsRandomCovers: over random edits of a structured encoding —
+// zero runs, equal gaps of every length around minSkipRun, changes at the ends
+// — and random covers of them, regions that open and close anywhere, abut,
+// stand empty and reach over unchanged bytes, PatchRegions appends what
+// AppendDelta appends and leaves the encoding patched to the new one.
+func TestPatchRegionsRandomCovers(t *testing.T) {
+	r := model.NewRand(17)
+	for trial := 0; trial < 400; trial++ {
+		n := 1 + r.Intn(3*matchBlock)
+		old := make([]byte, n)
+		for i := range old {
+			if r.Intn(3) == 0 {
+				old[i] = byte(r.Uint64())
+			}
+		}
+		new := append([]byte(nil), old...)
+		for e := r.Intn(12); e > 0; e-- {
+			at := r.Intn(n)
+			for k := at; k < min(n, at+1+r.Intn(9)); k++ {
+				new[k] ^= byte(1 + r.Intn(255))
+			}
+		}
+		var at []Region
+		open := -1
+		for i := 0; i <= n; i++ {
+			differs := i < n && old[i] != new[i]
+			if open >= 0 && !differs && r.Intn(4) == 0 {
+				at = append(at, Region{Off: open, Len: i - open})
+				open = -1
+			}
+			if i == n {
+				break
+			}
+			if open < 0 && r.Intn(20) == 0 {
+				at = append(at, Region{Off: i}) // empty
+			}
+			if open < 0 && (differs || r.Intn(8) == 0) {
+				open = i
+			}
+		}
+		if open >= 0 {
+			at = append(at, Region{Off: open, Len: n - open})
+		}
+		checkPatchRegions(t, old, new, at, AppendDelta(nil, old, new))
+	}
+}
+
 // TestDeltaCorruptPaths drives one delta into each corruption check of the
-// decoder. old is 8 bytes; op(skip, changed, bytes...) spells one op.
+// decoder, both ways. The base is 8 bytes: going forward the header reads
+// (base, target), going back (target, base), and the runs are the same.
 func TestDeltaCorruptPaths(t *testing.T) {
-	old := []byte("ABCDEFGH")
+	base := []byte("ABCDEFGH")
 	uv := func(v uint64) []byte { return binary.AppendUvarint(nil, v) }
 	cat := func(parts ...[]byte) []byte { return bytes.Join(parts, nil) }
-	huge := uv(1<<64 - 1)
+	const huge = 1<<64 - 1
 	cases := []struct {
-		name  string
-		delta []byte
-		want  string
+		name           string
+		header         []byte // the whole delta when set
+		length, target uint64
+		runs           []byte
+		want           string
 	}{
-		{"empty", nil, "delta header"},
-		{"overlong header", bytes.Repeat([]byte{0xff}, 11), "delta header"},
-		{"length beyond old plus stream", cat(uv(100), uv(8), uv(0)), "delta length"},
-		{"length near 2^64", cat(huge, uv(8), uv(0)), "delta length"},
-		{"missing skip", uv(8), "delta skip"},
-		{"missing changed", cat(uv(8), uv(2)), "delta run"},
-		{"changed past the stream", cat(uv(8), uv(2), uv(5), []byte("xy")), "delta run"},
-		{"changed near 2^64", cat(uv(8), uv(2), huge), "delta run"},
-		{"skip past old", cat(uv(10), uv(9), uv(1), []byte("x")), "delta skip range"},
-		{"skip near 2^64", cat(uv(9), uv(1), uv(1), []byte("x"), huge, uv(0)), "delta skip range"},
-		{"op starting past old", cat(uv(12), uv(8), uv(2), []byte("xy"), uv(0), uv(2), []byte("zw")), "delta skip range"},
-		{"overshoot", cat(uv(5), uv(4), uv(3), []byte("xyz")), "delta length"},
-		{"trailing bytes", cat(uv(8), uv(8), uv(0), []byte{0}), "delta length"},
+		{name: "empty", header: []byte{}, want: "delta header"},
+		{name: "overlong header", header: bytes.Repeat([]byte{0xff}, 11), want: "delta header"},
+		{name: "missing target length", header: uv(8), want: "delta header"},
+		{name: "base shorter than the header says", length: 9, target: 8, want: "delta base"},
+		{name: "base longer than the header says", length: 7, target: 8, want: "delta base"},
+		{name: "length beyond old plus stream", length: 8, target: 100, runs: uv(0), want: "delta length"},
+		{name: "length near 2^64", length: 8, target: huge, want: "delta length"},
+		{name: "missing skip", length: 8, target: 8, runs: []byte{0x80}, want: "delta skip"},
+		{name: "missing changed", length: 8, target: 8, runs: uv(2), want: "delta run"},
+		{name: "changed past the stream", length: 8, target: 8, runs: cat(uv(2), uv(5), []byte("xy")), want: "delta run"},
+		{name: "changed near 2^64", length: 8, target: 8, runs: cat(uv(2), uv(huge)), want: "delta run"},
+		{name: "skip past old", length: 8, target: 8, runs: cat(uv(9), uv(1), []byte("x")), want: "delta run range"},
+		{name: "skip near 2^64", length: 8, target: 8, runs: cat(uv(1), uv(1), []byte("x"), uv(huge), uv(0)), want: "delta run range"},
+		{name: "op starting past old", length: 8, target: 12, runs: cat(uv(8), uv(2), []byte("xy"), uv(3), uv(0)), want: "delta run range"},
+		{name: "overshoot", length: 8, target: 8, runs: cat(uv(5), uv(4), []byte("wxyz")), want: "delta run range"},
+		{name: "trailing bytes", length: 8, target: 8, runs: cat(uv(8), uv(0), []byte{0}), want: "delta run"},
+		{name: "dropped tail not zero", length: 8, target: 4, want: "delta tail"},
+		{name: "dropped tail half undone", length: 8, target: 4, runs: cat(uv(4), uv(2), []byte("EF")), want: "delta tail"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			_, errA := ApplyDelta(old, c.delta)
-			_, errP := PatchDelta(append([]byte(nil), old...), c.delta)
-			for _, err := range []error{errA, errP} {
+			forward, back := c.header, c.header
+			if c.header == nil {
+				forward = cat(uv(c.length), uv(c.target), c.runs)
+				back = cat(uv(c.target), uv(c.length), c.runs)
+			}
+			_, errA := ApplyDelta(base, forward)
+			_, errP := PatchDelta(append([]byte(nil), base...), forward)
+			_, errU := UndoDelta(append([]byte(nil), base...), back)
+			for _, err := range []error{errA, errP, errU} {
 				if err == nil || !strings.HasSuffix(err.Error(), "corrupt "+c.want) {
 					t.Fatalf("err = %v, want corrupt %s", err, c.want)
 				}
 			}
 		})
 	}
+	// The last case less one byte of its run is a well-formed delta: the tail
+	// it drops comes out 0, and going back brings it back.
+	good := cat(uv(8), uv(4), uv(4), uv(4), []byte("EFGH"))
+	got, err := ApplyDelta(base, good)
+	if err != nil || string(got) != "ABCD" {
+		t.Fatalf("dropping the tail: %q, %v", got, err)
+	}
+	if got, err = UndoDelta(got, good); err != nil || string(got) != "ABCDEFGH" {
+		t.Fatalf("restoring the tail: %q, %v", got, err)
+	}
 }
 
 // FuzzDelta: any (old, new) pair encodes exactly as the reference encoder
 // does and decodes both ways; any junk offered as a delta is rejected or
-// applied without a panic, identically by both decoders.
+// applied without a panic, identically by both forward decoders, and junk
+// that applies forward undoes back to where it started.
 func FuzzDelta(f *testing.F) {
 	r := model.NewRand(5)
 	big := randBytes(&r, 2*matchBlock+17)
@@ -260,8 +355,8 @@ func FuzzDelta(f *testing.F) {
 	edit[matchBlock+3]++
 	f.Add([]byte(nil), []byte(nil), []byte(nil))
 	f.Add(big, edit, AppendDelta(nil, big, edit))
-	f.Add(big, big[:40], []byte{40, 40, 0})
-	f.Add(big[:40], edit, []byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01, 0, 0})
+	f.Add(big, big[:40], AppendDelta(nil, big, big[:40]))
+	f.Add(big[:40], edit, []byte{40, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01, 0, 0})
 	f.Fuzz(func(t *testing.T, old, new, junk []byte) {
 		checkDelta(t, old, new)
 		// Equal lengths are what the region encoder takes.
@@ -272,6 +367,12 @@ func FuzzDelta(f *testing.F) {
 		if (errA == nil) != (errP == nil) || !bytes.Equal(gotA, gotP) {
 			t.Fatalf("decoders disagree on junk: copy (%x, %v), in place (%x, %v)", gotA, errA, gotP, errP)
 		}
+		if errA == nil {
+			if back, err := UndoDelta(gotA, junk); err != nil || !bytes.Equal(back, old) {
+				t.Fatalf("junk applied forward to %x and undid to (%x, %v)", old, back, err)
+			}
+		}
+		UndoDelta(append([]byte(nil), new...), junk)
 	})
 }
 

@@ -170,9 +170,10 @@ func TestInputQueueZeroAlloc(t *testing.T) {
 // memory bank with 16 KiB states under the delta codec, once a round a
 // straggler that takes the bank back over half of what it has executed since
 // the last GVT (and cancels the fills it sent from there on, so the cache and
-// the CPU roll back behind it) and a fossil collection. The restore decodes the
-// snapshot's image into the live state and the collection re-anchors the
-// departing full image in place, so in steady state nothing is allocated.
+// the CPU roll back behind it) and a fossil collection. The restore walks the
+// newest image back through the popped deltas and decodes it into the live
+// state, and the collection re-encodes nothing, so in steady state nothing is
+// allocated.
 func TestCodecRollbackZeroAlloc(t *testing.T) {
 	cfg := DefaultConfig(vtime.Time(1) << 40)
 	cfg.Checkpoint = statesave.Config{Mode: statesave.Periodic, Interval: 2}
@@ -209,7 +210,7 @@ func TestCodecRollbackZeroAlloc(t *testing.T) {
 		lp.applyGVT(lp.localMin())
 	}
 	for i := 0; i < 32; i++ {
-		round() // through a few anchor cadences
+		round() // until every buffer is warm
 	}
 	before := lp.st
 	if n := testing.AllocsPerRun(64, round); n != 0 {

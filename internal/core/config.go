@@ -122,7 +122,7 @@ type Config struct {
 	Balance BalanceConfig
 
 	// Codec configures the state-codec facet (the fifth facet): incremental
-	// delta checkpointing with periodic full anchors, compression of stored
+	// reversible delta checkpointing, compression of stored
 	// snapshots, migration-capsule states and flushed wire payloads, and an
 	// on-line controller switching each object between full and delta
 	// encoding from observed stored sizes. The zero value is off: cloned

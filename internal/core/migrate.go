@@ -217,7 +217,8 @@ func stateSizeEstimate(st model.State) int {
 // install adopts the migrated objects arriving in p: rebind each to this LP,
 // verify the capsule manifest, and only then flip the shared routing table —
 // after the flip, events routed by the new entry arrive at an LP that is
-// ready to execute the object.
+// ready to execute the object. The schedule is rebuilt once, for the whole
+// batch, after the loop: nothing in it reads or refreshes a key.
 func (lp *lpRun) install(p comm.Packet) {
 	c := p.Capsule.(*capsule)
 	for i := range c.items {
@@ -242,7 +243,6 @@ func (lp *lpRun) install(p comm.Packet) {
 		o.slot = int32(len(lp.objs))
 		lp.objs = append(lp.objs, o)
 		delete(lp.outbound, o.id) // the object may be coming back home
-		lp.rebuildSched()
 
 		// Repoint the pieces that point at the hosting LP: the output queue's
 		// host (anti-message emitter, counters, event pool) and the controller
@@ -262,6 +262,7 @@ func (lp *lpRun) install(p comm.Packet) {
 		epoch := lp.k.rt.Move(int(o.id), lp.id)
 		lp.tr.Migration(int32(o.id), int32(c.from), int64(it.pending), int64(epoch))
 	}
+	lp.rebuildSched()
 }
 
 // enlist enters a newly hosted object — fresh from initObjects or adopted by

@@ -136,6 +136,51 @@ func TestMigrationPrivatizesSharedEvents(t *testing.T) {
 	}
 }
 
+// TestMigrationBatchInstall ships three objects in one capsule to an LP that
+// hosts two and checks the schedule the install leaves behind: one slot per
+// hosted object, numbered densely, and a minimum that is the earliest next
+// event of all of them — the schedule is rebuilt once, after the whole batch
+// is in. The run then goes on across both LPs under the auditor.
+func TestMigrationBatchInstall(t *testing.T) {
+	cfg := DefaultConfig(vtime.Time(1) << 40)
+	cfg.Audit = audit.New()
+	m := ringModel(6, 4, 2) // 0..3 pass two tokens; 4 and 5 sit on LP 1
+	m.Partition = []int{0, 0, 0, 0, 1, 1}
+	k := &twin{lps: newTestKernel(m, &cfg)}
+	src, dst := k.lps[0], k.lps[1]
+	k.exec(src, 12)
+	batch := []*simObject{src.objs[1], src.objs[2], src.objs[3]}
+	src.migrateOutBatch(batch, dst.id)
+	k.settle()
+	if len(dst.objs) != 5 {
+		t.Fatalf("LP 1 hosts %d objects after the install, want 5", len(dst.objs))
+	}
+	want := vtime.PosInf
+	for i, o := range dst.objs {
+		if dst.hosted(o.id) != o || int(o.slot) != i {
+			t.Fatalf("object %d: hosted %t, slot %d at index %d", o.id, dst.hosted(o.id) == o, o.slot, i)
+		}
+		want = vtime.Min(want, o.nextTime())
+	}
+	if slot, key := dst.sched.Min(); key != want || want != vtime.PosInf && dst.objs[slot].nextTime() != want {
+		t.Fatalf("the schedule's minimum is %s at slot %d, the hosted objects' earliest next event %s", key, slot, want)
+	}
+	committed := src.st.EventsCommitted + dst.st.EventsCommitted
+	for i := 0; i < 20; i++ {
+		k.exec(src, 2)
+		k.exec(dst, 2)
+		if i%4 == 3 {
+			k.gvt()
+		}
+	}
+	if got := src.st.EventsCommitted + dst.st.EventsCommitted; got == committed {
+		t.Error("nothing committed after the migration")
+	}
+	if err := cfg.Audit.Err(); err != nil {
+		t.Errorf("runtime audit: %v", err)
+	}
+}
+
 // TestAuditCatchesHolderMismatch breaks the count both ways — a hold nobody
 // will release, and a release by nobody who held — and expects the auditor's
 // walk at the next GVT to name the event.

@@ -1,6 +1,7 @@
 package statesave
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
@@ -52,16 +53,16 @@ func (b *benchQueue) save(n int) {
 	}
 }
 
-// BenchmarkCodecQueueSave16k: one save in the kernel's rhythm — 64 saves
-// (60 deltas, 4 anchors), then the fossil collection that recycles them — of a
-// state that hides what it dirtied: a marshal and a compare of the 16 KiB.
+// BenchmarkCodecQueueSave16k: one save in the kernel's rhythm — 64 delta
+// saves, then the fossil collection that recycles them — of a state that hides
+// what it dirtied: a marshal and a compare of the 16 KiB.
 func BenchmarkCodecQueueSave16k(b *testing.B) {
 	benchSave(b, &padState{Pad: make([]byte, 16<<10)})
 }
 
 // BenchmarkCodecQueueSaveDirty16k is the same save of a codec.DirtyState that
 // reports 1 % of the encoding as dirty, the counter and 80 bytes of Pad on
-// either side of the one written: what is left of it is the anchors' copies.
+// either side of the one written: no byte of the image is copied.
 func BenchmarkCodecQueueSaveDirty16k(b *testing.B) {
 	benchSave(b, &markState{padState: padState{Pad: make([]byte, 16<<10)}, slack: 80})
 }
@@ -78,11 +79,11 @@ func benchSave(b *testing.B, live tapeState) {
 	}
 }
 
-// benchRestoreChain16 is a rollback that pops one snapshot, reconstructs a
-// restore point sixteen deltas after its full image — the longest walk
-// FullEvery allows — and decodes it into the live state. restore-ns/op is the
-// RestoreInto call alone; ns/op includes the save it pops.
-func benchRestoreChain16(b *testing.B, queues int) {
+// benchRestoreDepth is a rollback that pops depth snapshots — walking lastEnc
+// back through their deltas — and decodes the restore point into the live
+// state, then saves them again. restore-ns/op is the RestoreInto call alone;
+// ns/op includes the saves it pops.
+func benchRestoreDepth(b *testing.B, depth, queues int) {
 	qs := newBenchQueues(queues)
 	for i := range qs {
 		qs[i].save(17)
@@ -92,25 +93,37 @@ func benchRestoreChain16(b *testing.B, queues int) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		bq := &qs[i%queues]
+		at := vtime.Time(18 - depth)
 		t0 := time.Now()
-		s := bq.q.RestoreInto(17, bq.st)
+		s := bq.q.RestoreInto(at, bq.st)
 		restore += time.Since(t0)
-		if s.Time != 16 || s.State != bq.st {
+		if s.Time != at-1 || s.State != bq.st {
 			b.Fatalf("restored t=%v into %p", s.Time, s.State)
 		}
-		bq.now = 16
-		bq.save(1)
+		bq.now = at - 1
+		bq.save(depth)
 	}
 	b.ReportMetric(float64(restore.Nanoseconds())/float64(b.N), "restore-ns/op")
 }
 
-func BenchmarkCodecQueueRestoreChain16(b *testing.B)     { benchRestoreChain16(b, 1) }
-func BenchmarkCodecQueueRestoreChain16Cold(b *testing.B) { benchRestoreChain16(b, coldQueues) }
+// BenchmarkCodecQueueRestoreDepth pops 1, 4 and 16 snapshots: what a restore
+// costs grows with what it undoes.
+func BenchmarkCodecQueueRestoreDepth(b *testing.B) {
+	for _, depth := range []int{1, 4, 16} {
+		b.Run(fmt.Sprintf("depth=%d", depth), func(b *testing.B) { benchRestoreDepth(b, depth, 1) })
+	}
+}
+
+func BenchmarkCodecQueueRestoreDepthCold(b *testing.B) {
+	for _, depth := range []int{1, 4, 16} {
+		b.Run(fmt.Sprintf("depth=%d", depth), func(b *testing.B) { benchRestoreDepth(b, depth, coldQueues) })
+	}
+}
 
 // benchFossil is sixteen saves, then a collection that lands in the middle of
-// the delta chain and has to re-anchor the new oldest snapshot. fossil-ns/op
-// is the FossilCollect call alone; with several queues it meets saves made
-// that many iterations earlier.
+// the deltas: it retires what it drops and releases the new oldest snapshot's
+// delta, and re-encodes nothing. fossil-ns/op is the FossilCollect call alone;
+// with several queues it meets saves made that many iterations earlier.
 func benchFossil(b *testing.B, queues int) {
 	qs := newBenchQueues(queues)
 	for i := range qs {

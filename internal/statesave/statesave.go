@@ -55,17 +55,20 @@ type SaveResult struct {
 // a restore point.
 //
 // With a state codec attached (and a state implementing codec.DeltaState),
-// snapshots are held as encodings instead of cloned states: full images
-// every codec.Config.FullEvery saves, sparse deltas in between, compressed
-// when configured. A restore that pops snapshots reconstructs the restore
-// point by copying the nearest full image and patching the deltas after it
-// onto the copy, and RestoreInto decodes that straight into the live state:
-// two passes over the state's bytes and no allocation. The oldest snapshot is
-// always a full image. The rule throughout is that a full-state image is
-// copied only where two copies must both survive, and a save reads what the
-// event wrote: a state that is a codec.DirtyState too is asked for the regions
-// it dirtied, and the queue patches the encoding it holds and builds the delta
-// from those alone (see encode).
+// snapshots are held as encodings instead of cloned states: reversible sparse
+// deltas under delta encoding, full images under full encoding, compressed
+// when configured. The queue keeps the newest snapshot's encoding whole
+// (lastEnc); a restore that pops snapshots walks back from it in place,
+// undoing the deltas of the snapshots it pops, and RestoreInto decodes the
+// result straight into the live state: a rollback costs what it undoes plus
+// one decode, and allocates nothing. A delta queue so holds exactly one whole
+// image. A full snapshot cannot be walked back through, so the delta snapshot
+// before one keeps its own image too (see Save), and the oldest snapshot's
+// delta, which no walk undoes, is not kept. The rule throughout is that a
+// full-state image is copied only where two copies must both survive, and a
+// save reads what the event wrote: a state that is a codec.DirtyState too is
+// asked for the regions it dirtied, and the queue patches the encoding it
+// holds and builds the delta from those alone (see encode).
 //
 // A clone-path queue is its snapshot slice and nothing else. What only the
 // encoded path needs — codec, delta base, scratch and spare buffers — is behind
@@ -87,12 +90,14 @@ type encodings struct {
 	// of[i] is how snaps[i] is stored; the two slices grow, shrink and shift
 	// together. A clone-path Snapshot so carries no field of the encoded path.
 	of []encoded
-	// lastEnc is the full (uncompressed) encoding of the newest snapshot,
-	// the base for the next delta and what RestoreInto decodes.
+	// lastEnc is the full (uncompressed) encoding of the newest snapshot: the
+	// base for the next delta, where a restore walks back from, and what
+	// RestoreInto decodes.
 	lastEnc []byte
-	// scratch is the recycled marshal and reconstruction buffer; deltaScratch
-	// is the recycled delta-encoding buffer. Every snapshot's enc is copied
-	// out of them, so neither they nor lastEnc ever alias queue storage.
+	// scratch is the recycled marshal buffer — a codec.DirtyState's report, or
+	// a whole marshal, which then trades places with lastEnc; deltaScratch is
+	// the recycled delta-encoding buffer. Every snapshot's enc is copied out of
+	// them, so neither they nor lastEnc ever alias queue storage.
 	scratch      []byte
 	deltaScratch []byte
 	// regions is the recycled list a codec.DirtyState reports into (its bytes
@@ -101,22 +106,33 @@ type encodings struct {
 	// report is not measured from lastEnc.
 	regions  []codec.Region
 	unsynced bool
-	// spareFull and spareDelta hold the enc buffers of snapshots popped by
-	// RestoreBefore or discarded by FossilCollect, by kind because the two
-	// differ in size by orders of magnitude; pack stores the next snapshot
-	// of that kind over one. A buffer is on a spare list or in a live
-	// snapshot, never both.
+	// spareFull and spareDelta hold the buffers of stored forms that left the
+	// queue, by kind because the two differ in size by orders of magnitude;
+	// pack stores the next one of that kind over one. A buffer is on a spare
+	// list or in a live snapshot, never both.
 	spareFull, spareDelta [][]byte
 }
 
-// encoded is the stored form of one snapshot of an encoded queue: a full state
-// image or a delta against the previous snapshot's encoding, optionally
-// compressed, and the length of the full encoding it stands for.
+// encoded is the stored form of one snapshot of an encoded queue, optionally
+// compressed, and the length of the full encoding it stands for. enc is the
+// snapshot's full image, or with delta set the reversible delta from the
+// previous snapshot's encoding — nil for the oldest snapshot, whose delta no
+// walk back undoes. image is a delta snapshot's own full image, kept while the
+// snapshot after it is a full one: a walk back cannot undo a full snapshot, so
+// it starts from here instead.
 type encoded struct {
-	enc    []byte
-	delta  bool
-	comp   bool
-	rawLen int
+	enc, image      []byte
+	delta           bool
+	comp, imageComp bool
+	rawLen          int
+}
+
+// full returns the stored full image s carries, if it carries one.
+func (s *encoded) full() (image []byte, comp, ok bool) {
+	if !s.delta {
+		return s.enc, s.comp, true
+	}
+	return s.image, s.imageComp, s.image != nil
 }
 
 // clone produces the stored copy of st for a snapshot, over retired, the
@@ -159,14 +175,35 @@ func (e *encodings) pack(payload []byte, delta bool) (enc []byte, comp bool) {
 	return codec.PackInto(dst, e.cd.Config(), payload)
 }
 
-// retire moves the enc buffer of a snapshot that is leaving the queue (or
-// being re-encoded) to the spare list of its kind.
-func (e *encodings) retire(s *encoded) {
-	if cap(s.enc) > 0 {
-		spare := e.spare(s.delta)
-		*spare = append(*spare, s.enc)
+// recycle puts a buffer nothing reads any more on the spare list of its kind.
+func (e *encodings) recycle(b []byte, delta bool) {
+	if cap(b) > 0 {
+		spare := e.spare(delta)
+		*spare = append(*spare, b)
 	}
-	s.enc = nil
+}
+
+// retire recycles the stored forms of a snapshot that is leaving the queue.
+func (e *encodings) retire(s *encoded) {
+	e.recycle(s.enc, s.delta)
+	e.recycle(s.image, false)
+	*s = encoded{}
+}
+
+// trimOldest releases the delta of the oldest snapshot, which no walk back
+// undoes: a walk stops at the snapshot it restores. An oldest snapshot that
+// kept its own image becomes a full one.
+func (e *encodings) trimOldest() {
+	s := &e.of[0]
+	if !s.delta {
+		return
+	}
+	e.recycle(s.enc, true)
+	s.enc, s.comp = nil, false
+	if s.image != nil {
+		s.enc, s.comp, s.delta = s.image, s.imageComp, false
+		s.image, s.imageComp = nil, false
+	}
 }
 
 // NewQueue returns a state queue primed with the object's initial
@@ -191,10 +228,10 @@ func (q *Queue) Init(st model.State, meta Snapshot, cd *codec.StateCodec) {
 		}
 		e := q.enc
 		e.cd = cd
+		// The initial snapshot is the oldest: its image is lastEnc for now, and
+		// its delta is never kept.
 		raw := ds.MarshalState(nil)
-		first := encoded{rawLen: len(raw)}
-		first.enc, first.comp = codec.Pack(cd.Config(), raw)
-		e.of = append(e.of[:0], first)
+		e.of = append(e.of[:0], encoded{delta: true, rawLen: len(raw)})
 		e.lastEnc, e.unsynced = raw, false
 	} else {
 		q.enc = nil
@@ -236,25 +273,46 @@ func (q *Queue) Save(st model.State, meta Snapshot) SaveResult {
 		return SaveResult{RawBytes: size, StoredBytes: size}
 	}
 	*slot = meta
-	isDelta := e.cd.NextIsDelta() && e.lastEnc != nil
-	// A full save with a Dynamic controller in full mode computes (but does
-	// not store) the delta, so the controller keeps observing the ratio.
-	probe := !isDelta && e.cd.ProbeNow() && e.lastEnc != nil
+	isDelta := e.cd.UsingDelta()
+	if prev := &e.of[len(e.of)-1]; !isDelta && prev.delta {
+		// A walk back cannot undo the full snapshot this save stores: the
+		// delta snapshot before it keeps its own image, packed from lastEnc
+		// while that is still its encoding.
+		prev.image, prev.imageComp = e.pack(e.lastEnc, false)
+		if prev.image == nil {
+			prev.image = []byte{} // an empty encoding is kept all the same
+		}
+		if len(e.of) == 1 {
+			e.trimOldest()
+		}
+	}
+	// A Dynamic controller now and then sizes the encoding not in force too.
+	probe := e.cd.ProbeNow()
 	e.encode(st.(codec.DeltaState), isDelta || probe)
-	payload := e.lastEnc
+	payload, other := e.lastEnc, e.deltaScratch
 	if isDelta {
-		payload = e.deltaScratch
-	} else if probe {
-		// Its stored size is taken over a spare buffer that goes straight
-		// back, so the probe retains nothing.
-		d, _ := e.pack(e.deltaScratch, true)
-		e.cd.RecordProbe(len(d))
-		e.spareDelta = append(e.spareDelta, d)
+		payload, other = other, payload
+	}
+	if probe {
+		e.probe(other, !isDelta)
 	}
 	stored, comp := e.pack(payload, isDelta)
 	e.cd.RecordSave(len(stored), isDelta)
 	e.of = append(e.of, encoded{enc: stored, delta: isDelta, comp: comp, rawLen: len(e.lastEnc)})
 	return SaveResult{RawBytes: len(e.lastEnc), StoredBytes: len(stored), Delta: isDelta}
+}
+
+// probe feeds the controller the size payload, the encoding not in force,
+// would be stored at. Uncompressed that is its length; compressed it is taken
+// over a spare buffer that goes straight back, so the probe retains nothing.
+func (e *encodings) probe(payload []byte, delta bool) {
+	if e.cd.Config().Compression == codec.NoCompression {
+		e.cd.RecordProbe(len(payload))
+		return
+	}
+	b, _ := e.pack(payload, delta)
+	e.cd.RecordProbe(len(b))
+	e.recycle(b, delta)
 }
 
 // encode makes lastEnc the encoding of st and, when wantDelta is set, leaves in
@@ -324,32 +382,67 @@ func (q *Queue) RestoreInto(t vtime.Time, live model.State) Snapshot {
 // newest remaining snapshot — the state to resume from when a straggler with
 // receive time t arrives. The returned snapshot stays in the queue; its State
 // is the queue's own copy on the clone path (clone it before mutating) and
-// nil on the codec path, where the restore point is left reconstructed in
-// lastEnc for RestoreInto to decode. The strict inequality matters: a
-// snapshot taken at exactly t may already include a same-time event that must
-// be re-ordered after the straggler.
+// nil on the codec path, where the restore point is left in lastEnc for
+// RestoreInto to decode. The strict inequality matters: a snapshot taken at
+// exactly t may already include a same-time event that must be re-ordered
+// after the straggler.
 func (q *Queue) RestoreBefore(t vtime.Time) Snapshot {
-	i := len(q.snaps)
-	e := q.enc
+	n := len(q.snaps)
+	i := n
 	for i > 0 && !q.snaps[i-1].Time.Before(t) {
 		i--
 		vacate(&q.snaps[i])
-		if e != nil {
-			e.retire(&e.of[i])
+	}
+	q.snaps = q.snaps[:i]
+	// The NegInf snapshot is never discarded, so i >= 1 always holds. With
+	// nothing popped lastEnc is the head's encoding already.
+	if e := q.enc; e != nil && i < n {
+		// The popped snapshots' deltas are what the walk undoes: they leave
+		// after it.
+		e.walkBack(i - 1)
+		for j := i; j < n; j++ {
+			e.retire(&e.of[j])
+		}
+		e.of = e.of[:i]
+		// No full snapshot follows the restore point any more: as a delta it
+		// keeps no image of its own.
+		if s := &e.of[i-1]; s.delta {
+			e.recycle(s.image, false)
+			s.image, s.imageComp = nil, false
 		}
 	}
-	popped := i < len(q.snaps)
-	q.snaps = q.snaps[:i]
-	// The NegInf snapshot is never discarded, so i >= 1 always holds.
-	if e != nil && popped {
-		e.of = e.of[:i]
-		// The restored encoding is the new delta base; the old base becomes
-		// the scratch buffer. With nothing popped lastEnc is the head's
-		// encoding already.
-		e.lastEnc, e.scratch = q.rebuild(i-1), e.lastEnc
-		q.syncChain()
-	}
 	return q.snaps[i-1]
+}
+
+// walkBack makes lastEnc, the newest snapshot's encoding, the encoding of
+// snapshot k. It starts from the lowest snapshot at or after k that carries a
+// full image — one copy of it — or from lastEnc itself when none before the
+// newest does, and undoes the deltas from there down to k's successor's, in
+// place. Every snapshot between k and its start is a delta: a full one is
+// preceded by an image (see Save). A decode failure means the queue corrupted
+// its own encodings, an invariant violation worth stopping the run for.
+func (e *encodings) walkBack(k int) {
+	f, newest := k, len(e.of)-1
+	for ; f < newest; f++ {
+		if image, comp, ok := e.of[f].full(); ok {
+			raw, err := codec.Unpack(image, comp)
+			if err != nil {
+				panic("statesave: checkpoint image corrupt: " + err.Error())
+			}
+			e.lastEnc = append(e.lastEnc[:0], raw...)
+			break
+		}
+	}
+	for ; f > k; f-- {
+		s := &e.of[f]
+		d, err := codec.Unpack(s.enc, s.comp)
+		if err == nil {
+			e.lastEnc, err = codec.UndoDelta(e.lastEnc, d)
+		}
+		if err != nil {
+			panic("statesave: checkpoint chain corrupt: " + err.Error())
+		}
+	}
 }
 
 // FossilCollect discards snapshots that can never be restored again once GVT
@@ -368,8 +461,16 @@ func (q *Queue) FossilCollect(gvt vtime.Time) int {
 	if keep == 0 {
 		return 0
 	}
-	if q.enc != nil {
-		q.discardEncodings(keep)
+	if e := q.enc; e != nil {
+		// The stored forms of the discarded snapshots go, and nothing is
+		// re-encoded: the new oldest snapshot's delta is merely released.
+		for i := 0; i < keep; i++ {
+			e.retire(&e.of[i])
+		}
+		kept := copy(e.of, e.of[keep:])
+		clear(e.of[kept:])
+		e.of = e.of[:kept]
+		e.trimOldest()
 	}
 	// Close the gap by exchange rather than by copy: the discarded snapshots
 	// end up in the slots the slice gives up, where vacate leaves what the next
@@ -385,58 +486,6 @@ func (q *Queue) FossilCollect(gvt vtime.Time) int {
 	return keep
 }
 
-// discardEncodings is FossilCollect's half on the encoded path: the stored
-// forms of the first n snapshots go. The new oldest snapshot must be
-// self-contained. When it is a delta, the full image its chain starts from is
-// among the snapshots being discarded, so that image is patched up to it where
-// it lies and changes owner — no byte of the state moves. A compressed image
-// cannot be patched in place: under LZ the chain is reconstructed in scratch
-// and packed over one of the buffers the discarded snapshots give up (its
-// anchor's, usually).
-func (q *Queue) discardEncodings(n int) {
-	e := q.enc
-	oldest := &e.of[n]
-	reanchor := oldest.delta
-	var image []byte
-	if reanchor {
-		if e.cd.Config().Compression == codec.NoCompression {
-			image = q.takeAnchor(n)
-		} else {
-			e.scratch = q.rebuild(n)
-		}
-	}
-	for i := 0; i < n; i++ {
-		e.retire(&e.of[i])
-	}
-	if reanchor {
-		e.retire(oldest)
-		if image == nil {
-			image, oldest.comp = e.pack(e.scratch, false)
-		}
-		oldest.enc, oldest.delta = image, false
-	}
-	kept := copy(e.of, e.of[n:])
-	clear(e.of[kept:])
-	e.of = e.of[:kept]
-	if reanchor {
-		q.syncChain()
-	}
-}
-
-// syncChain recounts the deltas that follow the newest full image and hands
-// the count to the codec's anchor cadence. Save keeps it by itself; popping
-// snapshots (an anchor among them, possibly) or re-encoding the oldest one
-// changes the tail behind its back, and a cadence still counting from a popped
-// anchor would let the chain a restore patches through outgrow FullEvery.
-func (q *Queue) syncChain() {
-	n := 0
-	e := q.enc
-	for i := len(e.of) - 1; e.of[i].delta; i-- {
-		n++
-	}
-	e.cd.SetChain(n)
-}
-
 // FossilFloor returns the bound FossilCollect's gvt must exceed to reclaim
 // anything: a call with gvt at or below it is a no-op. The oldest snapshot is
 // always retained, so the bound is the time of the second-oldest one
@@ -448,57 +497,6 @@ func (q *Queue) FossilFloor() vtime.Time {
 	return q.snaps[1].Time
 }
 
-// anchor returns the index of the full image snapshot i's delta chain starts
-// from (i itself when it is one).
-func (q *Queue) anchor(i int) int {
-	for q.enc.of[i].delta {
-		i--
-	}
-	return i
-}
-
-// rebuild reconstructs the full, uncompressed state encoding of snapshot i
-// in the scratch buffer's storage (growing it if need be): a copy of the
-// nearest full image at or before i, patched with each delta after it. The
-// caller decides which queue buffer the result becomes. A decode failure
-// means the queue corrupted its own encodings, an invariant violation worth
-// stopping the run for.
-func (q *Queue) rebuild(i int) []byte {
-	buf := q.enc.scratch[:0]
-	for j := q.anchor(i); j <= i; j++ {
-		s := &q.enc.of[j]
-		part, err := codec.Unpack(s.enc, s.comp)
-		if err == nil && s.delta {
-			buf, err = codec.PatchDelta(buf, part)
-		} else {
-			buf = append(buf, part...)
-		}
-		if err != nil {
-			panic("statesave: checkpoint chain corrupt: " + err.Error())
-		}
-	}
-	return buf
-}
-
-// takeAnchor is rebuild without the copy, for a delta snapshot i whose full
-// image is about to be discarded: it takes that image's buffer out of its
-// snapshot (which keeps no encoding and must leave the queue), patches each
-// delta up to i onto it in place and returns it. Only uncompressed storage
-// can be patched where it lies.
-func (q *Queue) takeAnchor(i int) []byte {
-	of := q.enc.of
-	base := q.anchor(i)
-	buf := of[base].enc
-	of[base].enc = nil
-	for j := base + 1; j <= i; j++ {
-		var err error
-		if buf, err = codec.PatchDelta(buf, of[j].enc); err != nil {
-			panic("statesave: checkpoint chain corrupt: " + err.Error())
-		}
-	}
-	return buf
-}
-
 // StoredBytes sums the bytes the queue actually holds per snapshot: encoded
 // sizes on the codec path, state size estimates otherwise. Migration uses it
 // to cost shipping the queue's content.
@@ -508,7 +506,7 @@ func (q *Queue) StoredBytes() int {
 	}
 	total := 0
 	for i := range q.enc.of {
-		total += len(q.enc.of[i].enc)
+		total += len(q.enc.of[i].enc) + len(q.enc.of[i].image)
 	}
 	return total
 }

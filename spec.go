@@ -72,14 +72,13 @@ func ParseBalanceSpec(spec string) (BalanceConfig, error) {
 //	off                        cloned full checkpoints (the default)
 //	lz                         full encodings, LZ-compressed
 //	full[,lz]                  marshalled full checkpoints
-//	delta[,lz][,full-every=N]  incremental checkpoints, anchors every N
-//	dynamic[,lz][,full-every=N][,period=N][,low=F][,high=F]
+//	delta[,lz]                 incremental (reversible delta) checkpoints
+//	dynamic[,lz][,period=N][,low=F][,high=F]
 //	                           on-line full<->delta controller
 //
-// Keys: full-every (saves between full anchors), period (saves per
-// controller window), low/high (dead-zone bounds on the delta/full
-// stored-bytes ratio). "lz" turns on compression of checkpoints, migration
-// capsules and aggregated wire payloads.
+// Keys: period (saves per controller window), low/high (dead-zone bounds on
+// the delta/full stored-bytes ratio). "lz" turns on compression of
+// checkpoints, migration capsules and aggregated wire payloads.
 func ParseCodecSpec(spec string) (CodecConfig, error) {
 	var cfg CodecConfig
 	parts := strings.Split(spec, ",")
@@ -114,11 +113,6 @@ func ParseCodecSpec(spec string) (CodecConfig, error) {
 			return cfg, err
 		}
 		switch key {
-		case "full-every":
-			if cfg.Mode == CodecFull {
-				return cfg, fmt.Errorf("codec spec %q: full-every needs mode delta or dynamic", spec)
-			}
-			cfg.FullEvery, err = parseSpecInt(spec, key, val)
 		case "period":
 			if cfg.Mode != CodecDynamic {
 				return cfg, fmt.Errorf("codec spec %q: %s needs mode dynamic", spec, key)

@@ -2,6 +2,7 @@ package gowarp
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 )
@@ -56,11 +57,11 @@ func TestParseCodecSpec(t *testing.T) {
 		{"full", CodecConfig{Mode: CodecFull}},
 		{"full,lz", CodecConfig{Mode: CodecFull, Compression: LZCompression}},
 		{"delta", CodecConfig{Mode: CodecDelta}},
-		{"delta,lz,full-every=8", CodecConfig{Mode: CodecDelta, Compression: LZCompression, FullEvery: 8}},
+		{"delta,lz", CodecConfig{Mode: CodecDelta, Compression: LZCompression}},
 		{
-			"dynamic,lz,full-every=4,period=32,low=0.5,high=0.8",
+			"dynamic,lz,period=32,low=0.5,high=0.8",
 			CodecConfig{
-				Mode: CodecDynamic, Compression: LZCompression, FullEvery: 4,
+				Mode: CodecDynamic, Compression: LZCompression,
 				Controller: CodecControllerConfig{Period: 32, LowRatio: 0.5, HighRatio: 0.8},
 			},
 		},
@@ -80,16 +81,22 @@ func TestParseCodecSpecErrors(t *testing.T) {
 	for _, spec := range []string{
 		"bogus",
 		"off,lz",
-		"lz,full-every=4",
-		"full,full-every=4",
+		"lz,period=8",
 		"full,period=8",
 		"delta,period=8",
-		"delta,full-every=nope",
+		"dynamic,period=nope",
 		"dynamic,low=0",
 		"dynamic,what=1",
 	} {
 		if _, err := ParseCodecSpec(spec); err == nil {
 			t.Errorf("ParseCodecSpec(%q): want error, got nil", spec)
+		}
+	}
+	// The anchor cadence is gone: its key is unknown in every mode, and the
+	// error says which key.
+	for _, spec := range []string{"delta,full-every=8", "dynamic,lz,full-every=4", "full,full-every=4"} {
+		if _, err := ParseCodecSpec(spec); err == nil || !strings.Contains(err.Error(), `unknown key "full-every"`) {
+			t.Errorf("ParseCodecSpec(%q): err %v, want the unknown key named", spec, err)
 		}
 	}
 }

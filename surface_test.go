@@ -22,12 +22,12 @@ func TestConfigSurface(t *testing.T) {
 		"comm.AggConfig":         8,
 		"comm.CostModel":         2,
 		"core.BalanceConfig":     6,
-		"codec.Config":           4,
+		"codec.Config":           3,
 		"codec.ControllerConfig": 3,
 		"core.OptimismConfig":    10,
 	}
 	const (
-		wantLeaves  = 56 // independently settable values under Config
+		wantLeaves  = 55 // independently settable values under Config
 		wantMethods = 23 // 22 With* options and Build
 	)
 
