@@ -165,17 +165,5 @@ func (b *ConfigBuilder) WithWorkers(n int) *ConfigBuilder {
 	return b
 }
 
-// WithTuner attaches an external parameter tuner.
-func (b *ConfigBuilder) WithTuner(t *Tuner) *ConfigBuilder {
-	b.cfg.Tuner = t
-	return b
-}
-
-// WithTimeline records per-LP adaptation samples at every GVT cycle.
-func (b *ConfigBuilder) WithTimeline() *ConfigBuilder {
-	b.cfg.Timeline = true
-	return b
-}
-
 // Build returns the assembled configuration.
 func (b *ConfigBuilder) Build() Config { return b.cfg }

@@ -81,23 +81,59 @@ func main() {
 	}
 	run("SAAW (from a bad start)", base().WithAggregation(gowarp.SAAW, 10*time.Millisecond).Build())
 
-	// Watch the controllers converge: record the adaptation timeline of a
-	// fully adaptive run and print LP 0's trajectory.
+	// Watch the controllers converge: trace the first quarter of a fully
+	// adaptive run — where they leave their starting points, and short enough
+	// that the trace rings keep every record — and print what LP 0's
+	// controllers decided, each kind thinned to a dozen records.
 	fmt.Println()
-	fmt.Println("adaptation timeline (LP 0): checkpoint interval opens, objects settle,")
+	fmt.Println("controller trace (LP 0): checkpoint interval opens, objects settle,")
 	fmt.Println("and the aggregation window converges from its bad 10ms start:")
+	tracer := gowarp.NewTracer(0)
 	cfg := base().
-		WithTimeline().
 		WithCheckpointConfig(gowarp.CheckpointConfig{
 			Mode: gowarp.DynamicCheckpointing, Interval: 1,
 			MinInterval: 1, MaxInterval: 64, Period: 256,
 		}).
 		WithCancellation(gowarp.DynamicCancellation).
 		WithAggregation(gowarp.SAAW, 10*time.Millisecond).
+		WithTracer(tracer).
 		Build()
-	res, err := gowarp.Run(model(), cfg)
-	if err != nil {
+	cfg.EndTime /= 4
+	if _, err := gowarp.Run(model(), cfg); err != nil {
 		log.Fatal(err)
 	}
-	fmt.Print(gowarp.RenderTimeline(res.Timeline[:1], 12))
+	if n := tracer.Dropped(); n > 0 {
+		fmt.Printf("  (the rings overwrote the %d oldest records)\n", n)
+	}
+	byKind := map[string][]gowarp.TraceEvent{}
+	for _, ev := range tracer.Events() {
+		if ev.LP == 0 {
+			byKind[ev.Kind.String()] = append(byKind[ev.Kind.String()], ev)
+		}
+	}
+	for _, k := range []string{"checkpoint_adjust", "strategy_switch", "window_adjust"} {
+		evs := byKind[k]
+		fmt.Printf("  %s: %d records\n", k, len(evs))
+		step := max(1, (len(evs)+11)/12)
+		for i := 0; i < len(evs); i += step {
+			fmt.Printf("    %8s  %s\n", evs[i].Wall.Round(time.Millisecond), describe(evs[i]))
+		}
+	}
+}
+
+// describe renders one controller record: what moved, on which object (or
+// toward which destination LP), and the observation that moved it.
+func describe(ev gowarp.TraceEvent) string {
+	switch ev.Kind.String() {
+	case "checkpoint_adjust":
+		return fmt.Sprintf("object %-3d chi %d -> %d (Ec %s)", ev.Object, ev.A, ev.B, ev.Dur)
+	case "strategy_switch":
+		to := "aggressive"
+		if ev.A == 1 {
+			to = "lazy"
+		}
+		return fmt.Sprintf("object %-3d -> %s at hit ratio %.3f", ev.Object, to, float64(ev.B)/1000)
+	default:
+		return fmt.Sprintf("to LP %d: window %s -> %s", ev.Object, time.Duration(ev.A), time.Duration(ev.B))
+	}
 }

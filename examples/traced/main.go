@@ -1,9 +1,9 @@
 // Traced example: a fully adaptive PHOLD run with the telemetry layer on —
-// structured kernel tracing, the live metrics endpoint, and the adaptation
-// timeline, side by side. It writes the same trace in both export formats
-// (JSONL for grep/jq, Chrome trace_event for chrome://tracing or Perfetto),
-// scrapes its own /metrics endpoint once mid-run, and prints a breakdown of
-// the recorded events.
+// structured kernel tracing and the live metrics endpoint, side by side. It
+// writes the same trace in both export formats (JSONL for grep/jq, Chrome
+// trace_event for chrome://tracing or Perfetto), scrapes its own /metrics
+// endpoint once mid-run for the progress and controller gauges, and prints a
+// breakdown of the recorded events.
 //
 // Run:
 //
@@ -16,6 +16,7 @@ import (
 	"log"
 	"net/http"
 	"os"
+	"strings"
 	"time"
 
 	"gowarp"
@@ -42,7 +43,6 @@ func main() {
 		WithCostModel(gowarp.CostModel{PerMessage: 60 * time.Microsecond, PerByte: 10 * time.Nanosecond}).
 		WithEventCost(5*time.Microsecond).
 		WithOptimism(gowarp.OptimismStatic, 1000).
-		WithTimeline().
 		WithCheckpointConfig(gowarp.CheckpointConfig{
 			Mode: gowarp.DynamicCheckpointing, Interval: 1,
 			MinInterval: 1, MaxInterval: 64, Period: 256,
@@ -61,10 +61,11 @@ func main() {
 	fmt.Printf("metrics live at http://%s/metrics during the run\n\n", srv.Addr())
 
 	// Scrape our own endpoint once while the kernel is running, the way an
-	// external Prometheus would.
+	// external Prometheus would, a few seconds in so that the controllers have
+	// had time to move off their starting points.
 	scraped := make(chan string, 1)
 	go func() {
-		time.Sleep(50 * time.Millisecond)
+		time.Sleep(3 * time.Second)
 		resp, err := http.Get("http://" + srv.Addr() + "/metrics")
 		if err != nil {
 			scraped <- "scrape failed: " + err.Error()
@@ -120,34 +121,21 @@ func main() {
 	}
 	fmt.Println()
 
-	// The mid-run scrape: live gauges an external monitor would have seen.
-	fmt.Println("mid-run /metrics scrape (first lines):")
+	// The mid-run scrape: what an external monitor would have seen of each
+	// LP's progress and controllers while the run was going.
+	fmt.Println("mid-run /metrics scrape (progress and controller gauges):")
+	shown := map[string]bool{
+		"gowarp_gvt": true, "gowarp_events_committed_total": true, "gowarp_rollbacks_total": true,
+		"gowarp_mean_checkpoint_interval": true, "gowarp_lazy_objects": true,
+		"gowarp_hit_ratio": true, "gowarp_aggregation_window_seconds": true,
+	}
 	body := <-scraped
-	for i, line := range splitLines(body) {
-		if i >= 14 {
-			fmt.Println("  ...")
-			break
-		}
-		fmt.Printf("  %s\n", line)
+	if strings.HasPrefix(body, "scrape failed") {
+		fmt.Printf("  %s\n", body)
 	}
-	fmt.Println()
-
-	fmt.Println("adaptation timeline (LP 0):")
-	fmt.Print(gowarp.RenderTimeline(res.Timeline[:1], 8))
-}
-
-func splitLines(s string) []string {
-	var out []string
-	for len(s) > 0 {
-		i := 0
-		for i < len(s) && s[i] != '\n' {
-			i++
+	for _, line := range strings.Split(body, "\n") {
+		if i := strings.IndexAny(line, "{ "); i > 0 && shown[line[:i]] {
+			fmt.Printf("  %s\n", line)
 		}
-		out = append(out, s[:i])
-		if i < len(s) {
-			i++
-		}
-		s = s[i:]
 	}
-	return out
 }

@@ -42,6 +42,11 @@
 //     observation sampler's wasted-work ratio climbs and relaxes it toward
 //     unbounded optimism when the virtual-time surface is smooth.
 //
+// Run reads a Config once, when it starts. Nothing outside the kernel moves a
+// setting after that: a controlled item has one writer, its own controller,
+// and is watched through Config.Metrics (live gauges, refreshed at every GVT)
+// and Config.Tracer (one record per adjustment).
+//
 // A minimal model and run:
 //
 //	m := gowarp.NewPHOLD(gowarp.PHOLDConfig{Objects: 8, LPs: 2})
@@ -138,10 +143,6 @@ type (
 	Counters = stats.Counters
 	// WorkerStats is one dispatcher worker's run tally (Result.PerWorker).
 	WorkerStats = stats.WorkerStats
-	// Sample is one adaptation-timeline point (set Config.Timeline).
-	Sample = core.Sample
-	// LPTimeline is one logical process's adaptation timeline.
-	LPTimeline = core.LPTimeline
 	// BalanceConfig configures on-line dynamic load balancing — object
 	// migration between logical processes as a fourth controlled facet
 	// (set Config.Balance; off by default).
@@ -324,19 +325,6 @@ type (
 	// ConservativeResult is what RunConservative produces.
 	ConservativeResult = conservative.Result
 )
-
-// Tuner allows external adjustment of a running simulation's parameters
-// (set Config.Tuner); see core.Tuner.
-type Tuner = core.Tuner
-
-// NewTuner returns a tuner with no overrides.
-func NewTuner() *Tuner { return core.NewTuner() }
-
-// RenderTimeline formats per-LP adaptation timelines (Result.Timeline) as
-// an aligned table, thinned to at most maxRows rows per LP (0 = all).
-func RenderTimeline(tls []LPTimeline, maxRows int) string {
-	return core.RenderTimeline(tls, maxRows)
-}
 
 // Telemetry: structured tracing, live metrics and machine-readable run
 // artifacts (see internal/telemetry).

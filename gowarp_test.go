@@ -133,17 +133,4 @@ func TestExtendedAPI(t *testing.T) {
 		t.Errorf("conservative committed %d vs sequential %d",
 			cons.Stats.EventsCommitted, seq.EventsExecuted)
 	}
-
-	// Timeline rendering.
-	cfg := gowarp.DefaultConfig(1500)
-	cfg.Optimism.Window = 200
-	cfg.GVTPeriod = time.Millisecond
-	cfg.Timeline = true
-	res, err := gowarp.Run(m, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out := gowarp.RenderTimeline(res.Timeline, 5); len(out) == 0 {
-		t.Error("empty timeline render")
-	}
 }

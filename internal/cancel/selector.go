@@ -98,16 +98,15 @@ func (c Config) withDefaults() Config {
 // initial state is aggressive, as in the paper. A static selector is its
 // strategy and the frozen bit, which is all a rollback reads of it. The
 // controller — the comparison window, the dead zone, the period ticker and the
-// PS/PA bounds — and the switch count and hook are behind ctl, nil until the
-// mode or a caller (Override, SetHook) needs it.
+// PS/PA bounds — and the switch count and hook are behind ctl, nil unless the
+// mode is Dynamic.
 type Selector struct {
 	current Strategy
 	frozen  bool
 	ctl     *controller
 }
 
-// controller is the part of a Selector that nothing reads while the strategy
-// is static and unobserved.
+// controller is the part of a Selector that only the Dynamic mode has.
 type controller struct {
 	window control.BitWindow
 	dz     control.DeadZone
@@ -153,15 +152,6 @@ func (s *Selector) init(cfg Config, ctl *controller, bits []bool) {
 	s.ctl = ctl
 }
 
-// control returns s's controller part, making the one of a static selector on
-// first use.
-func (s *Selector) control() *controller {
-	if s.ctl == nil {
-		s.ctl = new(controller)
-	}
-	return s.ctl
-}
-
 // Current returns the strategy in force.
 func (s *Selector) Current() Strategy { return s.current }
 
@@ -182,11 +172,12 @@ func (s *Selector) Switches() int64 {
 }
 
 // SetHook installs fn (nil removes it) to observe every strategy change: the
-// strategy now in force and the windowed hit ratio at the decision point. Set
-// it before the run starts; it is called from the owning LP goroutine.
+// strategy now in force and the windowed hit ratio at the decision point. A
+// static selector never switches, so it keeps no hook. Set it before the run
+// starts; it is called from the owning LP goroutine.
 func (s *Selector) SetHook(fn func(to Strategy, hitRatio float64)) {
-	if fn != nil || s.ctl != nil {
-		s.control().hook = fn
+	if s.ctl != nil {
+		s.ctl.hook = fn
 	}
 }
 
@@ -236,13 +227,6 @@ func (s *Selector) RecordComparison(hit bool) Strategy {
 	return s.current
 }
 
-// Override freezes the selector on the given strategy, regardless of mode —
-// the hook used by external runtime adjustment. The object stops monitoring.
-func (s *Selector) Override(strat Strategy) {
-	s.setCurrent(strat)
-	s.frozen = true
-}
-
 func (s *Selector) decide() {
 	want := Aggressive
 	if s.ctl.dz.Input(s.ctl.window.Ratio()) {
@@ -258,7 +242,7 @@ func (s *Selector) setCurrent(want Strategy) {
 		return
 	}
 	s.current = want
-	ctl := s.control()
+	ctl := s.ctl
 	ctl.switches++
 	if ctl.hook != nil {
 		ctl.hook(want, s.HitRatio())

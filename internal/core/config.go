@@ -76,12 +76,6 @@ type Config struct {
 	// Transport, and the workers are also who reads and writes a comm.Polled
 	// transport's sockets.
 	Workers int
-	// Timeline records per-LP adaptation samples at every GVT cycle (see
-	// Sample); costs a small allocation per cycle.
-	Timeline bool
-	// Tuner, when non-nil, allows external adjustment of the running
-	// simulation's parameters; LPs apply pending changes at each GVT.
-	Tuner *Tuner
 
 	// Tracer, when non-nil, receives structured trace events — rollback
 	// episodes, checkpoint-interval adjustments, cancellation-strategy
@@ -237,9 +231,6 @@ type Result struct {
 	// FinalStates holds every object's committed final state, indexed by
 	// ObjectID; used for cross-kernel determinism checks.
 	FinalStates []model.State
-	// Timeline holds per-LP adaptation samples (only when Config.Timeline
-	// was set).
-	Timeline []LPTimeline
 }
 
 // Record returns the run record with FinalStateHash computed from

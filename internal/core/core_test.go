@@ -13,6 +13,7 @@ import (
 	"gowarp/internal/core"
 	"gowarp/internal/model"
 	"gowarp/internal/statesave"
+	"gowarp/internal/telemetry"
 	"gowarp/internal/vtime"
 )
 
@@ -212,4 +213,33 @@ func TestUnboundedOptimism(t *testing.T) {
 	cfg := testConfig(400)
 	cfg.Optimism.Window = 0
 	assertMatchesSequential(t, testModel(2), cfg)
+}
+
+// TestOptimismWindowGauge runs a static unbounded window, a static bounded
+// one and an adaptive one pinned by an unreachable sample floor. Each run
+// reports the window that was in force, in the Result and in the live gauge
+// alike.
+func TestOptimismWindowGauge(t *testing.T) {
+	for i, tc := range []struct {
+		name     string
+		optimism core.OptimismConfig
+		want     vtime.Time
+	}{
+		{"static-unbounded", core.OptimismConfig{}, 0},
+		{"static-window100", core.OptimismConfig{Window: 100}, 100},
+		{"adaptive-pinned", core.OptimismConfig{Mode: core.OptimismAdaptive, Window: 100, MinSample: 1 << 40}, 100},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := testConfig(400)
+			cfg.Optimism = tc.optimism
+			cfg.Metrics = telemetry.NewRegistry()
+			res := assertMatchesSequential(t, testModel(2+uint64(i)), cfg)
+			if res.FinalOptimismWindow != tc.want {
+				t.Errorf("FinalOptimismWindow = %d, want %d", res.FinalOptimismWindow, tc.want)
+			}
+			if g := cfg.Metrics.Gauge("gowarp_optimism_window", "", false).Get(0); g != float64(res.FinalOptimismWindow) {
+				t.Errorf("gowarp_optimism_window = %v, FinalOptimismWindow = %d", g, res.FinalOptimismWindow)
+			}
+		})
+	}
 }

@@ -69,9 +69,6 @@ func checkDistributed(m *model.Model, cfg *Config) error {
 	if cfg.Audit != nil {
 		return fmt.Errorf("core: the on-line auditor requires the in-process transport (its message-conservation ledger is global)")
 	}
-	if cfg.Tuner != nil {
-		return fmt.Errorf("core: external tuning requires the in-process transport (tuner adjustments do not propagate to other ranks)")
-	}
 	for id, obj := range m.Objects {
 		if _, ok := obj.InitialState().(codec.DeltaState); !ok {
 			return fmt.Errorf("core: object %d (%s): state %T does not implement codec.DeltaState, required to report final states across ranks",

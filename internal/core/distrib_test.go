@@ -198,7 +198,6 @@ func TestDistributedGatesSharedStateFacets(t *testing.T) {
 		{"balance", func(c *core.Config) { c.Balance = core.BalanceConfig{Mode: core.BalanceDynamic} }},
 		{"optimism", func(c *core.Config) { c.Optimism = core.OptimismConfig{Mode: core.OptimismAdaptive} }},
 		{"audit", func(c *core.Config) { c.Audit = audit.New() }},
-		{"tuner", func(c *core.Config) { c.Tuner = core.NewTuner() }},
 	}
 	for _, tc := range cases {
 		trs := tcpFleet(t, numLPs, 2)

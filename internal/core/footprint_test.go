@@ -6,11 +6,14 @@ import (
 	"runtime"
 	"strings"
 	"testing"
+	"time"
 	"unsafe"
 
 	"gowarp/internal/apps/phold"
 	"gowarp/internal/audit"
+	"gowarp/internal/cancel"
 	"gowarp/internal/statesave"
+	"gowarp/internal/telemetry"
 	"gowarp/internal/vtime"
 )
 
@@ -86,6 +89,40 @@ func TestObjectFootprint(t *testing.T) {
 	if collected == 0 || lp.st.EventsCommitted < int64(12*len(lp.objs)) {
 		t.Fatalf("%d items collected, %d events committed: the rounds did not do what they measure",
 			collected, lp.st.EventsCommitted)
+	}
+}
+
+// TestTracedStaticObjectsHaveNoControllers: a tracer observes the controllers
+// a configuration runs and builds none of its own. Under DefaultConfig with a
+// Tracer every object's checkpointer and selector keep a nil controller
+// through construction, init, a few hundred events and a GVT application;
+// under the dynamic modes the same probe finds both.
+func TestTracedStaticObjectsHaveNoControllers(t *testing.T) {
+	hasCtl := func(part any) bool { return !reflect.ValueOf(part).Elem().FieldByName("ctl").IsNil() }
+	for _, dynamic := range []bool{false, true} {
+		cfg := DefaultConfig(vtime.Time(1) << 40)
+		if dynamic {
+			cfg.Checkpoint.Mode = statesave.Dynamic
+			cfg.Cancellation.Mode = cancel.Dynamic
+		}
+		m := ringModel(8, 8, 8)
+		cfg.Tracer = telemetry.NewTracer(1 << 10)
+		cfg.Tracer.Bind(m.NumLPs(), time.Now())
+		lp := newTestKernel(m, &cfg)[0]
+		if lp.tr == nil {
+			t.Fatal("the LP has no trace recorder: the hooks were never offered")
+		}
+		for i := 0; i < 400; i++ {
+			lp.drainDeferred()
+			lp.execStep()
+		}
+		lp.applyGVT(lp.localMin())
+		for _, o := range lp.objs {
+			if ckpt, sel := hasCtl(&o.ckpt), hasCtl(&o.sel); ckpt != dynamic || sel != dynamic {
+				t.Errorf("dynamic modes %t: object %d has a checkpointer controller %t, a selector controller %t",
+					dynamic, o.id, ckpt, sel)
+			}
+		}
 	}
 }
 

@@ -21,7 +21,7 @@ func TestEmptyWorkerAwaitsAdoption(t *testing.T) {
 	}
 	cfg := DefaultConfig(2000)
 	cfg.GVTPeriod = 200 * time.Microsecond
-	d := newKernel(m, &cfg, comm.Peers{Local: []int{0, 1}}, nil, time.Now(), nil)
+	d := newKernel(m, &cfg, comm.Peers{Local: []int{0, 1}}, nil, nil)
 	d.lps[0].target.Store(1)
 	d.lps[1].target.Store(0)
 	d.epoch.Add(1)

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"time"
 
 	"gowarp/internal/comm"
 	"gowarp/internal/event"
@@ -16,7 +15,7 @@ import (
 // them.
 func newTestKernel(m *model.Model, cfg *Config) []*lpRun {
 	cfg.Audit.Bind(m.NumLPs(), cfg.EndTime)
-	d := newKernel(m, cfg, comm.Peers{Local: comm.BlockRanks(m.NumLPs(), 1, 0)}, nil, time.Now(), nil)
+	d := newKernel(m, cfg, comm.Peers{Local: comm.BlockRanks(m.NumLPs(), 1, 0)}, nil, nil)
 	for _, lp := range d.lps {
 		lp.initObjects()
 	}

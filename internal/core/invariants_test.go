@@ -125,52 +125,3 @@ func TestCheckpointIntervalExtremes(t *testing.T) {
 		assertMatchesSequential(t, testModel(31), cfg)
 	}
 }
-
-// TestTimelineSampling records adaptation samples and checks monotonicity.
-func TestTimelineSampling(t *testing.T) {
-	cfg := testConfig(3000)
-	cfg.Timeline = true
-	cfg.Checkpoint = statesave.Config{Mode: statesave.Dynamic, Interval: 1, Period: 64}
-	cfg.Cancellation = cancel.Config{Mode: cancel.Dynamic, FilterDepth: 8, Period: 2}
-	res, err := core.Run(testModel(37), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Timeline) != 4 {
-		t.Fatalf("timelines = %d, want one per LP", len(res.Timeline))
-	}
-	for _, tl := range res.Timeline {
-		if len(tl.Samples) == 0 {
-			t.Errorf("LP %d recorded no samples", tl.LP)
-			continue
-		}
-		prev := tl.Samples[0]
-		for _, s := range tl.Samples[1:] {
-			if s.Wall < prev.Wall {
-				t.Errorf("LP %d: wall time regressed", tl.LP)
-			}
-			if s.GVT.Before(prev.GVT) {
-				t.Errorf("LP %d: GVT regressed %s -> %s", tl.LP, prev.GVT, s.GVT)
-			}
-			if s.EventsCommitted < prev.EventsCommitted {
-				t.Errorf("LP %d: committed count regressed", tl.LP)
-			}
-			prev = s
-		}
-		final := tl.Samples[len(tl.Samples)-1]
-		if final.MeanCheckpointInterval < 1 {
-			t.Errorf("LP %d: mean checkpoint interval %f below 1", tl.LP, final.MeanCheckpointInterval)
-		}
-	}
-}
-
-// TestTimelineOffByDefault keeps the default path allocation-free.
-func TestTimelineOffByDefault(t *testing.T) {
-	res, err := core.Run(testModel(1), testConfig(300))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Timeline != nil {
-		t.Error("timeline recorded without being requested")
-	}
-}

@@ -34,8 +34,8 @@ type shared struct {
 	// window is the optimism window in force (0 = unbounded), the one home of
 	// the sixth facet's controlled item: newKernel seeds it from
 	// Config.Optimism.Window, only LP 0's GVT application writes it afterwards
-	// (runOptimism and applyTuner), and every LP's horizon() loads it once per
-	// executed event.
+	// (runOptimism, under the adaptive facet), and every LP's horizon() loads it
+	// once per executed event.
 	window atomic.Int64
 
 	// The pad rounds shared up to 64 bytes, so that its one allocation comes
@@ -107,13 +107,8 @@ type lpRun struct {
 	deferred      []*event.Event
 	deferredSpare []*event.Event
 
-	// numLPs and started support timeline sampling (see timeline.go).
-	numLPs   int
-	started  time.Time
-	timeline []Sample
-
-	// tunerGen is the last-applied external-adjustment generation.
-	tunerGen uint64
+	// numLPs is the run's LP count, across every rank.
+	numLPs int
 
 	// tr is this LP's trace recorder (nil when tracing is disabled; all
 	// recording methods are no-ops on nil). met and lastGVTWall drive the
@@ -474,7 +469,7 @@ func (lp *lpRun) finishGVT(g vtime.Time) {
 }
 
 // applyGVT fossil-collects the hosted objects whose history the new GVT can
-// shrink and, if enabled, records a timeline sample.
+// shrink, then runs what fires on the kernel's control period.
 func (lp *lpRun) applyGVT(g vtime.Time) {
 	if lp.au != nil {
 		lp.au.ApplyGVT(g)
@@ -493,10 +488,6 @@ func (lp *lpRun) applyGVT(g vtime.Time) {
 		if lp.bal != nil {
 			lp.runBalancer()
 		}
-	}
-	lp.applyTuner()
-	if lp.cfg.Timeline {
-		lp.recordSample(g)
 	}
 	if lp.obs != nil {
 		lp.obs.PublishGVT(int64(g))

@@ -3,6 +3,7 @@ package core
 import (
 	"time"
 
+	"gowarp/internal/cancel"
 	"gowarp/internal/telemetry"
 	"gowarp/internal/vtime"
 )
@@ -137,4 +138,29 @@ func (lp *lpRun) publishMetrics(g vtime.Time) {
 		m.optWindow.Set(0, float64(lp.k.window.Load()))
 		lp.d.publishMetrics(m)
 	}
+}
+
+// controlSnapshot summarizes the LP's on-line controller state: the mean
+// checkpoint interval and lazily-cancelling object count across hosted
+// objects, and the mean aggregation window across remote destinations.
+func (lp *lpRun) controlSnapshot() (meanChi float64, lazy int, meanWindow time.Duration) {
+	for _, o := range lp.objs {
+		meanChi += float64(o.ckpt.Interval())
+		if o.out.Selector().Current() == cancel.Lazy {
+			lazy++
+		}
+	}
+	if len(lp.objs) > 0 {
+		meanChi /= float64(len(lp.objs))
+	}
+	if lp.numLPs > 1 {
+		var sum time.Duration
+		for dst := 0; dst < lp.numLPs; dst++ {
+			if dst != lp.id {
+				sum += lp.ep.Window(dst)
+			}
+		}
+		meanWindow = sum / time.Duration(lp.numLPs-1)
+	}
+	return meanChi, lazy, meanWindow
 }

@@ -291,9 +291,9 @@ func (lp *lpRun) rebuildSched() {
 
 // bindObjectHooks points o's controller hooks at lp's recorder. The codec
 // switch hook always counts into lp's counters; trace hooks are cleared when
-// tracing is off, which leaves a static object's controllers without the part
-// that would hold them. Used at construction, at init (once the state queue
-// exists), and re-used when a migrated object is installed on a new LP.
+// tracing is off, and a static checkpointer or selector keeps none either way.
+// Used at construction, at init (once the state queue exists), and re-used
+// when a migrated object is installed on a new LP.
 func bindObjectHooks(lp *lpRun, o *simObject) {
 	sel := o.out.Selector()
 	tr := lp.tr

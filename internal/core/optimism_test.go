@@ -358,12 +358,11 @@ func TestAdaptiveOptimismRun(t *testing.T) {
 }
 
 // TestWindowSingleWriter asserts what shared.window's comment promises. An
-// adaptive run on 4 LPs and 2 workers, with another goroutine forcing windows
-// through the Tuner every millisecond, matches the sequential kernel; and
-// every move of the slot is a record in LP 0's trace — made where LP 0's GVT
-// application stores it — each starting at the window the one before it
-// ended at, from the configured window to the one the Result and the gauge
-// report. A store from anywhere else would break that chain.
+// adaptive run on 4 LPs and 2 workers matches the sequential kernel; and every
+// move of the slot is a record in LP 0's trace — made where LP 0's GVT
+// application stores it — each starting at the window the one before it ended
+// at, from the configured window to the one the Result and the gauge report.
+// A store from anywhere else would break that chain.
 func TestWindowSingleWriter(t *testing.T) {
 	m := phold.New(phold.Config{
 		Objects: 16, TokensPerObject: 3, MeanDelay: 10,
@@ -373,27 +372,10 @@ func TestWindowSingleWriter(t *testing.T) {
 	cfg.GVTPeriod = 200 * time.Microsecond
 	cfg.Workers = 2
 	cfg.Optimism = optTestConfig()
-	cfg.Tuner = NewTuner()
 	cfg.Tracer = telemetry.NewTracer(1 << 17)
 	cfg.Metrics = telemetry.NewRegistry()
 
-	stop, stopped := make(chan struct{}), make(chan struct{})
-	go func() {
-		defer close(stopped)
-		tick := time.NewTicker(time.Millisecond)
-		defer tick.Stop()
-		for i := 1; ; i++ {
-			select {
-			case <-stop:
-				return
-			case <-tick.C:
-				cfg.Tuner.SetOptimismWindow(vtime.Time(i%5) * 100) // every fifth forces unbounded
-			}
-		}
-	}()
 	res, err := Run(m, cfg)
-	close(stop)
-	<-stopped
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -433,7 +415,10 @@ func TestWindowSingleWriter(t *testing.T) {
 	if g := cfg.Metrics.Gauge("gowarp_optimism_window", "", false).Get(0); g != float64(w) {
 		t.Errorf("gowarp_optimism_window = %v, want %d", g, w)
 	}
-	t.Logf("%d moves, %d of them the controller's; %d trace events", moves, res.Stats.OptimismAdjustments, len(events))
+	if int64(moves) != res.Stats.OptimismAdjustments {
+		t.Errorf("the trace records %d moves, the controller counted %d", moves, res.Stats.OptimismAdjustments)
+	}
+	t.Logf("%d moves; %d trace events", moves, len(events))
 }
 
 // TestSharedOwnsItsCacheLine pins the layout shared's pad comment explains: a

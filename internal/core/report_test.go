@@ -52,7 +52,7 @@ func TestGatherReportsFlushesBacklog(t *testing.T) {
 		m.Objects = append(m.Objects, &pingObject{name: "idle"})
 	}
 	cfg := DefaultConfig(100)
-	d := newKernel(m, &cfg, trs[0].Peers(), trs[0], time.Now(), nil)
+	d := newKernel(m, &cfg, trs[0].Peers(), trs[0], nil)
 	d.wire = wires[0]
 	wires[0].SetSink(d.deliver)
 

@@ -73,7 +73,7 @@ func Run(m *model.Model, cfg Config) (*Result, error) {
 		cfg.Observe.BindMetrics(cfg.Metrics)
 	}
 
-	d := newKernel(m, &cfg, peers, tr, start, met)
+	d := newKernel(m, &cfg, peers, tr, met)
 	sh, locals := d.lps[0].k, d.lps
 	if tr != nil {
 		// A transport the workers can drive themselves delivers straight into
@@ -211,11 +211,6 @@ func Run(m *model.Model, cfg Config) (*Result, error) {
 		res.Stats.EventPoolAllocs += w.EventPoolAllocs
 		res.Stats.EventPoolReuses += w.EventPoolReuses
 	}
-	if cfg.Timeline {
-		for _, lp := range locals {
-			res.Timeline = append(res.Timeline, LPTimeline{LP: lp.id, Samples: lp.timeline})
-		}
-	}
 	for _, o := range sh.objs {
 		if o == nil {
 			continue
@@ -267,7 +262,7 @@ func Run(m *model.Model, cfg Config) (*Result, error) {
 // is nil and every LP is hosted here, through the dispatcher, straight into
 // the destination's spillbox. Zero cfg.Workers means defaultWorkers; more than one per hosted
 // LP would only idle.
-func newKernel(m *model.Model, cfg *Config, peers comm.Peers, net comm.Sender, start time.Time, met *runMetrics) *dispatcher {
+func newKernel(m *model.Model, cfg *Config, peers comm.Peers, net comm.Sender, met *runMetrics) *dispatcher {
 	numLPs, hosted := m.NumLPs(), peers.Local
 	workers := min(cfg.Workers, len(hosted))
 	if workers == 0 {
@@ -293,7 +288,6 @@ func newKernel(m *model.Model, cfg *Config, peers comm.Peers, net comm.Sender, s
 			k:        sh,
 			running:  true,
 			numLPs:   numLPs,
-			started:  start,
 			tr:       cfg.Tracer.LP(i),
 			met:      met,
 			obs:      cfg.Observe,

@@ -6,7 +6,6 @@ import (
 	"runtime"
 	"strings"
 	"testing"
-	"time"
 	"unsafe"
 
 	"gowarp/internal/audit"
@@ -233,7 +232,7 @@ func TestObjectIsOneAllocation(t *testing.T) {
 		m := ringModel(n, 2, 1)
 		var a, b, c runtime.MemStats
 		runtime.ReadMemStats(&a)
-		d := newKernel(m, &cfg, comm.Peers{Local: []int{0}}, nil, time.Now(), nil)
+		d := newKernel(m, &cfg, comm.Peers{Local: []int{0}}, nil, nil)
 		runtime.ReadMemStats(&b)
 		d.lps[0].initObjects()
 		runtime.ReadMemStats(&c)

@@ -609,18 +609,15 @@ func (c Config) withDefaults() Config {
 // periodic checkpointer is its interval and a counter, which is all that
 // OnEventProcessed reads of it. Everything else — the dynamic controller's
 // ticker, transfer function, clamps and Ec sums, the adjustment count and the
-// hook — is behind ctl, nil until the mode or a caller (ForceInterval, SetHook)
-// needs it.
+// hook — is behind ctl, nil unless the mode is Dynamic.
 type Checkpointer struct {
 	interval  int32
 	sinceSave int32
 	ctl       *controller
 }
 
-// controller is the part of a Checkpointer that no event reads under a
-// periodic interval.
+// controller is the part of a Checkpointer that only the Dynamic mode has.
 type controller struct {
-	dynamic  bool
 	min, max int
 	ticker   control.Ticker
 	transfer control.IncUnlessWorse
@@ -651,7 +648,6 @@ func (c *Checkpointer) init(cfg Config, ctl *controller) {
 		ctl = new(controller)
 	}
 	*ctl = controller{
-		dynamic:  true,
 		min:      cfg.MinInterval,
 		max:      cfg.MaxInterval,
 		ticker:   *control.NewTicker(cfg.Period),
@@ -660,21 +656,12 @@ func (c *Checkpointer) init(cfg Config, ctl *controller) {
 	c.ctl = ctl
 }
 
-// control returns c's controller part, making the one of a periodic
-// checkpointer on first use.
-func (c *Checkpointer) control() *controller {
-	if c.ctl == nil {
-		c.ctl = &controller{min: 1, max: int(c.interval)}
-	}
-	return c.ctl
-}
-
 // Interval returns the current checkpoint interval χ.
 func (c *Checkpointer) Interval() int { return int(c.interval) }
 
 // Mode returns the interval-management mode.
 func (c *Checkpointer) Mode() Mode {
-	if c.ctl != nil && c.ctl.dynamic {
+	if c.ctl != nil {
 		return Dynamic
 	}
 	return Periodic
@@ -690,11 +677,11 @@ func (c *Checkpointer) Adjustments() int64 {
 
 // SetHook installs fn (nil removes it) to observe every control decision of
 // the dynamic controller — the interval before and after (equal when saturated
-// at a clamp) and the cost index Ec observed over the period — plus external
-// ForceInterval adjustments (with Ec zero). Set it before the run.
+// at a clamp) and the cost index Ec observed over the period. A periodic
+// checkpointer makes no decision, so it keeps no hook. Set it before the run.
 func (c *Checkpointer) SetHook(fn func(oldChi, newChi int, ec time.Duration)) {
-	if fn != nil || c.ctl != nil {
-		c.control().hook = fn
+	if c.ctl != nil {
+		c.ctl.hook = fn
 	}
 }
 
@@ -703,7 +690,7 @@ func (c *Checkpointer) SetHook(fn func(oldChi, newChi int, ec time.Duration)) {
 // the control period and adjusts χ.
 func (c *Checkpointer) OnEventProcessed() (saveNow bool) {
 	c.sinceSave++
-	if ctl := c.ctl; ctl != nil && ctl.dynamic && ctl.ticker.Tick() {
+	if ctl := c.ctl; ctl != nil && ctl.ticker.Tick() {
 		ec := ctl.saveCost + ctl.coastCost
 		old := int(c.interval)
 		p := control.IntParam{Value: old, Min: ctl.min, Max: ctl.max, Step: 1}
@@ -732,22 +719,6 @@ func (c *Checkpointer) OnRestore(coasted int) {
 		// Avoid an immediate save storm after long coasts; save at the
 		// next processed event.
 		c.sinceSave = c.interval - 1
-	}
-}
-
-// ForceInterval sets the interval to chi immediately (external runtime
-// adjustment). In Dynamic mode the controller continues adapting from the
-// forced value; its clamps are widened to admit chi if necessary.
-func (c *Checkpointer) ForceInterval(chi int) {
-	chi = min(max(chi, 1), math.MaxInt32)
-	ctl := c.control()
-	ctl.min = min(ctl.min, chi)
-	ctl.max = max(ctl.max, chi)
-	old := int(c.interval)
-	c.interval = int32(chi)
-	ctl.adjustments++
-	if ctl.hook != nil {
-		ctl.hook(old, chi, 0)
 	}
 }
 

@@ -87,8 +87,8 @@ type RunRecord struct {
 	// FinalOptimismWindow is the optimism window in force when the run
 	// ended (0 = unbounded — always emitted, because the adaptive
 	// controller relaxing fully open is a result, not an absence). It equals
-	// the configured window unless the adaptive optimism facet or a tuner
-	// override moved it; wall-clock-dependent when adaptive, hence — like
+	// the configured window unless the adaptive optimism facet moved it;
+	// wall-clock-dependent when adaptive, hence — like
 	// FinalPartition — excluded from Deterministic.
 	FinalOptimismWindow vtime.Time `json:"final_optimism_window"`
 }

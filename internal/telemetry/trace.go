@@ -49,8 +49,8 @@ const (
 	// LVT vector across LPs at a wall-clock instant (recorded by the
 	// observation sampler into the tracer's system ring).
 	KindRoughness
-	// KindOptSwitch is one move of the optimism window, by the adaptive
-	// controller or a tuner override (recorded by LP 0, its one writer).
+	// KindOptSwitch is one move of the optimism window by the adaptive
+	// controller (recorded by LP 0, its one writer).
 	KindOptSwitch
 	// numKinds is the number of kinds; every value from it up is "unknown".
 	numKinds
@@ -336,9 +336,9 @@ func (t *LPTrace) BalanceStep(imbalancePermille int64, active bool, moves int64)
 }
 
 // OptSwitch records one move of the optimism window: the window before and
-// after (0 = unbounded) and, when the adaptive controller moved it, the
-// windowed wasted-work ratio in thousandths that drove the decision and the
-// LVT spread at the decision point (both 0 for a tuner override).
+// after (0 = unbounded), the windowed wasted-work ratio in thousandths that
+// drove the adaptive controller's decision and the LVT spread at the decision
+// point.
 func (t *LPTrace) OptSwitch(oldW, newW, wastedPermille, lvtWidth int64) {
 	if t == nil {
 		return

@@ -290,9 +290,6 @@ type TransportSpec struct {
 	Timeout time.Duration
 }
 
-// Distributed reports whether the spec names a multi-process transport.
-func (s TransportSpec) Distributed() bool { return s.Kind == "tcp" && len(s.Peers) > 1 }
-
 // ParseTransportSpec parses a transport spec:
 //
 //	inproc                     every LP a goroutine in this process (default)
@@ -361,31 +358,28 @@ func ParseTransportSpec(spec string) (TransportSpec, error) {
 	return s, nil
 }
 
-// NewTransport builds the transport the spec describes for a numLPs-process
-// model, carrying the run's cost model into the substrate.
+// NewTransport builds the TCP transport a tcp spec describes for a
+// numLPs-process model, carrying the run's cost model into the substrate. An
+// inproc spec has none to build: leave Config.Transport nil.
 func (s TransportSpec) NewTransport(numLPs int, cost CostModel) (Transport, error) {
-	switch s.Kind {
-	case "", "inproc":
-		return comm.NewInProc(numLPs, comm.WithCost(cost)), nil
-	case "tcp":
-		cfg := TCPTransportConfig{
-			Rank:        s.Rank,
-			Addrs:       s.Peers,
-			NumLPs:      numLPs,
-			Cost:        cost,
-			DialTimeout: s.Timeout,
-		}
-		if s.Listen != "" && s.Listen != s.Peers[s.Rank] {
-			ln, err := net.Listen("tcp", s.Listen)
-			if err != nil {
-				return nil, fmt.Errorf("transport listen %q: %w", s.Listen, err)
-			}
-			cfg.Listener = ln
-		}
-		return comm.NewTCP(cfg)
-	default:
-		return nil, fmt.Errorf("transport spec: unknown kind %q", s.Kind)
+	if s.Kind != "tcp" {
+		return nil, fmt.Errorf("transport spec: kind %q builds no transport", s.Kind)
 	}
+	cfg := TCPTransportConfig{
+		Rank:        s.Rank,
+		Addrs:       s.Peers,
+		NumLPs:      numLPs,
+		Cost:        cost,
+		DialTimeout: s.Timeout,
+	}
+	if s.Listen != "" && s.Listen != s.Peers[s.Rank] {
+		ln, err := net.Listen("tcp", s.Listen)
+		if err != nil {
+			return nil, fmt.Errorf("transport listen %q: %w", s.Listen, err)
+		}
+		cfg.Listener = ln
+	}
+	return comm.NewTCP(cfg)
 }
 
 func splitSpecParam(spec, p string) (key, val string, err error) {

@@ -177,11 +177,9 @@ func TestParseTransportSpec(t *testing.T) {
 			t.Errorf("ParseTransportSpec(%q) = %+v, want %+v", tc.spec, got, tc.want)
 		}
 	}
-	if s, _ := ParseTransportSpec("tcp,rank=0,peers=a:1;b:2"); !s.Distributed() {
-		t.Error("2-peer tcp spec not Distributed")
-	}
-	if s, _ := ParseTransportSpec("inproc"); s.Distributed() {
-		t.Error("inproc spec claims Distributed")
+	s, _ := ParseTransportSpec("inproc")
+	if tr, err := s.NewTransport(2, CostModel{}); err == nil {
+		t.Errorf("an inproc spec built a transport, %T", tr)
 	}
 }
 
@@ -258,7 +256,6 @@ func TestConfigBuilder(t *testing.T) {
 		WithGVTPeriod(time.Millisecond).
 		WithWorkers(2).
 		WithTracer(tr).
-		WithTimeline().
 		Build()
 
 	if cfg.EndTime != 100_000 {
@@ -282,8 +279,8 @@ func TestConfigBuilder(t *testing.T) {
 	if cfg.Optimism.Mode != OptimismAdaptive || cfg.Optimism.Window != 2000 {
 		t.Errorf("Optimism = %+v", cfg.Optimism)
 	}
-	if cfg.Tracer != tr || !cfg.Timeline {
-		t.Errorf("tracer/timeline not threaded")
+	if cfg.Tracer != tr {
+		t.Errorf("tracer not threaded")
 	}
 	if cfg.Workers != 2 {
 		t.Errorf("Workers = %d, want 2", cfg.Workers)

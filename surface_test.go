@@ -16,7 +16,7 @@ import (
 // change, where a reviewer sees it.
 func TestConfigSurface(t *testing.T) {
 	wantFields := map[string]int{
-		"core.Config":            18,
+		"core.Config":            16,
 		"statesave.Config":       6,
 		"cancel.Config":          7,
 		"comm.AggConfig":         8,
@@ -27,8 +27,8 @@ func TestConfigSurface(t *testing.T) {
 		"core.OptimismConfig":    10,
 	}
 	const (
-		wantLeaves  = 55 // independently settable values under Config
-		wantMethods = 23 // 22 With* options and Build
+		wantLeaves  = 53 // independently settable values under Config
+		wantMethods = 21 // 20 With* options and Build
 	)
 
 	fields := map[string]int{}
