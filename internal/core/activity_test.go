@@ -134,14 +134,14 @@ func (k *twin) migrate(lp *lpRun, i, to int, back bool) {
 		return
 	}
 	o := lp.objs[i%len(lp.objs)]
-	lp.migrateOut(o, to)
+	lp.migrateOutBatch([]*simObject{o}, to)
 	if !back {
 		return
 	}
 	dst := k.lps[to]
 	dst.drainInbox()
 	if dst.hosted(o.id) != nil && len(dst.objs) > 1 {
-		dst.migrateOut(o, lp.id)
+		dst.migrateOutBatch([]*simObject{o}, lp.id)
 		lp.drainInbox()
 	}
 }

@@ -246,7 +246,7 @@ func TestExecuteLoopZeroAllocAdaptiveOptimism(t *testing.T) {
 		Period: 1, HighWater: 0.3, LowWater: 0.1, Factor: 2, MinSample: 1,
 	}.withDefaults()
 	lp.k.window.Store(int64(optCfg.Window))
-	lp.opt = newOptController(optCfg)
+	lp.opt = newOptController(optCfg, lp.d.lps)
 
 	step := func() {
 		lp.drainDeferred()

@@ -92,9 +92,10 @@ type Config struct {
 	Metrics *telemetry.Registry
 
 	// Observe, when non-nil, is the observation sampler: LPs publish their
-	// local virtual times (after each event) and progress counters (at each
-	// GVT application) into its atomic slots, the rollback path feeds its
-	// depth histogram, and its goroutine samples the LVT vector on a
+	// local virtual times (after each event) into its atomic slots and add
+	// what each GVT application committed and rolled back to its run totals,
+	// the rollback path feeds its depth histogram, and its goroutine samples
+	// the LVT vector on a
 	// wall-clock period — recording roughness events into the tracer's
 	// system ring and live gauges into Metrics when those are also set.
 	// Nil disables observation at the cost of a pointer comparison per
@@ -129,8 +130,8 @@ type Config struct {
 	// bounded-time-window throttle of Palaniswamy & Wilsey, cited as prior
 	// adaptive work in the paper's introduction). The zero value is static
 	// and unbounded, Jefferson-style. Under OptimismAdaptive the window is a
-	// controlled item whose on-line controller consumes the observation
-	// sampler's wasted-work and LVT-roughness signals and tightens or relaxes
+	// controlled item whose on-line controller consumes the LPs' wasted work
+	// and the observation sampler's LVT roughness and tightens or relaxes
 	// it at run time (see OptimismConfig); when Observe is nil the kernel
 	// then creates a sampler itself — the controller cannot steer blind.
 	Optimism OptimismConfig
@@ -159,7 +160,8 @@ func (m BalanceMode) String() string {
 
 // BalanceConfig parameterizes the load-balancing controller as the paper's
 // control tuple: the sampled output O is the per-LP committed-event share
-// published to a load board at each GVT application, the configured item I is
+// since the controller's last decision, cut at one GVT for every LP, the
+// configured item I is
 // the object→LP assignment (the routing table), the initial setting S is the
 // model's static partition, the transfer function T migrates the best
 // boundary object from the most- to the least-loaded LP when the imbalance

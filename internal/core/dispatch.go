@@ -50,8 +50,8 @@ package core
 // the per-LP horizon() check in execStep, so a tightened window throttles
 // every worker identically.
 //
-// Re-mapping on line: each LP publishes its committed-event count at every GVT
-// application and, every remapEvery applications on the first hosted LP, the
+// Re-mapping on line: each LP records its progress at every GVT application
+// (progress.go) and, every remapEvery applications on the first hosted LP, the
 // dispatcher recomputes an LP→worker assignment by longest-processing-time
 // greedy packing. Ownership moves by a barrier-free release/adopt handoff: the
 // current owner notices the new epoch, pushes the LP onto the target worker's
@@ -68,6 +68,7 @@ import (
 	"time"
 
 	"gowarp/internal/comm"
+	"gowarp/internal/control"
 	"gowarp/internal/event"
 	"gowarp/internal/pq"
 	"gowarp/internal/stats"
@@ -93,26 +94,6 @@ const remapGain = 1.25
 // workers then reads a few per cent above the mean, well inside remapGain. A
 // window with fewer — a short GVT period, a slow host — grows until it does.
 const remapMinSample = 512
-
-// loadSample is what an LP had committed as of its application of GVT at —
-// a property of the model and the GVT value, not of when the LP's worker ran.
-type loadSample struct {
-	at        vtime.Time
-	committed int64
-}
-
-// committedAt returns what lp had committed as of GVT g, if g is one of the
-// last two it applied.
-func (lp *lpRun) committedAt(g vtime.Time) (int64, bool) {
-	lp.loadMu.Lock()
-	defer lp.loadMu.Unlock()
-	for _, s := range lp.loads {
-		if s.at == g {
-			return s.committed, true
-		}
-	}
-	return 0, false
-}
 
 // spillbox is one LP's mailbox: an unbounded mutex-guarded packet queue. A
 // bounded channel here would deadlock — a worker blocked sending to a full
@@ -143,7 +124,7 @@ func (b *spillbox) take() []comm.Packet {
 }
 
 // dispatcher owns the worker fleet and delivers to the hosted LPs. The
-// LP→worker maps live on the LPs themselves (lpRun.worker, target, load).
+// LP→worker maps live on the LPs themselves (lpRun.worker, target).
 type dispatcher struct {
 	cost    comm.CostModel
 	lps     []*lpRun // the LPs this process hosts
@@ -160,11 +141,12 @@ type dispatcher struct {
 	// releases the LPs whose target moved away.
 	epoch  atomic.Uint64
 	remaps atomic.Int64
-	// remapTick counts GVT applications towards the next scan and scanned
-	// holds each LP's committed count at the last one that decided; both belong
-	// to the first hosted LP's applyGVT, serialized by that LP's ownership.
-	remapTick int
-	scanned   []int64
+	// tick fires a remap scan every remapEvery GVT applications and win is
+	// what the scan reads; both belong to the first hosted LP's applyGVT,
+	// serialized by that LP's ownership, and are nil while there are no more
+	// LPs than workers.
+	tick *control.Ticker
+	win  *progressWindow
 }
 
 // defaultWorkers is the width Config.Workers == 0 stands for, min(hosted LPs,
@@ -208,7 +190,6 @@ func (d *dispatcher) attach(lp *lpRun, h, n int) {
 	lp.target.Store(int32(w.id))
 	w.owned = append(w.owned, lp)
 	d.lps = append(d.lps, lp)
-	d.scanned = append(d.scanned, 0)
 	d.byID[lp.id] = lp
 	d.live.Add(1)
 }
@@ -311,47 +292,28 @@ func (d *dispatcher) handoff(lp *lpRun, to int) {
 // more than remapGain off the busiest worker, publishes the packing and wakes
 // every worker to apply it. With a worker per LP there is nothing to pack.
 //
-// Every LP's count is cut at the same GVT, the one before the GVT being
-// applied. Counts read as of whatever each LP applied last differ by a whole
-// GVT step between the LPs of a worker that has been running and those of one
-// that has not, and a step that follows a stall is several times the mean:
-// uniform load then reads as skewed by worker. A scan that finds an LP
-// without a sample at the cut (its worker has not run it since that GVT was
-// broadcast), or too few commits in its window to compare, decides nothing
-// and keeps its window open for the next application to extend.
+// The loads are the scan's progressWindow, cut at one GVT for every LP. A
+// scan that cannot read it, or finds too few commits in it to compare,
+// decides nothing and leaves the window open for the next scan to extend.
 func (d *dispatcher) maybeRemap() {
-	if len(d.workers) >= len(d.lps) {
+	if d.win == nil || !d.tick.Tick() {
 		return
 	}
-	d.remapTick++
-	if d.remapTick < remapEvery {
+	win, total, ok := d.win.observe(d.lps[0].loads[0].at)
+	if !ok || total.committed < remapMinSample*int64(len(d.workers)) {
 		return
 	}
-	cut := d.lps[0].loads[0].at // this LP's own: no other goroutine writes it
-	loads := make([]int64, len(d.lps))
+	d.win.decide()
 	order := make([]int, len(d.lps))
 	current := make([]int64, len(d.workers)) // load by present owner
-	var busiest, total int64
+	var busiest int64
 	for i, lp := range d.lps {
-		committed, ok := lp.committedAt(cut)
-		if !ok {
-			return
-		}
-		loads[i] = committed - d.scanned[i]
 		order[i] = i
 		w := lp.worker.Load()
-		current[w] += loads[i]
+		current[w] += win[i].committed
 		busiest = max(busiest, current[w])
-		total += loads[i]
 	}
-	if total < remapMinSample*int64(len(d.workers)) {
-		return
-	}
-	d.remapTick = 0
-	for i := range loads {
-		d.scanned[i] += loads[i]
-	}
-	sort.SliceStable(order, func(a, b int) bool { return loads[order[a]] > loads[order[b]] })
+	sort.SliceStable(order, func(a, b int) bool { return win[order[a]].committed > win[order[b]].committed })
 
 	type bin struct {
 		load  int64
@@ -370,7 +332,7 @@ func (d *dispatcher) maybeRemap() {
 				best = b
 			}
 		}
-		bins[best].load += loads[i]
+		bins[best].load += win[i].committed
 		bins[best].count++
 		held[best*nw+int(d.lps[i].worker.Load())]++
 		plan[i] = best

@@ -24,12 +24,14 @@ import (
 // included (16.2 and 1,511 when every object was its own allocation with three
 // one-element queues beside it; 9.8 while both names went through fmt.Sprintf),
 // at the size of phold-pool and at sixteen times it: 7.8 measured, 8.1 now and
-// then at the smaller size. Four are the model's — the object, its state and
-// the name it formats for Validate and again for the result
-// (model.IndexedName) — three are what every object must hold at start-up (the
-// first snapshot's clone, its first event and that event's payload), and the
-// kernel's own are per LP. The numbers are logged. And
-// an object that has executed a dozen events and been fossil-collected executes
+// then at the smaller size. The larger size is held to the same numbers under
+// dynamic balance, which records nothing sized to the model per LP (8.0 to 8.9
+// and 3,243 to 3,506 while every LP kept a whole-model execution table). Four
+// are the model's — the object, its state and the name it formats for Validate
+// and again for the result (model.IndexedName) — three are what every object
+// must hold at start-up (the first snapshot's clone, its first event and that
+// event's payload), and the kernel's own are per LP. The numbers are logged.
+// And an object that has executed a dozen events and been fossil-collected executes
 // the next dozen without allocating: its queues kept the arrays they grew into,
 // its events and states came back from the pool and the vacated snapshot slots.
 func TestObjectFootprint(t *testing.T) {
@@ -43,7 +45,10 @@ func TestObjectFootprint(t *testing.T) {
 		t.Errorf("unsafe.Sizeof(simObject{}) = %d, want <= 384:%s", size, table.String())
 	}
 
-	for _, size := range []struct{ objects, lps int }{{4096, 16}, {65536, 256}} {
+	for _, size := range []struct {
+		objects, lps int
+		balance      BalanceMode
+	}{{4096, 16, BalanceStatic}, {65536, 256, BalanceStatic}, {65536, 256, BalanceDynamic}} {
 		var before, after runtime.MemStats
 		runtime.GC()
 		runtime.ReadMemStats(&before)
@@ -55,6 +60,7 @@ func TestObjectFootprint(t *testing.T) {
 		cfg.Workers = 2
 		cfg.Optimism = OptimismConfig{Mode: OptimismStatic, Window: 100}
 		cfg.Checkpoint = statesave.Config{Mode: statesave.Periodic, Interval: 4}
+		cfg.Balance = BalanceConfig{Mode: size.balance}
 		res, err := Run(m, cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -62,11 +68,11 @@ func TestObjectFootprint(t *testing.T) {
 		runtime.ReadMemStats(&after)
 		mallocs := float64(after.Mallocs-before.Mallocs) / float64(size.objects)
 		bytes := float64(after.TotalAlloc-before.TotalAlloc) / float64(size.objects)
-		t.Logf("null run, %d objects on %d LPs: %.2f mallocs and %.0f bytes per object (%d events committed)",
-			size.objects, size.lps, mallocs, bytes, res.Stats.EventsCommitted)
+		t.Logf("null run, %d objects on %d LPs, %s balance: %.2f mallocs and %.0f bytes per object (%d events committed)",
+			size.objects, size.lps, size.balance, mallocs, bytes, res.Stats.EventsCommitted)
 		if mallocs > 8.5 || bytes > 1100 {
-			t.Errorf("null run at %d objects / %d LPs: %.2f mallocs and %.0f bytes per object, want <= 8.5 and <= 1100",
-				size.objects, size.lps, mallocs, bytes)
+			t.Errorf("null run at %d objects / %d LPs, %s balance: %.2f mallocs and %.0f bytes per object, want <= 8.5 and <= 1100",
+				size.objects, size.lps, size.balance, mallocs, bytes)
 		}
 	}
 

@@ -27,8 +27,8 @@ import (
 type shared struct {
 	rt   *route.Table // ObjectID -> hosting LP, migration-aware
 	objs []*simObject // ObjectID -> runtime
-	// board is the load balancer's observation channel; nil unless
-	// Config.Balance is dynamic.
+	// board collects the object-pair message counts the load balancer reads;
+	// nil unless Config.Balance is dynamic.
 	board *stats.LoadBoard
 
 	// window is the optimism window in force (0 = unbounded), the one home of
@@ -67,11 +67,10 @@ type lpRun struct {
 	// LP→worker map entry, updated at handoff; senders consult it to wake the
 	// right worker (a stale read wakes the previous owner, which is harmless —
 	// the packet sits in the spillbox either way). target is what the last
-	// remap decided, and loads is what the LP had committed as of each of its
-	// last two GVT applications, newest first, which the remap scan reads under
-	// loadMu — two, so that a scan cutting at the GVT before the one being
-	// applied still finds its sample on a peer that is one application ahead.
-	// These and spill are all of an LP that other goroutines touch.
+	// remap decided, and loads is the LP's progress record as of each of its
+	// last two GVT applications, newest first, which the controllers'
+	// progressWindows read under loadMu. These and spill are all of an LP that
+	// other goroutines touch.
 	d      *dispatcher
 	worker atomic.Int32
 	target atomic.Int32
@@ -118,7 +117,7 @@ type lpRun struct {
 	lastGVTWall time.Time
 
 	// obs is the observation sampler (nil when observation is off): the LP
-	// publishes its LVT after each execution and its progress counters at
+	// publishes its LVT after each execution and adds to its run totals at
 	// each GVT application, and the rollback path feeds its histogram.
 	obs *observe.Sampler
 
@@ -144,11 +143,13 @@ type lpRun struct {
 	// deleted if the object ever migrates back here. See hosted.
 	outbound map[event.ObjectID]int
 
-	// ld accumulates this LP's load observations between GVT applications;
-	// bal is the balancing controller (LP 0 only). Both are nil unless
-	// Config.Balance is dynamic, so static runs pay one pointer comparison.
-	ld  *loadRecorder
-	bal *balancer
+	// edges counts the messages this LP sent to objects of other LPs, per
+	// object pair (stats.EdgeKey), since its last GVT application, which
+	// moves them to the board; bal is the balancing controller (LP 0 only).
+	// Both are nil unless Config.Balance is dynamic, so static runs pay one
+	// pointer comparison.
+	edges map[uint64]int64
+	bal   *balancer
 
 	// opt is the adaptive optimism controller (LP 0 only; nil unless
 	// Config.Optimism selects the adaptive mode).
@@ -176,10 +177,13 @@ func (lp *lpRun) refresh(o *simObject) {
 	lp.sched.UpdateKey(int(o.slot), vtime.PosInf, 0, int32(o.id))
 }
 
-// noteEdge feeds the load recorder's communication-affinity matrix.
+// noteEdge counts ev, sent to another LP, into the balancer's
+// communication-affinity matrix. Messages between two objects of one LP are
+// not counted: the balancer's transfer function weighs a candidate by its
+// traffic to the destination LP, so only cross-LP pairs are ever read.
 func (lp *lpRun) noteEdge(ev *event.Event) {
-	if lp.ld != nil && ev.Sender != ev.Receiver {
-		lp.ld.edges[stats.EdgeKey(int32(ev.Sender), int32(ev.Receiver))]++
+	if lp.edges != nil {
+		lp.edges[stats.EdgeKey(int32(ev.Sender), int32(ev.Receiver))]++
 	}
 }
 
@@ -211,7 +215,6 @@ func (lp *lpRun) hosted(id event.ObjectID) *simObject {
 // the aggregation buffer immediately. An object this LP is about to migrate
 // still receives intra-LP sends until the capsule is packed.
 func (lp *lpRun) routeRecorded(ev *event.Event, urgent bool) {
-	lp.noteEdge(ev)
 	if lp.hosted(ev.Receiver) != nil {
 		if lp.au != nil {
 			lp.au.Route(ev, false)
@@ -223,6 +226,7 @@ func (lp *lpRun) routeRecorded(ev *event.Event, urgent bool) {
 	if lp.au != nil {
 		lp.au.Route(ev, true)
 	}
+	lp.noteEdge(ev)
 	lp.ep.Send(ev, lp.owner(ev.Receiver), urgent)
 }
 
@@ -231,7 +235,6 @@ func (lp *lpRun) routeRecorded(ev *event.Event, urgent bool) {
 // ownership of the pointer itself; a remote send transfers ownership to the
 // wire bytes, so the struct is recycled as soon as it is encoded.
 func (lp *lpRun) routeOwned(ev *event.Event, urgent bool) {
-	lp.noteEdge(ev)
 	if lp.hosted(ev.Receiver) != nil {
 		if lp.au != nil {
 			lp.au.Route(ev, false)
@@ -243,6 +246,7 @@ func (lp *lpRun) routeOwned(ev *event.Event, urgent bool) {
 	if lp.au != nil {
 		lp.au.Route(ev, true)
 	}
+	lp.noteEdge(ev)
 	lp.ep.Send(ev, lp.owner(ev.Receiver), urgent)
 	lp.pool.Put(ev)
 }
@@ -469,7 +473,8 @@ func (lp *lpRun) finishGVT(g vtime.Time) {
 }
 
 // applyGVT fossil-collects the hosted objects whose history the new GVT can
-// shrink, then runs what fires on the kernel's control period.
+// shrink, runs what fires on the kernel's control period, and records the
+// LP's progress as of g.
 func (lp *lpRun) applyGVT(g vtime.Time) {
 	if lp.au != nil {
 		lp.au.ApplyGVT(g)
@@ -483,29 +488,25 @@ func (lp *lpRun) applyGVT(g vtime.Time) {
 		o.inHist = o.fossilFloor != vtime.PosInf
 		return o.inHist
 	})
-	if lp.ld != nil {
-		lp.publishLoad()
-		if lp.bal != nil {
-			lp.runBalancer()
-		}
+	if lp.edges != nil {
+		lp.k.board.Publish(lp.edges)
+		clear(lp.edges)
 	}
 	if lp.obs != nil {
 		lp.obs.PublishGVT(int64(g))
-		lp.obs.PublishProgress(lp.id, lp.st.EventsCommitted, lp.st.EventsRolledBack)
+	}
+	// The controllers run before this LP records g: their windows cut at the
+	// GVT before g, which every peer has had a period to apply.
+	if lp.bal != nil {
+		lp.runBalancer()
 	}
 	if lp.opt != nil {
-		// After the progress publish above, so the controller's window
-		// includes this LP's own latest counters.
 		lp.runOptimism()
 	}
 	if lp == lp.d.lps[0] {
-		// Before this LP publishes its own count: the scan cuts at the GVT
-		// before g, which every peer has had a period to apply.
 		lp.d.maybeRemap()
 	}
-	lp.loadMu.Lock()
-	lp.loads[0], lp.loads[1] = loadSample{at: g, committed: lp.st.EventsCommitted}, lp.loads[0]
-	lp.loadMu.Unlock()
+	lp.recordProgress(g)
 	if lp.met != nil {
 		lp.publishMetrics(g)
 	}

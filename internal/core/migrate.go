@@ -100,11 +100,6 @@ func (lp *lpRun) onMigrateReq(p comm.Packet) {
 	}
 }
 
-// migrateOut packs a single object and ships it to LP to.
-func (lp *lpRun) migrateOut(o *simObject, to int) {
-	lp.migrateOutBatch([]*simObject{o}, to)
-}
-
 // migrateOutBatch packs every object in batch into one capsule and ships it
 // to LP to. Called only from safe points (packet handling, the balancer at
 // GVT application), never while an object is executing.

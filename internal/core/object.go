@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"sync/atomic"
 	"time"
 
 	"gowarp/internal/audit"
@@ -89,6 +90,10 @@ type simObject struct {
 	coasting bool
 
 	rollbacks int64
+	// execs counts executions under dynamic balance until the balancer takes
+	// them (swaps the count to zero) from LP 0's worker; it moves with the
+	// object.
+	execs atomic.Int64
 
 	// au is this object's invariant-audit recorder (nil when auditing is
 	// disabled).
@@ -411,8 +416,8 @@ func (o *simObject) executeNext() {
 	// by a GVT above ev's receive time.
 	o.noteHistory(ev.RecvTime)
 	lp.st.EventsProcessed++
-	if lp.ld != nil {
-		lp.ld.exec[o.id]++
+	if lp.edges != nil {
+		o.execs.Add(1)
 	}
 
 	o.out.AfterExecute(ev)

@@ -14,9 +14,9 @@ const (
 	// for the whole run.
 	OptimismStatic OptimismMode = iota
 	// OptimismAdaptive turns the window into the sixth on-line controlled
-	// facet: a controller on LP 0 consumes the observation sampler's
-	// wasted-work and LVT-roughness signals at GVT applications and
-	// tightens or relaxes the window multiplicatively.
+	// facet: a controller on LP 0 consumes the LPs' wasted work and the
+	// observation sampler's LVT roughness at GVT applications and tightens
+	// or relaxes the window multiplicatively.
 	OptimismAdaptive
 )
 
@@ -30,13 +30,14 @@ func (m OptimismMode) String() string {
 
 // OptimismConfig parameterizes optimism control as the paper's control
 // tuple: the sampled output O is the windowed wasted-work ratio
-// (rolled-back / committed events between controller firings) plus the LVT
-// spread from the observation sampler, the configured item I is the
-// optimism window itself (the Palaniswamy & Wilsey bounded time window), the
-// initial setting S is Window, the transfer function T is a dead-zone MIMD
-// step (see control.MIMD) extended with an unbounded sentinel — relaxing
-// past Max opens optimism fully, and waste while unbounded re-enters the
-// bounded range at Max — and the period P is a multiple of the GVT period.
+// (rolled-back / committed events since the controller's last decision, cut
+// at one GVT for every LP) plus the LVT spread from the observation sampler,
+// the configured item I is the optimism window itself (the Palaniswamy &
+// Wilsey bounded time window), the initial setting S is Window, the transfer
+// function T is a dead-zone MIMD step (see control.MIMD) extended with an
+// unbounded sentinel — relaxing past Max opens optimism fully, and waste
+// while unbounded re-enters the bounded range at Max — and the period P is a
+// multiple of the GVT period.
 type OptimismConfig struct {
 	// Mode selects the static window or the adaptive controller.
 	Mode OptimismMode
@@ -153,74 +154,70 @@ func adaptWindow(cfg OptimismConfig, w vtime.Time, cost float64) vtime.Time {
 
 // optController is the adaptive optimism facet's controller, owned by LP 0
 // and fired at GVT applications (mirroring the load balancer's placement).
-// It keeps the previous progress snapshot so each firing evaluates the
-// waste of the window just ended, not the whole run.
+// Each firing evaluates the waste over its progressWindow, what the LPs
+// committed and rolled back since its last decision, not the whole run.
 type optController struct {
 	cfg  OptimismConfig
 	tick *control.Ticker
-
-	// primed flips after the first snapshot; the first firing only
-	// baselines the counters.
-	primed                    bool
-	lastCommitted, lastRolled int64
+	win  *progressWindow
 
 	// roughLimit is the precomputed LVT-spread threshold for the
 	// preemptive tighten while unbounded.
 	roughLimit int64
 }
 
-func newOptController(cfg OptimismConfig) *optController {
+func newOptController(cfg OptimismConfig, lps []*lpRun) *optController {
 	return &optController{
 		cfg:        cfg,
 		tick:       control.NewTicker(cfg.Period),
+		win:        newProgressWindow(lps),
 		roughLimit: int64(cfg.RoughFactor * float64(cfg.Max)),
 	}
 }
 
-// step consumes one controller opportunity given the sampler's cumulative
-// progress counters, the current LVT spread, and the window in force. It
-// returns the window to run with next, the cost that drove the decision,
-// and whether the window moved. Deterministic in its inputs: two
-// controllers fed the same observation sequence produce the same switch
-// sequence.
-func (c *optController) step(committed, rolled, width int64, widthKnown bool, w vtime.Time) (next vtime.Time, cost float64, moved bool) {
-	if !c.tick.Tick() {
+// step decides on one window given the events committed and rolled back
+// over it, the current LVT spread, and the window in force. It returns the
+// window to run with next, the cost that drove the decision, and whether it
+// decided: a window with fewer than MinSample commits is too thin, and the
+// caller extends it. Deterministic in its inputs: two controllers fed the same
+// observation sequence produce the same switch sequence.
+func (c *optController) step(committed, rolled, width int64, widthKnown bool, w vtime.Time) (next vtime.Time, cost float64, decided bool) {
+	if committed < c.cfg.MinSample {
 		return w, 0, false
 	}
-	if !c.primed {
-		c.primed = true
-		c.lastCommitted, c.lastRolled = committed, rolled
-		return w, 0, false
-	}
-	dc := committed - c.lastCommitted
-	dr := rolled - c.lastRolled
-	if dc < c.cfg.MinSample {
-		return w, 0, false // thin window: extend it rather than decide on noise
-	}
-	c.lastCommitted, c.lastRolled = committed, rolled
-	cost = float64(dr) / float64(dc)
+	cost = float64(rolled) / float64(committed)
 	if w <= 0 && widthKnown && width > c.roughLimit && cost <= c.cfg.HighWater {
 		// Roughness precedes waste: an unbounded run whose LVT surface has
 		// spread past the rough limit is headed for a storm even if the
 		// rollbacks have not landed yet. Force a tighten signal.
 		cost = c.cfg.HighWater + 1
 	}
-	next = adaptWindow(c.cfg, w, cost)
-	return next, cost, next != w
+	return adaptWindow(c.cfg, w, cost), cost, true
 }
 
 // runOptimism fires the adaptive optimism controller (LP 0 only, from
-// applyGVT). A moved window is published through the shared slot every LP's
-// horizon() reads; a relaxed window additionally broadcasts a wake packet,
-// because peers blocked at the old horizon are sleeping in idle() and would
-// otherwise only notice the wider window at their next idle tick or GVT
-// broadcast.
+// applyGVT) every Period applications. A moved window is published through
+// the shared slot every LP's horizon() reads; a relaxed window additionally
+// broadcasts a wake packet, because peers blocked at the old horizon are
+// sleeping in idle() and would otherwise only notice the wider window at their
+// next idle tick or GVT broadcast.
 func (lp *lpRun) runOptimism() {
-	committed, rolled := lp.obs.ProgressTotals()
+	c := lp.opt
+	if !c.tick.Tick() {
+		return
+	}
+	_, total, ok := c.win.observe(lp.loads[0].at)
+	if !ok {
+		return
+	}
 	width, widthKnown := lp.obs.LVTSpread()
 	w := vtime.Time(lp.k.window.Load())
-	next, cost, moved := lp.opt.step(committed, rolled, width, widthKnown, w)
-	if !moved {
+	next, cost, decided := c.step(total.committed, total.rolledBack, width, widthKnown, w)
+	if !decided {
+		return
+	}
+	c.win.decide()
+	if next == w {
 		return
 	}
 	lp.k.window.Store(int64(next))

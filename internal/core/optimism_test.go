@@ -164,72 +164,70 @@ func TestAdaptWindowProperties(t *testing.T) {
 }
 
 // TestOptControllerHandTrace walks one controller through a scripted
-// observation sequence and pins the full window trajectory: prime, tighten
-// under waste, extend thin windows without consuming the snapshot, relax
-// when smooth, hold in the dead zone, open to unbounded past Max, and
+// observation sequence and pins the full window trajectory: tighten under
+// waste, leave a thin window undecided so the next decision covers it too,
+// relax when smooth, hold in the dead zone, open to unbounded past Max, and
 // re-enter at Max on the roughness trigger.
 func TestOptControllerHandTrace(t *testing.T) {
 	cfg := optTestConfig() // roughLimit = 4 * 4000 = 16000
-	c := newOptController(cfg)
+	c := newOptController(cfg, nil)
 	w := cfg.Window
 
-	var committed, rolled int64
+	var committed, rolled int64 // the window: what happened since the last decision
 	for i, st := range []struct {
-		name   string
-		dc, dr int64
-		width  int64
-		want   vtime.Time
+		name    string
+		dc, dr  int64
+		width   int64
+		want    vtime.Time
+		decided bool
 	}{
-		{"first firing primes the snapshot", 100, 0, 0, 500},
-		{"waste tightens", 100, 50, 0, 250},
-		{"thin window extends", 5, 0, 0, 250},
-		{"accumulated sample relaxes", 95, 2, 0, 500},
-		{"dead zone holds", 100, 20, 0, 500},
-		{"smooth relaxes", 100, 0, 0, 1000},
-		{"smooth relaxes again", 100, 0, 0, 2000},
-		{"smooth reaches Max", 100, 0, 0, 4000},
-		{"smooth at Max opens fully", 100, 0, 0, 0},
-		{"unbounded holds while flat", 100, 0, 100, 0},
-		{"roughness re-enters at Max", 100, 0, 20000, 4000},
-		{"waste keeps tightening", 100, 90, 0, 2000},
+		{"waste tightens", 100, 50, 0, 250, true},
+		{"thin window extends", 5, 0, 0, 250, false},
+		{"the extended window relaxes", 95, 2, 0, 500, true},
+		{"dead zone holds", 100, 20, 0, 500, true},
+		{"smooth relaxes", 100, 0, 0, 1000, true},
+		{"smooth relaxes again", 100, 0, 0, 2000, true},
+		{"smooth reaches Max", 100, 0, 0, 4000, true},
+		{"smooth at Max opens fully", 100, 0, 0, 0, true},
+		{"unbounded holds while flat", 100, 0, 100, 0, true},
+		{"roughness re-enters at Max", 100, 0, 20000, 4000, true},
+		{"waste keeps tightening", 100, 90, 0, 2000, true},
 	} {
 		committed += st.dc
 		rolled += st.dr
-		next, _, moved := c.step(committed, rolled, st.width, st.width > 0, w)
-		if next != st.want {
-			t.Fatalf("step %d (%s): window = %d, want %d", i, st.name, next, st.want)
+		next, _, decided := c.step(committed, rolled, st.width, st.width > 0, w)
+		if next != st.want || decided != st.decided {
+			t.Fatalf("step %d (%s): window = %d, decided %v; want %d, %v", i, st.name, next, decided, st.want, st.decided)
 		}
-		if moved != (next != w) {
-			t.Fatalf("step %d (%s): moved = %v with window %d -> %d", i, st.name, moved, w, next)
+		if decided {
+			committed, rolled = 0, 0
 		}
 		w = next
 	}
 }
 
 // TestOptControllerPeriod pins the P component: with Period 3 the controller
-// only looks at the counters on every third GVT application.
+// only reads its window on every third GVT application, and each reading
+// covers the three applications since the last.
 func TestOptControllerPeriod(t *testing.T) {
 	cfg := optTestConfig()
 	cfg.Period = 3
-	c := newOptController(cfg)
-	w := cfg.Window
+	lp := &lpRun{k: &shared{}, loads: [2]loadSample{{at: vtime.NegInf}, {at: vtime.NegInf}}}
+	lp.k.window.Store(int64(cfg.Window))
+	lp.opt = newOptController(cfg, []*lpRun{lp})
 
-	committed := int64(0)
-	fired := 0
 	for i := 0; i < 12; i++ {
-		committed += 100 // plenty of waste-free sample: would relax if fired
-		next, _, moved := c.step(committed, 0, 0, false, w)
-		if moved {
-			fired++
-			w = next
-		}
+		lp.runOptimism()
+		lp.st.EventsCommitted += 100 // plenty of waste-free sample: relaxes when fired
+		lp.recordProgress(vtime.Time(i))
 	}
-	// 12 opportunities / period 3 = 4 firings; the first primes, so 3 moves.
-	if fired != 3 {
-		t.Errorf("Period=3 controller moved %d times over 12 opportunities, want 3", fired)
+	// 12 opportunities / period 3 = 4 firings, each relaxing one notch: 1000,
+	// 2000, 4000 (Max), then unbounded.
+	if n := lp.st.OptimismAdjustments; n != 4 {
+		t.Errorf("Period=3 controller moved %d times over 12 opportunities, want 4", n)
 	}
-	if w != 4000 {
-		t.Errorf("window after 3 relaxes = %d, want 4000", w)
+	if w := lp.k.window.Load(); w != 0 {
+		t.Errorf("window after 4 relaxes = %d, want 0 (unbounded)", w)
 	}
 }
 
@@ -240,7 +238,7 @@ func TestOptControllerPeriod(t *testing.T) {
 // sequence.
 func TestOptControllerSwitchDeterminism(t *testing.T) {
 	cfg := optTestConfig()
-	a, b := newOptController(cfg), newOptController(cfg)
+	a, b := newOptController(cfg, nil), newOptController(cfg, nil)
 	wa, wb := cfg.Window, cfg.Window
 
 	rng := rand.New(rand.NewSource(11))
@@ -249,11 +247,14 @@ func TestOptControllerSwitchDeterminism(t *testing.T) {
 		committed += rng.Int63n(40)
 		rolled += rng.Int63n(20)
 		width := rng.Int63n(30000)
-		na, costA, movedA := a.step(committed, rolled, width, true, wa)
-		nb, costB, movedB := b.step(committed, rolled, width, true, wb)
-		if na != nb || costA != costB || movedA != movedB {
+		na, costA, decidedA := a.step(committed, rolled, width, true, wa)
+		nb, costB, decidedB := b.step(committed, rolled, width, true, wb)
+		if na != nb || costA != costB || decidedA != decidedB {
 			t.Fatalf("step %d diverged: (%d, %.3f, %v) vs (%d, %.3f, %v)",
-				i, na, costA, movedA, nb, costB, movedB)
+				i, na, costA, decidedA, nb, costB, decidedB)
+		}
+		if decidedA {
+			committed, rolled = 0, 0
 		}
 		wa, wb = na, nb
 	}

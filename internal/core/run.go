@@ -8,6 +8,7 @@ import (
 	"gowarp/internal/cancel"
 	"gowarp/internal/codec"
 	"gowarp/internal/comm"
+	"gowarp/internal/control"
 	"gowarp/internal/event"
 	"gowarp/internal/gvt"
 	"gowarp/internal/model"
@@ -34,8 +35,8 @@ func Run(m *model.Model, cfg Config) (*Result, error) {
 	cfg.Codec = cfg.Codec.WithDefaults()
 	cfg.Optimism = cfg.Optimism.withDefaults()
 	if cfg.Optimism.Adaptive() && cfg.Observe == nil {
-		// The controller steers by the sampler's wasted-work and LVT
-		// signals; create one when the caller didn't.
+		// The controller steers by the sampler's LVT spread; create one
+		// when the caller didn't.
 		cfg.Observe = observe.NewSampler(0)
 	}
 
@@ -277,7 +278,7 @@ func newKernel(m *model.Model, cfg *Config, peers comm.Peers, net comm.Sender, m
 		objs: make([]*simObject, len(m.Objects)),
 	}
 	if cfg.Balance.Dynamic() {
-		sh.board = stats.NewLoadBoard(len(m.Objects), numLPs)
+		sh.board = &stats.LoadBoard{}
 	}
 	sh.window.Store(int64(cfg.Optimism.Window))
 
@@ -293,17 +294,12 @@ func newKernel(m *model.Model, cfg *Config, peers comm.Peers, net comm.Sender, m
 			obs:      cfg.Observe,
 			au:       cfg.Audit.LP(i),
 			outbound: make(map[event.ObjectID]int),
+			loads:    [2]loadSample{{at: vtime.NegInf}, {at: vtime.NegInf}},
 		}
 		lp.host = cancel.Host{Emit: lp.emitAnti, Stats: &lp.st}
 		lp.codecSwitched = func(bool, float64) { lp.st.CodecSwitches++ }
 		if cfg.Balance.Dynamic() {
-			lp.ld = newLoadRecorder(len(m.Objects))
-			if i == 0 {
-				lp.bal = newBalancer(cfg.Balance)
-			}
-		}
-		if cfg.Optimism.Adaptive() && i == 0 {
-			lp.opt = newOptController(cfg.Optimism)
+			lp.edges = make(map[uint64]int64)
 		}
 		lp.ep = comm.NewSendEndpoint(net, numLPs, i, cfg.Aggregation, &lp.st)
 		d.attach(lp, h, len(hosted))
@@ -326,6 +322,19 @@ func newKernel(m *model.Model, cfg *Config, peers comm.Peers, net comm.Sender, m
 		if au := lp.au; au != nil {
 			lp.gvtMgr.Audit = au.GVTRound
 		}
+	}
+	// The controllers' windows read every hosted LP; LP 0 runs the balancer
+	// and the optimism controller, the first hosted LP the remap.
+	if lp0 := d.byID[0]; lp0 != nil {
+		if cfg.Balance.Dynamic() {
+			lp0.bal = newBalancer(cfg.Balance, d.lps, len(m.Objects))
+		}
+		if cfg.Optimism.Adaptive() {
+			lp0.opt = newOptController(cfg.Optimism, d.lps)
+		}
+	}
+	if len(d.workers) < len(d.lps) {
+		d.tick, d.win = control.NewTicker(remapEvery), newProgressWindow(d.lps)
 	}
 
 	// One block per LP: an object's runtime, the slot each of its three queues

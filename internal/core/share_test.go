@@ -83,7 +83,7 @@ func TestMigrationPrivatizesSharedEvents(t *testing.T) {
 			}
 			wantEvs, wantPayloads := contents(leaves)
 
-			src.migrateOut(leaves, dst.id)
+			src.migrateOutBatch([]*simObject{leaves}, dst.id)
 
 			mine, theirs = reach(leaves), reach(stays)
 			for e, n := range mine {

@@ -11,11 +11,13 @@
 //     rollback to the rollback that emitted the anti-message, so cascades
 //     form trees whose cost can be aggregated (see cascade.go).
 //
-// The Sampler is deliberately non-perturbing: LPs publish their LVTs and
-// progress counters into per-LP atomic slots (one store each, no sharing
-// beyond the cache line), and a dedicated goroutine reads those slots on a
-// timer, records roughness samples into the tracer's system ring, and
-// mirrors live gauges into the metrics registry. Nothing on the LP side
+// The Sampler is deliberately non-perturbing: LPs publish their LVTs into
+// per-LP atomic slots (one store each) and add what each GVT application
+// committed and rolled back to two run totals, and a dedicated goroutine reads
+// them on a timer, records roughness samples into the tracer's system ring,
+// and mirrors live gauges into the metrics registry. It observes; no
+// controller reads its totals — the kernel's controllers read the LPs'
+// progress records. Nothing on the LP side
 // blocks, allocates, or changes simulation order; the differential oracle
 // (cmd/twcheck's observation leg) verifies that runs with observation on
 // still match the sequential reference bit for bit.
@@ -60,13 +62,13 @@ const DefaultPeriod = time.Millisecond
 type Sampler struct {
 	period time.Duration
 
-	// Per-LP atomic slots written by LP goroutines, read by the sampling
-	// goroutine. lvt holds each LP's last-executed receive time
-	// (unpublished until its first event); committed/rolled are refreshed
-	// at each GVT application; gvt is the last applied estimate.
+	// Written by LP goroutines, read by the sampling goroutine. lvt holds
+	// each LP's last-executed receive time (unpublished until its first
+	// event); committed and rolled are the run's totals as of the LPs' last
+	// GVT applications; gvt is the last applied estimate.
 	lvt       []atomic.Int64
-	committed []atomic.Int64
-	rolled    []atomic.Int64
+	committed atomic.Int64
+	rolled    atomic.Int64
 	gvt       atomic.Int64
 
 	// depth is the rollback-depth histogram (len(DepthBounds)+1, overflow
@@ -128,8 +130,8 @@ func (s *Sampler) Bind(numLPs int, tr *telemetry.LPTrace) {
 	for i := range s.lvt {
 		s.lvt[i].Store(unpublished)
 	}
-	s.committed = make([]atomic.Int64, numLPs)
-	s.rolled = make([]atomic.Int64, numLPs)
+	s.committed.Store(0)
+	s.rolled.Store(0)
 	s.gvt.Store(unpublished)
 	s.depth = make([]atomic.Int64, len(DepthBounds)+1)
 	s.depthSum.Store(0)
@@ -174,14 +176,14 @@ func (s *Sampler) PublishGVT(g int64) {
 	s.gvt.Store(g)
 }
 
-// PublishProgress refreshes LP lp's committed and rolled-back event
-// counters; called at each GVT application. Nil-safe.
-func (s *Sampler) PublishProgress(lp int, committed, rolled int64) {
-	if s == nil || lp < 0 || lp >= len(s.committed) {
+// AddProgress adds what an LP committed and rolled back since its previous
+// GVT application to the run totals; called at each GVT application. Nil-safe.
+func (s *Sampler) AddProgress(committed, rolled int64) {
+	if s == nil {
 		return
 	}
-	s.committed[lp].Store(committed)
-	s.rolled[lp].Store(rolled)
+	s.committed.Add(committed)
+	s.rolled.Add(rolled)
 }
 
 // RecordRollback adds one rollback episode of the given depth (events
@@ -197,21 +199,6 @@ func (s *Sampler) RecordRollback(depth int64) {
 	}
 	s.depth[i].Add(1)
 	s.depthSum.Add(depth)
-}
-
-// ProgressTotals sums the committed and rolled-back event counters last
-// published by the LPs at their GVT applications. Atomic loads only, no
-// allocation — the adaptive optimism controller calls it on the GVT path.
-// Nil-safe.
-func (s *Sampler) ProgressTotals() (committed, rolled int64) {
-	if s == nil {
-		return 0, 0
-	}
-	for i := range s.committed {
-		committed += s.committed[i].Load()
-		rolled += s.rolled[i].Load()
-	}
-	return committed, rolled
 }
 
 // LVTSpread returns the current spread (max − min) over the published local
@@ -327,11 +314,7 @@ func (s *Sampler) sample() {
 	std := math.Sqrt(variance)
 	width := maxLVT - minLVT
 
-	var comm, roll int64
-	for i := range s.committed {
-		comm += s.committed[i].Load()
-		roll += s.rolled[i].Load()
-	}
+	comm, roll := s.committed.Load(), s.rolled.Load()
 	var wastedPermille int64
 	if comm > 0 {
 		wastedPermille = roll * 1000 / comm

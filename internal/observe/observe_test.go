@@ -122,8 +122,9 @@ func TestSamplerRoughness(t *testing.T) {
 	s.PublishLVT(2, 120)
 	// LP 3 never publishes: it must not drag min to the unpublished sentinel.
 	s.PublishGVT(90)
-	s.PublishProgress(0, 80, 20)
-	s.PublishProgress(1, 120, 0)
+	// Two GVT applications' worth of run totals, as the LPs feed them.
+	s.AddProgress(80, 20)
+	s.AddProgress(120, 0)
 	s.RecordRollback(1)
 	s.RecordRollback(3)
 	s.RecordRollback(700) // overflow bucket
@@ -166,7 +167,7 @@ func TestSamplerNilSafe(t *testing.T) {
 	s.BindMetrics(nil)
 	s.PublishLVT(0, 1)
 	s.PublishGVT(1)
-	s.PublishProgress(0, 1, 0)
+	s.AddProgress(1, 0)
 	s.RecordRollback(1)
 	s.Start()
 	s.Stop()
@@ -199,7 +200,7 @@ func TestSamplerHotPathAllocs(t *testing.T) {
 	if n := testing.AllocsPerRun(200, func() {
 		s.PublishLVT(1, 42)
 		s.PublishGVT(40)
-		s.PublishProgress(1, 10, 2)
+		s.AddProgress(10, 2)
 		s.RecordRollback(3)
 	}); n != 0 {
 		t.Fatalf("sampler hot path allocates %v per op, want 0", n)

@@ -3,41 +3,19 @@ package stats
 import (
 	"sort"
 	"sync"
-	"sync/atomic"
 
 	"gowarp/internal/partition"
 )
 
-// LoadBoard is the cross-LP observation channel of the load-balancing
-// controller: each LP publishes batched per-object execution counts,
-// per-pair communication counts, and its progress counters at GVT
-// application points (never on the event hot path), and the balancing LP
-// snapshots the board when its control period fires. Scalar cells are
-// atomics so publishers never contend; the edge map is mutex-guarded
-// because publishes are rare (once per GVT cycle per LP).
+// LoadBoard is where the LPs leave the object-pair message counts the load
+// balancer reads: each LP publishes what it counted since its last GVT
+// application (never on the event hot path), and the balancer takes
+// everything published since its last decision. It holds nothing sized to
+// the model; the zero value is ready to use, and it is safe for concurrent
+// use.
 type LoadBoard struct {
-	objExec []atomic.Int64 // executed events per object, cumulative
-
-	// Per-LP progress counters, cumulative.
-	processed  []atomic.Int64
-	committed  []atomic.Int64
-	rolledBack []atomic.Int64
-	rollbacks  []atomic.Int64
-
 	mu    sync.Mutex
-	edges map[uint64]int64 // EdgeKey(a,b) → events exchanged, cumulative
-}
-
-// NewLoadBoard returns a board for objects simulation objects on lps LPs.
-func NewLoadBoard(objects, lps int) *LoadBoard {
-	return &LoadBoard{
-		objExec:    make([]atomic.Int64, objects),
-		processed:  make([]atomic.Int64, lps),
-		committed:  make([]atomic.Int64, lps),
-		rolledBack: make([]atomic.Int64, lps),
-		rollbacks:  make([]atomic.Int64, lps),
-		edges:      make(map[uint64]int64),
-	}
+	edges map[uint64]int64 // EdgeKey(a,b) → events exchanged since the last take
 }
 
 // EdgeKey packs an unordered object pair into one map key. Publishers and the
@@ -50,122 +28,37 @@ func EdgeKey(a, b int32) uint64 {
 	return uint64(uint32(a))<<32 | uint64(uint32(b))
 }
 
-// Publish folds one LP's accumulated deltas into the board: execDelta is
-// indexed by object ID (zero entries are skipped), edges maps EdgeKey to the
-// events exchanged since the LP's previous publish, and the four scalars are
-// likewise deltas. Safe for concurrent use by all LPs.
-func (b *LoadBoard) Publish(lp int, execDelta []int64, edges map[uint64]int64, processed, committed, rolledBack, rollbacks int64) {
-	for obj, n := range execDelta {
-		if n != 0 {
-			b.objExec[obj].Add(n)
-		}
-	}
-	b.processed[lp].Add(processed)
-	b.committed[lp].Add(committed)
-	b.rolledBack[lp].Add(rolledBack)
-	b.rollbacks[lp].Add(rollbacks)
-	if len(edges) > 0 {
-		b.mu.Lock()
-		for k, n := range edges {
-			b.edges[k] += n
-		}
-		b.mu.Unlock()
-	}
-}
-
-// LoadSample is a point-in-time copy of the board. Samples subtract
-// (Sub) so the balancer can observe a window rather than the whole run.
-type LoadSample struct {
-	ObjExec    []int64
-	Processed  []int64
-	Committed  []int64
-	RolledBack []int64
-	Rollbacks  []int64
-	edges      map[uint64]int64
-}
-
-// Snapshot copies the board's current cumulative counts.
-func (b *LoadBoard) Snapshot() LoadSample {
-	s := LoadSample{
-		ObjExec:    make([]int64, len(b.objExec)),
-		Processed:  make([]int64, len(b.processed)),
-		Committed:  make([]int64, len(b.committed)),
-		RolledBack: make([]int64, len(b.rolledBack)),
-		Rollbacks:  make([]int64, len(b.rollbacks)),
-		edges:      make(map[uint64]int64),
-	}
-	for i := range b.objExec {
-		s.ObjExec[i] = b.objExec[i].Load()
-	}
-	for i := range b.processed {
-		s.Processed[i] = b.processed[i].Load()
-		s.Committed[i] = b.committed[i].Load()
-		s.RolledBack[i] = b.rolledBack[i].Load()
-		s.Rollbacks[i] = b.rollbacks[i].Load()
+// Publish adds edges, EdgeKey to events exchanged, to the board.
+func (b *LoadBoard) Publish(edges map[uint64]int64) {
+	if len(edges) == 0 {
+		return
 	}
 	b.mu.Lock()
-	for k, n := range b.edges {
-		s.edges[k] = n
+	if b.edges == nil {
+		b.edges = make(map[uint64]int64, len(edges))
+	}
+	for k, n := range edges {
+		b.edges[k] += n
 	}
 	b.mu.Unlock()
-	return s
 }
 
-// Sub returns the windowed sample s − base (elementwise; edges present only
-// in s keep their full count).
-func (s LoadSample) Sub(base LoadSample) LoadSample {
-	d := LoadSample{
-		ObjExec:    subSlice(s.ObjExec, base.ObjExec),
-		Processed:  subSlice(s.Processed, base.Processed),
-		Committed:  subSlice(s.Committed, base.Committed),
-		RolledBack: subSlice(s.RolledBack, base.RolledBack),
-		Rollbacks:  subSlice(s.Rollbacks, base.Rollbacks),
-		edges:      make(map[uint64]int64),
-	}
-	for k, n := range s.edges {
-		if dn := n - base.edges[k]; dn != 0 {
-			d.edges[k] = dn
-		}
-	}
-	return d
-}
-
-func subSlice(a, b []int64) []int64 {
-	out := make([]int64, len(a))
-	for i := range a {
-		out[i] = a[i]
-		if i < len(b) {
-			out[i] -= b[i]
-		}
-	}
-	return out
-}
-
-// Edges renders the sample's communication counts as measured edges, sorted
-// by key so downstream consumers are deterministic.
-func (s LoadSample) Edges() []partition.MeasuredEdge {
-	keys := make([]uint64, 0, len(s.edges))
-	for k := range s.edges {
+// Take empties the board and returns what it held as measured edges, sorted by
+// key so downstream consumers are deterministic: every published count lands
+// in exactly one take.
+func (b *LoadBoard) Take() []partition.MeasuredEdge {
+	b.mu.Lock()
+	edges := b.edges
+	b.edges = nil
+	b.mu.Unlock()
+	keys := make([]uint64, 0, len(edges))
+	for k := range edges {
 		keys = append(keys, k)
 	}
 	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
 	out := make([]partition.MeasuredEdge, len(keys))
 	for i, k := range keys {
-		out[i] = partition.MeasuredEdge{
-			A: int(int32(k >> 32)),
-			B: int(int32(uint32(k))),
-			W: float64(s.edges[k]),
-		}
+		out[i] = partition.MeasuredEdge{A: int(int32(k >> 32)), B: int(int32(uint32(k))), W: float64(edges[k])}
 	}
 	return out
-}
-
-// TotalProcessed sums the per-LP processed counts (the balancer's
-// sufficient-sample gate).
-func (s LoadSample) TotalProcessed() int64 {
-	var n int64
-	for _, v := range s.Processed {
-		n += v
-	}
-	return n
 }

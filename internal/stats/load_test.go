@@ -5,32 +5,18 @@ import (
 	"testing"
 )
 
-func TestLoadBoardPublishSnapshot(t *testing.T) {
-	b := NewLoadBoard(4, 2)
-	b.Publish(0, []int64{5, 3, 0, 0}, map[uint64]int64{EdgeKey(0, 1): 7}, 8, 6, 2, 1)
-	b.Publish(1, []int64{0, 0, 2, 1}, map[uint64]int64{EdgeKey(1, 0): 3, EdgeKey(2, 3): 4}, 3, 3, 0, 0)
-
-	s := b.Snapshot()
-	wantExec := []int64{5, 3, 2, 1}
-	for i, w := range wantExec {
-		if s.ObjExec[i] != w {
-			t.Errorf("ObjExec[%d] = %d, want %d", i, s.ObjExec[i], w)
-		}
+func TestLoadBoardPublishTake(t *testing.T) {
+	var b LoadBoard
+	if edges := b.Take(); len(edges) != 0 {
+		t.Fatalf("an empty board gave %v", edges)
 	}
-	if s.Processed[0] != 8 || s.Processed[1] != 3 {
-		t.Errorf("Processed = %v", s.Processed)
-	}
-	if s.Committed[0] != 6 || s.RolledBack[0] != 2 || s.Rollbacks[0] != 1 {
-		t.Errorf("LP0 counters = %v %v %v", s.Committed[0], s.RolledBack[0], s.Rollbacks[0])
-	}
-	if got := s.TotalProcessed(); got != 11 {
-		t.Errorf("TotalProcessed = %d, want 11", got)
-	}
+	b.Publish(map[uint64]int64{EdgeKey(0, 1): 7})
+	b.Publish(map[uint64]int64{EdgeKey(1, 0): 3, EdgeKey(2, 3): 4})
 
 	// EdgeKey(0,1) and EdgeKey(1,0) must land on the same cell.
-	edges := s.Edges()
+	edges := b.Take()
 	if len(edges) != 2 {
-		t.Fatalf("Edges = %v, want 2 entries", edges)
+		t.Fatalf("Take = %v, want 2 entries", edges)
 	}
 	if edges[0].A != 0 || edges[0].B != 1 || edges[0].W != 10 {
 		t.Errorf("edge[0] = %+v, want {0 1 10}", edges[0])
@@ -38,61 +24,60 @@ func TestLoadBoardPublishSnapshot(t *testing.T) {
 	if edges[1].A != 2 || edges[1].B != 3 || edges[1].W != 4 {
 		t.Errorf("edge[1] = %+v, want {2 3 4}", edges[1])
 	}
-}
 
-func TestLoadSampleSub(t *testing.T) {
-	b := NewLoadBoard(2, 2)
-	b.Publish(0, []int64{10, 0}, map[uint64]int64{EdgeKey(0, 1): 5}, 10, 8, 0, 0)
-	base := b.Snapshot()
-	b.Publish(0, []int64{4, 0}, map[uint64]int64{EdgeKey(0, 1): 2}, 4, 4, 1, 1)
-	b.Publish(1, []int64{0, 6}, nil, 6, 5, 0, 0)
-
-	d := b.Snapshot().Sub(base)
-	if d.ObjExec[0] != 4 || d.ObjExec[1] != 6 {
-		t.Errorf("windowed ObjExec = %v, want [4 6]", d.ObjExec)
-	}
-	if d.Processed[0] != 4 || d.Processed[1] != 6 {
-		t.Errorf("windowed Processed = %v", d.Processed)
-	}
-	if d.Rollbacks[0] != 1 {
-		t.Errorf("windowed Rollbacks = %v", d.Rollbacks)
-	}
-	edges := d.Edges()
-	if len(edges) != 1 || edges[0].W != 2 {
-		t.Errorf("windowed Edges = %v, want one edge of weight 2", edges)
+	// A take empties the board: the next one sees only what came after.
+	b.Publish(map[uint64]int64{EdgeKey(0, 1): 2})
+	if edges := b.Take(); len(edges) != 1 || edges[0].W != 2 {
+		t.Errorf("second Take = %v, want one edge of weight 2", edges)
 	}
 }
 
-// TestLoadBoardConcurrentPublish pins the race-freedom contract: all LPs may
-// publish while the balancer snapshots.
+// TestLoadBoardConcurrentPublish pins the race-freedom contract and the
+// take's: every LP publishes while the balancer takes, and every published
+// count lands in exactly one take.
 func TestLoadBoardConcurrentPublish(t *testing.T) {
 	const lps, rounds = 4, 200
-	b := NewLoadBoard(8, lps)
+	var b LoadBoard
 	var wg sync.WaitGroup
 	for lp := 0; lp < lps; lp++ {
 		wg.Add(1)
 		go func(lp int) {
 			defer wg.Done()
-			exec := make([]int64, 8)
+			edges := make(map[uint64]int64)
 			for r := 0; r < rounds; r++ {
-				for i := range exec {
-					exec[i] = int64(i)
-				}
-				b.Publish(lp, exec, map[uint64]int64{EdgeKey(int32(lp), int32((lp+1)%lps)): 1}, 3, 2, 1, 1)
+				edges[EdgeKey(int32(lp), int32((lp+1)%lps))] = 1
+				edges[EdgeKey(int32(lp), int32(lp+lps))] = 2
+				b.Publish(edges)
+				clear(edges)
 			}
 		}(lp)
+	}
+	taken := make(map[[2]int]float64)
+	take := func() {
+		for _, e := range b.Take() {
+			taken[[2]int{e.A, e.B}] += e.W
+		}
 	}
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
 		for i := 0; i < 50; i++ {
-			_ = b.Snapshot().TotalProcessed()
+			take()
 		}
 	}()
 	wg.Wait()
 	<-done
-	s := b.Snapshot()
-	if got := s.TotalProcessed(); got != lps*rounds*3 {
-		t.Errorf("TotalProcessed = %d, want %d", got, lps*rounds*3)
+	take()
+	for lp := 0; lp < lps; lp++ {
+		a, c := lp, (lp+1)%lps
+		if a > c {
+			a, c = c, a
+		}
+		if got := taken[[2]int{a, c}]; got != rounds {
+			t.Errorf("pair %d-%d: %v taken, want %d", a, c, got, rounds)
+		}
+		if got := taken[[2]int{lp, lp + lps}]; got != 2*rounds {
+			t.Errorf("pair %d-%d: %v taken, want %d", lp, lp+lps, got, 2*rounds)
+		}
 	}
 }

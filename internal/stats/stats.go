@@ -4,6 +4,7 @@
 // written only by the owning logical process goroutine and merged after the
 // LPs join, so no synchronization appears on hot paths. RunRecord (record.go)
 // is what a run leaves behind, and owns the -json-out artifact's format.
+// LoadBoard (load.go) holds the cross-LP message counts the balancer takes.
 package stats
 
 import (
