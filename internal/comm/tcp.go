@@ -40,13 +40,21 @@ import (
 //     for the next Flush. Every write is timed, and a Flush that is not forced
 //     leaves a link alone whose last write was under wireBudget times that
 //     cost ago, so that the frames of several rounds share a system call;
-//     every Poll reads (Polled has the why). The transport starts no goroutine. That is the
-//     point: Go polls the network only from an idle P or from sysmon's 10 ms
+//     every Poll reads (Polled has the why). No goroutine of the transport
+//     reads: Go polls the network only from an idle P or from sysmon's 10 ms
 //     tick, and workers that never block leave no P idle, so a reader
 //     goroutine parked in the netpoller sees a frame milliseconds after it
 //     arrived — and a worker blocked in a write while its peer is blocked in
 //     a write to it would be a deadlock, since each is also the other's only
-//     reader. Hence the rule: a worker never blocks on a socket.
+//     reader. Hence the rule: a worker never blocks on a socket. What the
+//     transport does start is one doorbell per inbound link (see Arm), for
+//     the moments when that reasoning turns over: a worker about to wait
+//     leaves its P idle, and an idle P is where the netpoller is consulted
+//     at once. The doorbell parks there until the link is readable, calls the
+//     kernel's ring function and parks again when asked; it reads nothing, so
+//     the frames still reach the sink only through a Poll. Without it an idle
+//     rank would notice a frame only at its next timer, and on Linux Go
+//     rounds any timer under a millisecond up to one when every P is idle.
 //   - The channel driver is everything else — a transport nobody called
 //     SetSink on: the conservative kernel, a Transport wrapper that hides the
 //     Polled methods, any platform without the non-blocking calls. One reader
@@ -56,7 +64,8 @@ import (
 //
 // Shutdown (Close) flushes what is still buffered, half-closes every outbound
 // connection to signal "done sending", drains inbound until every peer has
-// done the same or DrainTimeout expires, then tears down the sockets. The
+// done the same or DrainTimeout expires — waking for each arrival on a
+// doorbell, or at a reader's end — then tears down the sockets. The
 // first transport error observed anywhere (read, write, decode, drain
 // timeout) is returned.
 type TCP struct {
@@ -74,10 +83,22 @@ type TCP struct {
 	inboxOnce sync.Once
 	sink      func(lp int, p Packet)
 	nonblock  func(c *net.TCPConn, write bool) (func([]byte) (int, error), error)
+	// ring is the kernel's half of the doorbells and watch makes a link's
+	// (both set by SetSink; see Arm). armed is set by Arm and taken by the
+	// one ring that answers it.
+	ring  func()
+	watch func(c *net.TCPConn) (*doorbell, error)
+	armed atomic.Bool
 
 	out   []*tcpSendConn // indexed by rank; nil for self
 	in    []*tcpRecvConn // indexed by rank; nil for self
 	rdWG  sync.WaitGroup // the channel driver's readers
+	bells sync.WaitGroup // the polled driver's doorbells
+	// heard holds a token when an inbound link has news — a doorbell rang, a
+	// reader saw its link end — for Close's drain, which waits on it; quit
+	// closes when Close stops the doorbells.
+	heard chan struct{}
+	quit  chan struct{}
 	alive bool
 	// ending is set once the run is known to be ending here: a stop packet
 	// has passed through, in or out, or Close has begun. Only then is a
@@ -233,8 +254,77 @@ type tcpRecvConn struct {
 	// done is set when the peer has half-closed or the link has failed:
 	// nothing more will be read.
 	done atomic.Bool
+	// bell is the link's doorbell under the polled driver; nil under the
+	// channel driver and where none could be made.
+	bell *doorbell
 	// The receive half of stats.LinkStats.
 	reads, empty, bytesIn atomic.Int64
+}
+
+// doorbell wakes the kernel when bytes reach an inbound link (see Arm). It
+// holds a second descriptor of the link's socket (file) and parks on that one
+// alone; it reads nothing from the stream.
+type doorbell struct {
+	file io.Closer
+	// wait parks until the socket has bytes, has reached EOF or has failed —
+	// then ok, with the failure, which the wait took from the socket — or
+	// until file is closed: not ok.
+	wait func() (ok bool, failed error)
+	arm  chan struct{} // one slot: Arm's request to wait once more
+}
+
+// run is a doorbell's goroutine: on each request it waits for the link and
+// rings, unless another link's doorbell has answered the Arm already. A link
+// that failed while it waited is failed here, as a read would have found it.
+func (b *doorbell) run(t *TCP, rc *tcpRecvConn) {
+	defer t.bells.Done()
+	for {
+		select {
+		case <-b.arm:
+		case <-t.quit:
+			return
+		}
+		if rc.done.Load() {
+			continue // the link has delivered its end: never watched again
+		}
+		ok, failed := b.wait()
+		if !ok {
+			return
+		}
+		if failed != nil {
+			rc.done.Store(true)
+			t.fault(fmt.Errorf("comm: tcp rank %d read from rank %d: %w", t.cfg.Rank, rc.peer, failed))
+		}
+		if t.armed.CompareAndSwap(true, false) {
+			t.ring()
+			t.hear()
+		}
+	}
+}
+
+// hear puts a token in heard, for Close's drain.
+func (t *TCP) hear() {
+	select {
+	case t.heard <- struct{}{}:
+	default:
+	}
+}
+
+// Arm is the doorbell half of Polled: the next time any live inbound link has
+// bytes, its end or a failure to report — at once if one has already — the
+// transport calls the ring function SetSink was given, once. A link that has
+// delivered its end is never watched again: it would ring at once for ever. A
+// transport with no doorbells (none could be made) never rings.
+func (t *TCP) Arm() {
+	t.armed.Store(true)
+	for _, rc := range t.in {
+		if rc != nil && rc.bell != nil {
+			select {
+			case rc.bell.arm <- struct{}{}:
+			default: // a request is pending already
+			}
+		}
+	}
 }
 
 // pump reads once and delivers every frame that is now complete. It reports
@@ -391,9 +481,11 @@ func NewTCP(cfg TCPConfig) (*TCP, error) {
 			NumRanks:  numRanks,
 			HostRanks: hostRanks(cfg.Addrs, cfg.Rank),
 		},
-		lo:  local[0],
-		out: make([]*tcpSendConn, numRanks),
-		in:  make([]*tcpRecvConn, numRanks),
+		lo:    local[0],
+		out:   make([]*tcpSendConn, numRanks),
+		in:    make([]*tcpRecvConn, numRanks),
+		heard: make(chan struct{}, 1),
+		quit:  make(chan struct{}),
 	}
 	return t, nil
 }
@@ -472,8 +564,8 @@ func (t *TCP) Recv(lp int) <-chan Packet {
 // Start implements the join handshake contract: listen, dial every peer with
 // retry, exchange and validate hellos, then hand the connections to the
 // driver — one reader goroutine per inbound connection under the channel
-// driver, nothing under the polled one. On any failure the partially built
-// mesh is torn down.
+// driver, one doorbell per inbound connection under the polled one. On any
+// failure the partially built mesh is torn down.
 func (t *TCP) Start() error {
 	if t.peers.NumRanks == 1 {
 		t.alive = true
@@ -586,13 +678,19 @@ func (t *TCP) Start() error {
 		t.in[acc.rank] = rc
 	}
 
-	if t.sink == nil {
-		for _, rc := range t.in {
-			if rc == nil {
-				continue
-			}
+	for _, rc := range t.in {
+		switch {
+		case rc == nil:
+		case t.sink == nil:
 			t.rdWG.Add(1)
 			go t.readLoop(rc)
+		case t.watch != nil:
+			// A link whose socket cannot be copied goes without: the kernel's
+			// timers are then all that notices its frames while it idles.
+			if rc.bell, _ = t.watch(rc.conn); rc.bell != nil {
+				t.bells.Add(1)
+				go rc.bell.run(t, rc)
+			}
 		}
 	}
 	t.alive = true
@@ -606,11 +704,16 @@ func (t *TCP) readLoop(rc *tcpRecvConn) {
 	for !rc.done.Load() {
 		rc.pump(t)
 	}
+	t.hear()
 }
 
+// dialRetry dials addr until it answers or deadline passes, backing off from
+// dialBackoff to dialBackoffMax between refusals: a peer whose listener is a
+// few milliseconds late costs a few milliseconds, and one that is seconds
+// late is not dialed hundreds of times a second.
 func dialRetry(addr string, deadline time.Time) (*net.TCPConn, error) {
 	var lastErr error
-	for {
+	for backoff := dialBackoff; ; backoff = min(2*backoff, dialBackoffMax) {
 		step := time.Until(deadline)
 		if step <= 0 {
 			if lastErr == nil {
@@ -618,17 +721,19 @@ func dialRetry(addr string, deadline time.Time) (*net.TCPConn, error) {
 			}
 			return nil, lastErr
 		}
-		if step > 500*time.Millisecond {
-			step = 500 * time.Millisecond
-		}
-		conn, err := net.DialTimeout("tcp", addr, step)
+		conn, err := net.DialTimeout("tcp", addr, min(step, 500*time.Millisecond))
 		if err == nil {
 			return conn.(*net.TCPConn), nil
 		}
 		lastErr = err
-		time.Sleep(50 * time.Millisecond)
+		time.Sleep(min(backoff, time.Until(deadline)))
 	}
 }
+
+const (
+	dialBackoff    = time.Millisecond
+	dialBackoffMax = 50 * time.Millisecond
+)
 
 func (t *TCP) writeHello(conn net.Conn, deadline time.Time) error {
 	var h [helloLen]byte
@@ -803,8 +908,11 @@ func (t *TCP) fault(err error) {
 	}
 }
 
-// closePoll is how often Close looks again while the links are still open.
-const closePoll = 100 * time.Microsecond
+// drainRetry is how soon Close's drain looks again at what its doorbells
+// cannot hear: room in a socket for the rest of an out-buffer, and a link
+// without a doorbell. It is the netpoller's own granularity; a shorter wait
+// would be rounded up to it.
+const drainRetry = time.Millisecond
 
 // Close implements the flush/shutdown contract. Safe to call more than once
 // and before Start (a failed or unstarted transport just reports its error).
@@ -820,10 +928,13 @@ func (t *TCP) Close() error {
 		// and its readers drain by themselves; the polled driver takes turns
 		// at writing and reading here, because a peer that is closing too may
 		// be unable to take the rest of ours before we take some of its own.
+		// Between turns the drain waits for news from a link: a doorbell (the
+		// polled driver arms them before it reads, so nothing that arrives
+		// after the read goes unheard) or a reader's end.
 		t.ending.Store(true)
 		deadline := time.Now().Add(t.cfg.DrainTimeout)
 		for {
-			open := false
+			retry := false // something only a timer will notice
 			for r, sc := range t.out {
 				if sc == nil {
 					continue
@@ -835,24 +946,45 @@ func (t *TCP) Close() error {
 					sc.conn.CloseWrite()
 					sc.down = true
 				}
-				open = open || !sc.down
+				retry = retry || !sc.down // the socket took part of the rest
 				sc.mu.Unlock()
 			}
 			if t.sink != nil {
+				t.Arm()
 				t.Poll()
 			}
+			open := retry
 			for _, rc := range t.in {
-				open = open || (rc != nil && !rc.done.Load())
+				if rc != nil && !rc.done.Load() {
+					open = true
+					retry = retry || (t.sink != nil && rc.bell == nil)
+				}
 			}
 			if !open {
 				break
 			}
-			if time.Now().After(deadline) {
+			wait := time.Until(deadline)
+			if wait <= 0 {
 				t.fault(fmt.Errorf("comm: tcp rank %d: drain timed out after %v", t.cfg.Rank, t.cfg.DrainTimeout))
 				break
 			}
-			time.Sleep(closePoll)
+			if retry {
+				wait = min(wait, drainRetry)
+			}
+			tm := time.NewTimer(wait)
+			select {
+			case <-t.heard:
+			case <-tm.C:
+			}
+			tm.Stop()
 		}
+		close(t.quit)
+		for _, rc := range t.in {
+			if rc != nil && rc.bell != nil {
+				rc.bell.file.Close() // a doorbell waiting on the link returns
+			}
+		}
+		t.bells.Wait()
 		if t.listen != nil {
 			t.listen.Close()
 		}

@@ -10,6 +10,7 @@ import (
 	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -25,19 +26,40 @@ var drivers = []struct {
 }{{"polled", true}, {"channel", false}}
 
 // rank is one end of a test mesh. Under the polled driver it stands in for
-// the kernel: its sink files what the transport delivers by LP, and recv and
-// send do the polling and flushing a worker's round would.
+// the kernel: its sink files what the transport delivers by LP, its ring
+// counts the doorbell's rings, and recv and send do the polling and flushing
+// a worker's round would.
 type rank struct {
 	*TCP
 	polled bool
 	mu     sync.Mutex
 	got    map[int][]Packet
+	rings  atomic.Int64
+	rang   chan struct{}
 }
 
 func (r *rank) sink(lp int, p Packet) {
 	r.mu.Lock()
 	r.got[lp] = append(r.got[lp], p)
 	r.mu.Unlock()
+}
+
+func (r *rank) ring() {
+	r.rings.Add(1)
+	select {
+	case r.rang <- struct{}{}:
+	default:
+	}
+}
+
+// rung reports whether the doorbell rings within wait.
+func (r *rank) rung(wait time.Duration) bool {
+	select {
+	case <-r.rang:
+		return true
+	case <-time.After(wait):
+		return false
+	}
 }
 
 // recv returns the next packet delivered to lp, waiting up to wait for it.
@@ -129,13 +151,13 @@ func tcpMeshDrain(t testing.TB, numLPs int, polled bool, drain time.Duration) (*
 		if err != nil {
 			t.Fatalf("rank %d: %v", i, err)
 		}
-		ranks[i] = &rank{TCP: tr, polled: polled, got: make(map[int][]Packet)}
+		ranks[i] = &rank{TCP: tr, polled: polled, got: make(map[int][]Packet), rang: make(chan struct{}, 1)}
 		if polled {
 			p, ok := Transport(tr).(Polled) // the kernel finds the driver by this assertion
 			if !ok {
 				t.Skip("TCP is not Polled on this platform")
 			}
-			p.SetSink(ranks[i].sink)
+			p.SetSink(ranks[i].sink, ranks[i].ring)
 		}
 	}
 	var wg sync.WaitGroup
@@ -376,7 +398,8 @@ func TestTCPBadFrames(t *testing.T) {
 }
 
 // sever kills every connection of r the way a dying process with unread
-// input does: reset, no FIN.
+// input does: reset, no FIN. A dying process closes every descriptor, the
+// doorbells' copies too, or the sockets would outlive it.
 func (r *rank) sever() {
 	for _, sc := range r.out {
 		if sc != nil {
@@ -388,6 +411,9 @@ func (r *rank) sever() {
 		if rc != nil {
 			rc.conn.SetLinger(0)
 			rc.conn.Close()
+			if rc.bell != nil {
+				rc.bell.file.Close()
+			}
 		}
 	}
 }
@@ -486,25 +512,200 @@ func TestTCPCloseDrains(t *testing.T) {
 }
 
 // TestTCPDriverGoroutines: the channel driver runs one reader goroutine per
-// peer; the polled driver runs none — whoever calls Poll is the reader.
+// peer; the polled driver runs none — whoever calls Poll is the reader — and
+// one doorbell per inbound link at most, which reads nothing: every byte one
+// end wrote, the other's Polls read.
 func TestTCPDriverGoroutines(t *testing.T) {
 	for _, d := range drivers {
 		t.Run(d.name, func(t *testing.T) {
 			r0, r1 := tcpMesh(t, 2, d.polled)
-			defer closePair(t, r0.TCP, r1.TCP)
-			// A round trip, so that whatever reads the sockets has started.
+			// A round trip with both ends armed, so that whatever reads the
+			// sockets or watches them has started.
+			r0.Arm()
+			r1.Arm()
 			r0.send(1, Packet{Kind: PktGVT, From: 0})
 			r1.mustRecv(t, 1)
 			r1.send(0, Packet{Kind: PktGVT, From: 1})
 			r0.mustRecv(t, 0)
-			want := 2
+			readers, bells := 2, 0
 			if d.polled {
-				want = 0
+				readers, bells = 0, 2
 			}
-			if got := strings.Count(allStacks(), "comm.(*TCP).readLoop"); got != want {
-				t.Errorf("%d reader goroutines across two ranks, want %d", got, want)
+			stacks := allStacks()
+			if got := strings.Count(stacks, "comm.(*TCP).readLoop"); got != readers {
+				t.Errorf("%d reader goroutines across two ranks, want %d", got, readers)
+			}
+			if got := strings.Count(stacks, "comm.(*doorbell).run"); got > bells {
+				t.Errorf("%d doorbells across two ranks with one inbound link each, want at most %d", got, bells)
+			}
+			closePair(t, r0.TCP, r1.TCP)
+			for i, ends := range [][2]*rank{{r0, r1}, {r1, r0}} {
+				out, in := ends[0].Links()[0], ends[1].Links()[0]
+				if out.BytesOut != in.BytesIn {
+					t.Errorf("link %d: %d bytes written, %d read by Polls", i, out.BytesOut, in.BytesIn)
+				}
 			}
 		})
+	}
+}
+
+// TestTCPArmRings: after Arm the polled driver calls the ring function once, as
+// soon as a peer's link has something for a Poll — a frame, the peer's FIN, a
+// reset — and at once if it has already; it reads nothing to find out, and it
+// rings at no other time. Rank 0 sends, rank 1 is armed, and nobody polls
+// until a case says so.
+func TestTCPArmRings(t *testing.T) {
+	const quiet = 50 * time.Millisecond // how long a doorbell that should not ring is given
+	frame := func(r0 *rank) { r0.send(1, Packet{Kind: PktGVT, From: 0, GVT: 1}) }
+	mustRing := func(t *testing.T, r *rank, what string) {
+		t.Helper()
+		if !r.rung(5 * time.Second) {
+			t.Fatalf("%s did not ring", what)
+		}
+	}
+	mustNotRing := func(t *testing.T, r *rank, what string) {
+		t.Helper()
+		if r.rung(quiet) {
+			t.Fatalf("%s rang", what)
+		}
+	}
+	cases := []struct {
+		name string
+		run  func(t *testing.T, r0, r1 *rank)
+	}{
+		{"a frame after arming rings", func(t *testing.T, r0, r1 *rank) {
+			r1.Arm()
+			mustNotRing(t, r1, "an armed, quiet link")
+			frame(r0)
+			mustRing(t, r1, "a peer's frame")
+			if in := r1.Links()[0]; in.Reads != 0 || in.BytesIn != 0 {
+				t.Errorf("before any Poll the link shows %d reads of %d bytes", in.Reads, in.BytesIn)
+			}
+			if p := r1.mustRecv(t, 1); p.Kind != PktGVT || p.GVT != 1 {
+				t.Errorf("the Poll after the ring found %+v", p)
+			}
+		}},
+		{"arming with bytes waiting rings at once", func(t *testing.T, r0, r1 *rank) {
+			r1.Arm()
+			frame(r0)
+			mustRing(t, r1, "a peer's frame")
+			r1.Arm() // the frame is still in the socket: nobody polled
+			mustRing(t, r1, "arming over an unread frame")
+			if p := r1.mustRecv(t, 1); p.Kind != PktGVT {
+				t.Errorf("the Poll after the rings found %+v", p)
+			}
+		}},
+		{"an un-armed link does not ring", func(t *testing.T, r0, r1 *rank) {
+			frame(r0)
+			mustNotRing(t, r1, "a frame nobody armed for")
+			r1.Arm()
+			mustRing(t, r1, "arming over an unread frame")
+			frame(r0) // the ring answered the Arm; this frame is nobody's
+			mustNotRing(t, r1, "a second frame after one Arm")
+			if n := r1.rings.Load(); n != 1 {
+				t.Errorf("%d rings for one Arm", n)
+			}
+		}},
+		{"a half-close rings once and is not watched again", func(t *testing.T, r0, r1 *rank) {
+			r0.send(1, Packet{Kind: PktStop, From: 0}) // a FIN after the stop ends a run well
+			if p := r1.mustRecv(t, 1); p.Kind != PktStop {
+				t.Fatalf("got %+v, want the stop", p)
+			}
+			r1.Arm()
+			r0.out[1].conn.CloseWrite()
+			mustRing(t, r1, "the peer's FIN")
+			r1.Poll() // reads the end
+			r1.Arm()
+			mustNotRing(t, r1, "a link that has delivered its end")
+			if n := r1.rings.Load(); n != 1 {
+				t.Errorf("%d rings, want the FIN's one", n)
+			}
+		}},
+		{"a reset rings and fails the link", func(t *testing.T, r0, r1 *rank) {
+			r1.Arm()
+			r0.sever()
+			mustRing(t, r1, "the peer's reset")
+			// The doorbell's peek took the socket's error, so the doorbell
+			// reports it: the LPs are told to stop now, not a drain timeout
+			// later when a read finds what looks like a clean end.
+			r1.mu.Lock()
+			got := append([]Packet(nil), r1.got[1]...)
+			r1.mu.Unlock()
+			if len(got) != 1 || got[0].Kind != PktStop {
+				t.Fatalf("LP 1 got %v, want the fault's stop", got)
+			}
+			if err := r1.Close(); err == nil || !strings.Contains(err.Error(), "read from rank 0") {
+				t.Fatalf("Close = %v, want the link's read error", err)
+			}
+		}},
+		{"Close leaves no doorbell", func(t *testing.T, r0, r1 *rank) {
+			r0.Arm()
+			r1.Arm()
+			closePair(t, r0.TCP, r1.TCP)
+			if got := strings.Count(allStacks(), "comm.(*doorbell).run"); got != 0 {
+				t.Errorf("%d doorbells outlived Close", got)
+			}
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			r0, r1 := tcpMesh(t, 2, true) // rank 0 hosts LP 0, rank 1 LP 1
+			defer closeAll(r0.TCP, r1.TCP)
+			tc.run(t, r0, r1)
+		})
+	}
+}
+
+// TestTCPDialBackoff: a rank that starts before its peer listens dials again
+// within a millisecond or two of a refusal, so the join costs about what the
+// peer was late (here 5 ms) and not 50 ms a refusal, and dialing gives up at
+// its deadline, not a sleep past it.
+func TestTCPDialBackoff(t *testing.T) {
+	free := func() string {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer ln.Close()
+		return ln.Addr().String()
+	}
+	ln0, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	addrs := []string{ln0.Addr().String(), free()} // rank 1 binds its own, late
+	trs := make([]*TCP, 2)
+	for r := range trs {
+		cfg := TCPConfig{Rank: r, Addrs: addrs, NumLPs: 2, DialTimeout: 5 * time.Second}
+		if r == 0 {
+			cfg.Listener = ln0
+		}
+		if trs[r], err = NewTCP(cfg); err != nil {
+			t.Fatal(err)
+		}
+	}
+	late := make(chan error, 1)
+	start := time.Now()
+	go func() {
+		time.Sleep(5 * time.Millisecond)
+		late <- trs[1].Start()
+	}()
+	err = trs[0].Start()
+	took := time.Since(start)
+	if lerr := <-late; err != nil || lerr != nil {
+		t.Fatalf("start: %v / %v", err, lerr)
+	}
+	closePair(t, trs...)
+	if took > 20*time.Millisecond {
+		t.Errorf("rank 0's Start took %v for a peer 5 ms late", took)
+	}
+
+	start = time.Now()
+	if _, err := dialRetry(free(), start.Add(20*time.Millisecond)); err == nil {
+		t.Fatal("dialed an address nobody listens on")
+	}
+	if took := time.Since(start); took > 40*time.Millisecond {
+		t.Errorf("dialing with a 20 ms deadline gave up after %v", took)
 	}
 }
 

@@ -9,11 +9,66 @@ import (
 	"syscall"
 )
 
+// Compile-time check: where the non-blocking calls exist, TCP is Polled.
+var _ Polled = (*TCP)(nil)
+
 // SetSink makes TCP a Polled transport where the non-blocking socket calls
 // exist; elsewhere the method is missing and TCP runs its channel driver.
-func (t *TCP) SetSink(sink func(lp int, p Packet)) {
-	t.sink = sink
-	t.nonblock = nonblock
+func (t *TCP) SetSink(sink func(lp int, p Packet), ring func()) {
+	t.sink, t.ring = sink, ring
+	t.nonblock, t.watch = nonblock, watch
+}
+
+// watch makes the doorbell of the inbound link c. It parks on a second
+// descriptor of c's socket, never on c's own: a RawConn.Read holds its
+// descriptor's read lock while it waits, and the workers' Polls of c would
+// queue behind it. c.File's copy is registered with the netpoller already
+// (net.FileConn, which would register a third, calls Fd on the copy, and that
+// turns the socket — one for every copy — blocking for a moment).
+//
+// The probe peeks: it reads nothing. A peek that finds the socket failed has
+// taken the error, though, and the link's next read would see a clean end in
+// its place, so wait returns it.
+func watch(c *net.TCPConn) (*doorbell, error) {
+	f, err := c.File()
+	if err != nil {
+		return nil, err
+	}
+	raw, err := f.SyscallConn()
+	if err != nil {
+		f.Close()
+		return nil, err
+	}
+	var (
+		b      [1]byte
+		failed error
+	)
+	// prepareRead forgets any readiness before the probe runs, so an arrival
+	// is either seen by the probe or raises a new edge: none is missed. The
+	// socket is non-blocking, as all of Go's are, so the peek never waits
+	// (AIX has no MSG_DONTWAIT to say so twice).
+	probe := func(fd uintptr) bool {
+		_, _, err := syscall.Recvfrom(int(fd), b[:], syscall.MSG_PEEK)
+		switch err {
+		case syscall.EAGAIN:
+			return false // nothing yet: park
+		case nil, syscall.EINTR:
+			return true // bytes, or the peer's FIN (a zero-byte peek)
+		}
+		failed = os.NewSyscallError("recvfrom", err)
+		return true
+	}
+	return &doorbell{
+		file: f,
+		arm:  make(chan struct{}, 1),
+		wait: func() (bool, error) {
+			failed = nil
+			if raw.Read(probe) != nil {
+				return false, nil // the copy is closed: Close is under way
+			}
+			return true, failed
+		},
+	}, nil
 }
 
 // nonblock returns c's read (or write) as a call that never waits: it moves

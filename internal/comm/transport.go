@@ -47,18 +47,25 @@ type Transport interface {
 }
 
 // Polled is what a Transport implements, beside the interface above, when it
-// can run without goroutines of its own: the caller's threads do its receiving
-// and its socket writes, at moments they choose. The Time Warp kernel looks
-// for it by type assertion, because its workers never block and so leave no
-// core for a transport's reader goroutine to notice an arrival on (see TCP).
+// can run without reader goroutines of its own: the caller's threads do its
+// receiving and its socket writes, at moments they choose. The Time Warp
+// kernel looks for it by type assertion, because its workers never block and
+// so leave no core for a transport's reader goroutine to notice an arrival on
+// (see TCP).
 //
 //   - SetSink, called once before Start, replaces the Recv channels: every
 //     packet for a locally hosted LP — sent here or arrived from a peer — is
 //     handed to sink(lp, p) on the goroutine that sent or polled it. sink
-//     must not block. Packets from one sender reach it in order.
+//     must not block. Packets from one sender reach it in order. ring is the
+//     doorbell Arm rings; it must not block either.
 //   - Poll delivers what has arrived from the peers since the last call.
 //   - Flush pushes out what Send has buffered: all of it when force is set,
 //     and otherwise what the transport judges has waited long enough.
+//   - Arm is for a caller about to wait: after it the transport calls ring,
+//     once, as soon as a peer's link has something for a Poll to find — at
+//     once if one has already — from a goroutine of its own. Ring delivers
+//     nothing; the caller polls. A transport that cannot tell makes Arm do
+//     nothing, so a caller that waits on the ring also keeps a timer.
 //
 // The two are not symmetric, and on purpose. A write costs its sender about
 // the same whether it carries one frame or forty, and the peer's next read
@@ -71,13 +78,16 @@ type Transport interface {
 // straggler and a rollback, so reads never wait: the caller polls every
 // round and every Poll reads.
 //
-// Neither Poll nor Flush ever waits, for a peer or for a socket; both may be
-// called from any number of goroutines at once. Close still flushes and
-// drains by itself.
+// Neither Poll nor Flush nor Arm ever waits, for a peer or for a socket; all
+// three may be called from any number of goroutines at once. A ring answers
+// the latest Arm, so callers that wait together hear it together: each arms
+// before it waits, and a ring wakes them all. Close still flushes and drains
+// by itself.
 type Polled interface {
-	SetSink(sink func(lp int, p Packet))
+	SetSink(sink func(lp int, p Packet), ring func())
 	Poll()
 	Flush(force bool)
+	Arm()
 }
 
 // Peers describes a transport's process topology.

@@ -34,7 +34,10 @@ package core
 // parked in Go's netpoller — the network is polled only from an idle P or
 // sysmon's 10 ms tick, and a frame would wait that long — and why they must
 // never block on a socket either: two ranks each blocked writing to the other
-// are each other's only readers. A transport that is not Polled (a user's
+// are each other's only readers. A worker that does sleep leaves its P idle,
+// and there the netpoller answers at once, so before it sleeps it arms the
+// transport's doorbell (comm.Polled's Arm): the next frame to reach a socket
+// rings, and the ring pokes the workers. A transport that is not Polled (a user's
 // own, a wrapper that hides the methods) falls back to one forwarder
 // goroutine per hosted LP that moves the transport's receive channel into the
 // spillbox. Channels stay at that edge; nothing in the kernel selects on one.
@@ -131,8 +134,14 @@ type dispatcher struct {
 	byID    []*lpRun // global LP id → hosted LP; nil for LPs on other ranks
 	workers []*worker
 	// wire is the run's transport when the workers drive it (nil otherwise):
-	// polled at the start of every worker round, flushed at the end.
+	// polled at the start of every worker round, flushed at the end, and armed
+	// before a worker waits; its ring is d.ring.
 	wire comm.Polled
+	// idleTick is the longest a worker waits for a poke: the longest an idle
+	// LP 0 takes to force a GVT computation, and how often an idle worker
+	// looks at a transport that cannot ring. Where every P is idle, Linux's
+	// netpoller rounds any wait under 1 ms up to 1 ms, and so this too.
+	idleTick time.Duration
 	// live counts the hosted LPs still running; the workers retire together
 	// when it reaches zero, never one by one — a worker that owns nothing at
 	// the moment may be the target of the next handoff.
@@ -163,18 +172,20 @@ func defaultWorkers(hosted, hostRanks int) int {
 // newDispatcher builds numWorkers idle workers for a process hosting the
 // LPs attach will hand it.
 func newDispatcher(numWorkers, numLPs int, cfg *Config) *dispatcher {
-	d := &dispatcher{cost: cfg.Cost, byID: make([]*lpRun, numLPs)}
-	idle := cfg.GVTPeriod / 4
-	if idle <= 0 {
-		idle = 250 * time.Microsecond
+	d := &dispatcher{
+		cost:     cfg.Cost,
+		byID:     make([]*lpRun, numLPs),
+		idleTick: cfg.GVTPeriod / 4,
+	}
+	if d.idleTick <= 0 {
+		d.idleTick = 250 * time.Microsecond
 	}
 	for w := 0; w < numWorkers; w++ {
 		d.workers = append(d.workers, &worker{
-			id:       w,
-			d:        d,
-			pool:     event.NewPool(),
-			wake:     make(chan struct{}, 1),
-			idleTick: idle,
+			id:   w,
+			d:    d,
+			pool: event.NewPool(),
+			wake: make(chan struct{}, 1),
 		})
 	}
 	return d
@@ -224,6 +235,15 @@ func (d *dispatcher) poll() {
 func (d *dispatcher) flush(force bool) {
 	if d.wire != nil {
 		d.wire.Flush(force)
+	}
+}
+
+// ring is the transport's doorbell (comm.Polled's Arm): a peer's frame is in a
+// socket, and any worker's poll delivers it to whichever LP it is for. Once
+// the workers are gone, gatherReports waits on the first one's wake channel.
+func (d *dispatcher) ring() {
+	for _, w := range d.workers {
+		w.poke()
 	}
 }
 
@@ -406,17 +426,16 @@ func (d *dispatcher) finalStats() (ws []stats.WorkerStats, assign []int) {
 // worker is one dispatcher thread: a goroutine owning a disjoint set of LPs
 // and a least-timestamp-first schedule queue over them.
 type worker struct {
-	id       int
-	d        *dispatcher
-	pool     *event.Pool // shared by every owned LP; rebound on adoption
-	wires    [][]byte    // likewise: the owned LPs' endpoints' free wire buffers
-	owned    []*lpRun
-	lp0      *lpRun // the owned LP with id 0, if any (GVT initiator)
-	sched    *pq.ScheduleHeap
-	wake     chan struct{}
-	idleTick time.Duration
-	idleTmr  *time.Timer
-	seen     uint64 // last remap epoch applied
+	id      int
+	d       *dispatcher
+	pool    *event.Pool // shared by every owned LP; rebound on adoption
+	wires   [][]byte    // likewise: the owned LPs' endpoints' free wire buffers
+	owned   []*lpRun
+	lp0     *lpRun // the owned LP with id 0, if any (GVT initiator)
+	sched   *pq.ScheduleHeap
+	wake    chan struct{}
+	idleTmr *time.Timer
+	seen    uint64 // last remap epoch applied
 
 	mu     sync.Mutex
 	adoptQ []*lpRun
@@ -585,11 +604,12 @@ func (w *worker) run() {
 // idle blocks on the wake channel with a bounded timeout (the next
 // aggregation deadline across owned LPs, capped by the idle tick), then
 // polls endpoints and — when this worker owns LP 0 — forces a GVT
-// computation so global quiescence turns into termination. Nothing wakes a
-// worker for a frame waiting in a socket: the tick is also how often an idle
-// worker looks, at the top of its next round.
+// computation so global quiescence turns into termination. A frame that
+// reaches a socket while the worker waits wakes it too: the worker arms the
+// transport's doorbell before it waits, and the ring pokes it. Over a
+// transport that cannot ring, the tick is how often an idle worker looks.
 func (w *worker) idle() {
-	timeout := w.idleTick
+	timeout := w.d.idleTick
 	for _, lp := range w.owned {
 		if !lp.running {
 			continue
@@ -604,6 +624,17 @@ func (w *worker) idle() {
 	// Before the wait: what this round's pump and drains sent, and what the
 	// flushes that ended earlier rounds left for company.
 	w.d.flush(true)
+	if w.d.wire != nil {
+		// Arm, then look once more: what came before the arming is read here,
+		// anything later rings, and a worker with mail does not wait.
+		w.d.wire.Arm()
+		w.d.wire.Poll()
+		for _, lp := range w.owned {
+			if lp.running && lp.spill.n.Load() != 0 {
+				timeout = 0
+			}
+		}
+	}
 	if timeout > 0 {
 		// One timer per worker, reused across idle periods. The Stop/drain
 		// dance keeps the channel empty so a later Reset cannot deliver a

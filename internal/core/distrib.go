@@ -106,10 +106,6 @@ func sendReport(tr comm.Transport, rank int, locals []*lpRun, res *Result) error
 	return nil
 }
 
-// reportPoll is how often rank 0 looks for reports on a transport it has to
-// poll.
-const reportPoll = 100 * time.Microsecond
-
 // gatherReports folds every other rank's report into res on rank 0. Reports
 // may already sit in LP 0's spillbox or, defensively, its stash; the rest are
 // awaited on the transport with a bounded timeout. A stop among them ends the
@@ -175,28 +171,35 @@ func gatherReports(tr comm.Transport, d *dispatcher, m *model.Model, res *Result
 	// the workers polled the transport. They have stopped, so poll here — and
 	// flush: a worker's last flush wrote what the sockets took, and what they
 	// refused may include the stop a peer is waiting for before it reports.
+	// Between looks rank 0 waits as an idle worker does: for the doorbell,
+	// armed before the look, or for the idle tick, which is what notices a
+	// socket with room again for the rest of rank 0's out-buffer.
 	deadline := time.NewTimer(reportTimeout)
 	defer deadline.Stop()
 	var inbox <-chan comm.Packet
-	var tick <-chan time.Time
 	if d.wire == nil {
 		inbox = tr.Recv(0)
-	} else {
-		t := time.NewTicker(reportPoll)
-		defer t.Stop()
-		tick = t.C
 	}
 	for len(pending) > 0 {
 		var arrived []comm.Packet
-		select {
-		case p := <-inbox:
-			arrived = append(arrived, p)
-		case <-tick:
+		var tick <-chan time.Time
+		if d.wire != nil {
 			d.wire.Flush(true)
+			d.wire.Arm()
 			d.wire.Poll()
-			arrived = lp0.spill.take()
-		case <-deadline.C:
-			return fmt.Errorf("core: timed out after %v waiting for end-of-run reports from ranks %v", reportTimeout, sortedKeys(pending))
+			if arrived = lp0.spill.take(); len(arrived) == 0 {
+				tick = time.After(d.idleTick)
+			}
+		}
+		if len(arrived) == 0 {
+			select {
+			case p := <-inbox:
+				arrived = append(arrived, p)
+			case <-d.workers[0].wake: // the ring; the workers have stopped
+			case <-tick:
+			case <-deadline.C:
+				return fmt.Errorf("core: timed out after %v waiting for end-of-run reports from ranks %v", reportTimeout, sortedKeys(pending))
+			}
 		}
 		for _, p := range arrived {
 			if err := apply(p); err != nil {

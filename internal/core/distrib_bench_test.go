@@ -31,10 +31,26 @@ func pholdTCP2() *model.Model {
 // among them that found nothing, and writes — from the links' own tallies
 // (Result.Wire). Oversubscribed, the two widths differ by what a scheduler
 // does to four never-blocking workers on two cores (EXPERIMENTS.md, "A rank
-// takes its share of the host").
+// takes its share of the host"). The null case is the workload's setup_s:
+// one run to virtual time 1 at the default width — listen, join, build the
+// model on each rank, one GVT computation, the stop, the report, the drains —
+// in ms/run. Its hops land on ranks whose workers are waiting (EXPERIMENTS.md,
+// "A rank wakes when its peer writes").
 func BenchmarkPholdTCP2(b *testing.B) {
 	cfg := core.DefaultConfig(300)
 	cfg.Optimism.Window = 100
+	b.Run("null", func(b *testing.B) {
+		cfg := cfg
+		cfg.EndTime = 1
+		numLPs := pholdTCP2().NumLPs()
+		var took time.Duration
+		for i := 0; i < b.N; i++ {
+			start := time.Now()
+			runFleet(b, pholdTCP2, cfg, tcpFleet(b, numLPs, 2)...)
+			took += time.Since(start)
+		}
+		b.ReportMetric(float64(took.Microseconds())/1e3/float64(b.N), "ms/run")
+	})
 	for _, width := range []struct {
 		name    string
 		workers int

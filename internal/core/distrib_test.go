@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"gowarp/internal/apps/phold"
 	"gowarp/internal/apps/smmp"
 	"gowarp/internal/audit"
 	"gowarp/internal/comm"
@@ -297,9 +298,46 @@ func runFleet(t testing.TB, build func() *model.Model, cfg core.Config, trs ...c
 	return results
 }
 
+// TestDistributedNullRunWakesIdleRanks: a null run over two TCP ranks whose
+// idle tick is a second. Nothing executes before the end time, so the run is
+// its hops: GVT's token into each rank and back, the stop, the report, the
+// drains — each into a rank whose worker is waiting. A frame wakes the rank
+// it reaches, through the doorbell its worker armed (or, behind the hidden
+// wrapper, through the reader and forwarder that deliver it), so the run
+// takes a fraction of one tick, where a rank that waited for its tick would
+// take a second a hop.
+func TestDistributedNullRunWakesIdleRanks(t *testing.T) {
+	build := func() *model.Model {
+		// Every event lies beyond 99: the first GVT computation ends the run.
+		return phold.New(phold.Config{Objects: 64, TokensPerObject: 1, MinDelay: 100, LPs: 4, Seed: 7, Sparse: true})
+	}
+	cfg := core.DefaultConfig(1)
+	cfg.GVTPeriod = 4 * time.Second
+	const tick = time.Second // GVTPeriod / 4
+	for _, wrap := range []bool{false, true} {
+		t.Run(fmt.Sprintf("hidden=%v", wrap), func(t *testing.T) {
+			trs := tcpFleet(t, build().NumLPs(), 2)
+			if _, ok := trs[0].(comm.Polled); !ok {
+				t.Skip("TCP is not Polled on this platform")
+			}
+			if wrap {
+				trs[0], trs[1] = hidden{trs[0]}, hidden{trs[1]}
+			}
+			start := time.Now()
+			res := runFleet(t, build, cfg, trs...)[0]
+			if took := time.Since(start); took > tick/4 {
+				t.Errorf("a null run of %d GVT computation(s) took %v with an idle tick of %v", res.Stats.GVTCycles, took, tick)
+			}
+		})
+	}
+}
+
 // TestPolledRunStartsNoTransportGoroutines: over a comm.Polled transport the
 // only goroutines a run puts on a core are its workers — no forwarder per LP
 // in the kernel, no reader per peer in TCP; hide Polled and both are back.
+// Beside them the polled path has a doorbell per inbound link at most, parked
+// until a worker waits, and the doorbells read nothing: every byte a rank
+// wrote, the other's polls read. Behind the wrapper there are none.
 func TestPolledRunStartsNoTransportGoroutines(t *testing.T) {
 	for _, wrap := range []bool{false, true} {
 		t.Run(fmt.Sprintf("hidden=%v", wrap), func(t *testing.T) {
@@ -316,7 +354,7 @@ func TestPolledRunStartsNoTransportGoroutines(t *testing.T) {
 			cfg.Optimism.Window = 2000
 
 			// Sample every goroutine's stack while the fleet runs.
-			var workers, forwarders, readers int
+			var workers, forwarders, readers, bells int
 			done := make(chan struct{})
 			sampled := make(chan struct{})
 			go func() {
@@ -333,22 +371,31 @@ func TestPolledRunStartsNoTransportGoroutines(t *testing.T) {
 						workers = max(workers, n)
 						forwarders = max(forwarders, strings.Count(stacks, "core.(*dispatcher).forward"))
 						readers = max(readers, strings.Count(stacks, "comm.(*TCP).readLoop"))
+						bells = max(bells, strings.Count(stacks, "comm.(*doorbell).run"))
 					}
 					time.Sleep(100 * time.Microsecond)
 				}
 			}()
-			runFleet(t, build, cfg, trs...)
+			results := runFleet(t, build, cfg, trs...)
 			close(done)
 			<-sampled
 			if workers == 0 {
 				t.Skip("the run ended before a sample saw its workers")
 			}
 			if wrap {
-				if forwarders == 0 || readers == 0 {
-					t.Errorf("behind a wrapper: %d forwarders, %d readers, want some of each", forwarders, readers)
+				if forwarders == 0 || readers == 0 || bells != 0 {
+					t.Errorf("behind a wrapper: %d forwarders, %d readers and %d doorbells, want some of the first two and no doorbell", forwarders, readers, bells)
 				}
-			} else if forwarders != 0 || readers != 0 {
-				t.Errorf("over a polled transport: %d forwarders and %d readers beside %d workers, want none", forwarders, readers, workers)
+				return
+			}
+			if forwarders != 0 || readers != 0 || bells > 2 {
+				t.Errorf("over a polled transport: %d forwarders, %d readers and %d doorbells beside %d workers, want none, none and one per inbound link at most", forwarders, readers, bells, workers)
+			}
+			for r, res := range results {
+				in, out := res.Wire[0], results[1-r].Wire[0]
+				if in.Reads == 0 || in.BytesIn != out.BytesOut {
+					t.Errorf("rank %d: %d bytes read in %d polled reads, its peer wrote %d", r, in.BytesIn, in.Reads, out.BytesOut)
+				}
 			}
 		})
 	}

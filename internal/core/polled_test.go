@@ -36,10 +36,11 @@ type heldPacket struct {
 func (w *dearWire) Peers() comm.Peers {
 	return comm.Peers{NumLPs: w.numLPs, Local: comm.BlockRanks(w.numLPs, 1, 0), NumRanks: 1}
 }
-func (w *dearWire) Start() error                     { return nil }
-func (w *dearWire) Close() error                     { return nil }
-func (w *dearWire) Recv(int) <-chan comm.Packet      { return nil }
-func (w *dearWire) SetSink(s func(int, comm.Packet)) { w.sink = s }
+func (w *dearWire) Start() error                               { return nil }
+func (w *dearWire) Close() error                               { return nil }
+func (w *dearWire) Recv(int) <-chan comm.Packet                { return nil }
+func (w *dearWire) SetSink(s func(int, comm.Packet), _ func()) { w.sink = s }
+func (w *dearWire) Arm()                                       {} // it cannot ring: the workers keep their tick
 
 func (w *dearWire) Send(dst int, p comm.Packet, _ int) {
 	w.mu.Lock()
@@ -77,8 +78,9 @@ func (w *dearWire) Flush(force bool) {
 // the run). The run must finish with the sequential kernel's answer in far
 // less than a tick per idle period, and the log must be rounds that each begin
 // with a Poll and end either in the opportunistic flush (events ran) or in
-// idle's two forced ones (before the wait, and after it for what the forced
-// GVT sent), then the forced flush a worker leaves with.
+// idle's two forced ones (before the wait, followed by the Poll after arming,
+// and after it for what the forced GVT sent), then the forced flush a worker
+// leaves with.
 func TestPolledFlushesBeforeItWaits(t *testing.T) {
 	m := testModel(1)
 	wire := &dearWire{numLPs: m.NumLPs()}
@@ -94,10 +96,10 @@ func TestPolledFlushesBeforeItWaits(t *testing.T) {
 	if len(wire.held) != 0 {
 		t.Errorf("%d packets were never flushed", len(wire.held))
 	}
-	if !regexp.MustCompile(`^(Pf|PFF)+F$`).Match(wire.log) {
-		t.Errorf("the worker drove the transport out of turn (want rounds of Pf or PFF, then F): %.200s…", wire.log)
+	if !regexp.MustCompile(`^(Pf|PFPF)+F$`).Match(wire.log) {
+		t.Errorf("the worker drove the transport out of turn (want rounds of Pf or PFPF, then F): %.200s…", wire.log)
 	}
-	idles := bytes.Count(wire.log, []byte("PFF"))
+	idles := bytes.Count(wire.log, []byte("PFPF"))
 	if idles < 20 {
 		t.Fatalf("the worker ran dry %d times: too few to tell a flush before the wait from a tick", idles)
 	}

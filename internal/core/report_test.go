@@ -54,7 +54,7 @@ func TestGatherReportsFlushesBacklog(t *testing.T) {
 	cfg := DefaultConfig(100)
 	d := newKernel(m, &cfg, trs[0].Peers(), trs[0], nil)
 	d.wire = wires[0]
-	wires[0].SetSink(d.deliver)
+	wires[0].SetSink(d.deliver, d.ring)
 
 	// Rank 1 files what arrives and does not look at its sockets yet.
 	stopped := make(chan struct{})
@@ -62,7 +62,7 @@ func TestGatherReportsFlushesBacklog(t *testing.T) {
 		if p.Kind == comm.PktStop {
 			close(stopped)
 		}
-	})
+	}, func() {})
 
 	var start sync.WaitGroup
 	for _, tr := range trs {

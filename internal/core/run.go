@@ -78,9 +78,10 @@ func Run(m *model.Model, cfg Config) (*Result, error) {
 	sh, locals := d.lps[0].k, d.lps
 	if tr != nil {
 		// A transport the workers can drive themselves delivers straight into
-		// the spillboxes; it must know where before it starts.
+		// the spillboxes, and rings for the workers that wait; it must know
+		// where before it starts.
 		if d.wire, _ = tr.(comm.Polled); d.wire != nil {
-			d.wire.SetSink(d.deliver)
+			d.wire.SetSink(d.deliver, d.ring)
 		}
 		if err := tr.Start(); err != nil {
 			return nil, fmt.Errorf("core: transport start: %w", err)
