@@ -19,7 +19,8 @@ import (
 //	  u8   flags (bit 0: compressed payload)
 //	  u32  sending LP (sending rank for PktReport)
 //	  u32  destination LP
-//	  ...  kind-specific fields, fixed width, little endian
+//	  ...  kind-specific fields, fixed width, little endian (PktReport:
+//	       u32 length, then the report record described below)
 //
 // The encoding is defined to round-trip exactly: DecodeFrame rejects any
 // frame with trailing bytes, a bad version, an unknown kind, or an inner
@@ -28,10 +29,32 @@ import (
 // in-process pointer and therefore cannot be framed; encoding one is an
 // error, and the kernel refuses dynamic load balancing on distributed
 // transports so the case never arises in a run.
+//
+// A PktReport's payload is one rank's end-of-run report record, written and
+// read by the Time Warp kernel (internal/core/distrib.go), little endian,
+// every uvarint in its shortest form:
+//
+//	uvarint  reporting rank
+//	uvarint  LP count (every LP the rank hosts)
+//	uvarint  object count (every object those LPs host)
+//	per LP, in ascending id order:
+//	  uvarint  LP id
+//	  i64      each stats.Counters field, in declaration order
+//	per object, LP by LP in the order above, ascending id within an LP:
+//	  uvarint  object id
+//	  u32      length of the final state, then its codec.DeltaState bytes
+//	  i64      rollbacks
+//	  u64      lazy hit ratio (float64 bits)
+//	  i64      output comparisons
+//	  u8       final cancellation strategy (0 aggressive, 1 lazy)
+//	  i64      final checkpoint interval
+//
+// Names and initial states are not sent: the coordinator has the model.
 
 // WireVersion is the framing version byte; peers with different versions
-// refuse the join handshake.
-const WireVersion = 1
+// refuse the join handshake. Version 2 replaced the report payload's
+// encoding/gob value with the record above.
+const WireVersion = 2
 
 // MaxFrameBody bounds a frame body so a corrupt or hostile length prefix
 // cannot drive an allocation of arbitrary size.

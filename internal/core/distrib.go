@@ -1,12 +1,15 @@
 package core
 
 import (
-	"bytes"
-	"encoding/gob"
+	"encoding/binary"
+	"errors"
 	"fmt"
+	"math"
+	"reflect"
 	"sort"
 	"time"
 
+	"gowarp/internal/cancel"
 	"gowarp/internal/codec"
 	"gowarp/internal/comm"
 	"gowarp/internal/model"
@@ -18,9 +21,15 @@ import (
 // tokens and the stop broadcast flow through the transport unchanged — the
 // Mattern protocol never cared where an LP lives. What needs explicit
 // machinery is the end of the run: rank 0's caller expects a Result covering
-// the whole model, so after its LPs terminate every other rank marshals its
-// final states (via the codec facet's DeltaState encoding) and counters into
-// one gob-encoded PktReport addressed to LP 0, and rank 0 folds them in.
+// the whole model, so after its LPs terminate every other rank appends its
+// LPs' counters and its objects' final states (their codec.DeltaState
+// encodings) and observations straight into one binary record, a PktReport
+// addressed to LP 0, and rank 0 reads that record in place into its Result.
+// The record's layout sits beside the frame layout in comm's wire.go. It
+// carries no names: rank 0 names each object, and decodes its state into a
+// fresh InitialState, from its own copy of the model. It must describe exactly
+// the LPs and objects its rank hosts, in the order the rank holds them, so
+// each report has one encoding and one that claims anything else is refused.
 //
 // Each rank is a dispatcher over the LPs it hosts (dispatch.go), at whatever
 // width its Config.Workers asks for. The workers read and write the sockets
@@ -40,21 +49,12 @@ import (
 // already detected; waiting forever would hide that.
 const reportTimeout = 30 * time.Second
 
-// wireReport is one rank's end-of-run contribution to the coordinator's
-// Result.
-type wireReport struct {
-	Rank    int
-	PerLP   map[int]stats.Counters
-	Objects []wireObjectReport
-}
+// The fixed-width parts of a report record: every stats.Counters field is
+// eight bytes, and an object's record ends in its rollbacks, hit ratio,
+// comparisons, strategy and checkpoint interval.
+var countersSize = 8 * reflect.TypeOf(stats.Counters{}).NumField()
 
-// wireObjectReport carries one object's final state (DeltaState encoding)
-// and per-object observations.
-type wireObjectReport struct {
-	ID    int32
-	State []byte
-	Stats stats.PerObject
-}
+const objectTail = 8 + 8 + 8 + 1 + 8
 
 // checkDistributed rejects configurations that require process-shared state
 // and therefore cannot span ranks. Every rank runs the same check, so a
@@ -78,31 +78,229 @@ func checkDistributed(m *model.Model, cfg *Config) error {
 	return nil
 }
 
-// sendReport marshals this rank's slice of the results and ships it to the
-// coordinator.
+// sendReport ships this rank's slice of the results to the coordinator as
+// one report record.
 func sendReport(tr comm.Transport, rank int, locals []*lpRun, res *Result) error {
-	rep := wireReport{Rank: rank, PerLP: make(map[int]stats.Counters, len(locals))}
+	b, err := encodeReport(rank, locals, res)
+	if err != nil {
+		return fmt.Errorf("core: rank %d report: %w", rank, err)
+	}
+	tr.Send(0, comm.Packet{Kind: comm.PktReport, From: rank, Payload: b}, len(b))
+	return nil
+}
+
+// encodeReport writes rank's report record: the counters of every LP in
+// locals, then the final state and observations of every object they host,
+// LP by LP in lp.objs order, all read from res.
+func encodeReport(rank int, locals []*lpRun, res *Result) ([]byte, error) {
+	objs := 0
 	for _, lp := range locals {
-		rep.PerLP[lp.id] = res.PerLP[lp.id]
+		objs += len(lp.objs)
+	}
+	// Room for all but the states, which append makes as they come.
+	b := make([]byte, 0, 3*binary.MaxVarintLen64+
+		len(locals)*(binary.MaxVarintLen64+countersSize)+
+		objs*(binary.MaxVarintLen64+4+objectTail))
+	b = binary.AppendUvarint(b, uint64(rank))
+	b = binary.AppendUvarint(b, uint64(len(locals)))
+	b = binary.AppendUvarint(b, uint64(objs))
+	for _, lp := range locals {
+		b = binary.AppendUvarint(b, uint64(lp.id))
+		b = appendCounters(b, &res.PerLP[lp.id])
+	}
+	for _, lp := range locals {
 		for _, o := range lp.objs {
-			ds, ok := o.state.(codec.DeltaState)
+			ds, ok := res.FinalStates[o.id].(codec.DeltaState)
 			if !ok {
 				// Guarded up front by checkDistributed; a state type that
 				// changes shape mid-run would be a model bug.
-				return fmt.Errorf("core: object %d final state %T lost its codec.DeltaState encoding", o.id, o.state)
+				return nil, fmt.Errorf("object %d final state %T lost its codec.DeltaState encoding", o.id, res.FinalStates[o.id])
 			}
-			rep.Objects = append(rep.Objects, wireObjectReport{
-				ID:    int32(o.id),
-				State: ds.MarshalState(nil),
-				Stats: res.PerObject[o.id],
-			})
+			po := &res.PerObject[o.id]
+			strategy, err := strategyOf(po.FinalStrategy)
+			if err != nil {
+				return nil, fmt.Errorf("object %d: %w", o.id, err)
+			}
+			b = binary.AppendUvarint(b, uint64(o.id))
+			n := len(b)
+			b = ds.MarshalState(append(b, 0, 0, 0, 0))
+			binary.LittleEndian.PutUint32(b[n:], uint32(len(b)-n-4))
+			b = binary.LittleEndian.AppendUint64(b, uint64(po.Rollbacks))
+			b = binary.LittleEndian.AppendUint64(b, math.Float64bits(po.HitRatio))
+			b = binary.LittleEndian.AppendUint64(b, uint64(po.Comparisons))
+			b = append(b, byte(strategy))
+			b = binary.LittleEndian.AppendUint64(b, uint64(po.FinalCheckpointInt))
 		}
 	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(&rep); err != nil {
-		return fmt.Errorf("core: rank %d report encode: %w", rank, err)
+	return b, nil
+}
+
+// appendCounters appends every field of c in declaration order, eight bytes
+// each: all are int64 or time.Duration, as Merge assumes.
+func appendCounters(b []byte, c *stats.Counters) []byte {
+	v := reflect.ValueOf(c).Elem()
+	for i := 0; i < v.NumField(); i++ {
+		b = binary.LittleEndian.AppendUint64(b, uint64(v.Field(i).Int()))
 	}
-	tr.Send(0, comm.Packet{Kind: comm.PktReport, From: rank, Payload: buf.Bytes()}, buf.Len())
+	return b
+}
+
+// readCounters is appendCounters' inverse over b, countersSize bytes.
+func readCounters(c *stats.Counters, b []byte) {
+	v := reflect.ValueOf(c).Elem()
+	for i := 0; i < v.NumField(); i++ {
+		v.Field(i).SetInt(int64(binary.LittleEndian.Uint64(b[8*i:])))
+	}
+}
+
+// strategyOf is the cancellation strategy a PerObject.FinalStrategy names.
+func strategyOf(name string) (cancel.Strategy, error) {
+	for s := cancel.Aggressive; s <= cancel.Lazy; s++ {
+		if s.String() == name {
+			return s, nil
+		}
+	}
+	return 0, fmt.Errorf("unknown final strategy %q", name)
+}
+
+// recordReader takes a report record apart. The first short or malformed
+// read sticks in err, and every read after it returns nothing.
+type recordReader struct {
+	b   []byte
+	err error
+}
+
+// uvarint reads a uvarint in its shortest form: a record has one encoding.
+func (r *recordReader) uvarint() uint64 {
+	if r.err != nil {
+		return 0
+	}
+	v, n := binary.Uvarint(r.b)
+	if n <= 0 || n > 1 && r.b[n-1] == 0 {
+		r.err = errors.New("truncated or malformed uvarint")
+		return 0
+	}
+	r.b = r.b[n:]
+	return v
+}
+
+// next takes the next n bytes.
+func (r *recordReader) next(n int) []byte {
+	if r.err != nil {
+		return nil
+	}
+	if n < 0 || len(r.b) < n {
+		r.err = fmt.Errorf("truncated: %d byte(s) left where %d are due", len(r.b), uint32(n))
+		return nil
+	}
+	p := r.b[:n:n]
+	r.b = r.b[n:]
+	return p
+}
+
+// applyReport reads rank from's report record b in place into res: each
+// hosted LP's counters into PerLP and Stats, each hosted object's final state
+// and observations into FinalStates and PerObject. A state is decoded into
+// its object's InitialState from m, which names the object too. The record
+// must describe exactly what rank from hosts, in encodeReport's order; a
+// record that does not, or that is short, malformed or followed by more
+// bytes, is an error naming the rank.
+func applyReport(b []byte, from int, m *model.Model, peers comm.Peers, res *Result) error {
+	if err := readReport(b, from, m, peers, res); err != nil {
+		return fmt.Errorf("core: rank %d report: %w", from, err)
+	}
+	return nil
+}
+
+func readReport(b []byte, from int, m *model.Model, peers comm.Peers, res *Result) error {
+	onRank := func(lp int) bool { return comm.RankOf(lp, peers.NumLPs, peers.NumRanks) == from }
+	wantLPs, wantObjs := uint64(len(comm.BlockRanks(peers.NumLPs, peers.NumRanks, from))), uint64(0)
+	for _, lp := range m.Partition {
+		if onRank(lp) {
+			wantObjs++
+		}
+	}
+
+	r := recordReader{b: b}
+	rank, lps, objs := r.uvarint(), r.uvarint(), r.uvarint()
+	switch {
+	case r.err != nil:
+		return r.err
+	case rank != uint64(from):
+		return fmt.Errorf("the record names rank %d", rank)
+	case lps != wantLPs || objs != wantObjs:
+		return fmt.Errorf("%d LPs and %d objects reported, %d and %d hosted", lps, objs, wantLPs, wantObjs)
+	}
+
+	prev := -1
+	for i := uint64(0); i < lps; i++ {
+		id, c := r.uvarint(), r.next(countersSize)
+		switch {
+		case r.err != nil:
+			return r.err
+		case id >= uint64(peers.NumLPs):
+			return fmt.Errorf("counters for out-of-range LP %d", id)
+		case !onRank(int(id)):
+			return fmt.Errorf("counters for LP %d, which the rank does not host", id)
+		case int(id) <= prev:
+			return fmt.Errorf("LP %d repeated or out of order", id)
+		}
+		prev = int(id)
+		readCounters(&res.PerLP[id], c)
+		res.Stats.Merge(&res.PerLP[id])
+	}
+
+	prevLP, prevObj := -1, -1
+	for i := uint64(0); i < objs; i++ {
+		id, n := r.uvarint(), 0
+		if p := r.next(4); p != nil {
+			n = int(binary.LittleEndian.Uint32(p))
+		}
+		state, tail := r.next(n), r.next(objectTail)
+		if r.err != nil {
+			return r.err
+		}
+		if id >= uint64(len(m.Objects)) {
+			return fmt.Errorf("out-of-range object %d", id)
+		}
+		o := int(id)
+		lp := m.Partition[o]
+		switch {
+		case !onRank(lp):
+			return fmt.Errorf("object %d, which belongs to LP %d on another rank", o, lp)
+		case lp < prevLP || lp == prevLP && o <= prevObj:
+			return fmt.Errorf("object %d repeated or out of order", o)
+		}
+		prevLP, prevObj = lp, o
+		strategy := cancel.Strategy(tail[24])
+		interval := int64(binary.LittleEndian.Uint64(tail[25:]))
+		switch {
+		case strategy > cancel.Lazy:
+			return fmt.Errorf("object %d: unknown final strategy %d", o, strategy)
+		case int64(int(interval)) != interval:
+			return fmt.Errorf("object %d: checkpoint interval %d out of range", o, interval)
+		}
+		proto, ok := m.Objects[o].InitialState().(codec.DeltaState)
+		if !ok {
+			return fmt.Errorf("object %d state cannot decode a remote report (no codec.DeltaState)", o)
+		}
+		st, err := proto.UnmarshalState(state)
+		if err != nil {
+			return fmt.Errorf("object %d final state decode: %w", o, err)
+		}
+		res.FinalStates[o] = st
+		res.PerObject[o] = stats.PerObject{
+			Name:               m.Objects[o].Name(),
+			Rollbacks:          int64(binary.LittleEndian.Uint64(tail)),
+			HitRatio:           math.Float64frombits(binary.LittleEndian.Uint64(tail[8:])),
+			Comparisons:        int64(binary.LittleEndian.Uint64(tail[16:])),
+			FinalStrategy:      strategy.String(),
+			FinalCheckpointInt: int(interval),
+		}
+	}
+	if len(r.b) != 0 {
+		return fmt.Errorf("%d trailing byte(s)", len(r.b))
+	}
 	return nil
 }
 
@@ -125,38 +323,11 @@ func gatherReports(tr comm.Transport, d *dispatcher, m *model.Model, res *Result
 		if p.Kind != comm.PktReport {
 			return nil // post-termination stragglers (flushed events, GVT echoes)
 		}
-		var rep wireReport
-		if err := gob.NewDecoder(bytes.NewReader(p.Payload)).Decode(&rep); err != nil {
-			return fmt.Errorf("core: rank report decode: %w", err)
+		if !pending[p.From] {
+			return fmt.Errorf("core: duplicate or unexpected end-of-run report from rank %d", p.From)
 		}
-		if !pending[rep.Rank] {
-			return fmt.Errorf("core: duplicate or unexpected end-of-run report from rank %d", rep.Rank)
-		}
-		delete(pending, rep.Rank)
-		for lpid, c := range rep.PerLP {
-			if lpid < 0 || lpid >= len(res.PerLP) {
-				return fmt.Errorf("core: rank %d reports counters for out-of-range LP %d", rep.Rank, lpid)
-			}
-			res.PerLP[lpid] = c
-			res.Stats.Merge(&c)
-		}
-		for _, or := range rep.Objects {
-			id := int(or.ID)
-			if id < 0 || id >= len(res.FinalStates) {
-				return fmt.Errorf("core: rank %d reports out-of-range object %d", rep.Rank, id)
-			}
-			proto, ok := m.Objects[id].InitialState().(codec.DeltaState)
-			if !ok {
-				return fmt.Errorf("core: object %d state cannot decode a remote report (no codec.DeltaState)", id)
-			}
-			st, err := proto.UnmarshalState(or.State)
-			if err != nil {
-				return fmt.Errorf("core: rank %d object %d final state decode: %w", rep.Rank, id, err)
-			}
-			res.FinalStates[id] = st
-			res.PerObject[id] = or.Stats
-		}
-		return nil
+		delete(pending, p.From)
+		return applyReport(p.Payload, p.From, m, peers, res)
 	}
 
 	lp0 := d.byID[0]
