@@ -8,9 +8,9 @@
 // migrating objects mid-run, plus codec legs (phold-codec, smmp-codec,
 // smmp-codec-mig) that re-run it with delta checkpointing and LZ capsule
 // compression on, plus an observability leg (smmp-obs) that re-runs it with
-// rollback tracing and the roughness sampler attached — observation must
-// never perturb simulation semantics — plus adaptive-optimism legs
-// (smmp-opt, phold-opt-mig) that re-run it with the on-line optimism-window
+// a tracer attached, recording rollbacks and the kernel's roughness samples —
+// observation must never perturb simulation semantics — plus adaptive-optimism
+// legs (smmp-opt, phold-opt-mig) that re-run it with the on-line optimism-window
 // controller steering the bounded time window mid-run, alone and composed
 // with migration and the codec, plus worker-pool legs (phold-pool,
 // smmp-pool-mig, phold-default) that re-run it with the LPs folded onto fewer
@@ -68,9 +68,9 @@ type check struct {
 	// codec, when not Off, runs every cell with the state-codec facet on —
 	// the delta-checkpoint/compression legs of the sweep.
 	codec codec.Config
-	// observe runs every cell with the observation stack on (trace rings,
-	// rollback attribution, roughness sampler) — observation must never
-	// change simulation semantics.
+	// observe runs every cell with a tracer attached (trace rings for
+	// rollback attribution, the system ring for roughness samples) —
+	// observation must never change simulation semantics.
 	observe bool
 	// optimism is every cell's optimism facet: a static window keeps
 	// contentious models fast, and the adaptive legs of the sweep run with

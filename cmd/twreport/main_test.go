@@ -18,7 +18,7 @@ import (
 // the same three-event trace, rendered by the writer that lives here.
 func TestWriteHTML(t *testing.T) {
 	tr := telemetry.NewTracer(64)
-	tr.Bind(2, time.Now())
+	tr.Bind([]int{0, 1}, time.Now())
 	tr.LP(0).Rollback(1, 9, 50, 100, false, 5, 1, 3, time.Microsecond)
 	tr.LP(1).Rollback(2, 1, 110, 115, true, 4, 0, 2, 0)
 	tr.System().Roughness(90, 80, 120, 100, 14, 1, 250)

@@ -86,7 +86,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		traceFormat = fs.String("trace-format", "jsonl", "trace format: jsonl, chrome (load in chrome://tracing or Perfetto)")
 		traceCap    = fs.Int("trace-cap", 0, "per-LP trace ring capacity in events (0 = default; oldest events are overwritten when full)")
 		metricsAddr = fs.String("metrics-addr", "", "serve live metrics on this address while the run executes (/metrics Prometheus text, /debug/vars expvar)")
-		roughPeriod = fs.Duration("roughness-period", time.Millisecond, "LVT-vector sampling period for the roughness observer, active whenever -trace or -metrics-addr is set (0 = off)")
 		jsonOut     = fs.String("json-out", "", "write a machine-readable run summary JSON to this file")
 
 		cpuProf = fs.String("cpuprofile", "", "write a CPU profile of the run to this file")
@@ -293,15 +292,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "twsim: serving metrics on http://%s/metrics\n", srv.Addr())
 	}
 
-	// The roughness sampler rides along whenever some observation sink is
-	// configured: its timeline lands in the trace's system ring and its
-	// gauges in the metrics registry.
-	var sampler *gowarp.RoughnessSampler
-	if *roughPeriod > 0 && (tracer != nil || cfg.Metrics != nil) {
-		sampler = gowarp.NewRoughnessSampler(*roughPeriod)
-		cfg.Observe = sampler
-	}
-
 	var auditor *gowarp.Auditor
 	if *auditRun {
 		auditor = gowarp.NewAuditor()
@@ -329,9 +319,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		res.Flags = map[string]string{}
 		fs.VisitAll(func(f *flag.Flag) { res.Flags[f.Name] = f.Value.String() })
 		res.Transport = tspec.Kind
-		res.TraceDropped = tracer.Dropped()
-		res.Roughness = sampler.Summary()
-		res.RollbackDepthHist = sampler.DepthHist()
 		if err := gowarp.WriteJSON(*jsonOut, res); err != nil {
 			return fail(err)
 		}

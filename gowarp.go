@@ -38,9 +38,9 @@
 //     delta/full stored-bytes ratio; optionally LZ-compressed on the wire.
 //   - Optimism (Config.Optimism): a fixed bounded time window
 //     (Optimism.Window, 0 = unbounded, the default), or an on-line
-//     controller that starts there, tightens the window when the
-//     observation sampler's wasted-work ratio climbs and relaxes it toward
-//     unbounded optimism when the virtual-time surface is smooth.
+//     controller that starts there, tightens the window when the LPs'
+//     wasted-work ratio climbs and relaxes it toward unbounded optimism
+//     when the virtual-time surface is smooth, both read at one GVT.
 //
 // Run reads a Config once, when it starts. Nothing outside the kernel moves a
 // setting after that: a controlled item has one writer, its own controller,
@@ -68,8 +68,6 @@
 package gowarp
 
 import (
-	"time"
-
 	"gowarp/internal/apps/logic"
 	"gowarp/internal/apps/phold"
 	"gowarp/internal/apps/qnet"
@@ -83,7 +81,6 @@ import (
 	"gowarp/internal/core"
 	"gowarp/internal/event"
 	"gowarp/internal/model"
-	"gowarp/internal/observe"
 	"gowarp/internal/partition"
 	"gowarp/internal/statesave"
 	"gowarp/internal/stats"
@@ -210,8 +207,8 @@ const (
 	// OptimismStatic keeps OptimismConfig.Window (0 = unbounded optimism)
 	// for the whole run (the default).
 	OptimismStatic = core.OptimismStatic
-	// OptimismAdaptive steers the window on line by the observation
-	// sampler's wasted-work and LVT-roughness signals.
+	// OptimismAdaptive steers the window on line by the wasted-work and
+	// LVT-roughness signals of the LPs' progress records.
 	OptimismAdaptive = core.OptimismAdaptive
 )
 
@@ -344,21 +341,11 @@ type (
 	MetricsRegistry = telemetry.Registry
 	// RunRecord is what a run leaves behind: Result embeds it, and marshalled
 	// it is the artifact twsim -json-out writes (unmarshal one into it).
+	// Every run fills its Roughness — the virtual-time roughness the kernel
+	// samples at each GVT application: LVT width and standard deviation
+	// across LPs — and its RollbackDepthHist.
 	RunRecord = stats.RunRecord
-	// RoughnessSampler is the observation sampler (set Config.Observe): LPs
-	// publish their local virtual times into its atomic slots and a
-	// background goroutine periodically derives the virtual-time roughness —
-	// LVT width, variance, the lagging LP, wasted-work ratio — recording a
-	// timeline into the tracer and live gauges into the metrics registry.
-	RoughnessSampler = observe.Sampler
 )
-
-// NewRoughnessSampler returns an observation sampler taking one LVT-vector
-// sample per period (<= 0 selects the 1ms default). Set it as Config.Observe;
-// it is inert until the run binds it.
-func NewRoughnessSampler(period time.Duration) *RoughnessSampler {
-	return observe.NewSampler(period)
-}
 
 // NewTracer returns a tracer whose per-LP rings hold capacity events each
 // (<= 0 selects the default, ~64k). When a ring fills, the oldest events

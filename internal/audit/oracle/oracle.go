@@ -20,7 +20,6 @@ import (
 	"gowarp/internal/conservative"
 	"gowarp/internal/core"
 	"gowarp/internal/model"
-	"gowarp/internal/observe"
 	"gowarp/internal/statesave"
 	"gowarp/internal/telemetry"
 	"gowarp/internal/vtime"
@@ -135,11 +134,10 @@ type Options struct {
 	// reconstruction and capsule round-trips have to reproduce the sequential
 	// reference's final-state hash byte for byte.
 	Codec codec.Config
-	// Observe, when set, attaches the full observation stack to every
-	// parallel leg: a trace ring per LP, rollback attribution, and the
-	// roughness sampler on a tight period. Observation must be
-	// non-perturbing — every differential and invariant check applies
-	// unchanged with it on.
+	// Observe, when set, attaches a tracer to every parallel leg: a trace
+	// ring per LP for rollback attribution, and the system ring that takes
+	// the kernel's roughness samples. Observation must be non-perturbing —
+	// every differential and invariant check applies unchanged with it on.
 	Observe bool
 	// Workers is the dispatcher width of every parallel leg: n > 0 workers,
 	// 0 a worker per LP — the widest interleaving, which is what an oracle
@@ -330,7 +328,6 @@ func runCell(m *model.Model, cell Cell, opts Options, gvtPeriod time.Duration,
 	}
 	if opts.Observe {
 		cfg.Tracer = telemetry.NewTracer(1 << 12)
-		cfg.Observe = observe.NewSampler(200 * time.Microsecond)
 	}
 	out := CellResult{Cell: cell}
 	res, err := core.Run(m, cfg)

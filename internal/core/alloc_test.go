@@ -10,7 +10,6 @@ import (
 	"gowarp/internal/cancel"
 	"gowarp/internal/codec"
 	"gowarp/internal/event"
-	"gowarp/internal/observe"
 	"gowarp/internal/statesave"
 	"gowarp/internal/telemetry"
 	"gowarp/internal/vtime"
@@ -73,35 +72,27 @@ func TestExecuteLoopZeroAlloc(t *testing.T) {
 }
 
 // TestExecuteLoopZeroAllocObserved re-measures the same steady-state loop
-// with the observation layer attached — a bound trace ring and roughness
-// sampler, exactly what twsim -trace wires up. The LP-side observation cost
-// (LVT store per event, progress stores and depth-histogram adds at GVT)
+// with the observation layer attached — a bound trace ring and a metrics
+// registry, what twsim -trace -metrics-addr wires up — and a histogram add
+// per round. The observation cost on the LP side (the LVT store per event, the
+// progress record and the roughness sample at GVT, the depth histogram's add)
 // must stay allocation-free too: observation never buys insight with hot-path
 // garbage.
 func TestExecuteLoopZeroAllocObserved(t *testing.T) {
 	lp := newAllocHarness()
 	tr := telemetry.NewTracer(1 << 10)
-	tr.Bind(1, time.Now())
+	tr.Bind([]int{0}, time.Now())
 	lp.tr = tr.LP(0)
-	obs := newTestSampler()
-	obs.Bind(1, tr.System())
-	lp.obs = obs
-	step := func() {
-		lp.drainDeferred()
-		slot, tm := lp.sched.Min()
-		if slot < 0 || tm == vtime.PosInf {
-			panic("alloc harness drained")
-		}
-		o := lp.objs[slot]
-		o.executeNext()
-		lp.refresh(o)
-		lp.obs.PublishLVT(lp.id, int64(o.lvt))
-	}
+	lp.met = newRunMetrics(telemetry.NewRegistry(), 1)
+	lp.d.rough.tr, lp.d.rough.met = tr.System(), lp.met
 	round := func() {
 		for i := 0; i < 64; i++ {
-			step()
+			lp.drainDeferred()
+			if !lp.execStep() {
+				panic("alloc harness drained")
+			}
 		}
-		obs.RecordRollback(3) // the rollback path's histogram hook
+		lp.d.rough.rollback(3) // the rollback path's histogram add
 		lp.applyGVT(lp.localMin())
 	}
 	for i := 0; i < 16; i++ {
@@ -109,6 +100,9 @@ func TestExecuteLoopZeroAllocObserved(t *testing.T) {
 	}
 	if n := testing.AllocsPerRun(64, round); n != 0 {
 		t.Errorf("observed execute loop allocated %.2f times per 64-event round, want 0", n)
+	}
+	if s := lp.d.rough.fold.Summary(); s == nil || s.Samples < 64 || tr.System().Len() == 0 {
+		t.Fatalf("roughness summary %+v, %d system-ring records: the GVT applications took no samples", s, tr.System().Len())
 	}
 }
 
@@ -223,10 +217,6 @@ func TestCodecRollbackZeroAlloc(t *testing.T) {
 	}
 }
 
-// newTestSampler returns a bound-ready sampler whose ticker never fires, so
-// only the LP-side hooks are measured.
-func newTestSampler() *observe.Sampler { return observe.NewSampler(time.Hour) }
-
 // TestExecuteLoopZeroAllocAdaptiveOptimism re-measures the steady-state loop
 // with the adaptive optimism controller armed on top of the observation
 // layer, firing at every GVT application. Injected waste on alternate rounds
@@ -236,11 +226,9 @@ func newTestSampler() *observe.Sampler { return observe.NewSampler(time.Hour) }
 func TestExecuteLoopZeroAllocAdaptiveOptimism(t *testing.T) {
 	lp := newAllocHarness()
 	tr := telemetry.NewTracer(1 << 10)
-	tr.Bind(1, time.Now())
+	tr.Bind([]int{0}, time.Now())
 	lp.tr = tr.LP(0)
-	obs := newTestSampler()
-	obs.Bind(1, tr.System())
-	lp.obs = obs
+	lp.d.rough.tr = tr.System()
 	optCfg := OptimismConfig{
 		Mode: OptimismAdaptive, Window: 100, Min: 50, Max: 100,
 		Period: 1, HighWater: 0.3, LowWater: 0.1, Factor: 2, MinSample: 1,
@@ -256,8 +244,8 @@ func TestExecuteLoopZeroAllocAdaptiveOptimism(t *testing.T) {
 		}
 		o := lp.objs[slot]
 		o.executeNext()
+		lp.lvt = o.lvt
 		lp.refresh(o)
-		lp.obs.PublishLVT(lp.id, int64(o.lvt))
 	}
 	rounds := 0
 	round := func() {

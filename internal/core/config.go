@@ -18,7 +18,6 @@ import (
 	"gowarp/internal/codec"
 	"gowarp/internal/comm"
 	"gowarp/internal/model"
-	"gowarp/internal/observe"
 	"gowarp/internal/statesave"
 	"gowarp/internal/stats"
 	"gowarp/internal/telemetry"
@@ -87,20 +86,10 @@ type Config struct {
 	// Metrics, when non-nil, is bound to the run and refreshed by every LP
 	// at each GVT application (the kernel's control period) with live
 	// gauges: GVT, efficiency, hit ratio, rollback rate, mean checkpoint
-	// interval, aggregation window. Serve it with gowarp/metricshttp.Serve
-	// to scrape a running simulation.
+	// interval, aggregation window, the LVT surface's width and standard
+	// deviation, the rollback-depth histogram. Serve it with
+	// gowarp/metricshttp.Serve to scrape a running simulation.
 	Metrics *telemetry.Registry
-
-	// Observe, when non-nil, is the observation sampler: LPs publish their
-	// local virtual times (after each event) into its atomic slots and add
-	// what each GVT application committed and rolled back to its run totals,
-	// the rollback path feeds its depth histogram, and its goroutine samples
-	// the LVT vector on a
-	// wall-clock period — recording roughness events into the tracer's
-	// system ring and live gauges into Metrics when those are also set.
-	// Nil disables observation at the cost of a pointer comparison per
-	// hook site; observation never changes simulation behavior.
-	Observe *observe.Sampler
 
 	// Audit, when non-nil, checks the Time Warp invariants on-line while the
 	// run executes — commit/GVT safety, execution order, anti-message
@@ -131,9 +120,8 @@ type Config struct {
 	// adaptive work in the paper's introduction). The zero value is static
 	// and unbounded, Jefferson-style. Under OptimismAdaptive the window is a
 	// controlled item whose on-line controller consumes the LPs' wasted work
-	// and the observation sampler's LVT roughness and tightens or relaxes
-	// it at run time (see OptimismConfig); when Observe is nil the kernel
-	// then creates a sampler itself — the controller cannot steer blind.
+	// and the spread of their LVTs, both read off their progress records at
+	// one GVT, and tightens or relaxes it at run time (see OptimismConfig).
 	Optimism OptimismConfig
 }
 

@@ -156,6 +156,10 @@ type dispatcher struct {
 	// LPs than workers.
 	tick *control.Ticker
 	win  *progressWindow
+
+	// rough is the roughness observer; like tick and win its sample belongs
+	// to the first hosted LP's applyGVT.
+	rough roughness
 }
 
 // defaultWorkers is the width Config.Workers == 0 stands for, min(hosted LPs,
@@ -589,10 +593,10 @@ func (w *worker) run() {
 			w.busyNS.Add(time.Since(start).Nanoseconds())
 			w.d.flush(false)
 			// Yield between rounds so that whatever else the process runs —
-			// forwarders, the sampler, the caller's own goroutines — gets a
-			// core even when the workers occupy them all. The workers of
-			// another rank on this machine are not among them: at the
-			// default width every rank has its share of the cores.
+			// forwarders, the caller's own goroutines — gets a core even when
+			// the workers occupy them all. The workers of another rank on this
+			// machine are not among them: at the default width every rank has
+			// its share of the cores.
 			runtime.Gosched()
 			continue
 		}

@@ -17,6 +17,7 @@ import (
 	"gowarp/internal/comm"
 	"gowarp/internal/core"
 	"gowarp/internal/model"
+	"gowarp/internal/telemetry"
 	"gowarp/internal/vtime"
 )
 
@@ -102,6 +103,45 @@ func TestDistributedTCPMatchesInProc(t *testing.T) {
 		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 		sweep(t)
 	})
+}
+
+// TestDistributedTracerBindsHostedLPs: each rank of a two-rank fleet traces
+// into its own tracer, which holds a ring for each LP the rank hosts and none
+// for the other rank's, whose events it would never see.
+func TestDistributedTracerBindsHostedLPs(t *testing.T) {
+	const seed = 7
+	numLPs := distribModel(seed).NumLPs()
+	cfg := core.DefaultConfig(1 << 40)
+	cfg.GVTPeriod = 200 * time.Microsecond
+	cfg.Optimism.Window = 2000
+	trs := tcpFleet(t, numLPs, 2)
+	tracers := []*telemetry.Tracer{telemetry.NewTracer(1 << 10), telemetry.NewTracer(1 << 10)}
+	errs := make([]error, len(trs))
+	var wg sync.WaitGroup
+	for r := range trs {
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			rcfg := cfg
+			rcfg.Transport, rcfg.Tracer = trs[r], tracers[r]
+			_, errs[r] = core.Run(distribModel(seed), rcfg)
+		}(r)
+	}
+	wg.Wait()
+	for r, tr := range tracers {
+		if errs[r] != nil {
+			t.Fatalf("rank %d: %v", r, errs[r])
+		}
+		hosted := map[int]bool{}
+		for _, lp := range comm.BlockRanks(numLPs, 2, r) {
+			hosted[lp] = true
+		}
+		for lp := 0; lp < numLPs; lp++ {
+			if got := tr.LP(lp) != nil; got != hosted[lp] {
+				t.Errorf("rank %d: LP %d has a ring %v, hosted %v", r, lp, got, hosted[lp])
+			}
+		}
+	}
 }
 
 // defaultWidth is what Config.Workers == 0 means for a rank hosting n LPs when

@@ -113,7 +113,7 @@ func TestTracedStaticObjectsHaveNoControllers(t *testing.T) {
 		}
 		m := ringModel(8, 8, 8)
 		cfg.Tracer = telemetry.NewTracer(1 << 10)
-		cfg.Tracer.Bind(m.NumLPs(), time.Now())
+		cfg.Tracer.Bind([]int{0}, time.Now())
 		lp := newTestKernel(m, &cfg)[0]
 		if lp.tr == nil {
 			t.Fatal("the LP has no trace recorder: the hooks were never offered")

@@ -11,7 +11,6 @@ import (
 	"gowarp/internal/comm"
 	"gowarp/internal/event"
 	"gowarp/internal/gvt"
-	"gowarp/internal/observe"
 	"gowarp/internal/pq"
 	"gowarp/internal/route"
 	"gowarp/internal/statesave"
@@ -109,17 +108,16 @@ type lpRun struct {
 	// numLPs is the run's LP count, across every rank.
 	numLPs int
 
+	// lvt is the receive time of the last event this LP executed (NegInf
+	// before the first), which recordProgress writes into its record.
+	lvt vtime.Time
+
 	// tr is this LP's trace recorder (nil when tracing is disabled; all
 	// recording methods are no-ops on nil). met and lastGVTWall drive the
 	// live metrics published at each GVT application (met nil when off).
 	tr          *telemetry.LPTrace
 	met         *runMetrics
 	lastGVTWall time.Time
-
-	// obs is the observation sampler (nil when observation is off): the LP
-	// publishes its LVT after each execution and adds to its run totals at
-	// each GVT application, and the rollback path feeds its histogram.
-	obs *observe.Sampler
 
 	// au is this LP's invariant-audit recorder (nil when auditing is
 	// disabled; hot paths guard on the pointer so the off path costs one
@@ -492,11 +490,9 @@ func (lp *lpRun) applyGVT(g vtime.Time) {
 		lp.k.board.Publish(lp.edges)
 		clear(lp.edges)
 	}
-	if lp.obs != nil {
-		lp.obs.PublishGVT(int64(g))
-	}
-	// The controllers run before this LP records g: their windows cut at the
-	// GVT before g, which every peer has had a period to apply.
+	// The controllers and the roughness sample run before this LP records g:
+	// their windows cut at the GVT before g, which every peer has had a
+	// period to apply.
 	if lp.bal != nil {
 		lp.runBalancer()
 	}
@@ -505,6 +501,7 @@ func (lp *lpRun) applyGVT(g vtime.Time) {
 	}
 	if lp == lp.d.lps[0] {
 		lp.d.maybeRemap()
+		lp.d.rough.sample(lp.loads[0].at)
 	}
 	lp.recordProgress(g)
 	if lp.met != nil {
@@ -561,10 +558,8 @@ func (lp *lpRun) execStep() bool {
 	}
 	o := lp.objs[slot]
 	o.executeNext()
+	lp.lvt = o.lvt
 	lp.refresh(o)
 	lp.drainDeferred()
-	if lp.obs != nil {
-		lp.obs.PublishLVT(lp.id, int64(o.lvt))
-	}
 	return true
 }

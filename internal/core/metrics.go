@@ -4,6 +4,7 @@ import (
 	"time"
 
 	"gowarp/internal/cancel"
+	"gowarp/internal/stats"
 	"gowarp/internal/telemetry"
 	"gowarp/internal/vtime"
 )
@@ -39,6 +40,14 @@ type runMetrics struct {
 	optWindow   *telemetry.Metric
 	optSwitches *telemetry.Metric
 
+	// The roughness observer's: the LVT surface's width and standard
+	// deviation (set by its sample), each LP's LVT lag, and the rollback
+	// depths.
+	lvtWidth      *telemetry.Metric
+	lvtStdDev     *telemetry.Metric
+	lvtLag        *telemetry.Metric
+	rollbackDepth *telemetry.HistMetric
+
 	// Worker-pool metrics (pool runs only; the slot index is the worker id,
 	// valid because the kernel clamps the worker count to the LP count).
 	workerEvents    *telemetry.Metric
@@ -51,6 +60,10 @@ type runMetrics struct {
 
 func newRunMetrics(reg *telemetry.Registry, numLPs int) *runMetrics {
 	reg.Bind(numLPs)
+	depths := make([]float64, len(stats.DepthBounds))
+	for i, b := range stats.DepthBounds {
+		depths[i] = float64(b)
+	}
 	return &runMetrics{
 		gvt:          reg.Gauge("gowarp_gvt", "Current global virtual time.", false),
 		gvtLag:       reg.Gauge("gowarp_gvt_lag_seconds", "Wall-clock time between successive GVT applications on this LP.", true),
@@ -79,6 +92,11 @@ func newRunMetrics(reg *telemetry.Registry, numLPs int) *runMetrics {
 		optWindow:   reg.Gauge("gowarp_optimism_window", "Optimism window currently in force (virtual-time units past GVT; 0 = unbounded).", false),
 		optSwitches: reg.Counter("gowarp_optimism_switches_total", "Adaptive-optimism window adjustments.", true),
 
+		lvtWidth:      reg.Gauge("gowarp_lvt_width", "Spread (max-min) of local virtual times across LPs at the last roughness sample.", false),
+		lvtStdDev:     reg.Gauge("gowarp_lvt_stddev", "Standard deviation of local virtual times across LPs at the last roughness sample.", false),
+		lvtLag:        reg.Gauge("gowarp_lvt_lag", "This LP's local virtual time minus the last applied GVT (virtual-time units).", true),
+		rollbackDepth: reg.Histogram("gowarp_rollback_depth", "Events undone per rollback episode.", depths),
+
 		workerEvents:    reg.Counter("gowarp_worker_events_total", "Events executed by this pool worker (pool runs only).", true).WithLabel("worker"),
 		workerBusy:      reg.Counter("gowarp_worker_busy_seconds_total", "Wall-clock seconds this pool worker spent executing events.", true).WithLabel("worker"),
 		workerOwned:     reg.Gauge("gowarp_worker_owned_lps", "LPs currently owned by this pool worker.", true).WithLabel("worker"),
@@ -100,6 +118,9 @@ func (lp *lpRun) publishMetrics(g vtime.Time) {
 	lp.lastGVTWall = now
 	if g.IsFinite() {
 		m.gvt.Set(0, float64(g))
+		if lp.lvt.IsFinite() {
+			m.lvtLag.Set(id, float64(lp.lvt-g))
+		}
 	}
 
 	st := &lp.st

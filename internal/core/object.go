@@ -379,9 +379,7 @@ func (o *simObject) rollback(straggler *event.Event, isAnti bool, at int) {
 
 	lp.tr.Rollback(int32(o.id), int32(straggler.Sender), int64(straggler.SendTime), int64(straggler.RecvTime),
 		isAnti, rolled, coasted, lp.st.AntiMsgsSent-antiBase, coastDur)
-	if lp.obs != nil {
-		lp.obs.RecordRollback(rolled)
-	}
+	lp.d.rough.rollback(rolled)
 
 	var last *event.Event
 	if o.next > 0 {

@@ -14,9 +14,9 @@ const (
 	// for the whole run.
 	OptimismStatic OptimismMode = iota
 	// OptimismAdaptive turns the window into the sixth on-line controlled
-	// facet: a controller on LP 0 consumes the LPs' wasted work and the
-	// observation sampler's LVT roughness at GVT applications and tightens
-	// or relaxes the window multiplicatively.
+	// facet: a controller on LP 0 consumes the LPs' wasted work and LVT
+	// roughness at GVT applications and tightens or relaxes the window
+	// multiplicatively.
 	OptimismAdaptive
 )
 
@@ -31,8 +31,8 @@ func (m OptimismMode) String() string {
 // OptimismConfig parameterizes optimism control as the paper's control
 // tuple: the sampled output O is the windowed wasted-work ratio
 // (rolled-back / committed events since the controller's last decision, cut
-// at one GVT for every LP) plus the LVT spread from the observation sampler,
-// the configured item I is the optimism window itself (the Palaniswamy &
+// at one GVT for every LP) plus the spread of the LPs' LVTs at that GVT, the
+// configured item I is the optimism window itself (the Palaniswamy &
 // Wilsey bounded time window), the initial setting S is Window, the transfer
 // function T is a dead-zone MIMD step (see control.MIMD) extended with an
 // unbounded sentinel — relaxing past Max opens optimism fully, and waste
@@ -210,9 +210,10 @@ func (lp *lpRun) runOptimism() {
 	if !ok {
 		return
 	}
-	width, widthKnown := lp.obs.LVTSpread()
+	s, known := c.win.surface()
+	width := s.width()
 	w := vtime.Time(lp.k.window.Load())
-	next, cost, decided := c.step(total.committed, total.rolledBack, width, widthKnown, w)
+	next, cost, decided := c.step(total.committed, total.rolledBack, width, known, w)
 	if !decided {
 		return
 	}

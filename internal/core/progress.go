@@ -16,25 +16,29 @@ func (p progress) minus(q progress) progress {
 	return progress{p.processed - q.processed, p.committed - q.committed, p.rolledBack - q.rolledBack}
 }
 
-// loadSample is an LP's progress record: its counters as of its application
-// of GVT at — for committed a property of the model and the GVT value, not of
-// when the LP's worker ran. lpRun.loads holds the two newest.
+// loadSample is an LP's progress record: its counters and its LVT as of its
+// application of GVT at — for committed a property of the model and the GVT
+// value, not of when the LP's worker ran. lpRun.loads holds the two newest.
 type loadSample struct {
-	at vtime.Time
+	at, lvt vtime.Time
 	progress
 }
 
-// progressWindow is how a controller that steers by what the LPs did — the
-// dispatcher's LP→worker remap, the load balancer, the adaptive optimism
-// controller — reads their progress records: per hosted LP, what its record at
-// the current cut adds to its record at the cut of the controller's last
-// decision. The current cut is the GVT before the one being applied, read off
-// the controlling LP's own newest record. Every LP is cut at that GVT: counts
-// read as of whatever each LP applied last differ by a whole GVT step between
-// the LPs of a worker that has been running and those of one that has not,
-// and a step that follows a stall is several times the mean, so uniform load
-// would read as skewed by worker. Two records per LP suffice because a peer
-// is at most one application ahead of the initiator.
+// noRecord is an LP's record before its first GVT application.
+var noRecord = loadSample{at: vtime.NegInf, lvt: vtime.NegInf}
+
+// progressWindow is how a reader that steers or watches by what the LPs did —
+// the dispatcher's LP→worker remap, the load balancer, the adaptive optimism
+// controller, the roughness observer — reads their progress records: per
+// hosted LP, what its record at the current cut adds to its record at the cut
+// of the reader's last decision, and its LVT at the current cut. The current
+// cut is the GVT before the one being applied, read off the controlling LP's
+// own newest record. Every LP is cut at that GVT: counts read as of whatever
+// each LP applied last differ by a whole GVT step between the LPs of a worker
+// that has been running and those of one that has not, and a step that
+// follows a stall is several times the mean, so uniform load would read as
+// skewed by worker. Two records per LP suffice because a peer is at most one
+// application ahead of the initiator.
 //
 // A window cannot be read while some LP has no record at the cut (its worker
 // has not run it since that GVT was broadcast), and it moves on only when the
@@ -42,12 +46,13 @@ type loadSample struct {
 type progressWindow struct {
 	lps             []*lpRun
 	base, at, delta []progress
+	lvt             []vtime.Time
 }
 
 func newProgressWindow(lps []*lpRun) *progressWindow {
 	n := len(lps)
 	s := make([]progress, 3*n)
-	return &progressWindow{lps: lps, base: s[:n:n], at: s[n : 2*n : 2*n], delta: s[2*n:]}
+	return &progressWindow{lps: lps, base: s[:n:n], at: s[n : 2*n : 2*n], delta: s[2*n:], lvt: make([]vtime.Time, n)}
 }
 
 // observe reads every LP's record at GVT cut and returns, per LP in the order
@@ -65,7 +70,7 @@ func (w *progressWindow) observe(cut vtime.Time) (delta []progress, total progre
 		if s.at != cut {
 			return nil, progress{}, false
 		}
-		w.at[i], w.delta[i] = s.progress, s.progress.minus(w.base[i])
+		w.at[i], w.delta[i], w.lvt[i] = s.progress, s.progress.minus(w.base[i]), s.lvt
 		total = total.plus(w.delta[i])
 	}
 	return w.delta, total, true
@@ -75,16 +80,11 @@ func (w *progressWindow) observe(cut vtime.Time) (delta []progress, total progre
 func (w *progressWindow) decide() { copy(w.base, w.at) }
 
 // recordProgress writes this LP's progress record for GVT g, the one place
-// its progress is recorded for the kernel's readers, and adds what the record
-// adds to the last one to the sampler's run totals.
+// its progress is recorded for the kernel's readers.
 func (lp *lpRun) recordProgress(g vtime.Time) {
-	st, prev := &lp.st, lp.loads[0]
-	now := loadSample{g, progress{st.EventsProcessed, st.EventsCommitted, st.EventsRolledBack}}
+	st := &lp.st
+	now := loadSample{g, lp.lvt, progress{st.EventsProcessed, st.EventsCommitted, st.EventsRolledBack}}
 	lp.loadMu.Lock()
-	lp.loads[0], lp.loads[1] = now, prev
+	lp.loads[0], lp.loads[1] = now, lp.loads[0]
 	lp.loadMu.Unlock()
-	if lp.obs != nil {
-		d := now.minus(prev.progress)
-		lp.obs.AddProgress(d.committed, d.rolledBack)
-	}
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"runtime/debug"
 	"sync"
 	"time"
 
@@ -12,7 +13,6 @@ import (
 	"gowarp/internal/event"
 	"gowarp/internal/gvt"
 	"gowarp/internal/model"
-	"gowarp/internal/observe"
 	"gowarp/internal/pq"
 	"gowarp/internal/route"
 	"gowarp/internal/statesave"
@@ -34,11 +34,6 @@ func Run(m *model.Model, cfg Config) (*Result, error) {
 	cfg.Balance = cfg.Balance.withDefaults()
 	cfg.Codec = cfg.Codec.WithDefaults()
 	cfg.Optimism = cfg.Optimism.withDefaults()
-	if cfg.Optimism.Adaptive() && cfg.Observe == nil {
-		// The controller steers by the sampler's LVT spread; create one
-		// when the caller didn't.
-		cfg.Observe = observe.NewSampler(0)
-	}
 
 	if cfg.Workers < 0 {
 		return nil, fmt.Errorf("core: negative worker count %d", cfg.Workers)
@@ -60,18 +55,11 @@ func Run(m *model.Model, cfg Config) (*Result, error) {
 		}
 	}
 	start := time.Now()
-	cfg.Tracer.Bind(numLPs, start)
+	cfg.Tracer.Bind(peers.Local, start)
 	cfg.Audit.Bind(numLPs, cfg.EndTime)
 	var met *runMetrics
 	if cfg.Metrics != nil {
 		met = newRunMetrics(cfg.Metrics, numLPs)
-	}
-	// The sampler binds after the registry (Bind above cleared it) so its
-	// series survive; it records into the tracer's system ring (nil when
-	// tracing is off — the sampler is nil-safe about both).
-	cfg.Observe.Bind(numLPs, cfg.Tracer.System())
-	if cfg.Metrics != nil {
-		cfg.Observe.BindMetrics(cfg.Metrics)
 	}
 
 	d := newKernel(m, &cfg, peers, tr, met)
@@ -89,12 +77,6 @@ func Run(m *model.Model, cfg Config) (*Result, error) {
 		defer tr.Close() // idempotent; the success path closes explicitly below
 	}
 
-	// Start the sampling goroutine for the LPs' lifetime; the deferred Stop
-	// takes a final sample before the caller reads the aggregates, so even
-	// runs shorter than the period get a timeline entry.
-	cfg.Observe.Start()
-	defer cfg.Observe.Stop()
-
 	// The edge of a transport the workers do not drive: one forwarder per
 	// hosted LP carries its deliveries to the spillbox. They outlive the
 	// workers, so nothing a worker sent on its way out is stranded in a
@@ -111,14 +93,14 @@ func Run(m *model.Model, cfg Config) (*Result, error) {
 		}
 	}
 	var wg sync.WaitGroup
-	panics := make([]interface{}, len(d.workers))
+	failures := make([]error, len(d.workers))
 	for _, w := range d.workers {
 		wg.Add(1)
 		go func(w *worker) {
 			defer wg.Done()
 			defer func() {
 				if r := recover(); r != nil {
-					panics[w.id] = r
+					failures[w.id] = w.failure(peers.Rank, r, debug.Stack())
 					// Stop the other ranks and retire the other workers so
 					// the run can fail cleanly.
 					if len(w.owned) > 0 {
@@ -135,11 +117,13 @@ func Run(m *model.Model, cfg Config) (*Result, error) {
 	close(stopFwd)
 	fwd.Wait()
 
-	for i, p := range panics {
-		if p != nil {
-			return nil, fmt.Errorf("core: worker %d failed: %v", i, p)
+	for _, err := range failures {
+		if err != nil {
+			return nil, err
 		}
 	}
+	// The last sample is of the final GVT, which every hosted LP has applied.
+	d.rough.sample(locals[0].loads[0].at)
 
 	// With workers and forwarders joined, what the spillboxes still hold is
 	// everything undelivered: the auditor closes its conservation ledger over
@@ -190,6 +174,9 @@ func Run(m *model.Model, cfg Config) (*Result, error) {
 			Elapsed:             elapsed,
 			FinalPartition:      sh.rt.Assignment(),
 			FinalOptimismWindow: vtime.Time(sh.window.Load()),
+			TraceDropped:        cfg.Tracer.Dropped(),
+			Roughness:           d.rough.fold.Summary(),
+			RollbackDepthHist:   d.rough.hist(),
 		},
 		FinalStates: make([]model.State, len(sh.objs)),
 	}
@@ -257,6 +244,30 @@ func Run(m *model.Model, cfg Config) (*Result, error) {
 	return res, nil
 }
 
+// failure names what a panic r recovered on w was doing: the owned object
+// whose event was executing — execApp leaves cur set when Execute panics, so
+// the event path stores nothing for this — or, before the worker's first
+// event, the one whose Init ran and whose state queue is still empty; then its
+// LP's GVT, and stack.
+func (w *worker) failure(rank int, r any, stack []byte) error {
+	for _, lp := range w.owned {
+		for _, o := range lp.objs {
+			var in string
+			switch {
+			case o.cur != nil:
+				in = fmt.Sprintf("event kind %d at t=%s", o.cur.Kind, o.cur.RecvTime)
+			case o.stateQ.Len() == 0:
+				in = "Init"
+			default:
+				continue
+			}
+			return fmt.Errorf("core: rank %d, LP %d, object %d (%s), %s, GVT %s: panic: %v\n%s",
+				rank, lp.id, o.id, o.obj.Name(), in, lp.gvtMgr.GVT(), r, stack)
+		}
+	}
+	return fmt.Errorf("core: rank %d, worker %d: panic: %v\n%s", rank, w.id, r, stack)
+}
+
 // newKernel wires one process's share of a run: the dispatcher, the LPs
 // peers.Local lists with their endpoints and GVT managers, the objects the
 // partition places on them, and the cross-LP tables. It starts nothing. Endpoints send
@@ -292,10 +303,10 @@ func newKernel(m *model.Model, cfg *Config, peers comm.Peers, net comm.Sender, m
 			numLPs:   numLPs,
 			tr:       cfg.Tracer.LP(i),
 			met:      met,
-			obs:      cfg.Observe,
 			au:       cfg.Audit.LP(i),
 			outbound: make(map[event.ObjectID]int),
-			loads:    [2]loadSample{{at: vtime.NegInf}, {at: vtime.NegInf}},
+			lvt:      vtime.NegInf,
+			loads:    [2]loadSample{noRecord, noRecord},
 		}
 		lp.host = cancel.Host{Emit: lp.emitAnti, Stats: &lp.st}
 		lp.codecSwitched = func(bool, float64) { lp.st.CodecSwitches++ }
@@ -337,6 +348,7 @@ func newKernel(m *model.Model, cfg *Config, peers comm.Peers, net comm.Sender, m
 	if len(d.workers) < len(d.lps) {
 		d.tick, d.win = control.NewTicker(remapEvery), newProgressWindow(d.lps)
 	}
+	d.rough.win, d.rough.tr, d.rough.met = newProgressWindow(d.lps), cfg.Tracer.System(), met
 
 	// One block per LP: an object's runtime, the slot each of its three queues
 	// starts on (firstInput events, one record, one snapshot: what an object

@@ -1,7 +1,7 @@
 // Integration tests for the observation layer against the live kernel: an
-// external test package so the race detector exercises the real
-// LP-goroutine / sampler-goroutine interleavings through the public
-// surfaces only.
+// external test package so the race detector exercises the real interleavings
+// of the workers, the trace rings and the kernel's roughness samples through
+// the public surfaces only.
 package observe_test
 
 import (
@@ -28,13 +28,12 @@ func stormModel(seed uint64) *model.Model {
 	})
 }
 
-func stormConfig(tr *telemetry.Tracer, s *observe.Sampler, reg *telemetry.Registry) core.Config {
+func stormConfig(tr *telemetry.Tracer, reg *telemetry.Registry) core.Config {
 	cfg := core.DefaultConfig(3000)
 	cfg.Checkpoint = statesave.Config{Mode: statesave.Periodic, Interval: 4}
 	cfg.Cancellation = cancel.Config{Mode: cancel.StaticAggressive}
 	cfg.GVTPeriod = 200 * time.Microsecond
 	cfg.Tracer = tr
-	cfg.Observe = s
 	cfg.Metrics = reg
 	return cfg
 }
@@ -56,9 +55,8 @@ func TestObservedRunMatchesReferenceAndLinks(t *testing.T) {
 		}
 
 		tr := telemetry.NewTracer(1 << 14)
-		s := observe.NewSampler(100 * time.Microsecond)
 		reg := telemetry.NewRegistry()
-		res, err := core.Run(stormModel(seed), stormConfig(tr, s, reg))
+		res, err := core.Run(stormModel(seed), stormConfig(tr, reg))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -111,8 +109,8 @@ func TestObservedRunMatchesReferenceAndLinks(t *testing.T) {
 			t.Fatalf("seed %d: cascades sum %d rolled events, trace says %d", seed, rolled, wantRolled)
 		}
 
-		if s.Summary() == nil {
-			t.Fatalf("seed %d: no roughness samples from a run with the sampler on", seed)
+		if res.Roughness == nil || len(observe.ExtractRoughness(tr.Events())) == 0 {
+			t.Fatalf("seed %d: no roughness samples from a traced run", seed)
 		}
 
 		if linked > 0 {
@@ -142,19 +140,17 @@ func TestObservedRunMatchesReferenceAndLinks(t *testing.T) {
 }
 
 // TestObservedRunSummaryFields checks that a report built from a live trace
-// plus the sampler aggregates renders an attributed cascade tree.
+// plus the run's own record renders an attributed cascade tree.
 func TestObservedRunSummaryFields(t *testing.T) {
 	for seed := uint64(1); seed <= 5; seed++ {
 		tr := telemetry.NewTracer(1 << 14)
-		s := observe.NewSampler(100 * time.Microsecond)
-		res, err := core.Run(stormModel(seed), stormConfig(tr, s, nil))
+		res, err := core.Run(stormModel(seed), stormConfig(tr, nil))
 		if err != nil {
 			t.Fatal(err)
 		}
 		if res.Stats.Rollbacks == 0 {
 			continue
 		}
-		res.Roughness, res.RollbackDepthHist = s.Summary(), s.DepthHist()
 		rep := observe.NewReport(tr.Events(), &res.RunRecord)
 		var text strings.Builder
 		if err := rep.WriteText(&text, 3); err != nil {

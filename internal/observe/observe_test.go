@@ -111,99 +111,34 @@ func TestBuildCascadesOrdering(t *testing.T) {
 	}
 }
 
-func TestSamplerRoughness(t *testing.T) {
+// TestReportRoughnessSummary: a report without the run record's summary folds
+// the trace's roughness samples through the kernel's accumulator, and buckets
+// its rollbacks as the kernel's depth histogram does.
+func TestReportRoughnessSummary(t *testing.T) {
 	tr := telemetry.NewTracer(64)
-	tr.Bind(4, time.Now())
-	s := NewSampler(time.Hour) // tick never fires; we sample explicitly
-	s.Bind(4, tr.System())
+	tr.Bind([]int{0, 1}, time.Now())
+	tr.System().Roughness(90, 100, 140, 120, 16, 1, 250)
+	tr.System().Roughness(95, 110, 130, 120, 8, 0, 100)
+	tr.LP(0).Rollback(1, 9, 50, 100, false, 1, 0, 0, 0)
+	tr.LP(0).Rollback(1, 9, 60, 110, false, 3, 0, 0, 0)
+	tr.LP(1).Rollback(2, 1, 110, 115, true, 700, 0, 0, 0)
 
-	s.PublishLVT(0, 100)
-	s.PublishLVT(1, 140)
-	s.PublishLVT(2, 120)
-	// LP 3 never publishes: it must not drag min to the unpublished sentinel.
-	s.PublishGVT(90)
-	// Two GVT applications' worth of run totals, as the LPs feed them.
-	s.AddProgress(80, 20)
-	s.AddProgress(120, 0)
-	s.RecordRollback(1)
-	s.RecordRollback(3)
-	s.RecordRollback(700) // overflow bucket
-
-	s.Start()
-	s.Stop() // takes the final sample
-
-	sum := s.Summary()
-	if sum == nil || sum.Samples != 1 {
-		t.Fatalf("summary = %+v, want 1 sample", sum)
+	rep := NewReport(tr.Events(), nil)
+	sa := rep.Samples[0]
+	if len(rep.Samples) != 2 || sa.GVT != 90 || sa.Min != 100 || sa.Max != 140 || sa.Laggard != 1 || sa.Wasted != 0.25 {
+		t.Fatalf("samples %+v; want two, the first at gvt 90 over [100,140] led by LP 1, 25%% wasted", rep.Samples)
 	}
-	if sum.MaxWidth != 40 || sum.MeanWidth != 40 {
-		t.Fatalf("width = %+v, want 40 (140-100)", sum)
+	want := stats.RoughnessSummary{Samples: 2, MeanWidth: 30, MaxWidth: 40, MeanStdDev: 12}
+	if got := rep.RoughnessSummary(); got == nil || *got != want {
+		t.Fatalf("summary %+v, want %+v", got, want)
 	}
-
-	hist := s.DepthHist()
-	if len(hist) != len(DepthBounds)+1 {
-		t.Fatalf("hist len = %d, want %d", len(hist), len(DepthBounds)+1)
+	h := rep.depthHist()
+	if len(h) != len(stats.DepthBounds)+1 || h[0] != 1 || h[2] != 1 || h[len(h)-1] != 1 {
+		t.Fatalf("hist = %v; want counts at <=1, <=4 and overflow", h)
 	}
-	if hist[0] != 1 || hist[2] != 1 || hist[len(hist)-1] != 1 {
-		t.Fatalf("hist = %v; want counts at <=1, <=4 and overflow", hist)
-	}
-
-	samples := ExtractRoughness(tr.Events())
-	if len(samples) != 1 {
-		t.Fatalf("got %d roughness samples, want 1", len(samples))
-	}
-	sa := samples[0]
-	if sa.Min != 100 || sa.Max != 140 || sa.GVT != 90 || sa.Laggard != 0 {
-		t.Fatalf("sample = %+v; want min=100 max=140 gvt=90 laggard=0", sa)
-	}
-	if sa.Wasted != 0.1 { // 20 rolled / 200 committed
-		t.Fatalf("wasted = %v, want 0.1", sa.Wasted)
-	}
-}
-
-func TestSamplerNilSafe(t *testing.T) {
-	var s *Sampler
-	s.Bind(4, nil)
-	s.BindMetrics(nil)
-	s.PublishLVT(0, 1)
-	s.PublishGVT(1)
-	s.AddProgress(1, 0)
-	s.RecordRollback(1)
-	s.Start()
-	s.Stop()
-	if s.Summary() != nil || s.DepthHist() != nil || s.Period() != 0 {
-		t.Fatal("nil sampler must return zero aggregates")
-	}
-
-	// Bound but unstarted, metrics-less, tracer-less: hooks still safe.
-	s2 := NewSampler(0)
-	if s2.Period() != DefaultPeriod {
-		t.Fatalf("period = %v, want default", s2.Period())
-	}
-	s2.Bind(2, nil)
-	s2.PublishLVT(0, 5)
-	s2.PublishLVT(7, 5) // out of range
-	s2.RecordRollback(2)
-	s2.Start()
-	s2.Stop()
-	if s2.Summary() == nil {
-		t.Fatal("bound sampler with published LVTs should produce a final sample")
-	}
-}
-
-// TestSamplerHotPathAllocs is the zero-allocation guard for the per-event and
-// per-rollback publishing hooks (issue satellite: sampling and attribution
-// must not put allocations on the kernel's hot path).
-func TestSamplerHotPathAllocs(t *testing.T) {
-	s := NewSampler(time.Hour)
-	s.Bind(4, nil)
-	if n := testing.AllocsPerRun(200, func() {
-		s.PublishLVT(1, 42)
-		s.PublishGVT(40)
-		s.AddProgress(10, 2)
-		s.RecordRollback(3)
-	}); n != 0 {
-		t.Fatalf("sampler hot path allocates %v per op, want 0", n)
+	rep.Summary = &stats.RunRecord{Roughness: &stats.RoughnessSummary{Samples: 7}}
+	if got := rep.RoughnessSummary(); got != rep.Summary.Roughness {
+		t.Fatalf("summary %+v, want the run record's own", got)
 	}
 }
 
@@ -211,7 +146,7 @@ func TestSamplerHotPathAllocs(t *testing.T) {
 // itself: one ring slot write, no heap allocation.
 func TestTraceRollbackAllocs(t *testing.T) {
 	tr := telemetry.NewTracer(1 << 10)
-	tr.Bind(1, time.Now())
+	tr.Bind([]int{0}, time.Now())
 	lp := tr.LP(0)
 	if n := testing.AllocsPerRun(200, func() {
 		lp.Rollback(3, 1, 40, 42, false, 5, 2, 1, time.Microsecond)
@@ -222,7 +157,7 @@ func TestTraceRollbackAllocs(t *testing.T) {
 
 func TestParseJSONLRoundTrip(t *testing.T) {
 	tr := telemetry.NewTracer(64)
-	tr.Bind(2, time.Now())
+	tr.Bind([]int{0, 1}, time.Now())
 	tr.LP(0).Rollback(3, 5, 37, 42, false, 5, 2, 1, 2500*time.Nanosecond)
 	tr.LP(1).Rollback(7, 3, 41, 44, true, 2, 0, 0, 0)
 	tr.LP(1).GVTCycle(40, 2, time.Microsecond)
@@ -274,7 +209,7 @@ func TestParseJSONLMalformed(t *testing.T) {
 // in cmd/twreport.
 func TestReportWriters(t *testing.T) {
 	tr := telemetry.NewTracer(64)
-	tr.Bind(2, time.Now())
+	tr.Bind([]int{0, 1}, time.Now())
 	tr.LP(0).Rollback(1, 9, 50, 100, false, 5, 1, 3, time.Microsecond)
 	tr.LP(1).Rollback(2, 1, 110, 115, true, 4, 0, 2, 0)
 	tr.System().Roughness(90, 80, 120, 100, 14, 1, 250)
@@ -304,7 +239,8 @@ func TestReportWriters(t *testing.T) {
 
 func TestExtractRollbacksSkipsInfiniteSentinels(t *testing.T) {
 	// A roughness record with no finite LVTs never reaches the trace (the
-	// sampler skips n==0), but a parser must still tolerate extreme values.
+	// kernel takes no sample then), but a parser must still tolerate extreme
+	// values.
 	evs := []telemetry.Event{{
 		Kind: telemetry.KindRoughness, Wall: 5, VT: math.MinInt64,
 		A: 10, B: 20, C: 15, D: 2, E: 0, Object: 0,

@@ -16,8 +16,7 @@ import (
 // cascades, the roughness timeline, and (when available) the run record
 // (stats.RunRecord, the -json-out artifact) for run-level and per-LP context. Build one with NewReport and
 // render it with WriteText; cmd/twreport also renders it as an HTML page,
-// which lives there and not here because the kernel imports this package for
-// the sampler and must not link html/template (TestKernelImportGraph).
+// which lives there, with whatever it links (TestKernelImportGraph).
 type Report struct {
 	Summary    *stats.RunRecord
 	Rollbacks  []Rollback
@@ -159,13 +158,9 @@ func (r *Report) depthHist() []int64 {
 	if len(r.Rollbacks) == 0 {
 		return nil
 	}
-	h := make([]int64, len(DepthBounds)+1)
+	h := make([]int64, len(stats.DepthBounds)+1)
 	for i := range r.Rollbacks {
-		b := 0
-		for b < len(DepthBounds) && r.Rollbacks[i].Rolled > DepthBounds[b] {
-			b++
-		}
-		h[b]++
+		h[stats.DepthBucket(r.Rollbacks[i].Rolled)]++
 	}
 	return h
 }
@@ -224,9 +219,9 @@ func (r *Report) WriteText(w io.Writer, topK int) error {
 			}
 		}
 		for i, c := range h {
-			label := fmt.Sprintf(">%d", DepthBounds[len(DepthBounds)-1])
-			if i < len(DepthBounds) {
-				label = fmt.Sprintf("<=%d", DepthBounds[i])
+			label := fmt.Sprintf(">%d", stats.DepthBounds[len(stats.DepthBounds)-1])
+			if i < len(stats.DepthBounds) {
+				label = fmt.Sprintf("<=%d", stats.DepthBounds[i])
 			}
 			if c == 0 {
 				continue
@@ -237,7 +232,7 @@ func (r *Report) WriteText(w io.Writer, topK int) error {
 
 	b.WriteString("\n--- virtual-time roughness timeline ---\n")
 	if len(r.Samples) == 0 {
-		b.WriteString("no roughness samples in trace (run with the observation sampler enabled)\n")
+		b.WriteString("no roughness samples in trace (record one with -trace)\n")
 	} else {
 		var maxW int64
 		for _, s := range r.Samples {
@@ -308,26 +303,15 @@ func (r *Report) WriteText(w io.Writer, topK int) error {
 	return err
 }
 
-// RoughnessSummary aggregates the extracted samples (preferring the run
-// artifact's own summary when present).
+// RoughnessSummary aggregates the extracted samples through the fold the
+// kernel uses (preferring the run artifact's own summary when present).
 func (r *Report) RoughnessSummary() *stats.RoughnessSummary {
 	if r.Summary != nil && r.Summary.Roughness != nil {
 		return r.Summary.Roughness
 	}
-	if len(r.Samples) == 0 {
-		return nil
-	}
-	out := &stats.RoughnessSummary{Samples: int64(len(r.Samples))}
-	var sumW, sumS float64
+	var f stats.RoughnessFold
 	for _, s := range r.Samples {
-		w := s.Width()
-		sumW += float64(w)
-		sumS += float64(s.Std)
-		if w > out.MaxWidth {
-			out.MaxWidth = w
-		}
+		f.Add(s.Width(), float64(s.Std))
 	}
-	out.MeanWidth = sumW / float64(len(r.Samples))
-	out.MeanStdDev = sumS / float64(len(r.Samples))
-	return out
+	return f.Summary()
 }

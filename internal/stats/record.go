@@ -16,8 +16,7 @@ import (
 // is the artifact's one declaration: a key on disk is a tag here or one of the
 // derived keys MarshalJSON adds (rates and ratios computed from Stats,
 // PerWorker, Elapsed and GVT, never stored). The kernel fills everything it
-// knows; a command line adds Flags, Transport, TraceDropped and the sampler's
-// Roughness and RollbackDepthHist.
+// knows; a command line adds only Flags and Transport.
 type RunRecord struct {
 	// Model names the simulation model.
 	Model string `json:"model"`
@@ -77,12 +76,14 @@ type RunRecord struct {
 	// peer rank, when the transport keeps one (comm.TCP does); other ranks'
 	// links are in their own records. Wall-clock-dependent.
 	Wire []LinkStats `json:"wire,omitempty"`
-	// Roughness summarizes the virtual-time roughness samples (nil when the
-	// observation sampler was off).
+	// Roughness summarizes the virtual-time roughness samples the kernel took
+	// of this process's LPs, one at every GVT application and one at the final
+	// GVT (nil when no LP had executed an event by a completed GVT round).
 	Roughness *RoughnessSummary `json:"roughness,omitempty"`
-	// RollbackDepthHist is the rollback-depth histogram: bucket i counts
-	// rollback episodes that undid at most observe.DepthBounds[i] events,
-	// with the final slot as the overflow bucket.
+	// RollbackDepthHist is the rollback-depth histogram of this process's LPs:
+	// bucket i counts rollback episodes that undid at most DepthBounds[i]
+	// events, with the final slot as the overflow bucket (nil without
+	// rollbacks).
 	RollbackDepthHist []int64 `json:"rollback_depth_hist,omitempty"`
 	// FinalOptimismWindow is the optimism window in force when the run
 	// ended (0 = unbounded — always emitted, because the adaptive
@@ -95,7 +96,7 @@ type RunRecord struct {
 
 // RoughnessSummary condenses a run's virtual-time roughness samples: how
 // spread out the LPs' local virtual times were, on average and at worst.
-// Width is max-min over finite LVTs at a sample instant; StdDev their
+// Width is max-min over finite LVTs at a sample's GVT cut; StdDev their
 // standard deviation.
 type RoughnessSummary struct {
 	// Samples is the number of roughness samples taken.
@@ -105,6 +106,45 @@ type RoughnessSummary struct {
 	MaxWidth  int64   `json:"max_width"`
 	// MeanStdDev is the mean per-sample standard deviation of the LVTs.
 	MeanStdDev float64 `json:"mean_stddev"`
+}
+
+// RoughnessFold folds roughness samples into a RoughnessSummary: the kernel
+// folds the samples it takes, a report the samples it reads from a trace.
+type RoughnessFold struct {
+	samples, maxWidth int64
+	sumWidth, sumStd  float64
+}
+
+// Add folds in one sample of the given LVT width and standard deviation.
+func (f *RoughnessFold) Add(width int64, std float64) {
+	f.samples++
+	f.sumWidth += float64(width)
+	f.sumStd += std
+	f.maxWidth = max(f.maxWidth, width)
+}
+
+// Summary returns the aggregates, or nil when nothing was folded.
+func (f *RoughnessFold) Summary() *RoughnessSummary {
+	if f.samples == 0 {
+		return nil
+	}
+	n := float64(f.samples)
+	return &RoughnessSummary{Samples: f.samples, MeanWidth: f.sumWidth / n, MaxWidth: f.maxWidth, MeanStdDev: f.sumStd / n}
+}
+
+// DepthBounds are the rollback-depth histogram's bucket upper bounds: bucket
+// i counts rollback episodes that undid at most DepthBounds[i] events, and one
+// overflow bucket follows the last bound.
+var DepthBounds = [...]int64{1, 2, 4, 8, 16, 32, 64, 128, 256, 512}
+
+// DepthBucket returns the histogram bucket of a rollback that undid depth
+// events.
+func DepthBucket(depth int64) int {
+	i := 0
+	for i < len(DepthBounds) && depth > DepthBounds[i] {
+		i++
+	}
+	return i
 }
 
 // EventRate returns committed events per second of wall-clock time — the

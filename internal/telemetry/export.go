@@ -361,7 +361,7 @@ func WriteChrome(w io.Writer, evs []Event) error {
 			emit(`{"name":"roughness","cat":"roughness","ph":"i","s":"g","ts":%s,"pid":0,"tid":%d,"args":{%s}}`,
 				ts, ev.LP, args)
 			// A counter track plots the LVT spread; min/max are finite
-			// whenever the sampler saw at least one published LVT.
+			// whenever the kernel takes a sample: it skips cuts with no finite LVT.
 			if ev.A != math.MaxInt64 && ev.A != math.MinInt64 && ev.B != math.MaxInt64 && ev.B != math.MinInt64 {
 				emit(`{"name":"LVT width","ph":"C","ts":%s,"pid":0,"args":{"width":%d}}`, ts, ev.B-ev.A)
 			}

@@ -133,7 +133,7 @@ func TestChromeSkipsInfiniteGVT(t *testing.T) {
 
 func TestTracerExportEndToEnd(t *testing.T) {
 	tr := NewTracer(16)
-	tr.Bind(2, time.Now())
+	tr.Bind([]int{0, 1}, time.Now())
 	tr.LP(0).GVTCycle(10, 1, time.Microsecond)
 	tr.LP(1).Rollback(5, 2, 18, 20, true, 3, 1, 2, time.Microsecond)
 	var jl, ch strings.Builder
@@ -159,7 +159,7 @@ func TestTracerExportEndToEnd(t *testing.T) {
 // microseconds would return a nanosecond early.
 func everyKind() []Event {
 	tr := NewTracer(16)
-	tr.Bind(3, time.Now())
+	tr.Bind([]int{0, 1, 2}, time.Now())
 	tr.LP(0).Rollback(3, 5, 37, 42, false, 5, 2, 1, 1001)
 	tr.LP(0).Rollback(4, 6, 38, 43, true, 1, 0, 0, 1005)
 	tr.LP(1).CheckpointAdjust(7, 4, 8, 125009)

@@ -46,8 +46,8 @@ const (
 	// object, decided by the codec facet's on-line controller.
 	KindCodecSwitch
 	// KindRoughness is one virtual-time roughness sample: the spread of the
-	// LVT vector across LPs at a wall-clock instant (recorded by the
-	// observation sampler into the tracer's system ring).
+	// LVT vector across LPs at a GVT cut (recorded by the kernel into the
+	// tracer's system ring).
 	KindRoughness
 	// KindOptSwitch is one move of the optimism window by the adaptive
 	// controller (recorded by LP 0, its one writer).
@@ -95,17 +95,18 @@ const DefaultCapacity = 1 << 16
 
 // Tracer owns the per-LP trace recorders for one run. Construct it with
 // NewTracer, hand it to the kernel via the run configuration; the kernel
-// calls Bind once it knows the LP count, and each LP goroutine records
-// through its own LPTrace with no cross-LP synchronization. After the run
-// joins, Events merges the rings into one wall-clock-ordered slice.
+// calls Bind with the LPs this process hosts, and each LP records through its
+// own LPTrace with no cross-LP synchronization. After the run joins, Events
+// merges the rings into one wall-clock-ordered slice.
 type Tracer struct {
 	capacity int
 	start    time.Time
-	lps      []*LPTrace
+	lps      []*LPTrace // indexed by LP id; nil for LPs another process hosts
 	// sys is the system ring (LP -1): a recorder for run-scoped events that
-	// no LP goroutine owns, such as roughness samples. It has exactly one
-	// writer at a time (the observation sampler goroutine), preserving the
-	// single-writer-per-ring discipline.
+	// no one LP owns, such as roughness samples. Its one writer is the kernel's
+	// roughness sample, taken by the first hosted LP at each GVT application
+	// and by Run once at the end, preserving the single-writer-per-ring
+	// discipline. It keeps the timeline when the LP rings wrap.
 	sys *LPTrace
 }
 
@@ -119,16 +120,21 @@ func NewTracer(capacity int) *Tracer {
 	return &Tracer{capacity: capacity}
 }
 
-// Bind sizes the tracer for numLPs logical processes and anchors wall-clock
-// zero at start. The kernel calls it at run start; calling Bind on a nil
-// tracer is a no-op. Rebinding discards any previously recorded events.
-func (t *Tracer) Bind(numLPs int, start time.Time) {
+// Bind gives each of the logical processes lps (this process's, by LP id) a
+// ring, and anchors wall-clock zero at start. The kernel calls it at run
+// start; calling Bind on a nil tracer is a no-op. Rebinding discards any
+// previously recorded events.
+func (t *Tracer) Bind(lps []int, start time.Time) {
 	if t == nil {
 		return
 	}
 	t.start = start
-	t.lps = make([]*LPTrace, numLPs)
-	for i := range t.lps {
+	n := 0
+	for _, i := range lps {
+		n = max(n, i+1)
+	}
+	t.lps = make([]*LPTrace, n)
+	for _, i := range lps {
 		t.lps[i] = &LPTrace{
 			lp:    int32(i),
 			start: start,
@@ -138,8 +144,8 @@ func (t *Tracer) Bind(numLPs int, start time.Time) {
 	t.sys = &LPTrace{lp: -1, start: start, buf: make([]Event, t.capacity)}
 }
 
-// System returns the system ring (LP -1), used by run-scoped recorders like
-// the roughness sampler, or nil when the tracer is nil or unbound.
+// System returns the system ring (LP -1), where the kernel records its
+// roughness samples, or nil when the tracer is nil or unbound.
 func (t *Tracer) System() *LPTrace {
 	if t == nil {
 		return nil
@@ -148,10 +154,11 @@ func (t *Tracer) System() *LPTrace {
 }
 
 // LP returns the recorder owned by logical process i, or nil when the
-// tracer itself is nil or unbound — callers hold the result and record
-// through it without further nil checks on the tracer.
+// tracer itself is nil or unbound, or i is not one of the LPs it was bound to
+// — callers hold the result and record through it without further nil checks
+// on the tracer.
 func (t *Tracer) LP(i int) *LPTrace {
-	if t == nil || i >= len(t.lps) {
+	if t == nil || i < 0 || i >= len(t.lps) {
 		return nil
 	}
 	return t.lps[i]
@@ -178,14 +185,9 @@ func (t *Tracer) Dropped() int64 {
 	}
 	var n int64
 	for _, lp := range t.lps {
-		if lp.n > uint64(len(lp.buf)) {
-			n += int64(lp.n) - int64(len(lp.buf))
-		}
+		n += lp.dropped()
 	}
-	if s := t.sys; s != nil && s.n > uint64(len(s.buf)) {
-		n += int64(s.n) - int64(len(s.buf))
-	}
-	return n
+	return n + t.sys.dropped()
 }
 
 // LPTrace is one logical process's trace ring. It is written only by the
@@ -221,6 +223,14 @@ func (t *LPTrace) events() []Event {
 	return out
 }
 
+// dropped returns the number of events the ring overwrote; 0 on nil.
+func (t *LPTrace) dropped() int64 {
+	if t == nil || t.n <= uint64(len(t.buf)) {
+		return 0
+	}
+	return int64(t.n) - int64(len(t.buf))
+}
+
 // Len returns the number of retained events.
 func (t *LPTrace) Len() int {
 	if t == nil {
@@ -251,11 +261,11 @@ func (t *LPTrace) Rollback(obj, src int32, sendVT, recvVT int64, anti bool, roll
 		D: int64(src), E: sendVT, F: antis, Dur: coastDur})
 }
 
-// Roughness records one virtual-time roughness sample: the current GVT
-// estimate, the min/max/mean/stddev of the finite LVTs across LPs, the
+// Roughness records one virtual-time roughness sample: the GVT it was cut
+// at, the min/max/mean/stddev of the finite LVTs across LPs there, the
 // laggard LP holding the minimum, and the run-wide wasted-work ratio
 // (rolled-back / committed events) in thousandths. Recorded into the
-// tracer's system ring by the observation sampler.
+// tracer's system ring by the kernel.
 func (t *LPTrace) Roughness(gvt, minLVT, maxLVT, meanLVT, stddevLVT int64, laggard int32, wastedPermille int64) {
 	if t == nil {
 		return

@@ -7,7 +7,7 @@ import (
 
 func TestRingWraparound(t *testing.T) {
 	tr := NewTracer(4)
-	tr.Bind(1, time.Now())
+	tr.Bind([]int{0}, time.Now())
 	lp := tr.LP(0)
 	for i := 0; i < 10; i++ {
 		lp.GVTCycle(int64(i), 1, time.Microsecond)
@@ -35,7 +35,7 @@ func TestRingWraparound(t *testing.T) {
 
 func TestRingPartialFill(t *testing.T) {
 	tr := NewTracer(8)
-	tr.Bind(2, time.Now())
+	tr.Bind([]int{0, 1}, time.Now())
 	tr.LP(0).Rollback(3, 1, 40, 42, false, 5, 2, 1, time.Microsecond)
 	tr.LP(1).Flush(0, 1, 12, 288)
 	if got := tr.Dropped(); got != 0 {
@@ -64,7 +64,7 @@ func TestRingPartialFill(t *testing.T) {
 
 func TestNilSafety(t *testing.T) {
 	var tr *Tracer
-	tr.Bind(4, time.Now()) // must not panic
+	tr.Bind([]int{0, 1, 2, 3}, time.Now()) // must not panic
 	if got := tr.LP(0); got != nil {
 		t.Fatalf("nil tracer LP(0) = %v, want nil", got)
 	}
@@ -98,7 +98,7 @@ func TestNilSafety(t *testing.T) {
 // of the per-LP rings and is merged into Events and Dropped.
 func TestSystemRing(t *testing.T) {
 	tr := NewTracer(4)
-	tr.Bind(2, time.Now())
+	tr.Bind([]int{0, 1}, time.Now())
 	sys := tr.System()
 	if sys == nil {
 		t.Fatal("System() = nil after Bind")
@@ -130,7 +130,7 @@ func TestSystemRing(t *testing.T) {
 
 func TestLPOutOfRange(t *testing.T) {
 	tr := NewTracer(4)
-	tr.Bind(2, time.Now())
+	tr.Bind([]int{0, 1}, time.Now())
 	if got := tr.LP(2); got != nil {
 		t.Fatalf("LP(2) with 2 LPs = %v, want nil", got)
 	}

@@ -16,7 +16,7 @@ import (
 // change, where a reviewer sees it.
 func TestConfigSurface(t *testing.T) {
 	wantFields := map[string]int{
-		"core.Config":            16,
+		"core.Config":            15,
 		"statesave.Config":       6,
 		"cancel.Config":          7,
 		"comm.AggConfig":         8,
@@ -27,7 +27,7 @@ func TestConfigSurface(t *testing.T) {
 		"core.OptimismConfig":    10,
 	}
 	const (
-		wantLeaves  = 53 // independently settable values under Config
+		wantLeaves  = 52 // independently settable values under Config
 		wantMethods = 21 // 20 With* options and Build
 	)
 
