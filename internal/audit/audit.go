@@ -448,8 +448,8 @@ func (l *LPAudit) GVTRound(count int64, m, mmsg vtime.Time) {
 }
 
 // LocalMin cross-checks the LP's contribution to GVT, which the kernel takes
-// from its schedule heap and its list of objects with pending lazy outputs,
-// against the same minimum scanned over every hosted object.
+// from its range of the schedule tree and its list of objects with pending
+// lazy outputs, against the same minimum scanned over every hosted object.
 func (l *LPAudit) LocalMin(fast, full vtime.Time) {
 	if l == nil {
 		return
@@ -457,7 +457,7 @@ func (l *LPAudit) LocalMin(fast, full vtime.Time) {
 	l.checks++
 	if fast != full {
 		l.a.record(Violation{Invariant: InvLocalMin, LP: l.lp, Object: -1,
-			Detail: fmt.Sprintf("local minimum %s from the schedule heap and lazy list, %s from the full scan", fast, full)})
+			Detail: fmt.Sprintf("local minimum %s from the schedule tree and lazy list, %s from the full scan", fast, full)})
 	}
 }
 

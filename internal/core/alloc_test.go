@@ -37,11 +37,10 @@ func TestExecuteLoopZeroAlloc(t *testing.T) {
 	lp := newAllocHarness()
 	step := func() {
 		lp.drainDeferred()
-		slot, tm := lp.sched.Min()
-		if slot < 0 || tm == vtime.PosInf {
+		o, tm := lp.next()
+		if tm == vtime.PosInf {
 			panic("alloc harness drained")
 		}
-		o := lp.objs[slot]
 		o.executeNext()
 		lp.refresh(o)
 	}
@@ -185,8 +184,7 @@ func TestCodecRollbackZeroAlloc(t *testing.T) {
 		floor := lp.localMin()
 		for i := 0; i < 64; i++ {
 			lp.drainDeferred()
-			slot, _ := lp.sched.Min()
-			o := lp.objs[slot]
+			o, _ := lp.next()
 			o.executeNext()
 			lp.refresh(o)
 		}
@@ -238,11 +236,10 @@ func TestExecuteLoopZeroAllocAdaptiveOptimism(t *testing.T) {
 
 	step := func() {
 		lp.drainDeferred()
-		slot, tm := lp.sched.Min()
-		if slot < 0 || tm == vtime.PosInf {
+		o, tm := lp.next()
+		if tm == vtime.PosInf {
 			panic("alloc harness drained")
 		}
-		o := lp.objs[slot]
 		o.executeNext()
 		lp.lvt = o.lvt
 		lp.refresh(o)

@@ -8,8 +8,9 @@ import (
 )
 
 // auditLocalMin is localMin's full scan, kept under Config.Audit: the
-// minimum over every hosted object must equal the one the schedule heap and
-// the lazy list produced, and no object off the list may hold pending entries.
+// minimum over every hosted object must equal the one the LP's range of the
+// schedule tree and the lazy list produced, and no object off the list may
+// hold pending entries.
 func (lp *lpRun) auditLocalMin(fast vtime.Time) {
 	full := vtime.PosInf
 	for _, o := range lp.objs {

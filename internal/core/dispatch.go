@@ -2,10 +2,10 @@ package core
 
 // The event dispatcher — the kernel's one execution engine. Worker goroutines
 // host all of a process's logical processes, each worker pulling the
-// lowest-timestamped runnable object from a per-worker schedule queue (a
-// winner tree over the LPs it owns, keyed by the minimum of each LP's own tree
-// over its objects with the deterministic (vt, seq, object-id) tie-break; the
-// type is still pq.ScheduleHeap, a name benchmark/layers.go compiles against).
+// lowest-timestamped runnable object from its one schedule tree (a winner tree
+// over every object of the LPs it owns, each LP a contiguous range of slots,
+// keyed with the deterministic (vt, seq, object-id) tie-break; the type is
+// still pq.ScheduleHeap, a name benchmark/layers.go compiles against).
 // It follows the Warped2 TimeWarpEventDispatcher structure — worker threads
 // and a communication manager in one place: object count is not bounded by
 // per-goroutine footprint, a few hot LPs do not strand the cores of their idle
@@ -50,7 +50,7 @@ package core
 // Mattern token's hops across same-worker LPs complete within one worker
 // drain round, so a W-worker run pays ~W wake-ups per GVT round rather than
 // one per LP. The optimism facet gates each worker's queue horizon through
-// the per-LP horizon() check in execStep, so a tightened window throttles
+// the per-LP horizon() check in exec, so a tightened window throttles
 // every worker identically.
 //
 // Re-mapping on line: each LP records its progress at every GVT application
@@ -428,15 +428,18 @@ func (d *dispatcher) finalStats() (ws []stats.WorkerStats, assign []int) {
 }
 
 // worker is one dispatcher thread: a goroutine owning a disjoint set of LPs
-// and a least-timestamp-first schedule queue over them.
+// and a least-timestamp-first schedule tree over their objects.
 type worker struct {
-	id      int
-	d       *dispatcher
-	pool    *event.Pool // shared by every owned LP; rebound on adoption
-	wires   [][]byte    // likewise: the owned LPs' endpoints' free wire buffers
-	owned   []*lpRun
-	lp0     *lpRun // the owned LP with id 0, if any (GVT initiator)
-	sched   *pq.ScheduleHeap
+	id    int
+	d     *dispatcher
+	pool  *event.Pool // shared by every owned LP; rebound on adoption
+	wires [][]byte    // likewise: the owned LPs' endpoints' free wire buffers
+	owned []*lpRun
+	lp0   *lpRun // the owned LP with id 0, if any (GVT initiator)
+	// sched is the schedule tree over the owned LPs' objects, in owned order,
+	// each LP's a range from its base; objs is its slot → object map.
+	sched   pq.ScheduleHeap
+	objs    []*simObject
 	wake    chan struct{}
 	idleTmr *time.Timer
 	seen    uint64 // last remap epoch applied
@@ -461,37 +464,35 @@ func (w *worker) poke() {
 	}
 }
 
-// rebuild reconstructs the worker's schedule queue after its owned set
-// changed (adoption, release, or startup). Remaps happen at controller
-// granularity, so the O(n) rebuild is irrelevant next to the event path.
+// rebuild lays the owned LPs' objects out in a fresh schedule tree, each LP a
+// range from its base, and keys those of the running LPs. The ranges move at
+// start-up, adoption, release and a migration batch: controller granularity.
 func (w *worker) rebuild() {
-	w.sched = pq.NewScheduleHeap(len(w.owned))
+	n := 0
 	w.lp0 = nil
-	for i, lp := range w.owned {
+	for _, lp := range w.owned {
+		n += len(lp.objs)
 		if lp.id == 0 {
 			w.lp0 = lp
 		}
-		w.rekey(i)
+	}
+	// Remade in place: fresh ones per migration batch cost a balanced run
+	// about 100 bytes an object more (TestObjectFootprint).
+	w.sched.Reset(n)
+	clear(w.objs) // objects gone with a released LP or a capsule are not pinned
+	if w.objs = w.objs[:0]; cap(w.objs) < n {
+		w.objs = make([]*simObject, 0, n+n/16) // the tree's spare, for the same batches
+	}
+	for _, lp := range w.owned {
+		lp.sched, lp.base = &w.sched, len(w.objs)
+		w.objs = append(w.objs, lp.objs...)
+		if lp.running {
+			for _, o := range lp.objs {
+				lp.refresh(o)
+			}
+		}
 	}
 	w.ownedN.Store(int64(len(w.owned)))
-}
-
-// rekey refreshes owned slot i's key in the worker queue: the virtual time,
-// send sequence and object id of the LP's lowest-timestamped pending event.
-func (w *worker) rekey(i int) {
-	lp := w.owned[i]
-	if !lp.running {
-		w.sched.UpdateKey(i, vtime.PosInf, 0, int32(lp.id))
-		return
-	}
-	// The LP heap's least key is what lp.refresh stored for that object: its
-	// head event's receive time and send sequence, and the object's id.
-	slot, t, seq, id := lp.sched.MinKey()
-	if slot < 0 || t == vtime.PosInf {
-		w.sched.UpdateKey(i, vtime.PosInf, 0, int32(lp.id))
-		return
-	}
-	w.sched.UpdateKey(i, t, seq, id)
 }
 
 // bind makes w's event pool and wire-buffer list lp's: everything lp and its
@@ -545,27 +546,25 @@ func (w *worker) applyRemap() {
 
 // run is the worker goroutine body, one round per iteration: poll the
 // transport, adopt, pump every owned LP's communication, execute up to
-// poolBatch events least-timestamp-first across the owned LPs, flush the
-// transport; idle on the wake channel when nothing was runnable. It returns
-// once every LP the process hosts has stopped.
+// poolBatch events least-timestamp-first across the owned LPs' objects, flush
+// the transport; idle on the wake channel when nothing was runnable. It
+// returns once every LP the process hosts has stopped.
 func (w *worker) run() {
 	for _, lp := range w.owned {
 		lp.initObjects()
 	}
-	w.rebuild()
 	for w.d.live.Load() > 0 {
 		w.d.poll()
 		w.takeAdoptions()
 		w.applyRemap()
 		now := time.Now()
 		runnable := 0
-		for i, lp := range w.owned {
+		for _, lp := range w.owned {
 			if lp.running {
 				lp.pump(now)
 			}
-			w.rekey(i)
-			if lp.running {
-				if _, t := lp.sched.Min(); t != vtime.PosInf {
+			if lp.met != nil { // a range query per LP and round, for the metrics registry alone
+				if _, t := lp.sched.MinIn(lp.base, lp.base+len(lp.objs)); t != vtime.PosInf {
 					runnable++
 				}
 			}
@@ -575,18 +574,17 @@ func (w *worker) run() {
 		executed := 0
 		for executed < poolBatch {
 			slot, t := w.sched.Min()
-			if slot < 0 || t == vtime.PosInf {
+			if t == vtime.PosInf {
 				break
 			}
-			lp := w.owned[slot]
-			if executed > 0 && lp.spill.n.Load() != 0 {
+			o := w.objs[slot]
+			if executed > 0 && o.lp.spill.n.Load() != 0 {
 				break // mail since the pump: it may hold a straggler for this very event
 			}
-			if !lp.execStep() {
+			if !o.lp.exec(o, t) {
 				break
 			}
 			executed++
-			w.rekey(slot)
 		}
 		if executed > 0 {
 			w.events.Add(int64(executed))

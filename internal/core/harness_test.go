@@ -6,6 +6,7 @@ import (
 	"gowarp/internal/comm"
 	"gowarp/internal/event"
 	"gowarp/internal/model"
+	"gowarp/internal/vtime"
 )
 
 // newTestKernel wires m's logical processes and objects exactly as Run does
@@ -20,6 +21,23 @@ func newTestKernel(m *model.Model, cfg *Config) []*lpRun {
 		lp.initObjects()
 	}
 	return d.lps
+}
+
+// next returns the object with the least key of lp's range of the worker's
+// schedule tree, nil if the LP hosts none, and that key's virtual time.
+func (lp *lpRun) next() (*simObject, vtime.Time) {
+	slot, t := lp.sched.MinIn(lp.base, lp.base+len(lp.objs))
+	if slot < 0 {
+		return nil, t
+	}
+	return lp.objs[slot-lp.base], t
+}
+
+// execStep executes lp's lowest-timestamped pending event as the worker would
+// had it picked that object, reporting whether anything ran.
+func (lp *lpRun) execStep() bool {
+	o, t := lp.next()
+	return t != vtime.PosInf && lp.exec(o, t)
 }
 
 // nilState is a zero-size model.State. Boxing a zero-size value into an

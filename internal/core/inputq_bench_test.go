@@ -10,7 +10,7 @@ import (
 	"gowarp/internal/vtime"
 )
 
-// The layer benchmarks beside the input queue and the worker's rekey
+// The layer benchmarks beside the input queue and the worker's schedule tree
 // (DESIGN.md "The input queue" and EXPERIMENTS.md "An input queue shaped like
 // its traffic" record the figures).
 
@@ -177,49 +177,32 @@ func BenchmarkInputQueue(b *testing.B) {
 	})
 }
 
-// BenchmarkWorkerRekey times worker.rekey alone. One op moves the least key of
-// one of 16 owned LPs (1,024 objects each, one unprocessed event apiece) a
-// thousand ticks on, in the LP's heap only, and re-keys that LP in the
-// worker's queue. "minkey" is worker.rekey, which copies the key lp.refresh
-// left in the LP's heap; "peek" is what it did before, going back to the
-// object and the head of its queue for the send sequence — three dependent
-// loads in memory nothing has touched since the last full cycle of objects.
-// In the kernel the execution that follows touches that object anyway, so the
-// miss rekey no longer takes is taken there: see EXPERIMENTS.md for what is
-// left end to end.
-func BenchmarkWorkerRekey(b *testing.B) {
+// BenchmarkWorkerTree times one object re-key in a worker's schedule tree: one
+// op takes the worker's least object, among 16 owned LPs of 1,024 objects each
+// (one unprocessed event apiece), and moves its key a thousand ticks on, as
+// lp.refresh does after an execution. The keys' sequence numbers and ids are
+// read from a table, so the op touches the tree alone.
+func BenchmarkWorkerTree(b *testing.B) {
 	const lps, perLP = 16, 1024
-	peek := func(w *worker, i int) {
-		lp := w.owned[i]
-		slot, t := lp.sched.Min()
-		o := lp.objs[slot]
-		w.sched.UpdateKey(i, t, uint64(o.head().SendSeq), int32(o.id))
+	m := ringModel(lps*perLP, lps*perLP, lps*perLP)
+	for i := range m.Partition {
+		m.Partition[i] = i % lps
 	}
-	for _, v := range []struct {
-		name  string
-		rekey func(*worker, int)
-	}{{"minkey", (*worker).rekey}, {"peek", peek}} {
-		b.Run(v.name, func(b *testing.B) {
-			m := ringModel(lps*perLP, lps*perLP, lps*perLP)
-			for i := range m.Partition {
-				m.Partition[i] = i % lps
-			}
-			cfg := DefaultConfig(vtime.Time(1) << 40)
-			cfg.Workers = 1
-			all := newTestKernel(m, &cfg)
-			w := all[0].d.workers[0]
-			for _, lp := range all {
-				lp.drainInbox()
-				lp.drainDeferred()
-			}
-			w.rebuild()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				lp := w.owned[i%lps]
-				slot, t, seq, id := lp.sched.MinKey()
-				lp.sched.UpdateKey(slot, t+1000, seq, id)
-				v.rekey(w, i%lps)
-			}
-		})
+	cfg := DefaultConfig(vtime.Time(1) << 40)
+	cfg.Workers = 1
+	all := newTestKernel(m, &cfg)
+	for _, lp := range all {
+		lp.drainInbox()
+		lp.drainDeferred()
+	}
+	w := all[0].d.workers[0]
+	seq, id := make([]uint64, len(w.objs)), make([]int32, len(w.objs))
+	for i, o := range w.objs {
+		seq[i], id[i] = uint64(o.head().SendSeq), int32(o.id)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		slot, t := w.sched.Min()
+		w.sched.UpdateKey(slot, t+1000, seq[slot], id[slot])
 	}
 }

@@ -450,7 +450,7 @@ func (tp *inputTape) check() {
 	if got != want {
 		t.Fatalf("absProcessed, base, committed, lvt, rollbacks, orphans, snapshots, oldest mark, oldest and newest time, state:\n got %v\nwant %v", got, want)
 	}
-	if _, key := tp.lp.sched.Min(); key != o.nextTime() {
+	if _, key := tp.lp.next(); key != o.nextTime() {
 		t.Fatalf("schedule key %s, head %s", key, o.nextTime())
 	}
 }

@@ -48,15 +48,17 @@ type shared struct {
 	_ [16]byte
 }
 
-// lpRun is one logical process: a set of simulation objects, a scheduler
-// over them, a mailbox, a network endpoint and a GVT manager, all touched
-// only by the dispatcher worker that owns the LP at the moment.
+// lpRun is one logical process: a set of simulation objects (a range of its
+// worker's schedule tree), a mailbox, a network endpoint and a GVT manager,
+// all touched only by the dispatcher worker that owns the LP at the moment.
 type lpRun struct {
-	id      int
-	cfg     *Config
-	k       *shared
-	objs    []*simObject
+	id   int
+	cfg  *Config
+	k    *shared
+	objs []*simObject
+	// sched is the owning worker's tree, whose slots from base are the objects.
 	sched   *pq.ScheduleHeap
+	base    int
 	ep      *comm.Endpoint
 	gvtMgr  *gvt.Manager
 	st      stats.Counters
@@ -162,17 +164,18 @@ type lpRun struct {
 	stash []comm.Packet
 }
 
-// refresh re-keys o in the schedule heap after its input queue changed,
+// refresh re-keys o in the schedule tree after its input queue changed,
 // carrying the deterministic (vt, seq, object-id) tie-break the oracle
 // hashes depend on: at equal receive times the object whose head event has
 // the lower send sequence (then the lower global id) executes first,
-// independent of the slot order migrations happen to have produced.
+// independent of the slot order migrations happen to have produced. An
+// object with nothing pending gets a fresh slot's key, which re-keys nothing.
 func (lp *lpRun) refresh(o *simObject) {
 	if e := o.head(); e != nil {
-		lp.sched.UpdateKey(int(o.slot), e.RecvTime, uint64(e.SendSeq), int32(o.id))
+		lp.sched.UpdateKey(lp.base+int(o.slot), e.RecvTime, uint64(e.SendSeq), int32(o.id))
 		return
 	}
-	lp.sched.UpdateKey(int(o.slot), vtime.PosInf, 0, int32(o.id))
+	lp.sched.UpdateKey(lp.base+int(o.slot), vtime.PosInf, 0, 0)
 }
 
 // noteEdge counts ev, sent to another LP, into the balancer's
@@ -379,10 +382,13 @@ func (lp *lpRun) handlePacket(p comm.Packet) {
 	}
 }
 
-// stop ends this LP's part of the run; the last hosted LP to stop retires
-// the workers.
+// stop ends this LP's part of the run, its objects out of its worker's pick;
+// the last hosted LP to stop retires the workers.
 func (lp *lpRun) stop() {
 	lp.running = false
+	for _, o := range lp.objs {
+		lp.sched.UpdateKey(lp.base+int(o.slot), vtime.PosInf, 0, 0)
+	}
 	if lp.d.live.Add(-1) == 0 {
 		lp.d.release()
 	}
@@ -392,12 +398,12 @@ func (lp *lpRun) stop() {
 // unprocessed events, queued intra-LP messages, and unsent lazy
 // anti-messages. Objects with no executable work first drain their stale
 // lazy-pending outputs so idle LPs never hold GVT back. The unprocessed
-// minimum is the schedule heap's — refresh keeps every object's key at its
+// minimum is the LP's range's — refresh keeps every object's key at its
 // nextTime() — and only objects on the lazy list can hold an unsent anti.
 func (lp *lpRun) localMin() vtime.Time {
 	lp.drainLazy()
 	lp.drainDeferred()
-	_, min := lp.sched.Min()
+	_, min := lp.sched.MinIn(lp.base, lp.base+len(lp.objs))
 	for _, o := range lp.lazy {
 		min = vtime.Min(min, o.out.MinPending())
 	}
@@ -546,17 +552,14 @@ func (lp *lpRun) pump(now time.Time) {
 	lp.ep.Poll(now)
 }
 
-// execStep executes the lowest-timestamped pending event if one lies within
-// the end time and the optimism horizon, reporting whether anything ran. What
-// the event sent to objects of this LP is delivered before returning, so the
-// next pick — this LP's or its worker's — sees it and no straggler is
-// manufactured inside one LP.
-func (lp *lpRun) execStep() bool {
-	slot, t := lp.sched.Min()
-	if slot < 0 || t == vtime.PosInf || t.After(lp.cfg.EndTime) || t.After(lp.horizon()) {
+// exec executes o's next event, received at t, if t lies within the end time
+// and the optimism horizon, reporting whether it ran. What the event sent to
+// objects of this LP is delivered before returning, so the worker's next pick
+// sees it and no straggler is manufactured inside one LP.
+func (lp *lpRun) exec(o *simObject, t vtime.Time) bool {
+	if t.After(lp.cfg.EndTime) || t.After(lp.horizon()) {
 		return false
 	}
-	o := lp.objs[slot]
 	o.executeNext()
 	lp.lvt = o.lvt
 	lp.refresh(o)

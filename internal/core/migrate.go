@@ -9,7 +9,6 @@ import (
 	"gowarp/internal/comm"
 	"gowarp/internal/event"
 	"gowarp/internal/model"
-	"gowarp/internal/pq"
 	"gowarp/internal/vtime"
 )
 
@@ -57,6 +56,19 @@ type capsuleItem struct {
 	// round trip. Nil means the state object travels in place.
 	stateEnc []byte
 	comp     bool
+}
+
+// decode makes the shipped state image, if the item carries one, the
+// object's working state.
+func (it *capsuleItem) decode() error {
+	if it.stateEnc == nil {
+		return nil
+	}
+	raw, err := codec.Unpack(it.stateEnc, it.comp)
+	if err == nil {
+		it.o.state, err = it.o.state.(codec.DeltaState).UnmarshalState(raw)
+	}
+	return err
 }
 
 // capsule is the migration payload: one or more object runtimes bound for
@@ -113,7 +125,8 @@ func (lp *lpRun) migrateOutBatch(batch []*simObject, to int) {
 	}
 
 	// Detach: swap-remove each from the hosted set, fix the displaced
-	// object's slot, and rebuild the scheduler over the survivors.
+	// object's slot, and rebuild the worker's schedule tree over the
+	// survivors.
 	for _, o := range batch {
 		last := len(lp.objs) - 1
 		lp.objs[o.slot] = lp.objs[last]
@@ -122,7 +135,7 @@ func (lp *lpRun) migrateOutBatch(batch []*simObject, to int) {
 		lp.objs = lp.objs[:last]
 		lp.outbound[o.id] = to
 	}
-	lp.rebuildSched()
+	lp.d.workers[lp.worker.Load()].rebuild()
 	// The departing objects leave this LP's lazy and history lists.
 	stays := func(o *simObject) bool { return lp.hosted(o.id) != nil }
 	lp.lazy = keepObjects(lp.lazy, stays)
@@ -212,26 +225,16 @@ func stateSizeEstimate(st model.State) int {
 // install adopts the migrated objects arriving in p: rebind each to this LP,
 // verify the capsule manifest, and only then flip the shared routing table —
 // after the flip, events routed by the new entry arrive at an LP that is
-// ready to execute the object. The schedule is rebuilt once, for the whole
-// batch, after the loop: nothing in it reads or refreshes a key.
+// ready to execute the object. The worker's schedule tree is rebuilt once, for
+// the whole batch, after the loop: nothing in it reads or refreshes a key.
 func (lp *lpRun) install(p comm.Packet) {
 	c := p.Capsule.(*capsule)
 	for i := range c.items {
 		it := &c.items[i]
 		o := it.o
 
-		if it.stateEnc != nil {
-			// Decode the shipped state image; the audit hash below compares
-			// it against what the source packed.
-			raw, err := codec.Unpack(it.stateEnc, it.comp)
-			if err != nil {
-				panic("core: migration capsule decode failed: " + err.Error())
-			}
-			st, err := o.state.(codec.DeltaState).UnmarshalState(raw)
-			if err != nil {
-				panic("core: migration capsule state decode failed: " + err.Error())
-			}
-			o.state = st
+		if err := it.decode(); err != nil { // the audit hash below checks it
+			panic("core: migration capsule decode failed: " + err.Error())
 		}
 
 		o.lp = lp
@@ -257,7 +260,7 @@ func (lp *lpRun) install(p comm.Packet) {
 		epoch := lp.k.rt.Move(int(o.id), lp.id)
 		lp.tr.Migration(int32(o.id), int32(c.from), int64(it.pending), int64(epoch))
 	}
-	lp.rebuildSched()
+	lp.d.workers[lp.worker.Load()].rebuild()
 }
 
 // enlist enters a newly hosted object — fresh from initObjects or adopted by
@@ -270,17 +273,6 @@ func (lp *lpRun) enlist(o *simObject) {
 	o.fossilFloor = vtime.PosInf
 	if f := o.exactFossilFloor(); f != vtime.PosInf {
 		o.noteHistory(f)
-	}
-}
-
-// rebuildSched reassigns dense slots and rebuilds the schedule heap after
-// this LP's hosted set changed. Migrations are rare (controller-period
-// granularity), so the O(n) rebuild is irrelevant next to the per-event path.
-func (lp *lpRun) rebuildSched() {
-	lp.sched = pq.NewScheduleHeap(len(lp.objs))
-	for i, o := range lp.objs {
-		o.slot = int32(i)
-		lp.refresh(o)
 	}
 }
 

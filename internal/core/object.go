@@ -26,7 +26,7 @@ import (
 // copied (the cancellation manager points at the selector beside it).
 type simObject struct {
 	id   event.ObjectID
-	slot int32 // index within the owning LP, for the schedule heap
+	slot int32 // index within the owning LP; its schedule-tree slot is the LP's base plus this
 	obj  model.Object
 	lp   *lpRun
 

@@ -13,7 +13,6 @@ import (
 	"gowarp/internal/event"
 	"gowarp/internal/gvt"
 	"gowarp/internal/model"
-	"gowarp/internal/pq"
 	"gowarp/internal/route"
 	"gowarp/internal/statesave"
 	"gowarp/internal/stats"
@@ -137,24 +136,12 @@ func Run(m *model.Model, cfg Config) (*Result, error) {
 				continue
 			}
 			c := p.Capsule.(*capsule)
-			for j := range c.items {
-				o := c.items[j].o
-				if enc := c.items[j].stateEnc; enc != nil {
-					// Decode the shipped state so the final report sees the
-					// object's real state, not a stale image.
-					raw, err := codec.Unpack(enc, c.items[j].comp)
-					if err != nil {
-						return nil, fmt.Errorf("core: leftover capsule decode: %w", err)
-					}
-					st, err := o.state.(codec.DeltaState).UnmarshalState(raw)
-					if err != nil {
-						return nil, fmt.Errorf("core: leftover capsule state decode: %w", err)
-					}
-					o.state = st
+			for _, it := range c.items {
+				if err := it.decode(); err != nil { // the report sees the real state
+					return nil, fmt.Errorf("core: leftover capsule decode: %w", err)
 				}
-				o.lp = lp
-				o.slot = int32(len(lp.objs))
-				lp.objs = append(lp.objs, o)
+				it.o.lp, it.o.slot = lp, int32(len(lp.objs))
+				lp.objs = append(lp.objs, it.o)
 			}
 		}
 	}
@@ -407,8 +394,8 @@ func newKernel(m *model.Model, cfg *Config, peers comm.Peers, net comm.Sender, m
 		sh.objs[id] = o
 		lp.objs = append(lp.objs, o)
 	}
-	for _, lp := range d.lps {
-		lp.sched = pq.NewScheduleHeap(len(lp.objs))
+	for _, w := range d.workers {
+		w.rebuild()
 	}
 	return d
 }

@@ -161,8 +161,8 @@ func TestMigrationBatchInstall(t *testing.T) {
 		}
 		want = vtime.Min(want, o.nextTime())
 	}
-	if slot, key := dst.sched.Min(); key != want || want != vtime.PosInf && dst.objs[slot].nextTime() != want {
-		t.Fatalf("the schedule's minimum is %s at slot %d, the hosted objects' earliest next event %s", key, slot, want)
+	if o, key := dst.next(); key != want || want != vtime.PosInf && o.nextTime() != want {
+		t.Fatalf("the schedule's minimum is %s, the hosted objects' earliest next event %s", key, want)
 	}
 	committed := src.st.EventsCommitted + dst.st.EventsCommitted
 	for i := 0; i < 20; i++ {

@@ -1,6 +1,6 @@
 // Package pq provides the ordered event collections used by the Time Warp
 // kernel: pending-event sets (the unprocessed portion of a simulation
-// object's input queue) and the schedule heap a logical process uses to pick
+// object's input queue) and the schedule tree a dispatcher worker uses to pick
 // the simulation object with the lowest-timestamped next event.
 //
 // Three pending-set implementations are provided behind one interface — an

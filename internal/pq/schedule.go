@@ -6,12 +6,10 @@ import (
 	"gowarp/internal/vtime"
 )
 
-// ScheduleHeap orders the simulation objects hosted by one scheduler (a
-// logical process, or a worker thread owning several LPs) by the receive time
-// of their next unprocessed event, so the scheduler can pick the
-// lowest-timestamped object in O(1) and re-key one in O(log n). Objects are
-// identified by a dense slot index assigned by the owner; a slot with no
-// pending work carries key vtime.PosInf and simply loses every match rather
+// ScheduleHeap orders the objects of one dispatcher worker's LPs, each LP a
+// range of dense slots, by the receive time of their next unprocessed event:
+// the least in O(1), the least of a range or a re-key in O(log n). A slot with
+// no pending work carries key vtime.PosInf and simply loses every match rather
 // than being removed, so there is no membership bookkeeping.
 //
 // It is a winner (tournament) tree, not a heap: the name is kept because
@@ -55,28 +53,37 @@ func (a scheduleKey) less(b scheduleKey) bool {
 // vtime.PosInf (nothing schedulable).
 func NewScheduleHeap(n int) *ScheduleHeap {
 	h := &ScheduleHeap{}
-	if n == 0 {
-		return h
-	}
+	h.Reset(n)
+	return h
+}
+
+// Reset makes h a fresh tree over n slots, as NewScheduleHeap would, in h's
+// storage where that is large enough: a migration batch moves a few objects,
+// so the keys keep n/16 spare slots, and the nodes grow only past a power of 2.
+func (h *ScheduleHeap) Reset(n int) {
 	leaves := 1
 	for leaves < n {
 		leaves <<= 1
 	}
-	h.keys = make([]scheduleKey, n+1)
+	if cap(h.keys) < n+1 {
+		h.keys = make([]scheduleKey, 0, n+1+n/16)
+	}
+	if cap(h.win) < 2*leaves {
+		h.win = make([]int32, 2*leaves)
+	}
+	h.keys, h.win = h.keys[:n+1], h.win[:2*leaves]
 	for i := range h.keys {
 		h.keys[i] = scheduleKey{t: vtime.PosInf}
 	}
 	// The sentinel, slot n, is never less than any key and is the highest
 	// slot, so it loses every match against a real slot.
 	h.keys[n] = scheduleKey{t: vtime.PosInf, seq: math.MaxUint64, id: math.MaxInt32}
-	h.win = make([]int32, 2*leaves)
 	for i := 0; i < leaves; i++ {
 		h.win[leaves+i] = int32(min(i, n))
 	}
 	for j := leaves - 1; j >= 1; j-- {
 		h.win[j] = h.pick(h.win[2*j], h.win[2*j+1])
 	}
-	return h
 }
 
 // pick returns the winner of a match between the winners of two sibling
@@ -111,21 +118,32 @@ func (h *ScheduleHeap) UpdateKey(i int, t vtime.Time, seq uint64, id int32) {
 // Min returns the slot index with the least key and that key's virtual time.
 // When every slot is at vtime.PosInf the scheduler has nothing to execute.
 func (h *ScheduleHeap) Min() (slot int, t vtime.Time) {
-	if len(h.win) == 0 {
+	if len(h.keys) <= 1 { // no slots but the sentinel, if that
 		return -1, vtime.PosInf
 	}
 	s := h.win[1]
 	return int(s), h.keys[s].t
 }
 
-// MinKey is Min returning the whole composite key UpdateKey stored for the
-// least slot, so a scheduler of schedulers can copy it without going back to
-// the object it came from.
-func (h *ScheduleHeap) MinKey() (slot int, t vtime.Time, seq uint64, id int32) {
-	if len(h.win) == 0 {
-		return -1, vtime.PosInf, 0, 0
+// MinIn is Min over the slots [lo, hi): (-1, vtime.PosInf) for none. Two walks
+// up from the ends of the range, each starting from the sentinel, match the
+// winners of the O(log n) nodes that make up the range, the lower slot first.
+func (h *ScheduleHeap) MinIn(lo, hi int) (slot int, t vtime.Time) {
+	if lo >= hi {
+		return -1, vtime.PosInf
 	}
-	s := h.win[1]
-	k := h.keys[s]
-	return int(s), k.t, k.seq, k.id
+	a, b := int32(len(h.keys)-1), int32(len(h.keys)-1)
+	leaves := len(h.win) / 2
+	for l, r := lo+leaves, hi+leaves; l < r; l, r = l>>1, r>>1 {
+		if l&1 == 1 {
+			a = h.pick(a, h.win[l])
+			l++
+		}
+		if r&1 == 1 {
+			r--
+			b = h.pick(h.win[r], b)
+		}
+	}
+	s := h.pick(a, b)
+	return int(s), h.keys[s].t
 }

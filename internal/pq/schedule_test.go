@@ -22,24 +22,35 @@ func refMin(keys []scheduleKey) (int, scheduleKey) {
 	return slot, min
 }
 
-// checkSchedule compares Min and MinKey with refMin over keys, the keys the
-// test stored, and every inner node of the tree with the match of its
-// children, so a node the stop rule left stale fails here and not when it
-// surfaces.
+// checkSchedule compares Min, and MinIn over the whole tree and over a range
+// inside it, with refMin over keys, the keys the test stored, and every inner
+// node of the tree with the match of its children, so a node the stop rule
+// left stale fails here and not when it surfaces.
 func checkSchedule(t *testing.T, h *ScheduleHeap, keys []scheduleKey, step int) {
 	t.Helper()
 	wantSlot, want := refMin(keys)
 	if slot, vt := h.Min(); slot != wantSlot || vt != want.t {
 		t.Fatalf("n=%d step %d: Min = (%d, %s), want (%d, %s)", len(keys), step, slot, vt, wantSlot, want.t)
 	}
-	if slot, vt, seq, id := h.MinKey(); slot != wantSlot || (scheduleKey{vt, seq, id}) != want {
-		t.Fatalf("n=%d step %d: MinKey = (%d, %s, %d, %d), want slot %d with %+v",
-			len(keys), step, slot, vt, seq, id, wantSlot, want)
-	}
+	n := len(keys)
+	checkMinIn(t, h, keys, 0, n, step)
+	checkMinIn(t, h, keys, n/3, n-n/4, step)
 	for j := len(h.win)/2 - 1; j >= 1; j-- {
 		if w := h.pick(h.win[2*j], h.win[2*j+1]); h.win[j] != w {
 			t.Fatalf("n=%d step %d: node %d names slot %d, its children's match %d", len(keys), step, j, h.win[j], w)
 		}
+	}
+}
+
+// checkMinIn holds MinIn(lo, hi) to refMin over the same slots.
+func checkMinIn(t *testing.T, h *ScheduleHeap, keys []scheduleKey, lo, hi, step int) {
+	t.Helper()
+	wantSlot, want := refMin(keys[lo:hi])
+	if wantSlot >= 0 {
+		wantSlot += lo
+	}
+	if slot, vt := h.MinIn(lo, hi); slot != wantSlot || vt != want.t {
+		t.Fatalf("n=%d step %d: MinIn(%d, %d) = (%d, %s), want (%d, %s)", len(keys), step, lo, hi, slot, vt, wantSlot, want.t)
 	}
 }
 
@@ -120,8 +131,18 @@ func TestScheduleHeapTieBreakIgnoresSlotOrder(t *testing.T) {
 	if slot, min := h.Min(); slot != 0 || min != 99 {
 		t.Fatalf("lower vt: Min = (%d,%s), want (0,99)", slot, min)
 	}
-	if slot, min, seq, id := NewScheduleHeap(0).MinKey(); slot != -1 || min != vtime.PosInf || seq != 0 || id != 0 {
-		t.Fatalf("empty heap: MinKey = (%d,%s,%d,%d), want (-1,+inf,0,0)", slot, min, seq, id)
+	// A range is matched by the same rule: slots 1 and 2 alone, then slot 1.
+	if slot, min := h.MinIn(1, 3); slot != 2 || min != 100 {
+		t.Fatalf("MinIn(1, 3) = (%d,%s), want (2,100)", slot, min)
+	}
+	if slot, min := h.MinIn(1, 2); slot != 1 || min != 100 {
+		t.Fatalf("MinIn(1, 2) = (%d,%s), want (1,100)", slot, min)
+	}
+	if slot, min := h.MinIn(2, 2); slot != -1 || min != vtime.PosInf {
+		t.Fatalf("empty range: MinIn = (%d,%s), want (-1,+inf)", slot, min)
+	}
+	if slot, min := NewScheduleHeap(0).MinIn(0, 0); slot != -1 || min != vtime.PosInf {
+		t.Fatalf("empty heap: MinIn = (%d,%s), want (-1,+inf)", slot, min)
 	}
 }
 
@@ -171,17 +192,19 @@ func TestScheduleHeapCompositeKeyProperty(t *testing.T) {
 }
 
 // FuzzScheduleHeap reads a slot count (two bytes, below 530: past the
-// 512-leaf boundary phold-lp's LPs sit on) and then four-byte UpdateKey
-// operations from the tape: a slot (high bit of the second byte: the current
-// minimum instead), a virtual time (0xf0 and up: +inf) and a byte split into a
-// send sequence and an object id. The tree is held to refMin after every
-// operation; every check scans all slots, so a tape is cut at 256 operations
-// to keep executions fast.
+// 512-leaf boundary phold-lp's LPs sit on) and then four-byte operations from
+// the tape: a slot (high bit of the second byte: the current minimum instead),
+// a virtual time (0xf0 and up: +inf; 0xe0 to 0xef: no update but a MinIn
+// query from the slot over as many slots as the last byte says, modulo what
+// is left of the tree) and a byte split into a send sequence and an object
+// id. The tree is held to refMin after every operation; every check scans all
+// slots, so a tape is cut at 256 operations to keep executions fast.
 func FuzzScheduleHeap(f *testing.F) {
 	f.Add([]byte{3, 0, 0, 0, 5, 0x21, 1, 0, 5, 0x21, 2, 0, 5, 0x20})
 	f.Add([]byte{9, 0, 0, 0x80, 0xff, 0, 8, 0, 1, 0, 0, 0x80, 0xff, 0, 0, 0x80, 0xff, 7})
 	f.Add([]byte{0, 2, 0xff, 1, 3, 0, 0, 0, 3, 0, 0, 0x80, 0xf0, 0, 0, 0x80, 4, 1})
 	f.Add([]byte{0, 0, 1, 2, 3, 4})
+	f.Add([]byte{12, 0, 2, 0, 7, 0x41, 9, 0, 3, 0x22, 3, 0, 0xe5, 9, 0, 0x80, 0xe0, 12})
 	f.Fuzz(func(t *testing.T, tape []byte) {
 		if len(tape) < 2 {
 			return
@@ -202,6 +225,10 @@ func FuzzScheduleHeap(f *testing.F) {
 			i := (int(op[0]) | int(op[1]&0x7f)<<8) % n
 			if op[1]&0x80 != 0 {
 				i, _ = h.Min()
+			}
+			if op[2]&0xf0 == 0xe0 {
+				checkMinIn(t, h, keys, i, i+int(op[3])%(n-i+1), step)
+				continue
 			}
 			k := scheduleKey{t: vtime.PosInf, seq: uint64(op[3] >> 5), id: int32(op[3] & 7)}
 			if op[2] < 0xf0 {

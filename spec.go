@@ -292,7 +292,7 @@ type TransportSpec struct {
 
 // ParseTransportSpec parses a transport spec:
 //
-//	inproc                     every LP a goroutine in this process (default)
+//	inproc                     every LP hosted by this process's workers (default)
 //	tcp,rank=N,peers=HOST:PORT;HOST:PORT;...[,listen=ADDR][,timeout=DUR]
 //
 // peers is the rank-ordered address list (";"-separated, one per rank,
