@@ -4,6 +4,7 @@ import (
 	"time"
 
 	"gowarp/internal/event"
+	"gowarp/internal/partition"
 	"gowarp/internal/stats"
 	"gowarp/internal/vtime"
 )
@@ -393,14 +394,6 @@ func (e *Endpoint) DecodeEvents(p Packet) ([]*event.Event, error) {
 	return evs, nil
 }
 
-// SendMigrateReq asks dst — the LP currently recorded as owning objs — to
-// migrate them to LP to, batched so co-migrating objects can share one
-// capsule. A control message: no GVT accounting (it carries no events), and
-// the owner silently skips any object that has since moved on.
-func (e *Endpoint) SendMigrateReq(dst int, objs []int32, to int) {
-	e.tr.Send(dst, Packet{Kind: PktMigrateReq, From: e.lp, Objects: objs, Dst: to}, controlBytes)
-}
-
 // SendMigration ships a packed object to dst. minTime is the capsule's
 // virtual-time floor — the minimum over the packed object's unprocessed
 // events and unresolved lazy outputs. The capsule is counted as one logical
@@ -434,24 +427,15 @@ func (e *Endpoint) SendToken(dst int, t Token) {
 	e.tr.Send(dst, Packet{Kind: PktToken, From: e.lp, Token: t}, controlBytes)
 }
 
-// BroadcastGVT announces a new GVT value to every other LP.
-func (e *Endpoint) BroadcastGVT(gvt vtime.Time) {
+// BroadcastGVT announces a new GVT value to every other LP, with the
+// optimism window it puts in force and the object moves it orders (see
+// PktGVT). Every receiver gets the same moves slice.
+func (e *Endpoint) BroadcastGVT(gvt, window vtime.Time, moves []partition.Move) {
 	for dst := range e.bufs {
 		if dst == e.lp {
 			continue
 		}
-		e.tr.Send(dst, Packet{Kind: PktGVT, From: e.lp, GVT: gvt}, controlBytes)
-	}
-}
-
-// BroadcastOptim tells every other LP the adaptive optimism window moved.
-// Pure wake-up control traffic: no events, no GVT accounting (see PktOptim).
-func (e *Endpoint) BroadcastOptim() {
-	for dst := range e.bufs {
-		if dst == e.lp {
-			continue
-		}
-		e.tr.Send(dst, Packet{Kind: PktOptim, From: e.lp}, controlBytes)
+		e.tr.Send(dst, Packet{Kind: PktGVT, From: e.lp, GVT: gvt, Window: window, Moves: moves}, controlBytes)
 	}
 }
 

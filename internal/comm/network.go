@@ -1,6 +1,7 @@
 package comm
 
 import (
+	"gowarp/internal/partition"
 	"gowarp/internal/vtime"
 )
 
@@ -12,28 +13,22 @@ const (
 	PktEvents PacketKind = iota
 	// PktToken carries the circulating GVT token.
 	PktToken
-	// PktGVT broadcasts a newly computed GVT value.
+	// PktGVT broadcasts a newly computed GVT value and, with it, the decisions
+	// LP 0's controllers took at that GVT: the optimism window in force from
+	// it on (Window) and the load balancer's object moves (Moves). Every LP,
+	// LP 0 included, applies the three together, so the window and the moves
+	// need no packet of their own.
 	PktGVT
 	// PktStop tells a logical process to terminate.
 	PktStop
 	// PktNull is a conservative-kernel (Chandy-Misra-Bryant) null message:
 	// a promise that the sender will emit no event below Bound.
 	PktNull
-	// PktMigrateReq asks the LP believed to own Object to migrate it to the
-	// LP named by Dst (pure control plane; the owner may decline a stale
-	// request).
-	PktMigrateReq
 	// PktMigrate carries a packed simulation object between LPs. It is
 	// color-accounted like an events packet (see Endpoint.SendMigration) so
 	// the Mattern GVT token treats an in-flight capsule as a transient
 	// message and can never overtake the events it carries.
 	PktMigrate
-	// PktOptim announces that the adaptive optimism controller moved the
-	// window. It carries no payload — the window itself lives in kernel
-	// shared state — the packet exists to wake LPs blocked at the old
-	// horizon, which would otherwise sleep a full idle tick before noticing
-	// a relaxed window.
-	PktOptim
 	// PktReport carries a rank's end-of-run report (marshaled final states
 	// and counters) to the coordinator of a distributed run. It flows only
 	// after every LP has terminated, so it needs no GVT accounting.
@@ -76,10 +71,12 @@ type Packet struct {
 	GVT   vtime.Time
 	// Bound is a null message's lower bound on the sender's future events.
 	Bound vtime.Time
-	// Objects and Dst parameterize a PktMigrateReq: migrate Objects to LP
-	// Dst (batched so co-migrating objects can share one capsule).
-	Objects []int32
-	Dst     int
+	// Window is the optimism window a PktGVT puts in force (0 = unbounded),
+	// and Moves the object migrations it orders, each carried out by the LP
+	// it names as source. Moves is shared by every receiver and read-only; it
+	// cannot cross a process boundary (see wire.go).
+	Window vtime.Time
+	Moves  []partition.Move
 	// Capsule is a PktMigrate payload: the packed object, opaque to this
 	// layer (the kernel defines the concrete type). It rides as a pointer
 	// because migration requires the in-process substrate; the ownership

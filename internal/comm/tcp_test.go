@@ -8,6 +8,7 @@ import (
 	"io"
 	"net"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -220,12 +221,12 @@ func TestTCPPeersTopology(t *testing.T) {
 	// Block assignment of 5 LPs over 2 ranks: [0,1] and [2,3,4].
 	want0, want1 := []int{0, 1}, []int{2, 3, 4}
 	for i, lp := range want0 {
-		if p0.Local[i] != lp || !p0.IsLocal(lp) || p1.IsLocal(lp) {
+		if p0.Local[i] != lp || slices.Contains(p1.Local, lp) {
 			t.Fatalf("LP %d placement wrong: %v / %v", lp, p0.Local, p1.Local)
 		}
 	}
 	for i, lp := range want1 {
-		if p1.Local[i] != lp || !p1.IsLocal(lp) || p0.IsLocal(lp) {
+		if p1.Local[i] != lp || slices.Contains(p0.Local, lp) {
 			t.Fatalf("LP %d placement wrong: %v / %v", lp, p0.Local, p1.Local)
 		}
 	}

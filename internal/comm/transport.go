@@ -114,16 +114,6 @@ type Peers struct {
 // Distributed reports whether the topology spans more than one OS process.
 func (p Peers) Distributed() bool { return p.NumRanks > 1 }
 
-// IsLocal reports whether lp is hosted in this process.
-func (p Peers) IsLocal(lp int) bool {
-	for _, l := range p.Local {
-		if l == lp {
-			return true
-		}
-	}
-	return false
-}
-
 // Sender is the sending half of a Transport: all an Endpoint needs of the
 // substrate. The Time Warp kernel implements it alone when a run has no
 // Transport — its sends then land in the destination LP's mailbox directly.

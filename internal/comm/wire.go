@@ -25,10 +25,12 @@ import (
 // The encoding is defined to round-trip exactly: DecodeFrame rejects any
 // frame with trailing bytes, a bad version, an unknown kind, or an inner
 // length that disagrees with the body length, and AppendFrame(DecodeFrame(b))
-// reproduces b byte for byte. Migration capsules (PktMigrate) carry a live
-// in-process pointer and therefore cannot be framed; encoding one is an
-// error, and the kernel refuses dynamic load balancing on distributed
-// transports so the case never arises in a run.
+// reproduces b byte for byte. A PktGVT frames the GVT and the optimism window
+// it puts in force, eight bytes each. Migration capsules (PktMigrate) carry a
+// live in-process pointer and therefore cannot be framed, and neither can a
+// PktGVT that orders moves; encoding either is an error, and the kernel
+// refuses dynamic load balancing on distributed transports so the case never
+// arises in a run.
 //
 // A PktReport's payload is one rank's end-of-run report record, written and
 // read by the Time Warp kernel (internal/core/distrib.go), little endian,
@@ -53,8 +55,10 @@ import (
 
 // WireVersion is the framing version byte; peers with different versions
 // refuse the join handshake. Version 2 replaced the report payload's
-// encoding/gob value with the record above.
-const WireVersion = 2
+// encoding/gob value with the record above; version 3 adds the window to
+// PktGVT and drops the optimism wake and migration request kinds, so from
+// the first GVT on rank 0's window governs every rank.
+const WireVersion = 3
 
 // MaxFrameBody bounds a frame body so a corrupt or hostile length prefix
 // cannot drive an allocation of arbitrary size.
@@ -73,7 +77,8 @@ var (
 )
 
 // AppendFrame appends the length-prefixed wire frame for p bound to LP dst
-// and returns the extended slice. PktMigrate packets are not wireable.
+// and returns the extended slice. PktMigrate packets, and PktGVT packets that
+// order moves, are not wireable.
 func AppendFrame(buf []byte, dst int, p Packet) ([]byte, error) {
 	lenAt := len(buf)
 	buf = append(buf, 0, 0, 0, 0) // length back-patched below
@@ -99,17 +104,15 @@ func AppendFrame(buf []byte, dst int, p Packet) ([]byte, error) {
 		buf = appendU64(buf, uint64(p.Token.Round))
 		buf = appendU64(buf, p.Token.Epoch)
 	case PktGVT:
+		if len(p.Moves) > 0 {
+			return buf[:lenAt], fmt.Errorf("%w: GVT with object moves", ErrNotWireable)
+		}
 		buf = appendU64(buf, uint64(p.GVT))
+		buf = appendU64(buf, uint64(p.Window))
 	case PktNull:
 		buf = appendU64(buf, uint64(p.Bound))
-	case PktStop, PktOptim:
+	case PktStop:
 		// Header only.
-	case PktMigrateReq:
-		buf = appendU32(buf, uint32(p.Dst))
-		buf = appendU32(buf, uint32(len(p.Objects)))
-		for _, o := range p.Objects {
-			buf = appendU32(buf, uint32(o))
-		}
 	case PktReport:
 		buf = appendU32(buf, uint32(len(p.Payload)))
 		buf = append(buf, p.Payload...)
@@ -177,36 +180,22 @@ func DecodeFrame(body []byte) (dst int, p Packet, err error) {
 			Epoch: epoch,
 		}
 	case PktGVT:
-		var g uint64
+		var g, w uint64
 		if rest, err = takeU64(rest, &g); err != nil {
 			return 0, Packet{}, err
 		}
-		p.GVT = vtime.Time(g)
+		if rest, err = takeU64(rest, &w); err != nil {
+			return 0, Packet{}, err
+		}
+		p.GVT, p.Window = vtime.Time(g), vtime.Time(w)
 	case PktNull:
 		var b uint64
 		if rest, err = takeU64(rest, &b); err != nil {
 			return 0, Packet{}, err
 		}
 		p.Bound = vtime.Time(b)
-	case PktStop, PktOptim:
+	case PktStop:
 		// Header only.
-	case PktMigrateReq:
-		var to, n uint32
-		if rest, err = takeU32(rest, &to); err != nil {
-			return 0, Packet{}, err
-		}
-		if rest, err = takeU32(rest, &n); err != nil {
-			return 0, Packet{}, err
-		}
-		if uint64(n)*4 > uint64(len(rest)) {
-			return 0, Packet{}, ErrFrameTruncated
-		}
-		p.Dst = int(int32(to))
-		p.Objects = make([]int32, n)
-		for i := range p.Objects {
-			p.Objects[i] = int32(binary.LittleEndian.Uint32(rest))
-			rest = rest[4:]
-		}
 	case PktReport:
 		if p.Payload, rest, err = takeBytes(rest); err != nil {
 			return 0, Packet{}, err

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"gowarp/internal/codec"
+	"gowarp/internal/partition"
 	"gowarp/internal/stats"
 	"gowarp/internal/vtime"
 )
@@ -29,11 +30,9 @@ func wireSamples() []struct {
 		{"token", 1, Packet{Kind: PktToken, From: 0, Token: Token{
 			M: 123, MMsg: vtime.PosInf, Count: -4, Round: 2, Epoch: 17}}},
 		{"gvt", 2, Packet{Kind: PktGVT, From: 0, GVT: 99_999}},
+		{"gvt-window", 6, Packet{Kind: PktGVT, From: 0, GVT: vtime.NegInf, Window: 4096}},
 		{"null", 4, Packet{Kind: PktNull, From: 3, Bound: 42}},
 		{"stop", 5, Packet{Kind: PktStop, From: 0}},
-		{"optim", 6, Packet{Kind: PktOptim, From: 0}},
-		{"migrate-req", 0, Packet{Kind: PktMigrateReq, From: 2, Dst: 3, Objects: []int32{4, 9, 11}}},
-		{"migrate-req-empty", 1, Packet{Kind: PktMigrateReq, From: 2, Dst: 0}},
 		{"report", 0, Packet{Kind: PktReport, From: 1, Payload: []byte("gob bytes here")}},
 	}
 }
@@ -59,7 +58,7 @@ func TestWireRoundTrip(t *testing.T) {
 		}
 		if p.Kind != tc.p.Kind || p.From != tc.p.From || p.Color != tc.p.Color ||
 			p.Comp != tc.p.Comp || p.Count != tc.p.Count || p.Token != tc.p.Token ||
-			p.GVT != tc.p.GVT || p.Bound != tc.p.Bound || p.Dst != tc.p.Dst {
+			p.GVT != tc.p.GVT || p.Window != tc.p.Window || p.Bound != tc.p.Bound || p.Moves != nil {
 			t.Errorf("%s: decoded %+v, want %+v", tc.name, p, tc.p)
 		}
 		if !bytes.Equal(p.Payload, tc.p.Payload) && (len(p.Payload) != 0 || len(tc.p.Payload) != 0) {
@@ -176,6 +175,29 @@ func TestWireRejections(t *testing.T) {
 	if _, _, err := DecodeFrame([]byte{WireVersion, byte(PktMigrate), 0, 0, 0, 0, 0, 0, 0, 0, 0, 0}); !errors.Is(err, ErrNotWireable) {
 		t.Errorf("capsule decode: err = %v, want ErrNotWireable", err)
 	}
+	moves := Packet{Kind: PktGVT, GVT: 7, Window: 64, Moves: []partition.Move{{Object: 3, From: 0, To: 1}}}
+	if b, err := AppendFrame([]byte{9}, 1, moves); !errors.Is(err, ErrNotWireable) || len(b) != 1 {
+		t.Errorf("GVT with moves: encoded %d bytes, err = %v, want ErrNotWireable and nothing appended", len(b)-1, err)
+	}
+
+	short, long := gvtBodies(t)
+	if _, _, err := DecodeFrame(short); !errors.Is(err, ErrFrameTruncated) {
+		t.Errorf("GVT without its window: err = %v, want ErrFrameTruncated", err)
+	}
+	if _, _, err := DecodeFrame(long); !errors.Is(err, ErrFrameTrailing) {
+		t.Errorf("GVT with a byte past its window: err = %v, want ErrFrameTrailing", err)
+	}
+}
+
+// gvtBodies returns two corrupt PktGVT frame bodies: one that ends after the
+// GVT, as version 2 framed it, and one with a byte after the window.
+func gvtBodies(tb testing.TB) (short, long []byte) {
+	frame, err := AppendFrame(nil, 2, Packet{Kind: PktGVT, GVT: 500, Window: 100})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	body := frame[4:]
+	return body[:len(body)-8], append(body[:len(body):len(body)], 0)
 }
 
 // FuzzDecodeFrame feeds arbitrary bodies to the decoder: it must never
@@ -202,6 +224,9 @@ func FuzzDecodeFrame(f *testing.F) {
 	}
 	f.Add([]byte{})
 	f.Add([]byte{WireVersion})
+	short, long := gvtBodies(f)
+	f.Add(short)
+	f.Add(long)
 	var st stats.Counters
 	rx := NewSendEndpoint(nil, 2, 1, AggConfig{}, &st)
 	rx.Decompress = codec.Decompress

@@ -29,7 +29,7 @@ func benchKernel(hosted int) *lpRun {
 	lp := newTestKernel(ringModel(hosted, benchActive, benchActive), &cfg)[0]
 	for round := 0; round < 8; round++ {
 		benchBurst(lp, 4)
-		lp.applyGVT(lp.localMin())
+		lp.applyGVT(lp.localMin(), lp.window, nil)
 	}
 	return lp
 }
@@ -82,7 +82,7 @@ func BenchmarkApplyGVT(b *testing.B) {
 				benchBurst(lp, 1)
 				g := lp.localMin()
 				t0 := time.Now()
-				lp.applyGVT(g)
+				lp.applyGVT(g, lp.window, nil)
 				spent += time.Since(t0)
 			}
 			b.ReportMetric(float64(spent.Nanoseconds())/float64(b.N), "ns/op")

@@ -37,8 +37,10 @@ func scanLocalMin(lp *lpRun) vtime.Time {
 	return min
 }
 
-// scanApplyGVT is the reference applyGVT: fossil-collect every hosted object.
+// scanApplyGVT is the reference applyGVT: move the horizon and fossil-collect
+// every hosted object.
 func scanApplyGVT(lp *lpRun, g vtime.Time) {
+	lp.horizon = horizonAt(g, lp.window)
 	for _, o := range lp.objs {
 		o.fossilCollect(g)
 	}
@@ -120,7 +122,7 @@ func (k *twin) gvt() vtime.Time {
 			if k.scan {
 				scanApplyGVT(lp, g)
 			} else {
-				lp.applyGVT(g)
+				lp.applyGVT(g, lp.window, nil)
 			}
 		}
 		return g
@@ -334,7 +336,7 @@ func TestGVTTouchesOnlyActiveObjects(t *testing.T) {
 	cfg.GVTPeriod = time.Hour
 	lp := newTestKernel(ringModel(hosted, active, active), &cfg)[0]
 
-	lp.applyGVT(lp.localMin())
+	lp.applyGVT(lp.localMin(), lp.window, nil)
 	for _, o := range lp.objs[active:] {
 		o.stateQ = statesave.Queue{}
 		// Under lazy cancellation a rollback parks the record on the pending
@@ -366,7 +368,7 @@ func TestGVTTouchesOnlyActiveObjects(t *testing.T) {
 			t.Fatalf("round %d: %d objects on the lazy list and %d on the history list, %d active",
 				round, len(lp.lazy), len(lp.hist), active)
 		}
-		lp.applyGVT(lp.localMin())
+		lp.applyGVT(lp.localMin(), lp.window, nil)
 	}
 	if lp.st.FossilCollected == 0 || lp.st.EventsCommitted == 0 {
 		t.Fatalf("nothing reclaimed (%d) or committed (%d): the guard exercised nothing",
@@ -429,7 +431,7 @@ func TestAuditCatchesBrokenActivityLists(t *testing.T) {
 		}
 	}
 	run()
-	lp.applyGVT(lp.localMin())
+	lp.applyGVT(lp.localMin(), lp.window, nil)
 	run() // ahead of GVT again, so a straggler above it has work to undo
 	if err := cfg.Audit.Err(); err != nil {
 		t.Fatalf("violations before anything was broken: %v", err)
@@ -443,7 +445,7 @@ func TestAuditCatchesBrokenActivityLists(t *testing.T) {
 	o.inLazy, lp.lazy = false, nil
 	g := lp.localMin()
 	lp.objs[1].fossilFloor = vtime.PosInf
-	lp.applyGVT(g)
+	lp.applyGVT(g, lp.window, nil)
 
 	err := cfg.Audit.Err()
 	if err == nil {

@@ -51,7 +51,7 @@ func TestExecuteLoopZeroAlloc(t *testing.T) {
 		for i := 0; i < 64; i++ {
 			step()
 		}
-		lp.applyGVT(lp.localMin())
+		lp.applyGVT(lp.localMin(), lp.window, nil)
 	}
 	for i := 0; i < 16; i++ {
 		round() // warm every slice, map and pool to steady capacity
@@ -92,7 +92,7 @@ func TestExecuteLoopZeroAllocObserved(t *testing.T) {
 			}
 		}
 		lp.d.rough.rollback(3) // the rollback path's histogram add
-		lp.applyGVT(lp.localMin())
+		lp.applyGVT(lp.localMin(), lp.window, nil)
 	}
 	for i := 0; i < 16; i++ {
 		round()
@@ -199,7 +199,7 @@ func TestCodecRollbackZeroAlloc(t *testing.T) {
 			panic("the straggler rolled nothing back")
 		}
 		lp.refresh(bank)
-		lp.applyGVT(lp.localMin())
+		lp.applyGVT(lp.localMin(), lp.window, nil)
 	}
 	for i := 0; i < 32; i++ {
 		round() // until every buffer is warm
@@ -217,7 +217,7 @@ func TestCodecRollbackZeroAlloc(t *testing.T) {
 
 // TestExecuteLoopZeroAllocAdaptiveOptimism re-measures the steady-state loop
 // with the adaptive optimism controller armed on top of the observation
-// layer, firing at every GVT application. Injected waste on alternate rounds
+// layer, firing at every GVT computation. Injected waste on alternate rounds
 // forces the window to move every round — the store-trace-account path, not
 // just the hold path — and none of it may allocate: the sixth facet rides
 // the same zero-garbage contract as the rest of the hot path.
@@ -231,7 +231,7 @@ func TestExecuteLoopZeroAllocAdaptiveOptimism(t *testing.T) {
 		Mode: OptimismAdaptive, Window: 100, Min: 50, Max: 100,
 		Period: 1, HighWater: 0.3, LowWater: 0.1, Factor: 2, MinSample: 1,
 	}.withDefaults()
-	lp.k.window.Store(int64(optCfg.Window))
+	lp.window = optCfg.Window
 	lp.opt = newOptController(optCfg, lp.d.lps)
 
 	step := func() {
@@ -253,7 +253,7 @@ func TestExecuteLoopZeroAllocAdaptiveOptimism(t *testing.T) {
 			lp.st.EventsRolledBack += 48 // synthetic waste: forces a tighten
 		}
 		rounds++
-		lp.applyGVT(lp.localMin())
+		lp.finishGVT(lp.localMin()) // LP 0's decision, then its application
 	}
 	for i := 0; i < 16; i++ {
 		round()

@@ -2,7 +2,6 @@ package core
 
 import (
 	"gowarp/internal/control"
-	"gowarp/internal/event"
 	"gowarp/internal/partition"
 )
 
@@ -41,19 +40,20 @@ func newBalancer(cfg BalanceConfig, lps []*lpRun, objects int) *balancer {
 	}
 }
 
-// runBalancer is LP 0's controller step, called at GVT application. It
-// observes the window since its last decision, takes the per-object and
-// per-pair counts gathered over it, feeds the imbalance through the dead zone,
-// and actuates by migrating locally hosted objects directly and requesting
-// migration from other owners.
-func (lp *lpRun) runBalancer() {
+// runBalancer is LP 0's controller step, called at GVT completion before the
+// broadcast. It observes the window since its last decision, takes the
+// per-object and per-pair counts gathered over it, feeds the imbalance
+// through the dead zone, and returns the moves to actuate: the GVT broadcast
+// carries them to every LP, and each migrates the ones that name it as
+// source (migrateMoves).
+func (lp *lpRun) runBalancer() []partition.Move {
 	b := lp.bal
 	if lp.numLPs < 2 || !b.tick.Tick() {
-		return
+		return nil
 	}
 	win, total, ok := b.win.observe(lp.loads[0].at)
 	if !ok || total.processed < b.cfg.MinSample {
-		return // unreadable or too thin to act on; extend the window
+		return nil // unreadable or too thin to act on; extend the window
 	}
 	b.win.decide()
 	for i, o := range lp.k.objs {
@@ -69,42 +69,12 @@ func (lp *lpRun) runBalancer() {
 			b.part[i] = lp.k.rt.Owner(i)
 		}
 		moves = partition.Rebalance(b.part, b.load, edges, lp.numLPs, b.cfg.MaxMoves)
-
-		// Group moves by (source, destination) so co-migrating objects share
-		// one capsule (locally hosted) or one request (remote owners).
-		type lane struct{ from, to int }
-		groups := make(map[lane][]int32)
-		var order []lane // deterministic actuation order
-		for _, m := range moves {
-			l := lane{m.From, m.To}
-			if _, seen := groups[l]; !seen {
-				order = append(order, l)
-			}
-			groups[l] = append(groups[l], int32(m.Object))
-		}
-		for _, l := range order {
-			objs := groups[l]
-			if l.from != lp.id {
-				lp.ep.SendMigrateReq(l.from, objs, l.to)
-				continue
-			}
-			batch := make([]*simObject, 0, len(objs))
-			for _, id := range objs {
-				o := lp.hosted(event.ObjectID(id))
-				if o == nil || len(lp.objs)-len(batch) <= 1 {
-					continue
-				}
-				batch = append(batch, o)
-			}
-			if len(batch) > 0 {
-				lp.migrateOutBatch(batch, l.to)
-			}
-		}
 		if len(moves) > 0 {
 			lp.st.BalanceSteps++
 		}
 	}
 	lp.tr.BalanceStep(int64(imb*1000), active, int64(len(moves)))
+	return moves
 }
 
 // imbalanceOf computes the sampled output O: max over mean of per-LP

@@ -82,7 +82,7 @@ func TestAuditCatchesUnderReportedDirt(t *testing.T) {
 				lp.execStep()
 			}
 			injectStraggler(lp, lp.objs[round])
-			lp.applyGVT(lp.localMin())
+			lp.applyGVT(lp.localMin(), lp.window, nil)
 		}
 		if lp.st.Rollbacks == 0 || lp.st.DeltaCheckpoints == 0 {
 			t.Fatalf("%d rollbacks over %d delta checkpoints: the rounds did not do what they test", lp.st.Rollbacks, lp.st.DeltaCheckpoints)

@@ -49,9 +49,10 @@ package core
 // GVT participation batches per worker as a consequence of ownership: the
 // Mattern token's hops across same-worker LPs complete within one worker
 // drain round, so a W-worker run pays ~W wake-ups per GVT round rather than
-// one per LP. The optimism facet gates each worker's queue horizon through
-// the per-LP horizon() check in exec, so a tightened window throttles
-// every worker identically.
+// one per LP. The optimism facet gates each worker's queue through the LP's
+// horizon field, checked in exec and set once per applied GVT from the
+// window that GVT's broadcast carries, so a tightened window throttles every
+// worker identically.
 //
 // Re-mapping on line: each LP records its progress at every GVT application
 // (progress.go) and, every remapEvery applications on the first hosted LP, the

@@ -64,7 +64,7 @@ func checkDistributed(m *model.Model, cfg *Config) error {
 		return fmt.Errorf("core: dynamic load balancing requires the in-process transport (migration capsules and the live routing table cannot cross a process boundary)")
 	}
 	if cfg.Optimism.Adaptive() {
-		return fmt.Errorf("core: adaptive optimism requires the in-process transport (the controller's window lives in process-shared state)")
+		return fmt.Errorf("core: adaptive optimism requires the in-process transport (its controller observes only the progress records of the LPs in its own process)")
 	}
 	if cfg.Audit != nil {
 		return fmt.Errorf("core: the on-line auditor requires the in-process transport (its message-conservation ledger is global)")

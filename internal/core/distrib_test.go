@@ -16,6 +16,7 @@ import (
 	"gowarp/internal/audit"
 	"gowarp/internal/comm"
 	"gowarp/internal/core"
+	"gowarp/internal/event"
 	"gowarp/internal/model"
 	"gowarp/internal/telemetry"
 	"gowarp/internal/vtime"
@@ -227,9 +228,11 @@ func checkTCPFleet(t *testing.T, seed uint64, cfg core.Config, solo *core.Result
 	}
 }
 
-// TestDistributedGatesSharedStateFacets: configurations whose controllers
-// live in process-shared state must be refused, with the in-process default
-// untouched by the same configs.
+// TestDistributedGatesSharedStateFacets: the facets that cannot span ranks
+// must be refused: dynamic balance (capsules and the routing table are
+// process-shared), adaptive optimism (its window rides the GVT broadcast,
+// but its controller observes only the progress records of the LPs in its
+// own process) and the auditor (its ledger is global).
 func TestDistributedGatesSharedStateFacets(t *testing.T) {
 	numLPs := distribModel(1).NumLPs()
 	cases := []struct {
@@ -585,6 +588,74 @@ func TestDistributedLinkCutFailsEveryRank(t *testing.T) {
 					t.Errorf("rank %d returned %v, want the transport's error", r, err)
 				}
 			}
+		})
+	}
+}
+
+// panicAt is a model object that panics at its nth execution, counted across
+// rollbacks.
+type panicAt struct {
+	model.Object
+	n    int64
+	runs atomic.Int64
+}
+
+func (p *panicAt) Execute(ctx model.Context, st model.State, ev *event.Event) {
+	if p.runs.Add(1) == p.n {
+		panic("boom")
+	}
+	p.Object.Execute(ctx, st, ev)
+}
+
+// TestDistributedPeerPanicFailsEveryRank: an object panics mid-run, on rank
+// 0 (object 0, on LP 0) or on rank 1 (object 15, on LP 3). Its rank fails
+// with the panic. The other rank is stopped before any GVT past the end time
+// reached it, and must fail too, naming the LP that stopped it and the GVT it
+// had reached — not return a partial Result as if the run had ended, nor
+// wait out the report timeout.
+func TestDistributedPeerPanicFailsEveryRank(t *testing.T) {
+	for _, c := range []struct{ object, lp, rank int }{{0, 0, 0}, {15, 3, 1}} {
+		t.Run(fmt.Sprintf("rank%d", c.rank), func(t *testing.T) {
+			build := func() *model.Model {
+				m := phold.New(phold.Config{Objects: 16, TokensPerObject: 2, MeanDelay: 10, Locality: 0.5, LPs: 4, Seed: 5})
+				m.Objects[c.object] = &panicAt{Object: m.Objects[c.object], n: 2000}
+				return m
+			}
+			if build().Partition[c.object] != c.lp {
+				t.Fatalf("object %d is not on LP %d", c.object, c.lp)
+			}
+			trs := tcpFleet(t, build().NumLPs(), 2)
+			cfg := core.DefaultConfig(1 << 40)
+			cfg.GVTPeriod = 200 * time.Microsecond
+
+			errs := make([]error, 2)
+			var wg sync.WaitGroup
+			for r, tr := range trs {
+				wg.Add(1)
+				go func(r int, tr comm.Transport) {
+					defer wg.Done()
+					rcfg := cfg
+					rcfg.Transport = tr
+					_, errs[r] = core.Run(build(), rcfg)
+				}(r, tr)
+			}
+			finished := make(chan struct{})
+			go func() { wg.Wait(); close(finished) }()
+			select {
+			case <-finished:
+			case <-time.After(20 * time.Second):
+				buf := make([]byte, 1<<20)
+				t.Fatalf("a rank is still running 20 s after the panic\n%s", buf[:runtime.Stack(buf, true)])
+			}
+			if err := errs[c.rank]; err == nil || !strings.Contains(err.Error(), "panic: boom") {
+				t.Errorf("rank %d returned %v, want the panic", c.rank, err)
+			}
+			other := 1 - c.rank
+			if err := errs[other]; err == nil || !strings.Contains(err.Error(), fmt.Sprintf("core: rank %d: LP ", other)) ||
+				!strings.Contains(err.Error(), "was stopped by LP ") || !strings.Contains(err.Error(), " at GVT ") {
+				t.Errorf("rank %d returned %v, want an error naming the LP that stopped it and its GVT", other, err)
+			}
+			t.Logf("rank %d: %v", other, errs[other])
 		})
 	}
 }

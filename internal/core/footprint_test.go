@@ -85,7 +85,7 @@ func TestObjectFootprint(t *testing.T) {
 				panic("the ring drained")
 			}
 		}
-		lp.applyGVT(lp.localMin())
+		lp.applyGVT(lp.localMin(), lp.window, nil)
 	}
 	dozenEach()
 	collected := lp.st.FossilCollected
@@ -122,7 +122,7 @@ func TestTracedStaticObjectsHaveNoControllers(t *testing.T) {
 			lp.drainDeferred()
 			lp.execStep()
 		}
-		lp.applyGVT(lp.localMin())
+		lp.applyGVT(lp.localMin(), lp.window, nil)
 		for _, o := range lp.objs {
 			if ckpt, sel := hasCtl(&o.ckpt), hasCtl(&o.sel); ckpt != dynamic || sel != dynamic {
 				t.Errorf("dynamic modes %t: object %d has a checkpointer controller %t, a selector controller %t",
@@ -160,7 +160,7 @@ func TestOutgrownBlockSlotsPinNothing(t *testing.T) {
 		}
 		injectStraggler(lp, lp.objs[round])
 		lp.auditHolders()
-		lp.applyGVT(lp.localMin())
+		lp.applyGVT(lp.localMin(), lp.window, nil)
 	}
 	for _, o := range lp.objs {
 		if cap(o.in) <= firstInput {
@@ -196,7 +196,7 @@ func TestPeriodicSaveTimeIsSampled(t *testing.T) {
 				panic("the model drained")
 			}
 			if i%64 == 63 {
-				lp.applyGVT(lp.localMin())
+				lp.applyGVT(lp.localMin(), lp.window, nil)
 			}
 		}
 		if mode == statesave.Dynamic && lp.objs[0].ckpt.Interval() != 2 {

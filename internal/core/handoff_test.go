@@ -2,7 +2,6 @@ package core
 
 import (
 	"slices"
-	"sync"
 	"testing"
 	"time"
 
@@ -27,16 +26,7 @@ func TestEmptyWorkerAwaitsAdoption(t *testing.T) {
 	d.lps[0].target.Store(1)
 	d.lps[1].target.Store(0)
 	d.epoch.Add(1)
-
-	var wg sync.WaitGroup
-	for _, w := range d.workers {
-		wg.Add(1)
-		go func(w *worker) {
-			defer wg.Done()
-			w.run()
-		}(w)
-	}
-	wg.Wait()
+	runWorkers(d)
 
 	var committed int64
 	for i, lp := range d.lps {

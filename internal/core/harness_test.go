@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"sync"
 
 	"gowarp/internal/comm"
 	"gowarp/internal/event"
@@ -21,6 +22,19 @@ func newTestKernel(m *model.Model, cfg *Config) []*lpRun {
 		lp.initObjects()
 	}
 	return d.lps
+}
+
+// runWorkers runs d's workers until the run ends, as Run does.
+func runWorkers(d *dispatcher) {
+	var wg sync.WaitGroup
+	for _, w := range d.workers {
+		wg.Add(1)
+		go func(w *worker) {
+			defer wg.Done()
+			w.run()
+		}(w)
+	}
+	wg.Wait()
 }
 
 // next returns the object with the least key of lp's range of the worker's

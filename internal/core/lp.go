@@ -11,6 +11,7 @@ import (
 	"gowarp/internal/comm"
 	"gowarp/internal/event"
 	"gowarp/internal/gvt"
+	"gowarp/internal/partition"
 	"gowarp/internal/pq"
 	"gowarp/internal/route"
 	"gowarp/internal/statesave"
@@ -30,22 +31,16 @@ type shared struct {
 	// nil unless Config.Balance is dynamic.
 	board *stats.LoadBoard
 
-	// window is the optimism window in force (0 = unbounded), the one home of
-	// the sixth facet's controlled item: newKernel seeds it from
-	// Config.Optimism.Window, only LP 0's GVT application writes it afterwards
-	// (runOptimism, under the adaptive facet), and every LP's horizon() loads it
-	// once per executed event.
-	window atomic.Int64
-
 	// The pad rounds shared up to 64 bytes, so that its one allocation comes
-	// from Go's 64-byte size class and has a cache line to itself, as it had
-	// before the window moved in. At 48 bytes it shares lines with whatever
-	// was allocated beside it, and every worker reads window once per event:
-	// unpadded, phold-pool's speedup_vs_seq read 3.09 and 3.22 against the
-	// parent's 3.25 and 3.32 (ISSUE 23's sizing runs, behind in 8 of 11) and a
-	// phold-lp run took 0.459 s against 0.433 s padded (medians of 16
-	// alternating runs; EXPERIMENTS.md "One window").
-	_ [16]byte
+	// from Go's 64-byte size class and has a cache line to itself. Every
+	// worker reads rt and objs on every route (hosted). While the optimism
+	// window lived here too, an unpadded struct cost phold-pool's
+	// speedup_vs_seq 3.09 and 3.22 against 3.25 and 3.32 padded (behind in 8
+	// of 11 sizing runs), and a phold-lp run 0.459 s against 0.433 s (medians
+	// of 16 alternating runs; EXPERIMENTS.md "One window"). The window has
+	// since moved to the LPs; removing the pad would be its own measured
+	// change.
+	_ [24]byte
 }
 
 // lpRun is one logical process: a set of simulation objects (a range of its
@@ -110,6 +105,14 @@ type lpRun struct {
 	// numLPs is the run's LP count, across every rank.
 	numLPs int
 
+	// window is the optimism window in force (0 = unbounded) and horizon the
+	// latest virtual time this LP may execute at: max(GVT, 0) + window, or
+	// +inf without a window. newKernel seeds both from Config.Optimism.Window;
+	// afterwards only applyGVT sets them, from the window LP 0 decided at that
+	// GVT (see finishGVT).
+	window  vtime.Time
+	horizon vtime.Time
+
 	// lvt is the receive time of the last event this LP executed (NegInf
 	// before the first), which recordProgress writes into its record.
 	lvt vtime.Time
@@ -155,13 +158,16 @@ type lpRun struct {
 	// Config.Optimism selects the adaptive mode).
 	opt *optController
 
-	// stash holds what reaches LP 0 of a distributed run's coordinator
-	// while it is still in its loop and gatherReports has to see: end-of-run
-	// rank reports (PktReport) — by protocol that cannot happen, remote ranks
-	// report only after receiving the stop broadcast this LP sent before it
-	// stopped, but stashing is cheaper than being wrong about that — and a
-	// stop somebody else sent (PktStop), which means no report will come.
+	// stash holds the end-of-run rank reports (PktReport) that reach LP 0 of
+	// a distributed run's coordinator while it is still in its loop, for
+	// gatherReports. By protocol that cannot happen — remote ranks report only
+	// after receiving the stop broadcast this LP sent before it stopped — but
+	// stashing is cheaper than being wrong about that.
 	stash []comm.Packet
+
+	// halt is set when a stop reached this LP before a GVT past the end time
+	// did: a peer failed or gave up, and Run reports it.
+	halt error
 }
 
 // refresh re-keys o in the schedule tree after its input queue changed,
@@ -352,8 +358,6 @@ func (lp *lpRun) handlePacket(p comm.Packet) {
 		for _, ev := range evs {
 			lp.deliver(ev)
 		}
-	case comm.PktMigrateReq:
-		lp.onMigrateReq(p)
 	case comm.PktMigrate:
 		lp.ep.ReceiveMigration(p)
 		lp.install(p)
@@ -364,19 +368,15 @@ func (lp *lpRun) handlePacket(p comm.Packet) {
 		}
 	case comm.PktGVT:
 		lp.gvtMgr.Apply(p.GVT)
-		lp.applyGVT(p.GVT)
-	case comm.PktOptim:
-		// Wake-only: the optimism window lives in the shared slot, so the
-		// payload is the arrival itself — it woke the worker of an LP blocked
-		// at the old horizon, and the run loop re-reads horizon() on its next
-		// iteration.
+		lp.applyGVT(p.GVT, p.Window, p.Moves)
 	case comm.PktReport:
 		lp.stash = append(lp.stash, p)
 	case comm.PktStop:
-		if lp.id == 0 {
-			// LP 0 decides when a run ends; being told to stop means a link
-			// failed or a peer gave up. gatherReports must hear of it.
-			lp.stash = append(lp.stash, p)
+		// A run that ends well sends every LP a GVT past the end time before
+		// the stop, on the same FIFO link (finishGVT), and LP 0 no stop at all.
+		if g := lp.gvtMgr.GVT(); !g.After(lp.cfg.EndTime) {
+			lp.halt = fmt.Errorf("LP %d was stopped by LP %d at GVT %s, before the end time %s: a peer failed or gave up",
+				lp.id, p.From, g, lp.cfg.EndTime)
 		}
 		lp.stop()
 	}
@@ -436,20 +436,6 @@ func keepObjects(list []*simObject, keep func(*simObject) bool) []*simObject {
 	return kept
 }
 
-// horizon returns the latest virtual time this LP may optimistically execute
-// at: unbounded without an optimism window, otherwise the last known GVT
-// (floored at zero, since GVT starts at -inf) plus the window. Blocked LPs
-// idle, which forces GVT computations, which advance the horizon — and they
-// are additionally woken when the adaptive controller widens the window (see
-// runOptimism).
-func (lp *lpRun) horizon() vtime.Time {
-	w := vtime.Time(lp.k.window.Load())
-	if w <= 0 {
-		return vtime.PosInf
-	}
-	return vtime.Max(lp.gvtMgr.GVT(), vtime.Zero).Add(w)
-}
-
 // maybeGVT lets LP 0 start a GVT computation; force is set when the LP has
 // gone idle, so termination is detected without waiting a full period.
 func (lp *lpRun) maybeGVT(force bool) {
@@ -461,25 +447,37 @@ func (lp *lpRun) maybeGVT(force bool) {
 	}
 }
 
-// finishGVT runs on the initiator when a computation completes: broadcast
-// the value, fossil-collect locally, and terminate the simulation once GVT
-// has strictly passed the end time (or the model has drained: GVT == +inf).
-// Strictness matters: GVT equal to the end time still admits an in-flight
-// event with receive time exactly EndTime, which must execute before the
-// simulation may stop.
+// finishGVT runs on the initiator when a computation completes. LP 0's
+// controllers decide first, at the cut they read (LP 0's newest progress
+// record, the board with LP 0's own edge counts on it); the value and their
+// decisions then go to every LP in one packet, which LP 0 applies too.
+// The simulation terminates once GVT has strictly passed the end time (or
+// the model has drained: GVT == +inf). Strictness matters: GVT equal to the
+// end time still admits an in-flight event with receive time exactly
+// EndTime, which must execute before the simulation may stop.
 func (lp *lpRun) finishGVT(g vtime.Time) {
-	lp.ep.BroadcastGVT(g)
-	lp.applyGVT(g)
+	w, moves := lp.window, []partition.Move(nil)
+	if lp.bal != nil {
+		lp.publishEdges()
+		moves = lp.runBalancer()
+	}
+	if lp.opt != nil {
+		w = lp.runOptimism()
+	}
+	lp.ep.BroadcastGVT(g, w, moves)
+	lp.applyGVT(g, w, moves)
 	if g.After(lp.cfg.EndTime) {
 		lp.ep.BroadcastStop()
 		lp.stop()
 	}
 }
 
-// applyGVT fossil-collects the hosted objects whose history the new GVT can
-// shrink, runs what fires on the kernel's control period, and records the
-// LP's progress as of g.
-func (lp *lpRun) applyGVT(g vtime.Time) {
+// applyGVT applies what LP 0 broadcast at GVT g: it puts window w in force,
+// fossil-collects the hosted objects whose history g can shrink, migrates
+// the objects moves assigns from this LP, runs what fires on the kernel's
+// control period, and records the LP's progress as of g.
+func (lp *lpRun) applyGVT(g, w vtime.Time, moves []partition.Move) {
+	lp.window, lp.horizon = w, horizonAt(g, w)
 	if lp.au != nil {
 		lp.au.ApplyGVT(g)
 		lp.auditHolders()
@@ -492,19 +490,13 @@ func (lp *lpRun) applyGVT(g vtime.Time) {
 		o.inHist = o.fossilFloor != vtime.PosInf
 		return o.inHist
 	})
-	if lp.edges != nil {
-		lp.k.board.Publish(lp.edges)
-		clear(lp.edges)
+	lp.publishEdges()
+	if len(moves) > 0 {
+		lp.migrateMoves(moves)
 	}
-	// The controllers and the roughness sample run before this LP records g:
-	// their windows cut at the GVT before g, which every peer has had a
-	// period to apply.
-	if lp.bal != nil {
-		lp.runBalancer()
-	}
-	if lp.opt != nil {
-		lp.runOptimism()
-	}
+	// The remap and the roughness sample run before this LP records g: their
+	// windows cut at the GVT before g, which every peer has had a period to
+	// apply.
 	if lp == lp.d.lps[0] {
 		lp.d.maybeRemap()
 		lp.d.rough.sample(lp.loads[0].at)
@@ -512,6 +504,26 @@ func (lp *lpRun) applyGVT(g vtime.Time) {
 	lp.recordProgress(g)
 	if lp.met != nil {
 		lp.publishMetrics(g)
+	}
+}
+
+// horizonAt is the latest virtual time an LP may execute at under window w
+// at GVT g: unbounded without a window, otherwise g (floored at zero, since
+// GVT starts at -inf) plus the window. Blocked LPs idle, which forces GVT
+// computations, whose broadcasts advance the horizon and wake them.
+func horizonAt(g, w vtime.Time) vtime.Time {
+	if w <= 0 {
+		return vtime.PosInf
+	}
+	return vtime.Max(g, vtime.Zero).Add(w)
+}
+
+// publishEdges moves the edge counts this LP gathered since it last
+// published to the balancer's board.
+func (lp *lpRun) publishEdges() {
+	if len(lp.edges) > 0 {
+		lp.k.board.Publish(lp.edges)
+		clear(lp.edges)
 	}
 }
 
@@ -557,7 +569,7 @@ func (lp *lpRun) pump(now time.Time) {
 // objects of this LP is delivered before returning, so the worker's next pick
 // sees it and no straggler is manufactured inside one LP.
 func (lp *lpRun) exec(o *simObject, t vtime.Time) bool {
-	if t.After(lp.cfg.EndTime) || t.After(lp.horizon()) {
+	if t.After(lp.cfg.EndTime) || t.After(lp.horizon) {
 		return false
 	}
 	o.executeNext()

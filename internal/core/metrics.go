@@ -150,13 +150,11 @@ func (lp *lpRun) publishMetrics(g vtime.Time) {
 	m.lazyObjects.Set(id, float64(lazy))
 	m.aggWindow.Set(id, meanWindow.Seconds())
 
-	// One LP publishes the process-wide gauges. On the rank that hosts LP 0
-	// that is the optimism window's writer, publishing after any move this
-	// GVT application made — were every LP to publish it, a peer could
-	// overwrite that with the value it loaded before the move. The worker
-	// counters are atomics, safe to read across threads.
+	// One LP publishes the process-wide gauges: the first hosted, with the
+	// optimism window this GVT put in force, which every LP applies with the
+	// GVT. The worker counters are atomics, safe to read across threads.
 	if lp == lp.d.lps[0] {
-		m.optWindow.Set(0, float64(lp.k.window.Load()))
+		m.optWindow.Set(0, float64(lp.window))
 		lp.d.publishMetrics(m)
 	}
 }

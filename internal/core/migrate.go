@@ -9,6 +9,7 @@ import (
 	"gowarp/internal/comm"
 	"gowarp/internal/event"
 	"gowarp/internal/model"
+	"gowarp/internal/partition"
 	"gowarp/internal/vtime"
 )
 
@@ -85,36 +86,36 @@ const capsuleOverheadBytes = 256
 // perPendingEventBytes sizes one unprocessed event travelling in a capsule.
 const perPendingEventBytes = 64
 
-// onMigrateReq handles a migration request from the balancing controller.
-// Stale or unsafe requests are dropped silently: an object may have moved
-// on, the request may name this LP itself, or honoring it in full would
-// empty this LP (the kernel requires every LP to host at least one object).
-func (lp *lpRun) onMigrateReq(p comm.Packet) {
-	if p.Dst < 0 || p.Dst >= lp.numLPs || p.Dst == lp.id {
-		return
-	}
-	batch := make([]*simObject, 0, len(p.Objects))
-	for _, id := range p.Objects {
-		if int(id) < 0 || int(id) >= len(lp.k.objs) {
+// migrateMoves carries out the balancer's moves that name this LP as
+// source, one capsule per destination, destinations in the order the moves
+// first name them: the first move to a destination packs every object the
+// moves send there, and the later ones find theirs gone. An object this LP
+// no longer hosts is skipped (it moved on after the balancer read the routing
+// table), and so is any move that would empty this LP: the kernel requires
+// every LP to host at least one object.
+func (lp *lpRun) migrateMoves(moves []partition.Move) {
+	for i, m := range moves {
+		if m.From != lp.id {
 			continue
 		}
-		o := lp.hosted(event.ObjectID(id))
-		if o == nil {
-			continue
+		var batch []*simObject
+		for _, n := range moves[i:] {
+			if n.From != m.From || n.To != m.To {
+				continue
+			}
+			if o := lp.hosted(event.ObjectID(n.Object)); o != nil && len(lp.objs)-len(batch) > 1 {
+				batch = append(batch, o)
+			}
 		}
-		if len(lp.objs)-len(batch) <= 1 {
-			break
+		if len(batch) > 0 {
+			lp.migrateOutBatch(batch, m.To)
 		}
-		batch = append(batch, o)
-	}
-	if len(batch) > 0 {
-		lp.migrateOutBatch(batch, p.Dst)
 	}
 }
 
 // migrateOutBatch packs every object in batch into one capsule and ships it
-// to LP to. Called only from safe points (packet handling, the balancer at
-// GVT application), never while an object is executing.
+// to LP to. Called only from safe points (packet handling, GVT application),
+// never while an object is executing.
 func (lp *lpRun) migrateOutBatch(batch []*simObject, to int) {
 	// Flush everything this LP still owes the objects: queued intra-LP
 	// messages (which may trigger rollbacks that change their queues) and

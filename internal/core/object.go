@@ -483,7 +483,7 @@ func (o *simObject) drainStale() {
 		return
 	}
 	next := o.nextTime()
-	if next == vtime.PosInf || next.After(o.lp.cfg.EndTime) || next.After(o.lp.horizon()) {
+	if next == vtime.PosInf || next.After(o.lp.cfg.EndTime) || next.After(o.lp.horizon) {
 		o.out.Drain()
 	}
 }

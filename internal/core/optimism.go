@@ -153,7 +153,8 @@ func adaptWindow(cfg OptimismConfig, w vtime.Time, cost float64) vtime.Time {
 }
 
 // optController is the adaptive optimism facet's controller, owned by LP 0
-// and fired at GVT applications (mirroring the load balancer's placement).
+// and fired when a GVT computation completes, before the broadcast that
+// carries its window (mirroring the load balancer's placement).
 // Each firing evaluates the waste over its progressWindow, what the LPs
 // committed and rolled back since its last decision, not the whole run.
 type optController struct {
@@ -196,36 +197,29 @@ func (c *optController) step(committed, rolled, width int64, widthKnown bool, w 
 }
 
 // runOptimism fires the adaptive optimism controller (LP 0 only, from
-// applyGVT) every Period applications. A moved window is published through
-// the shared slot every LP's horizon() reads; a relaxed window additionally
-// broadcasts a wake packet, because peers blocked at the old horizon are
-// sleeping in idle() and would otherwise only notice the wider window at their
-// next idle tick or GVT broadcast.
-func (lp *lpRun) runOptimism() {
-	c := lp.opt
+// finishGVT) every Period GVT computations and returns the window to put in
+// force with this GVT: the one in force unless the controller moved it. The
+// window reaches every LP in the GVT broadcast, whose arrival also wakes an
+// LP blocked at the old horizon.
+func (lp *lpRun) runOptimism() vtime.Time {
+	c, w := lp.opt, lp.window
 	if !c.tick.Tick() {
-		return
+		return w
 	}
 	_, total, ok := c.win.observe(lp.loads[0].at)
 	if !ok {
-		return
+		return w
 	}
 	s, known := c.win.surface()
 	width := s.width()
-	w := vtime.Time(lp.k.window.Load())
 	next, cost, decided := c.step(total.committed, total.rolledBack, width, known, w)
 	if !decided {
-		return
+		return w
 	}
 	c.win.decide()
-	if next == w {
-		return
+	if next != w {
+		lp.st.OptimismAdjustments++
+		lp.tr.OptSwitch(int64(w), int64(next), int64(cost*1000), width)
 	}
-	lp.k.window.Store(int64(next))
-	lp.st.OptimismAdjustments++
-	lp.tr.OptSwitch(int64(w), int64(next), int64(cost*1000), width)
-	if w > 0 && (next <= 0 || next > w) && lp.ep != nil {
-		// ep is nil only in the synchronous test harness.
-		lp.ep.BroadcastOptim()
-	}
+	return next
 }

@@ -8,6 +8,9 @@ import (
 	"unsafe"
 
 	"gowarp/internal/apps/phold"
+	"gowarp/internal/comm"
+	"gowarp/internal/event"
+	"gowarp/internal/partition"
 	"gowarp/internal/telemetry"
 	"gowarp/internal/vtime"
 )
@@ -213,11 +216,11 @@ func TestOptControllerPeriod(t *testing.T) {
 	cfg := optTestConfig()
 	cfg.Period = 3
 	lp := &lpRun{k: &shared{}, loads: [2]loadSample{{at: vtime.NegInf}, {at: vtime.NegInf}}}
-	lp.k.window.Store(int64(cfg.Window))
+	lp.window = cfg.Window
 	lp.opt = newOptController(cfg, []*lpRun{lp})
 
 	for i := 0; i < 12; i++ {
-		lp.runOptimism()
+		lp.window = lp.runOptimism()
 		lp.st.EventsCommitted += 100 // plenty of waste-free sample: relaxes when fired
 		lp.recordProgress(vtime.Time(i))
 	}
@@ -226,7 +229,7 @@ func TestOptControllerPeriod(t *testing.T) {
 	if n := lp.st.OptimismAdjustments; n != 4 {
 		t.Errorf("Period=3 controller moved %d times over 12 opportunities, want 4", n)
 	}
-	if w := lp.k.window.Load(); w != 0 {
+	if w := lp.window; w != 0 {
 		t.Errorf("window after 4 relaxes = %d, want 0 (unbounded)", w)
 	}
 }
@@ -358,12 +361,14 @@ func TestAdaptiveOptimismRun(t *testing.T) {
 	}
 }
 
-// TestWindowSingleWriter asserts what shared.window's comment promises. An
-// adaptive run on 4 LPs and 2 workers matches the sequential kernel; and every
-// move of the slot is a record in LP 0's trace — made where LP 0's GVT
-// application stores it — each starting at the window the one before it ended
-// at, from the configured window to the one the Result and the gauge report.
-// A store from anywhere else would break that chain.
+// TestWindowSingleWriter asserts what lpRun.window's comment promises. An
+// adaptive run on 4 LPs and 2 workers matches the sequential kernel; every
+// move of the window is a record in LP 0's trace — made where LP 0's
+// controller decides it, before the GVT broadcast — each starting at the
+// window the one before it ended at, from the configured window to the one
+// the Result and the gauge report; and every LP ends with that window. A
+// decision from anywhere else would break the chain, and a window that did
+// not ride the broadcast would leave some LP behind.
 func TestWindowSingleWriter(t *testing.T) {
 	m := phold.New(phold.Config{
 		Objects: 16, TokensPerObject: 3, MeanDelay: 10,
@@ -420,6 +425,20 @@ func TestWindowSingleWriter(t *testing.T) {
 		t.Errorf("the trace records %d moves, the controller counted %d", moves, res.Stats.OptimismAdjustments)
 	}
 	t.Logf("%d moves; %d trace events", moves, len(events))
+
+	// Run reports the first hosted LP's window; drive a kernel directly to see
+	// every LP's.
+	cfg.Tracer, cfg.Metrics = nil, nil
+	d := newKernel(m, &cfg, comm.Peers{Local: []int{0, 1, 2, 3}}, nil, nil)
+	runWorkers(d)
+	if d.lps[0].st.OptimismAdjustments == 0 {
+		t.Fatal("the window never moved in the direct run")
+	}
+	for _, lp := range d.lps {
+		if lp.window != d.lps[0].window {
+			t.Errorf("LP %d ends with window %s, LP 0 with %s", lp.id, lp.window, d.lps[0].window)
+		}
+	}
 }
 
 // TestSharedOwnsItsCacheLine pins the layout shared's pad comment explains: a
@@ -427,5 +446,83 @@ func TestWindowSingleWriter(t *testing.T) {
 func TestSharedOwnsItsCacheLine(t *testing.T) {
 	if s := unsafe.Sizeof(shared{}); s != 64 {
 		t.Errorf("shared is %d bytes, want 64: resize its pad", s)
+	}
+}
+
+// TestGVTBroadcastCarriesWindowAndMoves applies one GVT packet, as LP 0
+// broadcasts it, to every LP of a synchronously driven kernel: it relaxes the
+// window from 1 to 100 and moves object 1 from LP 0 to LP 1. Every LP's
+// horizon follows the packet; LP 1, blocked at the old horizon, executes on
+// its next step, with nothing but the packet to move its horizon; and LP 0
+// ships the object, which LP 1 installs.
+func TestGVTBroadcastCarriesWindowAndMoves(t *testing.T) {
+	m := ringModel(4, 4, 2)
+	m.Partition = []int{0, 0, 1, 1}
+	cfg := DefaultConfig(vtime.Time(1) << 40)
+	cfg.Optimism.Window = 1
+	k := &twin{lps: newTestKernel(m, &cfg)}
+	k.settle()
+	for _, lp := range k.lps {
+		for lp.execStep() {
+			k.settle()
+		}
+	}
+	blocked := k.lps[1]
+	if _, next := blocked.next(); next == vtime.PosInf || !next.After(blocked.horizon) {
+		t.Fatalf("LP 1's next event at %s is not beyond its horizon %s", next, blocked.horizon)
+	}
+
+	g := vtime.PosInf
+	for _, lp := range k.lps {
+		g = vtime.Min(g, lp.localMin())
+	}
+	p := comm.Packet{Kind: comm.PktGVT, From: 0, GVT: g, Window: 100,
+		Moves: []partition.Move{{Object: 1, From: 0, To: 1}}}
+	for _, lp := range k.lps {
+		lp.handlePacket(p)
+		if lp.window != 100 || lp.horizon != g.Add(100) {
+			t.Errorf("LP %d: window %s, horizon %s after GVT %s; want 100 and %s", lp.id, lp.window, lp.horizon, g, g.Add(100))
+		}
+	}
+	if !blocked.execStep() {
+		t.Error("LP 1 is still blocked after the window relaxed")
+	}
+	blocked.drainInbox()
+	if k.lps[0].hosted(1) != nil || blocked.hosted(1) == nil || blocked.k.rt.Owner(1) != 1 {
+		t.Errorf("object 1: on LP 0 %v, on LP 1 %v, routed to LP %d; want it installed on LP 1",
+			k.lps[0].hosted(1) != nil, blocked.hosted(1) != nil, blocked.k.rt.Owner(1))
+	}
+	if n := blocked.st.Migrations; n != 1 {
+		t.Errorf("LP 1 installed %d objects, want 1", n)
+	}
+}
+
+// TestMigrateMovesGroupsByDestination: an LP carries out the moves that name
+// it as source, one capsule per destination in the order the moves first
+// name it, and skips a move for an object it does not host and one that
+// would leave it empty. LP 0 hosts objects 0–3; the moves send 1 and 3 to
+// LP 1 (one capsule), then 2 and 0 to LP 2, where 0 would be LP 0's last.
+// Object 4's move names LP 1 as source and LP 0 ignores it, and object 5's
+// names LP 0, which never hosted it.
+func TestMigrateMovesGroupsByDestination(t *testing.T) {
+	m := ringModel(6, 6, 3)
+	m.Partition = []int{0, 0, 0, 0, 1, 2}
+	cfg := DefaultConfig(vtime.Time(1) << 40)
+	k := &twin{lps: newTestKernel(m, &cfg)}
+	k.settle()
+	lp0 := k.lps[0]
+	lp0.migrateMoves([]partition.Move{
+		{Object: 1, From: 0, To: 1}, {Object: 4, From: 1, To: 2}, {Object: 2, From: 0, To: 2},
+		{Object: 3, From: 0, To: 1}, {Object: 5, From: 0, To: 1}, {Object: 0, From: 0, To: 2},
+	})
+	k.settle()
+	for id, want := range []int{0, 1, 2, 1, 1, 2} {
+		if got := lp0.k.rt.Owner(id); got != want || k.lps[want].hosted(event.ObjectID(id)) == nil {
+			t.Errorf("object %d: routed to LP %d, want hosted on LP %d", id, got, want)
+		}
+	}
+	if lp0.st.BatchedMigrations != 2 || k.lps[1].st.Migrations != 2 || k.lps[2].st.Migrations != 1 {
+		t.Errorf("batched %d objects, LP 1 installed %d, LP 2 %d; want one capsule of 2 to LP 1 and one of 1 to LP 2",
+			lp0.st.BatchedMigrations, k.lps[1].st.Migrations, k.lps[2].st.Migrations)
 	}
 }

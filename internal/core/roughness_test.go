@@ -27,7 +27,6 @@ func TestRoughnessSampleAtCut(t *testing.T) {
 	cfg.Tracer.Bind([]int{0, 1, 2, 3}, time.Now())
 	lps := newTestKernel(m, &cfg)
 	d := lps[0].d
-	lps[0].k.window.Store(int64(cfg.Optimism.Window))
 
 	const cut = 10
 	for i, r := range []struct {

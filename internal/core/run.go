@@ -121,6 +121,19 @@ func Run(m *model.Model, cfg Config) (*Result, error) {
 			return nil, err
 		}
 	}
+	// A stop that beat the end: a peer failed. If a link failed, that is
+	// the cause, and Close has it.
+	for _, lp := range locals {
+		if lp.halt == nil {
+			continue
+		}
+		if tr != nil {
+			if cerr := tr.Close(); cerr != nil {
+				return nil, fmt.Errorf("core: transport: %w", cerr)
+			}
+		}
+		return nil, fmt.Errorf("core: rank %d: %w", peers.Rank, lp.halt)
+	}
 	// The last sample is of the final GVT, which every hosted LP has applied.
 	d.rough.sample(locals[0].loads[0].at)
 
@@ -160,7 +173,7 @@ func Run(m *model.Model, cfg Config) (*Result, error) {
 			GVT:                 locals[0].gvtMgr.GVT(),
 			Elapsed:             elapsed,
 			FinalPartition:      sh.rt.Assignment(),
-			FinalOptimismWindow: vtime.Time(sh.window.Load()),
+			FinalOptimismWindow: locals[0].window,
 			TraceDropped:        cfg.Tracer.Dropped(),
 			Roughness:           d.rough.fold.Summary(),
 			RollbackDepthHist:   d.rough.hist(),
@@ -279,7 +292,6 @@ func newKernel(m *model.Model, cfg *Config, peers comm.Peers, net comm.Sender, m
 	if cfg.Balance.Dynamic() {
 		sh.board = &stats.LoadBoard{}
 	}
-	sh.window.Store(int64(cfg.Optimism.Window))
 
 	for h, i := range hosted {
 		lp := &lpRun{
@@ -294,6 +306,8 @@ func newKernel(m *model.Model, cfg *Config, peers comm.Peers, net comm.Sender, m
 			outbound: make(map[event.ObjectID]int),
 			lvt:      vtime.NegInf,
 			loads:    [2]loadSample{noRecord, noRecord},
+			window:   cfg.Optimism.Window,
+			horizon:  horizonAt(vtime.NegInf, cfg.Optimism.Window),
 		}
 		lp.host = cancel.Host{Emit: lp.emitAnti, Stats: &lp.st}
 		lp.codecSwitched = func(bool, float64) { lp.st.CodecSwitches++ }

@@ -196,7 +196,7 @@ func TestAuditCatchesHolderMismatch(t *testing.T) {
 				lp.drainDeferred()
 				lp.execStep()
 			}
-			lp.applyGVT(lp.localMin())
+			lp.applyGVT(lp.localMin(), lp.window, nil)
 			if err := cfg.Audit.Err(); err != nil {
 				t.Fatalf("violations before anything was broken: %v", err)
 			}
@@ -211,7 +211,7 @@ func TestAuditCatchesHolderMismatch(t *testing.T) {
 				t.Fatalf("%s has %d holder(s); the ring shares nothing", e, e.Holders())
 			}
 			breakIt(lp, e)
-			lp.applyGVT(lp.localMin())
+			lp.applyGVT(lp.localMin(), lp.window, nil)
 			err := cfg.Audit.Err()
 			if err == nil || !strings.Contains(err.Error(), audit.InvHolders) {
 				t.Fatalf("no %s violation in: %v", audit.InvHolders, err)
@@ -283,7 +283,7 @@ func BenchmarkLocalSend(b *testing.B) {
 							b.Fatal("the pairs drained")
 						}
 						if i%64 == 63 {
-							lp.applyGVT(lp.localMin())
+							lp.applyGVT(lp.localMin(), lp.window, nil)
 						}
 					}
 				}

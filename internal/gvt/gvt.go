@@ -48,9 +48,6 @@ type Manager struct {
 	startedAt  time.Time
 	gvt        vtime.Time
 
-	// Rounds accumulates token circulations, for reports on protocol cost.
-	Rounds int64
-
 	// OnCycle, when non-nil, observes each completed GVT computation on the
 	// initiator: the new value, the token rounds it took, and its
 	// initiation-to-completion wall time. Called from the LP goroutine.
@@ -148,7 +145,6 @@ func (m *Manager) MaybeInitiate(localMin vtime.Time, force bool) (g vtime.Time, 
 // and fossil-collect — or starts another round. On other LPs it contributes
 // the local counts and forwards the token.
 func (m *Manager) OnToken(tok comm.Token, localMin vtime.Time) (g vtime.Time, found bool) {
-	m.Rounds++
 	m.st.GVTRounds++
 	white := red(tok.Epoch) ^ 1
 	if m.lp == 0 {

@@ -93,8 +93,8 @@ type Counters struct {
 	// ForwardedMsgs counts events re-sent to the current owner after
 	// arriving at an LP the object had already migrated away from.
 	ForwardedMsgs int64
-	// BalanceSteps counts load-balancing controller invocations that issued
-	// at least one migration request.
+	// BalanceSteps counts load-balancing controller invocations that ordered
+	// at least one object move.
 	BalanceSteps int64
 	// OptimismAdjustments counts adaptive-optimism controller firings that
 	// moved the window.

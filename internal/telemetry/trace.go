@@ -333,7 +333,7 @@ func (t *LPTrace) Migration(obj int32, from int32, pending int64, epoch int64) {
 
 // BalanceStep records one load-balancing controller firing: the observed
 // load imbalance in thousandths, whether the dead zone admitted actuation,
-// and how many migration requests were issued.
+// and how many object moves it ordered.
 func (t *LPTrace) BalanceStep(imbalancePermille int64, active bool, moves int64) {
 	if t == nil {
 		return
