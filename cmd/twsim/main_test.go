@@ -60,7 +60,7 @@ func TestStaticWindowRun(t *testing.T) {
 // sees it arrive.
 func TestArtifactSchema(t *testing.T) {
 	absentFromRecording := []string{ // omitempty, and empty in that run
-		"rank", "host_ranks", "wire", // one process, no transport
+		"rank", "host_ranks", "wire", // one process, the in-process transport
 		"trace_dropped",     // the ring sufficed
 		"optimism_switches", // -optimism off
 	}

@@ -268,13 +268,17 @@ const (
 )
 
 // Communication transports: the substrate carrying physical messages between
-// logical processes. By default (Config.Transport nil) there is none: every
-// LP lives in this process and sends go straight to the destination's
-// mailbox. A TCP transport makes this process one rank of a multi-process
-// run; see ParseTransportSpec for the command-line form.
+// logical processes. By default (Config.Transport nil) it is the in-process
+// transport, charging Config.Cost: every LP lives in this process and a send
+// reaches the destination's mailbox before it returns. A TCP transport makes
+// this process one rank of a multi-process run; see ParseTransportSpec for
+// the command-line form.
 type (
 	// Transport is the communication substrate abstraction (see
-	// comm.Transport for the full Send/Recv/Peers/Start/Close contract).
+	// comm.Transport for the full contract). A Transport of your own must
+	// implement SetSink, Poll, Flush and Arm beside Send, Recv, Peers, Start
+	// and Close: the kernel delivers through the sink; a wrapper that embeds
+	// Transport has them promoted.
 	Transport = comm.Transport
 	// TransportPeers describes a transport's process topology.
 	TransportPeers = comm.Peers
@@ -283,9 +287,10 @@ type (
 )
 
 // NewInProcTransport returns the in-process transport for numLPs logical
-// processes. Passing it as Config.Transport commits what leaving the field
-// nil commits, by way of the transport's channels; it is there to be wrapped
-// (a tracing or fault-injecting Transport around it).
+// processes, charging no communication cost. Leaving Config.Transport nil
+// means the same transport charging Config.Cost (comm.NewInProc(numLPs,
+// comm.WithCost(Config.Cost))). It is there to be wrapped (a tracing or
+// fault-injecting Transport around it).
 func NewInProcTransport(numLPs int) Transport { return comm.NewInProc(numLPs) }
 
 // NewTCPTransport returns a TCP transport for one rank of a multi-process

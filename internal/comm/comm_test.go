@@ -307,6 +307,46 @@ func TestCostModel(t *testing.T) {
 	}
 }
 
+// TestInProcSink: with a sink, InProc's Send charges the cost and then hands
+// the packet over on the sender's goroutine, before it returns, in send
+// order; Recv has no channel, Poll, Flush and Arm have nothing to do, and no
+// channel is ever made.
+func TestInProcSink(t *testing.T) {
+	cost := CostModel{PerMessage: time.Millisecond}
+	n := NewInProc(2, WithCost(cost))
+	var got []int
+	var sent time.Time
+	n.SetSink(func(lp int, p Packet) {
+		if lp != 1 {
+			t.Errorf("packet for LP %d, sent to 1", lp)
+		}
+		if d := time.Since(sent); d < cost.PerMessage {
+			t.Errorf("sink called %v into Send, before the %v charge", d, cost.PerMessage)
+		}
+		got = append(got, p.Count)
+	}, func() { t.Error("InProc rang") })
+	for i := 0; i < 3; i++ {
+		sent = time.Now()
+		n.Send(1, Packet{Kind: PktEvents, Count: i}, 0)
+		if len(got) != i+1 || got[i] != i {
+			t.Fatalf("after send %d the sink holds %v", i, got)
+		}
+	}
+	if n.Recv(0) != nil || n.Recv(1) != nil {
+		t.Error("Recv returned a channel beside the sink")
+	}
+	n.Poll()
+	n.Flush(true)
+	n.Flush(false)
+	n.Arm()
+	if len(got) != 3 {
+		t.Errorf("Poll, Flush or Arm delivered: the sink holds %v", got)
+	}
+	if n.inboxes != nil {
+		t.Errorf("a transport with a sink made %d channels", len(n.inboxes))
+	}
+}
+
 func TestPolicyStrings(t *testing.T) {
 	if NoAggregation.String() != "none" || FAW.String() != "faw" || SAAW.String() != "saaw" {
 		t.Error("policy names broken")

@@ -1,6 +1,8 @@
 package comm
 
 import (
+	"sync"
+
 	"gowarp/internal/partition"
 	"gowarp/internal/vtime"
 )
@@ -104,8 +106,9 @@ func WithCost(c CostModel) Option {
 }
 
 // minInboxDepth is the per-LP inbox channel capacity of both transports
-// (InProc's minimum and default; the Time Warp kernel moves arrivals on into
-// unbounded mailboxes, so only the conservative kernel ever asks for more).
+// (InProc's minimum and default). A transport with a sink — every one the
+// Time Warp kernel runs over — makes no channels; the conservative kernel,
+// which selects on them, is the one caller that asks for more.
 const minInboxDepth = 1024
 
 // WithInboxDepth sets the per-LP inbox channel capacity (minimum and
@@ -115,13 +118,19 @@ func WithInboxDepth(d int) Option {
 }
 
 // InProc is the in-process Transport: it connects n logical processes living
-// in this OS process with buffered channel inboxes and a shared simulated
-// cost model. It is created once per simulation run; endpoints are handed to
-// the LP goroutines. The zero-cost, default-depth form is NewInProc(n).
+// in this OS process under a shared simulated cost model. It is what a Time
+// Warp run without a Config.Transport uses: with a sink, Send charges the
+// cost and hands the packet to the sink on the sender's goroutine, so nothing
+// is ever pending and Poll, Flush and Arm have nothing to do. Without one it
+// delivers into buffered channel inboxes, made on first use. It is created
+// once per simulation run. The zero-cost, default-depth form is NewInProc(n).
 type InProc struct {
-	cost    CostModel
-	inboxes []chan Packet
-	local   []int
+	cost      CostModel
+	depth     int
+	local     []int
+	sink      func(lp int, p Packet)
+	inboxes   []chan Packet
+	inboxOnce sync.Once
 }
 
 // NewInProc returns an in-process transport for n LPs.
@@ -130,37 +139,64 @@ func NewInProc(n int, opts ...Option) *InProc {
 	for _, opt := range opts {
 		opt(&o)
 	}
-	if o.inboxDepth < minInboxDepth {
-		o.inboxDepth = minInboxDepth
-	}
-	nw := &InProc{cost: o.cost, inboxes: make([]chan Packet, n), local: make([]int, n)}
-	for i := range nw.inboxes {
-		nw.inboxes[i] = make(chan Packet, o.inboxDepth)
+	nw := &InProc{cost: o.cost, depth: max(o.inboxDepth, minInboxDepth), local: make([]int, n)}
+	for i := range nw.local {
 		nw.local[i] = i
 	}
 	return nw
 }
 
-// Peers implements Transport: every LP is local, one rank.
-func (n *InProc) Peers() Peers {
-	return Peers{NumLPs: len(n.inboxes), Local: n.local, Rank: 0, NumRanks: 1}
+// inbox returns lp's receive channel. The channels are made on first use,
+// all at once, as TCP's are: a transport with a sink never makes them.
+func (n *InProc) inbox(lp int) chan Packet {
+	n.inboxOnce.Do(func() {
+		n.inboxes = make([]chan Packet, len(n.local))
+		for i := range n.inboxes {
+			n.inboxes[i] = make(chan Packet, n.depth)
+		}
+	})
+	return n.inboxes[lp]
 }
 
-// Recv returns lp's receive stream.
-func (n *InProc) Recv(lp int) <-chan Packet { return n.inboxes[lp] }
+// Peers implements Transport: every LP is local, one rank.
+func (n *InProc) Peers() Peers {
+	return Peers{NumLPs: len(n.local), Local: n.local, Rank: 0, NumRanks: 1}
+}
+
+// Recv returns lp's receive stream; nil once there is a sink.
+func (n *InProc) Recv(lp int) <-chan Packet {
+	if n.sink != nil {
+		return nil
+	}
+	return n.inbox(lp)
+}
+
+// SetSink implements Transport. There is nothing to ring for: a delivery
+// reaches the sink before Send returns.
+func (n *InProc) SetSink(sink func(lp int, p Packet), _ func()) { n.sink = sink }
+
+// Poll, Flush and Arm implement Transport; in process nothing is ever
+// pending, so they return at once.
+func (n *InProc) Poll()      {}
+func (n *InProc) Flush(bool) {}
+func (n *InProc) Arm()       {}
 
 // Start implements the handshake contract; in-process there is nothing to
 // join.
 func (n *InProc) Start() error { return nil }
 
-// Close implements the flush contract; channel delivery is synchronous with
-// Send, so there is nothing to drain.
+// Close implements the flush contract; delivery is synchronous with Send, so
+// there is nothing to drain.
 func (n *InProc) Close() error { return nil }
 
-// Send charges the sending cost and enqueues the packet. The charge is
-// burned on the calling goroutine — the sender pays, as in the modelled
-// protocol stacks.
+// Send charges the sending cost and delivers the packet: to the sink, or
+// into dst's channel. The charge is burned on the calling goroutine — the
+// sender pays, as in the modelled protocol stacks.
 func (n *InProc) Send(dst int, p Packet, payloadBytes int) {
 	n.cost.Charge(payloadBytes)
-	n.inboxes[dst] <- p
+	if n.sink != nil {
+		n.sink(dst, p)
+		return
+	}
+	n.inbox(dst) <- p
 }

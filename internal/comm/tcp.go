@@ -28,39 +28,39 @@ import (
 // Each connection has one buffer and one piece of code that fills or empties
 // it: Send appends frames to the peer's out-buffer (tcpSendConn), and one
 // parser, making every check a frame gets, turns what was read into the
-// peer's in-buffer (tcpRecvConn) back into packets. Two drivers move the
-// bytes between those buffers and the sockets:
+// peer's in-buffer (tcpRecvConn) back into packets, which it hands to the
+// sink SetSink installed or, without one, to the per-LP channels Recv
+// returns. Two drivers move the bytes between those buffers and the sockets:
 //
-//   - The polled driver (see Polled; Unix only) is what the Time Warp kernel
-//     uses. Its SetSink hands the transport a function that puts a packet into
-//     an LP's mailbox, and from then on the kernel's own workers do the socket
-//     work: Poll reads whatever each inbound socket holds without waiting and
-//     delivers the frames to the sink, Flush writes whatever each outbound
-//     socket takes without waiting, and what a socket refuses stays buffered
-//     for the next Flush. Every write is timed, and a Flush that is not forced
-//     leaves a link alone whose last write was under wireBudget times that
-//     cost ago, so that the frames of several rounds share a system call;
-//     every Poll reads (Polled has the why). No goroutine of the transport
-//     reads: Go polls the network only from an idle P or from sysmon's 10 ms
-//     tick, and workers that never block leave no P idle, so a reader
-//     goroutine parked in the netpoller sees a frame milliseconds after it
-//     arrived — and a worker blocked in a write while its peer is blocked in
-//     a write to it would be a deadlock, since each is also the other's only
-//     reader. Hence the rule: a worker never blocks on a socket. What the
-//     transport does start is one doorbell per inbound link (see Arm), for
-//     the moments when that reasoning turns over: a worker about to wait
-//     leaves its P idle, and an idle P is where the netpoller is consulted
-//     at once. The doorbell parks there until the link is readable, calls the
-//     kernel's ring function and parks again when asked; it reads nothing, so
-//     the frames still reach the sink only through a Poll. Without it an idle
-//     rank would notice a frame only at its next timer, and on Linux Go
-//     rounds any timer under a millisecond up to one when every P is idle.
-//   - The channel driver is everything else — a transport nobody called
-//     SetSink on: the conservative kernel, a Transport wrapper that hides the
-//     Polled methods, any platform without the non-blocking calls. One reader
-//     goroutine per peer blocks in Read and delivers to the per-LP channels
-//     Recv returns (local sends short-circuit into them, as in InProc), and
-//     Send writes its frame out before returning.
+//   - The polled driver is what SetSink selects where the non-blocking socket
+//     calls exist (Unix), and so what the Time Warp kernel runs on: from then
+//     on the kernel's own workers do the socket work. Poll reads whatever
+//     each inbound socket holds without waiting and delivers the frames to
+//     the sink, Flush writes whatever each outbound socket takes without
+//     waiting, and what a socket refuses stays buffered for the next Flush.
+//     Every write is timed, and a Flush that is not forced leaves a link
+//     alone whose last write was under wireBudget times that cost ago, so
+//     that the frames of several rounds share a system call; every Poll reads
+//     (Transport has the why). No goroutine of the transport reads: Go polls
+//     the network only from an idle P or from sysmon's 10 ms tick, and
+//     workers that never block leave no P idle, so a reader goroutine parked
+//     in the netpoller sees a frame milliseconds after it arrived — and a
+//     worker blocked in a write while its peer is blocked in a write to it
+//     would be a deadlock, since each is also the other's only reader. Hence
+//     the rule: a worker never blocks on a socket. What the transport does
+//     start is one doorbell per inbound link (see Arm), for the moments when
+//     that reasoning turns over: a worker about to wait leaves its P idle,
+//     and an idle P is where the netpoller is consulted at once. The doorbell
+//     parks there until the link is readable, calls the kernel's ring
+//     function and parks again when asked; it reads nothing, so the frames
+//     still reach the sink only through a Poll. Without it an idle rank would
+//     notice a frame only at its next timer, and on Linux Go rounds any timer
+//     under a millisecond up to one when every P is idle.
+//   - The reader driver is everything else: a transport nobody called
+//     SetSink on (the conservative kernel), and a sink-mode TCP where the
+//     non-blocking calls are missing. One reader goroutine per peer blocks in
+//     Read and delivers what it parses, and Send writes its frame out before
+//     returning; Poll, Flush and Arm then have nothing to do.
 //
 // Shutdown (Close) flushes what is still buffered, half-closes every outbound
 // connection to signal "done sending", drains inbound until every peer has
@@ -75,9 +75,9 @@ type TCP struct {
 
 	// lo is the first LP this rank hosts; inboxes[lp-lo] is LP lp's receive
 	// channel, made when first asked for (see inbox): a transport with a sink
-	// never makes them. sink replaces the channels when the polled driver is
-	// in use, and nonblock is then what makes a connection's read or write
-	// one that never waits (both set by SetSink, before Start).
+	// never makes them. sink replaces the channels, and nonblock, where it
+	// exists, is what makes a connection's read or write one that never
+	// waits: the polled driver (both set by SetSink, before Start).
 	lo        int
 	inboxes   []chan Packet
 	inboxOnce sync.Once
@@ -92,7 +92,7 @@ type TCP struct {
 
 	out   []*tcpSendConn // indexed by rank; nil for self
 	in    []*tcpRecvConn // indexed by rank; nil for self
-	rdWG  sync.WaitGroup // the channel driver's readers
+	rdWG  sync.WaitGroup // the reader driver's readers
 	bells sync.WaitGroup // the polled driver's doorbells
 	// heard holds a token when an inbound link has news — a doorbell rang, a
 	// reader saw its link end — for Close's drain, which waits on it; quit
@@ -178,7 +178,7 @@ const wireBudget = 8
 type tcpSendConn struct {
 	mu   sync.Mutex
 	conn *net.TCPConn
-	// write moves bytes to the socket: conn.Write under the channel driver
+	// write moves bytes to the socket: conn.Write under the reader driver
 	// (everything, or an error), a non-blocking write under the polled one
 	// (what the socket takes now, possibly nothing).
 	write func([]byte) (int, error)
@@ -246,7 +246,7 @@ type tcpRecvConn struct {
 	mu   sync.Mutex
 	peer int
 	conn *net.TCPConn
-	// read moves bytes from the socket: conn.Read under the channel driver,
+	// read moves bytes from the socket: conn.Read under the reader driver,
 	// a non-blocking read under the polled one ((0, nil): nothing now).
 	read func([]byte) (int, error)
 	buf  []byte // buf[r:w] is read and unparsed; len(buf) > w always
@@ -255,7 +255,7 @@ type tcpRecvConn struct {
 	// nothing more will be read.
 	done atomic.Bool
 	// bell is the link's doorbell under the polled driver; nil under the
-	// channel driver and where none could be made.
+	// reader driver and where none could be made.
 	bell *doorbell
 	// The receive half of stats.LinkStats.
 	reads, empty, bytesIn atomic.Int64
@@ -310,11 +310,12 @@ func (t *TCP) hear() {
 	}
 }
 
-// Arm is the doorbell half of Polled: the next time any live inbound link has
+// Arm implements Transport's doorbell: the next time any live inbound link has
 // bytes, its end or a failure to report — at once if one has already — the
 // transport calls the ring function SetSink was given, once. A link that has
 // delivered its end is never watched again: it would ring at once for ever. A
-// transport with no doorbells (none could be made) never rings.
+// transport with no doorbells (none could be made, or the reader driver)
+// never rings.
 func (t *TCP) Arm() {
 	t.armed.Store(true)
 	for _, rc := range t.in {
@@ -329,7 +330,7 @@ func (t *TCP) Arm() {
 
 // pump reads once and delivers every frame that is now complete. It reports
 // whether the read filled the room it was given — the socket may hold more.
-// The caller holds mu (the channel driver's reader is alone anyway).
+// The caller holds mu (the reader driver's reader is alone anyway).
 func (rc *tcpRecvConn) pump(t *TCP) (more bool) {
 	room := rc.buf[rc.w:]
 	n, err := rc.read(room)
@@ -521,7 +522,7 @@ func hostRanks(addrs []string, rank int) int {
 
 // inbox returns locally hosted LP lp's receive channel. The channels are made
 // on first use, all at once: they are the larger part of an idle transport's
-// memory, and the polled driver has no use for them.
+// memory, and a transport with a sink has no use for them.
 func (t *TCP) inbox(lp int) chan Packet {
 	t.inboxOnce.Do(func() {
 		t.inboxes = make([]chan Packet, len(t.peers.Local))
@@ -549,6 +550,13 @@ func (t *TCP) deliver(lp int, p Packet) {
 // Peers implements Transport.
 func (t *TCP) Peers() Peers { return t.peers }
 
+// SetSink implements Transport. Where the non-blocking socket calls exist it
+// selects the polled driver; elsewhere the readers deliver into the sink.
+func (t *TCP) SetSink(sink func(lp int, p Packet), ring func()) {
+	t.sink, t.ring = sink, ring
+	t.nonblock, t.watch = nonblock, watch
+}
+
 // Recv implements Transport; lp must be hosted by this rank. A transport
 // with a sink delivers nothing to channels and returns a nil one.
 func (t *TCP) Recv(lp int) <-chan Packet {
@@ -563,7 +571,7 @@ func (t *TCP) Recv(lp int) <-chan Packet {
 
 // Start implements the join handshake contract: listen, dial every peer with
 // retry, exchange and validate hellos, then hand the connections to the
-// driver — one reader goroutine per inbound connection under the channel
+// driver — one reader goroutine per inbound connection under the reader
 // driver, one doorbell per inbound connection under the polled one. On any
 // failure the partially built mesh is torn down.
 func (t *TCP) Start() error {
@@ -681,7 +689,7 @@ func (t *TCP) Start() error {
 	for _, rc := range t.in {
 		switch {
 		case rc == nil:
-		case t.sink == nil:
+		case t.nonblock == nil:
 			t.rdWG.Add(1)
 			go t.readLoop(rc)
 		case t.watch != nil:
@@ -697,7 +705,7 @@ func (t *TCP) Start() error {
 	return nil
 }
 
-// readLoop is the channel driver's reader for one peer: it blocks in Read and
+// readLoop is the reader driver's reader for one peer: it blocks in Read and
 // delivers until the peer half-closes or the link faults.
 func (t *TCP) readLoop(rc *tcpRecvConn) {
 	defer t.rdWG.Done()
@@ -776,7 +784,7 @@ func (t *TCP) readHello(conn net.Conn, deadline time.Time) (rank int, err error)
 
 // Send implements Transport. A local destination gets the packet at once,
 // in its channel or through the sink; a remote one gets its frame appended to
-// the owning rank's out-buffer, which the channel driver writes out before
+// the owning rank's out-buffer, which the reader driver writes out before
 // returning and the polled driver leaves for the next Flush unless
 // tcpFlushBytes have gathered. Either way the sender burns the simulated cost
 // on its own goroutine, matching InProc — and gives up p.Payload, as with
@@ -810,7 +818,7 @@ func (t *TCP) Send(dst int, p Packet, payloadBytes int) {
 		panic(fmt.Sprintf("comm: cannot wire packet to LP %d: %v", dst, err))
 	}
 	sc.buf = buf
-	if t.sink == nil || len(sc.buf)-sc.off >= tcpFlushBytes {
+	if t.nonblock == nil || len(sc.buf)-sc.off >= tcpFlushBytes {
 		err = sc.flush()
 	}
 	sc.mu.Unlock()
@@ -824,10 +832,10 @@ func (t *TCP) writeFault(peer int, err error) {
 	t.fault(fmt.Errorf("comm: tcp rank %d write to rank %d: %w", t.cfg.Rank, peer, err))
 }
 
-// Flush is the sending half of Polled: it writes out, without waiting, what
+// Flush implements Transport: it writes out, without waiting, what
 // every peer's socket will take of its out-buffer — of every link when force
 // is set, otherwise only of those whose frames have waited long enough for
-// company (see held).
+// company (see held). Under the reader driver Send has written everything.
 func (t *TCP) Flush(force bool) {
 	for r, sc := range t.out {
 		if sc == nil {
@@ -863,15 +871,20 @@ func (t *TCP) Links() []stats.LinkStats {
 			ShortWrites: sc.short.Load(),
 			BytesOut:    sc.bytesOut.Load(),
 			WriteCostNS: sc.cost.Load(),
+			Ended:       rc.done.Load(),
 		})
 	}
 	return links
 }
 
-// Poll is the receiving half of Polled: it reads, without waiting, whatever
-// every peer's socket holds and delivers the complete frames to the sink. A
-// connection another goroutine is polling right now is skipped.
+// Poll implements Transport: it reads, without waiting, whatever every
+// peer's socket holds and delivers the complete frames to the sink. A
+// connection another goroutine is polling right now is skipped. Under the
+// reader driver the readers deliver, and Poll does nothing.
 func (t *TCP) Poll() {
+	if t.nonblock == nil {
+		return
+	}
 	for _, rc := range t.in {
 		if rc == nil || !rc.mu.TryLock() {
 			continue
@@ -924,7 +937,7 @@ func (t *TCP) Close() error {
 		}
 		// Per peer: write out the rest of the out-buffer, half-close — FIN
 		// tells the far side that this rank is done sending — and read until
-		// the peer's FIN. The channel driver's out-buffers are empty already
+		// the peer's FIN. The reader driver's out-buffers are empty already
 		// and its readers drain by themselves; the polled driver takes turns
 		// at writing and reading here, because a peer that is closing too may
 		// be unable to take the rest of ours before we take some of its own.
@@ -949,15 +962,13 @@ func (t *TCP) Close() error {
 				retry = retry || !sc.down // the socket took part of the rest
 				sc.mu.Unlock()
 			}
-			if t.sink != nil {
-				t.Arm()
-				t.Poll()
-			}
+			t.Arm()
+			t.Poll()
 			open := retry
 			for _, rc := range t.in {
 				if rc != nil && !rc.done.Load() {
 					open = true
-					retry = retry || (t.sink != nil && rc.bell == nil)
+					retry = retry || (t.nonblock != nil && rc.bell == nil)
 				}
 			}
 			if !open {

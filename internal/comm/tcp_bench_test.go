@@ -13,7 +13,7 @@ import (
 // (EXPERIMENTS.md, "Who gets a core", records the figures).
 
 // BenchmarkTCPStream sends b.N 256-byte events frames one way, in worker
-// rounds of 32: the polled driver flushes once a round, the channel driver
+// rounds of 32: the polled driver flushes once a round, the reader driver
 // writes every frame. frames/write is the coalescing the kernel gets.
 func BenchmarkTCPStream(b *testing.B) {
 	for _, d := range drivers {
@@ -85,7 +85,7 @@ func flushed(sc *tcpSendConn) bool {
 // than there are Ps never block, as a kernel's workers do: each burns a
 // round's worth of CPU and yields, the sender among them. Under the polled
 // driver those goroutines are the readers, polling once a round; under the
-// channel driver the reader is a goroutine parked in the netpoller, which a
+// reader driver the reader is a goroutine parked in the netpoller, which a
 // Go scheduler with no idle P consults only from sysmon's 10 ms tick. An idle
 // host hides the difference: there either driver's hop is tens of
 // microseconds.

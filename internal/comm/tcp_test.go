@@ -130,8 +130,9 @@ func tcpMesh(t testing.TB, numLPs int, polled bool) (*rank, *rank) {
 	return tcpMeshDrain(t, numLPs, polled, 5*time.Second)
 }
 
-// tcpMeshDrain is tcpMesh with a drain timeout of the test's choosing.
-func tcpMeshDrain(t testing.TB, numLPs int, polled bool, drain time.Duration) (*rank, *rank) {
+// tcpMeshDrain is tcpMesh with a drain timeout of the test's choosing; each
+// prep runs on each transport before it starts.
+func tcpMeshDrain(t testing.TB, numLPs int, polled bool, drain time.Duration, prep ...func(*TCP)) (*rank, *rank) {
 	t.Helper()
 	lns := make([]net.Listener, 2)
 	addrs := make([]string, 2)
@@ -154,11 +155,10 @@ func tcpMeshDrain(t testing.TB, numLPs int, polled bool, drain time.Duration) (*
 		}
 		ranks[i] = &rank{TCP: tr, polled: polled, got: make(map[int][]Packet), rang: make(chan struct{}, 1)}
 		if polled {
-			p, ok := Transport(tr).(Polled) // the kernel finds the driver by this assertion
-			if !ok {
-				t.Skip("TCP is not Polled on this platform")
-			}
-			p.SetSink(ranks[i].sink, ranks[i].ring)
+			tr.SetSink(ranks[i].sink, ranks[i].ring)
+		}
+		for _, f := range prep {
+			f(tr)
 		}
 	}
 	var wg sync.WaitGroup
@@ -176,8 +176,8 @@ func tcpMeshDrain(t testing.TB, numLPs int, polled bool, drain time.Duration) (*
 	return ranks[0], ranks[1]
 }
 
-// tcpPair is the mesh on the channel driver, for tests that are not about
-// the wire.
+// tcpPair is the mesh on the reader driver, delivering into channels, for
+// tests that are not about the wire.
 func tcpPair(t *testing.T, numLPs int) (*TCP, *TCP) {
 	t.Helper()
 	r0, r1 := tcpMesh(t, numLPs, false)
@@ -512,7 +512,7 @@ func TestTCPCloseDrains(t *testing.T) {
 	}
 }
 
-// TestTCPDriverGoroutines: the channel driver runs one reader goroutine per
+// TestTCPDriverGoroutines: the reader driver runs one reader goroutine per
 // peer; the polled driver runs none — whoever calls Poll is the reader — and
 // one doorbell per inbound link at most, which reads nothing: every byte one
 // end wrote, the other's Polls read.
@@ -539,14 +539,66 @@ func TestTCPDriverGoroutines(t *testing.T) {
 			if got := strings.Count(stacks, "comm.(*doorbell).run"); got > bells {
 				t.Errorf("%d doorbells across two ranks with one inbound link each, want at most %d", got, bells)
 			}
+			if r0.Links()[0].Ended || r1.Links()[0].Ended {
+				t.Error("a live link reads as ended")
+			}
 			closePair(t, r0.TCP, r1.TCP)
 			for i, ends := range [][2]*rank{{r0, r1}, {r1, r0}} {
 				out, in := ends[0].Links()[0], ends[1].Links()[0]
 				if out.BytesOut != in.BytesIn {
 					t.Errorf("link %d: %d bytes written, %d read by Polls", i, out.BytesOut, in.BytesIn)
 				}
+				if !in.Ended {
+					t.Errorf("link %d: not ended after both ranks closed", i)
+				}
 			}
 		})
+	}
+}
+
+// TestTCPReaderSink drives the reader driver into a sink — what SetSink
+// leaves where the non-blocking socket calls are missing — here, where they
+// exist, by clearing them after SetSink: a reader per peer delivers into the
+// sink in send order with nobody polling, Send writes at once, Recv has no
+// channel, Poll, Flush and Arm do nothing, and Close drains what was sent
+// just before it.
+func TestTCPReaderSink(t *testing.T) {
+	r0, r1 := tcpMeshDrain(t, 2, true, 5*time.Second, func(tr *TCP) { tr.nonblock, tr.watch = nil, nil })
+	const frames = 200
+	for i := 0; i < frames; i++ {
+		r0.Send(1, Packet{Kind: PktEvents, From: 0, Count: i}, 0) // no Flush
+	}
+	delivered := func() []Packet {
+		r1.mu.Lock()
+		defer r1.mu.Unlock()
+		return slices.Clone(r1.got[1])
+	}
+	for deadline := time.Now().Add(5 * time.Second); len(delivered()) < frames; time.Sleep(100 * time.Microsecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d of %d frames reached the sink", len(delivered()), frames)
+		}
+	}
+	if got := strings.Count(allStacks(), "comm.(*TCP).readLoop"); got != 2 {
+		t.Errorf("%d reader goroutines across two ranks, want 2", got)
+	}
+	if r1.Recv(1) != nil {
+		t.Error("Recv returned a channel beside the sink")
+	}
+	r1.Arm()
+	r1.Poll() // the readers read: a Poll that did would block in it
+	r1.Flush(true)
+	for i := frames; i < 2*frames; i++ {
+		r0.Send(1, Packet{Kind: PktEvents, From: 0, Count: i}, 0)
+	}
+	closePair(t, r0.TCP, r1.TCP)
+	got := delivered()
+	if len(got) != 2*frames {
+		t.Fatalf("%d of %d frames reached the sink across Close", len(got), 2*frames)
+	}
+	for i, p := range got {
+		if p.Count != i {
+			t.Fatalf("frame %d reached the sink as Count=%d", i, p.Count)
+		}
 	}
 }
 

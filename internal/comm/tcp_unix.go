@@ -9,16 +9,6 @@ import (
 	"syscall"
 )
 
-// Compile-time check: where the non-blocking calls exist, TCP is Polled.
-var _ Polled = (*TCP)(nil)
-
-// SetSink makes TCP a Polled transport where the non-blocking socket calls
-// exist; elsewhere the method is missing and TCP runs its channel driver.
-func (t *TCP) SetSink(sink func(lp int, p Packet), ring func()) {
-	t.sink, t.ring = sink, ring
-	t.nonblock, t.watch = nonblock, watch
-}
-
 // watch makes the doorbell of the inbound link c. It parks on a second
 // descriptor of c's socket, never on c's own: a RawConn.Read holds its
 // descriptor's read lock while it waits, and the workers' Polls of c would

@@ -5,14 +5,17 @@ package comm
 // process (InProc) or be spread across several processes on one or more
 // machines (TCP). The GVT manager, the migration protocol and the router send
 // through an Endpoint and never know whether a destination LP is next door or
-// a socket away. The receive channels are the transport's edge: the
-// conservative kernel's LPs select on them directly. The Time Warp kernel's
-// LPs read mailboxes, and it fills them whichever way the transport allows:
-// a Polled transport (TCP) delivers into them itself, driven by the kernel's
-// workers; any other Transport — a user's own, or a wrapper that embeds this
-// interface and so hides the Polled methods — has its channels forwarded by
-// one goroutine per LP (core/dispatch.go); and a run with no Transport at all
-// skips the substrate and puts each packet into its destination's mailbox.
+// a socket away.
+//
+// A transport delivers one of two ways. The Time Warp kernel installs a sink
+// (SetSink) on every transport it runs over, its default InProc included, and
+// from then on its workers drive the transport: every packet for a hosted LP
+// reaches the LP's mailbox through the sink, and the workers poll, flush and
+// arm the transport at moments they choose — TCP's sockets are read and
+// written by the workers themselves, because workers that never block leave
+// no core for a reader goroutine to notice an arrival on. A transport nobody
+// gave a sink delivers into the channels Recv returns; the conservative
+// kernel's LPs select on them directly.
 //
 // The contract:
 //
@@ -25,9 +28,26 @@ package comm
 //     slice, and TCP, which copies it into a frame, recycles it.
 //   - Recv returns the receive stream of a locally hosted LP. The channel is
 //     owned by the transport and stays open for the transport's lifetime;
-//     requesting a non-local LP's stream is a programming error (panic).
+//     requesting a non-local LP's stream is a programming error (panic). A
+//     transport with a sink returns nil.
 //   - Peers describes the topology: how many LPs exist in total, which of
 //     them are hosted in this process, and this process's rank.
+//   - SetSink, called once before Start, replaces the Recv channels: every
+//     packet for a locally hosted LP — sent here or arrived from a peer — is
+//     handed to sink(lp, p) on the goroutine that sent, polled or read it.
+//     sink must not block. Packets from one sender reach it in order. ring is
+//     the doorbell Arm rings; it must not block either.
+//   - Poll delivers what has arrived from the peers since the last call.
+//   - Flush pushes out what Send has buffered: all of it when force is set,
+//     and otherwise what the transport judges has waited long enough.
+//   - Arm is for a caller about to wait: after it the transport calls ring,
+//     once, as soon as a peer's link has something for a Poll to find — at
+//     once if one has already — from a goroutine of its own. Ring delivers
+//     nothing; the caller polls. A transport that cannot tell makes Arm do
+//     nothing, so a caller that waits on the ring also keeps a timer; one
+//     whose deliveries reach the sink by themselves (InProc, and TCP where it
+//     keeps readers) has nothing to poll, flush or arm, and the sink is what
+//     wakes the caller.
 //   - Start performs the join handshake: it blocks until every peer process
 //     is connected and agrees on the topology (LP count, rank count, wire
 //     version). In-process transports return immediately. No Send or Recv
@@ -38,44 +58,16 @@ package comm
 //     timeout), and releases sockets. Close is idempotent; it returns the
 //     first transport-level error observed during the run, so a run that
 //     completed over a corrupt or torn-down link does not pass silently.
-type Transport interface {
-	Sender
-	Recv(lp int) <-chan Packet
-	Peers() Peers
-	Start() error
-	Close() error
-}
-
-// Polled is what a Transport implements, beside the interface above, when it
-// can run without reader goroutines of its own: the caller's threads do its
-// receiving and its socket writes, at moments they choose. The Time Warp
-// kernel looks for it by type assertion, because its workers never block and
-// so leave no core for a transport's reader goroutine to notice an arrival on
-// (see TCP).
 //
-//   - SetSink, called once before Start, replaces the Recv channels: every
-//     packet for a locally hosted LP — sent here or arrived from a peer — is
-//     handed to sink(lp, p) on the goroutine that sent or polled it. sink
-//     must not block. Packets from one sender reach it in order. ring is the
-//     doorbell Arm rings; it must not block either.
-//   - Poll delivers what has arrived from the peers since the last call.
-//   - Flush pushes out what Send has buffered: all of it when force is set,
-//     and otherwise what the transport judges has waited long enough.
-//   - Arm is for a caller about to wait: after it the transport calls ring,
-//     once, as soon as a peer's link has something for a Poll to find — at
-//     once if one has already — from a goroutine of its own. Ring delivers
-//     nothing; the caller polls. A transport that cannot tell makes Arm do
-//     nothing, so a caller that waits on the ring also keeps a timer.
-//
-// The two are not symmetric, and on purpose. A write costs its sender about
-// the same whether it carries one frame or forty, and the peer's next read
-// finds them all, so writes may wait for each other: the caller says Flush
-// (false) whenever it has sent and goes on working, and the transport, which
-// is where a write's cost is measured, decides per link. The caller owes
-// Flush(true) before it waits for anything — nothing else will push what was
-// held — and when it is done. A read that finds nothing costs a fifth of a
-// write, and a read that comes late turns an on-time message into a
-// straggler and a rollback, so reads never wait: the caller polls every
+// Reads and writes are not symmetric, and on purpose. A write costs its
+// sender about the same whether it carries one frame or forty, and the peer's
+// next read finds them all, so writes may wait for each other: the caller
+// says Flush(false) whenever it has sent and goes on working, and the
+// transport, which is where a write's cost is measured, decides per link. The
+// caller owes Flush(true) before it waits for anything — nothing else will
+// push what was held — and when it is done. A read that finds nothing costs a
+// fifth of a write, and a read that comes late turns an on-time message into
+// a straggler and a rollback, so reads never wait: the caller polls every
 // round and every Poll reads.
 //
 // Neither Poll nor Flush nor Arm ever waits, for a peer or for a socket; all
@@ -83,11 +75,19 @@ type Transport interface {
 // the latest Arm, so callers that wait together hear it together: each arms
 // before it waits, and a ring wakes them all. Close still flushes and drains
 // by itself.
-type Polled interface {
+//
+// A wrapper that embeds Transport (a tracing or fault-injecting decorator)
+// has all of this promoted and needs to override only what it observes.
+type Transport interface {
+	Sender
+	Recv(lp int) <-chan Packet
+	Peers() Peers
 	SetSink(sink func(lp int, p Packet), ring func())
 	Poll()
 	Flush(force bool)
 	Arm()
+	Start() error
+	Close() error
 }
 
 // Peers describes a transport's process topology.
@@ -115,8 +115,7 @@ type Peers struct {
 func (p Peers) Distributed() bool { return p.NumRanks > 1 }
 
 // Sender is the sending half of a Transport: all an Endpoint needs of the
-// substrate. The Time Warp kernel implements it alone when a run has no
-// Transport — its sends then land in the destination LP's mailbox directly.
+// substrate.
 type Sender interface {
 	Send(dst int, p Packet, payloadBytes int)
 }

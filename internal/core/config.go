@@ -40,16 +40,18 @@ type Config struct {
 	// Cost is the simulated communication cost model.
 	Cost comm.CostModel
 
-	// Transport is the communication substrate. With nil every LP is hosted
-	// in this process and a send, charged Cost, lands directly in the
-	// destination LP's mailbox. With a transport every send goes through it
-	// and the kernel forwards what it delivers into the mailboxes. A
-	// distributed transport (comm.TCP) makes this process one rank of a
+	// Transport is the communication substrate. Nil means
+	// comm.NewInProc(LPs, comm.WithCost(Cost)): every LP is hosted in this
+	// process and a send, charged Cost, lands in the destination LP's mailbox
+	// before it returns. Whatever the transport, every send goes through it
+	// and it delivers into the mailboxes through the sink Run installs
+	// (SetSink); a transport given here charges its own cost model, not Cost.
+	// A distributed transport (comm.TCP) makes this process one rank of a
 	// multi-process run: the kernel hosts only the transport's local LPs, and
 	// rank 0 gathers every rank's final states and counters so its Result
-	// matches a single-process run. Run owns the lifecycle: it calls Start
-	// before launching workers and Close after the run, so pass a freshly
-	// constructed, unstarted transport.
+	// matches a single-process run. Run owns the lifecycle: it calls SetSink
+	// and Start before launching workers and Close after the run, so pass a
+	// freshly constructed, unstarted transport.
 	Transport comm.Transport
 
 	// EventCost is the CPU burn charged per event execution, standing in
@@ -67,13 +69,13 @@ type Config struct {
 	// GOMAXPROCS, max(1, NumCPU / ranks on this host)): a worker per hosted LP
 	// up to this rank's share of the machine's cores — the ranks on this host
 	// being what the Transport says of its placement (comm.Peers.HostRanks;
-	// comm.TCP reads it off its address list), one without a transport — so
+	// comm.TCP reads it off its address list; InProc says nothing) — so
 	// that least-timestamp-first, not a scheduler, decides which LP a core
 	// runs next, also when several ranks of one run land on one machine.
 	// Values above the hosted LP count are clamped to it, which makes any such
 	// value the spelling of a worker per LP. Any width runs over any
-	// Transport, and the workers are also who reads and writes a comm.Polled
-	// transport's sockets.
+	// Transport, and the workers are also who polls and flushes it: over TCP
+	// they read and write the sockets themselves.
 	Workers int
 
 	// Tracer, when non-nil, receives structured trace events — rollback

@@ -19,16 +19,16 @@ package core
 // there — a scheduler decides instead, round-robin, whatever the LPs' virtual
 // times. A worker per LP remains an explicit width.
 //
-// The only goroutines a run needs on a core are its workers. Every LP reads
-// its packets from one place, its spillbox, and the workers fill it: a run
-// without a Config.Transport delivers straight into the destination's
-// spillbox (the dispatcher is the endpoints' comm.Sender), and so does a
-// comm.Polled transport, through the sink Run installs — each worker round
-// begins by polling it for what the peers sent and ends by flushing what this
-// rank sent, so the sockets are read and written by the workers themselves.
-// The flush that ends a round is an offer — the transport may let a link's
-// frames wait for the next rounds' (comm.Polled has the terms) — and the one
-// before a worker waits is not.
+// The only goroutines a run needs on a core are its workers. Every run has a
+// transport — without a Config.Transport, comm.InProc — and every LP reads
+// its packets from one place, its spillbox, which the transport fills
+// through the sink newKernel installs (deliver): in process on the sender's
+// goroutine, over TCP on the worker whose poll read the frame. Each worker
+// round begins by polling the transport for what the peers sent and ends by
+// flushing what this rank sent, so the sockets are read and written by the
+// workers themselves. The flush that ends a round is an offer — the
+// transport may let a link's frames wait for the next rounds'
+// (comm.Transport has the terms) — and the one before a worker waits is not.
 // Workers never block (they yield between rounds and sleep only when idle),
 // which is exactly why they cannot leave the socket to a reader goroutine
 // parked in Go's netpoller — the network is polled only from an idle P or
@@ -36,11 +36,9 @@ package core
 // never block on a socket either: two ranks each blocked writing to the other
 // are each other's only readers. A worker that does sleep leaves its P idle,
 // and there the netpoller answers at once, so before it sleeps it arms the
-// transport's doorbell (comm.Polled's Arm): the next frame to reach a socket
-// rings, and the ring pokes the workers. A transport that is not Polled (a user's
-// own, a wrapper that hides the methods) falls back to one forwarder
-// goroutine per hosted LP that moves the transport's receive channel into the
-// spillbox. Channels stay at that edge; nothing in the kernel selects on one.
+// transport's doorbell (comm.Transport's Arm): the next frame to reach a
+// socket rings, and the ring pokes the workers. Channels stay at the
+// transport's edge; nothing in the kernel selects on one.
 //
 // Single-owner semantics hold by pinning: every LP (and with it every hosted
 // object, input queue, state queue, cancellation manager and event pool
@@ -130,14 +128,13 @@ func (b *spillbox) take() []comm.Packet {
 // dispatcher owns the worker fleet and delivers to the hosted LPs. The
 // LP→worker maps live on the LPs themselves (lpRun.worker, target).
 type dispatcher struct {
-	cost    comm.CostModel
 	lps     []*lpRun // the LPs this process hosts
 	byID    []*lpRun // global LP id → hosted LP; nil for LPs on other ranks
 	workers []*worker
-	// wire is the run's transport when the workers drive it (nil otherwise):
-	// polled at the start of every worker round, flushed at the end, and armed
-	// before a worker waits; its ring is d.ring.
-	wire comm.Polled
+	// tr is the run's transport, which the workers drive: polled at the start
+	// of every worker round, flushed at the end, and armed before a worker
+	// waits. Its sink is d.deliver and its ring d.ring.
+	tr comm.Transport
 	// idleTick is the longest a worker waits for a poke: the longest an idle
 	// LP 0 takes to force a GVT computation, and how often an idle worker
 	// looks at a transport that cannot ring. Where every P is idle, Linux's
@@ -178,7 +175,6 @@ func defaultWorkers(hosted, hostRanks int) int {
 // LPs attach will hand it.
 func newDispatcher(numWorkers, numLPs int, cfg *Config) *dispatcher {
 	d := &dispatcher{
-		cost:     cfg.Cost,
 		byID:     make([]*lpRun, numLPs),
 		idleTick: cfg.GVTPeriod / 4,
 	}
@@ -210,81 +206,21 @@ func (d *dispatcher) attach(lp *lpRun, h, n int) {
 	d.live.Add(1)
 }
 
-// Send implements comm.Sender for runs without a transport, where every LP
-// is hosted here: the packet goes straight into the destination's spillbox.
-// Global arrival order subsumes the per-sender FIFO a Transport guarantees.
-func (d *dispatcher) Send(dst int, p comm.Packet, payloadBytes int) {
-	d.cost.Charge(payloadBytes)
-	d.deliver(dst, p)
-}
-
-// deliver puts p into hosted LP dst's spillbox and wakes its worker. It is
-// the sink of a comm.Polled transport, which has charged the cost already.
+// deliver is the transport's sink: it puts p into hosted LP dst's spillbox
+// and wakes its worker. The transport has charged the cost already.
 func (d *dispatcher) deliver(dst int, p comm.Packet) {
 	lp := d.byID[dst]
 	lp.spill.put(p)
 	d.workers[lp.worker.Load()].poke()
 }
 
-// poll and flush drive the transport from a worker, if it is one that is
-// driven so: poll delivers what the peers sent into the spillboxes, flush
-// pushes what this rank's LPs sent out to the sockets — everything when the
-// worker is about to wait or to leave (force), and otherwise what the
-// transport thinks has waited long enough (comm.Polled). Neither ever waits.
-func (d *dispatcher) poll() {
-	if d.wire != nil {
-		d.wire.Poll()
-	}
-}
-
-func (d *dispatcher) flush(force bool) {
-	if d.wire != nil {
-		d.wire.Flush(force)
-	}
-}
-
-// ring is the transport's doorbell (comm.Polled's Arm): a peer's frame is in a
-// socket, and any worker's poll delivers it to whichever LP it is for. Once
-// the workers are gone, gatherReports waits on the first one's wake channel.
+// ring is the transport's doorbell (comm.Transport's Arm): a peer's frame is
+// in a socket, and any worker's poll delivers it to whichever LP it is for.
+// Once the workers are gone, gatherReports waits on the first one's wake
+// channel.
 func (d *dispatcher) ring() {
 	for _, w := range d.workers {
 		w.poke()
-	}
-}
-
-// forward is the transport edge of one hosted LP when the transport is not
-// comm.Polled: it moves arrivals from the transport's receive channel into
-// the LP's spillbox and wakes the owner, a batch per lock and wake-up. When
-// done closes it sweeps what has already arrived and returns, so after the
-// forwarders join the spillboxes hold everything the transport delivered.
-func (d *dispatcher) forward(lp *lpRun, in <-chan comm.Packet, done <-chan struct{}) {
-	b := &lp.spill
-	for {
-		var p comm.Packet
-		stop := false
-		select {
-		case p = <-in:
-		case <-done:
-			stop = true
-		}
-		b.mu.Lock()
-		if !stop {
-			b.q = append(b.q, p)
-		}
-		for more := true; more; {
-			select {
-			case p = <-in:
-				b.q = append(b.q, p)
-			default:
-				more = false
-			}
-		}
-		b.n.Store(int32(len(b.q)))
-		b.mu.Unlock()
-		if stop {
-			return
-		}
-		d.workers[lp.worker.Load()].poke()
 	}
 }
 
@@ -555,7 +491,7 @@ func (w *worker) run() {
 		lp.initObjects()
 	}
 	for w.d.live.Load() > 0 {
-		w.d.poll()
+		w.d.tr.Poll()
 		w.takeAdoptions()
 		w.applyRemap()
 		now := time.Now()
@@ -590,9 +526,9 @@ func (w *worker) run() {
 		if executed > 0 {
 			w.events.Add(int64(executed))
 			w.busyNS.Add(time.Since(start).Nanoseconds())
-			w.d.flush(false)
+			w.d.tr.Flush(false)
 			// Yield between rounds so that whatever else the process runs —
-			// forwarders, the caller's own goroutines — gets a core even when
+			// the caller's own goroutines, a transport's — gets a core even when
 			// the workers occupy them all. The workers of another rank on this
 			// machine are not among them: at the default width every rank has
 			// its share of the cores.
@@ -601,7 +537,7 @@ func (w *worker) run() {
 		}
 		w.idle()
 	}
-	w.d.flush(true)
+	w.d.tr.Flush(true)
 }
 
 // idle blocks on the wake channel with a bounded timeout (the next
@@ -625,17 +561,15 @@ func (w *worker) idle() {
 		}
 	}
 	// Before the wait: what this round's pump and drains sent, and what the
-	// flushes that ended earlier rounds left for company.
-	w.d.flush(true)
-	if w.d.wire != nil {
-		// Arm, then look once more: what came before the arming is read here,
-		// anything later rings, and a worker with mail does not wait.
-		w.d.wire.Arm()
-		w.d.wire.Poll()
-		for _, lp := range w.owned {
-			if lp.running && lp.spill.n.Load() != 0 {
-				timeout = 0
-			}
+	// flushes that ended earlier rounds left for company. Then arm and look
+	// once more: what came before the arming is read here, anything later
+	// rings, and a worker with mail does not wait.
+	w.d.tr.Flush(true)
+	w.d.tr.Arm()
+	w.d.tr.Poll()
+	for _, lp := range w.owned {
+		if lp.running && lp.spill.n.Load() != 0 {
+			timeout = 0
 		}
 	}
 	if timeout > 0 {
@@ -658,6 +592,13 @@ func (w *worker) idle() {
 			}
 		case <-w.idleTmr.C:
 		}
+	} else {
+		// The mail is read next round; the wake-up it left would only cut the
+		// next wait short.
+		select {
+		case <-w.wake:
+		default:
+		}
 	}
 	now := time.Now()
 	for _, lp := range w.owned {
@@ -668,5 +609,5 @@ func (w *worker) idle() {
 	if w.lp0 != nil && w.lp0.running {
 		w.lp0.maybeGVT(true)
 	}
-	w.d.flush(true)
+	w.d.tr.Flush(true)
 }

@@ -32,17 +32,18 @@ import (
 // each report has one encoding and one that claims anything else is refused.
 //
 // Each rank is a dispatcher over the LPs it hosts (dispatch.go), at whatever
-// width its Config.Workers asks for. The workers read and write the sockets
-// themselves when the transport is comm.Polled, as TCP is; otherwise its
-// deliveries reach the LPs' spillboxes through the forwarders Run starts.
+// width its Config.Workers asks for, and its workers drive the transport: its
+// deliveries reach the LPs' spillboxes through the sink, and where it is
+// polled (TCP on Unix) the workers read and write the sockets themselves.
 //
 // The ordering that makes the report safe: the stop broadcast originates at
 // rank 0's LP 0 (which stops itself first), so by the time any remote rank's
 // workers have joined and its report is sent, LP 0 reads no more packets.
 // Whatever reaches LP 0 from then on stays in its spillbox, and that is where
 // gatherReports looks, polling and flushing the transport itself now that the
-// workers are gone; behind forwarders, a report that arrives after they stopped waits in
-// the transport's receive channel, where gatherReports looks next.
+// workers are gone. A report travels ahead of its rank's half-close on the
+// same stream, so a link that has ended with the rank's report still missing
+// will not bring it.
 
 // reportTimeout bounds how long rank 0 waits for the other ranks' end-of-run
 // reports. A missing report means a peer process died after termination was
@@ -308,9 +309,11 @@ func readReport(b []byte, from int, m *model.Model, peers comm.Peers, res *Resul
 // may already sit in LP 0's spillbox or, defensively, its stash; the rest are
 // awaited on the transport with a bounded timeout. A stop among them ends the
 // wait at once: LP 0 is the one LP nobody tells to stop in a run that ends
-// well, so a link failed or a peer gave up, and its report is not coming.
-func gatherReports(tr comm.Transport, d *dispatcher, m *model.Model, res *Result) error {
-	peers := tr.Peers()
+// well, so a link failed or a peer gave up, and its report is not coming. So
+// does a rank whose inbound link has ended (stats.LinkStats.Ended) without
+// its report.
+func gatherReports(d *dispatcher, m *model.Model, res *Result) error {
+	peers := d.tr.Peers()
 	pending := make(map[int]bool, peers.NumRanks-1)
 	for r := 1; r < peers.NumRanks; r++ {
 		pending[r] = true
@@ -337,45 +340,43 @@ func gatherReports(tr comm.Transport, d *dispatcher, m *model.Model, res *Result
 		}
 	}
 
-	// What is still to come arrives in the transport's channel when forwarders
-	// fed the spillbox (they have stopped), and in the spillbox itself when
-	// the workers polled the transport. They have stopped, so poll here — and
-	// flush: a worker's last flush wrote what the sockets took, and what they
-	// refused may include the stop a peer is waiting for before it reports.
-	// Between looks rank 0 waits as an idle worker does: for the doorbell,
-	// armed before the look, or for the idle tick, which is what notices a
-	// socket with room again for the rest of rank 0's out-buffer.
+	// What is still to come reaches the spillbox through the sink. The
+	// workers have stopped, so poll here — and flush: a worker's last flush
+	// wrote what the sockets took, and what they refused may include the stop
+	// a peer is waiting for before it reports. Between looks
+	// rank 0 waits as an idle worker does: for the doorbell, armed before the
+	// look, or for the idle tick, which is what notices a socket with room
+	// again for the rest of rank 0's out-buffer.
+	links, _ := d.tr.(linkTally)
 	deadline := time.NewTimer(reportTimeout)
 	defer deadline.Stop()
-	var inbox <-chan comm.Packet
-	if d.wire == nil {
-		inbox = tr.Recv(0)
-	}
 	for len(pending) > 0 {
-		var arrived []comm.Packet
-		var tick <-chan time.Time
-		if d.wire != nil {
-			d.wire.Flush(true)
-			d.wire.Arm()
-			d.wire.Poll()
-			if arrived = lp0.spill.take(); len(arrived) == 0 {
-				tick = time.After(d.idleTick)
-			}
+		d.tr.Flush(true)
+		d.tr.Arm()
+		d.tr.Poll()
+		var seen []stats.LinkStats
+		if links != nil {
+			seen = links.Links() // before the take: a link ends after all it delivered
 		}
-		if len(arrived) == 0 {
-			select {
-			case p := <-inbox:
-				arrived = append(arrived, p)
-			case <-d.workers[0].wake: // the ring; the workers have stopped
-			case <-tick:
-			case <-deadline.C:
-				return fmt.Errorf("core: timed out after %v waiting for end-of-run reports from ranks %v", reportTimeout, sortedKeys(pending))
-			}
-		}
+		arrived := lp0.spill.take()
 		for _, p := range arrived {
 			if err := apply(p); err != nil {
 				return err
 			}
+		}
+		for _, l := range seen {
+			if l.Ended && pending[l.Peer] {
+				return fmt.Errorf("core: rank 0: rank %d closed its link before it reported", l.Peer)
+			}
+		}
+		if len(arrived) > 0 {
+			continue
+		}
+		select {
+		case <-d.workers[0].wake: // the ring; the workers have stopped
+		case <-time.After(d.idleTick):
+		case <-deadline.C:
+			return fmt.Errorf("core: timed out after %v waiting for end-of-run reports from ranks %v", reportTimeout, sortedKeys(pending))
 		}
 	}
 	return nil

@@ -22,7 +22,7 @@ func TestEmptyWorkerAwaitsAdoption(t *testing.T) {
 	}
 	cfg := DefaultConfig(2000)
 	cfg.GVTPeriod = 200 * time.Microsecond
-	d := newKernel(m, &cfg, comm.Peers{Local: []int{0, 1}}, nil, nil)
+	d := newKernel(m, &cfg, comm.Peers{Local: []int{0, 1}}, inProc(m, &cfg), nil)
 	d.lps[0].target.Store(1)
 	d.lps[1].target.Store(0)
 	d.epoch.Add(1)

@@ -11,17 +11,22 @@ import (
 )
 
 // newTestKernel wires m's logical processes and objects exactly as Run does
-// — newKernel, without a transport — and initialises the objects, but starts
-// no worker: the caller drives the LPs synchronously, one kernel step at a
-// time. Init's inter-LP sends sit in the spillboxes until the caller drains
-// them.
+// — newKernel, over the transport Run makes without a Config.Transport — and
+// initialises the objects, but starts no worker: the caller drives the LPs
+// synchronously, one kernel step at a time. Init's inter-LP sends sit in the
+// spillboxes until the caller drains them.
 func newTestKernel(m *model.Model, cfg *Config) []*lpRun {
 	cfg.Audit.Bind(m.NumLPs(), cfg.EndTime)
-	d := newKernel(m, cfg, comm.Peers{Local: comm.BlockRanks(m.NumLPs(), 1, 0)}, nil, nil)
+	d := newKernel(m, cfg, comm.Peers{Local: comm.BlockRanks(m.NumLPs(), 1, 0)}, inProc(m, cfg), nil)
 	for _, lp := range d.lps {
 		lp.initObjects()
 	}
 	return d.lps
+}
+
+// inProc is the transport Run makes for m when Config.Transport is nil.
+func inProc(m *model.Model, cfg *Config) comm.Transport {
+	return comm.NewInProc(m.NumLPs(), comm.WithCost(cfg.Cost))
 }
 
 // runWorkers runs d's workers until the run ends, as Run does.

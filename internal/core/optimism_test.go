@@ -429,7 +429,7 @@ func TestWindowSingleWriter(t *testing.T) {
 	// Run reports the first hosted LP's window; drive a kernel directly to see
 	// every LP's.
 	cfg.Tracer, cfg.Metrics = nil, nil
-	d := newKernel(m, &cfg, comm.Peers{Local: []int{0, 1, 2, 3}}, nil, nil)
+	d := newKernel(m, &cfg, comm.Peers{Local: []int{0, 1, 2, 3}}, inProc(m, &cfg), nil)
 	runWorkers(d)
 	if d.lps[0].st.OptimismAdjustments == 0 {
 		t.Fatal("the window never moved in the direct run")

@@ -10,12 +10,12 @@ import (
 	"gowarp/internal/comm"
 )
 
-// dearWire is a comm.Polled transport for one process whose link is the
+// dearWire is a transport for one process whose link is the
 // dearest there could be: a packet sent through it stays put until somebody
 // calls Flush(true) — the opportunistic Flush(false) of a worker's round
 // always finds that it should wait — and it keeps a log of how the kernel
 // drove it: P for Poll, f for Flush(false), F for Flush(true). What the kernel
-// promises a transport that holds writes (comm.Polled) can then be read off a
+// promises a transport that holds writes (comm.Transport) can then be read off a
 // run: it polls every round whatever flushing costs, and it forces everything
 // out before it waits and when it leaves, so that nothing held is ever waited
 // for.
@@ -121,4 +121,4 @@ func TestPolledHeldWritesMatchSequential(t *testing.T) {
 	}
 }
 
-var _ comm.Polled = (*dearWire)(nil)
+var _ comm.Transport = (*dearWire)(nil)

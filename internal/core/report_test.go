@@ -36,7 +36,6 @@ func TestGatherReportsFlushesBacklog(t *testing.T) {
 		lns[i], addrs[i] = ln, ln.Addr().String()
 	}
 	trs := make([]*comm.TCP, 2)
-	wires := make([]comm.Polled, 2)
 	for i := range trs {
 		tr, err := comm.NewTCP(comm.TCPConfig{
 			Rank: i, Addrs: addrs, NumLPs: 2,
@@ -46,19 +45,13 @@ func TestGatherReportsFlushesBacklog(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		p, ok := comm.Transport(tr).(comm.Polled)
-		if !ok {
-			t.Skip("TCP is not Polled on this platform")
-		}
-		trs[i], wires[i] = tr, p
+		trs[i] = tr
 	}
 
 	// Rank 0 is a kernel nobody runs: LP 0, its spillbox, the transport's sink.
 	m := reportModel(2, 2)
 	cfg := DefaultConfig(100)
 	d := newKernel(m, &cfg, trs[0].Peers(), trs[0], nil)
-	d.wire = wires[0]
-	wires[0].SetSink(d.deliver, d.ring)
 
 	// Rank 1's report, written before the fleet starts.
 	locals, res := rankResult(m, 2, 1)
@@ -69,7 +62,7 @@ func TestGatherReportsFlushesBacklog(t *testing.T) {
 
 	// Rank 1 files what arrives and does not look at its sockets yet.
 	stopped := make(chan struct{})
-	wires[1].SetSink(func(lp int, p comm.Packet) {
+	trs[1].SetSink(func(lp int, p comm.Packet) {
 		if p.Kind == comm.PktStop {
 			close(stopped)
 		}
@@ -98,7 +91,7 @@ func TestGatherReportsFlushesBacklog(t *testing.T) {
 		trs[0].Send(1, comm.Packet{Kind: comm.PktEvents, From: 0, Payload: payload}, size)
 	}
 	trs[0].Send(1, comm.Packet{Kind: comm.PktStop, From: 0}, 0)
-	wires[0].Flush(true)
+	trs[0].Flush(true)
 
 	// Rank 1 from here on: poll until the stop, report, keep the wire moving.
 	done := make(chan struct{})
@@ -108,7 +101,7 @@ func TestGatherReportsFlushesBacklog(t *testing.T) {
 		defer peer.Done()
 		reported := false
 		for {
-			wires[1].Poll()
+			trs[1].Poll()
 			select {
 			case <-stopped:
 				if !reported {
@@ -119,14 +112,14 @@ func TestGatherReportsFlushesBacklog(t *testing.T) {
 				return
 			default:
 			}
-			wires[1].Flush(true)
+			trs[1].Flush(true)
 			time.Sleep(50 * time.Microsecond)
 		}
 	}()
 
 	gathered := make(chan error, 1)
 	_, res0 := rankResult(m, 2, 0)
-	go func() { gathered <- gatherReports(trs[0], d, m, res0) }()
+	go func() { gathered <- gatherReports(d, m, res0) }()
 	select {
 	case err := <-gathered:
 		if err != nil {
@@ -163,7 +156,7 @@ func reportModel(objects, lps int) *model.Model {
 func rankResult(m *model.Model, ranks, rank int) ([]*lpRun, *Result) {
 	cfg := DefaultConfig(100)
 	peers := comm.Peers{NumLPs: m.NumLPs(), Local: comm.BlockRanks(m.NumLPs(), ranks, rank), Rank: rank, NumRanks: ranks}
-	d := newKernel(m, &cfg, peers, nil, nil)
+	d := newKernel(m, &cfg, peers, inProc(m, &cfg), nil)
 	res := &Result{
 		RunRecord: stats.RunRecord{
 			PerLP:     make([]stats.Counters, m.NumLPs()),

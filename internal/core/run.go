@@ -38,10 +38,10 @@ func Run(m *model.Model, cfg Config) (*Result, error) {
 		return nil, fmt.Errorf("core: negative worker count %d", cfg.Workers)
 	}
 	tr := cfg.Transport
-	peers := comm.Peers{NumLPs: numLPs, Local: comm.BlockRanks(numLPs, 1, 0), NumRanks: 1}
-	if tr != nil {
-		peers = tr.Peers()
+	if tr == nil {
+		tr = comm.NewInProc(numLPs, comm.WithCost(cfg.Cost))
 	}
+	peers := tr.Peers()
 	if peers.NumLPs != numLPs {
 		return nil, fmt.Errorf("core: transport connects %d LPs but the model partitions onto %d", peers.NumLPs, numLPs)
 	}
@@ -63,34 +63,11 @@ func Run(m *model.Model, cfg Config) (*Result, error) {
 
 	d := newKernel(m, &cfg, peers, tr, met)
 	sh, locals := d.lps[0].k, d.lps
-	if tr != nil {
-		// A transport the workers can drive themselves delivers straight into
-		// the spillboxes, and rings for the workers that wait; it must know
-		// where before it starts.
-		if d.wire, _ = tr.(comm.Polled); d.wire != nil {
-			d.wire.SetSink(d.deliver, d.ring)
-		}
-		if err := tr.Start(); err != nil {
-			return nil, fmt.Errorf("core: transport start: %w", err)
-		}
-		defer tr.Close() // idempotent; the success path closes explicitly below
+	if err := tr.Start(); err != nil {
+		return nil, fmt.Errorf("core: transport start: %w", err)
 	}
+	defer tr.Close() // idempotent; the success path closes explicitly below
 
-	// The edge of a transport the workers do not drive: one forwarder per
-	// hosted LP carries its deliveries to the spillbox. They outlive the
-	// workers, so nothing a worker sent on its way out is stranded in a
-	// channel.
-	var fwd sync.WaitGroup
-	stopFwd := make(chan struct{})
-	if tr != nil && d.wire == nil {
-		for _, lp := range locals {
-			fwd.Add(1)
-			go func(lp *lpRun) {
-				defer fwd.Done()
-				d.forward(lp, tr.Recv(lp.id), stopFwd)
-			}(lp)
-		}
-	}
 	var wg sync.WaitGroup
 	failures := make([]error, len(d.workers))
 	for _, w := range d.workers {
@@ -113,8 +90,6 @@ func Run(m *model.Model, cfg Config) (*Result, error) {
 	}
 	wg.Wait()
 	elapsed := time.Since(start)
-	close(stopFwd)
-	fwd.Wait()
 
 	for _, err := range failures {
 		if err != nil {
@@ -127,17 +102,15 @@ func Run(m *model.Model, cfg Config) (*Result, error) {
 		if lp.halt == nil {
 			continue
 		}
-		if tr != nil {
-			if cerr := tr.Close(); cerr != nil {
-				return nil, fmt.Errorf("core: transport: %w", cerr)
-			}
+		if cerr := tr.Close(); cerr != nil {
+			return nil, fmt.Errorf("core: transport: %w", cerr)
 		}
 		return nil, fmt.Errorf("core: rank %d: %w", peers.Rank, lp.halt)
 	}
 	// The last sample is of the final GVT, which every hosted LP has applied.
 	d.rough.sample(locals[0].loads[0].at)
 
-	// With workers and forwarders joined, what the spillboxes still hold is
+	// With the workers joined, what the spillboxes still hold is
 	// everything undelivered: the auditor closes its conservation ledger over
 	// it, and any capsule still in flight at termination (possible only when
 	// its virtual-time floor lies beyond the end time) is adopted by its
@@ -221,7 +194,7 @@ func Run(m *model.Model, cfg Config) (*Result, error) {
 	// partial Result (their local LPs and objects only).
 	if peers.Distributed() {
 		if peers.Rank == 0 {
-			if err := gatherReports(tr, d, m, res); err != nil {
+			if err := gatherReports(d, m, res); err != nil {
 				// A report that never came is the symptom; if a link failed,
 				// that is the cause, and Close has it.
 				if cerr := tr.Close(); cerr != nil {
@@ -233,13 +206,11 @@ func Run(m *model.Model, cfg Config) (*Result, error) {
 			return nil, err
 		}
 	}
-	if tr != nil {
-		if cerr := tr.Close(); cerr != nil {
-			return nil, fmt.Errorf("core: transport: %w", cerr)
-		}
-		if lt, ok := tr.(interface{ Links() []stats.LinkStats }); ok {
-			res.Wire = lt.Links()
-		}
+	if cerr := tr.Close(); cerr != nil {
+		return nil, fmt.Errorf("core: transport: %w", cerr)
+	}
+	if lt, ok := tr.(linkTally); ok {
+		res.Wire = lt.Links()
 	}
 	return res, nil
 }
@@ -268,23 +239,25 @@ func (w *worker) failure(rank int, r any, stack []byte) error {
 	return fmt.Errorf("core: rank %d, worker %d: panic: %v\n%s", rank, w.id, r, stack)
 }
 
+// linkTally is what a socket transport (comm.TCP) says of its links.
+type linkTally interface{ Links() []stats.LinkStats }
+
 // newKernel wires one process's share of a run: the dispatcher, the LPs
 // peers.Local lists with their endpoints and GVT managers, the objects the
-// partition places on them, and the cross-LP tables. It starts nothing. Endpoints send
-// through net — the run's transport, started before any LP runs — or, when net
-// is nil and every LP is hosted here, through the dispatcher, straight into
-// the destination's spillbox. Zero cfg.Workers means defaultWorkers; more than one per hosted
-// LP would only idle.
-func newKernel(m *model.Model, cfg *Config, peers comm.Peers, net comm.Sender, met *runMetrics) *dispatcher {
+// partition places on them, and the cross-LP tables. It starts nothing.
+// Endpoints send through tr, the run's transport, which delivers into the
+// spillboxes through the sink installed here; Run starts it before any LP
+// runs. Zero cfg.Workers means defaultWorkers; more than one per hosted LP
+// would only idle.
+func newKernel(m *model.Model, cfg *Config, peers comm.Peers, tr comm.Transport, met *runMetrics) *dispatcher {
 	numLPs, hosted := m.NumLPs(), peers.Local
 	workers := min(cfg.Workers, len(hosted))
 	if workers == 0 {
 		workers = defaultWorkers(len(hosted), peers.HostRanks)
 	}
 	d := newDispatcher(workers, numLPs, cfg)
-	if net == nil {
-		net = d
-	}
+	d.tr = tr
+	tr.SetSink(d.deliver, d.ring)
 	sh := &shared{
 		rt:   route.New(m.Partition),
 		objs: make([]*simObject, len(m.Objects)),
@@ -314,7 +287,7 @@ func newKernel(m *model.Model, cfg *Config, peers comm.Peers, net comm.Sender, m
 		if cfg.Balance.Dynamic() {
 			lp.edges = make(map[uint64]int64)
 		}
-		lp.ep = comm.NewSendEndpoint(net, numLPs, i, cfg.Aggregation, &lp.st)
+		lp.ep = comm.NewSendEndpoint(tr, numLPs, i, cfg.Aggregation, &lp.st)
 		d.attach(lp, h, len(hosted))
 		if cfg.Codec.CompressWire() {
 			lp.ep.Compress = codec.Compress

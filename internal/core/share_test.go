@@ -232,7 +232,7 @@ func TestObjectIsOneAllocation(t *testing.T) {
 		m := ringModel(n, 2, 1)
 		var a, b, c runtime.MemStats
 		runtime.ReadMemStats(&a)
-		d := newKernel(m, &cfg, comm.Peers{Local: []int{0}}, nil, nil)
+		d := newKernel(m, &cfg, comm.Peers{Local: []int{0}}, inProc(m, &cfg), nil)
 		runtime.ReadMemStats(&b)
 		d.lps[0].initObjects()
 		runtime.ReadMemStats(&c)

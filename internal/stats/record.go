@@ -68,7 +68,7 @@ type RunRecord struct {
 	// equally wall-clock-dependent.
 	FinalWorkerAssignment []int `json:"final_worker_assignment,omitempty"`
 	// HostRanks is how many of the run's ranks share this process's machine,
-	// as its transport placed them (0: no transport, or it does not know); the
+	// as its transport placed them (0: it does not know, as InProc); the
 	// default worker count is this rank's share of the cores, so a fleet's
 	// records say why each rank ran as wide as it did.
 	HostRanks int `json:"host_ranks,omitempty"`

@@ -267,7 +267,9 @@ type WorkerStats struct {
 // many of those reads found nothing, how often it was written, how many of
 // those writes it refused in part or whole, the bytes each way, and the
 // smoothed cost of one write system call, which is what decides how long a
-// link's frames wait for company. Wall-clock-dependent, like WorkerStats.
+// link's frames wait for company, and whether the inbound link has ended: the
+// peer half-closed or the link failed, so nothing more will be read.
+// Wall-clock-dependent, like WorkerStats.
 type LinkStats struct {
 	Peer        int   `json:"peer"`
 	Reads       int64 `json:"reads"`
@@ -277,4 +279,5 @@ type LinkStats struct {
 	ShortWrites int64 `json:"short_writes"`
 	BytesOut    int64 `json:"bytes_out"`
 	WriteCostNS int64 `json:"write_cost_ns"`
+	Ended       bool  `json:"ended"`
 }
