@@ -56,11 +56,11 @@ func tcpFleet(t testing.TB, numLPs, numRanks int) []comm.Transport {
 	return trs
 }
 
-// wrapped wraps a transport the way the benchmark's tracing decorator does:
+// hidden wraps a transport the way the benchmark's tracing decorator does:
 // embedding the interface promotes every method of the contract, the sink's
 // included, and hides whatever else the concrete type has (TCP's Links). The
 // kernel drives it as it drives the transport inside.
-type wrapped struct{ comm.Transport }
+type hidden struct{ comm.Transport }
 
 // TestDistributedTCPMatchesInProc is the transport tentpole's integration
 // proof: one logical SMMP run split across two TCP-connected "processes"
@@ -69,8 +69,10 @@ type wrapped struct{ comm.Transport }
 // commits — final states byte-identical under audit.HashStates — whatever
 // the width of each rank's dispatcher (0 = the default: a worker per hosted LP
 // up to the rank's share of the cores, two ranks to this machine; 1 and 2; a
-// worker per LP), and once more with a single P for everything, where a
-// rank's only worker is also the only one polling.
+// worker per LP), whether or not a wrapper hides the concrete transport (it
+// passes Peers through, and so gets the same width), and once more with a
+// single P for everything, where a rank's only worker is also the only one
+// polling.
 func TestDistributedTCPMatchesInProc(t *testing.T) {
 	const seed = 7
 	cfg := core.DefaultConfig(1 << 40) // run until the model drains
@@ -84,11 +86,17 @@ func TestDistributedTCPMatchesInProc(t *testing.T) {
 	perLP := distribModel(seed).NumLPs()
 	sweep := func(t *testing.T) {
 		for _, workers := range []int{0, 1, 2, perLP} {
-			t.Run(fmt.Sprintf("workers%d", workers), func(t *testing.T) {
-				cfg := cfg
-				cfg.Workers = workers
-				checkTCPFleet(t, seed, cfg, solo)
-			})
+			for _, wrap := range []bool{false, true} {
+				name := fmt.Sprintf("workers%d", workers)
+				if wrap {
+					name += "-hidden"
+				}
+				t.Run(name, func(t *testing.T) {
+					cfg := cfg
+					cfg.Workers = workers
+					checkTCPFleet(t, seed, cfg, solo, wrap)
+				})
+			}
 		}
 	}
 	sweep(t)
@@ -144,9 +152,14 @@ func defaultWidth(n, ranks int) int {
 	return min(n, runtime.GOMAXPROCS(0), max(1, runtime.NumCPU()/ranks))
 }
 
-func checkTCPFleet(t *testing.T, seed uint64, cfg core.Config, solo *core.Result) {
+func checkTCPFleet(t *testing.T, seed uint64, cfg core.Config, solo *core.Result, wrap bool) {
 	numLPs := distribModel(seed).NumLPs()
 	trs := tcpFleet(t, numLPs, 2)
+	if wrap {
+		for r := range trs {
+			trs[r] = hidden{trs[r]}
+		}
+	}
 	results := runFleet(t, func() *model.Model { return distribModel(seed) }, cfg, trs...)
 	dist := results[0]
 
@@ -264,11 +277,11 @@ func TestInProcTransportExplicit(t *testing.T) {
 	}
 }
 
-// TestWrappedTransportMatchesSequential: a transport wrapper that embeds
-// comm.Transport — the shape benchmark -trace 1 times — is driven through the
-// sink like the transport inside. It must commit what the sequential kernel
-// does, in process and over TCP.
-func TestWrappedTransportMatchesSequential(t *testing.T) {
+// TestHiddenPolledMatchesSequential: a transport wrapper that embeds
+// comm.Transport — the shape benchmark -trace 1 times — hides the concrete
+// type, yet the workers poll it through the sink like the transport inside.
+// It must commit what the sequential kernel does, in process and over TCP.
+func TestHiddenPolledMatchesSequential(t *testing.T) {
 	const seed = 5
 	cfg := core.DefaultConfig(1 << 40)
 	cfg.GVTPeriod = 200 * time.Microsecond
@@ -288,7 +301,7 @@ func TestWrappedTransportMatchesSequential(t *testing.T) {
 	}
 	t.Run("inproc", func(t *testing.T) {
 		cfg := cfg
-		cfg.Transport = wrapped{comm.NewInProc(distribModel(seed).NumLPs())}
+		cfg.Transport = hidden{comm.NewInProc(distribModel(seed).NumLPs())}
 		res, err := core.Run(distribModel(seed), cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -298,7 +311,7 @@ func TestWrappedTransportMatchesSequential(t *testing.T) {
 	t.Run("tcp", func(t *testing.T) {
 		trs := tcpFleet(t, distribModel(seed).NumLPs(), 2)
 		build := func() *model.Model { return distribModel(seed) }
-		check(t, runFleet(t, build, cfg, wrapped{trs[0]}, wrapped{trs[1]})[0])
+		check(t, runFleet(t, build, cfg, hidden{trs[0]}, hidden{trs[1]})[0])
 	})
 }
 
@@ -332,7 +345,8 @@ func runFleet(t testing.TB, build func() *model.Model, cfg core.Config, trs ...c
 // idle tick is a second. Nothing executes before the end time, so the run is
 // its hops: GVT's token into each rank and back, the stop, the report, the
 // drains — each into a rank whose worker is waiting. A frame wakes the rank
-// it reaches, through the doorbell its worker armed, so the run takes a
+// it reaches, through the doorbell its worker armed (behind the hidden
+// wrapper too, which passes Arm through), so the run takes a
 // fraction of one tick, where a rank that waited for its tick would take a
 // second a hop.
 func TestDistributedNullRunWakesIdleRanks(t *testing.T) {
@@ -343,10 +357,18 @@ func TestDistributedNullRunWakesIdleRanks(t *testing.T) {
 	cfg := core.DefaultConfig(1)
 	cfg.GVTPeriod = 4 * time.Second
 	const tick = time.Second // GVTPeriod / 4
-	start := time.Now()
-	res := runFleet(t, build, cfg, tcpFleet(t, build().NumLPs(), 2)...)[0]
-	if took := time.Since(start); took > tick/4 {
-		t.Errorf("a null run of %d GVT computation(s) took %v with an idle tick of %v", res.Stats.GVTCycles, took, tick)
+	for _, wrap := range []bool{false, true} {
+		t.Run(fmt.Sprintf("hidden=%v", wrap), func(t *testing.T) {
+			trs := tcpFleet(t, build().NumLPs(), 2)
+			if wrap {
+				trs[0], trs[1] = hidden{trs[0]}, hidden{trs[1]}
+			}
+			start := time.Now()
+			res := runFleet(t, build, cfg, trs...)[0]
+			if took := time.Since(start); took > tick/4 {
+				t.Errorf("a null run of %d GVT computation(s) took %v with an idle tick of %v", res.Stats.GVTCycles, took, tick)
+			}
+		})
 	}
 }
 
@@ -409,76 +431,82 @@ func TestDistributedReportLostToHalfClose(t *testing.T) {
 func TestPolledRunStartsNoTransportGoroutines(t *testing.T) {
 	build := func() *model.Model { return smmp.New(smmp.Config{Requests: 400, Seed: 3}) }
 	n := build().NumLPs()
-	inproc := func() []comm.Transport { return []comm.Transport{comm.NewInProc(n)} }
-	tcp := func() []comm.Transport { return tcpFleet(t, n, 2) }
-	wrap := func(fleet func() []comm.Transport) func() []comm.Transport {
-		return func() []comm.Transport {
-			trs := fleet()
-			for r := range trs {
-				trs[r] = wrapped{trs[r]}
-			}
-			return trs
-		}
-	}
-	for _, row := range []struct {
-		name  string
-		fleet func() []comm.Transport
-		bells int // at most: one per inbound link
-	}{
-		{"nil", func() []comm.Transport { return []comm.Transport{nil} }, 0},
-		{"inproc", inproc, 0},
-		{"inproc-wrapped", wrap(inproc), 0},
-		{"tcp", tcp, 2},
-		{"tcp-wrapped", wrap(tcp), 2},
-	} {
-		t.Run(row.name, func(t *testing.T) {
-			trs := row.fleet()
-			cfg := core.DefaultConfig(1 << 40)
-			cfg.GVTPeriod = 200 * time.Microsecond
-			cfg.Optimism.Window = 2000
-
-			// Sample every goroutine's stack while the fleet runs.
-			var workers, forwarders, readers, bells int
-			done := make(chan struct{})
-			sampled := make(chan struct{})
-			go func() {
-				defer close(sampled)
-				buf := make([]byte, 1<<20)
-				for {
-					select {
-					case <-done:
-						return
-					default:
-					}
-					stacks := string(buf[:runtime.Stack(buf, true)])
-					if n := strings.Count(stacks, "core.(*worker).run"); n > 0 {
-						workers = max(workers, n)
-						forwarders = max(forwarders, strings.Count(stacks, "core.(*dispatcher).forward"))
-						readers = max(readers, strings.Count(stacks, "comm.(*TCP).readLoop"))
-						bells = max(bells, strings.Count(stacks, "comm.(*doorbell).run"))
-					}
-					time.Sleep(100 * time.Microsecond)
+	for _, wrap := range []bool{false, true} {
+		t.Run(fmt.Sprintf("hidden=%v", wrap), func(t *testing.T) {
+			for _, row := range []struct {
+				name  string
+				fleet func() []comm.Transport
+				bells int // at most: one per inbound link
+			}{
+				{"nil", func() []comm.Transport { return []comm.Transport{nil} }, 0},
+				{"inproc", func() []comm.Transport { return []comm.Transport{comm.NewInProc(n)} }, 0},
+				{"tcp", func() []comm.Transport { return tcpFleet(t, n, 2) }, 2},
+			} {
+				if wrap && row.name == "nil" {
+					continue // nothing to wrap
 				}
-			}()
-			results := runFleet(t, build, cfg, trs...)
-			close(done)
-			<-sampled
-			if workers == 0 {
-				t.Skip("the run ended before a sample saw its workers")
-			}
-			if forwarders != 0 || readers != 0 || bells > row.bells {
-				t.Errorf("%d forwarders, %d readers and %d doorbells beside %d workers, want none, none and at most %d", forwarders, readers, bells, workers, row.bells)
-			}
-			if row.name != "tcp" {
-				return // no link tally: in process, or hidden by the wrapper
-			}
-			for r, res := range results {
-				in, out := res.Wire[0], results[1-r].Wire[0]
-				if in.Reads == 0 || in.BytesIn != out.BytesOut {
-					t.Errorf("rank %d: %d bytes read in %d polled reads, its peer wrote %d", r, in.BytesIn, in.Reads, out.BytesOut)
-				}
+				t.Run(row.name, func(t *testing.T) {
+					census(t, build, row.fleet(), wrap, row.bells)
+				})
 			}
 		})
+	}
+}
+
+// census runs a fleet over trs, each behind the hidden wrapper if wrap, and
+// samples every goroutine's stack while it runs: beside the workers there
+// must be no forwarder, no reader and at most maxBells doorbells. Unwrapped, a
+// TCP fleet's doorbells must also have read nothing.
+func census(t *testing.T, build func() *model.Model, trs []comm.Transport, wrap bool, maxBells int) {
+	if wrap {
+		for r := range trs {
+			trs[r] = hidden{trs[r]}
+		}
+	}
+	cfg := core.DefaultConfig(1 << 40)
+	cfg.GVTPeriod = 200 * time.Microsecond
+	cfg.Optimism.Window = 2000
+
+	// Sample every goroutine's stack while the fleet runs.
+	var workers, forwarders, readers, bells int
+	done := make(chan struct{})
+	sampled := make(chan struct{})
+	go func() {
+		defer close(sampled)
+		buf := make([]byte, 1<<20)
+		for {
+			select {
+			case <-done:
+				return
+			default:
+			}
+			stacks := string(buf[:runtime.Stack(buf, true)])
+			if n := strings.Count(stacks, "core.(*worker).run"); n > 0 {
+				workers = max(workers, n)
+				forwarders = max(forwarders, strings.Count(stacks, "core.(*dispatcher).forward"))
+				readers = max(readers, strings.Count(stacks, "comm.(*TCP).readLoop"))
+				bells = max(bells, strings.Count(stacks, "comm.(*doorbell).run"))
+			}
+			time.Sleep(100 * time.Microsecond)
+		}
+	}()
+	results := runFleet(t, build, cfg, trs...)
+	close(done)
+	<-sampled
+	if workers == 0 {
+		t.Skip("the run ended before a sample saw its workers")
+	}
+	if forwarders != 0 || readers != 0 || bells > maxBells {
+		t.Errorf("%d forwarders, %d readers and %d doorbells beside %d workers, want none, none and at most %d", forwarders, readers, bells, workers, maxBells)
+	}
+	if wrap || len(results) < 2 {
+		return // no link tally: in process, or hidden by the wrapper
+	}
+	for r, res := range results {
+		in, out := res.Wire[0], results[1-r].Wire[0]
+		if in.Reads == 0 || in.BytesIn != out.BytesOut {
+			t.Errorf("rank %d: %d bytes read in %d polled reads, its peer wrote %d", r, in.BytesIn, in.Reads, out.BytesOut)
+		}
 	}
 }
 
@@ -552,75 +580,82 @@ func (p *cutProxy) cut() {
 
 // TestDistributedLinkCutFailsEveryRank: when the link between two ranks dies
 // mid-run, every rank's Run returns — promptly, not after the report timeout —
-// with the transport's error.
+// with the transport's error, whether or not a wrapper hides the concrete
+// transport.
 func TestDistributedLinkCutFailsEveryRank(t *testing.T) {
-	build := func() *model.Model { return smmp.New(smmp.Config{Requests: 200_000, Seed: 9}) }
-	numLPs := build().NumLPs()
-	lns := make([]net.Listener, 2)
-	proxies := make([]*cutProxy, 2)
-	for r := range lns {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		lns[r] = ln
-		proxies[r] = newCutProxy(t, ln.Addr().String())
-	}
-	trs := make([]comm.Transport, 2)
-	for r := range trs {
-		// Each rank listens on its own socket and reaches its peer
-		// through the peer's proxy.
-		addrs := []string{proxies[0].ln.Addr().String(), proxies[1].ln.Addr().String()}
-		tr, err := comm.NewTCP(comm.TCPConfig{
-			Rank: r, Addrs: addrs, NumLPs: numLPs,
-			DialTimeout: 10 * time.Second, DrainTimeout: 2 * time.Second,
-			Listener: lns[r],
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		trs[r] = tr
-	}
-	cfg := core.DefaultConfig(1 << 40)
-	cfg.GVTPeriod = 200 * time.Microsecond
-	cfg.Optimism.Window = 2000
+	for _, wrap := range []bool{false, true} {
+		t.Run(fmt.Sprintf("hidden=%v", wrap), func(t *testing.T) {
+			build := func() *model.Model { return smmp.New(smmp.Config{Requests: 200_000, Seed: 9}) }
+			numLPs := build().NumLPs()
+			lns := make([]net.Listener, 2)
+			proxies := make([]*cutProxy, 2)
+			for r := range lns {
+				ln, err := net.Listen("tcp", "127.0.0.1:0")
+				if err != nil {
+					t.Fatal(err)
+				}
+				lns[r] = ln
+				proxies[r] = newCutProxy(t, ln.Addr().String())
+			}
+			trs := make([]comm.Transport, 2)
+			for r := range trs {
+				// Each rank listens on its own socket and reaches its peer
+				// through the peer's proxy.
+				addrs := []string{proxies[0].ln.Addr().String(), proxies[1].ln.Addr().String()}
+				tr, err := comm.NewTCP(comm.TCPConfig{
+					Rank: r, Addrs: addrs, NumLPs: numLPs,
+					DialTimeout: 10 * time.Second, DrainTimeout: 2 * time.Second,
+					Listener: lns[r],
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if trs[r] = tr; wrap {
+					trs[r] = hidden{tr}
+				}
+			}
+			cfg := core.DefaultConfig(1 << 40)
+			cfg.GVTPeriod = 200 * time.Microsecond
+			cfg.Optimism.Window = 2000
 
-	errs := make([]error, 2)
-	var wg sync.WaitGroup
-	for r, tr := range trs {
-		wg.Add(1)
-		go func(r int, tr comm.Transport) {
-			defer wg.Done()
-			rcfg := cfg
-			rcfg.Transport = tr
-			_, errs[r] = core.Run(build(), rcfg)
-		}(r, tr)
-	}
-	// Cut once both directions carry the simulation's traffic, far past
-	// the handshake's few bytes; the run itself takes seconds.
-	for wait := time.Now(); proxies[0].relayed.Load() < 64<<10 || proxies[1].relayed.Load() < 64<<10; {
-		if time.Since(wait) > 20*time.Second {
-			t.Fatal("the fleet never got going")
-		}
-		time.Sleep(time.Millisecond)
-	}
-	cutAt := time.Now()
-	for _, p := range proxies {
-		p.cut()
-	}
-	finished := make(chan struct{})
-	go func() { wg.Wait(); close(finished) }()
-	select {
-	case <-finished:
-	case <-time.After(20 * time.Second):
-		buf := make([]byte, 1<<20)
-		t.Fatalf("a rank is still running 20 s after its link was cut\n%s", buf[:runtime.Stack(buf, true)])
-	}
-	t.Logf("every rank returned %v after the cut", time.Since(cutAt).Round(time.Millisecond))
-	for r, err := range errs {
-		if err == nil || !strings.Contains(err.Error(), "core: transport: comm: tcp rank") {
-			t.Errorf("rank %d returned %v, want the transport's error", r, err)
-		}
+			errs := make([]error, 2)
+			var wg sync.WaitGroup
+			for r, tr := range trs {
+				wg.Add(1)
+				go func(r int, tr comm.Transport) {
+					defer wg.Done()
+					rcfg := cfg
+					rcfg.Transport = tr
+					_, errs[r] = core.Run(build(), rcfg)
+				}(r, tr)
+			}
+			// Cut once both directions carry the simulation's traffic, far past
+			// the handshake's few bytes; the run itself takes seconds.
+			for wait := time.Now(); proxies[0].relayed.Load() < 64<<10 || proxies[1].relayed.Load() < 64<<10; {
+				if time.Since(wait) > 20*time.Second {
+					t.Fatal("the fleet never got going")
+				}
+				time.Sleep(time.Millisecond)
+			}
+			cutAt := time.Now()
+			for _, p := range proxies {
+				p.cut()
+			}
+			finished := make(chan struct{})
+			go func() { wg.Wait(); close(finished) }()
+			select {
+			case <-finished:
+			case <-time.After(20 * time.Second):
+				buf := make([]byte, 1<<20)
+				t.Fatalf("a rank is still running 20 s after its link was cut\n%s", buf[:runtime.Stack(buf, true)])
+			}
+			t.Logf("every rank returned %v after the cut", time.Since(cutAt).Round(time.Millisecond))
+			for r, err := range errs {
+				if err == nil || !strings.Contains(err.Error(), "core: transport: comm: tcp rank") {
+					t.Errorf("rank %d returned %v, want the transport's error", r, err)
+				}
+			}
+		})
 	}
 }
 
