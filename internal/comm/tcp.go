@@ -557,6 +557,12 @@ func (t *TCP) SetSink(sink func(lp int, p Packet), ring func()) {
 	t.nonblock, t.watch = nonblock, watch
 }
 
+// Readers reports whether goroutines of the transport's own read the sockets
+// and deliver (the reader driver): they need a P while the kernel's workers
+// run, so the workers yield theirs between rounds. It is what SetSink chose,
+// and holds from then on.
+func (t *TCP) Readers() bool { return t.nonblock == nil }
+
 // Recv implements Transport; lp must be hosted by this rank. A transport
 // with a sink delivers nothing to channels and returns a nil one.
 func (t *TCP) Recv(lp int) <-chan Packet {

@@ -513,9 +513,9 @@ func TestTCPCloseDrains(t *testing.T) {
 }
 
 // TestTCPDriverGoroutines: the reader driver runs one reader goroutine per
-// peer; the polled driver runs none — whoever calls Poll is the reader — and
-// one doorbell per inbound link at most, which reads nothing: every byte one
-// end wrote, the other's Polls read.
+// peer, and Readers says so; the polled driver runs none — whoever calls Poll
+// is the reader — and one doorbell per inbound link at most, which reads
+// nothing: every byte one end wrote, the other's Polls read.
 func TestTCPDriverGoroutines(t *testing.T) {
 	for _, d := range drivers {
 		t.Run(d.name, func(t *testing.T) {
@@ -535,6 +535,9 @@ func TestTCPDriverGoroutines(t *testing.T) {
 			stacks := allStacks()
 			if got := strings.Count(stacks, "comm.(*TCP).readLoop"); got != readers {
 				t.Errorf("%d reader goroutines across two ranks, want %d", got, readers)
+			}
+			if got := r0.Readers(); got != (readers > 0) {
+				t.Errorf("Readers() = %v with %d reader goroutines", got, readers)
 			}
 			if got := strings.Count(stacks, "comm.(*doorbell).run"); got > bells {
 				t.Errorf("%d doorbells across two ranks with one inbound link each, want at most %d", got, bells)
@@ -580,6 +583,9 @@ func TestTCPReaderSink(t *testing.T) {
 	}
 	if got := strings.Count(allStacks(), "comm.(*TCP).readLoop"); got != 2 {
 		t.Errorf("%d reader goroutines across two ranks, want 2", got)
+	}
+	if !r1.Readers() {
+		t.Error("Readers() = false under the reader driver")
 	}
 	if r1.Recv(1) != nil {
 		t.Error("Recv returned a channel beside the sink")

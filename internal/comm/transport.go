@@ -76,6 +76,15 @@ package comm
 // before it waits, and a ring wakes them all. Close still flushes and drains
 // by itself.
 //
+// A transport's own goroutines share the Ps with the workers that drive it,
+// and a kernel worker gives its P up between rounds only where its rank has
+// more workers than Ps, or the transport is a TCP whose readers deliver
+// (TCP.Readers); otherwise only to another worker of its rank
+// (core.Config.Workers). A goroutine of any other transport that becomes
+// runnable while every worker is busy waits for a worker to wait, or for Go's
+// scheduler to preempt one, within 10 ms. A doorbell does not wait: it is
+// armed by a worker about to leave its P idle.
+//
 // A wrapper that embeds Transport (a tracing or fault-injecting decorator)
 // has all of this promoted and needs to override only what it observes.
 type Transport interface {

@@ -75,7 +75,14 @@ type Config struct {
 	// Values above the hosted LP count are clamped to it, which makes any such
 	// value the spelling of a worker per LP. Any width runs over any
 	// Transport, and the workers are also who polls and flushes it: over TCP
-	// they read and write the sockets themselves.
+	// they read and write the sockets themselves. A worker yields its P after
+	// every round where the width exceeds GOMAXPROCS or the Transport's own
+	// goroutines deliver (comm.TCP's reader driver, where the non-blocking
+	// socket calls are missing); otherwise only while another worker of the
+	// rank, just woken, waits for a P, and it keeps its core from round to
+	// round. Any other goroutine of the process, the caller's own or a
+	// Transport's, then gets a P when a worker waits or when Go's scheduler
+	// preempts one, within 10 ms.
 	Workers int
 
 	// Tracer, when non-nil, receives structured trace events — rollback

@@ -29,16 +29,21 @@ package core
 // workers themselves. The flush that ends a round is an offer — the
 // transport may let a link's frames wait for the next rounds'
 // (comm.Transport has the terms) — and the one before a worker waits is not.
-// Workers never block (they yield between rounds and sleep only when idle),
-// which is exactly why they cannot leave the socket to a reader goroutine
-// parked in Go's netpoller — the network is polled only from an idle P or
-// sysmon's 10 ms tick, and a frame would wait that long — and why they must
-// never block on a socket either: two ranks each blocked writing to the other
-// are each other's only readers. A worker that does sleep leaves its P idle,
+// Workers never block (they sleep only when idle), which is exactly why they
+// cannot leave the socket to a reader goroutine parked in Go's netpoller —
+// the network is polled only from an idle P or sysmon's 10 ms tick, and a
+// frame would wait that long — and why they must never block on a socket
+// either: two ranks each blocked writing to the other are each other's only
+// readers. A worker that does sleep leaves its P idle,
 // and there the netpoller answers at once, so before it sleeps it arms the
 // transport's doorbell (comm.Transport's Arm): the next frame to reach a
 // socket rings, and the ring pokes the workers. Channels stay at the
-// transport's edge; nothing in the kernel selects on one.
+// transport's edge; nothing in the kernel selects on one. Between rounds a
+// worker yields its P only where something else in this process needs it:
+// always where this rank has more workers than Ps or the transport's own
+// goroutines deliver (yieldsBetweenRounds), and otherwise while another
+// worker of this rank waits for a P (dispatcher.wantP). Elsewhere a worker
+// keeps its core, and with it its caches, round after round.
 //
 // Single-owner semantics hold by pinning: every LP (and with it every hosted
 // object, input queue, state queue, cancellation manager and event pool
@@ -135,6 +140,18 @@ type dispatcher struct {
 	// of every worker round, flushed at the end, and armed before a worker
 	// waits. Its sink is d.deliver and its ring d.ring.
 	tr comm.Transport
+	// yield is yieldsBetweenRounds for this rank, read once by newKernel:
+	// whether a worker calls runtime.Gosched after every round that executed
+	// events.
+	yield bool
+	// wantP counts this rank's workers that wait for a P: poked out of
+	// idle's wait and not yet running, or yielded and not yet resumed. A
+	// worker yields after a round while it is above zero. Go's scheduler
+	// puts a worker a poke wakes on the poker's P, and another P's idle
+	// thread can take it only once the kernel wakes that thread, tens of
+	// microseconds on a virtual machine's idle vCPU; a yield hands it the
+	// poker's P at the end of the round.
+	wantP atomic.Int32
 	// idleTick is the longest a worker waits for a poke: the longest an idle
 	// LP 0 takes to force a GVT computation, and how often an idle worker
 	// looks at a transport that cannot ring. Where every P is idle, Linux's
@@ -169,6 +186,22 @@ type dispatcher struct {
 func defaultWorkers(hosted, hostRanks int) int {
 	share := max(1, runtime.NumCPU()/max(1, hostRanks))
 	return min(hosted, runtime.GOMAXPROCS(0), share)
+}
+
+// yieldsBetweenRounds is whether a rank's workers yield their Ps after every
+// round: where something else in this process always needs one — more
+// workers than Ps (an explicit width, or a worker per LP), whose turns Go's
+// scheduler must rotate, or a transport whose own goroutines read the
+// sockets and deliver (readers: comm.TCP's reader driver, where the
+// non-blocking socket calls are missing). Otherwise a worker yields only
+// while another of the rank's workers waits for a P (dispatcher.wantP), and
+// keeps its core and its caches the rest of the time; any other goroutine
+// that becomes runnable while every worker is busy gets a P when one waits,
+// or when Go's scheduler preempts one after its 10 ms slice. Other ranks on
+// the host do not count: at the default width each has its share of the
+// cores, and a yield cannot hand a core to another process.
+func yieldsBetweenRounds(workers, procs int, readers bool) bool {
+	return workers > procs || readers
 }
 
 // newDispatcher builds numWorkers idle workers for a process hosting the
@@ -383,6 +416,9 @@ type worker struct {
 
 	mu     sync.Mutex
 	adoptQ []*lpRun
+	// waiting is set while the worker waits in idle and no poke has counted
+	// it in wantP.
+	waiting atomic.Bool
 
 	// Cross-worker-readable counters behind the gowarp_worker_* metrics and
 	// the per-worker report.
@@ -394,9 +430,13 @@ type worker struct {
 }
 
 // poke wakes the worker if it is idle; a wake-up already pending is enough.
+// The poke that ends a wait counts the worker in wantP until it runs.
 func (w *worker) poke() {
 	select {
 	case w.wake <- struct{}{}:
+		if w.waiting.CompareAndSwap(true, false) {
+			w.d.wantP.Add(1)
+		}
 	default:
 	}
 }
@@ -527,12 +567,17 @@ func (w *worker) run() {
 			w.events.Add(int64(executed))
 			w.busyNS.Add(time.Since(start).Nanoseconds())
 			w.d.tr.Flush(false)
-			// Yield between rounds so that whatever else the process runs —
-			// the caller's own goroutines, a transport's — gets a core even when
-			// the workers occupy them all. The workers of another rank on this
-			// machine are not among them: at the default width every rank has
-			// its share of the cores.
-			runtime.Gosched()
+			// Yield only where another worker of this rank, or a transport
+			// goroutine, waits for a P; a worker with a P of its own keeps it,
+			// so the scheduler does not move it and its working set to another
+			// core.
+			if w.d.yield {
+				runtime.Gosched()
+			} else if w.d.wantP.Load() > 0 {
+				w.d.wantP.Add(1)
+				runtime.Gosched()
+				w.d.wantP.Add(-1)
+			}
 			continue
 		}
 		w.idle()
@@ -582,6 +627,7 @@ func (w *worker) idle() {
 		} else {
 			w.idleTmr.Reset(timeout)
 		}
+		w.waiting.Store(true)
 		select {
 		case <-w.wake:
 			if !w.idleTmr.Stop() {
@@ -591,6 +637,9 @@ func (w *worker) idle() {
 				}
 			}
 		case <-w.idleTmr.C:
+		}
+		if !w.waiting.CompareAndSwap(true, false) {
+			w.d.wantP.Add(-1) // a poke counted this worker
 		}
 	} else {
 		// The mail is read next round; the wake-up it left would only cut the

@@ -22,6 +22,7 @@ func TestEmptyWorkerAwaitsAdoption(t *testing.T) {
 	}
 	cfg := DefaultConfig(2000)
 	cfg.GVTPeriod = 200 * time.Microsecond
+	cfg.Workers = 2 // the default is one at GOMAXPROCS 1
 	d := newKernel(m, &cfg, comm.Peers{Local: []int{0, 1}}, inProc(m, &cfg), nil)
 	d.lps[0].target.Store(1)
 	d.lps[1].target.Store(0)

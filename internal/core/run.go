@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"runtime"
 	"runtime/debug"
 	"sync"
 	"time"
@@ -258,6 +259,8 @@ func newKernel(m *model.Model, cfg *Config, peers comm.Peers, tr comm.Transport,
 	d := newDispatcher(workers, numLPs, cfg)
 	d.tr = tr
 	tr.SetSink(d.deliver, d.ring)
+	tcp, ok := tr.(*comm.TCP)
+	d.yield = yieldsBetweenRounds(workers, runtime.GOMAXPROCS(0), ok && tcp.Readers())
 	sh := &shared{
 		rt:   route.New(m.Partition),
 		objs: make([]*simObject, len(m.Objects)),

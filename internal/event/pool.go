@@ -48,10 +48,17 @@ package event
 // nil pool neither counts holders nor recycles, so optional layers (the
 // conservative and sequential kernels, tests) run unpooled and leave every
 // lifetime to the garbage collector.
+//
+// A Pool is padded to 64 bytes, a cache line, and Go's allocator starts
+// objects of that size on 64-byte boundaries, so each worker's pool has a
+// line of its own. Every Get and Put writes the pool, each worker's from its
+// own core; two pools on one line would trade it between the cores' caches
+// at every event.
 type Pool struct {
 	free   []*Event
 	allocs int64
 	reuses int64
+	_      [24]byte // to 64 bytes (TestPoolLineSize)
 }
 
 // NewPool returns an empty pool.

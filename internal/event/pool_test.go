@@ -254,3 +254,11 @@ func TestNilPoolNeitherCountsNorRecycles(t *testing.T) {
 		t.Errorf("nil pool Put released a holder: %d left, want 2", e.Holders())
 	}
 }
+
+// TestPoolLineSize: a Pool fills whole cache lines, so no two workers' pools
+// share one.
+func TestPoolLineSize(t *testing.T) {
+	if size := unsafe.Sizeof(Pool{}); size%64 != 0 {
+		t.Errorf("unsafe.Sizeof(Pool{}) = %d, want a multiple of 64", size)
+	}
+}
