@@ -244,11 +244,11 @@ func TestControlPackets(t *testing.T) {
 	if p.Kind != PktToken || p.Token != tok {
 		t.Fatalf("token mangled: %+v", p)
 	}
-	eps[0].BroadcastGVT(77, 500, nil)
+	eps[0].BroadcastGVT(77, 500, nil, true)
 	eps[0].BroadcastStop()
 	for i := 1; i < 3; i++ {
 		g := <-eps[i].Recv()
-		if g.Kind != PktGVT || g.GVT != 77 || g.Window != 500 {
+		if g.Kind != PktGVT || g.GVT != 77 || g.Window != 500 || !g.Final {
 			t.Fatalf("GVT broadcast mangled: %+v", g)
 		}
 		s := <-eps[i].Recv()

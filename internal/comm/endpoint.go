@@ -428,18 +428,21 @@ func (e *Endpoint) SendToken(dst int, t Token) {
 }
 
 // BroadcastGVT announces a new GVT value to every other LP, with the
-// optimism window it puts in force and the object moves it orders (see
-// PktGVT). Every receiver gets the same moves slice.
-func (e *Endpoint) BroadcastGVT(gvt, window vtime.Time, moves []partition.Move) {
+// optimism window it puts in force and the object moves it orders, marked
+// final when it ends the run (see PktGVT). Every receiver gets the same moves
+// slice.
+func (e *Endpoint) BroadcastGVT(gvt, window vtime.Time, moves []partition.Move, final bool) {
 	for dst := range e.bufs {
 		if dst == e.lp {
 			continue
 		}
-		e.tr.Send(dst, Packet{Kind: PktGVT, From: e.lp, GVT: gvt, Window: window, Moves: moves}, controlBytes)
+		e.tr.Send(dst, Packet{Kind: PktGVT, From: e.lp, GVT: gvt, Window: window, Moves: moves, Final: final}, controlBytes)
 	}
 }
 
-// BroadcastStop tells every other LP to terminate.
+// BroadcastStop tells every other LP to terminate: the conservative kernel's
+// stop, a bare one from this LP (the Time Warp kernel sends StopPacket, one a
+// rank).
 func (e *Endpoint) BroadcastStop() {
 	for dst := range e.bufs {
 		if dst == e.lp {

@@ -1,7 +1,9 @@
 package comm
 
 import (
+	"strings"
 	"sync"
+	"unicode/utf8"
 
 	"gowarp/internal/partition"
 	"gowarp/internal/vtime"
@@ -19,9 +21,15 @@ const (
 	// LP 0's controllers took at that GVT: the optimism window in force from
 	// it on (Window) and the load balancer's object moves (Moves). Every LP,
 	// LP 0 included, applies the three together, so the window and the moves
-	// need no packet of their own.
+	// need no packet of their own. The first GVT past the end time (or +inf,
+	// a drained model) is the final one, marked Final: it is how a run that
+	// ends well ends, and every LP that applies it stops.
 	PktGVT
-	// PktStop tells a logical process to terminate.
+	// PktStop says the run has failed: From is the rank that failed and
+	// Payload one line saying why (see StopPacket). The Time Warp kernel sends
+	// one to each other rank; a rank that receives one stops its workers and
+	// fails its run naming that rank. The conservative kernel sends its LPs a
+	// bare one, From its own LP, when one of them panics.
 	PktStop
 	// PktNull is a conservative-kernel (Chandy-Misra-Bryant) null message:
 	// a promise that the sender will emit no event below Bound.
@@ -59,7 +67,7 @@ type Token struct {
 // Packet is one physical message on the simulated network.
 type Packet struct {
 	Kind PacketKind
-	From int // sending LP (or sending rank for PktReport)
+	From int // sending LP (sending rank for PktReport, failing rank for PktStop)
 	// Color is the GVT color the events in Payload were sent under
 	// (PktEvents only; uniform within one packet by construction).
 	Color uint8
@@ -68,7 +76,9 @@ type Packet struct {
 	Payload []byte
 	// Comp marks a compressed Payload (see Endpoint.Compress); the receiver
 	// must decompress before decoding events.
-	Comp  bool
+	Comp bool
+	// Final marks the final PktGVT, the one that ends a run that ends well.
+	Final bool
 	Token Token
 	GVT   vtime.Time
 	// Bound is a null message's lower bound on the sender's future events.
@@ -86,6 +96,29 @@ type Packet struct {
 	// deliver. Capsules cannot cross a process boundary (see wire.go).
 	Capsule any
 }
+
+// MaxStopReason bounds the reason a PktStop carries, in bytes.
+const MaxStopReason = 1 << 10
+
+// StopPacket is the stop that reports rank's failure. Its reason is the first
+// line of why, cut to MaxStopReason bytes at a character boundary; each call
+// makes its own payload, which the send that carries it takes.
+func StopPacket(rank int, why string) Packet {
+	if i := strings.IndexByte(why, '\n'); i >= 0 {
+		why = why[:i]
+	}
+	if n := MaxStopReason; len(why) > n {
+		for !utf8.RuneStart(why[n]) {
+			n--
+		}
+		why = why[:n]
+	}
+	return Packet{Kind: PktStop, From: rank, Payload: []byte(why)}
+}
+
+// ends reports whether p ends the run wherever it passes: the final GVT, or
+// a stop.
+func (p *Packet) ends() bool { return p.Final || p.Kind == PktStop }
 
 // controlBytes approximates the wire size of a control packet for the cost
 // model.

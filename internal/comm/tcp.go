@@ -100,9 +100,9 @@ type TCP struct {
 	heard chan struct{}
 	quit  chan struct{}
 	alive bool
-	// ending is set once the run is known to be ending here: a stop packet
-	// has passed through, in or out, or Close has begun. Only then is a
-	// peer's half-close what it should be (see pump).
+	// ending is set once the run is known to be ending here: the final GVT or
+	// a stop has passed through, in or out, a link has failed, or Close has
+	// begun. Only then is a peer's half-close what it should be (see pump).
 	ending atomic.Bool
 
 	// free holds payload slices Send has framed and so finished with —
@@ -352,9 +352,10 @@ func (rc *tcpRecvConn) pump(t *TCP) (more bool) {
 		case errors.Is(err, io.EOF) && rc.r == rc.w:
 			// The peer half-closed between frames: it is done sending. A
 			// rank does that when the run is over for it, and then waits
-			// DrainTimeout for our half-close in return. Runs end by a stop
-			// broadcast; if none has reached this rank by then, the peer did
-			// not end well, and an idle rank would wait for it for ever.
+			// DrainTimeout for our half-close in return. A run ends by the
+			// final GVT, or by a stop where it fails; if neither has reached
+			// this rank by then, the peer did not end well, and an idle rank
+			// would wait for it for ever.
 			if !t.ending.Load() {
 				time.AfterFunc(t.cfg.DrainTimeout, func() {
 					if !t.ending.Load() {
@@ -404,7 +405,7 @@ func (rc *tcpRecvConn) parse(t *TCP) error {
 			p.Payload = append(t.takePayload(), p.Payload...)
 		}
 		rc.r = end
-		if p.Kind == PktStop {
+		if p.ends() {
 			t.ending.Store(true)
 		}
 		t.deliver(dst, p)
@@ -798,7 +799,7 @@ func (t *TCP) readHello(conn net.Conn, deadline time.Time) (rank int, err error)
 // free list parse copies arriving payloads into.
 func (t *TCP) Send(dst int, p Packet, payloadBytes int) {
 	t.cfg.Cost.Charge(payloadBytes)
-	if p.Kind == PktStop {
+	if p.ends() {
 		t.ending.Store(true)
 	}
 	if t.isLocal(dst) {
@@ -818,9 +819,10 @@ func (t *TCP) Send(dst int, p Packet, payloadBytes int) {
 	buf, err := AppendFrame(sc.buf, dst, p)
 	if err != nil {
 		sc.mu.Unlock()
-		// Only PktMigrate capsules are unframeable, and the kernel refuses
-		// dynamic balancing on distributed transports — reaching this is a
-		// kernel bug, not a runtime condition to limp through.
+		// The kernel sends nothing AppendFrame refuses (it refuses dynamic
+		// balancing on distributed transports, and StopPacket cuts reasons)
+		// — reaching this is a kernel bug, not a runtime condition to limp
+		// through.
 		panic(fmt.Sprintf("comm: cannot wire packet to LP %d: %v", dst, err))
 	}
 	sc.buf = buf
@@ -901,8 +903,9 @@ func (t *TCP) Poll() {
 	}
 }
 
-// fault records the first transport error and stops every local LP, so a
-// torn link fails the run instead of hanging it.
+// fault records the first transport error and hands every local LP a stop
+// that names this rank and the error, so a torn link fails the run instead of
+// hanging it.
 func (t *TCP) fault(err error) {
 	t.errMu.Lock()
 	if t.firstErr == nil {
@@ -916,12 +919,13 @@ func (t *TCP) fault(err error) {
 		return
 	}
 	for _, lp := range t.peers.Local {
+		stop := StopPacket(t.cfg.Rank, err.Error())
 		if t.sink != nil {
-			t.sink(lp, Packet{Kind: PktStop})
+			t.sink(lp, stop)
 			continue
 		}
 		select {
-		case t.inbox(lp) <- Packet{Kind: PktStop}:
+		case t.inbox(lp) <- stop:
 		default: // inbox full — the LP will drain to the stop eventually
 		}
 	}

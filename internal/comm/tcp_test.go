@@ -450,35 +450,47 @@ func TestTCPPeerDisconnect(t *testing.T) {
 
 // TestTCPPeerLeavesQuietly: a peer whose sockets close cleanly mid-run — a
 // FIN, which is also how a run that ends well looks from here — is a fault
-// once the drain timeout has passed without the run's stop broadcast having
-// come through; an idle rank would otherwise wait for ever. After a stop, the
-// same FIN is the normal end.
+// once the drain timeout has passed without the final GVT or a stop having
+// come through; an idle rank would otherwise wait for ever. After either, the
+// same FIN is the end of the run.
 func TestTCPPeerLeavesQuietly(t *testing.T) {
+	leave := func(t *testing.T, polled bool, end *Packet) {
+		const drain = 150 * time.Millisecond
+		r0, r1 := tcpMeshDrain(t, 2, polled, drain)
+		if end != nil {
+			r1.send(0, *end)
+			if p := r0.mustRecv(t, 0); p.Kind != end.Kind {
+				t.Fatalf("got %+v, want %+v", p, *end)
+			}
+		}
+		r1.out[0].conn.CloseWrite()
+		p, ok := r0.recv(0, 4*drain)
+		if end != nil {
+			if ok {
+				t.Fatalf("a FIN after %+v delivered %+v", *end, p)
+			}
+			closePair(t, r0.TCP, r1.TCP)
+			return
+		}
+		if !ok || p.Kind != PktStop || p.From != 0 || !strings.Contains(string(p.Payload), "mid-run") {
+			t.Fatalf("a FIN mid-run delivered %+v (%v), want the fault's stop", p, ok)
+		}
+		if errs := closeAll(r0.TCP, r1.TCP); errs[0] == nil || !strings.Contains(errs[0].Error(), "mid-run") {
+			t.Fatalf("survivor's Close = %v", errs[0])
+		}
+	}
 	for _, d := range drivers {
 		for _, stopped := range []bool{false, true} {
 			t.Run(fmt.Sprintf("%s/stopped=%v", d.name, stopped), func(t *testing.T) {
-				const drain = 150 * time.Millisecond
-				r0, r1 := tcpMeshDrain(t, 2, d.polled, drain)
-				if stopped {
-					r1.send(0, Packet{Kind: PktStop, From: 1})
-					if p := r0.mustRecv(t, 0); p.Kind != PktStop {
-						t.Fatalf("got %+v, want the stop", p)
-					}
-				}
-				r1.out[0].conn.CloseWrite()
-				p, ok := r0.recv(0, 4*drain)
-				if stopped {
-					if ok {
-						t.Fatalf("a FIN after the stop delivered %+v", p)
-					}
-					closePair(t, r0.TCP, r1.TCP)
+				if !stopped {
+					leave(t, d.polled, nil)
 					return
 				}
-				if !ok || p.Kind != PktStop {
-					t.Fatalf("a FIN mid-run delivered %+v (%v), want the fault's stop", p, ok)
-				}
-				if errs := closeAll(r0.TCP, r1.TCP); errs[0] == nil || !strings.Contains(errs[0].Error(), "mid-run") {
-					t.Fatalf("survivor's Close = %v", errs[0])
+				for _, end := range []Packet{
+					{Kind: PktGVT, From: 0, GVT: vtime.PosInf, Final: true},
+					StopPacket(1, "rank 1 gave up"),
+				} {
+					leave(t, d.polled, &end)
 				}
 			})
 		}
@@ -666,7 +678,7 @@ func TestTCPArmRings(t *testing.T) {
 			}
 		}},
 		{"a half-close rings once and is not watched again", func(t *testing.T, r0, r1 *rank) {
-			r0.send(1, Packet{Kind: PktStop, From: 0}) // a FIN after the stop ends a run well
+			r0.send(1, Packet{Kind: PktStop, From: 0}) // a FIN after a stop is no fault
 			if p := r1.mustRecv(t, 1); p.Kind != PktStop {
 				t.Fatalf("got %+v, want the stop", p)
 			}
@@ -701,8 +713,16 @@ func TestTCPArmRings(t *testing.T) {
 			r0.Arm()
 			r1.Arm()
 			closePair(t, r0.TCP, r1.TCP)
-			if got := strings.Count(allStacks(), "comm.(*doorbell).run"); got != 0 {
-				t.Errorf("%d doorbells outlived Close", got)
+			// Close waits for each doorbell's deferred bells.Done, after which
+			// the goroutine still has its return to make: give it a second.
+			got := 0
+			for wait := time.Now(); time.Since(wait) < time.Second; time.Sleep(time.Millisecond) {
+				if got = strings.Count(allStacks(), "comm.(*doorbell).run"); got == 0 {
+					break
+				}
+			}
+			if got != 0 {
+				t.Errorf("%d doorbells outlived Close by a second", got)
 			}
 		}},
 	}

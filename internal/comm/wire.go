@@ -16,21 +16,23 @@ import (
 //	  u8   wire version (WireVersion)
 //	  u8   packet kind
 //	  u8   GVT color
-//	  u8   flags (bit 0: compressed payload)
-//	  u32  sending LP (sending rank for PktReport)
+//	  u8   flags (bit 0: compressed payload; bit 1: the final GVT, on a
+//	       PktGVT only)
+//	  u32  sending LP (sending rank for PktReport, failing rank for PktStop)
 //	  u32  destination LP
 //	  ...  kind-specific fields, fixed width, little endian (PktReport:
-//	       u32 length, then the report record described below)
+//	       u32 length, then the report record described below; PktStop:
+//	       u32 length, then the reason, at most MaxStopReason bytes)
 //
 // The encoding is defined to round-trip exactly: DecodeFrame rejects any
-// frame with trailing bytes, a bad version, an unknown kind, or an inner
-// length that disagrees with the body length, and AppendFrame(DecodeFrame(b))
-// reproduces b byte for byte. A PktGVT frames the GVT and the optimism window
-// it puts in force, eight bytes each. Migration capsules (PktMigrate) carry a
-// live in-process pointer and therefore cannot be framed, and neither can a
-// PktGVT that orders moves; encoding either is an error, and the kernel
-// refuses dynamic load balancing on distributed transports so the case never
-// arises in a run.
+// frame with trailing bytes, a bad version, an unknown kind or flag, or an
+// inner length that disagrees with the body length, and
+// AppendFrame(DecodeFrame(b)) reproduces b byte for byte. A PktGVT frames the
+// GVT and the optimism window it puts in force, eight bytes each. Migration
+// capsules (PktMigrate) carry a live in-process pointer and therefore cannot
+// be framed, and neither can a PktGVT that orders moves; encoding either is an
+// error, and the kernel refuses dynamic load balancing on distributed
+// transports so the case never arises in a run.
 //
 // A PktReport's payload is one rank's end-of-run report record, written and
 // read by the Time Warp kernel (internal/core/distrib.go), little endian,
@@ -57,14 +59,22 @@ import (
 // refuse the join handshake. Version 2 replaced the report payload's
 // encoding/gob value with the record above; version 3 adds the window to
 // PktGVT and drops the optimism wake and migration request kinds, so from
-// the first GVT on rank 0's window governs every rank.
-const WireVersion = 3
+// the first GVT on rank 0's window governs every rank; version 4 marks the
+// final GVT with a flag, which ends a run that ends well, and gives PktStop,
+// which now means failure only, the failing rank and a reason.
+const WireVersion = 4
 
 // MaxFrameBody bounds a frame body so a corrupt or hostile length prefix
 // cannot drive an allocation of arbitrary size.
 const MaxFrameBody = 1 << 26 // 64 MiB
 
 const frameFixedLen = 4 + 4 + 4 // version/kind/color/flags + from + dst
+
+// The frame flags.
+const (
+	flagComp  = 1 << 0
+	flagFinal = 1 << 1
+)
 
 // Framing errors. Decoders return (not panic on) every malformed input.
 var (
@@ -74,20 +84,28 @@ var (
 	ErrFrameTooLarge  = errors.New("comm: wire frame exceeds size bound")
 	ErrFrameTrailing  = errors.New("comm: trailing bytes after wire frame body")
 	ErrNotWireable    = errors.New("comm: packet kind cannot cross a process boundary")
+	ErrFrameFlags     = errors.New("comm: bad wire frame flags")
 )
 
 // AppendFrame appends the length-prefixed wire frame for p bound to LP dst
-// and returns the extended slice. PktMigrate packets, and PktGVT packets that
-// order moves, are not wireable.
+// and returns the extended slice. PktMigrate packets, PktGVT packets that
+// order moves, a Final mark on anything but a PktGVT and a stop reason over
+// MaxStopReason bytes are not wireable.
 func AppendFrame(buf []byte, dst int, p Packet) ([]byte, error) {
 	lenAt := len(buf)
+	var flags byte
+	if p.Comp {
+		flags |= flagComp
+	}
+	if p.Final {
+		if p.Kind != PktGVT {
+			return buf, fmt.Errorf("%w: final mark on kind %d", ErrFrameFlags, p.Kind)
+		}
+		flags |= flagFinal
+	}
 	buf = append(buf, 0, 0, 0, 0) // length back-patched below
 	start := len(buf)
 
-	var flags byte
-	if p.Comp {
-		flags |= 1
-	}
 	buf = append(buf, WireVersion, byte(p.Kind), p.Color, flags)
 	buf = appendU32(buf, uint32(p.From))
 	buf = appendU32(buf, uint32(dst))
@@ -112,7 +130,11 @@ func AppendFrame(buf []byte, dst int, p Packet) ([]byte, error) {
 	case PktNull:
 		buf = appendU64(buf, uint64(p.Bound))
 	case PktStop:
-		// Header only.
+		if len(p.Payload) > MaxStopReason {
+			return buf[:lenAt], fmt.Errorf("%w: stop reason of %d bytes", ErrFrameTooLarge, len(p.Payload))
+		}
+		buf = appendU32(buf, uint32(len(p.Payload)))
+		buf = append(buf, p.Payload...)
 	case PktReport:
 		buf = appendU32(buf, uint32(len(p.Payload)))
 		buf = append(buf, p.Payload...)
@@ -147,10 +169,13 @@ func DecodeFrame(body []byte) (dst int, p Packet, err error) {
 	p.Kind = PacketKind(body[1])
 	p.Color = body[2]
 	flags := body[3]
-	if flags&^byte(1) != 0 {
-		return 0, Packet{}, fmt.Errorf("comm: unknown frame flags %#x", flags)
+	if flags&^byte(flagComp|flagFinal) != 0 {
+		return 0, Packet{}, fmt.Errorf("%w: unknown bits %#x", ErrFrameFlags, flags)
 	}
-	p.Comp = flags&1 != 0
+	p.Comp, p.Final = flags&flagComp != 0, flags&flagFinal != 0
+	if p.Final && p.Kind != PktGVT {
+		return 0, Packet{}, fmt.Errorf("%w: final mark on kind %d", ErrFrameFlags, p.Kind)
+	}
 	p.From = int(int32(binary.LittleEndian.Uint32(body[4:])))
 	dst = int(int32(binary.LittleEndian.Uint32(body[8:])))
 	rest := body[frameFixedLen:]
@@ -195,7 +220,12 @@ func DecodeFrame(body []byte) (dst int, p Packet, err error) {
 		}
 		p.Bound = vtime.Time(b)
 	case PktStop:
-		// Header only.
+		if p.Payload, rest, err = takeBytes(rest); err != nil {
+			return 0, Packet{}, err
+		}
+		if len(p.Payload) > MaxStopReason {
+			return 0, Packet{}, fmt.Errorf("%w: stop reason of %d bytes", ErrFrameTooLarge, len(p.Payload))
+		}
 	case PktReport:
 		if p.Payload, rest, err = takeBytes(rest); err != nil {
 			return 0, Packet{}, err

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"strings"
 	"testing"
 
 	"gowarp/internal/codec"
@@ -31,8 +32,10 @@ func wireSamples() []struct {
 			M: 123, MMsg: vtime.PosInf, Count: -4, Round: 2, Epoch: 17}}},
 		{"gvt", 2, Packet{Kind: PktGVT, From: 0, GVT: 99_999}},
 		{"gvt-window", 6, Packet{Kind: PktGVT, From: 0, GVT: vtime.NegInf, Window: 4096}},
+		{"gvt-final", 3, Packet{Kind: PktGVT, From: 0, GVT: vtime.PosInf, Window: 64, Final: true}},
 		{"null", 4, Packet{Kind: PktNull, From: 3, Bound: 42}},
 		{"stop", 5, Packet{Kind: PktStop, From: 0}},
+		{"stop-reason", 0, StopPacket(2, "LP 3, object 15 (phold.15), event kind 0 at t=711, GVT 676: panic: boom")},
 		{"report", 0, Packet{Kind: PktReport, From: 1, Payload: []byte("gob bytes here")}},
 	}
 }
@@ -57,7 +60,7 @@ func TestWireRoundTrip(t *testing.T) {
 			t.Errorf("%s: dst = %d, want %d", tc.name, dst, tc.dst)
 		}
 		if p.Kind != tc.p.Kind || p.From != tc.p.From || p.Color != tc.p.Color ||
-			p.Comp != tc.p.Comp || p.Count != tc.p.Count || p.Token != tc.p.Token ||
+			p.Comp != tc.p.Comp || p.Final != tc.p.Final || p.Count != tc.p.Count || p.Token != tc.p.Token ||
 			p.GVT != tc.p.GVT || p.Window != tc.p.Window || p.Bound != tc.p.Bound || p.Moves != nil {
 			t.Errorf("%s: decoded %+v, want %+v", tc.name, p, tc.p)
 		}
@@ -136,56 +139,98 @@ func TestWireOversized(t *testing.T) {
 	}
 }
 
-// TestWireRejections: version, kind, flags and inner-length corruption.
+// TestWireRejections: version, kind, flags and inner-length corruption on
+// the way in, and packets that cannot be framed on the way out; either way
+// the error says which, and a refused encoding appends nothing.
 func TestWireRejections(t *testing.T) {
 	frame, err := AppendFrame(nil, 1, Packet{Kind: PktEvents, Count: 1, Payload: []byte{1, 2}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	body := frame[4:]
-
-	bad := append([]byte(nil), body...)
-	bad[0] = WireVersion + 1
-	if _, _, err := DecodeFrame(bad); !errors.Is(err, ErrFrameVersion) {
-		t.Errorf("bad version: err = %v", err)
+	patched := func(b []byte, at int, v ...byte) []byte {
+		b = append([]byte(nil), b...)
+		copy(b[at:], v)
+		return b
 	}
-
-	bad = append(bad[:0], body...)
-	bad[1] = 0xEE
-	if _, _, err := DecodeFrame(bad); !errors.Is(err, ErrFrameKind) {
-		t.Errorf("bad kind: err = %v", err)
-	}
-
-	bad = append(bad[:0], body...)
-	bad[3] = 0x80 // unknown flag bit
-	if _, _, err := DecodeFrame(bad); err == nil {
-		t.Error("unknown flags decoded successfully")
-	}
-
-	// Inner payload length pointing past the body.
-	bad = append(bad[:0], body...)
-	binary.LittleEndian.PutUint32(bad[frameFixedLen+4:], 1<<30)
-	if _, _, err := DecodeFrame(bad); !errors.Is(err, ErrFrameTruncated) {
-		t.Errorf("lying inner length: err = %v", err)
-	}
-
-	if _, err := AppendFrame(nil, 0, Packet{Kind: PktMigrate, Capsule: struct{}{}}); !errors.Is(err, ErrNotWireable) {
-		t.Errorf("capsule encode: err = %v, want ErrNotWireable", err)
-	}
-	if _, _, err := DecodeFrame([]byte{WireVersion, byte(PktMigrate), 0, 0, 0, 0, 0, 0, 0, 0, 0, 0}); !errors.Is(err, ErrNotWireable) {
-		t.Errorf("capsule decode: err = %v, want ErrNotWireable", err)
-	}
-	moves := Packet{Kind: PktGVT, GVT: 7, Window: 64, Moves: []partition.Move{{Object: 3, From: 0, To: 1}}}
-	if b, err := AppendFrame([]byte{9}, 1, moves); !errors.Is(err, ErrNotWireable) || len(b) != 1 {
-		t.Errorf("GVT with moves: encoded %d bytes, err = %v, want ErrNotWireable and nothing appended", len(b)-1, err)
-	}
-
+	lying := patched(body, frameFixedLen+4)
+	binary.LittleEndian.PutUint32(lying[frameFixedLen+4:], 1<<30)
 	short, long := gvtBodies(t)
-	if _, _, err := DecodeFrame(short); !errors.Is(err, ErrFrameTruncated) {
-		t.Errorf("GVT without its window: err = %v, want ErrFrameTruncated", err)
+	stop, overlong, overrun := stopBodies(t)
+
+	for _, tc := range []struct {
+		name string
+		body []byte
+		want error
+	}{
+		{"bad version", patched(body, 0, WireVersion+1), ErrFrameVersion},
+		{"bad kind", patched(body, 1, 0xEE), ErrFrameKind},
+		{"unknown flag bit", patched(body, 3, 0x80), ErrFrameFlags},
+		{"final flag on events", patched(body, 3, flagFinal), ErrFrameFlags},
+		{"final flag on a stop", patched(stop, 3, flagFinal), ErrFrameFlags},
+		{"lying inner length", lying, ErrFrameTruncated},
+		{"capsule", []byte{WireVersion, byte(PktMigrate), 0, 0, 0, 0, 0, 0, 0, 0, 0, 0}, ErrNotWireable},
+		{"GVT without its window", short, ErrFrameTruncated},
+		{"GVT with a byte past its window", long, ErrFrameTrailing},
+		{"stop reason running past the body", overrun, ErrFrameTruncated},
+		{"stop with a trailing byte", append(stop[:len(stop):len(stop)], 0), ErrFrameTrailing},
+		{"stop reason over the cap", overlong, ErrFrameTooLarge},
+	} {
+		if _, _, err := DecodeFrame(tc.body); !errors.Is(err, tc.want) {
+			t.Errorf("%s: decode err = %v, want %v", tc.name, err, tc.want)
+		}
 	}
-	if _, _, err := DecodeFrame(long); !errors.Is(err, ErrFrameTrailing) {
-		t.Errorf("GVT with a byte past its window: err = %v, want ErrFrameTrailing", err)
+
+	for _, tc := range []struct {
+		name string
+		p    Packet
+		want error
+	}{
+		{"capsule", Packet{Kind: PktMigrate, Capsule: struct{}{}}, ErrNotWireable},
+		{"GVT with moves", Packet{Kind: PktGVT, GVT: 7, Window: 64, Moves: []partition.Move{{Object: 3, From: 0, To: 1}}}, ErrNotWireable},
+		{"final events", Packet{Kind: PktEvents, Final: true}, ErrFrameFlags},
+		{"final stop", Packet{Kind: PktStop, Final: true}, ErrFrameFlags},
+		{"stop reason over the cap", Packet{Kind: PktStop, Payload: make([]byte, MaxStopReason+1)}, ErrFrameTooLarge},
+	} {
+		if b, err := AppendFrame([]byte{9}, 1, tc.p); !errors.Is(err, tc.want) || len(b) != 1 {
+			t.Errorf("%s: encoded %d bytes, err = %v, want %v and nothing appended", tc.name, len(b)-1, err, tc.want)
+		}
+	}
+}
+
+// stopBodies returns a stop's frame body and two corrupt ones: one whose
+// reason is a byte over MaxStopReason, and one whose reason length runs a
+// byte past the body.
+func stopBodies(tb testing.TB) (stop, overlong, overrun []byte) {
+	frame, err := AppendFrame(nil, 2, StopPacket(1, "rank 1 gave up"))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	stop = frame[4:]
+	overlong = binary.LittleEndian.AppendUint32(append([]byte(nil), stop[:frameFixedLen]...), MaxStopReason+1)
+	overlong = append(overlong, make([]byte, MaxStopReason+1)...)
+	overrun = append([]byte(nil), stop...)
+	binary.LittleEndian.PutUint32(overrun[frameFixedLen:], uint32(len(stop)-frameFixedLen-4+1))
+	return stop, overlong, overrun
+}
+
+// TestStopPacketCutsItsReason: a stop carries the first line of why, at most
+// MaxStopReason bytes of it, cut between characters.
+func TestStopPacketCutsItsReason(t *testing.T) {
+	long := strings.Repeat("é", MaxStopReason) // two bytes each
+	for _, tc := range []struct{ why, want string }{
+		{"", ""},
+		{"boom", "boom"},
+		{"LP 3: panic: boom\ngoroutine 7 [running]:\n", "LP 3: panic: boom"},
+		{"x" + long, "x" + long[:MaxStopReason-2]},
+	} {
+		p := StopPacket(4, tc.why)
+		if p.Kind != PktStop || p.From != 4 || string(p.Payload) != tc.want {
+			t.Errorf("StopPacket(4, %.20q) = %v from %d, %.20q; want a stop from 4 saying %.20q", tc.why, p.Kind, p.From, p.Payload, tc.want)
+		}
+		if _, err := AppendFrame(nil, 0, p); err != nil {
+			t.Errorf("StopPacket(4, %.20q) does not frame: %v", tc.why, err)
+		}
 	}
 }
 
@@ -225,8 +270,12 @@ func FuzzDecodeFrame(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{WireVersion})
 	short, long := gvtBodies(f)
-	f.Add(short)
-	f.Add(long)
+	stop, overlong, overrun := stopBodies(f)
+	finalStop := append([]byte(nil), stop...)
+	finalStop[3] |= flagFinal
+	for _, b := range [][]byte{short, long, overlong, overrun, finalStop, append(stop[:len(stop):len(stop)], 0)} {
+		f.Add(b)
+	}
 	var st stats.Counters
 	rx := NewSendEndpoint(nil, 2, 1, AggConfig{}, &st)
 	rx.Decompress = codec.Decompress

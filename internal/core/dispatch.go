@@ -175,6 +175,10 @@ type dispatcher struct {
 	// rough is the roughness observer; like tick and win its sample belongs
 	// to the first hosted LP's applyGVT.
 	rough roughness
+
+	// failed is the first failure the run met (see fail): nil while the run
+	// goes well.
+	failed atomic.Pointer[failure]
 }
 
 // defaultWorkers is the width Config.Workers == 0 stands for, min(hosted LPs,
@@ -240,8 +244,14 @@ func (d *dispatcher) attach(lp *lpRun, h, n int) {
 }
 
 // deliver is the transport's sink: it puts p into hosted LP dst's spillbox
-// and wakes its worker. The transport has charged the cost already.
+// and wakes its worker. The transport has charged the cost already. A stop is
+// for the rank, not the LP: the run has failed where it names, and the
+// workers retire.
 func (d *dispatcher) deliver(dst int, p comm.Packet) {
+	if p.Kind == comm.PktStop {
+		d.fail(&failure{rank: p.From, msg: string(p.Payload), stop: true})
+		return
+	}
 	lp := d.byID[dst]
 	lp.spill.put(p)
 	d.workers[lp.worker.Load()].poke()
@@ -257,8 +267,15 @@ func (d *dispatcher) ring() {
 	}
 }
 
-// release retires every worker: the last hosted LP stopped, or a worker
-// panicked and the run is over.
+// fail records f, unless the run has failed already, and retires the
+// workers.
+func (d *dispatcher) fail(f *failure) {
+	d.failed.CompareAndSwap(nil, f)
+	d.release()
+}
+
+// release retires every worker: the last hosted LP stopped, or the run has
+// failed.
 func (d *dispatcher) release() {
 	d.live.Store(0)
 	for _, w := range d.workers {

@@ -18,7 +18,7 @@ import (
 
 // Distributed runs: the kernel spans several OS processes (ranks), each
 // hosting a contiguous block of LPs behind a comm.Transport. Events, GVT
-// tokens and the stop broadcast flow through the transport unchanged — the
+// tokens and the final GVT flow through the transport unchanged — the
 // Mattern protocol never cared where an LP lives. What needs explicit
 // machinery is the end of the run: rank 0's caller expects a Result covering
 // the whole model, so after its LPs terminate every other rank appends its
@@ -36,14 +36,18 @@ import (
 // deliveries reach the LPs' spillboxes through the sink, and where it is
 // polled (TCP on Unix) the workers read and write the sockets themselves.
 //
-// The ordering that makes the report safe: the stop broadcast originates at
-// rank 0's LP 0 (which stops itself first), so by the time any remote rank's
+// The ordering that makes the report safe: the final GVT originates at rank
+// 0's LP 0, which stops as it applies it, so by the time any remote rank's
 // workers have joined and its report is sent, LP 0 reads no more packets.
 // Whatever reaches LP 0 from then on stays in its spillbox, and that is where
 // gatherReports looks, polling and flushing the transport itself now that the
 // workers are gone. A report travels ahead of its rank's half-close on the
 // same stream, so a link that has ended with the rank's report still missing
 // will not bring it.
+//
+// A run that fails ends by a stop from the rank where it failed (abort),
+// which reaches a rank running, reporting or draining its links: so a report
+// rank 0 refuses fails every rank.
 
 // reportTimeout bounds how long rank 0 waits for the other ranks' end-of-run
 // reports. A missing report means a peer process died after termination was
@@ -79,12 +83,33 @@ func checkDistributed(m *model.Model, cfg *Config) error {
 	return nil
 }
 
+// abort ends this rank's part of a run that failed with err. A failure the
+// kernel found here, or this rank's transport found, goes to every other rank
+// as a stop; one another rank sent is known there already. Then the transport
+// closes: where a stop or a missing report is the symptom, a link that failed
+// is the cause, and Close returns its error.
+func (d *dispatcher) abort(err error) error {
+	f, _ := err.(*failure)
+	if peers := d.tr.Peers(); f != nil && (!f.stop || f.rank == peers.Rank) {
+		for r := 0; r < peers.NumRanks; r++ {
+			if r != peers.Rank {
+				d.tr.Send(comm.BlockRanks(peers.NumLPs, peers.NumRanks, r)[0], comm.StopPacket(f.rank, f.msg), 0)
+			}
+		}
+		d.tr.Flush(true)
+	}
+	if cerr := d.tr.Close(); cerr != nil && (f == nil || f.stop) {
+		return fmt.Errorf("core: transport: %w", cerr)
+	}
+	return err
+}
+
 // sendReport ships this rank's slice of the results to the coordinator as
 // one report record.
 func sendReport(tr comm.Transport, rank int, locals []*lpRun, res *Result) error {
 	b, err := encodeReport(rank, locals, res)
 	if err != nil {
-		return fmt.Errorf("core: rank %d report: %w", rank, err)
+		return &failure{rank: rank, msg: fmt.Sprintf("report: %v", err)}
 	}
 	tr.Send(0, comm.Packet{Kind: comm.PktReport, From: rank, Payload: b}, len(b))
 	return nil
@@ -205,10 +230,10 @@ func (r *recordReader) next(n int) []byte {
 // its object's InitialState from m, which names the object too. The record
 // must describe exactly what rank from hosts, in encodeReport's order; a
 // record that does not, or that is short, malformed or followed by more
-// bytes, is an error naming the rank.
+// bytes, fails rank from.
 func applyReport(b []byte, from int, m *model.Model, peers comm.Peers, res *Result) error {
 	if err := readReport(b, from, m, peers, res); err != nil {
-		return fmt.Errorf("core: rank %d report: %w", from, err)
+		return &failure{rank: from, msg: fmt.Sprintf("report: %v", err)}
 	}
 	return nil
 }
@@ -307,11 +332,10 @@ func readReport(b []byte, from int, m *model.Model, peers comm.Peers, res *Resul
 
 // gatherReports folds every other rank's report into res on rank 0. Reports
 // may already sit in LP 0's spillbox or, defensively, its stash; the rest are
-// awaited on the transport with a bounded timeout. A stop among them ends the
-// wait at once: LP 0 is the one LP nobody tells to stop in a run that ends
-// well, so a link failed or a peer gave up, and its report is not coming. So
-// does a rank whose inbound link has ended (stats.LinkStats.Ended) without
-// its report.
+// awaited on the transport with a bounded timeout. A stop ends the wait at
+// once with the failure it names: a rank failed, or a link did. So does a
+// rank whose inbound link has ended (stats.LinkStats.Ended) without its
+// report.
 func gatherReports(d *dispatcher, m *model.Model, res *Result) error {
 	peers := d.tr.Peers()
 	pending := make(map[int]bool, peers.NumRanks-1)
@@ -320,14 +344,11 @@ func gatherReports(d *dispatcher, m *model.Model, res *Result) error {
 	}
 
 	apply := func(p comm.Packet) error {
-		if p.Kind == comm.PktStop {
-			return fmt.Errorf("core: the run was stopped from outside LP 0 with the reports of ranks %v outstanding", sortedKeys(pending))
-		}
 		if p.Kind != comm.PktReport {
 			return nil // post-termination stragglers (flushed events, GVT echoes)
 		}
 		if !pending[p.From] {
-			return fmt.Errorf("core: duplicate or unexpected end-of-run report from rank %d", p.From)
+			return &failure{rank: p.From, msg: "a duplicate or unexpected end-of-run report"}
 		}
 		delete(pending, p.From)
 		return applyReport(p.Payload, p.From, m, peers, res)
@@ -342,8 +363,8 @@ func gatherReports(d *dispatcher, m *model.Model, res *Result) error {
 
 	// What is still to come reaches the spillbox through the sink. The
 	// workers have stopped, so poll here — and flush: a worker's last flush
-	// wrote what the sockets took, and what they refused may include the stop
-	// a peer is waiting for before it reports. Between looks
+	// wrote what the sockets took, and what they refused may include the
+	// final GVT a peer is waiting for before it reports. Between looks
 	// rank 0 waits as an idle worker does: for the doorbell, armed before the
 	// look, or for the idle tick, which is what notices a socket with room
 	// again for the rest of rank 0's out-buffer.
@@ -357,6 +378,9 @@ func gatherReports(d *dispatcher, m *model.Model, res *Result) error {
 		var seen []stats.LinkStats
 		if links != nil {
 			seen = links.Links() // before the take: a link ends after all it delivered
+		}
+		if f := d.failed.Load(); f != nil {
+			return f
 		}
 		arrived := lp0.spill.take()
 		for _, p := range arrived {

@@ -32,7 +32,7 @@ func pholdTCP2() *model.Model {
 // does to four never-blocking workers on two cores (EXPERIMENTS.md, "A rank
 // takes its share of the host"). The null case is the workload's setup_s:
 // one run to virtual time 1 at the default width — listen, join, build the
-// model on each rank, one GVT computation, the stop, the report, the drains —
+// model on each rank, one GVT computation, the final GVT, the report, the drains —
 // in ms/run. Its hops land on ranks whose workers are waiting (EXPERIMENTS.md,
 // "A rank wakes when its peer writes").
 func BenchmarkPholdTCP2(b *testing.B) {

@@ -343,7 +343,7 @@ func runFleet(t testing.TB, build func() *model.Model, cfg core.Config, trs ...c
 
 // TestDistributedNullRunWakesIdleRanks: a null run over two TCP ranks whose
 // idle tick is a second. Nothing executes before the end time, so the run is
-// its hops: GVT's token into each rank and back, the stop, the report, the
+// its hops: GVT's token into each rank and back, the final GVT, the report, the
 // drains — each into a rank whose worker is waiting. A frame wakes the rank
 // it reaches, through the doorbell its worker armed (behind the hidden
 // wrapper too, which passes Arm through), so the run takes a
@@ -520,14 +520,20 @@ type cutProxy struct {
 	dead    bool
 }
 
-// relay copies src to dst until either fails, then passes the end on.
+// relay copies src to dst until either fails, then passes the end on —
+// unless the proxy has been cut: a cut resets both ends, and a half-close
+// passed on first would show one end a clean end of stream instead.
 func (p *cutProxy) relay(dst, src *net.TCPConn) {
 	buf := make([]byte, 32<<10)
 	for {
 		n, err := src.Read(buf)
 		p.relayed.Add(int64(n))
 		if _, werr := dst.Write(buf[:n]); err != nil || werr != nil {
-			dst.CloseWrite()
+			p.mu.Lock()
+			if !p.dead {
+				dst.CloseWrite()
+			}
+			p.mu.Unlock()
 			return
 		}
 	}
@@ -567,15 +573,25 @@ func newCutProxy(t *testing.T, target string) *cutProxy {
 	return p
 }
 
-func (p *cutProxy) cut() {
-	p.ln.Close()
-	p.mu.Lock()
-	p.dead = true
-	for _, c := range p.conns {
-		c.SetLinger(0) // RST, not FIN
-		c.Close()
+func (p *cutProxy) cut() { cutAll(p) }
+
+// cutAll cuts every proxy in ps at once: none passes a half-close on once
+// any of their connections has been reset.
+func cutAll(ps ...*cutProxy) {
+	for _, p := range ps {
+		p.mu.Lock()
+		p.dead = true
 	}
-	p.mu.Unlock()
+	for _, p := range ps {
+		p.ln.Close()
+		for _, c := range p.conns {
+			c.SetLinger(0) // RST, not FIN
+			c.Close()
+		}
+	}
+	for _, p := range ps {
+		p.mu.Unlock()
+	}
 }
 
 // TestDistributedLinkCutFailsEveryRank: when the link between two ranks dies
@@ -660,15 +676,19 @@ func TestDistributedLinkCutFailsEveryRank(t *testing.T) {
 }
 
 // panicAt is a model object that panics at its nth execution, counted across
-// rollbacks.
+// rollbacks, and notes when in at if that is set.
 type panicAt struct {
 	model.Object
 	n    int64
 	runs atomic.Int64
+	at   *atomic.Int64
 }
 
 func (p *panicAt) Execute(ctx model.Context, st model.State, ev *event.Event) {
 	if p.runs.Add(1) == p.n {
+		if p.at != nil {
+			p.at.Store(time.Now().UnixNano())
+		}
 		panic("boom")
 	}
 	p.Object.Execute(ctx, st, ev)
@@ -676,10 +696,9 @@ func (p *panicAt) Execute(ctx model.Context, st model.State, ev *event.Event) {
 
 // TestDistributedPeerPanicFailsEveryRank: an object panics mid-run, on rank
 // 0 (object 0, on LP 0) or on rank 1 (object 15, on LP 3). Its rank fails
-// with the panic. The other rank is stopped before any GVT past the end time
-// reached it, and must fail too, naming the LP that stopped it and the GVT it
-// had reached — not return a partial Result as if the run had ended, nor
-// wait out the report timeout.
+// with the panic. The other rank gets its stop, and must fail too, naming the
+// rank that failed and the object that panicked — not return a partial Result
+// as if the run had ended, nor wait out the report timeout.
 func TestDistributedPeerPanicFailsEveryRank(t *testing.T) {
 	for _, c := range []struct{ object, lp, rank int }{{0, 0, 0}, {15, 3, 1}} {
 		t.Run(fmt.Sprintf("rank%d", c.rank), func(t *testing.T) {
@@ -714,13 +733,13 @@ func TestDistributedPeerPanicFailsEveryRank(t *testing.T) {
 				buf := make([]byte, 1<<20)
 				t.Fatalf("a rank is still running 20 s after the panic\n%s", buf[:runtime.Stack(buf, true)])
 			}
-			if err := errs[c.rank]; err == nil || !strings.Contains(err.Error(), "panic: boom") {
+			failed := fmt.Sprintf("core: rank %d failed: LP %d, object %d (", c.rank, c.lp, c.object)
+			if err := errs[c.rank]; err == nil || !strings.HasPrefix(err.Error(), failed) || !strings.Contains(err.Error(), "panic: boom") {
 				t.Errorf("rank %d returned %v, want the panic", c.rank, err)
 			}
 			other := 1 - c.rank
-			if err := errs[other]; err == nil || !strings.Contains(err.Error(), fmt.Sprintf("core: rank %d: LP ", other)) ||
-				!strings.Contains(err.Error(), "was stopped by LP ") || !strings.Contains(err.Error(), " at GVT ") {
-				t.Errorf("rank %d returned %v, want an error naming the LP that stopped it and its GVT", other, err)
+			if err := errs[other]; err == nil || !strings.HasPrefix(err.Error(), failed) || !strings.HasSuffix(err.Error(), "panic: boom") {
+				t.Errorf("rank %d returned %v, want an error naming rank %d, its object %d and the panic", other, err, c.rank, c.object)
 			}
 			t.Logf("rank %d: %v", other, errs[other])
 		})

@@ -161,13 +161,9 @@ type lpRun struct {
 	// stash holds the end-of-run rank reports (PktReport) that reach LP 0 of
 	// a distributed run's coordinator while it is still in its loop, for
 	// gatherReports. By protocol that cannot happen — remote ranks report only
-	// after receiving the stop broadcast this LP sent before it stopped — but
-	// stashing is cheaper than being wrong about that.
+	// after applying the final GVT, which this LP broadcast before it applied
+	// it and stopped — but stashing is cheaper than being wrong about that.
 	stash []comm.Packet
-
-	// halt is set when a stop reached this LP before a GVT past the end time
-	// did: a peer failed or gave up, and Run reports it.
-	halt error
 }
 
 // refresh re-keys o in the schedule tree after its input queue changed,
@@ -369,21 +365,17 @@ func (lp *lpRun) handlePacket(p comm.Packet) {
 	case comm.PktGVT:
 		lp.gvtMgr.Apply(p.GVT)
 		lp.applyGVT(p.GVT, p.Window, p.Moves)
+		if p.Final {
+			lp.stop()
+		}
 	case comm.PktReport:
 		lp.stash = append(lp.stash, p)
-	case comm.PktStop:
-		// A run that ends well sends every LP a GVT past the end time before
-		// the stop, on the same FIFO link (finishGVT), and LP 0 no stop at all.
-		if g := lp.gvtMgr.GVT(); !g.After(lp.cfg.EndTime) {
-			lp.halt = fmt.Errorf("LP %d was stopped by LP %d at GVT %s, before the end time %s: a peer failed or gave up",
-				lp.id, p.From, g, lp.cfg.EndTime)
-		}
-		lp.stop()
 	}
 }
 
 // stop ends this LP's part of the run, its objects out of its worker's pick;
-// the last hosted LP to stop retires the workers.
+// the last hosted LP to stop retires the workers. An LP stops when it applies
+// the final GVT; a stop packet never reaches it (dispatcher.deliver).
 func (lp *lpRun) stop() {
 	lp.running = false
 	for _, o := range lp.objs {
@@ -450,11 +442,12 @@ func (lp *lpRun) maybeGVT(force bool) {
 // finishGVT runs on the initiator when a computation completes. LP 0's
 // controllers decide first, at the cut they read (LP 0's newest progress
 // record, the board with LP 0's own edge counts on it); the value and their
-// decisions then go to every LP in one packet, which LP 0 applies too.
-// The simulation terminates once GVT has strictly passed the end time (or
-// the model has drained: GVT == +inf). Strictness matters: GVT equal to the
-// end time still admits an in-flight event with receive time exactly
-// EndTime, which must execute before the simulation may stop.
+// decisions then go to every LP in one packet, which LP 0 applies too. A GVT
+// strictly past the end time (or +inf: the model has drained) is the final
+// one, and the broadcast says so; every LP stops once it has applied it.
+// Strictness matters: GVT equal to the end time still admits an in-flight
+// event with receive time exactly EndTime, which must execute before the
+// simulation may stop.
 func (lp *lpRun) finishGVT(g vtime.Time) {
 	w, moves := lp.window, []partition.Move(nil)
 	if lp.bal != nil {
@@ -464,10 +457,10 @@ func (lp *lpRun) finishGVT(g vtime.Time) {
 	if lp.opt != nil {
 		w = lp.runOptimism()
 	}
-	lp.ep.BroadcastGVT(g, w, moves)
+	final := g.After(lp.cfg.EndTime)
+	lp.ep.BroadcastGVT(g, w, moves, final)
 	lp.applyGVT(g, w, moves)
-	if g.After(lp.cfg.EndTime) {
-		lp.ep.BroadcastStop()
+	if final {
 		lp.stop()
 	}
 }

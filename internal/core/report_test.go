@@ -17,14 +17,16 @@ import (
 	"gowarp/internal/comm"
 	"gowarp/internal/model"
 	"gowarp/internal/stats"
+	"gowarp/internal/vtime"
 )
 
 // TestGatherReportsFlushesBacklog: rank 0's workers never block in a socket
 // write, so when LP 0 stops, what the sockets have refused — here 16 MiB, far
-// more than loopback's buffers hold, with the stop broadcast behind it — sits
-// in rank 0's out-buffer, and the workers that would have flushed it next
-// round are gone. gatherReports has to keep writing while it waits, or the
-// peer never sees the stop, never reports, and rank 0 waits out reportTimeout.
+// more than loopback's buffers hold, with the final GVT behind it — sits in
+// rank 0's out-buffer, and the workers that would have flushed it next round
+// are gone. gatherReports has to keep writing while it waits, or the peer
+// never sees the final GVT, never reports, and rank 0 waits out
+// reportTimeout.
 func TestGatherReportsFlushesBacklog(t *testing.T) {
 	lns := make([]net.Listener, 2)
 	addrs := make([]string, 2)
@@ -63,7 +65,7 @@ func TestGatherReportsFlushesBacklog(t *testing.T) {
 	// Rank 1 files what arrives and does not look at its sockets yet.
 	stopped := make(chan struct{})
 	trs[1].SetSink(func(lp int, p comm.Packet) {
-		if p.Kind == comm.PktStop {
+		if p.Final {
 			close(stopped)
 		}
 	}, func() {})
@@ -83,17 +85,18 @@ func TestGatherReportsFlushesBacklog(t *testing.T) {
 		t.FailNow()
 	}
 
-	// The last rounds of rank 0's workers: events, then the stop, each round
-	// ending in the flush that writes what the socket will take.
+	// The last rounds of rank 0's workers: events, then the final GVT, each
+	// round ending in the flush that writes what the socket will take.
 	const frames, size = 256, 64 << 10
 	payload := make([]byte, size)
 	for i := 0; i < frames; i++ {
 		trs[0].Send(1, comm.Packet{Kind: comm.PktEvents, From: 0, Payload: payload}, size)
 	}
-	trs[0].Send(1, comm.Packet{Kind: comm.PktStop, From: 0}, 0)
+	trs[0].Send(1, comm.Packet{Kind: comm.PktGVT, From: 0, GVT: vtime.PosInf, Final: true}, 0)
 	trs[0].Flush(true)
 
-	// Rank 1 from here on: poll until the stop, report, keep the wire moving.
+	// Rank 1 from here on: poll until the final GVT, report, keep the wire
+	// moving.
 	done := make(chan struct{})
 	var peer sync.WaitGroup
 	peer.Add(1)
@@ -126,7 +129,7 @@ func TestGatherReportsFlushesBacklog(t *testing.T) {
 			t.Errorf("gatherReports: %v", err)
 		}
 	case <-time.After(reportTimeout / 2):
-		t.Error("gatherReports left the stop in rank 0's out-buffer: the peer never saw it")
+		t.Error("gatherReports left the final GVT in rank 0's out-buffer: the peer never saw it")
 	}
 	close(done)
 	peer.Wait()
@@ -321,7 +324,7 @@ func TestReportRefusesForeignRecords(t *testing.T) {
 			if err == nil {
 				t.Fatalf("applied; want an error saying %q", tc.want)
 			}
-			if rank := fmt.Sprintf("core: rank %d report: ", tc.from); !strings.HasPrefix(err.Error(), rank) || !strings.Contains(err.Error(), tc.want) {
+			if rank := fmt.Sprintf("core: rank %d failed: report: ", tc.from); !strings.HasPrefix(err.Error(), rank) || !strings.Contains(err.Error(), tc.want) {
 				t.Errorf("error %q; want one that starts %q and says %q", err, rank, tc.want)
 			}
 		})

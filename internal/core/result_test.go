@@ -87,9 +87,9 @@ func TestWorkerPanicNamesCause(t *testing.T) {
 		atInit  bool
 		want    []string
 	}{
-		{"event-workers1", 1, false, []string{"rank 0, LP 0, object 0 (bomb), event kind 7 at t=", "GVT", "panic: boom\n"}},
-		{"event-workers2", 2, false, []string{"rank 0, LP 0, object 0 (bomb), event kind 7 at t=", "GVT", "panic: boom\n"}},
-		{"init", 1, true, []string{"rank 0, LP 0, object 0 (bomb), Init, GVT", "panic: boom at init\n"}},
+		{"event-workers1", 1, false, []string{"rank 0 failed: LP 0, object 0 (bomb), event kind 7 at t=", "GVT", "panic: boom\n"}},
+		{"event-workers2", 2, false, []string{"rank 0 failed: LP 0, object 0 (bomb), event kind 7 at t=", "GVT", "panic: boom\n"}},
+		{"init", 1, true, []string{"rank 0 failed: LP 0, object 0 (bomb), Init, GVT", "panic: boom at init\n"}},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			m := &model.Model{

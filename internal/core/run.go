@@ -70,20 +70,13 @@ func Run(m *model.Model, cfg Config) (*Result, error) {
 	defer tr.Close() // idempotent; the success path closes explicitly below
 
 	var wg sync.WaitGroup
-	failures := make([]error, len(d.workers))
 	for _, w := range d.workers {
 		wg.Add(1)
 		go func(w *worker) {
 			defer wg.Done()
 			defer func() {
 				if r := recover(); r != nil {
-					failures[w.id] = w.failure(peers.Rank, r, debug.Stack())
-					// Stop the other ranks and retire the other workers so
-					// the run can fail cleanly.
-					if len(w.owned) > 0 {
-						w.owned[0].ep.BroadcastStop()
-					}
-					d.release()
+					d.fail(w.failure(peers.Rank, r, debug.Stack()))
 				}
 			}()
 			w.run()
@@ -91,22 +84,8 @@ func Run(m *model.Model, cfg Config) (*Result, error) {
 	}
 	wg.Wait()
 	elapsed := time.Since(start)
-
-	for _, err := range failures {
-		if err != nil {
-			return nil, err
-		}
-	}
-	// A stop that beat the end: a peer failed. If a link failed, that is
-	// the cause, and Close has it.
-	for _, lp := range locals {
-		if lp.halt == nil {
-			continue
-		}
-		if cerr := tr.Close(); cerr != nil {
-			return nil, fmt.Errorf("core: transport: %w", cerr)
-		}
-		return nil, fmt.Errorf("core: rank %d: %w", peers.Rank, lp.halt)
+	if f := d.failed.Load(); f != nil {
+		return nil, d.abort(f)
 	}
 	// The last sample is of the final GVT, which every hosted LP has applied.
 	d.rough.sample(locals[0].loads[0].at)
@@ -196,19 +175,18 @@ func Run(m *model.Model, cfg Config) (*Result, error) {
 	if peers.Distributed() {
 		if peers.Rank == 0 {
 			if err := gatherReports(d, m, res); err != nil {
-				// A report that never came is the symptom; if a link failed,
-				// that is the cause, and Close has it.
-				if cerr := tr.Close(); cerr != nil {
-					return nil, fmt.Errorf("core: transport: %w", cerr)
-				}
-				return nil, err
+				return nil, d.abort(err)
 			}
 		} else if err := sendReport(tr, peers.Rank, locals, res); err != nil {
-			return nil, err
+			return nil, d.abort(err)
 		}
 	}
 	if cerr := tr.Close(); cerr != nil {
 		return nil, fmt.Errorf("core: transport: %w", cerr)
+	}
+	// A stop that came after the end: rank 0 refused a report.
+	if f := d.failed.Load(); f != nil {
+		return nil, f
 	}
 	if lt, ok := tr.(linkTally); ok {
 		res.Wire = lt.Links()
@@ -216,12 +194,24 @@ func Run(m *model.Model, cfg Config) (*Result, error) {
 	return res, nil
 }
 
+// failure is how a run fails: the rank where it failed and what happened
+// there. stop marks one that arrived as a stop, from another rank or from
+// this rank's transport when a link failed; the others — a panic, a refused
+// report — the kernel found itself.
+type failure struct {
+	rank int
+	msg  string
+	stop bool
+}
+
+func (f *failure) Error() string { return fmt.Sprintf("core: rank %d failed: %s", f.rank, f.msg) }
+
 // failure names what a panic r recovered on w was doing: the owned object
 // whose event was executing — execApp leaves cur set when Execute panics, so
 // the event path stores nothing for this — or, before the worker's first
 // event, the one whose Init ran and whose state queue is still empty; then its
 // LP's GVT, and stack.
-func (w *worker) failure(rank int, r any, stack []byte) error {
+func (w *worker) failure(rank int, r any, stack []byte) *failure {
 	for _, lp := range w.owned {
 		for _, o := range lp.objs {
 			var in string
@@ -233,11 +223,11 @@ func (w *worker) failure(rank int, r any, stack []byte) error {
 			default:
 				continue
 			}
-			return fmt.Errorf("core: rank %d, LP %d, object %d (%s), %s, GVT %s: panic: %v\n%s",
-				rank, lp.id, o.id, o.obj.Name(), in, lp.gvtMgr.GVT(), r, stack)
+			return &failure{rank: rank, msg: fmt.Sprintf("LP %d, object %d (%s), %s, GVT %s: panic: %v\n%s",
+				lp.id, o.id, o.obj.Name(), in, lp.gvtMgr.GVT(), r, stack)}
 		}
 	}
-	return fmt.Errorf("core: rank %d, worker %d: panic: %v\n%s", rank, w.id, r, stack)
+	return &failure{rank: rank, msg: fmt.Sprintf("worker %d: panic: %v\n%s", w.id, r, stack)}
 }
 
 // linkTally is what a socket transport (comm.TCP) says of its links.

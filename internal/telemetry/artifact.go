@@ -7,8 +7,8 @@ import (
 )
 
 // BenchResult is the machine-readable per-experiment artifact written by
-// `twbench -json <dir>` as BENCH_<name>.json, tracking the performance
-// trajectory across commits.
+// `twbench -json <dir>` as BENCH_<name>.json: one figure's rows, for a
+// caller that wants them as data rather than as the printed table.
 type BenchResult struct {
 	// Name is the experiment name (e.g. "fig5").
 	Name string `json:"name"`
