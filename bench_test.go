@@ -91,11 +91,6 @@ func BenchmarkDiskSensitivityAblation(b *testing.B) {
 	benchFigure(b, func(tb exp.Testbed) (exp.Figure, error) { return tb.DiskSensitivityAblation() })
 }
 
-// A5: Time Warp vs the conservative (CMB) baseline across lookahead.
-func BenchmarkConservativeComparison(b *testing.B) {
-	benchFigure(b, func(tb exp.Testbed) (exp.Figure, error) { return tb.ConservativeComparison() })
-}
-
 // Kernel micro-benchmarks: raw committed-event throughput with no synthetic
 // costs, parallel vs sequential, reported as events/sec.
 func BenchmarkKernelPHOLDParallel(b *testing.B) {

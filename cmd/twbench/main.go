@@ -65,7 +65,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("twbench", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		which   = fs.String("exp", "all", "comma-separated experiments: rates,rates_codec,opt,scale,fig5,fig6,fig7,fig8,fig9,ckpt-sweep,gvt-period,ctl-period,disk-sens,tw-vs-cmb or 'all'")
+		which   = fs.String("exp", "all", "comma-separated experiments: rates,rates_codec,opt,scale,fig5,fig6,fig7,fig8,fig9,ckpt-sweep,gvt-period,ctl-period,disk-sens or 'all'")
 		repeat  = fs.Int("repeat", 1, "measured runs averaged per data point")
 		quick   = fs.Bool("quick", false, "shrink workloads ~10x (shape checks)")
 		rates   = fs.Bool("rates", false, "also print committed-event rates per point")
@@ -104,7 +104,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		{"gvt-period", tb.GVTPeriodAblation},
 		{"ctl-period", tb.ControlPeriodAblation},
 		{"disk-sens", tb.DiskSensitivityAblation},
-		{"tw-vs-cmb", tb.ConservativeComparison},
 	}
 	// Every name is checked before anything runs: a typo in the last name
 	// must not cost the minutes of the first.

@@ -2,8 +2,7 @@
 // model (SMMP, RAID, PHOLD, QNet) through the differential oracle — a
 // sequential reference run, then an audited parallel Time Warp run per cell
 // of the checkpointing x cancellation x aggregation configuration matrix,
-// plus a conservative leg where the model guarantees lookahead, plus
-// migration legs (phold-mig, smmp-mig) that re-run the matrix on a
+// plus migration legs (phold-mig, smmp-mig) that re-run the matrix on a
 // deliberately skewed partition with the dynamic load balancer
 // migrating objects mid-run, plus codec legs (phold-codec, smmp-codec,
 // smmp-codec-mig) that re-run it with delta checkpointing and LZ capsule
@@ -60,8 +59,6 @@ type check struct {
 	// end is the virtual end time (drain models use a horizon past every
 	// event they generate).
 	end vtime.Time
-	// lookahead > 0 adds a conservative leg.
-	lookahead vtime.Time
 	// balance, when dynamic, runs every cell with the dynamic load
 	// balancer on — the migration legs of the sweep.
 	balance core.BalanceConfig
@@ -137,7 +134,7 @@ var checks = []check{
 				Locality: 0.2, LPs: 4, Seed: seed,
 			})
 		},
-		end: 1200, lookahead: 1, optimism: core.OptimismConfig{Window: 100},
+		end: 1200, optimism: core.OptimismConfig{Window: 100},
 	},
 	{
 		name: "qnet",
@@ -147,7 +144,7 @@ var checks = []check{
 				Locality: 0.3, LPs: 4, Seed: seed,
 			})
 		},
-		end: 1500, lookahead: 5, optimism: core.OptimismConfig{Window: 200},
+		end: 1500, optimism: core.OptimismConfig{Window: 200},
 	},
 	{
 		name: "smmp",
@@ -220,7 +217,7 @@ var checks = []check{
 				Locality: 0.2, LPs: 4, Seed: seed,
 			})
 		},
-		end: 1200, lookahead: 1, optimism: core.OptimismConfig{Window: 100}, workers: 2,
+		end: 1200, optimism: core.OptimismConfig{Window: 100}, workers: 2,
 	},
 	{
 		name: "phold-default",
@@ -321,7 +318,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 			Name:      c.name,
 			EndTime:   c.end,
 			GVTPeriod: *gvtPeriod,
-			Lookahead: c.lookahead,
 			Balance:   c.balance,
 			Codec:     c.codec,
 			Observe:   c.observe,

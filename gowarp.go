@@ -77,7 +77,6 @@ import (
 	"gowarp/internal/cancel"
 	"gowarp/internal/codec"
 	"gowarp/internal/comm"
-	"gowarp/internal/conservative"
 	"gowarp/internal/core"
 	"gowarp/internal/event"
 	"gowarp/internal/model"
@@ -317,17 +316,6 @@ func RunSequential(m *Model, endTime VTime) (*SeqResult, error) {
 	return core.RunSequential(m, endTime, 0)
 }
 
-// Conservative synchronization (the Chandy-Misra-Bryant null-message
-// protocol), the baseline family Time Warp is contrasted against in the
-// paper's Section 2. The model must honour cfg.Lookahead: every send's delay
-// is at least that far in the future.
-type (
-	// ConservativeConfig parameterizes RunConservative.
-	ConservativeConfig = conservative.Config
-	// ConservativeResult is what RunConservative produces.
-	ConservativeResult = conservative.Result
-)
-
 // Telemetry: structured tracing, live metrics and machine-readable run
 // artifacts (see internal/telemetry).
 type (
@@ -367,11 +355,6 @@ func WriteJSON(path string, v any) error { return telemetry.WriteJSON(path, v) }
 // SortPerObject orders a result's per-object rows (Result.PerObject, indexed
 // by ObjectID as the kernel leaves them) by name, for reports.
 func SortPerObject(s []stats.PerObject) { stats.SortPerObject(s) }
-
-// RunConservative executes m under CMB null-message synchronization.
-func RunConservative(m *Model, cfg ConservativeConfig) (*ConservativeResult, error) {
-	return conservative.Run(m, cfg)
-}
 
 // Runtime invariant auditing (see internal/audit): an Auditor checks the
 // Time Warp invariants on-line — commit/GVT safety, execution order,

@@ -85,9 +85,8 @@ func TestEndOfTime(t *testing.T) {
 	}
 }
 
-// TestExtendedAPI drives the additional public surface: the conservative
-// kernel, partitioning utilities, the extra bundled models, and timeline
-// rendering.
+// TestExtendedAPI drives the additional public surface: partitioning
+// utilities, the extra bundled models, and timeline rendering.
 func TestExtendedAPI(t *testing.T) {
 	// Partitioning.
 	g := gowarp.NewPartitionGraph(6)
@@ -117,20 +116,5 @@ func TestExtendedAPI(t *testing.T) {
 	}
 	if _, err := gowarp.RunSequential(qn, 2000); err != nil {
 		t.Fatal(err)
-	}
-
-	// Conservative kernel agrees with the sequential kernel.
-	m := gowarp.NewPHOLD(gowarp.PHOLDConfig{Objects: 8, TokensPerObject: 2, MeanDelay: 10, LPs: 2, Seed: 5})
-	seq, err := gowarp.RunSequential(m, 1500)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cons, err := gowarp.RunConservative(m, gowarp.ConservativeConfig{EndTime: 1500, Lookahead: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cons.Stats.EventsCommitted != seq.EventsExecuted {
-		t.Errorf("conservative committed %d vs sequential %d",
-			cons.Stats.EventsCommitted, seq.EventsExecuted)
 	}
 }

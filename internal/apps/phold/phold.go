@@ -24,8 +24,7 @@ type Config struct {
 	// MeanDelay is the mean of the exponential virtual-time hop delay.
 	MeanDelay float64
 	// MinDelay is a hard lower bound added to every hop delay — the
-	// model's lookahead guarantee, which conservative synchronization
-	// exploits. Default 1.
+	// model's lookahead. Default 1.
 	MinDelay int64
 	// Locality is the probability that a token stays on the sender's LP
 	// (0 = always remote when possible, 1 = always local), controlling the

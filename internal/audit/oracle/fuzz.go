@@ -116,24 +116,14 @@ func (s FuzzSpec) Model() *model.Model {
 	})
 }
 
-// Lookahead returns the model family's guaranteed minimum send delay, used
-// for the conservative leg.
-func (s FuzzSpec) Lookahead() vtime.Time {
-	if s.ModelName == "qnet" {
-		return 5 // qnet's fixed TransitDelay
-	}
-	return 1 // phold's MinDelay
-}
-
 // Options returns the oracle options for the spec: the one selected matrix
-// cell plus a conservative leg.
+// cell.
 func (s FuzzSpec) Options() Options {
 	return Options{
-		Name:      s.ModelName,
-		EndTime:   s.EndTime,
-		Optimism:  s.Optimism,
-		Lookahead: s.Lookahead(),
-		Workers:   s.Workers,
-		Cells:     Matrix()[s.Cell : s.Cell+1],
+		Name:     s.ModelName,
+		EndTime:  s.EndTime,
+		Optimism: s.Optimism,
+		Workers:  s.Workers,
+		Cells:    Matrix()[s.Cell : s.Cell+1],
 	}
 }

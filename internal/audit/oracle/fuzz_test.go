@@ -6,9 +6,9 @@ import (
 
 // FuzzKernelOracle decodes fuzzer bytes into a random PHOLD or queueing-
 // network scenario plus one configuration-matrix cell, then runs the full
-// differential oracle on it: sequential reference, conservative kernel, and
-// an audited parallel Time Warp run must all agree on committed events and
-// final states, with zero invariant violations.
+// differential oracle on it: the sequential reference and an audited parallel
+// Time Warp run must agree on committed events and final states, with zero
+// invariant violations.
 //
 // Reproduce a failure:
 //

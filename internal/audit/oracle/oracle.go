@@ -2,10 +2,9 @@
 // one model through the sequential reference kernel, then through the
 // parallel Time Warp kernel under every cell of a configuration matrix
 // (checkpointing x cancellation x aggregation) with the runtime invariant
-// auditor enabled, and optionally through the conservative
-// kernel. Any divergence — committed-event counts, final-state hashes, or an
-// audit violation — is a kernel bug: the configuration facets must never
-// change simulation semantics.
+// auditor enabled. Any divergence — committed-event counts, final-state
+// hashes, or an audit violation — is a kernel bug: the configuration facets
+// must never change simulation semantics.
 package oracle
 
 import (
@@ -17,7 +16,6 @@ import (
 	"gowarp/internal/cancel"
 	"gowarp/internal/codec"
 	"gowarp/internal/comm"
-	"gowarp/internal/conservative"
 	"gowarp/internal/core"
 	"gowarp/internal/model"
 	"gowarp/internal/statesave"
@@ -120,10 +118,6 @@ type Options struct {
 	// controller throttles when LPs may execute, never what they commit, so
 	// every differential and invariant check applies unchanged with it on.
 	Optimism core.OptimismConfig
-	// Lookahead, when positive, adds one conservative-kernel leg using this
-	// as the CMB lookahead. It must not exceed the model's true minimum
-	// send delay.
-	Lookahead vtime.Time
 	// Balance, when dynamic, turns on the dynamic load balancer in every
 	// parallel leg — the migration-on slice of the matrix. Object migration
 	// must never change simulation semantics, so every differential and
@@ -178,11 +172,8 @@ type Report struct {
 	EndTime     vtime.Time
 	RefExecuted int64
 	RefHash     uint64
-	// ConservativeCommitted is -1 when no conservative leg ran.
-	ConservativeCommitted int64
-	ConservativeMismatch  string
-	Cells                 []CellResult
-	TotalChecks           int64
+	Cells       []CellResult
+	TotalChecks int64
 }
 
 // Failed returns the cells that diverged, violated an invariant, or errored.
@@ -200,7 +191,7 @@ func (r *Report) Failed() []CellResult {
 // invariant check.
 func (r *Report) Err() error {
 	failed := r.Failed()
-	if len(failed) == 0 && r.ConservativeMismatch == "" {
+	if len(failed) == 0 {
 		return nil
 	}
 	var b strings.Builder
@@ -211,9 +202,6 @@ func (r *Report) Err() error {
 			break
 		}
 		fmt.Fprintf(&b, "; [%s] %s", c.Cell.Name(), c.failure())
-	}
-	if r.ConservativeMismatch != "" {
-		fmt.Fprintf(&b, "; [conservative] %s", r.ConservativeMismatch)
 	}
 	return fmt.Errorf("%s", b.String())
 }
@@ -235,13 +223,6 @@ func (r *Report) Render() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "oracle %s: end=%s reference executed=%d hash=%016x\n",
 		r.Model, r.EndTime, r.RefExecuted, r.RefHash)
-	if r.ConservativeCommitted >= 0 {
-		status := "ok"
-		if r.ConservativeMismatch != "" {
-			status = "FAIL " + r.ConservativeMismatch
-		}
-		fmt.Fprintf(&b, "  %-28s committed=%-8d %s\n", "conservative", r.ConservativeCommitted, status)
-	}
 	for _, c := range r.Cells {
 		status := "ok"
 		if !c.ok() {
@@ -276,25 +257,10 @@ func Run(m *model.Model, opts Options) (*Report, error) {
 		return nil, fmt.Errorf("oracle: sequential reference: %w", err)
 	}
 	rep := &Report{
-		Model:                 opts.Name,
-		EndTime:               opts.EndTime,
-		RefExecuted:           seq.EventsExecuted,
-		RefHash:               audit.HashStates(seq.FinalStates),
-		ConservativeCommitted: -1,
-	}
-
-	if opts.Lookahead > 0 {
-		cons, err := conservative.Run(m, conservative.Config{
-			EndTime:   opts.EndTime,
-			Lookahead: opts.Lookahead,
-		})
-		if err != nil {
-			rep.ConservativeMismatch = fmt.Sprintf("run failed: %v", err)
-		} else {
-			rep.ConservativeCommitted = cons.Stats.EventsCommitted
-			rep.ConservativeMismatch = diff(seq, cons.Stats.EventsCommitted,
-				audit.HashStates(cons.FinalStates), rep.RefHash)
-		}
+		Model:       opts.Name,
+		EndTime:     opts.EndTime,
+		RefExecuted: seq.EventsExecuted,
+		RefHash:     audit.HashStates(seq.FinalStates),
 	}
 
 	for _, cell := range cells {

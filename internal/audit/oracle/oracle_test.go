@@ -63,13 +63,12 @@ func TestMatrixShape(t *testing.T) {
 
 // TestOracleMatrixPHOLD is the heart of the harness: a contentious PHOLD
 // instance through the full 27-cell matrix (the 9-cell diagonal under
-// -short), every parallel leg audited, plus a conservative leg.
+// -short), every parallel leg audited.
 func TestOracleMatrixPHOLD(t *testing.T) {
 	opts := Options{
-		Name:      "phold",
-		EndTime:   1200,
-		Optimism:  core.OptimismConfig{Window: 100},
-		Lookahead: 1,
+		Name:     "phold",
+		EndTime:  1200,
+		Optimism: core.OptimismConfig{Window: 100},
 	}
 	if testing.Short() {
 		opts.Cells = Diagonal()
@@ -84,16 +83,12 @@ func TestOracleMatrixPHOLD(t *testing.T) {
 	if rep.TotalChecks == 0 {
 		t.Error("no invariant checks ran")
 	}
-	if rep.ConservativeCommitted < 0 {
-		t.Error("conservative leg did not run")
-	}
 }
 
 func TestReportErrSurfacesFailures(t *testing.T) {
 	rep := &Report{
-		Model:                 "synthetic",
-		RefExecuted:           100,
-		ConservativeCommitted: -1,
+		Model:       "synthetic",
+		RefExecuted: 100,
 		Cells: []CellResult{
 			{Cell: Matrix()[0], Committed: 100},
 			{Cell: Matrix()[1], Committed: 99, Mismatch: "committed 99 events, reference executed 100"},

@@ -245,15 +245,10 @@ func TestControlPackets(t *testing.T) {
 		t.Fatalf("token mangled: %+v", p)
 	}
 	eps[0].BroadcastGVT(77, 500, nil, true)
-	eps[0].BroadcastStop()
 	for i := 1; i < 3; i++ {
 		g := <-eps[i].Recv()
 		if g.Kind != PktGVT || g.GVT != 77 || g.Window != 500 || !g.Final {
 			t.Fatalf("GVT broadcast mangled: %+v", g)
-		}
-		s := <-eps[i].Recv()
-		if s.Kind != PktStop {
-			t.Fatalf("stop broadcast mangled: %+v", s)
 		}
 	}
 	select {
@@ -350,18 +345,5 @@ func TestInProcSink(t *testing.T) {
 func TestPolicyStrings(t *testing.T) {
 	if NoAggregation.String() != "none" || FAW.String() != "faw" || SAAW.String() != "saaw" {
 		t.Error("policy names broken")
-	}
-}
-
-func TestNullPackets(t *testing.T) {
-	n := NewInProc(2)
-	var st [2]stats.Counters
-	e0 := NewEndpoint(n, 0, AggConfig{}, &st[0])
-	e1 := NewEndpoint(n, 1, AggConfig{}, &st[1])
-	_ = e0
-	e1.SendNull(0, 123)
-	p := <-e0.Recv()
-	if p.Kind != PktNull || p.Bound != 123 || p.From != 1 {
-		t.Fatalf("null packet mangled: %+v", p)
 	}
 }

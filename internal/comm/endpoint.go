@@ -15,7 +15,7 @@ import (
 type Endpoint struct {
 	lp  int
 	tr  Sender
-	rx  <-chan Packet // nil when built over a bare Sender
+	rx  <-chan Packet // nil when built over a bare Sender (NewSendEndpoint)
 	cfg AggConfig
 	st  *stats.Counters
 
@@ -125,7 +125,9 @@ func (e *Endpoint) recycleWire(b []byte) {
 const minWireCompress = 64
 
 // NewEndpoint attaches lp to the transport with the given aggregation
-// configuration, accounting into st. lp must be hosted in this process.
+// configuration, accounting into st. lp must be hosted in this process. Its
+// receive half (Recv) reads the transport's channels, so the transport must
+// have no sink; benchmark/layers.go is the one caller left.
 func NewEndpoint(tr Transport, lp int, cfg AggConfig, st *stats.Counters) *Endpoint {
 	e := NewSendEndpoint(tr, tr.Peers().NumLPs, lp, cfg, st)
 	e.rx = tr.Recv(lp)
@@ -417,11 +419,6 @@ func (e *Endpoint) ReceiveMigration(p Packet) {
 	e.recv[p.Color&1]++
 }
 
-// SendNull sends a CMB null message promising no event below bound.
-func (e *Endpoint) SendNull(dst int, bound vtime.Time) {
-	e.tr.Send(dst, Packet{Kind: PktNull, From: e.lp, Bound: bound}, controlBytes)
-}
-
 // SendToken forwards the GVT token to dst.
 func (e *Endpoint) SendToken(dst int, t Token) {
 	e.tr.Send(dst, Packet{Kind: PktToken, From: e.lp, Token: t}, controlBytes)
@@ -437,17 +434,5 @@ func (e *Endpoint) BroadcastGVT(gvt, window vtime.Time, moves []partition.Move, 
 			continue
 		}
 		e.tr.Send(dst, Packet{Kind: PktGVT, From: e.lp, GVT: gvt, Window: window, Moves: moves, Final: final}, controlBytes)
-	}
-}
-
-// BroadcastStop tells every other LP to terminate: the conservative kernel's
-// stop, a bare one from this LP (the Time Warp kernel sends StopPacket, one a
-// rank).
-func (e *Endpoint) BroadcastStop() {
-	for dst := range e.bufs {
-		if dst == e.lp {
-			continue
-		}
-		e.tr.Send(dst, Packet{Kind: PktStop, From: e.lp}, controlBytes)
 	}
 }

@@ -28,11 +28,12 @@ const (
 	// PktStop says the run has failed: From is the rank that failed and
 	// Payload one line saying why (see StopPacket). The Time Warp kernel sends
 	// one to each other rank; a rank that receives one stops its workers and
-	// fails its run naming that rank. The conservative kernel sends its LPs a
-	// bare one, From its own LP, when one of them panics.
+	// fails its run naming that rank.
 	PktStop
-	// PktNull is a conservative-kernel (Chandy-Misra-Bryant) null message:
-	// a promise that the sender will emit no event below Bound.
+	// PktNull is a Chandy-Misra-Bryant null message: a promise that the
+	// sender will emit no event below Bound. No kernel sends one; the kind
+	// and its wire arm stay because benchmark/layers.go frames it as its
+	// control packet.
 	PktNull
 	// PktMigrate carries a packed simulation object between LPs. It is
 	// color-accounted like an events packet (see Endpoint.SendMigration) so
@@ -128,8 +129,7 @@ const controlBytes = 32
 type Option func(*inprocOptions)
 
 type inprocOptions struct {
-	cost       CostModel
-	inboxDepth int
+	cost CostModel
 }
 
 // WithCost sets the simulated communication cost model charged on every
@@ -138,28 +138,21 @@ func WithCost(c CostModel) Option {
 	return func(o *inprocOptions) { o.cost = c }
 }
 
-// minInboxDepth is the per-LP inbox channel capacity of both transports
-// (InProc's minimum and default). A transport with a sink — every one the
-// Time Warp kernel runs over — makes no channels; the conservative kernel,
-// which selects on them, is the one caller that asks for more.
+// minInboxDepth is the per-LP inbox channel capacity of both transports. A
+// transport with a sink — every one the Time Warp kernel runs over — makes no
+// channels; benchmark/layers.go, which reads them, is their one caller.
 const minInboxDepth = 1024
-
-// WithInboxDepth sets the per-LP inbox channel capacity (minimum and
-// default 1024).
-func WithInboxDepth(d int) Option {
-	return func(o *inprocOptions) { o.inboxDepth = d }
-}
 
 // InProc is the in-process Transport: it connects n logical processes living
 // in this OS process under a shared simulated cost model. It is what a Time
 // Warp run without a Config.Transport uses: with a sink, Send charges the
 // cost and hands the packet to the sink on the sender's goroutine, so nothing
 // is ever pending and Poll, Flush and Arm have nothing to do. Without one it
-// delivers into buffered channel inboxes, made on first use. It is created
-// once per simulation run. The zero-cost, default-depth form is NewInProc(n).
+// delivers into buffered channel inboxes, made on first use; only
+// benchmark/layers.go runs one that way. It is created once per simulation
+// run. The zero-cost form is NewInProc(n).
 type InProc struct {
 	cost      CostModel
-	depth     int
 	local     []int
 	sink      func(lp int, p Packet)
 	inboxes   []chan Packet
@@ -172,7 +165,7 @@ func NewInProc(n int, opts ...Option) *InProc {
 	for _, opt := range opts {
 		opt(&o)
 	}
-	nw := &InProc{cost: o.cost, depth: max(o.inboxDepth, minInboxDepth), local: make([]int, n)}
+	nw := &InProc{cost: o.cost, local: make([]int, n)}
 	for i := range nw.local {
 		nw.local[i] = i
 	}
@@ -185,7 +178,7 @@ func (n *InProc) inbox(lp int) chan Packet {
 	n.inboxOnce.Do(func() {
 		n.inboxes = make([]chan Packet, len(n.local))
 		for i := range n.inboxes {
-			n.inboxes[i] = make(chan Packet, n.depth)
+			n.inboxes[i] = make(chan Packet, minInboxDepth)
 		}
 	})
 	return n.inboxes[lp]

@@ -57,10 +57,11 @@ import (
 //     notice a frame only at its next timer, and on Linux Go rounds any timer
 //     under a millisecond up to one when every P is idle.
 //   - The reader driver is everything else: a transport nobody called
-//     SetSink on (the conservative kernel), and a sink-mode TCP where the
-//     non-blocking calls are missing. One reader goroutine per peer blocks in
-//     Read and delivers what it parses, and Send writes its frame out before
-//     returning; Poll, Flush and Arm then have nothing to do.
+//     SetSink on (benchmark/layers.go's, the one caller that reads the
+//     channels), and a sink-mode TCP where the non-blocking calls are
+//     missing. One reader goroutine per peer blocks in Read and delivers
+//     what it parses, and Send writes its frame out before returning; Poll,
+//     Flush and Arm then have nothing to do.
 //
 // Shutdown (Close) flushes what is still buffered, half-closes every outbound
 // connection to signal "done sending", drains inbound until every peer has

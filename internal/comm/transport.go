@@ -14,8 +14,8 @@ package comm
 // arm the transport at moments they choose — TCP's sockets are read and
 // written by the workers themselves, because workers that never block leave
 // no core for a reader goroutine to notice an arrival on. A transport nobody
-// gave a sink delivers into the channels Recv returns; the conservative
-// kernel's LPs select on them directly.
+// gave a sink delivers into the channels Recv returns; benchmark/layers.go is
+// the one caller left that reads them.
 //
 // The contract:
 //

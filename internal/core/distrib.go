@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"slices"
 	"sort"
 	"time"
 
@@ -47,7 +48,8 @@ import (
 //
 // A run that fails ends by a stop from the rank where it failed (abort),
 // which reaches a rank running, reporting or draining its links: so a report
-// rank 0 refuses fails every rank.
+// rank 0 refuses fails every rank. A report that never comes fails them too:
+// rank 0 sends the others a stop naming the rank whose report is missing.
 
 // reportTimeout bounds how long rank 0 waits for the other ranks' end-of-run
 // reports. A missing report means a peer process died after termination was
@@ -90,18 +92,25 @@ func checkDistributed(m *model.Model, cfg *Config) error {
 // is the cause, and Close returns its error.
 func (d *dispatcher) abort(err error) error {
 	f, _ := err.(*failure)
-	if peers := d.tr.Peers(); f != nil && (!f.stop || f.rank == peers.Rank) {
-		for r := 0; r < peers.NumRanks; r++ {
-			if r != peers.Rank {
-				d.tr.Send(comm.BlockRanks(peers.NumLPs, peers.NumRanks, r)[0], comm.StopPacket(f.rank, f.msg), 0)
-			}
-		}
-		d.tr.Flush(true)
+	if f != nil && (!f.stop || f.rank == d.tr.Peers().Rank) {
+		d.stopRanks(f.rank, f.msg, nil)
 	}
 	if cerr := d.tr.Close(); cerr != nil && (f == nil || f.stop) {
 		return fmt.Errorf("core: transport: %w", cerr)
 	}
 	return err
+}
+
+// stopRanks sends every other rank but those in skip a stop naming rank and
+// why, and flushes it out.
+func (d *dispatcher) stopRanks(rank int, why string, skip []int) {
+	peers := d.tr.Peers()
+	for r := 0; r < peers.NumRanks; r++ {
+		if r != peers.Rank && !slices.Contains(skip, r) {
+			d.tr.Send(comm.BlockRanks(peers.NumLPs, peers.NumRanks, r)[0], comm.StopPacket(rank, why), 0)
+		}
+	}
+	d.tr.Flush(true)
 }
 
 // sendReport ships this rank's slice of the results to the coordinator as
@@ -335,7 +344,9 @@ func readReport(b []byte, from int, m *model.Model, peers comm.Peers, res *Resul
 // awaited on the transport with a bounded timeout. A stop ends the wait at
 // once with the failure it names: a rank failed, or a link did. So does a
 // rank whose inbound link has ended (stats.LinkStats.Ended) without its
-// report.
+// report, and so does the timeout; then every rank still listening — all but
+// those whose link has ended, or, at the timeout, those that never reported —
+// gets a stop naming the first rank whose report is missing.
 func gatherReports(d *dispatcher, m *model.Model, res *Result) error {
 	peers := d.tr.Peers()
 	pending := make(map[int]bool, peers.NumRanks-1)
@@ -388,10 +399,15 @@ func gatherReports(d *dispatcher, m *model.Model, res *Result) error {
 				return err
 			}
 		}
+		var gone []int
 		for _, l := range seen {
 			if l.Ended && pending[l.Peer] {
-				return fmt.Errorf("core: rank 0: rank %d closed its link before it reported", l.Peer)
+				gone = append(gone, l.Peer)
 			}
+		}
+		if len(gone) > 0 {
+			d.stopRanks(gone[0], "closed its link before it reported", gone)
+			return fmt.Errorf("core: rank 0: rank %d closed its link before it reported", gone[0])
 		}
 		if len(arrived) > 0 {
 			continue
@@ -400,7 +416,9 @@ func gatherReports(d *dispatcher, m *model.Model, res *Result) error {
 		case <-d.workers[0].wake: // the ring; the workers have stopped
 		case <-time.After(d.idleTick):
 		case <-deadline.C:
-			return fmt.Errorf("core: timed out after %v waiting for end-of-run reports from ranks %v", reportTimeout, sortedKeys(pending))
+			missing := sortedKeys(pending)
+			d.stopRanks(missing[0], fmt.Sprintf("sent no end-of-run report within %v", reportTimeout), missing)
+			return fmt.Errorf("core: timed out after %v waiting for end-of-run reports from ranks %v", reportTimeout, missing)
 		}
 	}
 	return nil

@@ -139,20 +139,30 @@ func kernelGoroutines() int {
 //     it sends its report, after it has applied the final GVT.
 //   - corrupt-report: the failing rank's report carries a byte too many;
 //     rank 0 refuses it and every rank fails naming the failing rank.
+//   - lost-report: the failing rank's report is dropped as it leaves, and its
+//     link half-closes behind it. Rank 0 fails with its own account of the
+//     loss, and the rank that did report fails naming the failing rank. The
+//     failing rank sent its report and is told nothing: it returns success.
 //
 // Skipped, since they cannot happen in process (one rank, no links and no
-// report): inproc's link-cut, exit-after-final-gvt and corrupt-report.
+// report): inproc's link-cut, exit-after-final-gvt, corrupt-report and
+// lost-report. Skipped too: tcp2's lost-report, where no rank but the failing
+// one reports (TestDistributedReportLostToHalfClose is that case).
 func TestFailuresNameTheFailingRank(t *testing.T) {
-	inProcess := map[string]string{
-		"link-cut":             "one rank has no links to cut",
-		"exit-after-final-gvt": "one rank has no peer to exit from",
-		"corrupt-report":       "one rank sends no report",
+	skip := map[string]map[int]string{
+		"link-cut":             {1: "one rank has no links to cut"},
+		"exit-after-final-gvt": {1: "one rank has no peer to exit from"},
+		"corrupt-report":       {1: "one rank sends no report"},
+		"lost-report": {
+			1: "one rank sends no report",
+			2: "no other rank reports; TestDistributedReportLostToHalfClose covers two ranks",
+		},
 	}
-	for _, kind := range []string{"model-panic", "kernel-panic", "link-cut", "exit-after-final-gvt", "corrupt-report"} {
+	for _, kind := range []string{"model-panic", "kernel-panic", "link-cut", "exit-after-final-gvt", "corrupt-report", "lost-report"} {
 		for _, ranks := range []int{1, 2, 3} {
 			fleetName := map[int]string{1: "inproc", 2: "tcp2", 3: "tcp3"}[ranks]
 			t.Run(kind+"/"+fleetName, func(t *testing.T) {
-				if why, ok := inProcess[kind]; ok && ranks == 1 {
+				if why, ok := skip[kind][ranks]; ok {
 					t.Skip(why)
 				}
 				failRun(t, kind, ranks)
@@ -182,8 +192,10 @@ func failRun(t *testing.T, kind string, ranks int) {
 	cfg.GVTPeriod = 200 * time.Microsecond
 	cfg.Optimism.Window = 2000
 
-	// want says what is wrong with rank r's error, if anything.
+	// want says what is wrong with rank r's error, if anything; the rank
+	// succeeds, if any, must return no error at all.
 	var want func(r int, err error) string
+	succeeds := -1
 	failing := fmt.Sprintf("core: rank %d failed: ", bad)
 	switch kind {
 	case "model-panic":
@@ -260,6 +272,26 @@ func failRun(t *testing.T, kind string, ranks int) {
 				return ""
 			}
 		}
+	case "lost-report":
+		cfg.EndTime = 3000
+		f.trs[bad] = faulty{f.trs[bad], func(_ int, p *comm.Packet) bool {
+			if p.Kind == comm.PktReport {
+				now()
+				return false
+			}
+			return true
+		}}
+		succeeds = bad
+		lost := fmt.Sprintf("core: rank 0: rank %d closed its link before it reported", bad)
+		want = func(r int, err error) string {
+			switch msg := err.Error(); {
+			case r == 0 && msg != lost:
+				return fmt.Sprintf("%q", lost)
+			case r != 0 && !strings.HasPrefix(msg, failing):
+				return fmt.Sprintf("an error beginning %q", failing)
+			}
+			return ""
+		}
 	}
 
 	errs := make([]error, ranks)
@@ -289,6 +321,10 @@ func failRun(t *testing.T, kind string, ranks int) {
 	failedAt := time.Unix(0, at.Load())
 	for r, err := range errs {
 		switch {
+		case r == succeeds:
+			if err != nil {
+				t.Errorf("rank %d returned %v, want success", r, err)
+			}
 		case err == nil:
 			t.Errorf("rank %d returned success", r)
 		case want(r, err) != "":

@@ -184,7 +184,8 @@ func Run(m *model.Model, cfg Config) (*Result, error) {
 	if cerr := tr.Close(); cerr != nil {
 		return nil, fmt.Errorf("core: transport: %w", cerr)
 	}
-	// A stop that came after the end: rank 0 refused a report.
+	// A stop that came after the end: rank 0 refused a report, or found one
+	// missing.
 	if f := d.failed.Load(); f != nil {
 		return nil, f
 	}

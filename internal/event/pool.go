@@ -46,8 +46,8 @@ package event
 //
 // All methods are safe on a nil *Pool and fall back to plain allocation: a
 // nil pool neither counts holders nor recycles, so optional layers (the
-// conservative and sequential kernels, tests) run unpooled and leave every
-// lifetime to the garbage collector.
+// sequential kernel, tests) run unpooled and leave every lifetime to the
+// garbage collector.
 //
 // A Pool is padded to 64 bytes, a cache line, and Go's allocator starts
 // objects of that size on 64-byte boundaries, so each worker's pool has a
