@@ -4,25 +4,24 @@ import (
 	"time"
 )
 
-// ConfigBuilder assembles a Config facet by facet. Every facet follows the
-// same shape — a Mode selecting the policy, the policy's static parameters,
-// and (for adaptive modes) a controller block — so the builder reads as six
-// parallel WithX calls plus kernel-level knobs:
+// ConfigBuilder assembles a Config facet by facet: five facets by their mode,
+// with the one parameter each most often takes, and the tracer, transport and
+// width:
 //
 //	cfg := gowarp.NewConfig(100_000).
 //		WithCheckpoint(gowarp.DynamicCheckpointing, 4).
 //		WithCancellation(gowarp.DynamicCancellation).
 //		WithAggregation(gowarp.SAAW, 50*time.Microsecond).
-//		WithBalance(gowarp.BalanceDynamic).
 //		WithCodec(gowarp.CodecDynamic, gowarp.LZCompression).
 //		WithOptimism(gowarp.OptimismAdaptive, 2000).
 //		Build()
 //
 // Unset facets keep the DefaultConfig baseline (periodic check-pointing,
 // aggressive cancellation, no aggregation, static placement, codec off,
-// static unbounded optimism).
-// For parameters beyond the common ones, the WithXConfig variants accept the
-// facet's full config struct.
+// static unbounded optimism). Everything else — a facet's full block, the
+// load balancer, the cost model, the GVT period, the event cost, the metrics
+// registry and the auditor — is a field of the Config that Build returns:
+// set it there.
 type ConfigBuilder struct {
 	cfg Config
 }
@@ -40,21 +39,9 @@ func (b *ConfigBuilder) WithCheckpoint(mode CheckpointMode, interval int) *Confi
 	return b
 }
 
-// WithCheckpointConfig sets the full check-pointing facet config.
-func (b *ConfigBuilder) WithCheckpointConfig(c CheckpointConfig) *ConfigBuilder {
-	b.cfg.Checkpoint = c
-	return b
-}
-
 // WithCancellation selects the cancellation strategy.
 func (b *ConfigBuilder) WithCancellation(mode CancellationMode) *ConfigBuilder {
 	b.cfg.Cancellation = CancellationConfig{Mode: mode}
-	return b
-}
-
-// WithCancellationConfig sets the full cancellation facet config.
-func (b *ConfigBuilder) WithCancellationConfig(c CancellationConfig) *ConfigBuilder {
-	b.cfg.Cancellation = c
 	return b
 }
 
@@ -65,46 +52,9 @@ func (b *ConfigBuilder) WithAggregation(policy AggregationPolicy, window time.Du
 	return b
 }
 
-// WithAggregationConfig sets the full aggregation facet config.
-func (b *ConfigBuilder) WithAggregationConfig(c AggregationConfig) *ConfigBuilder {
-	b.cfg.Aggregation = c
-	return b
-}
-
-// WithBalance selects the load-balance mode with default controller tuning.
-func (b *ConfigBuilder) WithBalance(mode BalanceMode) *ConfigBuilder {
-	b.cfg.Balance = BalanceConfig{Mode: mode}
-	return b
-}
-
-// WithBalanceConfig sets the full load-balance facet config.
-func (b *ConfigBuilder) WithBalanceConfig(c BalanceConfig) *ConfigBuilder {
-	b.cfg.Balance = c
-	return b
-}
-
-// WithCodec selects the state-codec mode and compression with default
-// controller tuning.
+// WithCodec selects the state-codec mode and compression.
 func (b *ConfigBuilder) WithCodec(mode CodecMode, comp CodecCompression) *ConfigBuilder {
 	b.cfg.Codec = CodecConfig{Mode: mode, Compression: comp}
-	return b
-}
-
-// WithCodecConfig sets the full state-codec facet config.
-func (b *ConfigBuilder) WithCodecConfig(c CodecConfig) *ConfigBuilder {
-	b.cfg.Codec = c
-	return b
-}
-
-// WithCostModel sets the simulated communication cost model.
-func (b *ConfigBuilder) WithCostModel(cm CostModel) *ConfigBuilder {
-	b.cfg.Cost = cm
-	return b
-}
-
-// WithGVTPeriod sets the wall-clock interval between GVT computations.
-func (b *ConfigBuilder) WithGVTPeriod(d time.Duration) *ConfigBuilder {
-	b.cfg.GVTPeriod = d
 	return b
 }
 
@@ -116,33 +66,9 @@ func (b *ConfigBuilder) WithOptimism(mode OptimismMode, window VTime) *ConfigBui
 	return b
 }
 
-// WithOptimismConfig sets the full optimism facet config.
-func (b *ConfigBuilder) WithOptimismConfig(c OptimismConfig) *ConfigBuilder {
-	b.cfg.Optimism = c
-	return b
-}
-
-// WithEventCost sets the CPU burn charged per event execution.
-func (b *ConfigBuilder) WithEventCost(d time.Duration) *ConfigBuilder {
-	b.cfg.EventCost = d
-	return b
-}
-
 // WithTracer attaches a structured trace recorder.
 func (b *ConfigBuilder) WithTracer(t *Tracer) *ConfigBuilder {
 	b.cfg.Tracer = t
-	return b
-}
-
-// WithMetrics attaches a live metrics registry.
-func (b *ConfigBuilder) WithMetrics(reg *MetricsRegistry) *ConfigBuilder {
-	b.cfg.Metrics = reg
-	return b
-}
-
-// WithAudit attaches a runtime invariant auditor.
-func (b *ConfigBuilder) WithAudit(a *Auditor) *ConfigBuilder {
-	b.cfg.Audit = a
 	return b
 }
 

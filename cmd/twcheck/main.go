@@ -121,7 +121,6 @@ var adaptiveOptimism = core.OptimismConfig{
 	Period:    1,
 	HighWater: 0.3,
 	LowWater:  0.1,
-	Factor:    2,
 	MinSample: 16,
 }
 

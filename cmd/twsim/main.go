@@ -64,9 +64,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		partitionMode = fs.String("partition", "", "override the model's object placement: block, rr, greedy (greedy probes a sequential prefix and partitions the measured communication graph)")
 
 		balanceSpec = fs.String("balance", "off", "load-balance facet spec: off, dynamic, or dynamic,period=N,high=F,low=F,moves=N,min-sample=N")
-		optSpec     = fs.String("optimism", "off", "optimism facet spec: off, static,window=N, or adaptive[,window=N,min=N,max=N,period=N,high=F,low=F,factor=F,min-sample=N,rough=F]")
+		optSpec     = fs.String("optimism", "off", "optimism facet spec: off, static,window=N, or adaptive[,window=N,min=N,max=N,period=N,high=F,low=F,min-sample=N]")
 
-		codecSpec = fs.String("codec", "off", "state-codec facet spec: off, lz, full[,lz], delta[,lz], dynamic[,lz][,period=N][,low=F][,high=F]")
+		codecSpec = fs.String("codec", "off", "state-codec facet spec: off, lz, full[,lz], delta[,lz], dynamic[,lz]")
 
 		transportFlag = fs.String("transport", "inproc", "transport spec: inproc, or tcp,rank=N,peers=HOST:PORT;HOST:PORT;... [,listen=ADDR][,timeout=DUR] — start every rank of one run with the same peers list and its own rank; rank 0 gathers the full results")
 
@@ -232,10 +232,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	case "periodic":
 		cfg.Checkpoint = gowarp.CheckpointConfig{Mode: gowarp.PeriodicCheckpointing, Interval: *interval}
 	case "dynamic":
-		cfg.Checkpoint = gowarp.CheckpointConfig{
-			Mode: gowarp.DynamicCheckpointing, Interval: *interval,
-			MinInterval: 1, MaxInterval: 64, Period: 256,
-		}
+		cfg.Checkpoint = gowarp.CheckpointConfig{Mode: gowarp.DynamicCheckpointing, Interval: *interval, Period: 256}
 	default:
 		return fail(fmt.Errorf("unknown checkpoint mode %q", *ckptMode))
 	}

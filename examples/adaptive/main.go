@@ -30,14 +30,20 @@ func model() *gowarp.Model {
 }
 
 func base() *gowarp.ConfigBuilder {
-	return gowarp.NewConfig(60_000).
-		WithCostModel(gowarp.CostModel{PerMessage: 60 * time.Microsecond, PerByte: 10 * time.Nanosecond}).
-		WithEventCost(5*time.Microsecond).
-		WithOptimism(gowarp.OptimismStatic, 1000)
+	return gowarp.NewConfig(60_000).WithOptimism(gowarp.OptimismStatic, 1000)
 }
 
-func run(label string, cfg gowarp.Config) time.Duration {
-	res, err := gowarp.Run(model(), cfg)
+// build adds what every run shares beside the builder's facets: the simulated
+// network's cost and a CPU charge per event.
+func build(b *gowarp.ConfigBuilder) gowarp.Config {
+	cfg := b.Build()
+	cfg.Cost = gowarp.CostModel{PerMessage: 60 * time.Microsecond, PerByte: 10 * time.Nanosecond}
+	cfg.EventCost = 5 * time.Microsecond
+	return cfg
+}
+
+func run(label string, b *gowarp.ConfigBuilder) time.Duration {
+	res, err := gowarp.Run(model(), build(b))
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -50,36 +56,32 @@ func main() {
 	fmt.Println("facet 1: checkpoint interval (static sweep vs Section 4 controller)")
 	best := time.Duration(1 << 62)
 	for _, chi := range []int{1, 4, 16, 64} {
-		cfg := base().WithCheckpoint(gowarp.PeriodicCheckpointing, chi).Build()
-		if d := run(fmt.Sprintf("periodic chi=%d", chi), cfg); d < best {
+		if d := run(fmt.Sprintf("periodic chi=%d", chi), base().WithCheckpoint(gowarp.PeriodicCheckpointing, chi)); d < best {
 			best = d
 		}
 	}
-	dyn := run("dynamic (controller)", base().WithCheckpointConfig(gowarp.CheckpointConfig{
-		Mode: gowarp.DynamicCheckpointing, Interval: 1,
-		MinInterval: 1, MaxInterval: 64, Period: 256,
-	}).Build())
+	dyn := run("dynamic (controller)", base().WithCheckpoint(gowarp.DynamicCheckpointing, 1))
 	fmt.Printf("  -> dynamic within %.0f%% of the best static setting\n\n",
 		100*(dyn.Seconds()/best.Seconds()-1))
 
 	fmt.Println("facet 2: cancellation strategy (static vs Section 5 selector)")
 	for _, mode := range []struct {
 		label string
-		cc    gowarp.CancellationConfig
+		mode  gowarp.CancellationMode
 	}{
-		{"aggressive", gowarp.CancellationConfig{Mode: gowarp.AggressiveCancellation}},
-		{"lazy", gowarp.CancellationConfig{Mode: gowarp.LazyCancellation}},
-		{"dynamic (hit ratio)", gowarp.CancellationConfig{Mode: gowarp.DynamicCancellation}},
+		{"aggressive", gowarp.AggressiveCancellation},
+		{"lazy", gowarp.LazyCancellation},
+		{"dynamic (hit ratio)", gowarp.DynamicCancellation},
 	} {
-		run(mode.label, base().WithCancellationConfig(mode.cc).Build())
+		run(mode.label, base().WithCancellation(mode.mode))
 	}
 	fmt.Println()
 
 	fmt.Println("facet 3: message aggregation (static windows vs SAAW)")
 	for _, w := range []time.Duration{10 * time.Microsecond, 300 * time.Microsecond, 10 * time.Millisecond} {
-		run(fmt.Sprintf("FAW window=%s", w), base().WithAggregation(gowarp.FAW, w).Build())
+		run(fmt.Sprintf("FAW window=%s", w), base().WithAggregation(gowarp.FAW, w))
 	}
-	run("SAAW (from a bad start)", base().WithAggregation(gowarp.SAAW, 10*time.Millisecond).Build())
+	run("SAAW (from a bad start)", base().WithAggregation(gowarp.SAAW, 10*time.Millisecond))
 
 	// Watch the controllers converge: trace the first quarter of a fully
 	// adaptive run — where they leave their starting points, and short enough
@@ -89,15 +91,11 @@ func main() {
 	fmt.Println("controller trace (LP 0): checkpoint interval opens, objects settle,")
 	fmt.Println("and the aggregation window converges from its bad 10ms start:")
 	tracer := gowarp.NewTracer(0)
-	cfg := base().
-		WithCheckpointConfig(gowarp.CheckpointConfig{
-			Mode: gowarp.DynamicCheckpointing, Interval: 1,
-			MinInterval: 1, MaxInterval: 64, Period: 256,
-		}).
+	cfg := build(base().
+		WithCheckpoint(gowarp.DynamicCheckpointing, 1).
 		WithCancellation(gowarp.DynamicCancellation).
 		WithAggregation(gowarp.SAAW, 10*time.Millisecond).
-		WithTracer(tracer).
-		Build()
+		WithTracer(tracer))
 	cfg.EndTime /= 4
 	if _, err := gowarp.Run(model(), cfg); err != nil {
 		log.Fatal(err)

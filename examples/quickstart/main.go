@@ -100,8 +100,8 @@ func main() {
 		WithCancellation(gowarp.DynamicCancellation).
 		WithAggregation(gowarp.SAAW, 0).
 		WithOptimism(gowarp.OptimismStatic, 2000).
-		WithEventCost(10 * time.Microsecond).
 		Build()
+	cfg.EventCost = 10 * time.Microsecond
 
 	res, err := gowarp.Run(m, cfg)
 	if err != nil {

@@ -25,12 +25,10 @@ func run(label string, cc gowarp.CancellationConfig) *gowarp.Result {
 		RequestsPerSource: 400,
 		StatePadding:      16 << 10,
 	})
-	cfg := gowarp.NewConfig(gowarp.VTime(1)<<40).
-		WithCostModel(gowarp.CostModel{PerMessage: 80 * time.Microsecond, PerByte: 10 * time.Nanosecond}).
-		WithEventCost(5*time.Microsecond).
-		WithOptimism(gowarp.OptimismStatic, 4000).
-		WithCancellationConfig(cc).
-		Build()
+	cfg := gowarp.NewConfig(gowarp.VTime(1)<<40).WithOptimism(gowarp.OptimismStatic, 4000).Build()
+	cfg.Cost = gowarp.CostModel{PerMessage: 80 * time.Microsecond, PerByte: 10 * time.Nanosecond}
+	cfg.EventCost = 5 * time.Microsecond
+	cfg.Cancellation = cc
 
 	res, err := gowarp.Run(m, cfg)
 	if err != nil {

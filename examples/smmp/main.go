@@ -25,13 +25,13 @@ func run(label string, configure func(*gowarp.ConfigBuilder)) *gowarp.Result {
 		Requests:     500,
 		StatePadding: 16 << 10, // make checkpoints cost something real
 	})
-	b := gowarp.NewConfig(gowarp.VTime(1)<<40).
-		WithCostModel(gowarp.CostModel{PerMessage: 80 * time.Microsecond, PerByte: 10 * time.Nanosecond}).
-		WithEventCost(5*time.Microsecond).
-		WithOptimism(gowarp.OptimismStatic, 2000)
+	b := gowarp.NewConfig(gowarp.VTime(1)<<40).WithOptimism(gowarp.OptimismStatic, 2000)
 	configure(b)
+	cfg := b.Build()
+	cfg.Cost = gowarp.CostModel{PerMessage: 80 * time.Microsecond, PerByte: 10 * time.Nanosecond}
+	cfg.EventCost = 5 * time.Microsecond
 
-	res, err := gowarp.Run(m, b.Build())
+	res, err := gowarp.Run(m, cfg)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -50,10 +50,7 @@ func main() {
 	})
 	fullyAdaptive := func(b *gowarp.ConfigBuilder) {
 		b.WithCancellation(gowarp.DynamicCancellation).
-			WithCheckpointConfig(gowarp.CheckpointConfig{
-				Mode: gowarp.DynamicCheckpointing, Interval: 1,
-				MinInterval: 1, MaxInterval: 64, Period: 256,
-			}).
+			WithCheckpoint(gowarp.DynamicCheckpointing, 1).
 			WithAggregation(gowarp.SAAW, 0)
 	}
 	adaptive := run("fully adaptive", fullyAdaptive)

@@ -40,19 +40,16 @@ func main() {
 	reg := gowarp.NewMetricsRegistry()
 
 	cfg := gowarp.NewConfig(60_000).
-		WithCostModel(gowarp.CostModel{PerMessage: 60 * time.Microsecond, PerByte: 10 * time.Nanosecond}).
-		WithEventCost(5*time.Microsecond).
 		WithOptimism(gowarp.OptimismStatic, 1000).
-		WithCheckpointConfig(gowarp.CheckpointConfig{
-			Mode: gowarp.DynamicCheckpointing, Interval: 1,
-			MinInterval: 1, MaxInterval: 64, Period: 256,
-		}).
+		WithCheckpoint(gowarp.DynamicCheckpointing, 1).
 		WithCancellation(gowarp.DynamicCancellation).
 		WithAggregation(gowarp.SAAW, 10*time.Millisecond).
 		WithCodec(gowarp.CodecDynamic, gowarp.LZCompression).
 		WithTracer(tracer).
-		WithMetrics(reg).
 		Build()
+	cfg.Cost = gowarp.CostModel{PerMessage: 60 * time.Microsecond, PerByte: 10 * time.Nanosecond}
+	cfg.EventCost = 5 * time.Microsecond
+	cfg.Metrics = reg
 	srv, err := metricshttp.Serve("127.0.0.1:0", reg)
 	if err != nil {
 		log.Fatal(err)

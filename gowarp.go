@@ -19,7 +19,9 @@
 // on-line feedback control. Every facet has the same shape — a Mode, its
 // static parameters, and (where adaptive) a controller block with the
 // paper's <O,I,S,T,P> structure: an Observable sampled each Period, an
-// Index computed from it, and a dead-zoned Threshold that gates actuation:
+// Index computed from it, and a dead-zoned Threshold that gates actuation.
+// A gain or clamp no caller varies is a constant of the package whose
+// controller reads it, not a field (DESIGN.md §3 lists them):
 //
 //   - Check-pointing (Config.Checkpoint): a fixed interval, or the Section 4
 //     controller that adapts the interval to minimize state-saving +
@@ -54,12 +56,14 @@
 //	cfg.Cancellation = gowarp.CancellationConfig{Mode: gowarp.DynamicCancellation}
 //	res, err := gowarp.Run(m, cfg)
 //
-// Or fluently, facet by facet, with NewConfig:
+// Or fluently, facet by facet, with NewConfig, setting what the builder does
+// not take on the Config it builds:
 //
 //	cfg := gowarp.NewConfig(100_000).
 //		WithCancellation(gowarp.DynamicCancellation).
 //		WithCodec(gowarp.CodecDynamic, gowarp.LZCompression).
 //		Build()
+//	cfg.Balance = gowarp.BalanceConfig{Mode: gowarp.BalanceDynamic}
 //
 // The communication substrate simulates a network of workstations: every
 // physical message costs its sender CPU time, so aggregation and
@@ -147,9 +151,6 @@ type (
 	// migration capsules are encoded and compressed (set Config.Codec; off
 	// by default).
 	CodecConfig = codec.Config
-	// CodecControllerConfig is the codec facet's on-line controller block
-	// (CodecConfig.Controller), active under CodecDynamic.
-	CodecControllerConfig = codec.ControllerConfig
 	// OptimismConfig configures the optimism facet: the bounded-time-window
 	// throttle as a sixth controlled item, with an on-line controller
 	// steering the window by observed rollback waste and LVT roughness

@@ -79,7 +79,6 @@ func DecodeFuzzSpec(data []byte) FuzzSpec {
 			Period:    1 + int(a)%3,
 			HighWater: 0.3,
 			LowWater:  0.1,
-			Factor:    2,
 			MinSample: 8 + int64(a)%32,
 		}
 	}

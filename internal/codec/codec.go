@@ -15,9 +15,9 @@
 //	    over the control period (the encoding not in force is probed);
 //	I — the checkpoint encoding in force: full or delta;
 //	S — delta (Config.Mode Dynamic starts optimistic);
-//	T — a dead zone on the ratio: switch to full above HighRatio, back to
-//	    delta below LowRatio;
-//	P — Controller.Period saves.
+//	T — a dead zone on the ratio: switch to full above ctlHighRatio, back to
+//	    delta below ctlLowRatio;
+//	P — ctlPeriod saves.
 package codec
 
 import (
@@ -139,17 +139,16 @@ func (c Compression) String() string {
 	return "none"
 }
 
-// ControllerConfig is the uniform controller block shared by the facet
-// configs: the control period plus the transfer function's dead zone.
-type ControllerConfig struct {
-	// Period is P: checkpoint saves between controller firings (default 64).
-	Period int
-	// LowRatio and HighRatio bound the dead zone on the sampled
-	// delta/full stored-bytes ratio: the controller switches an object to
-	// delta encoding when the ratio falls below LowRatio and back to full
-	// when it rises above HighRatio (defaults 0.55 and 0.90).
-	LowRatio, HighRatio float64
-}
+// The Dynamic mode's controller: ctlPeriod is P, the checkpoint saves between
+// firings, and ctlLowRatio and ctlHighRatio bound the dead zone on the sampled
+// delta/full stored-bytes ratio — an object switches to delta encoding when
+// the ratio falls below ctlLowRatio and back to full when it rises above
+// ctlHighRatio.
+const (
+	ctlPeriod    = 64
+	ctlLowRatio  = 0.55
+	ctlHighRatio = 0.90
+)
 
 // Config parameterizes the state-codec facet (Config.Codec in the kernel
 // configuration). The zero value is Off: cloned checkpoints, no
@@ -161,26 +160,6 @@ type Config struct {
 	// states and wire payloads. It applies even with Mode Off (wire and
 	// capsule compression only).
 	Compression Compression
-	// Controller parameterizes the Dynamic mode's on-line controller.
-	Controller ControllerConfig
-}
-
-// WithDefaults fills unset fields with the defaults used in the
-// experiments.
-func (c Config) WithDefaults() Config {
-	if c.Controller.Period < 1 {
-		c.Controller.Period = 64
-	}
-	if c.Controller.LowRatio <= 0 {
-		c.Controller.LowRatio = 0.55
-	}
-	if c.Controller.HighRatio <= 0 {
-		c.Controller.HighRatio = 0.90
-	}
-	if c.Controller.LowRatio > c.Controller.HighRatio {
-		c.Controller.LowRatio = c.Controller.HighRatio
-	}
-	return c
 }
 
 // CompressWire reports whether flushed wire payloads and migration-capsule
@@ -231,7 +210,6 @@ type StateCodec struct {
 // NewState returns the per-object checkpoint codec for cfg, or nil when
 // checkpoint encoding is off (Mode Off).
 func NewState(cfg Config) *StateCodec {
-	cfg = cfg.WithDefaults()
 	if cfg.Mode == Off {
 		return nil
 	}
@@ -241,7 +219,7 @@ func NewState(cfg Config) *StateCodec {
 	}
 }
 
-// Config returns the codec's configuration (with defaults applied).
+// Config returns the codec's configuration.
 func (c *StateCodec) Config() Config { return c.cfg }
 
 // UsingDelta reports the encoding currently in force.
@@ -277,12 +255,12 @@ func (c *StateCodec) record(stored int, isDelta bool) {
 	}
 }
 
-// tick runs the control period: after Period saves with observations on
+// tick runs the control period: after ctlPeriod saves with observations on
 // both encodings, compare mean stored sizes through the dead zone and
 // switch the encoding in force when the ratio leaves it.
 func (c *StateCodec) tick() {
 	c.saves++
-	if c.cfg.Mode != Dynamic || c.saves < c.cfg.Controller.Period {
+	if c.cfg.Mode != Dynamic || c.saves < ctlPeriod {
 		return
 	}
 	if c.fullCount == 0 || c.deltaCount == 0 {
@@ -297,10 +275,10 @@ func (c *StateCodec) tick() {
 		ratio = meanDelta / meanFull
 	}
 	switch {
-	case c.useDelta && ratio > c.cfg.Controller.HighRatio:
+	case c.useDelta && ratio > ctlHighRatio:
 		c.useDelta = false
 		c.switched(ratio)
-	case !c.useDelta && ratio < c.cfg.Controller.LowRatio:
+	case !c.useDelta && ratio < ctlLowRatio:
 		c.useDelta = true
 		c.switched(ratio)
 	}

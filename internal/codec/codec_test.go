@@ -139,7 +139,7 @@ func TestLZRejectsInflation(t *testing.T) {
 // What Pack stores Unpack restores, at any size: past the length Decompress
 // accepts, the stored form is the input.
 func TestPackLeavesOversizeUncompressed(t *testing.T) {
-	cfg := Config{Mode: Full, Compression: LZ}.WithDefaults()
+	cfg := Config{Mode: Full, Compression: LZ}
 	huge := make([]byte, maxInflated+1) // zeros: the most compressible input there is
 	stored, comp := Pack(cfg, huge)
 	if comp || len(stored) != len(huge) {
@@ -220,7 +220,6 @@ func TestPackUnpack(t *testing.T) {
 		{Mode: Full},
 		{Mode: Full, Compression: LZ},
 	} {
-		cfg = cfg.WithDefaults()
 		for _, enc := range [][]byte{small, big} {
 			stored, comp := Pack(cfg, enc)
 			if comp && cfg.Compression != LZ {
@@ -244,7 +243,7 @@ func TestPackUnpack(t *testing.T) {
 			}
 		}
 	}
-	cfg := Config{Mode: Full, Compression: LZ}.WithDefaults()
+	cfg := Config{Mode: Full, Compression: LZ}
 	if stored, comp := Pack(cfg, big); !comp || len(stored) >= len(big) {
 		t.Fatalf("redundant payload not compressed: %d -> %d (comp=%v)", len(big), len(stored), comp)
 	}
@@ -271,14 +270,13 @@ func TestNewStateModes(t *testing.T) {
 // through probes (ProbeNow), leaves delta encoding when deltas are as big as
 // full images, and comes back once probed deltas are small.
 func TestDynamicControllerSwitches(t *testing.T) {
-	cfg := Config{Mode: Dynamic, Controller: ControllerConfig{Period: 8, LowRatio: 0.5, HighRatio: 0.9}}
-	c := NewState(cfg)
+	c := NewState(Config{Mode: Dynamic})
 	var hooks []bool
 	c.Hook = func(toDelta bool, ratio float64) { hooks = append(hooks, toDelta) }
 
 	// Deltas as big as the probed full images: the controller must fall back
 	// to full encoding.
-	for i := 0; i < 16 && c.UsingDelta(); i++ {
+	for i := 0; i < 2*ctlPeriod && c.UsingDelta(); i++ {
 		if c.ProbeNow() {
 			c.RecordProbe(1000)
 		}
@@ -289,7 +287,7 @@ func TestDynamicControllerSwitches(t *testing.T) {
 	}
 
 	// Now deltas are tiny (via probes): controller must switch back.
-	for i := 0; i < 64 && !c.UsingDelta(); i++ {
+	for i := 0; i < 8*ctlPeriod && !c.UsingDelta(); i++ {
 		if c.ProbeNow() {
 			c.RecordProbe(10)
 		}

@@ -14,10 +14,10 @@ const (
 	// of its first event reaches a fixed window, then sends it.
 	FAW
 	// SAAW (Simple Adaptive Aggregation Window) starts from the same
-	// window but adapts it after every aggregate: to the time TargetBatch
+	// window but adapts it after every aggregate: to the time targetBatch
 	// events take to arrive at the observed rate, and never past the sender
-	// time that collecting them could save — TargetBatch times the measured
-	// cost of one physical message (see aggBuffer).
+	// time that collecting them could save — targetBatch times the measured
+	// cost of one physical message (see aggWindow).
 	SAAW
 )
 
@@ -40,14 +40,6 @@ type AggConfig struct {
 	Policy Policy
 	// Window is the FAW window, or SAAW's initial window.
 	Window time.Duration
-	// MinWindow and MaxWindow clamp SAAW's adaptation.
-	MinWindow, MaxWindow time.Duration
-	// TargetBatch is SAAW's equilibrium aggregate size: the adapted window
-	// is the time expected to collect this many events at the observed
-	// arrival rate.
-	TargetBatch float64
-	// RateAlpha is the EWMA weight for SAAW's arrival-rate estimate.
-	RateAlpha float64
 	// MaxEvents flushes an aggregate that has collected this many events
 	// regardless of age (a capacity safety valve; 0 means 256).
 	MaxEvents int
@@ -58,24 +50,6 @@ type AggConfig struct {
 func (c AggConfig) withDefaults() AggConfig {
 	if c.Window <= 0 {
 		c.Window = 100 * time.Microsecond
-	}
-	if c.MinWindow <= 0 {
-		c.MinWindow = time.Microsecond
-	}
-	if c.MaxWindow <= 0 {
-		// An explicit cap, nothing more: a timescale well below the GVT
-		// cadence. What bounds the harm a held message does its receiver is
-		// measured — SAAW never holds an aggregate longer than TargetBatch
-		// times what a physical message costs to send (aggBuffer.adapt) —
-		// so the cap binds only where a message costs more than
-		// MaxWindow/TargetBatch. Raise it for links dearer than that.
-		c.MaxWindow = time.Millisecond
-	}
-	if c.TargetBatch <= 0 {
-		c.TargetBatch = 4
-	}
-	if c.RateAlpha <= 0 || c.RateAlpha > 1 {
-		c.RateAlpha = 0.25
 	}
 	if c.MaxEvents <= 0 {
 		c.MaxEvents = 256
@@ -100,6 +74,24 @@ const (
 	// FlushIdle: the LP went idle or handled a GVT token; buffers are
 	// flushed so GVT progress never waits on a partially filled window.
 	FlushIdle
+)
+
+// SAAW's tuning, as every experiment ran it.
+const (
+	// minWindow and maxWindow clamp the adapted window. maxWindow is an
+	// explicit cap, nothing more: a timescale well below the GVT cadence.
+	// What bounds the harm a held message does its receiver is measured —
+	// SAAW never holds an aggregate longer than targetBatch times what a
+	// physical message costs to send (aggWindow.adapt) — so the cap binds
+	// only where a message costs more than maxWindow/targetBatch, 250 µs:
+	// dearer links than that would want it raised.
+	minWindow = time.Microsecond
+	maxWindow = time.Millisecond
+	// targetBatch is the equilibrium aggregate size: the adapted window is
+	// the time expected to collect this many events at the observed rate.
+	targetBatch = 4
+	// rateAlpha is the EWMA weight of the arrival-rate estimate.
+	rateAlpha = 0.25
 )
 
 // rateEstMin is the shortest observation span a SAAW rate sample may cover;
@@ -127,16 +119,16 @@ type aggWindow struct {
 	// everyAggregate>. The destination's event arrival rate R is estimated
 	// over observation spans of at least rateEstMin — counting every event
 	// regardless of what eventually flushes it — and smoothed with an EWMA;
-	// the rate-targeted window is TargetBatch / R, the time expected to
-	// collect TargetBatch events. Dense traffic therefore narrows it (the
+	// the rate-targeted window is targetBatch / R, the time expected to
+	// collect targetBatch events. Dense traffic therefore narrows it (the
 	// batch fills sooner) and sparse traffic widens it, without limit: on its
 	// own the rule holds a lone event longest. The age side of the paper's
 	// R(age) is the bound adapt puts on it: holding an aggregate open for W
-	// can save the sender at most (TargetBatch − 1) physical messages, so W
-	// never exceeds TargetBatch × the measured cost of one. Where a message
+	// can save the sender at most (targetBatch − 1) physical messages, so W
+	// never exceeds targetBatch × the measured cost of one. Where a message
 	// costs what the paper's Ethernet charged, rate targeting works inside
 	// that bound and converges from any initial window; where it is nearly
-	// free, the bound is under MinWindow and an aggregate leaves at the next
+	// free, the bound is under minWindow and an aggregate leaves at the next
 	// Poll with whatever the scheduling round produced.
 	window    time.Duration
 	spanStart time.Time
@@ -149,7 +141,7 @@ type aggWindow struct {
 // the flush time and cost the endpoint's estimate of what a physical message
 // costs its sender (0 before anything was timed: rate targeting alone). It
 // reports whether the window changed.
-func (b *aggWindow) adapt(cfg AggConfig, now time.Time, cost time.Duration) bool {
+func (b *aggWindow) adapt(now time.Time, cost time.Duration) bool {
 	if b.spanStart.IsZero() {
 		b.spanStart = now
 		b.spanCount = 0
@@ -166,23 +158,18 @@ func (b *aggWindow) adapt(cfg AggConfig, now time.Time, cost time.Duration) bool
 		b.primed = true
 		b.rateEst = r
 	} else {
-		b.rateEst += cfg.RateAlpha * (r - b.rateEst)
+		b.rateEst += rateAlpha * (r - b.rateEst)
 	}
 	old := b.window
 	if b.rateEst > 0 {
-		b.window = time.Duration(cfg.TargetBatch / b.rateEst * float64(time.Second))
+		b.window = time.Duration(targetBatch / b.rateEst * float64(time.Second))
 	}
 	if cost > 0 {
-		if bound := time.Duration(cfg.TargetBatch * float64(cost)); b.window > bound {
+		if bound := time.Duration(targetBatch * float64(cost)); b.window > bound {
 			b.window = bound
 		}
 	}
-	if b.window < cfg.MinWindow {
-		b.window = cfg.MinWindow
-	}
-	if b.window > cfg.MaxWindow {
-		b.window = cfg.MaxWindow
-	}
+	b.window = min(max(b.window, minWindow), maxWindow)
 	return b.window != old
 }
 

@@ -11,38 +11,37 @@ import (
 
 // TestSAAWTransferFunction drives adapt with a synthetic clock: one 10 ms
 // observation span holding the given number of events, then the flush that
-// closes it. The rate-targeted window is TargetBatch / rate; the cost of a
-// physical message bounds it at TargetBatch × cost; MinWindow and MaxWindow
+// closes it. The rate-targeted window is targetBatch / rate; the cost of a
+// physical message bounds it at targetBatch × cost; minWindow and maxWindow
 // clamp the result.
 func TestSAAWTransferFunction(t *testing.T) {
 	const span = 10 * time.Millisecond
-	const sparse, dense = 1, 1000 // events per span: 100/s and 100 k/s
-	def := AggConfig{Policy: SAAW}.withDefaults()
-	wide := def
-	wide.MaxWindow = time.Hour
+	// Events per span: 100/s, 10 k/s and 100 k/s.
+	const sparse, moderate, dense = 1, 100, 1000
+	window := AggConfig{Policy: SAAW}.withDefaults().Window
 	for _, tc := range []struct {
 		name   string
-		cfg    AggConfig
 		events int
 		cost   time.Duration
 		want   time.Duration
 	}{
-		{"sparse traffic on a free link leaves at once", def, sparse, 200 * time.Nanosecond, def.MinWindow},
-		{"sparse traffic at the paper's cost is held for what a batch saves", def, sparse, 30 * time.Microsecond, 120 * time.Microsecond},
-		{"dense traffic at the paper's cost is rate-targeted, inside the bound", def, dense, 30 * time.Microsecond, 40 * time.Microsecond},
-		{"a link dearer than the cap is held at the cap", def, sparse, 10 * time.Millisecond, def.MaxWindow},
-		{"the bound is a ceiling, not a target", def, dense, 10 * time.Millisecond, 40 * time.Microsecond},
-		{"nothing timed yet: rate targeting alone, capped", def, sparse, 0, def.MaxWindow},
-		{"nothing timed yet: rate targeting alone, uncapped", wide, sparse, 0, 40 * time.Millisecond},
-		{"nothing timed yet, dense", def, dense, 0, 40 * time.Microsecond},
+		{"sparse traffic on a free link leaves at once", sparse, 200 * time.Nanosecond, minWindow},
+		{"sparse traffic at the paper's cost is held for what a batch saves", sparse, 30 * time.Microsecond, 120 * time.Microsecond},
+		{"dense traffic at the paper's cost is rate-targeted, inside the bound", dense, 30 * time.Microsecond, 40 * time.Microsecond},
+		{"a link dearer than the cap is held at the cap", sparse, 10 * time.Millisecond, maxWindow},
+		{"a link just under the cap is held for what a batch saves", sparse, 200 * time.Microsecond, 800 * time.Microsecond},
+		{"the bound is a ceiling, not a target", dense, 10 * time.Millisecond, 40 * time.Microsecond},
+		{"nothing timed yet: rate targeting alone, capped", sparse, 0, maxWindow},
+		{"nothing timed yet: rate targeting alone, under the cap", moderate, 0, 400 * time.Microsecond},
+		{"nothing timed yet, dense", dense, 0, 40 * time.Microsecond},
 	} {
-		b := aggWindow{window: tc.cfg.Window}
+		b := aggWindow{window: window}
 		t0 := time.Unix(1000, 0)
-		if b.adapt(tc.cfg, t0, tc.cost) {
+		if b.adapt(t0, tc.cost) {
 			t.Errorf("%s: the flush that opens the first span moved the window", tc.name)
 		}
 		b.spanCount = tc.events
-		b.adapt(tc.cfg, t0.Add(span), tc.cost)
+		b.adapt(t0.Add(span), tc.cost)
 		if b.window != tc.want {
 			t.Errorf("%s: window %v, want %v", tc.name, b.window, tc.want)
 		}
@@ -55,9 +54,9 @@ func TestSAAWHoldsWindowWithinSpan(t *testing.T) {
 	cfg := AggConfig{Policy: SAAW}.withDefaults()
 	b := aggWindow{window: cfg.Window}
 	t0 := time.Unix(1000, 0)
-	b.adapt(cfg, t0, time.Nanosecond)
+	b.adapt(t0, time.Nanosecond)
 	b.spanCount = 5
-	if b.adapt(cfg, t0.Add(rateEstMin-1), time.Nanosecond) || b.window != cfg.Window {
+	if b.adapt(t0.Add(rateEstMin-1), time.Nanosecond) || b.window != cfg.Window {
 		t.Errorf("window moved to %v inside the observation span", b.window)
 	}
 }

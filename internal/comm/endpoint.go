@@ -331,7 +331,7 @@ func (e *Endpoint) flush(dst int, cause FlushCause) {
 		e.sendCost = foldCost(e.sendCost, now.Sub(sendStart))
 		w := &e.wins[dst]
 		old := w.window
-		if w.adapt(e.cfg, now, e.sendCost) {
+		if w.adapt(now, e.sendCost) {
 			e.st.WindowAdjustments++
 			if e.TraceWindow != nil {
 				e.TraceWindow(dst, old, w.window)

@@ -92,17 +92,9 @@ type BitWindow struct {
 	total int // lifetime samples, for the PS "permanently set after N" rule
 }
 
-// NewBitWindow returns a window of the given depth (minimum 1).
-func NewBitWindow(depth int) *BitWindow {
-	if depth < 1 {
-		depth = 1
-	}
-	return &BitWindow{bits: make([]bool, depth)}
-}
-
-// BitWindowOver is NewBitWindow over the caller's storage, whose length is the
-// depth, and by value: an owner of many windows carves them from one
-// allocation.
+// BitWindowOver returns a window over the caller's storage, whose length (at
+// least 1) is the depth, and by value: an owner of many windows carves them
+// from one allocation.
 func BitWindowOver(bits []bool) BitWindow { return BitWindow{bits: bits} }
 
 // Push records one observation.

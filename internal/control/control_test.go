@@ -78,7 +78,7 @@ func TestDeadZoneSingleThreshold(t *testing.T) {
 }
 
 func TestBitWindow(t *testing.T) {
-	w := NewBitWindow(4)
+	w := BitWindowOver(make([]bool, 4))
 	if w.Ratio() != 0 || w.Len() != 0 || w.Depth() != 4 {
 		t.Fatal("fresh window misbehaves")
 	}
@@ -113,7 +113,7 @@ func TestBitWindow(t *testing.T) {
 func TestBitWindowRatioMatchesNaive(t *testing.T) {
 	f := func(depth uint8, bits []bool) bool {
 		d := int(depth%16) + 1
-		w := NewBitWindow(d)
+		w := BitWindowOver(make([]bool, d))
 		for _, b := range bits {
 			w.Push(b)
 		}

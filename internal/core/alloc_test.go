@@ -170,7 +170,7 @@ func TestInputQueueZeroAlloc(t *testing.T) {
 func TestCodecRollbackZeroAlloc(t *testing.T) {
 	cfg := DefaultConfig(vtime.Time(1) << 40)
 	cfg.Checkpoint = statesave.Config{Mode: statesave.Periodic, Interval: 2}
-	cfg.Codec = codec.Config{Mode: codec.Delta}.WithDefaults()
+	cfg.Codec = codec.Config{Mode: codec.Delta}
 	lp := newTestKernel(smmp.New(smmp.Config{Processors: 1, LPs: 1, HitRatio: 0.5, StatePadding: 16 << 10}), &cfg)[0]
 	bank := lp.objs[3] // after the processor's cpu, cache and port
 	if bank.stateQ.Codec() == nil {
@@ -229,7 +229,7 @@ func TestExecuteLoopZeroAllocAdaptiveOptimism(t *testing.T) {
 	lp.d.rough.tr = tr.System()
 	optCfg := OptimismConfig{
 		Mode: OptimismAdaptive, Window: 100, Min: 50, Max: 100,
-		Period: 1, HighWater: 0.3, LowWater: 0.1, Factor: 2, MinSample: 1,
+		Period: 1, HighWater: 0.3, LowWater: 0.1, MinSample: 1,
 	}.withDefaults()
 	lp.window = optCfg.Window
 	lp.opt = newOptController(optCfg, lp.d.lps)
@@ -284,10 +284,8 @@ func TestExecutePathAllocationBudget(t *testing.T) {
 		})
 		cfg := DefaultConfig(end)
 		cfg.Cancellation = cancel.Config{Mode: cancel.Dynamic, FilterDepth: 16}
-		cfg.Checkpoint = statesave.Config{
-			Mode: statesave.Dynamic, Interval: 4, MinInterval: 1, MaxInterval: 64, Period: 256,
-		}
-		cfg.Codec = codec.Config{Mode: codec.Delta, Compression: codec.LZ}.WithDefaults()
+		cfg.Checkpoint = statesave.Config{Mode: statesave.Dynamic, Interval: 4, Period: 256}
+		cfg.Codec = codec.Config{Mode: codec.Delta, Compression: codec.LZ}
 		var ms runtime.MemStats
 		runtime.ReadMemStats(&ms)
 		m0 := ms.Mallocs

@@ -65,7 +65,7 @@ func TestAuditCatchesUnderReportedDirt(t *testing.T) {
 	for _, forget := range []bool{false, true} {
 		cfg := DefaultConfig(vtime.Time(1) << 40)
 		cfg.Checkpoint = statesave.Config{Mode: statesave.Periodic, Interval: 2}
-		cfg.Codec = codec.Config{Mode: codec.Delta}.WithDefaults()
+		cfg.Codec = codec.Config{Mode: codec.Delta}
 		cfg.Audit = audit.New()
 		m := &model.Model{Name: "tally", Partition: make([]int, 4)}
 		for i := range m.Partition {

@@ -55,7 +55,7 @@ func TestWorkerPoolAdaptiveOptimism(t *testing.T) {
 	cfg.Workers = 2
 	cfg.Optimism = core.OptimismConfig{
 		Mode: core.OptimismAdaptive, Window: 500, Min: 50, Max: 4000,
-		Period: 1, HighWater: 0.3, LowWater: 0.1, Factor: 2, MinSample: 16,
+		Period: 1, HighWater: 0.3, LowWater: 0.1, MinSample: 16,
 	}
 	assertMatchesSequential(t, testModel(9), cfg)
 }

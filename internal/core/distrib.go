@@ -344,9 +344,11 @@ func readReport(b []byte, from int, m *model.Model, peers comm.Peers, res *Resul
 // awaited on the transport with a bounded timeout. A stop ends the wait at
 // once with the failure it names: a rank failed, or a link did. So does a
 // rank whose inbound link has ended (stats.LinkStats.Ended) without its
-// report, and so does the timeout; then every rank still listening — all but
-// those whose link has ended, or, at the timeout, those that never reported —
-// gets a stop naming the first rank whose report is missing.
+// report, and so does the timeout; then the other ranks get a stop naming the
+// first rank whose report is missing — at the timeout all but those that never
+// reported, and where a link ended every one, the rank behind it too: a link
+// that ended without a fault was half-closed, and its rank reads on, for
+// DrainTimeout, until rank 0 half-closes in return.
 func gatherReports(d *dispatcher, m *model.Model, res *Result) error {
 	peers := d.tr.Peers()
 	pending := make(map[int]bool, peers.NumRanks-1)
@@ -406,7 +408,7 @@ func gatherReports(d *dispatcher, m *model.Model, res *Result) error {
 			}
 		}
 		if len(gone) > 0 {
-			d.stopRanks(gone[0], "closed its link before it reported", gone)
+			d.stopRanks(gone[0], "closed its link before it reported", nil)
 			return fmt.Errorf("core: rank 0: rank %d closed its link before it reported", gone[0])
 		}
 		if len(arrived) > 0 {

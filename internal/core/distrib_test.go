@@ -386,7 +386,9 @@ func (d dropReport) Send(dst int, p comm.Packet, payloadBytes int) {
 // well but its report never leaves, and its link half-closes behind it. A
 // report travels ahead of its rank's half-close on the same stream, so rank 0
 // knows from the ended link that the report is not coming: its Run must fail
-// naming rank 1 at once, not wait out reportTimeout.
+// naming rank 1 at once, not wait out reportTimeout. Rank 1 is still draining
+// its link then, and hears rank 0's stop on it: its Run fails too, for the
+// report it lost.
 func TestDistributedReportLostToHalfClose(t *testing.T) {
 	build := func() *model.Model {
 		return phold.New(phold.Config{Objects: 64, TokensPerObject: 1, MinDelay: 100, LPs: 4, Seed: 7, Sparse: true})
@@ -409,12 +411,13 @@ func TestDistributedReportLostToHalfClose(t *testing.T) {
 	}
 	wg.Wait()
 	took := time.Since(start)
-	const want = "core: rank 0: rank 1 closed its link before it reported"
-	if errs[0] == nil || errs[0].Error() != want {
-		t.Errorf("rank 0 returned %v, want %q", errs[0], want)
-	}
-	if errs[1] != nil {
-		t.Errorf("rank 1 returned %v", errs[1])
+	for r, want := range []string{
+		"core: rank 0: rank 1 closed its link before it reported",
+		"core: rank 1 failed: closed its link before it reported",
+	} {
+		if errs[r] == nil || errs[r].Error() != want {
+			t.Errorf("rank %d returned %v, want %q", r, errs[r], want)
+		}
 	}
 	if took > 5*time.Second {
 		t.Errorf("the fleet took %v to end", took)

@@ -141,8 +141,9 @@ func kernelGoroutines() int {
 //     rank 0 refuses it and every rank fails naming the failing rank.
 //   - lost-report: the failing rank's report is dropped as it leaves, and its
 //     link half-closes behind it. Rank 0 fails with its own account of the
-//     loss, and the rank that did report fails naming the failing rank. The
-//     failing rank sent its report and is told nothing: it returns success.
+//     loss, and every other rank — the one that did report, and the failing
+//     rank itself, which hears it while it drains its link — fails naming the
+//     failing rank.
 //
 // Skipped, since they cannot happen in process (one rank, no links and no
 // report): inproc's link-cut, exit-after-final-gvt, corrupt-report and
@@ -192,10 +193,8 @@ func failRun(t *testing.T, kind string, ranks int) {
 	cfg.GVTPeriod = 200 * time.Microsecond
 	cfg.Optimism.Window = 2000
 
-	// want says what is wrong with rank r's error, if anything; the rank
-	// succeeds, if any, must return no error at all.
+	// want says what is wrong with rank r's error, if anything.
 	var want func(r int, err error) string
-	succeeds := -1
 	failing := fmt.Sprintf("core: rank %d failed: ", bad)
 	switch kind {
 	case "model-panic":
@@ -281,14 +280,14 @@ func failRun(t *testing.T, kind string, ranks int) {
 			}
 			return true
 		}}
-		succeeds = bad
 		lost := fmt.Sprintf("core: rank 0: rank %d closed its link before it reported", bad)
+		told := failing + "closed its link before it reported"
 		want = func(r int, err error) string {
 			switch msg := err.Error(); {
 			case r == 0 && msg != lost:
 				return fmt.Sprintf("%q", lost)
-			case r != 0 && !strings.HasPrefix(msg, failing):
-				return fmt.Sprintf("an error beginning %q", failing)
+			case r != 0 && msg != told:
+				return fmt.Sprintf("%q", told)
 			}
 			return ""
 		}
@@ -321,10 +320,6 @@ func failRun(t *testing.T, kind string, ranks int) {
 	failedAt := time.Unix(0, at.Load())
 	for r, err := range errs {
 		switch {
-		case r == succeeds:
-			if err != nil {
-				t.Errorf("rank %d returned %v, want success", r, err)
-			}
 		case err == nil:
 			t.Errorf("rank %d returned success", r)
 		case want(r, err) != "":

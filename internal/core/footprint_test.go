@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"reflect"
 	"runtime"
 	"strings"
@@ -178,13 +179,13 @@ func TestOutgrownBlockSlotsPinNothing(t *testing.T) {
 // TestPeriodicSaveTimeIsSampled: under a periodic interval one checkpoint in
 // saveTimedEvery is timed and counted that many times, so StateSaveTime stays
 // an estimate of what a run that times every save reports — here a dynamic
-// checkpointer whose clamps leave it nowhere to go, on the same events — and
+// checkpointer whose control period never comes, on the same events — and
 // does not read zero. Timing is noisy; the estimate has to land within a factor
 // of two in one of three attempts.
 func TestPeriodicSaveTimeIsSampled(t *testing.T) {
 	run := func(mode statesave.Mode) (saveTime float64, saves int64) {
 		cfg := DefaultConfig(vtime.Time(1) << 40)
-		cfg.Checkpoint = statesave.Config{Mode: mode, Interval: 2, MinInterval: 2, MaxInterval: 2}
+		cfg.Checkpoint = statesave.Config{Mode: mode, Interval: 2, Period: math.MaxInt32}
 		m := phold.New(phold.Config{
 			Objects: 16, TokensPerObject: 2, MeanDelay: 10, Locality: 1, LPs: 1,
 			Seed: 3, Sparse: true, StatePadding: 4 << 10,
@@ -200,7 +201,7 @@ func TestPeriodicSaveTimeIsSampled(t *testing.T) {
 			}
 		}
 		if mode == statesave.Dynamic && lp.objs[0].ckpt.Interval() != 2 {
-			panic("the clamped controller moved its interval")
+			panic("the idle controller moved its interval")
 		}
 		return lp.st.StateSaveTime.Seconds(), lp.st.StatesSaved
 	}

@@ -59,18 +59,21 @@ type OptimismConfig struct {
 	// 0.2).
 	HighWater float64
 	LowWater  float64
-	// Factor is the multiplicative step per firing (default 2).
-	Factor float64
 	// MinSample is the minimum number of events committed across all LPs
 	// within the observation window before the controller acts; thinner
 	// windows extend instead of deciding on noise (default 64).
 	MinSample int64
-	// RoughFactor arms the preemptive roughness trigger: while the window
-	// is unbounded, an LVT spread wider than RoughFactor*Max counts as a
-	// tighten signal even before rollback waste materializes — Korniss et
-	// al.'s point that surface roughness precedes the storm (default 4).
-	RoughFactor float64
 }
+
+const (
+	// optStep is the window's multiplicative step per firing.
+	optStep = 2
+	// roughFactor arms the preemptive roughness trigger: while the window
+	// is unbounded, an LVT spread wider than roughFactor*Max counts as a
+	// tighten signal even before rollback waste materializes — Korniss et
+	// al.'s point that surface roughness precedes the storm.
+	roughFactor = 4
+)
 
 // Adaptive reports whether the adaptive optimism controller is selected.
 func (c OptimismConfig) Adaptive() bool { return c.Mode == OptimismAdaptive }
@@ -92,14 +95,8 @@ func (c OptimismConfig) withDefaults() OptimismConfig {
 	if c.LowWater > c.HighWater {
 		c.LowWater = c.HighWater
 	}
-	if c.Factor <= 1 {
-		c.Factor = 2
-	}
 	if c.MinSample <= 0 {
 		c.MinSample = 64
-	}
-	if c.RoughFactor <= 0 {
-		c.RoughFactor = 4
 	}
 	if c.Max <= 0 {
 		c.Max = 8 * c.Window
@@ -146,7 +143,7 @@ func adaptWindow(cfg OptimismConfig, w vtime.Time, cost float64) vtime.Time {
 	}
 	m := control.MIMD{
 		Lower: cfg.LowWater, Upper: cfg.HighWater,
-		Factor: cfg.Factor,
+		Factor: optStep,
 		Min:    float64(cfg.Min), Max: float64(cfg.Max),
 	}
 	return vtime.Time(m.Step(float64(w), cost))
@@ -172,7 +169,7 @@ func newOptController(cfg OptimismConfig, lps []*lpRun) *optController {
 		cfg:        cfg,
 		tick:       control.NewTicker(cfg.Period),
 		win:        newProgressWindow(lps),
-		roughLimit: int64(cfg.RoughFactor * float64(cfg.Max)),
+		roughLimit: int64(roughFactor * float64(cfg.Max)),
 	}
 }
 

@@ -26,7 +26,6 @@ func optTestConfig() OptimismConfig {
 		Period:    1,
 		HighWater: 0.3,
 		LowWater:  0.1,
-		Factor:    2,
 		MinSample: 10,
 	}.withDefaults()
 }
@@ -42,7 +41,7 @@ func TestOptimismConfigDefaults(t *testing.T) {
 			in:   OptimismConfig{},
 			want: OptimismConfig{
 				Window: 0, Min: 16, Max: 16384, Period: 4,
-				HighWater: 0.5, LowWater: 0.2, Factor: 2, MinSample: 64, RoughFactor: 4,
+				HighWater: 0.5, LowWater: 0.2, MinSample: 64,
 			},
 		},
 		{
@@ -50,7 +49,7 @@ func TestOptimismConfigDefaults(t *testing.T) {
 			in:   OptimismConfig{Window: 2000},
 			want: OptimismConfig{
 				Window: 2000, Min: 250, Max: 16384, Period: 4,
-				HighWater: 0.5, LowWater: 0.2, Factor: 2, MinSample: 64, RoughFactor: 4,
+				HighWater: 0.5, LowWater: 0.2, MinSample: 64,
 			},
 		},
 		{
@@ -58,7 +57,7 @@ func TestOptimismConfigDefaults(t *testing.T) {
 			in:   OptimismConfig{Window: 100_000, Min: 8, Max: 400},
 			want: OptimismConfig{
 				Window: 100_000, Min: 8, Max: 100_000, Period: 4,
-				HighWater: 0.5, LowWater: 0.2, Factor: 2, MinSample: 64, RoughFactor: 4,
+				HighWater: 0.5, LowWater: 0.2, MinSample: 64,
 			},
 		},
 		{
@@ -66,7 +65,7 @@ func TestOptimismConfigDefaults(t *testing.T) {
 			in:   OptimismConfig{HighWater: 0.2, LowWater: 0.4},
 			want: OptimismConfig{
 				Window: 0, Min: 16, Max: 16384, Period: 4,
-				HighWater: 0.2, LowWater: 0.2, Factor: 2, MinSample: 64, RoughFactor: 4,
+				HighWater: 0.2, LowWater: 0.2, MinSample: 64,
 			},
 		},
 	} {
@@ -143,10 +142,10 @@ func TestAdaptWindowProperties(t *testing.T) {
 			if start > cfg.Max {
 				start = cfg.Max
 			}
-			lo, hi := float64(start)/cfg.Factor, float64(start)*cfg.Factor
+			lo, hi := float64(start)/optStep, float64(start)*optStep
 			if float64(got) < lo-1 || float64(got) > hi+1 {
 				t.Fatalf("adaptWindow(%d, %.3f) = %d jumped more than one x%.0f notch",
-					w, cost, got, cfg.Factor)
+					w, cost, got, float64(optStep))
 			}
 		}
 		// Monotone in cost: more waste never widens the window. The sentinel
@@ -172,7 +171,8 @@ func TestAdaptWindowProperties(t *testing.T) {
 // relax when smooth, hold in the dead zone, open to unbounded past Max, and
 // re-enter at Max on the roughness trigger.
 func TestOptControllerHandTrace(t *testing.T) {
-	cfg := optTestConfig() // roughLimit = 4 * 4000 = 16000
+	cfg := optTestConfig()
+	roughLimit := int64(roughFactor * cfg.Max) // 16,000
 	c := newOptController(cfg, nil)
 	w := cfg.Window
 
@@ -193,7 +193,8 @@ func TestOptControllerHandTrace(t *testing.T) {
 		{"smooth reaches Max", 100, 0, 0, 4000, true},
 		{"smooth at Max opens fully", 100, 0, 0, 0, true},
 		{"unbounded holds while flat", 100, 0, 100, 0, true},
-		{"roughness re-enters at Max", 100, 0, 20000, 4000, true},
+		{"unbounded holds at the rough limit", 100, 0, roughLimit, 0, true},
+		{"roughness re-enters at Max", 100, 0, roughLimit + 1, 4000, true},
 		{"waste keeps tightening", 100, 90, 0, 2000, true},
 	} {
 		committed += st.dc

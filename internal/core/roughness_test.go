@@ -21,7 +21,7 @@ func TestRoughnessSampleAtCut(t *testing.T) {
 	cfg := DefaultConfig(1000)
 	cfg.Optimism = OptimismConfig{
 		Mode: OptimismAdaptive, Window: 100, Min: 50, Max: 100,
-		Period: 1, HighWater: 0.2, LowWater: 0.1, Factor: 2, MinSample: 1,
+		Period: 1, HighWater: 0.2, LowWater: 0.1, MinSample: 1,
 	}.withDefaults()
 	cfg.Tracer = telemetry.NewTracer(64)
 	cfg.Tracer.Bind([]int{0, 1, 2, 3}, time.Now())

@@ -32,7 +32,6 @@ func Run(m *model.Model, cfg Config) (*Result, error) {
 	}
 	numLPs := m.NumLPs()
 	cfg.Balance = cfg.Balance.withDefaults()
-	cfg.Codec = cfg.Codec.WithDefaults()
 	cfg.Optimism = cfg.Optimism.withDefaults()
 
 	if cfg.Workers < 0 {

@@ -249,7 +249,7 @@ func TestObjectIsOneAllocation(t *testing.T) {
 	dynamic := static
 	dynamic.Checkpoint = statesave.Config{Mode: statesave.Dynamic, Interval: 4}
 	dynamic.Cancellation = cancel.Config{Mode: cancel.Dynamic}
-	dynamic.Codec = codec.Config{Mode: codec.Dynamic}.WithDefaults()
+	dynamic.Codec = codec.Config{Mode: codec.Dynamic}
 	for _, tc := range []struct {
 		name string
 		cfg  Config

@@ -213,9 +213,6 @@ func (e *Event) String() string {
 // events; the layout is a fixed-size header followed by the payload.
 const headerSize = 8 + 8 + 4 + 4 + 8 + 4 + 1 + 4 + 4
 
-// EncodedSize returns the number of bytes Encode will append for e.
-func (e *Event) EncodedSize() int { return headerSize + len(e.Payload) }
-
 // Encode appends the wire form of e to buf and returns the extended slice.
 func (e *Event) Encode(buf []byte) []byte {
 	var h [headerSize]byte

@@ -154,7 +154,7 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 			e.Sign = Negative
 		}
 		buf := e.Encode(nil)
-		if len(buf) != e.EncodedSize() {
+		if len(buf) != headerSize+len(payload) {
 			return false
 		}
 		got, rest, err := Decode(buf)

@@ -259,11 +259,8 @@ func pa10() gowarp.CancellationConfig {
 // dynamicCheckpoint is the Section 4 controller configuration.
 func dynamicCheckpoint() gowarp.CheckpointConfig {
 	return gowarp.CheckpointConfig{
-		Mode:        gowarp.DynamicCheckpointing,
-		Interval:    1,
-		MinInterval: 1,
-		MaxInterval: 64,
-		Period:      256,
-		Margin:      0.05,
+		Mode:     gowarp.DynamicCheckpointing,
+		Interval: 1,
+		Period:   256,
 	}
 }

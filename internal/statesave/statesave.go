@@ -576,30 +576,25 @@ type Config struct {
 	// Interval is χ0: the fixed interval (Periodic) or initial interval
 	// (Dynamic). Values below 1 are treated as 1 (save after every event).
 	Interval int
-	// MinInterval and MaxInterval clamp the dynamic interval.
-	MinInterval, MaxInterval int
 	// Period is P: processed events between controller invocations.
 	Period int
-	// Margin is the relative Ec increase considered significant.
-	Margin float64
 }
+
+// The dynamic controller's clamps on χ and its significance margin: the
+// relative Ec increase that counts as worse. Every experiment ran with these.
+const (
+	minInterval = 1
+	maxInterval = 64
+	ctlMargin   = 0.05
+)
 
 // withDefaults fills unset fields with the defaults used in the experiments.
 func (c Config) withDefaults() Config {
 	if c.Interval < 1 {
 		c.Interval = 1
 	}
-	if c.MinInterval < 1 {
-		c.MinInterval = 1
-	}
-	if c.MaxInterval < c.MinInterval {
-		c.MaxInterval = 64
-	}
 	if c.Period < 1 {
 		c.Period = 256
-	}
-	if c.Margin <= 0 {
-		c.Margin = 0.05
 	}
 	return c
 }
@@ -608,7 +603,7 @@ func (c Config) withDefaults() Config {
 // Dynamic mode) adapts the interval χ from the observed cost index Ec. A
 // periodic checkpointer is its interval and a counter, which is all that
 // OnEventProcessed reads of it. Everything else — the dynamic controller's
-// ticker, transfer function, clamps and Ec sums, the adjustment count and the
+// ticker, transfer function and Ec sums, the adjustment count and the
 // hook — is behind ctl, nil unless the mode is Dynamic.
 type Checkpointer struct {
 	interval  int32
@@ -618,7 +613,6 @@ type Checkpointer struct {
 
 // controller is the part of a Checkpointer that only the Dynamic mode has.
 type controller struct {
-	min, max int
 	ticker   control.Ticker
 	transfer control.IncUnlessWorse
 
@@ -630,28 +624,16 @@ type controller struct {
 	hook        func(oldChi, newChi int, ec time.Duration)
 }
 
-// NewCheckpointer returns a checkpointer for one object.
-func NewCheckpointer(cfg Config) *Checkpointer {
-	c := &Checkpointer{}
-	c.init(cfg.withDefaults(), nil)
-	return c
-}
-
 // init sets c up for cfg, defaults applied. ctl is where a dynamic controller's
-// state goes (a Block's slot; nil allocates).
+// state goes: a Block's slot, nil unless the mode is Dynamic.
 func (c *Checkpointer) init(cfg Config, ctl *controller) {
 	*c = Checkpointer{interval: int32(min(cfg.Interval, math.MaxInt32))}
 	if cfg.Mode != Dynamic {
 		return
 	}
-	if ctl == nil {
-		ctl = new(controller)
-	}
 	*ctl = controller{
-		min:      cfg.MinInterval,
-		max:      cfg.MaxInterval,
 		ticker:   *control.NewTicker(cfg.Period),
-		transfer: control.IncUnlessWorse{Margin: cfg.Margin},
+		transfer: control.IncUnlessWorse{Margin: ctlMargin},
 	}
 	c.ctl = ctl
 }
@@ -693,7 +675,7 @@ func (c *Checkpointer) OnEventProcessed() (saveNow bool) {
 	if ctl := c.ctl; ctl != nil && ctl.ticker.Tick() {
 		ec := ctl.saveCost + ctl.coastCost
 		old := int(c.interval)
-		p := control.IntParam{Value: old, Min: ctl.min, Max: ctl.max, Step: 1}
+		p := control.IntParam{Value: old, Min: minInterval, Max: maxInterval, Step: 1}
 		ctl.transfer.Observe(float64(ec), &p)
 		if p.Value != old {
 			ctl.adjustments++

@@ -128,8 +128,17 @@ func TestQueueNewest(t *testing.T) {
 	}
 }
 
+// newCheckpointer is one object's checkpointer, bound out of a block as the
+// kernel binds it.
+func newCheckpointer(cfg Config) *Checkpointer {
+	var q Queue
+	c := new(Checkpointer)
+	NewBlock(cfg, codec.Config{}, 1).Bind(0, &q, c)
+	return c
+}
+
 func TestCheckpointerPeriodic(t *testing.T) {
-	c := NewCheckpointer(Config{Mode: Periodic, Interval: 3})
+	c := newCheckpointer(Config{Mode: Periodic, Interval: 3})
 	saves := 0
 	for i := 0; i < 9; i++ {
 		if c.OnEventProcessed() {
@@ -149,7 +158,7 @@ func TestCheckpointerPeriodic(t *testing.T) {
 // offered — its interval never moves, so there is nothing to observe and
 // nowhere to keep the hook.
 func TestPeriodicCheckpointerHasNoControllerParts(t *testing.T) {
-	c := NewCheckpointer(Config{Mode: Periodic, Interval: 3})
+	c := newCheckpointer(Config{Mode: Periodic, Interval: 3})
 	c.RecordSaveCost(time.Millisecond)
 	c.RecordCoastCost(time.Millisecond)
 	for _, fn := range []func(int, int, time.Duration){
@@ -177,7 +186,7 @@ func TestPeriodicCheckpointerHasNoControllerParts(t *testing.T) {
 }
 
 func TestCheckpointerOnRestore(t *testing.T) {
-	c := NewCheckpointer(Config{Mode: Periodic, Interval: 4})
+	c := newCheckpointer(Config{Mode: Periodic, Interval: 4})
 	c.OnEventProcessed()
 	c.OnEventProcessed()
 	// Rollback coasted 1 event since the restored snapshot.
@@ -193,7 +202,7 @@ func TestCheckpointerOnRestore(t *testing.T) {
 	}
 	// A coast at least as long as the interval must not save instantly
 	// after restore, only at the next processed event.
-	c2 := NewCheckpointer(Config{Mode: Periodic, Interval: 2})
+	c2 := newCheckpointer(Config{Mode: Periodic, Interval: 2})
 	c2.OnRestore(10)
 	if !c2.OnEventProcessed() {
 		t.Error("expected save at first event after a long coast")
@@ -201,9 +210,8 @@ func TestCheckpointerOnRestore(t *testing.T) {
 }
 
 func TestCheckpointerDynamicAdapts(t *testing.T) {
-	c := NewCheckpointer(Config{
-		Mode: Dynamic, Interval: 1, MinInterval: 1, MaxInterval: 16,
-		Period: 8, Margin: 0.01,
+	c := newCheckpointer(Config{
+		Mode: Dynamic, Interval: 1, Period: 8,
 	})
 	// Feed a cost regime where saving is expensive and coasting free: Ec
 	// decreases as the interval grows, so χ should climb.
@@ -220,9 +228,8 @@ func TestCheckpointerDynamicAdapts(t *testing.T) {
 }
 
 func TestCheckpointerDynamicBacksOff(t *testing.T) {
-	c := NewCheckpointer(Config{
-		Mode: Dynamic, Interval: 8, MinInterval: 1, MaxInterval: 64,
-		Period: 8, Margin: 0.01,
+	c := newCheckpointer(Config{
+		Mode: Dynamic, Interval: 8, Period: 8,
 	})
 	// Opposite regime: coast-forward cost grows superlinearly with the
 	// interval (long coasts), saving is cheap. χ should not run away to max.
@@ -238,7 +245,7 @@ func TestCheckpointerDynamicBacksOff(t *testing.T) {
 }
 
 func TestConfigDefaults(t *testing.T) {
-	c := NewCheckpointer(Config{})
+	c := newCheckpointer(Config{})
 	if c.Interval() != 1 {
 		t.Errorf("default interval = %d, want 1", c.Interval())
 	}
@@ -509,8 +516,8 @@ func codecConfigs() []codec.Config {
 		{Mode: codec.Full, Compression: codec.LZ},
 		{Mode: codec.Delta},
 		{Mode: codec.Delta, Compression: codec.LZ},
-		{Mode: codec.Dynamic, Controller: codec.ControllerConfig{Period: 16}},
-		{Mode: codec.Dynamic, Compression: codec.LZ, Controller: codec.ControllerConfig{Period: 16}},
+		{Mode: codec.Dynamic},
+		{Mode: codec.Dynamic, Compression: codec.LZ},
 	}
 }
 
@@ -611,8 +618,11 @@ func checkAgainstTwin(t testing.TB, q, twin *Queue, step int) {
 // tape of TestCodecQueueRestoreEquivalence. It was re-recorded when deltas
 // became reversible and the full anchors went — the stored bytes changed there
 // on purpose — and holds them since: a state that does not report what it
-// dirtied is stored byte for byte as one that does.
-const storedAtParent = 0x6a7e02cbc9ad2ed8
+// dirtied is stored byte for byte as one that does. It was recorded once more
+// when the Dynamic rows lost their 16-save control period and their tapes were
+// reshaped for the codec's 64 (tapeShape), by the commit before the period
+// became a constant, running these tapes.
+const storedAtParent = 0x7a711d7726c0164b
 
 // TestCodecQueueRestoreEquivalence drives a clone-path queue and two encoded
 // twins — one whose state hides what it dirtied, one whose state reports it,
@@ -639,7 +649,8 @@ func TestCodecQueueRestoreEquivalence(t *testing.T) {
 					name := fmt.Sprintf("full-every=%d,resize=%t", blindEvery, resize)
 					t.Run(name, func(t *testing.T) {
 						rng := model.NewRand(42)
-						landed, switches, sum := runCodecTape(t, cfg, blindEvery, resize, 600, rng.Intn)
+						steps, _ := tapeShape(cfg.Mode)
+						landed, switches, sum := runCodecTape(t, cfg, blindEvery, resize, steps, rng.Intn)
 						stored.Write(binary.LittleEndian.AppendUint64(nil, sum))
 						// The tape must have been where it claims to go.
 						for _, kind := range landingKinds(cfg.Mode) {
@@ -682,6 +693,19 @@ func FuzzCodecQueue(f *testing.F) {
 			return int(b) % n
 		})
 	})
+}
+
+// tapeShape is how many steps a tape of TestCodecQueueRestoreEquivalence runs
+// under mode, and how rarely a tape turns rewriting on or off (at one in
+// toggleOneIn of its op-11 steps). A Dynamic codec decides once every 64
+// saves, four times the 16 the tapes were written for: its tapes run twice as
+// long and keep each phase four times as long, so that a phase still spans a
+// decision and a tape still sees several.
+func tapeShape(mode codec.Mode) (steps, toggleOneIn int) {
+	if mode == codec.Dynamic {
+		return 1200, 16
+	}
+	return 600, 4
 }
 
 // The two places a fossil collection can land, by what the snapshot that
@@ -777,6 +801,7 @@ func runCodecTape(t testing.TB, cfg codec.Config, blindEvery int, resize bool, s
 	gvt := vtime.Time(0) // restores never go below GVT, as in the kernel
 	rewriting, packed := false, false
 	kinds := landingKinds(cfg.Mode)
+	_, toggleOneIn := tapeShape(cfg.Mode)
 	aim, missed := 0, 0
 	for step := 0; step < steps; step++ {
 		op := intn(12)
@@ -814,7 +839,7 @@ func runCodecTape(t testing.TB, cfg codec.Config, blindEvery int, resize bool, s
 			}
 			aim, missed = (aim+1)%len(kinds), 0
 		case 11:
-			if intn(4) == 0 {
+			if intn(toggleOneIn) == 0 {
 				rewriting = !rewriting
 			}
 			packed = true

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"sort"
 	"sync"
 	"sync/atomic"
 )
@@ -275,16 +274,4 @@ func (r *Registry) Snapshot() map[string]any {
 		out[name] = vs
 	}
 	return out
-}
-
-// SortedNames returns the registered metric names, sorted, for tests.
-func (r *Registry) SortedNames() []string {
-	if r == nil {
-		return nil
-	}
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	names := append([]string(nil), r.order...)
-	sort.Strings(names)
-	return names
 }

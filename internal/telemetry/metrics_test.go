@@ -79,8 +79,8 @@ func TestRegistryRebind(t *testing.T) {
 	r.Bind(2)
 	r.Gauge("a", "first run", false).Set(0, 1)
 	r.Bind(4)
-	if names := r.SortedNames(); len(names) != 0 {
-		t.Fatalf("rebind kept metrics %v, want none", names)
+	if kept := r.Snapshot(); len(kept) != 0 {
+		t.Fatalf("rebind kept metrics %v, want none", kept)
 	}
 	m := r.Gauge("b", "second run", true)
 	m.Set(3, 9)

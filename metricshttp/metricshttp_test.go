@@ -87,10 +87,7 @@ func TestLiveMetricsScrape(t *testing.T) {
 
 	cfg := gowarp.DefaultConfig(20_000)
 	cfg.GVTPeriod = time.Millisecond
-	cfg.Checkpoint = gowarp.CheckpointConfig{
-		Mode: gowarp.DynamicCheckpointing, Interval: 1,
-		MinInterval: 1, MaxInterval: 64, Period: 64,
-	}
+	cfg.Checkpoint = gowarp.CheckpointConfig{Mode: gowarp.DynamicCheckpointing, Interval: 1, Period: 64}
 	cfg.Cancellation = gowarp.CancellationConfig{Mode: gowarp.DynamicCancellation}
 	cfg.Aggregation = gowarp.AggregationConfig{Policy: gowarp.SAAW, Window: time.Millisecond}
 	cfg.Metrics = reg

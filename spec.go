@@ -12,9 +12,10 @@ import (
 )
 
 // This file parses the compact facet-spec strings used by command-line
-// front ends (twsim's -balance and -codec flags): one string per facet,
-// "mode[,key=value]...", so a whole controller configuration travels in a
-// single flag instead of a family of them.
+// front ends (twsim's -balance, -codec, -optimism, -sched and -transport
+// flags): one string per facet, "mode[,key=value]...", so a whole controller
+// configuration travels in a single flag instead of a family of them. A key
+// exists only for a Config field; the controllers' constants have none.
 
 // ParseBalanceSpec parses a load-balance facet spec:
 //
@@ -73,12 +74,11 @@ func ParseBalanceSpec(spec string) (BalanceConfig, error) {
 //	lz                         full encodings, LZ-compressed
 //	full[,lz]                  marshalled full checkpoints
 //	delta[,lz]                 incremental (reversible delta) checkpoints
-//	dynamic[,lz][,period=N][,low=F][,high=F]
-//	                           on-line full<->delta controller
+//	dynamic[,lz]               on-line full<->delta controller
 //
-// Keys: period (saves per controller window), low/high (dead-zone bounds on
-// the delta/full stored-bytes ratio). "lz" turns on compression of
-// checkpoints, migration capsules and aggregated wire payloads.
+// "lz" turns on compression of checkpoints, migration capsules and
+// aggregated wire payloads. The controller's period and dead zone are the
+// codec's own constants; no key sets them.
 func ParseCodecSpec(spec string) (CodecConfig, error) {
 	var cfg CodecConfig
 	parts := strings.Split(spec, ",")
@@ -108,32 +108,11 @@ func ParseCodecSpec(spec string) (CodecConfig, error) {
 			cfg.Compression = LZCompression
 			continue
 		}
-		key, val, err := splitSpecParam(spec, p)
+		key, _, err := splitSpecParam(spec, p)
 		if err != nil {
 			return cfg, err
 		}
-		switch key {
-		case "period":
-			if cfg.Mode != CodecDynamic {
-				return cfg, fmt.Errorf("codec spec %q: %s needs mode dynamic", spec, key)
-			}
-			cfg.Controller.Period, err = parseSpecInt(spec, key, val)
-		case "low":
-			if cfg.Mode != CodecDynamic {
-				return cfg, fmt.Errorf("codec spec %q: %s needs mode dynamic", spec, key)
-			}
-			cfg.Controller.LowRatio, err = parseSpecFloat(spec, key, val)
-		case "high":
-			if cfg.Mode != CodecDynamic {
-				return cfg, fmt.Errorf("codec spec %q: %s needs mode dynamic", spec, key)
-			}
-			cfg.Controller.HighRatio, err = parseSpecFloat(spec, key, val)
-		default:
-			return cfg, fmt.Errorf("codec spec %q: unknown key %q", spec, key)
-		}
-		if err != nil {
-			return cfg, err
-		}
+		return cfg, fmt.Errorf("codec spec %q: unknown key %q", spec, key)
 	}
 	return cfg, nil
 }
@@ -143,15 +122,15 @@ func ParseCodecSpec(spec string) (CodecConfig, error) {
 //	off                        unbounded optimism (the default)
 //	static,window=2000         fixed bounded time window
 //	adaptive                   on-line controller, default tuning
-//	adaptive,window=2000,min=250,max=16000,period=2,high=0.5,low=0.2,factor=2,min-sample=64,rough=4
+//	adaptive,window=2000,min=250,max=16000,period=2,high=0.5,low=0.2,min-sample=64
 //
 // Keys: window (initial window in virtual-time units past GVT; adaptive
 // runs without one start unbounded), min/max (adaptive window clamps;
 // relaxing at max opens optimism fully), period (GVT cycles between
 // controller firings), high/low (dead-zone bounds on the windowed
-// wasted-work ratio), factor (multiplicative step), min-sample (minimum
-// committed events per observation window), rough (LVT-spread multiple of
-// max that triggers a preemptive tighten while unbounded).
+// wasted-work ratio), min-sample (minimum committed events per observation
+// window). The multiplicative step (2) and the roughness trigger (an LVT
+// spread of 4 × max while unbounded) are the kernel's constants.
 func ParseOptSpec(spec string) (OptimismConfig, error) {
 	var cfg OptimismConfig
 	parts := strings.Split(spec, ",")
@@ -193,13 +172,9 @@ func ParseOptSpec(spec string) (OptimismConfig, error) {
 			cfg.HighWater, err = parseSpecFloat(spec, key, val)
 		case "low":
 			cfg.LowWater, err = parseSpecFloat(spec, key, val)
-		case "factor":
-			cfg.Factor, err = parseSpecFloat(spec, key, val)
 		case "min-sample":
 			n, err = parseSpecInt(spec, key, val)
 			cfg.MinSample = int64(n)
-		case "rough":
-			cfg.RoughFactor, err = parseSpecFloat(spec, key, val)
 		default:
 			return cfg, fmt.Errorf("optimism spec %q: unknown key %q", spec, key)
 		}

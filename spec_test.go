@@ -58,13 +58,8 @@ func TestParseCodecSpec(t *testing.T) {
 		{"full,lz", CodecConfig{Mode: CodecFull, Compression: LZCompression}},
 		{"delta", CodecConfig{Mode: CodecDelta}},
 		{"delta,lz", CodecConfig{Mode: CodecDelta, Compression: LZCompression}},
-		{
-			"dynamic,lz,period=32,low=0.5,high=0.8",
-			CodecConfig{
-				Mode: CodecDynamic, Compression: LZCompression,
-				Controller: CodecControllerConfig{Period: 32, LowRatio: 0.5, HighRatio: 0.8},
-			},
-		},
+		{"dynamic", CodecConfig{Mode: CodecDynamic}},
+		{"dynamic,lz", CodecConfig{Mode: CodecDynamic, Compression: LZCompression}},
 	} {
 		got, err := ParseCodecSpec(tc.spec)
 		if err != nil {
@@ -112,10 +107,10 @@ func TestParseOptSpec(t *testing.T) {
 		{"adaptive", OptimismConfig{Mode: OptimismAdaptive}},
 		{"adaptive,window=2000", OptimismConfig{Mode: OptimismAdaptive, Window: 2000}},
 		{
-			"adaptive,window=2000,min=250,max=16000,period=2,high=0.5,low=0.2,factor=2,min-sample=64,rough=4",
+			"adaptive,window=2000,min=250,max=16000,period=2,high=0.5,low=0.2,min-sample=64",
 			OptimismConfig{
 				Mode: OptimismAdaptive, Window: 2000, Min: 250, Max: 16000, Period: 2,
-				HighWater: 0.5, LowWater: 0.2, Factor: 2, MinSample: 64, RoughFactor: 4,
+				HighWater: 0.5, LowWater: 0.2, MinSample: 64,
 			},
 		},
 	} {
@@ -250,10 +245,8 @@ func TestConfigBuilder(t *testing.T) {
 		WithCheckpoint(DynamicCheckpointing, 4).
 		WithCancellation(DynamicCancellation).
 		WithAggregation(SAAW, 50*time.Microsecond).
-		WithBalance(BalanceDynamic).
 		WithCodec(CodecDynamic, LZCompression).
 		WithOptimism(OptimismAdaptive, 2000).
-		WithGVTPeriod(time.Millisecond).
 		WithWorkers(2).
 		WithTracer(tr).
 		Build()
@@ -269,9 +262,6 @@ func TestConfigBuilder(t *testing.T) {
 	}
 	if cfg.Aggregation.Policy != SAAW || cfg.Aggregation.Window != 50*time.Microsecond {
 		t.Errorf("Aggregation = %+v", cfg.Aggregation)
-	}
-	if !cfg.Balance.Dynamic() {
-		t.Errorf("Balance = %+v", cfg.Balance)
 	}
 	if cfg.Codec.Mode != CodecDynamic || cfg.Codec.Compression != LZCompression {
 		t.Errorf("Codec = %+v", cfg.Codec)

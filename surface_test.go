@@ -1,34 +1,36 @@
 package gowarp
 
 import (
+	"fmt"
 	"os/exec"
 	"reflect"
+	"sort"
 	"strings"
 	"testing"
 )
 
 // TestConfigSurface counts what a caller can set: the fields of Config and of
 // every facet config it holds by value, the builder's options, and the mode
-// words each spec parser takes. The numbers are the point. A new knob needs a
-// caller that exists at the parent commit — a cmd/, benchmark/, internal/exp
-// or an oracle leg; tests and examples do not count (simplicity-review,
-// Options) — and then the number it changes is edited here, in the same
-// change, where a reviewer sees it.
+// words and keys each spec parser takes. The numbers are the point. A new knob
+// needs a caller that exists at the parent commit — a cmd/, benchmark/,
+// internal/exp or an oracle leg; tests and examples do not count — and then
+// the number it changes is edited here, in the same change, where the diff
+// shows it. A tunable every such caller leaves at its default is a constant
+// of the package that reads it.
 func TestConfigSurface(t *testing.T) {
 	wantFields := map[string]int{
-		"core.Config":            15,
-		"statesave.Config":       6,
-		"cancel.Config":          7,
-		"comm.AggConfig":         8,
-		"comm.CostModel":         2,
-		"core.BalanceConfig":     6,
-		"codec.Config":           3,
-		"codec.ControllerConfig": 3,
-		"core.OptimismConfig":    10,
+		"core.Config":         15,
+		"statesave.Config":    3,
+		"cancel.Config":       7,
+		"comm.AggConfig":      4,
+		"comm.CostModel":      2,
+		"core.BalanceConfig":  6,
+		"codec.Config":        2,
+		"core.OptimismConfig": 8,
 	}
 	const (
-		wantLeaves  = 52 // independently settable values under Config
-		wantMethods = 21 // 20 With* options and Build
+		wantLeaves  = 40 // independently settable values under Config
+		wantMethods = 9  // the eight With* options benchmark/ calls, and Build
 	)
 
 	fields := map[string]int{}
@@ -44,29 +46,65 @@ func TestConfigSurface(t *testing.T) {
 		}
 		return leaves
 	}
-	if got := walk(reflect.TypeOf(Config{})); got != wantLeaves {
-		t.Errorf("Config has %d leaf fields, want %d", got, wantLeaves)
+	leaves := walk(reflect.TypeOf(Config{}))
+	if leaves != wantLeaves {
+		t.Errorf("Config has %d leaf fields, want %d", leaves, wantLeaves)
 	}
 	if !reflect.DeepEqual(fields, wantFields) {
 		t.Errorf("fields per config struct:\n got %v\nwant %v", fields, wantFields)
 	}
-	if got := reflect.TypeOf(&ConfigBuilder{}).NumMethod(); got != wantMethods {
-		t.Errorf("ConfigBuilder has %d methods, want %d", got, wantMethods)
+	methods := reflect.TypeOf(&ConfigBuilder{}).NumMethod()
+	if methods != wantMethods {
+		t.Errorf("ConfigBuilder has %d methods, want %d", methods, wantMethods)
 	}
+	t.Logf("Config: %d leaves; ConfigBuilder: %d methods", leaves, methods)
 
 	// Each parser takes its documented words (given the parameters the word
-	// requires) and refuses the aliases it once took, as any unknown mode.
+	// requires) and keys, refuses the aliases it once took as any unknown
+	// mode, and refuses the keys it once took as any unknown key, naming it.
 	for _, p := range []struct {
-		name    string
-		parse   func(string) error
-		words   []string
-		removed []string
+		name        string
+		parse       func(string) error
+		words       []string
+		removed     []string
+		keys        map[string]string // key: a spec that sets it
+		removedKeys map[string]string
 	}{
-		{"balance", errOf(ParseBalanceSpec), []string{"", "off", "dynamic"}, []string{"on", "static"}},
-		{"codec", errOf(ParseCodecSpec), []string{"", "off", "lz", "full", "delta", "dynamic"}, nil},
-		{"optimism", errOf(ParseOptSpec), []string{"", "off", "static,window=1", "adaptive"}, []string{"dynamic", "on"}},
-		{"sched", errOf(ParseSchedSpec), []string{"", "pool", "lp"}, []string{"goroutine", "workers"}},
-		{"transport", errOf(ParseTransportSpec), []string{"", "inproc", "tcp,rank=0,peers=a:1;b:2"}, []string{"local"}},
+		{
+			"balance", errOf(ParseBalanceSpec), []string{"", "off", "dynamic"}, []string{"on", "static"},
+			map[string]string{
+				"period": "dynamic,period=4", "high": "dynamic,high=1.2", "low": "dynamic,low=1.1",
+				"moves": "dynamic,moves=2", "min-sample": "dynamic,min-sample=32",
+			},
+			nil,
+		},
+		{
+			"codec", errOf(ParseCodecSpec), []string{"", "off", "lz", "full", "delta", "dynamic", "dynamic,lz"}, nil,
+			nil,
+			map[string]string{"period": "dynamic,period=64", "low": "dynamic,lz,low=0.5", "high": "dynamic,high=0.9"},
+		},
+		{
+			"optimism", errOf(ParseOptSpec), []string{"", "off", "static,window=1", "adaptive"}, []string{"dynamic", "on"},
+			map[string]string{
+				"window": "adaptive,window=2000", "min": "adaptive,min=250", "max": "adaptive,max=16000",
+				"period": "adaptive,period=2", "high": "adaptive,high=0.5", "low": "adaptive,low=0.2",
+				"min-sample": "adaptive,min-sample=64",
+			},
+			map[string]string{"factor": "adaptive,factor=2", "rough": "adaptive,rough=4"},
+		},
+		{
+			"sched", errOf(ParseSchedSpec), []string{"", "pool", "lp"}, []string{"goroutine", "workers"},
+			map[string]string{"workers": "pool,workers=2"},
+			nil,
+		},
+		{
+			"transport", errOf(ParseTransportSpec), []string{"", "inproc", "tcp,rank=0,peers=a:1;b:2"}, []string{"local"},
+			map[string]string{
+				"rank": "tcp,rank=1,peers=a:1;b:2", "peers": "tcp,rank=0,peers=a:1;b:2;c:3",
+				"listen": "tcp,rank=0,peers=a:1;b:2,listen=0.0.0.0:1", "timeout": "tcp,rank=0,peers=a:1;b:2,timeout=1s",
+			},
+			nil,
+		},
 	} {
 		for _, w := range p.words {
 			if err := p.parse(w); err != nil {
@@ -78,6 +116,20 @@ func TestConfigSurface(t *testing.T) {
 				t.Errorf("%s spec %q: err = %v, want an unknown-mode error", p.name, w, err)
 			}
 		}
+		var keys []string
+		for key, spec := range p.keys {
+			if err := p.parse(spec); err != nil {
+				t.Errorf("%s spec %q (key %s): %v", p.name, spec, key, err)
+			}
+			keys = append(keys, key)
+		}
+		for key, spec := range p.removedKeys {
+			if err := p.parse(spec); err == nil || !strings.Contains(err.Error(), fmt.Sprintf("unknown key %q", key)) {
+				t.Errorf("%s spec %q: err = %v, want an error naming the unknown key %q", p.name, spec, err, key)
+			}
+		}
+		sort.Strings(keys)
+		t.Logf("%s spec: %d keys %v", p.name, len(keys), keys)
 	}
 }
 
