@@ -19,6 +19,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"reflect"
 	"runtime"
@@ -104,6 +105,15 @@ func run(args []string, stdout, stderr io.Writer) int {
 	// different configuration.
 	if fs.NArg() > 0 {
 		return fail(fmt.Errorf("unexpected argument %q (twsim takes flags only, and would ignore every flag after it)", fs.Arg(0)))
+	}
+	// A threshold no hit ratio crosses would leave the selector silently off.
+	for _, th := range []struct {
+		name string
+		v    float64
+	}{{"a2l", *a2l}, {"l2a", *l2a}} {
+		if math.IsNaN(th.v) || math.IsInf(th.v, 0) {
+			return fail(fmt.Errorf("-%s wants a finite number, got %v", th.name, th.v))
+		}
 	}
 
 	tspec, err := gowarp.ParseTransportSpec(*transportFlag)

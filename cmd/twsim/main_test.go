@@ -167,6 +167,10 @@ func TestRefusals(t *testing.T) {
 		{"transport local", []string{"-transport", "local"}, `transport spec "local"`},
 		{"stray argument", []string{"-lps", "2", "stray", "-verify"}, `"stray"`},
 		{"sequential over tcp", []string{"-sequential", "-transport", "tcp,rank=0,peers=127.0.0.1:1;127.0.0.1:2"}, "-transport"},
+		{"balance high NaN", []string{"-balance", "dynamic,high=NaN,low=Inf"}, "high wants a positive finite number"},
+		{"optimism high Inf", []string{"-optimism", "adaptive,high=Inf"}, "high wants a positive finite number"},
+		{"a2l NaN", []string{"-cancel", "dynamic", "-a2l", "NaN"}, "-a2l wants a finite number"},
+		{"l2a Inf", []string{"-cancel", "dynamic", "-l2a", "-Inf"}, "-l2a wants a finite number"},
 	} {
 		code, out, errOut := twsim(tc.args...)
 		if code == 0 {
@@ -249,6 +253,15 @@ func TestMetricsAddr(t *testing.T) {
 	}
 	if !strings.Contains(metrics, "# TYPE gowarp_gvt gauge") {
 		t.Errorf("/metrics scraped during the run has no gowarp_gvt gauge:\n%s", metrics)
+	}
+	// LP 0 has published, so its controller gauges are in the scrape.
+	for _, name := range []string{
+		"gowarp_mean_checkpoint_interval", "gowarp_hit_ratio",
+		"gowarp_lazy_objects", "gowarp_aggregation_window_seconds",
+	} {
+		if !strings.Contains(metrics, name+`{lp="0"} `) {
+			t.Errorf("/metrics scraped during the run has no %s{lp=\"0\"} line:\n%s", name, metrics)
+		}
 	}
 	if !strings.Contains(vars, `"gowarp"`) || !strings.Contains(vars, "gowarp_gvt") {
 		t.Errorf("/debug/vars scraped during the run has no gowarp export:\n%s", vars)

@@ -2,7 +2,7 @@
 // Prometheus text-exposition format and /debug/vars as expvar JSON. It is a
 // leaf: the kernel publishes into the registry and never imports this package,
 // so net/http and expvar are linked only into a program that asks for the
-// endpoint (cmd/twsim -metrics-addr, examples/traced).
+// endpoint (cmd/twsim -metrics-addr).
 package metricshttp
 
 import (

@@ -373,10 +373,12 @@ func parseSpecInt(spec, key, val string) (int, error) {
 	return n, nil
 }
 
+// parseSpecFloat refuses NaN and infinities too: a dead-zone bound no
+// measurement crosses would leave its controller silently off.
 func parseSpecFloat(spec, key, val string) (float64, error) {
 	f, err := strconv.ParseFloat(val, 64)
-	if err != nil || f <= 0 {
-		return 0, fmt.Errorf("spec %q: %s wants a positive number, got %q", spec, key, val)
+	if err != nil || !(f > 0) || math.IsInf(f, 1) {
+		return 0, fmt.Errorf("spec %q: %s wants a positive finite number, got %q", spec, key, val)
 	}
 	return f, nil
 }

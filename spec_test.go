@@ -44,6 +44,18 @@ func TestParseBalanceSpecErrors(t *testing.T) {
 			t.Errorf("ParseBalanceSpec(%q): want error, got nil", spec)
 		}
 	}
+	// A bound that is not a finite number is refused, and the error names
+	// its key.
+	for spec, key := range map[string]string{
+		"dynamic,high=NaN,low=1.1": "high",
+		"dynamic,low=Inf":          "low",
+		"dynamic,high=+Inf":        "high",
+		"dynamic,low=-Inf":         "low",
+	} {
+		if _, err := ParseBalanceSpec(spec); err == nil || !strings.Contains(err.Error(), " "+key+" wants") {
+			t.Errorf("ParseBalanceSpec(%q): err %v, want %s named", spec, err, key)
+		}
+	}
 }
 
 func TestParseCodecSpec(t *testing.T) {
@@ -140,6 +152,16 @@ func TestParseOptSpecErrors(t *testing.T) {
 	} {
 		if _, err := ParseOptSpec(spec); err == nil {
 			t.Errorf("ParseOptSpec(%q): want error, got nil", spec)
+		}
+	}
+	for spec, key := range map[string]string{
+		"adaptive,high=NaN":         "high",
+		"adaptive,low=nan":          "low",
+		"adaptive,high=Inf":         "high",
+		"adaptive,low=0.2,high=inf": "high",
+	} {
+		if _, err := ParseOptSpec(spec); err == nil || !strings.Contains(err.Error(), " "+key+" wants") {
+			t.Errorf("ParseOptSpec(%q): err %v, want %s named", spec, err, key)
 		}
 	}
 }
