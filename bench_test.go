@@ -1,4 +1,4 @@
-// Benchmarks regenerating the paper's evaluation (one benchmark family per
+// Benchmarks regenerating the paper's evaluation (one sub-benchmark per
 // table/figure; see DESIGN.md's per-experiment index) plus kernel-level
 // micro-benchmarks.
 //
@@ -18,77 +18,25 @@ import (
 	"gowarp/internal/exp"
 )
 
-func testbed() exp.Testbed {
+// BenchmarkFigures regenerates every figure of exp.Experiments, one
+// sub-benchmark each (BenchmarkFigures/fig5, ...), a whole figure per
+// iteration, and logs the regenerated table once.
+func BenchmarkFigures(b *testing.B) {
 	tb := exp.Default()
 	tb.Quick = os.Getenv("GOWARP_BENCH_FULL") == ""
-	return tb
-}
-
-// benchFigure runs a whole figure per iteration and logs the regenerated
-// table once.
-func benchFigure(b *testing.B, run func(exp.Testbed) (exp.Figure, error)) {
-	b.Helper()
-	tb := testbed()
-	for i := 0; i < b.N; i++ {
-		fig, err := run(tb)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			b.Log("\n" + fig.Render())
-		}
+	for _, e := range exp.Experiments {
+		b.Run(e.Name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				fig, err := e.Run(tb)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if i == 0 {
+					b.Log("\n" + fig.Render())
+				}
+			}
+		})
 	}
-}
-
-// E1: Section 8 committed-event-rate scalars.
-func BenchmarkBaselineRates(b *testing.B) {
-	benchFigure(b, func(tb exp.Testbed) (exp.Figure, error) { return tb.Rates() })
-}
-
-// E2: Figure 5 — dynamic check-pointing, RAID and SMMP.
-func BenchmarkFig5DynamicCheckpointing(b *testing.B) {
-	benchFigure(b, func(tb exp.Testbed) (exp.Figure, error) { return tb.Fig5() })
-}
-
-// E3: Figure 6 — RAID cancellation strategies vs request count.
-func BenchmarkFig6RAIDCancellation(b *testing.B) {
-	benchFigure(b, func(tb exp.Testbed) (exp.Figure, error) { return tb.Fig6() })
-}
-
-// E4: Figure 7 — SMMP cancellation strategies vs test vectors.
-func BenchmarkFig7SMMPCancellation(b *testing.B) {
-	benchFigure(b, func(tb exp.Testbed) (exp.Figure, error) { return tb.Fig7() })
-}
-
-// E5: Figure 8 — SMMP DyMA aggregate-age sweep.
-func BenchmarkFig8SMMPDyMA(b *testing.B) {
-	benchFigure(b, func(tb exp.Testbed) (exp.Figure, error) { return tb.Fig8() })
-}
-
-// E6: Figure 9 — RAID DyMA aggregate-age sweep.
-func BenchmarkFig9RAIDDyMA(b *testing.B) {
-	benchFigure(b, func(tb exp.Testbed) (exp.Figure, error) { return tb.Fig9() })
-}
-
-// E2b: static checkpoint-interval sweep vs the dynamic controller.
-func BenchmarkCheckpointSweep(b *testing.B) {
-	benchFigure(b, func(tb exp.Testbed) (exp.Figure, error) { return tb.CheckpointSweep() })
-}
-
-// A2: GVT period ablation.
-func BenchmarkGVTPeriodAblation(b *testing.B) {
-	benchFigure(b, func(tb exp.Testbed) (exp.Figure, error) { return tb.GVTPeriodAblation() })
-}
-
-// A3: checkpoint-controller period ablation (control frequency vs overhead,
-// the Section 3 trade-off).
-func BenchmarkControlPeriodAblation(b *testing.B) {
-	benchFigure(b, func(tb exp.Testbed) (exp.Figure, error) { return tb.ControlPeriodAblation() })
-}
-
-// A4: RAID disk order-sensitivity ablation.
-func BenchmarkDiskSensitivityAblation(b *testing.B) {
-	benchFigure(b, func(tb exp.Testbed) (exp.Figure, error) { return tb.DiskSensitivityAblation() })
 }
 
 // Kernel micro-benchmarks: raw committed-event throughput with no synthetic

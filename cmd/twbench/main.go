@@ -49,12 +49,6 @@ func benchResult(fig exp.Figure) telemetry.BenchResult {
 	return out
 }
 
-// experiment is one -exp name and the testbed method that produces its figure.
-type experiment struct {
-	name string
-	run  func() (exp.Figure, error)
-}
-
 func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
 // run is the whole command: it parses args, checks every requested
@@ -64,8 +58,12 @@ func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("twbench", flag.ContinueOnError)
 	fs.SetOutput(stderr)
+	var names []string
+	for _, e := range exp.Experiments {
+		names = append(names, e.Name)
+	}
 	var (
-		which   = fs.String("exp", "all", "comma-separated experiments: rates,rates_codec,opt,scale,fig5,fig6,fig7,fig8,fig9,ckpt-sweep,gvt-period,ctl-period,disk-sens or 'all'")
+		which   = fs.String("exp", "all", "comma-separated experiments: "+strings.Join(names, ",")+" or 'all'")
 		repeat  = fs.Int("repeat", 1, "measured runs averaged per data point")
 		quick   = fs.Bool("quick", false, "shrink workloads ~10x (shape checks)")
 		rates   = fs.Bool("rates", false, "also print committed-event rates per point")
@@ -90,34 +88,20 @@ func run(args []string, stdout, stderr io.Writer) int {
 	tb := exp.Default()
 	tb.Repeat = *repeat
 	tb.Quick = *quick
-	experiments := []experiment{
-		{"rates", tb.Rates},
-		{"rates_codec", tb.RatesCodec},
-		{"opt", tb.Optimism},
-		{"scale", tb.Scale},
-		{"fig5", tb.Fig5},
-		{"fig6", tb.Fig6},
-		{"fig7", tb.Fig7},
-		{"fig8", tb.Fig8},
-		{"fig9", tb.Fig9},
-		{"ckpt-sweep", tb.CheckpointSweep},
-		{"gvt-period", tb.GVTPeriodAblation},
-		{"ctl-period", tb.ControlPeriodAblation},
-		{"disk-sens", tb.DiskSensitivityAblation},
-	}
 	// Every name is checked before anything runs: a typo in the last name
 	// must not cost the minutes of the first.
+	experiments := exp.Experiments
 	if *which != "all" {
 		want := make(map[string]bool)
 		for _, name := range strings.Split(*which, ",") {
 			name = strings.TrimSpace(name)
-			if !slices.ContainsFunc(experiments, func(e experiment) bool { return e.name == name }) {
+			if !slices.Contains(names, name) {
 				fmt.Fprintf(stderr, "twbench: unknown experiment %q\n", name)
 				return 2
 			}
 			want[name] = true
 		}
-		experiments = slices.DeleteFunc(experiments, func(e experiment) bool { return !want[e.name] })
+		experiments = slices.DeleteFunc(slices.Clone(experiments), func(e exp.Experiment) bool { return !want[e.Name] })
 	}
 
 	if *cpuProf != "" {
@@ -153,7 +137,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	for _, e := range experiments {
 		start := time.Now()
-		fig, err := e.run()
+		fig, err := e.Run(tb)
 		if err != nil {
 			return fail(err)
 		}

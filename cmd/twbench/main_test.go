@@ -6,6 +6,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"gowarp/internal/exp"
 )
 
 // TestUnknownExperiment: a bad name anywhere in -exp is a usage error before
@@ -25,10 +27,28 @@ func TestUnknownExperiment(t *testing.T) {
 	}
 }
 
+// TestHelp: -h exits 0 and its -exp line lists every experiment, each name
+// once, in the order they run.
 func TestHelp(t *testing.T) {
 	var stdout, stderr bytes.Buffer
 	if code := run([]string{"-h"}, &stdout, &stderr); code != 0 || !strings.Contains(stderr.String(), "-exp") {
 		t.Errorf("-h: exit %d, stderr %q", code, stderr.String())
+	}
+	_, list, _ := strings.Cut(stderr.String(), "comma-separated experiments: ")
+	list, _, _ = strings.Cut(list, " or 'all'")
+	listed := strings.Split(list, ",")
+	seen := make(map[string]bool)
+	for i, e := range exp.Experiments {
+		if seen[e.Name] {
+			t.Errorf("experiment %q is named twice", e.Name)
+		}
+		seen[e.Name] = true
+		if i >= len(listed) || listed[i] != e.Name {
+			t.Errorf("-h lists %q, want experiment %d, %q", listed, i, e.Name)
+		}
+	}
+	if len(listed) != len(exp.Experiments) {
+		t.Errorf("-h lists %d experiments, exp.Experiments has %d", len(listed), len(exp.Experiments))
 	}
 }
 

@@ -45,7 +45,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	var (
 		modelName = fs.String("model", "phold", "model: smmp, raid, phold, qnet, logic")
 		lps       = fs.Int("lps", 4, "logical processes (phold only; smmp/raid use the paper's partitions)")
-		requests  = fs.Int("requests", 500, "requests per generator (smmp: test vectors per processor; raid: requests per source)")
+		requests  = fs.Int("requests", 500, "requests per generator (smmp: test vectors per processor; raid: requests per source; 0 = unbounded, so smmp and raid then need -end)")
 		end       = fs.Int64("end", 0, "virtual end time (0 = run until the model drains)")
 		seed      = fs.Uint64("seed", 1, "model random seed")
 
@@ -114,6 +114,21 @@ func run(args []string, stdout, stderr io.Writer) int {
 		if math.IsNaN(th.v) || math.IsInf(th.v, 0) {
 			return fail(fmt.Errorf("-%s wants a finite number, got %v", th.name, th.v))
 		}
+	}
+
+	// The kernel and the models read a negative count or duration as a
+	// default or as no bound, so a negative one would run another
+	// configuration without a word.
+	for _, name := range []string{"requests", "filter-depth", "ps", "pa", "ckpt-interval", "agg-window",
+		"msg-cost", "event-cost", "gvt-period", "state-padding", "trace-cap"} {
+		if v := fs.Lookup(name).Value.String(); strings.HasPrefix(v, "-") {
+			return fail(fmt.Errorf("-%s must not be negative, got %s", name, v))
+		}
+	}
+	// SMMP and RAID with no request bound generate until the end time,
+	// and with no -end that is 2^40: the run would never finish.
+	if (*modelName == "smmp" || *modelName == "raid") && *requests == 0 && *end == 0 {
+		return fail(fmt.Errorf("-requests 0 lets %s generate without bound; give -end too", *modelName))
 	}
 
 	tspec, err := gowarp.ParseTransportSpec(*transportFlag)

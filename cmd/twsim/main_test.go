@@ -171,6 +171,19 @@ func TestRefusals(t *testing.T) {
 		{"optimism high Inf", []string{"-optimism", "adaptive,high=Inf"}, "high wants a positive finite number"},
 		{"a2l NaN", []string{"-cancel", "dynamic", "-a2l", "NaN"}, "-a2l wants a finite number"},
 		{"l2a Inf", []string{"-cancel", "dynamic", "-l2a", "-Inf"}, "-l2a wants a finite number"},
+		{"negative requests", []string{"-model", "raid", "-requests", "-1", "-end", "1000"}, "-requests must not be negative"},
+		{"negative filter depth", []string{"-cancel", "dynamic", "-filter-depth", "-3"}, "-filter-depth must not be negative"},
+		{"negative ps", []string{"-cancel", "dynamic", "-ps", "-1"}, "-ps must not be negative"},
+		{"negative pa", []string{"-cancel", "dynamic", "-pa", "-1"}, "-pa must not be negative"},
+		{"negative ckpt interval", []string{"-ckpt-interval", "-2"}, "-ckpt-interval must not be negative"},
+		{"negative agg window", []string{"-agg", "faw", "-agg-window", "-1ms"}, "-agg-window must not be negative"},
+		{"negative msg cost", []string{"-msg-cost", "-1us"}, "-msg-cost must not be negative"},
+		{"negative event cost", []string{"-event-cost", "-1us"}, "-event-cost must not be negative"},
+		{"negative gvt period", []string{"-gvt-period", "-1ms"}, "-gvt-period must not be negative"},
+		{"negative state padding", []string{"-state-padding", "-1"}, "-state-padding must not be negative"},
+		{"negative trace cap", []string{"-trace-cap", "-1"}, "-trace-cap must not be negative"},
+		{"raid without bound", []string{"-model", "raid", "-requests", "0"}, "-requests 0"},
+		{"smmp without bound", []string{"-model", "smmp", "-requests", "0", "-sequential"}, "-requests 0"},
 	} {
 		code, out, errOut := twsim(tc.args...)
 		if code == 0 {

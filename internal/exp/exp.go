@@ -1,11 +1,14 @@
 // Package exp is the experiment harness: it regenerates, on the simulated
 // network-of-workstations testbed, every table and figure of the paper's
 // evaluation (Section 8), plus the design-choice ablations listed in
-// DESIGN.md. Both cmd/twbench and the repository benchmarks drive it.
+// DESIGN.md. Every figure is one grid — a configuration per series, a swept
+// value per x, one timed run per cell — written through sweep. Experiments
+// lists them; cmd/twbench and BenchmarkFigures both run from that list.
 package exp
 
 import (
 	"fmt"
+	"io"
 	"runtime"
 	"strings"
 	"time"
@@ -51,8 +54,6 @@ func Default() Testbed {
 
 // Row is one measured data point.
 type Row struct {
-	// Label names the configuration (e.g. "LC", "FAW").
-	Label string
 	// X is the swept parameter value (requests, window age, ...).
 	X float64
 	// Seconds is the mean wall-clock execution time.
@@ -81,6 +82,30 @@ type Figure struct {
 	XLabel string
 	YLabel string
 	Series []Series
+}
+
+// Experiment is one figure by its -exp name and the testbed method that
+// regenerates it.
+type Experiment struct {
+	Name string
+	Run  func(Testbed) (Figure, error)
+}
+
+// Experiments is every figure, in the order twbench runs them.
+var Experiments = []Experiment{
+	{"rates", Testbed.Rates},
+	{"rates_codec", Testbed.RatesCodec},
+	{"opt", Testbed.Optimism},
+	{"scale", Testbed.Scale},
+	{"fig5", Testbed.Fig5},
+	{"fig6", Testbed.Fig6},
+	{"fig7", Testbed.Fig7},
+	{"fig8", Testbed.Fig8},
+	{"fig9", Testbed.Fig9},
+	{"ckpt-sweep", Testbed.CheckpointSweep},
+	{"gvt-period", Testbed.GVTPeriodAblation},
+	{"ctl-period", Testbed.ControlPeriodAblation},
+	{"disk-sens", Testbed.DiskSensitivityAblation},
 }
 
 // Render prints the figure as an aligned text table, one row per X value,
@@ -182,17 +207,51 @@ func (tb Testbed) baseConfig(end, window gowarp.VTime) gowarp.Config {
 	return cfg
 }
 
-// smmp returns the paper's SMMP instance generating `requests` test vectors
-// per processor, plus its baseline config.
-func (tb Testbed) smmp(requests int) (*gowarp.Model, gowarp.Config) {
-	if tb.Quick {
-		requests /= 10
-		if requests < 50 {
-			requests = 50
+// sweep runs one figure's grid x-major — at each x, a run per series — and
+// appends each row to its series. cell returns the model and configuration
+// of the point (x, series s), or a nil model to leave that point out. With
+// narrate set, each point is also printed there as it finishes.
+func (tb Testbed) sweep(fig Figure, series []string, xs []float64, narrate io.Writer,
+	cell func(x float64, s int) (*gowarp.Model, gowarp.Config)) (Figure, error) {
+	for _, name := range series {
+		fig.Series = append(fig.Series, Series{Name: name})
+	}
+	for _, x := range xs {
+		for si, name := range series {
+			m, cfg := cell(x, si)
+			if m == nil {
+				continue
+			}
+			row, err := tb.run(m, cfg)
+			if err != nil {
+				return fig, fmt.Errorf("%s/%s/%g: %w", fig.Name, name, x, err)
+			}
+			row.X = x
+			fig.Series[si].Rows = append(fig.Series[si].Rows, row)
+			if narrate != nil {
+				fmt.Fprintf(narrate, "  %s: %-9s %s=%-8g %8.3fs  %.0f ev/s  eff=%.3f\n",
+					fig.Name, name, fig.XLabel, x, row.Seconds, row.Rate, row.Stats.Efficiency())
+			}
 		}
 	}
+	return fig, nil
+}
+
+// shrink is n under Quick: a tenth of it, but no less than floor.
+func (tb Testbed) shrink(n, floor int) int {
+	if tb.Quick {
+		return max(n/10, floor)
+	}
+	return n
+}
+
+// smmp returns the paper's SMMP instance generating `requests` test vectors
+// per processor on `lps` LPs (0 is the paper's four-way partition), plus its
+// baseline config.
+func (tb Testbed) smmp(requests, lps int) (*gowarp.Model, gowarp.Config) {
 	m := gowarp.NewSMMP(gowarp.SMMPConfig{
-		Requests:     requests,
+		Requests:     tb.shrink(requests, 50),
+		LPs:          lps,
 		StatePadding: tb.StatePadding,
 	})
 	// Far horizon: the run ends when every processor finishes its vectors.
@@ -201,20 +260,29 @@ func (tb Testbed) smmp(requests int) (*gowarp.Model, gowarp.Config) {
 }
 
 // raid returns the paper's RAID instance generating `requests` requests per
-// source, plus its baseline config.
-func (tb Testbed) raid(requests int) (*gowarp.Model, gowarp.Config) {
-	if tb.Quick {
-		requests /= 10
-		if requests < 25 {
-			requests = 25
-		}
-	}
+// source, its disks order-sensitive (tracking the head) if asked, plus its
+// baseline config.
+func (tb Testbed) raid(requests int, sensitive bool) (*gowarp.Model, gowarp.Config) {
 	m := gowarp.NewRAID(gowarp.RAIDConfig{
-		RequestsPerSource: requests,
-		StatePadding:      tb.StatePadding,
+		RequestsPerSource:   tb.shrink(requests, 25),
+		StatePadding:        tb.StatePadding,
+		OrderSensitiveDisks: sensitive,
 	})
 	cfg := tb.baseConfig(gowarp.VTime(1)<<40, tb.RAIDWindow)
 	return m, cfg
+}
+
+// paperModel is one of the model-indexed figures' workloads at its paper
+// size: "raid" (500 requests per source), "smmp" (2,000 vectors per
+// processor) or "smmp8" (the same SMMP spread over 8 LPs).
+func (tb Testbed) paperModel(name string) (*gowarp.Model, gowarp.Config) {
+	switch name {
+	case "raid":
+		return tb.raid(500, false)
+	case "smmp8":
+		return tb.smmp(2000, 8)
+	}
+	return tb.smmp(2000, 0)
 }
 
 // Cancellation strategy variants of Figures 6 and 7.

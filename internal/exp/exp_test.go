@@ -128,7 +128,7 @@ func TestRenderIncludesEverySeries(t *testing.T) {
 func TestRepeatAverages(t *testing.T) {
 	tb := quickBed()
 	tb.Repeat = 2
-	m, cfg := tb.smmp(100)
+	m, cfg := tb.smmp(100, 0)
 	row, err := tb.run(m, cfg)
 	if err != nil {
 		t.Fatal(err)

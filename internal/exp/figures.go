@@ -11,30 +11,19 @@ import (
 // second for SMMP and RAID under the all-static configuration (the paper
 // reports 11,300 and 10,917 on its testbed).
 func (tb Testbed) Rates() (Figure, error) {
-	fig := Figure{
+	models := []string{"smmp", "raid"}
+	return tb.sweep(Figure{
 		Name:   "rates",
 		Title:  "Committed-event rate, all-static configuration (Sec. 8)",
 		XLabel: "model",
 		YLabel: "seconds (rate in EXPERIMENTS.md)",
-	}
-	type pt struct {
-		name string
-		mk   func() (*gowarp.Model, gowarp.Config)
-	}
-	for i, p := range []pt{
-		{"smmp", func() (*gowarp.Model, gowarp.Config) { return tb.smmp(2000) }},
-		{"raid", func() (*gowarp.Model, gowarp.Config) { return tb.raid(500) }},
-	} {
-		m, cfg := p.mk()
-		row, err := tb.run(m, cfg)
-		if err != nil {
-			return fig, fmt.Errorf("rates/%s: %w", p.name, err)
+	}, models, []float64{0, 1}, nil, func(x float64, s int) (*gowarp.Model, gowarp.Config) {
+		// Each model is its own series with one row, at x = its index.
+		if int(x) != s {
+			return nil, gowarp.Config{}
 		}
-		row.Label = p.name
-		row.X = float64(i)
-		fig.Series = append(fig.Series, Series{Name: p.name, Rows: []Row{row}})
-	}
-	return fig, nil
+		return tb.paperModel(models[s])
+	})
 }
 
 // RatesCodec measures the state-codec facet: the Rates workloads run with
@@ -43,43 +32,17 @@ func (tb Testbed) Rates() (Figure, error) {
 // interesting regression is bytes per committed event: delta+LZ should cut
 // checkpoint+capsule bytes by well over 25% on these padded-state models.
 func (tb Testbed) RatesCodec() (Figure, error) {
-	fig := Figure{
+	codecs := []gowarp.CodecConfig{{}, {Mode: gowarp.CodecDelta, Compression: gowarp.LZCompression}}
+	return tb.sweep(Figure{
 		Name:   "rates_codec",
 		Title:  "Committed-event rate and checkpoint bytes, codec off vs delta+LZ",
 		XLabel: "model(0=smmp,1=raid)",
 		YLabel: "execution seconds (bytes in BENCH json)",
-	}
-	variants := []struct {
-		name  string
-		codec gowarp.CodecConfig
-	}{
-		{"off", gowarp.CodecConfig{}},
-		{"delta+lz", gowarp.CodecConfig{Mode: gowarp.CodecDelta, Compression: gowarp.LZCompression}},
-	}
-	for vi := range variants {
-		fig.Series = append(fig.Series, Series{Name: variants[vi].name})
-	}
-	models := []struct {
-		name string
-		mk   func() (*gowarp.Model, gowarp.Config)
-	}{
-		{"smmp", func() (*gowarp.Model, gowarp.Config) { return tb.smmp(2000) }},
-		{"raid", func() (*gowarp.Model, gowarp.Config) { return tb.raid(500) }},
-	}
-	for mi, mm := range models {
-		for vi, v := range variants {
-			m, cfg := mm.mk()
-			cfg.Codec = v.codec
-			row, err := tb.run(m, cfg)
-			if err != nil {
-				return fig, fmt.Errorf("rates_codec/%s/%s: %w", mm.name, v.name, err)
-			}
-			row.Label = v.name
-			row.X = float64(mi)
-			fig.Series[vi].Rows = append(fig.Series[vi].Rows, row)
-		}
-	}
-	return fig, nil
+	}, []string{"off", "delta+lz"}, []float64{0, 1}, nil, func(x float64, s int) (*gowarp.Model, gowarp.Config) {
+		m, cfg := tb.paperModel([]string{"smmp", "raid"}[int(x)])
+		cfg.Codec = codecs[s]
+		return m, cfg
+	})
 }
 
 // Fig5 reproduces Figure 5: normalized performance of dynamic check-pointing
@@ -88,192 +51,105 @@ func (tb Testbed) RatesCodec() (Figure, error) {
 // dynamic check-pointing with lazy. Rows report execution seconds; the
 // normalized bars are seconds(baseline)/seconds(variant).
 func (tb Testbed) Fig5() (Figure, error) {
-	fig := Figure{
+	return tb.sweep(Figure{
 		Name:   "fig5",
 		Title:  "Dynamic check-pointing (Fig. 5); normalize against column 1",
 		XLabel: "model(0=raid,1=smmp)",
 		YLabel: "execution seconds",
-	}
-	variants := []struct {
-		name string
-		mut  func(*gowarp.Config)
-	}{
-		{"PC+AC", func(c *gowarp.Config) { c.Cancellation = ac() }},
-		{"PC+LC", func(c *gowarp.Config) { c.Cancellation = lc() }},
-		{"DynCkpt+LC", func(c *gowarp.Config) {
-			c.Cancellation = lc()
-			c.Checkpoint = dynamicCheckpoint()
-		}},
-	}
-	for vi := range variants {
-		fig.Series = append(fig.Series, Series{Name: variants[vi].name})
-	}
-	models := []struct {
-		name string
-		mk   func() (*gowarp.Model, gowarp.Config)
-	}{
-		{"raid", func() (*gowarp.Model, gowarp.Config) { return tb.raid(500) }},
-		{"smmp", func() (*gowarp.Model, gowarp.Config) { return tb.smmp(2000) }},
-	}
-	for mi, mm := range models {
-		for vi, v := range variants {
-			m, cfg := mm.mk()
-			v.mut(&cfg)
-			row, err := tb.run(m, cfg)
-			if err != nil {
-				return fig, fmt.Errorf("fig5/%s/%s: %w", mm.name, v.name, err)
-			}
-			row.Label = v.name
-			row.X = float64(mi)
-			fig.Series[vi].Rows = append(fig.Series[vi].Rows, row)
+	}, []string{"PC+AC", "PC+LC", "DynCkpt+LC"}, []float64{0, 1}, nil, func(x float64, s int) (*gowarp.Model, gowarp.Config) {
+		m, cfg := tb.paperModel([]string{"raid", "smmp"}[int(x)])
+		cfg.Cancellation = lc()
+		switch s {
+		case 0:
+			cfg.Cancellation = ac()
+		case 2:
+			cfg.Checkpoint = dynamicCheckpoint()
 		}
-	}
-	return fig, nil
+		return m, cfg
+	})
 }
 
 // Fig6 reproduces Figure 6: RAID execution time versus number of requests
 // per source for the cancellation strategies AC, LC, DC, ST0.4, PS32, PA10.
 func (tb Testbed) Fig6() (Figure, error) {
-	fig := Figure{
+	strategies := []gowarp.CancellationConfig{ac(), lc(), dc(), st04(), ps(32), pa10()}
+	return tb.sweep(Figure{
 		Name:   "fig6",
 		Title:  "RAID execution time vs requests (Fig. 6)",
 		XLabel: "requests",
 		YLabel: "execution seconds",
-	}
-	variants := []struct {
-		name string
-		cc   gowarp.CancellationConfig
-	}{
-		{"AC", ac()}, {"LC", lc()}, {"DC", dc()},
-		{"ST0.4", st04()}, {"PS32", ps(32)}, {"PA10", pa10()},
-	}
-	for vi := range variants {
-		fig.Series = append(fig.Series, Series{Name: variants[vi].name})
-	}
-	for _, requests := range []int{500, 1000} {
-		for vi, v := range variants {
-			m, cfg := tb.raid(requests)
-			cfg.Cancellation = v.cc
-			row, err := tb.run(m, cfg)
-			if err != nil {
-				return fig, fmt.Errorf("fig6/%s/%d: %w", v.name, requests, err)
-			}
-			row.Label = v.name
-			row.X = float64(requests)
-			fig.Series[vi].Rows = append(fig.Series[vi].Rows, row)
-		}
-	}
-	return fig, nil
+	}, []string{"AC", "LC", "DC", "ST0.4", "PS32", "PA10"}, []float64{500, 1000}, nil, func(x float64, s int) (*gowarp.Model, gowarp.Config) {
+		m, cfg := tb.raid(int(x), false)
+		cfg.Cancellation = strategies[s]
+		return m, cfg
+	})
 }
 
 // Fig7 reproduces Figure 7: SMMP execution time versus number of test
 // vectors per processor for AC, LC, DC, PS64, PA10.
 func (tb Testbed) Fig7() (Figure, error) {
-	fig := Figure{
+	strategies := []gowarp.CancellationConfig{ac(), lc(), dc(), ps(64), pa10()}
+	return tb.sweep(Figure{
 		Name:   "fig7",
 		Title:  "SMMP execution time vs test vectors (Fig. 7)",
 		XLabel: "vectors",
 		YLabel: "execution seconds",
-	}
-	variants := []struct {
-		name string
-		cc   gowarp.CancellationConfig
-	}{
-		{"AC", ac()}, {"LC", lc()}, {"DC", dc()}, {"PS64", ps(64)}, {"PA10", pa10()},
-	}
-	for vi := range variants {
-		fig.Series = append(fig.Series, Series{Name: variants[vi].name})
-	}
-	for _, vectors := range []int{2000, 5000, 10000} {
-		for vi, v := range variants {
-			m, cfg := tb.smmp(vectors)
-			cfg.Cancellation = v.cc
-			row, err := tb.run(m, cfg)
-			if err != nil {
-				return fig, fmt.Errorf("fig7/%s/%d: %w", v.name, vectors, err)
-			}
-			row.Label = v.name
-			row.X = float64(vectors)
-			fig.Series[vi].Rows = append(fig.Series[vi].Rows, row)
-		}
-	}
-	return fig, nil
+	}, []string{"AC", "LC", "DC", "PS64", "PA10"}, []float64{2000, 5000, 10000}, nil, func(x float64, s int) (*gowarp.Model, gowarp.Config) {
+		m, cfg := tb.smmp(int(x), 0)
+		cfg.Cancellation = strategies[s]
+		return m, cfg
+	})
 }
 
-// dymaAges is the aggregate-age sweep of Figures 8 and 9 (log spaced; our
-// testbed's microsecond..tens-of-milliseconds range plays the role of the
-// paper's 1..1000 axis — the interesting region is set by each model's
-// physical-message inter-arrival time per LP pair).
-var dymaAges = []time.Duration{
-	10 * time.Microsecond,
-	30 * time.Microsecond,
-	100 * time.Microsecond,
-	300 * time.Microsecond,
-	1 * time.Millisecond,
-	3 * time.Millisecond,
-	10 * time.Millisecond,
-	30 * time.Millisecond,
-}
+// dymaAges is the aggregate-age sweep of Figures 8 and 9 in microseconds (log
+// spaced; our testbed's microsecond..tens-of-milliseconds range plays the
+// role of the paper's 1..1000 axis — the interesting region is set by each
+// model's physical-message inter-arrival time per LP pair).
+var dymaAges = []float64{10, 30, 100, 300, 1000, 3000, 10000, 30000}
 
 // dyma runs one DyMA figure (execution time versus aggregate age) for the
-// given model constructor.
-func (tb Testbed) dyma(name, title string, mk func() (*gowarp.Model, gowarp.Config)) (Figure, error) {
+// named paper model.
+func (tb Testbed) dyma(name, title, model string) (Figure, error) {
 	fig := Figure{
 		Name:   name,
 		Title:  title,
 		XLabel: "age(us)",
 		YLabel: "execution seconds",
 	}
-	faw := Series{Name: "FAW"}
-	saaw := Series{Name: "SAAW"}
-	unagg := Series{Name: "Unaggregated"}
-
 	// The unaggregated baseline is age-independent; measure once and
 	// replicate across the sweep, as the paper's flat line does.
-	m, cfg := mk()
+	m, cfg := tb.paperModel(model)
 	cfg.Aggregation = gowarp.AggregationConfig{Policy: gowarp.NoAggregation}
 	base, err := tb.run(m, cfg)
 	if err != nil {
 		return fig, fmt.Errorf("%s/unaggregated: %w", name, err)
 	}
 
-	for _, age := range dymaAges {
-		x := float64(age) / float64(time.Microsecond)
-		for _, pol := range []struct {
-			s      *Series
-			policy gowarp.AggregationConfig
-		}{
-			{&faw, gowarp.AggregationConfig{Policy: gowarp.FAW, Window: age}},
-			{&saaw, gowarp.AggregationConfig{Policy: gowarp.SAAW, Window: age}},
-		} {
-			m, cfg := mk()
-			cfg.Aggregation = pol.policy
-			row, err := tb.run(m, cfg)
-			if err != nil {
-				return fig, fmt.Errorf("%s/%s/%s: %w", name, pol.s.Name, age, err)
-			}
-			row.Label = pol.s.Name
-			row.X = x
-			pol.s.Rows = append(pol.s.Rows, row)
-		}
-		b := base
-		b.Label = "Unaggregated"
-		b.X = x
-		unagg.Rows = append(unagg.Rows, b)
+	policies := []gowarp.AggregationPolicy{gowarp.FAW, gowarp.SAAW}
+	fig, err = tb.sweep(fig, []string{"FAW", "SAAW"}, dymaAges, nil, func(x float64, s int) (*gowarp.Model, gowarp.Config) {
+		m, cfg := tb.paperModel(model)
+		cfg.Aggregation = gowarp.AggregationConfig{Policy: policies[s], Window: time.Duration(x) * time.Microsecond}
+		return m, cfg
+	})
+	if err != nil {
+		return fig, err
 	}
-	fig.Series = []Series{faw, saaw, unagg}
+	unagg := Series{Name: "Unaggregated"}
+	for _, x := range dymaAges {
+		base.X = x
+		unagg.Rows = append(unagg.Rows, base)
+	}
+	fig.Series = append(fig.Series, unagg)
 	return fig, nil
 }
 
 // Fig8 reproduces Figure 8: SMMP execution time versus aggregate age for
 // FAW, SAAW and the unaggregated kernel.
 func (tb Testbed) Fig8() (Figure, error) {
-	return tb.dyma("fig8", "SMMP DyMA: execution time vs aggregate age (Fig. 8)",
-		func() (*gowarp.Model, gowarp.Config) { return tb.smmp(2000) })
+	return tb.dyma("fig8", "SMMP DyMA: execution time vs aggregate age (Fig. 8)", "smmp")
 }
 
 // Fig9 reproduces Figure 9: RAID execution time versus aggregate age.
 func (tb Testbed) Fig9() (Figure, error) {
-	return tb.dyma("fig9", "RAID DyMA: execution time vs aggregate age (Fig. 9)",
-		func() (*gowarp.Model, gowarp.Config) { return tb.raid(500) })
+	return tb.dyma("fig9", "RAID DyMA: execution time vs aggregate age (Fig. 9)", "raid")
 }

@@ -1,30 +1,8 @@
 package exp
 
 import (
-	"fmt"
-
 	"gowarp"
 )
-
-// smmpWide is the SMMP instance spread across more LPs than the paper's
-// four-way partition: same 16 processors, so each LP hosts fewer objects and
-// the LVT surface roughens faster — the workload where a mistuned optimism
-// window actually hurts.
-func (tb Testbed) smmpWide(requests, lps int) (*gowarp.Model, gowarp.Config) {
-	if tb.Quick {
-		requests /= 10
-		if requests < 50 {
-			requests = 50
-		}
-	}
-	m := gowarp.NewSMMP(gowarp.SMMPConfig{
-		Requests:     requests,
-		LPs:          lps,
-		StatePadding: tb.StatePadding,
-	})
-	cfg := tb.baseConfig(gowarp.VTime(1)<<40, tb.SMMPWindow)
-	return m, cfg
-}
 
 // adaptiveOptimism is the controller tuning the opt figure measures: start
 // at the model's tuned window with a decade of travel either way, a tight
@@ -44,49 +22,29 @@ func adaptiveOptimism(w gowarp.VTime) gowarp.OptimismConfig {
 
 // Optimism measures the sixth facet: execution time and wasted work for
 // three static optimism windows — the model's hand-tuned one, a 4x-relaxed
-// one, and unbounded optimism — against the adaptive controller, on a
-// wide-partition SMMP (8 LPs) and RAID. The BENCH artifact's
-// wasted_work_ratio column is the headline: adaptive should match or beat
-// the best static window without knowing it in advance.
+// one, and unbounded optimism — against the adaptive controller, on RAID and
+// on SMMP spread across 8 LPs instead of the paper's four (each LP hosts
+// fewer objects and the LVT surface roughens faster — the workload where a
+// mistuned window actually hurts). The BENCH artifact's wasted_work_ratio
+// column is the headline: adaptive should match or beat the best static
+// window without knowing it in advance.
 func (tb Testbed) Optimism() (Figure, error) {
-	fig := Figure{
+	return tb.sweep(Figure{
 		Name:   "opt",
 		Title:  "Adaptive optimism vs static windows (wasted work in BENCH json)",
 		XLabel: "model(0=smmp8,1=raid)",
 		YLabel: "execution seconds",
-	}
-	variants := []struct {
-		name string
-		mut  func(*gowarp.Config, gowarp.VTime)
-	}{
-		{"static", func(c *gowarp.Config, w gowarp.VTime) { c.Optimism.Window = w }},
-		{"static4x", func(c *gowarp.Config, w gowarp.VTime) { c.Optimism.Window = 4 * w }},
-		{"unbounded", func(c *gowarp.Config, _ gowarp.VTime) { c.Optimism.Window = 0 }},
-		{"adaptive", func(c *gowarp.Config, w gowarp.VTime) { c.Optimism = adaptiveOptimism(w) }},
-	}
-	for vi := range variants {
-		fig.Series = append(fig.Series, Series{Name: variants[vi].name})
-	}
-	models := []struct {
-		name   string
-		window gowarp.VTime
-		mk     func() (*gowarp.Model, gowarp.Config)
-	}{
-		{"smmp8", tb.SMMPWindow, func() (*gowarp.Model, gowarp.Config) { return tb.smmpWide(2000, 8) }},
-		{"raid", tb.RAIDWindow, func() (*gowarp.Model, gowarp.Config) { return tb.raid(500) }},
-	}
-	for mi, mm := range models {
-		for vi, v := range variants {
-			m, cfg := mm.mk()
-			v.mut(&cfg, mm.window)
-			row, err := tb.run(m, cfg)
-			if err != nil {
-				return fig, fmt.Errorf("opt/%s/%s: %w", mm.name, v.name, err)
-			}
-			row.Label = v.name
-			row.X = float64(mi)
-			fig.Series[vi].Rows = append(fig.Series[vi].Rows, row)
+	}, []string{"static", "static4x", "unbounded", "adaptive"}, []float64{0, 1}, nil, func(x float64, s int) (*gowarp.Model, gowarp.Config) {
+		// The baseline config's window is the model's tuned one.
+		m, cfg := tb.paperModel([]string{"smmp8", "raid"}[int(x)])
+		switch w := cfg.Optimism.Window; s {
+		case 1:
+			cfg.Optimism.Window = 4 * w
+		case 2:
+			cfg.Optimism.Window = 0
+		case 3:
+			cfg.Optimism = adaptiveOptimism(w)
 		}
-	}
-	return fig, nil
+		return m, cfg
+	})
 }

@@ -8,16 +8,6 @@ import (
 	"gowarp"
 )
 
-// scaleSizes are the swept object counts: three decades in the full sweep
-// (quick mode drops the top decade to keep CI minutes sane — the recorded
-// artifact says which was run via its X values).
-func (tb Testbed) scaleSizes() []int {
-	if tb.Quick {
-		return []int{1_000, 10_000, 100_000}
-	}
-	return []int{1_000, 10_000, 100_000, 1_000_000}
-}
-
 // scalePhold is the scaling workload: sparse PHOLD (O(1) memory per object)
 // with one token per object and high locality, partitioned onto LPs that grow
 // with the object count — so at a worker per LP the goroutine count grows
@@ -69,52 +59,36 @@ const scaleWorkers = 8
 // LP->worker remapping should beat a worker per LP when the load
 // concentrates.
 func (tb Testbed) Scale() (Figure, error) {
-	fig := Figure{
+	// The full sweep spans three decades; -quick drops the top one (the
+	// artifact's X values say which was run).
+	sizes := []float64{1_000, 10_000, 100_000, 1_000_000}
+	if tb.Quick {
+		sizes = sizes[:3]
+	}
+	hot := []float64{0, 0, 0.2, 0.2}
+	workers := []int{0, scaleWorkers, 0, scaleWorkers}
+	series := []string{"lp", "pool8", "lp-hot", "pool8-hot"}
+	// A 10^6-object sweep runs for many minutes; each point is narrated on
+	// stderr so an interactive run (or CI log) shows where the time goes.
+	return tb.sweep(Figure{
 		Name:   "scale",
 		Title:  fmt.Sprintf("Dispatcher at %d workers vs a worker per LP", scaleWorkers),
 		XLabel: "objects",
 		YLabel: "execution seconds",
-	}
-	variants := []struct {
-		name    string
-		hot     float64
-		workers int
-	}{
-		{"lp", 0, 0},
-		{"pool8", 0, scaleWorkers},
-		{"lp-hot", 0.2, 0},
-		{"pool8-hot", 0.2, scaleWorkers},
-	}
-	for _, v := range variants {
-		fig.Series = append(fig.Series, Series{Name: v.name})
-	}
-	for _, objects := range tb.scaleSizes() {
-		for vi, v := range variants {
-			// The skewed worker-per-LP rows above 10^4 objects run for
-			// many minutes (the hot LP pins GVT, so the per-LP GVT/fossil
-			// overhead multiplies) — that collapse is the figure's point,
-			// but it busts the quick budget; the full sweep keeps them.
-			if tb.Quick && v.hot > 0 && objects > 10_000 {
-				fmt.Fprintf(os.Stderr, "  scale: %-9s objects=%-8d skipped under -quick (minutes-long row; run the full sweep)\n",
-					v.name, objects)
-				continue
-			}
-			m, cfg := tb.scalePhold(objects, v.hot)
-			if cfg.Workers = v.workers; v.workers == 0 {
-				cfg.Workers = m.NumLPs() // the lp series: a worker per LP, not the default width
-			}
-			row, err := tb.run(m, cfg)
-			if err != nil {
-				return fig, fmt.Errorf("scale/%s/%d: %w", v.name, objects, err)
-			}
-			row.Label = v.name
-			row.X = float64(objects)
-			fig.Series[vi].Rows = append(fig.Series[vi].Rows, row)
-			// A 10^6-object sweep runs for many minutes; narrate each point
-			// so an interactive run (or CI log) shows where the time goes.
-			fmt.Fprintf(os.Stderr, "  scale: %-9s objects=%-8d %8.3fs  %.0f ev/s  eff=%.3f\n",
-				v.name, objects, row.Seconds, row.Rate, row.Stats.Efficiency())
+	}, series, sizes, os.Stderr, func(x float64, s int) (*gowarp.Model, gowarp.Config) {
+		// The skewed worker-per-LP rows above 10^4 objects run for many
+		// minutes (the hot LP pins GVT, so the per-LP GVT/fossil overhead
+		// multiplies) — that collapse is the figure's point, but it busts
+		// the quick budget; the full sweep keeps them.
+		if tb.Quick && hot[s] > 0 && x > 10_000 {
+			fmt.Fprintf(os.Stderr, "  scale: %-9s objects=%-8g skipped under -quick (minutes-long row; run the full sweep)\n",
+				series[s], x)
+			return nil, gowarp.Config{}
 		}
-	}
-	return fig, nil
+		m, cfg := tb.scalePhold(int(x), hot[s])
+		if cfg.Workers = workers[s]; workers[s] == 0 {
+			cfg.Workers = m.NumLPs() // the lp series: a worker per LP, not the default width
+		}
+		return m, cfg
+	})
 }
