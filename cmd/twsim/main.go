@@ -362,6 +362,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 			prefix, n, s, runtime.NumCPU(), res.HostRanks)
 	}
 	fmt.Fprint(stdout, res.Stats.Report())
+	for _, w := range res.PerWorker {
+		fmt.Fprintf(stdout, "%sworker %d: %d events, %.3f s busy, %d LPs owned, %d adoptions, %d held rounds\n",
+			prefix, w.Worker, w.Events, w.BusySeconds, w.OwnedLPs, w.Adoptions, w.HeldRounds)
+	}
 
 	if *perObject {
 		fmt.Fprintln(stdout, "per-object summary:")

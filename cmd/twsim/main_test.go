@@ -280,3 +280,23 @@ func TestMetricsAddr(t *testing.T) {
 		t.Errorf("/debug/vars scraped during the run has no gowarp export:\n%s", vars)
 	}
 }
+
+// TestWorkerReport: twsim prints a line per worker after the counters, with
+// the rounds the coupling held it; two workers under a bounded window are the
+// case where that count can be above zero.
+func TestWorkerReport(t *testing.T) {
+	code, out, errOut := twsim("-model", "phold", "-lps", "4", "-end", "2000",
+		"-sched", "pool,workers=2", "-optimism", "static,window=64", "-verify")
+	if code != 0 {
+		t.Fatalf("exit %d\n%s%s", code, out, errOut)
+	}
+	for _, w := range []string{"worker 0: ", "worker 1: "} {
+		i := strings.Index(out, w)
+		if i < 0 {
+			t.Fatalf("no %q line:\n%s", w, out)
+		}
+		if line, _, _ := strings.Cut(out[i:], "\n"); !strings.HasSuffix(line, " held rounds") {
+			t.Errorf("%q does not end with the held rounds", line)
+		}
+	}
+}

@@ -141,8 +141,9 @@ func TestPipelineLazyFavored(t *testing.T) {
 	// comparison per thirty to fifty rollbacks and at this size no gate fills
 	// a window (none in 300 runs under -race on a loaded host); the log line
 	// says what was seen. Longer runs do fill windows and do not bear the
-	// claim out on this model — an open finding, ROADMAP 4e — so lengthening
-	// this one is a decision about the model or the claim, not a tuning knob.
+	// claim out on this model — an open finding, ROADMAP items 2(c) and 22 —
+	// so lengthening this one is a decision about the model or the claim, not
+	// a tuning knob.
 	const filterDepth = 16
 	var lazy, seen int
 	var hits, misses, rollbacks int64

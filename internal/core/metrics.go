@@ -55,6 +55,7 @@ type runMetrics struct {
 	workerOwned     *telemetry.Metric
 	workerRunnable  *telemetry.Metric
 	workerAdoptions *telemetry.Metric
+	workerHeld      *telemetry.Metric
 	workerRemaps    *telemetry.Metric
 }
 
@@ -102,6 +103,7 @@ func newRunMetrics(reg *telemetry.Registry, numLPs int) *runMetrics {
 		workerOwned:     reg.Gauge("gowarp_worker_owned_lps", "LPs currently owned by this pool worker.", true).WithLabel("worker"),
 		workerRunnable:  reg.Gauge("gowarp_worker_runnable_lps", "Owned LPs with an executable event at last check.", true).WithLabel("worker"),
 		workerAdoptions: reg.Counter("gowarp_worker_adoptions_total", "LPs adopted by this pool worker through on-line remapping.", true).WithLabel("worker"),
+		workerHeld:      reg.Counter("gowarp_worker_held_rounds_total", "Rounds in which this pool worker executed nothing because its next event lay too far ahead of the rank's other workers.", true).WithLabel("worker"),
 		workerRemaps:    reg.Counter("gowarp_worker_remaps_total", "LP-to-worker remap plans published by the pool dispatcher.", false),
 	}
 }

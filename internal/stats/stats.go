@@ -249,7 +249,9 @@ func SortPerObject(s []PerObject) {
 // events it executed,
 // how much wall-clock it spent executing (utilization = BusySeconds divided
 // by the run's elapsed seconds), how many LPs it owned at the end, how many
-// LP adoptions the on-line remap controller handed it, and its event pool's
+// LP adoptions the on-line remap controller handed it, in how many rounds it
+// executed nothing because its next event lay too far ahead of the rank's
+// other workers (the dispatcher's coupling limit), and its event pool's
 // allocation/reuse split (pools are per-worker, so the per-LP pool counters
 // stay zero).
 type WorkerStats struct {
@@ -258,6 +260,7 @@ type WorkerStats struct {
 	BusySeconds     float64 `json:"busy_seconds"`
 	OwnedLPs        int     `json:"owned_lps"`
 	Adoptions       int64   `json:"adoptions"`
+	HeldRounds      int64   `json:"held_rounds"`
 	EventPoolAllocs int64   `json:"event_pool_allocs"`
 	EventPoolReuses int64   `json:"event_pool_reuses"`
 }
