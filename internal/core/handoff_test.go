@@ -127,9 +127,8 @@ func TestWorkerTreeRanges(t *testing.T) {
 	run := func(n int) {
 		for i := 0; i < n; i++ {
 			for _, w := range d.workers {
-				if slot, at := w.sched.Min(); at != vtime.PosInf {
-					o := w.objs[slot]
-					o.lp.exec(o, at)
+				if slot, at := w.sched.Min(); at != vtime.PosInf && w.objs[slot].lp.runnable(at) {
+					w.objs[slot].lp.exec(w.objs[slot])
 				}
 			}
 			k.settle()

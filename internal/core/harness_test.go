@@ -56,7 +56,11 @@ func (lp *lpRun) next() (*simObject, vtime.Time) {
 // had it picked that object, reporting whether anything ran.
 func (lp *lpRun) execStep() bool {
 	o, t := lp.next()
-	return t != vtime.PosInf && lp.exec(o, t)
+	if t == vtime.PosInf || !lp.runnable(t) {
+		return false
+	}
+	lp.exec(o)
+	return true
 }
 
 // nilState is a zero-size model.State. Boxing a zero-size value into an
