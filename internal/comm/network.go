@@ -30,10 +30,14 @@ const (
 	// one to each other rank; a rank that receives one stops its workers and
 	// fails its run naming that rank.
 	PktStop
-	// PktNull is a Chandy-Misra-Bryant null message: a promise that the
-	// sender will emit no event below Bound. No kernel sends one; the kind
-	// and its wire arm stay because benchmark/layers.go frames it as its
-	// control packet.
+	// PktNull carries a rank's virtual-time front in Bound: the least receive
+	// time of the next events its workers would execute, +inf when they have
+	// none they may execute. From is the sending rank. The Time Warp kernel
+	// sends one to each other rank whenever the front moves, and a rank
+	// couples its workers to the least front it has heard of (see
+	// internal/core/dispatch.go); unlike a Chandy-Misra-Bryant null message it
+	// promises nothing about what the sender emits. benchmark/layers.go frames
+	// it as its control packet.
 	PktNull
 	// PktMigrate carries a packed simulation object between LPs. It is
 	// color-accounted like an events packet (see Endpoint.SendMigration) so
@@ -82,7 +86,7 @@ type Packet struct {
 	Final bool
 	Token Token
 	GVT   vtime.Time
-	// Bound is a null message's lower bound on the sender's future events.
+	// Bound is the sending rank's front a PktNull carries.
 	Bound vtime.Time
 	// Window is the optimism window a PktGVT puts in force (0 = unbounded),
 	// and Moves the object migrations it orders, each carried out by the LP

@@ -578,6 +578,9 @@ func TestTCPDriverGoroutines(t *testing.T) {
 // channel, Poll, Flush and Arm do nothing, and Close drains what was sent
 // just before it.
 func TestTCPReaderSink(t *testing.T) {
+	// Close returns once its readers have called Done, a moment before they
+	// return: those of an earlier test may still be on their way out.
+	readLoops(t, 0)
 	r0, r1 := tcpMeshDrain(t, 2, true, 5*time.Second, func(tr *TCP) { tr.nonblock, tr.watch = nil, nil })
 	const frames = 200
 	for i := 0; i < frames; i++ {
@@ -593,8 +596,12 @@ func TestTCPReaderSink(t *testing.T) {
 			t.Fatalf("%d of %d frames reached the sink", len(delivered()), frames)
 		}
 	}
-	if got := strings.Count(allStacks(), "comm.(*TCP).readLoop"); got != 2 {
-		t.Errorf("%d reader goroutines across two ranks, want 2", got)
+	// Rank 1 has sent nothing, so rank 0's reader may not have run yet, and a
+	// goroutine that has not run shows in a dump as Start's go wrapper, not as
+	// readLoop: give it the time to start.
+	readers := readLoops(t, 2)
+	if readers != 2 {
+		t.Errorf("%d reader goroutines across two ranks, want 2", readers)
 	}
 	if !r1.Readers() {
 		t.Error("Readers() = false under the reader driver")
@@ -788,9 +795,30 @@ func TestTCPDialBackoff(t *testing.T) {
 	}
 }
 
+// readLoops waits up to five seconds for the count of reader goroutines
+// (comm.(*TCP).readLoop frames in a dump) to reach want, and returns the count
+// it last saw.
+func readLoops(t *testing.T, want int) int {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		n := strings.Count(allStacks(), "comm.(*TCP).readLoop")
+		if n == want || time.Now().After(deadline) {
+			return n
+		}
+		time.Sleep(100 * time.Microsecond)
+	}
+}
+
+// allStacks returns the stacks of every goroutine, the buffer grown until
+// runtime.Stack, which cuts what does not fit, has room for all of them.
 func allStacks() string {
-	buf := make([]byte, 1<<20)
-	return string(buf[:runtime.Stack(buf, true)])
+	for size := 1 << 20; ; size *= 2 {
+		buf := make([]byte, size)
+		if n := runtime.Stack(buf, true); n < size {
+			return string(buf[:n])
+		}
+	}
 }
 
 // TestTCPSendNeverBlocks (polled driver): Send to a peer that has stopped
@@ -900,6 +928,49 @@ func TestTCPTopologyMismatch(t *testing.T) {
 	wg.Wait()
 	if errs[0] == nil && errs[1] == nil {
 		t.Fatal("mismatched topologies joined successfully")
+	}
+}
+
+// TestTCPVersion4PeerRefused: a peer that says hello in wire version 4, from
+// before the ranks sent each other their fronts, is refused at the join
+// handshake. Rank 1 is a stand-in that takes rank 0's dial and dials back.
+func TestTCPVersion4PeerRefused(t *testing.T) {
+	var lns [2]net.Listener
+	addrs := make([]string, 2)
+	for i := range lns {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer ln.Close()
+		lns[i], addrs[i] = ln, ln.Addr().String()
+	}
+	t0, err := NewTCP(TCPConfig{Rank: 0, Addrs: addrs, NumLPs: 4, DialTimeout: 5 * time.Second, Listener: lns[0]})
+	if err != nil {
+		t.Fatal(err)
+	}
+	go func() {
+		if c, err := lns[1].Accept(); err == nil {
+			io.Copy(io.Discard, c)
+			c.Close()
+		}
+	}()
+	c, err := net.Dial("tcp", addrs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	var h [helloLen]byte
+	copy(h[:4], helloMagic[:])
+	h[4] = 4
+	binary.LittleEndian.PutUint32(h[5:], 1)
+	binary.LittleEndian.PutUint32(h[9:], 4)
+	binary.LittleEndian.PutUint32(h[13:], 2)
+	if _, err := c.Write(h[:]); err != nil {
+		t.Fatal(err)
+	}
+	if err := t0.Start(); !errors.Is(err, ErrFrameVersion) {
+		t.Fatalf("Start = %v, want the version refused", err)
 	}
 }
 

@@ -22,7 +22,8 @@ import (
 //	  u32  destination LP
 //	  ...  kind-specific fields, fixed width, little endian (PktReport:
 //	       u32 length, then the report record described below; PktStop:
-//	       u32 length, then the reason, at most MaxStopReason bytes)
+//	       u32 length, then the reason, at most MaxStopReason bytes;
+//	       PktNull: the sending rank's front, eight bytes)
 //
 // The encoding is defined to round-trip exactly: DecodeFrame rejects any
 // frame with trailing bytes, a bad version, an unknown kind or flag, or an
@@ -61,8 +62,9 @@ import (
 // PktGVT and drops the optimism wake and migration request kinds, so from
 // the first GVT on rank 0's window governs every rank; version 4 marks the
 // final GVT with a flag, which ends a run that ends well, and gives PktStop,
-// which now means failure only, the failing rank and a reason.
-const WireVersion = 4
+// which now means failure only, the failing rank and a reason; version 5
+// has the kernel send PktNull, each rank's virtual-time front to the others.
+const WireVersion = 5
 
 // MaxFrameBody bounds a frame body so a corrupt or hostile length prefix
 // cannot drive an allocation of arbitrary size.

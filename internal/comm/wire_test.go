@@ -33,7 +33,8 @@ func wireSamples() []struct {
 		{"gvt", 2, Packet{Kind: PktGVT, From: 0, GVT: 99_999}},
 		{"gvt-window", 6, Packet{Kind: PktGVT, From: 0, GVT: vtime.NegInf, Window: 4096}},
 		{"gvt-final", 3, Packet{Kind: PktGVT, From: 0, GVT: vtime.PosInf, Window: 64, Final: true}},
-		{"null", 4, Packet{Kind: PktNull, From: 3, Bound: 42}},
+		{"front", 4, Packet{Kind: PktNull, From: 1, Bound: 42}},
+		{"front-idle", 0, Packet{Kind: PktNull, From: 1, Bound: vtime.PosInf}},
 		{"stop", 5, Packet{Kind: PktStop, From: 0}},
 		{"stop-reason", 0, StopPacket(2, "LP 3, object 15 (phold.15), event kind 0 at t=711, GVT 676: panic: boom")},
 		{"report", 0, Packet{Kind: PktReport, From: 1, Payload: []byte("gob bytes here")}},
@@ -271,6 +272,11 @@ func FuzzDecodeFrame(f *testing.F) {
 	f.Add([]byte{WireVersion})
 	short, long := gvtBodies(f)
 	stop, overlong, overrun := stopBodies(f)
+	front, err := AppendFrame(nil, 4, Packet{Kind: PktNull, From: 1, Bound: 42})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(front[4 : len(front)-1]) // a front a byte short
 	finalStop := append([]byte(nil), stop...)
 	finalStop[3] |= flagFinal
 	for _, b := range [][]byte{short, long, overlong, overrun, finalStop, append(stop[:len(stop):len(stop)], 0)} {

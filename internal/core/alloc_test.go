@@ -302,6 +302,15 @@ func TestExecutePathAllocationBudget(t *testing.T) {
 		t.Fatalf("long run committed %d events, short %d; cannot take a marginal measurement",
 			longEvents, shortEvents)
 	}
+	// Most of either count is the event pool filling to its peak, the events
+	// one GVT period of wall time leaves uncollected, and not the events
+	// themselves: a long run whose GVT keeps pace allocates little more than
+	// a short one, and a short one whose first GVT comes late can allocate
+	// more.
+	if longAllocs < shortAllocs {
+		t.Fatalf("the long run allocated %d times over %d committed events, the short run %d over %d: no marginal measurement",
+			longAllocs, longEvents, shortAllocs, shortEvents)
+	}
 	perEvent := float64(longAllocs-shortAllocs) / float64(longEvents-shortEvents)
 	t.Logf("marginal allocations: %.2f per committed event (facets enabled)", perEvent)
 	// Measured ~0.2 on the machine that recorded the baselines; the budget

@@ -3,6 +3,8 @@ package core
 import (
 	"fmt"
 	"slices"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -304,5 +306,133 @@ func TestCoupledWorkersCounts(t *testing.T) {
 	}
 	if w > 7.9 {
 		t.Errorf("median mean LVT width %.1f, bound 7.9", w)
+	}
+}
+
+// rankWire is the transport of rank 0 of a two-rank run whose rank 1 is
+// absent: a send to one of rank 0's LPs reaches the sink, and what is sent to
+// rank 1's is kept for the test to read.
+type rankWire struct {
+	numLPs int
+	sink   func(int, comm.Packet)
+
+	mu   sync.Mutex
+	away []comm.Packet // sent to rank 1, each with its destination in Count
+}
+
+func (w *rankWire) Peers() comm.Peers {
+	return comm.Peers{NumLPs: w.numLPs, Local: comm.BlockRanks(w.numLPs, 2, 0), NumRanks: 2}
+}
+func (w *rankWire) SetSink(s func(int, comm.Packet), _ func()) { w.sink = s }
+func (w *rankWire) Recv(int) <-chan comm.Packet                { return nil }
+func (w *rankWire) Poll()                                      {}
+func (w *rankWire) Flush(bool)                                 {}
+func (w *rankWire) Arm()                                       {}
+func (w *rankWire) Start() error                               { return nil }
+func (w *rankWire) Close() error                               { return nil }
+
+func (w *rankWire) Send(dst int, p comm.Packet, _ int) {
+	if comm.RankOf(dst, w.numLPs, 2) == 0 {
+		w.sink(dst, p)
+		return
+	}
+	p.Count = dst
+	w.mu.Lock()
+	w.away = append(w.away, p)
+	w.mu.Unlock()
+}
+
+// fronts returns the fronts rank 0 has sent rank 1 so far.
+func (w *rankWire) fronts(t *testing.T) []vtime.Time {
+	t.Helper()
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	var fs []vtime.Time
+	for _, p := range w.away {
+		if p.Kind != comm.PktNull {
+			continue
+		}
+		if p.From != 0 || p.Count != 2 {
+			t.Errorf("a front from rank %d sent to LP %d, want rank 0's to LP 2, rank 1's first", p.From, p.Count)
+		}
+		fs = append(fs, p.Bound)
+	}
+	return fs
+}
+
+// TestCouplingRemoteFront: a front another rank sends is folded into the
+// least front the worker is coupled to (peerFront); a worker runs
+// w/couplingDivisor past it, then parks with its own front published — and
+// sent to the other rank — and the least front it waits for announced; a
+// delivered front that reaches that need wakes it at once, not after the idle
+// tick (a minute here), and +inf releases it. Rank 0 of two runs alone, one
+// worker on LPs 0 and 1, whose relays pass their tokens between them; rank
+// 1, which would host LPs 2 and 3, is absent.
+func TestCouplingRemoteFront(t *testing.T) {
+	const inf = vtime.PosInf
+	m := twoGroupModel(func(i int) *relayObject { return &relayObject{first: 1, delay: 1, stop: inf} })
+	cfg := DefaultConfig(1000)
+	cfg.Workers = 1
+	cfg.Optimism.Window = 640 // a distance of 10, a horizon of 640
+	cfg.GVTPeriod = 4 * time.Minute
+	wire := &rankWire{numLPs: m.NumLPs()}
+	d := newKernel(m, &cfg, wire.Peers(), wire, nil)
+	if got := d.peerFront(0); got != inf {
+		t.Errorf("before rank 1 sent a front: %v, want +inf", got)
+	}
+	d.deliver(0, comm.Packet{Kind: comm.PktNull, From: 1, Bound: 40})
+	if got := d.peerFront(0); got != 40 {
+		t.Errorf("after rank 1's front of 40: %v", got)
+	}
+	if got := limitAt(d.peerFront(0), cfg.Optimism.Window); got != 50 {
+		t.Errorf("limit %v, want 50", got)
+	}
+	d.deliver(1, comm.Packet{Kind: comm.PktNull, From: 1, Bound: 0})
+
+	w := d.workers[0]
+	done := make(chan struct{})
+	go func() {
+		w.run()
+		close(done)
+	}()
+	waitFor := func(what string, cond func() bool) {
+		t.Helper()
+		deadline := time.Now().Add(10 * time.Second)
+		for !cond() {
+			if time.Now().After(deadline) {
+				t.Fatalf("%s: not within 10 s", what)
+			}
+			time.Sleep(100 * time.Microsecond)
+		}
+	}
+	f := &d.fronts[0]
+	waitFor("the worker parks", func() bool { return w.waiting.Load() && f.need.Load() != int64(inf) })
+	front, need := vtime.Time(f.t.Load()), vtime.Time(f.need.Load())
+	if front != 11 || need != 1 {
+		t.Errorf("parked with front %v and need %v published, want 11 and 1", front, need)
+	}
+	if sent := wire.fronts(t); len(sent) == 0 || sent[len(sent)-1] != front {
+		t.Errorf("fronts sent to rank 1: %v, the last of them not the worker's front %v", sent, front)
+	} else if slices.Contains(sent, inf) || len(slices.Compact(slices.Clone(sent))) != len(sent) {
+		t.Errorf("fronts sent to rank 1: %v, a front sent twice running", sent)
+	}
+	d.deliver(0, comm.Packet{Kind: comm.PktNull, From: 1, Bound: need}) // lets it run at 11, then holds it again
+	waitFor("the worker runs on past 11", func() bool { return vtime.Time(f.t.Load()) > front })
+	d.deliver(0, comm.Packet{Kind: comm.PktNull, From: 1, Bound: inf})
+	waitFor("the worker runs to the horizon", func() bool { return vtime.Time(f.t.Load()) == inf })
+	if got := vtime.Time(f.need.Load()); got != inf {
+		t.Errorf("the worker idles with need %v announced, want +inf", got)
+	}
+	d.release()
+	<-done
+	if sent := wire.fronts(t); sent[len(sent)-1] != inf {
+		t.Errorf("the last front sent to rank 1 is %v, want the +inf of an idle rank", sent[len(sent)-1])
+	}
+	for _, rank := range []int{0, 2, -1} {
+		d.failed.Store(nil)
+		d.deliver(0, comm.Packet{Kind: comm.PktNull, From: rank, Bound: 5})
+		if f := d.failed.Load(); f == nil || !strings.Contains(f.msg, fmt.Sprintf("a front from rank %d,", rank)) {
+			t.Errorf("a front from rank %d, which is not another rank of two: the run's failure is %v", rank, f)
+		}
 	}
 }

@@ -57,6 +57,17 @@ package core
 // window that GVT's broadcast carries, so a tightened window throttles every
 // worker identically.
 //
+// Under a bounded window the whole run also shares one virtual-time front.
+// Each worker publishes the receive time of its next executable event once a
+// round (dispatcher.fronts) and ends its batch at the first event later than
+// the least front of the run's other workers plus window/couplingDivisor
+// (limitAt): those of its own rank read from their slots, those of the other
+// ranks from one slot per rank, which the sink fills. A rank's front, the
+// least of its workers', goes to every other rank as a PktNull whenever it
+// moves (sendFront). A held worker yields, or parks until a front it waits
+// for is published or arrives. A run of one rank has no slot for another,
+// and sends nothing.
+//
 // Re-mapping on line: each LP records its progress at every GVT application
 // (progress.go) and, every remapEvery applications on the first hosted LP, the
 // dispatcher recomputes an LP→worker assignment by longest-processing-time
@@ -68,6 +79,7 @@ package core
 // objects between LPs, the dispatcher migrates LPs between workers.
 
 import (
+	"fmt"
 	"runtime"
 	"sort"
 	"sync"
@@ -87,11 +99,14 @@ import (
 // amortization.
 const poolBatch = 32
 
-// couplingDivisor sets how far a worker may run ahead of the rank's other
+// couplingDivisor sets how far a worker may run ahead of the run's other
 // workers under a bounded optimism window w: it executes no event later than
-// their least front plus w/couplingDivisor (limitAt). Least-timestamp-first
-// order keeps rollbacks short inside one worker; the coupling carries that
-// order across the workers of a rank, whose cores need not run equally fast.
+// the least front of the rank's other workers and of the other ranks plus
+// w/couplingDivisor (limitAt). Least-timestamp-first order keeps rollbacks
+// short inside one worker; the coupling carries that order across the
+// workers of a rank and across the ranks, whose cores need not run equally
+// fast. The distance between ranks was sized on its own and came out the
+// same (EXPERIMENTS.md "One front per fleet").
 const couplingDivisor = 64
 
 // parkAfter is how long a worker held by the coupling limit yields round
@@ -167,7 +182,9 @@ type dispatcher struct {
 	// poker's P at the end of the round.
 	wantP atomic.Int32
 	// fronts holds each worker's published virtual-time front, indexed by
-	// worker id (see worker.publish), each on a cache line of its own.
+	// worker id (see worker.publish), then, on a run of several ranks, each
+	// other rank's front as its last PktNull said (see remoteArrived), in
+	// rank order: each on a cache line of its own.
 	fronts []front
 	// idleTick is the longest a worker waits for a poke: the longest an idle
 	// LP 0 takes to force a GVT computation, and how often an idle worker
@@ -196,6 +213,16 @@ type dispatcher struct {
 	// failed is the first failure the run met (see fail): nil while the run
 	// goes well.
 	failed atomic.Pointer[failure]
+
+	// rank is this rank, and others the first LP of each other rank in rank
+	// order, where this rank's front goes (see sendFront). sent is the front
+	// they were sent last, which sendMu guards with the sends themselves, so
+	// that the frames leave in the order of the values they carry. They come
+	// last, so that the fields every round reads keep their cache lines.
+	rank   int
+	others []int
+	sendMu sync.Mutex
+	sent   vtime.Time
 }
 
 // front is one worker's published virtual-time front: the receive time of the
@@ -203,6 +230,7 @@ type dispatcher struct {
 // while the coupling limit parks it, the least peer front it waits for (need,
 // otherwise +inf). The pad gives them a cache line of their own: the owner
 // writes them, and every other worker of the rank reads them once a round.
+// Another rank's slot has only t, which the sink writes.
 type front struct {
 	t, need atomic.Int64
 	_       [48]byte
@@ -241,14 +269,13 @@ func newDispatcher(numWorkers, numLPs int, cfg *Config) *dispatcher {
 	d := &dispatcher{
 		byID:     make([]*lpRun, numLPs),
 		idleTick: cfg.GVTPeriod / 4,
-		fronts:   make([]front, numWorkers),
+		fronts:   newFronts(numWorkers),
+		sent:     vtime.PosInf,
 	}
 	if d.idleTick <= 0 {
 		d.idleTick = 250 * time.Microsecond
 	}
 	for w := 0; w < numWorkers; w++ {
-		d.fronts[w].t.Store(int64(vtime.PosInf))
-		d.fronts[w].need.Store(int64(vtime.PosInf))
 		d.workers = append(d.workers, &worker{
 			id:    w,
 			d:     d,
@@ -260,9 +287,34 @@ func newDispatcher(numWorkers, numLPs int, cfg *Config) *dispatcher {
 	return d
 }
 
+// newFronts returns n front slots, every value in them +inf.
+func newFronts(n int) []front {
+	fs := make([]front, n)
+	for i := range fs {
+		fs[i].t.Store(int64(vtime.PosInf))
+		fs[i].need.Store(int64(vtime.PosInf))
+	}
+	return fs
+}
+
+// join gives the dispatcher, before any worker runs, a front slot for each
+// rank of peers but its own, at +inf until that rank sends its front. A run
+// of one rank has none.
+func (d *dispatcher) join(peers comm.Peers) {
+	d.rank = peers.Rank
+	for r := 0; r < peers.NumRanks; r++ {
+		if r != peers.Rank {
+			d.others = append(d.others, comm.BlockRanks(peers.NumLPs, peers.NumRanks, r)[0])
+		}
+	}
+	if len(d.others) > 0 {
+		d.fronts = newFronts(len(d.workers) + len(d.others))
+	}
+}
+
 // peerFront is the least front the rank's workers other than self have
-// published: +inf when there is no other worker, or none has an event it may
-// execute.
+// published and the other ranks have sent: +inf when there is no other
+// worker or rank, or none has an event it may execute.
 func (d *dispatcher) peerFront(self int) vtime.Time {
 	least := vtime.PosInf
 	for i := range d.fronts {
@@ -271,6 +323,51 @@ func (d *dispatcher) peerFront(self int) vtime.Time {
 		}
 	}
 	return least
+}
+
+// sendFront sends every other rank this rank's front, the least its workers
+// have published, when it is not the one they were sent last. The frames go
+// out under sendMu, so that each rank's slot here ends at the last value
+// sent.
+func (d *dispatcher) sendFront() {
+	d.sendMu.Lock()
+	defer d.sendMu.Unlock()
+	f := vtime.PosInf
+	for i := range d.workers {
+		f = min(f, vtime.Time(d.fronts[i].t.Load()))
+	}
+	if f == d.sent {
+		return
+	}
+	d.sent = f
+	for _, lp := range d.others {
+		d.tr.Send(lp, comm.Packet{Kind: comm.PktNull, From: d.rank, Bound: f}, 0)
+	}
+}
+
+// remoteArrived is what the sink does with rank's front f: it stores f in
+// the rank's slot and pokes every worker parked for a front of f or earlier.
+// A front that names no other rank fails the run.
+func (d *dispatcher) remoteArrived(rank int, f vtime.Time) {
+	if rank == d.rank || rank < 0 || rank > len(d.others) {
+		d.fail(&failure{rank: d.rank, msg: fmt.Sprintf("a front from rank %d, not another of the run's %d ranks", rank, len(d.others)+1)})
+		return
+	}
+	slot := len(d.workers) + rank
+	if rank > d.rank {
+		slot--
+	}
+	d.fronts[slot].t.Store(int64(f))
+	d.reached(f)
+}
+
+// reached pokes every worker parked for a front of t or earlier (see wait).
+func (d *dispatcher) reached(t vtime.Time) {
+	for i, w := range d.workers {
+		if need := vtime.Time(d.fronts[i].need.Load()); need != vtime.PosInf && !need.After(t) {
+			w.poke()
+		}
+	}
 }
 
 // peerEvents is the count of events the rank's workers other than self have
@@ -286,13 +383,16 @@ func (d *dispatcher) peerEvents(self int) int64 {
 }
 
 // limitAt is the latest virtual time a worker may execute at under optimism
-// window w when the least front of the rank's other workers is least: least
-// plus w/couplingDivisor, and unbounded when that distance is 0 — no window,
-// or one under couplingDivisor, where a worker held to its peers' very front
-// ran a sparse model at half speed (EXPERIMENTS.md "One front per rank"). The
-// worker that holds the least front is never held by it, so the rule cannot
-// deadlock, and the distance follows the window wherever the adaptive
-// optimism facet moves it.
+// window w when the least front of the rank's other workers and of the other
+// ranks is least: least plus w/couplingDivisor, and unbounded when that
+// distance is 0 — no window, or one under couplingDivisor, where a worker
+// held to its peers' very front ran a sparse model at half speed
+// (EXPERIMENTS.md "One front per rank"). The worker that holds the least
+// front of the run is never held by it, so the rule cannot deadlock: another
+// rank's front reaches this one late, but every held round flushes what its
+// rank sent, its front among it, so once two ranks have read each other's
+// latest fronts at most one of them stays held. The distance follows the
+// window wherever the adaptive optimism facet moves it.
 func limitAt(least, w vtime.Time) vtime.Time {
 	if w/couplingDivisor <= 0 {
 		return vtime.PosInf
@@ -315,12 +415,17 @@ func (d *dispatcher) attach(lp *lpRun, h, n int) {
 }
 
 // deliver is the transport's sink: it puts p into hosted LP dst's spillbox
-// and wakes its worker. The transport has charged the cost already. A stop is
-// for the rank, not the LP: the run has failed where it names, and the
-// workers retire.
+// and wakes its worker. The transport has charged the cost already. A stop
+// and a front are for the rank, not the LP: after a stop the run has failed
+// where it names, and the workers retire; a front is the sending rank's (see
+// remoteArrived).
 func (d *dispatcher) deliver(dst int, p comm.Packet) {
-	if p.Kind == comm.PktStop {
+	switch p.Kind {
+	case comm.PktStop:
 		d.fail(&failure{rank: p.From, msg: string(p.Payload), stop: true})
+		return
+	case comm.PktNull:
+		d.remoteArrived(p.From, p.Bound)
 		return
 	}
 	lp := d.byID[dst]
@@ -626,8 +731,8 @@ func (w *worker) applyRemap() {
 // in that round, so it holds no peer through its wait. A round held by the
 // coupling limit yields and starts the next round; once the rank's other
 // workers have executed nothing for parkAfter, it waits instead until a peer
-// publishes the front it waits for (see wait). run returns once every LP the
-// process hosts has stopped.
+// publishes, or another rank sends, the front it waits for (see wait). run
+// returns once every LP the process hosts has stopped.
 func (w *worker) run() {
 	for _, lp := range w.owned {
 		lp.initObjects()
@@ -690,9 +795,10 @@ func (w *worker) run() {
 			continue
 		}
 		if need != vtime.PosInf {
-			// The rank's other workers are behind. Wait for them by yielding;
-			// once they have executed nothing for parkAfter, park until one of
-			// them publishes a front of need or later.
+			// The rank's other workers, or another rank, are behind. Wait for
+			// them by yielding; once the rank's other workers have executed
+			// nothing for parkAfter, park until a front of need or later is
+			// published here or arrives from another rank.
 			w.heldN.Add(1)
 			now := time.Now()
 			if p := w.d.peerEvents(w.id); w.heldSince.IsZero() || p != w.peerEvents {
@@ -732,17 +838,18 @@ func (w *worker) pump() {
 // publish makes t the worker's front in d.fronts: the receive time of the
 // next event it would execute, or +inf when it has none it may execute. It
 // writes only a changed front, so a peer re-reads the line only when it moved,
-// and then pokes every parked peer waiting for a front of t or earlier.
+// and then pokes every parked peer waiting for a front of t or earlier. On a
+// run of several ranks the rank's front may have moved with it, and then goes
+// to the other ranks (sendFront).
 func (w *worker) publish(t vtime.Time) {
 	if t == w.front {
 		return
 	}
 	w.front = t
 	w.d.fronts[w.id].t.Store(int64(t))
-	for i := range w.d.fronts {
-		if need := vtime.Time(w.d.fronts[i].need.Load()); need != vtime.PosInf && !need.After(t) {
-			w.d.workers[i].poke()
-		}
+	w.d.reached(t)
+	if len(w.d.others) > 0 {
+		w.d.sendFront()
 	}
 }
 
@@ -770,7 +877,8 @@ func (w *worker) idle() {
 // transport that cannot ring, the tick is how often an idle worker looks. A
 // held worker passes the least peer front it waits for as need (+inf for an
 // idle one) and announces it in d.fronts, where the peer that publishes such
-// a front pokes it (publish).
+// a front pokes it (publish), as does the sink that delivers one from
+// another rank (remoteArrived).
 func (w *worker) wait(need vtime.Time) {
 	timeout := w.d.idleTick
 	for _, lp := range w.owned {
@@ -796,8 +904,9 @@ func (w *worker) wait(need vtime.Time) {
 			timeout = 0
 		}
 	}
-	// Announce, then read the peers' fronts: a front published meanwhile is
-	// read here, or its publisher reads need and pokes.
+	// Announce, then read the peers' fronts: a front published or delivered
+	// meanwhile is read here, or its publisher or the sink reads need and
+	// pokes.
 	f := &w.d.fronts[w.id]
 	if need != vtime.PosInf {
 		f.need.Store(int64(need))

@@ -25,12 +25,15 @@ func pholdTCP2() *model.Model {
 // process, at the default width (this rank's share of the cores: one worker a
 // rank on a 2-core host) and at two workers a rank, which is what the default
 // was while each rank counted the machine as its own. One op is one run; it
-// reports committed events per second, rollbacks per run, and the system
-// calls both ranks made per thousand committed events — reads, the reads
-// among them that found nothing, and writes — from the links' own tallies
-// (Result.Wire). Oversubscribed, the two widths differ by what a scheduler
-// does to four never-blocking workers on two cores (EXPERIMENTS.md, "A rank
-// takes its share of the host"). The null case is the workload's setup_s:
+// reports committed events per second, rollbacks per run, the rounds both
+// ranks' workers were held per run — at either width a worker is coupled to
+// the other rank's front as well as to its own rank's other workers
+// (EXPERIMENTS.md "One front per fleet") — and the system calls both ranks
+// made per thousand committed events — reads, the reads among them that
+// found nothing, and writes — from the links' own tallies (Result.Wire).
+// Oversubscribed, the two widths differ by what a scheduler does to four
+// never-blocking workers on two cores (EXPERIMENTS.md, "A rank takes its
+// share of the host"). The null case is the workload's setup_s:
 // one run to virtual time 1 at the default width — listen, join, build the
 // model on each rank, one GVT computation, the final GVT, the report, the drains —
 // in ms/run. Its hops land on ranks whose workers are waiting (EXPERIMENTS.md,
@@ -58,7 +61,7 @@ func BenchmarkPholdTCP2(b *testing.B) {
 			cfg := cfg
 			cfg.Workers = width.workers
 			var wire stats.LinkStats
-			var committed, rollbacks int64
+			var committed, rollbacks, held int64
 			var elapsed time.Duration
 			for i := 0; i < b.N; i++ {
 				results := runFleet(b, pholdTCP2, cfg, tcpFleet(b, pholdTCP2().NumLPs(), 2)...)
@@ -66,6 +69,9 @@ func BenchmarkPholdTCP2(b *testing.B) {
 				rollbacks += results[0].Stats.Rollbacks
 				elapsed += results[0].Elapsed
 				for _, res := range results {
+					for _, ws := range res.PerWorker {
+						held += ws.HeldRounds
+					}
 					for _, l := range res.Wire {
 						wire.Reads += l.Reads
 						wire.EmptyReads += l.EmptyReads
@@ -76,6 +82,7 @@ func BenchmarkPholdTCP2(b *testing.B) {
 			perK := 1000 / float64(committed)
 			b.ReportMetric(float64(committed)/elapsed.Seconds(), "events/s")
 			b.ReportMetric(float64(rollbacks)/float64(b.N), "rollbacks/op")
+			b.ReportMetric(float64(held)/float64(b.N), "held-rounds/op")
 			b.ReportMetric(float64(wire.Reads)*perK, "reads/kev")
 			b.ReportMetric(float64(wire.EmptyReads)*perK, "empty-reads/kev")
 			b.ReportMetric(float64(wire.Writes)*perK, "writes/kev")

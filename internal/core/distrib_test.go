@@ -320,6 +320,18 @@ func TestHiddenPolledMatchesSequential(t *testing.T) {
 // the test.
 func runFleet(t testing.TB, build func() *model.Model, cfg core.Config, trs ...comm.Transport) []*core.Result {
 	t.Helper()
+	results, errs := fleet(build, cfg, trs...)
+	for r, err := range errs {
+		if err != nil {
+			t.Fatalf("rank %d: %v", r, err)
+		}
+	}
+	return results
+}
+
+// fleet is runFleet for a caller off the test's goroutine: it returns each
+// rank's result and error.
+func fleet(build func() *model.Model, cfg core.Config, trs ...comm.Transport) ([]*core.Result, []error) {
 	results := make([]*core.Result, len(trs))
 	errs := make([]error, len(trs))
 	var wg sync.WaitGroup
@@ -333,12 +345,7 @@ func runFleet(t testing.TB, build func() *model.Model, cfg core.Config, trs ...c
 		}(r, tr)
 	}
 	wg.Wait()
-	for r, err := range errs {
-		if err != nil {
-			t.Fatalf("rank %d: %v", r, err)
-		}
-	}
-	return results
+	return results, errs
 }
 
 // TestDistributedNullRunWakesIdleRanks: a null run over two TCP ranks whose

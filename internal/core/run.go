@@ -247,6 +247,7 @@ func newKernel(m *model.Model, cfg *Config, peers comm.Peers, tr comm.Transport,
 		workers = defaultWorkers(len(hosted), peers.HostRanks)
 	}
 	d := newDispatcher(workers, numLPs, cfg)
+	d.join(peers)
 	d.tr = tr
 	tr.SetSink(d.deliver, d.ring)
 	tcp, ok := tr.(*comm.TCP)
