@@ -43,7 +43,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 1
 	}
 	var (
-		modelName = fs.String("model", "phold", "model: smmp, raid, phold, qnet, logic")
+		modelName = fs.String("model", "phold", "model: smmp, raid, phold, qnet")
 		lps       = fs.Int("lps", 4, "logical processes (phold only; smmp/raid use the paper's partitions)")
 		requests  = fs.Int("requests", 500, "requests per generator (smmp: test vectors per processor; raid: requests per source; 0 = unbounded, so smmp and raid then need -end)")
 		end       = fs.Int64("end", 0, "virtual end time (0 = run until the model drains)")
@@ -202,13 +202,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		m = gowarp.NewQNet(gowarp.QNetConfig{
 			Stations: 16, Jobs: 32, LPs: *lps, Seed: *seed, StatePadding: *padding,
-		})
-	case "logic":
-		if *end == 0 {
-			endTime = 50_000
-		}
-		m = gowarp.NewLogicPipeline(8, 6, gowarp.LogicConfig{
-			LPs: *lps, Seed: *seed, StatePadding: *padding,
 		})
 	default:
 		fmt.Fprintf(stderr, "twsim: unknown model %q\n", *modelName)

@@ -152,8 +152,8 @@ func TestSpecFlagForms(t *testing.T) {
 
 // TestRefusals: what twsim cannot place it refuses, naming the flag — a spec
 // flag without a value, the alias words the parsers no longer take, a stray
-// positional argument (which would silently drop every later flag), and a
-// sequential run asked to span processes.
+// positional argument (which would silently drop every later flag), a
+// sequential run asked to span processes, and a model that is not bundled.
 func TestRefusals(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -184,6 +184,7 @@ func TestRefusals(t *testing.T) {
 		{"negative trace cap", []string{"-trace-cap", "-1"}, "-trace-cap must not be negative"},
 		{"raid without bound", []string{"-model", "raid", "-requests", "0"}, "-requests 0"},
 		{"smmp without bound", []string{"-model", "smmp", "-requests", "0", "-sequential"}, "-requests 0"},
+		{"retired logic model", []string{"-model", "logic"}, "unknown model \"logic\""},
 	} {
 		code, out, errOut := twsim(tc.args...)
 		if code == 0 {

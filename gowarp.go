@@ -72,7 +72,6 @@
 package gowarp
 
 import (
-	"gowarp/internal/apps/logic"
 	"gowarp/internal/apps/phold"
 	"gowarp/internal/apps/qnet"
 	"gowarp/internal/apps/raid"
@@ -433,31 +432,8 @@ func NewPHOLD(cfg PHOLDConfig) *Model { return phold.New(cfg) }
 
 // QNetConfig parameterizes the closed queueing-network model, the classic
 // PDES benchmark family whose FCFS order-sensitivity makes aggressive
-// cancellation win (the counterpoint to SMMP and gate-level logic).
+// cancellation win (the counterpoint to SMMP, where lazy cancellation wins).
 type QNetConfig = qnet.Config
 
 // NewQNet builds a closed queueing network of FCFS stations.
 func NewQNet(cfg QNetConfig) *Model { return qnet.New(cfg) }
-
-// Gate-level digital logic simulation (the paper group's own application
-// domain: digital systems models in VHDL).
-type (
-	// LogicConfig parameterizes a logic-circuit model.
-	LogicConfig = logic.Config
-	// Netlist is a gate-level circuit description.
-	Netlist = logic.Netlist
-)
-
-// NewLogic builds a simulation model from a netlist.
-func NewLogic(nl *Netlist, cfg LogicConfig) *Model { return logic.New(nl, cfg) }
-
-// NewLogicPipeline builds a synchronous pipelined circuit: width bits
-// through the given number of combinational+register stages.
-func NewLogicPipeline(width, stages int, cfg LogicConfig) *Model {
-	return logic.NewPipeline(width, stages, cfg)
-}
-
-// LFSRNetlist builds a linear-feedback shift register circuit.
-func LFSRNetlist(width int, taps []int, clockPeriod VTime) *Netlist {
-	return logic.LFSR(width, taps, clockPeriod)
-}

@@ -106,14 +106,6 @@ func TestExtendedAPI(t *testing.T) {
 	if err := qn.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	lg := gowarp.NewLogicPipeline(4, 2, gowarp.LogicConfig{LPs: 2, Ticks: 20})
-	if err := lg.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	lf := gowarp.NewLogic(gowarp.LFSRNetlist(4, []int{1, 3}, 10), gowarp.LogicConfig{LPs: 2, Ticks: 20})
-	if err := lf.Validate(); err != nil {
-		t.Fatal(err)
-	}
 	if _, err := gowarp.RunSequential(qn, 2000); err != nil {
 		t.Fatal(err)
 	}

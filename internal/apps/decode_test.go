@@ -5,7 +5,6 @@ import (
 	"reflect"
 	"testing"
 
-	"gowarp/internal/apps/logic"
 	"gowarp/internal/apps/phold"
 	"gowarp/internal/apps/qnet"
 	"gowarp/internal/apps/raid"
@@ -18,7 +17,7 @@ import (
 )
 
 // bundledModels builds one small model per bundled application; between them
-// their objects hold all ten bundled codec.DeltaState types. end cuts the run
+// their objects hold all nine bundled codec.DeltaState types. end cuts the run
 // short of completion, so RAID's sources still have requests outstanding.
 var bundledModels = []struct {
 	name  string
@@ -36,9 +35,6 @@ var bundledModels = []struct {
 	}},
 	{"qnet", 400, func(seed uint64, pad int) *model.Model {
 		return qnet.New(qnet.Config{Stations: 4, LPs: 1, Seed: seed, StatePadding: pad})
-	}},
-	{"logic", 400, func(seed uint64, pad int) *model.Model {
-		return logic.NewPipeline(4, 3, logic.Config{LPs: 1, Seed: seed, StatePadding: pad})
 	}},
 }
 
@@ -118,7 +114,6 @@ func TestDecodeIntoStaleStorage(t *testing.T) {
 		"*smmp.cpuState", "*smmp.cacheState", "*smmp.portState", "*smmp.bankState",
 		"*raid.sourceState", "*raid.forkState", "*raid.diskState",
 		"*qnet.stationState",
-		"*logic.gateState",
 	}
 	seen := map[string]bool{}
 	for _, app := range bundledModels {
@@ -197,9 +192,9 @@ func TestDecodeIntoStaleStorage(t *testing.T) {
 }
 
 // reporting are the bundled states that are codec.DirtyState too: the padded
-// ones whose encoding is a few fixed-width fields and then Pad. The other four
+// ones whose encoding is a few fixed-width fields and then Pad. The other three
 // have encodings that change length (raid's sources hold maps, a qnet station a
-// queue, a logic gate its pins) or no padding worth skipping (phold's is its
+// queue) or no padding worth skipping (phold's is its
 // workload knob and its head is most of a small state).
 var reporting = map[string]bool{
 	"*smmp.cpuState": true, "*smmp.cacheState": true, "*smmp.portState": true, "*smmp.bankState": true,

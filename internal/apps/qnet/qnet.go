@@ -1,12 +1,12 @@
 // Package qnet implements a closed queueing network: a fixed population of
 // jobs circulating among FCFS single-server service stations connected by a
 // routing matrix. Queueing networks are the other classic PDES benchmark
-// family (alongside synthetic PHOLD and digital logic), and they exercise
-// the cancellation machinery from the opposite corner as gate-level
-// simulation: a station's departure time depends on every earlier arrival
-// (FCFS waiting), so a straggler arrival changes all subsequent departures —
-// rollback re-execution regenerates *different* messages, which is exactly
-// the regime where aggressive cancellation beats lazy.
+// family (alongside synthetic PHOLD), and they exercise the cancellation
+// machinery from the opposite corner to SMMP: a station's departure time
+// depends on every earlier arrival (FCFS waiting), so a straggler arrival
+// changes all subsequent departures — rollback re-execution regenerates
+// *different* messages, which is exactly the regime where aggressive
+// cancellation beats lazy.
 package qnet
 
 import (
@@ -67,8 +67,6 @@ func (c Config) withDefaults() Config {
 
 // Event kind: a job arrival. Payload: job id (4 bytes).
 const kindArrival uint32 = 1
-
-func decodeJob(p []byte) uint32 { return binary.LittleEndian.Uint32(p) }
 
 // stationState is one station's mutable state. FCFS with a single server is
 // simulated with the standard busy-until clock: an arrival's departure time

@@ -85,7 +85,7 @@ func TestFCFSAccounting(t *testing.T) {
 // TestAggressiveFavored: FCFS waiting is order-sensitive, so straggler
 // re-execution regenerates different departures — the hit ratio should be
 // low and the dynamic selector should lean aggressive (the opposite of the
-// gate-level and SMMP models).
+// SMMP model).
 func TestAggressiveFavored(t *testing.T) {
 	cfg := core.DefaultConfig(30_000)
 	cfg.GVTPeriod = 300 * time.Microsecond

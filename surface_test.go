@@ -143,8 +143,9 @@ func TestConfigSurface(t *testing.T) {
 // gowarp/metricshttp, the HTML page in cmd/twreport. Nor encoding/gob: a
 // rank's end-of-run report is a record the kernel writes and reads itself. The
 // package counts are logged so that a new import shows as a number that moved
-// (98 / 91 / 106 since the report dropped gob; 101 / 94 / 109 at this test's
-// first commit; 206 / 199 / 211 before it).
+// (96 / 91 / 104 since the gate-level logic model left; 97 / 91 / 105 before
+// that; 101 / 94 / 109 at this test's first commit, before the report dropped
+// gob; 206 / 199 / 211 before it).
 func TestKernelImportGraph(t *testing.T) {
 	goTool, err := exec.LookPath("go")
 	if err != nil {
